@@ -4,16 +4,16 @@
 //! El Gamal blinding, secret-share encoding).
 //!
 //! After the criterion pass, a second measurement pass re-times the curve
-//! hot paths and emits `BENCHJSON` lines (metric: operations per second,
-//! higher is better) so the nightly `bench_compare` job can diff them
-//! against the `crypto/*` rows in `BENCH_baseline.json`.
+//! hot paths and emits `BENCHJSON` lines (operations per second, higher is
+//! better; the one `_us` row is a cost) so the nightly `bench_compare` job
+//! can diff them against the `crypto/*` rows in `BENCH_baseline.json`.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, Criterion};
 use prochlo_bench::emit_metric;
 use prochlo_crypto::aead::{self, AeadKey};
-use prochlo_crypto::edwards::Point;
+use prochlo_crypto::edwards::{FixedBaseTable, Point};
 use prochlo_crypto::elgamal::{BlindingSecret, ElGamalCiphertext, ElGamalKeypair};
 use prochlo_crypto::hybrid::{HybridCiphertext, HybridKeypair};
 use prochlo_crypto::scalar::Scalar;
@@ -86,8 +86,30 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| ElGamalCiphertext::encrypt_hashed(&mut rng, elgamal.public_key(), b"crowd"))
     });
     group.bench_function("elgamal_blind", |b| b.iter(|| ciphertext.blind(&blinding)));
+    // Shuffler 1's whole per-record step: blind with α, then re-randomize
+    // with a pre-drawn scalar against the batch's key table.
+    let key_table = FixedBaseTable::new(elgamal.public_key());
+    group.bench_function("elgamal_blind_rerandomize", |b| {
+        b.iter(|| ciphertext.blind(&blinding).rerandomize(&scalar, &key_table))
+    });
+    group.bench_function("fixed_base_table_build", |b| {
+        b.iter(|| FixedBaseTable::new(elgamal.public_key()))
+    });
     group.bench_function("elgamal_decrypt", |b| {
         b.iter(|| elgamal.decrypt(&ciphertext))
+    });
+    // The S1→S2 wire encoding: per record, batched (per ciphertext), and
+    // Shuffler 2's decode.
+    let blinded: Vec<ElGamalCiphertext> = (0..BATCH)
+        .map(|_| ciphertext.blind(&BlindingSecret::random(&mut rng)))
+        .collect();
+    group.bench_function("elgamal_to_bytes", |b| b.iter(|| blinded[0].to_bytes()));
+    group.bench_function("elgamal_batch_to_bytes_64", |b| {
+        b.iter(|| ElGamalCiphertext::batch_to_bytes(&blinded))
+    });
+    let encoded = blinded[0].to_bytes();
+    group.bench_function("elgamal_from_bytes", |b| {
+        b.iter(|| ElGamalCiphertext::from_bytes(&encoded).unwrap())
     });
 
     let secret = mle::derive_key(b"some reported value");
@@ -180,6 +202,18 @@ fn emit_benchjson() {
         "elgamal_blind_ops_per_sec",
         measure_ns(|| ciphertext.blind(&blinding)),
         1.0,
+    );
+    let key_table = FixedBaseTable::new(elgamal.public_key());
+    emit_ops_per_sec(
+        "elgamal_blind_rerandomize_ops_per_sec",
+        measure_ns(|| ciphertext.blind(&blinding).rerandomize(&scalar, &key_table)),
+        1.0,
+    );
+    // Paid once per Shuffler 1 batch; a cost, so lower is better.
+    emit_metric(
+        "crypto",
+        "fixed_base_table_build_us",
+        measure_ns(|| FixedBaseTable::new(elgamal.public_key())) / 1e3,
     );
 }
 

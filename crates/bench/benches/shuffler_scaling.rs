@@ -14,8 +14,9 @@
 //!   (default `1,2,4,8`);
 //! * `PROCHLO_SHUFFLE_BACKEND` — backend to sweep (default `trusted`).
 
-use prochlo_bench::{emit_metric, env_usize, env_usize_list, fmt_records, print_header, timed};
-use prochlo_core::encoder::CrowdStrategy;
+use prochlo_bench::{
+    emit_metric, encode_scaling_batch, env_usize, env_usize_list, fmt_records, print_header, timed,
+};
 use prochlo_core::{epoch_rng, exec, Deployment, EngineConfig};
 
 fn main() {
@@ -35,38 +36,12 @@ fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     use rand::SeedableRng;
     let deployment = Deployment::builder().payload_size(32).build(&mut rng);
-    let encoder = deployment.encoder();
 
     // Encode the batch once, in parallel across every available core (setup,
-    // not the measurement). Eight distinct values, all in crowds far above
-    // the threshold.
-    let indices: Vec<u64> = (0..records as u64).collect();
+    // not the measurement).
     let encode_cores = exec::available_threads();
-    let (reports, encode_secs) = timed(|| {
-        let chunks = exec::par_chunks(
-            &indices,
-            encode_cores,
-            exec::CHUNK_RECORDS,
-            |chunk_idx, chunk| {
-                let mut rng = exec::chunk_rng(7, chunk_idx as u64);
-                chunk
-                    .iter()
-                    .map(|&i| {
-                        let value = format!("item-{}", i % 8);
-                        encoder
-                            .encode_plain(
-                                value.as_bytes(),
-                                CrowdStrategy::Hash(value.as_bytes()),
-                                i,
-                                &mut rng,
-                            )
-                            .expect("encode")
-                    })
-                    .collect::<Vec<_>>()
-            },
-        );
-        chunks.into_iter().flatten().collect::<Vec<_>>()
-    });
+    let (reports, encode_secs) =
+        timed(|| encode_scaling_batch(&deployment.encoder(), records, false));
     println!(
         "encoded {} reports in {:.1}s on {} cores ({} available)",
         fmt_records(records),

@@ -15,6 +15,9 @@
 
 use std::time::Instant;
 
+use prochlo_core::encoder::CrowdStrategy;
+use prochlo_core::{exec, ClientReport, Encoder};
+
 /// Reads an integer environment variable with a default.
 pub fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -43,6 +46,41 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (result, start.elapsed().as_secs_f64())
 }
 
+/// Encodes the batch the thread-scaling harnesses replay: `records`
+/// reports over eight distinct values (all in crowds far above the
+/// threshold), sealed on every available core with per-chunk generators so
+/// the batch does not depend on the core count. `blinded` selects El
+/// Gamal-blinded crowd IDs (split topology) over hashed ones.
+pub fn encode_scaling_batch(encoder: &Encoder, records: usize, blinded: bool) -> Vec<ClientReport> {
+    let indices: Vec<u64> = (0..records as u64).collect();
+    exec::par_chunks(
+        &indices,
+        exec::available_threads(),
+        exec::CHUNK_RECORDS,
+        |chunk_idx, chunk| {
+            let mut rng = exec::chunk_rng(7, chunk_idx as u64);
+            chunk
+                .iter()
+                .map(|&i| {
+                    let value = format!("item-{}", i % 8);
+                    let label = value.as_bytes();
+                    let crowd = if blinded {
+                        CrowdStrategy::Blind(label)
+                    } else {
+                        CrowdStrategy::Hash(label)
+                    };
+                    encoder
+                        .encode_plain(label, crowd, i, &mut rng)
+                        .expect("encode")
+                })
+                .collect::<Vec<_>>()
+        },
+    )
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 /// Prints a table header followed by a separator line.
 pub fn print_header(title: &str, columns: &[&str]) {
     println!();
@@ -59,8 +97,8 @@ pub fn print_header(title: &str, columns: &[&str]) {
 /// The nightly workflow tees each harness's stdout to a file; the
 /// `bench_compare` binary greps these lines back out and compares them
 /// against the committed `BENCH_baseline.json`. Metrics are throughputs
-/// (higher is better) unless the name ends in `_ms` ([`lower_is_better`]),
-/// which marks a latency.
+/// (higher is better) unless the name ends in `_ms` or `_us`
+/// ([`lower_is_better`]), which marks a latency or a cost.
 pub fn emit_metric(bench: &str, metric: &str, value: f64) {
     println!("BENCHJSON {{\"bench\":\"{bench}\",\"metric\":\"{metric}\",\"value\":{value:.1}}}");
 }
@@ -148,11 +186,12 @@ pub struct Comparison {
     pub verdict: Verdict,
 }
 
-/// Whether smaller measurements of this metric are better. Latency
-/// metrics carry an `_ms` suffix by convention (the soak harness's
-/// `epoch_cut_p50_ms`); everything else is a throughput.
+/// Whether smaller measurements of this metric are better. Latencies and
+/// costs carry a time-unit suffix by convention (`_ms`: the soak harness's
+/// `epoch_cut_p50_ms`; `_us`: `crypto/fixed_base_table_build_us`);
+/// everything else is a throughput.
 pub fn lower_is_better(key: &str) -> bool {
-    key.ends_with("_ms")
+    key.ends_with("_ms") || key.ends_with("_us")
 }
 
 /// Compares every baseline metric against this run's measurements.
@@ -287,6 +326,7 @@ mod tests {
 
     #[test]
     fn latency_metrics_compare_in_the_lower_is_better_direction() {
+        assert!(lower_is_better("crypto/fixed_base_table_build_us"));
         let baseline = vec![
             ("soak/epoch_cut_p50_ms".to_string(), 1000.0),
             ("soak/reports_per_sec".to_string(), 1000.0),

@@ -173,9 +173,10 @@ impl ShufflerRole for SplitShuffler {
     /// are a ROADMAP item. Selecting any other backend is therefore a hard
     /// error: silently downgrading an oblivious-engine request to the
     /// inline shuffle would be the same failure mode the
-    /// `PROCHLO_SHUFFLE_BACKEND` rejection exists to prevent. A
-    /// thread-count-only override is accepted (and currently has nothing to
-    /// parallelize).
+    /// `PROCHLO_SHUFFLE_BACKEND` rejection exists to prevent. The engine's
+    /// thread count is honoured: it sizes both stages' parallel phases
+    /// (Shuffler 1's peel and blind, Shuffler 2's unblind) and never
+    /// changes the output.
     fn process(
         &self,
         engine: &EngineConfig,
@@ -189,7 +190,9 @@ impl ShufflerRole for SplitShuffler {
                  or the single topology",
             ));
         }
-        self.process_batch(reports, rng)
+        let num_threads = exec::resolve_threads(engine.num_threads)?;
+        let (s1_seed, s2_seed) = SplitShuffler::stage_seeds(rng);
+        Ok(self.run_stages(num_threads, reports, s1_seed, s2_seed))
     }
 
     fn as_split(&self) -> Option<&SplitShuffler> {

@@ -24,8 +24,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use prochlo_crypto::hybrid::HybridKeypair;
-use prochlo_crypto::PublicKey;
+use prochlo_crypto::hybrid::{HybridCiphertext, HybridKeypair};
+use prochlo_crypto::{PublicKey, StaticSecret};
 use prochlo_sgx::{CpuKey, Enclave, EnclaveConfig, Quote};
 use prochlo_shuffle::StashShuffleParams;
 
@@ -263,6 +263,25 @@ pub struct ShuffleOutcome {
     pub stage_stats: Vec<ShufflerStats>,
 }
 
+/// The peel kernel both topologies run inside each executor chunk: opens
+/// the outer layer of every report with one batched key agreement
+/// ([`HybridCiphertext::open_batch`], item for item `open().ok()`) and
+/// parses the envelopes. Returns the surviving envelopes in arrival order
+/// and how many reports were rejected as undecryptable or malformed.
+pub(crate) fn peel_chunk(
+    reports: &[ClientReport],
+    secret: &StaticSecret,
+) -> (Vec<ShufflerEnvelope>, usize) {
+    let outers: Vec<&HybridCiphertext> = reports.iter().map(|report| &report.outer).collect();
+    let envelopes: Vec<ShufflerEnvelope> =
+        HybridCiphertext::open_batch(&outers, secret, SHUFFLER_AAD)
+            .into_iter()
+            .filter_map(|opened| ShufflerEnvelope::from_bytes(&opened?).ok())
+            .collect();
+    let rejected = reports.len() - envelopes.len();
+    (envelopes, rejected)
+}
+
 /// A single-organization ESA shuffler.
 #[derive(Debug, Clone)]
 pub struct Shuffler {
@@ -394,21 +413,8 @@ impl Shuffler {
             num_threads,
             exec::CHUNK_RECORDS,
             |_chunk_idx, chunk| {
-                let mut envelopes = Vec::with_capacity(chunk.len());
-                let mut rejected = 0usize;
-                let mut wire_bytes = 0usize;
-                for report in chunk {
-                    wire_bytes += report.wire_len();
-                    match report
-                        .outer
-                        .open(self.keys.secret(), SHUFFLER_AAD)
-                        .ok()
-                        .and_then(|bytes| ShufflerEnvelope::from_bytes(&bytes).ok())
-                    {
-                        Some(envelope) => envelopes.push(envelope),
-                        None => rejected += 1,
-                    }
-                }
+                let (envelopes, rejected) = peel_chunk(chunk, self.keys.secret());
+                let wire_bytes: usize = chunk.iter().map(ClientReport::wire_len).sum();
                 (envelopes, rejected, wire_bytes)
             },
         );

@@ -14,6 +14,17 @@
 //!   thresholding as the single shuffler — but without α it cannot test
 //!   guesses against the handles. It shuffles again and forwards the inner
 //!   ciphertexts to the analyzer.
+//!
+//! Both stages run their per-record elliptic-curve work on the chunked
+//! executor in [`crate::exec`] and keep everything that consumes the stage
+//! RNG sequential, so seeded output is byte-identical at any thread count:
+//!
+//! * Shuffler 1 peels in parallel chunks, then draws — sequentially, in
+//!   arrival order — α and one re-randomization scalar per *surviving*
+//!   record, then blinds and re-randomizes in parallel chunks with those
+//!   pre-drawn scalars, then shuffles on the stage RNG.
+//! * Shuffler 2 unblinds to handles in parallel chunks; grouping, the
+//!   thresholding draws and the shuffle stay on the stage RNG.
 
 use std::collections::BTreeMap;
 
@@ -21,16 +32,16 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use prochlo_crypto::edwards::Point;
+use prochlo_crypto::edwards::{FixedBaseTable, Point};
 use prochlo_crypto::elgamal::{BlindingSecret, ElGamalCiphertext, ElGamalKeypair};
 use prochlo_crypto::hybrid::HybridKeypair;
-use prochlo_crypto::PublicKey;
+use prochlo_crypto::{PublicKey, Scalar};
 use prochlo_stats::{Gaussian, RoundedNormal};
 
-use crate::encoder::SHUFFLER_AAD;
 use crate::error::PipelineError;
-use crate::record::{ClientReport, CrowdId, ShufflerEnvelope};
-use crate::shuffler::{ShuffleOutcome, ShufflerConfig, ShufflerStats};
+use crate::exec;
+use crate::record::{ClientReport, CrowdId};
+use crate::shuffler::{peel_chunk, ShuffleOutcome, ShufflerConfig, ShufflerStats};
 
 /// A report in transit between the two shufflers: the blinded crowd ID plus
 /// the untouched inner ciphertext.
@@ -46,6 +57,7 @@ pub struct BlindedRecord {
 #[derive(Debug, Clone)]
 pub struct ShufflerOne {
     keys: HybridKeypair,
+    num_threads: usize,
 }
 
 /// Shuffler 2: unblinds to pseudonymous handles, thresholds, shuffles.
@@ -65,10 +77,14 @@ pub struct SplitShuffler {
 }
 
 impl ShufflerOne {
-    /// Creates Shuffler 1 with fresh keys.
-    pub fn new<R: Rng + ?Sized>(rng: &mut R) -> Self {
+    /// Creates Shuffler 1 with fresh keys. `num_threads` is the worker
+    /// count for its parallel phases, with the meaning of
+    /// [`ShufflerConfig::num_threads`] (`0` defers to
+    /// `PROCHLO_SHUFFLE_THREADS`, then every core).
+    pub fn new<R: Rng + ?Sized>(num_threads: usize, rng: &mut R) -> Self {
         Self {
             keys: HybridKeypair::generate(rng),
+            num_threads,
         }
     }
 
@@ -77,8 +93,14 @@ impl ShufflerOne {
         self.keys.public_key()
     }
 
-    /// Peels, blinds and shuffles one batch, forwarding blinded records
-    /// together with this stage's own [`ShufflerStats`].
+    /// The configured worker count (`0` = defer to the environment knob).
+    pub fn num_threads(&self) -> usize {
+        self.num_threads
+    }
+
+    /// Peels, blinds and shuffles one batch on the configured worker
+    /// count, forwarding blinded records together with this stage's own
+    /// [`ShufflerStats`].
     ///
     /// Shuffler 1 never observes crowd IDs (that is the point of blinding),
     /// so `crowds_seen`/`crowds_forwarded` stay `0` in its stats and the
@@ -90,38 +112,89 @@ impl ShufflerOne {
         elgamal_public: &Point,
         rng: &mut R,
     ) -> Result<(Vec<BlindedRecord>, ShufflerStats), PipelineError> {
+        let num_threads = exec::resolve_threads(self.num_threads)?;
+        Ok(self.process_batch_on(num_threads, reports, elgamal_public, rng))
+    }
+
+    /// [`Self::process_batch`] on an explicit, already-resolved worker
+    /// count. Output is a pure function of `(reports, rng)`: every draw
+    /// happens in the sequential middle pass, in the order the per-record
+    /// loop made them (α, then one scalar per record that peeled to a
+    /// blinded crowd ID, in arrival order, then the shuffle).
+    pub(crate) fn process_batch_on<R: Rng + ?Sized>(
+        &self,
+        num_threads: usize,
+        reports: &[ClientReport],
+        elgamal_public: &Point,
+        rng: &mut R,
+    ) -> (Vec<BlindedRecord>, ShufflerStats) {
         let peel_span = prochlo_obs::span("shuffler.s1.peel");
+        // Parallel: peel, and set aside anything that is not a blinded
+        // crowd ID — the split shuffler is only deployed for those;
+        // anything else indicates a misconfigured encoder.
+        let peeled = exec::par_chunks(
+            reports,
+            num_threads,
+            exec::CHUNK_RECORDS,
+            |_chunk_idx, chunk| {
+                let (envelopes, mut rejected) = peel_chunk(chunk, self.keys.secret());
+                let mut crowds = Vec::with_capacity(envelopes.len());
+                let mut inners = Vec::with_capacity(envelopes.len());
+                for envelope in envelopes {
+                    match envelope.crowd_id {
+                        CrowdId::Blinded(ct) => {
+                            crowds.push(*ct);
+                            inners.push(envelope.inner);
+                        }
+                        _ => rejected += 1,
+                    }
+                }
+                (crowds, inners, rejected)
+            },
+        );
+
+        // Sequential, RNG only: the batch's α, then one re-randomization
+        // scalar per surviving record in arrival order.
         let blinding = BlindingSecret::random(rng);
         let mut rejected = 0usize;
-        let mut records = Vec::with_capacity(reports.len());
-        for report in reports {
-            let envelope = match report
-                .outer
-                .open(self.keys.secret(), SHUFFLER_AAD)
-                .ok()
-                .and_then(|bytes| ShufflerEnvelope::from_bytes(&bytes).ok())
-            {
-                Some(e) => e,
-                None => {
-                    rejected += 1;
-                    continue;
-                }
-            };
-            let blinded_crowd = match envelope.crowd_id {
-                CrowdId::Blinded(ct) => ct.blind(&blinding).rerandomize(rng, elgamal_public),
-                _ => {
-                    // The split shuffler is only deployed for blinded crowd
-                    // IDs; anything else indicates a misconfigured encoder.
-                    rejected += 1;
-                    continue;
-                }
-            };
-            records.push(BlindedRecord {
-                blinded_crowd,
-                inner: envelope.inner,
-            });
+        let mut work: Vec<(ElGamalCiphertext, Scalar)> = Vec::with_capacity(reports.len());
+        let mut inners: Vec<Vec<u8>> = Vec::with_capacity(reports.len());
+        for (crowds, chunk_inners, chunk_rejected) in peeled {
+            rejected += chunk_rejected;
+            work.extend(
+                crowds
+                    .into_iter()
+                    .map(|ct| (ct, Scalar::random_nonzero(rng))),
+            );
+            inners.extend(chunk_inners);
         }
+
+        // Parallel: blind with α, re-randomize with the pre-drawn scalar.
+        // The El Gamal key is multiplied once per record, so it gets a
+        // fixed-base table for the batch.
+        let key_table = FixedBaseTable::new(elgamal_public);
+        let blinded = exec::par_chunks(
+            &work,
+            num_threads,
+            exec::CHUNK_RECORDS,
+            |_chunk_idx, chunk| {
+                chunk
+                    .iter()
+                    .map(|(ct, s)| ct.blind(&blinding).rerandomize(s, &key_table))
+                    .collect::<Vec<_>>()
+            },
+        );
+        let mut records: Vec<BlindedRecord> = blinded
+            .into_iter()
+            .flatten()
+            .zip(inners)
+            .map(|(blinded_crowd, inner)| BlindedRecord {
+                blinded_crowd,
+                inner,
+            })
+            .collect();
         let peel_seconds = peel_span.finish();
+
         let shuffle_span = prochlo_obs::span("shuffler.s1.shuffle");
         records.shuffle(rng);
         let mut stats = ShufflerStats {
@@ -134,7 +207,7 @@ impl ShufflerOne {
         };
         stats.timings.peel_seconds = peel_seconds;
         stats.timings.shuffle_seconds = shuffle_span.finish();
-        Ok((records, stats))
+        (records, stats)
     }
 }
 
@@ -159,12 +232,26 @@ impl ShufflerTwo {
     }
 
     /// Unblinds crowd IDs to pseudonymous handles, applies randomized
-    /// thresholding and shuffles.
+    /// thresholding and shuffles, on the configured worker count
+    /// ([`ShufflerConfig::num_threads`]).
     pub fn process_batch<R: Rng + ?Sized>(
         &self,
         records: Vec<BlindedRecord>,
         rng: &mut R,
     ) -> Result<(Vec<Vec<u8>>, ShufflerStats), PipelineError> {
+        let num_threads = exec::resolve_threads(self.config.num_threads)?;
+        Ok(self.process_batch_on(num_threads, records, rng))
+    }
+
+    /// [`Self::process_batch`] on an explicit, already-resolved worker
+    /// count. Only the unblinding is parallel; it draws nothing, so the
+    /// output is a pure function of `(records, rng)`.
+    pub(crate) fn process_batch_on<R: Rng + ?Sized>(
+        &self,
+        num_threads: usize,
+        records: Vec<BlindedRecord>,
+        rng: &mut R,
+    ) -> (Vec<Vec<u8>>, ShufflerStats) {
         let peel_span = prochlo_obs::span("shuffler.s2.peel");
         let mut stats = ShufflerStats {
             received: records.len(),
@@ -172,16 +259,26 @@ impl ShufflerTwo {
             ..ShufflerStats::default()
         };
 
-        // Decrypt to handles and group by handle.
+        // Parallel: decrypt to handles, one batched compression per chunk.
+        let handles = exec::par_chunks(
+            &records,
+            num_threads,
+            exec::CHUNK_RECORDS,
+            |_chunk_idx, chunk| {
+                let points: Vec<Point> = chunk
+                    .iter()
+                    .map(|record| self.elgamal.decrypt(&record.blinded_crowd))
+                    .collect();
+                Point::batch_compress(&points)
+            },
+        );
+        // Group by handle.
         // Deterministic iteration order: the per-crowd noise draws below
         // must be a pure function of the seeded rng (see threshold() in
         // shuffler/mod.rs for the same fix).
         let mut groups: BTreeMap<[u8; 32], Vec<usize>> = BTreeMap::new();
-        let mut inners: Vec<Vec<u8>> = Vec::with_capacity(records.len());
-        for (idx, record) in records.into_iter().enumerate() {
-            let handle = self.elgamal.decrypt(&record.blinded_crowd).compress().0;
-            groups.entry(handle).or_default().push(idx);
-            inners.push(record.inner);
+        for (idx, handle) in handles.into_iter().flatten().enumerate() {
+            groups.entry(handle.0).or_default().push(idx);
         }
         stats.crowds_seen = groups.len();
         // Unblinding to handles is this stage's "peel".
@@ -202,7 +299,7 @@ impl ShufflerTwo {
             None
         };
 
-        let mut keep: Vec<usize> = Vec::new();
+        let mut keep = vec![false; records.len()];
         for (_, mut members) in groups {
             if let Some(dist) = &drop_dist {
                 let d = (dist.sample(rng) as usize).min(members.len());
@@ -213,7 +310,9 @@ impl ShufflerTwo {
             let noise = noise_dist.as_ref().map_or(0.0, |d| d.sample(rng));
             if (members.len() as f64) > self.config.cardinality_threshold as f64 + noise {
                 stats.crowds_forwarded += 1;
-                keep.extend(members);
+                for idx in members {
+                    keep[idx] = true;
+                }
             } else {
                 stats.dropped_threshold += members.len();
             }
@@ -222,18 +321,16 @@ impl ShufflerTwo {
         stats.timings.threshold_seconds = threshold_span.finish();
 
         let shuffle_span = prochlo_obs::span("shuffler.s2.shuffle");
-        // prochlo-lint: allow(determinism-hash-iter, "membership set only: never iterated, so hash order cannot leak into the output")
-        let keep_set: std::collections::HashSet<usize> = keep.into_iter().collect();
-        let mut survivors: Vec<Vec<u8>> = inners
+        let mut survivors: Vec<Vec<u8>> = records
             .into_iter()
-            .enumerate()
-            .filter_map(|(idx, inner)| keep_set.contains(&idx).then_some(inner))
+            .zip(keep)
+            .filter_map(|(record, kept)| kept.then_some(record.inner))
             .collect();
         survivors.shuffle(rng);
         stats.forwarded = survivors.len();
         stats.shuffle_attempts = 1;
         stats.timings.shuffle_seconds = shuffle_span.finish();
-        Ok((survivors, stats))
+        (survivors, stats)
     }
 }
 
@@ -241,7 +338,7 @@ impl SplitShuffler {
     /// Creates both shufflers.
     pub fn new<R: Rng + ?Sized>(config: ShufflerConfig, rng: &mut R) -> Self {
         Self {
-            one: ShufflerOne::new(rng),
+            one: ShufflerOne::new(config.num_threads, rng),
             two: ShufflerTwo::new(config, rng),
         }
     }
@@ -278,25 +375,45 @@ impl SplitShuffler {
 
     /// [`Self::process_batch`] with the per-stage sub-seeds already drawn —
     /// the form a networked deployment uses, where the driver draws the
-    /// seeds and ships one to each shuffler process.
+    /// seeds and ships one to each shuffler process. Runs on the configured
+    /// worker count ([`ShufflerConfig::num_threads`]); the output does not
+    /// depend on it.
     pub fn process_batch_with_seeds(
         &self,
         reports: &[ClientReport],
         s1_seed: u64,
         s2_seed: u64,
     ) -> Result<ShuffleOutcome, PipelineError> {
+        let num_threads = exec::resolve_threads(self.two.config.num_threads)?;
+        Ok(self.run_stages(num_threads, reports, s1_seed, s2_seed))
+    }
+
+    /// Both stages back to back on an explicit, already-resolved worker
+    /// count, each on its own `StdRng` seeded from its sub-seed.
+    pub(crate) fn run_stages(
+        &self,
+        num_threads: usize,
+        reports: &[ClientReport],
+        s1_seed: u64,
+        s2_seed: u64,
+    ) -> ShuffleOutcome {
         let mut rng_one = StdRng::seed_from_u64(s1_seed);
-        let (blinded, stage_one) =
-            self.one
-                .process_batch(reports, self.two.elgamal_public(), &mut rng_one)?;
+        let (blinded, stage_one) = self.one.process_batch_on(
+            num_threads,
+            reports,
+            self.two.elgamal_public(),
+            &mut rng_one,
+        );
         let mut rng_two = StdRng::seed_from_u64(s2_seed);
-        let (items, stage_two) = self.two.process_batch(blinded, &mut rng_two)?;
+        let (items, stage_two) = self
+            .two
+            .process_batch_on(num_threads, blinded, &mut rng_two);
         let stats = Self::merge_stage_stats(reports.len(), &stage_one, &stage_two);
-        Ok(ShuffleOutcome {
+        ShuffleOutcome {
             items,
             stats,
             stage_stats: vec![stage_one, stage_two],
-        })
+        }
     }
 
     /// The merged batch-level view of a split run, preserving the
@@ -429,6 +546,69 @@ mod tests {
         assert_eq!(joint.items, staged.items);
         assert_eq!(joint.stats, staged.stats);
         assert_eq!(joint.stage_stats, staged.stage_stats);
+    }
+
+    #[test]
+    fn output_is_identical_at_any_thread_count() {
+        // The same keys at every thread count: the deployment is rebuilt
+        // from one seed, only `num_threads` differs.
+        let split_with = |num_threads: usize| {
+            let config = ShufflerConfig {
+                num_threads,
+                ..ShufflerConfig::default()
+            };
+            SplitShuffler::new(config, &mut StdRng::seed_from_u64(21))
+        };
+        let mut rng = StdRng::seed_from_u64(22);
+        let reference = split_with(1);
+        let keys = |split: &SplitShuffler| ClientKeys {
+            shuffler: *split.one.public_key(),
+            analyzer: *HybridKeypair::generate(&mut StdRng::seed_from_u64(23)).public_key(),
+            crowd_blinding: Some(*split.two.elgamal_public()),
+        };
+        let encoder = Encoder::new(keys(&reference), 32);
+        let foreign = Encoder::new(
+            keys(&SplitShuffler::new(ShufflerConfig::default(), &mut rng)),
+            32,
+        );
+        // Three executor chunks, with undecryptable outers and non-blinded
+        // crowd IDs interleaved among the valid reports so rejected records
+        // sit on both sides of every chunk border: the draw-per-survivor
+        // rule decides which scalar each later record gets.
+        let total = 2 * exec::CHUNK_RECORDS + 150;
+        let reports: Vec<ClientReport> = (0..total as u64)
+            .map(|i| {
+                let word = format!("w{}", i % 30);
+                let label = word.as_bytes();
+                if i % 7 == 3 {
+                    foreign.encode_plain(label, CrowdStrategy::Blind(label), i, &mut rng)
+                } else if i % 11 == 5 {
+                    encoder.encode_plain(label, CrowdStrategy::Hash(label), i, &mut rng)
+                } else {
+                    encoder.encode_plain(label, CrowdStrategy::Blind(label), i, &mut rng)
+                }
+                .unwrap()
+            })
+            .collect();
+        let rejected = (0..total).filter(|i| i % 7 == 3 || i % 11 == 5).count();
+
+        let sequential = reference
+            .process_batch_with_seeds(&reports, 31, 32)
+            .unwrap();
+        assert_eq!(sequential.stage_stats[0].rejected, rejected);
+        assert_eq!(sequential.stage_stats[0].forwarded, total - rejected);
+        assert!(sequential.stats.forwarded > 0);
+        for num_threads in [2, 3, 8] {
+            let parallel = split_with(num_threads)
+                .process_batch_with_seeds(&reports, 31, 32)
+                .unwrap();
+            assert_eq!(parallel.items, sequential.items, "{num_threads} threads");
+            assert_eq!(parallel.stats, sequential.stats, "{num_threads} threads");
+            assert_eq!(
+                parallel.stage_stats, sequential.stage_stats,
+                "{num_threads} threads"
+            );
+        }
     }
 
     #[test]

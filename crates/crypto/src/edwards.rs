@@ -10,10 +10,11 @@
 //!
 //! Scalar multiplication is the pipeline's per-record cost floor (every
 //! report is hybrid-sealed, ElGamal-blinded and hybrid-opened), so both
-//! multiplication paths are windowed: [`Point::mul_base`] walks a
-//! lazily-built 64-entry fixed-base comb table of the basepoint, and
-//! [`Point::mul`] uses a signed 4-bit window over a per-call table of eight
-//! multiples. Bulk normalization goes through [`Point::batch_to_affine`]
+//! multiplication paths are windowed: a [`FixedBaseTable`] is a 64-entry
+//! comb table for a base that is multiplied many times ([`Point::mul_base`]
+//! walks the lazily-built one of the basepoint), and [`Point::mul`] uses a
+//! signed 4-bit window over a per-call table of eight multiples. Bulk
+//! normalization goes through [`Point::batch_to_affine`]
 //! (Montgomery's trick: one inversion per batch). All paths compute exactly
 //! the same group elements as the schoolbook double-and-add ladder — the
 //! ladder is kept in the test suite as the oracle — and none of them are
@@ -153,7 +154,7 @@ impl CachedPoint {
 
 /// A precomputed point in affine "Niels" form `(y+x, y−x, 2dxy)` (Z = 1
 /// implied): adding one to an extended point costs 7 field multiplications.
-/// Used for the static fixed-base comb table.
+/// Used for the entries of a [`FixedBaseTable`].
 #[derive(Clone, Copy)]
 struct AffineNiels {
     y_plus_x: FieldElement,
@@ -161,25 +162,36 @@ struct AffineNiels {
     t2d: FieldElement,
 }
 
-/// The fixed-base comb table: `TABLES[s][j] = 2^(16s) · Σ_{k ∈ bits(j)}
-/// 2^(64k) · B` for `s ∈ 0..4`, `j ∈ 0..16`. [`Point::mul_base`] reads the
-/// scalar as a 4-tooth comb (bit positions `b + 16s + 64k`), doing 15
-/// doublings and at most 64 table additions instead of the ladder's 256
-/// doublings — with every stored point normalized to affine Niels form in
-/// one batched inversion.
-struct CombTable {
+/// A fixed-base comb table for one base point `P`: `tables[s][j] =
+/// 2^(16s) · Σ_{k ∈ bits(j)} 2^(64k) · P` for `s ∈ 0..4`, `j ∈ 0..16`.
+/// [`FixedBaseTable::mul`] reads the scalar as a 4-tooth comb (bit positions
+/// `b + 16s + 64k`), doing 15 doublings and at most 64 table additions
+/// instead of the 252 doublings of the windowed [`Point::mul`] — with every
+/// stored point normalized to affine Niels form in one batched inversion.
+///
+/// Building a table costs about as much as a dozen variable-base
+/// multiplications, so it pays for a base that is multiplied many times:
+/// the basepoint (one process-wide table behind [`Point::mul_base`]) and a
+/// batch's El Gamal public key in the split shuffler.
+pub struct FixedBaseTable {
     tables: [[AffineNiels; 16]; 4],
 }
 
-fn comb_table() -> &'static CombTable {
-    static TABLE: OnceLock<CombTable> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        // pow64[k] = 2^(64k) · B.
-        let mut pow64 = [*Point::basepoint(); 4];
+impl std::fmt::Debug for FixedBaseTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "FixedBaseTable(..)")
+    }
+}
+
+impl FixedBaseTable {
+    /// Precomputes the comb table of `base` (any curve point).
+    pub fn new(base: &Point) -> FixedBaseTable {
+        // pow64[k] = 2^(64k) · P.
+        let mut pow64 = [*base; 4];
         for k in 1..4 {
             pow64[k] = double_n(&pow64[k - 1], 64);
         }
-        // Subset sums over {B, 2^64 B, 2^128 B, 2^192 B}, then the three
+        // Subset sums over {P, 2^64 P, 2^128 P, 2^192 P}, then the three
         // 16-doubling shifts.
         let mut extended = [[Point::identity(); 16]; 4];
         for j in 1usize..16 {
@@ -207,8 +219,38 @@ fn comb_table() -> &'static CombTable {
                 t2d: x.mul(&y).mul(curve_2d()),
             };
         }
-        CombTable { tables }
-    })
+        FixedBaseTable { tables }
+    }
+
+    /// Multiplies the table's base point by `scalar`; the same group
+    /// element as [`Point::mul`] on that base.
+    pub fn mul(&self, scalar: &Scalar) -> Point {
+        let bytes = scalar.to_bytes();
+        let bit = |position: usize| (bytes[position / 8] >> (position % 8)) & 1;
+        let mut acc = Point::identity();
+        for b in (0..16).rev() {
+            if b != 15 {
+                acc = acc.double();
+            }
+            for (s, sub_table) in self.tables.iter().enumerate() {
+                let base = b + 16 * s;
+                let j = (bit(base)
+                    | (bit(base + 64) << 1)
+                    | (bit(base + 128) << 2)
+                    | (bit(base + 192) << 3)) as usize;
+                if j != 0 {
+                    acc = acc.add_niels(&sub_table[j]);
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// The basepoint's comb table, built once per process.
+fn basepoint_table() -> &'static FixedBaseTable {
+    static TABLE: OnceLock<FixedBaseTable> = OnceLock::new();
+    TABLE.get_or_init(|| FixedBaseTable::new(Point::basepoint()))
 }
 
 /// Recodes a reduced scalar (< ℓ < 2^253) into 64 signed radix-16 digits in
@@ -443,32 +485,13 @@ impl Point {
 
     /// Multiplies the base point by a scalar.
     ///
-    /// Walks the lazily-initialized fixed-base comb table (built once per
-    /// process, ~64 precomputed points): 15 doublings plus at most 64
-    /// table additions — roughly a fifth of the point operations of even
-    /// the windowed [`Self::mul`], with every addition in the cheap affine
-    /// Niels form.
+    /// Walks the lazily-initialized [`FixedBaseTable`] of the basepoint
+    /// (built once per process, 64 precomputed points): 15 doublings plus
+    /// at most 64 table additions — roughly a fifth of the point operations
+    /// of even the windowed [`Self::mul`], with every addition in the cheap
+    /// affine Niels form.
     pub fn mul_base(scalar: &Scalar) -> Point {
-        let bytes = scalar.to_bytes();
-        let bit = |position: usize| (bytes[position / 8] >> (position % 8)) & 1;
-        let table = comb_table();
-        let mut acc = Point::identity();
-        for b in (0..16).rev() {
-            if b != 15 {
-                acc = acc.double();
-            }
-            for (s, sub_table) in table.tables.iter().enumerate() {
-                let base = b + 16 * s;
-                let j = (bit(base)
-                    | (bit(base + 64) << 1)
-                    | (bit(base + 128) << 2)
-                    | (bit(base + 192) << 3)) as usize;
-                if j != 0 {
-                    acc = acc.add_niels(&sub_table[j]);
-                }
-            }
-        }
-        acc
+        basepoint_table().mul(scalar)
     }
 
     /// Multiplies by the cofactor 8 (three doublings, chained projectively
@@ -740,6 +763,38 @@ mod tests {
         for s in &edge_cases {
             assert_eq!(Point::mul_base(s), Point::basepoint().mul_ladder(s));
             assert_eq!(p.mul(s), p.mul_ladder(s));
+        }
+    }
+
+    /// A table built for an arbitrary base computes the same group element
+    /// as the windowed variable-base path, and for the basepoint the same
+    /// as `mul_base`.
+    #[test]
+    fn fixed_base_table_matches_mul_on_boundary_and_random_scalars() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let l_minus_1 = Scalar::zero().sub(&Scalar::from_u64(1));
+        let mut scalars = vec![
+            Scalar::zero(),
+            Scalar::one(),
+            l_minus_1,
+            Scalar::from_bytes_mod_order(&[0xff; 32]),
+        ];
+        scalars.extend((0..8).map(|_| Scalar::random(&mut rng)));
+        let bases = [
+            random_point(&mut rng),
+            Point::hash_to_point(b"an el gamal key"),
+            Point::identity(),
+        ];
+        for base in &bases {
+            let table = FixedBaseTable::new(base);
+            for s in &scalars {
+                assert_eq!(table.mul(s), base.mul(s));
+                assert_eq!(table.mul(s).compress(), base.mul_ladder(s).compress());
+            }
+        }
+        let table = FixedBaseTable::new(Point::basepoint());
+        for s in &scalars {
+            assert_eq!(table.mul(s), Point::mul_base(s));
         }
     }
 

@@ -15,7 +15,7 @@
 
 use rand::Rng;
 
-use crate::edwards::{CompressedPoint, Point};
+use crate::edwards::{CompressedPoint, FixedBaseTable, Point};
 use crate::error::CryptoError;
 use crate::scalar::Scalar;
 
@@ -99,20 +99,46 @@ impl ElGamalCiphertext {
 
     /// Re-randomizes the ciphertext (fresh encryption of the same plaintext)
     /// so that Shuffler 1 can also unlink ciphertexts before forwarding.
-    pub fn rerandomize<R: Rng + ?Sized>(&self, rng: &mut R, public_key: &Point) -> Self {
-        let s = Scalar::random_nonzero(rng);
+    ///
+    /// The caller draws `s` (one [`Scalar::random_nonzero`] per ciphertext)
+    /// and builds `key_table` once for the public key, so a batch can draw
+    /// its scalars sequentially from a seeded stream and then re-randomize
+    /// on any number of threads, with both `s·B` and `s·h` on fixed-base
+    /// tables.
+    pub fn rerandomize(&self, s: &Scalar, key_table: &FixedBaseTable) -> Self {
         Self {
-            r: self.r.add(&Point::mul_base(&s)),
-            c: self.c.add(&public_key.mul(&s)),
+            r: self.r.add(&Point::mul_base(s)),
+            c: self.c.add(&key_table.mul(s)),
         }
     }
 
     /// Serializes to 64 bytes (two compressed points).
     pub fn to_bytes(&self) -> [u8; 64] {
+        Self::pack(&self.r.compress(), &self.c.compress())
+    }
+
+    fn pack(r: &CompressedPoint, c: &CompressedPoint) -> [u8; 64] {
         let mut out = [0u8; 64];
-        out[..32].copy_from_slice(self.r.compress().as_bytes());
-        out[32..].copy_from_slice(self.c.compress().as_bytes());
+        out[..32].copy_from_slice(r.as_bytes());
+        out[32..].copy_from_slice(c.as_bytes());
         out
+    }
+
+    /// Serializes many ciphertexts for the cost of one field inversion
+    /// (see [`Point::batch_compress`]) instead of two per ciphertext.
+    /// Output order matches input order; equal to calling
+    /// [`Self::to_bytes`] per item.
+    pub fn batch_to_bytes<'a>(
+        ciphertexts: impl IntoIterator<Item = &'a ElGamalCiphertext>,
+    ) -> Vec<[u8; 64]> {
+        let points: Vec<Point> = ciphertexts
+            .into_iter()
+            .flat_map(|ct| [ct.r, ct.c])
+            .collect();
+        Point::batch_compress(&points)
+            .chunks_exact(2)
+            .map(|pair| Self::pack(&pair[0], &pair[1]))
+            .collect()
     }
 
     /// Parses the 64-byte encoding.
@@ -206,9 +232,31 @@ mod tests {
         let keys = ElGamalKeypair::generate(&mut rng);
         let mu = Point::hash_to_point(b"page:example.com");
         let ct = ElGamalCiphertext::encrypt(&mut rng, keys.public_key(), &mu);
-        let rr = ct.rerandomize(&mut rng, keys.public_key());
+        let s = Scalar::random_nonzero(&mut rng);
+        let rr = ct.rerandomize(&s, &FixedBaseTable::new(keys.public_key()));
         assert_ne!(ct, rr);
         assert_eq!(keys.decrypt(&rr), mu);
+        // The table is only a faster route to the textbook formula.
+        assert_eq!(rr.r, ct.r.add(&Point::basepoint().mul(&s)));
+        assert_eq!(rr.c, ct.c.add(&keys.public_key().mul(&s)));
+    }
+
+    #[test]
+    fn batch_to_bytes_matches_per_item_encoding() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let keys = ElGamalKeypair::generate(&mut rng);
+        let blinding = BlindingSecret::random(&mut rng);
+        let mut cts: Vec<ElGamalCiphertext> = (0..9u8)
+            .map(|i| ElGamalCiphertext::encrypt_hashed(&mut rng, keys.public_key(), &[i]))
+            .collect();
+        // Unnormalized (Z ≠ 1) points, as blinding leaves them.
+        cts.extend(cts.clone().iter().map(|ct| ct.blind(&blinding)));
+        let batch = ElGamalCiphertext::batch_to_bytes(&cts);
+        assert_eq!(batch.len(), cts.len());
+        for (ct, bytes) in cts.iter().zip(&batch) {
+            assert_eq!(*bytes, ct.to_bytes());
+        }
+        assert!(ElGamalCiphertext::batch_to_bytes(&[]).is_empty());
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! is: fresh ephemeral Diffie–Hellman key, HKDF to derive an AEAD key, then
 //! AEAD with the recipient's role string as associated data.
 
+use std::borrow::Borrow;
+
 use rand::Rng;
 
 use crate::aead::{self, AeadKey};
@@ -96,8 +98,11 @@ impl HybridCiphertext {
     /// whole batch are normalized together via
     /// [`StaticSecret::agree_batch`], amortizing the field inversion that
     /// each individual agreement would otherwise pay during compression.
-    pub fn open_batch(
-        items: &[Self],
+    /// Items may be owned or borrowed (`&[HybridCiphertext]` or
+    /// `&[&HybridCiphertext]`), so a caller holding ciphertexts inside
+    /// larger records batches them without cloning.
+    pub fn open_batch<T: Borrow<Self>>(
+        items: &[T],
         recipient: &StaticSecret,
         aad: &[u8],
     ) -> Vec<Option<Vec<u8>>> {
@@ -105,7 +110,7 @@ impl HybridCiphertext {
         // batch agreement runs only over valid keys.
         let ephemerals: Vec<Option<PublicKey>> = items
             .iter()
-            .map(|item| PublicKey::from_bytes(item.ephemeral).ok())
+            .map(|item| PublicKey::from_bytes(item.borrow().ephemeral).ok())
             .collect();
         let valid: Vec<PublicKey> = ephemerals.iter().filter_map(|pk| *pk).collect();
         let keys = recipient.agree_batch(&valid, b"prochlo-hybrid-v1");
@@ -119,6 +124,7 @@ impl HybridCiphertext {
                 ephemeral.as_ref()?;
                 let key_bytes = key_iter.next().expect("one key per valid ephemeral").ok()?;
                 let key = AeadKey::from_bytes(key_bytes);
+                let item = item.borrow();
                 aead::open(&key, &item.nonce, aad, &item.sealed).ok()
             })
             .collect()
@@ -276,7 +282,15 @@ mod tests {
             assert_eq!(*opened, item.open(recipient.secret(), b"role").ok());
         }
         assert_eq!(batch.iter().filter(|o| o.is_some()).count(), 3);
-        assert!(HybridCiphertext::open_batch(&[], recipient.secret(), b"role").is_empty());
+        // Borrowed items open identically.
+        let borrowed: Vec<&HybridCiphertext> = items.iter().collect();
+        assert_eq!(
+            HybridCiphertext::open_batch(&borrowed, recipient.secret(), b"role"),
+            batch
+        );
+        assert!(
+            HybridCiphertext::open_batch(&borrowed[..0], recipient.secret(), b"role").is_empty()
+        );
     }
 
     #[test]

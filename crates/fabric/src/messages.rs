@@ -12,6 +12,8 @@
 //! [`prochlo_core::shuffler::split::SplitShuffler::merge_stage_stats`], so
 //! a remote run reports the identical merged stats as an in-process one.
 
+use prochlo_core::exec;
+use prochlo_core::shuffler::split::BlindedRecord;
 use prochlo_core::shuffler::{PhaseTimings, ShufflerStats};
 use prochlo_core::wire::{put_bytes, put_u32, put_u64, put_u8, Reader};
 use prochlo_crypto::elgamal::ElGamalCiphertext;
@@ -257,22 +259,50 @@ pub struct BatchToTwo {
 }
 
 impl BatchToTwo {
-    /// Parses the blinded crowd IDs into curve points, rejecting invalid
-    /// encodings.
-    pub fn decode_records(
-        &self,
-    ) -> Result<Vec<prochlo_core::shuffler::split::BlindedRecord>, FabricError> {
-        self.records
-            .iter()
-            .map(|(crowd, inner)| {
-                let blinded_crowd = ElGamalCiphertext::from_bytes(crowd)
-                    .map_err(|_| FabricError::Malformed("invalid blinded crowd id"))?;
-                Ok(prochlo_core::shuffler::split::BlindedRecord {
-                    blinded_crowd,
-                    inner: inner.clone(),
-                })
-            })
+    /// Encodes Shuffler 1's output into the [`Self::records`] wire form,
+    /// in parallel chunks with one batched point compression per chunk
+    /// (see [`ElGamalCiphertext::batch_to_bytes`]); byte for byte what
+    /// per-record `to_bytes` produces.
+    pub fn encode_records(
+        records: Vec<BlindedRecord>,
+        num_threads: usize,
+    ) -> Vec<([u8; 64], Vec<u8>)> {
+        let crowds = exec::par_chunks(&records, num_threads, exec::CHUNK_RECORDS, |_, chunk| {
+            ElGamalCiphertext::batch_to_bytes(chunk.iter().map(|record| &record.blinded_crowd))
+        });
+        crowds
+            .into_iter()
+            .flatten()
+            .zip(records)
+            .map(|(crowd, record)| (crowd, record.inner))
             .collect()
+    }
+
+    /// Parses [`Self::records`] back into curve points in parallel chunks
+    /// (two square roots per record), rejecting invalid encodings.
+    pub fn decode_records(
+        records: Vec<([u8; 64], Vec<u8>)>,
+        num_threads: usize,
+    ) -> Result<Vec<BlindedRecord>, FabricError> {
+        let crowds: Vec<Vec<ElGamalCiphertext>> =
+            exec::par_chunks(&records, num_threads, exec::CHUNK_RECORDS, |_, chunk| {
+                chunk
+                    .iter()
+                    .map(|(crowd, _)| ElGamalCiphertext::from_bytes(crowd))
+                    .collect()
+            })
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .map_err(|_| FabricError::Malformed("invalid blinded crowd id"))?;
+        Ok(crowds
+            .into_iter()
+            .flatten()
+            .zip(records)
+            .map(|(blinded_crowd, (_, inner))| BlindedRecord {
+                blinded_crowd,
+                inner,
+            })
+            .collect())
     }
 }
 

@@ -42,6 +42,12 @@ use prochlo_crypto::hybrid::HybridCiphertext;
 use crate::messages::{BatchToTwo, ItemsBatch, ToOne, ToTwo};
 use crate::transport::{ChannelId, FabricError, Peer, Stage, Transport, TypedChannel};
 
+/// A stage's configured worker count, resolved once per service loop (`0`
+/// defers to `PROCHLO_SHUFFLE_THREADS`, then every core).
+fn resolve_threads(configured: usize) -> Result<usize, FabricError> {
+    exec::resolve_threads(configured).map_err(|e| FabricError::Processing(e.to_string()))
+}
+
 /// Shuffler 1's service loop: serves every shard's batch stream, in shard
 /// order, until each sends its in-band done marker; then releases
 /// Shuffler 2 with [`ToTwo::Done`].
@@ -56,6 +62,7 @@ pub fn serve_shuffler_one(
     elgamal_public: &Point,
     num_shards: u16,
 ) -> Result<(), FabricError> {
+    let num_threads = resolve_threads(one.num_threads())?;
     for shard in 0..num_shards {
         let from_shard =
             TypedChannel::<ToOne>::new(transport, ChannelId::new(Peer::Shard(shard), Stage::Batch));
@@ -97,10 +104,7 @@ pub fn serve_shuffler_one(
                 s2_seed: batch.s2_seed,
                 received: reports.len(),
                 stage_one,
-                records: records
-                    .into_iter()
-                    .map(|r| (r.blinded_crowd.to_bytes(), r.inner))
-                    .collect(),
+                records: BatchToTwo::encode_records(records, num_threads),
             };
             TypedChannel::<ToTwo>::new(
                 transport,
@@ -117,14 +121,15 @@ pub fn serve_shuffler_one(
 /// done marker, answering each batch's owning shard with the surviving
 /// items.
 pub fn serve_shuffler_two(transport: &dyn Transport, two: &ShufflerTwo) -> Result<(), FabricError> {
+    let num_threads = resolve_threads(two.config().num_threads)?;
     let from_one =
         TypedChannel::<ToTwo>::new(transport, ChannelId::new(Peer::ShufflerOne, Stage::Records));
     loop {
         let batch = match from_one.recv()? {
             ToTwo::Done => return Ok(()),
-            ToTwo::Batch(batch) => batch,
+            ToTwo::Batch(batch) => *batch,
         };
-        let records = batch.decode_records()?;
+        let records = BatchToTwo::decode_records(batch.records, num_threads)?;
         let mut rng = StdRng::seed_from_u64(batch.s2_seed);
         let span = prochlo_obs::span("fabric.s2.serve");
         let (items, stage_two) = two

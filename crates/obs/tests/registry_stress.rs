@@ -4,7 +4,7 @@
 //! with no gaps or overlaps.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 
@@ -46,29 +46,40 @@ fn concurrent_counter_and_histogram_sums_exactly() {
 fn snapshot_while_writing_is_safe_and_monotonic() {
     let registry = Arc::new(Registry::new(true));
     let stop = Arc::new(AtomicBool::new(false));
+    // Writers and the snapshotting thread start together; on a host with
+    // fewer cores than threads the 50 snapshots can still finish before a
+    // writer is scheduled, so each writer writes first and checks `stop`
+    // after — the final count is then positive on any schedule.
+    let start = Arc::new(Barrier::new(5));
 
     let writers: Vec<_> = (0..4)
         .map(|t| {
             let registry = Arc::clone(&registry);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let counter = registry.counter("live.counter");
                 let hist = registry.histogram("live.hist");
+                start.wait();
                 // Register new names while snapshots run, to race the
                 // shard write locks too.
                 let mut n = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     counter.inc();
                     hist.record(1e-6);
                     if n.is_multiple_of(512) && n < 16_384 {
                         registry.counter(&format!("live.extra.{t}.{n}")).inc();
                     }
                     n += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
             })
         })
         .collect();
 
+    start.wait();
     let mut last_count = 0f64;
     for _ in 0..50 {
         let snap = registry.snapshot();

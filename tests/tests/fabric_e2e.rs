@@ -360,3 +360,127 @@ fn router_preserves_counts_across_a_real_tcp_topology() {
         );
     }
 }
+
+/// SHA-256 of Shuffler 1's `BatchToTwo.records` (each record's 64-byte
+/// blinded crowd ID followed by its inner ciphertext, in forwarded order)
+/// and of Shuffler 2's `ItemsBatch.items` for [`pinned_split_batch`] under
+/// [`PINNED_S1_SEED`] / [`PINNED_S2_SEED`]. Captured from the sequential
+/// per-record loops of commit 0a85405, the parent of the change that moved
+/// both stages onto the chunked executor: "byte-identical to the
+/// sequential implementation" is this comparison. If it fails, the stage
+/// drifted — fix the regression, do not re-capture.
+const PINNED_S1_RECORDS_SHA256: &str =
+    "171442b4f896b4d69e4451a9cf7bbca9cbadbde8d6425857a055cefa5e1bc8d1";
+const PINNED_S2_ITEMS_SHA256: &str =
+    "c337a7d3240c6442f336484f7e7a9f8b1dc48c2ae96ba260cdadcce3fd13e2ca";
+const PINNED_S1_SEED: u64 = 0x51ed;
+const PINNED_S2_SEED: u64 = 0x52ed;
+
+/// A three-chunk batch (the executor cuts at 1 024 records) that
+/// interleaves valid blinded reports with outers sealed to a foreign
+/// shuffler and reports carrying a hashed crowd ID, so rejected records
+/// fall on both sides of every chunk border.
+fn pinned_split_batch() -> (Deployment, Vec<Vec<u8>>) {
+    let mut rng = StdRng::seed_from_u64(0x9157);
+    let deployment = Deployment::builder()
+        .shuffler(Topology::Split)
+        .payload_size(32)
+        .build(&mut rng);
+    let foreign = Deployment::builder()
+        .shuffler(Topology::Split)
+        .payload_size(32)
+        .build(&mut rng);
+    let encoder = deployment.encoder();
+    let foreign_encoder = foreign.encoder();
+    let reports = (0..2_200u64)
+        .map(|i| {
+            // Forty crowds well above the threshold and a tail of ~200
+            // that thresholding must drop.
+            let word = if i % 3 == 0 {
+                format!("rare{}", i % 211)
+            } else {
+                format!("w{}", i % 40)
+            };
+            let label = word.as_bytes();
+            let report = if i % 7 == 3 {
+                foreign_encoder.encode_plain(label, CrowdStrategy::Blind(label), i, &mut rng)
+            } else if i % 11 == 5 {
+                encoder.encode_plain(label, CrowdStrategy::Hash(label), i, &mut rng)
+            } else {
+                encoder.encode_plain(label, CrowdStrategy::Blind(label), i, &mut rng)
+            };
+            report.unwrap().outer.to_bytes()
+        })
+        .collect();
+    (deployment, reports)
+}
+
+#[test]
+fn split_stage_wire_bytes_equal_the_sequential_implementation() {
+    use prochlo_crypto::sha256::Sha256;
+    use prochlo_fabric::{BatchToOne, ChannelId, ItemsBatch, Stage, ToOne, ToTwo, TypedChannel};
+
+    let (deployment, reports) = pinned_split_batch();
+    let split = deployment.role().as_split().expect("split topology");
+
+    // Stage 1 on its own hub, with the test standing in for Shuffler 2 so
+    // it sees exactly the bytes Shuffler 1 puts on the wire.
+    let hub = LoopbackHub::new();
+    let shard = hub.endpoint(Peer::Shard(0));
+    let to_one =
+        TypedChannel::<ToOne>::new(&shard, ChannelId::new(Peer::ShufflerOne, Stage::Batch));
+    to_one
+        .send(&ToOne::Batch(BatchToOne {
+            shard: 0,
+            epoch_index: 4,
+            s1_seed: PINNED_S1_SEED,
+            s2_seed: PINNED_S2_SEED,
+            reports,
+        }))
+        .unwrap();
+    to_one.send(&ToOne::Done).unwrap();
+    serve_shuffler_one(
+        &hub.endpoint(Peer::ShufflerOne),
+        &split.one,
+        split.two.elgamal_public(),
+        1,
+    )
+    .unwrap();
+    let as_two = hub.endpoint(Peer::ShufflerTwo);
+    let from_one =
+        TypedChannel::<ToTwo>::new(&as_two, ChannelId::new(Peer::ShufflerOne, Stage::Records));
+    let ToTwo::Batch(forwarded) = from_one.recv().unwrap() else {
+        panic!("Shuffler 1 must forward the batch before its done marker");
+    };
+    assert_eq!(forwarded.stage_one.received, 2_200);
+    assert!(forwarded.stage_one.rejected > 400);
+    assert!(forwarded.records.len() > 2 * 1024 - 600);
+    let mut hasher = Sha256::new();
+    for (crowd, inner) in &forwarded.records {
+        hasher.update(crowd);
+        hasher.update(inner);
+    }
+    assert_eq!(hex(&hasher.finalize()), PINNED_S1_RECORDS_SHA256);
+
+    // Stage 2 on a second hub, fed the captured message unchanged.
+    let hub = LoopbackHub::new();
+    let as_one = hub.endpoint(Peer::ShufflerOne);
+    let to_two =
+        TypedChannel::<ToTwo>::new(&as_one, ChannelId::new(Peer::ShufflerTwo, Stage::Records));
+    to_two.send(&ToTwo::Batch(forwarded)).unwrap();
+    to_two.send(&ToTwo::Done).unwrap();
+    serve_shuffler_two(&hub.endpoint(Peer::ShufflerTwo), &split.two).unwrap();
+    let shard = hub.endpoint(Peer::Shard(0));
+    let answer =
+        TypedChannel::<ItemsBatch>::new(&shard, ChannelId::new(Peer::ShufflerTwo, Stage::Items))
+            .recv()
+            .unwrap();
+    assert!(answer.stage_two.crowds_forwarded > 0);
+    assert!(answer.stage_two.dropped_noise > 0);
+    assert!(answer.stage_two.dropped_threshold > 0);
+    let mut hasher = Sha256::new();
+    for item in &answer.items {
+        hasher.update(item);
+    }
+    assert_eq!(hex(&hasher.finalize()), PINNED_S2_ITEMS_SHA256);
+}
