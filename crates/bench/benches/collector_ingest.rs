@@ -9,6 +9,7 @@
 
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::Duration;
 
 use prochlo_bench::{emit_metric, env_usize, fmt_records, print_header, timed};
 use prochlo_collector::{IngestConfig, IngestCore, Response, NONCE_LEN};
@@ -92,6 +93,6 @@ fn main() {
         // Keep the queue from outliving the measurement with gigabytes of
         // reports at large scales.
         core.queue().close();
-        while core.queue().pop().is_some() {}
+        while !core.queue().drain_when(1 << 16, Duration::ZERO).is_empty() {}
     }
 }

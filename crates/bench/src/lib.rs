@@ -17,26 +17,26 @@ use std::time::Instant;
 
 use prochlo_core::encoder::CrowdStrategy;
 use prochlo_core::{exec, ClientReport, Encoder};
+use prochlo_obs::knobs;
 
-/// Reads an integer environment variable with a default.
+/// Reads an integer environment variable with a default. A value that is
+/// set but not an integer panics (the workspace's invalid-knob convention):
+/// `PROCHLO_SCALING_RECORDS=100k` must not silently bench the default.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
+    knobs::parse(name)
+        .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or(default)
 }
 
-/// Reads a comma-separated list of integers from the environment.
+/// Reads a comma-separated list of integers from the environment; like
+/// [`env_usize`], a set value with a non-integer element panics.
 pub fn env_usize_list(name: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(name)
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|part| part.trim().parse().ok())
-                .collect::<Vec<usize>>()
-        })
-        .filter(|list| !list.is_empty())
-        .unwrap_or_else(|| default.to_vec())
+    let Some(raw) = knobs::read(name).unwrap_or_else(|e| panic!("{e}")) else {
+        return default.to_vec();
+    };
+    let invalid = |_| panic!("{name}={raw:?} is not a valid setting");
+    let parse = |part: &str| part.trim().parse().unwrap_or_else(invalid);
+    raw.split(',').map(parse).collect()
 }
 
 /// Times a closure, returning (result, seconds).
@@ -254,6 +254,38 @@ mod tests {
             env_usize_list("PROCHLO_DOES_NOT_EXIST", &[1, 2]),
             vec![1, 2]
         );
+    }
+
+    #[test]
+    fn env_values_parse() {
+        std::env::set_var("PROCHLO_BENCH_TEST_USIZE", " 42 ");
+        assert_eq!(env_usize("PROCHLO_BENCH_TEST_USIZE", 7), 42);
+        std::env::set_var("PROCHLO_BENCH_TEST_LIST", "3, 5,8");
+        assert_eq!(env_usize_list("PROCHLO_BENCH_TEST_LIST", &[1]), [3, 5, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "PROCHLO_BENCH_TEST_GARBAGE=\"100k\" is not a valid setting")]
+    fn env_usize_garbage_panics_instead_of_benching_the_default() {
+        std::env::set_var("PROCHLO_BENCH_TEST_GARBAGE", "100k");
+        env_usize("PROCHLO_BENCH_TEST_GARBAGE", 100_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a valid setting")]
+    fn env_usize_list_garbage_element_panics() {
+        std::env::set_var("PROCHLO_BENCH_TEST_LIST_GARBAGE", "1,two,3");
+        env_usize_list("PROCHLO_BENCH_TEST_LIST_GARBAGE", &[1, 2]);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    #[should_panic(expected = "is not a valid setting")]
+    fn env_usize_non_unicode_panics_instead_of_reading_unset() {
+        use std::os::unix::ffi::OsStringExt;
+        let raw = std::ffi::OsString::from_vec(vec![b'4', 0xff]);
+        std::env::set_var("PROCHLO_BENCH_TEST_NON_UNICODE", raw);
+        env_usize("PROCHLO_BENCH_TEST_NON_UNICODE", 7);
     }
 
     #[test]

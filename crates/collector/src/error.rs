@@ -29,8 +29,6 @@ pub enum CollectorError {
     },
     /// The peer closed the connection at a clean frame boundary.
     ConnectionClosed,
-    /// The service is shutting down and no longer accepts work.
-    ShuttingDown,
     /// A client exhausted its retry budget against a backpressuring server.
     RetriesExhausted {
         /// Submissions attempted before giving up.
@@ -56,7 +54,6 @@ impl fmt::Display for CollectorError {
                 write!(f, "frame of {actual} bytes exceeds maximum {maximum}")
             }
             CollectorError::ConnectionClosed => write!(f, "connection closed by peer"),
-            CollectorError::ShuttingDown => write!(f, "collector is shutting down"),
             CollectorError::RetriesExhausted { attempts } => {
                 write!(f, "gave up after {attempts} backpressured submissions")
             }

@@ -269,6 +269,7 @@ mod tests {
     use prochlo_crypto::hybrid::HybridKeypair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::time::Duration;
 
     fn peer() -> SocketAddr {
         "127.0.0.1:9999".parse().unwrap()
@@ -355,7 +356,7 @@ mod tests {
         assert_eq!(core.stats().peak_queue_depth, 3);
         // The refused nonce was rolled back: the retry succeeds once a slot
         // frees up, and is deduplicated after that.
-        core.queue().pop().unwrap();
+        assert_eq!(core.queue().drain_when(1, Duration::ZERO).len(), 1);
         assert!(matches!(
             core.ingest(&nonce(3), &report, peer()),
             Response::Ack { .. }
@@ -435,9 +436,8 @@ mod tests {
         let report = sealed_report(&mut rng);
         core.ingest(&nonce(0), &report, peer());
         core.ingest(&nonce(1), &report, peer());
-        let first = core.queue().pop().unwrap();
-        let second = core.queue().pop().unwrap();
-        assert!(first.metadata.arrival_order < second.metadata.arrival_order);
-        assert_eq!(first.metadata.source_ip, [127, 0, 0, 1]);
+        let queued = core.queue().drain_when(2, Duration::ZERO);
+        assert!(queued[0].metadata.arrival_order < queued[1].metadata.arrival_order);
+        assert_eq!(queued[0].metadata.source_ip, [127, 0, 0, 1]);
     }
 }

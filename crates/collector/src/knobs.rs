@@ -1,12 +1,15 @@
 //! Environment knobs owned by this crate.
 //!
-//! Every `std::env::var` read in `prochlo-collector` lives in this module
-//! so the knob inventory stays auditable in one place; the
-//! `env-knob-discipline` rule of `prochlo-lint` enforces it. Both knobs
-//! keep the workspace's invalid-knob convention: an unset knob picks the
-//! default, but a set-and-invalid knob is a hard error — the operator made
-//! a selection, and silently ignoring it would be worse than failing
-//! loudly.
+//! Every knob `prochlo-collector` reads is named and validated in this
+//! module, on top of the workspace's one reader ([`prochlo_obs::knobs`]),
+//! so the knob inventory stays auditable in one place. Both knobs keep the
+//! workspace's invalid-knob convention: an unset knob picks the default,
+//! but a set-and-invalid knob is a hard error — the operator made a
+//! selection, and silently ignoring it would be worse than failing loudly.
+
+use std::num::{NonZeroU32, NonZeroUsize};
+
+use prochlo_obs::knobs::{self, InvalidKnob};
 
 use crate::error::CollectorError;
 
@@ -21,31 +24,20 @@ pub const EVENT_THREADS_ENV: &str = "PROCHLO_COLLECTOR_EVENT_THREADS";
 /// unlimited; `0` is rejected (unset is how "no limit" is spelled).
 pub const RATE_LIMIT_ENV: &str = "PROCHLO_COLLECTOR_RATE_LIMIT";
 
-fn invalid(name: &'static str, value: String) -> CollectorError {
-    CollectorError::InvalidKnob { name, value }
-}
-
-fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+fn invalid(name: &'static str) -> impl Fn(InvalidKnob) -> CollectorError {
+    move |e| CollectorError::InvalidKnob {
+        name,
+        value: e.value,
+    }
 }
 
 /// Resolves the event-loop thread count for a `worker_threads: 0` (auto)
 /// configuration: [`EVENT_THREADS_ENV`] when set to a positive count, the
 /// available cores when the knob is unset or `0`.
 pub fn event_threads() -> Result<usize, CollectorError> {
-    match std::env::var(EVENT_THREADS_ENV) {
-        Err(std::env::VarError::NotPresent) => Ok(available_cores()),
-        Err(std::env::VarError::NotUnicode(raw)) => Err(invalid(
-            EVENT_THREADS_ENV,
-            raw.to_string_lossy().into_owned(),
-        )),
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(0) => Ok(available_cores()),
-            Ok(n) => Ok(n),
-            Err(_) => Err(invalid(EVENT_THREADS_ENV, raw)),
-        },
+    match knobs::parse(EVENT_THREADS_ENV).map_err(invalid(EVENT_THREADS_ENV))? {
+        None | Some(0) => Ok(std::thread::available_parallelism().map_or(1, NonZeroUsize::get)),
+        Some(n) => Ok(n),
     }
 }
 
@@ -53,17 +45,8 @@ pub fn event_threads() -> Result<usize, CollectorError> {
 /// None` configuration: `Some(reports_per_sec)` when [`RATE_LIMIT_ENV`] is
 /// set, `None` (unlimited) when unset.
 pub fn rate_limit() -> Result<Option<u32>, CollectorError> {
-    match std::env::var(RATE_LIMIT_ENV) {
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            Err(invalid(RATE_LIMIT_ENV, raw.to_string_lossy().into_owned()))
-        }
-        Ok(raw) => match raw.trim().parse::<u32>() {
-            Ok(0) => Err(invalid(RATE_LIMIT_ENV, raw)),
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(invalid(RATE_LIMIT_ENV, raw)),
-        },
-    }
+    let limit = knobs::parse::<NonZeroU32>(RATE_LIMIT_ENV).map_err(invalid(RATE_LIMIT_ENV))?;
+    Ok(limit.map(NonZeroU32::get))
 }
 
 #[cfg(test)]

@@ -21,11 +21,11 @@
 //! Module map:
 //!
 //! * [`protocol`] — the length-prefixed wire format and framed I/O.
-//! * [`queue`] — the bounded MPMC queue behind the backpressure contract.
+//! * [`queue`] — the bounded queue behind the backpressure contract.
 //! * [`dedup`] — the bounded, sharded nonce replay filter.
 //! * [`ingest`] — parse + dedup + enqueue, shared by loops and benches.
-//! * [`service`] — reactor event loops, the epoch manager and graceful
-//!   shutdown.
+//! * [`service`] — the ingest handler on the `prochlo_net::Server`
+//!   harness, the epoch manager and graceful shutdown.
 //! * [`knobs`] — the environment knobs this crate owns.
 //! * [`client`] — the [`ReportSink`] submission API: a minimal blocking
 //!   TCP client with retry, plus an in-process sink.
@@ -45,7 +45,7 @@ pub use dedup::{NonceCheck, ReplayFilter};
 pub use error::CollectorError;
 pub use ingest::{IngestConfig, IngestCore, IngestStats};
 pub use protocol::{Request, Response, NONCE_LEN, PROTOCOL_VERSION};
-pub use queue::{BoundedQueue, PushError};
+pub use queue::BoundedQueue;
 pub use service::{
     Collector, CollectorConfig, CollectorStats, CollectorSummary, EpochPipeline, EpochResult,
     LocalPipeline,

@@ -1,7 +1,7 @@
-//! A bounded multi-producer/multi-consumer queue with non-blocking pushes.
+//! A bounded multi-producer queue with non-blocking pushes.
 //!
-//! The collector's memory bound comes from this queue: producers (protocol
-//! workers) never block and never allocate past the capacity — a full queue
+//! The collector's memory bound comes from this queue: producers (the event
+//! loops) never block and never allocate past the capacity — a full queue
 //! is reported back to them so they can answer `RetryAfter` instead of
 //! buffering, which is the backpressure contract of the service. Consumers
 //! (the epoch manager) block, with a deadline, until enough reports arrive
@@ -27,13 +27,8 @@ struct QueueState<T> {
     closed: bool,
 }
 
-/// A bounded MPMC queue; see the module docs for the blocking contract.
-///
-/// Wake-up contract: one push wakes one blocked consumer (a single item can
-/// satisfy only one of them), so all consumers of a given queue must block
-/// the same way — either all in [`Self::pop`] or one in
-/// [`Self::drain_when`]. Mixing the two on one queue could strand a wakeup
-/// on a consumer whose condition is not yet met.
+/// A bounded queue; see the module docs for the blocking contract. One
+/// push wakes one blocked consumer, so a queue has one draining thread.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     state: Mutex<QueueState<T>>,
@@ -90,21 +85,6 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Removes the oldest item, blocking until one arrives. Returns `None`
-    /// once the queue is closed **and** drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            self.available.wait(&mut state);
-        }
-    }
-
     /// Waits until at least `target` items are queued, the queue is closed,
     /// or `timeout` elapses — then drains up to `target` items.
     ///
@@ -129,7 +109,7 @@ impl<T> BoundedQueue<T> {
         state.items.drain(..take).collect()
     }
 
-    /// Closes the queue: pending items stay poppable, new pushes fail, and
+    /// Closes the queue: pending items stay drainable, new pushes fail, and
     /// every blocked consumer wakes up.
     pub fn close(&self) {
         self.state.lock().closed = true;
@@ -149,8 +129,8 @@ mod tests {
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.drain_when(1, Duration::ZERO), [1]);
+        assert_eq!(q.drain_when(1, Duration::ZERO), [2]);
         assert!(q.is_empty());
     }
 
@@ -161,8 +141,8 @@ mod tests {
         q.try_push("b").unwrap();
         assert_eq!(q.try_push("c"), Err(PushError::Full("c")));
         assert_eq!(q.len(), 2, "refused pushes must not grow the queue");
-        // Popping frees a slot.
-        q.pop();
+        // Draining frees a slot.
+        q.drain_when(1, Duration::ZERO);
         q.try_push("c").unwrap();
     }
 
@@ -172,8 +152,8 @@ mod tests {
         q.try_push(7).unwrap();
         q.close();
         assert_eq!(q.try_push(8), Err(PushError::Closed(8)));
-        assert_eq!(q.pop(), Some(7));
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.drain_when(1, Duration::ZERO), [7]);
+        assert!(q.drain_when(1, Duration::from_secs(60)).is_empty());
         assert!(q.is_closed());
     }
 
@@ -246,8 +226,8 @@ mod tests {
             let q = Arc::clone(&q);
             thread::spawn(move || {
                 let mut seen = Vec::new();
-                while let Some(v) = q.pop() {
-                    seen.push(v);
+                while !(q.is_closed() && q.is_empty()) {
+                    seen.extend(q.drain_when(64, Duration::from_millis(50)));
                 }
                 seen
             })

@@ -1,59 +1,43 @@
-//! The collector service: reactor event loops and the epoch manager.
+//! The collector service: the ingest handler on the shared serving harness,
+//! and the epoch manager.
 //!
 //! Thread layout (all plain `std::thread`, no async runtime):
 //!
-//! * **event loops** (N) — each owns a [`prochlo_net::Reactor`] and
-//!   multiplexes thousands of nonblocking connections: accept → register →
-//!   on-readable: incremental frame parse → [`IngestCore`] → queue the
-//!   response for writability. Loop 0 additionally owns the `TcpListener`
-//!   and deals fresh connections round-robin across all loops through
-//!   per-loop intake queues. A connection is one [`prochlo_net::Conn`]
-//!   state machine plus an optional [`TokenBucket`] rate limiter; a
-//!   connection that completes no frame within `io_timeout` is evicted by
-//!   the reactor's deadline sweep (slow-loris defense), and one that
-//!   out-runs its rate limit is answered with the same `RetryAfter`
-//!   backpressure the bounded queue uses.
+//! * **event loops** (N) — a [`prochlo_net::Server`], which owns the whole
+//!   serving policy (sockets, connection cap, slow-loris eviction, oversize
+//!   rejection) and hands every complete request frame to this crate's
+//!   per-loop `Ingest` handler. Per-connection state is the peer address
+//!   plus an optional [`TokenBucket`]: a connection that out-runs its rate
+//!   limit is answered with the same `RetryAfter` backpressure the bounded
+//!   queue uses.
 //! * **epoch** — owns the [`Deployment`]; drains the report queue with a
 //!   count-or-deadline policy and feeds each batch through an
 //!   [`prochlo_core::EpochSession`], which canonicalizes it and runs
 //!   shuffling + analysis under a deterministic [`EpochSpec`].
 //!
-//! Shutdown is graceful and ordered: set the flag and wake every loop,
-//! flush what the sockets will take, close the connections, then close the
-//! report queue so the epoch manager drains every in-flight report into
-//! final epochs before exiting. Acknowledged reports are by construction
-//! already in the queue, so none are lost.
+//! Shutdown is ordered: the server first, then the report queue closes so
+//! the epoch manager drains every in-flight report into final epochs before
+//! exiting. Acknowledged reports are by construction already in the queue,
+//! so none are lost.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use prochlo_core::framing::{FrameError, FramePolicy};
 use prochlo_core::{
     AnalyzerDatabase, ClientReport, Deployment, EngineConfig, EpochSpec, PipelineError,
     PipelineReport,
 };
-use prochlo_net::reactor::Event;
-use prochlo_net::{Conn, ConnStatus, FlushStatus, Interest, Reactor, Token, TokenBucket, Waker};
+use prochlo_net::{Handler, Server, ServerConfig, ServerStats, TokenBucket};
 
 use crate::error::CollectorError;
 use crate::ingest::{IngestConfig, IngestCore, IngestStats};
 use crate::knobs;
-use crate::protocol::{frame_policy, write_frame, Request, Response};
-
-/// How long one reactor turn may block before re-checking the shutdown
-/// flag even without traffic, wakes, or deadlines.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
-
-/// Pending-write ceiling per connection: past this, the loop stops reading
-/// from the peer (read interest drops) until the backlog flushes, so one
-/// slow reader pipelining requests cannot balloon its response buffer.
-const WRITE_PAUSE_BYTES: usize = 256 << 10;
+use crate::protocol::{frame_policy, Request, Response};
 
 /// Configuration of a running collector.
 #[derive(Debug, Clone)]
@@ -217,23 +201,18 @@ pub struct CollectorStats {
 #[derive(Debug)]
 struct Shared {
     ingest: IngestCore,
-    shutting_down: AtomicBool,
-    connections: AtomicU64,
-    connections_refused: AtomicU64,
-    connections_evicted: AtomicU64,
-    open_conns: AtomicU64,
     epochs_cut: AtomicU64,
     reports_processed: AtomicU64,
     epochs: Mutex<Vec<EpochResult>>,
 }
 
 impl Shared {
-    fn stats_snapshot(&self) -> CollectorStats {
+    fn stats_snapshot(&self, served: ServerStats) -> CollectorStats {
         CollectorStats {
             ingest: self.ingest.stats(),
-            connections: self.connections.load(Ordering::Relaxed),
-            connections_refused: self.connections_refused.load(Ordering::Relaxed),
-            connections_evicted: self.connections_evicted.load(Ordering::Relaxed),
+            connections: served.accepted,
+            connections_refused: served.refused,
+            connections_evicted: served.evicted,
             epochs_cut: self.epochs_cut.load(Ordering::Relaxed),
             reports_processed: self.reports_processed.load(Ordering::Relaxed),
         }
@@ -266,10 +245,8 @@ impl CollectorSummary {
 /// A running collector service bound to a local address.
 #[derive(Debug)]
 pub struct Collector {
-    local_addr: SocketAddr,
+    server: Server,
     shared: Arc<Shared>,
-    loop_wakers: Vec<Waker>,
-    loop_threads: Vec<JoinHandle<()>>,
     epoch_thread: JoinHandle<()>,
 }
 
@@ -289,13 +266,7 @@ impl Collector {
         pipeline: Box<dyn EpochPipeline>,
         config: CollectorConfig,
     ) -> Result<Self, CollectorError> {
-        let listener = TcpListener::bind(config.addr)?;
-        // The listener joins loop 0's poll set; acceptance is just another
-        // readiness event.
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-
-        let event_threads = match config.worker_threads {
+        let loops = match config.worker_threads {
             0 => knobs::event_threads()?,
             n => n,
         };
@@ -316,89 +287,64 @@ impl Collector {
                     dedup_capacity: config.dedup_capacity,
                     retry_after_ms: config.retry_after_ms,
                 },
-                registry,
+                Arc::clone(&registry),
             ),
-            shutting_down: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
-            connections_refused: AtomicU64::new(0),
-            connections_evicted: AtomicU64::new(0),
-            open_conns: AtomicU64::new(0),
             epochs_cut: AtomicU64::new(0),
             reports_processed: AtomicU64::new(0),
             epochs: Mutex::new(Vec::new()),
         });
 
-        // Reactors are created on this thread so every loop's waker (and
-        // intake queue) exists before any loop runs; each reactor then
-        // moves into its loop thread.
-        let mut reactors = Vec::with_capacity(event_threads);
-        let mut intakes = Vec::with_capacity(event_threads);
-        for _ in 0..event_threads {
-            let reactor = Reactor::new()?;
-            intakes.push(Arc::new(LoopIntake {
-                waker: reactor.waker(),
-                queue: Mutex::new(VecDeque::new()),
-            }));
-            reactors.push(reactor);
-        }
-        let loop_wakers: Vec<Waker> = intakes.iter().map(|i| i.waker.clone()).collect();
-
-        let mut listener = Some(listener);
-        let loop_threads = reactors
-            .into_iter()
-            .enumerate()
-            .map(|(index, mut reactor)| {
-                let listener = listener.take().map(|l| {
-                    let token = reactor.register(&l, Interest::READ);
-                    (l, token)
-                });
-                let event_loop = EventLoop {
-                    index,
-                    reactor,
-                    policy: frame_policy(config.max_frame_len),
-                    listener,
-                    intake: Arc::clone(&intakes[index]),
-                    intakes: intakes.clone(),
-                    next_loop: 0,
-                    conns: BTreeMap::new(),
-                    shared: Arc::clone(&shared),
-                    config: config.clone(),
-                    rate_limit,
-                    conns_open: shared.ingest.registry().gauge("collector.conns.open"),
-                    conns_accepted: shared.ingest.registry().counter("collector.conns.accepted"),
-                    conns_evicted: shared.ingest.registry().counter("collector.conns.evicted"),
-                };
-                std::thread::Builder::new()
-                    .name(format!("collector-loop-{index}"))
-                    .spawn(move || event_loop.run())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
+        // The epoch manager starts first: if the server then cannot (a
+        // taken address), closing the queue is all it takes to end it.
         let epoch_thread = {
-            let shared = Arc::clone(&shared);
-            let config = config.clone();
+            let (shared, config) = (Arc::clone(&shared), config.clone());
             std::thread::Builder::new()
                 .name("collector-epoch".to_string())
                 .spawn(move || epoch_loop(pipeline, &shared, &config))?
         };
-
+        let busy = Response::RetryAfter {
+            millis: config.retry_after_ms,
+        };
+        let oversize = Response::Rejected {
+            reason: "frame exceeds maximum size".to_string(),
+        };
+        let server = Server::start(
+            ServerConfig {
+                addr: config.addr,
+                loops,
+                max_conns: config.conn_backlog,
+                policy: frame_policy(config.max_frame_len),
+                io_timeout: config.io_timeout,
+                busy_body: busy.to_bytes(),
+                oversize_body: oversize.to_bytes(),
+                registry,
+                thread_name: "collector-loop",
+                conns_metric: "collector.conns",
+                turn_metric: "net.loop.turn",
+            },
+            || {
+                Ok(Ingest {
+                    shared: Arc::clone(&shared),
+                    rate_limit,
+                })
+            },
+        )
+        .inspect_err(|_: &CollectorError| shared.ingest.queue().close())?;
         Ok(Self {
-            local_addr,
+            server,
             shared,
-            loop_wakers,
-            loop_threads,
             epoch_thread,
         })
     }
 
     /// The address clients connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.server.local_addr()
     }
 
     /// A live snapshot of the service counters.
     pub fn stats(&self) -> CollectorStats {
-        self.shared.stats_snapshot()
+        self.shared.stats_snapshot(self.server.stats())
     }
 
     /// A live snapshot of the telemetry registry this collector reports
@@ -407,32 +353,17 @@ impl Collector {
         self.shared.ingest.registry().snapshot()
     }
 
-    /// Shuts the service down gracefully: stop accepting, flush what the
-    /// open connections will take, then drain every queued report into
+    /// Shuts the service down gracefully: stop taking connections, flush
+    /// what the open ones will take, then drain every queued report into
     /// final epochs.
     pub fn shutdown(self) -> CollectorSummary {
-        let Self {
-            local_addr: _,
-            shared,
-            loop_wakers,
-            loop_threads,
-            epoch_thread,
-        } = self;
-        shared.shutting_down.store(true, Ordering::SeqCst);
-        // Every loop observes the flag on its next turn; the wakes make
-        // that turn happen now rather than at the next poll interval.
-        for waker in &loop_wakers {
-            waker.wake();
-        }
-        for thread in loop_threads {
-            let _ = thread.join();
-        }
+        let served = self.server.shutdown();
         // No loop can push anymore; the epoch manager drains what is left.
-        shared.ingest.queue().close();
-        let _ = epoch_thread.join();
+        self.shared.ingest.queue().close();
+        let _ = self.epoch_thread.join();
 
-        let stats = shared.stats_snapshot();
-        let epochs = match Arc::try_unwrap(shared) {
+        let stats = self.shared.stats_snapshot(served);
+        let epochs = match Arc::try_unwrap(self.shared) {
             Ok(shared) => shared.epochs.into_inner(),
             // A caller cloned the Arc (not possible through the public API);
             // fall back to draining the shared vector.
@@ -442,349 +373,52 @@ impl Collector {
     }
 }
 
-/// Hand-off slot for connections dealt to another loop: loop 0 pushes,
-/// the owning loop drains at the top of its next turn (the wake makes that
-/// turn immediate).
-struct LoopIntake {
-    waker: Waker,
-    queue: Mutex<VecDeque<TcpStream>>,
-}
-
-/// Per-connection serving state owned by exactly one event loop.
-struct ConnState {
-    conn: Conn,
-    peer: SocketAddr,
-    bucket: Option<TokenBucket>,
-    /// The peer closed its write side; serve out pending responses, then
-    /// close.
-    read_done: bool,
-    /// A protocol violation made the stream unrecoverable; flush the final
-    /// response (the rejection), then close.
-    close_after_flush: bool,
-}
-
-/// One event-loop thread: a reactor, its share of the connections, and —
-/// on loop 0 — the listener.
-struct EventLoop {
-    index: usize,
-    reactor: Reactor,
-    policy: FramePolicy,
-    listener: Option<(TcpListener, Token)>,
-    intake: Arc<LoopIntake>,
-    intakes: Vec<Arc<LoopIntake>>,
-    next_loop: usize,
-    conns: BTreeMap<Token, ConnState>,
+/// One event loop's protocol handler: answers request frames from the
+/// shared [`IngestCore`].
+struct Ingest {
     shared: Arc<Shared>,
-    config: CollectorConfig,
     rate_limit: Option<u32>,
-    conns_open: prochlo_obs::Gauge,
-    conns_accepted: prochlo_obs::Counter,
-    conns_evicted: prochlo_obs::Counter,
 }
 
-impl EventLoop {
-    fn run(mut self) {
-        let registry = Arc::clone(self.shared.ingest.registry());
-        let mut events: Vec<Event> = Vec::new();
-        let mut frames: Vec<Vec<u8>> = Vec::new();
-        loop {
-            if self.reactor.poll(&mut events, Some(POLL_INTERVAL)).is_err() {
-                break;
-            }
-            if self.shared.shutting_down.load(Ordering::SeqCst) {
-                break;
-            }
-            // The turn span covers the work, not the idle wait above.
-            let turn = registry.span("net.loop.turn");
-            self.drain_intake();
-            for event in events.drain(..) {
-                self.handle_event(event, &mut frames);
-            }
-            let _ = turn.finish();
-        }
-        // Exit: give each socket one chance to take the remaining bytes
-        // (acknowledged reports are already queued for the epoch manager;
-        // this is only response-delivery best effort), then close.
-        let tokens: Vec<Token> = self.conns.keys().copied().collect();
-        for token in tokens {
-            if let Some(state) = self.conns.get_mut(&token) {
-                let _ = state.conn.flush();
-            }
-            self.close_conn(token, false);
-        }
+impl Handler for Ingest {
+    /// The peer (dedup and ingest telemetry key on it) and its rate limiter.
+    type Conn = (SocketAddr, Option<TokenBucket>);
+
+    fn connected(&mut self, peer: SocketAddr) -> Self::Conn {
+        (peer, self.rate_limit.map(TokenBucket::new))
     }
 
-    fn drain_intake(&mut self) {
-        loop {
-            let Some(stream) = self.intake.queue.lock().pop_front() else {
-                break;
-            };
-            self.install(stream);
-        }
-    }
-
-    fn handle_event(&mut self, event: Event, frames: &mut Vec<Vec<u8>>) {
-        if self
-            .listener
-            .as_ref()
-            .is_some_and(|(_, token)| *token == event.token)
-        {
-            self.accept_ready();
-            return;
-        }
-        if event.timed_out {
-            self.close_conn(event.token, true);
-            return;
-        }
-        if event.readable {
-            let Some(state) = self.conns.get_mut(&event.token) else {
-                return;
-            };
-            frames.clear();
-            let outcome = state.conn.on_readable(frames);
-            let mut fatal = false;
-            match outcome {
-                Ok(ConnStatus::Open) => {}
-                Ok(ConnStatus::PeerClosed) => state.read_done = true,
-                Err(FrameError::TooLarge { .. }) => {
-                    // The peer announced more than we will read; answering
-                    // and resynchronizing is impossible, so reject, flush,
-                    // hang up.
-                    let reject = Response::Rejected {
-                        reason: "frame exceeds maximum size".to_string(),
-                    };
-                    fatal = state.conn.queue_body(&reject.to_bytes()).is_err();
-                    state.close_after_flush = true;
-                }
-                Err(_) => fatal = true,
-            }
-            if fatal {
-                self.close_conn(event.token, false);
-                return;
-            }
-            let progressed = !frames.is_empty();
-            if progressed {
-                let Some(state) = self.conns.get_mut(&event.token) else {
-                    return;
-                };
-                answer_frames(&self.shared, &self.config, state, frames);
-                // Completed frames are progress: re-arm the eviction
-                // deadline. (Bytes alone are not — a slow loris dribbling
-                // one byte per poll would never be evicted otherwise.)
-                self.reactor
-                    .set_deadline(event.token, Some(self.config.io_timeout));
-            }
-        }
-        self.settle(event.token);
-    }
-
-    /// Flushes what the socket will take and reconciles interest/lifecycle
-    /// with what remains.
-    fn settle(&mut self, token: Token) {
-        let Some(state) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let had_pending = state.conn.wants_write();
-        match state.conn.flush() {
-            Ok(FlushStatus::Drained) => {
-                if state.close_after_flush || state.read_done {
-                    self.close_conn(token, false);
-                } else {
-                    if had_pending {
-                        // Fully draining a response backlog is progress:
-                        // without this a bulk reader of a large stats
-                        // response could be evicted mid-conversation.
-                        self.reactor
-                            .set_deadline(token, Some(self.config.io_timeout));
-                    }
-                    self.reactor.set_interest(token, Interest::READ);
-                }
-            }
-            Ok(FlushStatus::Pending) => {
-                let paused = state.read_done
-                    || state.close_after_flush
-                    || state.conn.pending_write() > WRITE_PAUSE_BYTES;
-                self.reactor.set_interest(
-                    token,
-                    if paused {
-                        Interest::WRITE
-                    } else {
-                        Interest::READ_WRITE
-                    },
-                );
-            }
-            Err(_) => self.close_conn(token, false),
-        }
-    }
-
-    fn close_conn(&mut self, token: Token, evicted: bool) {
-        if self.conns.remove(&token).is_none() {
-            return;
-        }
-        self.reactor.deregister(token);
-        let remaining = self
-            .shared
-            .open_conns
-            .fetch_sub(1, Ordering::Relaxed)
-            .saturating_sub(1);
-        self.conns_open.set(remaining as i64);
-        if evicted {
-            self.shared
-                .connections_evicted
-                .fetch_add(1, Ordering::Relaxed);
-            self.conns_evicted.inc();
-        }
-    }
-
-    /// Accepts until the listener would block (loop 0 only).
-    fn accept_ready(&mut self) {
-        loop {
-            let Some((listener, _)) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _)) => self.dispatch(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                // Transient accept failures (EMFILE bursts, aborted
-                // handshakes): leave the rest for the next readiness
-                // report instead of spinning.
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// Deals a fresh connection to a loop, enforcing the open-connection
-    /// cap.
-    fn dispatch(&mut self, stream: TcpStream) {
-        if self.shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        let open = self.shared.open_conns.load(Ordering::Relaxed);
-        if open >= self.config.conn_backlog as u64 {
-            self.shared
-                .connections_refused
-                .fetch_add(1, Ordering::Relaxed);
-            refuse(stream, &self.config);
-            return;
-        }
-        self.shared.open_conns.fetch_add(1, Ordering::Relaxed);
-        self.shared.connections.fetch_add(1, Ordering::Relaxed);
-        self.conns_accepted.inc();
-        self.conns_open.set(open as i64 + 1);
-        let target = self.next_loop % self.intakes.len();
-        self.next_loop += 1;
-        if target == self.index {
-            self.install(stream);
-        } else {
-            let intake = &self.intakes[target];
-            intake.queue.lock().push_back(stream);
-            intake.waker.wake();
-        }
-    }
-
-    /// Registers a dealt connection with this loop's reactor.
-    fn install(&mut self, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        let peer = match stream.peer_addr() {
-            Ok(peer) => peer,
-            Err(_) => {
-                self.release_slot();
-                return;
-            }
-        };
-        let conn = match Conn::new(stream, self.policy) {
-            Ok(conn) => conn,
-            Err(_) => {
-                self.release_slot();
-                return;
-            }
-        };
-        let token = self.reactor.register(conn.stream(), Interest::READ);
-        self.reactor
-            .set_deadline(token, Some(self.config.io_timeout));
-        self.conns.insert(
-            token,
-            ConnState {
-                conn,
-                peer,
-                bucket: self.rate_limit.map(TokenBucket::new),
-                read_done: false,
-                close_after_flush: false,
-            },
-        );
-    }
-
-    /// Un-counts a connection that died between dispatch and registration.
-    fn release_slot(&mut self) {
-        let remaining = self
-            .shared
-            .open_conns
-            .fetch_sub(1, Ordering::Relaxed)
-            .saturating_sub(1);
-        self.conns_open.set(remaining as i64);
-    }
-}
-
-/// Answers every complete frame of one readable burst, queuing responses
-/// in request order. A malformed request poisons the stream: it is
-/// answered with a rejection and the rest of the burst is dropped, exactly
-/// like the blocking implementation's reject-and-hang-up.
-fn answer_frames(
-    shared: &Shared,
-    config: &CollectorConfig,
-    state: &mut ConnState,
-    frames: &mut Vec<Vec<u8>>,
-) {
-    for body in frames.drain(..) {
-        if state.close_after_flush {
-            break;
-        }
-        let response = match Request::from_bytes(&body) {
+    fn frame(&mut self, (peer, bucket): &mut Self::Conn, body: &[u8]) -> Result<Vec<u8>, Vec<u8>> {
+        let ingest = &self.shared.ingest;
+        let response = match Request::from_bytes(body) {
             Ok(Request::Submit { nonce, report })
             | Ok(Request::SubmitRouted { nonce, report, .. }) => {
                 // The rate limiter sits in front of ingest so a limited
                 // submission costs neither a dedup slot nor queue space.
-                if state.bucket.as_mut().is_some_and(|b| !b.try_take()) {
+                if bucket.as_mut().is_some_and(|b| !b.try_take()) {
                     Response::RetryAfter {
-                        millis: config.retry_after_ms,
+                        millis: ingest.config().retry_after_ms,
                     }
                 } else {
-                    shared.ingest.ingest(&nonce, &report, state.peer)
+                    ingest.ingest(&nonce, &report, *peer)
                 }
             }
             Ok(Request::Ping) => Response::Ack {
-                pending: shared.ingest.queue().len() as u32,
+                pending: ingest.queue().len() as u32,
             },
             // The live telemetry snapshot, flattened to (name, value)
             // pairs — what an operator dashboard polls.
             Ok(Request::Stats) => Response::Stats {
-                entries: shared.ingest.registry().snapshot().flat(),
+                entries: ingest.registry().snapshot().flat(),
             },
+            // A desynchronized or hostile peer; reject and hang up.
             Err(_) => {
-                // A desynchronized or hostile peer; reject and hang up.
-                state.close_after_flush = true;
-                Response::Rejected {
-                    reason: "malformed request".to_string(),
-                }
+                let reason = "malformed request".to_string();
+                return Err(Response::Rejected { reason }.to_bytes());
             }
         };
-        if state.conn.queue_body(&response.to_bytes()).is_err() {
-            state.close_after_flush = true;
-            break;
-        }
+        Ok(response.to_bytes())
     }
-}
-
-/// Best-effort `RetryAfter` for a connection refused at the cap; the
-/// socket is fresh, so the handful of bytes lands in the send buffer
-/// without blocking beyond the configured timeout.
-fn refuse(mut stream: TcpStream, config: &CollectorConfig) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(config.io_timeout));
-    let busy = Response::RetryAfter {
-        millis: config.retry_after_ms,
-    };
-    let _ = write_frame(&mut stream, &busy.to_bytes());
 }
 
 fn epoch_loop(mut pipeline: Box<dyn EpochPipeline>, shared: &Shared, config: &CollectorConfig) {

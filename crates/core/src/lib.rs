@@ -36,7 +36,6 @@ pub mod encoder;
 pub mod error;
 pub mod exec;
 pub mod framing;
-pub mod knobs;
 pub mod privacy;
 pub mod record;
 pub mod shuffler;

@@ -77,20 +77,26 @@ pub struct EngineConfig {
     pub num_threads: usize,
 }
 
+/// Environment variable selecting the shuffle backend by name
+/// (case-insensitive; see [`ShuffleBackend::from_name`]).
+pub const SHUFFLE_BACKEND_ENV: &str = "PROCHLO_SHUFFLE_BACKEND";
+
 impl EngineConfig {
     /// Builds an engine configuration from the environment:
-    /// [`crate::knobs::SHUFFLE_BACKEND_ENV`] selects the backend by name
-    /// (default `trusted`) and `num_threads` is left at `0` so the thread
-    /// knob is still parsed in its one place,
+    /// [`SHUFFLE_BACKEND_ENV`] selects the backend by name (default
+    /// `trusted`) and `num_threads` is left at `0` so the thread knob is
+    /// still parsed in its one place,
     /// [`crate::exec::shuffle_threads_from_env`].
     ///
-    /// An unrecognized backend name is a hard error
+    /// An unrecognized backend name — or a set-but-undecodable value, which
+    /// is still a selection the operator made — is a hard error
     /// ([`PipelineError::UnknownBackend`], listing every valid name):
     /// silently downgrading a typo'd `stash` to the non-oblivious trusted
-    /// engine would drop the very property the operator asked for. The
-    /// environment read itself lives in [`crate::knobs`].
+    /// engine would drop the very property the operator asked for.
     pub fn from_env() -> Result<Self, PipelineError> {
-        Self::from_backend_value(crate::knobs::shuffle_backend()?.as_deref())
+        let name = prochlo_obs::knobs::read(SHUFFLE_BACKEND_ENV)
+            .map_err(|e| PipelineError::UnknownBackend { name: e.value })?;
+        Self::from_backend_value(name.as_deref())
     }
 
     /// Interprets one `PROCHLO_SHUFFLE_BACKEND`-style value: absent means

@@ -13,30 +13,44 @@
 //! The router never sees crowd labels, payloads, or the inside of a report
 //! — only the prefix, which a hashed crowd ID already exposes to any
 //! shuffler.
+//!
+//! The serving side is the workspace's one harness, [`prochlo_net::Server`]
+//! — the same event loops, open-connection cap, slow-loris eviction and
+//! oversize rejection the collector runs on — with a per-loop `Route`
+//! handler that owns its own forwarding legs. The forward itself is a
+//! blocking [`ReportSink`] call, so each loop has one submission in flight
+//! at a time while its other connections wait in their socket buffers.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use prochlo_collector::protocol::{read_frame, write_frame, Request, Response};
-use prochlo_collector::queue::{BoundedQueue, PushError};
+use prochlo_collector::protocol::{frame_policy, Request, Response};
 use prochlo_collector::{CollectorError, ReportSink};
 use prochlo_core::ShardedDeployment;
+use prochlo_net::{Handler, Server, ServerConfig, ServerStats};
+
+/// Back-off hint the router sends on its own behalf (connection cap reached,
+/// forwarding leg down); shard verdicts carry the shard's own hint.
+const RETRY_AFTER_MS: u32 = 100;
 
 /// Configuration of a running router.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Address to bind; port 0 picks an ephemeral port.
     pub addr: SocketAddr,
-    /// Protocol worker threads; each holds its own sinks to every shard.
+    /// Event-loop threads, each multiplexing its share of the open
+    /// connections and holding its own sinks to every shard; `0` means
+    /// every available core.
     pub worker_threads: usize,
-    /// Accepted connections waiting for a worker.
+    /// Maximum concurrently open connections across all event loops;
+    /// arrivals past the cap are answered `RetryAfter` and closed.
     pub conn_backlog: usize,
     /// Maximum frame size accepted from a peer.
     pub max_frame_len: usize,
-    /// Per-connection read/write timeout.
+    /// Per-connection progress deadline: a connection that completes no
+    /// frame (and drains no pending response) for this long is evicted.
     pub io_timeout: Duration,
 }
 
@@ -52,9 +66,9 @@ impl Default for RouterConfig {
     }
 }
 
-/// Builds one worker's forwarding legs: a [`ReportSink`] per shard, in
-/// shard order. Called once per worker thread, so TCP-backed sinks get one
-/// connection per worker per shard with no cross-worker locking.
+/// Builds one event loop's forwarding legs: a [`ReportSink`] per shard, in
+/// shard order. Called once per loop, so TCP-backed sinks get one
+/// connection per loop per shard with no cross-loop locking.
 pub type SinkFactory =
     Box<dyn Fn() -> Result<Vec<Box<dyn ReportSink + Send>>, CollectorError> + Send + Sync>;
 
@@ -63,7 +77,7 @@ pub type SinkFactory =
 pub struct RouterStats {
     /// Connections accepted.
     pub connections: u64,
-    /// Connections refused because the backlog queue was full.
+    /// Connections refused because the open-connection cap was reached.
     pub connections_refused: u64,
     /// Routed submissions forwarded to a shard.
     pub routed: u64,
@@ -75,18 +89,16 @@ pub struct RouterStats {
 
 #[derive(Default)]
 struct Counters {
-    connections: AtomicU64,
-    connections_refused: AtomicU64,
     routed: AtomicU64,
     rejected: AtomicU64,
     forward_failures: AtomicU64,
 }
 
 impl Counters {
-    fn snapshot(&self) -> RouterStats {
+    fn snapshot(&self, served: ServerStats) -> RouterStats {
         RouterStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            connections_refused: self.connections_refused.load(Ordering::Relaxed),
+            connections: served.accepted,
+            connections_refused: served.refused,
             routed: self.routed.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             forward_failures: self.forward_failures.load(Ordering::Relaxed),
@@ -118,189 +130,126 @@ impl Counters {
 /// # router.shutdown();
 /// ```
 pub struct ShardRouter {
-    local_addr: SocketAddr,
+    server: Server,
     counters: Arc<Counters>,
-    shutting_down: Arc<AtomicBool>,
-    conn_queue: Arc<BoundedQueue<TcpStream>>,
-    accept_thread: JoinHandle<()>,
-    worker_threads: Vec<JoinHandle<()>>,
 }
 
 impl ShardRouter {
-    /// Binds the listener and spawns the worker pool. Each worker calls
-    /// `make_sinks` once to build its own forwarding legs; the factory's
-    /// vector length fixes the shard count every prefix is reduced by.
+    /// Binds the listener and spawns the event loops. `make_sinks` is
+    /// called once per loop to build that loop's own forwarding legs (a
+    /// factory that fails fails the start); the vector length fixes the
+    /// shard count every prefix is reduced by.
     pub fn start(config: RouterConfig, make_sinks: SinkFactory) -> Result<Self, CollectorError> {
-        let listener = TcpListener::bind(config.addr)?;
-        // Poll instead of blocking so shutdown works on any bind address
-        // (same pattern as the collector's accept loop).
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-
         let counters = Arc::new(Counters::default());
-        let shutting_down = Arc::new(AtomicBool::new(false));
-        let conn_queue = Arc::new(BoundedQueue::new(config.conn_backlog));
-        let make_sinks = Arc::new(make_sinks);
-
-        let accept_thread = {
-            let counters = Arc::clone(&counters);
-            let shutting_down = Arc::clone(&shutting_down);
-            let conn_queue = Arc::clone(&conn_queue);
-            std::thread::Builder::new()
-                .name("router-accept".to_string())
-                .spawn(move || accept_loop(listener, &counters, &shutting_down, &conn_queue))?
+        let busy = Response::RetryAfter {
+            millis: RETRY_AFTER_MS,
         };
-
-        let worker_threads = (0..config.worker_threads.max(1))
-            .map(|i| {
-                let counters = Arc::clone(&counters);
-                let shutting_down = Arc::clone(&shutting_down);
-                let conn_queue = Arc::clone(&conn_queue);
-                let make_sinks = Arc::clone(&make_sinks);
-                let config = config.clone();
-                std::thread::Builder::new()
-                    .name(format!("router-worker-{i}"))
-                    .spawn(move || {
-                        let mut sinks = match make_sinks() {
-                            Ok(sinks) => sinks,
-                            // A worker that cannot reach the shards serves
-                            // nothing; the remaining workers still run.
-                            Err(_) => return,
-                        };
-                        while let Some(stream) = conn_queue.pop() {
-                            let _ = serve_connection(
-                                stream,
-                                &mut sinks,
-                                &counters,
-                                &shutting_down,
-                                &config,
-                            );
-                        }
-                    })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
-        Ok(Self {
-            local_addr,
-            counters,
-            shutting_down,
-            conn_queue,
-            accept_thread,
-            worker_threads,
-        })
+        let oversize = Response::Rejected {
+            reason: "frame exceeds maximum size".to_string(),
+        };
+        let server = Server::start(
+            ServerConfig {
+                addr: config.addr,
+                loops: config.worker_threads,
+                max_conns: config.conn_backlog,
+                policy: frame_policy(config.max_frame_len),
+                io_timeout: config.io_timeout,
+                busy_body: busy.to_bytes(),
+                oversize_body: oversize.to_bytes(),
+                registry: Arc::clone(prochlo_obs::global()),
+                thread_name: "router-loop",
+                conns_metric: "fabric.router.conns",
+                turn_metric: "fabric.router.loop.turn",
+            },
+            || {
+                Ok::<_, CollectorError>(Route {
+                    sinks: make_sinks()?,
+                    counters: Arc::clone(&counters),
+                    obs_routed: prochlo_obs::counter("fabric.router.routed"),
+                    obs_rejected: prochlo_obs::counter("fabric.router.rejected"),
+                    obs_forward_failures: prochlo_obs::counter("fabric.router.forward_failures"),
+                })
+            },
+        )?;
+        Ok(Self { server, counters })
     }
 
     /// The address clients connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.server.local_addr()
     }
 
     /// A live snapshot of the router counters.
     pub fn stats(&self) -> RouterStats {
-        self.counters.snapshot()
+        self.counters.snapshot(self.server.stats())
     }
 
-    /// Stops accepting, drains connected clients, and returns the final
-    /// counters.
+    /// Stops taking connections, flushes what the open ones will take,
+    /// closes them and returns the final counters.
     pub fn shutdown(self) -> RouterStats {
-        self.shutting_down.store(true, Ordering::SeqCst);
-        let _ = self.accept_thread.join();
-        self.conn_queue.close();
-        for worker in self.worker_threads {
-            let _ = worker.join();
-        }
-        self.counters.snapshot()
+        let served = self.server.shutdown();
+        self.counters.snapshot(served)
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    counters: &Counters,
-    shutting_down: &AtomicBool,
-    conn_queue: &BoundedQueue<TcpStream>,
-) {
-    loop {
-        if shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if stream.set_nonblocking(false).is_err() {
-            continue;
-        }
-        match conn_queue.try_push(stream) {
-            Ok(()) => {
-                counters.connections.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(PushError::Full(stream) | PushError::Closed(stream)) => {
-                counters.connections_refused.fetch_add(1, Ordering::Relaxed);
-                drop(stream);
-            }
+/// One event loop's protocol handler: its own sink per shard, and the
+/// obs mirrors of the [`RouterStats`] counters.
+struct Route {
+    sinks: Vec<Box<dyn ReportSink + Send>>,
+    counters: Arc<Counters>,
+    obs_routed: prochlo_obs::Counter,
+    obs_rejected: prochlo_obs::Counter,
+    obs_forward_failures: prochlo_obs::Counter,
+}
+
+impl Route {
+    fn reject(&self, reason: &str) -> Response {
+        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        self.obs_rejected.inc();
+        Response::Rejected {
+            reason: reason.to_string(),
         }
     }
 }
 
-fn serve_connection(
-    stream: TcpStream,
-    sinks: &mut [Box<dyn ReportSink + Send>],
-    counters: &Counters,
-    shutting_down: &AtomicBool,
-    config: &RouterConfig,
-) -> Result<(), CollectorError> {
-    stream.set_read_timeout(Some(config.io_timeout))?;
-    stream.set_write_timeout(Some(config.io_timeout))?;
-    stream.set_nodelay(true)?;
-    // Obs mirrors of the legacy counters, cached per connection.
-    let obs_routed = prochlo_obs::counter("fabric.router.routed");
-    let obs_rejected = prochlo_obs::counter("fabric.router.rejected");
-    let obs_forward_failures = prochlo_obs::counter("fabric.router.forward_failures");
-    let mut reader = std::io::BufReader::new(stream.try_clone()?);
-    let mut writer = std::io::BufWriter::new(stream);
-    loop {
-        if shutting_down.load(Ordering::SeqCst) {
-            return Err(CollectorError::ShuttingDown);
-        }
-        let body = match read_frame(&mut reader, config.max_frame_len) {
-            Ok(body) => body,
-            Err(CollectorError::ConnectionClosed) => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let response = match Request::from_bytes(&body) {
+impl Handler for Route {
+    type Conn = ();
+
+    fn connected(&mut self, _peer: SocketAddr) {}
+
+    fn frame(&mut self, (): &mut (), body: &[u8]) -> Result<Vec<u8>, Vec<u8>> {
+        let response = match Request::from_bytes(body) {
             Ok(Request::SubmitRouted {
                 crowd_prefix,
                 nonce,
                 report,
             }) => {
-                let shard = ShardedDeployment::shard_index_from_prefix(crowd_prefix, sinks.len());
+                let shard =
+                    ShardedDeployment::shard_index_from_prefix(crowd_prefix, self.sinks.len());
                 let span = prochlo_obs::span("fabric.router.forward");
-                let forwarded = sinks[shard].submit_routed(crowd_prefix, &nonce, &report);
+                let forwarded = self.sinks[shard].submit_routed(crowd_prefix, &nonce, &report);
                 span.finish();
                 match forwarded {
                     Ok(verdict) => {
-                        counters.routed.fetch_add(1, Ordering::Relaxed);
-                        obs_routed.inc();
+                        self.counters.routed.fetch_add(1, Ordering::Relaxed);
+                        self.obs_routed.inc();
                         verdict
                     }
                     Err(_) => {
                         // The forwarding leg died; tell the client to retry
-                        // (the next attempt may land on a healthy worker).
-                        counters.forward_failures.fetch_add(1, Ordering::Relaxed);
-                        obs_forward_failures.inc();
-                        Response::RetryAfter { millis: 100 }
+                        // (the next attempt may land on a healthy loop).
+                        self.counters
+                            .forward_failures
+                            .fetch_add(1, Ordering::Relaxed);
+                        self.obs_forward_failures.inc();
+                        Response::RetryAfter {
+                            millis: RETRY_AFTER_MS,
+                        }
                     }
                 }
             }
             Ok(Request::Submit { .. }) => {
-                counters.rejected.fetch_add(1, Ordering::Relaxed);
-                obs_rejected.inc();
-                Response::Rejected {
-                    reason: "router requires routed submissions (SUBMIT_ROUTED)".to_string(),
-                }
+                self.reject("router requires routed submissions (SUBMIT_ROUTED)")
             }
             Ok(Request::Ping) => Response::Ack { pending: 0 },
             // The router has no ingest core of its own; answer with the
@@ -309,17 +258,10 @@ fn serve_connection(
             Ok(Request::Stats) => Response::Stats {
                 entries: prochlo_obs::snapshot().flat(),
             },
-            Err(_) => {
-                counters.rejected.fetch_add(1, Ordering::Relaxed);
-                obs_rejected.inc();
-                let reject = Response::Rejected {
-                    reason: "malformed request".to_string(),
-                };
-                let _ = write_frame(&mut writer, &reject.to_bytes());
-                return Err(CollectorError::Protocol("malformed request"));
-            }
+            // A desynchronized or hostile peer; reject and hang up.
+            Err(_) => return Err(self.reject("malformed request").to_bytes()),
         };
-        write_frame(&mut writer, &response.to_bytes())?;
+        Ok(response.to_bytes())
     }
 }
 

@@ -30,9 +30,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "env-knob-discipline",
-        summary: "std::env::var/var_os outside the sanctioned knob modules: \
-                  every knob must be parsed (and validated) in exactly one \
-                  place per crate",
+        summary: "std::env::var/var_os outside prochlo_obs::knobs, the \
+                  workspace's one knob reader: unset picks the default, \
+                  set-but-unusable is a hard error, written exactly once",
     },
     RuleInfo {
         name: "secret-eq",
@@ -54,7 +54,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "thread-spawn-discipline",
         summary: "thread::spawn/scope outside prochlo_shuffle::exec, the \
-                  collector service, and the net pump: ad-hoc threading \
+                  net serving harness, and the net pump: ad-hoc threading \
                   bypasses the deterministic chunked executor",
     },
 ];
@@ -72,16 +72,10 @@ const SEEDED_CRATE_PREFIXES: &[&str] = &[
     "crates/data/src/",
 ];
 
-/// Files allowed to read process environment knobs. One module per crate:
-/// a knob parsed in two places will eventually be parsed two ways.
-const SANCTIONED_KNOB_FILES: &[&str] = &[
-    "crates/shuffle/src/exec.rs",
-    "crates/core/src/knobs.rs",
-    "crates/obs/src/knobs.rs",
-    "crates/bench/src/lib.rs",
-    "crates/collector/src/knobs.rs",
-    "examples/src/knobs.rs",
-];
+/// Files allowed to read the process environment: the one reader every
+/// crate's knobs go through. The unset / undecodable / unparseable match
+/// written in two places will eventually be written two ways.
+const SANCTIONED_KNOB_FILES: &[&str] = &["crates/obs/src/knobs.rs"];
 
 /// Types that hold key material. Deriving `PartialEq` on these compares
 /// limb-by-limb with early exit; equality must route through `ct_eq`.
@@ -111,7 +105,7 @@ const WIRE_DECODE_FILES: &[&str] = &[
 /// Files whose whole job is spawning worker threads.
 const SANCTIONED_THREAD_FILES: &[&str] = &[
     "crates/shuffle/src/exec.rs",
-    "crates/collector/src/service.rs",
+    "crates/net/src/server.rs",
     "crates/net/src/pump.rs",
 ];
 
@@ -219,9 +213,9 @@ fn env_knob_discipline(
                 tokens[i + 3].line,
                 "env-knob-discipline",
                 format!(
-                    "env::{} outside a sanctioned knob module; read the \
-                     environment in this crate's knob module so every knob \
-                     is parsed exactly once",
+                    "env::{} outside prochlo_obs::knobs; read the knob \
+                     through its read/parse so an unusable value is a hard \
+                     error, never a silent default",
                     tokens[i + 3].text
                 ),
             ));
@@ -452,8 +446,8 @@ fn thread_spawn_discipline(
                 tokens[i + 3].line,
                 "thread-spawn-discipline",
                 format!(
-                    "thread::{} outside prochlo_shuffle::exec / the \
-                     collector service: route parallel work through the \
+                    "thread::{} outside prochlo_shuffle::exec / the net \
+                     serving harness: route parallel work through the \
                      chunked executor (deterministic at any thread count) \
                      or justify the seam with an allow",
                     tokens[i + 3].text

@@ -1,31 +1,35 @@
 //! Readiness-based networking substrate for the serving path.
 //!
-//! `prochlo-net` is the I/O layer the collector and the shard fabric share:
-//! instead of pinning one blocking thread per connection, each event-loop
-//! thread owns a [`Reactor`] multiplexing thousands of nonblocking sockets,
-//! with per-connection [`Conn`] state machines resuming frame parses and
-//! flushes across partial reads and writes. Per-connection deadlines give
-//! slow-loris eviction, [`TokenBucket`]s give per-client rate limiting, and
-//! [`FramePump`] packages the common "demux many framed streams onto one
-//! callback" shape used by the fabric.
+//! `prochlo-net` is the I/O layer the collector, the shard router and the
+//! shard fabric share: instead of pinning one blocking thread per
+//! connection, each event-loop thread owns a [`Reactor`] multiplexing
+//! thousands of nonblocking sockets, with per-connection [`Conn`] state
+//! machines resuming frame parses and flushes across partial reads and
+//! writes. On top of the two sits the one serving harness, [`Server`] — a
+//! service is the harness plus its per-loop [`Handler`]. [`TokenBucket`]s
+//! give per-client rate limiting, and [`FramePump`] packages the "demux
+//! many framed streams onto one callback" shape used by the fabric.
 //!
-//! The crate is deliberately small and dependency-free (std + parking_lot;
-//! `poll(2)` is declared directly, no async runtime, no mio): everything
-//! protocol-shaped stays in `prochlo-core`'s framing module, and everything
-//! service-shaped (ingest, backpressure, epochs) stays in the services.
+//! The crate is deliberately small (std + parking_lot + the telemetry
+//! registry; `poll(2)` is declared directly, no async runtime, no mio):
+//! everything protocol-shaped stays in `prochlo-core`'s framing module, and
+//! everything service-shaped (ingest, routing, epochs) stays in the
+//! handlers.
 //!
-//! Ownership model: the reactor never owns sockets. Services keep their
-//! `Conn`s in their own maps keyed by [`Token`] and tell the reactor which
-//! readiness they currently care about — the same split mio uses, which
-//! keeps eviction, draining, and shutdown logic in exactly one place (the
-//! service) instead of two.
+//! Ownership model: the reactor never owns sockets. Its owner (a [`Server`]
+//! event loop, the [`FramePump`]) keeps the `Conn`s in its own map keyed by
+//! [`Token`] and tells the reactor which readiness it currently cares about
+//! — the same split mio uses, which keeps eviction, draining, and shutdown
+//! logic in exactly one place instead of two.
 
 pub mod bucket;
 pub mod conn;
 pub mod pump;
 pub mod reactor;
+pub mod server;
 
 pub use bucket::TokenBucket;
 pub use conn::{send_frame, Conn, ConnStatus, FlushStatus};
 pub use pump::{FramePump, PumpEvent};
 pub use reactor::{wait_writable, Event, Interest, Reactor, Source, Token, Waker};
+pub use server::{Handler, Server, ServerConfig, ServerStats};

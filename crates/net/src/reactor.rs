@@ -297,6 +297,18 @@ impl Reactor {
         }
     }
 
+    /// Whether the source currently has an armed deadline. An expiry
+    /// disarms, so after a turn that reported `timed_out` for `token` this
+    /// is `true` only if the owner re-armed it since. Stale tokens are not
+    /// armed.
+    pub fn deadline_armed(&self, token: Token) -> bool {
+        let slot = self.slots.get(token.index);
+        slot.is_some_and(|s| {
+            s.generation == token.generation
+                && s.entry.as_ref().is_some_and(|e| e.deadline.is_some())
+        })
+    }
+
     /// Removes a source from the poll set, retiring its token: the slot is
     /// recycled under a new generation, so the retired token goes stale
     /// rather than aliasing the slot's next occupant.

@@ -55,7 +55,7 @@ impl FlightRecorder {
     /// be worse than failing loudly (matching the workspace's
     /// invalid-knob convention).
     pub fn from_env() -> Option<Self> {
-        let path = crate::knobs::flight_path()?;
+        let path = crate::knobs::path(OBS_PATH_ENV)?;
         match Self::open(Path::new(&path)) {
             Ok(recorder) => Some(recorder),
             Err(e) => panic!("{OBS_PATH_ENV}={path}: cannot open flight-recorder sink: {e}"),

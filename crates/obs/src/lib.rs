@@ -60,7 +60,7 @@
 #![warn(missing_docs)]
 
 mod flight;
-mod knobs;
+pub mod knobs;
 mod registry;
 mod snapshot;
 mod span;
@@ -83,7 +83,7 @@ pub const OBS_ENV: &str = "PROCHLO_OBS";
 /// isolation construct their own [`Registry`] instead.
 pub fn global() -> &'static Arc<Registry> {
     static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(Registry::new(knobs::registry_enabled())))
+    GLOBAL.get_or_init(|| Arc::new(Registry::new(knobs::switch(OBS_ENV))))
 }
 
 /// Counter named `name` in the global registry.

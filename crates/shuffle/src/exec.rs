@@ -87,13 +87,9 @@ pub fn threads_from_value(value: Option<&str>) -> Result<usize, ShuffleError> {
 /// made, so it errors exactly like an unparseable one instead of being
 /// treated as unset.
 pub fn shuffle_threads_from_env() -> Result<usize, ShuffleError> {
-    match std::env::var("PROCHLO_SHUFFLE_THREADS") {
-        Ok(raw) => threads_from_value(Some(&raw)),
-        Err(std::env::VarError::NotPresent) => threads_from_value(None),
-        Err(std::env::VarError::NotUnicode(raw)) => Err(ShuffleError::InvalidThreads {
-            value: raw.to_string_lossy().into_owned(),
-        }),
-    }
+    let raw = prochlo_obs::knobs::read("PROCHLO_SHUFFLE_THREADS")
+        .map_err(|e| ShuffleError::InvalidThreads { value: e.value })?;
+    threads_from_value(raw.as_deref())
 }
 
 /// Resolves a configured worker count: `0` defers to the environment knob

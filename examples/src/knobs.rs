@@ -1,11 +1,15 @@
 //! Environment knobs owned by the examples crate (the soak harness).
 //!
-//! Every `std::env::var` read in `prochlo-examples` lives here so the knob
-//! inventory stays auditable in one place; the `env-knob-discipline` rule
-//! of `prochlo-lint` enforces it. The workspace convention holds: an unset
-//! knob picks the default, a set-but-invalid knob is a hard error — the
-//! operator made a selection, and silently ignoring it would be worse than
-//! failing loudly.
+//! Every knob `prochlo-examples` reads is named and validated here, on top
+//! of the workspace's one reader ([`prochlo_obs::knobs`]), so the knob
+//! inventory stays auditable in one place. The workspace convention holds:
+//! an unset knob picks the default, a set-but-invalid knob is a hard error
+//! — the operator made a selection, and silently ignoring it would be worse
+//! than failing loudly.
+
+use std::num::NonZeroUsize;
+
+use prochlo_obs::knobs;
 
 /// Total sealed reports the soak drives through the collector.
 pub const SOAK_REPORTS_ENV: &str = "PROCHLO_SOAK_REPORTS";
@@ -21,16 +25,8 @@ pub const SOAK_THREADS_ENV: &str = "PROCHLO_SOAK_THREADS";
 pub const SOAK_EPOCH_REPORTS_ENV: &str = "PROCHLO_SOAK_EPOCH_REPORTS";
 
 fn positive(name: &'static str, default: usize) -> Result<usize, String> {
-    match std::env::var(name) {
-        Err(std::env::VarError::NotPresent) => Ok(default),
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            Err(format!("{name}={:?} is not a valid setting", raw))
-        }
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(0) | Err(_) => Err(format!("{name}={raw:?} is not a valid setting")),
-            Ok(n) => Ok(n),
-        },
-    }
+    let value = knobs::parse::<NonZeroUsize>(name).map_err(|e| e.to_string())?;
+    Ok(value.map_or(default, NonZeroUsize::get))
 }
 
 /// Total sealed reports to drive; default one million.
@@ -45,19 +41,10 @@ pub fn soak_conns() -> Result<usize, String> {
 
 /// Client submitter threads; default 8, `0` = available cores.
 pub fn soak_threads() -> Result<usize, String> {
-    match std::env::var(SOAK_THREADS_ENV) {
-        Err(std::env::VarError::NotPresent) => Ok(8),
-        Err(std::env::VarError::NotUnicode(raw)) => Err(format!(
-            "{SOAK_THREADS_ENV}={:?} is not a valid setting",
-            raw
-        )),
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(0) => Ok(std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)),
-            Ok(n) => Ok(n),
-            Err(_) => Err(format!("{SOAK_THREADS_ENV}={raw:?} is not a valid setting")),
-        },
+    match knobs::parse(SOAK_THREADS_ENV).map_err(|e| e.to_string())? {
+        None => Ok(8),
+        Some(0) => Ok(std::thread::available_parallelism().map_or(1, NonZeroUsize::get)),
+        Some(n) => Ok(n),
     }
 }
 
