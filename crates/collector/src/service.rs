@@ -32,7 +32,7 @@ use prochlo_core::{
     AnalyzerDatabase, ClientReport, Deployment, EngineConfig, EpochSpec, PipelineError,
     PipelineReport,
 };
-use prochlo_net::{Handler, Server, ServerConfig, ServerStats, TokenBucket};
+use prochlo_net::{Answer, Handler, Server, ServerConfig, ServerStats, TokenBucket};
 
 use crate::error::CollectorError;
 use crate::ingest::{IngestConfig, IngestCore, IngestStats};
@@ -388,7 +388,7 @@ impl Handler for Ingest {
         (peer, self.rate_limit.map(TokenBucket::new))
     }
 
-    fn frame(&mut self, (peer, bucket): &mut Self::Conn, body: &[u8]) -> Result<Vec<u8>, Vec<u8>> {
+    fn frame(&mut self, (peer, bucket): &mut Self::Conn, body: &[u8]) -> Result<Answer, Vec<u8>> {
         let ingest = &self.shared.ingest;
         let response = match Request::from_bytes(body) {
             Ok(Request::Submit { nonce, report })
@@ -417,7 +417,7 @@ impl Handler for Ingest {
                 return Err(Response::Rejected { reason }.to_bytes());
             }
         };
-        Ok(response.to_bytes())
+        Ok(Answer::Now(response.to_bytes()))
     }
 }
 

@@ -6,7 +6,8 @@
 //! thousands of nonblocking sockets, with per-connection [`Conn`] state
 //! machines resuming frame parses and flushes across partial reads and
 //! writes. On top of the two sits the one serving harness, [`Server`] — a
-//! service is the harness plus its per-loop [`Handler`]. [`TokenBucket`]s
+//! service is the harness plus its per-loop [`Handler`], which answers a
+//! frame now or later in the same reactor turn. [`TokenBucket`]s
 //! give per-client rate limiting, and [`FramePump`] packages the "demux
 //! many framed streams onto one callback" shape used by the fabric.
 //!
@@ -32,4 +33,4 @@ pub use bucket::TokenBucket;
 pub use conn::{send_frame, Conn, ConnStatus, FlushStatus};
 pub use pump::{FramePump, PumpEvent};
 pub use reactor::{wait_writable, Event, Interest, Reactor, Source, Token, Waker};
-pub use server::{Handler, Server, ServerConfig, ServerStats};
+pub use server::{Answer, Handler, Server, ServerConfig, ServerStats, WRITE_PAUSE_BYTES};

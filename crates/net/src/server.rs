@@ -16,8 +16,22 @@
 //! The handler is built once per loop, so per-loop resources (the router's
 //! forwarding legs) need no cross-loop locking; its [`Handler::Conn`] value
 //! lives exactly as long as one connection (the collector's rate limiter).
-//! A handler may block: that loop then serves nothing else meanwhile, which
-//! is the router's one-forward-in-flight-per-loop model.
+//!
+//! # Turn-scoped deferred answers
+//!
+//! A handler answers a frame [`Answer::Now`] or [`Answer::Later`] — later
+//! *in this reactor turn*. Once every ready connection of the turn has been
+//! read, the harness calls [`Handler::finish_turn`] once and gets the
+//! deferred bodies back in deferral order; only then are the turn's answers
+//! queued, each connection's in request order, and each answered connection
+//! flushed once. The turn is the scope because it is the only place that
+//! sees frames from many connections at once: a crowd of clients with one
+//! report in flight each still hands the router a batch to forward in one
+//! exchange per shard. Nothing deferred outlives a turn — there is no
+//! ticket, no completion queue and no cross-turn state to leak, time out or
+//! reorder; a body is matched to its slot by deferral order alone. A
+//! handler may block (in `frame` or in `finish_turn`): that loop then
+//! serves nothing else meanwhile.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -41,7 +55,10 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// Pending-write ceiling per connection: past this, the loop stops reading
 /// from the peer (read interest drops) until the backlog flushes, so one
 /// slow reader pipelining requests cannot balloon its response buffer.
-const WRITE_PAUSE_BYTES: usize = 256 << 10;
+/// Public because it bounds what a blocking client may pipeline without
+/// reading: one whose unread responses can exceed it deadlocks against the
+/// pause.
+pub const WRITE_PAUSE_BYTES: usize = 256 << 10;
 
 /// What a [`Server`] is told about the service it fronts.
 #[derive(Debug, Clone)]
@@ -71,6 +88,15 @@ pub struct ServerConfig {
     pub turn_metric: &'static str,
 }
 
+/// How a [`Handler`] answers one request frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Answer {
+    /// The response body.
+    Now(Vec<u8>),
+    /// The body comes out of this turn's [`Handler::finish_turn`].
+    Later,
+}
+
 /// The protocol half of a service; one value per event loop.
 pub trait Handler: Send + 'static {
     /// Per-connection state, created on accept and dropped on close.
@@ -79,11 +105,21 @@ pub trait Handler: Send + 'static {
     /// A connection from `peer` was dealt to this loop.
     fn connected(&mut self, peer: SocketAddr) -> Self::Conn;
 
-    /// Answers one complete request frame with a response body, queued
-    /// behind earlier responses. `Err` carries the last words to an
-    /// unrecoverable stream (a malformed request): the harness flushes
-    /// them, drops the rest of the burst and hangs up.
-    fn frame(&mut self, conn: &mut Self::Conn, body: &[u8]) -> Result<Vec<u8>, Vec<u8>>;
+    /// Answers one complete request frame; the response is queued behind
+    /// the connection's earlier ones, deferred or not. `Err` carries the
+    /// last words to an unrecoverable stream (a malformed request): the
+    /// harness delivers them after the answers already owed, drops the rest
+    /// of the burst and hangs up.
+    fn frame(&mut self, conn: &mut Self::Conn, body: &[u8]) -> Result<Answer, Vec<u8>>;
+
+    /// Called once at the end of every reactor turn that owes answers:
+    /// appends to `bodies` one response body per [`Answer::Later`] given
+    /// this turn, in the order they were given. A connection whose body is
+    /// missing is closed rather than left waiting (or handed a neighbour's
+    /// answer).
+    fn finish_turn(&mut self, bodies: &mut Vec<Vec<u8>>) {
+        let _ = bodies;
+    }
 }
 
 /// A point-in-time snapshot of the harness counters.
@@ -167,6 +203,8 @@ impl Server {
                 handler,
                 intakes: intakes.clone(),
                 conns: BTreeMap::new(),
+                answers: Vec::new(),
+                deferred: Vec::new(),
                 shared: Arc::clone(&shared),
                 conns_open: config.registry.gauge(&metric("open")),
                 conns_accepted: config.registry.counter(&metric("accepted")),
@@ -238,6 +276,11 @@ struct EventLoop<H: Handler> {
     accept_token: Option<Token>,
     intakes: Vec<Intake>,
     conns: BTreeMap<Token, ConnState<H::Conn>>,
+    /// This turn's answers in arrival order; `None` is a deferred body
+    /// [`Self::finish_turn`] fills in. Empty between turns.
+    answers: Vec<(Token, Option<Vec<u8>>)>,
+    /// Scratch for the bodies [`Handler::finish_turn`] returns.
+    deferred: Vec<Vec<u8>>,
     shared: Arc<Shared>,
     config: ServerConfig,
     conns_open: prochlo_obs::Gauge,
@@ -266,6 +309,7 @@ impl<H: Handler> EventLoop<H> {
             for event in events.drain(..) {
                 self.handle_event(event, &mut frames);
             }
+            self.finish_turn();
             let _ = turn.finish();
         }
         // Exit: give each socket one chance to take the remaining bytes
@@ -299,42 +343,89 @@ impl<H: Handler> EventLoop<H> {
                 return;
             };
             frames.clear();
-            // Poisoned: the rest of the burst is dropped, not answered.
-            let (mut poisoned, mut fatal) = (false, false);
-            match state.conn.on_readable(frames) {
-                Ok(ConnStatus::Open) => {}
-                Ok(ConnStatus::PeerClosed) => state.closing = true,
-                Err(FrameError::TooLarge { .. }) => {
-                    // The peer announced more than we will read; answering
-                    // and resynchronizing is impossible, so reject, flush,
-                    // hang up.
-                    poisoned = true;
-                    fatal = state.conn.queue_body(&self.config.oversize_body).is_err();
+            let owed = self.answers.len();
+            let mut last_words = match state.conn.on_readable(frames) {
+                Ok(ConnStatus::Open) => None,
+                Ok(ConnStatus::PeerClosed) => {
+                    state.closing = true;
+                    None
                 }
-                Err(_) => fatal = true,
-            }
-            if fatal {
-                return self.close_conn(event.token, false);
-            }
-            if !frames.is_empty() {
+                // The peer announced more than we will read; answering and
+                // resynchronizing is impossible, so reject, flush, hang up.
+                Err(FrameError::TooLarge { .. }) => Some(self.config.oversize_body.clone()),
+                Err(_) => return self.close_conn(event.token, false),
+            };
+            if last_words.is_none() && !frames.is_empty() {
                 for body in frames.drain(..) {
-                    if poisoned {
-                        break;
+                    match self.handler.frame(&mut state.app, &body) {
+                        Ok(Answer::Now(body)) => self.answers.push((event.token, Some(body))),
+                        Ok(Answer::Later) => self.answers.push((event.token, None)),
+                        Err(body) => {
+                            last_words = Some(body);
+                            break;
+                        }
                     }
-                    let reply = self.handler.frame(&mut state.app, &body);
-                    poisoned = reply.is_err();
-                    let (Ok(body) | Err(body)) = reply;
-                    poisoned |= state.conn.queue_body(&body).is_err();
                 }
                 // Completed frames are progress: re-arm the eviction
                 // deadline. (Bytes alone are not — a slow loris dribbling
-                // one byte per poll would never be evicted otherwise.)
+                // one byte per poll would never be evicted otherwise.) Here,
+                // not where the answers are queued: a stale expiry reported
+                // beside these frames is judged later in this same pass
+                // over the events.
                 self.reactor
                     .set_deadline(event.token, Some(self.config.io_timeout));
             }
-            state.closing |= poisoned;
+            if let Some(body) = last_words {
+                // Poisoned: the rest of the burst is dropped, not answered.
+                state.closing = true;
+                self.answers.push((event.token, Some(body)));
+            }
+            if self.answers.len() > owed {
+                // `finish_turn` queues the answers and settles.
+                return;
+            }
         }
         self.settle(event.token);
+    }
+
+    /// Ends the turn: collects the deferred bodies from the handler, queues
+    /// every answer onto its connection in arrival order, and settles each
+    /// answered connection once.
+    fn finish_turn(&mut self) {
+        if self.answers.is_empty() {
+            return;
+        }
+        self.handler.finish_turn(&mut self.deferred);
+        // Both lists are taken for the walk and handed back empty, so their
+        // capacity is reused turn after turn.
+        let mut answers = std::mem::take(&mut self.answers);
+        let mut deferred = std::mem::take(&mut self.deferred);
+        let mut bodies = deferred.drain(..);
+        // One readable event per connection per turn, so a connection's
+        // answers are one run of the list: settle where the token changes.
+        let mut current = None;
+        for (token, answer) in answers.drain(..) {
+            if let Some(done) = current.replace(token).filter(|&done| done != token) {
+                self.settle(done);
+            }
+            // Deferral order is the only key: a slot consumes its body even
+            // when its connection is already gone.
+            let body = answer.or_else(|| bodies.next());
+            let Some(state) = self.conns.get_mut(&token) else {
+                continue;
+            };
+            match body {
+                Some(body) => state.closing |= state.conn.queue_body(&body).is_err(),
+                // The handler came up short. Closing drops this connection's
+                // later answers with it, so none is delivered out of place.
+                None => self.close_conn(token, false),
+            }
+        }
+        if let Some(done) = current {
+            self.settle(done);
+        }
+        drop(bodies);
+        (self.answers, self.deferred) = (answers, deferred);
     }
 
     /// Flushes what the socket will take and reconciles interest/lifecycle
@@ -437,6 +528,7 @@ mod tests {
     use super::*;
     use prochlo_core::framing::FrameRead;
     use std::io::{Read, Write};
+    use std::sync::mpsc::{Receiver, Sender};
     use std::time::Instant;
 
     const POLICY: FramePolicy = FramePolicy::new(1, 1024);
@@ -452,18 +544,18 @@ mod tests {
 
         fn connected(&mut self, _peer: SocketAddr) {}
 
-        fn frame(&mut self, (): &mut (), body: &[u8]) -> Result<Vec<u8>, Vec<u8>> {
+        fn frame(&mut self, (): &mut (), body: &[u8]) -> Result<Answer, Vec<u8>> {
             match body.first() {
                 Some(b'!') => return Err(body.to_vec()),
                 Some(b'z') => std::thread::sleep(self.nap),
                 _ => {}
             }
-            Ok(body.to_vec())
+            Ok(Answer::Now(body.to_vec()))
         }
     }
 
-    fn start(loops: usize, max_conns: usize, io_timeout: Duration) -> Server {
-        let config = ServerConfig {
+    fn config(loops: usize, max_conns: usize, io_timeout: Duration) -> ServerConfig {
+        ServerConfig {
             addr: "127.0.0.1:0".parse().expect("loopback address"),
             loops,
             max_conns,
@@ -475,8 +567,11 @@ mod tests {
             thread_name: "test-loop",
             conns_metric: "test.conns",
             turn_metric: "test.loop.turn",
-        };
-        Server::start(config, || {
+        }
+    }
+
+    fn start(loops: usize, max_conns: usize, io_timeout: Duration) -> Server {
+        Server::start(config(loops, max_conns, io_timeout), || {
             Ok::<_, io::Error>(Echo {
                 nap: io_timeout * 3,
             })
@@ -598,5 +693,202 @@ mod tests {
         assert_eq!(server.shutdown().evicted, 1);
         assert!(start.elapsed() < Duration::from_secs(2));
         drop(healthy);
+    }
+
+    /// What a [`Deferring`] handler saw, shared with the test.
+    #[derive(Default)]
+    struct Seen {
+        /// Every frame body handed to `frame`.
+        frames: Vec<Vec<u8>>,
+        /// Per `finish_turn` call that had deferred frames: their peers.
+        turns: Vec<Vec<SocketAddr>>,
+    }
+
+    /// Echoes every frame: `d…` and `s…` later, `!` as last words, the rest
+    /// now. A `z` frame first parks the loop — reporting so over `parked`,
+    /// then waiting on `gate` — so that whatever the test writes meanwhile
+    /// is read in one turn. `finish_turn` comes up short from the first
+    /// `s…` frame on.
+    struct Deferring {
+        parked: Sender<()>,
+        gate: Receiver<()>,
+        later: Vec<(SocketAddr, Vec<u8>)>,
+        seen: Arc<Mutex<Seen>>,
+    }
+
+    impl Handler for Deferring {
+        type Conn = SocketAddr;
+
+        fn connected(&mut self, peer: SocketAddr) -> SocketAddr {
+            peer
+        }
+
+        fn frame(&mut self, peer: &mut SocketAddr, body: &[u8]) -> Result<Answer, Vec<u8>> {
+            self.seen.lock().frames.push(body.to_vec());
+            match body.first() {
+                Some(b'!') => return Err(body.to_vec()),
+                Some(b'd' | b's') => {
+                    self.later.push((*peer, body.to_vec()));
+                    return Ok(Answer::Later);
+                }
+                Some(b'z') => {
+                    self.parked.send(()).expect("test is listening");
+                    self.gate.recv().expect("test opens the gate");
+                }
+                _ => {}
+            }
+            Ok(Answer::Now(body.to_vec()))
+        }
+
+        fn finish_turn(&mut self, bodies: &mut Vec<Vec<u8>>) {
+            if self.later.is_empty() {
+                return;
+            }
+            let peers = self.later.iter().map(|(peer, _)| *peer).collect();
+            self.seen.lock().turns.push(peers);
+            let delivered = self
+                .later
+                .iter()
+                .position(|(_, body)| body.starts_with(b"s"))
+                .unwrap_or(self.later.len());
+            let bodies_in_order = self.later.drain(..).map(|(_, body)| body);
+            bodies.extend(bodies_in_order.take(delivered));
+        }
+    }
+
+    /// A one-loop server under a [`Deferring`] handler, and the test's ends
+    /// of its channels.
+    struct DeferringServer {
+        server: Server,
+        parked: Receiver<()>,
+        gate: Sender<()>,
+        seen: Arc<Mutex<Seen>>,
+    }
+
+    impl DeferringServer {
+        fn start() -> Self {
+            let (parked_tx, parked) = std::sync::mpsc::channel();
+            let (gate, gate_rx) = std::sync::mpsc::channel();
+            let seen = Arc::new(Mutex::new(Seen::default()));
+            let mut handler = Some(Deferring {
+                parked: parked_tx,
+                gate: gate_rx,
+                later: Vec::new(),
+                seen: Arc::clone(&seen),
+            });
+            let server = Server::start(config(1, 16, Duration::from_secs(5)), || {
+                Ok::<_, io::Error>(handler.take().expect("one loop"))
+            })
+            .expect("start server");
+            Self {
+                server,
+                parked,
+                gate,
+                seen,
+            }
+        }
+
+        /// A connection the loop has registered: connections registered in
+        /// this order are also read in this order within a turn.
+        fn connect(&self) -> TcpStream {
+            let mut stream = connect(&self.server);
+            assert_eq!(roundtrip(&mut stream, b"hello"), b"hello");
+            stream
+        }
+
+        /// Parks the loop inside `sleeper`'s frame until [`Self::release`].
+        fn park(&self, sleeper: &mut TcpStream) {
+            sleeper.write_frame(&POLICY, b"z").expect("write frame");
+            self.parked.recv().expect("loop parks");
+        }
+
+        fn release(&self, sleeper: &mut TcpStream) {
+            self.gate.send(()).expect("loop is parked");
+            assert_eq!(sleeper.read_frame(&POLICY).expect("read frame"), b"z");
+        }
+    }
+
+    /// Writes `bodies` as one burst of frames.
+    fn write_burst(stream: &mut TcpStream, bodies: &[&[u8]]) {
+        let mut wire = Vec::new();
+        for body in bodies {
+            wire.write_frame(&POLICY, body).expect("frame");
+        }
+        stream.write_all(&wire).expect("write burst");
+    }
+
+    fn assert_reads(stream: &mut TcpStream, bodies: &[&[u8]]) {
+        for body in bodies {
+            assert_eq!(&stream.read_frame(&POLICY).expect("read frame"), body);
+        }
+    }
+
+    #[test]
+    fn deferred_and_immediate_answers_come_back_in_request_order() {
+        let deferring = DeferringServer::start();
+        let mut stream = deferring.connect();
+        let burst: [&[u8]; 6] = [b"d1", b"n2", b"n3", b"d4", b"d5", b"n6"];
+        write_burst(&mut stream, &burst);
+        assert_reads(&mut stream, &burst);
+        deferring.server.shutdown();
+    }
+
+    #[test]
+    fn one_finish_turn_answers_frames_from_several_connections() {
+        let deferring = DeferringServer::start();
+        let mut sleeper = deferring.connect();
+        let mut first = deferring.connect();
+        let mut second = deferring.connect();
+        // Both bursts land while the loop is parked, so its next turn reads
+        // both connections — the crowd shape: many peers, few frames each.
+        deferring.park(&mut sleeper);
+        write_burst(&mut first, &[b"d-first-1", b"d-first-2"]);
+        write_burst(&mut second, &[b"d-second-1", b"n-second-2"]);
+        deferring.release(&mut sleeper);
+        // Each connection gets its own bodies, in its own order.
+        assert_reads(&mut first, &[b"d-first-1", b"d-first-2"]);
+        assert_reads(&mut second, &[b"d-second-1", b"n-second-2"]);
+        let peers = [first.local_addr(), second.local_addr()].map(|addr| addr.expect("addr"));
+        let seen = deferring.seen.lock();
+        assert!(
+            seen.turns
+                .iter()
+                .any(|turn| peers.iter().all(|peer| turn.contains(peer))),
+            "no finish_turn saw both connections: {:?}",
+            seen.turns
+        );
+        drop(seen);
+        deferring.server.shutdown();
+    }
+
+    #[test]
+    fn last_words_follow_the_deferred_answers_and_end_the_burst() {
+        let deferring = DeferringServer::start();
+        let mut stream = deferring.connect();
+        write_burst(&mut stream, &[b"d1", b"d2", b"!", b"n4"]);
+        assert_reads(&mut stream, &[b"d1", b"d2", b"!"]);
+        assert_eof(&mut stream);
+        // The frame behind the poison never reached the handler.
+        let frames = deferring.seen.lock().frames.clone();
+        assert_eq!(frames, [&b"hello"[..], b"d1", b"d2", b"!"]);
+        deferring.server.shutdown();
+    }
+
+    #[test]
+    fn a_handler_that_comes_up_short_closes_only_the_starved_connections() {
+        let deferring = DeferringServer::start();
+        let mut sleeper = deferring.connect();
+        let mut answered = deferring.connect();
+        let mut starved = deferring.connect();
+        deferring.park(&mut sleeper);
+        write_burst(&mut answered, &[b"d-answered", b"n-answered"]);
+        write_burst(&mut starved, &[b"s-starved", b"n-starved"]);
+        deferring.release(&mut sleeper);
+        assert_reads(&mut answered, &[b"d-answered", b"n-answered"]);
+        // No body for the deferred frame: closed, and the later answer is
+        // dropped rather than delivered in the missing one's place.
+        assert_eof(&mut starved);
+        assert_eq!(roundtrip(&mut answered, b"alive"), b"alive");
+        assert_eq!(deferring.server.shutdown().evicted, 0);
     }
 }
