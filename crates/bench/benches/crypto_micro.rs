@@ -3,10 +3,11 @@
 //! and 3 (hashing, AEAD, curve scalar multiplication, hybrid seal/open,
 //! El Gamal blinding, secret-share encoding).
 //!
-//! After the criterion pass, a second measurement pass re-times the curve
-//! hot paths and emits `BENCHJSON` lines (operations per second, higher is
-//! better; the one `_us` row is a cost) so the nightly `bench_compare` job
-//! can diff them against the `crypto/*` rows in `BENCH_baseline.json`.
+//! After the criterion pass, a second measurement pass re-times the field
+//! and curve hot paths and emits `BENCHJSON` lines (operations per second,
+//! higher is better; the one `_us` row is a cost) so the nightly
+//! `bench_compare` job can diff them against the `crypto/*` rows in
+//! `BENCH_baseline.json`.
 
 use std::time::Instant;
 
@@ -15,6 +16,7 @@ use prochlo_bench::emit_metric;
 use prochlo_crypto::aead::{self, AeadKey};
 use prochlo_crypto::edwards::{FixedBaseTable, Point};
 use prochlo_crypto::elgamal::{BlindingSecret, ElGamalCiphertext, ElGamalKeypair};
+use prochlo_crypto::field::FieldElement;
 use prochlo_crypto::hybrid::{HybridCiphertext, HybridKeypair};
 use prochlo_crypto::scalar::Scalar;
 use prochlo_crypto::sha256::sha256;
@@ -37,6 +39,11 @@ fn batch_ciphertexts(rng: &mut StdRng, recipient: &HybridKeypair) -> Vec<HybridC
         .collect()
 }
 
+/// A field element with no structure for the multiplier to exploit.
+fn field_operand() -> FieldElement {
+    FieldElement::from_u64(0x1234_5678_9abc_def1).invert()
+}
+
 fn bench_crypto(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let mut group = c.benchmark_group("crypto");
@@ -51,11 +58,33 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| aead::seal(&key, &nonce, b"aad", &payload))
     });
 
+    // Dependent chains: each product feeds the next, as in the doubling
+    // runs and inversion ladders that dominate a scalar multiplication.
+    let operand = field_operand();
+    let mut chained = operand;
+    group.bench_function("field_mul", |b| {
+        b.iter(|| {
+            chained = chained.mul(black_box(&operand));
+            chained
+        })
+    });
+    group.bench_function("field_square", |b| {
+        b.iter(|| {
+            chained = chained.square();
+            chained
+        })
+    });
+
     let scalar = Scalar::random(&mut rng);
     group.bench_function("point_mul_base", |b| b.iter(|| Point::mul_base(&scalar)));
 
     let varbase = Point::mul_base(&Scalar::random(&mut rng));
     group.bench_function("point_mul_var", |b| b.iter(|| varbase.mul(&scalar)));
+
+    let compressed = varbase.compress();
+    group.bench_function("point_decompress", |b| {
+        b.iter(|| black_box(&compressed).decompress().unwrap())
+    });
 
     let points = batch_points(&mut rng);
     group.bench_function("batch_to_affine_64", |b| {
@@ -154,6 +183,24 @@ fn emit_ops_per_sec(metric: &str, ns_per_op: f64, ops_per_iteration: f64) {
 
 fn emit_benchjson() {
     let mut rng = StdRng::seed_from_u64(2);
+    let operand = field_operand();
+    let mut chained = operand;
+    emit_ops_per_sec(
+        "field_mul_ops_per_sec",
+        measure_ns(|| {
+            chained = chained.mul(black_box(&operand));
+            chained
+        }),
+        1.0,
+    );
+    emit_ops_per_sec(
+        "field_square_ops_per_sec",
+        measure_ns(|| {
+            chained = chained.square();
+            chained
+        }),
+        1.0,
+    );
     let scalar = Scalar::random(&mut rng);
     emit_ops_per_sec(
         "point_mul_base_ops_per_sec",
@@ -164,6 +211,12 @@ fn emit_benchjson() {
     emit_ops_per_sec(
         "point_mul_var_ops_per_sec",
         measure_ns(|| varbase.mul(&scalar)),
+        1.0,
+    );
+    let compressed = varbase.compress();
+    emit_ops_per_sec(
+        "point_decompress_ops_per_sec",
+        measure_ns(|| black_box(&compressed).decompress().unwrap()),
         1.0,
     );
     let points = batch_points(&mut rng);

@@ -10,16 +10,27 @@
 //!
 //! Scalar multiplication is the pipeline's per-record cost floor (every
 //! report is hybrid-sealed, ElGamal-blinded and hybrid-opened), so both
-//! multiplication paths are windowed: a [`FixedBaseTable`] is a 64-entry
+//! multiplication paths are precomputed: a [`FixedBaseTable`] is a 64-entry
 //! comb table for a base that is multiplied many times ([`Point::mul_base`]
-//! walks the lazily-built one of the basepoint), and [`Point::mul`] uses a
-//! signed 4-bit window over a per-call table of eight multiples. Bulk
-//! normalization goes through [`Point::batch_to_affine`]
-//! (Montgomery's trick: one inversion per batch). All paths compute exactly
-//! the same group elements as the schoolbook double-and-add ladder — the
-//! ladder is kept in the test suite as the oracle — and none of them are
-//! constant-time; the crate-level documentation spells out that this
-//! substrate targets functional fidelity, not side-channel resistance.
+//! walks the lazily-built one of the basepoint), and [`Point::mul`] walks a
+//! width-5 non-adjacent form of the scalar over a per-call table of the
+//! eight odd multiples 1P, 3P, …, 15P. Bulk normalization goes through
+//! [`Point::batch_to_affine`] (Montgomery's trick: one inversion per batch).
+//!
+//! Every doubling and addition first produces a `Completed` quadruple
+//! (E, F, G, H) and then multiplies out only the coordinates its consumer
+//! reads: a doubling never reads T, so a step that feeds one pays three
+//! multiplications instead of four. The formulas take their sums unreduced
+//! (`FieldElement::add_lazy`) wherever the sum only feeds a product, and
+//! choose signs so that no negation is needed — the doubling returns the
+//! representative (−X : −Y : −Z : −T) of the textbook result, which is the
+//! same point.
+//!
+//! All paths compute exactly the same group elements as the schoolbook
+//! double-and-add ladder — the ladder is kept in the test suite as the
+//! oracle — and none of them are constant-time; the crate-level
+//! documentation spells out that this substrate targets functional
+//! fidelity, not side-channel resistance.
 
 use std::sync::OnceLock;
 
@@ -54,13 +65,54 @@ pub struct Point {
 }
 
 /// A point stripped to projective (X : Y : Z) for runs of doublings: the
-/// doubling formula neither consumes nor needs T, so interior doublings of
-/// a chain skip the E·H multiplication that a full [`Point`] would pay.
+/// doubling formula neither consumes nor needs T.
 #[derive(Clone, Copy)]
 struct Projective {
     x: FieldElement,
     y: FieldElement,
     z: FieldElement,
+}
+
+/// The result of a doubling or an addition before its coordinates are
+/// multiplied out: X = E·F, Y = G·H, Z = F·G, T = E·H. `f`, `g` and `h`
+/// may be lazy sums; they only ever feed those products.
+struct Completed {
+    e: FieldElement,
+    f: FieldElement,
+    g: FieldElement,
+    h: FieldElement,
+}
+
+impl Completed {
+    /// The tail every addition formula shares, from A = (Y₁−X₁)(Y₂−X₂),
+    /// B = (Y₁+X₁)(Y₂+X₂), C = 2d·T₁T₂ and D = 2·Z₁Z₂ (`d` may be lazy).
+    fn sum(a: &FieldElement, b: &FieldElement, c: &FieldElement, d: &FieldElement) -> Completed {
+        Completed {
+            e: b.sub(a),
+            f: d.sub(c),
+            g: d.add_lazy(c),
+            h: b.add_lazy(a),
+        }
+    }
+
+    /// Multiplies out X, Y and Z (3M) for a consumer that does not read T.
+    fn to_projective(&self) -> Projective {
+        Projective {
+            x: self.e.mul(&self.f),
+            y: self.g.mul(&self.h),
+            z: self.f.mul(&self.g),
+        }
+    }
+
+    /// Multiplies out all four coordinates (4M).
+    fn to_point(&self) -> Point {
+        Point {
+            x: self.e.mul(&self.f),
+            y: self.g.mul(&self.h),
+            z: self.f.mul(&self.g),
+            t: self.e.mul(&self.h),
+        }
+    }
 }
 
 impl Projective {
@@ -72,40 +124,19 @@ impl Projective {
         }
     }
 
-    /// "dbl-2008-hwcd" specialised to a = -1, T output skipped (3M + 4S).
-    fn double(&self) -> Projective {
-        let a = self.x.square();
-        let b = self.y.square();
+    /// "dbl-2008-hwcd" specialised to a = -1 (4S), with F and H negated so
+    /// that every term is a sum or a single difference.
+    fn double(&self) -> Completed {
+        let xx = self.x.square();
+        let yy = self.y.square();
         let zz = self.z.square();
-        let c = zz.add(&zz);
-        let d = a.neg();
-        let e = self.x.add(&self.y).square().sub(&a).sub(&b);
-        let g = d.add(&b);
-        let f = g.sub(&c);
-        let h = d.sub(&b);
-        Projective {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            z: f.mul(&g),
-        }
-    }
-
-    /// Final doubling of a chain: same formula, T included (4M + 4S).
-    fn double_to_point(&self) -> Point {
-        let a = self.x.square();
-        let b = self.y.square();
-        let zz = self.z.square();
-        let c = zz.add(&zz);
-        let d = a.neg();
-        let e = self.x.add(&self.y).square().sub(&a).sub(&b);
-        let g = d.add(&b);
-        let f = g.sub(&c);
-        let h = d.sub(&b);
-        Point {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
+        let h = yy.add_lazy(&xx);
+        let g = yy.sub(&xx);
+        Completed {
+            e: self.x.add_lazy(&self.y).square().sub(&h),
+            f: zz.add_lazy(&zz).sub(&g),
+            g,
+            h,
         }
     }
 }
@@ -115,15 +146,16 @@ fn double_n(p: &Point, n: u32) -> Point {
     debug_assert!(n > 0);
     let mut acc = Projective::from_point(p);
     for _ in 1..n {
-        acc = acc.double();
+        acc = acc.double().to_projective();
     }
-    acc.double_to_point()
+    acc.double().to_point()
 }
 
 /// A precomputed point in "cached" form `(Y+X, Y−X, 2Z, 2dT)`: adding one to
 /// an extended point costs 8 field multiplications instead of the unified
-/// formula's 9, and negation is a coordinate swap. Used for the per-call
-/// window tables of [`Point::mul`].
+/// formula's 9, and subtracting one is the same addition with the first two
+/// coordinates and the roles of F and G swapped. Used for the per-call table
+/// of [`Point::mul`]. `y_plus_x` and `z2` are lazy sums.
 #[derive(Clone, Copy)]
 struct CachedPoint {
     y_plus_x: FieldElement,
@@ -135,19 +167,10 @@ struct CachedPoint {
 impl CachedPoint {
     fn from_point(p: &Point) -> CachedPoint {
         CachedPoint {
-            y_plus_x: p.y.add(&p.x),
+            y_plus_x: p.y.add_lazy(&p.x),
             y_minus_x: p.y.sub(&p.x),
-            z2: p.z.add(&p.z),
+            z2: p.z.add_lazy(&p.z),
             t2d: p.t.mul(curve_2d()),
-        }
-    }
-
-    fn neg(&self) -> CachedPoint {
-        CachedPoint {
-            y_plus_x: self.y_minus_x,
-            y_minus_x: self.y_plus_x,
-            z2: self.z2,
-            t2d: self.t2d.neg(),
         }
     }
 }
@@ -166,7 +189,7 @@ struct AffineNiels {
 /// 2^(16s) · Σ_{k ∈ bits(j)} 2^(64k) · P` for `s ∈ 0..4`, `j ∈ 0..16`.
 /// [`FixedBaseTable::mul`] reads the scalar as a 4-tooth comb (bit positions
 /// `b + 16s + 64k`), doing 15 doublings and at most 64 table additions
-/// instead of the 252 doublings of the windowed [`Point::mul`] — with every
+/// instead of the ≈ 253 doublings of [`Point::mul`] — with every
 /// stored point normalized to affine Niels form in one batched inversion.
 ///
 /// Building a table costs about as much as a dozen variable-base
@@ -253,27 +276,34 @@ fn basepoint_table() -> &'static FixedBaseTable {
     TABLE.get_or_init(|| FixedBaseTable::new(Point::basepoint()))
 }
 
-/// Recodes a reduced scalar (< ℓ < 2^253) into 64 signed radix-16 digits in
-/// [-8, 8), little-endian: `s = Σ digits[i]·16^i`.
-fn signed_radix16(bytes: &[u8; 32]) -> [i8; 64] {
-    let mut digits = [0i8; 64];
-    for (i, byte) in bytes.iter().enumerate() {
-        digits[2 * i] = (byte & 15) as i8;
-        digits[2 * i + 1] = (byte >> 4) as i8;
-    }
+/// Recodes a reduced scalar (< ℓ < 2^253) into its width-5 non-adjacent
+/// form, little-endian: `s = Σ digits[i]·2^i`, every non-zero digit odd with
+/// magnitude at most 15, and any two non-zero digits at least five
+/// positions apart — about one in six, against one in two bits of `s`.
+fn naf5(bytes: &[u8; 32]) -> [i8; 256] {
+    // Bits [position, position + 5) of the scalar; zero beyond bit 255.
+    let window = |position: usize| -> i8 {
+        let low = bytes[position / 8] as u16;
+        let high = bytes.get(position / 8 + 1).copied().unwrap_or(0) as u16;
+        (((high << 8 | low) >> (position % 8)) & 31) as i8
+    };
+    let mut digits = [0i8; 256];
+    let mut position = 0;
     let mut carry = 0i8;
-    for digit in digits.iter_mut() {
-        let value = *digit + carry;
-        if value >= 8 {
-            *digit = value - 16;
-            carry = 1;
-        } else {
-            *digit = value;
-            carry = 0;
+    while position < 256 {
+        let value = window(position) + carry;
+        if value & 1 == 0 {
+            // An even value leaves this digit zero and the carry as it is.
+            position += 1;
+            continue;
         }
+        // Odd, so at most 31: take it whole, as `value` or `value − 32`.
+        carry = (value >= 16) as i8;
+        digits[position] = value - 32 * carry;
+        position += 5;
     }
-    // The top digit of a reduced scalar is at most 1, so it absorbs the
-    // final carry without overflowing.
+    // A reduced scalar has no bit above 252, so the last carry lands in a
+    // digit below 256.
     debug_assert_eq!(carry, 0, "scalar must be reduced modulo the group order");
     digits
 }
@@ -378,60 +408,47 @@ impl Point {
     pub fn add(&self, other: &Point) -> Point {
         // "add-2008-hwcd-3" for a = -1 twisted Edwards curves.
         let a = self.y.sub(&self.x).mul(&other.y.sub(&other.x));
-        let b = self.y.add(&self.x).mul(&other.y.add(&other.x));
+        let b = self.y.add_lazy(&self.x).mul(&other.y.add_lazy(&other.x));
         let c = self.t.mul(curve_2d()).mul(&other.t);
-        let d = self.z.add(&self.z).mul(&other.z);
-        let e = b.sub(&a);
-        let f = d.sub(&c);
-        let g = d.add(&c);
-        let h = b.add(&a);
-        Point {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
-        }
+        let d = self.z.add_lazy(&self.z).mul(&other.z);
+        Completed::sum(&a, &b, &c, &d).to_point()
     }
 
     /// Point doubling ("dbl-2008-hwcd" specialised to a = -1).
     pub fn double(&self) -> Point {
-        Projective::from_point(self).double_to_point()
+        double_n(self, 1)
     }
 
-    /// Addition of a precomputed [`CachedPoint`] (8M).
-    fn add_cached(&self, other: &CachedPoint) -> Point {
+    /// Addition of a precomputed [`CachedPoint`] (4M before the coordinates
+    /// are multiplied out).
+    fn add_cached(&self, other: &CachedPoint) -> Completed {
         let a = self.y.sub(&self.x).mul(&other.y_minus_x);
-        let b = self.y.add(&self.x).mul(&other.y_plus_x);
+        let b = self.y.add_lazy(&self.x).mul(&other.y_plus_x);
         let c = other.t2d.mul(&self.t);
         let d = self.z.mul(&other.z2);
-        let e = b.sub(&a);
-        let f = d.sub(&c);
-        let g = d.add(&c);
-        let h = b.add(&a);
-        Point {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
-        }
+        Completed::sum(&a, &b, &c, &d)
+    }
+
+    /// Subtraction of a precomputed [`CachedPoint`]: the negated entry is
+    /// `(Y−X, Y+X, 2Z, −2dT)`, so A and B take the other first coordinate
+    /// and, C having changed sign, F and G trade places — nothing is
+    /// negated and no entry is copied.
+    fn sub_cached(&self, other: &CachedPoint) -> Completed {
+        let a = self.y.sub(&self.x).mul(&other.y_plus_x);
+        let b = self.y.add_lazy(&self.x).mul(&other.y_minus_x);
+        let c = other.t2d.mul(&self.t);
+        let d = self.z.mul(&other.z2);
+        let Completed { e, f, g, h } = Completed::sum(&a, &b, &c, &d);
+        Completed { e, f: g, g: f, h }
     }
 
     /// Addition of a precomputed [`AffineNiels`] point (7M; Z₂ = 1).
     fn add_niels(&self, other: &AffineNiels) -> Point {
         let a = self.y.sub(&self.x).mul(&other.y_minus_x);
-        let b = self.y.add(&self.x).mul(&other.y_plus_x);
+        let b = self.y.add_lazy(&self.x).mul(&other.y_plus_x);
         let c = other.t2d.mul(&self.t);
-        let d = self.z.add(&self.z);
-        let e = b.sub(&a);
-        let f = d.sub(&c);
-        let g = d.add(&c);
-        let h = b.add(&a);
-        Point {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
-        }
+        let d = self.z.add_lazy(&self.z);
+        Completed::sum(&a, &b, &c, &d).to_point()
     }
 
     /// Negation.
@@ -451,45 +468,49 @@ impl Point {
 
     /// Scalar multiplication by a scalar modulo the group order.
     ///
-    /// Signed 4-bit windows over a per-call table of the first eight
-    /// multiples of `self`: 64 digit additions and 252 doublings (interior
-    /// doublings skip the T coordinate), against the schoolbook ladder's
-    /// 256 doublings and ~128 additions.
+    /// Walks the scalar's width-5 non-adjacent form from its top non-zero
+    /// digit down, over a per-call table of the eight odd multiples of
+    /// `self`: one doubling per digit position below the top (≤ 253) and one
+    /// cached addition or subtraction per non-zero digit (≈ 42), against
+    /// the schoolbook ladder's 256 doublings and ~128 additions. Only the
+    /// doubling before an addition and the final step multiply out T.
     pub fn mul(&self, scalar: &Scalar) -> Point {
-        let digits = signed_radix16(&scalar.to_bytes());
-        // table[k] = (k+1)·self in cached form.
-        let base = CachedPoint::from_point(self);
-        let mut table = [base; 8];
+        let digits = naf5(&scalar.to_bytes());
+        let Some(top) = digits.iter().rposition(|&digit| digit != 0) else {
+            return Point::identity();
+        };
+        // table[k] = (2k+1)·self in cached form.
+        let twice = CachedPoint::from_point(&self.double());
+        let mut table = [CachedPoint::from_point(self); 8];
         let mut multiple = *self;
         for slot in table.iter_mut().skip(1) {
-            multiple = multiple.add_cached(&base);
+            multiple = multiple.add_cached(&twice).to_point();
             *slot = CachedPoint::from_point(&multiple);
         }
-        let mut acc = Point::identity();
-        for (i, &digit) in digits.iter().enumerate().rev() {
-            if i != 63 {
-                acc = double_n(&acc, 4);
-            }
-            match digit.cmp(&0) {
-                std::cmp::Ordering::Greater => {
-                    acc = acc.add_cached(&table[digit as usize - 1]);
-                }
-                std::cmp::Ordering::Less => {
-                    acc = acc.add_cached(&table[(-digit) as usize - 1].neg());
-                }
-                std::cmp::Ordering::Equal => {}
-            }
+        // The top digit of a non-negative number's NAF is positive. Each
+        // further digit doubles the running result — multiplied out without
+        // T — and, if non-zero, adds or subtracts its table entry.
+        debug_assert!(digits[top] > 0);
+        let mut step = Point::identity().add_cached(&table[digits[top] as usize / 2]);
+        for &digit in digits[..top].iter().rev() {
+            let doubled = step.to_projective().double();
+            let entry = || &table[digit.unsigned_abs() as usize / 2];
+            step = match digit.cmp(&0) {
+                std::cmp::Ordering::Greater => doubled.to_point().add_cached(entry()),
+                std::cmp::Ordering::Less => doubled.to_point().sub_cached(entry()),
+                std::cmp::Ordering::Equal => doubled,
+            };
         }
-        acc
+        step.to_point()
     }
 
     /// Multiplies the base point by a scalar.
     ///
     /// Walks the lazily-initialized [`FixedBaseTable`] of the basepoint
     /// (built once per process, 64 precomputed points): 15 doublings plus
-    /// at most 64 table additions — roughly a fifth of the point operations
-    /// of even the windowed [`Self::mul`], with every addition in the cheap
-    /// affine Niels form.
+    /// at most 64 table additions — roughly a quarter of the point
+    /// operations of [`Self::mul`], with every addition in the cheap affine
+    /// Niels form.
     pub fn mul_base(scalar: &Scalar) -> Point {
         basepoint_table().mul(scalar)
     }
@@ -739,30 +760,198 @@ mod tests {
         assert_eq!(p.mul_by_cofactor(), p.mul(&Scalar::from_u64(8)));
     }
 
-    /// Boundary scalars (0, 1, 2, ℓ−1, dense high-bit patterns) exercise the
-    /// signed-digit recoding's carry edges; the old ladder is the oracle.
-    #[test]
-    fn windowed_mul_matches_ladder_on_boundary_scalars() {
-        let l_minus_1 = Scalar::zero().sub(&Scalar::from_u64(1));
-        let mut edge_cases = vec![
-            Scalar::zero(),
-            Scalar::one(),
-            Scalar::from_u64(2),
-            Scalar::from_u64(8),
+    /// 0, 1, 2, 8, 15, 16, 17, 2²⁵², ℓ−1, ℓ−2, byte fills whose runs of set
+    /// bits ripple a carry through the whole recoding, and k·2⁶⁴ (a walk
+    /// that ends on a run of doublings).
+    fn boundary_scalars() -> Vec<Scalar> {
+        let l_minus_1 = Scalar::zero().sub(&Scalar::one());
+        let mut two_252 = [0u8; 32];
+        two_252[31] = 0x10;
+        let two_64 = Scalar::from_u64(1 << 32).mul(&Scalar::from_u64(1 << 32));
+        let mut scalars: Vec<Scalar> = [0, 1, 2, 8, 15, 16, 17].map(Scalar::from_u64).into();
+        scalars.extend([
+            Scalar::from_bytes_mod_order(&two_252),
             l_minus_1,
             l_minus_1.sub(&Scalar::one()),
-        ];
-        // Scalars whose reduced form has long runs of set bits: every
-        // radix-16 digit is 0xf before recoding, so carries ripple end to
-        // end through the signed-digit conversion.
-        for fill in [0x0fu8, 0xf0, 0xff, 0x88, 0x77] {
-            edge_cases.push(Scalar::from_bytes_mod_order(&[fill; 32]));
-        }
+            two_64,
+            two_64.mul(&Scalar::from_u64(0xdead_beef_0bad_f00d)),
+        ]);
+        scalars.extend(
+            [0x0fu8, 0xf0, 0xff, 0x88, 0x77].map(|f| Scalar::from_bytes_mod_order(&[f; 32])),
+        );
+        scalars
+    }
+
+    /// The boundary scalars exercise the recoding's carry edges; the old
+    /// ladder is the oracle.
+    #[test]
+    fn windowed_mul_matches_ladder_on_boundary_scalars() {
         let mut rng = StdRng::seed_from_u64(13);
         let p = random_point(&mut rng);
-        for s in &edge_cases {
+        for s in &boundary_scalars() {
             assert_eq!(Point::mul_base(s), Point::basepoint().mul_ladder(s));
             assert_eq!(p.mul(s), p.mul_ladder(s));
+        }
+    }
+
+    /// The recoding is exact (Σ dᵢ·2ⁱ = s as integers, not just modulo ℓ)
+    /// and has the shape the table and the walk rely on.
+    fn assert_naf5_recodes(scalar: &Scalar) {
+        let bytes = scalar.to_bytes();
+        let digits = naf5(&bytes);
+        // Sum each 64-position stretch on its own, then carry upwards.
+        let mut words = [0i128; 4];
+        for (i, &digit) in digits.iter().enumerate() {
+            words[i / 64] += (digit as i128) << (i % 64);
+        }
+        let mut carry = 0i128;
+        for (word, expected) in words.iter().zip(bytes.chunks(8)) {
+            let value = word + carry;
+            assert_eq!(value as u64, crate::util::load_u64_le(expected));
+            carry = value >> 64;
+        }
+        assert_eq!(carry, 0);
+        let mut last_non_zero = None;
+        for (i, &digit) in digits.iter().enumerate().filter(|(_, &d)| d != 0) {
+            assert!(
+                digit & 1 == 1 && digit.unsigned_abs() <= 15,
+                "digit {digit}"
+            );
+            assert!(last_non_zero.is_none_or(|last| i - last >= 5));
+            last_non_zero = Some(i);
+        }
+    }
+
+    #[test]
+    fn naf5_recodes_boundary_scalars() {
+        for s in &boundary_scalars() {
+            assert_naf5_recodes(s);
+        }
+        assert_eq!(naf5(&Scalar::zero().to_bytes()), [0i8; 256]);
+        // 15 = 16 − 1 and 17 = 16 + 1 fit one digit each way; 16 is a shift.
+        assert_eq!(
+            naf5(&Scalar::from_u64(15).to_bytes())[..6],
+            [15, 0, 0, 0, 0, 0]
+        );
+        assert_eq!(
+            naf5(&Scalar::from_u64(17).to_bytes())[..6],
+            [-15, 0, 0, 0, 0, 1]
+        );
+        assert_eq!(
+            naf5(&Scalar::from_u64(16).to_bytes())[..6],
+            [0, 0, 0, 0, 1, 0]
+        );
+    }
+
+    fn hex32(hex: &str) -> [u8; 32] {
+        crate::util::from_hex(hex).unwrap().try_into().unwrap()
+    }
+
+    /// Every multiplication path — the NAF walk, a comb table built for
+    /// the base, the ladder, and `mul_base` when the base is B.
+    fn mul_on_every_path(base: &Point, scalar: &Scalar) -> Vec<Point> {
+        let mut results = vec![
+            base.mul(scalar),
+            FixedBaseTable::new(base).mul(scalar),
+            base.mul_ladder(scalar),
+        ];
+        if base == Point::basepoint() {
+            results.push(Point::mul_base(scalar));
+        }
+        results
+    }
+
+    /// Known answers from outside this crate: the Ed25519 encodings of B
+    /// and 2B, and the X25519 Diffie–Hellman vectors of RFC 7748 §6.1
+    /// carried across the birational map u = (1+y)/(1−y). A clamped
+    /// X25519 scalar is a multiple of 8 and every point here has order ℓ,
+    /// so reducing it modulo ℓ does not change the product.
+    #[test]
+    fn known_answer_vectors() {
+        let b = Point::basepoint();
+        let b_hex = format!("58{}", "66".repeat(31));
+        assert_eq!(b.compress().0, hex32(&b_hex));
+        for p in mul_on_every_path(b, &Scalar::one()) {
+            assert_eq!(p.compress().0, hex32(&b_hex));
+        }
+        for p in mul_on_every_path(b, &Scalar::from_u64(2)) {
+            assert_eq!(
+                p.compress().0,
+                hex32("c9a3f86aae465f0e56513864510f3997561fa2c9e85ea21dc2292309f3cd6022")
+            );
+        }
+
+        let clamped = |hex: &str| {
+            let mut k = hex32(hex);
+            k[0] &= 248;
+            k[31] = (k[31] & 127) | 64;
+            Scalar::from_bytes_mod_order(&k)
+        };
+        let montgomery_u = |p: &Point| {
+            let (_, y) = p.to_affine();
+            let one = FieldElement::ONE;
+            one.add(&y).mul(&one.sub(&y).invert()).to_bytes()
+        };
+        let alice = clamped("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a");
+        let alice_public =
+            hex32("8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a");
+        let bob = clamped("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb");
+        let bob_public = hex32("de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f");
+        let shared = hex32("4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742");
+        for (secret, public) in [(&alice, alice_public), (&bob, bob_public)] {
+            for p in mul_on_every_path(b, secret) {
+                assert_eq!(montgomery_u(&p), public);
+            }
+        }
+        // The variable-base leg, both ways: y = (u−1)/(u+1), either x.
+        for (secret, peer_public) in [(&alice, bob_public), (&bob, alice_public)] {
+            let u = FieldElement::from_bytes(&peer_public);
+            let one = FieldElement::ONE;
+            let y = u.sub(&one).mul(&u.add(&one).invert());
+            for x_negative in [false, true] {
+                let peer = Point::from_affine_y(&y, x_negative).unwrap();
+                for p in mul_on_every_path(&peer, secret) {
+                    assert_eq!(montgomery_u(&p), shared);
+                }
+            }
+        }
+    }
+
+    /// Bases outside the prime-order subgroup and at its edges, scalars
+    /// from the boundary list. `Point::eq` ignores T, so equality with the
+    /// ladder is not enough: a T left stale by a step that skipped it
+    /// would only show in `is_on_curve` (which checks X·Y = Z·T) or in the
+    /// next addition, so both are asserted.
+    #[test]
+    fn mul_is_exact_and_coherent_on_edge_bases() {
+        let order_2 = Point::from_affine_y(&FieldElement::ONE.neg(), false).unwrap();
+        let order_8 = CompressedPoint(hex32(
+            "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+        ))
+        .decompress()
+        .unwrap();
+        assert!(order_2.double().is_identity() && !order_2.is_identity());
+        assert!(double_n(&order_8, 3).is_identity() && !double_n(&order_8, 2).is_identity());
+        let mut rng = StdRng::seed_from_u64(16);
+        let q = random_point(&mut rng);
+        let bases = [
+            Point::identity(),
+            Point::basepoint().neg(),
+            order_2,
+            order_8,
+            // Mixed order: a subgroup point plus a torsion component.
+            q.add(&order_8),
+            random_point(&mut rng),
+        ];
+        for base in &bases {
+            for s in &boundary_scalars() {
+                let expected = base.mul_ladder(s);
+                for result in mul_on_every_path(base, s) {
+                    assert!(result.is_on_curve());
+                    assert_eq!(result, expected);
+                    assert_eq!(result.add(&q), expected.add(&q));
+                }
+            }
         }
     }
 
@@ -834,7 +1023,12 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_naf5_recodes_random_scalars(seed in any::<u64>()) {
+            assert_naf5_recodes(&Scalar::random(&mut StdRng::seed_from_u64(seed)));
+        }
 
         #[test]
         fn prop_scalar_mul_homomorphism(seed in any::<u64>()) {
@@ -854,7 +1048,7 @@ mod tests {
         }
 
         /// The comb and windowed fast paths agree with the retired ladder
-        /// on random scalars and random variable bases.
+        /// on random scalars and random variable bases, T included.
         #[test]
         fn prop_fast_mul_matches_ladder(seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -863,6 +1057,7 @@ mod tests {
             let p = random_point(&mut rng);
             let t = Scalar::random(&mut rng);
             prop_assert_eq!(p.mul(&t), p.mul_ladder(&t));
+            prop_assert!(p.mul(&t).is_on_curve());
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Arithmetic in the prime field GF(p) with p = 2²⁵⁵ − 19.
 //!
 //! Elements are stored as five 51-bit limbs (little-endian), the standard
-//! 64-bit representation for Curve25519 arithmetic. Limbs are allowed to grow
-//! slightly beyond 51 bits between reductions; multiplication accepts limbs
-//! up to ~54 bits, and every public operation returns a weakly reduced value
-//! (all limbs below 2⁵² ), with [`FieldElement::to_bytes`] performing the full
-//! canonical reduction.
+//! 64-bit representation for Curve25519 arithmetic. Limbs may exceed 51 bits
+//! between reductions, within the two classes stated on [`FieldElement`]:
+//! every public operation takes and returns *reduced* elements, carries are
+//! propagated in one parallel pass and only where one of those bounds needs
+//! it, and [`FieldElement::to_bytes`] performs the full canonical reduction.
 //!
 //! This field backs three things in the workspace: the Edwards curve group
 //! (substituting for NIST P-256), Shamir secret sharing for the secret-share
@@ -15,9 +15,23 @@ use std::fmt;
 
 const LOW_51_BIT_MASK: u64 = (1u64 << 51) - 1;
 
-/// An element of GF(2²⁵⁵ − 19).
+/// An element of GF(2²⁵⁵ − 19), value Σ limbᵢ · 2⁵¹ⁱ. Two limb classes:
+///
+/// * **reduced** — every limb < 2⁵². Every constructor and every public
+///   operation returns this class (one carry pass leaves limbs below
+///   2⁵¹ + 2¹⁸ whatever it was given), and public operations expect it.
+/// * **lazy** — every limb < 2⁵⁴: a sum of up to three reduced elements that
+///   has not been carried (`FieldElement::add_lazy`, crate-private; the
+///   curve formulas feed such sums straight into a product). [`Self::mul`],
+///   [`Self::square`] and [`Self::sub`] accept lazy operands — with limbs
+///   below 2⁵⁴ their wide accumulators stay below 2¹¹⁵ and the 16·p that
+///   `sub` adds stays above the subtrahend — and `debug_assert!` it, so a
+///   build with debug assertions checks the bound on every call.
 #[derive(Clone, Copy)]
 pub struct FieldElement(pub(crate) [u64; 5]);
+
+/// Exclusive limb bound of the *lazy* class.
+const LAZY_LIMB_BOUND: u64 = 1 << 54;
 
 impl fmt::Debug for FieldElement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -48,28 +62,26 @@ impl FieldElement {
     }
 
     /// Decodes 32 little-endian bytes, ignoring the top bit (as Curve25519
-    /// implementations conventionally do). The result is reduced mod p.
+    /// implementations conventionally do). Every limb is masked to 51 bits;
+    /// a value in [p, 2²⁵⁵) stays as it is until [`Self::to_bytes`].
     pub fn from_bytes(bytes: &[u8; 32]) -> Self {
         let load8 = |b: &[u8]| -> u64 { crate::util::load_u64_le(b) };
-        let mut fe = FieldElement([
+        FieldElement([
             load8(&bytes[0..8]) & LOW_51_BIT_MASK,
             (load8(&bytes[6..14]) >> 3) & LOW_51_BIT_MASK,
             (load8(&bytes[12..20]) >> 6) & LOW_51_BIT_MASK,
             (load8(&bytes[19..27]) >> 1) & LOW_51_BIT_MASK,
             (load8(&bytes[24..32]) >> 12) & LOW_51_BIT_MASK,
-        ]);
-        fe.weak_reduce();
-        fe
+        ])
     }
 
     /// Encodes the element canonically as 32 little-endian bytes (< p).
     pub fn to_bytes(self) -> [u8; 32] {
-        // Step 1: weak reduction so every limb is below 2^52.
-        let mut limbs = self.0;
-        weak_reduce_limbs(&mut limbs);
+        // Step 1: one carry pass, so the value is below 2^255 + 2^223 < 2p.
+        let mut limbs = carry(self.0).0;
 
         // Step 2: compute the quotient of (value + 19) by 2^255. It is 1 when
-        // value is in [p, 2^255), which is exactly when we must subtract p.
+        // value is in [p, 2p), which is exactly when we must subtract p.
         let mut q = (limbs[0] + 19) >> 51;
         q = (limbs[1] + q) >> 51;
         q = (limbs[2] + q) >> 51;
@@ -155,19 +167,28 @@ impl FieldElement {
 
     /// Addition in the field.
     pub fn add(&self, other: &FieldElement) -> FieldElement {
-        let mut limbs = [0u64; 5];
-        for (limb, (a, b)) in limbs.iter_mut().zip(self.0.iter().zip(other.0.iter())) {
-            *limb = a + b;
-        }
-        let mut fe = FieldElement(limbs);
-        fe.weak_reduce();
-        fe
+        carry(self.add_lazy(other).0)
     }
 
-    /// Subtraction in the field.
+    /// The limb-wise sum with no carry pass: a *lazy* element as long as the
+    /// limbs stay below 2⁵⁴, i.e. for up to three reduced summands. Only
+    /// [`Self::mul`], [`Self::square`] and [`Self::sub`] may consume it, and
+    /// each of them asserts that bound.
+    pub(crate) fn add_lazy(&self, other: &FieldElement) -> FieldElement {
+        let (a, b) = (&self.0, &other.0);
+        FieldElement([
+            a[0] + b[0],
+            a[1] + b[1],
+            a[2] + b[2],
+            a[3] + b[3],
+            a[4] + b[4],
+        ])
+    }
+
+    /// Subtraction in the field. Either operand may be lazy.
     pub fn sub(&self, other: &FieldElement) -> FieldElement {
-        // Add 16 p before subtracting so limbs never underflow (inputs are
-        // weakly reduced, so each limb is < 2^52 < 16 * (2^51 - 19)).
+        // Add 16 p before subtracting so no limb underflows: a lazy
+        // subtrahend limb is < 2^54 < 16 * (2^51 - 19) = 2^55 - 304.
         const SIXTEEN_P: [u64; 5] = [
             36_028_797_018_963_664,
             36_028_797_018_963_952,
@@ -175,13 +196,15 @@ impl FieldElement {
             36_028_797_018_963_952,
             36_028_797_018_963_952,
         ];
-        let mut limbs = [0u64; 5];
-        for i in 0..5 {
-            limbs[i] = self.0[i] + SIXTEEN_P[i] - other.0[i];
-        }
-        let mut fe = FieldElement(limbs);
-        fe.weak_reduce();
-        fe
+        debug_assert!(self.is_lazy() && other.is_lazy());
+        let (a, b) = (&self.0, &other.0);
+        carry([
+            a[0] + SIXTEEN_P[0] - b[0],
+            a[1] + SIXTEEN_P[1] - b[1],
+            a[2] + SIXTEEN_P[2] - b[2],
+            a[3] + SIXTEEN_P[3] - b[3],
+            a[4] + SIXTEEN_P[4] - b[4],
+        ])
     }
 
     /// Negation in the field.
@@ -189,8 +212,9 @@ impl FieldElement {
         FieldElement::ZERO.sub(self)
     }
 
-    /// Multiplication in the field.
+    /// Multiplication in the field. Either operand may be lazy.
     pub fn mul(&self, other: &FieldElement) -> FieldElement {
+        debug_assert!(self.is_lazy() && other.is_lazy());
         let a = &self.0;
         let b = &other.0;
 
@@ -202,71 +226,41 @@ impl FieldElement {
 
         let m = |x: u64, y: u64| -> u128 { (x as u128) * (y as u128) };
 
-        let c0 = m(a[0], b[0]) + m(a[4], b1_19) + m(a[3], b2_19) + m(a[2], b3_19) + m(a[1], b4_19);
-        let mut c1 =
-            m(a[0], b[1]) + m(a[1], b[0]) + m(a[4], b2_19) + m(a[3], b3_19) + m(a[2], b4_19);
-        let mut c2 =
-            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[4], b3_19) + m(a[3], b4_19);
-        let mut c3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
-        let mut c4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
-
-        // Carry propagation.
-        let mut out = [0u64; 5];
-        c1 += c0 >> 51;
-        out[0] = (c0 as u64) & LOW_51_BIT_MASK;
-        c2 += c1 >> 51;
-        out[1] = (c1 as u64) & LOW_51_BIT_MASK;
-        c3 += c2 >> 51;
-        out[2] = (c2 as u64) & LOW_51_BIT_MASK;
-        c4 += c3 >> 51;
-        out[3] = (c3 as u64) & LOW_51_BIT_MASK;
-        let carry = (c4 >> 51) as u64;
-        out[4] = (c4 as u64) & LOW_51_BIT_MASK;
-        out[0] += carry * 19;
-        out[1] += out[0] >> 51;
-        out[0] &= LOW_51_BIT_MASK;
-
-        FieldElement(out)
+        carry_wide([
+            m(a[0], b[0]) + m(a[4], b1_19) + m(a[3], b2_19) + m(a[2], b3_19) + m(a[1], b4_19),
+            m(a[0], b[1]) + m(a[1], b[0]) + m(a[4], b2_19) + m(a[3], b3_19) + m(a[2], b4_19),
+            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[4], b3_19) + m(a[3], b4_19),
+            m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19),
+            m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]),
+        ])
     }
 
-    /// Squaring. Exploits the symmetry of the product to halve the number
-    /// of wide multiplications relative to [`FieldElement::mul`]; squarings
-    /// dominate the doubling chains and inversion ladders of the curve hot
-    /// path, so this is measurably faster end to end.
+    /// Squaring; the operand may be lazy. Exploits the symmetry of the
+    /// product to halve the number of wide multiplications relative to
+    /// [`FieldElement::mul`]; squarings dominate the doubling chains and
+    /// inversion ladders of the curve hot path, so this is measurably faster
+    /// end to end.
     pub fn square(&self) -> FieldElement {
+        debug_assert!(self.is_lazy());
         let a = &self.0;
 
         // c_k = Σ_{i+j=k} a_i a_j, with wrap-around terms (i+j = k+5)
         // multiplied by 19 since 2^255 = 19 mod p. Off-diagonal products
-        // appear twice; fold the doubling into one side.
+        // appear twice; the doubling is folded into one 64-bit operand
+        // (< 2^55) rather than applied to the 128-bit sums.
         let a3_19 = a[3] * 19;
         let a4_19 = a[4] * 19;
+        let (a0_2, a1_2, a2_2, a4_2) = (a[0] * 2, a[1] * 2, a[2] * 2, a[4] * 2);
 
         let m = |x: u64, y: u64| -> u128 { (x as u128) * (y as u128) };
 
-        let c0 = m(a[0], a[0]) + 2 * (m(a[1], a4_19) + m(a[2], a3_19));
-        let mut c1 = m(a[3], a3_19) + 2 * (m(a[0], a[1]) + m(a[2], a4_19));
-        let mut c2 = m(a[1], a[1]) + 2 * (m(a[0], a[2]) + m(a[4], a3_19));
-        let mut c3 = m(a[4], a4_19) + 2 * (m(a[0], a[3]) + m(a[1], a[2]));
-        let mut c4 = m(a[2], a[2]) + 2 * (m(a[0], a[4]) + m(a[1], a[3]));
-
-        // Same carry propagation as `mul`.
-        let mut out = [0u64; 5];
-        c1 += c0 >> 51;
-        out[0] = (c0 as u64) & LOW_51_BIT_MASK;
-        c2 += c1 >> 51;
-        out[1] = (c1 as u64) & LOW_51_BIT_MASK;
-        c3 += c2 >> 51;
-        out[2] = (c2 as u64) & LOW_51_BIT_MASK;
-        c4 += c3 >> 51;
-        out[3] = (c3 as u64) & LOW_51_BIT_MASK;
-        let carry = (c4 >> 51) as u64;
-        out[4] = (c4 as u64) & LOW_51_BIT_MASK;
-        out[0] += carry * 19;
-        out[1] += out[0] >> 51;
-        out[0] &= LOW_51_BIT_MASK;
-
-        FieldElement(out)
+        carry_wide([
+            m(a[0], a[0]) + m(a1_2, a4_19) + m(a2_2, a3_19),
+            m(a[3], a3_19) + m(a0_2, a[1]) + m(a2_2, a4_19),
+            m(a[1], a[1]) + m(a0_2, a[2]) + m(a4_2, a3_19),
+            m(a[4], a4_19) + m(a0_2, a[3]) + m(a1_2, a[2]),
+            m(a[2], a[2]) + m(a0_2, a[4]) + m(a1_2, a[3]),
+        ])
     }
 
     /// `self^(2^k)`: `k` successive squarings.
@@ -421,8 +415,10 @@ impl FieldElement {
         }
     }
 
-    fn weak_reduce(&mut self) {
-        weak_reduce_limbs(&mut self.0);
+    /// True when every limb is inside the lazy class (which contains the
+    /// reduced one).
+    fn is_lazy(&self) -> bool {
+        self.0.iter().all(|&limb| limb < LAZY_LIMB_BOUND)
     }
 }
 
@@ -442,26 +438,43 @@ pub fn sqrt_minus_one() -> FieldElement {
     })
 }
 
-fn weak_reduce_limbs(limbs: &mut [u64; 5]) {
-    // One pass of carry propagation keeps limbs below 2^52 when inputs are
-    // below 2^63; run it twice to be safe after additions of large values.
-    for _ in 0..2 {
-        let carry0 = limbs[0] >> 51;
-        limbs[0] &= LOW_51_BIT_MASK;
-        limbs[1] += carry0;
-        let carry1 = limbs[1] >> 51;
-        limbs[1] &= LOW_51_BIT_MASK;
-        limbs[2] += carry1;
-        let carry2 = limbs[2] >> 51;
-        limbs[2] &= LOW_51_BIT_MASK;
-        limbs[3] += carry2;
-        let carry3 = limbs[3] >> 51;
-        limbs[3] &= LOW_51_BIT_MASK;
-        limbs[4] += carry3;
-        let carry4 = limbs[4] >> 51;
-        limbs[4] &= LOW_51_BIT_MASK;
-        limbs[0] += carry4 * 19;
+/// One parallel carry pass: every limb keeps its low 51 bits and receives
+/// the carry of the *input* limb below it (times 19 around the top, since
+/// 2^255 = 19 mod p). A carry is < 2^13, so whatever the input, every output
+/// limb is < 2^51 + 2^18 — reduced — and no step depends on the one before.
+#[inline(always)]
+fn carry(limbs: [u64; 5]) -> FieldElement {
+    FieldElement([
+        (limbs[0] & LOW_51_BIT_MASK) + (limbs[4] >> 51) * 19,
+        (limbs[1] & LOW_51_BIT_MASK) + (limbs[0] >> 51),
+        (limbs[2] & LOW_51_BIT_MASK) + (limbs[1] >> 51),
+        (limbs[3] & LOW_51_BIT_MASK) + (limbs[2] >> 51),
+        (limbs[4] & LOW_51_BIT_MASK) + (limbs[3] >> 51),
+    ])
+}
+
+/// Carries the five 128-bit column sums of a product down to a reduced
+/// element. With both operands lazy (limbs < 2^54) the columns that hold
+/// 19-folded terms are < 2^115, so every carry fits 64 bits; the top column
+/// has no folded term and is < 5·2^108 + 2^64, so its carry is < 2^59.4 and
+/// `carry * 19` stays below 2^63.7.
+#[inline(always)]
+fn carry_wide(mut c: [u128; 5]) -> FieldElement {
+    let mut out = [0u64; 5];
+    for i in 0..4 {
+        debug_assert!(c[i] >> 115 == 0);
+        // The round trip through u64 tells the compiler the carry is one
+        // word, making this a 128 + 64-bit addition.
+        c[i + 1] += ((c[i] >> 51) as u64) as u128;
+        out[i] = (c[i] as u64) & LOW_51_BIT_MASK;
     }
+    debug_assert!(c[4] >> 111 == 0);
+    let carry = (c[4] >> 51) as u64;
+    out[4] = (c[4] as u64) & LOW_51_BIT_MASK;
+    out[0] += carry * 19;
+    out[1] += out[0] >> 51;
+    out[0] &= LOW_51_BIT_MASK;
+    FieldElement(out)
 }
 
 #[cfg(test)]
@@ -471,11 +484,244 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Exclusive limb bound of the *reduced* class.
+    const REDUCED_LIMB_BOUND: u64 = 1 << 52;
+
     fn random_fe(rng: &mut StdRng) -> FieldElement {
         let mut bytes = [0u8; 32];
         rng.fill(&mut bytes);
         bytes[31] &= 0x7f;
         FieldElement::from_bytes(&bytes)
+    }
+
+    /// Schoolbook arithmetic modulo p on four 64-bit limbs with 128-bit
+    /// products: the oracle for the 5×51 code above, with which it shares
+    /// nothing but the modulus. Values are canonical (< p).
+    mod reference {
+        pub const P: [u64; 4] = [0xffff_ffff_ffff_ffed, !0, !0, 0x7fff_ffff_ffff_ffff];
+
+        fn sub_raw(a: [u64; 4], b: [u64; 4]) -> ([u64; 4], bool) {
+            let mut out = [0u64; 4];
+            let mut borrow = false;
+            for i in 0..4 {
+                let (d, b1) = a[i].overflowing_sub(b[i]);
+                let (d, b2) = d.overflowing_sub(borrow as u64);
+                out[i] = d;
+                borrow = b1 || b2;
+            }
+            (out, borrow)
+        }
+
+        /// Canonical residue of a 512-bit little-endian integer: fold the
+        /// high half down with 2^256 = 38 until it is empty, then subtract
+        /// p while it fits.
+        pub fn reduce(mut w: [u64; 8]) -> [u64; 4] {
+            while w[4..] != [0; 4] {
+                let mut carry = 0u128;
+                for i in 0..4 {
+                    let t = w[i] as u128 + 38 * w[i + 4] as u128 + carry;
+                    w[i] = t as u64;
+                    carry = t >> 64;
+                }
+                w[4..].copy_from_slice(&[carry as u64, 0, 0, 0]);
+            }
+            let mut v = [w[0], w[1], w[2], w[3]];
+            while let (reduced, false) = sub_raw(v, P) {
+                v = reduced;
+            }
+            v
+        }
+
+        /// The value Σ limbs[i]·2^(51 i) of a 5×51 element, any limb size.
+        pub fn from_limbs(limbs: &[u64; 5]) -> [u64; 4] {
+            let mut w = [0u64; 8];
+            for (i, &limb) in limbs.iter().enumerate() {
+                let mut rest = (limb as u128) << (51 * i % 64);
+                let mut word = 51 * i / 64;
+                while rest != 0 {
+                    let t = w[word] as u128 + (rest as u64) as u128;
+                    w[word] = t as u64;
+                    rest = (rest >> 64) + (t >> 64);
+                    word += 1;
+                }
+            }
+            reduce(w)
+        }
+
+        pub fn to_bytes(a: &[u64; 4]) -> [u8; 32] {
+            let mut out = [0u8; 32];
+            for (chunk, limb) in out.chunks_mut(8).zip(a) {
+                chunk.copy_from_slice(&limb.to_le_bytes());
+            }
+            out
+        }
+
+        pub fn add(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+            let mut w = [0u64; 8];
+            let mut carry = 0u128;
+            for i in 0..4 {
+                let t = a[i] as u128 + b[i] as u128 + carry;
+                w[i] = t as u64;
+                carry = t >> 64;
+            }
+            w[4] = carry as u64;
+            reduce(w)
+        }
+
+        /// a + (p − b); `add` reduces the sum, which is at most 2p − 1.
+        pub fn sub(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+            add(a, &sub_raw(P, *b).0)
+        }
+
+        pub fn neg(a: &[u64; 4]) -> [u64; 4] {
+            sub(&[0; 4], a)
+        }
+
+        pub fn mul(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+            let mut w = [0u64; 8];
+            for i in 0..4 {
+                let mut carry = 0u128;
+                for j in 0..4 {
+                    let t = w[i + j] as u128 + a[i] as u128 * b[j] as u128 + carry;
+                    w[i + j] = t as u64;
+                    carry = t >> 64;
+                }
+                w[i + 4] = carry as u64;
+            }
+            reduce(w)
+        }
+
+        /// a^(p-2) by square-and-multiply; 0 for 0.
+        pub fn invert(a: &[u64; 4]) -> [u64; 4] {
+            let exponent = sub_raw(P, [2, 0, 0, 0]).0;
+            let mut result = [1, 0, 0, 0];
+            for bit in (0..255).rev() {
+                result = mul(&result, &result);
+                if (exponent[bit / 64] >> (bit % 64)) & 1 == 1 {
+                    result = mul(&result, a);
+                }
+            }
+            result
+        }
+    }
+
+    /// Asserts that `actual` is a reduced element whose value — read from
+    /// the limbs and, independently, from the canonical encoding — is
+    /// `expected`.
+    #[track_caller]
+    fn assert_reduced_and_equal(actual: &FieldElement, expected: &[u64; 4], what: &str) {
+        assert!(
+            actual.0.iter().all(|&limb| limb < REDUCED_LIMB_BOUND),
+            "{what}: limbs {:x?} are not reduced",
+            actual.0
+        );
+        assert_eq!(&reference::from_limbs(&actual.0), expected, "{what}: limbs");
+        assert_eq!(
+            actual.to_bytes(),
+            reference::to_bytes(expected),
+            "{what}: encoding"
+        );
+    }
+
+    /// Every public operation on `a` (and `b`), against the reference. The
+    /// operands may be lazy wherever the operation documents that it
+    /// accepts lazy operands; `add` and `invert` run on reduced ones only.
+    #[track_caller]
+    fn check_against_reference(a: &FieldElement, b: &FieldElement) {
+        let (ra, rb) = (reference::from_limbs(&a.0), reference::from_limbs(&b.0));
+        assert_reduced_and_equal(&a.sub(b), &reference::sub(&ra, &rb), "sub");
+        assert_reduced_and_equal(&a.neg(), &reference::neg(&ra), "neg");
+        assert_reduced_and_equal(&a.mul(b), &reference::mul(&ra, &rb), "mul");
+        assert_reduced_and_equal(&a.square(), &reference::mul(&ra, &ra), "square");
+        if a.0
+            .iter()
+            .chain(&b.0)
+            .all(|&limb| limb < REDUCED_LIMB_BOUND)
+        {
+            assert_reduced_and_equal(&a.add(b), &reference::add(&ra, &rb), "add");
+            assert_reduced_and_equal(&a.invert(), &reference::invert(&ra), "invert");
+            // The unreduced sum is a lazy operand for the other operations.
+            let sum = a.add_lazy(b);
+            let rsum = reference::add(&ra, &rb);
+            assert_reduced_and_equal(&sum.mul(&sum), &reference::mul(&rsum, &rsum), "lazy mul");
+            assert_reduced_and_equal(&sum.square(), &reference::mul(&rsum, &rsum), "lazy square");
+            assert_reduced_and_equal(&a.sub(&sum), &reference::neg(&rb), "lazy subtrahend");
+            assert_reduced_and_equal(&sum.sub(b), &ra, "lazy minuend");
+        }
+    }
+
+    #[test]
+    fn reference_arithmetic_knows_the_modulus() {
+        // The oracle itself, on values whose answers are known by hand.
+        let p_minus_1 = [reference::P[0] - 1, !0, !0, reference::P[3]];
+        assert_eq!(reference::add(&p_minus_1, &[1, 0, 0, 0]), [0; 4]);
+        assert_eq!(reference::mul(&p_minus_1, &p_minus_1), [1, 0, 0, 0]);
+        assert_eq!(reference::neg(&[0; 4]), [0; 4]);
+        assert_eq!(reference::sub(&[0; 4], &[1, 0, 0, 0]), p_minus_1);
+        assert_eq!(reference::reduce([0, 0, 0, 0, 1, 0, 0, 0]), [38, 0, 0, 0]);
+        assert_eq!(reference::from_limbs(&[0, 0, 0, 0, 1 << 51]), [19, 0, 0, 0]);
+        assert_eq!(reference::invert(&[2, 0, 0, 0]), {
+            // (p + 1) / 2
+            [0xffff_ffff_ffff_fff7, !0, !0, 0x3fff_ffff_ffff_ffff]
+        });
+        assert_eq!(reference::invert(&[0; 4]), [0; 4]);
+    }
+
+    #[test]
+    fn operations_match_the_reference_on_random_elements() {
+        let mut rng = StdRng::seed_from_u64(40);
+        for _ in 0..200 {
+            check_against_reference(&random_fe(&mut rng), &random_fe(&mut rng));
+        }
+    }
+
+    /// Hand-built operands at the edges of both limb classes and of the
+    /// value range, in every pairing.
+    #[test]
+    fn operations_match_the_reference_at_the_limb_bounds() {
+        let mut p_minus_1 = [0xffu8; 32];
+        p_minus_1[0] = 0xec;
+        p_minus_1[31] = 0x7f;
+        let mut p_plus_1 = p_minus_1;
+        p_plus_1[0] = 0xee;
+        let mut rng = StdRng::seed_from_u64(41);
+        let reduced = [
+            FieldElement::ZERO,
+            FieldElement::ONE,
+            FieldElement::from_bytes(&p_minus_1),
+            // Non-canonical values in [p, 2^255): p + 1 and 2^255 - 1.
+            FieldElement::from_bytes(&p_plus_1),
+            FieldElement::from_bytes(&[0xff; 32]),
+            // The largest reduced limbs, everywhere and one limb at a time.
+            FieldElement([REDUCED_LIMB_BOUND - 1; 5]),
+            FieldElement([REDUCED_LIMB_BOUND - 1, 0, 0, 0, 0]),
+            FieldElement([0, 0, 0, 0, REDUCED_LIMB_BOUND - 1]),
+            // What one carry pass can return at most.
+            FieldElement([(1 << 51) + (1 << 18) - 1; 5]),
+            random_fe(&mut rng),
+        ];
+        // The documented lazy maximum, everywhere and one limb at a time,
+        // and the largest sum of three reduced elements.
+        let lazy = [
+            FieldElement([LAZY_LIMB_BOUND - 1; 5]),
+            FieldElement([LAZY_LIMB_BOUND - 1, 0, 0, 0, 0]),
+            FieldElement([0, 0, 0, 0, LAZY_LIMB_BOUND - 1]),
+            FieldElement([3 * (REDUCED_LIMB_BOUND - 1); 5]),
+        ];
+        for a in reduced.iter().chain(&lazy) {
+            for b in reduced.iter().chain(&lazy) {
+                check_against_reference(a, b);
+            }
+        }
+    }
+
+    /// The limb bounds are checked, not just stated: the dev-profile test
+    /// build keeps debug assertions on for this crate.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic]
+    fn a_limb_outside_the_lazy_class_is_caught() {
+        let _ = FieldElement([LAZY_LIMB_BOUND, 0, 0, 0, 0]).mul(&FieldElement::ONE);
     }
 
     #[test]
@@ -721,6 +967,29 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(s);
             let a = random_fe(&mut rng);
             prop_assert_eq!(FieldElement::from_bytes(&a.to_bytes()), a);
+        }
+
+        /// A random chain of public operations, each checked against the
+        /// reference and for the reduced-output bound before its result
+        /// becomes an operand of the next.
+        #[test]
+        fn prop_op_chains_stay_reduced_and_match_the_reference(s in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(s);
+            let mut a = random_fe(&mut rng);
+            let mut b = random_fe(&mut rng);
+            let (mut ra, mut rb) = (reference::from_limbs(&a.0), reference::from_limbs(&b.0));
+            for _ in 0..48 {
+                let (c, rc, what) = match rng.gen_range(0..11u32) {
+                    0 | 1 => (a.add(&b), reference::add(&ra, &rb), "add"),
+                    2 | 3 => (a.sub(&b), reference::sub(&ra, &rb), "sub"),
+                    4 => (a.neg(), reference::neg(&ra), "neg"),
+                    5..=7 => (a.mul(&b), reference::mul(&ra, &rb), "mul"),
+                    8 | 9 => (a.square(), reference::mul(&ra, &ra), "square"),
+                    _ => (a.invert(), reference::invert(&ra), "invert"),
+                };
+                assert_reduced_and_equal(&c, &rc, what);
+                (a, ra, b, rb) = (b, rb, c, rc);
+            }
         }
 
         #[test]
