@@ -124,37 +124,49 @@ pub fn share_secret<R: Rng + ?Sized>(secret: &[u8; 32], threshold: usize, rng: &
 /// abscissas, using Lagrange interpolation at zero.
 pub fn recover_secret(shares: &[Share], threshold: usize) -> Result<[u8; 32], CryptoError> {
     // Deduplicate by abscissa: two shares from the same client are not
-    // independent information.
-    let mut unique: Vec<Share> = Vec::new();
+    // independent information. Interpolation uses the first `threshold`
+    // distinct shares, so the scan stops once it has them — a popular value
+    // arrives with thousands of shares, and comparing each against every
+    // earlier one is quadratic in a count that does not matter.
+    let mut points: Vec<Share> = Vec::with_capacity(threshold.min(shares.len()));
     for share in shares {
-        if !unique.iter().any(|s| s.x == share.x) {
-            unique.push(*share);
+        if points.len() == threshold {
+            break;
+        }
+        if !points.iter().any(|s| s.x == share.x) {
+            points.push(*share);
         }
     }
-    if unique.len() < threshold {
+    if points.len() < threshold {
         return Err(CryptoError::InsufficientShares {
             required: threshold,
-            available: unique.len(),
+            available: points.len(),
         });
     }
-    let points = &unique[..threshold];
 
     // Lagrange interpolation at x = 0:
     //   P(0) = Σ_i y_i · Π_{j≠i} x_j / (x_j − x_i)
-    let mut secret = FieldElement::ZERO;
-    for i in 0..points.len() {
-        let mut numerator = FieldElement::ONE;
+    // with the `threshold` denominators inverted together: one field
+    // inversion per recovery instead of one per share.
+    let mut numerators = Vec::with_capacity(points.len());
+    let mut denominators = Vec::with_capacity(points.len());
+    for (i, point) in points.iter().enumerate() {
+        let mut numerator = point.y;
         let mut denominator = FieldElement::ONE;
-        for j in 0..points.len() {
-            if i == j {
-                continue;
+        for (j, other) in points.iter().enumerate() {
+            if i != j {
+                numerator = numerator.mul(&other.x);
+                denominator = denominator.mul(&other.x.sub(&point.x));
             }
-            numerator = numerator.mul(&points[j].x);
-            denominator = denominator.mul(&points[j].x.sub(&points[i].x));
         }
-        let weight = numerator.mul(&denominator.invert());
-        secret = secret.add(&points[i].y.mul(&weight));
+        numerators.push(numerator);
+        denominators.push(denominator);
     }
+    FieldElement::batch_invert(&mut denominators);
+    let secret = numerators
+        .iter()
+        .zip(&denominators)
+        .fold(FieldElement::ZERO, |sum, (n, d)| sum.add(&n.mul(d)));
     Ok(secret.to_bytes())
 }
 
@@ -249,6 +261,83 @@ mod tests {
         let share = share_secret(&secret, 3, &mut rng);
         let shares = vec![share, share, share];
         assert!(recover_secret(&shares, 3).is_err());
+    }
+
+    #[test]
+    fn recovery_stops_at_the_threshold_without_changing_the_answer() {
+        // The recovery this replaces: deduplicate the whole list, keep the
+        // first `threshold` distinct abscissas, invert every Lagrange
+        // denominator on its own. Duplicates before and after the
+        // threshold-th distinct share must not move the answer.
+        fn full_scan(shares: &[Share], threshold: usize) -> [u8; 32] {
+            let mut unique: Vec<Share> = Vec::new();
+            for share in shares {
+                if !unique.iter().any(|s| s.x == share.x) {
+                    unique.push(*share);
+                }
+            }
+            let points = &unique[..threshold];
+            let mut secret = FieldElement::ZERO;
+            for (i, point) in points.iter().enumerate() {
+                let mut weight = FieldElement::ONE;
+                for (j, other) in points.iter().enumerate() {
+                    if i != j {
+                        weight = weight.mul(&other.x.mul(&other.x.sub(&point.x).invert()));
+                    }
+                }
+                secret = secret.add(&point.y.mul(&weight));
+            }
+            secret.to_bytes()
+        }
+        let mut rng = StdRng::seed_from_u64(10);
+        let secret = secret_from(6);
+        let threshold = 20;
+        let distinct: Vec<Share> = (0..400)
+            .map(|_| share_secret(&secret, threshold, &mut rng))
+            .collect();
+        // 2 000 shares: every distinct one followed by four repeats drawn
+        // from anywhere in the list, earlier or later.
+        let shares: Vec<Share> = (0..2_000)
+            .map(|i| match i % 5 {
+                0 => distinct[i / 5],
+                _ => distinct[rng.gen_range(0..distinct.len())],
+            })
+            .collect();
+        assert_eq!(recover_secret(&shares, threshold).unwrap(), secret);
+        assert_eq!(full_scan(&shares, threshold), secret);
+        // Mixed with shares of another secret the recovered value is
+        // neither, and it is still the full scan's.
+        let other = secret_from(8);
+        let mixed: Vec<Share> = shares
+            .iter()
+            .enumerate()
+            .map(|(i, share)| match i % 7 {
+                3 => share_secret(&other, threshold, &mut rng),
+                _ => *share,
+            })
+            .collect();
+        let recovered = recover_secret(&mixed, threshold).unwrap();
+        assert!(recovered != secret && recovered != other);
+        assert_eq!(recovered, full_scan(&mixed, threshold));
+    }
+
+    #[test]
+    fn too_few_distinct_shares_report_the_true_count() {
+        // 2 000 shares over 19 abscissas: the scan never reaches the
+        // threshold, so it sees — and reports — every distinct one.
+        let mut rng = StdRng::seed_from_u64(11);
+        let secret = secret_from(12);
+        let distinct: Vec<Share> = (0..19)
+            .map(|_| share_secret(&secret, 20, &mut rng))
+            .collect();
+        let shares: Vec<Share> = (0..2_000).map(|i| distinct[i % 19]).collect();
+        assert_eq!(
+            recover_secret(&shares, 20),
+            Err(CryptoError::InsufficientShares {
+                required: 20,
+                available: 19
+            })
+        );
     }
 
     #[test]

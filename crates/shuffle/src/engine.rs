@@ -145,8 +145,8 @@ impl StashEngine {
         }
     }
 
-    /// Sets the number of enclave workers the distribution phase shards
-    /// over (a resolved count; default 1); see
+    /// Sets the number of enclave workers both phases shard their
+    /// per-bucket cryptography over (a resolved count; default 1); see
     /// [`StashShuffle::with_threads`].
     pub fn with_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads.max(1);

@@ -10,8 +10,10 @@ pub enum ShuffleError {
     NonUniformRecords,
     /// The enclave's private memory budget was exceeded.
     Enclave(EnclaveError),
-    /// The Stash Shuffle's stash overflowed (or failed to drain) in every
-    /// attempt; the parameters are too tight for this input size.
+    /// Every attempt of the Stash Shuffle failed — the stash overflowed or
+    /// did not drain, the compression queue outgrew its bound or the window
+    /// ran dry (the `shuffle.stash.fail.*` counters say which); the
+    /// parameters are too tight for this input size.
     StashOverflow {
         /// Number of attempts made before giving up.
         attempts: usize,
@@ -49,7 +51,7 @@ impl std::fmt::Display for ShuffleError {
             ShuffleError::NonUniformRecords => write!(f, "records must all have the same length"),
             ShuffleError::Enclave(e) => write!(f, "enclave error: {e}"),
             ShuffleError::StashOverflow { attempts } => {
-                write!(f, "stash overflowed in all {attempts} attempts")
+                write!(f, "stash shuffle failed in all {attempts} attempts")
             }
             ShuffleError::WindowUnderflow => {
                 write!(f, "compression window underflow (window too small)")

@@ -4,13 +4,16 @@
 //! of private (enclave) memory, in two phases:
 //!
 //! * **Distribution** — the input is processed one bucket of `D = ⌈N/B⌉`
-//!   records at a time. Each record is assigned a random output bucket; at
-//!   most `C` records per (input, output) bucket pair are written out
-//!   immediately (re-encrypted under an ephemeral key, padded with dummies up
-//!   to exactly `C` so the host learns nothing from chunk sizes), and any
-//!   overflow waits in a private *stash*, draining opportunistically into
-//!   later chunks. A final drain writes `K = ⌈S/B⌉` more slots per output
-//!   bucket.
+//!   records at a time. Each record draws its output bucket **independently
+//!   and uniformly** from the bucket's derived generator — the distribution
+//!   [`params`] models (pair load Binomial(D, 1/B), standard deviation
+//!   ≈ `√(D/B)`) and the only one under which the paper's Table 1 values are
+//!   reproducible; at most `C` records per (input, output) bucket pair are
+//!   written out immediately (re-encrypted under an ephemeral key, padded
+//!   with dummies up to exactly `C` so the host learns nothing from chunk
+//!   sizes), and any overflow waits in a private *stash*, draining
+//!   opportunistically into later chunks. A final drain writes `K = ⌈S/B⌉`
+//!   more slots per output bucket.
 //!
 //!   Distribution models a **multi-threaded enclave**: buckets are
 //!   pipelined in worker-sized groups, and the expensive per-bucket work —
@@ -27,14 +30,31 @@
 //!   committed in bucket order, so the output, the boundary counters *and
 //!   the access trace* are byte-identical at any worker count.
 //! * **Compression** — intermediate buckets are imported one at a time into a
-//!   sliding window of `W` buckets, dummies are discarded, real records are
-//!   shuffled within the window, and exactly `D` records are emitted per
-//!   output bucket.
+//!   sliding window of `W` buckets: the bucket's slot order is shuffled (the
+//!   phase's only draw), its slots are opened in that order on the same
+//!   workers — a strip of 1 024 slots at a time, so the plaintext held
+//!   beside the queue does not grow with `N` — dummies are discarded, real
+//!   records join a queue bounded by [`StashShuffleParams::queue_capacity`]
+//!   (`W·D` plus ≈ 5.27·√N of slack for the wander of the running bucket
+//!   loads), and exactly `D` records are emitted per output bucket.
+//!   Enqueueing is sequential in the shuffled order, so worker count
+//!   changes neither the output nor the point at which a doomed attempt
+//!   fails.
 //!
-//! Failures (stash overflow, failure to drain, window underflow) abort the
-//! attempt and the shuffle restarts with fresh randomness, exactly as in the
-//! paper; intermediate data is useless to an observer because each attempt
-//! uses a fresh ephemeral key.
+//! Every slot is sealed under a nonce that is a function of its position in
+//! the intermediate array, and compression recomputes that nonce from the
+//! position it reads: a host that swaps two slots, or copies a real slot
+//! over a dummy, fails the shuffle instead of silently changing which
+//! records come out.
+//!
+//! An attempt can fail four ways — the stash fills during distribution, the
+//! final drain leaves records in it, the compression queue outgrows its
+//! bound, or the window runs dry — and then the shuffle restarts with fresh
+//! randomness, exactly as in the paper; intermediate data is useless to an
+//! observer because each attempt uses a fresh ephemeral key. Each kind is
+//! counted on [`StashShuffleOutput::failures`] and on the
+//! `shuffle.stash.fail.*` obs counters; [`StashShuffleParams::log2_epsilon`]
+//! bounds their union, and at derived parameters it is below 2⁻⁶⁴.
 //!
 //! The implementation performs the real cryptography (the caller supplies the
 //! ingress transform that removes the outer encryption layer; intermediate
@@ -59,6 +79,17 @@ use crate::{uniform_record_len, Records};
 
 pub use params::{StashShuffleParams, Table1Scenario};
 
+/// Intermediate slots the compression phase holds opened at a time: an
+/// imported bucket is read in strips of this many slots, so its plaintext
+/// residency is a constant instead of the `B·C + K` slots of a bucket
+/// (25 k slots, 8 MB, at N = 10 M).
+const IMPORT_STRIP_SLOTS: usize = 1024;
+
+/// Slots per work unit when a strip is opened on the workers. Fixed, like
+/// every chunk size handed to [`exec::par_chunks`], so the split never
+/// depends on the worker count.
+const IMPORT_CHUNK_SLOTS: usize = 64;
+
 /// Result of a successful Stash Shuffle run.
 #[derive(Debug, Clone)]
 pub struct StashShuffleOutput {
@@ -69,9 +100,47 @@ pub struct StashShuffleOutput {
     pub metrics: EnclaveMetrics,
     /// Number of attempts made (1 = no restart was needed).
     pub attempts: usize,
+    /// Why the `attempts − 1` restarted attempts failed.
+    pub failures: StashFailures,
     /// Number of intermediate slots written during distribution (per
     /// attempt), i.e. `B·(B·C + K)`.
     pub intermediate_slots: usize,
+}
+
+/// Failed attempts of one shuffle, by what actually happened. The same four
+/// counts accumulate on the `shuffle.stash.fail.*` obs counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StashFailures {
+    /// A record overflowed its chunk during distribution and the stash
+    /// already held `S` records.
+    pub stash_overflow: usize,
+    /// The final `K`-per-bucket drain left records in the stash.
+    pub stash_undrained: usize,
+    /// The compression queue would have outgrown
+    /// [`StashShuffleParams::queue_capacity`].
+    pub queue_overflow: usize,
+    /// An output bucket was due and the queue held fewer than `D` records.
+    pub window_underflow: usize,
+}
+
+impl StashFailures {
+    /// Total failed attempts.
+    pub fn total(&self) -> usize {
+        self.stash_overflow + self.stash_undrained + self.queue_overflow + self.window_underflow
+    }
+
+    /// Adds the counts to the global obs registry (which also registers the
+    /// four names, so a snapshot shows the zeros).
+    fn publish(&self) {
+        for (name, count) in [
+            ("shuffle.stash.fail.stash_overflow", self.stash_overflow),
+            ("shuffle.stash.fail.stash_undrained", self.stash_undrained),
+            ("shuffle.stash.fail.queue_overflow", self.queue_overflow),
+            ("shuffle.stash.fail.window_underflow", self.window_underflow),
+        ] {
+            prochlo_obs::counter(name).add(count as u64);
+        }
+    }
 }
 
 /// The ingress transform applied to each record as it first enters the
@@ -112,11 +181,87 @@ struct SealedBucket {
     log: BoundaryLog,
 }
 
-/// Internal marker for a failed attempt (restart with fresh randomness).
+/// The intermediate array in untrusted memory: per output bucket, its
+/// `B·C + K` sealed slots.
+type Intermediate = Vec<Vec<Vec<u8>>>;
+
+/// Why an attempt ended early: one of the four restartable failures, or an
+/// error no retry can cure.
+#[derive(Debug, PartialEq)]
 enum AttemptFailure {
     StashOverflow,
+    StashUndrained,
+    QueueOverflow,
     WindowUnderflow,
     Fatal(ShuffleError),
+}
+
+/// The sizes one attempt runs at — the paper's `N, B, D, C, S, K, W` after
+/// clamping to the input — plus the inner record length and the queue
+/// bound, worked out once and shared by both phases.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    n: usize,
+    b: usize,
+    d: usize,
+    c: usize,
+    s: usize,
+    k: usize,
+    w: usize,
+    inner_len: usize,
+    queue_capacity: usize,
+}
+
+impl Layout {
+    fn new(params: &StashShuffleParams, n: usize, inner_len: usize) -> Self {
+        let (b, d, w) = params.geometry(n);
+        Self {
+            n,
+            b,
+            d,
+            c: params.chunk_cap,
+            s: params.stash_capacity,
+            k: params.stash_capacity.div_ceil(b).max(1),
+            w,
+            inner_len,
+            queue_capacity: params.queue_capacity(n),
+        }
+    }
+
+    /// One flag byte distinguishes real records from dummies after
+    /// decryption.
+    fn slot_plain_len(&self) -> usize {
+        1 + self.inner_len
+    }
+
+    /// Sealed slots all have identical length.
+    fn sealed_slot_len(&self) -> usize {
+        self.slot_plain_len() + aead::NONCE_LEN + aead::TAG_LEN
+    }
+
+    /// Nonce index of slot `j` of the chunk input bucket `in_idx` writes
+    /// for output bucket `out_idx`.
+    fn chunk_slot(&self, in_idx: usize, out_idx: usize, j: usize) -> u64 {
+        ((in_idx * self.b + out_idx) * self.c + j) as u64
+    }
+
+    /// Nonce index of slot `j` of output bucket `out_idx`'s final stash
+    /// drain; the drain slots follow all `B²·C` chunk slots.
+    fn drain_slot(&self, out_idx: usize, j: usize) -> u64 {
+        (self.b * self.b * self.c + out_idx * self.k + j) as u64
+    }
+
+    /// The nonce index the slot at `position` of intermediate bucket
+    /// `out_idx` was sealed under: `B` chunks of `C` slots in input-bucket
+    /// order, then the `K` drain slots.
+    fn slot_at(&self, out_idx: usize, position: usize) -> u64 {
+        let chunk_slots = self.b * self.c;
+        if position < chunk_slots {
+            self.chunk_slot(position / self.c, out_idx, position % self.c)
+        } else {
+            self.drain_slot(out_idx, position - chunk_slots)
+        }
+    }
 }
 
 impl StashShuffle {
@@ -145,8 +290,8 @@ impl StashShuffle {
         self
     }
 
-    /// Sets the number of enclave worker threads the distribution phase
-    /// shards its bucket passes over (a resolved count; default 1). The
+    /// Sets the number of enclave worker threads both phases shard their
+    /// per-bucket cryptography over (a resolved count; default 1). The
     /// enclave budget is split into equal per-worker sub-budgets, and the
     /// output is byte-identical at any worker count.
     pub fn with_threads(mut self, num_threads: usize) -> Self {
@@ -187,30 +332,41 @@ impl StashShuffle {
                 records: Vec::new(),
                 metrics: self.enclave.metrics(),
                 attempts: 1,
+                failures: StashFailures::default(),
                 intermediate_slots: 0,
             });
         }
 
+        let mut failures = StashFailures::default();
+        let mut outcome = Err(ShuffleError::StashOverflow {
+            attempts: self.max_attempts,
+        });
         for attempt in 1..=self.max_attempts {
             match self.attempt(input, ingress, rng) {
                 Ok((records, intermediate_slots)) => {
-                    return Ok(StashShuffleOutput {
-                        records,
-                        metrics: self.enclave.metrics(),
-                        attempts: attempt,
-                        intermediate_slots,
-                    });
+                    outcome = Ok((records, intermediate_slots, attempt));
+                    break;
                 }
-                Err(AttemptFailure::Fatal(e)) => return Err(e),
-                Err(AttemptFailure::StashOverflow) | Err(AttemptFailure::WindowUnderflow) => {
-                    // Restart with fresh randomness (and a fresh ephemeral
-                    // key, implicitly, on the next attempt).
-                    continue;
+                Err(AttemptFailure::Fatal(e)) => {
+                    outcome = Err(e);
+                    break;
                 }
+                // Anything else restarts with fresh randomness (and a fresh
+                // ephemeral key, implicitly, on the next attempt).
+                Err(AttemptFailure::StashOverflow) => failures.stash_overflow += 1,
+                Err(AttemptFailure::StashUndrained) => failures.stash_undrained += 1,
+                Err(AttemptFailure::QueueOverflow) => failures.queue_overflow += 1,
+                Err(AttemptFailure::WindowUnderflow) => failures.window_underflow += 1,
             }
         }
-        Err(ShuffleError::StashOverflow {
-            attempts: self.max_attempts,
+        failures.publish();
+        let (records, intermediate_slots, attempts) = outcome?;
+        Ok(StashShuffleOutput {
+            records,
+            metrics: self.enclave.metrics(),
+            attempts,
+            failures,
+            intermediate_slots,
         })
     }
 
@@ -221,14 +377,6 @@ impl StashShuffle {
         ingress: &IngressFn<'_>,
         rng: &mut R,
     ) -> Result<(Records, usize), AttemptFailure> {
-        let n = input.len();
-        let b = self.params.num_buckets.min(n).max(1);
-        let d = n.div_ceil(b);
-        let c = self.params.chunk_cap;
-        let s = self.params.stash_capacity;
-        let k = s.div_ceil(b).max(1);
-        let w = self.params.window.min(b).max(1);
-
         // Ephemeral key protecting the intermediate array; a new key per
         // attempt means failed attempts leak nothing about the final order.
         let ephemeral_key = AeadKey::random(rng);
@@ -239,24 +387,48 @@ impl StashShuffle {
 
         // Determine the inner record length from the first record.
         let first_inner = ingress(&input[0]).map_err(AttemptFailure::Fatal)?;
-        let inner_len = first_inner.len();
-        // One flag byte distinguishes real records from dummies after
-        // decryption; sealed slots all have identical length.
-        let slot_plain_len = 1 + inner_len;
-        let sealed_slot_len = slot_plain_len + aead::NONCE_LEN + aead::TAG_LEN;
+        let layout = Layout::new(&self.params, input.len(), first_inner.len());
 
-        let charge = |bytes: usize| -> Result<(), AttemptFailure> {
-            self.enclave
-                .charge_private(bytes)
-                .map_err(|e| AttemptFailure::Fatal(e.into()))
-        };
-        let release = |bytes: usize| {
-            self.enclave
-                .release_private(bytes)
-                .expect("charges and releases are balanced");
-        };
+        let mid = self.distribute(input, ingress, &layout, &ephemeral_key, attempt_seed)?;
+        let intermediate_slots: usize = mid.iter().map(Vec::len).sum();
+        let output = self.compress(&mid, &layout, &ephemeral_key, rng)?;
+        Ok((output, intermediate_slots))
+    }
 
-        // ---------------- Distribution phase ----------------
+    fn charge(&self, bytes: usize) -> Result<(), AttemptFailure> {
+        self.enclave
+            .charge_private(bytes)
+            .map_err(|e| AttemptFailure::Fatal(e.into()))
+    }
+
+    fn release(&self, bytes: usize) {
+        self.enclave
+            .release_private(bytes)
+            .expect("charges and releases are balanced");
+    }
+
+    /// The distribution phase.
+    fn distribute(
+        &self,
+        input: &[Vec<u8>],
+        ingress: &IngressFn<'_>,
+        layout: &Layout,
+        ephemeral_key: &AeadKey,
+        attempt_seed: u64,
+    ) -> Result<Intermediate, AttemptFailure> {
+        let Layout {
+            n,
+            b,
+            d,
+            c,
+            s,
+            k,
+            inner_len,
+            ..
+        } = *layout;
+        let slot_plain_len = layout.slot_plain_len();
+        let sealed_slot_len = layout.sealed_slot_len();
+
         // Modelled as a multi-threaded enclave. The stash's worst case is
         // reserved up front, so worker sub-budgets are carved from what is
         // genuinely left: a worker that stays within its sub-budget can
@@ -288,7 +460,7 @@ impl StashShuffle {
         // byte-identical at any worker count — and identical to the
         // sequential algorithm's trace.
         let workers = self.num_threads;
-        charge(s * inner_len)?;
+        self.charge(s * inner_len)?;
         let stash_reservation = ReservedPrivate {
             enclave: &self.enclave,
             bytes: s * inner_len,
@@ -296,7 +468,7 @@ impl StashShuffle {
         let pool = WorkerPool::split(&self.enclave, workers);
 
         let real_buckets = n.div_ceil(d);
-        let mut mid: Vec<Vec<Vec<u8>>> = vec![Vec::with_capacity(b * c + k); b];
+        let mut mid: Intermediate = vec![Vec::with_capacity(b * c + k); b];
         let mut stash: Vec<VecDeque<Vec<u8>>> = vec![VecDeque::new(); b];
         let mut stash_total = 0usize;
 
@@ -318,15 +490,12 @@ impl StashShuffle {
                         worker
                             .charge_private(d * inner_len)
                             .map_err(|e| AttemptFailure::Fatal(e.into()))?;
-                        // Assign a random target bucket to every record
-                        // using the "records and separators" shuffle of
-                        // Algorithm 2 (stars and bars), then shuffle which
-                        // record gets which slot — all from this bucket's
-                        // derived generator.
+                        // Every record draws its output bucket from this
+                        // bucket's derived generator.
                         let mut bucket_rng = exec::chunk_rng(attempt_seed, bucket_idx as u64);
-                        let targets = shuffle_to_buckets(bucket.len(), b, &mut bucket_rng);
+                        let targets = uniform_targets(bucket.len(), b, &mut bucket_rng);
                         let mut records = Vec::with_capacity(bucket.len());
-                        for (record, &target) in bucket.iter().zip(targets.iter()) {
+                        for (record, target) in bucket.iter().zip(targets) {
                             let inner = ingress(record).map_err(AttemptFailure::Fatal)?;
                             if inner.len() != inner_len {
                                 return Err(AttemptFailure::Fatal(ShuffleError::NonUniformRecords));
@@ -393,21 +562,12 @@ impl StashShuffle {
                             .map_err(|e| AttemptFailure::Fatal(e.into()))?;
                         let mut chunks = Vec::with_capacity(b);
                         for (out_idx, items) in plan.iter().enumerate() {
-                            let base = ((bucket_idx * b + out_idx) * c) as u64;
                             let mut slots = Vec::with_capacity(c);
-                            for (j, item) in items.iter().enumerate() {
+                            for j in 0..c {
                                 slots.push(seal_slot(
-                                    &ephemeral_key,
-                                    base + j as u64,
-                                    Some(item),
-                                    inner_len,
-                                ));
-                            }
-                            for j in items.len()..c {
-                                slots.push(seal_slot(
-                                    &ephemeral_key,
-                                    base + j as u64,
-                                    None,
+                                    ephemeral_key,
+                                    layout.chunk_slot(bucket_idx, out_idx, j),
+                                    items.get(j).map(Vec::as_slice),
                                     inner_len,
                                 ));
                             }
@@ -438,9 +598,13 @@ impl StashShuffle {
         // and the parameters.
         for bucket_idx in real_buckets..b {
             for (out_idx, out_bucket) in mid.iter_mut().enumerate() {
-                let base = ((bucket_idx * b + out_idx) * c) as u64;
                 for j in 0..c {
-                    out_bucket.push(seal_slot(&ephemeral_key, base + j as u64, None, inner_len));
+                    out_bucket.push(seal_slot(
+                        ephemeral_key,
+                        layout.chunk_slot(bucket_idx, out_idx, j),
+                        None,
+                        inner_len,
+                    ));
                 }
                 self.enclave
                     .copy_out("write-intermediate-chunk", out_idx, c * sealed_slot_len);
@@ -448,27 +612,16 @@ impl StashShuffle {
         }
 
         // Final stash drain: K slots per output bucket (Algorithm 1, line 5).
-        let drain_base = (b * b * c) as u64;
-        for out_idx in 0..b {
-            let base = drain_base + (out_idx * k) as u64;
-            let mut written = 0usize;
-            while written < k {
-                match stash[out_idx].pop_front() {
-                    Some(item) => {
-                        stash_total -= 1;
-                        mid[out_idx].push(seal_slot(
-                            &ephemeral_key,
-                            base + written as u64,
-                            Some(&item),
-                            inner_len,
-                        ));
-                        written += 1;
-                    }
-                    None => break,
-                }
-            }
-            for j in written..k {
-                mid[out_idx].push(seal_slot(&ephemeral_key, base + j as u64, None, inner_len));
+        for (out_idx, out_bucket) in mid.iter_mut().enumerate() {
+            for j in 0..k {
+                let item = stash[out_idx].pop_front();
+                stash_total -= usize::from(item.is_some());
+                out_bucket.push(seal_slot(
+                    ephemeral_key,
+                    layout.drain_slot(out_idx, j),
+                    item.as_deref(),
+                    inner_len,
+                ));
             }
             self.enclave
                 .copy_out("write-stash-drain", out_idx, k * sealed_slot_len);
@@ -478,15 +631,23 @@ impl StashShuffle {
         // working sets.
         drop(stash_reservation);
         if stash_total > 0 {
-            return Err(AttemptFailure::StashOverflow);
+            return Err(AttemptFailure::StashUndrained);
         }
-        let intermediate_slots: usize = mid.iter().map(Vec::len).sum();
+        Ok(mid)
+    }
 
-        // ---------------- Compression phase ----------------
-        let queue_capacity = w * (d + k);
-        let mut queue: VecDeque<Vec<u8>> = VecDeque::with_capacity(queue_capacity);
+    /// The compression phase: imports the intermediate buckets through a
+    /// window of `W` and emits the `N` real records, `D` per output bucket.
+    fn compress<R: Rng + ?Sized>(
+        &self,
+        mid: &Intermediate,
+        layout: &Layout,
+        ephemeral_key: &AeadKey,
+        rng: &mut R,
+    ) -> Result<Records, AttemptFailure> {
+        let Layout { n, b, d, w, .. } = *layout;
+        let mut queue: VecDeque<Vec<u8>> = VecDeque::with_capacity(layout.queue_capacity);
         let mut output: Records = Vec::with_capacity(n);
-        let effective_window = w.min(b);
 
         let import = |bucket_idx: usize,
                       queue: &mut VecDeque<Vec<u8>>,
@@ -496,27 +657,51 @@ impl StashShuffle {
             self.enclave.copy_in(
                 "read-intermediate-bucket",
                 bucket_idx,
-                slots.len() * sealed_slot_len,
+                slots.len() * layout.sealed_slot_len(),
             );
-            let import_bytes = slots.len() * slot_plain_len;
-            charge(import_bytes)?;
+            // One strip of plaintext slots is resident at a time.
+            let strip_bytes = slots.len().min(IMPORT_STRIP_SLOTS) * layout.slot_plain_len();
+            self.charge(strip_bytes)?;
+            let _strip = ReservedPrivate {
+                enclave: &self.enclave,
+                bytes: strip_bytes,
+            };
             // Shuffle the slot order inside private memory before enqueueing
-            // real records (Algorithm 4).
+            // real records (Algorithm 4) — the phase's only draw.
             let mut order: Vec<usize> = (0..slots.len()).collect();
             order.shuffle(rng);
-            for &slot_idx in &order {
-                let plain = open_slot(&ephemeral_key, &slots[slot_idx], slot_idx as u64)
-                    .map_err(AttemptFailure::Fatal)?;
-                if let Some(real) = plain {
-                    if queue.len() >= queue_capacity {
-                        release(import_bytes);
-                        return Err(AttemptFailure::WindowUnderflow);
+            // Opening a slot is a pure function of its bytes and position,
+            // so the workers share it; the queue is then fed sequentially
+            // in `order`, which keeps the output and the failure point
+            // those of the one-thread run.
+            for strip in order.chunks(IMPORT_STRIP_SLOTS) {
+                let opened = exec::par_chunks(
+                    strip,
+                    self.num_threads,
+                    IMPORT_CHUNK_SLOTS,
+                    |_, positions| {
+                        positions
+                            .iter()
+                            .map(|&position| {
+                                open_slot(
+                                    ephemeral_key,
+                                    &slots[position],
+                                    layout.slot_at(bucket_idx, position),
+                                )
+                            })
+                            .collect::<Vec<_>>()
+                    },
+                );
+                for plain in opened.into_iter().flatten() {
+                    if let Some(real) = plain.map_err(AttemptFailure::Fatal)? {
+                        if queue.len() >= layout.queue_capacity {
+                            return Err(AttemptFailure::QueueOverflow);
+                        }
+                        self.charge(real.len())?;
+                        queue.push_back(real);
                     }
-                    charge(real.len())?;
-                    queue.push_back(real);
                 }
             }
-            release(import_bytes);
             Ok(())
         };
 
@@ -533,7 +718,7 @@ impl StashShuffle {
             let mut bytes = 0usize;
             for _ in 0..take {
                 let item = queue.pop_front().expect("queue length checked");
-                release(item.len());
+                self.release(item.len());
                 bytes += item.len();
                 output.push(item);
             }
@@ -543,19 +728,14 @@ impl StashShuffle {
         };
 
         let result: Result<(), AttemptFailure> = (|| {
-            for bucket_idx in 0..effective_window {
+            for bucket_idx in 0..w {
                 import(bucket_idx, &mut queue, rng)?;
             }
-            for bucket_idx in effective_window..b {
-                drain(
-                    bucket_idx - effective_window,
-                    &mut queue,
-                    &mut output,
-                    false,
-                )?;
+            for bucket_idx in w..b {
+                drain(bucket_idx - w, &mut queue, &mut output, false)?;
                 import(bucket_idx, &mut queue, rng)?;
             }
-            for bucket_idx in (b - effective_window)..b {
+            for bucket_idx in (b - w)..b {
                 drain(bucket_idx, &mut queue, &mut output, true)?;
             }
             Ok(())
@@ -563,7 +743,7 @@ impl StashShuffle {
 
         // Release anything still queued before returning (success or failure).
         for item in queue.drain(..) {
-            release(item.len());
+            self.release(item.len());
         }
         result?;
 
@@ -573,12 +753,12 @@ impl StashShuffle {
                 "lost records during compression",
             )));
         }
-        Ok((output, intermediate_slots))
+        Ok(output)
     }
 }
 
-/// An up-front private-memory reservation (the stash's worst case) released
-/// on every exit path — success, restart or fatal error alike.
+/// A private-memory charge released on every exit path — success, restart
+/// or fatal error alike.
 struct ReservedPrivate<'a> {
     enclave: &'a Enclave,
     bytes: usize,
@@ -592,31 +772,12 @@ impl Drop for ReservedPrivate<'_> {
     }
 }
 
-/// Algorithm 2's SHUFFLETOBUCKETS: shuffles `items` records and `buckets - 1`
-/// separators, returning the target bucket of each record. Every composition
-/// of the records into buckets is equally likely, and which record lands in
-/// which slot is also uniform.
-fn shuffle_to_buckets<R: Rng + ?Sized>(items: usize, buckets: usize, rng: &mut R) -> Vec<usize> {
-    if buckets <= 1 {
-        return vec![0; items];
-    }
-    // true = record, false = separator.
-    let mut symbols: Vec<bool> = Vec::with_capacity(items + buckets - 1);
-    symbols.extend(std::iter::repeat_n(true, items));
-    symbols.extend(std::iter::repeat_n(false, buckets - 1));
-    symbols.shuffle(rng);
-    let mut targets_in_order = Vec::with_capacity(items);
-    let mut current_bucket = 0usize;
-    for symbol in symbols {
-        if symbol {
-            targets_in_order.push(current_bucket);
-        } else {
-            current_bucket += 1;
-        }
-    }
-    // Randomize which record gets which target.
-    targets_in_order.shuffle(rng);
-    targets_in_order
+/// Draws the output bucket of each of `items` records independently and
+/// uniformly from `0..buckets`: the load of a bucket is Binomial(items,
+/// 1/buckets), the distribution [`StashShuffleParams::derive`] sizes `C`
+/// for and [`StashShuffleParams::log2_epsilon`] bounds.
+fn uniform_targets<R: Rng + ?Sized>(items: usize, buckets: usize, rng: &mut R) -> Vec<usize> {
+    (0..items).map(|_| rng.gen_range(0..buckets)).collect()
 }
 
 /// Seals one intermediate slot (real record or dummy) with the ephemeral
@@ -630,10 +791,7 @@ fn seal_slot(key: &AeadKey, index: u64, record: Option<&[u8]>, inner_len: usize)
             plain.push(1);
             plain.extend_from_slice(bytes);
         }
-        None => {
-            plain.push(0);
-            plain.extend_from_slice(&vec![0u8; inner_len]);
-        }
+        None => plain.resize(1 + inner_len, 0),
     }
     let nonce = slot_nonce(index);
     let mut sealed = Vec::with_capacity(aead::NONCE_LEN + plain.len() + aead::TAG_LEN);
@@ -642,17 +800,20 @@ fn seal_slot(key: &AeadKey, index: u64, record: Option<&[u8]>, inner_len: usize)
     sealed
 }
 
-/// Opens one intermediate slot; returns `None` for dummies.
-fn open_slot(
-    key: &AeadKey,
-    sealed: &[u8],
-    _slot_hint: u64,
-) -> Result<Option<Vec<u8>>, ShuffleError> {
+/// Opens the intermediate slot read from global position `index`; returns
+/// `None` for dummies. The nonce stored beside the ciphertext lives in
+/// untrusted memory, so it is only checked against the one `index` implies:
+/// a slot the host moved or copied from elsewhere fails here.
+fn open_slot(key: &AeadKey, sealed: &[u8], index: u64) -> Result<Option<Vec<u8>>, ShuffleError> {
     if sealed.len() < aead::NONCE_LEN + aead::TAG_LEN + 1 {
         return Err(ShuffleError::IngressFailed("intermediate slot too short"));
     }
-    let mut nonce = [0u8; aead::NONCE_LEN];
-    nonce.copy_from_slice(&sealed[..aead::NONCE_LEN]);
+    let nonce = slot_nonce(index);
+    if sealed[..aead::NONCE_LEN] != nonce {
+        return Err(ShuffleError::IngressFailed(
+            "intermediate slot is not at the position it was sealed for",
+        ));
+    }
     let plain = aead::open(key, &nonce, b"stash-slot", &sealed[aead::NONCE_LEN..])
         .map_err(|_| ShuffleError::IngressFailed("intermediate slot authentication"))?;
     if plain.is_empty() {
@@ -950,18 +1111,216 @@ mod tests {
     }
 
     #[test]
-    fn stars_and_bars_targets_are_valid_and_cover_buckets() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let targets = shuffle_to_buckets(10_000, 16, &mut rng);
-        assert_eq!(targets.len(), 10_000);
-        assert!(targets.iter().all(|&t| t < 16));
-        let distinct: HashSet<_> = targets.iter().collect();
-        assert!(
-            distinct.len() > 10,
-            "with 10k items nearly all buckets get hit"
-        );
+    fn uniform_targets_load_buckets_binomially() {
+        // The sampler must be the distribution the parameter model assumes:
+        // a bucket's load is Binomial(D, 1/B). (A uniformly random
+        // composition — records shuffled with B − 1 separators — has the
+        // right mean but a deviation of ≈ D/B and sends 7.65 % of the
+        // (229, 21) loads past the five-sigma cap.)
+        for (items, buckets, draws) in [(10_000usize, 16usize, 200usize), (229, 21, 2_000)] {
+            let mut rng = StdRng::seed_from_u64(12);
+            let mean = items as f64 / buckets as f64;
+            let cap = mean + 5.0 * mean.sqrt();
+            let (mut sum_sq, mut over) = (0.0f64, 0usize);
+            for _ in 0..draws {
+                let targets = uniform_targets(items, buckets, &mut rng);
+                assert_eq!(targets.len(), items);
+                let mut loads = vec![0usize; buckets];
+                for target in targets {
+                    loads[target] += 1;
+                }
+                for load in loads {
+                    sum_sq += (load as f64 - mean).powi(2);
+                    over += usize::from(load as f64 > cap);
+                }
+            }
+            let samples = (draws * buckets) as f64;
+            let sd = (sum_sq / samples).sqrt();
+            let model_sd = (mean * (1.0 - 1.0 / buckets as f64)).sqrt();
+            assert!(
+                (sd / model_sd - 1.0).abs() < 0.10,
+                "({items}, {buckets}): load sd {sd:.2} vs binomial {model_sd:.2}"
+            );
+            assert!(
+                (over as f64) < 1e-3 * samples,
+                "({items}, {buckets}): {over} of {samples} loads above mean + 5 sigma"
+            );
+        }
         // Single bucket edge case.
-        assert_eq!(shuffle_to_buckets(5, 1, &mut rng), vec![0; 5]);
+        let mut rng = StdRng::seed_from_u64(12);
+        assert_eq!(uniform_targets(5, 1, &mut rng), vec![0; 5]);
+    }
+
+    #[test]
+    fn derived_parameters_take_one_attempt() {
+        // Table 1 sizes the parameters so that an attempt all but never
+        // fails; a restart is an extra observable access pattern. With the
+        // composition sampler and a queue slack of W·K these counts read
+        // 100 / ≈75 / ≈1 successes.
+        for (n, shuffles) in [(1_000usize, 100usize), (5_000, 100), (50_000, 10)] {
+            let input = records(n, 16);
+            let shuffler = StashShuffle::new(
+                StashShuffleParams::derive(n),
+                Enclave::new(EnclaveConfig {
+                    private_memory_bytes: 8 * 1024 * 1024,
+                    record_trace: false,
+                    code_identity: "one-attempt".into(),
+                }),
+            )
+            .with_max_attempts(1);
+            let mut rng = StdRng::seed_from_u64(0x5ea5 + n as u64);
+            for shuffle in 0..shuffles {
+                let out = shuffler
+                    .shuffle(&input, &mut rng)
+                    .unwrap_or_else(|e| panic!("N = {n}, shuffle {shuffle}: {e}"));
+                assert_eq!(out.attempts, 1);
+                assert_eq!(out.failures, StashFailures::default());
+            }
+        }
+    }
+
+    /// A distribution-phase run the tamper and failure-kind tests pick up
+    /// from: the shuffler, the layout, the ephemeral key and the
+    /// intermediate array.
+    fn distributed(
+        n: usize,
+        tweak: impl FnOnce(&mut Layout),
+    ) -> (
+        StashShuffle,
+        Layout,
+        AeadKey,
+        Result<Intermediate, AttemptFailure>,
+    ) {
+        let shuffler = test_shuffler(n);
+        let mut layout = Layout::new(shuffler.params(), n, 16);
+        tweak(&mut layout);
+        let key = AeadKey::random(&mut StdRng::seed_from_u64(14));
+        let mid = shuffler.distribute(&records(n, 16), &identity_ingress, &layout, &key, 15);
+        (shuffler, layout, key, mid)
+    }
+
+    /// Positions of one real and one dummy slot in `bucket`.
+    fn real_and_dummy(layout: &Layout, key: &AeadKey, bucket: &[Vec<u8>]) -> (usize, usize) {
+        let is_real = |position: usize| {
+            open_slot(key, &bucket[position], layout.slot_at(0, position))
+                .unwrap()
+                .is_some()
+        };
+        let real = (0..bucket.len()).find(|&p| is_real(p)).unwrap();
+        let dummy = (0..bucket.len()).find(|&p| !is_real(p)).unwrap();
+        (real, dummy)
+    }
+
+    const OUT_OF_POSITION: AttemptFailure = AttemptFailure::Fatal(ShuffleError::IngressFailed(
+        "intermediate slot is not at the position it was sealed for",
+    ));
+
+    #[test]
+    fn a_swapped_slot_fails_the_shuffle() {
+        let (shuffler, layout, key, mid) = distributed(1_000, |_| {});
+        let mut mid = mid.unwrap();
+        let mut rng = StdRng::seed_from_u64(16);
+        // Untouched, the intermediate array compresses to a permutation.
+        let out = shuffler.compress(&mid, &layout, &key, &mut rng).unwrap();
+        assert_eq!(out.len(), 1_000);
+        // Two authentic slots of one bucket trade places.
+        let (real, dummy) = real_and_dummy(&layout, &key, &mid[0]);
+        mid[0].swap(real, dummy);
+        assert_eq!(
+            shuffler.compress(&mid, &layout, &key, &mut rng),
+            Err(OUT_OF_POSITION)
+        );
+        assert_eq!(shuffler.enclave().metrics().private_in_use, 0);
+        // So do two slots of different buckets.
+        mid[0].swap(real, dummy);
+        let (first, second) = mid.split_at_mut(1);
+        std::mem::swap(&mut first[0][real], &mut second[0][0]);
+        assert_eq!(
+            shuffler.compress(&mid, &layout, &key, &mut rng),
+            Err(OUT_OF_POSITION)
+        );
+    }
+
+    #[test]
+    fn a_replayed_slot_fails_the_shuffle() {
+        // A real slot copied over a dummy authenticates under its stored
+        // nonce; trusting that nonce would enqueue the record twice and the
+        // last drain would then silently drop a different one.
+        let (shuffler, layout, key, mid) = distributed(1_000, |_| {});
+        let mut mid = mid.unwrap();
+        let (real, dummy) = real_and_dummy(&layout, &key, &mid[0]);
+        mid[0][dummy] = mid[0][real].clone();
+        let mut rng = StdRng::seed_from_u64(17);
+        assert_eq!(
+            shuffler.compress(&mid, &layout, &key, &mut rng),
+            Err(OUT_OF_POSITION)
+        );
+    }
+
+    #[test]
+    fn each_failure_kind_is_reported_as_what_happened() {
+        // Distribution: no stash at all, then a stash that holds everything
+        // but drains one record per bucket.
+        let (_, _, _, mid) = distributed(1_000, |layout| {
+            layout.c = 5;
+            layout.s = 0;
+        });
+        assert_eq!(mid, Err(AttemptFailure::StashOverflow));
+        let (_, _, _, mid) = distributed(1_000, |layout| {
+            layout.c = 5;
+            layout.s = 1_000;
+            layout.k = 1;
+        });
+        assert_eq!(mid, Err(AttemptFailure::StashUndrained));
+
+        // Compression: a queue with no room beyond one bucket, then a
+        // window of one bucket (the first output bucket is due before a
+        // second bucket is imported). Both leave the enclave balanced, and
+        // the failure point does not move with the worker count.
+        for (tweak, expected) in [
+            (
+                (|layout| layout.queue_capacity = layout.d) as fn(&mut Layout),
+                AttemptFailure::QueueOverflow,
+            ),
+            (|layout| layout.w = 1, AttemptFailure::WindowUnderflow),
+        ] {
+            let run = |threads: usize| {
+                let (shuffler, mut layout, key, mid) = distributed(1_000, |_| {});
+                tweak(&mut layout);
+                let shuffler = shuffler.with_threads(threads);
+                let before = shuffler.enclave().trace().len();
+                let mut rng = StdRng::seed_from_u64(18);
+                let result = shuffler.compress(&mid.unwrap(), &layout, &key, &mut rng);
+                assert_eq!(shuffler.enclave().metrics().private_in_use, 0);
+                (result, shuffler.enclave().trace()[before..].to_vec())
+            };
+            let sequential = run(1);
+            assert_eq!(sequential.0, Err(expected));
+            assert_eq!(run(4), sequential);
+        }
+    }
+
+    #[test]
+    fn restarts_are_counted_by_kind() {
+        // Parameters tight enough that some attempts fail: every restart
+        // shows up under exactly one kind.
+        let params = StashShuffleParams::new(10, 13, 30, 3).unwrap();
+        let input = records(1_000, 16);
+        let mut restarted = 0;
+        for seed in 0..20 {
+            let enclave = Enclave::new(EnclaveConfig {
+                private_memory_bytes: 4 * 1024 * 1024,
+                record_trace: false,
+                code_identity: "t".into(),
+            });
+            let shuffler = StashShuffle::new(params, enclave).with_max_attempts(50);
+            let out = shuffler
+                .shuffle(&input, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
+            assert_eq!(out.failures.total(), out.attempts - 1);
+            restarted += out.failures.total();
+        }
+        assert!(restarted > 0, "the parameters were meant to be tight");
     }
 
     #[test]
@@ -976,6 +1335,8 @@ mod tests {
             b"hello-world-1234"
         );
         assert!(open_slot(&key, &sealed_dummy, 1).unwrap().is_none());
+        // A slot only opens at the position it was sealed for.
+        assert!(open_slot(&key, &sealed_real, 1).is_err());
         // Tampering is detected.
         let mut tampered = sealed_real.clone();
         let last = tampered.len() - 1;

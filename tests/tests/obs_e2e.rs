@@ -10,7 +10,7 @@ use prochlo_collector::{
     Collector, CollectorClient, CollectorConfig, ReportSink, Response, NONCE_LEN,
 };
 use prochlo_core::encoder::CrowdStrategy;
-use prochlo_core::{Deployment, ShufflerConfig};
+use prochlo_core::{Deployment, EngineConfig, ShuffleBackend, ShufflerConfig};
 use prochlo_examples::run_live_ingest;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -199,4 +199,34 @@ fn pipeline_output_is_identical_with_obs_on_and_off() {
         on.summary.stats.reports_processed,
         off.summary.stats.reports_processed
     );
+
+    // The same contract on the Stash engine, whose attempt loop reports
+    // each failure kind to the registry: the counters are registered by a
+    // recorded run (zeros included) and the shuffled row order — the
+    // engine's output — does not depend on whether anyone was counting.
+    let stash = || CollectorConfig {
+        engine: Some(EngineConfig {
+            backend: ShuffleBackend::Sgx { params: None },
+            num_threads: 2,
+        }),
+        ..config()
+    };
+    global.set_enabled(true);
+    let on = run_live_ingest(0x0b50ff, 3, 200, stash());
+    let snapshot = global.snapshot();
+    for kind in [
+        "stash_overflow",
+        "stash_undrained",
+        "queue_overflow",
+        "window_underflow",
+    ] {
+        let name = format!("shuffle.stash.fail.{kind}");
+        assert_eq!(snapshot.get(&name), Some(0.0), "{name}");
+    }
+    assert!(snapshot.get("shuffle.stash.attempts") >= Some(1.0));
+    global.set_enabled(false);
+    let off = run_live_ingest(0x0b50ff, 3, 200, stash());
+    global.set_enabled(initially_enabled);
+    assert_eq!(on.histogram_bytes, off.histogram_bytes);
+    assert_eq!(on.database.rows(), off.database.rows());
 }
