@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::CollectorError;
-use crate::ingest::IngestCore;
+use crate::ingest::{IngestCore, Peer};
 use crate::protocol::{read_frame, write_frame, Request, Response, NONCE_LEN};
 
 /// A destination for sealed report submissions.
@@ -267,13 +267,15 @@ impl ReportSink for CollectorClient {
 #[derive(Debug, Clone)]
 pub struct InProcessSink {
     ingest: Arc<IngestCore>,
-    peer: SocketAddr,
+    peer: Peer,
 }
 
 impl InProcessSink {
     /// Wraps an ingest core; `peer` is recorded as the transport metadata
-    /// the shuffler later strips.
+    /// the shuffler later strips (rendered here, once, as a serving loop
+    /// does per connection).
     pub fn new(ingest: Arc<IngestCore>, peer: SocketAddr) -> Self {
+        let peer = Peer::from(peer);
         Self { ingest, peer }
     }
 }
@@ -284,7 +286,7 @@ impl ReportSink for InProcessSink {
         nonce: &[u8; NONCE_LEN],
         report: &[u8],
     ) -> Result<Response, CollectorError> {
-        Ok(self.ingest.ingest(nonce, report, self.peer))
+        Ok(self.ingest.ingest_from(nonce, report, &self.peer))
     }
 }
 

@@ -1,19 +1,28 @@
-//! The socket-free ingestion core: parse, validate, dedup, enqueue.
+//! The socket-free ingestion core: validate, dedup, enqueue.
 //!
 //! Protocol workers hand every `SUBMIT` here; the benchmark harness drives
 //! it directly to measure ingestion throughput without socket noise. The
-//! core owns the report queue and the replay filter, and its single entry
-//! point maps each submission to exactly one wire [`Response`].
+//! core owns the report queue and the replay filter, and its entry point
+//! maps each submission to exactly one wire [`Response`].
+//!
+//! The path is per report, so nothing on it is looked up, formatted or
+//! locked twice: the latency histogram is a cached handle
+//! ([`prochlo_obs::Histogram::start`]), the peer's transport label is
+//! rendered once per connection ([`Peer`]) and shared, the queue push
+//! returns the depth the acknowledgement reports, and the caller's `report`
+//! slice — on the serving path, a slice of the connection's read buffer —
+//! is copied exactly once, into the [`HybridCiphertext`] that sits in the
+//! queue.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use prochlo_core::record::TransportMetadata;
 use prochlo_core::ClientReport;
 use prochlo_crypto::hybrid::HybridCiphertext;
-use prochlo_obs::{Counter, Gauge, Registry};
+use prochlo_obs::{Counter, Gauge, Histogram, Registry, Span};
 
 use crate::dedup::{NonceCheck, ReplayFilter};
 use crate::protocol::{Response, NONCE_LEN};
@@ -69,7 +78,7 @@ struct StatsCells {
 
 /// Cached obs handles mirroring [`StatsCells`] onto the registry
 /// (`collector.ingest.*` counters, the `collector.queue.depth` gauge, and
-/// the `collector.ingest.submit` latency histogram via a per-call span).
+/// the `collector.ingest.submit` latency histogram).
 struct ObsHandles {
     registry: Arc<Registry>,
     accepted: Counter,
@@ -77,6 +86,10 @@ struct ObsHandles {
     backpressured: Counter,
     rejected: Counter,
     queue_depth: Gauge,
+    /// Resolved on the first submission that finds the registry enabled: a
+    /// disabled registry never registers the histogram, and an enabled one
+    /// is not asked for it by name on every report.
+    submit: OnceLock<Histogram>,
 }
 
 impl std::fmt::Debug for ObsHandles {
@@ -95,12 +108,43 @@ impl ObsHandles {
             backpressured: registry.counter("collector.ingest.backpressured"),
             rejected: registry.counter("collector.ingest.rejected"),
             queue_depth: registry.gauge("collector.queue.depth"),
+            submit: OnceLock::new(),
             registry,
+        }
+    }
+
+    /// Times one submission into `collector.ingest.submit`.
+    fn submit_span(&self) -> Option<Span> {
+        self.registry.is_enabled().then(|| {
+            self.submit
+                .get_or_init(|| self.registry.histogram("collector.ingest.submit"))
+                .start()
+        })
+    }
+}
+
+/// A connection's transport identity — exactly the linkable information
+/// the shuffler must strip — rendered once when the connection is accepted
+/// and shared by every report that arrives on it.
+#[derive(Debug, Clone)]
+pub struct Peer {
+    label: Arc<str>,
+    source_ip: [u8; 4],
+}
+
+impl From<SocketAddr> for Peer {
+    fn from(addr: SocketAddr) -> Self {
+        Self {
+            label: addr.to_string().into(),
+            source_ip: match addr {
+                SocketAddr::V4(v4) => v4.ip().octets(),
+                SocketAddr::V6(_) => [0u8; 4],
+            },
         }
     }
 }
 
-/// Parse + dedup + enqueue, shared by every protocol worker.
+/// Validate + dedup + enqueue, shared by every protocol worker.
 #[derive(Debug)]
 pub struct IngestCore {
     queue: BoundedQueue<ClientReport>,
@@ -147,6 +191,14 @@ impl IngestCore {
         &self.config
     }
 
+    /// Handles one submission end to end and returns the wire response,
+    /// rendering the peer's transport label for this one call. A caller
+    /// with many submissions from one peer renders it once
+    /// ([`Peer::from`]) and calls [`Self::ingest_from`].
+    pub fn ingest(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: SocketAddr) -> Response {
+        self.ingest_from(nonce, report, &Peer::from(peer))
+    }
+
     /// Handles one submission end to end and returns the wire response.
     ///
     /// The nonce is tracked through two dedup phases: `begin` before the
@@ -154,14 +206,16 @@ impl IngestCore {
     /// refuses the report. A replay of an *accepted* nonce answers
     /// `Duplicate`; a retry racing an in-flight first attempt answers
     /// `RetryAfter`, never a false "already queued".
-    pub fn ingest(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: SocketAddr) -> Response {
-        let span = self.obs.registry.span("collector.ingest.submit");
+    pub fn ingest_from(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: &Peer) -> Response {
+        let span = self.obs.submit_span();
         let response = self.ingest_inner(nonce, report, peer);
-        span.finish();
+        if let Some(span) = span {
+            span.finish();
+        }
         response
     }
 
-    fn ingest_inner(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: SocketAddr) -> Response {
+    fn ingest_inner(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: &Peer) -> Response {
         if report.len() > self.config.max_report_len {
             self.stats.rejected.fetch_add(1, Ordering::Relaxed);
             self.obs.rejected.inc();
@@ -169,6 +223,8 @@ impl IngestCore {
                 reason: "report exceeds maximum size".to_string(),
             };
         }
+        // The one heap copy between the socket and the queue: the sealed
+        // bytes, out of the caller's buffer.
         let outer = match HybridCiphertext::from_bytes(report) {
             Ok(ct) => ct,
             Err(_) => {
@@ -199,11 +255,10 @@ impl IngestCore {
             metadata: self.transport_metadata(peer),
         };
         match self.queue.try_push(report) {
-            Ok(()) => {
+            Ok(depth) => {
                 self.dedup.commit(nonce);
                 self.stats.accepted.fetch_add(1, Ordering::Relaxed);
                 self.obs.accepted.inc();
-                let depth = self.queue.len();
                 self.stats
                     .peak_queue_depth
                     .fetch_max(depth, Ordering::Relaxed);
@@ -234,15 +289,11 @@ impl IngestCore {
     /// The transport metadata the shuffler will strip: this is exactly the
     /// linkable information (address, arrival order, time) that must never
     /// travel past the shuffler boundary.
-    fn transport_metadata(&self, peer: SocketAddr) -> TransportMetadata {
-        let source_ip = match peer {
-            SocketAddr::V4(v4) => v4.ip().octets(),
-            SocketAddr::V6(_) => [0u8; 4],
-        };
+    fn transport_metadata(&self, peer: &Peer) -> TransportMetadata {
         TransportMetadata {
-            client_label: peer.to_string(),
+            client_label: Arc::clone(&peer.label),
             arrival_order: self.arrival.fetch_add(1, Ordering::Relaxed),
-            source_ip,
+            source_ip: peer.source_ip,
             // prochlo-lint: allow(wallclock-discipline, "transport metadata only: the shuffler strips this timestamp before analysis, so it never steers seeded replay")
             timestamp_secs: SystemTime::now()
                 .duration_since(UNIX_EPOCH)
@@ -427,6 +478,21 @@ mod tests {
         assert_eq!(snap.get("collector.ingest.accepted"), Some(0.0));
         // Disabled spans never even register the latency histogram.
         assert_eq!(snap.get("collector.ingest.submit"), None);
+    }
+
+    #[test]
+    fn a_connection_s_label_is_rendered_once_and_shared_by_its_reports() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let core = IngestCore::new(IngestConfig::default());
+        let report = sealed_report(&mut rng);
+        let connection = Peer::from(peer());
+        core.ingest_from(&nonce(0), &report, &connection);
+        core.ingest_from(&nonce(1), &report, &connection);
+        let queued = core.queue().drain_when(2, Duration::ZERO);
+        let labels: Vec<&Arc<str>> = queued.iter().map(|r| &r.metadata.client_label).collect();
+        assert_eq!(&**labels[0], "127.0.0.1:9999");
+        assert!(Arc::ptr_eq(labels[0], labels[1]));
+        assert_eq!(queued[1].metadata.source_ip, [127, 0, 0, 1]);
     }
 
     #[test]

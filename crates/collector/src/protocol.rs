@@ -136,31 +136,80 @@ impl Request {
         out
     }
 
-    /// Parses a message body.
+    /// Parses a message body into an owned request.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CollectorError> {
+        RequestRef::parse(bytes).map(|request| request.to_owned())
+    }
+}
+
+/// One submission parsed in place: nonce and report borrow from the frame
+/// body they arrived in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Submission<'a> {
+    /// The cleartext crowd-routing prefix of a `SUBMIT_ROUTED`; `None` for
+    /// a plain `SUBMIT`.
+    pub crowd_prefix: Option<u64>,
+    /// Client-chosen replay-dedup nonce (reused across retries).
+    pub nonce: &'a [u8; NONCE_LEN],
+    /// The serialized outer ciphertext of a client report.
+    pub report: &'a [u8],
+}
+
+/// A [`Request`] parsed without copying anything out of the frame body —
+/// what a serving loop holds between the read buffer and the one copy that
+/// puts an accepted report into the queue. This is the only request parser;
+/// [`Request::from_bytes`] is this plus [`Self::to_owned`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestRef<'a> {
+    /// `SUBMIT` or `SUBMIT_ROUTED`.
+    Submit(Submission<'a>),
+    /// `PING`.
+    Ping,
+    /// `STATS`.
+    Stats,
+}
+
+impl<'a> RequestRef<'a> {
+    /// Parses a message body.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, CollectorError> {
         let mut reader = Reader::new(bytes);
         let request = match read_u8(&mut reader)? {
-            1 => {
-                let (nonce, report) = read_submission(&mut reader)?;
-                Request::Submit { nonce, report }
-            }
-            2 => Request::Ping,
+            1 => RequestRef::Submit(read_submission(&mut reader, None)?),
+            2 => RequestRef::Ping,
             3 => {
                 let crowd_prefix = reader
                     .get_u64()
                     .map_err(|_| CollectorError::Protocol("truncated crowd prefix"))?;
-                let (nonce, report) = read_submission(&mut reader)?;
-                Request::SubmitRouted {
-                    crowd_prefix,
-                    nonce,
-                    report,
-                }
+                RequestRef::Submit(read_submission(&mut reader, Some(crowd_prefix))?)
             }
-            4 => Request::Stats,
+            4 => RequestRef::Stats,
             _ => return Err(CollectorError::Protocol("unknown request type")),
         };
         check_exhausted(&reader)?;
         Ok(request)
+    }
+
+    /// Copies nonce and report out of the frame body.
+    pub fn to_owned(&self) -> Request {
+        match *self {
+            RequestRef::Submit(Submission {
+                crowd_prefix,
+                nonce,
+                report,
+            }) => {
+                let (nonce, report) = (*nonce, report.to_vec());
+                match crowd_prefix {
+                    None => Request::Submit { nonce, report },
+                    Some(crowd_prefix) => Request::SubmitRouted {
+                        crowd_prefix,
+                        nonce,
+                        report,
+                    },
+                }
+            }
+            RequestRef::Ping => Request::Ping,
+            RequestRef::Stats => Request::Stats,
+        }
     }
 }
 
@@ -237,16 +286,21 @@ impl Response {
     }
 }
 
-fn read_submission(reader: &mut Reader<'_>) -> Result<([u8; NONCE_LEN], Vec<u8>), CollectorError> {
-    let nonce_bytes = reader
-        .get_array(NONCE_LEN)
+fn read_submission<'a>(
+    reader: &mut Reader<'a>,
+    crowd_prefix: Option<u64>,
+) -> Result<Submission<'a>, CollectorError> {
+    let nonce = reader
+        .get_fixed()
         .map_err(|_| CollectorError::Protocol("truncated nonce"))?;
-    let mut nonce = [0u8; NONCE_LEN];
-    nonce.copy_from_slice(&nonce_bytes);
     let report = reader
-        .get_bytes()
+        .get_slice()
         .map_err(|_| CollectorError::Protocol("truncated report"))?;
-    Ok((nonce, report))
+    Ok(Submission {
+        crowd_prefix,
+        nonce,
+        report,
+    })
 }
 
 fn check_exhausted(reader: &Reader<'_>) -> Result<(), CollectorError> {

@@ -3,9 +3,21 @@
 //! The collector's memory bound comes from this queue: producers (the event
 //! loops) never block and never allocate past the capacity — a full queue
 //! is reported back to them so they can answer `RetryAfter` instead of
-//! buffering, which is the backpressure contract of the service. Consumers
-//! (the epoch manager) block, with a deadline, until enough reports arrive
-//! to cut a batch.
+//! buffering, which is the backpressure contract of the service. The
+//! consumer (the epoch manager) blocks, with a deadline, until enough
+//! reports arrive to cut a batch.
+//!
+//! # Wake at target
+//!
+//! The consumer states what it is waiting for: [`BoundedQueue::drain_when`]
+//! records its target in the queue state for as long as it sleeps, and a
+//! push signals the condition variable only when it brings the depth up to
+//! that target — once per epoch, not once per report. Target and depth are
+//! written and compared under the queue's own mutex, so there is no window
+//! in which the push that completes a batch can miss a consumer about to
+//! sleep. [`BoundedQueue::close`] still wakes unconditionally and the
+//! deadline ends the wait by itself. One recorded target means one
+//! draining thread per queue.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -25,10 +37,16 @@ pub enum PushError<T> {
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// The depth the sleeping consumer is waiting for; 0 while nobody
+    /// sleeps. A push that reaches it clears it, so a wait is signalled
+    /// once.
+    waiting_for: usize,
+    /// How often the consumer came back from a sleep.
+    wakeups: u64,
 }
 
-/// A bounded queue; see the module docs for the blocking contract. One
-/// push wakes one blocked consumer, so a queue has one draining thread.
+/// A bounded queue with a single draining thread; see the module docs for
+/// the blocking contract.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     state: Mutex<QueueState<T>>,
@@ -44,6 +62,8 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(QueueState {
                 items: VecDeque::with_capacity(capacity.min(1024)),
                 closed: false,
+                waiting_for: 0,
+                wakeups: 0,
             }),
             available: Condvar::new(),
             capacity,
@@ -70,8 +90,16 @@ impl<T> BoundedQueue<T> {
         self.state.lock().closed
     }
 
-    /// Appends an item without blocking; a full or closed queue refuses it.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+    /// How often [`Self::drain_when`] came back from a sleep — signalled,
+    /// timed out or spurious — since the queue was created. With the
+    /// wake-at-target rule this tracks the number of drains, not of pushes.
+    pub fn wakeups(&self) -> u64 {
+        self.state.lock().wakeups
+    }
+
+    /// Appends an item without blocking and returns the depth after the
+    /// push; a full or closed queue refuses it.
+    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
         let mut state = self.state.lock();
         if state.closed {
             return Err(PushError::Closed(item));
@@ -80,20 +108,36 @@ impl<T> BoundedQueue<T> {
             return Err(PushError::Full(item));
         }
         state.items.push_back(item);
+        let depth = state.items.len();
+        // Target and depth are compared under the lock, so the consumer is
+        // either already asleep on the target read here or will see this
+        // item before it sleeps. Clearing the target makes one wait cost
+        // one signal however many pushes land before the consumer gets the
+        // lock back.
+        let wake = state.waiting_for != 0 && depth >= state.waiting_for;
+        if wake {
+            state.waiting_for = 0;
+        }
         drop(state);
-        self.available.notify_one();
-        Ok(())
+        if wake {
+            self.available.notify_one();
+        }
+        Ok(depth)
     }
 
-    /// Waits until at least `target` items are queued, the queue is closed,
-    /// or `timeout` elapses — then drains up to `target` items.
+    /// Waits until at least `target` items are queued, the queue is full,
+    /// the queue is closed, or `timeout` elapses — then drains up to
+    /// `target` items.
     ///
     /// This is the epoch manager's count-or-deadline primitive: a batch is
     /// cut as soon as it is full, at the deadline with whatever arrived, or
-    /// immediately during a shutdown drain. An empty return means the
-    /// deadline passed with nothing queued (or the queue is closed and dry).
+    /// immediately during a shutdown drain. A target above the capacity
+    /// could never be met (the queue would refuse every push and the wait
+    /// would run to the deadline), so a full queue always cuts. An empty
+    /// return means the deadline passed with nothing queued (or the queue
+    /// is closed and dry).
     pub fn drain_when(&self, target: usize, timeout: Duration) -> Vec<T> {
-        let target = target.max(1);
+        let target = target.clamp(1, self.capacity);
         // prochlo-lint: allow(wallclock-discipline, "functional count-or-deadline primitive: the deadline cuts batches, it never orders reports")
         let deadline = Instant::now() + timeout;
         let mut state = self.state.lock();
@@ -103,14 +147,17 @@ impl<T> BoundedQueue<T> {
             if now >= deadline {
                 break;
             }
+            state.waiting_for = target;
             self.available.wait_for(&mut state, deadline - now);
+            state.waiting_for = 0;
+            state.wakeups += 1;
         }
         let take = state.items.len().min(target);
         state.items.drain(..take).collect()
     }
 
     /// Closes the queue: pending items stay drainable, new pushes fail, and
-    /// every blocked consumer wakes up.
+    /// the blocked consumer wakes up.
     pub fn close(&self) {
         self.state.lock().closed = true;
         self.available.notify_all();
@@ -205,6 +252,154 @@ mod tests {
         let batch = q.drain_when(4, Duration::from_secs(1));
         assert_eq!(batch, vec![0, 1, 2, 3]);
         assert_eq!(q.len(), 6);
+    }
+
+    #[test]
+    fn an_epoch_larger_than_the_queue_is_cut_when_the_queue_fills() {
+        // Target 8 can never be met at capacity 4: the parent design
+        // refused every further push and slept to the deadline.
+        let q = Arc::new(BoundedQueue::new(4));
+        let consumer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.drain_when(8, Duration::from_secs(60)))
+        };
+        let start = Instant::now();
+        for i in 0..4 {
+            q.try_push(i).unwrap();
+        }
+        assert_eq!(consumer.join().unwrap(), [0, 1, 2, 3]);
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "a full queue must cut, not wait out the deadline"
+        );
+        assert_eq!(q.try_push(4), Ok(1), "the drain freed the queue");
+    }
+
+    #[test]
+    fn the_consumer_is_woken_once_per_batch_not_once_per_push() {
+        const TARGET: usize = 2_500;
+        let q = Arc::new(BoundedQueue::new(1 << 14));
+        let consumer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                (0..4)
+                    .map(|_| q.drain_when(TARGET, Duration::from_secs(60)).len())
+                    .collect::<Vec<_>>()
+            })
+        };
+        let start = Instant::now();
+        let producers: Vec<_> = (0..2)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    for i in 0..5_000 {
+                        q.try_push(p * 5_000 + i).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        assert_eq!(consumer.join().unwrap(), [TARGET; 4]);
+        assert!(start.elapsed() < Duration::from_secs(30), "a wake was lost");
+        // No deadline expired, so every return from a sleep was a batch
+        // becoming complete. One wake per push would read about 10 000.
+        assert!(q.wakeups() <= 4, "woken {} times", q.wakeups());
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn the_push_that_completes_a_batch_never_misses_a_consumer_going_to_sleep() {
+        // Both sides leave a barrier together, so across the rounds the
+        // completing push lands before, while and after the consumer
+        // records its target. A lost wake-up would sit out the deadline.
+        let q = Arc::new(BoundedQueue::new(64));
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let rounds = 2_000;
+        let consumer = {
+            let (q, barrier) = (Arc::clone(&q), Arc::clone(&barrier));
+            thread::spawn(move || {
+                for round in 0..rounds {
+                    let target = 1 + round % 3;
+                    barrier.wait();
+                    let start = Instant::now();
+                    let batch = q.drain_when(target, Duration::from_secs(60));
+                    assert_eq!(batch.len(), target);
+                    assert!(start.elapsed() < Duration::from_secs(30), "lost wake-up");
+                }
+            })
+        };
+        for round in 0..rounds {
+            barrier.wait();
+            for i in 0..1 + round % 3 {
+                q.try_push(i).unwrap();
+            }
+        }
+        consumer.join().unwrap();
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn stress_every_accepted_item_is_drained_once_and_no_drain_outlasts_its_deadline() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const PER_PRODUCER: u64 = 20_000;
+        const CLOSE_AFTER: usize = 45_000;
+        // How late a timed-out drain may return: a scheduling quantum on a
+        // loaded two-core host, with room for a neighbour's burst.
+        const QUANTUM: Duration = Duration::from_millis(500);
+        let q = Arc::new(BoundedQueue::new(256));
+        let producers: Vec<_> = (0..3u64)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    let mut accepted = Vec::new();
+                    'items: for i in 0..PER_PRODUCER {
+                        let mut item = p * PER_PRODUCER + i;
+                        loop {
+                            match q.try_push(item) {
+                                Ok(_) => break,
+                                Err(PushError::Closed(_)) => break 'items,
+                                Err(PushError::Full(back)) => {
+                                    item = back;
+                                    thread::yield_now();
+                                }
+                            }
+                        }
+                        accepted.push(item);
+                    }
+                    accepted
+                })
+            })
+            .collect();
+        // The consumer closes the queue mid-run, with producers still
+        // pushing; what was accepted before the close must still come out.
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut drained = Vec::new();
+        while !(q.is_closed() && q.is_empty()) {
+            // Targets below the backlog, above it, and above the capacity.
+            let target = rng.gen_range(1..400);
+            let timeout = Duration::from_micros(rng.gen_range(0..3_000));
+            let start = Instant::now();
+            let batch = q.drain_when(target, timeout);
+            let late = start.elapsed().saturating_sub(timeout);
+            assert!(late < QUANTUM, "drain returned {late:?} after its deadline");
+            assert!(batch.len() <= target);
+            drained.extend(batch);
+            if drained.len() >= CLOSE_AFTER {
+                q.close();
+            }
+        }
+        let mut accepted: Vec<u64> = producers
+            .into_iter()
+            .flat_map(|p| p.join().unwrap())
+            .collect();
+        assert!(accepted.len() >= CLOSE_AFTER);
+        assert!(accepted.len() < 3 * PER_PRODUCER as usize, "closed mid-run");
+        accepted.sort_unstable();
+        drained.sort_unstable();
+        assert_eq!(drained, accepted);
     }
 
     #[test]

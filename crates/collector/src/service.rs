@@ -6,14 +6,21 @@
 //! * **event loops** (N) — a [`prochlo_net::Server`], which owns the whole
 //!   serving policy (sockets, connection cap, slow-loris eviction, oversize
 //!   rejection) and hands every complete request frame to this crate's
-//!   per-loop `Ingest` handler. Per-connection state is the peer address
-//!   plus an optional [`TokenBucket`]: a connection that out-runs its rate
-//!   limit is answered with the same `RetryAfter` backpressure the bounded
-//!   queue uses.
+//!   per-loop `Ingest` handler, which parses it in place — the body is a
+//!   slice of the connection's read buffer, and [`IngestCore::ingest_from`]
+//!   makes the one copy an accepted report costs. Per-connection state is
+//!   the peer's transport identity, rendered once on accept, plus an
+//!   optional [`TokenBucket`]: a connection that out-runs its rate limit is
+//!   answered with the same `RetryAfter` backpressure the bounded queue
+//!   uses.
 //! * **epoch** — owns the [`Deployment`]; drains the report queue with a
 //!   count-or-deadline policy and feeds each batch through an
 //!   [`prochlo_core::EpochSession`], which canonicalizes it and runs
-//!   shuffling + analysis under a deterministic [`EpochSpec`].
+//!   shuffling + analysis under a deterministic [`EpochSpec`]. The queue
+//!   wakes this thread when a batch is complete, not per report
+//!   (`collector.epoch.wakeups` tracks `collector.epoch.cut`). A batch the
+//!   pipeline fails is recorded with its `Err` and counted under
+//!   `collector.epoch.failed`; `reports_processed` counts successes only.
 //!
 //! Shutdown is ordered: the server first, then the report queue closes so
 //! the epoch manager drains every in-flight report into final epochs before
@@ -35,9 +42,9 @@ use prochlo_core::{
 use prochlo_net::{Answer, Handler, Server, ServerConfig, ServerStats, TokenBucket};
 
 use crate::error::CollectorError;
-use crate::ingest::{IngestConfig, IngestCore, IngestStats};
+use crate::ingest::{IngestConfig, IngestCore, IngestStats, Peer};
 use crate::knobs;
-use crate::protocol::{frame_policy, Request, Response};
+use crate::protocol::{frame_policy, RequestRef, Response};
 
 /// Configuration of a running collector.
 #[derive(Debug, Clone)]
@@ -193,7 +200,9 @@ pub struct CollectorStats {
     pub connections_evicted: u64,
     /// Epochs cut so far.
     pub epochs_cut: u64,
-    /// Reports handed to the pipeline across all epochs.
+    /// Reports in epochs the pipeline processed successfully; the reports
+    /// of a failed epoch are in [`EpochResult::reports`] of its `Err`
+    /// entry (one `collector.epoch.failed` each), not here.
     pub reports_processed: u64,
 }
 
@@ -381,18 +390,18 @@ struct Ingest {
 }
 
 impl Handler for Ingest {
-    /// The peer (dedup and ingest telemetry key on it) and its rate limiter.
-    type Conn = (SocketAddr, Option<TokenBucket>);
+    /// The peer (ingest stamps transport metadata from it) and its rate
+    /// limiter.
+    type Conn = (Peer, Option<TokenBucket>);
 
     fn connected(&mut self, peer: SocketAddr) -> Self::Conn {
-        (peer, self.rate_limit.map(TokenBucket::new))
+        (Peer::from(peer), self.rate_limit.map(TokenBucket::new))
     }
 
     fn frame(&mut self, (peer, bucket): &mut Self::Conn, body: &[u8]) -> Result<Answer, Vec<u8>> {
         let ingest = &self.shared.ingest;
-        let response = match Request::from_bytes(body) {
-            Ok(Request::Submit { nonce, report })
-            | Ok(Request::SubmitRouted { nonce, report, .. }) => {
+        let response = match RequestRef::parse(body) {
+            Ok(RequestRef::Submit(submission)) => {
                 // The rate limiter sits in front of ingest so a limited
                 // submission costs neither a dedup slot nor queue space.
                 if bucket.as_mut().is_some_and(|b| !b.try_take()) {
@@ -400,15 +409,17 @@ impl Handler for Ingest {
                         millis: ingest.config().retry_after_ms,
                     }
                 } else {
-                    ingest.ingest(&nonce, &report, *peer)
+                    // Nonce and report still point into the connection's
+                    // read buffer; ingest makes the one copy.
+                    ingest.ingest_from(submission.nonce, submission.report, peer)
                 }
             }
-            Ok(Request::Ping) => Response::Ack {
+            Ok(RequestRef::Ping) => Response::Ack {
                 pending: ingest.queue().len() as u32,
             },
             // The live telemetry snapshot, flattened to (name, value)
             // pairs — what an operator dashboard polls.
-            Ok(Request::Stats) => Response::Stats {
+            Ok(RequestRef::Stats) => Response::Stats {
                 entries: ingest.registry().snapshot().flat(),
             },
             // A desynchronized or hostile peer; reject and hang up.
@@ -426,6 +437,13 @@ fn epoch_loop(mut pipeline: Box<dyn EpochPipeline>, shared: &Shared, config: &Co
     let registry = shared.ingest.registry();
     let epochs_cut = registry.counter("collector.epoch.cut");
     let epoch_reports = registry.counter("collector.epoch.reports");
+    // Registered here so a healthy collector exports them at zero.
+    let epochs_failed = registry.counter("collector.epoch.failed");
+    // How often this thread came back from its wait on the queue: the queue
+    // wakes it when a batch is complete, so this tracks `epoch.cut`, not
+    // the number of reports.
+    let wakeups = registry.counter("collector.epoch.wakeups");
+    let mut wakeups_seen = 0;
     // The epoch flight recorder: one JSONL line per cut epoch when
     // PROCHLO_OBS_PATH names a sink.
     let flight = prochlo_obs::FlightRecorder::from_env();
@@ -435,6 +453,9 @@ fn epoch_loop(mut pipeline: Box<dyn EpochPipeline>, shared: &Shared, config: &Co
     }
     loop {
         let batch = queue.drain_when(config.max_epoch_reports, config.epoch_deadline);
+        let woken = queue.wakeups();
+        wakeups.add(woken - wakeups_seen);
+        wakeups_seen = woken;
         if batch.is_empty() {
             if queue.is_closed() {
                 break;
@@ -448,9 +469,15 @@ fn epoch_loop(mut pipeline: Box<dyn EpochPipeline>, shared: &Shared, config: &Co
         let span = registry.span("collector.epoch.process");
         let outcome = pipeline.process(&spec, batch);
         let process_seconds = span.finish();
-        shared
-            .reports_processed
-            .fetch_add(reports as u64, Ordering::Relaxed);
+        // Processed means the pipeline returned a result for them; a failed
+        // batch is counted as failed, not as done.
+        if outcome.is_ok() {
+            shared
+                .reports_processed
+                .fetch_add(reports as u64, Ordering::Relaxed);
+        } else {
+            epochs_failed.inc();
+        }
         shared.epochs_cut.fetch_add(1, Ordering::Relaxed);
         epochs_cut.inc();
         epoch_reports.add(reports as u64);
@@ -482,7 +509,7 @@ fn epoch_loop(mut pipeline: Box<dyn EpochPipeline>, shared: &Shared, config: &Co
 mod tests {
     use super::*;
     use crate::client::{CollectorClient, ReportSink};
-    use crate::protocol::NONCE_LEN;
+    use crate::protocol::{Request, NONCE_LEN};
     use prochlo_core::encoder::CrowdStrategy;
     use prochlo_core::ShufflerConfig;
     use rand::rngs::StdRng;
@@ -787,6 +814,226 @@ mod tests {
             snap.get("collector.conns.accepted"),
             Some(summary.stats.connections as f64)
         );
+    }
+
+    /// Counts what it is handed; fails the calls listed in `failing`.
+    struct Scripted {
+        calls: usize,
+        failing: &'static [usize],
+    }
+
+    impl EpochPipeline for Scripted {
+        fn process(
+            &mut self,
+            _spec: &EpochSpec,
+            _batch: Vec<ClientReport>,
+        ) -> Result<PipelineReport, PipelineError> {
+            self.calls += 1;
+            if self.failing.contains(&self.calls) {
+                return Err(PipelineError::MalformedReport("scripted failure"));
+            }
+            Ok(PipelineReport {
+                database: AnalyzerDatabase::default(),
+                shuffler_stats: prochlo_core::ShufflerStats::default(),
+                stage_stats: Vec::new(),
+            })
+        }
+    }
+
+    fn sealed_report(rng: &mut StdRng) -> Vec<u8> {
+        let recipient = prochlo_crypto::hybrid::HybridKeypair::generate(rng);
+        prochlo_crypto::hybrid::HybridCiphertext::seal(rng, recipient.public_key(), b"aad", b"v")
+            .unwrap()
+            .to_bytes()
+    }
+
+    #[test]
+    fn a_failed_epoch_is_counted_as_failed_not_as_processed() {
+        let registry = Arc::new(prochlo_obs::Registry::new(true));
+        let config = CollectorConfig {
+            // Epochs of exactly three reports, cut by count alone.
+            max_epoch_reports: 3,
+            epoch_deadline: Duration::from_secs(60),
+            registry: Some(Arc::clone(&registry)),
+            ..test_config()
+        };
+        let pipeline = Scripted {
+            calls: 0,
+            failing: &[2],
+        };
+        let collector = Collector::start_with_pipeline(Box::new(pipeline), config).unwrap();
+        let mut rng = StdRng::seed_from_u64(101);
+        let report = sealed_report(&mut rng);
+        let mut client = CollectorClient::connect(collector.local_addr()).unwrap();
+        for _ in 0..9 {
+            let response = client.submit(&fresh_nonce(&mut rng), &report).unwrap();
+            assert!(matches!(response, Response::Ack { .. }));
+        }
+        drop(client);
+        let summary = collector.shutdown();
+        let failed: Vec<&EpochResult> = summary
+            .epochs
+            .iter()
+            .filter(|epoch| epoch.outcome.is_err())
+            .collect();
+        assert_eq!(summary.epochs.len(), 3);
+        assert_eq!(failed.len(), 1);
+        assert_eq!((failed[0].index, failed[0].reports), (1, 3));
+        // accepted == processed + the failed batch's reports.
+        assert_eq!(summary.stats.ingest.accepted, 9);
+        assert_eq!(summary.stats.reports_processed, 6);
+        assert_eq!(summary.stats.epochs_cut, 3);
+        let snap = registry.snapshot();
+        assert_eq!(snap.get("collector.epoch.failed"), Some(1.0));
+        assert_eq!(snap.get("collector.epoch.cut"), Some(3.0));
+        assert_eq!(snap.get("collector.epoch.reports"), Some(9.0));
+    }
+
+    #[test]
+    fn the_epoch_thread_wakes_per_epoch_not_per_report() {
+        let registry = Arc::new(prochlo_obs::Registry::new(true));
+        let config = CollectorConfig {
+            max_epoch_reports: 500,
+            epoch_deadline: Duration::from_secs(60),
+            registry: Some(Arc::clone(&registry)),
+            ..test_config()
+        };
+        let pipeline = Scripted {
+            calls: 0,
+            failing: &[],
+        };
+        let collector = Collector::start_with_pipeline(Box::new(pipeline), config).unwrap();
+        let mut rng = StdRng::seed_from_u64(111);
+        let report = sealed_report(&mut rng);
+        let requests: Vec<Request> = (0..2_000)
+            .map(|_| Request::Submit {
+                nonce: fresh_nonce(&mut rng),
+                report: report.clone(),
+            })
+            .collect();
+        let mut client = CollectorClient::connect(collector.local_addr()).unwrap();
+        let verdicts = client.submit_batch(&requests).unwrap();
+        assert!(verdicts.iter().all(|v| matches!(v, Response::Ack { .. })));
+        drop(client);
+        let summary = collector.shutdown();
+        assert_eq!(summary.stats.epochs_cut, 4);
+        assert_eq!(summary.stats.reports_processed, 2_000);
+        // One wake per completed batch, plus the one `close()` gives the
+        // final, empty wait. The parent design read about 2 000 here.
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.get("collector.epoch.failed"),
+            Some(0.0),
+            "exported at zero while nothing fails"
+        );
+        let wakeups = snap.get("collector.epoch.wakeups");
+        assert!(
+            wakeups.is_some_and(|w| w <= 5.0),
+            "collector.epoch.wakeups = {wakeups:?}"
+        );
+    }
+
+    /// Writes `requests` as one burst and reads one response per request.
+    fn burst(stream: &mut std::net::TcpStream, requests: &[Request]) -> Vec<Response> {
+        use crate::protocol::{read_frame, write_frame};
+        use std::io::Write;
+        let mut wire = Vec::new();
+        for request in requests {
+            write_frame(&mut wire, &request.to_bytes()).unwrap();
+        }
+        stream.write_all(&wire).unwrap();
+        requests
+            .iter()
+            .map(|_| Response::from_bytes(&read_frame(stream, 1 << 20).unwrap()).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn two_connections_on_one_loop_each_get_their_own_verdicts_in_order() {
+        let config = CollectorConfig {
+            worker_threads: 1,
+            max_epoch_reports: 100_000,
+            epoch_deadline: Duration::from_secs(60),
+            ..test_config()
+        };
+        let pipeline = Scripted {
+            calls: 0,
+            failing: &[],
+        };
+        let collector = Collector::start_with_pipeline(Box::new(pipeline), config).unwrap();
+        let mut rng = StdRng::seed_from_u64(131);
+        let report = sealed_report(&mut rng);
+        // Per connection: runs of five — fresh, a repeat of it, fresh,
+        // garbage, fresh — over nonces the other connection never uses, so
+        // a connection's verdict kinds do not depend on how the two bursts
+        // interleave, while the depths in the acks do.
+        let mut script = |count: usize| -> Vec<Request> {
+            let mut last = [0u8; NONCE_LEN];
+            (0..count)
+                .map(|i| {
+                    let nonce = if i % 5 == 1 {
+                        last
+                    } else {
+                        fresh_nonce(&mut rng)
+                    };
+                    last = nonce;
+                    let report = if i % 5 == 3 {
+                        vec![0u8; 10]
+                    } else {
+                        report.clone()
+                    };
+                    Request::Submit { nonce, report }
+                })
+                .collect()
+        };
+        let scripts = [script(400), script(400)];
+        let kinds = |verdicts: &[Response]| -> Vec<u8> {
+            verdicts.iter().map(|v| v.to_bytes()[0]).collect()
+        };
+        let (ack, rejected, duplicate) = (0u8, 2, 3);
+        let expected: Vec<u8> = (0..400)
+            .map(|i| match i % 5 {
+                1 => duplicate,
+                3 => rejected,
+                _ => ack,
+            })
+            .collect();
+        // Both bursts are in flight at once and far larger than one read, so
+        // the loop walks frames of both connections out of read buffers
+        // that are refilled mid-burst.
+        let addr = collector.local_addr();
+        let answers: Vec<Vec<Response>> = std::thread::scope(|scope| {
+            let clients: Vec<_> = scripts
+                .iter()
+                .map(|script| {
+                    scope.spawn(move || {
+                        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+                        stream
+                            .set_read_timeout(Some(Duration::from_secs(10)))
+                            .unwrap();
+                        burst(&mut stream, script)
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let mut depths = Vec::new();
+        for answers in &answers {
+            assert_eq!(kinds(answers), expected);
+            depths.extend(answers.iter().filter_map(|v| match v {
+                Response::Ack { pending } => Some(*pending),
+                _ => None,
+            }));
+        }
+        // Nothing drained: across both connections every depth from 1 to
+        // the number accepted was acknowledged exactly once.
+        depths.sort_unstable();
+        assert_eq!(depths, (1..=480).collect::<Vec<u32>>());
+        let summary = collector.shutdown();
+        assert_eq!(summary.stats.ingest.accepted, 480);
+        assert_eq!(summary.stats.ingest.duplicates, 160);
+        assert_eq!(summary.stats.ingest.rejected, 160);
+        assert_eq!(summary.stats.reports_processed, 480);
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! version fails before any message parsing runs. Frame bodies are encoded
 //! with the explicit reader/writer in [`crate::wire`]; there is
 //! deliberately no serialization framework.
+//!
+//! Two readers share that layout: the blocking [`FrameRead`], which owns
+//! its stream and returns each body as a `Vec`, and the readiness-driven
+//! [`FrameAccumulator`], which reads a socket straight into its own buffer
+//! and lends each body out as a slice of it — the serving path's frames are
+//! parsed where they landed (`tests/tests/framing_props.rs` holds the two
+//! readers to the same answers over arbitrary fragmentations).
 
 use std::io::{Read, Write};
 
@@ -186,13 +193,20 @@ impl<R: Read + ?Sized> FrameRead for R {
 /// The blocking [`FrameRead`] path owns its stream and can simply
 /// `read_exact`; an event loop instead receives arbitrary byte chunks as
 /// the socket becomes readable and must resume parsing mid-frame. This
-/// accumulator is the nonblocking twin of [`FrameRead`]: feed it chunks
-/// with [`FrameAccumulator::extend`], drain complete frame bodies with
+/// accumulator is the nonblocking twin of [`FrameRead`]: fill it with
+/// [`FrameAccumulator::read_from`] (straight off a socket) or
+/// [`FrameAccumulator::extend`], then walk the complete frame bodies with
 /// [`FrameAccumulator::next_frame`]. Policy checks happen as early as the
 /// bytes allow — an oversized length prefix is rejected the moment its
-/// four bytes are present (before any body byte is buffered), and a wrong
-/// version byte is rejected as soon as it arrives, so a hostile peer can
-/// never make the accumulator buffer more than one policy-sized frame.
+/// four bytes are present (before any body byte is parsed), and a wrong
+/// version byte is rejected as soon as it arrives.
+///
+/// Bodies are handed out as slices of the accumulator's own buffer, so a
+/// frame costs no allocation and no copy between the socket and its
+/// parser. That is why consumed bytes are reclaimed only when the buffer is
+/// next *filled*: a fill needs `&mut self`, which no live body can overlap,
+/// whereas reclaiming during the walk would shift the bytes a caller is
+/// still reading.
 ///
 /// ```
 /// use prochlo_core::framing::{FrameAccumulator, FramePolicy, FrameWrite};
@@ -204,16 +218,18 @@ impl<R: Read + ?Sized> FrameRead for R {
 /// for byte in wire {
 ///     acc.extend(&[byte]); // one byte at a time
 /// }
-/// assert_eq!(acc.next_frame().unwrap(), Some(b"hello".to_vec()));
+/// assert_eq!(acc.next_frame().unwrap(), Some(&b"hello"[..]));
 /// assert_eq!(acc.next_frame().unwrap(), None);
 /// ```
 #[derive(Debug)]
 pub struct FrameAccumulator {
     policy: FramePolicy,
+    /// Storage, initialised through `buf.len()`: `buf[start..end]` is
+    /// received and not yet handed out, `buf[end..]` is room a fill reads
+    /// into — zeroed once when the buffer grows, never per fill.
     buf: Vec<u8>,
-    /// Bytes of `buf` already consumed by returned frames; compacted
-    /// whenever the dead prefix outgrows the live suffix.
     start: usize,
+    end: usize,
     /// Set once a policy violation is detected: the stream cannot be
     /// resynchronized, so every later call reports the same error.
     poisoned: Option<&'static str>,
@@ -226,32 +242,43 @@ impl FrameAccumulator {
             policy,
             buf: Vec::new(),
             start: 0,
+            end: 0,
             poisoned: None,
         }
     }
 
     /// Appends one chunk of bytes read off the stream.
     pub fn extend(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
+        self.room(chunk.len()).copy_from_slice(chunk);
+        self.end += chunk.len();
+    }
+
+    /// Makes one `read` call of up to `room` bytes straight into the buffer
+    /// and returns how many arrived: `0` at end of stream, fewer than `room`
+    /// once the source has nothing more to give right now.
+    pub fn read_from(&mut self, reader: &mut impl Read, room: usize) -> std::io::Result<usize> {
+        let n = reader.read(self.room(room))?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Bytes buffered but not yet returned as frames.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// Returns the next complete frame body, `None` when more bytes are
     /// needed, or an error when the stream violated the policy (oversized
     /// announcement, impossible length, wrong version byte). Errors are
-    /// sticky: a violated stream cannot be resynchronized.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+    /// sticky: a violated stream cannot be resynchronized. The body borrows
+    /// from the accumulator; it is valid until the next fill.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
         if let Some(what) = self.poisoned {
             return Err(FrameError::Protocol(what));
         }
-        // prochlo-lint: allow(panic-on-wire, "start is an internal cursor, only ever advanced to a consumed frame boundary <= buf.len(); no peer byte reaches the index")
-        let live = &self.buf[self.start..];
+        // prochlo-lint: allow(panic-on-wire, "start and end are internal cursors with start <= end <= buf.len(), advanced only to a consumed frame boundary or by a read's own count; no peer byte reaches the index")
+        let live = &self.buf[self.start..self.end];
         if live.len() < 4 {
-            self.compact();
             return Ok(None);
         }
         // prochlo-lint: allow(panic-on-wire, "bounds proven: live.len() >= 4 is checked above")
@@ -277,23 +304,29 @@ impl FrameAccumulator {
             return Err(FrameError::Protocol("unsupported protocol version"));
         }
         if live.len() < 4 + len {
-            self.compact();
             return Ok(None);
         }
-        // prochlo-lint: allow(panic-on-wire, "bounds proven: live.len() >= 4 + len and len >= 2 are checked above")
-        let body = live[5..4 + len].to_vec();
         self.start += 4 + len;
-        self.compact();
-        Ok(Some(body))
+        // prochlo-lint: allow(panic-on-wire, "bounds proven: live.len() >= 4 + len and len >= 2 are checked above")
+        Ok(Some(&live[5..4 + len]))
     }
 
-    /// Drops the consumed prefix once it dominates the buffer, keeping the
-    /// resident size proportional to the unparsed remainder.
-    fn compact(&mut self) {
-        if self.start > 0 && self.start * 2 >= self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
+    /// `len` writable bytes at the end of the buffered ones. This is where
+    /// consumed frames are reclaimed: free when everything was consumed,
+    /// else one move of the remainder once the dead prefix dominates it, so
+    /// the resident size stays proportional to the unparsed bytes.
+    fn room(&mut self, len: usize) -> &mut [u8] {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        } else if self.start * 2 >= self.end {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
         }
+        if self.buf.len() < self.end + len {
+            self.buf.resize(self.end + len, 0);
+        }
+        // prochlo-lint: allow(panic-on-wire, "bounds proven: the buffer was grown to end + len on the line above")
+        &mut self.buf[self.end..self.end + len]
     }
 }
 
@@ -376,7 +409,7 @@ mod tests {
         for byte in wire {
             acc.extend(&[byte]);
             while let Some(body) = acc.next_frame().unwrap() {
-                frames.push(body);
+                frames.push(body.to_vec());
             }
         }
         assert_eq!(frames, [b"first".to_vec(), b"second".to_vec()]);
@@ -394,11 +427,11 @@ mod tests {
         let cut = 4 + 2 + 3;
         let mut acc = FrameAccumulator::new(POLICY);
         acc.extend(&wire[..cut]);
-        assert_eq!(acc.next_frame().unwrap(), Some(b"a".to_vec()));
+        assert_eq!(acc.next_frame().unwrap(), Some(&b"a"[..]));
         assert_eq!(acc.next_frame().unwrap(), None);
         acc.extend(&wire[cut..]);
-        assert_eq!(acc.next_frame().unwrap(), Some(b"bb".to_vec()));
-        assert_eq!(acc.next_frame().unwrap(), Some(b"ccc".to_vec()));
+        assert_eq!(acc.next_frame().unwrap(), Some(&b"bb"[..]));
+        assert_eq!(acc.next_frame().unwrap(), Some(&b"ccc"[..]));
         assert_eq!(acc.next_frame().unwrap(), None);
     }
 

@@ -13,6 +13,8 @@
 //! sizes but never payloads; the analyzer learns payloads but never which
 //! client, when, or from where.
 
+use std::sync::Arc;
+
 use prochlo_crypto::elgamal::ElGamalCiphertext;
 use prochlo_crypto::hybrid::HybridCiphertext;
 use prochlo_crypto::sha256::sha256;
@@ -60,15 +62,9 @@ impl CrowdId {
     fn from_reader(reader: &mut Reader<'_>) -> Result<Self, PipelineError> {
         match reader.get_u8()? {
             0 => Ok(CrowdId::None),
-            1 => {
-                let bytes = reader.get_array(32)?;
-                let mut h = [0u8; 32];
-                h.copy_from_slice(&bytes);
-                Ok(CrowdId::Hashed(h))
-            }
+            1 => Ok(CrowdId::Hashed(*reader.get_fixed()?)),
             2 => {
-                let bytes = reader.get_array(64)?;
-                let ct = ElGamalCiphertext::from_bytes(&bytes)?;
+                let ct = ElGamalCiphertext::from_bytes(reader.get_fixed::<64>()?)?;
                 Ok(CrowdId::Blinded(Box::new(ct)))
             }
             _ => Err(PipelineError::MalformedReport("unknown crowd-id tag")),
@@ -170,7 +166,9 @@ impl ShufflerEnvelope {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransportMetadata {
     /// A client identifier as seen by the transport (e.g. a connection id).
-    pub client_label: String,
+    /// Shared: a serving front end renders it once per connection, not once
+    /// per report.
+    pub client_label: Arc<str>,
     /// Arrival order at the shuffler's front end.
     pub arrival_order: u64,
     /// Source IPv4 address.
@@ -183,7 +181,7 @@ impl TransportMetadata {
     /// Metadata for tests and simulations.
     pub fn synthetic(client_index: u64) -> Self {
         Self {
-            client_label: format!("client-{client_index}"),
+            client_label: format!("client-{client_index}").into(),
             arrival_order: client_index,
             source_ip: [
                 10,

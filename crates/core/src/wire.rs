@@ -83,13 +83,23 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, PipelineError> {
-        let len = self.get_u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        Ok(self.get_slice()?.to_vec())
     }
 
-    /// Reads exactly `len` raw bytes.
-    pub fn get_array(&mut self, len: usize) -> Result<Vec<u8>, PipelineError> {
-        Ok(self.take(len)?.to_vec())
+    /// Reads a length-prefixed byte string without copying it: the slice
+    /// borrows from the bytes the reader was created over.
+    pub fn get_slice(&mut self) -> Result<&'a [u8], PipelineError> {
+        let len = self.get_u32()? as usize;
+        self.take(len)
+    }
+
+    /// Reads exactly `N` raw bytes (a nonce, a hash, a curve point) without
+    /// copying them.
+    pub fn get_fixed<const N: usize>(&mut self) -> Result<&'a [u8; N], PipelineError> {
+        let bytes = self.take(N)?;
+        bytes
+            .try_into()
+            .map_err(|_| PipelineError::MalformedReport("truncated field"))
     }
 }
 
@@ -139,6 +149,23 @@ mod tests {
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_bytes().unwrap(), b"hello");
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn borrowing_reads_return_the_bytes_in_place() {
+        let mut out = Vec::new();
+        out.extend_from_slice(&[7u8; 16]);
+        put_bytes(&mut out, b"report");
+        let mut r = Reader::new(&out);
+        let fixed: &[u8; 16] = r.get_fixed().unwrap();
+        assert_eq!(fixed, &[7u8; 16]);
+        let slice = r.get_slice().unwrap();
+        assert_eq!(slice, b"report");
+        // Borrowed from the input, not copied out of it.
+        assert!(std::ptr::eq(slice.as_ptr(), out[20..].as_ptr()));
+        assert!(r.is_empty());
+        assert!(r.get_fixed::<1>().is_err());
+        assert!(Reader::new(&out[..10]).get_fixed::<16>().is_err());
     }
 
     #[test]

@@ -338,11 +338,9 @@ impl WireMessage for BatchToTwo {
         }
         let mut records = Vec::with_capacity(count);
         for _ in 0..count {
-            let crowd_bytes = reader
-                .get_array(64)
+            let crowd: [u8; 64] = *reader
+                .get_fixed()
                 .map_err(|_| FabricError::Malformed("truncated blinded crowd id"))?;
-            let mut crowd = [0u8; 64];
-            crowd.copy_from_slice(&crowd_bytes);
             records.push((crowd, get_vec(&mut reader, "truncated inner ciphertext")?));
         }
         finish(&reader)?;

@@ -10,7 +10,7 @@
 //! byte-identical wire protocol to the blocking `FrameRead`/`FrameWrite`
 //! path it replaces.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -19,6 +19,8 @@ use prochlo_core::framing::{FrameAccumulator, FrameError, FramePolicy, FrameWrit
 use crate::reactor::wait_writable;
 
 /// How big a chunk one readable event pulls off the socket per `read` call.
+/// Also the read room every connection keeps allocated between events, so
+/// it is the per-connection memory floor of a serving loop.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Result of draining a readable socket.
@@ -72,30 +74,34 @@ impl Conn {
         &self.stream
     }
 
-    /// Drains the socket until it would block, appending every completed
-    /// frame body to `frames`. Policy violations (oversized announcement,
-    /// wrong version) surface as errors even when they arrive mid-read;
-    /// frames completed before the violation are already in `frames`.
-    pub fn on_readable(&mut self, frames: &mut Vec<Vec<u8>>) -> Result<ConnStatus, FrameError> {
-        let mut scratch = [0u8; READ_CHUNK];
-        let mut status = ConnStatus::Open;
+    /// Reads what the socket holds into the frame accumulator, straight
+    /// into its buffer: one `read` of up to `READ_CHUNK` at a time until
+    /// one comes back short. A short read means the socket is drained — the
+    /// reactor is level-triggered, so anything that lands afterwards is
+    /// reported on the next turn, and no second `read` is spent on
+    /// learning `WouldBlock`. Walk the completed frames with
+    /// [`Self::next_frame`] afterwards; on [`ConnStatus::PeerClosed`] the
+    /// frames received before the close are still there to walk.
+    pub fn on_readable(&mut self) -> Result<ConnStatus, FrameError> {
         loop {
-            match self.stream.read(&mut scratch) {
-                Ok(0) => {
-                    status = ConnStatus::PeerClosed;
-                    break;
-                }
-                // prochlo-lint: allow(panic-on-wire, "bounds proven: read returned n <= scratch.len()")
-                Ok(n) => self.acc.extend(&scratch[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            match self.acc.read_from(&mut self.stream, READ_CHUNK) {
+                Ok(0) => return Ok(ConnStatus::PeerClosed),
+                Ok(READ_CHUNK) => continue,
+                Ok(_) => return Ok(ConnStatus::Open),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(ConnStatus::Open),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(FrameError::Io(e)),
             }
         }
-        while let Some(body) = self.acc.next_frame()? {
-            frames.push(body);
-        }
-        Ok(status)
+    }
+
+    /// The next completed frame body, borrowed from the read buffer (valid
+    /// until the next [`Self::on_readable`]); `None` once the buffered bytes
+    /// hold no further complete frame. Policy violations (oversized
+    /// announcement, wrong version) surface as sticky errors where they sit
+    /// in the stream: the frames completed before one are returned first.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
+        self.acc.next_frame()
     }
 
     /// Queues one outbound frame (`[u32 len][version][body]`) behind any
@@ -181,6 +187,15 @@ mod tests {
         (client, server)
     }
 
+    /// One readable event: fill, then copy out every completed frame.
+    fn read_frames(conn: &mut Conn, frames: &mut Vec<Vec<u8>>) -> ConnStatus {
+        let status = conn.on_readable().expect("read");
+        while let Some(body) = conn.next_frame().expect("frame") {
+            frames.push(body.to_vec());
+        }
+        status
+    }
+
     #[test]
     fn frames_split_across_reads_reassemble() {
         let (mut client, server) = pair();
@@ -197,14 +212,14 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while conn.buffered_read() == 0 && frames.is_empty() {
             assert!(std::time::Instant::now() < deadline, "no bytes arrived");
-            let _ = conn.on_readable(&mut frames).expect("read");
+            read_frames(&mut conn, &mut frames);
         }
 
         client.write_all(&wire[cut..]).expect("write");
         client.flush().expect("flush");
         while frames.len() < 2 {
             assert!(std::time::Instant::now() < deadline, "frames incomplete");
-            conn.on_readable(&mut frames).expect("read");
+            read_frames(&mut conn, &mut frames);
         }
         assert_eq!(frames, [b"alpha".to_vec(), b"beta".to_vec()]);
     }
@@ -222,7 +237,7 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
             assert!(std::time::Instant::now() < deadline, "close not observed");
-            if conn.on_readable(&mut frames).expect("read") == ConnStatus::PeerClosed {
+            if read_frames(&mut conn, &mut frames) == ConnStatus::PeerClosed {
                 break;
             }
         }

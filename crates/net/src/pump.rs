@@ -71,7 +71,6 @@ impl FramePump {
             .name(format!("prochlo-pump-{name}"))
             .spawn(move || {
                 let mut events = Vec::new();
-                let mut frames = Vec::new();
                 while !stop_flag.load(Ordering::Acquire) && !conns.is_empty() {
                     if reactor.poll(&mut events, None).is_err() {
                         // A failed poll turn cannot be attributed to one
@@ -92,11 +91,12 @@ impl FramePump {
                         if !event.readable {
                             continue;
                         }
-                        frames.clear();
-                        let outcome = conn.on_readable(&mut frames);
-                        for body in frames.drain(..) {
-                            on_event(id, PumpEvent::Frame(body));
-                        }
+                        let outcome = conn.on_readable().and_then(|status| {
+                            while let Some(body) = conn.next_frame()? {
+                                on_event(id, PumpEvent::Frame(body.to_vec()));
+                            }
+                            Ok(status)
+                        });
                         match outcome {
                             Ok(ConnStatus::Open) => {}
                             Ok(ConnStatus::PeerClosed) => {

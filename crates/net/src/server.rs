@@ -291,7 +291,6 @@ struct EventLoop<H: Handler> {
 impl<H: Handler> EventLoop<H> {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
-        let mut frames: Vec<Vec<u8>> = Vec::new();
         while self.reactor.poll(&mut events, Some(POLL_INTERVAL)).is_ok()
             && !self.shared.shutting_down.load(Ordering::SeqCst)
         {
@@ -307,7 +306,7 @@ impl<H: Handler> EventLoop<H> {
                 self.conns.insert(token, ConnState { conn, app, closing });
             }
             for event in events.drain(..) {
-                self.handle_event(event, &mut frames);
+                self.handle_event(event);
             }
             self.finish_turn();
             let _ = turn.finish();
@@ -323,7 +322,7 @@ impl<H: Handler> EventLoop<H> {
         }
     }
 
-    fn handle_event(&mut self, event: Event, frames: &mut Vec<Vec<u8>>) {
+    fn handle_event(&mut self, event: Event) {
         if self.accept_token == Some(event.token) {
             return self.accept_ready();
         }
@@ -342,46 +341,53 @@ impl<H: Handler> EventLoop<H> {
             let Some(state) = self.conns.get_mut(&event.token) else {
                 return;
             };
-            frames.clear();
             let owed = self.answers.len();
-            let mut last_words = match state.conn.on_readable(frames) {
-                Ok(ConnStatus::Open) => None,
-                Ok(ConnStatus::PeerClosed) => {
-                    state.closing = true;
-                    None
-                }
-                // The peer announced more than we will read; answering and
-                // resynchronizing is impossible, so reject, flush, hang up.
-                Err(FrameError::TooLarge { .. }) => Some(self.config.oversize_body.clone()),
+            match state.conn.on_readable() {
+                Ok(ConnStatus::Open) => {}
+                Ok(ConnStatus::PeerClosed) => state.closing = true,
                 Err(_) => return self.close_conn(event.token, false),
-            };
-            if last_words.is_none() && !frames.is_empty() {
-                for body in frames.drain(..) {
-                    match self.handler.frame(&mut state.app, &body) {
-                        Ok(Answer::Now(body)) => self.answers.push((event.token, Some(body))),
-                        Ok(Answer::Later) => self.answers.push((event.token, None)),
-                        Err(body) => {
-                            last_words = Some(body);
-                            break;
-                        }
-                    }
-                }
-                // Completed frames are progress: re-arm the eviction
-                // deadline. (Bytes alone are not — a slow loris dribbling
-                // one byte per poll would never be evicted otherwise.) Here,
-                // not where the answers are queued: a stale expiry reported
-                // beside these frames is judged later in this same pass
-                // over the events.
-                self.reactor
-                    .set_deadline(event.token, Some(self.config.io_timeout));
             }
+            // Frame bodies are slices of the connection's read buffer; the
+            // handler parses them in place.
+            let last_words = loop {
+                let body = match state.conn.next_frame() {
+                    Ok(Some(body)) => body,
+                    Ok(None) => break None,
+                    // The peer announced more than we will read; answering
+                    // and resynchronizing is impossible, so reject, flush,
+                    // hang up.
+                    Err(FrameError::TooLarge { .. }) => {
+                        break Some(self.config.oversize_body.clone());
+                    }
+                    // Any other violation has no last words: deliver what
+                    // the frames before it are owed, then hang up.
+                    Err(_) => {
+                        state.closing = true;
+                        break None;
+                    }
+                };
+                match self.handler.frame(&mut state.app, body) {
+                    Ok(Answer::Now(body)) => self.answers.push((event.token, Some(body))),
+                    Ok(Answer::Later) => self.answers.push((event.token, None)),
+                    Err(body) => break Some(body),
+                }
+            };
             if let Some(body) = last_words {
                 // Poisoned: the rest of the burst is dropped, not answered.
                 state.closing = true;
                 self.answers.push((event.token, Some(body)));
             }
             if self.answers.len() > owed {
-                // `finish_turn` queues the answers and settles.
+                // Completed frames are progress: re-arm the eviction
+                // deadline. (Bytes alone are not — a slow loris dribbling
+                // one byte per poll would never be evicted otherwise; last
+                // words get the same allowance to be taken.) Here, not
+                // where the answers are queued: a stale expiry reported
+                // beside these frames is judged later in this same pass
+                // over the events. `finish_turn` queues the answers and
+                // settles.
+                self.reactor
+                    .set_deadline(event.token, Some(self.config.io_timeout));
                 return;
             }
         }

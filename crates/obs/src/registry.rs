@@ -207,6 +207,19 @@ impl Histogram {
         }
     }
 
+    /// Start a [`Span`] that records into this histogram when finished —
+    /// [`Registry::span`] without the lookup by name, for a handle cached
+    /// on a hot path. While the registry is disabled the span never reads
+    /// the clock.
+    #[inline]
+    pub fn start(&self) -> Span {
+        if self.enabled.load(Ordering::Relaxed) {
+            Span::started(self.clone())
+        } else {
+            Span::disabled()
+        }
+    }
+
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.cell

@@ -141,12 +141,13 @@ fn main() {
         first.database.distinct_values(),
     );
 
-    // Part 3: backpressure. A queue of 8 facing 12 submissions must answer
-    // RetryAfter for the overflow instead of buffering it.
+    // Part 3: backpressure. With the epoch manager busy, a queue of 8
+    // facing 12 submissions must answer RetryAfter for the overflow instead
+    // of buffering it.
     let pressure = run_backpressure_demo(9, 8, 12);
     println!(
         "backpressure: capacity 8, 12 submissions -> {} acks, {} RetryAfter \
-         (peak queue depth {}), {} reports drained into final epochs",
+         (peak queue depth {}), {} reports processed (the held epoch's one and the accepted)",
         pressure.acks,
         pressure.retries,
         pressure.summary.stats.ingest.peak_queue_depth,

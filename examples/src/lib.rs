@@ -6,13 +6,18 @@
 
 pub mod knobs;
 
+use std::sync::mpsc;
 use std::thread;
 
 use prochlo_collector::{
-    Collector, CollectorClient, CollectorConfig, CollectorSummary, ReportSink, Response, NONCE_LEN,
+    Collector, CollectorClient, CollectorConfig, CollectorSummary, EpochPipeline, LocalPipeline,
+    ReportSink, Response, NONCE_LEN,
 };
 use prochlo_core::encoder::CrowdStrategy;
-use prochlo_core::{AnalyzerDatabase, Deployment, Encoder, PipelineReport, ShufflerConfig};
+use prochlo_core::{
+    AnalyzerDatabase, ClientReport, Deployment, Encoder, EpochSpec, PipelineError, PipelineReport,
+    ShufflerConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -156,20 +161,49 @@ pub fn run_live_ingest(
 /// What the backpressure demonstration observed.
 #[derive(Debug)]
 pub struct BackpressureOutcome {
-    /// Submissions the collector accepted (equals the queue capacity).
+    /// Submissions the collector accepted while its epoch manager was busy
+    /// (equals the queue capacity).
     pub acks: usize,
     /// Submissions answered with `RetryAfter`.
     pub retries: usize,
-    /// Collector accounting after the drain.
+    /// Collector accounting after the drain; it also counts the one report
+    /// of the epoch that kept the epoch manager busy.
     pub summary: CollectorSummary,
 }
 
-/// Demonstrates the collector's bounded-memory contract: one client pushes
-/// `submissions` reports at a collector whose report queue holds only
-/// `capacity` and whose epoch manager is configured to never cut during the
-/// run. The first `capacity` submissions are acknowledged; every one after
-/// that is answered `RetryAfter` (and *not* buffered). The shutdown drain
-/// then processes exactly the accepted reports.
+/// Holds the first batch it is handed until told to go on — the state a
+/// saturated collector's epoch manager is in most of the time: busy with an
+/// epoch while the queue behind it fills.
+struct HeldPipeline {
+    inner: LocalPipeline,
+    /// Says "busy" on the first batch, then waits for "go on".
+    holding: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+}
+
+impl EpochPipeline for HeldPipeline {
+    fn process(
+        &mut self,
+        spec: &EpochSpec,
+        batch: Vec<ClientReport>,
+    ) -> Result<PipelineReport, PipelineError> {
+        if let Some((busy, go_on)) = self.holding.take() {
+            // A demo that went away just lets the epoch through.
+            let _ = busy.send(());
+            let _ = go_on.recv();
+        }
+        self.inner.process(spec, batch)
+    }
+}
+
+/// Demonstrates the collector's bounded-memory contract. One report opens
+/// an epoch that the pipeline holds, so the epoch manager is busy; the
+/// client then pushes `submissions` reports at a report queue that holds
+/// only `capacity`. The first `capacity` are acknowledged; every one after
+/// that is answered `RetryAfter` (and *not* buffered). Once the epoch is let
+/// go, the shutdown drain processes exactly the accepted reports.
+///
+/// (A queue cannot be kept full by asking for epochs larger than it: a full
+/// queue cuts.)
 pub fn run_backpressure_demo(
     seed: u64,
     capacity: usize,
@@ -184,34 +218,46 @@ pub fn run_backpressure_demo(
     let encoder = deployment.encoder();
     let config = CollectorConfig {
         queue_capacity: capacity,
-        // Unreachable count and a deadline far past the test: no epoch is
-        // cut while the client is submitting, so the queue genuinely fills.
-        max_epoch_reports: submissions * 10,
+        // Every report is an epoch, cut by count alone: the opening report
+        // goes straight to the pipeline, with no deadline to wait out.
+        max_epoch_reports: 1,
         epoch_deadline: std::time::Duration::from_secs(600),
         worker_threads: 1,
         seed,
         ..CollectorConfig::default()
     };
-    let collector = Collector::start(deployment, config).expect("start collector");
+    let (busy, is_busy) = mpsc::channel();
+    let (go_on, may_go_on) = mpsc::channel();
+    let pipeline = HeldPipeline {
+        inner: LocalPipeline::new(deployment),
+        holding: Some((busy, may_go_on)),
+    };
+    let collector =
+        Collector::start_with_pipeline(Box::new(pipeline), config).expect("start collector");
     let mut client = CollectorClient::connect(collector.local_addr()).expect("connect");
-
-    let mut acks = 0;
-    let mut retries = 0;
-    for i in 0..submissions {
+    let mut submit = |value: &[u8], index: u64| {
         let report = encoder
-            .encode_plain(b"pressure", CrowdStrategy::None, i as u64, &mut rng)
+            .encode_plain(value, CrowdStrategy::None, index, &mut rng)
             .expect("encode");
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill_bytes(&mut nonce);
-        match client
+        client
             .submit(&nonce, &report.outer.to_bytes())
             .expect("submit")
-        {
+    };
+
+    assert!(matches!(submit(b"opener", 0), Response::Ack { .. }));
+    is_busy.recv().expect("the epoch manager takes the opener");
+    let mut acks = 0;
+    let mut retries = 0;
+    for i in 0..submissions {
+        match submit(b"pressure", 1 + i as u64) {
             Response::Ack { .. } => acks += 1,
             Response::RetryAfter { .. } => retries += 1,
             other => panic!("unexpected verdict {other:?}"),
         }
     }
+    go_on.send(()).expect("the epoch manager is waiting");
     drop(client);
     let summary = collector.shutdown();
     BackpressureOutcome {

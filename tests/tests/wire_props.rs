@@ -77,12 +77,14 @@ proptest! {
         let mut reader = Reader::new(&data);
         for _ in 0..32 {
             let before = reader.remaining();
-            match script.gen_range(0..5u8) {
+            match script.gen_range(0..7u8) {
                 0 => { let _ = reader.get_u8(); }
                 1 => { let _ = reader.get_u32(); }
                 2 => { let _ = reader.get_u64(); }
                 3 => { let _ = reader.get_bytes(); }
-                _ => { let _ = reader.get_array(script.gen_range(0..64usize)); }
+                4 => { let _ = reader.get_slice(); }
+                5 => { let _ = reader.get_fixed::<16>(); }
+                _ => { let _ = reader.get_fixed::<64>(); }
             }
             prop_assert!(reader.remaining() <= before);
         }
