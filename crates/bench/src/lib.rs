@@ -15,13 +15,11 @@
 
 use std::time::Instant;
 
-use prochlo_core::encoder::CrowdStrategy;
-use prochlo_core::{exec, ClientReport, Encoder};
 use prochlo_obs::knobs;
 
 /// Reads an integer environment variable with a default. A value that is
 /// set but not an integer panics (the workspace's invalid-knob convention):
-/// `PROCHLO_SCALING_RECORDS=100k` must not silently bench the default.
+/// `PROCHLO_SCALE_DIV=1k` must not silently bench the default.
 pub fn env_usize(name: &str, default: usize) -> usize {
     knobs::parse(name)
         .unwrap_or_else(|e| panic!("{e}"))
@@ -44,41 +42,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let result = f();
     (result, start.elapsed().as_secs_f64())
-}
-
-/// Encodes the batch the thread-scaling harnesses replay: `records`
-/// reports over eight distinct values (all in crowds far above the
-/// threshold), sealed on every available core with per-chunk generators so
-/// the batch does not depend on the core count. `blinded` selects El
-/// Gamal-blinded crowd IDs (split topology) over hashed ones.
-pub fn encode_scaling_batch(encoder: &Encoder, records: usize, blinded: bool) -> Vec<ClientReport> {
-    let indices: Vec<u64> = (0..records as u64).collect();
-    exec::par_chunks(
-        &indices,
-        exec::available_threads(),
-        exec::CHUNK_RECORDS,
-        |chunk_idx, chunk| {
-            let mut rng = exec::chunk_rng(7, chunk_idx as u64);
-            chunk
-                .iter()
-                .map(|&i| {
-                    let value = format!("item-{}", i % 8);
-                    let label = value.as_bytes();
-                    let crowd = if blinded {
-                        CrowdStrategy::Blind(label)
-                    } else {
-                        CrowdStrategy::Hash(label)
-                    };
-                    encoder
-                        .encode_plain(label, crowd, i, &mut rng)
-                        .expect("encode")
-                })
-                .collect::<Vec<_>>()
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Prints a table header followed by a separator line.
@@ -304,11 +267,10 @@ mod tests {
 
     #[test]
     fn metric_lines_round_trip() {
-        let line =
-            "BENCHJSON {\"bench\":\"shard_merge\",\"metric\":\"rows_per_sec\",\"value\":1234.5}";
+        let line = "BENCHJSON {\"bench\":\"soak\",\"metric\":\"reports_per_sec\",\"value\":1234.5}";
         assert_eq!(
             parse_metric_line(line),
-            Some(("shard_merge/rows_per_sec".to_string(), 1234.5))
+            Some(("soak/reports_per_sec".to_string(), 1234.5))
         );
         assert_eq!(parse_metric_line("collector: 42 reports"), None);
         assert_eq!(parse_metric_line("BENCHJSON {not json"), None);
@@ -394,14 +356,14 @@ mod tests {
     #[test]
     fn baseline_parses_flat_objects() {
         let baseline = r#"{
-            "collector_ingest/reports_per_sec_t1": 100000.0,
-            "shard_merge/rows_per_sec": 2.5e6
+            "soak/reports_per_sec": 100000.0,
+            "crypto/point_mul_var_us": 2.5e1
         }"#;
         assert_eq!(
             parse_baseline(baseline),
             vec![
-                ("collector_ingest/reports_per_sec_t1".to_string(), 100000.0),
-                ("shard_merge/rows_per_sec".to_string(), 2.5e6),
+                ("soak/reports_per_sec".to_string(), 100000.0),
+                ("crypto/point_mul_var_us".to_string(), 2.5e1),
             ]
         );
         assert!(parse_baseline("not json at all").is_empty());

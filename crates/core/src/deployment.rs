@@ -63,6 +63,16 @@ pub fn crowd_prefix(label: &[u8]) -> u64 {
     u64::from_be_bytes(digest[..8].try_into().expect("8-byte prefix"))
 }
 
+/// Puts a batch into its canonical order — sorted by outer-ciphertext bytes
+/// — so what an epoch computes is a pure function of the batch *contents*
+/// and its [`EpochSpec`], never of arrival order. Every path that cuts a
+/// batch for the shufflers ([`EpochSession::finish`], the fabric's shard
+/// pipeline) calls this one function; a seeded replay across them is
+/// byte-identical only because they agree on it.
+pub fn canonicalize(reports: &mut [ClientReport]) {
+    reports.sort_by_cached_key(|report| report.outer.to_bytes());
+}
+
 /// How many shuffler services stand between the encoders and the analyzer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Topology {
@@ -115,88 +125,6 @@ pub trait ShufflerRole: std::fmt::Debug + Send + Sync {
     /// `None` for every other topology.
     fn as_split(&self) -> Option<&SplitShuffler> {
         None
-    }
-}
-
-impl ShufflerRole for Shuffler {
-    fn topology(&self) -> Topology {
-        Topology::Single
-    }
-
-    fn outer_public_key(&self) -> &PublicKey {
-        self.public_key()
-    }
-
-    fn default_engine(&self) -> EngineConfig {
-        self.config().engine_config()
-    }
-
-    fn process(
-        &self,
-        engine: &EngineConfig,
-        reports: &[ClientReport],
-        rng: &mut dyn RngCore,
-    ) -> Result<ShuffleOutcome, PipelineError> {
-        let batch = self.process_batch_with(engine, reports, rng)?;
-        Ok(ShuffleOutcome {
-            items: batch.items,
-            stage_stats: vec![batch.stats.clone()],
-            stats: batch.stats,
-        })
-    }
-}
-
-impl ShufflerRole for SplitShuffler {
-    fn topology(&self) -> Topology {
-        Topology::Split
-    }
-
-    fn outer_public_key(&self) -> &PublicKey {
-        self.one.public_key()
-    }
-
-    fn crowd_blinding_key(&self) -> Option<&Point> {
-        Some(self.two.elgamal_public())
-    }
-
-    /// The engine embedded in the shuffler configuration — including a
-    /// configured non-trusted backend, which [`Self::process`] then rejects
-    /// loudly rather than silently running the inline shuffle instead of
-    /// the oblivious engine the configuration asked for.
-    fn default_engine(&self) -> EngineConfig {
-        self.two.config().engine_config()
-    }
-
-    /// The split topology shuffles inline in both stages (Shuffler 1 after
-    /// blinding, Shuffler 2 after thresholding) — effectively the trusted
-    /// in-memory shuffle; enclave-hosted engines for the split deployment
-    /// are a ROADMAP item. Selecting any other backend is therefore a hard
-    /// error: silently downgrading an oblivious-engine request to the
-    /// inline shuffle would be the same failure mode the
-    /// `PROCHLO_SHUFFLE_BACKEND` rejection exists to prevent. The engine's
-    /// thread count is honoured: it sizes both stages' parallel phases
-    /// (Shuffler 1's peel and blind, Shuffler 2's unblind) and never
-    /// changes the output.
-    fn process(
-        &self,
-        engine: &EngineConfig,
-        reports: &[ClientReport],
-        rng: &mut dyn RngCore,
-    ) -> Result<ShuffleOutcome, PipelineError> {
-        if !matches!(engine.backend, crate::shuffler::ShuffleBackend::Trusted) {
-            return Err(PipelineError::InvalidConfig(
-                "the split topology shuffles inline and does not support \
-                 enclave shuffle engines yet; use ShuffleBackend::Trusted \
-                 or the single topology",
-            ));
-        }
-        let num_threads = exec::resolve_threads(engine.num_threads)?;
-        let (s1_seed, s2_seed) = SplitShuffler::stage_seeds(rng);
-        Ok(self.run_stages(num_threads, reports, s1_seed, s2_seed))
-    }
-
-    fn as_split(&self) -> Option<&SplitShuffler> {
-        Some(self)
     }
 }
 
@@ -586,7 +514,7 @@ impl EpochSession<'_> {
             spec,
             mut reports,
         } = self;
-        reports.sort_by_cached_key(|report| report.outer.to_bytes());
+        canonicalize(&mut reports);
         deployment.ingest(&spec, &reports)
     }
 }
@@ -1036,7 +964,7 @@ mod tests {
         let spec = EpochSpec::new(2, 0xabc);
 
         let mut sorted = reports.clone();
-        sorted.sort_by_cached_key(|r| r.outer.to_bytes());
+        canonicalize(&mut sorted);
         let direct = deployment.ingest(&spec, &sorted).unwrap();
 
         // Push in reverse arrival order: finish() canonicalizes, so the

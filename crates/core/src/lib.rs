@@ -43,7 +43,7 @@ pub mod wire;
 
 pub use analyzer::{Analyzer, AnalyzerDatabase};
 pub use deployment::{
-    crowd_prefix, epoch_rng, Deployment, DeploymentBuilder, EpochSession, EpochSpec,
+    canonicalize, crowd_prefix, epoch_rng, Deployment, DeploymentBuilder, EpochSession, EpochSpec,
     PipelineReport, ShardedDeployment, ShardedReport, ShufflerRole, Topology,
 };
 pub use encoder::{ClientKeys, CrowdStrategy, Encoder};
@@ -54,6 +54,6 @@ pub use prochlo_shuffle::engine::{EngineStats, ShuffleEngine};
 pub use prochlo_shuffle::CostReport;
 pub use record::{AnalyzerPayload, ClientReport, CrowdId, ShufflerEnvelope, TransportMetadata};
 pub use shuffler::{
-    EngineConfig, PhaseTimings, ShuffleBackend, ShuffleOutcome, ShuffledBatch, Shuffler,
-    ShufflerConfig, ShufflerStats, TrustedEngine,
+    EngineConfig, PhaseTimings, ShuffleBackend, ShuffleOutcome, Shuffler, ShufflerConfig,
+    ShufflerStats, TrustedEngine,
 };

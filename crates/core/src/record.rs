@@ -18,7 +18,6 @@ use std::sync::Arc;
 use prochlo_crypto::elgamal::ElGamalCiphertext;
 use prochlo_crypto::hybrid::HybridCiphertext;
 use prochlo_crypto::sha256::sha256;
-use prochlo_crypto::shamir::Share;
 
 use crate::error::PipelineError;
 use crate::wire::{put_bytes, put_u8, Reader};
@@ -82,7 +81,7 @@ pub enum AnalyzerPayload {
     SecretShared {
         /// Serialized [`prochlo_crypto::mle::MleCiphertext`].
         ciphertext: Vec<u8>,
-        /// Serialized [`Share`] (64 bytes).
+        /// Serialized [`prochlo_crypto::shamir::Share`] (64 bytes).
         share: Vec<u8>,
     },
 }
@@ -120,11 +119,6 @@ impl AnalyzerPayload {
             return Err(PipelineError::MalformedReport("trailing payload bytes"));
         }
         Ok(payload)
-    }
-
-    /// Parses the share of a secret-shared payload.
-    pub fn parse_share(share_bytes: &[u8]) -> Result<Share, PipelineError> {
-        Ok(Share::from_bytes(share_bytes)?)
     }
 }
 

@@ -10,7 +10,7 @@ use rand::RngCore;
 
 use prochlo_sgx::Enclave;
 use prochlo_shuffle::batcher::{BatcherCostModel, BatcherShuffle};
-use prochlo_shuffle::engine::{EngineStats, InstrumentedEngine, ShuffleEngine, StashEngine};
+use prochlo_shuffle::engine::{EngineStats, ShuffleEngine, StashEngine};
 use prochlo_shuffle::melbourne::{MelbourneCostModel, MelbourneShuffle};
 use prochlo_shuffle::{
     CostReport, ShuffleCostModel, ShuffleError, StashShuffleParams, PAPER_RECORD_BYTES,
@@ -125,7 +125,7 @@ impl ShuffleBackend {
     /// carved from the enclave's budget ([`Enclave::split_budget`]), with
     /// output byte-identical at any count.
     pub fn engine(&self, enclave: Enclave, num_threads: usize) -> Box<dyn ShuffleEngine> {
-        let inner: Box<dyn ShuffleEngine> = match self {
+        match self {
             ShuffleBackend::Trusted => Box::new(TrustedEngine::new(num_threads)),
             ShuffleBackend::Sgx { params } => {
                 Box::new(StashEngine::new(*params, enclave).with_threads(num_threads))
@@ -136,10 +136,7 @@ impl ShuffleBackend {
             ShuffleBackend::Melbourne => {
                 Box::new(MelbourneShuffle::new(enclave).with_threads(num_threads))
             }
-        };
-        // Every live engine reports through the obs registry
-        // (`shuffle.<backend>.run` / `shuffle.<backend>.attempts`).
-        InstrumentedEngine::wrap(inner)
+        }
     }
 
     /// The analytic cost of shuffling `records` items of `record_bytes`

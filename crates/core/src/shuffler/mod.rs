@@ -1,13 +1,18 @@
 //! The ESA shuffler: batching, metadata stripping, randomized cardinality
 //! thresholding and oblivious shuffling (§3.3, §3.5, §4.1).
 //!
-//! The batch pipeline is three explicit phases, each timed independently:
+//! A batch enters through one function, [`ShufflerRole::process`], and runs
+//! three explicit phases, each timed independently:
 //!
-//! 1. **peel** — outer-layer decryption, sharded across worker threads by
-//!    the chunked executor in [`crate::exec`] (embarrassingly parallel, no
-//!    randomness, canonical in-order merge);
+//! 1. **peel** — outer-layer decryption (`peel_chunk`, the kernel both
+//!    topologies share), sharded across worker threads by the chunked
+//!    executor in [`crate::exec`] (embarrassingly parallel, no randomness,
+//!    canonical in-order merge); a report whose crowd ID is of the wrong
+//!    kind for the topology is counted as rejected here and goes no further;
 //! 2. **threshold** — randomized per-crowd drop and noisy cardinality
-//!    threshold, sequential because every noise draw must come off the
+//!    threshold (`threshold_crowds`, the one implementation: this shuffler
+//!    feeds it hashed crowd IDs, Shuffler 2 of [`split`] feeds it blinded
+//!    handles), sequential because every noise draw must come off the
 //!    master epoch stream in crowd order;
 //! 3. **shuffle** — handed to a pluggable [`ShuffleEngine`] built from the
 //!    configured [`ShuffleBackend`]; the engine is seeded with exactly one
@@ -22,7 +27,7 @@ use std::collections::BTreeMap;
 use prochlo_obs::Unmeasured;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use prochlo_crypto::hybrid::{HybridCiphertext, HybridKeypair};
 use prochlo_crypto::{PublicKey, StaticSecret};
@@ -32,6 +37,7 @@ use prochlo_shuffle::StashShuffleParams;
 pub use prochlo_shuffle::engine::{EngineStats, ShuffleEngine};
 use prochlo_stats::{Gaussian, RoundedNormal};
 
+use crate::deployment::{ShufflerRole, Topology};
 use crate::encoder::SHUFFLER_AAD;
 use crate::error::PipelineError;
 use crate::exec;
@@ -243,16 +249,6 @@ pub struct ShufflerStats {
     pub timings: Unmeasured<PhaseTimings>,
 }
 
-/// The output the analyzer receives: anonymous, shuffled inner ciphertexts.
-#[derive(Debug, Clone)]
-pub struct ShuffledBatch {
-    /// Shuffled inner ciphertexts (still sealed to the analyzer).
-    pub items: Vec<Vec<u8>>,
-    /// Batch statistics (the analyzer may see these; they reveal only
-    /// selectivity, per §4.1.5).
-    pub stats: ShufflerStats,
-}
-
 /// What a shuffling topology hands the analyzer, regardless of how many
 /// shuffler services stood between the clients and it: the shuffled inner
 /// ciphertexts, a merged batch-level view, and one [`ShufflerStats`] per
@@ -262,8 +258,8 @@ pub struct ShuffledBatch {
 pub struct ShuffleOutcome {
     /// Shuffled inner ciphertexts (still sealed to the analyzer).
     pub items: Vec<Vec<u8>>,
-    /// The merged, batch-level statistics (what [`ShuffledBatch::stats`]
-    /// reported before the topologies were unified).
+    /// The merged, batch-level statistics (the analyzer may see these; they
+    /// reveal only selectivity, per §4.1.5).
     pub stats: ShufflerStats,
     /// Per-stage statistics, in pipeline order.
     pub stage_stats: Vec<ShufflerStats>,
@@ -271,21 +267,76 @@ pub struct ShuffleOutcome {
 
 /// The peel kernel both topologies run inside each executor chunk: opens
 /// the outer layer of every report with one batched key agreement
-/// ([`HybridCiphertext::open_batch`], item for item `open().ok()`) and
-/// parses the envelopes. Returns the surviving envelopes in arrival order
-/// and how many reports were rejected as undecryptable or malformed.
-pub(crate) fn peel_chunk(
+/// ([`HybridCiphertext::open_batch`], item for item `open().ok()`), parses
+/// the envelopes and hands each to `accept`, the stage's crowd-ID rule.
+/// Returns what `accept` kept, in arrival order, and how many reports were
+/// rejected — undecryptable, malformed, or refused by `accept`.
+pub(crate) fn peel_chunk<T>(
     reports: &[ClientReport],
     secret: &StaticSecret,
-) -> (Vec<ShufflerEnvelope>, usize) {
+    accept: impl Fn(ShufflerEnvelope) -> Option<T>,
+) -> (Vec<T>, usize) {
     let outers: Vec<&HybridCiphertext> = reports.iter().map(|report| &report.outer).collect();
-    let envelopes: Vec<ShufflerEnvelope> =
-        HybridCiphertext::open_batch(&outers, secret, SHUFFLER_AAD)
-            .into_iter()
-            .filter_map(|opened| ShufflerEnvelope::from_bytes(&opened?).ok())
-            .collect();
-    let rejected = reports.len() - envelopes.len();
-    (envelopes, rejected)
+    let accepted: Vec<T> = HybridCiphertext::open_batch(&outers, secret, SHUFFLER_AAD)
+        .into_iter()
+        .filter_map(|opened| accept(ShufflerEnvelope::from_bytes(&opened?).ok()?))
+        .collect();
+    let rejected = reports.len() - accepted.len();
+    (accepted, rejected)
+}
+
+/// Randomized cardinality thresholding (§3.5), the one implementation both
+/// topologies run: `keys` names each report's crowd — a hashed crowd ID for
+/// the single shuffler, a blinded handle for Shuffler 2 — and the returned
+/// mask says which reports survive. `None` bypasses thresholding and is
+/// always kept.
+///
+/// Crowds are visited in key order (a `BTreeMap`: `HashMap` order is
+/// randomized per process and broke seeded replay), and each makes its draws
+/// in a fixed order — the drop count d ~ ⌊N(D, σ²)⌉, a shuffle of the
+/// members to pick which d go, the threshold noise — so the mask and `stats`
+/// are a pure function of `(keys, config, rng)`.
+pub(crate) fn threshold_crowds<R: Rng + ?Sized>(
+    keys: impl Iterator<Item = Option<[u8; 32]>>,
+    config: &ShufflerConfig,
+    stats: &mut ShufflerStats,
+    rng: &mut R,
+) -> Vec<bool> {
+    let mut keep = Vec::new();
+    let mut groups: BTreeMap<[u8; 32], Vec<usize>> = BTreeMap::new();
+    for (idx, key) in keys.enumerate() {
+        keep.push(key.is_none());
+        if let Some(key) = key {
+            groups.entry(key).or_default().push(idx);
+        }
+    }
+    stats.crowds_seen = groups.len();
+
+    let drop_dist = (config.drop_mean > 0.0 || config.drop_sigma > 0.0)
+        .then(|| RoundedNormal::new(config.drop_mean, config.drop_sigma));
+    let noise_dist = (config.threshold_noise_sigma > 0.0)
+        .then(|| Gaussian::new(0.0, config.threshold_noise_sigma));
+
+    for mut members in groups.into_values() {
+        // Step 1: drop d ~ ⌊N(D, σ²)⌉ random reports from the crowd.
+        if let Some(dist) = &drop_dist {
+            let dropped = (dist.sample(rng) as usize).min(members.len());
+            members.shuffle(rng);
+            members.truncate(members.len() - dropped);
+            stats.dropped_noise += dropped;
+        }
+        // Step 2: forward only crowds above the noisy threshold.
+        let noise = noise_dist.as_ref().map_or(0.0, |d| d.sample(rng));
+        if (members.len() as f64) > config.cardinality_threshold as f64 + noise {
+            stats.crowds_forwarded += 1;
+            for idx in members {
+                keep[idx] = true;
+            }
+        } else {
+            stats.dropped_threshold += members.len();
+        }
+    }
+    keep
 }
 
 /// A single-organization ESA shuffler.
@@ -315,12 +366,6 @@ impl Shuffler {
         }
     }
 
-    /// Replaces the enclave (e.g. to enable access-trace recording in tests).
-    pub fn with_enclave(mut self, enclave: Enclave) -> Self {
-        self.enclave = enclave;
-        self
-    }
-
     /// The public key clients embed for the outer encryption layer.
     pub fn public_key(&self) -> &PublicKey {
         self.keys.public_key()
@@ -342,34 +387,130 @@ impl Shuffler {
         cpu.quote(&self.enclave, &self.public_key().to_bytes())
     }
 
-    /// Processes one batch end to end with the engine configured on this
-    /// shuffler: peel, strip metadata, randomized thresholding, oblivious
-    /// shuffle. To select a backend or thread count at runtime instead,
-    /// go through the deployment API ([`crate::deployment::EpochSpec`]
-    /// carries the override) or the [`crate::deployment::ShufflerRole`]
-    /// trait, whose `process` method takes the engine explicitly.
-    pub fn process_batch<R: Rng + ?Sized>(
+    /// Peels the outer encryption layer off every report, sharded across
+    /// `num_threads` workers over fixed-size chunks, keeping each survivor's
+    /// thresholding key (`None` for a report without a crowd) beside its
+    /// inner ciphertext. A blinded crowd ID cannot be counted without the
+    /// split topology's El Gamal key, so such a report is rejected like an
+    /// undecryptable one — the mirror of Shuffler 1's rule for non-blinded
+    /// reports; failing the batch instead would let one client void an epoch.
+    ///
+    /// The merge concatenates chunk results in chunk order, so survivors
+    /// appear in arrival order exactly as a sequential loop would produce
+    /// them, and the enclave is charged once for the whole batch *after* the
+    /// parallel region so its accounting never depends on thread scheduling.
+    fn peel(
         &self,
         reports: &[ClientReport],
-        rng: &mut R,
-    ) -> Result<ShuffledBatch, PipelineError> {
-        self.process_batch_with(&self.config.engine_config(), reports, rng)
+        num_threads: usize,
+        stats: &mut ShufflerStats,
+    ) -> Vec<(Option<[u8; 32]>, Vec<u8>)> {
+        let peeled = exec::par_chunks(
+            reports,
+            num_threads,
+            exec::CHUNK_RECORDS,
+            |_chunk_idx, chunk| {
+                let (survivors, rejected) = peel_chunk(chunk, self.keys.secret(), |envelope| {
+                    match envelope.crowd_id {
+                        CrowdId::None => Some((None, envelope.inner)),
+                        CrowdId::Hashed(hash) => Some((Some(hash), envelope.inner)),
+                        CrowdId::Blinded(_) => None,
+                    }
+                });
+                let wire_bytes: usize = chunk.iter().map(ClientReport::wire_len).sum();
+                (survivors, rejected, wire_bytes)
+            },
+        );
+
+        let mut survivors = Vec::with_capacity(reports.len());
+        let mut batch_bytes = 0usize;
+        for (chunk_survivors, rejected, wire_bytes) in peeled {
+            survivors.extend(chunk_survivors);
+            stats.rejected += rejected;
+            batch_bytes += wire_bytes;
+        }
+        self.enclave
+            .copy_in("shuffler-receive-batch", 0, batch_bytes);
+        survivors
     }
 
-    /// Processes one batch with an explicit engine configuration, overriding
-    /// the shuffler's own backend and thread count — reached from outside
-    /// the crate through [`crate::deployment::ShufflerRole::process`].
+    /// Applies [`threshold_crowds`] to the peeled batch and returns the
+    /// surviving inner ciphertexts, still in arrival order.
+    fn threshold<R: Rng + ?Sized>(
+        &self,
+        peeled: Vec<(Option<[u8; 32]>, Vec<u8>)>,
+        stats: &mut ShufflerStats,
+        rng: &mut R,
+    ) -> Vec<Vec<u8>> {
+        let keys = peeled.iter().map(|(key, _)| *key);
+        let keep = threshold_crowds(keys, &self.config, stats, rng);
+        // Charge the enclave for one counter per crowd (the in-enclave
+        // counting pass of §4.1.5).
+        for _ in 0..stats.crowds_seen {
+            self.enclave.copy_in("shuffler-crowd-counter", 0, 8);
+        }
+        peeled
+            .into_iter()
+            .zip(keep)
+            .filter_map(|((_, inner), kept)| kept.then_some(inner))
+            .collect()
+    }
+
+    /// Runs the configured engine over the surviving inner ciphertexts,
+    /// reporting its wall-clock and attempts through the obs registry
+    /// (`shuffle.<backend>.run` / `shuffle.<backend>.attempts`).
+    fn shuffle_survivors<R: Rng + ?Sized>(
+        &self,
+        engine: &EngineConfig,
+        num_threads: usize,
+        items: Vec<Vec<u8>>,
+        stats: &mut ShufflerStats,
+        rng: &mut R,
+    ) -> Result<Vec<Vec<u8>>, PipelineError> {
+        let engine_impl = engine.backend.engine(self.enclave.clone(), num_threads);
+        let name = engine_impl.name();
+        stats.backend = name;
+        // The engine consumes exactly one value from the master epoch
+        // stream and draws everything else from its own derived generator,
+        // so the stream's position after the shuffle is independent of the
+        // backend, its attempts, and its thread count.
+        let mut engine_rng = StdRng::seed_from_u64(rng.next_u64());
+        let mut engine_stats = EngineStats::default();
+        let span = prochlo_obs::span(&format!("shuffle.{name}.run"));
+        let result = engine_impl.shuffle(items, &mut engine_rng, &mut engine_stats);
+        span.finish();
+        let items = result?;
+        prochlo_obs::counter(&format!("shuffle.{name}.attempts")).add(engine_stats.attempts as u64);
+        stats.shuffle_attempts = engine_stats.attempts;
+        Ok(items)
+    }
+}
+
+impl ShufflerRole for Shuffler {
+    fn topology(&self) -> Topology {
+        Topology::Single
+    }
+
+    fn outer_public_key(&self) -> &PublicKey {
+        self.public_key()
+    }
+
+    fn default_engine(&self) -> EngineConfig {
+        self.config.engine_config()
+    }
+
+    /// Peel, strip metadata, randomized thresholding, oblivious shuffle.
     ///
     /// Output is a pure function of `(reports, rng)` for any thread count:
     /// peeling is sharded over fixed-size chunks with an in-order merge, the
     /// threshold draws stay on the caller's stream, and the engine is seeded
     /// with exactly one draw from that stream.
-    pub(crate) fn process_batch_with<R: Rng + ?Sized>(
+    fn process(
         &self,
         engine: &EngineConfig,
         reports: &[ClientReport],
-        rng: &mut R,
-    ) -> Result<ShuffledBatch, PipelineError> {
+        rng: &mut dyn RngCore,
+    ) -> Result<ShuffleOutcome, PipelineError> {
         if reports.len() < self.config.min_batch_size {
             return Err(PipelineError::BatchTooSmall {
                 received: reports.len(),
@@ -385,12 +526,12 @@ impl Shuffler {
         // Phase 1: peel the outer layer inside the enclave (parallel);
         // transport metadata is dropped here and never referenced again.
         let span = prochlo_obs::span("shuffler.peel");
-        let envelopes = self.peel(reports, num_threads, &mut stats);
+        let peeled = self.peel(reports, num_threads, &mut stats);
         stats.timings.peel_seconds = span.finish();
 
         // Phase 2: randomized cardinality thresholding per crowd (§3.5).
         let span = prochlo_obs::span("shuffler.threshold");
-        let survivors = self.threshold(envelopes, &mut stats, rng)?;
+        let survivors = self.threshold(peeled, &mut stats, rng);
         stats.timings.threshold_seconds = span.finish();
 
         // Phase 3: oblivious shuffle of the surviving inner ciphertexts.
@@ -399,141 +540,11 @@ impl Shuffler {
         stats.timings.shuffle_seconds = span.finish();
 
         stats.forwarded = items.len();
-        Ok(ShuffledBatch { items, stats })
-    }
-
-    /// Peels the outer encryption layer off every report, sharded across
-    /// `num_threads` workers over fixed-size chunks. The merge concatenates
-    /// chunk results in chunk order, so the surviving envelopes appear in
-    /// arrival order exactly as the sequential loop produced them, and the
-    /// enclave is charged once for the whole batch *after* the parallel
-    /// region so its accounting never depends on thread scheduling.
-    fn peel(
-        &self,
-        reports: &[ClientReport],
-        num_threads: usize,
-        stats: &mut ShufflerStats,
-    ) -> Vec<ShufflerEnvelope> {
-        let peeled = exec::par_chunks(
-            reports,
-            num_threads,
-            exec::CHUNK_RECORDS,
-            |_chunk_idx, chunk| {
-                let (envelopes, rejected) = peel_chunk(chunk, self.keys.secret());
-                let wire_bytes: usize = chunk.iter().map(ClientReport::wire_len).sum();
-                (envelopes, rejected, wire_bytes)
-            },
-        );
-
-        let mut envelopes = Vec::with_capacity(reports.len());
-        let mut batch_bytes = 0usize;
-        for (chunk_envelopes, rejected, wire_bytes) in peeled {
-            envelopes.extend(chunk_envelopes);
-            stats.rejected += rejected;
-            batch_bytes += wire_bytes;
-        }
-        self.enclave
-            .copy_in("shuffler-receive-batch", 0, batch_bytes);
-        envelopes
-    }
-
-    /// Runs the configured engine over the surviving inner ciphertexts.
-    fn shuffle_survivors<R: Rng + ?Sized>(
-        &self,
-        engine: &EngineConfig,
-        num_threads: usize,
-        survivors: Vec<ShufflerEnvelope>,
-        stats: &mut ShufflerStats,
-        rng: &mut R,
-    ) -> Result<Vec<Vec<u8>>, PipelineError> {
-        let items: Vec<Vec<u8>> = survivors.into_iter().map(|e| e.inner).collect();
-        let engine_impl = engine.backend.engine(self.enclave.clone(), num_threads);
-        stats.backend = engine_impl.name();
-        // The engine consumes exactly one value from the master epoch
-        // stream and draws everything else from its own derived generator,
-        // so the stream's position after the shuffle is independent of the
-        // backend, its attempts, and its thread count.
-        let mut engine_rng = StdRng::seed_from_u64(rng.next_u64());
-        let mut engine_stats = EngineStats::default();
-        let items = engine_impl.shuffle(items, &mut engine_rng, &mut engine_stats)?;
-        stats.shuffle_attempts = engine_stats.attempts;
-        Ok(items)
-    }
-
-    /// Applies the per-crowd random drop and the noisy threshold, returning
-    /// the surviving envelopes.
-    fn threshold<R: Rng + ?Sized>(
-        &self,
-        envelopes: Vec<ShufflerEnvelope>,
-        stats: &mut ShufflerStats,
-        rng: &mut R,
-    ) -> Result<Vec<ShufflerEnvelope>, PipelineError> {
-        // Group indexes by crowd key; `None` bypasses thresholding.
-        // A BTreeMap keeps crowd iteration order deterministic, so the
-        // per-crowd noise draws below are a pure function of the seeded rng
-        // (HashMap order is randomized per process and broke seeded replay).
-        let mut groups: BTreeMap<Vec<u8>, Vec<usize>> = BTreeMap::new();
-        let mut bypass: Vec<usize> = Vec::new();
-        for (idx, envelope) in envelopes.iter().enumerate() {
-            match &envelope.crowd_id {
-                CrowdId::None => bypass.push(idx),
-                CrowdId::Hashed(h) => groups.entry(h.to_vec()).or_default().push(idx),
-                CrowdId::Blinded(_) => {
-                    return Err(PipelineError::InvalidConfig(
-                        "blinded crowd IDs require the split shuffler (shuffler::split)",
-                    ))
-                }
-            }
-        }
-        stats.crowds_seen = groups.len();
-
-        let drop_dist = if self.config.drop_mean > 0.0 || self.config.drop_sigma > 0.0 {
-            Some(RoundedNormal::new(
-                self.config.drop_mean,
-                self.config.drop_sigma,
-            ))
-        } else {
-            None
-        };
-        let noise_dist = if self.config.threshold_noise_sigma > 0.0 {
-            Some(Gaussian::new(0.0, self.config.threshold_noise_sigma))
-        } else {
-            None
-        };
-
-        let mut keep: Vec<usize> = bypass;
-        for (_, mut members) in groups {
-            // Charge the enclave for one counter per crowd (the in-enclave
-            // counting pass of §4.1.5).
-            self.enclave.copy_in("shuffler-crowd-counter", 0, 8);
-            // Step 1: drop d ~ ⌊N(D, σ²)⌉ random reports from the crowd.
-            if let Some(dist) = &drop_dist {
-                let d = dist.sample(rng) as usize;
-                let dropped = d.min(members.len());
-                members.shuffle(rng);
-                members.truncate(members.len() - dropped);
-                stats.dropped_noise += dropped;
-            }
-            // Step 2: forward only crowds above the noisy threshold.
-            let noise = noise_dist.as_ref().map_or(0.0, |d| d.sample(rng));
-            let effective_threshold = self.config.cardinality_threshold as f64 + noise;
-            if (members.len() as f64) > effective_threshold {
-                stats.crowds_forwarded += 1;
-                keep.extend(members);
-            } else {
-                stats.dropped_threshold += members.len();
-            }
-        }
-
-        // Preserve nothing about arrival order when collecting survivors.
-        keep.sort_unstable();
-        // prochlo-lint: allow(determinism-hash-iter, "membership set only: never iterated, so hash order cannot leak into the output")
-        let keep_set: std::collections::HashSet<usize> = keep.into_iter().collect();
-        Ok(envelopes
-            .into_iter()
-            .enumerate()
-            .filter_map(|(idx, e)| keep_set.contains(&idx).then_some(e))
-            .collect())
+        Ok(ShuffleOutcome {
+            items,
+            stage_stats: vec![stats.clone()],
+            stats,
+        })
     }
 }
 
@@ -554,6 +565,15 @@ mod tests {
             crowd_blinding: None,
         };
         (Encoder::new(keys, 32), shuffler, analyzer)
+    }
+
+    /// Runs one batch on the engine the shuffler is configured with.
+    fn process(
+        shuffler: &Shuffler,
+        reports: &[ClientReport],
+        rng: &mut StdRng,
+    ) -> Result<ShuffleOutcome, PipelineError> {
+        shuffler.process(&shuffler.default_engine(), reports, rng)
     }
 
     fn reports_for_crowd(
@@ -605,7 +625,7 @@ mod tests {
         let (encoder, shuffler, _analyzer) = setup(&mut rng, ShufflerConfig::default());
         let mut reports = reports_for_crowd(&encoder, b"popular", 200, &mut rng);
         reports.extend(reports_for_crowd(&encoder, b"rare", 5, &mut rng));
-        let batch = shuffler.process_batch(&reports, &mut rng).unwrap();
+        let batch = process(&shuffler, &reports, &mut rng).unwrap();
         assert_eq!(batch.stats.received, 205);
         assert_eq!(batch.stats.crowds_seen, 2);
         assert_eq!(batch.stats.crowds_forwarded, 1);
@@ -614,6 +634,56 @@ mod tests {
         assert!(batch.stats.forwarded >= 180 && batch.stats.forwarded <= 195);
         assert!(batch.stats.dropped_threshold <= 5);
         assert!(batch.stats.dropped_noise >= 10);
+    }
+
+    #[test]
+    fn threshold_crowds_accounts_for_every_report_and_replays_exactly() {
+        let mut gen = StdRng::seed_from_u64(0x7c);
+        for case in 0..300u64 {
+            // Up to 12 crowds of uneven popularity, some reports crowdless.
+            let crowds = gen.gen_range(1..=12usize);
+            let keys: Vec<Option<[u8; 32]>> = (0..gen.gen_range(0..400usize))
+                .map(|_| {
+                    let crowd = gen.gen_range(0..crowds) * gen.gen_range(0..=1usize);
+                    (!gen.gen_bool(0.1)).then_some([crowd as u8; 32])
+                })
+                .collect();
+            let config = ShufflerConfig {
+                cardinality_threshold: gen.gen_range(0..40),
+                threshold_noise_sigma: gen.gen_range(0.0..4.0),
+                drop_mean: gen.gen_range(0.0..15.0),
+                drop_sigma: gen.gen_range(0.0..4.0),
+                ..ShufflerConfig::default()
+            };
+            let run = |config: &ShufflerConfig| {
+                let mut rng = StdRng::seed_from_u64(case);
+                let mut stats = ShufflerStats::default();
+                let keep = threshold_crowds(keys.iter().copied(), config, &mut stats, &mut rng);
+                (keep, stats, rng.next_u64())
+            };
+            let first = run(&config);
+            assert_eq!(run(&config), first, "seeded replay is exact (case {case})");
+            let (keep, stats, _) = first;
+            assert_eq!(keep.len(), keys.len());
+            let keyed = keys.iter().flatten().count();
+            let kept_keyed = keys
+                .iter()
+                .zip(&keep)
+                .filter(|(k, &kept)| k.is_some() && kept);
+            assert_eq!(
+                kept_keyed.count() + stats.dropped_noise + stats.dropped_threshold,
+                keyed,
+                "case {case}"
+            );
+            assert!(keys.iter().zip(&keep).all(|(k, &kept)| k.is_some() || kept));
+            assert!(stats.crowds_forwarded <= stats.crowds_seen);
+
+            // Without thresholding everything survives and nothing is drawn.
+            let (keep, stats, next) = run(&config.without_thresholding());
+            assert!(keep.iter().all(|&kept| kept));
+            assert_eq!(stats.crowds_forwarded, stats.crowds_seen);
+            assert_eq!(next, StdRng::seed_from_u64(case).next_u64());
+        }
     }
 
     #[test]
@@ -627,7 +697,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let batch = shuffler.process_batch(&reports, &mut rng).unwrap();
+        let batch = process(&shuffler, &reports, &mut rng).unwrap();
         assert_eq!(batch.stats.forwarded, 5);
         assert_eq!(batch.stats.dropped_noise, 0);
     }
@@ -638,7 +708,7 @@ mod tests {
         let (encoder, shuffler, _analyzer) =
             setup(&mut rng, ShufflerConfig::default().without_thresholding());
         let reports = reports_for_crowd(&encoder, b"tiny", 3, &mut rng);
-        let batch = shuffler.process_batch(&reports, &mut rng).unwrap();
+        let batch = process(&shuffler, &reports, &mut rng).unwrap();
         assert_eq!(batch.stats.forwarded, 3);
     }
 
@@ -652,7 +722,7 @@ mod tests {
         let (encoder, shuffler, _analyzer) = setup(&mut rng, config);
         let reports = reports_for_crowd(&encoder, b"c", 3, &mut rng);
         assert!(matches!(
-            shuffler.process_batch(&reports, &mut rng),
+            process(&shuffler, &reports, &mut rng),
             Err(PipelineError::BatchTooSmall {
                 received: 3,
                 minimum: 10
@@ -679,7 +749,7 @@ mod tests {
                 .encode_plain(b"x", CrowdStrategy::None, 99, &mut rng)
                 .unwrap(),
         );
-        let batch = shuffler.process_batch(&reports, &mut rng).unwrap();
+        let batch = process(&shuffler, &reports, &mut rng).unwrap();
         assert_eq!(batch.stats.rejected, 1);
         assert_eq!(batch.stats.forwarded, 30);
     }
@@ -701,7 +771,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let batch = shuffler.process_batch(&reports, &mut rng).unwrap();
+        let batch = process(&shuffler, &reports, &mut rng).unwrap();
         // Decrypt in output order and compare against arrival order.
         let analyzer_obj = crate::analyzer::Analyzer::new(analyzer);
         let db = analyzer_obj.ingest_items(&batch.items).unwrap();
@@ -729,7 +799,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let batch = shuffler.process_batch(&reports, &mut rng).unwrap();
+        let batch = process(&shuffler, &reports, &mut rng).unwrap();
         assert_eq!(batch.stats.forwarded, 80);
         assert!(batch.stats.shuffle_attempts >= 1);
         let analyzer_obj = crate::analyzer::Analyzer::new(analyzer);
@@ -748,26 +818,31 @@ mod tests {
     #[test]
     fn blinded_crowd_ids_are_rejected_by_single_shuffler() {
         let mut rng = StdRng::seed_from_u64(8);
-        let shuffler = Shuffler::new(ShufflerConfig::default(), &mut rng);
+        let (encoder, shuffler, analyzer) = setup(&mut rng, ShufflerConfig::default());
         let elgamal = prochlo_crypto::elgamal::ElGamalKeypair::generate(&mut rng);
-        let analyzer = HybridKeypair::generate(&mut rng);
         let keys = ClientKeys {
             shuffler: *shuffler.public_key(),
             analyzer: *analyzer.public_key(),
             crowd_blinding: Some(*elgamal.public_key()),
         };
-        let encoder = Encoder::new(keys, 32);
-        let reports: Vec<ClientReport> = (0..3)
-            .map(|i| {
-                encoder
-                    .encode_plain(b"w", CrowdStrategy::Blind(b"w"), i, &mut rng)
-                    .unwrap()
-            })
-            .collect();
-        assert!(matches!(
-            shuffler.process_batch(&reports, &mut rng),
-            Err(PipelineError::InvalidConfig(_))
-        ));
+        let blinding_encoder = Encoder::new(keys, 32);
+        let mut reports = reports_for_crowd(&encoder, b"w", 30, &mut rng);
+        for i in 0..3 {
+            let hostile = blinding_encoder
+                .encode_plain(b"w", CrowdStrategy::Blind(b"w"), i, &mut rng)
+                .unwrap();
+            reports.insert(10 * i as usize, hostile);
+        }
+        // The batch is processed; the blinded reports are counted and
+        // dropped, and the 30 hashed ones are thresholded as one crowd.
+        let batch = process(&shuffler, &reports, &mut rng).unwrap();
+        assert_eq!(batch.stats.received, 33);
+        assert_eq!(batch.stats.rejected, 3);
+        assert_eq!(batch.stats.crowds_seen, 1);
+        assert_eq!(
+            batch.stats.forwarded + batch.stats.dropped_noise + batch.stats.dropped_threshold,
+            30
+        );
     }
 
     #[test]

@@ -23,25 +23,32 @@
 //!   arrival order — α and one re-randomization scalar per *surviving*
 //!   record, then blinds and re-randomizes in parallel chunks with those
 //!   pre-drawn scalars, then shuffles on the stage RNG.
-//! * Shuffler 2 unblinds to handles in parallel chunks; grouping, the
-//!   thresholding draws and the shuffle stay on the stage RNG.
-
-use std::collections::BTreeMap;
+//! * Shuffler 2 unblinds to handles in parallel chunks; the thresholding
+//!   draws (`threshold_crowds`, the implementation the single shuffler
+//!   runs over hashed crowd IDs) and the shuffle stay on the stage RNG.
+//!
+//! Each stage has one entry point that takes the resolved worker count —
+//! [`ShufflerOne::process_batch`] and [`ShufflerTwo::process_batch`], which
+//! is what a per-process service loop calls — and the pair runs in-process
+//! through [`ShufflerRole::process`].
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use prochlo_crypto::edwards::{FixedBaseTable, Point};
 use prochlo_crypto::elgamal::{BlindingSecret, ElGamalCiphertext, ElGamalKeypair};
 use prochlo_crypto::hybrid::HybridKeypair;
 use prochlo_crypto::{PublicKey, Scalar};
-use prochlo_stats::{Gaussian, RoundedNormal};
 
+use crate::deployment::{ShufflerRole, Topology};
 use crate::error::PipelineError;
 use crate::exec;
 use crate::record::{ClientReport, CrowdId};
-use crate::shuffler::{peel_chunk, ShuffleOutcome, ShufflerConfig, ShufflerStats};
+use crate::shuffler::{
+    peel_chunk, threshold_crowds, EngineConfig, ShuffleBackend, ShuffleOutcome, ShufflerConfig,
+    ShufflerStats,
+};
 
 /// A report in transit between the two shufflers: the blinded crowd ID plus
 /// the untouched inner ciphertext.
@@ -98,30 +105,20 @@ impl ShufflerOne {
         self.num_threads
     }
 
-    /// Peels, blinds and shuffles one batch on the configured worker
-    /// count, forwarding blinded records together with this stage's own
-    /// [`ShufflerStats`].
+    /// Peels, blinds and shuffles one batch on `num_threads` workers (a
+    /// resolved count; see [`exec::resolve_threads`]), forwarding blinded
+    /// records together with this stage's own [`ShufflerStats`].
     ///
     /// Shuffler 1 never observes crowd IDs (that is the point of blinding),
     /// so `crowds_seen`/`crowds_forwarded` stay `0` in its stats and the
     /// thresholding counters are always zero; its stage is accounted under
     /// the backend name `"blind"`.
+    ///
+    /// Output is a pure function of `(reports, rng)`: every draw happens in
+    /// the sequential middle pass, in the order a per-record loop would make
+    /// them (α, then one scalar per record that peeled to a blinded crowd
+    /// ID, in arrival order, then the shuffle).
     pub fn process_batch<R: Rng + ?Sized>(
-        &self,
-        reports: &[ClientReport],
-        elgamal_public: &Point,
-        rng: &mut R,
-    ) -> Result<(Vec<BlindedRecord>, ShufflerStats), PipelineError> {
-        let num_threads = exec::resolve_threads(self.num_threads)?;
-        Ok(self.process_batch_on(num_threads, reports, elgamal_public, rng))
-    }
-
-    /// [`Self::process_batch`] on an explicit, already-resolved worker
-    /// count. Output is a pure function of `(reports, rng)`: every draw
-    /// happens in the sequential middle pass, in the order the per-record
-    /// loop made them (α, then one scalar per record that peeled to a
-    /// blinded crowd ID, in arrival order, then the shuffle).
-    pub(crate) fn process_batch_on<R: Rng + ?Sized>(
         &self,
         num_threads: usize,
         reports: &[ClientReport],
@@ -129,27 +126,20 @@ impl ShufflerOne {
         rng: &mut R,
     ) -> (Vec<BlindedRecord>, ShufflerStats) {
         let peel_span = prochlo_obs::span("shuffler.s1.peel");
-        // Parallel: peel, and set aside anything that is not a blinded
-        // crowd ID — the split shuffler is only deployed for those;
-        // anything else indicates a misconfigured encoder.
+        // Parallel: peel, rejecting anything that is not a blinded crowd
+        // ID — the split shuffler is only deployed for those; anything else
+        // indicates a misconfigured encoder.
         let peeled = exec::par_chunks(
             reports,
             num_threads,
             exec::CHUNK_RECORDS,
             |_chunk_idx, chunk| {
-                let (envelopes, mut rejected) = peel_chunk(chunk, self.keys.secret());
-                let mut crowds = Vec::with_capacity(envelopes.len());
-                let mut inners = Vec::with_capacity(envelopes.len());
-                for envelope in envelopes {
+                peel_chunk(chunk, self.keys.secret(), |envelope| {
                     match envelope.crowd_id {
-                        CrowdId::Blinded(ct) => {
-                            crowds.push(*ct);
-                            inners.push(envelope.inner);
-                        }
-                        _ => rejected += 1,
+                        CrowdId::Blinded(ct) => Some((*ct, envelope.inner)),
+                        _ => None,
                     }
-                }
-                (crowds, inners, rejected)
+                })
             },
         );
 
@@ -159,14 +149,12 @@ impl ShufflerOne {
         let mut rejected = 0usize;
         let mut work: Vec<(ElGamalCiphertext, Scalar)> = Vec::with_capacity(reports.len());
         let mut inners: Vec<Vec<u8>> = Vec::with_capacity(reports.len());
-        for (crowds, chunk_inners, chunk_rejected) in peeled {
+        for (survivors, chunk_rejected) in peeled {
             rejected += chunk_rejected;
-            work.extend(
-                crowds
-                    .into_iter()
-                    .map(|ct| (ct, Scalar::random_nonzero(rng))),
-            );
-            inners.extend(chunk_inners);
+            for (crowd, inner) in survivors {
+                work.push((crowd, Scalar::random_nonzero(rng)));
+                inners.push(inner);
+            }
         }
 
         // Parallel: blind with α, re-randomize with the pre-drawn scalar.
@@ -232,21 +220,10 @@ impl ShufflerTwo {
     }
 
     /// Unblinds crowd IDs to pseudonymous handles, applies randomized
-    /// thresholding and shuffles, on the configured worker count
-    /// ([`ShufflerConfig::num_threads`]).
-    pub fn process_batch<R: Rng + ?Sized>(
-        &self,
-        records: Vec<BlindedRecord>,
-        rng: &mut R,
-    ) -> Result<(Vec<Vec<u8>>, ShufflerStats), PipelineError> {
-        let num_threads = exec::resolve_threads(self.config.num_threads)?;
-        Ok(self.process_batch_on(num_threads, records, rng))
-    }
-
-    /// [`Self::process_batch`] on an explicit, already-resolved worker
-    /// count. Only the unblinding is parallel; it draws nothing, so the
+    /// thresholding and shuffles, on `num_threads` workers (a resolved
+    /// count). Only the unblinding is parallel; it draws nothing, so the
     /// output is a pure function of `(records, rng)`.
-    pub(crate) fn process_batch_on<R: Rng + ?Sized>(
+    pub fn process_batch<R: Rng + ?Sized>(
         &self,
         num_threads: usize,
         records: Vec<BlindedRecord>,
@@ -272,52 +249,14 @@ impl ShufflerTwo {
                 Point::batch_compress(&points)
             },
         );
-        // Group by handle.
-        // Deterministic iteration order: the per-crowd noise draws below
-        // must be a pure function of the seeded rng (see threshold() in
-        // shuffler/mod.rs for the same fix).
-        let mut groups: BTreeMap<[u8; 32], Vec<usize>> = BTreeMap::new();
-        for (idx, handle) in handles.into_iter().flatten().enumerate() {
-            groups.entry(handle.0).or_default().push(idx);
-        }
-        stats.crowds_seen = groups.len();
         // Unblinding to handles is this stage's "peel".
         stats.timings.peel_seconds = peel_span.finish();
+
+        // Equal handles are equal crowd IDs: the same thresholding as the
+        // single shuffler, over handles instead of hashes.
         let threshold_span = prochlo_obs::span("shuffler.s2.threshold");
-
-        let drop_dist = if self.config.drop_mean > 0.0 || self.config.drop_sigma > 0.0 {
-            Some(RoundedNormal::new(
-                self.config.drop_mean,
-                self.config.drop_sigma,
-            ))
-        } else {
-            None
-        };
-        let noise_dist = if self.config.threshold_noise_sigma > 0.0 {
-            Some(Gaussian::new(0.0, self.config.threshold_noise_sigma))
-        } else {
-            None
-        };
-
-        let mut keep = vec![false; records.len()];
-        for (_, mut members) in groups {
-            if let Some(dist) = &drop_dist {
-                let d = (dist.sample(rng) as usize).min(members.len());
-                members.shuffle(rng);
-                members.truncate(members.len() - d);
-                stats.dropped_noise += d;
-            }
-            let noise = noise_dist.as_ref().map_or(0.0, |d| d.sample(rng));
-            if (members.len() as f64) > self.config.cardinality_threshold as f64 + noise {
-                stats.crowds_forwarded += 1;
-                for idx in members {
-                    keep[idx] = true;
-                }
-            } else {
-                stats.dropped_threshold += members.len();
-            }
-        }
-
+        let keys = handles.into_iter().flatten().map(|handle| Some(handle.0));
+        let keep = threshold_crowds(keys, &self.config, &mut stats, rng);
         stats.timings.threshold_seconds = threshold_span.finish();
 
         let shuffle_span = prochlo_obs::span("shuffler.s2.shuffle");
@@ -358,39 +297,33 @@ impl SplitShuffler {
         (s1_seed, s2_seed)
     }
 
-    /// Runs a batch through both shufflers, returning the shuffled inner
-    /// ciphertexts with both a merged batch-level view and the per-stage
-    /// statistics of each shuffler (Shuffler 1 first).
-    ///
-    /// Consumes exactly two `u64`s from `rng` (see [`Self::stage_seeds`]);
-    /// everything else each stage does derives from its own sub-seed.
-    pub fn process_batch<R: Rng + ?Sized>(
-        &self,
-        reports: &[ClientReport],
-        rng: &mut R,
-    ) -> Result<ShuffleOutcome, PipelineError> {
-        let (s1_seed, s2_seed) = Self::stage_seeds(rng);
-        self.process_batch_with_seeds(reports, s1_seed, s2_seed)
+    /// The split topology shuffles inline in both stages (Shuffler 1 after
+    /// blinding, Shuffler 2 after thresholding) — effectively the trusted
+    /// in-memory shuffle; enclave-hosted engines for the split deployment
+    /// are a ROADMAP item. Selecting any other backend is therefore a hard
+    /// error: silently downgrading an oblivious-engine request to the
+    /// inline shuffle would be the same failure mode the
+    /// `PROCHLO_SHUFFLE_BACKEND` rejection exists to prevent. Every driver
+    /// of the split stages — in-process or over the wire — applies this one
+    /// rule before it runs a batch.
+    pub fn require_inline_engine(engine: &EngineConfig) -> Result<(), PipelineError> {
+        if matches!(engine.backend, ShuffleBackend::Trusted) {
+            Ok(())
+        } else {
+            Err(PipelineError::InvalidConfig(
+                "the split topology shuffles inline and does not support \
+                 enclave shuffle engines yet; use ShuffleBackend::Trusted \
+                 or the single topology",
+            ))
+        }
     }
 
-    /// [`Self::process_batch`] with the per-stage sub-seeds already drawn —
-    /// the form a networked deployment uses, where the driver draws the
-    /// seeds and ships one to each shuffler process. Runs on the configured
-    /// worker count ([`ShufflerConfig::num_threads`]); the output does not
-    /// depend on it.
-    pub fn process_batch_with_seeds(
-        &self,
-        reports: &[ClientReport],
-        s1_seed: u64,
-        s2_seed: u64,
-    ) -> Result<ShuffleOutcome, PipelineError> {
-        let num_threads = exec::resolve_threads(self.two.config.num_threads)?;
-        Ok(self.run_stages(num_threads, reports, s1_seed, s2_seed))
-    }
-
-    /// Both stages back to back on an explicit, already-resolved worker
-    /// count, each on its own `StdRng` seeded from its sub-seed.
-    pub(crate) fn run_stages(
+    /// Both stages back to back on `num_threads` workers (a resolved count),
+    /// each on its own `StdRng` seeded from its sub-seed — what a networked
+    /// deployment does with the seeds its driver ships to each shuffler
+    /// process. Returns the shuffled inner ciphertexts with both a merged
+    /// batch-level view and the per-stage statistics (Shuffler 1 first).
+    fn run_stages(
         &self,
         num_threads: usize,
         reports: &[ClientReport],
@@ -398,16 +331,14 @@ impl SplitShuffler {
         s2_seed: u64,
     ) -> ShuffleOutcome {
         let mut rng_one = StdRng::seed_from_u64(s1_seed);
-        let (blinded, stage_one) = self.one.process_batch_on(
+        let (blinded, stage_one) = self.one.process_batch(
             num_threads,
             reports,
             self.two.elgamal_public(),
             &mut rng_one,
         );
         let mut rng_two = StdRng::seed_from_u64(s2_seed);
-        let (items, stage_two) = self
-            .two
-            .process_batch_on(num_threads, blinded, &mut rng_two);
+        let (items, stage_two) = self.two.process_batch(num_threads, blinded, &mut rng_two);
         let stats = Self::merge_stage_stats(reports.len(), &stage_one, &stage_two);
         ShuffleOutcome {
             items,
@@ -439,6 +370,50 @@ impl SplitShuffler {
     }
 }
 
+impl ShufflerRole for SplitShuffler {
+    fn topology(&self) -> Topology {
+        Topology::Split
+    }
+
+    fn outer_public_key(&self) -> &PublicKey {
+        self.one.public_key()
+    }
+
+    fn crowd_blinding_key(&self) -> Option<&Point> {
+        Some(self.two.elgamal_public())
+    }
+
+    /// The engine embedded in the shuffler configuration — including a
+    /// configured non-trusted backend, which [`Self::process`] then rejects
+    /// loudly rather than silently running the inline shuffle instead of
+    /// the oblivious engine the configuration asked for.
+    fn default_engine(&self) -> EngineConfig {
+        self.two.config.engine_config()
+    }
+
+    /// Runs a batch through both shufflers. The engine must pass
+    /// [`SplitShuffler::require_inline_engine`]; its thread count sizes both
+    /// stages' parallel phases (Shuffler 1's peel and blind, Shuffler 2's
+    /// unblind) and never changes the output. Consumes exactly two `u64`s
+    /// from `rng` (see [`SplitShuffler::stage_seeds`]); everything else each
+    /// stage does derives from its own sub-seed.
+    fn process(
+        &self,
+        engine: &EngineConfig,
+        reports: &[ClientReport],
+        rng: &mut dyn RngCore,
+    ) -> Result<ShuffleOutcome, PipelineError> {
+        Self::require_inline_engine(engine)?;
+        let num_threads = exec::resolve_threads(engine.num_threads)?;
+        let (s1_seed, s2_seed) = Self::stage_seeds(rng);
+        Ok(self.run_stages(num_threads, reports, s1_seed, s2_seed))
+    }
+
+    fn as_split(&self) -> Option<&SplitShuffler> {
+        Some(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,6 +430,17 @@ mod tests {
             crowd_blinding: Some(*split.two.elgamal_public()),
         };
         (Encoder::new(keys, 32), split, analyzer)
+    }
+
+    /// Runs one batch on the engine the deployment is configured with.
+    fn process(
+        split: &SplitShuffler,
+        reports: &[ClientReport],
+        rng: &mut StdRng,
+    ) -> ShuffleOutcome {
+        split
+            .process(&split.default_engine(), reports, rng)
+            .unwrap()
     }
 
     fn blinded_reports(
@@ -478,7 +464,7 @@ mod tests {
         let (encoder, split, _analyzer) = setup(&mut rng);
         let mut reports = blinded_reports(&encoder, b"common-word", 120, &mut rng);
         reports.extend(blinded_reports(&encoder, b"rare-word", 4, &mut rng));
-        let outcome = split.process_batch(&reports, &mut rng).unwrap();
+        let outcome = process(&split, &reports, &mut rng);
         assert_eq!(outcome.stats.crowds_seen, 2);
         assert_eq!(outcome.stats.crowds_forwarded, 1);
         let items = &outcome.items;
@@ -501,14 +487,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let (encoder, split, _analyzer) = setup(&mut rng);
         let report = &blinded_reports(&encoder, b"guessable", 1, &mut rng)[0];
-        let (blinded, _) = split
-            .one
-            .process_batch(
-                std::slice::from_ref(report),
-                split.two.elgamal_public(),
-                &mut rng,
-            )
-            .unwrap();
+        let (blinded, _) = split.one.process_batch(
+            1,
+            std::slice::from_ref(report),
+            split.two.elgamal_public(),
+            &mut rng,
+        );
         let handle = split.two.elgamal.decrypt(&blinded[0].blinded_crowd);
         assert_ne!(handle, Point::hash_to_point(b"guessable"));
     }
@@ -523,7 +507,7 @@ mod tests {
                 .encode_plain(b"w", CrowdStrategy::Hash(b"w"), 99, &mut rng)
                 .unwrap(),
         );
-        let outcome = split.process_batch(&reports, &mut rng).unwrap();
+        let outcome = process(&split, &reports, &mut rng);
         assert_eq!(outcome.stats.rejected, 1);
         assert_eq!(outcome.stage_stats[0].rejected, 1);
     }
@@ -537,12 +521,10 @@ mod tests {
         let (encoder, split, _analyzer) = setup(&mut rng);
         let reports = blinded_reports(&encoder, b"word", 80, &mut rng);
         let mut joint_rng = StdRng::seed_from_u64(99);
-        let joint = split.process_batch(&reports, &mut joint_rng).unwrap();
+        let joint = process(&split, &reports, &mut joint_rng);
         let mut seed_rng = StdRng::seed_from_u64(99);
         let (s1_seed, s2_seed) = SplitShuffler::stage_seeds(&mut seed_rng);
-        let staged = split
-            .process_batch_with_seeds(&reports, s1_seed, s2_seed)
-            .unwrap();
+        let staged = split.run_stages(2, &reports, s1_seed, s2_seed);
         assert_eq!(joint.items, staged.items);
         assert_eq!(joint.stats, staged.stats);
         assert_eq!(joint.stage_stats, staged.stage_stats);
@@ -592,16 +574,16 @@ mod tests {
             .collect();
         let rejected = (0..total).filter(|i| i % 7 == 3 || i % 11 == 5).count();
 
-        let sequential = reference
-            .process_batch_with_seeds(&reports, 31, 32)
-            .unwrap();
+        let sequential = process(&reference, &reports, &mut StdRng::seed_from_u64(31));
         assert_eq!(sequential.stage_stats[0].rejected, rejected);
         assert_eq!(sequential.stage_stats[0].forwarded, total - rejected);
         assert!(sequential.stats.forwarded > 0);
         for num_threads in [2, 3, 8] {
-            let parallel = split_with(num_threads)
-                .process_batch_with_seeds(&reports, 31, 32)
-                .unwrap();
+            let parallel = process(
+                &split_with(num_threads),
+                &reports,
+                &mut StdRng::seed_from_u64(31),
+            );
             assert_eq!(parallel.items, sequential.items, "{num_threads} threads");
             assert_eq!(parallel.stats, sequential.stats, "{num_threads} threads");
             assert_eq!(
@@ -616,7 +598,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let (encoder, split, analyzer) = setup(&mut rng);
         let reports = blinded_reports(&encoder, b"hello-world", 60, &mut rng);
-        let outcome = split.process_batch(&reports, &mut rng).unwrap();
+        let outcome = process(&split, &reports, &mut rng);
         assert!(outcome.stats.forwarded > 20);
         let analyzer_obj = crate::analyzer::Analyzer::new(analyzer);
         let db = analyzer_obj.ingest_items(&outcome.items).unwrap();

@@ -13,16 +13,17 @@
 //!   instead of processing it in-process, then analyzes the returned
 //!   items. Plugs into [`prochlo_collector::Collector::start_with_pipeline`].
 //!
-//! **Determinism contract.** The shard canonicalizes the batch (sorting by
-//! outer-ciphertext bytes, exactly as [`prochlo_core::EpochSession::finish`]
-//! does), derives the epoch RNG from `(seed, epoch_index)` and draws the two
-//! per-stage sub-seeds with [`SplitShuffler::stage_seeds`] — the same draws,
-//! in the same order, as the in-process split topology. Each shuffler stage
-//! then runs on `StdRng::seed_from_u64(sub_seed)` via
-//! [`SplitShuffler::process_batch_with_seeds`]'s per-stage halves, so a
-//! seeded multi-process run reproduces the single-process golden output
-//! byte for byte. The integration suite pins this against the committed
-//! fixture.
+//! **Determinism contract.** The shard canonicalizes the batch
+//! ([`prochlo_core::canonicalize`], the function
+//! [`prochlo_core::EpochSession::finish`] calls), derives the epoch RNG from
+//! `(seed, epoch_index)` and draws the two per-stage sub-seeds with
+//! [`SplitShuffler::stage_seeds`] — the same draws, in the same order, as
+//! the in-process split topology. Each shuffler stage then runs
+//! [`ShufflerOne::process_batch`] / [`ShufflerTwo::process_batch`] on
+//! `StdRng::seed_from_u64(sub_seed)`, exactly as the in-process
+//! `ShufflerRole::process` does, so a seeded multi-process run reproduces
+//! the single-process golden output byte for byte. The integration suite
+//! pins this against the committed fixture.
 
 use std::sync::Arc;
 
@@ -33,8 +34,8 @@ use prochlo_collector::EpochPipeline;
 use prochlo_core::shuffler::split::{ShufflerOne, ShufflerTwo, SplitShuffler};
 use prochlo_core::shuffler::ShufflerStats;
 use prochlo_core::{
-    epoch_rng, exec, Analyzer, ClientReport, EpochSpec, PipelineError, PipelineReport,
-    TransportMetadata,
+    canonicalize, epoch_rng, exec, Analyzer, ClientReport, EpochSpec, PipelineError,
+    PipelineReport, TransportMetadata,
 };
 use prochlo_crypto::edwards::Point;
 use prochlo_crypto::hybrid::HybridCiphertext;
@@ -94,9 +95,8 @@ pub fn serve_shuffler_one(
                 .collect::<Result<_, FabricError>>()?;
             let mut rng = StdRng::seed_from_u64(batch.s1_seed);
             let span = prochlo_obs::span("fabric.s1.serve");
-            let (records, stage_one) = one
-                .process_batch(&reports, elgamal_public, &mut rng)
-                .map_err(|e| FabricError::Processing(e.to_string()))?;
+            let (records, stage_one) =
+                one.process_batch(num_threads, &reports, elgamal_public, &mut rng);
             span.finish();
             let forward = BatchToTwo {
                 shard,
@@ -132,9 +132,7 @@ pub fn serve_shuffler_two(transport: &dyn Transport, two: &ShufflerTwo) -> Resul
         let records = BatchToTwo::decode_records(batch.records, num_threads)?;
         let mut rng = StdRng::seed_from_u64(batch.s2_seed);
         let span = prochlo_obs::span("fabric.s2.serve");
-        let (items, stage_two) = two
-            .process_batch(records, &mut rng)
-            .map_err(|e| FabricError::Processing(e.to_string()))?;
+        let (items, stage_two) = two.process_batch(num_threads, records, &mut rng);
         span.finish();
         let answer = ItemsBatch {
             shard: batch.shard,
@@ -198,22 +196,14 @@ impl EpochPipeline for RemoteSplitPipeline {
         spec: &EpochSpec,
         mut batch: Vec<ClientReport>,
     ) -> Result<PipelineReport, PipelineError> {
-        // The split topology shuffles inline in both stages; reject engine
-        // overrides the in-process topology would also reject, instead of
-        // silently ignoring them (same contract as SplitShuffler::process).
+        // The engine rule of the in-process split topology, instead of
+        // silently ignoring an override the remote stages cannot honour.
         if let Some(engine) = &spec.engine {
-            if !matches!(engine.backend, prochlo_core::ShuffleBackend::Trusted) {
-                return Err(PipelineError::InvalidConfig(
-                    "the split topology shuffles inline and does not support \
-                     enclave shuffle engines yet; use ShuffleBackend::Trusted \
-                     or the single topology",
-                ));
-            }
+            SplitShuffler::require_inline_engine(engine)?;
         }
-        // Canonicalize exactly as EpochSession::finish does, then draw the
-        // per-stage sub-seeds the way the in-process split topology would:
-        // the epoch RNG's first two u64s.
-        batch.sort_by_cached_key(|report| report.outer.to_bytes());
+        // Canonicalize, then draw the per-stage sub-seeds the way the
+        // in-process split topology would: the epoch RNG's first two u64s.
+        canonicalize(&mut batch);
         let mut rng = epoch_rng(spec.seed, spec.epoch_index);
         let (s1_seed, s2_seed) = SplitShuffler::stage_seeds(&mut rng);
 

@@ -13,26 +13,20 @@
 //! end the reactor polls alongside the registered sockets. `poll` returns
 //! early when woken; callers re-check their own control state each turn.
 //!
-//! On non-unix hosts the reactor degrades to a timed sweep that reports
-//! every registered source as ready each turn — correct (level-triggered
-//! callers must tolerate spurious readiness) but not scalable; every tier-1
-//! target is unix.
+//! Unix only: every supported target is unix, and the serving path has no
+//! second implementation to keep in step with this one.
 
 use std::io;
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[cfg(unix)]
-use std::os::unix::io::{AsRawFd, RawFd};
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
 #[cfg(not(unix))]
-use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(not(unix))]
-use std::sync::Arc;
+compile_error!("prochlo-net's reactor is built on poll(2) and unix socket pairs; non-unix targets are not supported");
 
 /// Raw `poll(2)` bindings. `pollfd` layout and the event bits are fixed by
 /// POSIX; `nfds_t` is `unsigned long` on linux and `unsigned int` elsewhere.
-#[cfg(unix)]
 mod sys {
     use std::os::raw::{c_int, c_ulong};
 
@@ -134,46 +128,29 @@ pub struct Event {
     pub timed_out: bool,
 }
 
-/// A source the reactor can poll. On unix this is anything with a raw fd
-/// (`TcpStream`, `TcpListener`, `UnixStream`); elsewhere registration is
-/// nominal and the degraded sweep reports everything ready.
-#[cfg(unix)]
+/// A source the reactor can poll: anything with a raw fd (`TcpStream`,
+/// `TcpListener`, `UnixStream`).
 pub trait Source: AsRawFd {}
-#[cfg(unix)]
 impl<T: AsRawFd> Source for T {}
-
-#[cfg(not(unix))]
-pub trait Source {}
-#[cfg(not(unix))]
-impl<T> Source for T {}
 
 /// Cross-thread wake handle for one [`Reactor`]; cloneable and cheap. A
 /// wake makes the reactor's current (or next) [`Reactor::poll`] return
 /// promptly. Wakes coalesce: many wakes before a poll turn cost one wakeup.
 #[derive(Debug, Clone)]
 pub struct Waker {
-    #[cfg(unix)]
-    tx: std::sync::Arc<UnixStream>,
-    #[cfg(not(unix))]
-    flag: Arc<AtomicBool>,
+    tx: Arc<UnixStream>,
 }
 
 impl Waker {
     /// Wakes the reactor. Never blocks: a full wake pipe already guarantees
     /// the next poll turn returns immediately.
     pub fn wake(&self) {
-        #[cfg(unix)]
-        {
-            use std::io::Write;
-            let _ = (&*self.tx).write(&[1u8]);
-        }
-        #[cfg(not(unix))]
-        self.flag.store(true, Ordering::Release);
+        use std::io::Write;
+        let _ = (&*self.tx).write(&[1u8]);
     }
 }
 
 struct Entry {
-    #[cfg(unix)]
     fd: RawFd,
     interest: Interest,
     deadline: Option<Instant>,
@@ -192,40 +169,24 @@ pub struct Reactor {
     slots: Vec<Slot>,
     free: Vec<usize>,
     waker: Waker,
-    #[cfg(unix)]
     waker_rx: UnixStream,
-    #[cfg(unix)]
     pollfds: Vec<sys::pollfd>,
-    #[cfg(unix)]
     poll_tokens: Vec<Token>,
 }
 
 impl Reactor {
     /// A reactor with an armed wake channel and no registered sources.
     pub fn new() -> io::Result<Self> {
-        #[cfg(unix)]
-        {
-            let (tx, rx) = UnixStream::pair()?;
-            tx.set_nonblocking(true)?;
-            rx.set_nonblocking(true)?;
-            Ok(Self {
-                slots: Vec::new(),
-                free: Vec::new(),
-                waker: Waker {
-                    tx: std::sync::Arc::new(tx),
-                },
-                waker_rx: rx,
-                pollfds: Vec::new(),
-                poll_tokens: Vec::new(),
-            })
-        }
-        #[cfg(not(unix))]
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
         Ok(Self {
             slots: Vec::new(),
             free: Vec::new(),
-            waker: Waker {
-                flag: Arc::new(AtomicBool::new(false)),
-            },
+            waker: Waker { tx: Arc::new(tx) },
+            waker_rx: rx,
+            pollfds: Vec::new(),
+            poll_tokens: Vec::new(),
         })
     }
 
@@ -250,13 +211,10 @@ impl Reactor {
     /// [`deregister`]: Reactor::deregister
     pub fn register<S: Source>(&mut self, source: &S, interest: Interest) -> Token {
         let entry = Entry {
-            #[cfg(unix)]
             fd: source.as_raw_fd(),
             interest,
             deadline: None,
         };
-        #[cfg(not(unix))]
-        let _ = source;
         match self.free.pop() {
             Some(index) => {
                 self.slots[index].entry = Some(entry);
@@ -352,10 +310,7 @@ impl Reactor {
             wait = Some(wait.map_or(until, |w| w.min(until)));
         }
 
-        #[cfg(unix)]
         self.poll_os(events, wait)?;
-        #[cfg(not(unix))]
-        self.poll_degraded(events, wait);
 
         // Deadline sweep after the readiness pass: expired deadlines fire
         // exactly once, then disarm until re-armed.
@@ -379,7 +334,6 @@ impl Reactor {
         Ok(events.len())
     }
 
-    #[cfg(unix)]
     fn poll_os(&mut self, events: &mut Vec<Event>, wait: Option<Duration>) -> io::Result<()> {
         // Slot 0 is the wake channel; registered sources follow.
         self.pollfds.clear();
@@ -450,35 +404,10 @@ impl Reactor {
         Ok(())
     }
 
-    #[cfg(unix)]
     fn drain_waker(&mut self) {
         use std::io::Read;
         let mut scratch = [0u8; 64];
         while matches!(self.waker_rx.read(&mut scratch), Ok(n) if n > 0) {}
-    }
-
-    #[cfg(not(unix))]
-    fn poll_degraded(&mut self, events: &mut Vec<Event>, wait: Option<Duration>) {
-        let sweep = Duration::from_millis(10);
-        if !self.waker.flag.swap(false, Ordering::AcqRel) {
-            std::thread::sleep(wait.map_or(sweep, |w| w.min(sweep)));
-            self.waker.flag.store(false, Ordering::Release);
-        }
-        for (index, slot) in self.slots.iter().enumerate() {
-            if let Some(entry) = slot.entry.as_ref() {
-                if entry.interest.read || entry.interest.write {
-                    events.push(Event {
-                        token: Token {
-                            index,
-                            generation: slot.generation,
-                        },
-                        readable: entry.interest.read,
-                        writable: entry.interest.write,
-                        timed_out: false,
-                    });
-                }
-            }
-        }
     }
 }
 
@@ -488,23 +417,14 @@ impl Reactor {
 /// `true` when the socket reported writable within `timeout`, `false` on
 /// timeout.
 pub fn wait_writable<S: Source>(source: &S, timeout: Duration) -> io::Result<bool> {
-    #[cfg(unix)]
-    {
-        let mut fds = [sys::pollfd {
-            fd: source.as_raw_fd(),
-            events: sys::POLLOUT,
-            revents: 0,
-        }];
-        let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-        let ready = sys::poll_fds(&mut fds, ms.max(1))?;
-        Ok(ready > 0 && fds[0].revents & (sys::POLLOUT | sys::POLLERR | sys::POLLHUP) != 0)
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = source;
-        std::thread::sleep(timeout.min(Duration::from_millis(1)));
-        Ok(true)
-    }
+    let mut fds = [sys::pollfd {
+        fd: source.as_raw_fd(),
+        events: sys::POLLOUT,
+        revents: 0,
+    }];
+    let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+    let ready = sys::poll_fds(&mut fds, ms.max(1))?;
+    Ok(ready > 0 && fds[0].revents & (sys::POLLOUT | sys::POLLERR | sys::POLLHUP) != 0)
 }
 
 #[cfg(test)]

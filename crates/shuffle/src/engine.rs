@@ -23,7 +23,7 @@ use rand::RngCore;
 use prochlo_sgx::Enclave;
 
 use crate::error::ShuffleError;
-use crate::stash::{identity_ingress, StashShuffle, StashShuffleParams};
+use crate::stash::{StashShuffle, StashShuffleParams};
 use crate::{batcher::BatcherShuffle, melbourne::MelbourneShuffle, Records};
 
 /// What a shuffle engine reports about one batch.
@@ -50,47 +50,6 @@ pub trait ShuffleEngine: Send + Sync + std::fmt::Debug {
         rng: &mut dyn RngCore,
         stats: &mut EngineStats,
     ) -> Result<Records, ShuffleError>;
-}
-
-/// Wraps any engine, mirroring its [`EngineStats`] and wall-clock onto
-/// the global `prochlo-obs` registry: each batch records into the
-/// `shuffle.<name>.run` latency histogram and adds the attempts used to
-/// the `shuffle.<name>.attempts` counter. The wrapped engine's output is
-/// untouched — instrumentation never reads the rng or reorders records —
-/// so seeded replay is byte-identical with or without the wrapper.
-#[derive(Debug)]
-pub struct InstrumentedEngine {
-    inner: Box<dyn ShuffleEngine>,
-}
-
-impl InstrumentedEngine {
-    /// Wraps `inner`, returning it as a trait object again so backend
-    /// construction can instrument unconditionally.
-    pub fn wrap(inner: Box<dyn ShuffleEngine>) -> Box<dyn ShuffleEngine> {
-        Box::new(InstrumentedEngine { inner })
-    }
-}
-
-impl ShuffleEngine for InstrumentedEngine {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn shuffle(
-        &self,
-        items: Records,
-        rng: &mut dyn RngCore,
-        stats: &mut EngineStats,
-    ) -> Result<Records, ShuffleError> {
-        let span = prochlo_obs::span(&format!("shuffle.{}.run", self.inner.name()));
-        let result = self.inner.shuffle(items, rng, stats);
-        span.finish();
-        if result.is_ok() {
-            prochlo_obs::counter(&format!("shuffle.{}.attempts", self.inner.name()))
-                .add(stats.attempts as u64);
-        }
-        result
-    }
 }
 
 impl ShuffleEngine for BatcherShuffle {
@@ -169,7 +128,7 @@ impl ShuffleEngine for StashEngine {
             .params
             .unwrap_or_else(|| StashShuffleParams::derive(items.len()));
         let stash = StashShuffle::new(params, self.enclave.clone()).with_threads(self.num_threads);
-        let output = stash.shuffle_with_ingress(&items, &identity_ingress, rng)?;
+        let output = stash.shuffle(&items, rng)?;
         stats.attempts = output.attempts;
         Ok(output.records)
     }

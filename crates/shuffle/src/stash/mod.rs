@@ -17,18 +17,18 @@
 //!
 //!   Distribution models a **multi-threaded enclave**: buckets are
 //!   pipelined in worker-sized groups, and the expensive per-bucket work —
-//!   ingress decryption plus target assignment, and the AEAD sealing of
-//!   the output chunks — runs on scoped workers, each charging a
-//!   private-memory sub-budget carved from the enclave's remaining budget
-//!   ([`prochlo_sgx::Enclave::split_budget`]) after the stash's worst case
-//!   is reserved up front; a decrypted bucket stays charged to its worker
-//!   from ingress until sealing, so the budget honestly bounds plaintext
-//!   residency. The cheap stash bookkeeping between those two passes stays
-//!   sequential in bucket order (it threads state from bucket to bucket by
-//!   construction). Each bucket derives its own RNG from `(attempt seed,
-//!   bucket index)` and boundary crossings are buffered per bucket and
-//!   committed in bucket order, so the output, the boundary counters *and
-//!   the access trace* are byte-identical at any worker count.
+//!   the AEAD sealing of the output chunks — runs on scoped workers, each
+//!   charging a private-memory sub-budget carved from the enclave's
+//!   remaining budget ([`prochlo_sgx::Enclave::split_budget`]) after the
+//!   stash's worst case is reserved up front; a bucket stays charged to its
+//!   worker from the moment it is read until it is sealed, so the budget
+//!   honestly bounds plaintext residency. Target assignment and the stash
+//!   bookkeeping ahead of the sealing pass are sequential in bucket order
+//!   (the stash threads state from bucket to bucket by construction, and
+//!   neither does any cryptography). Each bucket derives its own RNG from
+//!   `(attempt seed, bucket index)` and boundary crossings are buffered per
+//!   bucket and committed in bucket order, so the output, the boundary
+//!   counters *and the access trace* are byte-identical at any worker count.
 //! * **Compression** — intermediate buckets are imported one at a time into a
 //!   sliding window of `W` buckets: the bucket's slot order is shuffled (the
 //!   phase's only draw), its slots are opened in that order on the same
@@ -56,12 +56,14 @@
 //! `shuffle.stash.fail.*` obs counters; [`StashShuffleParams::log2_epsilon`]
 //! bounds their union, and at derived parameters it is below 2⁻⁶⁴.
 //!
-//! The implementation performs the real cryptography (the caller supplies the
-//! ingress transform that removes the outer encryption layer; intermediate
-//! slots are sealed with an AEAD under an ephemeral key) and charges every
-//! boundary crossing and private-memory allocation to a
-//! [`prochlo_sgx::Enclave`], so tests can assert both the memory budget and
-//! the obliviousness of the access trace.
+//! The records arrive already peeled — the ESA shuffler removes the outer
+//! encryption layer in one batched pass before any engine runs — so the
+//! shuffle borrows them and copies a record only into the slot it seals.
+//! The implementation performs the real cryptography (intermediate slots are
+//! sealed with an AEAD under an ephemeral key) and charges every boundary
+//! crossing and private-memory allocation to a [`prochlo_sgx::Enclave`], so
+//! tests can assert both the memory budget and the obliviousness of the
+//! access trace.
 
 pub mod params;
 
@@ -93,8 +95,7 @@ const IMPORT_CHUNK_SLOTS: usize = 64;
 /// Result of a successful Stash Shuffle run.
 #[derive(Debug, Clone)]
 pub struct StashShuffleOutput {
-    /// The shuffled records (inner layer only, as produced by the ingress
-    /// transform).
+    /// The shuffled records.
     pub records: Records,
     /// Enclave accounting accumulated over all attempts.
     pub metrics: EnclaveMetrics,
@@ -143,18 +144,6 @@ impl StashFailures {
     }
 }
 
-/// The ingress transform applied to each record as it first enters the
-/// enclave: in the full ESA deployment this removes the outer layer of nested
-/// encryption (a public-key operation); benchmarks that measure the shuffle
-/// alone can pass [`identity_ingress`]. `Sync` because the distribution
-/// phase applies it from scoped worker threads.
-pub type IngressFn<'a> = dyn Fn(&[u8]) -> Result<Vec<u8>, ShuffleError> + Sync + 'a;
-
-/// An ingress transform that passes records through unchanged.
-pub fn identity_ingress(record: &[u8]) -> Result<Vec<u8>, ShuffleError> {
-    Ok(record.to_vec())
-}
-
 /// A configured Stash Shuffle instance bound to an enclave.
 #[derive(Debug, Clone)]
 pub struct StashShuffle {
@@ -164,12 +153,13 @@ pub struct StashShuffle {
     num_threads: usize,
 }
 
-/// What one input bucket's parallel ingress pass produced: the decrypted
-/// records paired with their target output buckets, plus the bucket's
-/// boundary log so far (its `copy_in`; the sealing pass appends the
-/// `copy_out`s and the merged log commits once, in bucket order).
-struct BucketIngest {
-    records: Vec<(Vec<u8>, usize)>,
+/// One input bucket ready for sealing: `chunks[out_idx]` is the plaintext
+/// chunk (≤ `C` records, borrowed from the input) bound for output bucket
+/// `out_idx`, and `log` is the bucket's boundary history so far (its
+/// `copy_in`; the sealing pass appends the `copy_out`s and the merged log
+/// commits once, in bucket order).
+struct BucketPlan<'a> {
+    chunks: Vec<Vec<&'a [u8]>>,
     log: BoundaryLog,
 }
 
@@ -275,15 +265,6 @@ impl StashShuffle {
         }
     }
 
-    /// Creates a shuffler with parameters derived for the given input size
-    /// and a default enclave.
-    pub fn for_size(records: usize) -> Self {
-        Self::new(
-            StashShuffleParams::derive(records),
-            Enclave::with_default_config(),
-        )
-    }
-
     /// Overrides the maximum number of restart attempts.
     pub fn with_max_attempts(mut self, attempts: usize) -> Self {
         self.max_attempts = attempts.max(1);
@@ -309,24 +290,14 @@ impl StashShuffle {
         &self.enclave
     }
 
-    /// Shuffles records that need no ingress transform.
+    /// Shuffles `input`, restarting with fresh randomness when an attempt
+    /// fails.
     pub fn shuffle<R: Rng + ?Sized>(
         &self,
         input: &[Vec<u8>],
         rng: &mut R,
     ) -> Result<StashShuffleOutput, ShuffleError> {
-        self.shuffle_with_ingress(input, &identity_ingress, rng)
-    }
-
-    /// Shuffles records, applying `ingress` to each record inside the enclave
-    /// (the outer-decryption step of the ESA pipeline).
-    pub fn shuffle_with_ingress<R: Rng + ?Sized>(
-        &self,
-        input: &[Vec<u8>],
-        ingress: &IngressFn<'_>,
-        rng: &mut R,
-    ) -> Result<StashShuffleOutput, ShuffleError> {
-        uniform_record_len(input)?;
+        let record_len = uniform_record_len(input)?;
         if input.is_empty() {
             return Ok(StashShuffleOutput {
                 records: Vec::new(),
@@ -342,7 +313,7 @@ impl StashShuffle {
             attempts: self.max_attempts,
         });
         for attempt in 1..=self.max_attempts {
-            match self.attempt(input, ingress, rng) {
+            match self.attempt(input, record_len, rng) {
                 Ok((records, intermediate_slots)) => {
                     outcome = Ok((records, intermediate_slots, attempt));
                     break;
@@ -374,22 +345,19 @@ impl StashShuffle {
     fn attempt<R: Rng + ?Sized>(
         &self,
         input: &[Vec<u8>],
-        ingress: &IngressFn<'_>,
+        record_len: usize,
         rng: &mut R,
     ) -> Result<(Records, usize), AttemptFailure> {
         // Ephemeral key protecting the intermediate array; a new key per
         // attempt means failed attempts leak nothing about the final order.
         let ephemeral_key = AeadKey::random(rng);
-        // Seed for the per-bucket generators of the parallel passes: every
-        // bucket's randomness is a pure function of (attempt seed, bucket
-        // index), so the attempt replays identically at any worker count.
+        // Seed for the per-bucket generators of the distribution phase:
+        // every bucket's randomness is a pure function of (attempt seed,
+        // bucket index).
         let attempt_seed = rng.next_u64();
+        let layout = Layout::new(&self.params, input.len(), record_len);
 
-        // Determine the inner record length from the first record.
-        let first_inner = ingress(&input[0]).map_err(AttemptFailure::Fatal)?;
-        let layout = Layout::new(&self.params, input.len(), first_inner.len());
-
-        let mid = self.distribute(input, ingress, &layout, &ephemeral_key, attempt_seed)?;
+        let mid = self.distribute(input, &layout, &ephemeral_key, attempt_seed)?;
         let intermediate_slots: usize = mid.iter().map(Vec::len).sum();
         let output = self.compress(&mid, &layout, &ephemeral_key, rng)?;
         Ok((output, intermediate_slots))
@@ -411,7 +379,6 @@ impl StashShuffle {
     fn distribute(
         &self,
         input: &[Vec<u8>],
-        ingress: &IngressFn<'_>,
         layout: &Layout,
         ephemeral_key: &AeadKey,
         attempt_seed: u64,
@@ -436,26 +403,24 @@ impl StashShuffle {
         // outcomes a pure function of the configuration — never of how
         // worker charges happened to overlap in time.
         //
-        // Buckets are processed in groups of `workers`, each group a
-        // three-step pipeline:
+        // Buckets are processed in groups of `workers`, each group in two
+        // steps:
         //
-        //   A. (parallel) per-bucket ingress decryption + target
-        //      assignment; the decrypted bucket is charged to its worker's
-        //      sub-budget and stays resident until step C seals it, so the
-        //      budget honestly bounds plaintext residency: at most
-        //      `workers` buckets plus the reserved stash, never the whole
-        //      batch;
-        //   B. (sequential) the stash discipline — drain stashed records
-        //      into chunks with room, overflow new records into the stash
-        //      — which threads state from bucket to bucket by construction
-        //      and is pure bookkeeping over already-decrypted records;
-        //   C. (parallel) per-bucket AEAD sealing and dummy padding of the
+        //   A. (sequential, bucket order) read each bucket into its worker
+        //      — charged to that worker's sub-budget until step B seals
+        //      it, so the budget honestly bounds plaintext residency: at
+        //      most `workers` buckets plus the reserved stash, never the
+        //      whole batch — draw every record's target, and run the stash
+        //      discipline: drain stashed records into chunks with room,
+        //      overflow new records into the stash. It threads state from
+        //      bucket to bucket by construction and does no cryptography;
+        //   B. (parallel) per-bucket AEAD sealing and dummy padding of the
         //      B output chunks, then release of the bucket's charges.
         //
         // Within a group, bucket `i` always uses worker `i % workers`, so
-        // the step C release meets the step A charge on the same worker.
+        // the step B release meets the step A charge on the same worker.
         // Each bucket's boundary crossings accumulate in one log (copy_in
-        // from step A, copy_outs from step C) committed in bucket order,
+        // from step A, copy_outs from step B) committed in bucket order,
         // so output, boundary counters and the access trace are all
         // byte-identical at any worker count — and identical to the
         // sequential algorithm's trace.
@@ -469,52 +434,26 @@ impl StashShuffle {
 
         let real_buckets = n.div_ceil(d);
         let mut mid: Intermediate = vec![Vec::with_capacity(b * c + k); b];
-        let mut stash: Vec<VecDeque<Vec<u8>>> = vec![VecDeque::new(); b];
+        // Stashed records are covered by the up-front reservation
+        // (`stash_total` never exceeds S).
+        let mut stash: Vec<VecDeque<&[u8]>> = vec![VecDeque::new(); b];
         let mut stash_total = 0usize;
 
         for group_start in (0..real_buckets).step_by(workers) {
             let group_end = (group_start + workers).min(real_buckets);
             let group_records = &input[group_start * d..(group_end * d).min(n)];
 
-            // Step A. `par_chunks` with chunk size D yields exactly this
-            // group's input buckets.
-            let ingested: Vec<Result<BucketIngest, AttemptFailure>> =
-                exec::par_chunks(group_records, workers, d, |rel_idx, bucket| {
-                    let bucket_idx = group_start + rel_idx;
-                    let mut log = BoundaryLog::new();
-                    let bucket_bytes: usize = bucket.iter().map(Vec::len).sum();
-                    log.copy_in("read-input-bucket", bucket_idx, bucket_bytes);
-                    pool.with_exact(rel_idx, |worker| {
-                        // The decrypted bucket, held until step C seals it.
-                        // On failure below, the worker's Drop releases it.
-                        worker
-                            .charge_private(d * inner_len)
-                            .map_err(|e| AttemptFailure::Fatal(e.into()))?;
-                        // Every record draws its output bucket from this
-                        // bucket's derived generator.
-                        let mut bucket_rng = exec::chunk_rng(attempt_seed, bucket_idx as u64);
-                        let targets = uniform_targets(bucket.len(), b, &mut bucket_rng);
-                        let mut records = Vec::with_capacity(bucket.len());
-                        for (record, target) in bucket.iter().zip(targets) {
-                            let inner = ingress(record).map_err(AttemptFailure::Fatal)?;
-                            if inner.len() != inner_len {
-                                return Err(AttemptFailure::Fatal(ShuffleError::NonUniformRecords));
-                            }
-                            records.push((inner, target));
-                        }
-                        Ok(BucketIngest { records, log })
-                    })
-                });
-
-            // Step B: the sequential stash discipline, in bucket order.
-            // Stashed records are covered by the up-front reservation
-            // (`stash_total` never exceeds S). `plans[rel][out]` is the
-            // plaintext chunk (≤ C records) step C will seal.
-            let mut plans: Vec<(Vec<Vec<Vec<u8>>>, BoundaryLog)> =
-                Vec::with_capacity(group_end - group_start);
-            for ingest in ingested {
-                let BucketIngest { records, log } = ingest?;
-                let mut chunks: Vec<Vec<Vec<u8>>> = vec![Vec::with_capacity(c); b];
+            // Step A.
+            let mut plans: Vec<BucketPlan<'_>> = Vec::with_capacity(group_end - group_start);
+            for (rel_idx, bucket) in group_records.chunks(d).enumerate() {
+                let bucket_idx = group_start + rel_idx;
+                let mut log = BoundaryLog::new();
+                log.copy_in("read-input-bucket", bucket_idx, bucket.len() * inner_len);
+                // The bucket, held until step B seals it. If the attempt
+                // ends before that, the worker's Drop releases it.
+                pool.with_exact(rel_idx, |worker| worker.charge_private(d * inner_len))
+                    .map_err(|e| AttemptFailure::Fatal(e.into()))?;
+                let mut chunks: Vec<Vec<&[u8]>> = vec![Vec::with_capacity(c); b];
 
                 // Drain stashed records into chunks with room.
                 for (out_idx, chunk) in chunks.iter_mut().enumerate() {
@@ -529,21 +468,24 @@ impl StashShuffle {
                     }
                 }
 
-                // Distribute this bucket's records.
-                for (inner, target) in records {
+                // Distribute this bucket's records: every record draws its
+                // output bucket from this bucket's derived generator.
+                let mut bucket_rng = exec::chunk_rng(attempt_seed, bucket_idx as u64);
+                let targets = uniform_targets(bucket.len(), b, &mut bucket_rng);
+                for (record, target) in bucket.iter().zip(targets) {
                     if chunks[target].len() < c {
-                        chunks[target].push(inner);
+                        chunks[target].push(record);
                     } else if stash_total < s {
                         stash_total += 1;
-                        stash[target].push_back(inner);
+                        stash[target].push_back(record);
                     } else {
                         return Err(AttemptFailure::StashOverflow);
                     }
                 }
-                plans.push((chunks, log));
+                plans.push(BucketPlan { chunks, log });
             }
 
-            // Step C: seal and pad each bucket's B chunks on the worker
+            // Step B: seal and pad each bucket's B chunks on the worker
             // that holds its step A charge, then release both working
             // sets. Slot nonces derive from the global slot position — a
             // pure function of (bucket, output bucket, slot) — instead of
@@ -552,7 +494,7 @@ impl StashShuffle {
             let sealed: Vec<Result<SealedBucket, AttemptFailure>> =
                 exec::par_chunks(&plans, workers, 1, |rel_idx, plan| {
                     let bucket_idx = group_start + rel_idx;
-                    let (plan, log) = &plan[0];
+                    let BucketPlan { chunks: plan, log } = &plan[0];
                     let mut log = log.clone();
                     pool.with_exact(rel_idx, |worker| {
                         // The B output chunks of C slots each.
@@ -567,7 +509,7 @@ impl StashShuffle {
                                 slots.push(seal_slot(
                                     ephemeral_key,
                                     layout.chunk_slot(bucket_idx, out_idx, j),
-                                    items.get(j).map(Vec::as_slice),
+                                    items.get(j).copied(),
                                     inner_len,
                                 ));
                             }
@@ -619,7 +561,7 @@ impl StashShuffle {
                 out_bucket.push(seal_slot(
                     ephemeral_key,
                     layout.drain_slot(out_idx, j),
-                    item.as_deref(),
+                    item,
                     inner_len,
                 ));
             }
@@ -914,40 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn ingress_transform_is_applied() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let input = records(500, 16);
-        let shuffler = test_shuffler(input.len());
-        let out = shuffler
-            .shuffle_with_ingress(
-                &input,
-                &|r| Ok(r[..8].to_vec()), // strip the "outer layer" (here: truncate)
-                &mut rng,
-            )
-            .unwrap();
-        assert!(out.records.iter().all(|r| r.len() == 8));
-        let expected: HashSet<Vec<u8>> = input.iter().map(|r| r[..8].to_vec()).collect();
-        let got: HashSet<Vec<u8>> = out.records.iter().cloned().collect();
-        assert_eq!(expected, got);
-    }
-
-    #[test]
-    fn ingress_failure_is_fatal_not_retried() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let input = records(100, 16);
-        let shuffler = test_shuffler(input.len());
-        let result = shuffler.shuffle_with_ingress(
-            &input,
-            &|_| Err(ShuffleError::IngressFailed("bad outer layer")),
-            &mut rng,
-        );
-        assert!(matches!(
-            result,
-            Err(ShuffleError::IngressFailed("bad outer layer"))
-        ));
-    }
-
-    #[test]
     fn intermediate_slot_count_matches_formula() {
         let mut rng = StdRng::seed_from_u64(7);
         let n = 1_100;
@@ -1195,7 +1103,7 @@ mod tests {
         let mut layout = Layout::new(shuffler.params(), n, 16);
         tweak(&mut layout);
         let key = AeadKey::random(&mut StdRng::seed_from_u64(14));
-        let mid = shuffler.distribute(&records(n, 16), &identity_ingress, &layout, &key, 15);
+        let mid = shuffler.distribute(&records(n, 16), &layout, &key, 15);
         (shuffler, layout, key, mid)
     }
 

@@ -65,11 +65,6 @@ impl<T: Eq + Hash> Histogram<T> {
         self.counts.iter().map(|(k, &v)| (k, v))
     }
 
-    /// Consumes the histogram and returns the raw counts map.
-    pub fn into_counts(self) -> HashMap<T, u64> {
-        self.counts
-    }
-
     /// Returns the `k` most frequent items, most frequent first.
     ///
     /// Ties are broken arbitrarily but deterministically for a given map

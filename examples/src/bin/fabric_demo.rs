@@ -39,8 +39,8 @@ use prochlo_collector::{
 use prochlo_core::encoder::CrowdStrategy;
 use prochlo_core::exec::mix_seed;
 use prochlo_core::{
-    AnalyzerDatabase, ClientReport, Deployment, EngineConfig, EpochSpec, ShardedDeployment,
-    ShuffleBackend, Topology,
+    canonicalize, AnalyzerDatabase, ClientReport, Deployment, EngineConfig, EpochSpec,
+    ShardedDeployment, ShuffleBackend, Topology,
 };
 use prochlo_fabric::{
     serve_shuffler_one, serve_shuffler_two, sum_epoch_stats, ChannelId, Control, Peer,
@@ -448,7 +448,7 @@ fn drive() {
     // shard's configured seed). Byte-identity is the acceptance bar.
     let mut reference = AnalyzerDatabase::default();
     for (index, partition) in partitions.iter_mut().enumerate() {
-        partition.sort_by_cached_key(|report| report.outer.to_bytes());
+        canonicalize(partition);
         let spec = shard_spec(index as u16, &engine);
         reference.merge_from(
             &deployment

@@ -3,7 +3,8 @@
 
 use prochlo_core::encoder::{ClientKeys, CrowdStrategy, Encoder, ANALYZER_AAD, SHUFFLER_AAD};
 use prochlo_core::record::ShufflerEnvelope;
-use prochlo_core::{Deployment, ShufflerConfig};
+use prochlo_core::{Deployment, EpochSpec, ShufflerConfig};
+use prochlo_crypto::elgamal::ElGamalKeypair;
 use prochlo_crypto::hybrid::{HybridCiphertext, HybridKeypair};
 use prochlo_crypto::{mle, shamir};
 use prochlo_sgx::{AttestationAuthority, QuoteVerifier};
@@ -181,4 +182,51 @@ fn sybil_crowd_inflation_is_visible_in_stats_but_thresholding_still_applies() {
     let result = pipeline.run(&reports, &mut rng).unwrap();
     assert_eq!(result.shuffler_stats.crowds_seen, 2);
     assert!(result.database.count(b"honest-value") > 20);
+}
+
+#[test]
+fn one_hostile_well_formed_report_changes_nothing_but_the_rejected_count() {
+    // A client of the single-shuffler deployment seals a *blinded* crowd ID
+    // — well-formed, built with the public encoder API against the
+    // deployment's own public keys, but countable only by the split
+    // topology. It must cost the epoch exactly one rejected report: it joins
+    // no crowd and consumes no draw, so every honest report fares as it
+    // would have without it.
+    let mut rng = StdRng::seed_from_u64(6);
+    let pipeline = Deployment::builder().payload_size(32).build(&mut rng);
+    let encoder = pipeline.encoder();
+    let mut reports = Vec::new();
+    for (value, count) in [(&b"chrome"[..], 150u64), (b"firefox", 45), (b"lynx", 5)] {
+        for i in 0..count {
+            let crowd = CrowdStrategy::Hash(value);
+            reports.push(encoder.encode_plain(value, crowd, i, &mut rng).unwrap());
+        }
+    }
+    let spec = EpochSpec::new(4, 0xbad);
+    let honest = pipeline.ingest(&spec, &reports).unwrap();
+
+    let elgamal = ElGamalKeypair::generate(&mut rng);
+    let hostile_keys = ClientKeys {
+        crowd_blinding: Some(*elgamal.public_key()),
+        ..pipeline.client_keys()
+    };
+    let hostile = Encoder::new(hostile_keys, 32)
+        .encode_plain(b"chrome", CrowdStrategy::Blind(b"chrome"), 999, &mut rng)
+        .unwrap();
+    reports.insert(77, hostile);
+    let attacked = pipeline.ingest(&spec, &reports).unwrap();
+
+    assert_eq!(attacked.shuffler_stats.received, 201);
+    assert_eq!(attacked.shuffler_stats.rejected, 1);
+    assert_eq!(honest.shuffler_stats.rejected, 0);
+    assert_eq!(
+        attacked.shuffler_stats.forwarded,
+        honest.shuffler_stats.forwarded
+    );
+    assert_eq!(attacked.database.rows(), honest.database.rows());
+    assert_eq!(
+        attacked.database.canonical_histogram_bytes(),
+        honest.database.canonical_histogram_bytes()
+    );
+    assert!(honest.database.count(b"chrome") > 100);
 }

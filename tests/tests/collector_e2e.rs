@@ -2,13 +2,15 @@
 //! TCP, through the collector's parse/dedup/batch path, into the shuffler
 //! and analyzer.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use prochlo_collector::{
     Collector, CollectorClient, CollectorConfig, ReportSink, Response, NONCE_LEN,
 };
-use prochlo_core::encoder::CrowdStrategy;
+use prochlo_core::encoder::{ClientKeys, CrowdStrategy, Encoder};
 use prochlo_core::{Deployment, ShufflerConfig};
+use prochlo_crypto::elgamal::ElGamalKeypair;
 use prochlo_examples::{run_backpressure_demo, run_live_ingest};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -149,4 +151,53 @@ fn shutdown_drains_partial_epochs() {
     assert_eq!(summary.stats.epochs_cut, 1, "the drain cut the final epoch");
     assert_eq!(summary.stats.reports_processed, 25);
     assert_eq!(summary.merged_database().count(b"draining"), 25);
+}
+
+#[test]
+fn a_hostile_well_formed_report_does_not_fail_the_epoch() {
+    // One client among 200 seals a blinded crowd ID the single shuffler
+    // cannot count. The collector acknowledged all 201 reports, so the
+    // epoch must process all 201: the hostile one is rejected inside the
+    // shuffler, and nobody else's acknowledged report is dropped with it.
+    let mut rng = StdRng::seed_from_u64(99);
+    let pipeline = Deployment::builder().payload_size(32).build(&mut rng);
+    let honest = pipeline.encoder();
+    let elgamal = ElGamalKeypair::generate(&mut rng);
+    let hostile = Encoder::new(
+        ClientKeys {
+            crowd_blinding: Some(*elgamal.public_key()),
+            ..pipeline.client_keys()
+        },
+        32,
+    );
+    let registry = Arc::new(prochlo_obs::Registry::new(true));
+    let config = CollectorConfig {
+        registry: Some(Arc::clone(&registry)),
+        ..single_epoch_config(201)
+    };
+    let collector = Collector::start(pipeline, config).unwrap();
+    let mut client = CollectorClient::connect(collector.local_addr()).unwrap();
+    for i in 0..201u64 {
+        let report = if i == 100 {
+            hostile.encode_plain(b"chrome", CrowdStrategy::Blind(b"chrome"), i, &mut rng)
+        } else {
+            honest.encode_plain(b"chrome", CrowdStrategy::Hash(b"chrome"), i, &mut rng)
+        }
+        .unwrap();
+        let mut nonce = [0u8; NONCE_LEN];
+        rng.fill_bytes(&mut nonce);
+        assert!(matches!(
+            client.submit(&nonce, &report.outer.to_bytes()).unwrap(),
+            Response::Ack { .. }
+        ));
+    }
+    drop(client);
+    let summary = collector.shutdown();
+    assert_eq!(summary.stats.ingest.accepted, 201);
+    assert_eq!(summary.stats.reports_processed, 201);
+    assert_eq!(registry.snapshot().get("collector.epoch.failed"), Some(0.0));
+    assert_eq!(summary.epochs.len(), 1);
+    let report = summary.epochs[0].outcome.as_ref().expect("epoch ok");
+    assert_eq!(report.shuffler_stats.rejected, 1);
+    assert!(report.database.count(b"chrome") > 150);
 }

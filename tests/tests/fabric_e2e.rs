@@ -19,8 +19,8 @@ use prochlo_collector::{
 use prochlo_core::encoder::CrowdStrategy;
 use prochlo_core::exec::mix_seed;
 use prochlo_core::{
-    AnalyzerDatabase, ClientReport, Deployment, EpochSpec, PipelineReport, ShardedDeployment,
-    ShufflerConfig, Topology,
+    canonicalize, AnalyzerDatabase, ClientReport, Deployment, EpochSpec, PipelineReport,
+    ShardedDeployment, ShufflerConfig, Topology,
 };
 use prochlo_fabric::transport::WireMessage;
 use prochlo_fabric::{
@@ -90,7 +90,7 @@ fn sharded_workload() -> (ShardedDeployment, Vec<Vec<ClientReport>>) {
         }
     }
     for batch in &mut batches {
-        batch.sort_by_cached_key(|report| report.outer.to_bytes());
+        canonicalize(batch);
     }
     (sharded, batches)
 }
@@ -217,7 +217,7 @@ fn one_shuffler_pair_serves_two_shards_of_one_deployment() {
         "both shards need traffic"
     );
     for batch in &mut batches {
-        batch.sort_by_cached_key(|report| report.outer.to_bytes());
+        canonicalize(batch);
     }
 
     // In-process reference: each partition under its shard-derived seed.
