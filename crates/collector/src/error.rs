@@ -34,14 +34,6 @@ pub enum CollectorError {
         /// Submissions attempted before giving up.
         attempts: usize,
     },
-    /// An environment knob was set to an unusable value. Knobs hard-error
-    /// rather than fall back: the operator made a selection.
-    InvalidKnob {
-        /// The environment variable.
-        name: &'static str,
-        /// The rejected value.
-        value: String,
-    },
 }
 
 impl fmt::Display for CollectorError {
@@ -56,9 +48,6 @@ impl fmt::Display for CollectorError {
             CollectorError::ConnectionClosed => write!(f, "connection closed by peer"),
             CollectorError::RetriesExhausted { attempts } => {
                 write!(f, "gave up after {attempts} backpressured submissions")
-            }
-            CollectorError::InvalidKnob { name, value } => {
-                write!(f, "{name}={value:?} is not a valid setting")
             }
         }
     }

@@ -26,7 +26,6 @@
 //! * [`ingest`] — parse + dedup + enqueue, shared by loops and benches.
 //! * [`service`] — the ingest handler on the `prochlo_net::Server`
 //!   harness, the epoch manager and graceful shutdown.
-//! * [`knobs`] — the environment knobs this crate owns.
 //! * [`client`] — the [`ReportSink`] submission API: a minimal blocking
 //!   TCP client with retry, plus an in-process sink.
 //! * [`error`] — the service-boundary error type.
@@ -35,7 +34,6 @@ pub mod client;
 pub mod dedup;
 pub mod error;
 pub mod ingest;
-pub mod knobs;
 pub mod protocol;
 pub mod queue;
 pub mod service;

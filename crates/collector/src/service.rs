@@ -43,7 +43,6 @@ use prochlo_net::{Answer, Handler, Server, ServerConfig, ServerStats, TokenBucke
 
 use crate::error::CollectorError;
 use crate::ingest::{IngestConfig, IngestCore, IngestStats, Peer};
-use crate::knobs;
 use crate::protocol::{frame_policy, RequestRef, Response};
 
 /// Configuration of a running collector.
@@ -52,10 +51,7 @@ pub struct CollectorConfig {
     /// Address to bind; port 0 picks an ephemeral port.
     pub addr: SocketAddr,
     /// Event-loop threads, each multiplexing its share of the open
-    /// connections. `0` means auto: the `PROCHLO_COLLECTOR_EVENT_THREADS`
-    /// knob when set, otherwise every available core — matching the
-    /// `PROCHLO_SHUFFLE_THREADS` convention (and like every knob, a set-
-    /// but-invalid value is a hard startup error, never a silent default).
+    /// connections; `0` means every available core.
     pub worker_threads: usize,
     /// Maximum concurrently open connections across all event loops;
     /// arrivals past the cap are answered `RetryAfter` and closed.
@@ -78,8 +74,7 @@ pub struct CollectorConfig {
     /// frame (and drains no pending response) for this long is evicted.
     pub io_timeout: Duration,
     /// Per-connection submission rate limit in reports per second
-    /// (token bucket with a one-second burst). `None` defers to the
-    /// `PROCHLO_COLLECTOR_RATE_LIMIT` knob, whose absence means unlimited.
+    /// (token bucket with a one-second burst); `None` means unlimited.
     /// A limited connection is answered `RetryAfter`, the same structured
     /// backpressure the bounded queue produces.
     pub rate_limit_per_conn: Option<u32>,
@@ -275,15 +270,6 @@ impl Collector {
         pipeline: Box<dyn EpochPipeline>,
         config: CollectorConfig,
     ) -> Result<Self, CollectorError> {
-        let loops = match config.worker_threads {
-            0 => knobs::event_threads()?,
-            n => n,
-        };
-        let rate_limit = match config.rate_limit_per_conn {
-            Some(limit) => Some(limit),
-            None => knobs::rate_limit()?,
-        };
-
         let registry = config
             .registry
             .clone()
@@ -320,7 +306,7 @@ impl Collector {
         let server = Server::start(
             ServerConfig {
                 addr: config.addr,
-                loops,
+                loops: config.worker_threads,
                 max_conns: config.conn_backlog,
                 policy: frame_policy(config.max_frame_len),
                 io_timeout: config.io_timeout,
@@ -334,7 +320,7 @@ impl Collector {
             || {
                 Ok(Ingest {
                     shared: Arc::clone(&shared),
-                    rate_limit,
+                    rate_limit: config.rate_limit_per_conn,
                 })
             },
         )
@@ -644,7 +630,7 @@ mod tests {
     fn configured_engine_overrides_the_pipeline_backend() {
         let config = CollectorConfig {
             engine: Some(EngineConfig {
-                backend: prochlo_core::ShuffleBackend::Batcher,
+                backend: prochlo_core::ShuffleBackend::Sgx { params: None },
                 num_threads: 2,
             }),
             ..test_config()
@@ -671,7 +657,7 @@ mod tests {
             let report = epoch.outcome.as_ref().expect("epoch ok");
             // The deployment's shuffler defaults to "trusted"; the
             // collector's engine override must win.
-            assert_eq!(report.shuffler_stats.backend, "batcher");
+            assert_eq!(report.shuffler_stats.backend, "stash");
         }
     }
 

@@ -915,7 +915,7 @@ mod tests {
         let deployment = Deployment::builder()
             .config(ShufflerConfig::default().without_thresholding())
             .engine(EngineConfig {
-                backend: ShuffleBackend::Batcher,
+                backend: ShuffleBackend::Sgx { params: None },
                 num_threads: 1,
             })
             .build(&mut rng);
@@ -929,14 +929,14 @@ mod tests {
             .collect();
         // Deployment-level engine applies by default...
         let report = deployment.ingest(&EpochSpec::new(0, 1), &reports).unwrap();
-        assert_eq!(report.shuffler_stats.backend, "batcher");
+        assert_eq!(report.shuffler_stats.backend, "stash");
         // ...and the spec override wins over it.
         let spec = EpochSpec::new(0, 1).with_engine(EngineConfig {
-            backend: ShuffleBackend::Melbourne,
+            backend: ShuffleBackend::Trusted,
             num_threads: 1,
         });
         let report = deployment.ingest(&spec, &reports).unwrap();
-        assert_eq!(report.shuffler_stats.backend, "melbourne");
+        assert_eq!(report.shuffler_stats.backend, "trusted");
         // The engine consumes exactly one master-stream draw regardless of
         // backend, so the histogram does not depend on the override.
         assert_eq!(

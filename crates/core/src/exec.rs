@@ -1,9 +1,9 @@
 //! The chunked, deterministic fork-join executor for the batch hot path.
 //!
-//! The executor itself lives in [`prochlo_shuffle::exec`] so the enclave-
-//! bound shuffle engines (stash/batcher/melbourne) can shard their bucket
-//! passes on the same primitives the pipeline uses for peeling, trusted-
-//! engine tag distribution and analyzer decryption; this module re-exports
+//! The executor itself lives in [`prochlo_shuffle::exec`] so the Stash
+//! Shuffle can shard its bucket passes on the same primitives the pipeline
+//! uses for peeling, trusted-engine tag distribution and analyzer
+//! decryption; this module re-exports
 //! it unchanged so `prochlo_core::exec` remains the path pipeline code and
 //! callers use.
 //!

@@ -14,8 +14,8 @@
 //!   then require the remaining count to exceed T plus Gaussian noise), and
 //!   shuffles the surviving inner ciphertexts through a pluggable
 //!   [`ShuffleEngine`] backend — the trusted in-memory engine (with
-//!   parallel tag distribution), the SGX Stash Shuffle, or the Batcher and
-//!   Melbourne baselines, all selectable at runtime via [`ShuffleBackend`].
+//!   parallel tag distribution) or the SGX Stash Shuffle, selectable at
+//!   runtime via [`ShuffleBackend`].
 //!   Peeling is sharded across cores by the chunked executor in [`exec`].
 //!   [`shuffler::split`] implements the two-shuffler blinded-crowd-ID
 //!   deployment of §4.3.

@@ -9,12 +9,8 @@
 use rand::RngCore;
 
 use prochlo_sgx::Enclave;
-use prochlo_shuffle::batcher::{BatcherCostModel, BatcherShuffle};
 use prochlo_shuffle::engine::{EngineStats, ShuffleEngine, StashEngine};
-use prochlo_shuffle::melbourne::{MelbourneCostModel, MelbourneShuffle};
-use prochlo_shuffle::{
-    CostReport, ShuffleCostModel, ShuffleError, StashShuffleParams, PAPER_RECORD_BYTES,
-};
+use prochlo_shuffle::{CostReport, ShuffleError, StashShuffleParams, PAPER_RECORD_BYTES};
 
 use crate::exec;
 use crate::shuffler::ShuffleBackend;
@@ -90,19 +86,15 @@ impl ShuffleBackend {
         match self {
             ShuffleBackend::Trusted => "trusted",
             ShuffleBackend::Sgx { .. } => "stash",
-            ShuffleBackend::Batcher => "batcher",
-            ShuffleBackend::Melbourne => "melbourne",
         }
     }
 
-    /// Parses a backend name (case-insensitive): `trusted`, `stash` (alias
-    /// `sgx`), `batcher`, `melbourne`.
+    /// Parses a backend name (case-insensitive): `trusted` or `stash` (alias
+    /// `sgx`).
     pub fn from_name(name: &str) -> Option<Self> {
         match name.trim().to_ascii_lowercase().as_str() {
             "trusted" => Some(ShuffleBackend::Trusted),
             "stash" | "sgx" => Some(ShuffleBackend::Sgx { params: None }),
-            "batcher" => Some(ShuffleBackend::Batcher),
-            "melbourne" => Some(ShuffleBackend::Melbourne),
             _ => None,
         }
     }
@@ -112,43 +104,30 @@ impl ShuffleBackend {
         vec![
             ShuffleBackend::Trusted,
             ShuffleBackend::Sgx { params: None },
-            ShuffleBackend::Batcher,
-            ShuffleBackend::Melbourne,
         ]
     }
 
     /// Builds the live engine for this backend, bound to the shuffler's
-    /// enclave. `num_threads` is a resolved worker count and every backend
-    /// honors it: the trusted engine shards its tag distribution, and the
-    /// enclave-bound engines model a multi-threaded enclave — their bucket
-    /// passes run on scoped workers whose private-memory sub-budgets are
-    /// carved from the enclave's budget ([`Enclave::split_budget`]), with
-    /// output byte-identical at any count.
+    /// enclave. `num_threads` is a resolved worker count and both backends
+    /// honor it: the trusted engine shards its tag distribution, and the
+    /// Stash Shuffle models a multi-threaded enclave — its bucket passes run
+    /// on scoped workers whose private-memory sub-budgets are carved from
+    /// the enclave's budget ([`Enclave::split_budget`]), with output
+    /// byte-identical at any count.
     pub fn engine(&self, enclave: Enclave, num_threads: usize) -> Box<dyn ShuffleEngine> {
         match self {
             ShuffleBackend::Trusted => Box::new(TrustedEngine::new(num_threads)),
             ShuffleBackend::Sgx { params } => {
                 Box::new(StashEngine::new(*params, enclave).with_threads(num_threads))
             }
-            ShuffleBackend::Batcher => {
-                Box::new(BatcherShuffle::new(enclave).with_threads(num_threads))
-            }
-            ShuffleBackend::Melbourne => {
-                Box::new(MelbourneShuffle::new(enclave).with_threads(num_threads))
-            }
         }
     }
 
     /// The analytic cost of shuffling `records` items of `record_bytes`
-    /// bytes with `private_memory_bytes` of enclave memory (§4.1.3's
-    /// comparison metric), so deployments can surface the price of the
-    /// selected backend at their actual batch size.
-    pub fn cost_report(
-        &self,
-        records: usize,
-        record_bytes: usize,
-        private_memory_bytes: usize,
-    ) -> CostReport {
+    /// bytes (§4.1.3's comparison metric), so deployments can surface the
+    /// price of the selected backend at their actual batch size. Neither
+    /// backend's cost depends on the enclave's private memory.
+    pub fn cost_report(&self, records: usize, record_bytes: usize) -> CostReport {
         match self {
             // One pass over the data in ordinary memory: no enclave, no
             // oblivious overhead (and no protection from the host).
@@ -172,19 +151,13 @@ impl ShuffleBackend {
                     2,
                 )
             }
-            ShuffleBackend::Batcher => {
-                BatcherCostModel.cost(records, record_bytes, private_memory_bytes)
-            }
-            ShuffleBackend::Melbourne => {
-                MelbourneCostModel.cost(records, record_bytes, private_memory_bytes)
-            }
         }
     }
 
-    /// [`Self::cost_report`] at the paper's 318-byte record size and 92 MB
-    /// enclave budget — the configuration of Table 1 and §4.1.3.
+    /// [`Self::cost_report`] at the paper's 318-byte record size — the
+    /// configuration of Table 1 and §4.1.3.
     pub fn paper_cost_report(&self, records: usize) -> CostReport {
-        self.cost_report(records, PAPER_RECORD_BYTES, prochlo_sgx::DEFAULT_EPC_BYTES)
+        self.cost_report(records, PAPER_RECORD_BYTES)
     }
 }
 
@@ -239,8 +212,8 @@ mod tests {
         }
         assert_eq!(ShuffleBackend::from_name("SGX").unwrap().name(), "stash");
         assert_eq!(
-            ShuffleBackend::from_name(" Melbourne ").unwrap().name(),
-            "melbourne"
+            ShuffleBackend::from_name(" Trusted ").unwrap().name(),
+            "trusted"
         );
         assert!(ShuffleBackend::from_name("fisher-yates").is_none());
     }
@@ -264,9 +237,5 @@ mod tests {
             "{}",
             stash.overhead_factor
         );
-        let batcher = ShuffleBackend::Batcher.paper_cost_report(10_000_000);
-        assert!((batcher.overhead_factor - 49.0).abs() < 1.0);
-        let melbourne = ShuffleBackend::Melbourne.paper_cost_report(100_000_000);
-        assert!(!melbourne.feasible, "past the permutation-memory bound");
     }
 }

@@ -48,8 +48,10 @@ pub use engine::TrustedEngine;
 /// Which shuffling backend the shuffler uses once the batch has been peeled
 /// and thresholded. This is the *configuration* of a backend; the live
 /// implementation behind it is a [`ShuffleEngine`] trait object built by
-/// [`ShuffleBackend::engine`], so all four backends are selectable at
-/// runtime (see [`ShuffleBackend::from_name`]).
+/// [`ShuffleBackend::engine`], so both backends are selectable at runtime
+/// (see [`ShuffleBackend::from_name`]). These are the two shufflers Prochlo
+/// runs; the §4.1.3 baselines it rejects exist only as cost models in
+/// `prochlo_shuffle`.
 #[derive(Debug, Clone, Default)]
 pub enum ShuffleBackend {
     /// A trusted in-memory shuffle (a shuffler hosted by an independent
@@ -62,11 +64,6 @@ pub enum ShuffleBackend {
         /// Explicit Stash Shuffle parameters; `None` derives them per batch.
         params: Option<StashShuffleParams>,
     },
-    /// The oblivious Batcher sorting-network baseline (§4.1.3).
-    Batcher,
-    /// The Melbourne Shuffle baseline (§4.1.3); the whole permutation must
-    /// fit in enclave private memory.
-    Melbourne,
 }
 
 /// Runtime configuration of the shuffle engine: which backend to build and

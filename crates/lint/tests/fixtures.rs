@@ -84,7 +84,6 @@ fn env_knob_discipline_covers_the_collector_and_example_knob_modules() {
     // the shared reader; they no longer touch the environment themselves,
     // so the same read there fires like anywhere else.
     for path in [
-        "crates/collector/src/knobs.rs",
         "crates/shuffle/src/exec.rs",
         "crates/bench/src/lib.rs",
         "examples/src/knobs.rs",

@@ -87,8 +87,6 @@ pub struct EnclaveMetrics {
     /// Bytes copied from the enclave out to untrusted memory (encrypted by
     /// the memory-encryption engine).
     pub bytes_out: u64,
-    /// Number of calls out of the enclave into the untrusted runtime.
-    pub ocalls: u64,
     /// Current private-memory usage in bytes.
     pub private_in_use: usize,
     /// High-water mark of private-memory usage in bytes.
@@ -107,9 +105,10 @@ struct EnclaveState {
     trace: Vec<TraceEvent>,
 }
 
-/// The EPC gauges one enclave (or worker) mirrors into the global obs
-/// registry. Handles are resolved once at construction so the
-/// private-memory hot path never touches the registry's name table.
+/// The EPC gauges one enclave mirrors into the global obs registry. Worker
+/// charges roll up into their enclave, so these are cross-worker totals.
+/// Handles are resolved once at construction so the private-memory hot
+/// path never touches the registry's name table.
 #[derive(Clone)]
 struct EpcGauges {
     in_use: prochlo_obs::Gauge,
@@ -117,24 +116,18 @@ struct EpcGauges {
     available: prochlo_obs::Gauge,
 }
 
-impl fmt::Debug for EpcGauges {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EpcGauges").finish_non_exhaustive()
-    }
-}
-
 impl EpcGauges {
-    fn for_instance(kind: &str, identity: &str) -> Self {
+    fn new(identity: &str) -> Self {
         EpcGauges {
-            in_use: prochlo_obs::gauge(&format!("sgx.{kind}.{identity}.private_in_use")),
-            peak: prochlo_obs::gauge(&format!("sgx.{kind}.{identity}.private_peak")),
-            available: prochlo_obs::gauge(&format!("sgx.{kind}.{identity}.private_available")),
+            in_use: prochlo_obs::gauge(&format!("sgx.enclave.{identity}.private_in_use")),
+            peak: prochlo_obs::gauge(&format!("sgx.enclave.{identity}.private_peak")),
+            available: prochlo_obs::gauge(&format!("sgx.enclave.{identity}.private_available")),
         }
     }
 
     /// Mirror one accounting step: current usage, remaining budget, and a
-    /// ratcheting peak (a process-level high-water mark — it survives
-    /// `reset_accounting`, unlike the per-enclave metrics peak).
+    /// ratcheting peak (a process-level high-water mark over every enclave
+    /// launched with this identity).
     fn update(&self, in_use: usize, budget: usize) {
         self.in_use.set(in_use as i64);
         self.available.set(budget.saturating_sub(in_use) as i64);
@@ -165,7 +158,7 @@ impl Enclave {
     /// Launches an enclave with the given configuration.
     pub fn new(config: EnclaveConfig) -> Self {
         let measurement = sha256(config.code_identity.as_bytes());
-        let gauges = EpcGauges::for_instance("enclave", &config.code_identity);
+        let gauges = EpcGauges::new(&config.code_identity);
         Self {
             config,
             measurement,
@@ -257,11 +250,6 @@ impl Enclave {
         }
     }
 
-    /// Records a call out of the enclave into the untrusted runtime.
-    pub fn ocall(&self) {
-        self.state.lock().metrics.ocalls += 1;
-    }
-
     /// A snapshot of the current metrics.
     pub fn metrics(&self) -> EnclaveMetrics {
         self.state.lock().metrics.clone()
@@ -273,13 +261,6 @@ impl Enclave {
         self.state.lock().trace.clone()
     }
 
-    /// Clears metrics and trace (e.g. between shuffle attempts).
-    pub fn reset_accounting(&self) {
-        let mut state = self.state.lock();
-        state.metrics = EnclaveMetrics::default();
-        state.trace.clear();
-    }
-
     /// Remaining private memory.
     pub fn private_available(&self) -> usize {
         let state = self.state.lock();
@@ -288,23 +269,13 @@ impl Enclave {
             .saturating_sub(state.metrics.private_in_use)
     }
 
-    /// Runs a closure with `bytes` of private memory charged for its
-    /// duration, releasing it afterwards even if the closure fails.
-    pub fn with_private<T>(&self, bytes: usize, f: impl FnOnce() -> T) -> Result<T, EnclaveError> {
-        self.charge_private(bytes)?;
-        let result = f();
-        self.release_private(bytes)
-            .expect("matching release cannot underflow");
-        Ok(result)
-    }
-
     /// Splits the *remaining* private-memory budget across `workers`
     /// concurrent enclave threads, modelling a multi-threaded enclave: each
     /// returned [`EnclaveWorker`] may charge at most
     /// `private_available() / workers` on its own, so the sub-budgets plus
-    /// whatever the parent already holds (a Melbourne permutation, a stash
-    /// reservation) sum to at most the whole budget — a worker that stays
-    /// within its sub-budget can therefore never fail the global check, and
+    /// whatever the parent already holds (the stash's up-front reservation)
+    /// sum to at most the whole budget — a worker that stays within its
+    /// sub-budget can therefore never fail the global check, and
     /// out-of-memory outcomes depend only on the configuration, never on
     /// how worker charges happen to overlap in time. Every charge still
     /// rolls up into this enclave's shared [`EnclaveMetrics`], so
@@ -315,14 +286,11 @@ impl Enclave {
     pub fn split_budget(&self, workers: usize) -> Vec<EnclaveWorker> {
         assert!(workers > 0, "an enclave needs at least one worker");
         let sub_budget = self.private_available() / workers;
-        let gauges = EpcGauges::for_instance("worker", &self.config.code_identity);
         (0..workers)
             .map(|_| EnclaveWorker {
                 enclave: self.clone(),
                 budget: sub_budget,
                 in_use: 0,
-                peak: 0,
-                gauges: gauges.clone(),
             })
             .collect()
     }
@@ -342,8 +310,6 @@ pub struct EnclaveWorker {
     enclave: Enclave,
     budget: usize,
     in_use: usize,
-    peak: usize,
-    gauges: EpcGauges,
 }
 
 impl EnclaveWorker {
@@ -355,17 +321,6 @@ impl EnclaveWorker {
     /// Bytes this worker currently holds.
     pub fn in_use(&self) -> usize {
         self.in_use
-    }
-
-    /// This worker's own high-water mark (the parent enclave tracks the
-    /// cross-worker peak).
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// The parent enclave the worker's accounting rolls up into.
-    pub fn enclave(&self) -> &Enclave {
-        &self.enclave
     }
 
     /// Charges `bytes` against this worker's sub-budget and the parent
@@ -380,8 +335,6 @@ impl EnclaveWorker {
         }
         self.enclave.charge_private(bytes)?;
         self.in_use += bytes;
-        self.peak = self.peak.max(self.in_use);
-        self.gauges.update(self.in_use, self.budget);
         Ok(())
     }
 
@@ -392,22 +345,7 @@ impl EnclaveWorker {
         }
         self.enclave.release_private(bytes)?;
         self.in_use -= bytes;
-        self.gauges.update(self.in_use, self.budget);
         Ok(())
-    }
-
-    /// Runs a closure with `bytes` charged against this worker for its
-    /// duration, releasing afterwards even if the closure fails.
-    pub fn with_private<T>(
-        &mut self,
-        bytes: usize,
-        f: impl FnOnce() -> T,
-    ) -> Result<T, EnclaveError> {
-        self.charge_private(bytes)?;
-        let result = f();
-        self.release_private(bytes)
-            .expect("matching release cannot underflow");
-        Ok(result)
     }
 }
 
@@ -421,10 +359,10 @@ impl Drop for EnclaveWorker {
     }
 }
 
-/// A pool of [`EnclaveWorker`]s for a parallel phase: work units pick a free
-/// worker (preferring the hinted index, so a single-threaded run always uses
-/// worker 0), and because a phase never runs more concurrent work units than
-/// there are workers, a free worker always exists.
+/// A pool of [`EnclaveWorker`]s for a parallel phase: work unit `idx` runs on
+/// worker `idx % len`, so a single-threaded run always uses worker 0 and a
+/// phase that charges in one pass and releases in a later one finds its
+/// charge on the same worker.
 ///
 /// Which worker a unit lands on only moves charges between equal sub-budgets;
 /// it never affects a shuffle's output, which is what keeps parallel runs
@@ -445,31 +383,6 @@ impl WorkerPool {
                 .map(Mutex::new)
                 .collect(),
         }
-    }
-
-    /// Number of workers in the pool.
-    pub fn len(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Whether the pool has no workers (never true: `split` demands ≥ 1).
-    pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
-    }
-
-    /// Runs `f` holding one worker for its whole duration. Tries the hinted
-    /// worker first, then any free one, and only blocks if every worker is
-    /// busy (impossible when concurrency ≤ pool size, the invariant the
-    /// chunked executor maintains).
-    pub fn with_worker<T>(&self, hint: usize, f: impl FnOnce(&mut EnclaveWorker) -> T) -> T {
-        let n = self.workers.len();
-        for offset in 0..n {
-            if let Some(mut worker) = self.workers[(hint + offset) % n].try_lock() {
-                return f(&mut worker);
-            }
-        }
-        let mut worker = self.workers[hint % n].lock();
-        f(&mut worker)
     }
 
     /// Runs `f` holding worker `idx % len` *specifically* (blocking if it
@@ -495,7 +408,6 @@ enum BoundaryOp {
         index: usize,
         bytes: usize,
     },
-    Ocall,
 }
 
 /// A buffer of boundary crossings made by one parallel work unit, committed
@@ -535,11 +447,6 @@ impl BoundaryLog {
         });
     }
 
-    /// Records a call out of the enclave.
-    pub fn ocall(&mut self) {
-        self.ops.push(BoundaryOp::Ocall);
-    }
-
     /// Number of buffered operations.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -565,7 +472,6 @@ impl BoundaryLog {
                     index,
                     bytes,
                 } => enclave.copy_out(label, index, bytes),
-                BoundaryOp::Ocall => enclave.ocall(),
             }
         }
     }
@@ -639,26 +545,14 @@ mod tests {
     }
 
     #[test]
-    fn with_private_releases_on_exit() {
-        let e = small_enclave(1000);
-        let out = e.with_private(600, || 42).unwrap();
-        assert_eq!(out, 42);
-        assert_eq!(e.metrics().private_in_use, 0);
-        assert_eq!(e.metrics().private_peak, 600);
-        assert!(e.with_private(2000, || ()).is_err());
-    }
-
-    #[test]
     fn boundary_accounting_and_trace() {
         let e = small_enclave(1000);
         e.copy_in("read-bucket", 3, 128);
         e.copy_out("write-bucket", 7, 256);
-        e.ocall();
         let m = e.metrics();
         assert_eq!(m.bytes_in, 128);
         assert_eq!(m.bytes_out, 256);
         assert_eq!(m.boundary_bytes(), 384);
-        assert_eq!(m.ocalls, 1);
         let trace = e.trace();
         assert_eq!(trace.len(), 2);
         assert_eq!(trace[0].label, "read-bucket");
@@ -673,16 +567,6 @@ mod tests {
         e.copy_in("x", 0, 10);
         assert!(e.trace().is_empty());
         assert_eq!(e.metrics().bytes_in, 10);
-    }
-
-    #[test]
-    fn reset_clears_accounting() {
-        let e = small_enclave(1000);
-        e.copy_in("x", 0, 10);
-        e.charge_private(5).unwrap();
-        e.reset_accounting();
-        assert_eq!(e.metrics(), EnclaveMetrics::default());
-        assert!(e.trace().is_empty());
     }
 
     #[test]
@@ -783,17 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_with_private_tracks_its_own_peak() {
-        let e = small_enclave(1000);
-        let mut workers = e.split_budget(2);
-        let out = workers[0].with_private(450, || 7).unwrap();
-        assert_eq!(out, 7);
-        assert_eq!(workers[0].in_use(), 0);
-        assert_eq!(workers[0].peak(), 450);
-        assert!(workers[0].with_private(501, || ()).is_err());
-    }
-
-    #[test]
     fn concurrent_workers_never_exceed_the_parent_budget() {
         // Hammer the shared accounting from real threads: each worker
         // repeatedly charges up to its whole sub-budget and releases it.
@@ -841,15 +714,62 @@ mod tests {
     fn worker_pool_hands_out_workers_and_prefers_the_hint() {
         let e = small_enclave(1000);
         let pool = WorkerPool::split(&e, 2);
-        assert_eq!(pool.len(), 2);
-        assert!(!pool.is_empty());
-        let budget = pool.with_worker(1, |w| {
+        // Unit 3 lands on worker 1, which still holds the charge when unit 1
+        // comes back to release it.
+        let budget = pool.with_exact(3, |w| {
             w.charge_private(100).unwrap();
-            w.release_private(100).unwrap();
             w.budget()
         });
         assert_eq!(budget, 500);
+        pool.with_exact(1, |w| w.release_private(100)).unwrap();
+        assert_eq!(
+            pool.with_exact(0, |w| w.release_private(1)),
+            Err(EnclaveError::ReleaseUnderflow)
+        );
         assert_eq!(e.metrics().private_peak, 100);
+        assert_eq!(e.metrics().private_in_use, 0);
+    }
+
+    #[test]
+    fn epc_gauges_are_the_enclave_totals_and_no_worker_has_its_own() {
+        // Every worker charge rolls up into its enclave, so the enclave's
+        // gauge set already carries the cross-worker figures; a per-worker
+        // set shared by every worker would only say which one wrote last.
+        let identity = "epc-gauge-rollup";
+        let e = Enclave::new(EnclaveConfig {
+            private_memory_bytes: 4 * 256,
+            record_trace: false,
+            code_identity: identity.into(),
+        });
+        let pool = WorkerPool::split(&e, 4);
+        std::thread::scope(|scope| {
+            for unit in 0..4usize {
+                let pool = &pool;
+                scope.spawn(move || {
+                    pool.with_exact(unit, |worker| {
+                        for round in 0..50usize {
+                            let bytes = 1 + (round * 37 + unit) % worker.budget();
+                            worker.charge_private(bytes).unwrap();
+                            worker.release_private(bytes).unwrap();
+                        }
+                    });
+                });
+            }
+        });
+        if prochlo_obs::global().is_enabled() {
+            let snapshot = prochlo_obs::snapshot();
+            assert!(
+                snapshot
+                    .entries
+                    .iter()
+                    .all(|entry| !entry.name.starts_with("sgx.worker.")),
+                "no per-worker gauge set"
+            );
+            assert_eq!(
+                snapshot.get(&format!("sgx.enclave.{identity}.private_peak")),
+                Some(e.metrics().private_peak as f64)
+            );
+        }
     }
 
     #[test]
@@ -859,11 +779,10 @@ mod tests {
         assert!(log.is_empty());
         log.copy_in("read", 3, 10);
         log.copy_out("write", 4, 20);
-        log.ocall();
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.len(), 2);
         log.commit(&e);
         let m = e.metrics();
-        assert_eq!((m.bytes_in, m.bytes_out, m.ocalls), (10, 20, 1));
+        assert_eq!((m.bytes_in, m.bytes_out), (10, 20));
         let trace = e.trace();
         assert_eq!(trace.len(), 2);
         assert_eq!(trace[0].label, "read");

@@ -9,13 +9,14 @@
 //!    must live outside, encrypted.
 //! 2. **A cost for crossing the boundary.** Every byte moved between
 //!    untrusted memory and the enclave passes through the Memory Encryption
-//!    Engine, and calls out of the enclave (OCALLs) are expensive.
+//!    Engine.
 //! 3. **Observability of the access pattern.** The host can watch *which*
 //!    encrypted blocks the enclave touches and when, so algorithms must make
 //!    their access pattern independent of secret data ("oblivious").
 //!
 //! This crate models exactly those three things — a byte-accurate private
-//! memory budget ([`enclave::Enclave`]), boundary-traffic and OCALL
+//! memory budget ([`enclave::Enclave`], split into per-worker sub-budgets by
+//! [`enclave::WorkerPool`] for a multi-threaded enclave), boundary-traffic
 //! accounting ([`enclave::EnclaveMetrics`]), and an access trace that tests
 //! can assert is data-independent — plus the remote-attestation story
 //! ([`attestation`]): a simulated Intel root signs per-CPU keys, a CPU key

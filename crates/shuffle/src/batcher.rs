@@ -1,5 +1,5 @@
 //! Oblivious shuffling via Batcher's odd-even merge sorting network —
-//! the first baseline of §4.1.3.
+//! the first baseline of §4.1.3: its cost model at paper scale.
 //!
 //! Sorting by a keyed pseudorandom tag is a brute-force oblivious shuffle:
 //! the comparator sequence of the network depends only on `N`, never on the
@@ -8,153 +8,10 @@
 //! the paper's Table-free comparison calls out (49× the dataset at 10 million
 //! records, 100× at 100 million).
 //!
-//! Two things live here:
-//!
-//! * [`BatcherShuffle`] — a real, runnable implementation (item-level
-//!   network) with enclave accounting, used by tests and small-scale
-//!   benchmarks.
-//! * [`BatcherCostModel`] — the analytic cost at paper scale, using the
-//!   bucketed variant the paper describes (buckets of `b` records such that
-//!   two buckets fit in private memory).
-
-use rand::Rng;
-
-use prochlo_crypto::sha256::sha256_concat;
-use prochlo_sgx::{Enclave, WorkerPool};
+//! [`BatcherCostModel`] prices the bucketed variant the paper describes
+//! (buckets of `b` records such that two buckets fit in private memory).
 
 use crate::cost::{CostReport, ShuffleCostModel};
-use crate::error::ShuffleError;
-use crate::exec;
-use crate::{uniform_record_len, Records};
-
-/// A real Batcher-network shuffle bound to an enclave for accounting.
-#[derive(Debug, Clone)]
-pub struct BatcherShuffle {
-    enclave: Enclave,
-    num_threads: usize,
-}
-
-impl BatcherShuffle {
-    /// Creates a shuffler that accounts against the given enclave.
-    pub fn new(enclave: Enclave) -> Self {
-        Self {
-            enclave,
-            num_threads: 1,
-        }
-    }
-
-    /// Sets the number of enclave workers the tag-assignment pass shards
-    /// over (a resolved count; default 1). Tags are a pure function of the
-    /// seed and the record index, so the output is identical at any count.
-    pub fn with_threads(mut self, num_threads: usize) -> Self {
-        self.num_threads = num_threads.max(1);
-        self
-    }
-
-    /// Shuffles the records by obliviously sorting them under a random tag.
-    pub fn shuffle<R: Rng + ?Sized>(
-        &self,
-        input: &[Vec<u8>],
-        rng: &mut R,
-    ) -> Result<Records, ShuffleError> {
-        let record_len = uniform_record_len(input)?;
-        let n = input.len();
-        if n <= 1 {
-            return Ok(input.to_vec());
-        }
-
-        // A fresh random seed keys the per-record tags; an observer who sees
-        // only comparator indices learns nothing about the final order.
-        let mut seed = [0u8; 32];
-        rng.fill_bytes(&mut seed);
-
-        // Tag each record, sharding the hash pass across enclave workers:
-        // each chunk's records plus their tags live in the worker's private
-        // sub-budget while it hashes, and tags depend only on the seed and
-        // the global record index, never on the worker count. Tags are the
-        // sort keys; the record index breaks the (negligible-probability)
-        // ties deterministically.
-        self.enclave
-            .copy_in("batcher-read-input", 0, n * record_len);
-        let pool = WorkerPool::split(&self.enclave, self.num_threads);
-        let tag_chunks: Vec<Result<Vec<[u8; 32]>, ShuffleError>> = exec::par_chunks(
-            input,
-            self.num_threads,
-            exec::CHUNK_RECORDS,
-            |chunk_idx, chunk| {
-                let base = chunk_idx * exec::CHUNK_RECORDS;
-                pool.with_worker(chunk_idx, |worker| {
-                    let working_bytes = chunk.len() * (record_len + 32);
-                    worker
-                        .with_private(working_bytes, || {
-                            (0..chunk.len())
-                                .map(|j| {
-                                    sha256_concat(&[&seed, &((base + j) as u64).to_le_bytes()])
-                                })
-                                .collect()
-                        })
-                        .map_err(ShuffleError::from)
-                })
-            },
-        );
-        let mut tagged: Vec<([u8; 32], Vec<u8>)> = Vec::with_capacity(n);
-        for chunk in tag_chunks {
-            for tag in chunk? {
-                let record = input[tagged.len()].clone();
-                tagged.push((tag, record));
-            }
-        }
-
-        // The data-independent comparator schedule of the odd-even mergesort
-        // network (valid for arbitrary n; comparators reaching beyond n are
-        // skipped, which corresponds to padding with +infinity keys).
-        let mut comparators = 0u64;
-        let mut p = 1usize;
-        while p < n {
-            let mut k = p;
-            loop {
-                let mut j = k % p;
-                while j + k < n {
-                    for i in 0..k {
-                        let left = i + j;
-                        let right = i + j + k;
-                        if right >= n {
-                            break;
-                        }
-                        if left / (p * 2) == right / (p * 2) {
-                            comparators += 1;
-                            if tagged[left].0 > tagged[right].0 {
-                                tagged.swap(left, right);
-                            }
-                        }
-                    }
-                    j += 2 * k;
-                }
-                if k == 1 {
-                    break;
-                }
-                k /= 2;
-            }
-            p *= 2;
-        }
-        // Each compare-exchange touches two records across the boundary in
-        // the bucketed SGX realization; account for it.
-        self.enclave.copy_in(
-            "batcher-compare-exchanges",
-            0,
-            (comparators as usize).saturating_mul(2 * record_len),
-        );
-        self.enclave
-            .copy_out("batcher-write-output", 0, n * record_len);
-
-        Ok(tagged.into_iter().map(|(_, record)| record).collect())
-    }
-
-    /// The enclave used for accounting.
-    pub fn enclave(&self) -> &Enclave {
-        &self.enclave
-    }
-}
 
 /// Analytic cost of the bucketed Batcher sort-shuffle at paper scale.
 #[derive(Debug, Clone, Copy, Default)]
@@ -201,97 +58,6 @@ impl ShuffleCostModel for BatcherCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prochlo_sgx::EnclaveConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::collections::HashSet;
-
-    fn records(n: usize) -> Records {
-        (0..n).map(|i| (i as u64).to_le_bytes().to_vec()).collect()
-    }
-
-    fn shuffler() -> BatcherShuffle {
-        BatcherShuffle::new(Enclave::new(EnclaveConfig {
-            record_trace: true,
-            ..EnclaveConfig::default()
-        }))
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation_for_various_sizes() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for n in [0usize, 1, 2, 3, 7, 64, 100, 255, 1024, 1000] {
-            let input = records(n);
-            let out = shuffler().shuffle(&input, &mut rng).unwrap();
-            assert_eq!(out.len(), n);
-            let a: HashSet<_> = input.into_iter().collect();
-            let b: HashSet<_> = out.into_iter().collect();
-            assert_eq!(a, b, "size {n}");
-        }
-    }
-
-    #[test]
-    fn shuffle_changes_order() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let input = records(500);
-        let out = shuffler().shuffle(&input, &mut rng).unwrap();
-        assert_ne!(out, input);
-    }
-
-    #[test]
-    fn different_seeds_give_different_orders() {
-        let input = records(200);
-        let mut rng_a = StdRng::seed_from_u64(3);
-        let mut rng_b = StdRng::seed_from_u64(4);
-        let a = shuffler().shuffle(&input, &mut rng_a).unwrap();
-        let b = shuffler().shuffle(&input, &mut rng_b).unwrap();
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn non_uniform_records_are_rejected() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let input = vec![vec![1u8; 4], vec![2u8; 5]];
-        assert_eq!(
-            shuffler().shuffle(&input, &mut rng),
-            Err(ShuffleError::NonUniformRecords)
-        );
-    }
-
-    #[test]
-    fn output_is_thread_count_invariant() {
-        // The parallel tag pass computes the same tags as the sequential
-        // one (pure function of seed and record index), so the sorted
-        // output must be byte-identical at any worker count.
-        let input = records(3_000);
-        let run = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(42);
-            shuffler()
-                .with_threads(threads)
-                .shuffle(&input, &mut rng)
-                .unwrap()
-        };
-        let sequential = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), sequential, "{threads} workers");
-        }
-    }
-
-    #[test]
-    fn access_trace_is_data_independent() {
-        let n = 300;
-        let a = records(n);
-        let b: Records = (0..n)
-            .map(|i| ((i * 31 + 5) as u64).to_le_bytes().to_vec())
-            .collect();
-        let run = |input: &Records| {
-            let s = shuffler();
-            let mut rng = StdRng::seed_from_u64(99);
-            let _ = s.shuffle(input, &mut rng).unwrap();
-            s.enclave().trace()
-        };
-        assert_eq!(run(&a), run(&b));
-    }
 
     #[test]
     fn cost_model_matches_paper_overheads() {

@@ -7,105 +7,9 @@
 //! uniform permutation, but the number of rounds required for a
 //! cryptographically meaningful distance (ε = 2⁻⁶⁴) is large — the paper
 //! quotes 114× the dataset for 10 million 318-byte records and 87× for 100
-//! million.
-
-use rand::seq::SliceRandom;
-use rand::Rng;
-
-use prochlo_sgx::Enclave;
+//! million. [`CascadeCostModel`] prices that round count at paper scale.
 
 use crate::cost::{CostReport, ShuffleCostModel};
-use crate::error::ShuffleError;
-use crate::{uniform_record_len, Records};
-
-/// A runnable cascade mix network.
-#[derive(Debug, Clone)]
-pub struct CascadeMixShuffle {
-    enclave: Enclave,
-    rounds: usize,
-    bucket_records: usize,
-}
-
-impl CascadeMixShuffle {
-    /// Creates a cascade with an explicit number of rounds and bucket size
-    /// (records per bucket held in private memory at once).
-    pub fn new(enclave: Enclave, rounds: usize, bucket_records: usize) -> Self {
-        Self {
-            enclave,
-            rounds: rounds.max(1),
-            bucket_records: bucket_records.max(2),
-        }
-    }
-
-    /// The enclave used for accounting.
-    pub fn enclave(&self) -> &Enclave {
-        &self.enclave
-    }
-
-    /// Number of mixing rounds configured.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// Shuffles the records through `rounds` mix rounds.
-    pub fn shuffle<R: Rng + ?Sized>(
-        &self,
-        input: &[Vec<u8>],
-        rng: &mut R,
-    ) -> Result<Records, ShuffleError> {
-        let record_len = uniform_record_len(input)?;
-        let n = input.len();
-        if n <= 1 {
-            return Ok(input.to_vec());
-        }
-        let bucket = self.bucket_records.min(n);
-        let bucket_count = n.div_ceil(bucket);
-        let mut current: Records = input.to_vec();
-
-        for round in 0..self.rounds {
-            // Shuffle each bucket privately.
-            self.enclave.charge_private(bucket * record_len)?;
-            for b in 0..bucket_count {
-                let start = b * bucket;
-                let end = ((b + 1) * bucket).min(n);
-                self.enclave.copy_in(
-                    "cascade-read-bucket",
-                    round * bucket_count + b,
-                    (end - start) * record_len,
-                );
-                current[start..end].shuffle(rng);
-                self.enclave.copy_out(
-                    "cascade-write-bucket",
-                    round * bucket_count + b,
-                    (end - start) * record_len,
-                );
-            }
-            self.enclave
-                .release_private(bucket * record_len)
-                .expect("balanced release");
-
-            // Public stride redistribution so records can cross buckets:
-            // position i moves to (i * bucket_count) mod n (a fixed, data-
-            // independent permutation, except the final round which keeps the
-            // in-bucket order).
-            if round + 1 < self.rounds {
-                let mut next: Records = vec![Vec::new(); n];
-                for (i, record) in current.drain(..).enumerate() {
-                    let dest = (i * bucket_count + i / bucket) % n;
-                    // Collisions are impossible only when gcd conditions hold;
-                    // fall back to linear probing to keep this a permutation.
-                    let mut d = dest;
-                    while !next[d].is_empty() {
-                        d = (d + 1) % n;
-                    }
-                    next[d] = record;
-                }
-                current = next;
-            }
-        }
-        Ok(current)
-    }
-}
 
 /// Analytic cost of the cascade mix network at paper scale.
 #[derive(Debug, Clone, Copy)]
@@ -171,63 +75,6 @@ impl ShuffleCostModel for CascadeCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prochlo_sgx::EnclaveConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::collections::HashSet;
-
-    fn records(n: usize) -> Records {
-        (0..n).map(|i| (i as u64).to_le_bytes().to_vec()).collect()
-    }
-
-    fn shuffler(rounds: usize, bucket: usize) -> CascadeMixShuffle {
-        CascadeMixShuffle::new(
-            Enclave::new(EnclaveConfig {
-                private_memory_bytes: 1 << 20,
-                record_trace: false,
-                code_identity: "cascade-test".into(),
-            }),
-            rounds,
-            bucket,
-        )
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for n in [0usize, 1, 5, 64, 500, 1000] {
-            let input = records(n);
-            let out = shuffler(5, 64).shuffle(&input, &mut rng).unwrap();
-            assert_eq!(out.len(), n);
-            let a: HashSet<_> = input.into_iter().collect();
-            let b: HashSet<_> = out.into_iter().collect();
-            assert_eq!(a, b, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn records_can_cross_buckets() {
-        // After several rounds a record from the first bucket should be able
-        // to land in the second half of the output.
-        let mut rng = StdRng::seed_from_u64(2);
-        let n = 512;
-        let input = records(n);
-        let out = shuffler(6, 64).shuffle(&input, &mut rng).unwrap();
-        let first_record = &input[0];
-        let pos = out.iter().position(|r| r == first_record).unwrap();
-        // Not a strict property for a single seed, but with 6 rounds the
-        // probability of staying in the first bucket is tiny; the fixed seed
-        // makes this deterministic.
-        assert!(pos >= 64 || out[..64] != input[..64]);
-    }
-
-    #[test]
-    fn shuffle_changes_order() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let input = records(600);
-        let out = shuffler(4, 100).shuffle(&input, &mut rng).unwrap();
-        assert_ne!(out, input);
-    }
 
     #[test]
     fn cost_model_tracks_paper_overheads() {
@@ -255,15 +102,5 @@ mod tests {
             Some(114.0)
         );
         assert_eq!(CascadeCostModel::paper_reported_overhead(77), None);
-    }
-
-    #[test]
-    fn non_uniform_records_are_rejected() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let input = vec![vec![1u8; 3], vec![1u8; 4]];
-        assert_eq!(
-            shuffler(2, 8).shuffle(&input, &mut rng),
-            Err(ShuffleError::NonUniformRecords)
-        );
     }
 }

@@ -11,8 +11,7 @@
 //!
 //! Because the bound — not the mechanics of the eight steps — is what the
 //! paper's comparison turns on, this module provides the cost model and the
-//! feasibility computation; the runnable oblivious-sort baseline in this
-//! crate is [`crate::batcher`].
+//! feasibility computation, like the other baselines in this crate.
 
 use crate::cost::{CostReport, ShuffleCostModel};
 

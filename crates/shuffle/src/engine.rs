@@ -8,15 +8,11 @@
 //! backend at runtime — from configuration, an environment variable, or a
 //! collector request — without a closed enum dispatch in the hot path.
 //!
-//! This crate implements the trait for the shufflers it owns:
-//!
-//! * [`BatcherShuffle`] — the oblivious sorting-network baseline;
-//! * [`MelbourneShuffle`] — the private-permutation baseline;
-//! * [`StashEngine`] — the Stash Shuffle, deriving parameters per batch when
-//!   none are pinned.
-//!
-//! The trusted in-memory engine (no enclave, parallel tag distribution)
-//! lives in `prochlo-core`, next to the chunked executor it uses.
+//! This crate implements the trait for the one oblivious shuffle Prochlo
+//! runs, [`StashEngine`] — the Stash Shuffle, deriving parameters per batch
+//! when none are pinned. The trusted in-memory engine (no enclave, parallel
+//! tag distribution) lives in `prochlo-core`, next to the chunked executor
+//! it uses. The other §4.1.3 baselines exist only as cost models.
 
 use rand::RngCore;
 
@@ -24,7 +20,7 @@ use prochlo_sgx::Enclave;
 
 use crate::error::ShuffleError;
 use crate::stash::{StashShuffle, StashShuffleParams};
-use crate::{batcher::BatcherShuffle, melbourne::MelbourneShuffle, Records};
+use crate::Records;
 
 /// What a shuffle engine reports about one batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -50,38 +46,6 @@ pub trait ShuffleEngine: Send + Sync + std::fmt::Debug {
         rng: &mut dyn RngCore,
         stats: &mut EngineStats,
     ) -> Result<Records, ShuffleError>;
-}
-
-impl ShuffleEngine for BatcherShuffle {
-    fn name(&self) -> &'static str {
-        "batcher"
-    }
-
-    fn shuffle(
-        &self,
-        items: Records,
-        rng: &mut dyn RngCore,
-        stats: &mut EngineStats,
-    ) -> Result<Records, ShuffleError> {
-        stats.attempts = 1;
-        BatcherShuffle::shuffle(self, &items, rng)
-    }
-}
-
-impl ShuffleEngine for MelbourneShuffle {
-    fn name(&self) -> &'static str {
-        "melbourne"
-    }
-
-    fn shuffle(
-        &self,
-        items: Records,
-        rng: &mut dyn RngCore,
-        stats: &mut EngineStats,
-    ) -> Result<Records, ShuffleError> {
-        stats.attempts = 1;
-        MelbourneShuffle::shuffle(self, &items, rng)
-    }
 }
 
 /// The Stash Shuffle as a pluggable engine: parameters are pinned at
@@ -161,11 +125,7 @@ mod tests {
     }
 
     fn engines() -> Vec<Box<dyn ShuffleEngine>> {
-        vec![
-            Box::new(BatcherShuffle::new(enclave())),
-            Box::new(MelbourneShuffle::new(enclave())),
-            Box::new(StashEngine::new(None, enclave())),
-        ]
+        vec![Box::new(StashEngine::new(None, enclave()))]
     }
 
     #[test]
@@ -218,6 +178,6 @@ mod tests {
     #[test]
     fn engine_names_are_stable() {
         let names: Vec<&str> = engines().iter().map(|e| e.name()).collect();
-        assert_eq!(names, vec!["batcher", "melbourne", "stash"]);
+        assert_eq!(names, vec!["stash"]);
     }
 }

@@ -2,6 +2,8 @@
 
 use prochlo_sgx::EnclaveError;
 
+use crate::stash::StashFailures;
+
 /// Errors surfaced by the shuffling algorithms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShuffleError {
@@ -10,27 +12,16 @@ pub enum ShuffleError {
     NonUniformRecords,
     /// The enclave's private memory budget was exceeded.
     Enclave(EnclaveError),
-    /// Every attempt of the Stash Shuffle failed — the stash overflowed or
-    /// did not drain, the compression queue outgrew its bound or the window
-    /// ran dry (the `shuffle.stash.fail.*` counters say which); the
+    /// Every attempt of the Stash Shuffle failed; `failures` says how each
+    /// one did (stash overflow, undrained stash, queue overflow, window
+    /// underflow), and its `total()` is the number of attempts made. The
     /// parameters are too tight for this input size.
-    StashOverflow {
-        /// Number of attempts made before giving up.
-        attempts: usize,
+    AttemptsExhausted {
+        /// Why each attempt failed, by kind.
+        failures: StashFailures,
     },
-    /// The compression-phase window could not supply enough real items for an
-    /// output bucket; the window parameter is too small.
-    WindowUnderflow,
-    /// The problem size exceeds what the algorithm can handle inside the
-    /// given private memory (ColumnSort and Melbourne Shuffle have hard
-    /// limits).
-    ProblemTooLarge {
-        /// Requested number of records.
-        requested: usize,
-        /// Maximum the algorithm supports with this enclave configuration.
-        maximum: usize,
-    },
-    /// An ingress transform (outer-layer decryption) failed for a record.
+    /// An intermediate slot failed to open at the position it was read
+    /// from: the untrusted array was truncated, moved or forged.
     IngressFailed(&'static str),
     /// Parameters are internally inconsistent (e.g. zero buckets).
     InvalidParameters(&'static str),
@@ -50,16 +41,20 @@ impl std::fmt::Display for ShuffleError {
         match self {
             ShuffleError::NonUniformRecords => write!(f, "records must all have the same length"),
             ShuffleError::Enclave(e) => write!(f, "enclave error: {e}"),
-            ShuffleError::StashOverflow { attempts } => {
-                write!(f, "stash shuffle failed in all {attempts} attempts")
+            ShuffleError::AttemptsExhausted { failures } => {
+                let kinds: Vec<String> = failures
+                    .by_kind()
+                    .into_iter()
+                    .filter(|&(_, count)| count > 0)
+                    .map(|(kind, count)| format!("{kind}: {count}"))
+                    .collect();
+                write!(
+                    f,
+                    "stash shuffle failed all {} attempts ({})",
+                    failures.total(),
+                    kinds.join(", ")
+                )
             }
-            ShuffleError::WindowUnderflow => {
-                write!(f, "compression window underflow (window too small)")
-            }
-            ShuffleError::ProblemTooLarge { requested, maximum } => write!(
-                f,
-                "problem too large: {requested} records, algorithm supports at most {maximum}"
-            ),
             ShuffleError::IngressFailed(what) => write!(f, "ingress transform failed: {what}"),
             ShuffleError::InvalidParameters(what) => write!(f, "invalid parameters: {what}"),
             ShuffleError::InvalidThreads { value } => write!(
@@ -88,14 +83,17 @@ mod tests {
         assert!(ShuffleError::NonUniformRecords
             .to_string()
             .contains("same length"));
-        assert!(ShuffleError::StashOverflow { attempts: 3 }
-            .to_string()
-            .contains('3'));
-        let e = ShuffleError::ProblemTooLarge {
-            requested: 100,
-            maximum: 10,
+        let e = ShuffleError::AttemptsExhausted {
+            failures: StashFailures {
+                stash_overflow: 2,
+                queue_overflow: 1,
+                ..StashFailures::default()
+            },
         };
-        assert!(e.to_string().contains("100") && e.to_string().contains("10"));
+        assert_eq!(
+            e.to_string(),
+            "stash shuffle failed all 3 attempts (stash_overflow: 2, queue_overflow: 1)"
+        );
     }
 
     #[test]

@@ -11,26 +11,27 @@
 //! * [`stash::params`] — parameter selection, the overhead formula
 //!   `(N + B²C + S)/N`, and an analytic estimate of the security parameter ε
 //!   (Table 1).
-//! * [`batcher`] — an oblivious sort-based shuffle built from Batcher's
-//!   odd-even merge network (the first baseline of §4.1.3), usable as a real
-//!   shuffler and as a cost model at paper scale.
-//! * [`melbourne`] — the Melbourne Shuffle baseline, which needs the whole
-//!   permutation in private memory.
-//! * [`cascade`] — cascade mix networks (M2R-style), needing many rounds for
-//!   a cryptographically meaningful ε.
-//! * [`columnsort`] — ColumnSort's cost model and problem-size bound (the
-//!   Opaque baseline); 8 passes but a hard maximum problem size.
-//! * [`cost`] — the shared cost-report type used by the §4.1.3 comparison
-//!   benchmark.
-//! * [`engine`] — the object-safe [`ShuffleEngine`] trait that makes every
-//!   shuffler here a runtime-selectable backend for the ESA pipeline.
-//! * [`exec`] — the chunked, deterministic fork-join executor the engines
-//!   (and the ESA pipeline above this crate) shard their parallel passes
-//!   on, plus the `PROCHLO_SHUFFLE_THREADS` knob parsing.
+//! * The four baselines §4.1.3 rejects, as the analytic cost models the
+//!   paper compares them by (the `shuffler_comparison` bench prints the
+//!   table):
+//!   * [`batcher`] — an oblivious sort built from Batcher's odd-even merge
+//!     network, 49× / 100× the data;
+//!   * [`melbourne`] — the Melbourne Shuffle, which needs the whole
+//!     permutation in private memory;
+//!   * [`cascade`] — cascade mix networks (M2R-style), needing many rounds
+//!     for a cryptographically meaningful ε;
+//!   * [`columnsort`] — ColumnSort (the Opaque baseline); 8 passes but a
+//!     hard maximum problem size.
+//! * [`cost`] — the shared cost-report type those models return.
+//! * [`engine`] — the object-safe [`ShuffleEngine`] trait that makes the
+//!   Stash Shuffle a runtime-selectable backend for the ESA pipeline.
+//! * [`exec`] — the chunked, deterministic fork-join executor the Stash
+//!   Shuffle (and the ESA pipeline above this crate) shards its parallel
+//!   passes on, plus the `PROCHLO_SHUFFLE_THREADS` knob parsing.
 //!
-//! All real shuffler implementations run against a [`prochlo_sgx::Enclave`]
-//! so that private-memory budgets are enforced and boundary traffic / access
-//! traces can be asserted in tests.
+//! The Stash Shuffle runs against a [`prochlo_sgx::Enclave`] so that
+//! private-memory budgets are enforced and boundary traffic / access traces
+//! can be asserted in tests.
 
 pub mod batcher;
 pub mod cascade;

@@ -1,4 +1,4 @@
-//! The Melbourne Shuffle baseline (§4.1.3).
+//! The Melbourne Shuffle baseline (§4.1.3): its cost model at paper scale.
 //!
 //! The Melbourne Shuffle picks the target permutation up front and then
 //! obliviously rearranges the data towards it in two passes (distribution
@@ -7,263 +7,13 @@
 //! permutation* in private memory — which is exactly why the paper rules it
 //! out for SGX at Prochlo's scale ("only a few dozen million items, at most").
 //!
-//! [`MelbourneShuffle`] is a runnable implementation with enclave accounting
-//! (including the permutation-storage charge that limits scalability);
 //! [`MelbourneCostModel`] reports the analytic cost and the maximum feasible
 //! problem size for the comparison benchmark.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
-
-use prochlo_sgx::{BoundaryLog, Enclave, WorkerPool};
-
 use crate::cost::{CostReport, ShuffleCostModel};
-use crate::error::ShuffleError;
-use crate::exec;
-use crate::{uniform_record_len, Records};
 
 /// Bytes of private memory needed per record just to store the permutation.
 pub const PERMUTATION_BYTES_PER_RECORD: usize = 8;
-
-/// One distribution-phase slot: `None` is a dummy, `Some((target, record))`
-/// a real record tagged with its final position.
-type Slot = Option<(usize, Vec<u8>)>;
-
-/// A runnable Melbourne Shuffle.
-#[derive(Debug, Clone)]
-pub struct MelbourneShuffle {
-    enclave: Enclave,
-    max_attempts: usize,
-    num_threads: usize,
-}
-
-/// One input bucket's distribution-pass output: `chunks[out_bucket]` holds
-/// exactly `cap` slots (real records padded with dummies), or `None` when
-/// some bucket pair overflowed the cap and the attempt must restart.
-struct BucketDist {
-    chunks: Option<Vec<Vec<Slot>>>,
-    log: BoundaryLog,
-}
-
-/// One output bucket's clean-up-pass output: the real records sorted by
-/// destination position.
-struct BucketClean {
-    real: Vec<(usize, Vec<u8>)>,
-    log: BoundaryLog,
-}
-
-impl MelbourneShuffle {
-    /// Creates a shuffler bound to the given enclave.
-    pub fn new(enclave: Enclave) -> Self {
-        Self {
-            enclave,
-            max_attempts: 10,
-            num_threads: 1,
-        }
-    }
-
-    /// Sets the number of enclave workers the two passes shard their bucket
-    /// loops over (a resolved count; default 1). The target permutation is
-    /// drawn before the parallel region and both passes are pure functions
-    /// of it, so the output is byte-identical at any worker count.
-    pub fn with_threads(mut self, num_threads: usize) -> Self {
-        self.num_threads = num_threads.max(1);
-        self
-    }
-
-    /// The enclave used for accounting.
-    pub fn enclave(&self) -> &Enclave {
-        &self.enclave
-    }
-
-    /// Shuffles the records.
-    pub fn shuffle<R: Rng + ?Sized>(
-        &self,
-        input: &[Vec<u8>],
-        rng: &mut R,
-    ) -> Result<Records, ShuffleError> {
-        let record_len = uniform_record_len(input)?;
-        let n = input.len();
-        if n <= 1 {
-            return Ok(input.to_vec());
-        }
-
-        // The defining constraint: the whole permutation must fit in private
-        // memory for the duration of the shuffle.
-        let permutation_bytes = n * PERMUTATION_BYTES_PER_RECORD;
-        let max = self.enclave.config().private_memory_bytes / PERMUTATION_BYTES_PER_RECORD;
-        if permutation_bytes > self.enclave.config().private_memory_bytes {
-            return Err(ShuffleError::ProblemTooLarge {
-                requested: n,
-                maximum: max,
-            });
-        }
-
-        let bucket_count = (n as f64).sqrt().ceil() as usize;
-        let bucket_size = n.div_ceil(bucket_count);
-        // Per (input bucket, output bucket) slot cap, with padding to hide
-        // the actual counts; ~log n keeps the failure probability negligible.
-        let cap = ((n.max(2) as f64).ln().ceil() as usize + 2).max(3);
-
-        for attempt in 1..=self.max_attempts {
-            self.enclave.charge_private(permutation_bytes)?;
-            let result = self.attempt(input, record_len, bucket_count, bucket_size, cap, rng);
-            self.enclave
-                .release_private(permutation_bytes)
-                .expect("balanced release");
-            match result? {
-                Some(output) => return Ok(output),
-                None if attempt == self.max_attempts => {
-                    return Err(ShuffleError::StashOverflow {
-                        attempts: self.max_attempts,
-                    })
-                }
-                None => continue,
-            }
-        }
-        unreachable!("loop either returns or errors on the last attempt")
-    }
-
-    /// One attempt; `Ok(None)` means a bucket-pair cap overflowed and the
-    /// caller should retry with a fresh permutation.
-    ///
-    /// Both passes are the "embarrassingly parallel rounds" the paper
-    /// credits the Melbourne Shuffle with: the target permutation is drawn
-    /// up front, every input bucket's distribution chunking and every
-    /// output bucket's clean-up is a pure function of it, and the output
-    /// buckets own disjoint destination ranges. So each pass shards its
-    /// bucket loop across enclave workers (per-worker private sub-budgets),
-    /// buffers its boundary crossings per bucket, and merges in bucket
-    /// order — byte-identical to the sequential pass at any worker count.
-    fn attempt<R: Rng + ?Sized>(
-        &self,
-        input: &[Vec<u8>],
-        record_len: usize,
-        bucket_count: usize,
-        bucket_size: usize,
-        cap: usize,
-        rng: &mut R,
-    ) -> Result<Option<Records>, ShuffleError> {
-        let n = input.len();
-        // The target permutation: position[i] is where input record i ends up.
-        let mut position: Vec<usize> = (0..n).collect();
-        position.shuffle(rng);
-        let position = &position;
-
-        let pool = WorkerPool::split(&self.enclave, self.num_threads);
-
-        // Phase 1: distribution, one worker per input bucket. `par_chunks`
-        // with chunk size `bucket_size` yields exactly the input buckets.
-        let dist: Vec<Result<BucketDist, ShuffleError>> =
-            exec::par_chunks(input, self.num_threads, bucket_size, |in_bucket, bucket| {
-                let mut log = BoundaryLog::new();
-                log.copy_in(
-                    "melbourne-read-bucket",
-                    in_bucket,
-                    bucket.len() * record_len,
-                );
-                pool.with_worker(in_bucket, |worker| {
-                    worker.charge_private(bucket.len() * record_len)?;
-                    let start = in_bucket * bucket_size;
-                    // Group this bucket's records by their destination bucket.
-                    let mut per_out: Vec<Vec<(usize, Vec<u8>)>> = vec![Vec::new(); bucket_count];
-                    for (offset, record) in bucket.iter().enumerate() {
-                        let dest = position[start + offset];
-                        let out_bucket = dest / bucket_size;
-                        per_out[out_bucket].push((dest, record.clone()));
-                    }
-                    let mut chunks = Vec::with_capacity(bucket_count);
-                    let mut overflow = false;
-                    for (out_bucket, mut items) in per_out.into_iter().enumerate() {
-                        if items.len() > cap {
-                            // Overflow: retry with a fresh permutation.
-                            overflow = true;
-                            break;
-                        }
-                        let mut slots: Vec<Slot> = items.drain(..).map(Some).collect();
-                        slots.resize_with(cap, || None);
-                        log.copy_out("melbourne-write-chunk", out_bucket, cap * record_len);
-                        chunks.push(slots);
-                    }
-                    worker
-                        .release_private(bucket.len() * record_len)
-                        .expect("balanced release");
-                    Ok(BucketDist {
-                        chunks: (!overflow).then_some(chunks),
-                        log,
-                    })
-                })
-            });
-
-        // Merge in input-bucket order; a single overflowing pair anywhere
-        // aborts the attempt (a fact independent of the worker count).
-        let real_buckets = input.len().div_ceil(bucket_size);
-        let mut intermediate: Vec<Vec<Slot>> =
-            vec![Vec::with_capacity(bucket_count * cap); bucket_count];
-        for bucket in dist {
-            let BucketDist { chunks, log } = bucket?;
-            let Some(chunks) = chunks else {
-                return Ok(None);
-            };
-            log.commit(&self.enclave);
-            for (out_bucket, slots) in chunks.into_iter().enumerate() {
-                intermediate[out_bucket].extend(slots);
-            }
-        }
-        // Empty trailing buckets keep the access-pattern shape: write dummy
-        // chunks anyway, exactly as the sequential loop did.
-        for _ in real_buckets..bucket_count {
-            for (out_bucket, slots) in intermediate.iter_mut().enumerate() {
-                slots.extend(std::iter::repeat_with(|| None).take(cap));
-                self.enclave
-                    .copy_out("melbourne-write-chunk", out_bucket, cap * record_len);
-            }
-        }
-
-        // Phase 2: clean-up, one worker per output bucket. Output buckets
-        // cover disjoint destination ranges, so the per-bucket sorted runs
-        // merge without coordination.
-        let cleaned: Vec<Result<BucketClean, ShuffleError>> =
-            exec::par_chunks(&intermediate, self.num_threads, 1, |out_bucket, slots| {
-                let slots = &slots[0];
-                let mut log = BoundaryLog::new();
-                log.copy_in(
-                    "melbourne-read-intermediate",
-                    out_bucket,
-                    slots.len() * record_len,
-                );
-                pool.with_worker(out_bucket, |worker| {
-                    worker.charge_private(slots.len() * record_len)?;
-                    let mut real: Vec<(usize, Vec<u8>)> = slots.iter().flatten().cloned().collect();
-                    real.sort_by_key(|(dest, _)| *dest);
-                    log.copy_out(
-                        "melbourne-write-output",
-                        out_bucket,
-                        real.len() * record_len,
-                    );
-                    worker
-                        .release_private(slots.len() * record_len)
-                        .expect("balanced release");
-                    Ok(BucketClean { real, log })
-                })
-            });
-
-        let mut output: Vec<Option<Vec<u8>>> = vec![None; n];
-        for bucket in cleaned {
-            let BucketClean { real, log } = bucket?;
-            log.commit(&self.enclave);
-            for (dest, record) in real {
-                output[dest] = Some(record);
-            }
-        }
-        Ok(Some(
-            output
-                .into_iter()
-                .map(|r| r.expect("every slot filled"))
-                .collect(),
-        ))
-    }
-}
 
 /// Analytic cost of the Melbourne Shuffle at paper scale.
 #[derive(Debug, Clone, Copy, Default)]
@@ -294,76 +44,6 @@ impl ShuffleCostModel for MelbourneCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prochlo_sgx::EnclaveConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::collections::HashSet;
-
-    fn records(n: usize) -> Records {
-        (0..n).map(|i| (i as u64).to_le_bytes().to_vec()).collect()
-    }
-
-    fn shuffler(private_bytes: usize) -> MelbourneShuffle {
-        MelbourneShuffle::new(Enclave::new(EnclaveConfig {
-            private_memory_bytes: private_bytes,
-            record_trace: false,
-            code_identity: "melbourne-test".into(),
-        }))
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for n in [0usize, 1, 2, 10, 100, 1000] {
-            let input = records(n);
-            let out = shuffler(1 << 20).shuffle(&input, &mut rng).unwrap();
-            assert_eq!(out.len(), n);
-            let a: HashSet<_> = input.into_iter().collect();
-            let b: HashSet<_> = out.into_iter().collect();
-            assert_eq!(a, b, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn shuffle_changes_order() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let input = records(800);
-        let out = shuffler(1 << 20).shuffle(&input, &mut rng).unwrap();
-        assert_ne!(out, input);
-    }
-
-    #[test]
-    fn output_is_thread_count_invariant() {
-        // Both passes are pure functions of the up-front permutation, so
-        // sharding them across workers never changes the output.
-        let input = records(1_200);
-        let run = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(21);
-            shuffler(1 << 20)
-                .with_threads(threads)
-                .shuffle(&input, &mut rng)
-                .unwrap()
-        };
-        let sequential = run(1);
-        assert_eq!(sequential.len(), input.len());
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), sequential, "{threads} workers");
-        }
-    }
-
-    #[test]
-    fn permutation_memory_limit_is_enforced() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let input = records(1000); // needs 8000 bytes of private memory
-        let result = shuffler(4_000).shuffle(&input, &mut rng);
-        assert!(matches!(
-            result,
-            Err(ShuffleError::ProblemTooLarge {
-                requested: 1000,
-                maximum: 500
-            })
-        ));
-    }
 
     #[test]
     fn cost_model_matches_paper_narrative() {
@@ -377,15 +57,5 @@ mod tests {
         assert!((10_000_000..30_000_000).contains(&max), "max {max}");
         assert!(report.feasible);
         assert!(!model.cost(100_000_000, 318, epc).feasible);
-    }
-
-    #[test]
-    fn non_uniform_records_are_rejected() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let input = vec![vec![1u8; 3], vec![1u8; 4]];
-        assert_eq!(
-            shuffler(1 << 20).shuffle(&input, &mut rng),
-            Err(ShuffleError::NonUniformRecords)
-        );
     }
 }

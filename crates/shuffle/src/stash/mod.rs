@@ -52,7 +52,8 @@
 //! bound, or the window runs dry — and then the shuffle restarts with fresh
 //! randomness, exactly as in the paper; intermediate data is useless to an
 //! observer because each attempt uses a fresh ephemeral key. Each kind is
-//! counted on [`StashShuffleOutput::failures`] and on the
+//! counted on [`StashShuffleOutput::failures`] (on
+//! [`ShuffleError::AttemptsExhausted`] when no attempt succeeds) and on the
 //! `shuffle.stash.fail.*` obs counters; [`StashShuffleParams::log2_epsilon`]
 //! bounds their union, and at derived parameters it is below 2⁻⁶⁴.
 //!
@@ -130,16 +131,21 @@ impl StashFailures {
         self.stash_overflow + self.stash_undrained + self.queue_overflow + self.window_underflow
     }
 
+    /// Each kind's name (the suffix of its obs counter) and count.
+    pub(crate) fn by_kind(&self) -> [(&'static str, usize); 4] {
+        [
+            ("stash_overflow", self.stash_overflow),
+            ("stash_undrained", self.stash_undrained),
+            ("queue_overflow", self.queue_overflow),
+            ("window_underflow", self.window_underflow),
+        ]
+    }
+
     /// Adds the counts to the global obs registry (which also registers the
     /// four names, so a snapshot shows the zeros).
     fn publish(&self) {
-        for (name, count) in [
-            ("shuffle.stash.fail.stash_overflow", self.stash_overflow),
-            ("shuffle.stash.fail.stash_undrained", self.stash_undrained),
-            ("shuffle.stash.fail.queue_overflow", self.queue_overflow),
-            ("shuffle.stash.fail.window_underflow", self.window_underflow),
-        ] {
-            prochlo_obs::counter(name).add(count as u64);
+        for (kind, count) in self.by_kind() {
+            prochlo_obs::counter(&format!("shuffle.stash.fail.{kind}")).add(count as u64);
         }
     }
 }
@@ -309,17 +315,15 @@ impl StashShuffle {
         }
 
         let mut failures = StashFailures::default();
-        let mut outcome = Err(ShuffleError::StashOverflow {
-            attempts: self.max_attempts,
-        });
+        let mut outcome = None;
         for attempt in 1..=self.max_attempts {
             match self.attempt(input, record_len, rng) {
                 Ok((records, intermediate_slots)) => {
-                    outcome = Ok((records, intermediate_slots, attempt));
+                    outcome = Some(Ok((records, intermediate_slots, attempt)));
                     break;
                 }
                 Err(AttemptFailure::Fatal(e)) => {
-                    outcome = Err(e);
+                    outcome = Some(Err(e));
                     break;
                 }
                 // Anything else restarts with fresh randomness (and a fresh
@@ -331,7 +335,8 @@ impl StashShuffle {
             }
         }
         failures.publish();
-        let (records, intermediate_slots, attempts) = outcome?;
+        let (records, intermediate_slots, attempts) =
+            outcome.unwrap_or(Err(ShuffleError::AttemptsExhausted { failures }))?;
         Ok(StashShuffleOutput {
             records,
             metrics: self.enclave.metrics(),
@@ -888,10 +893,17 @@ mod tests {
         });
         let shuffler = StashShuffle::new(params, enclave).with_max_attempts(3);
         let input = records(1_000, 16);
-        assert!(matches!(
-            shuffler.shuffle(&input, &mut rng),
-            Err(ShuffleError::StashOverflow { attempts: 3 })
-        ));
+        // Every attempt dies the same way: the first chunk overflow finds
+        // the zero-capacity stash full.
+        assert_eq!(
+            shuffler.shuffle(&input, &mut rng).unwrap_err(),
+            ShuffleError::AttemptsExhausted {
+                failures: StashFailures {
+                    stash_overflow: 3,
+                    ..StashFailures::default()
+                }
+            }
+        );
     }
 
     #[test]

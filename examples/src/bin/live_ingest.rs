@@ -9,8 +9,7 @@
 //!
 //! The shuffle engine is selected at runtime, no code changes required:
 //!
-//! * `PROCHLO_SHUFFLE_BACKEND` — `trusted` (default), `stash`, `batcher`
-//!   or `melbourne`;
+//! * `PROCHLO_SHUFFLE_BACKEND` — `trusted` (default) or `stash`;
 //! * `PROCHLO_SHUFFLE_THREADS` — worker threads for the parallel batch
 //!   phases (`0` or unset: every available core).
 //!
@@ -91,12 +90,12 @@ fn main() {
 
     // The analytic price of the selected backend, projected at this run's
     // record count and at paper scale (§4.1.3's comparison metric). Both
-    // rows assume the paper's 318-byte records and 92 MB enclave — a
-    // projection, not a measurement of the 32-byte-payload run above.
+    // rows assume the paper's 318-byte records — a projection, not a
+    // measurement of the 32-byte-payload run above.
     for records in [stats.ingest.accepted as usize, 10_000_000] {
         let cost = engine.backend.paper_cost_report(records);
         println!(
-            "cost model [{}] at {} paper-sized records (318 B, 92 MB enclave): \
+            "cost model [{}] at {} paper-sized records (318 B): \
              {:.1}x data processed, {} rounds, max N {}, feasible: {}",
             cost.algorithm,
             records,

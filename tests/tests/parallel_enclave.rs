@@ -1,8 +1,8 @@
-//! Cross-crate tests of the multi-threaded enclave model: the enclave-bound
-//! engines (stash/batcher/melbourne) and the analyzer's inner-layer
-//! decryption shard across scoped workers with per-worker private-memory
-//! sub-budgets, and their output — records, metrics, access traces and the
-//! analyzer database — is byte-identical at any worker count.
+//! Cross-crate tests of the multi-threaded enclave model: the Stash Shuffle
+//! and the analyzer's inner-layer decryption shard across scoped workers
+//! with per-worker private-memory sub-budgets, and their output — records,
+//! metrics, access traces and the analyzer database — is byte-identical at
+//! any worker count.
 //!
 //! CI runs this suite at `PROCHLO_SHUFFLE_THREADS=1` and `=4`, so the
 //! env-resolved path is exercised under real contention too.
@@ -10,8 +10,6 @@
 use prochlo_core::encoder::CrowdStrategy;
 use prochlo_core::{Deployment, EngineConfig, EpochSpec, ShuffleBackend, ShufflerConfig};
 use prochlo_sgx::{Enclave, EnclaveConfig, WorkerPool};
-use prochlo_shuffle::batcher::BatcherShuffle;
-use prochlo_shuffle::melbourne::MelbourneShuffle;
 use prochlo_shuffle::{StashShuffle, StashShuffleParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,12 +34,11 @@ fn tracing_enclave() -> Enclave {
 
 /// The strongest form of the determinism contract: not just the histogram
 /// but the raw output record order, the enclave metrics and the full access
-/// trace of every enclave-bound engine are invariant to the worker count.
+/// trace of the Stash Shuffle are invariant to the worker count.
 #[test]
 fn enclave_engines_are_byte_identical_at_any_worker_count() {
     let input = records(2_000, 32);
-
-    let stash = |threads: usize| {
+    let run = |threads: usize| {
         let shuffler =
             StashShuffle::new(StashShuffleParams::derive(input.len()), tracing_enclave())
                 .with_threads(threads);
@@ -49,53 +46,23 @@ fn enclave_engines_are_byte_identical_at_any_worker_count() {
         let out = shuffler.shuffle(&input, &mut rng).unwrap();
         (out.records, out.metrics, shuffler.enclave().trace())
     };
-    let batcher = |threads: usize| {
-        let shuffler = BatcherShuffle::new(tracing_enclave()).with_threads(threads);
-        let mut rng = StdRng::seed_from_u64(0xB22);
-        let out = shuffler.shuffle(&input, &mut rng).unwrap();
-        (
-            out,
-            shuffler.enclave().metrics(),
-            shuffler.enclave().trace(),
-        )
-    };
-    let melbourne = |threads: usize| {
-        let shuffler = MelbourneShuffle::new(tracing_enclave()).with_threads(threads);
-        let mut rng = StdRng::seed_from_u64(0xC33);
-        let out = shuffler.shuffle(&input, &mut rng).unwrap();
-        (
-            out,
-            shuffler.enclave().metrics(),
-            shuffler.enclave().trace(),
-        )
-    };
 
-    for (name, run) in [
-        ("stash", &stash as &dyn Fn(usize) -> _),
-        ("batcher", &batcher),
-        ("melbourne", &melbourne),
-    ] {
-        let sequential = run(1);
-        assert_eq!(sequential.0.len(), input.len(), "{name}");
-        for threads in [2, 4, 8] {
-            let parallel = run(threads);
-            assert_eq!(parallel.0, sequential.0, "{name}: records @ {threads}");
-            assert_eq!(parallel.2, sequential.2, "{name}: trace @ {threads}");
-            // Byte counters must agree exactly; the private peak may differ
-            // (more concurrent workers legitimately hold more at once) but
-            // never exceeds the budget, and everything is released.
-            assert_eq!(
-                (parallel.1.bytes_in, parallel.1.bytes_out, parallel.1.ocalls),
-                (
-                    sequential.1.bytes_in,
-                    sequential.1.bytes_out,
-                    sequential.1.ocalls
-                ),
-                "{name}: boundary bytes @ {threads}"
-            );
-            assert_eq!(parallel.1.private_in_use, 0, "{name} @ {threads}");
-            assert!(parallel.1.private_peak <= 16 * 1024 * 1024, "{name}");
-        }
+    let sequential = run(1);
+    assert_eq!(sequential.0.len(), input.len());
+    for threads in [2, 4, 8] {
+        let parallel = run(threads);
+        assert_eq!(parallel.0, sequential.0, "records @ {threads}");
+        assert_eq!(parallel.2, sequential.2, "trace @ {threads}");
+        // Byte counters must agree exactly; the private peak may differ
+        // (more concurrent workers legitimately hold more at once) but
+        // never exceeds the budget, and everything is released.
+        assert_eq!(
+            (parallel.1.bytes_in, parallel.1.bytes_out),
+            (sequential.1.bytes_in, sequential.1.bytes_out),
+            "boundary bytes @ {threads}"
+        );
+        assert_eq!(parallel.1.private_in_use, 0, "@ {threads}");
+        assert!(parallel.1.private_peak <= 16 * 1024 * 1024);
     }
 }
 
@@ -148,7 +115,7 @@ fn concurrent_sub_budget_accounting_stays_within_the_parent() {
             let pool = &pool;
             let enclave = &enclave;
             scope.spawn(move || {
-                pool.with_worker(unit, |worker| {
+                pool.with_exact(unit, |worker| {
                     let bytes = 1 + (unit * 131) % worker.budget();
                     worker.charge_private(bytes).unwrap();
                     // While held, the global usage must respect the budget.

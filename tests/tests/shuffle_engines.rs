@@ -9,7 +9,8 @@ use prochlo_collector::{
 };
 use prochlo_core::encoder::CrowdStrategy;
 use prochlo_core::{
-    Deployment, EngineConfig, EpochSpec, ShuffleBackend, ShufflerConfig, ShufflerStats,
+    Deployment, EngineConfig, EpochSpec, PipelineError, ShuffleBackend, ShufflerConfig,
+    ShufflerStats,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -185,13 +186,27 @@ fn all_four_backends_are_selectable_through_the_collector() {
 fn backend_selection_parses_runtime_names() {
     for (name, expected) in [
         ("trusted", "trusted"),
+        (" Trusted ", "trusted"),
         ("stash", "stash"),
         ("SGX", "stash"),
-        ("Batcher", "batcher"),
-        (" melbourne ", "melbourne"),
     ] {
         assert_eq!(ShuffleBackend::from_name(name).unwrap().name(), expected);
     }
     assert!(ShuffleBackend::from_name("columnsort").is_none());
     assert!(ShuffleBackend::from_name("").is_none());
+    // The other §4.1.3 baselines are cost models, not backends: naming one
+    // is the same hard error as a typo, and the message lists what runs.
+    for baseline in ["batcher", "melbourne"] {
+        let err = EngineConfig::from_backend_value(Some(baseline)).unwrap_err();
+        assert_eq!(
+            err,
+            PipelineError::UnknownBackend {
+                name: baseline.to_string()
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("unknown shuffle backend {baseline:?} (valid backends: trusted, stash)")
+        );
+    }
 }
