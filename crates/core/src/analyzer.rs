@@ -28,9 +28,19 @@ pub struct Analyzer {
 /// Rows carry no provenance: the shuffler already stripped metadata and
 /// destroyed ordering, so this is exactly the "anonymous, shuffled data"
 /// database of the paper, compatible with ordinary SQL/NoSQL-style analysis.
+///
+/// Each distinct value is stored once and a row is a 4-byte id into the
+/// distinct values, kept in shuffled order: a row whose value was seen
+/// before costs no allocation, and [`Self::merge_from`] costs one lookup
+/// per distinct value of the other database, not one per row.
 #[derive(Debug, Clone, Default)]
 pub struct AnalyzerDatabase {
-    rows: Vec<Vec<u8>>,
+    /// Row `i` holds `values[rows[i]]`.
+    rows: Vec<u32>,
+    /// The distinct values, indexed by id in first-seen order.
+    values: Vec<Vec<u8>>,
+    /// Each distinct value's id.
+    ids: BTreeMap<Vec<u8>, u32>,
     histogram: Histogram<Vec<u8>>,
     undecryptable: usize,
     pending_secret_groups: usize,
@@ -155,7 +165,7 @@ impl Analyzer {
             };
             match payload {
                 AnalyzerPayload::Plain(padded) => match unpad_payload(&padded) {
-                    Ok(data) => db.push_row(data),
+                    Ok(data) => db.push_rows(data, 1),
                     Err(_) => db.undecryptable += 1,
                 },
                 AnalyzerPayload::SecretShared { ciphertext, share } => {
@@ -176,9 +186,7 @@ impl Analyzer {
             match self.recover_group(&ciphertext_bytes, &shares) {
                 Some(value) => {
                     db.recovered_secrets += 1;
-                    for _ in 0..report_count {
-                        db.push_row(value.clone());
-                    }
+                    db.push_rows(&value, report_count);
                 }
                 None => {
                     db.pending_secret_groups += 1;
@@ -193,31 +201,48 @@ impl Analyzer {
         let key = shamir::recover_secret(shares, self.share_threshold).ok()?;
         let ciphertext = mle::MleCiphertext::from_bytes(ciphertext_bytes).ok()?;
         let padded = mle::decrypt(&key, &ciphertext).ok()?;
-        unpad_payload(&padded).ok()
+        unpad_payload(&padded).ok().map(<[u8]>::to_vec)
     }
 }
 
 impl AnalyzerDatabase {
-    fn push_row(&mut self, row: Vec<u8>) {
-        self.histogram.add(row.clone());
-        self.rows.push(row);
+    /// Counts `n` more rows of `value` and returns its id, allocating only
+    /// the first time `value` is seen.
+    fn intern(&mut self, value: &[u8], n: u64) -> u32 {
+        self.histogram.add_n(value, n);
+        if let Some(&id) = self.ids.get(value) {
+            return id;
+        }
+        let id = u32::try_from(self.values.len()).expect("fewer than 2^32 distinct values");
+        self.values.push(value.to_vec());
+        self.ids.insert(value.to_vec(), id);
+        id
+    }
+
+    fn push_rows(&mut self, value: &[u8], n: usize) {
+        let id = self.intern(value, n as u64);
+        self.rows.extend(std::iter::repeat_n(id, n));
     }
 
     /// Builds a database directly from decrypted rows, bypassing the
     /// cryptographic path — for merge tooling and tests that reason about
-    /// [`Self::merge`] and [`Self::canonical_histogram_bytes`] without
+    /// [`Self::merge_from`] and [`Self::canonical_histogram_bytes`] without
     /// standing up a full deployment.
     pub fn from_rows<I: IntoIterator<Item = Vec<u8>>>(rows: I) -> Self {
         let mut db = Self::default();
         for row in rows {
-            db.push_row(row);
+            db.push_rows(&row, 1);
         }
         db
     }
 
-    /// All decrypted rows (order carries no meaning).
-    pub fn rows(&self) -> &[Vec<u8>] {
-        &self.rows
+    /// All decrypted rows in the order they were ingested (the shuffled
+    /// order, which carries no meaning), each borrowed from the distinct
+    /// values.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        self.rows
+            .iter()
+            .map(|&id| self.values[id as usize].as_slice())
     }
 
     /// Frequency histogram over row values.
@@ -267,25 +292,18 @@ impl AnalyzerDatabase {
         self.recovered_secrets
     }
 
-    /// Merges another database into this one (e.g. across daily batches).
-    pub fn merge(&mut self, other: AnalyzerDatabase) {
-        for row in other.rows {
-            self.push_row(row);
-        }
-        self.undecryptable += other.undecryptable;
-        self.pending_secret_groups += other.pending_secret_groups;
-        self.pending_secret_reports += other.pending_secret_reports;
-        self.recovered_secrets += other.recovered_secrets;
-    }
-
-    /// [`Self::merge`] without consuming the other database — what
-    /// cross-shard and cross-epoch accumulation uses when the per-part
-    /// databases must stay available. Copies only the rows, not the other
-    /// database's histogram.
+    /// Merges another database into this one (across daily batches,
+    /// shards or epochs), appending its rows after this one's. Each of the
+    /// other database's distinct values is looked up once; its rows are
+    /// then copied as ids.
     pub fn merge_from(&mut self, other: &AnalyzerDatabase) {
-        for row in &other.rows {
-            self.push_row(row.clone());
-        }
+        let remap: Vec<u32> = other
+            .values
+            .iter()
+            .map(|value| self.intern(value, other.histogram.count(value.as_slice())))
+            .collect();
+        self.rows
+            .extend(other.rows.iter().map(|&id| remap[id as usize]));
         self.undecryptable += other.undecryptable;
         self.pending_secret_groups += other.pending_secret_groups;
         self.pending_secret_reports += other.pending_secret_reports;
@@ -294,7 +312,7 @@ impl AnalyzerDatabase {
 
     /// The exact count of a value.
     pub fn count(&self, value: &[u8]) -> u64 {
-        self.histogram.count(&value.to_vec())
+        self.histogram.count(value)
     }
 
     /// Releases the histogram with ε-differential privacy by adding
@@ -487,7 +505,7 @@ mod tests {
         };
         let db2 = analyzer.ingest_items(&items2).unwrap();
         let mut merged = db1;
-        merged.merge(db2);
+        merged.merge_from(&db2);
         assert_eq!(merged.count(b"a"), 3);
         assert_eq!(merged.count(b"b"), 1);
         assert_eq!(merged.rows().len(), 4);

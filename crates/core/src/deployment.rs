@@ -19,7 +19,7 @@
 //!   session accepts reports incrementally and canonicalizes the batch at
 //!   [`EpochSession::finish`]; a sharded deployment fans reports out to N
 //!   independent deployments by crowd-ID prefix and merges the resulting
-//!   databases analyzer-side via [`AnalyzerDatabase::merge`].
+//!   databases analyzer-side via [`AnalyzerDatabase::merge_from`].
 //!
 //! Seeded behaviour is stable across the redesign:
 //! `deployment.ingest(&EpochSpec::new(e, seed), reports)` reproduces the
@@ -532,7 +532,7 @@ pub struct ShardedReport {
 /// N independent deployments fronted as one: reports are partitioned by
 /// crowd-ID prefix, each shard ingests its partition under its own derived
 /// seed, and the analyzer-side databases are merged with
-/// [`AnalyzerDatabase::merge`] — the multi-collector ingestion shape the
+/// [`AnalyzerDatabase::merge_from`] — the multi-collector ingestion shape the
 /// ROADMAP calls for, in-process.
 ///
 /// Every shard has its **own keys**, so a client must encode against the
@@ -858,7 +858,7 @@ mod tests {
         let a = deployment.ingest(&spec, &reports).unwrap();
         let b = deployment.ingest(&spec, &reports).unwrap();
         assert_eq!(a.shuffler_stats, b.shuffler_stats);
-        assert_eq!(a.database.rows(), b.database.rows());
+        assert!(a.database.rows().eq(b.database.rows()));
         // A different epoch index draws different noise (drop counts differ
         // with overwhelming probability over repeated epochs; assert the
         // stats are not all identical across a spread of epochs).
@@ -979,7 +979,7 @@ mod tests {
         let streamed = session.finish().unwrap();
 
         assert_eq!(streamed.shuffler_stats, direct.shuffler_stats);
-        assert_eq!(streamed.database.rows(), direct.database.rows());
+        assert!(streamed.database.rows().eq(direct.database.rows()));
     }
 
     #[test]

@@ -774,8 +774,7 @@ mod tests {
         let db = analyzer_obj.ingest_items(&batch.items).unwrap();
         let decoded: Vec<String> = db
             .rows()
-            .iter()
-            .map(|r| String::from_utf8(r.clone()).unwrap())
+            .map(|r| String::from_utf8(r.to_vec()).unwrap())
             .collect();
         let arrival: Vec<String> = (0..100).map(|i| format!("item-{i}")).collect();
         assert_ne!(decoded, arrival);
@@ -803,8 +802,7 @@ mod tests {
         let db = analyzer_obj.ingest_items(&batch.items).unwrap();
         let mut values: Vec<String> = db
             .rows()
-            .iter()
-            .map(|r| String::from_utf8(r.clone()).unwrap())
+            .map(|r| String::from_utf8(r.to_vec()).unwrap())
             .collect();
         values.sort();
         let mut expected: Vec<String> = (0..80).map(|i| format!("v{i}")).collect();

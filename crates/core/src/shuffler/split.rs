@@ -603,7 +603,7 @@ mod tests {
         let analyzer_obj = crate::analyzer::Analyzer::new(analyzer);
         let db = analyzer_obj.ingest_items(&outcome.items).unwrap();
         assert_eq!(
-            db.histogram().count(&b"hello-world".to_vec()),
+            db.histogram().count(b"hello-world".as_slice()),
             outcome.items.len() as u64
         );
     }

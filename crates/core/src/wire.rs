@@ -119,8 +119,8 @@ pub fn pad_payload(data: &[u8], target: usize) -> Result<Vec<u8>, PipelineError>
     Ok(out)
 }
 
-/// Reverses [`pad_payload`].
-pub fn unpad_payload(padded: &[u8]) -> Result<Vec<u8>, PipelineError> {
+/// Reverses [`pad_payload`], borrowing the data from `padded`.
+pub fn unpad_payload(padded: &[u8]) -> Result<&[u8], PipelineError> {
     let mut reader = Reader::new(padded);
     let len = reader.get_u32()? as usize;
     if len > padded.len().saturating_sub(4) {
@@ -129,7 +129,7 @@ pub fn unpad_payload(padded: &[u8]) -> Result<Vec<u8>, PipelineError> {
         ));
     }
     // prochlo-lint: allow(panic-on-wire, "bounds proven: len <= padded.len() - 4 is checked above")
-    Ok(padded[4..4 + len].to_vec())
+    Ok(&padded[4..4 + len])
 }
 
 #[cfg(test)]

@@ -354,7 +354,7 @@ mod tests {
                 remote.database.canonical_histogram_bytes(),
                 reference.database.canonical_histogram_bytes()
             );
-            assert_eq!(remote.database.rows(), reference.database.rows());
+            assert!(remote.database.rows().eq(reference.database.rows()));
             assert_eq!(remote.shuffler_stats, reference.shuffler_stats);
             assert_eq!(remote.stage_stats, reference.stage_stats);
         });

@@ -4,6 +4,7 @@
 //! decoder to accumulate bit counts, and by the benchmark harnesses to report
 //! how many distinct items were recovered.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -31,17 +32,34 @@ impl<T: Eq + Hash> Histogram<T> {
 
     /// Adds one observation of `item`.
     pub fn add(&mut self, item: T) {
-        self.add_n(item, 1);
+        *self.counts.entry(item).or_insert(0) += 1;
+        self.total += 1;
     }
 
-    /// Adds `n` observations of `item`.
-    pub fn add_n(&mut self, item: T, n: u64) {
-        *self.counts.entry(item).or_insert(0) += n;
+    /// Adds `n` observations of `item`, looked up by any borrowed form of
+    /// the key: an owned key is built only the first time `item` is seen,
+    /// so counting a value already present allocates nothing.
+    pub fn add_n<Q>(&mut self, item: &Q, n: u64)
+    where
+        T: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = T> + ?Sized,
+    {
+        match self.counts.get_mut(item) {
+            Some(count) => *count += n,
+            None => {
+                self.counts.insert(item.to_owned(), n);
+            }
+        }
         self.total += n;
     }
 
-    /// Count of a specific item (0 if absent).
-    pub fn count(&self, item: &T) -> u64 {
+    /// Count of a specific item (0 if absent), looked up by any borrowed
+    /// form of the key (`&[u8]` for a `Histogram<Vec<u8>>`).
+    pub fn count<Q>(&self, item: &Q) -> u64
+    where
+        T: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.counts.get(item).copied().unwrap_or(0)
     }
 
@@ -156,10 +174,23 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_keys_count_and_add_like_owned_ones() {
+        let mut h: Histogram<Vec<u8>> = Histogram::new();
+        h.add_n(b"ab".as_slice(), 2);
+        h.add(b"ab".to_vec());
+        h.add_n(b"cd".as_slice(), 1);
+        assert_eq!(h.count(b"ab".as_slice()), 3);
+        assert_eq!(h.count(&b"cd".to_vec()), 1);
+        assert_eq!(h.count(b"ef".as_slice()), 0);
+        assert_eq!(h.distinct(), 2);
+        assert_eq!(h.total(), 4);
+    }
+
+    #[test]
     fn add_n_accumulates() {
         let mut h = Histogram::new();
-        h.add_n("x", 10);
-        h.add_n("x", 5);
+        h.add_n(&"x", 10);
+        h.add_n(&"x", 5);
         assert_eq!(h.count(&"x"), 15);
         assert_eq!(h.total(), 15);
     }

@@ -223,7 +223,7 @@ fn run_shard(index: u16, s1: SocketAddr, s2: SocketAddr) {
     let answer = ShardSummary {
         shard: index,
         epoch_index: 0,
-        rows: database.rows().to_vec(),
+        rows: database.rows().map(<[u8]>::to_vec).collect(),
         undecryptable: database.undecryptable(),
         pending_secret_groups: database.pending_secret_groups(),
         pending_secret_reports: database.pending_secret_reports(),
@@ -467,7 +467,10 @@ fn drive() {
         reference.canonical_histogram_bytes(),
         "wire topology must reproduce the in-process run byte for byte"
     );
-    assert_eq!(merged.rows(), reference.rows());
+    assert!(
+        merged.rows().eq(reference.rows()),
+        "wire topology must reproduce the in-process row order"
+    );
 
     println!("\nmerged analyzer database (wire == in-process, byte for byte):");
     for (value, _) in WORKLOAD {

@@ -161,7 +161,7 @@ fn multiple_batches_merge_into_one_database() {
         let result = pipeline.run(&reports, &mut rng).unwrap();
         match &mut merged {
             None => merged = Some(result.database),
-            Some(db) => db.merge(result.database),
+            Some(db) => db.merge_from(&result.database),
         }
     }
     let db = merged.unwrap();

@@ -154,9 +154,8 @@ fn wire_split_topology_matches_the_sharded_reference_and_fixture() {
         let report = wire_epoch(sharded.shard(index), &shard_spec, batch.clone());
 
         let in_process = reference.shards[index].as_ref().expect("populated shard");
-        assert_eq!(
-            report.database.rows(),
-            in_process.database.rows(),
+        assert!(
+            report.database.rows().eq(in_process.database.rows()),
             "shard {index}: wire database must match the in-process run row for row"
         );
         assert_eq!(report.shuffler_stats, in_process.shuffler_stats);
@@ -167,7 +166,7 @@ fn wire_split_topology_matches_the_sharded_reference_and_fixture() {
         let summary = ShardSummary {
             shard: index as u16,
             epoch_index: EPOCH_INDEX,
-            rows: report.database.rows().to_vec(),
+            rows: report.database.rows().map(<[u8]>::to_vec).collect(),
             undecryptable: report.database.undecryptable(),
             pending_secret_groups: report.database.pending_secret_groups(),
             pending_secret_reports: report.database.pending_secret_reports(),
@@ -182,7 +181,7 @@ fn wire_split_topology_matches_the_sharded_reference_and_fixture() {
         expected_hex("split"),
         "wire topology must land on the committed fixture byte for byte"
     );
-    assert_eq!(merged.rows(), reference.database.rows());
+    assert!(merged.rows().eq(reference.database.rows()));
 }
 
 #[test]
@@ -271,7 +270,7 @@ fn one_shuffler_pair_serves_two_shards_of_one_deployment() {
         merged.merge_from(&shard1.join().unwrap().database);
         merged
     });
-    assert_eq!(merged.rows(), reference.rows());
+    assert!(merged.rows().eq(reference.rows()));
     assert_eq!(
         merged.canonical_histogram_bytes(),
         reference.canonical_histogram_bytes()

@@ -164,7 +164,11 @@ fn analyzer_decryption_is_worker_count_invariant_end_to_end() {
         let report = deployment.ingest(&spec, &reports).unwrap();
         (
             report.database.canonical_histogram_bytes(),
-            report.database.rows().to_vec(),
+            report
+                .database
+                .rows()
+                .map(<[u8]>::to_vec)
+                .collect::<Vec<_>>(),
         )
     };
     let sequential = run(1);
