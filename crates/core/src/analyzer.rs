@@ -93,7 +93,7 @@ impl Analyzer {
         exec::par_chunks(
             items,
             num_threads.max(1),
-            exec::CHUNK_RECORDS,
+            exec::DRAW_FREE_CHUNK_RECORDS,
             |_chunk_idx, chunk| {
                 let span = prochlo_obs::span("analyzer.decrypt.chunk");
                 // Parse the wire encodings first so the whole chunk's hybrid

@@ -15,7 +15,7 @@
 
 pub use prochlo_shuffle::exec::{
     available_threads, chunk_rng, mix_seed, par_chunks, resolve_threads, shuffle_threads_from_env,
-    threads_from_value, CHUNK_RECORDS,
+    threads_from_value, CHUNK_RECORDS, DRAW_FREE_CHUNK_RECORDS,
 };
 
 #[cfg(test)]

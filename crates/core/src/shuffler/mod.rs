@@ -405,7 +405,7 @@ impl Shuffler {
         let peeled = exec::par_chunks(
             reports,
             num_threads,
-            exec::CHUNK_RECORDS,
+            exec::DRAW_FREE_CHUNK_RECORDS,
             |_chunk_idx, chunk| {
                 let (survivors, rejected) = peel_chunk(chunk, self.keys.secret(), |envelope| {
                     match envelope.crowd_id {

@@ -132,7 +132,7 @@ impl ShufflerOne {
         let peeled = exec::par_chunks(
             reports,
             num_threads,
-            exec::CHUNK_RECORDS,
+            exec::DRAW_FREE_CHUNK_RECORDS,
             |_chunk_idx, chunk| {
                 peel_chunk(chunk, self.keys.secret(), |envelope| {
                     match envelope.crowd_id {
@@ -164,7 +164,7 @@ impl ShufflerOne {
         let blinded = exec::par_chunks(
             &work,
             num_threads,
-            exec::CHUNK_RECORDS,
+            exec::DRAW_FREE_CHUNK_RECORDS,
             |_chunk_idx, chunk| {
                 chunk
                     .iter()
@@ -240,7 +240,7 @@ impl ShufflerTwo {
         let handles = exec::par_chunks(
             &records,
             num_threads,
-            exec::CHUNK_RECORDS,
+            exec::DRAW_FREE_CHUNK_RECORDS,
             |_chunk_idx, chunk| {
                 let points: Vec<Point> = chunk
                     .iter()
@@ -553,10 +553,11 @@ mod tests {
             keys(&SplitShuffler::new(ShufflerConfig::default(), &mut rng)),
             32,
         );
-        // Three executor chunks, with undecryptable outers and non-blinded
-        // crowd IDs interleaved among the valid reports so rejected records
-        // sit on both sides of every chunk border: the draw-per-survivor
-        // rule decides which scalar each later record gets.
+        // Eighteen draw-free executor chunks, with undecryptable outers and
+        // non-blinded crowd IDs interleaved among the valid reports so
+        // rejected records sit on both sides of every chunk border: the
+        // draw-per-survivor rule decides which scalar each later record
+        // gets.
         let total = 2 * exec::CHUNK_RECORDS + 150;
         let reports: Vec<ClientReport> = (0..total as u64)
             .map(|i| {

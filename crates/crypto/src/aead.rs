@@ -90,10 +90,27 @@ fn compute_tag(
 /// Encrypts `plaintext` with `key`/`nonce`, binding `aad`, and returns
 /// `ciphertext || tag`.
 pub fn seal(key: &AeadKey, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    let mut out = chacha20::apply(&key.0, nonce, 1, plaintext);
-    let tag = compute_tag(&mac_key(key, nonce), nonce, aad, &out);
-    out.extend_from_slice(&tag);
+    let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+    out.extend_from_slice(plaintext);
+    seal_in_place(key, nonce, aad, &mut out, 0);
     out
+}
+
+/// Encrypts `buffer[start..]` in place and appends the tag, so
+/// `buffer[start..]` ends up as exactly what [`seal`] returns for that
+/// plaintext; the bytes before `start` (a caller's header) are untouched.
+/// A caller that reserves `TAG_LEN` spare capacity seals without
+/// reallocating.
+pub fn seal_in_place(
+    key: &AeadKey,
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    buffer: &mut Vec<u8>,
+    start: usize,
+) {
+    chacha20::xor_stream(&key.0, nonce, 1, &mut buffer[start..]);
+    let tag = compute_tag(&mac_key(key, nonce), nonce, aad, &buffer[start..]);
+    buffer.extend_from_slice(&tag);
 }
 
 /// Decrypts `ciphertext || tag` produced by [`seal`], verifying `aad`.
@@ -154,6 +171,24 @@ mod tests {
         assert_eq!(sealed.len(), 13 + TAG_LEN);
         let opened = open(&key(), &nonce, b"aad", &sealed).unwrap();
         assert_eq!(opened, b"secret report");
+    }
+
+    #[test]
+    fn sealing_in_place_behind_a_header_matches_seal() {
+        let nonce = [5u8; NONCE_LEN];
+        let plaintext: Vec<u8> = (0..200u8).collect();
+        let mut buffer = Vec::with_capacity(3 + plaintext.len() + TAG_LEN);
+        buffer.extend_from_slice(b"hdr");
+        buffer.extend_from_slice(&plaintext);
+        let capacity = buffer.capacity();
+        seal_in_place(&key(), &nonce, b"aad", &mut buffer, 3);
+        assert_eq!(&buffer[..3], b"hdr");
+        assert_eq!(buffer[3..], seal(&key(), &nonce, b"aad", &plaintext)[..]);
+        assert_eq!(buffer.capacity(), capacity, "the tag fits the reserve");
+        assert_eq!(
+            open(&key(), &nonce, b"aad", &buffer[3..]).unwrap(),
+            plaintext
+        );
     }
 
     #[test]

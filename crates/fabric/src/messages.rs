@@ -267,9 +267,14 @@ impl BatchToTwo {
         records: Vec<BlindedRecord>,
         num_threads: usize,
     ) -> Vec<([u8; 64], Vec<u8>)> {
-        let crowds = exec::par_chunks(&records, num_threads, exec::CHUNK_RECORDS, |_, chunk| {
-            ElGamalCiphertext::batch_to_bytes(chunk.iter().map(|record| &record.blinded_crowd))
-        });
+        let crowds = exec::par_chunks(
+            &records,
+            num_threads,
+            exec::DRAW_FREE_CHUNK_RECORDS,
+            |_, chunk| {
+                ElGamalCiphertext::batch_to_bytes(chunk.iter().map(|record| &record.blinded_crowd))
+            },
+        );
         crowds
             .into_iter()
             .flatten()
@@ -284,16 +289,20 @@ impl BatchToTwo {
         records: Vec<([u8; 64], Vec<u8>)>,
         num_threads: usize,
     ) -> Result<Vec<BlindedRecord>, FabricError> {
-        let crowds: Vec<Vec<ElGamalCiphertext>> =
-            exec::par_chunks(&records, num_threads, exec::CHUNK_RECORDS, |_, chunk| {
+        let crowds: Vec<Vec<ElGamalCiphertext>> = exec::par_chunks(
+            &records,
+            num_threads,
+            exec::DRAW_FREE_CHUNK_RECORDS,
+            |_, chunk| {
                 chunk
                     .iter()
                     .map(|(crowd, _)| ElGamalCiphertext::from_bytes(crowd))
                     .collect()
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()
-            .map_err(|_| FabricError::Malformed("invalid blinded crowd id"))?;
+            },
+        )
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|_| FabricError::Malformed("invalid blinded crowd id"))?;
         Ok(crowds
             .into_iter()
             .flatten()

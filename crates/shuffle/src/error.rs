@@ -20,8 +20,9 @@ pub enum ShuffleError {
         /// Why each attempt failed, by kind.
         failures: StashFailures,
     },
-    /// An intermediate slot failed to open at the position it was read
-    /// from: the untrusted array was truncated, moved or forged.
+    /// An intermediate bucket had the wrong length, or one of its messages
+    /// failed to open at the position it was read from: the untrusted array
+    /// was truncated, extended, moved or forged.
     IngressFailed(&'static str),
     /// Parameters are internally inconsistent (e.g. zero buckets).
     InvalidParameters(&'static str),

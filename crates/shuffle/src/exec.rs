@@ -9,7 +9,9 @@
 //! sequential one:
 //!
 //! 1. **Fixed chunking.** Work is split into fixed-size chunks of
-//!    [`CHUNK_RECORDS`] items, *independent of the worker count*. Thread
+//!    [`CHUNK_RECORDS`] items where a chunk derives a generator, and of
+//!    [`DRAW_FREE_CHUNK_RECORDS`] where it draws nothing — either way
+//!    *independent of the worker count*. Thread
 //!    count only changes which worker claims which chunk, never the chunk
 //!    boundaries, so a chunk's result is the same at 1 thread and at 64.
 //!    (Bucketed algorithms pass their own bucket size instead — the same
@@ -36,9 +38,19 @@ use rand::SeedableRng;
 
 use crate::error::ShuffleError;
 
-/// Records per chunk. Fixed so that chunk boundaries — and therefore every
-/// per-chunk RNG stream — do not depend on the worker count.
+/// Records per chunk of a phase that derives a generator per chunk. Fixed so
+/// that chunk boundaries — and therefore every per-chunk RNG stream — do not
+/// depend on the worker count; changing it changes seeded output.
 pub const CHUNK_RECORDS: usize = 1024;
+
+/// Records per chunk of a phase that draws nothing (peeling, blinding,
+/// unblinding, point encoding, analyzer decryption), where chunk boundaries
+/// cannot change the output. Small enough that two workers finish an
+/// epoch's few thousand records together — at 1 024 a 4.8 k-record batch is
+/// five chunks, three on one worker and two on the other — and large enough
+/// that the one batched field inversion a chunk pays (≈ 4 µs) stays small
+/// beside its 128 opens.
+pub const DRAW_FREE_CHUNK_RECORDS: usize = 128;
 
 /// SplitMix64-style mix of a seed and a stream index, shared by the per-epoch
 /// and per-chunk RNG derivations: nearby indices yield unrelated states, and

@@ -9,11 +9,13 @@
 //!   [`params`] models (pair load Binomial(D, 1/B), standard deviation
 //!   ≈ `√(D/B)`) and the only one under which the paper's Table 1 values are
 //!   reproducible; at most `C` records per (input, output) bucket pair are
-//!   written out immediately (re-encrypted under an ephemeral key, padded
-//!   with dummies up to exactly `C` so the host learns nothing from chunk
-//!   sizes), and any overflow waits in a private *stash*, draining
-//!   opportunistically into later chunks. A final drain writes `K = ⌈S/B⌉`
-//!   more slots per output bucket.
+//!   written out immediately as one *chunk* — exactly `C` flagged slots,
+//!   real records padded with dummies, sealed as one AEAD message under an
+//!   ephemeral key, so the host learns nothing from sizes — and any
+//!   overflow waits in a private *stash*, draining opportunistically into
+//!   later chunks. A final drain writes one more message of `K = ⌈S/B⌉`
+//!   slots per output bucket, so an intermediate bucket is `B + 1`
+//!   fixed-length messages holding `B·C + K` slots.
 //!
 //!   Distribution models a **multi-threaded enclave**: buckets are
 //!   pipelined in worker-sized groups, and the expensive per-bucket work —
@@ -22,30 +24,36 @@
 //!   remaining budget ([`prochlo_sgx::Enclave::split_budget`]) after the
 //!   stash's worst case is reserved up front; a bucket stays charged to its
 //!   worker from the moment it is read until it is sealed, so the budget
-//!   honestly bounds plaintext residency. Target assignment and the stash
-//!   bookkeeping ahead of the sealing pass are sequential in bucket order
-//!   (the stash threads state from bucket to bucket by construction, and
-//!   neither does any cryptography). Each bucket derives its own RNG from
-//!   `(attempt seed, bucket index)` and boundary crossings are buffered per
-//!   bucket and committed in bucket order, so the output, the boundary
-//!   counters *and the access trace* are byte-identical at any worker count.
+//!   honestly bounds plaintext residency. The dummy-only chunks of empty
+//!   trailing buckets and the drain messages are sealed on the workers too.
+//!   Target assignment and the stash bookkeeping ahead of the sealing pass
+//!   are sequential in bucket order (the stash threads state from bucket to
+//!   bucket by construction, and neither does any cryptography). Each
+//!   bucket derives its own RNG from `(attempt seed, bucket index)` and
+//!   boundary crossings are buffered per bucket and committed in bucket
+//!   order, so the output, the boundary counters *and the access trace* are
+//!   byte-identical at any worker count.
 //! * **Compression** — intermediate buckets are imported one at a time into a
-//!   sliding window of `W` buckets: the bucket's slot order is shuffled (the
-//!   phase's only draw), its slots are opened in that order on the same
-//!   workers — a strip of 1 024 slots at a time, so the plaintext held
-//!   beside the queue does not grow with `N` — dummies are discarded, real
-//!   records join a queue bounded by [`StashShuffleParams::queue_capacity`]
-//!   (`W·D` plus ≈ 5.27·√N of slack for the wander of the running bucket
-//!   loads), and exactly `D` records are emitted per output bucket.
-//!   Enqueueing is sequential in the shuffled order, so worker count
-//!   changes neither the output nor the point at which a doomed attempt
-//!   fails.
+//!   sliding window of `W` buckets. A bucket that is not exactly `B` chunks
+//!   and one drain of the expected sealed lengths is refused before
+//!   anything is opened. Its messages are opened in a fixed order on the
+//!   same workers — a strip of `⌊1024/C⌋` chunks at a time, so the plaintext
+//!   held beside the queue does not grow with `N` — dummies are discarded,
+//!   and real records join a queue bounded by
+//!   [`StashShuffleParams::queue_capacity`] (`W·D` plus ≈ 5.27·√N of slack
+//!   for the wander of the running bucket loads). The records the bucket
+//!   added are then permuted in private memory (Algorithm 4's in-enclave
+//!   shuffle, the phase's only draw), and exactly `D` records are emitted
+//!   per output bucket. Enqueueing is sequential in message order and the
+//!   queue only grows during an import, so worker count changes neither the
+//!   output nor the point at which a doomed attempt fails.
 //!
-//! Every slot is sealed under a nonce that is a function of its position in
-//! the intermediate array, and compression recomputes that nonce from the
-//! position it reads: a host that swaps two slots, or copies a real slot
-//! over a dummy, fails the shuffle instead of silently changing which
-//! records come out.
+//! Every message is sealed under a nonce that is a function of its position
+//! in the intermediate array — `(input bucket, output bucket)` for a chunk, a
+//! disjoint range for the drains — and compression recomputes that nonce
+//! from the position it reads: a host that swaps, replays, appends, removes
+//! or truncates a message fails the shuffle instead of silently changing
+//! which records come out.
 //!
 //! An attempt can fail four ways — the stash fills during distribution, the
 //! final drain leaves records in it, the compression queue outgrows its
@@ -59,12 +67,12 @@
 //!
 //! The records arrive already peeled — the ESA shuffler removes the outer
 //! encryption layer in one batched pass before any engine runs — so the
-//! shuffle borrows them and copies a record only into the slot it seals.
-//! The implementation performs the real cryptography (intermediate slots are
-//! sealed with an AEAD under an ephemeral key) and charges every boundary
-//! crossing and private-memory allocation to a [`prochlo_sgx::Enclave`], so
-//! tests can assert both the memory budget and the obliviousness of the
-//! access trace.
+//! shuffle borrows them and copies a record only into the chunk it seals.
+//! The implementation performs the real cryptography (intermediate chunks
+//! are sealed with an AEAD under an ephemeral key) and charges every
+//! boundary crossing and private-memory allocation to a
+//! [`prochlo_sgx::Enclave`], so tests can assert both the memory budget and
+//! the obliviousness of the access trace.
 
 pub mod params;
 
@@ -82,16 +90,24 @@ use crate::{uniform_record_len, Records};
 
 pub use params::{StashShuffleParams, Table1Scenario};
 
-/// Intermediate slots the compression phase holds opened at a time: an
-/// imported bucket is read in strips of this many slots, so its plaintext
-/// residency is a constant instead of the `B·C + K` slots of a bucket
-/// (25 k slots, 8 MB, at N = 10 M).
+/// Slots of one compression strip: an imported bucket is read in strips of
+/// as many whole chunks as fit (at least one), so its plaintext residency
+/// is a constant instead of the `B·C + K` slots of a bucket (25 k slots,
+/// 8 MB, at N = 10 M).
 const IMPORT_STRIP_SLOTS: usize = 1024;
 
-/// Slots per work unit when a strip is opened on the workers. Fixed, like
-/// every chunk size handed to [`exec::par_chunks`], so the split never
-/// depends on the worker count.
-const IMPORT_CHUNK_SLOTS: usize = 64;
+/// Associated data of every intermediate message.
+const MESSAGE_AAD: &[u8] = b"stash-chunk";
+
+/// How compression strips an imported bucket: messages per strip (whole
+/// `C`-slot chunks, at least one), and the plaintext slots of the largest
+/// strip. The `K`-slot drain rides in the last strip, after the `B mod
+/// strip` chunks left over from the full strips.
+fn import_strip(b: usize, c: usize, k: usize) -> (usize, usize) {
+    let messages = (IMPORT_STRIP_SLOTS / c).max(1);
+    let full = if b >= messages { messages * c } else { 0 };
+    (messages, full.max((b % messages) * c + k))
+}
 
 /// Result of a successful Stash Shuffle run.
 #[derive(Debug, Clone)]
@@ -169,16 +185,17 @@ struct BucketPlan<'a> {
     log: BoundaryLog,
 }
 
-/// One input bucket's sealed output: `chunks[out_idx]` holds exactly `C`
-/// sealed slots for output bucket `out_idx`, and `log` is the bucket's
-/// complete boundary history (read + chunk writes).
+/// One input bucket's sealed output: `chunks[out_idx]` is the sealed chunk
+/// message for output bucket `out_idx`, and `log` is the bucket's complete
+/// boundary history (read + chunk writes).
 struct SealedBucket {
-    chunks: Vec<Vec<Vec<u8>>>,
+    chunks: Vec<Vec<u8>>,
     log: BoundaryLog,
 }
 
 /// The intermediate array in untrusted memory: per output bucket, its
-/// `B·C + K` sealed slots.
+/// `B + 1` sealed messages — one chunk from each input bucket, in input
+/// bucket order, then its stash drain.
 type Intermediate = Vec<Vec<Vec<u8>>>;
 
 /// Why an attempt ended early: one of the four restartable failures, or an
@@ -230,32 +247,41 @@ impl Layout {
         1 + self.inner_len
     }
 
-    /// Sealed slots all have identical length.
-    fn sealed_slot_len(&self) -> usize {
-        self.slot_plain_len() + aead::NONCE_LEN + aead::TAG_LEN
-    }
-
-    /// Nonce index of slot `j` of the chunk input bucket `in_idx` writes
-    /// for output bucket `out_idx`.
-    fn chunk_slot(&self, in_idx: usize, out_idx: usize, j: usize) -> u64 {
-        ((in_idx * self.b + out_idx) * self.c + j) as u64
-    }
-
-    /// Nonce index of slot `j` of output bucket `out_idx`'s final stash
-    /// drain; the drain slots follow all `B²·C` chunk slots.
-    fn drain_slot(&self, out_idx: usize, j: usize) -> u64 {
-        (self.b * self.b * self.c + out_idx * self.k + j) as u64
-    }
-
-    /// The nonce index the slot at `position` of intermediate bucket
-    /// `out_idx` was sealed under: `B` chunks of `C` slots in input-bucket
-    /// order, then the `K` drain slots.
-    fn slot_at(&self, out_idx: usize, position: usize) -> u64 {
-        let chunk_slots = self.b * self.c;
-        if position < chunk_slots {
-            self.chunk_slot(position / self.c, out_idx, position % self.c)
+    /// Slots in the message at `position` of an intermediate bucket: `B`
+    /// chunks of `C`, then the `K`-slot drain.
+    fn slots_at(&self, position: usize) -> usize {
+        if position < self.b {
+            self.c
         } else {
-            self.drain_slot(out_idx, position - chunk_slots)
+            self.k
+        }
+    }
+
+    /// The length of a sealed message of `slots` slots: the nonce, the
+    /// flagged slots and the tag.
+    fn sealed_len(&self, slots: usize) -> usize {
+        aead::NONCE_LEN + slots * self.slot_plain_len() + aead::TAG_LEN
+    }
+
+    /// Nonce index of the chunk input bucket `in_idx` writes for output
+    /// bucket `out_idx`.
+    fn chunk_message(&self, in_idx: usize, out_idx: usize) -> u64 {
+        (in_idx * self.b + out_idx) as u64
+    }
+
+    /// Nonce index of output bucket `out_idx`'s stash drain; the drains
+    /// follow all `B²` chunks.
+    fn drain_message(&self, out_idx: usize) -> u64 {
+        (self.b * self.b + out_idx) as u64
+    }
+
+    /// The nonce index the message at `position` of intermediate bucket
+    /// `out_idx` was sealed under.
+    fn message_at(&self, out_idx: usize, position: usize) -> u64 {
+        if position < self.b {
+            self.chunk_message(position, out_idx)
+        } else {
+            self.drain_message(out_idx)
         }
     }
 }
@@ -363,9 +389,8 @@ impl StashShuffle {
         let layout = Layout::new(&self.params, input.len(), record_len);
 
         let mid = self.distribute(input, &layout, &ephemeral_key, attempt_seed)?;
-        let intermediate_slots: usize = mid.iter().map(Vec::len).sum();
         let output = self.compress(&mid, &layout, &ephemeral_key, rng)?;
-        Ok((output, intermediate_slots))
+        Ok((output, layout.b * (layout.b * layout.c + layout.k)))
     }
 
     fn charge(&self, bytes: usize) -> Result<(), AttemptFailure> {
@@ -399,7 +424,6 @@ impl StashShuffle {
             ..
         } = *layout;
         let slot_plain_len = layout.slot_plain_len();
-        let sealed_slot_len = layout.sealed_slot_len();
 
         // Modelled as a multi-threaded enclave. The stash's worst case is
         // reserved up front, so worker sub-budgets are carved from what is
@@ -438,7 +462,7 @@ impl StashShuffle {
         let pool = WorkerPool::split(&self.enclave, workers);
 
         let real_buckets = n.div_ceil(d);
-        let mut mid: Intermediate = vec![Vec::with_capacity(b * c + k); b];
+        let mut mid: Intermediate = vec![Vec::with_capacity(b + 1); b];
         // Stashed records are covered by the up-front reservation
         // (`stash_total` never exceeds S).
         let mut stash: Vec<VecDeque<&[u8]>> = vec![VecDeque::new(); b];
@@ -492,10 +516,10 @@ impl StashShuffle {
 
             // Step B: seal and pad each bucket's B chunks on the worker
             // that holds its step A charge, then release both working
-            // sets. Slot nonces derive from the global slot position — a
-            // pure function of (bucket, output bucket, slot) — instead of
-            // a shared counter, so sealing parallelizes without
-            // coordination and nonces stay unique.
+            // sets. Chunk nonces derive from the chunk's position — a pure
+            // function of (bucket, output bucket) — instead of a shared
+            // counter, so sealing parallelizes without coordination and
+            // nonces stay unique.
             let sealed: Vec<Result<SealedBucket, AttemptFailure>> =
                 exec::par_chunks(&plans, workers, 1, |rel_idx, plan| {
                     let bucket_idx = group_start + rel_idx;
@@ -507,20 +531,16 @@ impl StashShuffle {
                         worker
                             .charge_private(sealing_bytes)
                             .map_err(|e| AttemptFailure::Fatal(e.into()))?;
-                        let mut chunks = Vec::with_capacity(b);
-                        for (out_idx, items) in plan.iter().enumerate() {
-                            let mut slots = Vec::with_capacity(c);
-                            for j in 0..c {
-                                slots.push(seal_slot(
-                                    ephemeral_key,
-                                    layout.chunk_slot(bucket_idx, out_idx, j),
-                                    items.get(j).copied(),
-                                    inner_len,
-                                ));
-                            }
-                            log.copy_out("write-intermediate-chunk", out_idx, c * sealed_slot_len);
-                            chunks.push(slots);
-                        }
+                        let chunks = plan
+                            .iter()
+                            .enumerate()
+                            .map(|(out_idx, items)| {
+                                let index = layout.chunk_message(bucket_idx, out_idx);
+                                let chunk = seal_message(ephemeral_key, index, items, c, inner_len);
+                                log.copy_out("write-intermediate-chunk", out_idx, chunk.len());
+                                chunk
+                            })
+                            .collect();
                         worker
                             .release_private(sealing_bytes + d * inner_len)
                             .expect("charges and releases are balanced");
@@ -528,13 +548,13 @@ impl StashShuffle {
                     })
                 });
 
-            // Merge: the intermediate array (in untrusted memory), chunk
-            // lists appended — and logs committed — in bucket order.
+            // Merge: the intermediate array (in untrusted memory), chunks
+            // appended — and logs committed — in bucket order.
             for bucket in sealed {
                 let SealedBucket { chunks, log } = bucket?;
                 log.commit(&self.enclave);
-                for (out_idx, slots) in chunks.into_iter().enumerate() {
-                    mid[out_idx].extend(slots);
+                for (out_bucket, chunk) in mid.iter_mut().zip(chunks) {
+                    out_bucket.push(chunk);
                 }
             }
         }
@@ -543,35 +563,47 @@ impl StashShuffle {
         // drain, and outside any charged working set, exactly as the
         // sequential algorithm) so the access pattern only depends on N
         // and the parameters.
-        for bucket_idx in real_buckets..b {
-            for (out_idx, out_bucket) in mid.iter_mut().enumerate() {
-                for j in 0..c {
-                    out_bucket.push(seal_slot(
-                        ephemeral_key,
-                        layout.chunk_slot(bucket_idx, out_idx, j),
-                        None,
-                        inner_len,
-                    ));
-                }
+        let empty_buckets: Vec<usize> = (real_buckets..b).collect();
+        let empty_chunks = exec::par_chunks(&empty_buckets, workers, 1, |_, bucket| {
+            (0..b)
+                .map(|out_idx| {
+                    let index = layout.chunk_message(bucket[0], out_idx);
+                    seal_message(ephemeral_key, index, &[], c, inner_len)
+                })
+                .collect::<Vec<_>>()
+        });
+        for chunks in empty_chunks {
+            for (out_idx, (out_bucket, chunk)) in mid.iter_mut().zip(chunks).enumerate() {
                 self.enclave
-                    .copy_out("write-intermediate-chunk", out_idx, c * sealed_slot_len);
+                    .copy_out("write-intermediate-chunk", out_idx, chunk.len());
+                out_bucket.push(chunk);
             }
         }
 
-        // Final stash drain: K slots per output bucket (Algorithm 1, line 5).
-        for (out_idx, out_bucket) in mid.iter_mut().enumerate() {
-            for j in 0..k {
-                let item = stash[out_idx].pop_front();
-                stash_total -= usize::from(item.is_some());
-                out_bucket.push(seal_slot(
-                    ephemeral_key,
-                    layout.drain_slot(out_idx, j),
-                    item,
-                    inner_len,
-                ));
-            }
+        // Final stash drain: one K-slot message per output bucket
+        // (Algorithm 1, line 5), its records still covered by the stash
+        // reservation while they are sealed.
+        let drains: Vec<Vec<&[u8]>> = stash
+            .iter_mut()
+            .map(|items| {
+                let take = items.len().min(k);
+                stash_total -= take;
+                items.drain(..take).collect()
+            })
+            .collect();
+        let sealed_drains = exec::par_chunks(&drains, workers, 1, |out_idx, items| {
+            seal_message(
+                ephemeral_key,
+                layout.drain_message(out_idx),
+                &items[0],
+                k,
+                inner_len,
+            )
+        });
+        for (out_idx, (out_bucket, drain)) in mid.iter_mut().zip(sealed_drains).enumerate() {
             self.enclave
-                .copy_out("write-stash-drain", out_idx, k * sealed_slot_len);
+                .copy_out("write-stash-drain", out_idx, drain.len());
+            out_bucket.push(drain);
         }
         // The stash is drained (or the attempt restarts): hand its
         // reservation back before the compression phase charges its own
@@ -595,52 +627,55 @@ impl StashShuffle {
         let Layout { n, b, d, w, .. } = *layout;
         let mut queue: VecDeque<Vec<u8>> = VecDeque::with_capacity(layout.queue_capacity);
         let mut output: Records = Vec::with_capacity(n);
+        let (strip_messages, strip_slots) = import_strip(b, layout.c, layout.k);
 
         let import = |bucket_idx: usize,
                       queue: &mut VecDeque<Vec<u8>>,
                       rng: &mut R|
          -> Result<(), AttemptFailure> {
-            let slots = &mid[bucket_idx];
+            let messages = &mid[bucket_idx];
+            // Nothing is opened from a bucket of the wrong shape: an extra
+            // message would authenticate under the position it claims (a
+            // replayed drain, or another bucket's), and its records would
+            // come out twice while the last drain dropped others.
+            let well_formed = messages.len() == b + 1
+                && messages.iter().enumerate().all(|(position, message)| {
+                    message.len() == layout.sealed_len(layout.slots_at(position))
+                });
+            if !well_formed {
+                return Err(AttemptFailure::Fatal(ShuffleError::IngressFailed(
+                    "intermediate bucket has the wrong length",
+                )));
+            }
             self.enclave.copy_in(
                 "read-intermediate-bucket",
                 bucket_idx,
-                slots.len() * layout.sealed_slot_len(),
+                messages.iter().map(Vec::len).sum(),
             );
-            // One strip of plaintext slots is resident at a time.
-            let strip_bytes = slots.len().min(IMPORT_STRIP_SLOTS) * layout.slot_plain_len();
+            // One strip of plaintext messages is resident at a time.
+            let strip_bytes = strip_slots * layout.slot_plain_len();
             self.charge(strip_bytes)?;
             let _strip = ReservedPrivate {
                 enclave: &self.enclave,
                 bytes: strip_bytes,
             };
-            // Shuffle the slot order inside private memory before enqueueing
-            // real records (Algorithm 4) — the phase's only draw.
-            let mut order: Vec<usize> = (0..slots.len()).collect();
-            order.shuffle(rng);
-            // Opening a slot is a pure function of its bytes and position,
-            // so the workers share it; the queue is then fed sequentially
-            // in `order`, which keeps the output and the failure point
-            // those of the one-thread run.
-            for strip in order.chunks(IMPORT_STRIP_SLOTS) {
-                let opened = exec::par_chunks(
-                    strip,
-                    self.num_threads,
-                    IMPORT_CHUNK_SLOTS,
-                    |_, positions| {
-                        positions
-                            .iter()
-                            .map(|&position| {
-                                open_slot(
-                                    ephemeral_key,
-                                    &slots[position],
-                                    layout.slot_at(bucket_idx, position),
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    },
-                );
-                for plain in opened.into_iter().flatten() {
-                    if let Some(real) = plain.map_err(AttemptFailure::Fatal)? {
+            // Opening a message is a pure function of its bytes and
+            // position, so the workers share a strip; the queue is then fed
+            // sequentially in message order, which keeps the output and the
+            // failure point those of the one-thread run.
+            let imported_from = queue.len();
+            for (strip_idx, strip) in messages.chunks(strip_messages).enumerate() {
+                let opened = exec::par_chunks(strip, self.num_threads, 1, |offset, message| {
+                    let position = strip_idx * strip_messages + offset;
+                    open_message(
+                        ephemeral_key,
+                        &message[0],
+                        layout.message_at(bucket_idx, position),
+                        layout.slot_plain_len(),
+                    )
+                });
+                for reals in opened {
+                    for real in reals.map_err(AttemptFailure::Fatal)? {
                         if queue.len() >= layout.queue_capacity {
                             return Err(AttemptFailure::QueueOverflow);
                         }
@@ -649,6 +684,9 @@ impl StashShuffle {
                     }
                 }
             }
+            // Shuffle the records this bucket added inside private memory
+            // (Algorithm 4) — the phase's only draw.
+            queue.make_contiguous()[imported_from..].shuffle(rng);
             Ok(())
         };
 
@@ -727,56 +765,62 @@ fn uniform_targets<R: Rng + ?Sized>(items: usize, buckets: usize, rng: &mut R) -
     (0..items).map(|_| rng.gen_range(0..buckets)).collect()
 }
 
-/// Seals one intermediate slot (real record or dummy) with the ephemeral
-/// key. `index` is the slot's global position in the intermediate array — a
-/// pure function of (input bucket, output bucket, slot offset), so parallel
-/// sealing needs no shared counter and nonces never collide under one key.
-fn seal_slot(key: &AeadKey, index: u64, record: Option<&[u8]>, inner_len: usize) -> Vec<u8> {
-    let mut plain = Vec::with_capacity(1 + inner_len);
-    match record {
-        Some(bytes) => {
-            plain.push(1);
-            plain.extend_from_slice(bytes);
-        }
-        None => plain.resize(1 + inner_len, 0),
-    }
-    let nonce = slot_nonce(index);
-    let mut sealed = Vec::with_capacity(aead::NONCE_LEN + plain.len() + aead::TAG_LEN);
+/// Seals one intermediate message of exactly `slots` flagged slots — the
+/// `records` (at most `slots`, each `inner_len` bytes), then dummies — with
+/// the ephemeral key, straight into its nonce-prefixed buffer. `index` is
+/// the message's position in the intermediate array — a pure function of
+/// (input bucket, output bucket) for a chunk — so parallel sealing needs no
+/// shared counter and nonces never collide under one key.
+fn seal_message(
+    key: &AeadKey,
+    index: u64,
+    records: &[&[u8]],
+    slots: usize,
+    inner_len: usize,
+) -> Vec<u8> {
+    let nonce = message_nonce(index);
+    let plain_end = aead::NONCE_LEN + slots * (1 + inner_len);
+    let mut sealed = Vec::with_capacity(plain_end + aead::TAG_LEN);
     sealed.extend_from_slice(&nonce);
-    sealed.extend_from_slice(&aead::seal(key, &nonce, b"stash-slot", &plain));
+    for record in records {
+        sealed.push(1);
+        sealed.extend_from_slice(record);
+    }
+    sealed.resize(plain_end, 0);
+    aead::seal_in_place(key, &nonce, MESSAGE_AAD, &mut sealed, aead::NONCE_LEN);
     sealed
 }
 
-/// Opens the intermediate slot read from global position `index`; returns
-/// `None` for dummies. The nonce stored beside the ciphertext lives in
-/// untrusted memory, so it is only checked against the one `index` implies:
-/// a slot the host moved or copied from elsewhere fails here.
-fn open_slot(key: &AeadKey, sealed: &[u8], index: u64) -> Result<Option<Vec<u8>>, ShuffleError> {
-    if sealed.len() < aead::NONCE_LEN + aead::TAG_LEN + 1 {
-        return Err(ShuffleError::IngressFailed("intermediate slot too short"));
-    }
-    let nonce = slot_nonce(index);
-    if sealed[..aead::NONCE_LEN] != nonce {
+/// Opens the intermediate message read from global position `index` and
+/// returns its real records, dummies dropped. The nonce stored beside the
+/// ciphertext lives in untrusted memory, so it is only checked against the
+/// one `index` implies: a message the host moved or copied from elsewhere
+/// fails here.
+fn open_message(
+    key: &AeadKey,
+    sealed: &[u8],
+    index: u64,
+    slot_plain_len: usize,
+) -> Result<Vec<Vec<u8>>, ShuffleError> {
+    let nonce = message_nonce(index);
+    if !sealed.starts_with(&nonce) {
         return Err(ShuffleError::IngressFailed(
-            "intermediate slot is not at the position it was sealed for",
+            "intermediate message is not at the position it was sealed for",
         ));
     }
-    let plain = aead::open(key, &nonce, b"stash-slot", &sealed[aead::NONCE_LEN..])
-        .map_err(|_| ShuffleError::IngressFailed("intermediate slot authentication"))?;
-    if plain.is_empty() {
-        return Err(ShuffleError::IngressFailed("empty intermediate slot"));
-    }
-    if plain[0] == 1 {
-        Ok(Some(plain[1..].to_vec()))
-    } else {
-        Ok(None)
-    }
+    let plain = aead::open(key, &nonce, MESSAGE_AAD, &sealed[aead::NONCE_LEN..])
+        .map_err(|_| ShuffleError::IngressFailed("intermediate message authentication"))?;
+    Ok(plain
+        .chunks_exact(slot_plain_len)
+        .filter(|slot| slot[0] == 1)
+        .map(|slot| slot[1..].to_vec())
+        .collect())
 }
 
-fn slot_nonce(index: u64) -> [u8; aead::NONCE_LEN] {
+fn message_nonce(index: u64) -> [u8; aead::NONCE_LEN] {
     let mut nonce = [0u8; aead::NONCE_LEN];
     nonce[..8].copy_from_slice(&index.to_le_bytes());
-    nonce[8..].copy_from_slice(b"slot");
+    nonce[8..].copy_from_slice(b"stsh");
     nonce
 }
 
@@ -873,7 +917,6 @@ mod tests {
         let shuffler = StashShuffle::new(params, enclave);
         let input = records(n, 24);
         let out = shuffler.shuffle(&input, &mut rng).unwrap();
-        // B·(B·C + K) with B=10, C=16, K=10.
         // B·(B·C + K) with B = 10, C = 20, K = 40.
         assert_eq!(out.intermediate_slots, 10 * (10 * 20 + 40));
         // Overhead factor from the params must agree with the slot count.
@@ -1013,21 +1056,40 @@ mod tests {
 
     #[test]
     fn boundary_traffic_reflects_overhead_factor() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 4_000;
-        let shuffler = test_shuffler(n);
-        let input = records(n, 64);
-        let out = shuffler.shuffle(&input, &mut rng).unwrap();
-        // Bytes entering the enclave: the input once plus every intermediate
-        // slot once (sealed size). The ratio to the input size should be in
-        // the same ballpark as the analytic overhead factor.
-        let input_bytes = (n * 64) as f64;
-        let ratio = out.metrics.bytes_in as f64 / input_bytes;
-        let analytic = shuffler.params().overhead_factor(n);
-        assert!(
-            ratio > 0.8 * analytic && ratio < 2.0 * analytic,
-            "measured ratio {ratio:.2} vs analytic {analytic:.2}"
-        );
+        // Bytes entering the enclave: the input once, then every
+        // intermediate bucket once — B chunks of C flagged slots and one
+        // drain of K, each message carrying one nonce and one tag (28
+        // bytes). Bytes leaving it: the same intermediate array, then the
+        // output once.
+        let len = 64;
+        for n in [1_000usize, 4_800, 20_000] {
+            let params = StashShuffleParams::derive(n);
+            let (b, c) = (params.num_buckets, params.chunk_cap);
+            let k = params.stash_drain_per_bucket();
+            let intermediate = b * (b * (c * (len + 1) + 28) + k * (len + 1) + 28);
+            let input = records(n, len);
+            for threads in [1, 2] {
+                let shuffler = StashShuffle::new(
+                    params,
+                    Enclave::new(EnclaveConfig {
+                        private_memory_bytes: 16 * 1024 * 1024,
+                        record_trace: false,
+                        code_identity: "boundary".into(),
+                    }),
+                )
+                .with_threads(threads);
+                let mut rng = StdRng::seed_from_u64(11);
+                let out = shuffler.shuffle(&input, &mut rng).unwrap();
+                assert_eq!(out.attempts, 1);
+                assert_eq!(out.intermediate_slots, b * (b * c + k));
+                let expected = (n * len + intermediate) as u64;
+                assert_eq!(
+                    (out.metrics.bytes_in, out.metrics.bytes_out),
+                    (expected, expected),
+                    "N = {n} at {threads} workers"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1119,61 +1181,126 @@ mod tests {
         (shuffler, layout, key, mid)
     }
 
-    /// Positions of one real and one dummy slot in `bucket`.
-    fn real_and_dummy(layout: &Layout, key: &AeadKey, bucket: &[Vec<u8>]) -> (usize, usize) {
-        let is_real = |position: usize| {
-            open_slot(key, &bucket[position], layout.slot_at(0, position))
-                .unwrap()
-                .is_some()
-        };
-        let real = (0..bucket.len()).find(|&p| is_real(p)).unwrap();
-        let dummy = (0..bucket.len()).find(|&p| !is_real(p)).unwrap();
-        (real, dummy)
+    /// The real records the message at `position` of intermediate bucket
+    /// `bucket_idx` carries.
+    fn reals_at(
+        layout: &Layout,
+        key: &AeadKey,
+        mid: &Intermediate,
+        bucket_idx: usize,
+        position: usize,
+    ) -> usize {
+        open_message(
+            key,
+            &mid[bucket_idx][position],
+            layout.message_at(bucket_idx, position),
+            layout.slot_plain_len(),
+        )
+        .unwrap()
+        .len()
     }
 
     const OUT_OF_POSITION: AttemptFailure = AttemptFailure::Fatal(ShuffleError::IngressFailed(
-        "intermediate slot is not at the position it was sealed for",
+        "intermediate message is not at the position it was sealed for",
+    ));
+
+    const WRONG_LENGTH: AttemptFailure = AttemptFailure::Fatal(ShuffleError::IngressFailed(
+        "intermediate bucket has the wrong length",
     ));
 
     #[test]
-    fn a_swapped_slot_fails_the_shuffle() {
+    fn a_swapped_message_fails_the_shuffle() {
         let (shuffler, layout, key, mid) = distributed(1_000, |_| {});
         let mut mid = mid.unwrap();
         let mut rng = StdRng::seed_from_u64(16);
         // Untouched, the intermediate array compresses to a permutation.
         let out = shuffler.compress(&mid, &layout, &key, &mut rng).unwrap();
         assert_eq!(out.len(), 1_000);
-        // Two authentic slots of one bucket trade places.
-        let (real, dummy) = real_and_dummy(&layout, &key, &mid[0]);
-        mid[0].swap(real, dummy);
+        // Two authentic chunks of one bucket trade places.
+        mid[0].swap(0, 1);
         assert_eq!(
             shuffler.compress(&mid, &layout, &key, &mut rng),
             Err(OUT_OF_POSITION)
         );
         assert_eq!(shuffler.enclave().metrics().private_in_use, 0);
-        // So do two slots of different buckets.
-        mid[0].swap(real, dummy);
+        // So do two chunks of different buckets.
+        mid[0].swap(0, 1);
         let (first, second) = mid.split_at_mut(1);
-        std::mem::swap(&mut first[0][real], &mut second[0][0]);
+        std::mem::swap(&mut first[0][0], &mut second[0][0]);
         assert_eq!(
             shuffler.compress(&mid, &layout, &key, &mut rng),
             Err(OUT_OF_POSITION)
         );
+        assert_eq!(shuffler.enclave().metrics().private_in_use, 0);
     }
 
     #[test]
-    fn a_replayed_slot_fails_the_shuffle() {
-        // A real slot copied over a dummy authenticates under its stored
-        // nonce; trusting that nonce would enqueue the record twice and the
-        // last drain would then silently drop a different one.
+    fn a_replayed_message_fails_the_shuffle() {
+        // A chunk copied over another authenticates under its stored nonce;
+        // trusting that nonce would enqueue its records twice and the last
+        // drain would then silently drop different ones.
         let (shuffler, layout, key, mid) = distributed(1_000, |_| {});
         let mut mid = mid.unwrap();
-        let (real, dummy) = real_and_dummy(&layout, &key, &mid[0]);
-        mid[0][dummy] = mid[0][real].clone();
+        assert!(reals_at(&layout, &key, &mid, 0, 1) > 0);
+        mid[0][0] = mid[0][1].clone();
         let mut rng = StdRng::seed_from_u64(17);
         assert_eq!(
             shuffler.compress(&mid, &layout, &key, &mut rng),
             Err(OUT_OF_POSITION)
+        );
+        assert_eq!(shuffler.enclave().metrics().private_in_use, 0);
+    }
+
+    #[test]
+    fn a_bucket_of_the_wrong_shape_fails_the_shuffle() {
+        // Tight chunks and a deep drain, so the drains carry real records:
+        // an appended drain that authenticated would duplicate them.
+        let (shuffler, layout, key, mid) = distributed(1_000, |layout| {
+            layout.c = 8;
+            layout.s = 1_000;
+            layout.k = 100;
+        });
+        let mid = mid.unwrap();
+        let b = layout.b;
+        assert!(reals_at(&layout, &key, &mid, 1, b) > 0);
+        assert_ne!(layout.c, layout.k);
+        type Tamper = fn(&mut Intermediate, usize);
+        let tampered: [(&str, Tamper); 5] = [
+            ("another bucket's drain appended", |mid, b| {
+                let drain = mid[1][b].clone();
+                mid[0].push(drain);
+            }),
+            ("its own drain replayed", |mid, b| {
+                let drain = mid[0][b].clone();
+                mid[0].push(drain);
+            }),
+            ("a chunk removed", |mid, _| {
+                mid[0].remove(3);
+            }),
+            ("a chunk truncated", |mid, _| {
+                mid[0][3].pop();
+            }),
+            ("the drain swapped with a chunk", |mid, b| mid[0].swap(0, b)),
+        ];
+        for (case, tamper) in tampered {
+            let mut mid = mid.clone();
+            tamper(&mut mid, b);
+            let mut rng = StdRng::seed_from_u64(18);
+            assert_eq!(
+                shuffler.compress(&mid, &layout, &key, &mut rng),
+                Err(WRONG_LENGTH),
+                "{case}"
+            );
+            assert_eq!(shuffler.enclave().metrics().private_in_use, 0, "{case}");
+        }
+        // Untampered, the same array compresses.
+        let mut rng = StdRng::seed_from_u64(18);
+        assert_eq!(
+            shuffler
+                .compress(&mid, &layout, &key, &mut rng)
+                .unwrap()
+                .len(),
+            1_000
         );
     }
 
@@ -1244,23 +1371,39 @@ mod tests {
     }
 
     #[test]
-    fn slot_seal_open_roundtrip_and_dummy_flag() {
+    fn import_strips_hold_a_constant_number_of_slots() {
+        // The benchmark's batch (B = 21, C = 28, K = 40): one strip.
+        assert_eq!(import_strip(21, 28, 40), (36, 21 * 28 + 40));
+        // Table 1's first row: 25 strips of 40 chunks; the drain rides alone.
+        assert_eq!(import_strip(1_000, 25, 40), (40, 1_000));
+        // A chunk wider than a strip is still read whole.
+        assert_eq!(import_strip(3, 2_000, 10), (1, 2_000));
+        for b in [1usize, 7, 100, 4_400] {
+            for c in [1usize, 24, 30, 500] {
+                let (messages, slots) = import_strip(b, c, 43);
+                assert!(messages * c <= IMPORT_STRIP_SLOTS);
+                assert!(slots <= IMPORT_STRIP_SLOTS + 43, "B = {b}, C = {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn message_seal_open_roundtrip_and_dummy_flag() {
         let mut rng = StdRng::seed_from_u64(13);
         let key = AeadKey::random(&mut rng);
-        let sealed_real = seal_slot(&key, 0, Some(b"hello-world-1234"), 16);
-        let sealed_dummy = seal_slot(&key, 1, None, 16);
+        let records: [&[u8]; 2] = [b"hello-world-1234", b"second-record-56"];
+        let sealed_real = seal_message(&key, 0, &records, 5, 16);
+        let sealed_dummy = seal_message(&key, 1, &[], 5, 16);
+        assert_eq!(sealed_real.len(), aead::NONCE_LEN + 5 * 17 + aead::TAG_LEN);
         assert_eq!(sealed_real.len(), sealed_dummy.len());
-        assert_eq!(
-            open_slot(&key, &sealed_real, 0).unwrap().unwrap(),
-            b"hello-world-1234"
-        );
-        assert!(open_slot(&key, &sealed_dummy, 1).unwrap().is_none());
-        // A slot only opens at the position it was sealed for.
-        assert!(open_slot(&key, &sealed_real, 1).is_err());
+        assert_eq!(open_message(&key, &sealed_real, 0, 17).unwrap(), records);
+        assert!(open_message(&key, &sealed_dummy, 1, 17).unwrap().is_empty());
+        // A message only opens at the position it was sealed for.
+        assert!(open_message(&key, &sealed_real, 1, 17).is_err());
         // Tampering is detected.
         let mut tampered = sealed_real.clone();
         let last = tampered.len() - 1;
         tampered[last] ^= 1;
-        assert!(open_slot(&key, &tampered, 0).is_err());
+        assert!(open_message(&key, &tampered, 0, 17).is_err());
     }
 }

@@ -289,16 +289,17 @@ impl StashShuffleParams {
     /// with `record_bytes`-byte records (the "SGX Mem" column of Table 2).
     ///
     /// Distribution phase: one input bucket, the B output chunks of C slots
-    /// and a partially filled stash. Compression phase: the strip of an
-    /// imported intermediate bucket that is open at a time plus the
-    /// sliding-window queue at its bound ([`Self::queue_capacity`]).
+    /// and a partially filled stash. Compression phase: the largest strip
+    /// of whole chunks (the last one also carries the drain) of an imported
+    /// intermediate bucket that is open at a time, plus the sliding-window
+    /// queue at its bound ([`Self::queue_capacity`]).
     pub fn modeled_private_memory(&self, records: usize, record_bytes: usize) -> usize {
         let d = self.items_per_bucket(records);
         let b = self.num_buckets;
         let c = self.chunk_cap;
         let k = self.stash_drain_per_bucket();
         let distribution = (d + b * c + self.stash_capacity / 4) * record_bytes;
-        let strip = (b * c + k).min(super::IMPORT_STRIP_SLOTS);
+        let (_, strip) = super::import_strip(b, c, k);
         let compression = (strip + self.queue_capacity(records)) * record_bytes;
         distribution.max(compression)
     }

@@ -375,10 +375,10 @@ const PINNED_S2_ITEMS_SHA256: &str =
 const PINNED_S1_SEED: u64 = 0x51ed;
 const PINNED_S2_SEED: u64 = 0x52ed;
 
-/// A three-chunk batch (the executor cuts at 1 024 records) that
-/// interleaves valid blinded reports with outers sealed to a foreign
-/// shuffler and reports carrying a hashed crowd ID, so rejected records
-/// fall on both sides of every chunk border.
+/// An eighteen-chunk batch (the executor cuts the split stages' draw-free
+/// phases at 128 records) that interleaves valid blinded reports with
+/// outers sealed to a foreign shuffler and reports carrying a hashed crowd
+/// ID, so rejected records fall on both sides of every chunk border.
 fn pinned_split_batch() -> (Deployment, Vec<Vec<u8>>) {
     let mut rng = StdRng::seed_from_u64(0x9157);
     let deployment = Deployment::builder()
