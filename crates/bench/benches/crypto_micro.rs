@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the cryptographic substrate: the
 //! per-record costs that determine the pipeline-level numbers of Tables 2
 //! and 3 (hashing, AEAD, curve scalar multiplication, hybrid seal/open,
-//! El Gamal blinding, secret-share encoding).
+//! El Gamal blinding, secret-share encoding), and the client's side of it:
+//! a seal through a precomputed recipient key and a whole encoded report.
 //!
 //! After the criterion pass, a second measurement pass re-times the field
 //! and curve hot paths and emits `BENCHJSON` lines (operations per second,
@@ -13,7 +14,9 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, Criterion};
 use prochlo_bench::emit_metric;
+use prochlo_core::encoder::{ClientKeys, CrowdStrategy, Encoder};
 use prochlo_crypto::aead::{self, AeadKey};
+use prochlo_crypto::ecdh::PrecomputedPublicKey;
 use prochlo_crypto::edwards::{FixedBaseTable, Point};
 use prochlo_crypto::elgamal::{BlindingSecret, ElGamalCiphertext, ElGamalKeypair};
 use prochlo_crypto::field::FieldElement;
@@ -37,6 +40,17 @@ fn batch_ciphertexts(rng: &mut StdRng, recipient: &HybridKeypair) -> Vec<HybridC
     (0..BATCH)
         .map(|_| HybridCiphertext::seal(rng, recipient.public_key(), b"aad", &payload).unwrap())
         .collect()
+}
+
+/// An encoder holding both hybrid keys and an El Gamal key, as a
+/// split-topology client does.
+fn client_encoder(rng: &mut StdRng) -> Encoder {
+    let keys = ClientKeys {
+        shuffler: *HybridKeypair::generate(rng).public_key(),
+        analyzer: *HybridKeypair::generate(rng).public_key(),
+        crowd_blinding: Some(*ElGamalKeypair::generate(rng).public_key()),
+    };
+    Encoder::new(keys, 64)
 }
 
 /// A field element with no structure for the multiplier to exploit.
@@ -95,6 +109,35 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("hybrid_seal_64B", |b| {
         b.iter(|| {
             HybridCiphertext::seal(&mut rng, recipient.public_key(), b"aad", &payload).unwrap()
+        })
+    });
+    let precomputed = PrecomputedPublicKey::new(recipient.public_key());
+    group.bench_function("hybrid_seal_64B_precomputed", |b| {
+        b.iter(|| HybridCiphertext::seal(&mut rng, &precomputed, b"aad", &payload).unwrap())
+    });
+    let encoder = client_encoder(&mut rng);
+    group.bench_function("encode_plain_report", |b| {
+        b.iter(|| {
+            encoder
+                .encode_plain(
+                    b"www.example.com",
+                    CrowdStrategy::Hash(b"crowd"),
+                    0,
+                    &mut rng,
+                )
+                .unwrap()
+        })
+    });
+    group.bench_function("encode_blind_report", |b| {
+        b.iter(|| {
+            encoder
+                .encode_plain(
+                    b"www.example.com",
+                    CrowdStrategy::Blind(b"crowd"),
+                    0,
+                    &mut rng,
+                )
+                .unwrap()
         })
     });
     let sealed =
@@ -231,6 +274,43 @@ fn emit_benchjson() {
         "hybrid_seal_64B_ops_per_sec",
         measure_ns(|| {
             HybridCiphertext::seal(&mut rng, recipient.public_key(), b"aad", &payload).unwrap()
+        }),
+        1.0,
+    );
+    let precomputed = PrecomputedPublicKey::new(recipient.public_key());
+    emit_ops_per_sec(
+        "hybrid_seal_64B_precomputed_ops_per_sec",
+        measure_ns(|| HybridCiphertext::seal(&mut rng, &precomputed, b"aad", &payload).unwrap()),
+        1.0,
+    );
+    // A whole report: the crowd ID and both layers (three seals' worth of
+    // curve work with the El Gamal crowd ID, two without).
+    let encoder = client_encoder(&mut rng);
+    emit_ops_per_sec(
+        "encode_plain_report_ops_per_sec",
+        measure_ns(|| {
+            encoder
+                .encode_plain(
+                    b"www.example.com",
+                    CrowdStrategy::Hash(b"crowd"),
+                    0,
+                    &mut rng,
+                )
+                .unwrap()
+        }),
+        1.0,
+    );
+    emit_ops_per_sec(
+        "encode_blind_report_ops_per_sec",
+        measure_ns(|| {
+            encoder
+                .encode_plain(
+                    b"www.example.com",
+                    CrowdStrategy::Blind(b"crowd"),
+                    0,
+                    &mut rng,
+                )
+                .unwrap()
         }),
         1.0,
     );

@@ -27,6 +27,8 @@
 //! for byte (pinned by the committed golden fixture in the integration
 //! suite).
 
+use std::sync::OnceLock;
+
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -294,6 +296,7 @@ impl DeploymentBuilder {
             analyzer,
             payload_size: self.payload_size.unwrap_or(DEFAULT_PAYLOAD_SIZE),
             engine: self.engine,
+            encoder: OnceLock::new(),
         }
     }
 }
@@ -331,6 +334,8 @@ pub struct Deployment {
     analyzer: Analyzer,
     payload_size: usize,
     engine: Option<EngineConfig>,
+    /// Built by the first [`Self::encoder`] call.
+    encoder: OnceLock<Encoder>,
 }
 
 impl Deployment {
@@ -379,8 +384,17 @@ impl Deployment {
     }
 
     /// A ready-to-use encoder for this deployment.
+    ///
+    /// The first call builds the encoder — the comb tables of the shuffler,
+    /// analyzer and (split topology) El Gamal keys, see [`Encoder::new`] —
+    /// and every later call clones it, which copies a pointer. A deployment
+    /// that never encodes never builds the tables. The comb walks index the
+    /// tables by bits of secret scalars: not constant-time, like the rest
+    /// of the crypto substrate.
     pub fn encoder(&self) -> Encoder {
-        Encoder::new(self.client_keys(), self.payload_size)
+        self.encoder
+            .get_or_init(|| Encoder::new(self.client_keys(), self.payload_size))
+            .clone()
     }
 
     /// Runs one batch of client reports through shuffling and analysis with
@@ -627,7 +641,8 @@ impl ShardedDeployment {
         Self::shard_index(label, self.shards.len())
     }
 
-    /// The encoder of the shard a crowd label routes to.
+    /// The encoder of the shard a crowd label routes to (built on the
+    /// shard's first request, cloned after; see [`Deployment::encoder`]).
     pub fn encoder_for(&self, label: &[u8]) -> Encoder {
         self.shards[self.shard_for_crowd(label)].encoder()
     }

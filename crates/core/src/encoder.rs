@@ -1,10 +1,25 @@
 //! The ESA encoder: client-side encoding, fragmentation, randomized response
 //! and nested encryption (§3.2, §4.2).
+//!
+//! A client seals every report to the same keys, so [`Encoder::new`] builds
+//! each key's comb table once — the shuffler's and the analyzer's hybrid
+//! keys ([`PrecomputedPublicKey`]) and Shuffler 2's El Gamal key
+//! ([`FixedBaseTable`]) — and shares them behind an `Arc`: cloning an
+//! encoder copies a pointer. A report then costs two comb walks for the
+//! ephemeral keys, two for the shared points (three of each with a blinded
+//! crowd ID) and one field inversion per layer; a comb walk costs about a
+//! quarter of the NAF walk a bare key needs. The bytes, and the
+//! order of every RNG draw, are those of the one-shot
+//! [`HybridCiphertext::seal`] and [`ElGamalCiphertext::encrypt_hashed`].
+//! None of it is constant-time: the comb indexes its tables by bits of the
+//! secret scalars, as `Point::mul_base` already does.
+
+use std::sync::Arc;
 
 use rand::Rng;
 
-use prochlo_crypto::ecdh::PublicKey;
-use prochlo_crypto::edwards::Point;
+use prochlo_crypto::ecdh::{PrecomputedPublicKey, PublicKey};
+use prochlo_crypto::edwards::{FixedBaseTable, Point};
 use prochlo_crypto::elgamal::ElGamalCiphertext;
 use prochlo_crypto::hybrid::HybridCiphertext;
 use prochlo_crypto::{mle, shamir};
@@ -43,18 +58,38 @@ pub enum CrowdStrategy<'a> {
     Blind(&'a [u8]),
 }
 
-/// A configured client-side encoder.
+/// A configured client-side encoder. Cheap to clone: the precomputed keys
+/// are shared.
 #[derive(Debug, Clone)]
 pub struct Encoder {
-    keys: ClientKeys,
+    keys: Arc<SealingKeys>,
     payload_size: usize,
 }
 
+/// [`ClientKeys`] with each key's comb table built.
+#[derive(Debug)]
+struct SealingKeys {
+    shuffler: PrecomputedPublicKey,
+    analyzer: PrecomputedPublicKey,
+    crowd_blinding: Option<FixedBaseTable>,
+}
+
 impl Encoder {
-    /// Creates an encoder. `payload_size` is the fixed data size every report
-    /// is padded to (the paper uses 64-byte payloads in its evaluation).
+    /// Creates an encoder, building the comb tables of its two or three
+    /// keys (≈ 0.1 ms each on a 2 GHz core; any decodable key, including a
+    /// degenerate one, builds). `payload_size` is the fixed data size every
+    /// report is padded to (the paper uses 64-byte payloads in its
+    /// evaluation).
     pub fn new(keys: ClientKeys, payload_size: usize) -> Self {
-        Self { keys, payload_size }
+        let keys = SealingKeys {
+            shuffler: PrecomputedPublicKey::new(&keys.shuffler),
+            analyzer: PrecomputedPublicKey::new(&keys.analyzer),
+            crowd_blinding: keys.crowd_blinding.as_ref().map(FixedBaseTable::new),
+        };
+        Self {
+            keys: Arc::new(keys),
+            payload_size,
+        }
     }
 
     /// The configured payload size.

@@ -4,10 +4,21 @@
 //! the shuffler and with the analyzer (one per nested-encryption layer), and
 //! the shuffler/analyzer hold the corresponding static private keys. This
 //! module provides both halves.
+//!
+//! A client seals to the same two keys for its whole life, so a recipient
+//! key has a precomputed form, [`PrecomputedPublicKey`]: the key plus its
+//! [`FixedBaseTable`] comb (64 affine entries, ≈ 7.7 KB, built for about
+//! three variable-base multiplications). [`EphemeralSecret::agree`] takes
+//! either form through [`ScalarMul`] and returns the same bytes from both;
+//! with the table, `e·PK` is a comb walk instead of a width-5 NAF walk, and
+//! the ephemeral public key and the shared point share one field inversion.
+//! Like the rest of the substrate this is not constant-time: the comb
+//! indexes its table by bits of the secret scalar, as
+//! [`Point::mul_base`] already does.
 
 use rand::Rng;
 
-use crate::edwards::{CompressedPoint, Point};
+use crate::edwards::{CompressedPoint, FixedBaseTable, Point, ScalarMul};
 use crate::error::CryptoError;
 use crate::hkdf::hkdf_key;
 use crate::scalar::Scalar;
@@ -51,6 +62,22 @@ impl std::hash::Hash for PublicKey {
 impl std::fmt::Debug for PublicKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("PublicKey").field(&self.compressed).finish()
+    }
+}
+
+/// A recipient's public key with its comb table built: the form a client
+/// that seals to the same key many times holds. Sealing to it produces the
+/// same bytes as sealing to the bare [`PublicKey`].
+pub struct PrecomputedPublicKey {
+    public: PublicKey,
+    table: FixedBaseTable,
+}
+
+impl std::fmt::Debug for PrecomputedPublicKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("PrecomputedPublicKey")
+            .field(&self.public.compressed)
+            .finish()
     }
 }
 
@@ -151,15 +178,28 @@ impl EphemeralSecret {
         }
     }
 
-    /// The corresponding public key, to be transmitted with the ciphertext.
-    pub fn public_key(&self) -> PublicKey {
-        PublicKey::from_point(Point::mul_base(&self.secret))
-    }
-
-    /// Computes the shared symmetric key with a peer's public key, consuming
-    /// the ephemeral secret so it cannot be reused.
-    pub fn agree(self, their_public: &PublicKey, info: &[u8]) -> Result<[u8; 32], CryptoError> {
-        derive_shared(&self.secret, their_public, info)
+    /// Computes the shared symmetric key with a recipient, consuming the
+    /// ephemeral secret so it cannot be reused. Returns the wire encoding of
+    /// this secret's public key (sent with the ciphertext) and the key.
+    ///
+    /// `recipient` is a [`PublicKey`] or a [`PrecomputedPublicKey`]; the
+    /// result is the same. Both points are compressed through one
+    /// [`Point::batch_compress`], so the exchange pays one field inversion.
+    pub fn agree<K: ScalarMul + ?Sized>(
+        self,
+        recipient: &K,
+        info: &[u8],
+    ) -> Result<([u8; 32], [u8; 32]), CryptoError> {
+        let public = Point::mul_base(&self.secret);
+        let shared = recipient.scalar_mul(&self.secret);
+        if shared.is_identity() {
+            return Err(DEGENERATE_SHARED);
+        }
+        let encoded = Point::batch_compress(&[public, shared]);
+        Ok((
+            encoded[0].0,
+            hkdf_key(b"prochlo-ecdh", encoded[1].as_bytes(), info),
+        ))
     }
 }
 
@@ -190,6 +230,29 @@ impl PublicKey {
     }
 }
 
+impl ScalarMul for PublicKey {
+    fn scalar_mul(&self, scalar: &Scalar) -> Point {
+        self.point.mul(scalar)
+    }
+}
+
+impl PrecomputedPublicKey {
+    /// Builds the comb table of `public` (about three variable-base
+    /// multiplications' worth of work, paid once).
+    pub fn new(public: &PublicKey) -> Self {
+        Self {
+            public: *public,
+            table: FixedBaseTable::new(&public.point),
+        }
+    }
+}
+
+impl ScalarMul for PrecomputedPublicKey {
+    fn scalar_mul(&self, scalar: &Scalar) -> Point {
+        self.table.mul(scalar)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,8 +274,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let server = StaticSecret::random(&mut rng);
         let client = EphemeralSecret::random(&mut rng);
-        let client_pub = client.public_key();
-        let k_client = client.agree(&server.public_key(), b"layer").unwrap();
+        let (client_pub, k_client) = client.agree(&server.public_key(), b"layer").unwrap();
+        let client_pub = PublicKey::from_bytes(client_pub).unwrap();
         let k_server = server.agree(&client_pub, b"layer").unwrap();
         assert_eq!(k_client, k_server);
     }

@@ -12,10 +12,17 @@
 //! 3. Shuffler 2 decrypts: `α·C − x·(α·R) = α·µ`, a pseudonymous handle that
 //!    preserves equality of crowd IDs (so it can count and threshold) but —
 //!    absent collusion — neither shuffler can dictionary-attack.
+//!
+//! [`ElGamalCiphertext::encrypt`] takes Shuffler 2's key `h` as the bare
+//! [`Point`] or as its [`FixedBaseTable`]: an encoder builds the table once
+//! and computes `r·h` as a comb walk, with the same bytes as the per-call
+//! NAF walk. Shuffler 1's [`ElGamalCiphertext::rerandomize`] uses the same
+//! table per batch. Not constant-time: the comb indexes its table by bits
+//! of `r`.
 
 use rand::Rng;
 
-use crate::edwards::{CompressedPoint, FixedBaseTable, Point};
+use crate::edwards::{CompressedPoint, FixedBaseTable, Point, ScalarMul};
 use crate::error::CryptoError;
 use crate::scalar::Scalar;
 
@@ -74,18 +81,27 @@ impl ElGamalKeypair {
 }
 
 impl ElGamalCiphertext {
-    /// Encrypts a group element to `public_key`.
-    pub fn encrypt<R: Rng + ?Sized>(rng: &mut R, public_key: &Point, message: &Point) -> Self {
+    /// Encrypts a group element to `public_key` — the [`Point`] or its
+    /// [`FixedBaseTable`], with the same result.
+    pub fn encrypt<R: Rng + ?Sized, K: ScalarMul + ?Sized>(
+        rng: &mut R,
+        public_key: &K,
+        message: &Point,
+    ) -> Self {
         let r = Scalar::random_nonzero(rng);
         Self {
             r: Point::mul_base(&r),
-            c: public_key.mul(&r).add(message),
+            c: public_key.scalar_mul(&r).add(message),
         }
     }
 
     /// Encrypts the hash-to-group image of an arbitrary byte string
     /// (the crowd ID path used by the encoder).
-    pub fn encrypt_hashed<R: Rng + ?Sized>(rng: &mut R, public_key: &Point, id: &[u8]) -> Self {
+    pub fn encrypt_hashed<R: Rng + ?Sized, K: ScalarMul + ?Sized>(
+        rng: &mut R,
+        public_key: &K,
+        id: &[u8],
+    ) -> Self {
         Self::encrypt(rng, public_key, &Point::hash_to_point(id))
     }
 
@@ -112,9 +128,11 @@ impl ElGamalCiphertext {
         }
     }
 
-    /// Serializes to 64 bytes (two compressed points).
+    /// Serializes to 64 bytes (two compressed points, normalized through
+    /// one field inversion).
     pub fn to_bytes(&self) -> [u8; 64] {
-        Self::pack(&self.r.compress(), &self.c.compress())
+        let encoded = Point::batch_compress(&[self.r, self.c]);
+        Self::pack(&encoded[0], &encoded[1])
     }
 
     fn pack(r: &CompressedPoint, c: &CompressedPoint) -> [u8; 64] {
@@ -176,6 +194,7 @@ impl BlindingSecret {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -285,5 +304,33 @@ mod tests {
         let mu = Point::hash_to_point(b"secret-app");
         let ct = ElGamalCiphertext::encrypt(&mut rng, keys.public_key(), &mu);
         assert_ne!(wrong.decrypt(&ct), mu);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Encrypting through the key's table is only a faster route to
+        /// encrypting through the point: same RNG stream, same bytes, same
+        /// place in the stream afterwards.
+        #[test]
+        fn encrypt_hashed_through_the_table_matches_the_point(
+            key_seed in any::<u64>(),
+            encrypt_seed in any::<u64>(),
+            id_len in 0usize..=64,
+            id_seed in any::<u64>(),
+        ) {
+            let mut fill = StdRng::seed_from_u64(id_seed);
+            let id: Vec<u8> = (0..id_len).map(|_| fill.gen()).collect();
+            let keys = ElGamalKeypair::generate(&mut StdRng::seed_from_u64(key_seed));
+            let table = FixedBaseTable::new(keys.public_key());
+            let mut point_rng = StdRng::seed_from_u64(encrypt_seed);
+            let mut table_rng = StdRng::seed_from_u64(encrypt_seed);
+            let through_point =
+                ElGamalCiphertext::encrypt_hashed(&mut point_rng, keys.public_key(), &id);
+            let through_table = ElGamalCiphertext::encrypt_hashed(&mut table_rng, &table, &id);
+            prop_assert_eq!(through_table.to_bytes(), through_point.to_bytes());
+            prop_assert_eq!(point_rng.gen::<u64>(), table_rng.gen::<u64>());
+            prop_assert_eq!(keys.decrypt(&through_table), Point::hash_to_point(&id));
+        }
     }
 }

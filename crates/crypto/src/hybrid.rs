@@ -6,6 +6,17 @@
 //! [`HybridCiphertext::seal`] twice with different recipient keys. Each layer
 //! is: fresh ephemeral Diffie–Hellman key, HKDF to derive an AEAD key, then
 //! AEAD with the recipient's role string as associated data.
+//!
+//! [`HybridCiphertext::seal`] takes the recipient as a bare [`PublicKey`]
+//! (a one-shot seal: a width-5 NAF walk for `e·PK`) or as a
+//! [`PrecomputedPublicKey`] (a comb walk over the key's table, built once
+//! by whoever seals to that key repeatedly — the ESA encoder). Both forms
+//! draw the same randomness in the same order and produce the same bytes;
+//! either way a layer costs one field inversion, shared by the ephemeral
+//! public key and the Diffie–Hellman point. Not constant-time: the comb
+//! indexes its table by bits of the ephemeral scalar.
+//!
+//! [`PrecomputedPublicKey`]: crate::ecdh::PrecomputedPublicKey
 
 use std::borrow::Borrow;
 
@@ -13,6 +24,7 @@ use rand::Rng;
 
 use crate::aead::{self, AeadKey};
 use crate::ecdh::{EphemeralSecret, PublicKey, StaticSecret};
+use crate::edwards::ScalarMul;
 use crate::error::CryptoError;
 
 /// A keypair for a party that receives hybrid-encrypted messages (the
@@ -62,22 +74,23 @@ pub struct HybridCiphertext {
 }
 
 impl HybridCiphertext {
-    /// Encrypts `plaintext` to `recipient`, binding `aad`.
-    pub fn seal<R: Rng + ?Sized>(
+    /// Encrypts `plaintext` to `recipient` — a [`PublicKey`] or a
+    /// [`crate::ecdh::PrecomputedPublicKey`], with the same result —
+    /// binding `aad`. Draws the ephemeral scalar, then the nonce.
+    pub fn seal<R: Rng + ?Sized, K: ScalarMul + ?Sized>(
         rng: &mut R,
-        recipient: &PublicKey,
+        recipient: &K,
         aad: &[u8],
         plaintext: &[u8],
     ) -> Result<Self, CryptoError> {
-        let ephemeral = EphemeralSecret::random(rng);
-        let ephemeral_public = ephemeral.public_key();
-        let key_bytes = ephemeral.agree(recipient, b"prochlo-hybrid-v1")?;
+        let (ephemeral, key_bytes) =
+            EphemeralSecret::random(rng).agree(recipient, b"prochlo-hybrid-v1")?;
         let key = AeadKey::from_bytes(key_bytes);
         let mut nonce = [0u8; aead::NONCE_LEN];
         rng.fill_bytes(&mut nonce);
         let sealed = aead::seal(&key, &nonce, aad, plaintext);
         Ok(Self {
-            ephemeral: ephemeral_public.to_bytes(),
+            ephemeral,
             nonce,
             sealed,
         })
@@ -169,6 +182,8 @@ impl HybridCiphertext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ecdh::PrecomputedPublicKey;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -303,5 +318,39 @@ mod tests {
             ct.wire_len(),
             plaintext.len() + HybridCiphertext::layer_overhead()
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The precomputed recipient is only a faster route to the one-shot
+        /// seal: fed the same RNG stream, both produce the same bytes and
+        /// leave the stream at the same place.
+        #[test]
+        fn precomputed_seal_matches_the_one_shot_seal(
+            key_seed in any::<u64>(),
+            seal_seed in any::<u64>(),
+            plaintext_len in 0usize..=300,
+            aad_len in 0usize..=40,
+            fill_seed in any::<u64>(),
+        ) {
+            let mut fill = StdRng::seed_from_u64(fill_seed);
+            let plaintext: Vec<u8> = (0..plaintext_len).map(|_| fill.gen()).collect();
+            let aad: Vec<u8> = (0..aad_len).map(|_| fill.gen()).collect();
+            let recipient = HybridKeypair::generate(&mut StdRng::seed_from_u64(key_seed));
+            let precomputed = PrecomputedPublicKey::new(recipient.public_key());
+            let mut one_shot_rng = StdRng::seed_from_u64(seal_seed);
+            let mut precomputed_rng = StdRng::seed_from_u64(seal_seed);
+            let one_shot =
+                HybridCiphertext::seal(&mut one_shot_rng, recipient.public_key(), &aad, &plaintext);
+            let through_table =
+                HybridCiphertext::seal(&mut precomputed_rng, &precomputed, &aad, &plaintext);
+            prop_assert_eq!(&through_table, &one_shot);
+            prop_assert_eq!(one_shot_rng.gen::<u64>(), precomputed_rng.gen::<u64>());
+            prop_assert_eq!(
+                through_table.unwrap().open(recipient.secret(), &aad).unwrap(),
+                plaintext
+            );
+        }
     }
 }

@@ -18,7 +18,9 @@
 //!   standing in for NIST P-256. [`scalar`] implements arithmetic modulo the
 //!   group order for Schnorr signatures.
 //! * [`ecdh`] / [`hybrid`] — Diffie–Hellman key agreement and the hybrid
-//!   public-key encryption used for the ESA *nested encryption* layers.
+//!   public-key encryption used for the ESA *nested encryption* layers; a
+//!   sender that seals to one key many times precomputes it
+//!   ([`ecdh::PrecomputedPublicKey`]) and gets the same bytes faster.
 //! * [`schnorr`] — Schnorr signatures over the Edwards group, used by the
 //!   simulated SGX attestation chain.
 //! * [`elgamal`] — El Gamal encryption over the group plus the exponent
@@ -59,4 +61,4 @@ pub use field::FieldElement;
 pub use hybrid::{HybridCiphertext, HybridKeypair};
 pub use scalar::Scalar;
 pub use sha256::{sha256, Sha256};
-pub use shamir::{Share, ShareSet};
+pub use shamir::Share;

@@ -170,42 +170,6 @@ pub fn recover_secret(shares: &[Share], threshold: usize) -> Result<[u8; 32], Cr
     Ok(secret.to_bytes())
 }
 
-/// An accumulator that gathers shares (as the analyzer does per ciphertext)
-/// and recovers the secret once the threshold is met.
-#[derive(Clone, Debug, Default)]
-pub struct ShareSet {
-    shares: Vec<Share>,
-}
-
-impl ShareSet {
-    /// Creates an empty share set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a share (duplicates by abscissa are ignored).
-    pub fn add(&mut self, share: Share) {
-        if !self.shares.iter().any(|s| s.x == share.x) {
-            self.shares.push(share);
-        }
-    }
-
-    /// Number of distinct shares collected.
-    pub fn len(&self) -> usize {
-        self.shares.len()
-    }
-
-    /// True when no shares have been collected.
-    pub fn is_empty(&self) -> bool {
-        self.shares.is_empty()
-    }
-
-    /// Attempts recovery with the given threshold.
-    pub fn recover(&self, threshold: usize) -> Result<[u8; 32], CryptoError> {
-        recover_secret(&self.shares, threshold)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,20 +339,6 @@ mod tests {
             .collect();
         assert_eq!(recover_secret(&shares, 20).unwrap(), secret);
         assert!(recover_secret(&shares[..19], 20).is_err());
-    }
-
-    #[test]
-    fn share_set_accumulator() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let secret = secret_from(4);
-        let mut set = ShareSet::new();
-        assert!(set.is_empty());
-        for _ in 0..3 {
-            set.add(share_secret(&secret, 3, &mut rng));
-        }
-        assert_eq!(set.len(), 3);
-        assert_eq!(set.recover(3).unwrap(), secret);
-        assert!(set.recover(4).is_err());
     }
 
     #[test]

@@ -1,0 +1,208 @@
+//! The client's sealing path, held to its wire bytes.
+//!
+//! `ENCODER_WIRE_SHA256` is the SHA-256 of the outer ciphertexts an
+//! [`Encoder`] produces for a seeded stream of 64 reports each of
+//! `encode_plain` + `Hash`, `encode_plain` + `Blind` and
+//! `encode_secret_shared` + `Hash`. It was captured while every layer was
+//! still sealed through the one-shot `HybridCiphertext::seal(&PublicKey)`
+//! and `ElGamalCiphertext::encrypt_hashed(&Point)`, before the encoder
+//! precomputed its recipients' comb tables. If it fails, a change to client
+//! sealing moved the bytes on the wire or the order of the RNG draws — fix
+//! the regression, do not re-capture.
+//!
+//! The degenerate-key test holds the encoder to the one-shot calls, byte
+//! for byte and draw for draw, on keys a client could be handed: the
+//! identity and the order-2 point `(0, −1)` both decode as public keys, so
+//! the precomputed path must neither panic on them nor answer differently.
+//! Each placement keeps the other keys honest, so the same comparison
+//! covers the ordinary path too.
+
+use prochlo_core::encoder::{ClientKeys, CrowdStrategy, Encoder, ANALYZER_AAD, SHUFFLER_AAD};
+use prochlo_core::wire::pad_payload;
+use prochlo_core::{AnalyzerPayload, CrowdId, PipelineError, ShufflerEnvelope};
+use prochlo_crypto::edwards::{CompressedPoint, Point};
+use prochlo_crypto::elgamal::{ElGamalCiphertext, ElGamalKeypair};
+use prochlo_crypto::hybrid::{HybridCiphertext, HybridKeypair};
+use prochlo_crypto::sha256::Sha256;
+use prochlo_crypto::{mle, shamir, PublicKey};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const PIN_SEED: u64 = 0xc11e;
+const ENCODER_WIRE_SHA256: &str =
+    "2beb00dad1df4087c189a026ece04b4e5e2242e3fe884ed7b805bde3bd8b914d";
+
+const PAYLOAD_SIZE: usize = 32;
+const SHARE_THRESHOLD: usize = 3;
+
+/// The encoded point `(0, 1)`: the group identity.
+const IDENTITY: [u8; 32] = {
+    let mut bytes = [0u8; 32];
+    bytes[0] = 1;
+    bytes
+};
+
+/// The encoded point `(0, −1)`: y = p − 1 = 2²⁵⁵ − 20, x = 0. Twice it is
+/// the identity, so `e·P` is the identity for every even `e`.
+const ORDER_TWO: [u8; 32] = {
+    let mut bytes = [0xff; 32];
+    bytes[0] = 0xec;
+    bytes[31] = 0x7f;
+    bytes
+};
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn seeded_keys(rng: &mut StdRng) -> ClientKeys {
+    let shuffler = HybridKeypair::generate(rng);
+    let analyzer = HybridKeypair::generate(rng);
+    let blinding = ElGamalKeypair::generate(rng);
+    ClientKeys {
+        shuffler: *shuffler.public_key(),
+        analyzer: *analyzer.public_key(),
+        crowd_blinding: Some(*blinding.public_key()),
+    }
+}
+
+/// The three report shapes a deployment sends.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    PlainHash,
+    PlainBlind,
+    SharedHash,
+}
+
+const SHAPES: [Shape; 3] = [Shape::PlainHash, Shape::PlainBlind, Shape::SharedHash];
+
+fn word(i: u64) -> Vec<u8> {
+    format!("word-{}", i % 7).into_bytes()
+}
+
+fn encode(
+    encoder: &Encoder,
+    shape: Shape,
+    value: &[u8],
+    client: u64,
+    rng: &mut StdRng,
+) -> Result<Vec<u8>, PipelineError> {
+    match shape {
+        Shape::PlainHash => encoder.encode_plain(value, CrowdStrategy::Hash(value), client, rng),
+        Shape::PlainBlind => encoder.encode_plain(value, CrowdStrategy::Blind(value), client, rng),
+        Shape::SharedHash => encoder.encode_secret_shared(
+            value,
+            SHARE_THRESHOLD,
+            CrowdStrategy::Hash(value),
+            client,
+            rng,
+        ),
+    }
+    .map(|report| report.outer.to_bytes())
+}
+
+/// The same report built from the one-shot calls, in the encoder's draw
+/// order: Shamir coefficients (secret-shared only), El Gamal `r`, inner
+/// ephemeral, inner nonce, outer ephemeral, outer nonce.
+fn one_shot(
+    keys: &ClientKeys,
+    shape: Shape,
+    value: &[u8],
+    rng: &mut StdRng,
+) -> Result<Vec<u8>, PipelineError> {
+    let padded = pad_payload(value, PAYLOAD_SIZE)?;
+    let payload = match shape {
+        Shape::PlainHash | Shape::PlainBlind => AnalyzerPayload::Plain(padded),
+        Shape::SharedHash => AnalyzerPayload::SecretShared {
+            ciphertext: mle::encrypt(&padded).to_bytes(),
+            share: shamir::share_secret(&mle::derive_key(&padded), SHARE_THRESHOLD, rng)
+                .to_bytes()
+                .to_vec(),
+        },
+    };
+    let crowd_id = match shape {
+        Shape::PlainHash | Shape::SharedHash => CrowdId::hashed(value),
+        Shape::PlainBlind => {
+            let key = keys.crowd_blinding.as_ref().expect("blinding key");
+            CrowdId::Blinded(Box::new(ElGamalCiphertext::encrypt_hashed(rng, key, value)))
+        }
+    };
+    let inner = HybridCiphertext::seal(rng, &keys.analyzer, ANALYZER_AAD, &payload.to_bytes())?;
+    let envelope = ShufflerEnvelope {
+        crowd_id,
+        inner: inner.to_bytes(),
+    };
+    let outer = HybridCiphertext::seal(rng, &keys.shuffler, SHUFFLER_AAD, &envelope.to_bytes())?;
+    Ok(outer.to_bytes())
+}
+
+#[test]
+fn encoder_wire_bytes_match_the_pinned_digest() {
+    let mut rng = StdRng::seed_from_u64(PIN_SEED);
+    let encoder = Encoder::new(seeded_keys(&mut rng), PAYLOAD_SIZE);
+    let mut hasher = Sha256::new();
+    for shape in SHAPES {
+        for i in 0..64u64 {
+            let bytes = encode(&encoder, shape, &word(i), i, &mut rng).unwrap();
+            hasher.update(&bytes);
+        }
+    }
+    assert_eq!(hex(&hasher.finalize()), ENCODER_WIRE_SHA256);
+}
+
+#[test]
+fn a_degenerate_recipient_key_behaves_as_the_one_shot_seal_does() {
+    let mut rng = StdRng::seed_from_u64(PIN_SEED ^ 2);
+    let honest = seeded_keys(&mut rng);
+    for encoding in [IDENTITY, ORDER_TWO] {
+        let hybrid = PublicKey::from_bytes(encoding).expect("a decodable public key");
+        let point: Point = CompressedPoint(encoding).decompress().unwrap();
+        let placements = [
+            ClientKeys {
+                shuffler: hybrid,
+                ..honest.clone()
+            },
+            ClientKeys {
+                analyzer: hybrid,
+                ..honest.clone()
+            },
+            ClientKeys {
+                crowd_blinding: Some(point),
+                ..honest.clone()
+            },
+            ClientKeys {
+                shuffler: hybrid,
+                analyzer: hybrid,
+                crowd_blinding: Some(point),
+            },
+        ];
+        for keys in placements {
+            let encoder = Encoder::new(keys.clone(), PAYLOAD_SIZE);
+            let (mut sealed, mut refused) = (0, 0);
+            for i in 0..12u64 {
+                for shape in SHAPES {
+                    let seed = rng.gen::<u64>();
+                    let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    let value = word(i);
+                    let got = encode(&encoder, shape, &value, i, &mut a);
+                    assert_eq!(got, one_shot(&keys, shape, &value, &mut b), "{shape:?}");
+                    assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "{shape:?} draw count");
+                    if got.is_ok() {
+                        sealed += 1;
+                    } else {
+                        refused += 1;
+                    }
+                }
+            }
+            let hybrid_degenerate = keys.shuffler == hybrid || keys.analyzer == hybrid;
+            match (encoding == IDENTITY, hybrid_degenerate) {
+                // A shared point that is the identity is always refused.
+                (true, true) => assert_eq!(sealed, 0),
+                // (0, −1) times an odd ephemeral scalar is not the identity.
+                (false, true) => assert!(sealed > 0 && refused > 0, "{sealed} / {refused}"),
+                // A degenerate El Gamal key only makes the crowd ID weak.
+                (_, false) => assert_eq!(refused, 0),
+            }
+        }
+    }
+}
