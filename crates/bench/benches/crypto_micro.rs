@@ -2,7 +2,8 @@
 //! per-record costs that determine the pipeline-level numbers of Tables 2
 //! and 3 (hashing, AEAD, curve scalar multiplication, hybrid seal/open,
 //! El Gamal blinding, secret-share encoding), and the client's side of it:
-//! a seal through a precomputed recipient key and a whole encoded report.
+//! a scalar draw, a comb walk over a recipient key's table, a seal through
+//! a precomputed recipient key and a whole encoded report.
 //!
 //! After the criterion pass, a second measurement pass re-times the field
 //! and curve hot paths and emits `BENCHJSON` lines (operations per second,
@@ -89,6 +90,10 @@ fn bench_crypto(c: &mut Criterion) {
         })
     });
 
+    group.bench_function("scalar_random", |b| {
+        b.iter(|| Scalar::random_nonzero(&mut rng))
+    });
+
     let scalar = Scalar::random(&mut rng);
     group.bench_function("point_mul_base", |b| b.iter(|| Point::mul_base(&scalar)));
 
@@ -161,6 +166,7 @@ fn bench_crypto(c: &mut Criterion) {
     // Shuffler 1's whole per-record step: blind with α, then re-randomize
     // with a pre-drawn scalar against the batch's key table.
     let key_table = FixedBaseTable::new(elgamal.public_key());
+    group.bench_function("fixed_base_mul", |b| b.iter(|| key_table.mul(&scalar)));
     group.bench_function("elgamal_blind_rerandomize", |b| {
         b.iter(|| ciphertext.blind(&blinding).rerandomize(&scalar, &key_table))
     });
@@ -242,6 +248,11 @@ fn emit_benchjson() {
             chained = chained.square();
             chained
         }),
+        1.0,
+    );
+    emit_ops_per_sec(
+        "scalar_random_ops_per_sec",
+        measure_ns(|| Scalar::random_nonzero(&mut rng)),
         1.0,
     );
     let scalar = Scalar::random(&mut rng);
@@ -337,6 +348,11 @@ fn emit_benchjson() {
         1.0,
     );
     let key_table = FixedBaseTable::new(elgamal.public_key());
+    emit_ops_per_sec(
+        "fixed_base_mul_ops_per_sec",
+        measure_ns(|| key_table.mul(&scalar)),
+        1.0,
+    );
     emit_ops_per_sec(
         "elgamal_blind_rerandomize_ops_per_sec",
         measure_ns(|| ciphertext.blind(&blinding).rerandomize(&scalar, &key_table)),

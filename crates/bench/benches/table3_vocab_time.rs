@@ -119,9 +119,10 @@ fn main() {
     println!();
     println!(
         "Shape check: time scales linearly with the number of clients. Per report \
-         the client pays four fixed-base comb walks (six with a blinded crowd ID) \
-         and one inversion per layer, with no variable-base multiplication: its keys' \
-         tables are built once per encoder. The shufflers and analyzer add two \
+         the client pays four fixed-base comb walks (six with a blinded crowd ID) of \
+         7 doublings and at most 32 additions each, and one inversion per layer, with \
+         no variable-base multiplication: its keys' tables are built once per encoder. \
+         The shufflers and analyzer add two \
          variable-base multiplications per report in the single-shuffler column and \
          five in the blinded one, so the blinded column costs roughly 1.5-2.5x the \
          single-shuffler column (the paper counts ≈3 vs ≈6+2 public-key operations \

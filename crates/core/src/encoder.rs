@@ -7,9 +7,10 @@
 //! ([`FixedBaseTable`]) — and shares them behind an `Arc`: cloning an
 //! encoder copies a pointer. A report then costs two comb walks for the
 //! ephemeral keys, two for the shared points (three of each with a blinded
-//! crowd ID) and one field inversion per layer; a comb walk costs about a
-//! quarter of the NAF walk a bare key needs. The bytes, and the
-//! order of every RNG draw, are those of the one-shot
+//! crowd ID), one field inversion per layer and one scalar draw per layer
+//! (plus the El Gamal randomness), each a single Barrett reduction. A comb
+//! walk costs about a seventh of the NAF walk a bare key needs. The bytes,
+//! and the order of every RNG draw, are those of the one-shot
 //! [`HybridCiphertext::seal`] and [`ElGamalCiphertext::encrypt_hashed`].
 //! None of it is constant-time: the comb indexes its tables by bits of the
 //! secret scalars, as `Point::mul_base` already does.
@@ -76,7 +77,7 @@ struct SealingKeys {
 
 impl Encoder {
     /// Creates an encoder, building the comb tables of its two or three
-    /// keys (≈ 0.1 ms each on a 2 GHz core; any decodable key, including a
+    /// keys (≈ 0.75 ms each on a 2 GHz core; any decodable key, including a
     /// degenerate one, builds). `payload_size` is the fixed data size every
     /// report is padded to (the paper uses 64-byte payloads in its
     /// evaluation).

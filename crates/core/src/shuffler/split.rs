@@ -81,6 +81,9 @@ pub struct SplitShuffler {
     pub one: ShufflerOne,
     /// Shuffler 2 (El Gamal key holder, thresholder).
     pub two: ShufflerTwo,
+    /// The comb table of `two`'s El Gamal public key, which Shuffler 1
+    /// re-randomizes against: built once, not once per batch.
+    elgamal_table: FixedBaseTable,
 }
 
 impl ShufflerOne {
@@ -108,6 +111,9 @@ impl ShufflerOne {
     /// Peels, blinds and shuffles one batch on `num_threads` workers (a
     /// resolved count; see [`exec::resolve_threads`]), forwarding blinded
     /// records together with this stage's own [`ShufflerStats`].
+    /// `elgamal_table` is the comb table of Shuffler 2's El Gamal public
+    /// key; a service builds it once, since every record is re-randomized
+    /// against it.
     ///
     /// Shuffler 1 never observes crowd IDs (that is the point of blinding),
     /// so `crowds_seen`/`crowds_forwarded` stay `0` in its stats and the
@@ -122,7 +128,7 @@ impl ShufflerOne {
         &self,
         num_threads: usize,
         reports: &[ClientReport],
-        elgamal_public: &Point,
+        elgamal_table: &FixedBaseTable,
         rng: &mut R,
     ) -> (Vec<BlindedRecord>, ShufflerStats) {
         let peel_span = prochlo_obs::span("shuffler.s1.peel");
@@ -157,10 +163,8 @@ impl ShufflerOne {
             }
         }
 
-        // Parallel: blind with α, re-randomize with the pre-drawn scalar.
-        // The El Gamal key is multiplied once per record, so it gets a
-        // fixed-base table for the batch.
-        let key_table = FixedBaseTable::new(elgamal_public);
+        // Parallel: blind with α, re-randomize with the pre-drawn scalar
+        // through the El Gamal key's comb table.
         let blinded = exec::par_chunks(
             &work,
             num_threads,
@@ -168,7 +172,7 @@ impl ShufflerOne {
             |_chunk_idx, chunk| {
                 chunk
                     .iter()
-                    .map(|(ct, s)| ct.blind(&blinding).rerandomize(s, &key_table))
+                    .map(|(ct, s)| ct.blind(&blinding).rerandomize(s, elgamal_table))
                     .collect::<Vec<_>>()
             },
         );
@@ -276,9 +280,13 @@ impl ShufflerTwo {
 impl SplitShuffler {
     /// Creates both shufflers.
     pub fn new<R: Rng + ?Sized>(config: ShufflerConfig, rng: &mut R) -> Self {
+        let one = ShufflerOne::new(config.num_threads, rng);
+        let two = ShufflerTwo::new(config, rng);
+        let elgamal_table = FixedBaseTable::new(two.elgamal_public());
         Self {
-            one: ShufflerOne::new(config.num_threads, rng),
-            two: ShufflerTwo::new(config, rng),
+            one,
+            two,
+            elgamal_table,
         }
     }
 
@@ -331,12 +339,9 @@ impl SplitShuffler {
         s2_seed: u64,
     ) -> ShuffleOutcome {
         let mut rng_one = StdRng::seed_from_u64(s1_seed);
-        let (blinded, stage_one) = self.one.process_batch(
-            num_threads,
-            reports,
-            self.two.elgamal_public(),
-            &mut rng_one,
-        );
+        let (blinded, stage_one) =
+            self.one
+                .process_batch(num_threads, reports, &self.elgamal_table, &mut rng_one);
         let mut rng_two = StdRng::seed_from_u64(s2_seed);
         let (items, stage_two) = self.two.process_batch(num_threads, blinded, &mut rng_two);
         let stats = Self::merge_stage_stats(reports.len(), &stage_one, &stage_two);
@@ -490,7 +495,7 @@ mod tests {
         let (blinded, _) = split.one.process_batch(
             1,
             std::slice::from_ref(report),
-            split.two.elgamal_public(),
+            &split.elgamal_table,
             &mut rng,
         );
         let handle = split.two.elgamal.decrypt(&blinded[0].blinded_crowd);

@@ -7,11 +7,12 @@
 //!
 //! A client seals to the same two keys for its whole life, so a recipient
 //! key has a precomputed form, [`PrecomputedPublicKey`]: the key plus its
-//! [`FixedBaseTable`] comb (64 affine entries, ≈ 7.7 KB, built for about
-//! three variable-base multiplications). [`EphemeralSecret::agree`] takes
-//! either form through [`ScalarMul`] and returns the same bytes from both;
-//! with the table, `e·PK` is a comb walk instead of a width-5 NAF walk, and
-//! the ephemeral public key and the shared point share one field inversion.
+//! [`FixedBaseTable`] comb (1 024 affine entries, ≈ 123 KB, built for about
+//! ten variable-base multiplications, once per key).
+//! [`EphemeralSecret::agree`] takes either form through
+//! [`ScalarMul`] and returns the same bytes from both; with the table,
+//! `e·PK` is a comb walk instead of a width-5 NAF walk, and the ephemeral
+//! public key and the shared point share one field inversion.
 //! Like the rest of the substrate this is not constant-time: the comb
 //! indexes its table by bits of the secret scalar, as
 //! [`Point::mul_base`] already does.
@@ -237,7 +238,7 @@ impl ScalarMul for PublicKey {
 }
 
 impl PrecomputedPublicKey {
-    /// Builds the comb table of `public` (about three variable-base
+    /// Builds the comb table of `public` (about ten variable-base
     /// multiplications' worth of work, paid once).
     pub fn new(public: &PublicKey) -> Self {
         Self {

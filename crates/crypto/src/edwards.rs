@@ -10,12 +10,13 @@
 //!
 //! Scalar multiplication is the pipeline's per-record cost floor (every
 //! report is hybrid-sealed, ElGamal-blinded and hybrid-opened), so both
-//! multiplication paths are precomputed: a [`FixedBaseTable`] is a 64-entry
-//! comb table for a base that is multiplied many times ([`Point::mul_base`]
-//! walks the lazily-built one of the basepoint), and [`Point::mul`] walks a
-//! width-5 non-adjacent form of the scalar over a per-call table of the
-//! eight odd multiples 1P, 3P, …, 15P. Bulk normalization goes through
-//! [`Point::batch_to_affine`] (Montgomery's trick: one inversion per batch).
+//! multiplication paths are precomputed: a [`FixedBaseTable`] is an
+//! 8-tooth, 1 024-entry comb table for a base that is multiplied many times
+//! ([`Point::mul_base`] walks the lazily-built one of the basepoint), and
+//! [`Point::mul`] walks a width-5 non-adjacent form of the scalar over a
+//! per-call table of the eight odd multiples 1P, 3P, …, 15P. Bulk
+//! normalization goes through [`Point::batch_to_affine`] (Montgomery's
+//! trick: one inversion per batch).
 //!
 //! Every doubling and addition first produces a `Completed` quadruple
 //! (E, F, G, H) and then multiplies out only the coordinates its consumer
@@ -185,20 +186,38 @@ struct AffineNiels {
     t2d: FieldElement,
 }
 
-/// A fixed-base comb table for one base point `P`: `tables[s][j] =
-/// 2^(16s) · Σ_{k ∈ bits(j)} 2^(64k) · P` for `s ∈ 0..4`, `j ∈ 0..16`.
-/// [`FixedBaseTable::mul`] reads the scalar as a 4-tooth comb (bit positions
-/// `b + 16s + 64k`), doing 15 doublings and at most 64 table additions
-/// instead of the ≈ 253 doublings of [`Point::mul`] — with every
-/// stored point normalized to affine Niels form in one batched inversion.
+/// Teeth of the comb: a scalar's 256 bits are read as eight 32-bit rows,
+/// and one tooth reads the same column of every row.
+const COMB_TEETH: usize = 8;
+/// Distance between two teeth, in bits.
+const COMB_SPACING: usize = 256 / COMB_TEETH;
+/// Each row's 32 columns are cut into four runs, one subtable each, so the
+/// four subtables share one run of doublings.
+const COMB_SUBTABLES: usize = 4;
+/// Columns per run: one doubling between two of them.
+const COMB_COLUMNS: usize = COMB_SPACING / COMB_SUBTABLES;
+/// Entries per subtable, one per subset of the teeth.
+const COMB_ENTRIES: usize = 1 << COMB_TEETH;
+
+/// A fixed-base comb table for one base point `P`: subtable `s` holds, at
+/// index `j`, `2^(8s) · Σ_{k ∈ bits(j)} 2^(32k) · P` for `s ∈ 0..4`,
+/// `j ∈ 0..256`. [`FixedBaseTable::mul`] reads the scalar as an 8-tooth
+/// comb (bit positions `b + 8s + 32k`), doing 7 doublings and at most 32
+/// table additions instead of the ≈ 253 doublings of [`Point::mul`] — with
+/// every stored point normalized to affine Niels form in one batched
+/// inversion.
 ///
-/// Building a table costs about three variable-base multiplications
-/// (≈ 7.7 KB of entries), so it pays for a base that is multiplied many
-/// times: the basepoint (one process-wide table behind
-/// [`Point::mul_base`]), a batch's El Gamal public key in the split
-/// shuffler, and every key an encoder seals to.
+/// A table holds 1 024 entries (≈ 123 KB) and costs about ten
+/// variable-base multiplications to build: its 32 tooth points by
+/// doubling, 1 020 subset-sum additions, one batched normalization. So it
+/// pays for a base that is multiplied many times: the basepoint (one
+/// process-wide table behind [`Point::mul_base`]), the El Gamal public key
+/// Shuffler 1 re-randomizes against, and every key an encoder seals to.
+/// Walking it is not constant-time: it indexes the table by bits of the
+/// scalar.
 pub struct FixedBaseTable {
-    tables: [[AffineNiels; 16]; 4],
+    /// Subtable `s` is `entries[s * COMB_ENTRIES..][..COMB_ENTRIES]`.
+    entries: Box<[AffineNiels]>,
 }
 
 impl std::fmt::Debug for FixedBaseTable {
@@ -210,60 +229,62 @@ impl std::fmt::Debug for FixedBaseTable {
 impl FixedBaseTable {
     /// Precomputes the comb table of `base` (any curve point).
     pub fn new(base: &Point) -> FixedBaseTable {
-        // pow64[k] = 2^(64k) · P.
-        let mut pow64 = [*base; 4];
-        for k in 1..4 {
-            pow64[k] = double_n(&pow64[k - 1], 64);
-        }
-        // Subset sums over {P, 2^64 P, 2^128 P, 2^192 P}, then the three
-        // 16-doubling shifts.
-        let mut extended = [[Point::identity(); 16]; 4];
-        for j in 1usize..16 {
-            let low = j & (j - 1); // j with its lowest set bit cleared
-            extended[0][j] = extended[0][low].add(&pow64[j.trailing_zeros() as usize]);
-        }
-        for s in 1..4 {
-            let (prior, current) = extended.split_at_mut(s);
-            for (slot, source) in current[0].iter_mut().zip(&prior[s - 1]).skip(1) {
-                *slot = double_n(source, 16);
+        // teeth[s][k] = 2^(8s + 32k) · P, built in exponent order: each is
+        // eight doublings of the one before.
+        let mut teeth = [[*base; COMB_TEETH]; COMB_SUBTABLES];
+        let mut power = *base;
+        for k in 0..COMB_TEETH {
+            for (s, subtable_teeth) in teeth.iter_mut().enumerate() {
+                if (s, k) != (0, 0) {
+                    power = double_n(&power, COMB_COLUMNS as u32);
+                }
+                subtable_teeth[k] = power;
             }
         }
-        // One batched normalization for all 64 entries.
-        let flat: Vec<Point> = extended.iter().flatten().copied().collect();
-        let affine = Point::batch_to_affine(&flat);
-        let mut tables = [[AffineNiels {
-            y_plus_x: FieldElement::ONE,
-            y_minus_x: FieldElement::ONE,
-            t2d: FieldElement::ZERO,
-        }; 16]; 4];
-        for (slot, (x, y)) in tables.iter_mut().flatten().zip(affine) {
-            *slot = AffineNiels {
+        // Subset sums: entry j adds its lowest tooth to the entry of j with
+        // that bit cleared.
+        let mut extended = Vec::with_capacity(COMB_SUBTABLES * COMB_ENTRIES);
+        for subtable_teeth in &teeth {
+            let start = extended.len();
+            extended.push(Point::identity());
+            for j in 1..COMB_ENTRIES {
+                let rest = extended[start + (j & (j - 1))];
+                extended.push(rest.add(&subtable_teeth[j.trailing_zeros() as usize]));
+            }
+        }
+        // One batched normalization for all entries.
+        let entries = Point::batch_to_affine(&extended)
+            .into_iter()
+            .map(|(x, y)| AffineNiels {
                 y_plus_x: y.add(&x),
                 y_minus_x: y.sub(&x),
                 t2d: x.mul(&y).mul(curve_2d()),
-            };
-        }
-        FixedBaseTable { tables }
+            })
+            .collect();
+        FixedBaseTable { entries }
     }
 
     /// Multiplies the table's base point by `scalar`; the same group
     /// element as [`Point::mul`] on that base.
     pub fn mul(&self, scalar: &Scalar) -> Point {
+        // rows[k] holds bits 32k .. 32k + 32 of the scalar: tooth k.
         let bytes = scalar.to_bytes();
-        let bit = |position: usize| (bytes[position / 8] >> (position % 8)) & 1;
+        let rows: [u32; COMB_TEETH] = std::array::from_fn(|k| {
+            u32::from_le_bytes(bytes[4 * k..4 * k + 4].try_into().unwrap())
+        });
         let mut acc = Point::identity();
-        for b in (0..16).rev() {
-            if b != 15 {
+        for b in (0..COMB_COLUMNS).rev() {
+            if b != COMB_COLUMNS - 1 {
                 acc = acc.double();
             }
-            for (s, sub_table) in self.tables.iter().enumerate() {
-                let base = b + 16 * s;
-                let j = (bit(base)
-                    | (bit(base + 64) << 1)
-                    | (bit(base + 128) << 2)
-                    | (bit(base + 192) << 3)) as usize;
+            for (s, subtable) in self.entries.chunks_exact(COMB_ENTRIES).enumerate() {
+                let column = b + COMB_COLUMNS * s;
+                let j = rows
+                    .iter()
+                    .enumerate()
+                    .fold(0, |j, (k, row)| j | ((row >> column) & 1) << k);
                 if j != 0 {
-                    acc = acc.add_niels(&sub_table[j]);
+                    acc = acc.add_niels(&subtable[j as usize]);
                 }
             }
         }
@@ -369,7 +390,7 @@ impl Point {
     /// Builds a point from an affine y-coordinate and a sign bit for x.
     ///
     /// Returns `None` when no curve point has that y-coordinate.
-    pub fn from_affine_y(y: &FieldElement, x_negative: bool) -> Option<Point> {
+    fn from_affine_y(y: &FieldElement, x_negative: bool) -> Option<Point> {
         // x^2 = (y^2 - 1) / (d y^2 + 1); the fused ratio square root saves
         // the separate field inversion.
         let yy = y.square();
@@ -390,7 +411,7 @@ impl Point {
     }
 
     /// Affine coordinates (x, y) of the point.
-    pub fn to_affine(&self) -> (FieldElement, FieldElement) {
+    fn to_affine(self) -> (FieldElement, FieldElement) {
         let z_inv = self.z.invert();
         (self.x.mul(&z_inv), self.y.mul(&z_inv))
     }
@@ -398,7 +419,7 @@ impl Point {
     /// Affine coordinates of a whole batch of points for the cost of a
     /// single field inversion plus three multiplications per point
     /// (Montgomery's trick via [`FieldElement::batch_invert`]). Output order
-    /// matches input order; equal to calling [`Self::to_affine`] per point.
+    /// matches input order; equal to normalizing each point on its own.
     pub fn batch_to_affine(points: &[Point]) -> Vec<(FieldElement, FieldElement)> {
         let mut z_invs: Vec<FieldElement> = points.iter().map(|p| p.z).collect();
         FieldElement::batch_invert(&mut z_invs);
@@ -416,7 +437,8 @@ impl Point {
     }
 
     /// Checks the curve equation and the coherence of the T coordinate.
-    pub fn is_on_curve(&self) -> bool {
+    #[cfg(test)]
+    fn is_on_curve(&self) -> bool {
         // (-X^2 + Y^2) Z^2 == Z^4 + d X^2 Y^2, and X Y == Z T.
         let xx = self.x.square();
         let yy = self.y.square();
@@ -530,8 +552,8 @@ impl Point {
     /// Multiplies the base point by a scalar.
     ///
     /// Walks the lazily-initialized [`FixedBaseTable`] of the basepoint
-    /// (built once per process, 64 precomputed points): 15 doublings plus
-    /// at most 64 table additions — roughly a quarter of the point
+    /// (built once per process, 1 024 precomputed points): 7 doublings plus
+    /// at most 32 table additions — about a seventh of the point
     /// operations of [`Self::mul`], with every addition in the cheap affine
     /// Niels form.
     pub fn mul_base(scalar: &Scalar) -> Point {
@@ -541,7 +563,7 @@ impl Point {
     /// Multiplies by the cofactor 8 (three doublings, chained projectively
     /// so the interior doublings skip their T coordinates); maps any curve
     /// point into the prime-order subgroup.
-    pub fn mul_by_cofactor(&self) -> Point {
+    fn mul_by_cofactor(&self) -> Point {
         double_n(self, 3)
     }
 
@@ -870,6 +892,15 @@ mod tests {
         crate::util::from_hex(hex).unwrap().try_into().unwrap()
     }
 
+    /// A point of order 8 (outside the prime-order subgroup).
+    fn order_8() -> Point {
+        CompressedPoint(hex32(
+            "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+        ))
+        .decompress()
+        .unwrap()
+    }
+
     /// Every multiplication path — the NAF walk, a comb table built for
     /// the base, the ladder, and `mul_base` when the base is B.
     fn mul_on_every_path(base: &Point, scalar: &Scalar) -> Vec<Point> {
@@ -948,11 +979,7 @@ mod tests {
     #[test]
     fn mul_is_exact_and_coherent_on_edge_bases() {
         let order_2 = Point::from_affine_y(&FieldElement::ONE.neg(), false).unwrap();
-        let order_8 = CompressedPoint(hex32(
-            "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
-        ))
-        .decompress()
-        .unwrap();
+        let order_8 = order_8();
         assert!(order_2.double().is_identity() && !order_2.is_identity());
         assert!(double_n(&order_8, 3).is_identity() && !double_n(&order_8, 2).is_identity());
         let mut rng = StdRng::seed_from_u64(16);
@@ -1061,6 +1088,22 @@ mod tests {
             let p = Point::mul_base(&Scalar::random(&mut rng));
             // (a+b)·P == a·P + b·P
             prop_assert_eq!(p.mul(&a.add(&b)), p.mul(&a).add(&p.mul(&b)));
+        }
+
+        /// A comb table built for a random base — with a random torsion
+        /// component, so off the prime-order subgroup too — walks to the
+        /// same group element as the NAF walk, T included.
+        #[test]
+        fn prop_comb_matches_mul(seed in any::<u64>(), torsion in 0u64..8) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base = random_point(&mut rng).add(&order_8().mul(&Scalar::from_u64(torsion)));
+            let table = FixedBaseTable::new(&base);
+            for _ in 0..4 {
+                let s = Scalar::random(&mut rng);
+                let walked = table.mul(&s);
+                prop_assert_eq!(walked, base.mul(&s));
+                prop_assert!(walked.is_on_curve());
+            }
         }
 
         #[test]

@@ -16,9 +16,9 @@
 //! [`ElGamalCiphertext::encrypt`] takes Shuffler 2's key `h` as the bare
 //! [`Point`] or as its [`FixedBaseTable`]: an encoder builds the table once
 //! and computes `r·h` as a comb walk, with the same bytes as the per-call
-//! NAF walk. Shuffler 1's [`ElGamalCiphertext::rerandomize`] uses the same
-//! table per batch. Not constant-time: the comb indexes its table by bits
-//! of `r`.
+//! NAF walk. Shuffler 1's [`ElGamalCiphertext::rerandomize`] walks the same
+//! table, built once per service. Not constant-time: the comb indexes its
+//! table by bits of `r`.
 
 use rand::Rng;
 
@@ -182,13 +182,6 @@ impl BlindingSecret {
             alpha: Scalar::random_nonzero(rng),
         }
     }
-
-    /// Applies the same blinding directly to a bare group element; used to
-    /// compare a decrypted blinded crowd ID against locally-known IDs in
-    /// tests and attack-model analyses.
-    pub fn blind_point(&self, point: &Point) -> Point {
-        point.mul(&self.alpha)
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +225,13 @@ mod tests {
         // The blinded handle is not the raw hash (Shuffler 2 cannot
         // dictionary-attack without α).
         assert_ne!(b1, mu);
-        assert_eq!(b1, blinding.blind_point(&mu));
+        // And it is α·µ: (identity, µ) encrypts µ with randomness 0 under
+        // any key, so blinding it leaves (identity, α·µ).
+        let trivial = ElGamalCiphertext {
+            r: Point::identity(),
+            c: mu,
+        };
+        assert_eq!(b1, keys.decrypt(&trivial.blind(&blinding)));
     }
 
     #[test]

@@ -300,7 +300,7 @@ impl FieldElement {
 
     /// Raises the element to the power given by a 256-bit little-endian
     /// exponent expressed as four `u64` limbs.
-    pub fn pow_limbs(&self, exponent: &[u64; 4]) -> FieldElement {
+    fn pow_limbs(&self, exponent: &[u64; 4]) -> FieldElement {
         let mut result = FieldElement::ONE;
         // Process bits from most significant to least significant.
         for limb_idx in (0..4).rev() {
@@ -423,7 +423,7 @@ impl FieldElement {
 }
 
 /// The constant sqrt(-1) = 2^((p-1)/4) mod p.
-pub fn sqrt_minus_one() -> FieldElement {
+fn sqrt_minus_one() -> FieldElement {
     use std::sync::OnceLock;
     static SQRT_M1: OnceLock<FieldElement> = OnceLock::new();
     *SQRT_M1.get_or_init(|| {

@@ -8,7 +8,7 @@ use crate::hmac::hmac_sha256;
 use crate::sha256::DIGEST_LEN;
 
 /// HKDF-Extract: turns input keying material into a pseudorandom key.
-pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
+fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
     hmac_sha256(salt, ikm)
 }
 
@@ -17,7 +17,7 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 /// # Panics
 ///
 /// Panics if `length > 255 * 32`, the RFC 5869 limit.
-pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], length: usize) -> Vec<u8> {
+fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], length: usize) -> Vec<u8> {
     assert!(length <= 255 * DIGEST_LEN, "HKDF output too long");
     let mut okm = Vec::with_capacity(length);
     let mut previous: Vec<u8> = Vec::new();

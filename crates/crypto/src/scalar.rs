@@ -3,11 +3,14 @@
 //!
 //! Scalars are what exponents "are" in the protocol descriptions of the
 //! paper: Diffie–Hellman private keys, El Gamal randomness, the blinding
-//! exponent α of the split shuffler, and Schnorr signature values. Only a
-//! handful of scalar operations happen per report, so the implementation
-//! favours obviousness over speed: multiplication is a 256-step
-//! double-and-add (Russian peasant) reduction, which is easy to audit and
-//! plenty fast for the cold paths that use it.
+//! exponent α of the split shuffler, and Schnorr signature values. Drawing
+//! one is on the client's path — every encoded report draws an ephemeral
+//! key per layer, plus the El Gamal randomness of a blinded crowd ID — and
+//! on Shuffler 1's, whose sequential draw loop takes one re-randomization
+//! scalar per record. So both wide reductions (a 64-byte draw or hash) and
+//! products (a 4×4-limb schoolbook product) go through one Barrett
+//! reduction over 64-bit limbs rather than a bit-serial loop; the
+//! bit-serial versions stay in the test suite as the oracle.
 
 use std::cmp::Ordering;
 
@@ -21,6 +24,16 @@ const L: [u64; 4] = [
     0x14de_f9de_a2f7_9cd6,
     0x0000_0000_0000_0000,
     0x1000_0000_0000_0000,
+];
+
+/// Barrett's constant μ = ⌊2⁵¹²/ℓ⌋, a 260-bit number, as five
+/// little-endian 64-bit limbs.
+const MU: [u64; 5] = [
+    0xed9c_e5a3_0a2c_131b,
+    0x2106_215d_0863_29a7,
+    0xffff_ffff_ffff_ffeb,
+    0xffff_ffff_ffff_ffff,
+    0x0000_0000_0000_000f,
 ];
 
 /// An integer modulo ℓ, stored as four little-endian 64-bit limbs, always
@@ -82,6 +95,50 @@ fn raw_sub(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], bool) {
     (out, borrow)
 }
 
+/// The low `out.len()` limbs of the product `a·b`, schoolbook over
+/// little-endian limbs; `out` must start zeroed. Each step computes
+/// `out + a·b + carry` ≤ (2⁶⁴ − 1) + (2⁶⁴ − 1)² + (2⁶⁴ − 1) = 2¹²⁸ − 1, so
+/// the u128 never overflows.
+fn mul_limbs(a: &[u64], b: &[u64], out: &mut [u64]) {
+    for (i, &a_i) in a.iter().enumerate() {
+        let mut carry = 0u64;
+        for (j, &b_j) in b.iter().enumerate().take(out.len().saturating_sub(i)) {
+            let t = out[i + j] as u128 + a_i as u128 * b_j as u128 + carry as u128;
+            out[i + j] = t as u64;
+            carry = (t >> 64) as u64;
+        }
+        if let Some(top) = out.get_mut(i + b.len()) {
+            *top = carry;
+        }
+    }
+}
+
+/// `limbs` (< 2ℓ) reduced to a scalar by one conditional subtraction.
+fn subtract_l_once(limbs: [u64; 4]) -> Scalar {
+    if compare(&limbs, &L) == Ordering::Less {
+        Scalar(limbs)
+    } else {
+        Scalar(raw_sub(&limbs, &L).0)
+    }
+}
+
+/// Reduces a 512-bit little-endian integer `x` modulo ℓ by Barrett's
+/// method (HAC 14.42 with b = 2⁶⁴, k = 4).
+///
+/// The quotient estimate q = ⌊⌊x / 2¹⁹²⌋ · μ / 2³²⁰⌋ is never above ⌊x/ℓ⌋
+/// and at most one below it: the two truncations lose less than
+/// frac(2⁵¹²/ℓ) + 2¹⁹²/ℓ < 0.23. So r = x − q·ℓ lies in [0, 2ℓ), which is
+/// below 2²⁵⁶ — the low four limbs of x and of q·ℓ determine it — and one
+/// conditional subtraction finishes the reduction.
+fn barrett_reduce(x: &[u64; 8]) -> Scalar {
+    let mut q_mu = [0u64; 10];
+    mul_limbs(&x[3..], &MU, &mut q_mu);
+    let mut q_l = [0u64; 4];
+    mul_limbs(&q_mu[5..], &L, &mut q_l);
+    let (r, _) = raw_sub(&[x[0], x[1], x[2], x[3]], &q_l);
+    subtract_l_once(r)
+}
+
 impl Scalar {
     /// The scalar 0.
     pub fn zero() -> Scalar {
@@ -116,18 +173,12 @@ impl Scalar {
 
     /// Reduces 64 bytes (e.g. a wide hash output) modulo ℓ, treating them as
     /// a big little-endian integer.
-    pub fn from_bytes_mod_order_wide(bytes: &[u8; 64]) -> Scalar {
-        // Horner over bits, most significant first: cheap and obviously right.
-        let mut acc = Scalar::zero();
-        for byte_idx in (0..64).rev() {
-            for bit in (0..8).rev() {
-                acc = acc.add(&acc);
-                if (bytes[byte_idx] >> bit) & 1 == 1 {
-                    acc = acc.add(&Scalar::one());
-                }
-            }
+    fn from_bytes_mod_order_wide(bytes: &[u8; 64]) -> Scalar {
+        let mut limbs = [0u64; 8];
+        for (i, limb) in limbs.iter_mut().enumerate() {
+            *limb = crate::util::load_u64_le(&bytes[i * 8..]);
         }
-        acc
+        barrett_reduce(&limbs)
     }
 
     /// Serializes to 32 little-endian bytes (< ℓ).
@@ -178,12 +229,7 @@ impl Scalar {
     pub fn add(&self, other: &Scalar) -> Scalar {
         let (sum, carry) = raw_add(&self.0, &other.0);
         debug_assert!(!carry, "reduced scalars never overflow 2^256 when added");
-        let mut limbs = sum;
-        if compare(&limbs, &L) != Ordering::Less {
-            let (reduced, _) = raw_sub(&limbs, &L);
-            limbs = reduced;
-        }
-        Scalar(limbs)
+        subtract_l_once(sum)
     }
 
     /// Subtraction modulo ℓ.
@@ -203,19 +249,12 @@ impl Scalar {
         Scalar::zero().sub(self)
     }
 
-    /// Multiplication modulo ℓ (double-and-add).
+    /// Multiplication modulo ℓ: the 512-bit product, then one Barrett
+    /// reduction.
     pub fn mul(&self, other: &Scalar) -> Scalar {
-        let mut acc = Scalar::zero();
-        let bytes = other.to_bytes();
-        for byte_idx in (0..32).rev() {
-            for bit in (0..8).rev() {
-                acc = acc.add(&acc);
-                if (bytes[byte_idx] >> bit) & 1 == 1 {
-                    acc = acc.add(self);
-                }
-            }
-        }
-        acc
+        let mut product = [0u64; 8];
+        mul_limbs(&self.0, &other.0, &mut product);
+        barrett_reduce(&product)
     }
 
     /// True when the scalar is zero.
@@ -229,10 +268,132 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn l_minus_one() -> Scalar {
         Scalar::zero().sub(&Scalar::one())
+    }
+
+    /// The bit-serial Horner reduction Barrett replaced, kept as the
+    /// oracle: most significant bit first, double, then add the bit.
+    fn wide_bit_serial(bytes: &[u8; 64]) -> Scalar {
+        let mut acc = Scalar::zero();
+        for byte_idx in (0..64).rev() {
+            for bit in (0..8).rev() {
+                acc = acc.add(&acc);
+                if (bytes[byte_idx] >> bit) & 1 == 1 {
+                    acc = acc.add(&Scalar::one());
+                }
+            }
+        }
+        acc
+    }
+
+    /// The double-and-add product Barrett replaced, kept as the oracle.
+    fn mul_bit_serial(a: &Scalar, b: &Scalar) -> Scalar {
+        let mut acc = Scalar::zero();
+        let bytes = b.to_bytes();
+        for byte_idx in (0..32).rev() {
+            for bit in (0..8).rev() {
+                acc = acc.add(&acc);
+                if (bytes[byte_idx] >> bit) & 1 == 1 {
+                    acc = acc.add(a);
+                }
+            }
+        }
+        acc
+    }
+
+    /// 64 bytes in which every 8-byte limb is, by `selector`, all zeros,
+    /// all ones or drawn from `rng`: runs of either that ripple carries
+    /// and borrows through every limb of the reduction.
+    fn structured_wide(selector: u64, rng: &mut StdRng) -> [u8; 64] {
+        let mut wide = [0u8; 64];
+        rng.fill_bytes(&mut wide);
+        for (i, limb) in wide.chunks_mut(8).enumerate() {
+            match (selector >> (2 * i)) & 3 {
+                0 => limb.fill(0),
+                1 => limb.fill(0xff),
+                _ => {}
+            }
+        }
+        wide
+    }
+
+    fn wide_hex(hex: &str) -> [u8; 64] {
+        crate::util::from_hex(hex).unwrap().try_into().unwrap()
+    }
+
+    /// The edges of the reduction: 0, 2⁵¹² − 1, and k·ℓ − 1, k·ℓ, k·ℓ + 1
+    /// for k = 1, 2¹²⁸ and ⌊(2⁵¹² − 1)/ℓ⌋ = μ (the largest multiple of ℓ
+    /// below 2⁵¹²). The μ·ℓ encodings and 2⁵¹² − 1 mod ℓ were computed
+    /// outside this crate.
+    #[test]
+    fn wide_reduction_is_exact_at_the_edges() {
+        let check = |wide: &[u8; 64], expected: Scalar| {
+            assert_eq!(Scalar::from_bytes_mod_order_wide(wide), expected);
+            assert_eq!(wide_bit_serial(wide), expected);
+        };
+        check(&[0; 64], Scalar::zero());
+        let max_mod_l = crate::util::from_hex(
+            "000f9c44e31106a447938568a71b0ed065bef517d273ecce3d9a307c1b419903",
+        )
+        .unwrap();
+        check(
+            &[0xff; 64],
+            Scalar::from_bytes_mod_order(&max_mod_l.try_into().unwrap()),
+        );
+        let mut l_bytes = [0u8; 32];
+        for i in 0..4 {
+            l_bytes[i * 8..i * 8 + 8].copy_from_slice(&L[i].to_le_bytes());
+        }
+        let expected = [l_minus_one(), Scalar::zero(), Scalar::one()];
+        for offset in [0, 16] {
+            let mut k_l = [0u8; 64];
+            k_l[offset..offset + 32].copy_from_slice(&l_bytes);
+            // k·ℓ − 1 borrows through the zero bytes below 2¹²⁸·ℓ.
+            let mut below = k_l;
+            for byte in below.iter_mut() {
+                let (value, borrow) = byte.overflowing_sub(1);
+                *byte = value;
+                if !borrow {
+                    break;
+                }
+            }
+            let mut above = k_l;
+            above[0] += 1;
+            for (wide, want) in [below, k_l, above].iter().zip(expected) {
+                check(wide, want);
+            }
+        }
+        let mu_l = [
+            "fef063bb1ceef95bb86c7a9758e4f12f9a410ae82d8c1331c265cf83e4be66fc",
+            "fff063bb1ceef95bb86c7a9758e4f12f9a410ae82d8c1331c265cf83e4be66fc",
+            "00f163bb1ceef95bb86c7a9758e4f12f9a410ae82d8c1331c265cf83e4be66fc",
+        ];
+        for (low, want) in mu_l.into_iter().zip(expected) {
+            check(&wide_hex(&format!("{low}{}", "ff".repeat(32))), want);
+        }
+    }
+
+    /// μ is ⌊2⁵¹²/ℓ⌋: μ·ℓ ≤ 2⁵¹² − 1 < (μ + 1)·ℓ, checked limb by limb
+    /// against the 512-bit encodings above.
+    #[test]
+    fn mu_is_the_floor_of_two_to_the_512_over_l() {
+        let mut mu_l = [0u64; 9];
+        mul_limbs(&MU, &L, &mut mu_l);
+        assert_eq!(mu_l[8], 0);
+        let expected = wide_hex(&format!(
+            "fff063bb1ceef95bb86c7a9758e4f12f9a410ae82d8c1331c265cf83e4be66fc{}",
+            "ff".repeat(32)
+        ));
+        for (limb, bytes) in mu_l.iter().zip(expected.chunks(8)) {
+            assert_eq!(*limb, crate::util::load_u64_le(bytes));
+        }
+        // The top four limbs of μ·ℓ are all ones, so 2⁵¹² − μ·ℓ is 2²⁵⁶
+        // minus the low four: non-zero, and below ℓ.
+        let (gap, borrow) = raw_sub(&[0; 4], &[mu_l[0], mu_l[1], mu_l[2], mu_l[3]]);
+        assert!(borrow && compare(&gap, &L) == Ordering::Less);
     }
 
     #[test]
@@ -350,6 +511,42 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         assert_ne!(Scalar::random(&mut rng), Scalar::random(&mut rng));
         assert!(!Scalar::random_nonzero(&mut rng).is_zero());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Barrett agrees with the bit-serial oracle on arbitrary 64-byte
+        /// inputs: uniformly random ones (about one in nine needs the final
+        /// subtraction) and limb-structured ones.
+        #[test]
+        fn prop_wide_reduction_matches_bit_serial(seed in any::<u64>(), selector in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut wide = [0u8; 64];
+            rng.fill_bytes(&mut wide);
+            prop_assert_eq!(Scalar::from_bytes_mod_order_wide(&wide), wide_bit_serial(&wide));
+            let structured = structured_wide(selector, &mut rng);
+            prop_assert_eq!(
+                Scalar::from_bytes_mod_order_wide(&structured),
+                wide_bit_serial(&structured)
+            );
+        }
+
+        /// Barrett products agree with double-and-add on arbitrary scalar
+        /// pairs, loaded without the wide reduction under test.
+        #[test]
+        fn prop_mul_matches_bit_serial(seed in any::<u64>(), selector in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let structured = structured_wide(selector, &mut rng);
+            let mut narrow = [0u8; 32];
+            rng.fill_bytes(&mut narrow);
+            let a = Scalar::from_bytes_mod_order(&narrow);
+            let b = Scalar::from_bytes_mod_order(&structured[..32].try_into().unwrap());
+            let c = Scalar::from_bytes_mod_order(&structured[32..].try_into().unwrap());
+            for (x, y) in [(a, b), (b, c), (c, a), (l_minus_one(), a), (b, l_minus_one())] {
+                prop_assert_eq!(x.mul(&y), mul_bit_serial(&x, &y));
+            }
+        }
     }
 
     proptest! {

@@ -75,7 +75,7 @@ fn coefficient(secret: &[u8; 32], index: u32) -> FieldElement {
 /// Panics if the top four bits are set: secrets must be below 2²⁵² so that
 /// the field encoding is lossless (the message-locked keys produced by
 /// [`crate::mle::derive_key`] satisfy this by construction).
-pub fn secret_to_field(secret: &[u8; 32]) -> FieldElement {
+fn secret_to_field(secret: &[u8; 32]) -> FieldElement {
     assert!(
         secret[31] & 0xf0 == 0,
         "Shamir secrets must have the top four bits clear"

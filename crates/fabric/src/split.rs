@@ -37,7 +37,7 @@ use prochlo_core::{
     canonicalize, epoch_rng, exec, Analyzer, ClientReport, EpochSpec, PipelineError,
     PipelineReport, TransportMetadata,
 };
-use prochlo_crypto::edwards::Point;
+use prochlo_crypto::edwards::{FixedBaseTable, Point};
 use prochlo_crypto::hybrid::HybridCiphertext;
 
 use crate::messages::{BatchToTwo, ItemsBatch, ToOne, ToTwo};
@@ -64,6 +64,9 @@ pub fn serve_shuffler_one(
     num_shards: u16,
 ) -> Result<(), FabricError> {
     let num_threads = resolve_threads(one.num_threads())?;
+    // Every record of every batch is re-randomized against the El Gamal
+    // key, so its comb table is built once for the whole service.
+    let elgamal_table = FixedBaseTable::new(elgamal_public);
     for shard in 0..num_shards {
         let from_shard =
             TypedChannel::<ToOne>::new(transport, ChannelId::new(Peer::Shard(shard), Stage::Batch));
@@ -96,7 +99,7 @@ pub fn serve_shuffler_one(
             let mut rng = StdRng::seed_from_u64(batch.s1_seed);
             let span = prochlo_obs::span("fabric.s1.serve");
             let (records, stage_one) =
-                one.process_batch(num_threads, &reports, elgamal_public, &mut rng);
+                one.process_batch(num_threads, &reports, &elgamal_table, &mut rng);
             span.finish();
             let forward = BatchToTwo {
                 shard,
