@@ -16,14 +16,30 @@
 //! with the explicit reader/writer in [`crate::wire`]; there is
 //! deliberately no serialization framework.
 //!
+//! **One writer.** [`write_frame_vectored`] is the only code that emits a
+//! frame: it checks the ceiling before writing a byte, keeps the 5-byte
+//! header on the stack and hands header and body to the sink as one
+//! vectored write, resuming across partial writes. The body may come in two
+//! pieces (the fabric sends its envelope header and the payload without
+//! joining them), so framing into a `Vec`, a `BufWriter` or a socket copies
+//! the body at most once and takes one write call where a pre-joined frame
+//! took one. [`FrameWrite`] (blocking sinks) and `prochlo_net::send_frame`
+//! (nonblocking sockets, parking on writability) are thin wrappers.
+//!
 //! Two readers share that layout: the blocking [`FrameRead`], which owns
 //! its stream and returns each body as a `Vec`, and the readiness-driven
 //! [`FrameAccumulator`], which reads a socket straight into its own buffer
 //! and lends each body out as a slice of it — the serving path's frames are
 //! parsed where they landed (`tests/tests/framing_props.rs` holds the two
-//! readers to the same answers over arbitrary fragmentations).
+//! readers to the same answers over arbitrary fragmentations). A frame
+//! larger than the read chunk is the exception: the accumulator reads it
+//! into an exactly-sized buffer of its own, which
+//! [`FrameAccumulator::take_frame`] hands over by value, so a multi-MiB
+//! fabric batch costs one buffer on the receiving side and the shared read
+//! buffer never grows to hold it.
 
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, IoSliceMut, Read, Write};
+use std::ops::Range;
 
 /// Errors surfaced by frame I/O.
 ///
@@ -116,9 +132,72 @@ impl FramePolicy {
     }
 }
 
+/// Bytes a frame puts in front of its body: the `u32` length and the
+/// version byte.
+pub const FRAME_HEADER_LEN: usize = 5;
+
+/// The header of a frame carrying `body_len` body bytes, or
+/// [`FrameError::TooLarge`] when the policy (or the `u32` length field)
+/// cannot carry it. Callers that must not commit to a frame the writer
+/// would refuse — the fabric takes a sequence number per frame — ask this
+/// first.
+pub fn frame_header(
+    policy: &FramePolicy,
+    body_len: usize,
+) -> Result<[u8; FRAME_HEADER_LEN], FrameError> {
+    let len = body_len.saturating_add(1);
+    let maximum = policy.max_frame_len.min(u32::MAX as usize);
+    if len > maximum {
+        return Err(FrameError::TooLarge {
+            actual: len,
+            maximum,
+        });
+    }
+    let [a, b, c, d] = (len as u32).to_le_bytes();
+    Ok([a, b, c, d, policy.version])
+}
+
+/// Writes one frame whose body is `body[0]` followed by `body[1]`: the
+/// ceiling is checked before any byte is written, then the stack-held
+/// header and both pieces go to `writer` as vectored writes, resumed across
+/// partial writes. A `WouldBlock` goes to `on_would_block`: a blocking
+/// sink passes it back as the error, a nonblocking socket parks until
+/// writable and returns `Ok` to retry. A sink that accepts zero bytes is
+/// [`FrameError::Closed`]. Does not flush.
+pub fn write_frame_vectored<W: Write + ?Sized>(
+    writer: &mut W,
+    policy: &FramePolicy,
+    body: [&[u8]; 2],
+    mut on_would_block: impl FnMut(io::Error) -> io::Result<()>,
+) -> Result<(), FrameError> {
+    let [head, tail] = body;
+    let header = frame_header(policy, head.len() + tail.len())?;
+    let mut slices = [
+        IoSlice::new(&header),
+        IoSlice::new(head),
+        IoSlice::new(tail),
+    ];
+    let mut unwritten = FRAME_HEADER_LEN + head.len() + tail.len();
+    let mut slices = slices.as_mut_slice();
+    while unwritten > 0 {
+        match writer.write_vectored(slices) {
+            Ok(0) => return Err(FrameError::Closed),
+            Ok(n) => {
+                unwritten -= n;
+                IoSlice::advance_slices(&mut slices, n);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => on_would_block(e)?,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(FrameError::Io(e)),
+        }
+    }
+    Ok(())
+}
+
 /// Writing one policy-checked frame to a byte sink.
 ///
-/// Blanket-implemented for every [`std::io::Write`]; protocols call
+/// Blanket-implemented for every [`std::io::Write`] through
+/// [`write_frame_vectored`]; protocols call
 /// `writer.write_frame(&policy, body)` instead of hand-rolling the length
 /// prefix.
 pub trait FrameWrite {
@@ -140,18 +219,7 @@ pub trait FrameRead {
 
 impl<W: Write + ?Sized> FrameWrite for W {
     fn write_frame(&mut self, policy: &FramePolicy, body: &[u8]) -> Result<(), FrameError> {
-        let len = body.len() + 1;
-        if len > policy.max_frame_len || len > u32::MAX as usize {
-            return Err(FrameError::TooLarge {
-                actual: len,
-                maximum: policy.max_frame_len.min(u32::MAX as usize),
-            });
-        }
-        let mut frame = Vec::with_capacity(4 + len);
-        frame.extend_from_slice(&(len as u32).to_le_bytes());
-        frame.push(policy.version);
-        frame.extend_from_slice(body);
-        self.write_all(&frame)?;
+        write_frame_vectored(self, policy, [&[], body], Err)?;
         self.flush()?;
         Ok(())
     }
@@ -196,9 +264,10 @@ impl<R: Read + ?Sized> FrameRead for R {
 /// accumulator is the nonblocking twin of [`FrameRead`]: fill it with
 /// [`FrameAccumulator::read_from`] (straight off a socket) or
 /// [`FrameAccumulator::extend`], then walk the complete frame bodies with
-/// [`FrameAccumulator::next_frame`]. Policy checks happen as early as the
-/// bytes allow — an oversized length prefix is rejected the moment its
-/// four bytes are present (before any body byte is parsed), and a wrong
+/// [`FrameAccumulator::next_frame`] (borrowed) or
+/// [`FrameAccumulator::take_frame`] (owned). Policy checks happen as early
+/// as the bytes allow — an oversized length prefix is rejected the moment
+/// its four bytes are present (before any body byte is parsed), and a wrong
 /// version byte is rejected as soon as it arrives.
 ///
 /// Bodies are handed out as slices of the accumulator's own buffer, so a
@@ -207,6 +276,14 @@ impl<R: Read + ?Sized> FrameRead for R {
 /// next *filled*: a fill needs `&mut self`, which no live body can overlap,
 /// whereas reclaiming during the walk would shift the bytes a caller is
 /// still reading.
+///
+/// A frame longer than the fill about to read it (the read chunk, or the
+/// chunk passed to `extend`) is the exception. Once its header and version
+/// byte are in, its body moves to an exactly-sized buffer of its own and
+/// later fills read straight into that buffer until it is complete; the
+/// walk hands it over by value from `take_frame` (no copy) or lends it from
+/// `next_frame` (freed by the next call). The shared buffer therefore stays
+/// near one chunk however large the frames a stream carries.
 ///
 /// ```
 /// use prochlo_core::framing::{FrameAccumulator, FramePolicy, FrameWrite};
@@ -230,9 +307,37 @@ pub struct FrameAccumulator {
     buf: Vec<u8>,
     start: usize,
     end: usize,
+    /// Where the fill resumes looking for the stream's incomplete frame:
+    /// every frame in `buf[start..scanned]` is known to be complete.
+    scanned: usize,
+    /// The one frame too long for the fill, assembled in its own buffer.
+    large: Option<LargeFrame>,
+    /// The last large body `next_frame` lent out; the next call frees it.
+    lent: Vec<u8>,
     /// Set once a policy violation is detected: the stream cannot be
     /// resynchronized, so every later call reports the same error.
     poisoned: Option<&'static str>,
+}
+
+/// A frame whose body is read into an exactly-sized buffer instead of the
+/// shared one.
+#[derive(Debug)]
+struct LargeFrame {
+    /// The frame body (version byte stripped), `body[..filled]` received.
+    body: Vec<u8>,
+    filled: usize,
+    /// The frame's place in the stream: the offset in the shared buffer
+    /// where it would have started. Frames before it sit in `buf[..at]`,
+    /// frames received after it from `at` on.
+    at: usize,
+}
+
+/// What the walk found next.
+enum Next {
+    /// A body in `buf`.
+    Shared(Range<usize>),
+    /// The completed large frame.
+    Large,
 }
 
 impl FrameAccumulator {
@@ -243,38 +348,102 @@ impl FrameAccumulator {
             buf: Vec::new(),
             start: 0,
             end: 0,
+            scanned: 0,
+            large: None,
+            lent: Vec::new(),
             poisoned: None,
         }
     }
 
     /// Appends one chunk of bytes read off the stream.
-    pub fn extend(&mut self, chunk: &[u8]) {
-        self.room(chunk.len()).copy_from_slice(chunk);
-        self.end += chunk.len();
+    pub fn extend(&mut self, mut chunk: &[u8]) {
+        // A fill offers at least `room` bytes and a slice reads out whole,
+        // so the one read takes all of the chunk; it cannot fail.
+        let room = chunk.len();
+        let _ = self.read_from(&mut chunk, room);
     }
 
-    /// Makes one `read` call of up to `room` bytes straight into the buffer
-    /// and returns how many arrived: `0` at end of stream, fewer than `room`
-    /// once the source has nothing more to give right now.
-    pub fn read_from(&mut self, reader: &mut impl Read, room: usize) -> std::io::Result<usize> {
-        let n = reader.read(self.room(room))?;
-        self.end += n;
+    /// Makes one `read` call straight into the buffer and returns how many
+    /// bytes arrived: `0` at end of stream, fewer than `room` once the
+    /// source has nothing more to give right now. While a large frame is in
+    /// assembly the call is a vectored read into the rest of that frame's
+    /// own buffer, then `room` bytes of the shared one.
+    pub fn read_from(&mut self, reader: &mut impl Read, room: usize) -> io::Result<usize> {
+        self.prepare_fill(room);
+        self.make_room(room);
+        // prochlo-lint: allow(panic-on-wire, "bounds proven: make_room grew the buffer to at least end + room")
+        let shared = &mut self.buf[self.end..self.end + room];
+        let (n, into_shared) = match self.large.as_mut().filter(|l| l.filled < l.body.len()) {
+            Some(large) => {
+                let rest = large.body.get_mut(large.filled..).unwrap_or_default();
+                let rest_len = rest.len();
+                let n =
+                    reader.read_vectored(&mut [IoSliceMut::new(rest), IoSliceMut::new(shared)])?;
+                large.filled += n.min(rest_len);
+                (n, n.saturating_sub(rest_len))
+            }
+            None => {
+                let n = reader.read(shared)?;
+                (n, n)
+            }
+        };
+        self.end += into_shared;
         Ok(n)
     }
 
     /// Bytes buffered but not yet returned as frames.
     pub fn buffered(&self) -> usize {
-        self.end - self.start
+        let large = self
+            .large
+            .as_ref()
+            .map_or(0, |l| FRAME_HEADER_LEN + l.filled);
+        self.end - self.start + large
+    }
+
+    /// Bytes this accumulator holds allocated: the shared buffer, a large
+    /// frame in assembly and a large body still lent out.
+    pub fn capacity(&self) -> usize {
+        let large = self.large.as_ref().map_or(0, |l| l.body.capacity());
+        self.buf.capacity() + large + self.lent.capacity()
     }
 
     /// Returns the next complete frame body, `None` when more bytes are
     /// needed, or an error when the stream violated the policy (oversized
     /// announcement, impossible length, wrong version byte). Errors are
     /// sticky: a violated stream cannot be resynchronized. The body borrows
-    /// from the accumulator; it is valid until the next fill.
+    /// from the accumulator; it is valid until the next fill or walk call.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
+        Ok(match self.advance()? {
+            None => None,
+            // prochlo-lint: allow(panic-on-wire, "the range is a frame body advance() bounds-checked against start..end of this buffer")
+            Some(Next::Shared(body)) => Some(&self.buf[body]),
+            Some(Next::Large) => {
+                self.lent = self.take_large();
+                Some(&self.lent)
+            }
+        })
+    }
+
+    /// [`Self::next_frame`] by value: a frame from the shared buffer is
+    /// copied out, a large frame's own buffer is handed over as it is.
+    pub fn take_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+        Ok(match self.advance()? {
+            None => None,
+            // prochlo-lint: allow(panic-on-wire, "the range is a frame body advance() bounds-checked against start..end of this buffer")
+            Some(Next::Shared(body)) => Some(self.buf[body].to_vec()),
+            Some(Next::Large) => Some(self.take_large()),
+        })
+    }
+
+    /// The walk shared by [`Self::next_frame`] and [`Self::take_frame`].
+    fn advance(&mut self) -> Result<Option<Next>, FrameError> {
+        self.lent = Vec::new();
         if let Some(what) = self.poisoned {
             return Err(FrameError::Protocol(what));
+        }
+        if let Some(large) = self.large.as_ref().filter(|l| l.at == self.start) {
+            let done = large.filled == large.body.len();
+            return Ok(done.then_some(Next::Large));
         }
         // prochlo-lint: allow(panic-on-wire, "start and end are internal cursors with start <= end <= buf.len(), advanced only to a consumed frame boundary or by a read's own count; no peer byte reaches the index")
         let live = &self.buf[self.start..self.end];
@@ -306,27 +475,86 @@ impl FrameAccumulator {
         if live.len() < 4 + len {
             return Ok(None);
         }
+        let body = self.start + FRAME_HEADER_LEN..self.start + 4 + len;
         self.start += 4 + len;
-        // prochlo-lint: allow(panic-on-wire, "bounds proven: live.len() >= 4 + len and len >= 2 are checked above")
-        Ok(Some(&live[5..4 + len]))
+        Ok(Some(Next::Shared(body)))
     }
 
-    /// `len` writable bytes at the end of the buffered ones. This is where
+    fn take_large(&mut self) -> Vec<u8> {
+        self.large.take().map(|l| l.body).unwrap_or_default()
+    }
+
+    /// The length of a frame whose header sits whole at `buf[at..end]` and
+    /// passes the policy; `None` when the header is still incomplete or
+    /// breaks the policy — the walk reports a violation where it sits.
+    fn announced_at(&self, at: usize) -> Option<usize> {
+        let header = self.buf.get(at..self.end)?.get(..FRAME_HEADER_LEN)?;
+        let [a, b, c, d, version] = *header else {
+            return None;
+        };
+        let len = u32::from_le_bytes([a, b, c, d]) as usize;
+        (2..=self.policy.max_frame_len)
+            .contains(&len)
+            .then_some(len)
+            .filter(|_| version == self.policy.version)
+    }
+
+    /// Readies a fill of `room` bytes: frees a body lent out by the walk
+    /// and, when the stream's incomplete frame is longer than the fill,
+    /// moves what arrived of it into an exactly-sized buffer of its own
+    /// (one large frame at a time; a later one waits its turn in `buf`).
+    fn prepare_fill(&mut self, room: usize) {
+        self.lent = Vec::new();
+        if self.large.is_some() || self.poisoned.is_some() {
+            return;
+        }
+        let mut at = self.scanned.max(self.start);
+        while let Some(len) = self.announced_at(at) {
+            if self.end - at >= 4 + len {
+                at += 4 + len;
+                continue;
+            }
+            if 4 + len > room {
+                let arrived = self
+                    .buf
+                    .get(at + FRAME_HEADER_LEN..self.end)
+                    .unwrap_or_default();
+                let mut body = Vec::with_capacity(len - 1);
+                body.extend_from_slice(arrived);
+                body.resize(len - 1, 0);
+                self.large = Some(LargeFrame {
+                    filled: arrived.len(),
+                    body,
+                    at,
+                });
+                self.end = at;
+            }
+            break;
+        }
+        self.scanned = at;
+    }
+
+    /// Makes `buf[end..end + len]` writable. This is where
     /// consumed frames are reclaimed: free when everything was consumed,
     /// else one move of the remainder once the dead prefix dominates it, so
     /// the resident size stays proportional to the unparsed bytes.
-    fn room(&mut self, len: usize) -> &mut [u8] {
-        if self.start == self.end {
-            (self.start, self.end) = (0, 0);
+    fn make_room(&mut self, len: usize) {
+        let shift = if self.start == self.end {
+            self.start
         } else if self.start * 2 >= self.end {
             self.buf.copy_within(self.start..self.end, 0);
-            (self.start, self.end) = (0, self.end - self.start);
+            self.start
+        } else {
+            0
+        };
+        self.scanned = self.scanned.max(self.start) - shift;
+        if let Some(large) = self.large.as_mut() {
+            large.at -= shift;
         }
+        (self.start, self.end) = (self.start - shift, self.end - shift);
         if self.buf.len() < self.end + len {
             self.buf.resize(self.end + len, 0);
         }
-        // prochlo-lint: allow(panic-on-wire, "bounds proven: the buffer was grown to end + len on the line above")
-        &mut self.buf[self.end..self.end + len]
     }
 }
 
@@ -467,5 +695,63 @@ mod tests {
             acc.next_frame(),
             Err(FrameError::Protocol("frame shorter than header"))
         ));
+    }
+
+    #[test]
+    fn a_frame_longer_than_the_fill_gets_its_own_exact_buffer() {
+        const ROOM: usize = 1024;
+        let policy = FramePolicy::new(1, 1 << 20);
+        let large: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        wire.write_frame(&policy, b"before").unwrap();
+        wire.write_frame(&policy, &large).unwrap();
+        wire.write_frame(&policy, b"after").unwrap();
+        // Read it all before walking, so the large frame starts behind a
+        // frame nobody has taken yet and the one after it lands while the
+        // large one waits.
+        let mut acc = FrameAccumulator::new(policy);
+        let mut source = &wire[..];
+        while acc.read_from(&mut source, ROOM).unwrap() > 0 {}
+        assert_eq!(acc.buffered(), wire.len());
+        assert!(
+            acc.capacity() <= 2 * ROOM + large.len(),
+            "no copy in the shared buffer"
+        );
+        assert_eq!(acc.take_frame().unwrap().unwrap(), b"before");
+        let body = acc.take_frame().unwrap().unwrap();
+        assert_eq!(body, large);
+        assert_eq!(body.capacity(), large.len(), "handed over as read");
+        assert_eq!(acc.take_frame().unwrap().unwrap(), b"after");
+        assert_eq!(acc.take_frame().unwrap(), None);
+        assert!(acc.capacity() <= 2 * ROOM);
+    }
+
+    #[test]
+    fn a_lent_large_body_is_freed_by_the_next_call() {
+        let policy = FramePolicy::new(1, 1 << 20);
+        let mut wire = Vec::new();
+        wire.write_frame(&policy, &[7u8; 50_000]).unwrap();
+        let mut acc = FrameAccumulator::new(policy);
+        for chunk in wire.chunks(4096) {
+            acc.extend(chunk);
+        }
+        assert_eq!(acc.next_frame().unwrap(), Some(&[7u8; 50_000][..]));
+        assert!(acc.capacity() >= 50_000);
+        assert_eq!(acc.next_frame().unwrap(), None);
+        assert!(acc.capacity() <= 2 * 4096);
+    }
+
+    #[test]
+    fn the_ceiling_is_checked_before_a_byte_is_written() {
+        let mut wire = vec![9u8];
+        let refused = write_frame_vectored(&mut wire, &POLICY, [&[0; 600], &[0; 600]], Err);
+        assert!(matches!(
+            refused,
+            Err(FrameError::TooLarge {
+                actual: 1201,
+                maximum: 1024
+            })
+        ));
+        assert_eq!(wire, [9]);
     }
 }

@@ -2,11 +2,14 @@
 //!
 //! A [`LoopbackHub`] is a shared mailbox: every [`LoopbackTransport`]
 //! endpoint hangs off the same hub, and a send is a mutex-guarded queue
-//! push. Because endpoints go through the same [`Envelope`] encode/decode
-//! and sequence-number checks as the TCP transport, a topology driven over
-//! loopback exercises the exact wire logic of a multi-process deployment —
-//! which is what lets the determinism tests compare fabric output against
-//! the in-process golden fixture without spawning processes.
+//! push. Because endpoints go through the same [`Envelope`] header
+//! encoding, frame ceiling and sequence-number checks as the TCP transport,
+//! a topology driven over loopback exercises the exact wire logic of a
+//! multi-process deployment — which is what lets the determinism tests
+//! compare fabric output against the in-process golden fixture without
+//! spawning processes. A send copies the payload once, into the encoded
+//! envelope the hub queues; a receive checks that envelope's header in
+//! place and returns the same buffer.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -14,7 +17,10 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::transport::{metrics, ChannelId, Envelope, FabricError, Peer, Stage, Transport};
+use crate::transport::{
+    check_frame_len, metrics, ChannelId, Envelope, FabricError, Peer, Stage, Transport,
+    ENVELOPE_HEADER_LEN,
+};
 
 #[derive(Default)]
 struct HubState {
@@ -90,6 +96,7 @@ impl Transport for LoopbackTransport {
     }
 
     fn send(&self, to: Peer, stage: Stage, payload: &[u8]) -> Result<(), FabricError> {
+        check_frame_len(payload.len())?;
         let mut state = self.hub.state.lock();
         if state.closed {
             return Err(FabricError::Closed);
@@ -98,16 +105,12 @@ impl Transport for LoopbackTransport {
             .send_seq
             .entry((self.identity, to, stage))
             .or_insert(0);
-        let envelope = Envelope {
-            from: self.identity,
-            stage,
-            seq: *seq,
-            payload: payload.to_vec(),
-        };
-        *seq += 1;
         // Frames cross the hub in encoded form so loopback exercises the
         // same envelope parsing as the TCP transport.
-        let frame = envelope.to_bytes();
+        let mut frame = Vec::with_capacity(ENVELOPE_HEADER_LEN + payload.len());
+        Envelope::put_header(&mut frame, self.identity, stage, *seq, payload.len());
+        frame.extend_from_slice(payload);
+        *seq += 1;
         state
             .inboxes
             .entry((to, ChannelId::new(self.identity, stage)))
@@ -123,26 +126,28 @@ impl Transport for LoopbackTransport {
         let key = (self.identity, channel);
         let mut state = self.hub.state.lock();
         loop {
-            if let Some(frame) = state.inboxes.get_mut(&key).and_then(VecDeque::pop_front) {
-                let envelope = Envelope::from_bytes(&frame)?;
-                if envelope.from != channel.peer {
+            if let Some(mut frame) = state.inboxes.get_mut(&key).and_then(VecDeque::pop_front) {
+                let (from, _, seq) = Envelope::parse_header(&frame)?;
+                if from != channel.peer {
                     return Err(FabricError::WrongPeer {
                         expected: channel.peer,
-                        actual: envelope.from,
+                        actual: from,
                     });
                 }
                 let expected = state.recv_seq.entry(key).or_insert(0);
-                if envelope.seq != *expected {
+                if seq != *expected {
                     metrics::out_of_order(channel);
                     return Err(FabricError::OutOfOrder {
                         channel,
                         expected: *expected,
-                        actual: envelope.seq,
+                        actual: seq,
                     });
                 }
                 *expected += 1;
-                metrics::frame_received(channel, envelope.payload.len());
-                return Ok(envelope.payload);
+                drop(state);
+                frame.drain(..ENVELOPE_HEADER_LEN);
+                metrics::frame_received(channel, frame.len());
+                return Ok(frame);
             }
             if state.closed {
                 return Err(FabricError::Closed);
@@ -155,6 +160,8 @@ impl Transport for LoopbackTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::MAX_FRAME_LEN;
+    use prochlo_core::framing::FrameError;
 
     #[test]
     fn channels_are_independent_and_ordered() {
@@ -170,6 +177,22 @@ mod tests {
         assert_eq!(b.recv(control).unwrap(), b"c0");
         assert_eq!(b.recv(records).unwrap(), b"r0");
         assert_eq!(b.recv(records).unwrap(), b"r1");
+    }
+
+    #[test]
+    fn an_oversize_send_is_refused_and_leaves_the_stage_in_sequence() {
+        let hub = LoopbackHub::new();
+        let a = hub.endpoint(Peer::ShufflerOne);
+        let b = hub.endpoint(Peer::ShufflerTwo);
+        // Zeroed and never copied, so the pages are never touched.
+        let oversize = vec![0u8; MAX_FRAME_LEN];
+        assert!(matches!(
+            a.send(Peer::ShufflerTwo, Stage::Records, &oversize),
+            Err(FabricError::Frame(FrameError::TooLarge { .. }))
+        ));
+        a.send(Peer::ShufflerTwo, Stage::Records, b"next").unwrap();
+        let records = ChannelId::new(Peer::ShufflerOne, Stage::Records);
+        assert_eq!(b.recv(records).unwrap(), b"next");
     }
 
     #[test]

@@ -73,6 +73,15 @@ fn finish(reader: &Reader<'_>) -> Result<(), FabricError> {
     Ok(())
 }
 
+/// Encoded size of one [`ShufflerStats`]: the backend tag, eight counters
+/// and three timings.
+const STATS_LEN: usize = 1 + 8 * 8 + 3 * 8;
+
+/// Encoded size of a list of length-prefixed blobs, count included.
+fn blobs_len<'a>(blobs: impl Iterator<Item = &'a [u8]>) -> usize {
+    4 + blobs.map(|blob| 4 + blob.len()).sum::<usize>()
+}
+
 fn encode_stats(out: &mut Vec<u8>, stats: &ShufflerStats) -> Result<(), FabricError> {
     let backend = match stats.backend {
         "blind" => BACKEND_BLIND,
@@ -201,7 +210,9 @@ pub struct BatchToOne {
 
 impl WireMessage for BatchToOne {
     fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // Tag, shard, epoch, both seeds, then the reports.
+        let len = 1 + 4 + 3 * 8 + blobs_len(self.reports.iter().map(Vec::as_slice));
+        let mut out = Vec::with_capacity(len);
         put_u8(&mut out, TAG_BATCH_TO_ONE);
         put_u32(&mut out, u32::from(self.shard));
         put_u64(&mut out, self.epoch_index);
@@ -317,7 +328,11 @@ impl BatchToTwo {
 
 impl WireMessage for BatchToTwo {
     fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // Tag, shard, epoch, seed, received, stats, then 64 crowd-id bytes
+        // in front of each length-prefixed inner ciphertext.
+        let records = blobs_len(self.records.iter().map(|(_, inner)| inner.as_slice()));
+        let len = 1 + 4 + 3 * 8 + STATS_LEN + records + 64 * self.records.len();
+        let mut out = Vec::with_capacity(len);
         put_u8(&mut out, TAG_BATCH_TO_TWO);
         put_u32(&mut out, u32::from(self.shard));
         put_u64(&mut out, self.epoch_index);
@@ -384,7 +399,9 @@ pub struct ItemsBatch {
 
 impl WireMessage for ItemsBatch {
     fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // Tag, shard, epoch, received, both stages' stats, then the items.
+        let len = 1 + 4 + 2 * 8 + 2 * STATS_LEN + blobs_len(self.items.iter().map(Vec::as_slice));
+        let mut out = Vec::with_capacity(len);
         put_u8(&mut out, TAG_ITEMS);
         put_u32(&mut out, u32::from(self.shard));
         put_u64(&mut out, self.epoch_index);

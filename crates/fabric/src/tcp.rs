@@ -22,6 +22,18 @@
 //! the sockets are nonblocking on both sides; sends go through
 //! [`prochlo_net::send_frame`], which parks on writability rather than
 //! busy-spinning when the kernel buffer is full.
+//!
+//! **Copy discipline.** A hop costs one batch-sized buffer on each side.
+//! The sender encodes its message once (the typed messages reserve their
+//! exact length) and the frame header, the 18-byte envelope header and the
+//! payload leave as one vectored write — no envelope is built around a
+//! copy of the payload and no frame around a copy of the envelope. The
+//! frame ceiling is checked before the stage's sequence number is taken, so
+//! a refused oversize send leaves the stream intact. The receiver reads a
+//! frame longer than the pump's read chunk into an exactly-sized buffer
+//! the pump hands over by value; the envelope header is checked in place
+//! and the buffer is filed as it is, its header dropped from the front on
+//! `recv` without reallocating.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -33,11 +45,13 @@ use prochlo_core::wire::Reader;
 use prochlo_net::{send_frame, FramePump, PumpEvent};
 
 use crate::transport::{
-    frame_policy, metrics, ChannelId, Envelope, FabricError, Peer, Stage, Transport,
+    check_frame_len, frame_policy, metrics, ChannelId, Envelope, FabricError, Peer, Stage,
+    Transport, ENVELOPE_HEADER_LEN,
 };
 
 struct LinkInbox {
-    /// Buffered payloads per incoming stage.
+    /// Buffered frame bodies per incoming stage: each is an envelope whose
+    /// header was checked on arrival and is stripped on `recv`.
     stages: BTreeMap<Stage, VecDeque<Vec<u8>>>,
     /// Next expected sequence number per incoming stage.
     recv_seq: BTreeMap<Stage, u64>,
@@ -72,51 +86,45 @@ impl Link {
     }
 
     fn send(&self, from: Peer, stage: Stage, payload: &[u8]) -> Result<(), FabricError> {
+        check_frame_len(payload.len())?;
         let mut guard = self.writer.lock();
         let (stream, send_seq) = &mut *guard;
         let seq = send_seq.entry(stage).or_insert(0);
-        let envelope = Envelope {
-            from,
-            stage,
-            seq: *seq,
-            payload: payload.to_vec(),
-        };
+        let mut header = Vec::with_capacity(ENVELOPE_HEADER_LEN);
+        Envelope::put_header(&mut header, from, stage, *seq, payload.len());
         *seq += 1;
-        send_frame(stream, &frame_policy(), &envelope.to_bytes())?;
+        send_frame(stream, &frame_policy(), [&header, payload])?;
         metrics::frame_sent(self.peer, stage, payload.len());
         Ok(())
     }
 
-    /// Decodes and sequence-checks one frame the pump read off the socket,
-    /// filing the payload in the inbox. Any violation fails the link: the
-    /// byte stream past a desynchronized envelope cannot be trusted.
-    fn file_frame(&self, body: &[u8]) {
+    /// Checks the envelope header of one frame the pump read off the
+    /// socket, in place, and files the frame in the inbox. Any violation
+    /// fails the link: the byte stream past a desynchronized envelope
+    /// cannot be trusted.
+    fn file_frame(&self, body: Vec<u8>) {
         let filed: Result<(), FabricError> = (|| {
-            let envelope = Envelope::from_bytes(body)?;
-            if envelope.from != self.peer {
+            let (from, stage, seq) = Envelope::parse_header(&body)?;
+            if from != self.peer {
                 return Err(FabricError::WrongPeer {
                     expected: self.peer,
-                    actual: envelope.from,
+                    actual: from,
                 });
             }
-            let channel = ChannelId::new(envelope.from, envelope.stage);
+            let channel = ChannelId::new(from, stage);
             let mut inbox = self.inbox.lock();
-            let expected = inbox.recv_seq.entry(envelope.stage).or_insert(0);
-            if envelope.seq != *expected {
+            let expected = inbox.recv_seq.entry(stage).or_insert(0);
+            if seq != *expected {
                 metrics::out_of_order(channel);
                 return Err(FabricError::OutOfOrder {
                     channel,
                     expected: *expected,
-                    actual: envelope.seq,
+                    actual: seq,
                 });
             }
             *expected += 1;
-            metrics::frame_received(channel, envelope.payload.len());
-            inbox
-                .stages
-                .entry(envelope.stage)
-                .or_default()
-                .push_back(envelope.payload);
+            metrics::frame_received(channel, body.len() - ENVELOPE_HEADER_LEN);
+            inbox.stages.entry(stage).or_default().push_back(body);
             drop(inbox);
             self.arrived.notify_all();
             Ok(())
@@ -140,8 +148,10 @@ impl Link {
     fn recv(&self, stage: Stage) -> Result<Vec<u8>, FabricError> {
         let mut inbox = self.inbox.lock();
         loop {
-            if let Some(payload) = inbox.stages.get_mut(&stage).and_then(VecDeque::pop_front) {
-                return Ok(payload);
+            if let Some(mut body) = inbox.stages.get_mut(&stage).and_then(VecDeque::pop_front) {
+                drop(inbox);
+                body.drain(..ENVELOPE_HEADER_LEN);
+                return Ok(body);
             }
             if let Some(failure) = &inbox.failed {
                 return Err(match failure {
@@ -257,7 +267,7 @@ impl TcpTransportBuilder {
                     move |index, event| {
                         let link = &pump_links[index];
                         match event {
-                            PumpEvent::Frame(body) => link.file_frame(&body),
+                            PumpEvent::Frame(body) => link.file_frame(body),
                             PumpEvent::Closed => link.fail(None),
                             PumpEvent::Failed(e) => link.fail(Some(e.to_string())),
                         }
@@ -309,6 +319,8 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::MAX_FRAME_LEN;
+    use prochlo_core::framing::FrameError;
 
     fn loop_addr() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
@@ -342,6 +354,37 @@ mod tests {
             t.recv(ChannelId::new(Peer::ShufflerOne, Stage::Records))
                 .unwrap(),
             b"recs"
+        );
+        t.send(Peer::ShufflerOne, Stage::Control, b"ack").unwrap();
+        dialer.join().unwrap();
+    }
+
+    #[test]
+    fn an_oversize_send_is_refused_and_leaves_the_stage_in_sequence() {
+        let mut acceptor = TcpTransportBuilder::new(Peer::ShufflerTwo);
+        let addr = acceptor.listen(loop_addr()).unwrap();
+        let dialer = std::thread::spawn(move || {
+            let mut b = TcpTransportBuilder::new(Peer::ShufflerOne);
+            b.connect(Peer::ShufflerTwo, addr).unwrap();
+            let t = b.build().unwrap();
+            // Zeroed and never written, so the pages are never touched.
+            let oversize = vec![0u8; MAX_FRAME_LEN];
+            assert!(matches!(
+                t.send(Peer::ShufflerTwo, Stage::Records, &oversize),
+                Err(FabricError::Frame(FrameError::TooLarge { .. }))
+            ));
+            // The refusal took no sequence number: the next frame on the
+            // stage is the one the receiver expects.
+            t.send(Peer::ShufflerTwo, Stage::Records, b"next").unwrap();
+            t.recv(ChannelId::new(Peer::ShufflerTwo, Stage::Control))
+                .unwrap();
+        });
+        acceptor.accept(1).unwrap();
+        let t = acceptor.build().unwrap();
+        assert_eq!(
+            t.recv(ChannelId::new(Peer::ShufflerOne, Stage::Records))
+                .unwrap(),
+            b"next"
         );
         t.send(Peer::ShufflerOne, Stage::Control, b"ack").unwrap();
         dialer.join().unwrap();

@@ -17,7 +17,7 @@
 use std::fmt;
 use std::marker::PhantomData;
 
-use prochlo_core::framing::{FrameError, FramePolicy};
+use prochlo_core::framing::{frame_header, FrameError, FramePolicy};
 use prochlo_core::wire::{put_bytes, put_u32, put_u64, put_u8, Reader};
 
 /// Version byte of every fabric frame. Distinct from the collector
@@ -32,6 +32,22 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// The fabric framing policy at the default frame-size ceiling.
 pub const fn frame_policy() -> FramePolicy {
     FramePolicy::new(FABRIC_VERSION, MAX_FRAME_LEN)
+}
+
+/// Bytes an [`Envelope`] puts in front of its payload: the sender (tag and
+/// shard index), the stage tag, the sequence number and the payload length.
+pub(crate) const ENVELOPE_HEADER_LEN: usize = 18;
+
+/// Refuses a payload whose envelope would not fit one fabric frame, with
+/// the framing layer's own [`FrameError::TooLarge`]. Transports ask before
+/// taking a sequence number: a refused send must leave no gap in the
+/// stream, or the next frame on the stage would read as reordered.
+pub(crate) fn check_frame_len(payload_len: usize) -> Result<(), FabricError> {
+    frame_header(
+        &frame_policy(),
+        ENVELOPE_HEADER_LEN.saturating_add(payload_len),
+    )?;
+    Ok(())
 }
 
 /// A process in the fabric topology.
@@ -211,6 +227,45 @@ impl Envelope {
         put_u64(&mut out, self.seq);
         put_bytes(&mut out, &self.payload);
         out
+    }
+
+    /// Appends the [`ENVELOPE_HEADER_LEN`] bytes [`Self::to_bytes`] puts in
+    /// front of a payload of `payload_len` bytes, so a transport can send
+    /// (or store) header and payload without building an `Envelope` — which
+    /// would copy the payload — first. The caller has checked the length
+    /// with [`check_frame_len`].
+    pub(crate) fn put_header(
+        out: &mut Vec<u8>,
+        from: Peer,
+        stage: Stage,
+        seq: u64,
+        payload_len: usize,
+    ) {
+        from.encode(out);
+        stage.encode(out);
+        put_u64(out, seq);
+        put_u32(out, payload_len as u32);
+    }
+
+    /// Parses an encoded envelope's header in place, with every check
+    /// [`Self::from_bytes`] makes (unknown tags, truncation, trailing
+    /// bytes), and returns the sender, stage and sequence number. The
+    /// payload is `bytes[ENVELOPE_HEADER_LEN..]`, left where it lies.
+    pub(crate) fn parse_header(bytes: &[u8]) -> Result<(Peer, Stage, u64), FabricError> {
+        let mut reader = Reader::new(bytes);
+        let from = Peer::decode(&mut reader)?;
+        let stage = Stage::decode(&mut reader)?;
+        let seq = reader
+            .get_u64()
+            .map_err(|_| FabricError::Malformed("truncated sequence number"))?;
+        let len = reader
+            .get_u32()
+            .map_err(|_| FabricError::Malformed("truncated payload"))?;
+        match reader.remaining().cmp(&(len as usize)) {
+            std::cmp::Ordering::Less => Err(FabricError::Malformed("truncated payload")),
+            std::cmp::Ordering::Greater => Err(FabricError::Malformed("trailing envelope bytes")),
+            std::cmp::Ordering::Equal => Ok((from, stage, seq)),
+        }
     }
 
     /// Parses one envelope, rejecting unknown channels and trailing bytes.
@@ -528,6 +583,49 @@ mod tests {
                 tag: 99
             })
         ));
+    }
+
+    #[test]
+    fn the_in_place_header_matches_the_reference_encoding() {
+        for peer in all_peers() {
+            let envelope = Envelope {
+                from: peer,
+                stage: Stage::Items,
+                seq: u64::MAX - 3,
+                payload: vec![7; 300],
+            };
+            let bytes = envelope.to_bytes();
+            let mut header = Vec::new();
+            Envelope::put_header(&mut header, peer, Stage::Items, envelope.seq, 300);
+            assert_eq!(header.len(), ENVELOPE_HEADER_LEN);
+            assert_eq!(header, bytes[..ENVELOPE_HEADER_LEN]);
+            assert_eq!(
+                Envelope::parse_header(&bytes).unwrap(),
+                (peer, Stage::Items, envelope.seq)
+            );
+            // Every cut and one trailing byte fail both parsers alike.
+            let mut trailing = bytes.clone();
+            trailing.push(0);
+            let cuts = (0..bytes.len()).map(|cut| &bytes[..cut]);
+            for broken in cuts.chain([&trailing[..]]) {
+                let reference = Envelope::from_bytes(broken).unwrap_err().to_string();
+                let in_place = Envelope::parse_header(broken).unwrap_err().to_string();
+                assert_eq!(in_place, reference, "{} bytes", broken.len());
+            }
+        }
+    }
+
+    #[test]
+    fn the_frame_ceiling_counts_the_envelope_header() {
+        // One version byte and the envelope header ride in every frame.
+        let largest = MAX_FRAME_LEN - 1 - ENVELOPE_HEADER_LEN;
+        assert!(check_frame_len(largest).is_ok());
+        assert!(matches!(
+            check_frame_len(largest + 1),
+            Err(FabricError::Frame(FrameError::TooLarge { actual, maximum }))
+                if actual == MAX_FRAME_LEN + 1 && maximum == MAX_FRAME_LEN
+        ));
+        assert!(check_frame_len(usize::MAX).is_err());
     }
 
     #[test]

@@ -9,19 +9,29 @@
 //! ([`FrameWrite`] serializes the outbound frames), so a `Conn` speaks
 //! byte-identical wire protocol to the blocking `FrameRead`/`FrameWrite`
 //! path it replaces.
-
+//!
+//! Every frame leaves through the one frame writer,
+//! [`prochlo_core::framing::write_frame_vectored`]: [`Conn::queue_body`]
+//! copies a body into the write buffer once, and [`send_frame`] hands the
+//! stack-held header and the caller's bytes to the socket as one vectored
+//! write per attempt, with no intermediate frame. Reads keep one `READ_CHUNK` of room; a frame longer than that is
+//! read into its own exactly-sized buffer (see [`FrameAccumulator`]) and
+//! [`Conn::take_frame`] hands it over without a copy.
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use prochlo_core::framing::{FrameAccumulator, FrameError, FramePolicy, FrameWrite};
+use prochlo_core::framing::{
+    write_frame_vectored, FrameAccumulator, FrameError, FramePolicy, FrameWrite,
+};
 
 use crate::reactor::wait_writable;
 
 /// How big a chunk one readable event pulls off the socket per `read` call.
 /// Also the read room every connection keeps allocated between events, so
-/// it is the per-connection memory floor of a serving loop.
-const READ_CHUNK: usize = 16 * 1024;
+/// it is the per-connection memory floor of a serving loop; frames longer
+/// than this are assembled outside it.
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
 /// Result of draining a readable socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,8 +85,8 @@ impl Conn {
     }
 
     /// Reads what the socket holds into the frame accumulator, straight
-    /// into its buffer: one `read` of up to `READ_CHUNK` at a time until
-    /// one comes back short. A short read means the socket is drained — the
+    /// into its buffer (or a large frame's own): one `read` of at least
+    /// `READ_CHUNK` at a time until one comes back short. A short read means the socket is drained — the
     /// reactor is level-triggered, so anything that lands afterwards is
     /// reported on the next turn, and no second `read` is spent on
     /// learning `WouldBlock`. Walk the completed frames with
@@ -86,7 +96,7 @@ impl Conn {
         loop {
             match self.acc.read_from(&mut self.stream, READ_CHUNK) {
                 Ok(0) => return Ok(ConnStatus::PeerClosed),
-                Ok(READ_CHUNK) => continue,
+                Ok(n) if n >= READ_CHUNK => continue,
                 Ok(_) => return Ok(ConnStatus::Open),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(ConnStatus::Open),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -102,6 +112,13 @@ impl Conn {
     /// in the stream: the frames completed before one are returned first.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
         self.acc.next_frame()
+    }
+
+    /// [`Self::next_frame`] by value: a body from the shared read buffer is
+    /// copied out, a frame longer than the read chunk is handed over in the
+    /// exactly-sized buffer it was read into.
+    pub fn take_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+        self.acc.take_frame()
     }
 
     /// Queues one outbound frame (`[u32 len][version][body]`) behind any
@@ -126,6 +143,12 @@ impl Conn {
         self.acc.buffered()
     }
 
+    /// Bytes the read side holds allocated (see
+    /// [`FrameAccumulator::capacity`]).
+    pub fn read_capacity(&self) -> usize {
+        self.acc.capacity()
+    }
+
     /// Pushes queued bytes into the socket until drained or it would
     /// block. A peer that stopped accepting bytes and closed surfaces as
     /// [`FrameError::Closed`].
@@ -147,28 +170,22 @@ impl Conn {
 }
 
 /// Sends one frame over a *nonblocking* stream with blocking-call
-/// semantics: serializes the full frame, then loops offset-tracked writes,
+/// semantics: the frame writer's vectored writes resume at their offset,
 /// parking on [`wait_writable`] whenever the socket pushes back. This is
 /// the only safe way to write a stream whose read half is reactor-managed —
 /// `set_nonblocking` applies to the shared fd, so a plain `write_all`
-/// could lose its position mid-frame on `WouldBlock`.
-pub fn send_frame(stream: &TcpStream, policy: &FramePolicy, body: &[u8]) -> Result<(), FrameError> {
-    let mut frame = Vec::with_capacity(body.len() + 5);
-    frame.write_frame(policy, body)?;
-    let mut pos = 0;
-    while pos < frame.len() {
-        // prochlo-lint: allow(panic-on-wire, "bounds proven: pos < frame.len() is the loop condition, and the frame is locally serialized")
-        match (&*stream).write(&frame[pos..]) {
-            Ok(0) => return Err(FrameError::Closed),
-            Ok(n) => pos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                wait_writable(stream, Duration::from_millis(100))?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(())
+/// could lose its position mid-frame on `WouldBlock`. The body is
+/// `body[0]` followed by `body[1]` — a message header and the payload it
+/// describes go out without being joined first — and the ceiling is
+/// checked before any byte is written.
+pub fn send_frame(
+    stream: &TcpStream,
+    policy: &FramePolicy,
+    body: [&[u8]; 2],
+) -> Result<(), FrameError> {
+    write_frame_vectored(&mut &*stream, policy, body, |_| {
+        wait_writable(stream, Duration::from_millis(100)).map(drop)
+    })
 }
 
 #[cfg(test)]
@@ -271,7 +288,7 @@ mod tests {
         let body = vec![0xabu8; 4 << 20];
         let expected = body.clone();
         let policy = FramePolicy::new(1, 8 << 20);
-        let writer = std::thread::spawn(move || send_frame(&client, &policy, &body));
+        let writer = std::thread::spawn(move || send_frame(&client, &policy, [&[], &body]));
         server
             .set_read_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
@@ -279,5 +296,59 @@ mod tests {
         writer.join().expect("join").expect("send");
         assert_eq!(got.len(), expected.len());
         assert_eq!(got, expected);
+
+        // Where the socket pushes back is the kernel's choice; the writer
+        // loop `send_frame` runs must resume anywhere, the 5-byte header
+        // included. This sink takes three bytes per call and refuses every
+        // other call, so the first refusal lands inside the header and
+        // later ones straddle both piece boundaries.
+        let mut sink = Stingy::default();
+        let mut parks = 0;
+        write_frame_vectored(&mut sink, &policy, [b"head", b"payload"], |e| {
+            assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
+            parks += 1;
+            Ok(())
+        })
+        .expect("resumes after every refusal");
+        let mut reference = Vec::new();
+        reference
+            .write_frame(&policy, b"headpayload")
+            .expect("frame");
+        assert_eq!(sink.taken, reference);
+        assert_eq!(sink.refused_at[0], 3, "first refusal is inside the header");
+        assert_eq!(parks, sink.refused_at.len());
+    }
+
+    /// A sink that accepts three bytes, then refuses one call with
+    /// `WouldBlock`, and so on.
+    #[derive(Default)]
+    struct Stingy {
+        taken: Vec<u8>,
+        refused_at: Vec<usize>,
+        refuse_next: bool,
+    }
+
+    impl Write for Stingy {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[io::IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+            self.refuse_next = !self.refuse_next;
+            if !self.refuse_next {
+                self.refused_at.push(self.taken.len());
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let before = self.taken.len();
+            for buf in bufs {
+                let n = buf.len().min(3 - (self.taken.len() - before));
+                self.taken.extend_from_slice(&buf[..n]);
+            }
+            Ok(self.taken.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
     }
 }

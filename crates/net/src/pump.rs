@@ -7,7 +7,13 @@
 //! conditions (peer close, framing violation, I/O error) are delivered
 //! exactly once per stream, after which the stream is dropped from the
 //! poll set. Dropping the pump stops and joins the thread.
-
+//!
+//! Frames are handed over by value with one buffer each: a small frame is
+//! copied out of the connection's read chunk, a frame longer than the chunk
+//! arrives in the exactly-sized buffer it was read into and moves to the
+//! callback as it is. So a fabric link that carries a multi-MiB batch keeps
+//! no batch-sized read buffer afterwards — its standing memory stays near
+//! two read chunks however large the frames it has carried.
 use std::collections::BTreeMap;
 use std::io;
 use std::net::TcpStream;
@@ -91,12 +97,7 @@ impl FramePump {
                         if !event.readable {
                             continue;
                         }
-                        let outcome = conn.on_readable().and_then(|status| {
-                            while let Some(body) = conn.next_frame()? {
-                                on_event(id, PumpEvent::Frame(body.to_vec()));
-                            }
-                            Ok(status)
-                        });
+                        let outcome = drain(conn, |body| on_event(id, PumpEvent::Frame(body)));
                         match outcome {
                             Ok(ConnStatus::Open) => {}
                             Ok(ConnStatus::PeerClosed) => {
@@ -121,6 +122,16 @@ impl FramePump {
     }
 }
 
+/// One readable event on `conn`: reads what the socket holds, then hands
+/// every completed frame to `deliver` by value.
+fn drain(conn: &mut Conn, mut deliver: impl FnMut(Vec<u8>)) -> Result<ConnStatus, FrameError> {
+    let status = conn.on_readable()?;
+    while let Some(body) = conn.take_frame()? {
+        deliver(body);
+    }
+    Ok(status)
+}
+
 impl Drop for FramePump {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
@@ -134,6 +145,7 @@ impl Drop for FramePump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::{send_frame, READ_CHUNK};
     use parking_lot::Mutex;
     use prochlo_core::framing::FrameWrite;
     use std::io::Write;
@@ -212,6 +224,37 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(*failures.lock(), [1]);
+    }
+
+    #[test]
+    fn a_large_frame_leaves_no_large_read_buffer_behind() {
+        let (client, server) = pair();
+        let policy = FramePolicy::new(1, 8 << 20);
+        let mut conn = Conn::new(server, policy).expect("conn");
+        let body: Vec<u8> = (0..4u32 << 20).map(|i| i as u8).collect();
+        let expected = body.clone();
+        let writer = std::thread::spawn(move || {
+            client.set_nonblocking(true).expect("nonblocking");
+            send_frame(&client, &policy, [&[], &body]).expect("send");
+            send_frame(&client, &policy, [&[], b"after"]).expect("send");
+            client
+        });
+        let mut frames = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while frames.len() < 2 {
+            assert!(Instant::now() < deadline, "frames never arrived");
+            drain(&mut conn, |body| frames.push(body)).expect("drain");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let _client = writer.join().expect("join");
+        assert_eq!(frames[0], expected);
+        assert_eq!(frames[0].capacity(), expected.len(), "one exact buffer");
+        assert_eq!(frames[1], b"after");
+        assert!(
+            conn.read_capacity() <= 2 * READ_CHUNK,
+            "the link keeps {} bytes of read buffer after a 4 MiB frame",
+            conn.read_capacity()
+        );
     }
 
     #[test]

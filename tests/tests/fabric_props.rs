@@ -2,13 +2,20 @@
 //! round-trip exactly, and no malformed, truncated or misaddressed input
 //! ever panics. The fabric's receive path faces whatever the other end of
 //! a socket sends, so — exactly as for `prochlo_core::wire` — "worst case
-//! is an error" is a hard requirement.
+//! is an error" is a hard requirement. The TCP transport writes its frames
+//! in pieces (frame header, envelope header, payload); the bytes it puts on
+//! the socket must be exactly the reference `Envelope::to_bytes` framed by
+//! `write_frame`.
 
+use std::io::Read;
+use std::net::{SocketAddr, TcpListener};
+
+use prochlo_core::framing::{FrameRead, FrameWrite};
 use prochlo_core::shuffler::{PhaseTimings, ShufflerStats};
-use prochlo_fabric::transport::WireMessage;
+use prochlo_fabric::transport::{frame_policy, WireMessage};
 use prochlo_fabric::{
     BatchToOne, BatchToTwo, Control, Envelope, FabricError, ItemsBatch, Peer, ShardSummary, Stage,
-    ToOne, ToTwo,
+    TcpTransportBuilder, ToOne, ToTwo, Transport,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -171,7 +178,12 @@ proptest! {
             s2_seed: seed.wrapping_mul(5),
             reports: blobs(seed, count, 96),
         };
-        prop_assert_eq!(BatchToOne::from_wire(&batch.to_wire()).unwrap(), batch.clone());
+        // The batch encodings reserve their exact length up front: growing
+        // by doubling would leave capacity over and copy the batch on the
+        // way.
+        let bytes = batch.to_wire();
+        prop_assert_eq!(bytes.capacity(), bytes.len());
+        prop_assert_eq!(BatchToOne::from_wire(&bytes).unwrap(), batch.clone());
         prop_assert_eq!(
             ToOne::from_wire(&ToOne::Batch(batch.clone()).to_wire()).unwrap(),
             ToOne::Batch(batch)
@@ -188,7 +200,9 @@ proptest! {
                 .map(|inner| ([(seed % 251) as u8; 64], inner))
                 .collect(),
         };
-        let parsed = BatchToTwo::from_wire(&to_two.to_wire()).unwrap();
+        let bytes = to_two.to_wire();
+        prop_assert_eq!(bytes.capacity(), bytes.len());
+        let parsed = BatchToTwo::from_wire(&bytes).unwrap();
         prop_assert_eq!(&parsed, &to_two);
         // ShufflerStats equality ignores timings; pin them bit-for-bit.
         prop_assert_eq!(
@@ -204,7 +218,9 @@ proptest! {
             stage_two: stats(seed ^ 2, "inline"),
             items: blobs(seed ^ 3, count, 48),
         };
-        prop_assert_eq!(ItemsBatch::from_wire(&items.to_wire()).unwrap(), items);
+        let bytes = items.to_wire();
+        prop_assert_eq!(bytes.capacity(), bytes.len());
+        prop_assert_eq!(ItemsBatch::from_wire(&bytes).unwrap(), items);
 
         let summary = ShardSummary {
             shard: (seed % 7) as u16,
@@ -236,5 +252,67 @@ proptest! {
         for cut in 0..bytes.len() {
             prop_assert!(BatchToTwo::from_wire(&bytes[..cut]).is_err(), "cut {}", cut);
         }
+    }
+}
+
+/// Sends `messages` (stage index, payload) from a `TcpTransport` whose
+/// identity is `from` to a raw socket, and returns every byte the raw side
+/// read after the `HELLO` frame.
+fn bytes_on_the_socket(from: Peer, to: Peer, messages: &[(usize, Vec<u8>)]) -> Vec<u8> {
+    let listener = TcpListener::bind("127.0.0.1:0".parse::<SocketAddr>().unwrap()).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let reader = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let hello = stream.read_frame(&frame_policy()).unwrap();
+        let mut expected_hello = Vec::new();
+        from.encode(&mut expected_hello);
+        assert_eq!(hello, expected_hello);
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap();
+        rest
+    });
+    let mut builder = TcpTransportBuilder::new(from);
+    builder.connect(to, addr).unwrap();
+    let transport = builder.build().unwrap();
+    for (stage, payload) in messages {
+        transport.send(to, STAGES[*stage], payload).unwrap();
+    }
+    // Dropping the transport closes the socket: the reader sees the end.
+    drop(transport);
+    reader.join().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn prop_socket_bytes_equal_the_reference_frames(
+        from_selector in any::<u8>(),
+        to_selector in any::<u8>(),
+        shard in any::<u16>(),
+        seed in any::<u64>(),
+        count in 1usize..4,
+    ) {
+        let from = arb_peer(from_selector, shard);
+        let to = arb_peer(to_selector, shard.wrapping_add(1));
+        // Up to 200 KiB each: larger than the socket takes in one write
+        // and than the receiver's read chunk.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let messages: Vec<(usize, Vec<u8>)> = (0..count)
+            .map(|_| (rng.gen_range(0..5), bytes_from_seed(rng.gen(), rng.gen_range(0..=200 << 10))))
+            .collect();
+        let mut expected = Vec::new();
+        let mut next_seq = [0u64; 5];
+        for (stage, payload) in &messages {
+            let envelope = Envelope {
+                from,
+                stage: STAGES[*stage],
+                seq: next_seq[*stage],
+                payload: payload.clone(),
+            };
+            next_seq[*stage] += 1;
+            expected.write_frame(&frame_policy(), &envelope.to_bytes()).unwrap();
+        }
+        prop_assert!(bytes_on_the_socket(from, to, &messages) == expected);
     }
 }

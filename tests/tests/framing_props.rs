@@ -9,9 +9,11 @@
 //! bodies in the same order, the accumulator must deliver every frame that
 //! precedes a violation, and the violation must be sticky.
 
-use std::io::Cursor;
+use std::io::{BufWriter, Cursor, Write};
 
-use prochlo_core::framing::{FrameAccumulator, FrameError, FramePolicy, FrameRead, FrameWrite};
+use prochlo_core::framing::{
+    write_frame_vectored, FrameAccumulator, FrameError, FramePolicy, FrameRead, FrameWrite,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -160,5 +162,64 @@ proptest! {
             let consumed: usize = expected.iter().map(|body| body.len() + 5).sum();
             prop_assert_eq!(acc.buffered(), wire.len() - consumed);
         }
+    }
+}
+
+/// A sink that takes one byte per `write` call, so every frame is written
+/// across as many partial writes as it has bytes.
+struct OneByte(Vec<u8>);
+
+impl Write for OneByte {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.extend(buf.first());
+        Ok(buf.len().min(1))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The one frame writer gives the same bytes whatever it writes into:
+    /// a `Vec`, a `BufWriter` smaller or larger than the frames, or a sink
+    /// that takes a byte at a time — and a body sent in two pieces frames
+    /// exactly like the same body joined.
+    #[test]
+    fn prop_every_sink_gets_the_same_frame_bytes(
+        seed in any::<u64>(),
+        frames in 1usize..6,
+        buffer in 1usize..2048,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bodies: Vec<Vec<u8>> = (0..frames)
+            .map(|_| {
+                // A frame carries at least one body byte after its version.
+                let mut body = vec![0u8; rng.gen_range(1..=511usize)];
+                rng.fill_bytes(&mut body);
+                body
+            })
+            .collect();
+        let mut vec = Vec::new();
+        let mut buffered = BufWriter::with_capacity(buffer, Vec::new());
+        let mut one_byte = OneByte(Vec::new());
+        let mut pieces = Vec::new();
+        for body in &bodies {
+            vec.write_frame(&POLICY, body).unwrap();
+            buffered.write_frame(&POLICY, body).unwrap();
+            one_byte.write_frame(&POLICY, body).unwrap();
+            let (head, tail) = body.split_at(rng.gen_range(0..=body.len()));
+            write_frame_vectored(&mut pieces, &POLICY, [head, tail], Err).unwrap();
+        }
+        let buffered = buffered.into_inner().unwrap();
+        prop_assert_eq!(&buffered, &vec);
+        prop_assert_eq!(&one_byte.0, &vec);
+        prop_assert_eq!(&pieces, &vec);
+        // And it reads back as the bodies that went in.
+        let (read, end) = read_all(&vec);
+        prop_assert_eq!(read, bodies);
+        prop_assert_eq!(end, Ending::Dry);
     }
 }
