@@ -7,9 +7,9 @@
 //! replaces all of that with three pieces:
 //!
 //! * [`Deployment`] — built by [`DeploymentBuilder`], it owns a shuffling
-//!   topology behind the object-safe [`ShufflerRole`] trait (implemented by
-//!   [`Shuffler`] and [`SplitShuffler`]) plus the analyzer, so callers
-//!   construct and drive one type regardless of topology.
+//!   topology as a [`ShufflerRole`] (a [`Shuffler`] or a [`SplitShuffler`])
+//!   plus the analyzer, so callers construct and drive one type regardless
+//!   of topology.
 //! * [`EpochSpec`] — a parameter object naming an epoch: its index, the
 //!   deployment seed, and an optional [`EngineConfig`] override. Exactly two
 //!   entry points consume reports: [`Deployment::run`] (caller-supplied RNG)
@@ -30,7 +30,7 @@
 use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 use prochlo_crypto::edwards::Point;
 use prochlo_crypto::hybrid::HybridKeypair;
@@ -86,47 +86,100 @@ pub enum Topology {
     Split,
 }
 
-/// The shuffling stage of a deployment, independent of topology.
+/// The shuffling stage of a deployment: the topology [`Topology`] names,
+/// with its keys and configuration.
 ///
-/// Object-safe on purpose: a [`Deployment`] holds `Box<dyn ShufflerRole>`,
-/// so the single- and split-shuffler deployments are the same type to every
-/// caller, and future topologies (e.g. a shuffler cascade) plug in without
-/// another `*Pipeline` struct. The engine configuration is an explicit
-/// parameter — this is the one place backend and thread-count selection
-/// reaches the shuffle stage, which is what killed the `_with_engine`
-/// method variants.
-pub trait ShufflerRole: std::fmt::Debug + Send + Sync {
+/// A [`Deployment`] holds one by value, so the single- and split-shuffler
+/// deployments are the same type to every caller. Each method matches the
+/// topology once. The engine configuration is an explicit parameter of
+/// [`Self::process`] — this is the one place backend and thread-count
+/// selection reaches the shuffle stage, which is what killed the
+/// `_with_engine` method variants.
+#[derive(Debug)]
+pub enum ShufflerRole {
+    /// One shuffler thresholding on hashed crowd IDs (§3.3).
+    Single(Shuffler),
+    /// Two non-colluding shufflers thresholding on blinded crowd IDs (§4.3).
+    Split(SplitShuffler),
+}
+
+impl ShufflerRole {
     /// Which topology this role implements.
-    fn topology(&self) -> Topology;
+    pub fn topology(&self) -> Topology {
+        match self {
+            Self::Single(_) => Topology::Single,
+            Self::Split(_) => Topology::Split,
+        }
+    }
 
     /// The public key clients seal the outer encryption layer to.
-    fn outer_public_key(&self) -> &PublicKey;
+    fn outer_public_key(&self) -> &PublicKey {
+        match self {
+            Self::Single(shuffler) => shuffler.public_key(),
+            Self::Split(split) => split.one.public_key(),
+        }
+    }
 
     /// The El Gamal key clients blind crowd IDs under, if this topology
     /// uses blinding.
     fn crowd_blinding_key(&self) -> Option<&Point> {
-        None
+        match self {
+            Self::Single(_) => None,
+            Self::Split(split) => Some(split.two.elgamal_public()),
+        }
     }
 
-    /// The engine configuration embedded in this role's own configuration,
-    /// used when neither the deployment nor the epoch overrides it.
-    fn default_engine(&self) -> EngineConfig;
+    /// The thresholding and batching configuration: the single shuffler's,
+    /// or Shuffler 2's (the thresholder) in the split topology.
+    fn config(&self) -> &ShufflerConfig {
+        match self {
+            Self::Single(shuffler) => shuffler.config(),
+            Self::Split(split) => split.two.config(),
+        }
+    }
+
+    /// The engine embedded in this role's own configuration, used when
+    /// neither the deployment nor the epoch overrides it.
+    pub fn default_engine(&self) -> EngineConfig {
+        self.config().engine_config()
+    }
 
     /// Processes one batch through the whole shuffling stage: peel,
     /// metadata stripping, randomized cardinality thresholding, oblivious
     /// shuffle — however many services that takes in this topology.
-    fn process(
+    ///
+    /// A batch smaller than [`ShufflerConfig::min_batch_size`] fails with
+    /// [`PipelineError::BatchTooSmall`] in either topology, before any
+    /// randomness is drawn. The split topology also refuses any backend but
+    /// the trusted one (see [`SplitShuffler::require_inline_engine`]).
+    pub fn process<R: Rng + ?Sized>(
         &self,
         engine: &EngineConfig,
         reports: &[ClientReport],
-        rng: &mut dyn RngCore,
-    ) -> Result<ShuffleOutcome, PipelineError>;
+        rng: &mut R,
+    ) -> Result<ShuffleOutcome, PipelineError> {
+        let minimum = self.config().min_batch_size;
+        if reports.len() < minimum {
+            return Err(PipelineError::BatchTooSmall {
+                received: reports.len(),
+                minimum,
+            });
+        }
+        let num_threads = exec::resolve_threads(engine.num_threads)?;
+        match self {
+            Self::Single(shuffler) => shuffler.process_batch(engine, num_threads, reports, rng),
+            Self::Split(split) => split.process_batch(engine, num_threads, reports, rng),
+        }
+    }
 
-    /// Downcast to the split shuffler, for deployments that need to hand
-    /// each stage to a separate process (the networked split topology).
-    /// `None` for every other topology.
-    fn as_split(&self) -> Option<&SplitShuffler> {
-        None
+    /// The split shuffler, for deployments that hand each stage to a
+    /// separate process (the networked split topology); `None` for the
+    /// single topology.
+    pub fn as_split(&self) -> Option<&SplitShuffler> {
+        match self {
+            Self::Single(_) => None,
+            Self::Split(split) => Some(split),
+        }
     }
 }
 
@@ -283,9 +336,9 @@ impl DeploymentBuilder {
     /// constructors used), so seeded constructions reproduce the same keys
     /// across versions.
     pub fn build<R: Rng + ?Sized>(self, rng: &mut R) -> Deployment {
-        let role: Box<dyn ShufflerRole> = match self.topology {
-            Topology::Single => Box::new(Shuffler::new(self.config, rng)),
-            Topology::Split => Box::new(SplitShuffler::new(self.config, rng)),
+        let role = match self.topology {
+            Topology::Single => ShufflerRole::Single(Shuffler::new(self.config, rng)),
+            Topology::Split => ShufflerRole::Split(SplitShuffler::new(self.config, rng)),
         };
         let mut analyzer = Analyzer::new(HybridKeypair::generate(rng));
         if let Some(threshold) = self.share_threshold {
@@ -305,8 +358,7 @@ impl DeploymentBuilder {
 /// in one process.
 ///
 /// Examples, tests, benches and the collector all construct this one type;
-/// the topology behind it is a [`ShufflerRole`] trait object selected at
-/// build time. A production deployment would place each role in a separate
+/// the topology behind it is a [`ShufflerRole`] selected at build time. A production deployment would place each role in a separate
 /// service (the paper's implementation uses gRPC between them); the
 /// collector crate is the serving front end for this in-process form.
 ///
@@ -330,7 +382,7 @@ impl DeploymentBuilder {
 /// ```
 #[derive(Debug)]
 pub struct Deployment {
-    role: Box<dyn ShufflerRole>,
+    role: ShufflerRole,
     analyzer: Analyzer,
     payload_size: usize,
     engine: Option<EngineConfig>,
@@ -350,8 +402,8 @@ impl Deployment {
     }
 
     /// The shuffling stage (e.g. to drive it directly in a bench).
-    pub fn role(&self) -> &dyn ShufflerRole {
-        self.role.as_ref()
+    pub fn role(&self) -> &ShufflerRole {
+        &self.role
     }
 
     /// The analyzer role.
@@ -405,10 +457,7 @@ impl Deployment {
         reports: &[ClientReport],
         rng: &mut R,
     ) -> Result<PipelineReport, PipelineError> {
-        // `&mut R` is itself an RngCore, so `&mut rng` unsizes to the
-        // trait object the object-safe role expects even when R is unsized.
-        let mut rng = rng;
-        self.run_with(&self.default_engine(), reports, &mut rng)
+        self.run_with(&self.default_engine(), reports, rng)
     }
 
     /// Runs one epoch with a deterministic RNG derived from the spec (see
@@ -437,11 +486,11 @@ impl Deployment {
         }
     }
 
-    fn run_with(
+    fn run_with<R: Rng + ?Sized>(
         &self,
         engine: &EngineConfig,
         reports: &[ClientReport],
-        rng: &mut dyn RngCore,
+        rng: &mut R,
     ) -> Result<PipelineReport, PipelineError> {
         let outcome = self.role.process(engine, reports, rng)?;
         // The same resolved worker count drives the analyzer's inner-layer
@@ -1029,15 +1078,15 @@ mod tests {
         });
         assert!(deployment.ingest(&spec, &reports).is_ok());
 
-        // A backend configured through ShufflerConfig — the field that
-        // works everywhere else — must be rejected just as loudly, not
-        // silently replaced by the inline shuffle.
+        // A backend configured for the whole deployment — the builder's
+        // engine, which works everywhere else — must be rejected just as
+        // loudly, not silently replaced by the inline shuffle.
         let mut rng = StdRng::seed_from_u64(11);
         let configured = Deployment::builder()
             .shuffler(Topology::Split)
-            .config(ShufflerConfig {
+            .engine(EngineConfig {
                 backend: ShuffleBackend::Sgx { params: None },
-                ..ShufflerConfig::default()
+                num_threads: 0,
             })
             .build(&mut rng);
         let encoder = configured.encoder();
@@ -1052,6 +1101,42 @@ mod tests {
             configured.run(&reports, &mut rng),
             Err(PipelineError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn every_topology_refuses_a_batch_below_the_minimum() {
+        for topology in [Topology::Single, Topology::Split] {
+            let mut rng = StdRng::seed_from_u64(12);
+            let deployment = Deployment::builder()
+                .shuffler(topology)
+                .config(ShufflerConfig {
+                    min_batch_size: 10,
+                    ..ShufflerConfig::default()
+                })
+                .build(&mut rng);
+            let encoder = deployment.encoder();
+            let crowd = match topology {
+                Topology::Single => CrowdStrategy::Hash(b"w"),
+                Topology::Split => CrowdStrategy::Blind(b"w"),
+            };
+            let reports: Vec<_> = (0..10u64)
+                .map(|i| encoder.encode_plain(b"w", crowd, i, &mut rng).unwrap())
+                .collect();
+            let result = deployment.ingest(&EpochSpec::new(0, 1), &reports[..3]);
+            assert!(
+                matches!(
+                    result,
+                    Err(PipelineError::BatchTooSmall {
+                        received: 3,
+                        minimum: 10
+                    })
+                ),
+                "{topology:?}: {result:?}"
+            );
+            // A batch at the minimum goes through.
+            let report = deployment.ingest(&EpochSpec::new(0, 1), &reports).unwrap();
+            assert_eq!(report.shuffler_stats.received, 10, "{topology:?}");
+        }
     }
 
     #[test]

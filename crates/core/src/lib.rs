@@ -12,10 +12,9 @@
 //!   transport metadata, removes the outer encryption layer, applies
 //!   randomized cardinality thresholding per crowd (drop ⌊N(D,σ²)⌉ reports,
 //!   then require the remaining count to exceed T plus Gaussian noise), and
-//!   shuffles the surviving inner ciphertexts through a pluggable
-//!   [`ShuffleEngine`] backend — the trusted in-memory engine (with
-//!   parallel tag distribution) or the SGX Stash Shuffle, selectable at
-//!   runtime via [`ShuffleBackend`].
+//!   shuffles the surviving inner ciphertexts on the backend a
+//!   [`ShuffleBackend`] names at runtime — the trusted in-memory shuffle
+//!   (with parallel tag distribution) or the SGX Stash Shuffle.
 //!   Peeling is sharded across cores by the chunked executor in [`exec`].
 //!   [`shuffler::split`] implements the two-shuffler blinded-crowd-ID
 //!   deployment of §4.3.
@@ -28,7 +27,9 @@
 //! randomized-response ε, and their composition); [`deployment`] wires the
 //! three stages together behind one topology-agnostic orchestration API
 //! ([`Deployment`], [`EpochSpec`], [`EpochSession`], [`ShardedDeployment`])
-//! for in-process experiments, examples, and the collector's serving layer.
+//! for in-process experiments, examples, and the collector's serving layer;
+//! its [`ShufflerRole`] holds either topology and matches on it once per
+//! call.
 
 pub mod analyzer;
 pub mod deployment;
@@ -50,10 +51,9 @@ pub use encoder::{ClientKeys, CrowdStrategy, Encoder};
 pub use error::PipelineError;
 pub use framing::{FrameError, FramePolicy, FrameRead, FrameWrite};
 pub use privacy::{GaussianThresholdPrivacy, PrivacyAccountant, PrivacyGuarantee};
-pub use prochlo_shuffle::engine::{EngineStats, ShuffleEngine};
 pub use prochlo_shuffle::CostReport;
 pub use record::{AnalyzerPayload, ClientReport, CrowdId, ShufflerEnvelope, TransportMetadata};
 pub use shuffler::{
     EngineConfig, PhaseTimings, ShuffleBackend, ShuffleOutcome, Shuffler, ShufflerConfig,
-    ShufflerStats, TrustedEngine,
+    ShufflerStats,
 };

@@ -1,83 +1,58 @@
-//! Engine construction for the shuffler's pluggable backends, plus the
-//! trusted in-memory engine with core-saturating parallel tag distribution.
+//! The shuffle backends: naming and costing a [`ShuffleBackend`], plus the
+//! trusted backend's parallel tag sort.
 //!
 //! [`ShuffleBackend`] is the *configuration* of a backend — a small, clonable
-//! value that can be parsed from a string at runtime. [`ShuffleBackend::engine`]
-//! turns it into a live [`ShuffleEngine`] trait object bound to the
-//! shuffler's enclave; the enum never appears in the batch hot path.
+//! value that can be parsed from a string at runtime. The shuffler matches on
+//! it once per batch: `Trusted` runs `tag_sort` below, `Sgx` runs the Stash
+//! Shuffle of `prochlo_shuffle` on the shuffler's enclave.
 
 use rand::RngCore;
 
-use prochlo_sgx::Enclave;
-use prochlo_shuffle::engine::{EngineStats, ShuffleEngine, StashEngine};
-use prochlo_shuffle::{CostReport, ShuffleError, StashShuffleParams, PAPER_RECORD_BYTES};
+use prochlo_shuffle::{CostReport, StashShuffleParams, PAPER_RECORD_BYTES};
 
 use crate::exec;
 use crate::shuffler::ShuffleBackend;
 
-/// The trusted in-memory engine (a shuffler hosted by an independent third
+/// The trusted in-memory shuffle (a shuffler hosted by an independent third
 /// party, §3.3): every record is tagged with a pseudorandom 128-bit key and
 /// the batch is sorted by tag — a uniform permutation, like Fisher–Yates,
 /// but with a *distribution* phase (tag assignment) that shards across
-/// cores. Tags are drawn from per-chunk generators derived from one seed
-/// pulled off the caller's stream, so the output is a pure function of
+/// `num_threads` workers. Tags are drawn from per-chunk generators derived
+/// from one seed pulled off `rng`, so the output is a pure function of
 /// `(items, rng)` no matter how many workers run.
-#[derive(Debug, Clone)]
-pub struct TrustedEngine {
+pub(super) fn tag_sort<R: RngCore + ?Sized>(
+    mut items: Vec<Vec<u8>>,
     num_threads: usize,
-}
-
-impl TrustedEngine {
-    /// Creates a trusted engine using `num_threads` workers (a resolved
-    /// count; see [`crate::exec::resolve_threads`]).
-    pub fn new(num_threads: usize) -> Self {
-        Self {
-            num_threads: num_threads.max(1),
-        }
+    rng: &mut R,
+) -> Vec<Vec<u8>> {
+    let n = items.len();
+    if n <= 1 {
+        return items;
     }
-}
-
-impl ShuffleEngine for TrustedEngine {
-    fn name(&self) -> &'static str {
-        "trusted"
+    let tag_seed = rng.next_u64();
+    let chunk_tags: Vec<Vec<u128>> = exec::par_chunks(
+        &items,
+        num_threads,
+        exec::CHUNK_RECORDS,
+        |chunk_idx, chunk| {
+            let mut rng = exec::chunk_rng(tag_seed, chunk_idx as u64);
+            chunk
+                .iter()
+                .map(|_| ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128)
+                .collect()
+        },
+    );
+    // Canonical merge: tags in chunk order are tags in arrival order;
+    // ties (probability ~2^-128) break on the arrival index.
+    let mut order: Vec<(u128, usize)> = Vec::with_capacity(n);
+    for tag in chunk_tags.into_iter().flatten() {
+        order.push((tag, order.len()));
     }
-
-    fn shuffle(
-        &self,
-        mut items: Vec<Vec<u8>>,
-        rng: &mut dyn RngCore,
-        stats: &mut EngineStats,
-    ) -> Result<Vec<Vec<u8>>, ShuffleError> {
-        stats.attempts = 1;
-        let n = items.len();
-        if n <= 1 {
-            return Ok(items);
-        }
-        let tag_seed = rng.next_u64();
-        let chunk_tags: Vec<Vec<u128>> = exec::par_chunks(
-            &items,
-            self.num_threads,
-            exec::CHUNK_RECORDS,
-            |chunk_idx, chunk| {
-                let mut rng = exec::chunk_rng(tag_seed, chunk_idx as u64);
-                chunk
-                    .iter()
-                    .map(|_| ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128)
-                    .collect()
-            },
-        );
-        // Canonical merge: tags in chunk order are tags in arrival order;
-        // ties (probability ~2^-128) break on the arrival index.
-        let mut order: Vec<(u128, usize)> = Vec::with_capacity(n);
-        for tag in chunk_tags.into_iter().flatten() {
-            order.push((tag, order.len()));
-        }
-        order.sort_unstable();
-        Ok(order
-            .into_iter()
-            .map(|(_, idx)| std::mem::take(&mut items[idx]))
-            .collect())
-    }
+    order.sort_unstable();
+    order
+        .into_iter()
+        .map(|(_, idx)| std::mem::take(&mut items[idx]))
+        .collect()
 }
 
 impl ShuffleBackend {
@@ -107,27 +82,13 @@ impl ShuffleBackend {
         ]
     }
 
-    /// Builds the live engine for this backend, bound to the shuffler's
-    /// enclave. `num_threads` is a resolved worker count and both backends
-    /// honor it: the trusted engine shards its tag distribution, and the
-    /// Stash Shuffle models a multi-threaded enclave — its bucket passes run
-    /// on scoped workers whose private-memory sub-budgets are carved from
-    /// the enclave's budget ([`Enclave::split_budget`]), with output
-    /// byte-identical at any count.
-    pub fn engine(&self, enclave: Enclave, num_threads: usize) -> Box<dyn ShuffleEngine> {
-        match self {
-            ShuffleBackend::Trusted => Box::new(TrustedEngine::new(num_threads)),
-            ShuffleBackend::Sgx { params } => {
-                Box::new(StashEngine::new(*params, enclave).with_threads(num_threads))
-            }
-        }
-    }
-
-    /// The analytic cost of shuffling `records` items of `record_bytes`
-    /// bytes (§4.1.3's comparison metric), so deployments can surface the
-    /// price of the selected backend at their actual batch size. Neither
-    /// backend's cost depends on the enclave's private memory.
-    pub fn cost_report(&self, records: usize, record_bytes: usize) -> CostReport {
+    /// The analytic cost of shuffling `records` items at the paper's
+    /// 318-byte record size (§4.1.3's comparison metric, the configuration
+    /// of Table 1), so deployments can surface the price of the selected
+    /// backend at their actual batch size. Neither backend's cost depends on
+    /// the enclave's private memory.
+    pub fn paper_cost_report(&self, records: usize) -> CostReport {
+        let record_bytes = PAPER_RECORD_BYTES;
         match self {
             // One pass over the data in ordinary memory: no enclave, no
             // oblivious overhead (and no protection from the host).
@@ -153,17 +114,12 @@ impl ShuffleBackend {
             }
         }
     }
-
-    /// [`Self::cost_report`] at the paper's 318-byte record size — the
-    /// configuration of Table 1 and §4.1.3.
-    pub fn paper_cost_report(&self, records: usize) -> CostReport {
-        self.cost_report(records, PAPER_RECORD_BYTES)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shuffler::{EngineConfig, Shuffler, ShufflerConfig, ShufflerStats};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
@@ -175,12 +131,7 @@ mod tests {
     #[test]
     fn trusted_engine_is_a_permutation_and_thread_count_invariant() {
         let input = records(5_000);
-        let run = |threads: usize| {
-            let engine = TrustedEngine::new(threads);
-            let mut rng = StdRng::seed_from_u64(11);
-            let mut stats = EngineStats::default();
-            engine.shuffle(input.clone(), &mut rng, &mut stats).unwrap()
-        };
+        let run = |threads: usize| tag_sort(input.clone(), threads, &mut StdRng::seed_from_u64(11));
         let sequential = run(1);
         assert_eq!(sequential.len(), input.len());
         assert_ne!(sequential, input);
@@ -194,14 +145,98 @@ mod tests {
 
     #[test]
     fn trusted_engine_consumes_exactly_one_draw() {
-        use rand::RngCore;
-        let engine = TrustedEngine::new(2);
         let mut rng = StdRng::seed_from_u64(3);
         let mut expected = StdRng::seed_from_u64(3);
         expected.next_u64();
-        let mut stats = EngineStats::default();
-        engine.shuffle(records(100), &mut rng, &mut stats).unwrap();
+        tag_sort(records(100), 2, &mut rng);
         assert_eq!(rng.next_u64(), expected.next_u64());
+    }
+
+    /// Runs `items` through the shuffler's one dispatch point on `backend`
+    /// under an RNG seeded with `seed`; returns the output, the batch's stats
+    /// and the RNG's next draw.
+    fn dispatch(
+        backend: ShuffleBackend,
+        items: Vec<Vec<u8>>,
+        seed: u64,
+    ) -> (Vec<Vec<u8>>, ShufflerStats, u64) {
+        let shuffler = Shuffler::new(ShufflerConfig::default(), &mut StdRng::seed_from_u64(1));
+        let engine = EngineConfig {
+            backend,
+            num_threads: 2,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut stats = ShufflerStats::default();
+        let out = shuffler
+            .shuffle_survivors(&engine, engine.num_threads, items, &mut stats, &mut rng)
+            .unwrap_or_else(|e| panic!("{} failed: {e}", engine.backend.name()));
+        (out, stats, rng.next_u64())
+    }
+
+    /// 24-byte records: the Stash Shuffle seals each one to the enclave.
+    fn wide_records(n: u64) -> Vec<Vec<u8>> {
+        (0..n).map(|i| [i.to_le_bytes(); 3].concat()).collect()
+    }
+
+    #[test]
+    fn every_backend_permutes_through_the_dispatch() {
+        let input = wide_records(600);
+        let expected: HashSet<Vec<u8>> = input.iter().cloned().collect();
+        for backend in ShuffleBackend::all() {
+            let name = backend.name();
+            let (out, stats, _) = dispatch(backend, input.clone(), 1);
+            assert_eq!(out.len(), input.len(), "{name}");
+            assert_ne!(out, input, "{name} left arrival order intact");
+            assert_eq!(out.into_iter().collect::<HashSet<_>>(), expected, "{name}");
+            assert!(stats.shuffle_attempts >= 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn engines_are_deterministic_under_a_seeded_rng() {
+        let input = wide_records(400);
+        for backend in ShuffleBackend::all() {
+            let name = backend.name();
+            let (out, _, next) = dispatch(backend.clone(), input.clone(), 7);
+            assert_eq!(
+                dispatch(backend.clone(), input.clone(), 7).0,
+                out,
+                "{name} must replay"
+            );
+            assert_ne!(
+                dispatch(backend, input.clone(), 8).0,
+                out,
+                "{name} must follow the seed"
+            );
+            // The engine takes exactly one value off the master stream.
+            let mut master = StdRng::seed_from_u64(7);
+            master.next_u64();
+            assert_eq!(next, master.next_u64(), "{name} must draw exactly once");
+        }
+    }
+
+    #[test]
+    fn every_backend_reports_attempts_and_handles_empty_batches() {
+        for backend in ShuffleBackend::all() {
+            let name = backend.name();
+            let (out, stats, _) = dispatch(backend, Vec::new(), 3);
+            assert!(out.is_empty(), "{name}");
+            assert_eq!(stats.shuffle_attempts, 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn engine_names_are_stable() {
+        let names: Vec<&str> = ShuffleBackend::all().iter().map(|b| b.name()).collect();
+        assert_eq!(names, vec!["trusted", "stash"]);
+    }
+
+    #[test]
+    fn engines_report_their_backend_names() {
+        for backend in ShuffleBackend::all() {
+            let name = backend.name();
+            assert_eq!(dispatch(backend, records(50), 5).1.backend, name);
+        }
     }
 
     #[test]
@@ -216,15 +251,6 @@ mod tests {
             "trusted"
         );
         assert!(ShuffleBackend::from_name("fisher-yates").is_none());
-    }
-
-    #[test]
-    fn engines_report_their_backend_names() {
-        let enclave = Enclave::with_default_config();
-        for backend in ShuffleBackend::all() {
-            let engine = backend.engine(enclave.clone(), 1);
-            assert_eq!(engine.name(), backend.name());
-        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! The ESA shuffler: batching, metadata stripping, randomized cardinality
 //! thresholding and oblivious shuffling (§3.3, §3.5, §4.1).
 //!
-//! A batch enters through one function, [`ShufflerRole::process`], and runs
-//! three explicit phases, each timed independently:
+//! A batch enters through one function,
+//! [`ShufflerRole::process`](crate::deployment::ShufflerRole::process),
+//! which checks the batch against [`ShufflerConfig::min_batch_size`] and
+//! matches the topology once. The single shuffler then runs three explicit
+//! phases, each timed independently:
 //!
 //! 1. **peel** — outer-layer decryption (`peel_chunk`, the kernel both
 //!    topologies share), sharded across worker threads by the chunked
@@ -14,10 +17,11 @@
 //!    feeds it hashed crowd IDs, Shuffler 2 of [`split`] feeds it blinded
 //!    handles), sequential because every noise draw must come off the
 //!    master epoch stream in crowd order;
-//! 3. **shuffle** — handed to a pluggable [`ShuffleEngine`] built from the
-//!    configured [`ShuffleBackend`]; the engine is seeded with exactly one
-//!    draw from the master stream, so the stream position never depends on
-//!    the backend or its internal parallelism.
+//! 3. **shuffle** — one `match` on the configured [`ShuffleBackend`]: the
+//!    trusted tag sort or the Stash Shuffle on the shuffler's enclave. The
+//!    backend is seeded with exactly one draw from the master stream, so the
+//!    stream position never depends on the backend or its internal
+//!    parallelism.
 
 pub mod engine;
 pub mod split;
@@ -27,31 +31,24 @@ use std::collections::BTreeMap;
 use prochlo_obs::Unmeasured;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 use prochlo_crypto::hybrid::{HybridCiphertext, HybridKeypair};
 use prochlo_crypto::{PublicKey, StaticSecret};
 use prochlo_sgx::{CpuKey, Enclave, EnclaveConfig, Quote};
-use prochlo_shuffle::StashShuffleParams;
-
-pub use prochlo_shuffle::engine::{EngineStats, ShuffleEngine};
+use prochlo_shuffle::{StashShuffle, StashShuffleParams};
 use prochlo_stats::{Gaussian, RoundedNormal};
 
-use crate::deployment::{ShufflerRole, Topology};
 use crate::encoder::SHUFFLER_AAD;
 use crate::error::PipelineError;
 use crate::exec;
 use crate::record::{ClientReport, CrowdId, ShufflerEnvelope};
 
-pub use engine::TrustedEngine;
-
 /// Which shuffling backend the shuffler uses once the batch has been peeled
-/// and thresholded. This is the *configuration* of a backend; the live
-/// implementation behind it is a [`ShuffleEngine`] trait object built by
-/// [`ShuffleBackend::engine`], so both backends are selectable at runtime
-/// (see [`ShuffleBackend::from_name`]). These are the two shufflers Prochlo
-/// runs; the §4.1.3 baselines it rejects exist only as cost models in
-/// `prochlo_shuffle`.
+/// and thresholded, selectable at runtime (see
+/// [`ShuffleBackend::from_name`]); the shuffler matches on it once per
+/// batch. These are the two shufflers Prochlo runs; the §4.1.3 baselines it
+/// rejects exist only as cost models in `prochlo_shuffle`.
 #[derive(Debug, Clone, Default)]
 pub enum ShuffleBackend {
     /// A trusted in-memory shuffle (a shuffler hosted by an independent
@@ -66,7 +63,7 @@ pub enum ShuffleBackend {
     },
 }
 
-/// Runtime configuration of the shuffle engine: which backend to build and
+/// Runtime configuration of the shuffle engine: which backend to run and
 /// how many worker threads the parallel phases may use. This is the value a
 /// serving layer threads from its own configuration down through a
 /// [`crate::deployment::EpochSpec`] override to the engine.
@@ -137,10 +134,9 @@ pub struct ShufflerConfig {
     pub drop_mean: f64,
     /// Standard deviation of the per-crowd drop count.
     pub drop_sigma: f64,
-    /// Minimum number of reports before a batch is processed.
+    /// Minimum number of reports before a batch is processed, in either
+    /// topology.
     pub min_batch_size: usize,
-    /// Shuffling backend.
-    pub backend: ShuffleBackend,
     /// Worker threads for the parallel batch phases; `0` defers to the
     /// `PROCHLO_SHUFFLE_THREADS` environment knob (see [`EngineConfig`]).
     pub num_threads: usize,
@@ -154,7 +150,6 @@ impl Default for ShufflerConfig {
             drop_mean: 10.0,
             drop_sigma: 2.0,
             min_batch_size: 1,
-            backend: ShuffleBackend::Trusted,
             num_threads: 0,
         }
     }
@@ -182,10 +177,12 @@ impl ShufflerConfig {
         self
     }
 
-    /// The engine configuration embedded in this shuffler configuration.
+    /// The engine a batch runs with when neither the deployment nor the
+    /// epoch names one: the trusted backend on this configuration's
+    /// `num_threads`.
     pub fn engine_config(&self) -> EngineConfig {
         EngineConfig {
-            backend: self.backend.clone(),
+            backend: ShuffleBackend::Trusted,
             num_threads: self.num_threads,
         }
     }
@@ -347,17 +344,12 @@ pub struct Shuffler {
 impl Shuffler {
     /// Creates a shuffler with fresh keys.
     pub fn new<R: Rng + ?Sized>(config: ShufflerConfig, rng: &mut R) -> Self {
-        Self::with_keys(HybridKeypair::generate(rng), config)
-    }
-
-    /// Creates a shuffler with the given keypair.
-    pub fn with_keys(keys: HybridKeypair, config: ShufflerConfig) -> Self {
         let enclave = Enclave::new(EnclaveConfig {
             code_identity: "prochlo-shuffler".to_string(),
             ..EnclaveConfig::default()
         });
         Self {
-            keys,
+            keys: HybridKeypair::generate(rng),
             config,
             enclave,
         }
@@ -453,7 +445,7 @@ impl Shuffler {
             .collect()
     }
 
-    /// Runs the configured engine over the surviving inner ciphertexts,
+    /// Shuffles the surviving inner ciphertexts on the configured backend,
     /// reporting its wall-clock and attempts through the obs registry
     /// (`shuffle.<backend>.run` / `shuffle.<backend>.attempts`).
     fn shuffle_survivors<R: Rng + ?Sized>(
@@ -464,61 +456,53 @@ impl Shuffler {
         stats: &mut ShufflerStats,
         rng: &mut R,
     ) -> Result<Vec<Vec<u8>>, PipelineError> {
-        let engine_impl = engine.backend.engine(self.enclave.clone(), num_threads);
-        let name = engine_impl.name();
+        let name = engine.backend.name();
         stats.backend = name;
-        // The engine consumes exactly one value from the master epoch
+        // The backend consumes exactly one value from the master epoch
         // stream and draws everything else from its own derived generator,
         // so the stream's position after the shuffle is independent of the
         // backend, its attempts, and its thread count.
         let mut engine_rng = StdRng::seed_from_u64(rng.next_u64());
-        let mut engine_stats = EngineStats::default();
         let span = prochlo_obs::span(&format!("shuffle.{name}.run"));
-        let result = engine_impl.shuffle(items, &mut engine_rng, &mut engine_stats);
+        let result = match &engine.backend {
+            ShuffleBackend::Trusted => {
+                Ok((engine::tag_sort(items, num_threads, &mut engine_rng), 1))
+            }
+            ShuffleBackend::Sgx { params } => {
+                let params = params.unwrap_or_else(|| StashShuffleParams::derive(items.len()));
+                StashShuffle::new(params, self.enclave.clone())
+                    .with_threads(num_threads)
+                    .shuffle(&items, &mut engine_rng)
+                    .map(|output| (output.records, output.attempts))
+            }
+        };
         span.finish();
-        let items = result?;
-        prochlo_obs::counter(&format!("shuffle.{name}.attempts")).add(engine_stats.attempts as u64);
-        stats.shuffle_attempts = engine_stats.attempts;
+        let (items, attempts) = result?;
+        prochlo_obs::counter(&format!("shuffle.{name}.attempts")).add(attempts as u64);
+        stats.shuffle_attempts = attempts;
         Ok(items)
     }
-}
 
-impl ShufflerRole for Shuffler {
-    fn topology(&self) -> Topology {
-        Topology::Single
-    }
-
-    fn outer_public_key(&self) -> &PublicKey {
-        self.public_key()
-    }
-
-    fn default_engine(&self) -> EngineConfig {
-        self.config.engine_config()
-    }
-
-    /// Peel, strip metadata, randomized thresholding, oblivious shuffle.
+    /// Peel, strip metadata, randomized thresholding, oblivious shuffle, on
+    /// `num_threads` workers (a resolved count).
+    /// [`ShufflerRole::process`](crate::deployment::ShufflerRole::process) is
+    /// the entry point: it checks the batch size first.
     ///
     /// Output is a pure function of `(reports, rng)` for any thread count:
     /// peeling is sharded over fixed-size chunks with an in-order merge, the
-    /// threshold draws stay on the caller's stream, and the engine is seeded
-    /// with exactly one draw from that stream.
-    fn process(
+    /// threshold draws stay on the caller's stream, and the backend is
+    /// seeded with exactly one draw from that stream.
+    pub(crate) fn process_batch<R: Rng + ?Sized>(
         &self,
         engine: &EngineConfig,
+        num_threads: usize,
         reports: &[ClientReport],
-        rng: &mut dyn RngCore,
+        rng: &mut R,
     ) -> Result<ShuffleOutcome, PipelineError> {
-        if reports.len() < self.config.min_batch_size {
-            return Err(PipelineError::BatchTooSmall {
-                received: reports.len(),
-                minimum: self.config.min_batch_size,
-            });
-        }
         let mut stats = ShufflerStats {
             received: reports.len(),
             ..ShufflerStats::default()
         };
-        let num_threads = exec::resolve_threads(engine.num_threads)?;
 
         // Phase 1: peel the outer layer inside the enclave (parallel);
         // transport metadata is dropped here and never referenced again.
@@ -548,10 +532,11 @@ impl ShufflerRole for Shuffler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deployment::ShufflerRole;
     use crate::encoder::{ClientKeys, CrowdStrategy, Encoder};
     use prochlo_sgx::AttestationAuthority;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn setup(rng: &mut StdRng, config: ShufflerConfig) -> (Encoder, Shuffler, HybridKeypair) {
         let analyzer = HybridKeypair::generate(rng);
@@ -564,13 +549,15 @@ mod tests {
         (Encoder::new(keys, 32), shuffler, analyzer)
     }
 
-    /// Runs one batch on the engine the shuffler is configured with.
+    /// Runs one batch through the topology's dispatch point, on the engine
+    /// the shuffler's configuration names.
     fn process(
         shuffler: &Shuffler,
         reports: &[ClientReport],
         rng: &mut StdRng,
     ) -> Result<ShuffleOutcome, PipelineError> {
-        shuffler.process(&shuffler.default_engine(), reports, rng)
+        let engine = shuffler.config().engine_config();
+        ShufflerRole::Single(shuffler.clone()).process(&engine, reports, rng)
     }
 
     fn reports_for_crowd(
@@ -783,11 +770,12 @@ mod tests {
     #[test]
     fn sgx_backend_produces_same_multiset_as_trusted() {
         let mut rng = StdRng::seed_from_u64(7);
-        let config = ShufflerConfig {
+        let (encoder, shuffler, analyzer) =
+            setup(&mut rng, ShufflerConfig::default().without_thresholding());
+        let sgx = EngineConfig {
             backend: ShuffleBackend::Sgx { params: None },
-            ..ShufflerConfig::default().without_thresholding()
+            num_threads: 0,
         };
-        let (encoder, shuffler, analyzer) = setup(&mut rng, config);
         let reports: Vec<ClientReport> = (0..80)
             .map(|i| {
                 encoder
@@ -795,7 +783,9 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let batch = process(&shuffler, &reports, &mut rng).unwrap();
+        let batch = ShufflerRole::Single(shuffler)
+            .process(&sgx, &reports, &mut rng)
+            .unwrap();
         assert_eq!(batch.stats.forwarded, 80);
         assert!(batch.stats.shuffle_attempts >= 1);
         let analyzer_obj = crate::analyzer::Analyzer::new(analyzer);

@@ -30,18 +30,18 @@
 //! Each stage has one entry point that takes the resolved worker count —
 //! [`ShufflerOne::process_batch`] and [`ShufflerTwo::process_batch`], which
 //! is what a per-process service loop calls — and the pair runs in-process
-//! through [`ShufflerRole::process`].
+//! through [`ShufflerRole::process`](crate::deployment::ShufflerRole::process),
+//! which checks the batch size and hands it to `SplitShuffler::process_batch`.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 use prochlo_crypto::edwards::{FixedBaseTable, Point};
 use prochlo_crypto::elgamal::{BlindingSecret, ElGamalCiphertext, ElGamalKeypair};
 use prochlo_crypto::hybrid::HybridKeypair;
 use prochlo_crypto::{PublicKey, Scalar};
 
-use crate::deployment::{ShufflerRole, Topology};
 use crate::error::PipelineError;
 use crate::exec;
 use crate::record::{ClientReport, CrowdId};
@@ -326,6 +326,24 @@ impl SplitShuffler {
         }
     }
 
+    /// Runs a batch through both shufflers on `num_threads` workers (a
+    /// resolved count). The engine must pass [`Self::require_inline_engine`];
+    /// the thread count sizes both stages' parallel phases (Shuffler 1's
+    /// peel and blind, Shuffler 2's unblind) and never changes the output.
+    /// Consumes exactly two `u64`s from `rng` (see [`Self::stage_seeds`]);
+    /// everything else each stage does derives from its own sub-seed.
+    pub(crate) fn process_batch<R: Rng + ?Sized>(
+        &self,
+        engine: &EngineConfig,
+        num_threads: usize,
+        reports: &[ClientReport],
+        rng: &mut R,
+    ) -> Result<ShuffleOutcome, PipelineError> {
+        Self::require_inline_engine(engine)?;
+        let (s1_seed, s2_seed) = Self::stage_seeds(rng);
+        Ok(self.run_stages(num_threads, reports, s1_seed, s2_seed))
+    }
+
     /// Both stages back to back on `num_threads` workers (a resolved count),
     /// each on its own `StdRng` seeded from its sub-seed — what a networked
     /// deployment does with the seeds its driver ships to each shuffler
@@ -375,50 +393,6 @@ impl SplitShuffler {
     }
 }
 
-impl ShufflerRole for SplitShuffler {
-    fn topology(&self) -> Topology {
-        Topology::Split
-    }
-
-    fn outer_public_key(&self) -> &PublicKey {
-        self.one.public_key()
-    }
-
-    fn crowd_blinding_key(&self) -> Option<&Point> {
-        Some(self.two.elgamal_public())
-    }
-
-    /// The engine embedded in the shuffler configuration — including a
-    /// configured non-trusted backend, which [`Self::process`] then rejects
-    /// loudly rather than silently running the inline shuffle instead of
-    /// the oblivious engine the configuration asked for.
-    fn default_engine(&self) -> EngineConfig {
-        self.two.config.engine_config()
-    }
-
-    /// Runs a batch through both shufflers. The engine must pass
-    /// [`SplitShuffler::require_inline_engine`]; its thread count sizes both
-    /// stages' parallel phases (Shuffler 1's peel and blind, Shuffler 2's
-    /// unblind) and never changes the output. Consumes exactly two `u64`s
-    /// from `rng` (see [`SplitShuffler::stage_seeds`]); everything else each
-    /// stage does derives from its own sub-seed.
-    fn process(
-        &self,
-        engine: &EngineConfig,
-        reports: &[ClientReport],
-        rng: &mut dyn RngCore,
-    ) -> Result<ShuffleOutcome, PipelineError> {
-        Self::require_inline_engine(engine)?;
-        let num_threads = exec::resolve_threads(engine.num_threads)?;
-        let (s1_seed, s2_seed) = Self::stage_seeds(rng);
-        Ok(self.run_stages(num_threads, reports, s1_seed, s2_seed))
-    }
-
-    fn as_split(&self) -> Option<&SplitShuffler> {
-        Some(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,14 +411,16 @@ mod tests {
         (Encoder::new(keys, 32), split, analyzer)
     }
 
-    /// Runs one batch on the engine the deployment is configured with.
+    /// Runs one batch on the engine the configuration names.
     fn process(
         split: &SplitShuffler,
         reports: &[ClientReport],
         rng: &mut StdRng,
     ) -> ShuffleOutcome {
+        let engine = split.two.config().engine_config();
+        let num_threads = exec::resolve_threads(engine.num_threads).unwrap();
         split
-            .process(&split.default_engine(), reports, rng)
+            .process_batch(&engine, num_threads, reports, rng)
             .unwrap()
     }
 

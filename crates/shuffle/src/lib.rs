@@ -8,6 +8,7 @@
 //! * [`stash`] — the **Stash Shuffle** (§4.1.4, Algorithms 1–4 of the paper):
 //!   a two-phase oblivious shuffle whose intermediate state fits SGX private
 //!   memory and whose total data processed is only ≈3.3–3.7× the input.
+//!   The ESA shuffler in `prochlo-core` runs it for its `stash` backend.
 //! * [`stash::params`] — parameter selection, the overhead formula
 //!   `(N + B²C + S)/N`, and an analytic estimate of the security parameter ε
 //!   (Table 1).
@@ -23,8 +24,6 @@
 //!   * [`columnsort`] — ColumnSort (the Opaque baseline); 8 passes but a
 //!     hard maximum problem size.
 //! * [`cost`] — the shared cost-report type those models return.
-//! * [`engine`] — the object-safe [`ShuffleEngine`] trait that makes the
-//!   Stash Shuffle a runtime-selectable backend for the ESA pipeline.
 //! * [`exec`] — the chunked, deterministic fork-join executor the Stash
 //!   Shuffle (and the ESA pipeline above this crate) shards its parallel
 //!   passes on, plus the `PROCHLO_SHUFFLE_THREADS` knob parsing.
@@ -37,14 +36,12 @@ pub mod batcher;
 pub mod cascade;
 pub mod columnsort;
 pub mod cost;
-pub mod engine;
 pub mod error;
 pub mod exec;
 pub mod melbourne;
 pub mod stash;
 
 pub use cost::{CostReport, ShuffleCostModel};
-pub use engine::{EngineStats, ShuffleEngine, StashEngine};
 pub use error::ShuffleError;
 pub use stash::{StashShuffle, StashShuffleOutput, StashShuffleParams};
 

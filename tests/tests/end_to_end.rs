@@ -3,7 +3,7 @@
 //! analyzer, on realistic workloads from the data generators.
 
 use prochlo_core::encoder::CrowdStrategy;
-use prochlo_core::{Deployment, ShuffleBackend, ShufflerConfig, Topology};
+use prochlo_core::{Deployment, EngineConfig, ShuffleBackend, ShufflerConfig, Topology};
 use prochlo_data::VocabCorpus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,12 +58,12 @@ fn vocab_pipeline_recovers_frequent_words_and_hides_rare_ones() {
 fn every_backend_pipeline_matches_trusted_backend_multiset() {
     let mut rng = StdRng::seed_from_u64(2);
     let run = |backend: ShuffleBackend, rng: &mut StdRng| {
-        let config = ShufflerConfig {
-            backend,
-            ..ShufflerConfig::default().without_thresholding()
-        };
         let pipeline = Deployment::builder()
-            .config(config)
+            .config(ShufflerConfig::default().without_thresholding())
+            .engine(EngineConfig {
+                backend,
+                num_threads: 0,
+            })
             .payload_size(24)
             .build(rng);
         let encoder = pipeline.encoder();

@@ -13,7 +13,7 @@
 
 use prochlo_core::encoder::CrowdStrategy;
 use prochlo_core::{
-    ClientReport, Deployment, EngineConfig, EpochSpec, ShuffleBackend, ShufflerConfig,
+    ClientReport, Deployment, DeploymentBuilder, EngineConfig, EpochSpec, ShuffleBackend,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,12 +44,9 @@ fn expected_hex(backend_name: &str) -> String {
 /// Rebuilds the captured workload: the deployment (and therefore both
 /// keypairs) and every report derive from `BUILD_SEED` exactly as the
 /// pre-redesign `Pipeline::new` path drew them.
-fn seeded_workload(config: ShufflerConfig) -> (Deployment, Vec<ClientReport>) {
+fn seeded_workload(builder: DeploymentBuilder) -> (Deployment, Vec<ClientReport>) {
     let mut rng = StdRng::seed_from_u64(BUILD_SEED);
-    let deployment = Deployment::builder()
-        .config(config)
-        .payload_size(32)
-        .build(&mut rng);
+    let deployment = builder.payload_size(32).build(&mut rng);
     let encoder = deployment.encoder();
     let mut reports = Vec::new();
     let mut client = 0u64;
@@ -82,11 +79,10 @@ fn seeded_workload(config: ShufflerConfig) -> (Deployment, Vec<ClientReport>) {
 #[test]
 fn ingest_reproduces_pre_redesign_histograms_for_every_backend() {
     for backend in ShuffleBackend::all() {
-        let config = ShufflerConfig {
+        let (deployment, reports) = seeded_workload(Deployment::builder().engine(EngineConfig {
             backend: backend.clone(),
-            ..ShufflerConfig::default()
-        };
-        let (deployment, reports) = seeded_workload(config);
+            num_threads: 0,
+        }));
         let report = deployment
             .ingest(&EpochSpec::new(EPOCH_INDEX, EPOCH_SEED), &reports)
             .unwrap();
@@ -106,7 +102,7 @@ fn epoch_spec_engine_override_matches_the_fixture_too() {
     // one draw from the master stream regardless of backend, so this must
     // also land on the fixture bytes.
     for backend in ShuffleBackend::all() {
-        let (deployment, reports) = seeded_workload(ShufflerConfig::default());
+        let (deployment, reports) = seeded_workload(Deployment::builder());
         let spec = EpochSpec::new(EPOCH_INDEX, EPOCH_SEED).with_engine(EngineConfig {
             backend: backend.clone(),
             num_threads: 1,
@@ -127,7 +123,7 @@ fn epoch_session_lands_on_the_fixture_regardless_of_arrival_order() {
     // here is derived from the reported value, so the recovered histogram —
     // though not the individual surviving reports — is invariant to the
     // order reports arrived in.
-    let (deployment, reports) = seeded_workload(ShufflerConfig::default());
+    let (deployment, reports) = seeded_workload(Deployment::builder());
     let mut session = deployment.session(EpochSpec::new(EPOCH_INDEX, EPOCH_SEED));
     session.extend(reports.into_iter().rev());
     let report = session.finish().unwrap();

@@ -20,13 +20,11 @@ use rand::{RngCore, SeedableRng};
 /// bytes and the shuffler stats.
 fn seeded_run(backend: &ShuffleBackend, num_threads: usize) -> (Vec<u8>, ShufflerStats) {
     let mut rng = StdRng::seed_from_u64(0x5eed);
-    let config = ShufflerConfig {
-        backend: backend.clone(),
-        num_threads,
-        ..ShufflerConfig::default()
-    };
     let pipeline = Deployment::builder()
-        .config(config)
+        .engine(EngineConfig {
+            backend: backend.clone(),
+            num_threads,
+        })
         .payload_size(32)
         .build(&mut rng);
     let encoder = pipeline.encoder();
