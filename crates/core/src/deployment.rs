@@ -706,7 +706,8 @@ impl ShardedDeployment {
     /// [`epoch_rng`]), so the shards' noise draws are mutually uncorrelated
     /// but the whole sharded epoch remains a pure function of
     /// `(spec, batches)`. Shards are independent deployments, so populated
-    /// shards run on concurrent scoped threads, each with the resolved
+    /// shards run concurrently through [`exec::par_chunks`] (one shard per
+    /// chunk, the caller ingesting one itself), each with the resolved
     /// worker-thread budget divided across them (a shard's internal
     /// parallelism never changes its output, so the division is purely a
     /// scheduling choice); the databases are still merged in shard-index
@@ -726,7 +727,7 @@ impl ShardedDeployment {
         // Split the thread budget across the concurrently running shards
         // instead of letting every shard resolve `0` to all available cores
         // and oversubscribe the machine shards-fold. Resolving happens here,
-        // before any shard thread spawns, so a bad PROCHLO_SHUFFLE_THREADS
+        // before any shard starts, so a bad PROCHLO_SHUFFLE_THREADS
         // value fails the whole epoch up front.
         let shard_specs: Vec<Option<EpochSpec>> = self
             .shards
@@ -750,24 +751,12 @@ impl ShardedDeployment {
                 }))
             })
             .collect::<Result<_, PipelineError>>()?;
-        let outcomes: Vec<Option<Result<PipelineReport, PipelineError>>> =
-            // prochlo-lint: allow(thread-spawn-discipline, "deterministic fan-out: one scoped worker per shard with a seeded batch each, joined in shard order")
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = self
-                    .shards
-                    .iter()
-                    .zip(batches)
-                    .zip(shard_specs)
-                    .map(|((shard, batch), shard_spec)| {
-                        let shard_spec = shard_spec?;
-                        Some(scope.spawn(move || shard.ingest(&shard_spec, batch)))
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|worker| worker.map(|w| w.join().expect("shard ingest worker")))
-                    .collect()
-            });
+        // One shard per chunk, so up to `populated` shards run at once.
+        let outcomes = exec::par_chunks(&shard_specs, populated, 1, |index, shard_spec| {
+            shard_spec[0]
+                .as_ref()
+                .map(|shard_spec| self.shards[index].ingest(shard_spec, &batches[index]))
+        });
         let mut database = AnalyzerDatabase::default();
         let mut shards = Vec::with_capacity(self.shards.len());
         for outcome in outcomes {

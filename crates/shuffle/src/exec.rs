@@ -4,7 +4,8 @@
 //! distribution, analyzer decryption).
 //!
 //! The phases the paper calls out as embarrassingly parallel are sharded
-//! here across plain `std::thread::scope` workers (no runtime, no new
+//! here across `n` workers: the calling thread is worker 0 and at most
+//! `n − 1` plain `std::thread::scope` threads join it (no runtime, no new
 //! dependencies). Two rules make the parallel output byte-identical to the
 //! sequential one:
 //!
@@ -45,9 +46,10 @@ pub const CHUNK_RECORDS: usize = 1024;
 
 /// Records per chunk of a phase that draws nothing (peeling, blinding,
 /// unblinding, point encoding, analyzer decryption), where chunk boundaries
-/// cannot change the output. Small enough that two workers finish an
-/// epoch's few thousand records together — at 1 024 a 4.8 k-record batch is
-/// five chunks, three on one worker and two on the other — and large enough
+/// cannot change the output. Small enough that two workers — the caller and
+/// the one thread [`par_chunks`] spawns beside it — finish an epoch's few
+/// thousand records together (at 1 024 a 4.8 k-record batch is five chunks,
+/// three on one worker and two on the other), and large enough
 /// that the one batched field inversion a chunk pays (≈ 4 µs) stays small
 /// beside its 128 opens.
 pub const DRAW_FREE_CHUNK_RECORDS: usize = 128;
@@ -114,11 +116,15 @@ pub fn resolve_threads(requested: usize) -> Result<usize, ShuffleError> {
     }
 }
 
-/// Runs `f` over fixed-size chunks of `items` on up to `num_threads` scoped
-/// workers and returns the per-chunk results **in chunk order** — the
-/// canonical deterministic merge. With one worker (or one chunk) the chunks
-/// run inline on the caller's thread; the results are identical either way
-/// because chunk boundaries and indices never depend on the worker count.
+/// Runs `f` over fixed-size chunks of `items` on up to `num_threads` workers
+/// and returns the per-chunk results **in chunk order** — the canonical
+/// deterministic merge. The calling thread is one of the workers: it claims
+/// chunks from the same dispenser as the at most `num_threads − 1` scoped
+/// threads spawned beside it, and with one worker (or one chunk) nothing is
+/// spawned at all. The results are identical however the chunks fall across
+/// threads, because chunk boundaries and indices never depend on the worker
+/// count. A panic in any chunk propagates out of this call once every worker
+/// has stopped.
 pub fn par_chunks<T, U, F>(items: &[T], num_threads: usize, chunk_size: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -142,17 +148,22 @@ where
     // is only what makes that single write visible to the collecting thread.
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<U>>> = (0..chunks.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= chunks.len() {
-                    break;
-                }
-                let result = f(idx, chunks[idx]);
-                *slots[idx].lock().expect("chunk slot lock") = Some(result);
-            });
+    let claim = || loop {
+        let idx = next.fetch_add(1, Ordering::Relaxed);
+        if idx >= chunks.len() {
+            break;
         }
+        let result = f(idx, chunks[idx]);
+        *slots[idx].lock().expect("chunk slot lock") = Some(result);
+    };
+    // The caller is worker 0 rather than sleeping in the join: one thread
+    // fewer per phase, and its chunks allocate from the caller's heap
+    // instead of another per-thread one.
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(claim);
+        }
+        claim();
     });
     slots
         .into_iter()
@@ -168,6 +179,63 @@ where
 mod tests {
     use super::*;
     use rand::RngCore;
+    use std::collections::HashSet;
+    use std::sync::Condvar;
+    use std::time::Duration;
+
+    /// Counts one arrival and waits until `parties` have arrived, saying
+    /// whether they all did: a barrier that fails the test after ten
+    /// seconds instead of hanging it when fewer workers exist than expected.
+    fn rendezvous(arrivals: &(Mutex<usize>, Condvar), parties: usize) -> bool {
+        let (count, all_here) = arrivals;
+        let mut count = count.lock().expect("arrival count lock");
+        *count += 1;
+        all_here.notify_all();
+        let (count, _) = all_here
+            .wait_timeout_while(count, Duration::from_secs(10), |count| *count < parties)
+            .expect("arrival count lock");
+        *count >= parties
+    }
+
+    #[test]
+    fn the_caller_works_chunks_beside_at_most_n_minus_one_threads() {
+        let caller = std::thread::current().id();
+        for threads in 1..=4 {
+            for chunks in 1..=9 {
+                let items: Vec<usize> = (0..chunks).collect();
+                let workers = threads.min(chunks);
+                // Each of the first `workers` chunks waits until that many
+                // are in flight at once, so they run on `workers` distinct
+                // threads — and the caller must be one of them.
+                let arrivals = (Mutex::new(0), Condvar::new());
+                let ran = par_chunks(&items, threads, 1, |idx, _| {
+                    let met = idx >= workers || rendezvous(&arrivals, workers);
+                    (std::thread::current().id(), met)
+                });
+                let label = format!("{threads} threads, {chunks} chunks");
+                assert!(ran.iter().all(|&(_, met)| met), "{label}: too few workers");
+                let ids: HashSet<_> = ran.iter().map(|&(id, _)| id).collect();
+                assert!(ids.contains(&caller), "{label}: the caller ran no chunk");
+                assert_eq!(ids.len(), workers, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_chunk_propagates_whichever_thread_ran_it() {
+        let items: Vec<usize> = (0..6).collect();
+        for threads in [2, 3] {
+            for bad in 0..items.len() {
+                let outcome = std::panic::catch_unwind(|| {
+                    par_chunks(&items, threads, 1, |idx, _| {
+                        assert_ne!(idx, bad, "chunk {bad} panics on purpose");
+                        idx
+                    })
+                });
+                assert!(outcome.is_err(), "{threads} threads, chunk {bad}");
+            }
+        }
+    }
 
     #[test]
     fn chunk_rngs_are_stable_and_distinct() {
