@@ -85,9 +85,11 @@ impl Analyzer {
     /// workers over fixed-size chunks with an in-order merge, so
     /// `payloads[i]` always corresponds to `items[i]` regardless of the
     /// worker count. `None` marks an item that failed to decrypt or parse.
+    /// Items are any byte containers: owned `Vec<u8>`s, or slices of the
+    /// fabric frame they arrived in.
     pub fn decrypt_batch(
         &self,
-        items: &[Vec<u8>],
+        items: &[impl AsRef<[u8]> + Sync],
         num_threads: usize,
     ) -> Vec<Option<AnalyzerPayload>> {
         exec::par_chunks(
@@ -102,7 +104,7 @@ impl Analyzer {
                 let mut parseable = Vec::with_capacity(chunk.len());
                 let mut valid = Vec::with_capacity(chunk.len());
                 for item in chunk {
-                    match HybridCiphertext::from_bytes(item) {
+                    match HybridCiphertext::from_bytes(item.as_ref()) {
                         Ok(ct) => {
                             parseable.push(true);
                             valid.push(ct);
@@ -136,7 +138,10 @@ impl Analyzer {
     }
 
     /// Decrypts a batch of inner ciphertexts into a database.
-    pub fn ingest_items(&self, items: &[Vec<u8>]) -> Result<AnalyzerDatabase, PipelineError> {
+    pub fn ingest_items(
+        &self,
+        items: &[impl AsRef<[u8]> + Sync],
+    ) -> Result<AnalyzerDatabase, PipelineError> {
         self.ingest_items_parallel(items, 1)
     }
 
@@ -146,7 +151,7 @@ impl Analyzer {
     /// worker count.
     pub fn ingest_items_parallel(
         &self,
-        items: &[Vec<u8>],
+        items: &[impl AsRef<[u8]> + Sync],
         num_threads: usize,
     ) -> Result<AnalyzerDatabase, PipelineError> {
         let mut db = AnalyzerDatabase::default();

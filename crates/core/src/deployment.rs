@@ -71,8 +71,17 @@ pub fn crowd_prefix(label: &[u8]) -> u64 {
 /// batch for the shufflers ([`EpochSession::finish`], the fabric's shard
 /// pipeline) calls this one function; a seeded replay across them is
 /// byte-identical only because they agree on it.
+///
+/// The comparison reads `(ephemeral, nonce, sealed)` in place: the first
+/// two have fixed lengths, so this is the order of the concatenated wire
+/// bytes without building them, and the sort is stable, so equal
+/// ciphertexts keep their arrival order.
 pub fn canonicalize(reports: &mut [ClientReport]) {
-    reports.sort_by_cached_key(|report| report.outer.to_bytes());
+    fn key(report: &ClientReport) -> (&[u8; 32], &[u8; 12], &[u8]) {
+        let outer = &report.outer;
+        (&outer.ephemeral, &outer.nonce, &outer.sealed)
+    }
+    reports.sort_by(|a, b| key(a).cmp(&key(b)));
 }
 
 /// How many shuffler services stand between the encoders and the analyzer.
@@ -1209,5 +1218,44 @@ mod tests {
         assert_eq!(merged.database.count(b"only-crowd"), 30);
         let populated = merged.shards.iter().filter(|s| s.is_some()).count();
         assert_eq!(populated, 1, "only one shard received reports");
+    }
+
+    /// A batch whose outer ciphertexts are drawn from tiny alphabets, so it
+    /// shares ephemerals and nonces, holds `sealed` bodies that are prefixes
+    /// of one another, and repeats whole ciphertexts; each report's
+    /// metadata is distinct, so exact duplicates still differ.
+    fn tiny_batch(seed: u64, len: usize) -> Vec<ClientReport> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len as u64)
+            .map(|client| ClientReport {
+                outer: prochlo_crypto::hybrid::HybridCiphertext {
+                    ephemeral: [rng.gen_range(0..3); 32],
+                    nonce: [rng.gen_range(0..3); 12],
+                    sealed: (0..rng.gen_range(0..4))
+                        .map(|_| rng.gen_range(0..2))
+                        .collect(),
+                },
+                metadata: crate::record::TransportMetadata::synthetic(client),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn canonicalize_equals_the_sort_by_wire_bytes(seed in proptest::prelude::any::<u64>(), len in 0usize..40) {
+            let mut in_place = tiny_batch(seed, len);
+            canonicalize(&mut in_place);
+            let mut reference = tiny_batch(seed, len);
+            reference.sort_by_cached_key(|report| report.outer.to_bytes());
+            // Equal ciphertexts must keep arrival order too: compare the
+            // metadata, which differs between exact duplicates.
+            let order = |batch: &[ClientReport]| -> Vec<(Vec<u8>, u64)> {
+                batch
+                    .iter()
+                    .map(|report| (report.outer.to_bytes(), report.metadata.arrival_order))
+                    .collect()
+            };
+            proptest::prop_assert_eq!(order(&in_place), order(&reference));
+        }
     }
 }

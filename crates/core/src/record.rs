@@ -13,6 +13,7 @@
 //! sizes but never payloads; the analyzer learns payloads but never which
 //! client, when, or from where.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use prochlo_crypto::elgamal::ElGamalCiphertext;
@@ -202,6 +203,15 @@ impl ClientReport {
     /// Size of the report on the wire (ciphertext only).
     pub fn wire_len(&self) -> usize {
         self.outer.wire_len()
+    }
+}
+
+/// A report is its outer ciphertext to everything past the front end: the
+/// shuffler peels `&[ClientReport]` and the bare ciphertexts a fabric frame
+/// carries through the same code.
+impl Borrow<HybridCiphertext> for ClientReport {
+    fn borrow(&self) -> &HybridCiphertext {
+        &self.outer
     }
 }
 

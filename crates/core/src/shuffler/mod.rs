@@ -26,6 +26,7 @@
 pub mod engine;
 pub mod split;
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use prochlo_obs::Unmeasured;
@@ -265,12 +266,12 @@ pub struct ShuffleOutcome {
 /// the envelopes and hands each to `accept`, the stage's crowd-ID rule.
 /// Returns what `accept` kept, in arrival order, and how many reports were
 /// rejected — undecryptable, malformed, or refused by `accept`.
-pub(crate) fn peel_chunk<T>(
-    reports: &[ClientReport],
+pub(crate) fn peel_chunk<R: Borrow<HybridCiphertext>, T>(
+    reports: &[R],
     secret: &StaticSecret,
     accept: impl Fn(ShufflerEnvelope) -> Option<T>,
 ) -> (Vec<T>, usize) {
-    let outers: Vec<&HybridCiphertext> = reports.iter().map(|report| &report.outer).collect();
+    let outers: Vec<&HybridCiphertext> = reports.iter().map(Borrow::borrow).collect();
     let accepted: Vec<T> = HybridCiphertext::open_batch(&outers, secret, SHUFFLER_AAD)
         .into_iter()
         .filter_map(|opened| accept(ShufflerEnvelope::from_bytes(&opened?).ok()?))

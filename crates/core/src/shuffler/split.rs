@@ -21,11 +21,19 @@
 //!
 //! * Shuffler 1 peels in parallel chunks, then draws — sequentially, in
 //!   arrival order — α and one re-randomization scalar per *surviving*
-//!   record, then blinds and re-randomizes in parallel chunks with those
-//!   pre-drawn scalars, then shuffles on the stage RNG.
-//! * Shuffler 2 unblinds to handles in parallel chunks; the thresholding
-//!   draws (`threshold_crowds`, the implementation the single shuffler
-//!   runs over hashed crowd IDs) and the shuffle stay on the stage RNG.
+//!   record, then blinds, re-randomizes and compresses in parallel chunks
+//!   with those pre-drawn scalars, then shuffles on the stage RNG.
+//! * Shuffler 2 decompresses and unblinds to handles in parallel chunks;
+//!   the thresholding draws (`threshold_crowds`, the implementation the
+//!   single shuffler runs over hashed crowd IDs) and the shuffle stay on
+//!   the stage RNG.
+//!
+//! What passes between the stages, a [`BlindedRecord`], is already in wire
+//! form: the blinded crowd ID as its 64-byte encoding and the inner
+//! ciphertext as bytes. A fabric frame carries exactly that, so Shuffler 2
+//! over the wire reads its records out of the received frame, and the
+//! in-process pair pays the same encoding (two point decompressions per
+//! record) that it models.
 //!
 //! Each stage has one entry point that takes the resolved worker count —
 //! [`ShufflerOne::process_batch`] and [`ShufflerTwo::process_batch`], which
@@ -33,14 +41,16 @@
 //! through [`ShufflerRole::process`](crate::deployment::ShufflerRole::process),
 //! which checks the batch size and hands it to `SplitShuffler::process_batch`.
 
+use std::borrow::Borrow;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use prochlo_crypto::edwards::{FixedBaseTable, Point};
 use prochlo_crypto::elgamal::{BlindingSecret, ElGamalCiphertext, ElGamalKeypair};
-use prochlo_crypto::hybrid::HybridKeypair;
-use prochlo_crypto::{PublicKey, Scalar};
+use prochlo_crypto::hybrid::{HybridCiphertext, HybridKeypair};
+use prochlo_crypto::{CryptoError, PublicKey, Scalar};
 
 use crate::error::PipelineError;
 use crate::exec;
@@ -50,14 +60,18 @@ use crate::shuffler::{
     ShufflerStats,
 };
 
-/// A report in transit between the two shufflers: the blinded crowd ID plus
-/// the untouched inner ciphertext.
-#[derive(Debug, Clone)]
-pub struct BlindedRecord {
-    /// The El Gamal ciphertext after blinding and re-randomization.
-    pub blinded_crowd: ElGamalCiphertext,
+/// A report in transit between the two shufflers, in its wire form: the
+/// blinded crowd ID's 64-byte encoding plus the untouched inner ciphertext.
+/// Shuffler 1 emits owned inners (`Vec<u8>`, as it peeled them); Shuffler 2
+/// takes any byte container, so over the wire its records borrow their
+/// inners from the received frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlindedRecord<I = Vec<u8>> {
+    /// The El Gamal ciphertext after blinding and re-randomization, as
+    /// [`ElGamalCiphertext::to_bytes`] encodes it.
+    pub blinded_crowd: [u8; 64],
     /// The inner ciphertext (sealed to the analyzer).
-    pub inner: Vec<u8>,
+    pub inner: I,
 }
 
 /// Shuffler 1: peels, blinds, shuffles, forwards.
@@ -108,9 +122,11 @@ impl ShufflerOne {
         self.num_threads
     }
 
-    /// Peels, blinds and shuffles one batch on `num_threads` workers (a
-    /// resolved count; see [`exec::resolve_threads`]), forwarding blinded
-    /// records together with this stage's own [`ShufflerStats`].
+    /// Peels, blinds and shuffles one batch of outer ciphertexts — a
+    /// `&[ClientReport]`, or the bare ciphertexts a fabric frame carries —
+    /// on `num_threads` workers (a resolved count; see
+    /// [`exec::resolve_threads`]), forwarding blinded records together with
+    /// this stage's own [`ShufflerStats`].
     /// `elgamal_table` is the comb table of Shuffler 2's El Gamal public
     /// key; a service builds it once, since every record is re-randomized
     /// against it.
@@ -124,10 +140,10 @@ impl ShufflerOne {
     /// the sequential middle pass, in the order a per-record loop would make
     /// them (α, then one scalar per record that peeled to a blinded crowd
     /// ID, in arrival order, then the shuffle).
-    pub fn process_batch<R: Rng + ?Sized>(
+    pub fn process_batch<T: Borrow<HybridCiphertext> + Sync, R: Rng + ?Sized>(
         &self,
         num_threads: usize,
-        reports: &[ClientReport],
+        reports: &[T],
         elgamal_table: &FixedBaseTable,
         rng: &mut R,
     ) -> (Vec<BlindedRecord>, ShufflerStats) {
@@ -164,18 +180,21 @@ impl ShufflerOne {
         }
 
         // Parallel: blind with α, re-randomize with the pre-drawn scalar
-        // through the El Gamal key's comb table.
+        // through the El Gamal key's comb table, and compress the chunk to
+        // its wire encoding with one batched inversion.
         let blinded = exec::par_chunks(
             &work,
             num_threads,
             exec::DRAW_FREE_CHUNK_RECORDS,
             |_chunk_idx, chunk| {
-                chunk
+                let blinded: Vec<ElGamalCiphertext> = chunk
                     .iter()
                     .map(|(ct, s)| ct.blind(&blinding).rerandomize(s, elgamal_table))
-                    .collect::<Vec<_>>()
+                    .collect();
+                ElGamalCiphertext::batch_to_bytes(&blinded)
             },
         );
+        drop(work);
         let mut records: Vec<BlindedRecord> = blinded
             .into_iter()
             .flatten()
@@ -225,14 +244,20 @@ impl ShufflerTwo {
 
     /// Unblinds crowd IDs to pseudonymous handles, applies randomized
     /// thresholding and shuffles, on `num_threads` workers (a resolved
-    /// count). Only the unblinding is parallel; it draws nothing, so the
-    /// output is a pure function of `(records, rng)`.
-    pub fn process_batch<R: Rng + ?Sized>(
+    /// count), returning the surviving inners in shuffled order. Only the
+    /// unblinding is parallel; it draws nothing, so the output is a pure
+    /// function of `(records, rng)`.
+    ///
+    /// A crowd ID whose encoding is not two curve points fails the whole
+    /// batch with [`PipelineError::MalformedReport`] before any draw: the
+    /// records come from Shuffler 1, so a bad one is corruption, not client
+    /// garbage.
+    pub fn process_batch<I: Sync, R: Rng + ?Sized>(
         &self,
         num_threads: usize,
-        records: Vec<BlindedRecord>,
+        records: Vec<BlindedRecord<I>>,
         rng: &mut R,
-    ) -> (Vec<Vec<u8>>, ShufflerStats) {
+    ) -> Result<(Vec<I>, ShufflerStats), PipelineError> {
         let peel_span = prochlo_obs::span("shuffler.s2.peel");
         let mut stats = ShufflerStats {
             received: records.len(),
@@ -240,19 +265,26 @@ impl ShufflerTwo {
             ..ShufflerStats::default()
         };
 
-        // Parallel: decrypt to handles, one batched compression per chunk.
+        // Parallel: decompress and decrypt to handles, one batched
+        // compression per chunk.
         let handles = exec::par_chunks(
             &records,
             num_threads,
             exec::DRAW_FREE_CHUNK_RECORDS,
             |_chunk_idx, chunk| {
-                let points: Vec<Point> = chunk
+                let points = chunk
                     .iter()
-                    .map(|record| self.elgamal.decrypt(&record.blinded_crowd))
-                    .collect();
-                Point::batch_compress(&points)
+                    .map(|record| {
+                        ElGamalCiphertext::from_bytes(&record.blinded_crowd)
+                            .map(|crowd| self.elgamal.decrypt(&crowd))
+                    })
+                    .collect::<Result<Vec<Point>, _>>()?;
+                Ok(Point::batch_compress(&points))
             },
-        );
+        )
+        .into_iter()
+        .collect::<Result<Vec<_>, CryptoError>>()
+        .map_err(|_| PipelineError::MalformedReport("invalid blinded crowd id"))?;
         // Unblinding to handles is this stage's "peel".
         stats.timings.peel_seconds = peel_span.finish();
 
@@ -264,7 +296,7 @@ impl ShufflerTwo {
         stats.timings.threshold_seconds = threshold_span.finish();
 
         let shuffle_span = prochlo_obs::span("shuffler.s2.shuffle");
-        let mut survivors: Vec<Vec<u8>> = records
+        let mut survivors: Vec<I> = records
             .into_iter()
             .zip(keep)
             .filter_map(|(record, kept)| kept.then_some(record.inner))
@@ -273,7 +305,7 @@ impl ShufflerTwo {
         stats.forwarded = survivors.len();
         stats.shuffle_attempts = 1;
         stats.timings.shuffle_seconds = shuffle_span.finish();
-        (survivors, stats)
+        Ok((survivors, stats))
     }
 }
 
@@ -341,7 +373,7 @@ impl SplitShuffler {
     ) -> Result<ShuffleOutcome, PipelineError> {
         Self::require_inline_engine(engine)?;
         let (s1_seed, s2_seed) = Self::stage_seeds(rng);
-        Ok(self.run_stages(num_threads, reports, s1_seed, s2_seed))
+        self.run_stages(num_threads, reports, s1_seed, s2_seed)
     }
 
     /// Both stages back to back on `num_threads` workers (a resolved count),
@@ -355,19 +387,19 @@ impl SplitShuffler {
         reports: &[ClientReport],
         s1_seed: u64,
         s2_seed: u64,
-    ) -> ShuffleOutcome {
+    ) -> Result<ShuffleOutcome, PipelineError> {
         let mut rng_one = StdRng::seed_from_u64(s1_seed);
         let (blinded, stage_one) =
             self.one
                 .process_batch(num_threads, reports, &self.elgamal_table, &mut rng_one);
         let mut rng_two = StdRng::seed_from_u64(s2_seed);
-        let (items, stage_two) = self.two.process_batch(num_threads, blinded, &mut rng_two);
+        let (items, stage_two) = self.two.process_batch(num_threads, blinded, &mut rng_two)?;
         let stats = Self::merge_stage_stats(reports.len(), &stage_one, &stage_two);
-        ShuffleOutcome {
+        Ok(ShuffleOutcome {
             items,
             stats,
             stage_stats: vec![stage_one, stage_two],
-        }
+        })
     }
 
     /// The merged batch-level view of a split run, preserving the
@@ -474,7 +506,8 @@ mod tests {
             &split.elgamal_table,
             &mut rng,
         );
-        let handle = split.two.elgamal.decrypt(&blinded[0].blinded_crowd);
+        let crowd = ElGamalCiphertext::from_bytes(&blinded[0].blinded_crowd).unwrap();
+        let handle = split.two.elgamal.decrypt(&crowd);
         assert_ne!(handle, Point::hash_to_point(b"guessable"));
     }
 
@@ -505,7 +538,7 @@ mod tests {
         let joint = process(&split, &reports, &mut joint_rng);
         let mut seed_rng = StdRng::seed_from_u64(99);
         let (s1_seed, s2_seed) = SplitShuffler::stage_seeds(&mut seed_rng);
-        let staged = split.run_stages(2, &reports, s1_seed, s2_seed);
+        let staged = split.run_stages(2, &reports, s1_seed, s2_seed).unwrap();
         assert_eq!(joint.items, staged.items);
         assert_eq!(joint.stats, staged.stats);
         assert_eq!(joint.stage_stats, staged.stage_stats);

@@ -6,17 +6,31 @@
 //! leads with a message tag anyway, so a payload that somehow lands on the
 //! wrong stage fails to parse instead of being misinterpreted.
 //!
+//! The three batch messages keep a batch in the form it has on the wire.
+//! Each is generic over how it holds its reports, so a sender encodes
+//! straight from what it already has — the shard from references to its
+//! canonical batch, Shuffler 1 from its owned records, Shuffler 2 from
+//! slices of the frame it received — and each has one decoder, which
+//! reads the reports out of the frame: [`BatchToOne`] parses the outer
+//! ciphertexts Shuffler 1 opens, and [`BatchToTwo`] and [`ItemsBatch`]
+//! borrow their byte strings from the frame (see
+//! [`WireMessage::Decoded`]). Every list's element count is checked
+//! against the bytes left for it before anything is reserved, so a hostile
+//! count cannot make a receiver allocate more than a small multiple of the
+//! frame it sent.
+//!
 //! Statistics cross the wire with their counters intact and timings as
 //! IEEE-754 bit patterns; the batch-level merged view is *not* shipped —
 //! the receiving side reassembles it with
 //! [`prochlo_core::shuffler::split::SplitShuffler::merge_stage_stats`], so
 //! a remote run reports the identical merged stats as an in-process one.
 
-use prochlo_core::exec;
+use std::borrow::Borrow;
+
 use prochlo_core::shuffler::split::BlindedRecord;
 use prochlo_core::shuffler::{PhaseTimings, ShufflerStats};
 use prochlo_core::wire::{put_bytes, put_u32, put_u64, put_u8, Reader};
-use prochlo_crypto::elgamal::ElGamalCiphertext;
+use prochlo_crypto::hybrid::HybridCiphertext;
 
 use crate::transport::{FabricError, WireMessage};
 
@@ -46,10 +60,27 @@ fn get_u16(reader: &mut Reader<'_>, what: &'static str) -> Result<u16, FabricErr
     u16::try_from(value).map_err(|_| FabricError::Malformed(what))
 }
 
-/// Reads a u32 element count (the width the encoders write).
-fn get_count(reader: &mut Reader<'_>, what: &'static str) -> Result<usize, FabricError> {
-    let value = reader.get_u32().map_err(|_| FabricError::Malformed(what))?;
-    Ok(value as usize)
+/// Reads a u32 element count (the width the encoders write) and refuses
+/// one that the rest of the message cannot hold at `min_len` encoded bytes
+/// per element, so a decoder reserves room for what the frame can really
+/// carry and never for what a peer claims.
+fn get_count(
+    reader: &mut Reader<'_>,
+    min_len: usize,
+    truncated: &'static str,
+    exceeds: &'static str,
+) -> Result<usize, FabricError> {
+    let count = reader
+        .get_u32()
+        .map_err(|_| FabricError::Malformed(truncated))? as usize;
+    if count > reader.remaining() / min_len {
+        return Err(FabricError::Malformed(exceeds));
+    }
+    Ok(count)
+}
+
+fn get_slice<'a>(reader: &mut Reader<'a>, what: &'static str) -> Result<&'a [u8], FabricError> {
+    reader.get_slice().map_err(|_| FabricError::Malformed(what))
 }
 
 fn get_vec(reader: &mut Reader<'_>, what: &'static str) -> Result<Vec<u8>, FabricError> {
@@ -77,10 +108,23 @@ fn finish(reader: &Reader<'_>) -> Result<(), FabricError> {
 /// and three timings.
 const STATS_LEN: usize = 1 + 8 * 8 + 3 * 8;
 
-/// Encoded size of a list of length-prefixed blobs, count included.
-fn blobs_len<'a>(blobs: impl Iterator<Item = &'a [u8]>) -> usize {
-    4 + blobs.map(|blob| 4 + blob.len()).sum::<usize>()
+/// Encoded size of a list of length-prefixed blobs of the given lengths,
+/// count included.
+fn blobs_len(lens: impl Iterator<Item = usize>) -> usize {
+    4 + lens.map(|len| 4 + len).sum::<usize>()
 }
+
+/// The smallest encoded element of a list of length-prefixed blobs: an
+/// empty one.
+const MIN_BLOB_LEN: usize = 4;
+
+/// The smallest encoded [`BatchToOne`] report: a length prefix and the
+/// shortest hybrid ciphertext.
+const MIN_REPORT_LEN: usize = 4 + HybridCiphertext::layer_overhead();
+
+/// The smallest encoded [`BlindedRecord`]: the crowd ID and an empty
+/// length-prefixed inner.
+const MIN_RECORD_LEN: usize = 64 + 4;
 
 fn encode_stats(out: &mut Vec<u8>, stats: &ShufflerStats) -> Result<(), FabricError> {
     let backend = match stats.backend {
@@ -164,6 +208,8 @@ pub enum Control {
 }
 
 impl WireMessage for Control {
+    type Decoded<'a> = Self;
+
     fn to_wire(&self) -> Vec<u8> {
         match self {
             Control::Shutdown => vec![TAG_CONTROL_SHUTDOWN],
@@ -193,8 +239,14 @@ impl WireMessage for Control {
 /// owns the epoch's master RNG and the shufflers receive exactly the one
 /// `u64` their stage consumes, which is the whole determinism interface of
 /// the wire topology.
+///
+/// `R` is how the message holds each outer ciphertext: the shard sends
+/// `&HybridCiphertext`s borrowed from its canonical batch, and the decoder
+/// parses each report straight out of the frame into the owned
+/// [`HybridCiphertext`] Shuffler 1 opens, failing the whole batch with
+/// `"invalid outer ciphertext"` on one that does not parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchToOne {
+pub struct BatchToOne<R = HybridCiphertext> {
     /// The shard this batch belongs to (echoed on every downstream message).
     pub shard: u16,
     /// The epoch the batch closes.
@@ -205,13 +257,17 @@ pub struct BatchToOne {
     /// it; Shuffler 1 relaying an opaque u64 reveals nothing).
     pub s2_seed: u64,
     /// The outer ciphertext of each report, in canonical (sorted) order.
-    pub reports: Vec<Vec<u8>>,
+    pub reports: Vec<R>,
 }
 
-impl WireMessage for BatchToOne {
+impl<R: Borrow<HybridCiphertext>> WireMessage for BatchToOne<R> {
+    type Decoded<'a> = BatchToOne;
+
     fn to_wire(&self) -> Vec<u8> {
-        // Tag, shard, epoch, both seeds, then the reports.
-        let len = 1 + 4 + 3 * 8 + blobs_len(self.reports.iter().map(Vec::as_slice));
+        // Tag, shard, epoch, both seeds, then each report's length-prefixed
+        // wire bytes (`ephemeral || nonce || sealed`).
+        let reports = self.reports.iter().map(Borrow::borrow);
+        let len = 1 + 4 + 3 * 8 + blobs_len(reports.clone().map(HybridCiphertext::wire_len));
         let mut out = Vec::with_capacity(len);
         put_u8(&mut out, TAG_BATCH_TO_ONE);
         put_u32(&mut out, u32::from(self.shard));
@@ -219,29 +275,40 @@ impl WireMessage for BatchToOne {
         put_u64(&mut out, self.s1_seed);
         put_u64(&mut out, self.s2_seed);
         put_u32(&mut out, self.reports.len() as u32);
-        for report in &self.reports {
-            put_bytes(&mut out, report);
+        for outer in reports {
+            put_u32(&mut out, outer.wire_len() as u32);
+            out.extend_from_slice(&outer.ephemeral);
+            out.extend_from_slice(&outer.nonce);
+            out.extend_from_slice(&outer.sealed);
         }
         out
     }
 
-    fn from_wire(bytes: &[u8]) -> Result<Self, FabricError> {
+    fn from_wire(bytes: &[u8]) -> Result<BatchToOne, FabricError> {
         let mut reader = Reader::new(bytes);
         expect_tag(&mut reader, TAG_BATCH_TO_ONE)?;
         let shard = get_u16(&mut reader, "truncated shard index")?;
         let epoch_index = get_u64(&mut reader, "truncated epoch index")?;
         let s1_seed = get_u64(&mut reader, "truncated stage-one seed")?;
         let s2_seed = get_u64(&mut reader, "truncated stage-two seed")?;
-        let count = get_count(&mut reader, "truncated report count")?;
-        if count > reader.remaining() {
-            return Err(FabricError::Malformed("report count exceeds message"));
-        }
+        let count = get_count(
+            &mut reader,
+            MIN_REPORT_LEN,
+            "truncated report count",
+            "report count exceeds message",
+        )?;
         let mut reports = Vec::with_capacity(count);
         for _ in 0..count {
-            reports.push(get_vec(&mut reader, "truncated report")?);
+            let outer = get_slice(&mut reader, "truncated report")?;
+            // The shard serialized real reports; a parse failure here is
+            // corruption, not client garbage (that was screened at ingest).
+            reports.push(
+                HybridCiphertext::from_bytes(outer)
+                    .map_err(|_| FabricError::Malformed("invalid outer ciphertext"))?,
+            );
         }
         finish(&reader)?;
-        Ok(Self {
+        Ok(BatchToOne {
             shard,
             epoch_index,
             s1_seed,
@@ -252,8 +319,12 @@ impl WireMessage for BatchToOne {
 }
 
 /// Blinded records: Shuffler 1 → Shuffler 2.
+///
+/// `I` holds each record's inner ciphertext: Shuffler 1 sends the owned
+/// bytes it peeled, and the decoder borrows them from the frame, which is
+/// what Shuffler 2 thresholds and forwards.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchToTwo {
+pub struct BatchToTwo<I = Vec<u8>> {
     /// The shard this batch belongs to.
     pub shard: u16,
     /// The epoch the batch closes.
@@ -264,74 +335,22 @@ pub struct BatchToTwo {
     pub received: usize,
     /// Shuffler 1's own stage statistics.
     pub stage_one: ShufflerStats,
-    /// Each record: the blinded El Gamal crowd ID (64 bytes) plus the
-    /// untouched inner ciphertext.
-    pub records: Vec<([u8; 64], Vec<u8>)>,
+    /// Each record: the blinded El Gamal crowd ID's 64-byte encoding plus
+    /// the untouched inner ciphertext.
+    pub records: Vec<BlindedRecord<I>>,
 }
 
-impl BatchToTwo {
-    /// Encodes Shuffler 1's output into the [`Self::records`] wire form,
-    /// in parallel chunks with one batched point compression per chunk
-    /// (see [`ElGamalCiphertext::batch_to_bytes`]); byte for byte what
-    /// per-record `to_bytes` produces.
-    pub fn encode_records(
-        records: Vec<BlindedRecord>,
-        num_threads: usize,
-    ) -> Vec<([u8; 64], Vec<u8>)> {
-        let crowds = exec::par_chunks(
-            &records,
-            num_threads,
-            exec::DRAW_FREE_CHUNK_RECORDS,
-            |_, chunk| {
-                ElGamalCiphertext::batch_to_bytes(chunk.iter().map(|record| &record.blinded_crowd))
-            },
-        );
-        crowds
-            .into_iter()
-            .flatten()
-            .zip(records)
-            .map(|(crowd, record)| (crowd, record.inner))
-            .collect()
-    }
+impl<I: AsRef<[u8]>> WireMessage for BatchToTwo<I> {
+    type Decoded<'a> = BatchToTwo<&'a [u8]>;
 
-    /// Parses [`Self::records`] back into curve points in parallel chunks
-    /// (two square roots per record), rejecting invalid encodings.
-    pub fn decode_records(
-        records: Vec<([u8; 64], Vec<u8>)>,
-        num_threads: usize,
-    ) -> Result<Vec<BlindedRecord>, FabricError> {
-        let crowds: Vec<Vec<ElGamalCiphertext>> = exec::par_chunks(
-            &records,
-            num_threads,
-            exec::DRAW_FREE_CHUNK_RECORDS,
-            |_, chunk| {
-                chunk
-                    .iter()
-                    .map(|(crowd, _)| ElGamalCiphertext::from_bytes(crowd))
-                    .collect()
-            },
-        )
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .map_err(|_| FabricError::Malformed("invalid blinded crowd id"))?;
-        Ok(crowds
-            .into_iter()
-            .flatten()
-            .zip(records)
-            .map(|(blinded_crowd, (_, inner))| BlindedRecord {
-                blinded_crowd,
-                inner,
-            })
-            .collect())
-    }
-}
-
-impl WireMessage for BatchToTwo {
     fn to_wire(&self) -> Vec<u8> {
         // Tag, shard, epoch, seed, received, stats, then 64 crowd-id bytes
         // in front of each length-prefixed inner ciphertext.
-        let records = blobs_len(self.records.iter().map(|(_, inner)| inner.as_slice()));
-        let len = 1 + 4 + 3 * 8 + STATS_LEN + records + 64 * self.records.len();
+        let inners = self
+            .records
+            .iter()
+            .map(|record| record.inner.as_ref().len());
+        let len = 1 + 4 + 3 * 8 + STATS_LEN + blobs_len(inners) + 64 * self.records.len();
         let mut out = Vec::with_capacity(len);
         put_u8(&mut out, TAG_BATCH_TO_TWO);
         put_u32(&mut out, u32::from(self.shard));
@@ -341,14 +360,14 @@ impl WireMessage for BatchToTwo {
         // prochlo-lint: allow(panic-on-wire, "encode path: serializing our own in-memory stats, no peer-controlled bytes involved")
         encode_stats(&mut out, &self.stage_one).expect("split stage stats always encode");
         put_u32(&mut out, self.records.len() as u32);
-        for (crowd, inner) in &self.records {
-            out.extend_from_slice(crowd);
-            put_bytes(&mut out, inner);
+        for record in &self.records {
+            out.extend_from_slice(&record.blinded_crowd);
+            put_bytes(&mut out, record.inner.as_ref());
         }
         out
     }
 
-    fn from_wire(bytes: &[u8]) -> Result<Self, FabricError> {
+    fn from_wire(bytes: &[u8]) -> Result<BatchToTwo<&[u8]>, FabricError> {
         let mut reader = Reader::new(bytes);
         expect_tag(&mut reader, TAG_BATCH_TO_TWO)?;
         let shard = get_u16(&mut reader, "truncated shard index")?;
@@ -356,19 +375,25 @@ impl WireMessage for BatchToTwo {
         let s2_seed = get_u64(&mut reader, "truncated stage-two seed")?;
         let received = get_usize(&mut reader, "truncated received count")?;
         let stage_one = decode_stats(&mut reader)?;
-        let count = get_count(&mut reader, "truncated record count")?;
-        if count > reader.remaining() {
-            return Err(FabricError::Malformed("record count exceeds message"));
-        }
+        let count = get_count(
+            &mut reader,
+            MIN_RECORD_LEN,
+            "truncated record count",
+            "record count exceeds message",
+        )?;
         let mut records = Vec::with_capacity(count);
         for _ in 0..count {
-            let crowd: [u8; 64] = *reader
+            let blinded_crowd = *reader
                 .get_fixed()
                 .map_err(|_| FabricError::Malformed("truncated blinded crowd id"))?;
-            records.push((crowd, get_vec(&mut reader, "truncated inner ciphertext")?));
+            let inner = get_slice(&mut reader, "truncated inner ciphertext")?;
+            records.push(BlindedRecord {
+                blinded_crowd,
+                inner,
+            });
         }
         finish(&reader)?;
-        Ok(Self {
+        Ok(BatchToTwo {
             shard,
             epoch_index,
             s2_seed,
@@ -381,8 +406,12 @@ impl WireMessage for BatchToTwo {
 
 /// Surviving inner ciphertexts plus both stages' statistics:
 /// Shuffler 2 → collector shard.
+///
+/// `I` holds each item: Shuffler 2 sends slices of the frame it received,
+/// and the decoder borrows them from the answer frame, which is what the
+/// shard's analyzer decrypts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ItemsBatch {
+pub struct ItemsBatch<I = Vec<u8>> {
     /// The shard this batch belongs to.
     pub shard: u16,
     /// The epoch the batch closes.
@@ -394,13 +423,16 @@ pub struct ItemsBatch {
     /// Shuffler 2's own stage statistics.
     pub stage_two: ShufflerStats,
     /// The shuffled inner ciphertexts that survived thresholding.
-    pub items: Vec<Vec<u8>>,
+    pub items: Vec<I>,
 }
 
-impl WireMessage for ItemsBatch {
+impl<I: AsRef<[u8]>> WireMessage for ItemsBatch<I> {
+    type Decoded<'a> = ItemsBatch<&'a [u8]>;
+
     fn to_wire(&self) -> Vec<u8> {
         // Tag, shard, epoch, received, both stages' stats, then the items.
-        let len = 1 + 4 + 2 * 8 + 2 * STATS_LEN + blobs_len(self.items.iter().map(Vec::as_slice));
+        let items = self.items.iter().map(|item| item.as_ref().len());
+        let len = 1 + 4 + 2 * 8 + 2 * STATS_LEN + blobs_len(items);
         let mut out = Vec::with_capacity(len);
         put_u8(&mut out, TAG_ITEMS);
         put_u32(&mut out, u32::from(self.shard));
@@ -412,12 +444,12 @@ impl WireMessage for ItemsBatch {
         encode_stats(&mut out, &self.stage_two).expect("split stage stats always encode");
         put_u32(&mut out, self.items.len() as u32);
         for item in &self.items {
-            put_bytes(&mut out, item);
+            put_bytes(&mut out, item.as_ref());
         }
         out
     }
 
-    fn from_wire(bytes: &[u8]) -> Result<Self, FabricError> {
+    fn from_wire(bytes: &[u8]) -> Result<ItemsBatch<&[u8]>, FabricError> {
         let mut reader = Reader::new(bytes);
         expect_tag(&mut reader, TAG_ITEMS)?;
         let shard = get_u16(&mut reader, "truncated shard index")?;
@@ -425,16 +457,18 @@ impl WireMessage for ItemsBatch {
         let received = get_usize(&mut reader, "truncated received count")?;
         let stage_one = decode_stats(&mut reader)?;
         let stage_two = decode_stats(&mut reader)?;
-        let count = get_count(&mut reader, "truncated item count")?;
-        if count > reader.remaining() {
-            return Err(FabricError::Malformed("item count exceeds message"));
-        }
+        let count = get_count(
+            &mut reader,
+            MIN_BLOB_LEN,
+            "truncated item count",
+            "item count exceeds message",
+        )?;
         let mut items = Vec::with_capacity(count);
         for _ in 0..count {
-            items.push(get_vec(&mut reader, "truncated item")?);
+            items.push(get_slice(&mut reader, "truncated item")?);
         }
         finish(&reader)?;
-        Ok(Self {
+        Ok(ItemsBatch {
             shard,
             epoch_index,
             received,
@@ -451,14 +485,16 @@ impl WireMessage for ItemsBatch {
 /// receiver is addressed to exactly one channel at a time — in-band framing
 /// is what lets it block on a single stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ToOne {
+pub enum ToOne<R = HybridCiphertext> {
     /// An epoch batch to blind and shuffle.
-    Batch(BatchToOne),
+    Batch(BatchToOne<R>),
     /// The shard is finished; move on to the next one.
     Done,
 }
 
-impl WireMessage for ToOne {
+impl<R: Borrow<HybridCiphertext>> WireMessage for ToOne<R> {
+    type Decoded<'a> = ToOne;
+
     fn to_wire(&self) -> Vec<u8> {
         match self {
             ToOne::Batch(batch) => batch.to_wire(),
@@ -466,9 +502,9 @@ impl WireMessage for ToOne {
         }
     }
 
-    fn from_wire(bytes: &[u8]) -> Result<Self, FabricError> {
+    fn from_wire(bytes: &[u8]) -> Result<ToOne, FabricError> {
         match bytes.first() {
-            Some(&TAG_BATCH_TO_ONE) => Ok(ToOne::Batch(BatchToOne::from_wire(bytes)?)),
+            Some(&TAG_BATCH_TO_ONE) => Ok(ToOne::Batch(<BatchToOne>::from_wire(bytes)?)),
             Some(&TAG_CONTROL_DONE) => {
                 Control::from_wire(bytes)?;
                 Ok(ToOne::Done)
@@ -481,14 +517,16 @@ impl WireMessage for ToOne {
 /// What Shuffler 2 reads off Shuffler 1's record stream: a blinded batch,
 /// or the end-of-stream marker after every shard finished.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ToTwo {
+pub enum ToTwo<I = Vec<u8>> {
     /// A blinded batch to unblind, threshold and shuffle.
-    Batch(Box<BatchToTwo>),
+    Batch(Box<BatchToTwo<I>>),
     /// Every shard is finished; Shuffler 2 can exit.
     Done,
 }
 
-impl WireMessage for ToTwo {
+impl<I: AsRef<[u8]>> WireMessage for ToTwo<I> {
+    type Decoded<'a> = ToTwo<&'a [u8]>;
+
     fn to_wire(&self) -> Vec<u8> {
         match self {
             ToTwo::Batch(batch) => batch.to_wire(),
@@ -496,9 +534,9 @@ impl WireMessage for ToTwo {
         }
     }
 
-    fn from_wire(bytes: &[u8]) -> Result<Self, FabricError> {
+    fn from_wire(bytes: &[u8]) -> Result<ToTwo<&[u8]>, FabricError> {
         match bytes.first() {
-            Some(&TAG_BATCH_TO_TWO) => Ok(ToTwo::Batch(Box::new(BatchToTwo::from_wire(bytes)?))),
+            Some(&TAG_BATCH_TO_TWO) => Ok(ToTwo::Batch(Box::new(<BatchToTwo>::from_wire(bytes)?))),
             Some(&TAG_CONTROL_DONE) => {
                 Control::from_wire(bytes)?;
                 Ok(ToTwo::Done)
@@ -533,6 +571,8 @@ pub struct ShardSummary {
 }
 
 impl WireMessage for ShardSummary {
+    type Decoded<'a> = Self;
+
     fn to_wire(&self) -> Vec<u8> {
         let mut out = Vec::new();
         put_u8(&mut out, TAG_SUMMARY);
@@ -561,10 +601,12 @@ impl WireMessage for ShardSummary {
         let pending_secret_reports = get_usize(&mut reader, "truncated counter")?;
         let recovered_secrets = get_usize(&mut reader, "truncated counter")?;
         let stats = decode_stats(&mut reader)?;
-        let count = get_count(&mut reader, "truncated row count")?;
-        if count > reader.remaining() {
-            return Err(FabricError::Malformed("row count exceeds message"));
-        }
+        let count = get_count(
+            &mut reader,
+            MIN_BLOB_LEN,
+            "truncated row count",
+            "row count exceeds message",
+        )?;
         let mut rows = Vec::with_capacity(count);
         for _ in 0..count {
             rows.push(get_vec(&mut reader, "truncated row")?);
@@ -607,6 +649,24 @@ mod tests {
         }
     }
 
+    fn outer(fill: u8) -> HybridCiphertext {
+        HybridCiphertext {
+            ephemeral: [fill; 32],
+            nonce: [fill ^ 1; 12],
+            sealed: vec![fill ^ 2; 40],
+        }
+    }
+
+    fn empty_batch() -> BatchToOne {
+        BatchToOne {
+            shard: 0,
+            epoch_index: 0,
+            s1_seed: 0,
+            s2_seed: 0,
+            reports: vec![],
+        }
+    }
+
     #[test]
     fn every_message_roundtrips() {
         for control in [Control::Shutdown, Control::Done] {
@@ -617,18 +677,31 @@ mod tests {
             epoch_index: 9,
             s1_seed: 1,
             s2_seed: 2,
-            reports: vec![vec![1; 40], vec![2; 40]],
+            reports: vec![outer(1), outer(2)],
         };
-        assert_eq!(BatchToOne::from_wire(&batch.to_wire()).unwrap(), batch);
+        assert_eq!(<BatchToOne>::from_wire(&batch.to_wire()).unwrap(), batch);
+        // Borrowed reports encode to the same bytes.
+        let borrowed = BatchToOne {
+            shard: batch.shard,
+            epoch_index: batch.epoch_index,
+            s1_seed: batch.s1_seed,
+            s2_seed: batch.s2_seed,
+            reports: batch.reports.iter().collect(),
+        };
+        assert_eq!(borrowed.to_wire(), batch.to_wire());
         let to_two = BatchToTwo {
             shard: 3,
             epoch_index: 9,
             s2_seed: 2,
             received: 2,
             stage_one: sample_stats("blind"),
-            records: vec![([7u8; 64], vec![1, 2, 3])],
+            records: vec![BlindedRecord {
+                blinded_crowd: [7u8; 64],
+                inner: &[1u8, 2, 3][..],
+            }],
         };
-        let parsed = BatchToTwo::from_wire(&to_two.to_wire()).unwrap();
+        let bytes = to_two.to_wire();
+        let parsed = <BatchToTwo>::from_wire(&bytes).unwrap();
         assert_eq!(parsed, to_two);
         // PartialEq on ShufflerStats ignores timings; pin them separately.
         assert_eq!(parsed.stage_one.timings.peel_seconds, 0.25);
@@ -638,9 +711,10 @@ mod tests {
             received: 2,
             stage_one: sample_stats("blind"),
             stage_two: sample_stats("inline"),
-            items: vec![vec![5; 20]],
+            items: vec![&[5u8; 20][..]],
         };
-        assert_eq!(ItemsBatch::from_wire(&items.to_wire()).unwrap(), items);
+        let bytes = items.to_wire();
+        assert_eq!(<ItemsBatch>::from_wire(&bytes).unwrap(), items);
         let summary = ShardSummary {
             shard: 1,
             epoch_index: 9,
@@ -659,15 +733,9 @@ mod tests {
 
     #[test]
     fn cross_stage_payloads_fail_to_parse() {
-        let batch = BatchToOne {
-            shard: 0,
-            epoch_index: 0,
-            s1_seed: 0,
-            s2_seed: 0,
-            reports: vec![],
-        };
-        assert!(Control::from_wire(&batch.to_wire()).is_err());
-        assert!(ItemsBatch::from_wire(&batch.to_wire()).is_err());
+        let batch = empty_batch().to_wire();
+        assert!(Control::from_wire(&batch).is_err());
+        assert!(<ItemsBatch>::from_wire(&batch).is_err());
         assert!(ShardSummary::from_wire(&Control::Done.to_wire()).is_err());
     }
 
@@ -691,19 +759,12 @@ mod tests {
 
     #[test]
     fn bogus_counts_are_rejected_before_allocation() {
-        let mut bytes = BatchToOne {
-            shard: 0,
-            epoch_index: 0,
-            s1_seed: 0,
-            s2_seed: 0,
-            reports: vec![],
-        }
-        .to_wire();
+        let mut bytes = empty_batch().to_wire();
         let len = bytes.len();
         // Overwrite the report count with a huge value.
         bytes[len - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            BatchToOne::from_wire(&bytes),
+            <BatchToOne>::from_wire(&bytes),
             Err(FabricError::Malformed("report count exceeds message"))
         ));
     }

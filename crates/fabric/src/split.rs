@@ -13,6 +13,16 @@
 //!   instead of processing it in-process, then analyzes the returned
 //!   items. Plugs into [`prochlo_collector::Collector::start_with_pipeline`].
 //!
+//! **A batch stays in its wire form.** The shard encodes its frame straight
+//! from the canonical batch and frees both before it waits. Shuffler 1
+//! parses the outer ciphertexts out of the frame and frees it before it
+//! peels; its records leave the blind pass already encoded (a 64-byte
+//! crowd ID and the inner bytes). Shuffler 2 thresholds records that
+//! borrow their inners from the frame it received and answers from the
+//! survivors' slices, and the shard's analyzer decrypts the items where
+//! they lie in the answer frame. No stage holds a second copy of a batch
+//! to translate it.
+//!
 //! **Determinism contract.** The shard canonicalizes the batch
 //! ([`prochlo_core::canonicalize`], the function
 //! [`prochlo_core::EpochSession::finish`] calls), derives the epoch RNG from
@@ -34,14 +44,12 @@ use prochlo_collector::EpochPipeline;
 use prochlo_core::shuffler::split::{ShufflerOne, ShufflerTwo, SplitShuffler};
 use prochlo_core::shuffler::ShufflerStats;
 use prochlo_core::{
-    canonicalize, epoch_rng, exec, Analyzer, ClientReport, EpochSpec, PipelineError,
-    PipelineReport, TransportMetadata,
+    canonicalize, epoch_rng, exec, Analyzer, ClientReport, EpochSpec, PipelineError, PipelineReport,
 };
 use prochlo_crypto::edwards::{FixedBaseTable, Point};
-use prochlo_crypto::hybrid::HybridCiphertext;
 
-use crate::messages::{BatchToTwo, ItemsBatch, ToOne, ToTwo};
-use crate::transport::{ChannelId, FabricError, Peer, Stage, Transport, TypedChannel};
+use crate::messages::{BatchToOne, BatchToTwo, ItemsBatch, ToOne, ToTwo};
+use crate::transport::{ChannelId, FabricError, Peer, Stage, Transport, TypedChannel, WireMessage};
 
 /// A stage's configured worker count, resolved once per service loop (`0`
 /// defers to `PROCHLO_SHUFFLE_THREADS`, then every core).
@@ -71,6 +79,9 @@ pub fn serve_shuffler_one(
         let from_shard =
             TypedChannel::<ToOne>::new(transport, ChannelId::new(Peer::Shard(shard), Stage::Batch));
         loop {
+            // The outer ciphertexts are parsed out of the frame, which is
+            // freed before the batch is peeled. The reports' metadata was
+            // stripped at the collector and never crosses the fabric.
             let batch = match from_shard.recv()? {
                 ToOne::Done => break,
                 ToOne::Batch(batch) => batch,
@@ -78,37 +89,21 @@ pub fn serve_shuffler_one(
             if batch.shard != shard {
                 return Err(FabricError::Malformed("batch tagged with wrong shard"));
             }
-            let reports: Vec<ClientReport> = batch
-                .reports
-                .iter()
-                .enumerate()
-                .map(|(index, outer)| {
-                    // The shard serialized real reports; a parse failure
-                    // here is corruption, not client garbage (that was
-                    // already screened at ingest).
-                    let outer = HybridCiphertext::from_bytes(outer)
-                        .map_err(|_| FabricError::Malformed("invalid outer ciphertext"))?;
-                    Ok(ClientReport {
-                        outer,
-                        // Stand-in metadata: the real metadata was stripped
-                        // at the collector and never crosses the fabric.
-                        metadata: TransportMetadata::synthetic(index as u64),
-                    })
-                })
-                .collect::<Result<_, FabricError>>()?;
             let mut rng = StdRng::seed_from_u64(batch.s1_seed);
             let span = prochlo_obs::span("fabric.s1.serve");
             let (records, stage_one) =
-                one.process_batch(num_threads, &reports, &elgamal_table, &mut rng);
+                one.process_batch(num_threads, &batch.reports, &elgamal_table, &mut rng);
             span.finish();
             let forward = BatchToTwo {
                 shard,
                 epoch_index: batch.epoch_index,
                 s2_seed: batch.s2_seed,
-                received: reports.len(),
+                received: batch.reports.len(),
                 stage_one,
-                records: BatchToTwo::encode_records(records, num_threads),
+                records,
             };
+            // The outer ciphertexts go before the records' frame is built.
+            drop(batch);
             TypedChannel::<ToTwo>::new(
                 transport,
                 ChannelId::new(Peer::ShufflerTwo, Stage::Records),
@@ -128,14 +123,21 @@ pub fn serve_shuffler_two(transport: &dyn Transport, two: &ShufflerTwo) -> Resul
     let from_one =
         TypedChannel::<ToTwo>::new(transport, ChannelId::new(Peer::ShufflerOne, Stage::Records));
     loop {
-        let batch = match from_one.recv()? {
+        // The records borrow their inner ciphertexts from the frame, and so
+        // do the items the answer is written from.
+        let frame = from_one.recv_frame()?;
+        let batch = match <ToTwo>::from_wire(&frame)? {
             ToTwo::Done => return Ok(()),
             ToTwo::Batch(batch) => *batch,
         };
-        let records = BatchToTwo::decode_records(batch.records, num_threads)?;
         let mut rng = StdRng::seed_from_u64(batch.s2_seed);
         let span = prochlo_obs::span("fabric.s2.serve");
-        let (items, stage_two) = two.process_batch(num_threads, records, &mut rng);
+        let (items, stage_two) = two
+            .process_batch(num_threads, batch.records, &mut rng)
+            .map_err(|e| match e {
+                PipelineError::MalformedReport(what) => FabricError::Malformed(what),
+                other => FabricError::Processing(other.to_string()),
+            })?;
         span.finish();
         let answer = ItemsBatch {
             shard: batch.shard,
@@ -145,7 +147,7 @@ pub fn serve_shuffler_two(transport: &dyn Transport, two: &ShufflerTwo) -> Resul
             stage_two,
             items,
         };
-        TypedChannel::<ItemsBatch>::new(
+        TypedChannel::new(
             transport,
             ChannelId::new(Peer::Shard(batch.shard), Stage::Items),
         )
@@ -211,27 +213,31 @@ impl EpochPipeline for RemoteSplitPipeline {
         let (s1_seed, s2_seed) = SplitShuffler::stage_seeds(&mut rng);
 
         let sent = batch.len();
-        let to_one = ToOne::Batch(crate::messages::BatchToOne {
+        // Time the full ship-shuffle-return round trip the shard is
+        // blocked on.
+        let span = prochlo_obs::span("fabric.shard.roundtrip");
+        // The frame is encoded straight from the canonical batch; both are
+        // freed before the wait.
+        TypedChannel::new(
+            self.transport.as_ref(),
+            ChannelId::new(Peer::ShufflerOne, Stage::Batch),
+        )
+        .send(&ToOne::Batch(BatchToOne {
             shard: self.shard,
             epoch_index: spec.epoch_index,
             s1_seed,
             s2_seed,
-            reports: batch.iter().map(|r| r.outer.to_bytes()).collect(),
-        });
-        // Time the full ship-shuffle-return round trip the shard is
-        // blocked on.
-        let span = prochlo_obs::span("fabric.shard.roundtrip");
-        TypedChannel::<ToOne>::new(
-            self.transport.as_ref(),
-            ChannelId::new(Peer::ShufflerOne, Stage::Batch),
-        )
-        .send(&to_one)?;
+            reports: batch.iter().map(|report| &report.outer).collect(),
+        }))?;
+        drop(batch);
 
-        let items = TypedChannel::<ItemsBatch>::new(
+        // The analyzer decrypts the items where they lie in the answer frame.
+        let frame = TypedChannel::<ItemsBatch>::new(
             self.transport.as_ref(),
             ChannelId::new(Peer::ShufflerTwo, Stage::Items),
         )
-        .recv()?;
+        .recv_frame()?;
+        let items = <ItemsBatch>::from_wire(&frame)?;
         let roundtrip_seconds = span.finish();
         if items.shard != self.shard || items.epoch_index != spec.epoch_index {
             return Err(PipelineError::Transport(format!(
@@ -296,7 +302,10 @@ mod tests {
     use super::*;
     use crate::loopback::LoopbackHub;
     use prochlo_core::encoder::CrowdStrategy;
+    use prochlo_core::shuffler::split::BlindedRecord;
     use prochlo_core::{Deployment, Topology};
+    use prochlo_crypto::elgamal::ElGamalCiphertext;
+    use prochlo_crypto::hybrid::HybridCiphertext;
 
     /// One shard's epoch over loopback must match the in-process split run
     /// byte for byte (items order included — it is seeded).
@@ -361,6 +370,139 @@ mod tests {
             assert_eq!(remote.shuffler_stats, reference.shuffler_stats);
             assert_eq!(remote.stage_stats, reference.stage_stats);
         });
+    }
+
+    fn split_deployment(rng: &mut StdRng) -> Deployment {
+        Deployment::builder()
+            .shuffler(Topology::Split)
+            .payload_size(32)
+            .build(rng)
+    }
+
+    /// Blinded reports of one word through Shuffler 1 in-process: the
+    /// deployment and the records it forwards.
+    fn forwarded_records(seed: u64) -> (Deployment, Vec<BlindedRecord>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let deployment = split_deployment(&mut rng);
+        let encoder = deployment.encoder();
+        let reports: Vec<ClientReport> = (0..40u64)
+            .map(|i| {
+                encoder
+                    .encode_plain(b"w", CrowdStrategy::Blind(b"w"), i, &mut rng)
+                    .unwrap()
+            })
+            .collect();
+        let split = deployment.role().as_split().unwrap();
+        let table = FixedBaseTable::new(split.two.elgamal_public());
+        let (records, _) = split.one.process_batch(2, &reports, &table, &mut rng);
+        (deployment, records)
+    }
+
+    #[test]
+    fn an_outer_that_does_not_parse_fails_shuffler_ones_batch() {
+        let deployment = split_deployment(&mut StdRng::seed_from_u64(41));
+        let split = deployment.role().as_split().unwrap();
+        let hub = LoopbackHub::new();
+        let shard = hub.endpoint(Peer::Shard(0));
+        let s1 = hub.endpoint(Peer::ShufflerOne);
+        // A report one byte shorter than the shortest hybrid ciphertext,
+        // behind a valid one so that the count fits the frame.
+        let mut frame = ToOne::Batch(BatchToOne {
+            shard: 0,
+            epoch_index: 0,
+            s1_seed: 1,
+            s2_seed: 2,
+            reports: vec![HybridCiphertext {
+                ephemeral: [1; 32],
+                nonce: [2; 12],
+                sealed: vec![3; 40],
+            }],
+        })
+        .to_wire();
+        let short = HybridCiphertext::layer_overhead() - 1;
+        frame.extend(std::iter::repeat_n(0, 4 + short));
+        let count_at = 1 + 4 + 3 * 8;
+        frame[count_at..count_at + 4].copy_from_slice(&2u32.to_le_bytes());
+        let last = frame.len() - short - 4;
+        frame[last..last + 4].copy_from_slice(&(short as u32).to_le_bytes());
+        shard.send(Peer::ShufflerOne, Stage::Batch, &frame).unwrap();
+        let served = serve_shuffler_one(&s1, &split.one, split.two.elgamal_public(), 1);
+        assert!(matches!(
+            served,
+            Err(FabricError::Malformed("invalid outer ciphertext"))
+        ));
+        // Nothing was forwarded: the first message Shuffler 2 reads is the
+        // marker sent after the failure.
+        TypedChannel::<ToTwo>::new(&s1, ChannelId::new(Peer::ShufflerTwo, Stage::Records))
+            .send(&ToTwo::Done)
+            .unwrap();
+        let s2 = hub.endpoint(Peer::ShufflerTwo);
+        let first =
+            TypedChannel::<ToTwo>::new(&s2, ChannelId::new(Peer::ShufflerOne, Stage::Records))
+                .recv_frame()
+                .unwrap();
+        assert!(matches!(<ToTwo>::from_wire(&first), Ok(ToTwo::Done)));
+    }
+
+    #[test]
+    fn a_crowd_id_that_is_no_curve_point_fails_shuffler_twos_batch() {
+        let (deployment, mut records) = forwarded_records(42);
+        // y = 2^255 - 1 is at least p: no canonical point encodes to it.
+        let not_a_point = [0xff; 64];
+        assert!(ElGamalCiphertext::from_bytes(&not_a_point).is_err());
+        records[7].blinded_crowd = not_a_point;
+        let hub = LoopbackHub::new();
+        let s1 = hub.endpoint(Peer::ShufflerOne);
+        let s2 = hub.endpoint(Peer::ShufflerTwo);
+        let to_two = TypedChannel::new(&s1, ChannelId::new(Peer::ShufflerTwo, Stage::Records));
+        to_two
+            .send(&ToTwo::Batch(Box::new(BatchToTwo {
+                shard: 0,
+                epoch_index: 0,
+                s2_seed: 3,
+                received: records.len(),
+                stage_one: ShufflerStats {
+                    backend: "blind",
+                    ..ShufflerStats::default()
+                },
+                records,
+            })))
+            .unwrap();
+        let two = &deployment.role().as_split().unwrap().two;
+        assert!(matches!(
+            serve_shuffler_two(&s2, two),
+            Err(FabricError::Malformed("invalid blinded crowd id"))
+        ));
+        // No answer was sent: the first items the shard reads are the ones
+        // sent after the failure.
+        let sentinel: ItemsBatch = ItemsBatch {
+            shard: 0,
+            epoch_index: u64::MAX,
+            received: 0,
+            stage_one: ShufflerStats {
+                backend: "blind",
+                ..ShufflerStats::default()
+            },
+            stage_two: ShufflerStats {
+                backend: "inline",
+                ..ShufflerStats::default()
+            },
+            items: vec![],
+        };
+        TypedChannel::new(&s2, ChannelId::new(Peer::Shard(0), Stage::Items))
+            .send(&sentinel)
+            .unwrap();
+        let shard = hub.endpoint(Peer::Shard(0));
+        let first = TypedChannel::<ItemsBatch>::new(
+            &shard,
+            ChannelId::new(Peer::ShufflerTwo, Stage::Items),
+        )
+        .recv_frame()
+        .unwrap();
+        assert_eq!(
+            <ItemsBatch>::from_wire(&first).unwrap().epoch_index,
+            u64::MAX
+        );
     }
 
     #[test]

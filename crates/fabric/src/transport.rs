@@ -457,12 +457,21 @@ pub(crate) mod metrics {
     }
 }
 
-/// A message type that can travel the fabric.
-pub trait WireMessage: Sized {
+/// A message type that can travel the fabric: one encoder, one decoder.
+///
+/// A message that carries a batch decodes to a form that borrows its byte
+/// strings from the received frame ([`Self::Decoded`]), so a batch is not
+/// copied out of its frame to be read; every other message decodes to
+/// itself. Encoding is generic over how the sender holds the same
+/// contents — owned, or borrowed from whatever it already has — so a
+/// decoded batch re-encodes to the bytes it came from.
+pub trait WireMessage {
+    /// What [`Self::from_wire`] returns for a payload borrowed for `'a`.
+    type Decoded<'a>;
     /// Serializes the message payload.
     fn to_wire(&self) -> Vec<u8>;
     /// Parses a message payload.
-    fn from_wire(bytes: &[u8]) -> Result<Self, FabricError>;
+    fn from_wire(bytes: &[u8]) -> Result<Self::Decoded<'_>, FabricError>;
 }
 
 /// A typed view of one channel: `send`/`recv` whole messages instead of
@@ -512,9 +521,20 @@ impl<'t, T: WireMessage> TypedChannel<'t, T> {
             .send(self.id.peer, self.id.stage, &message.to_wire())
     }
 
-    /// Receives the next typed message from the channel's peer.
-    pub fn recv(&self) -> Result<T, FabricError> {
+    /// Receives the next typed message from the channel's peer, for a
+    /// message that decodes to itself; the frame is freed on return.
+    pub fn recv(&self) -> Result<T, FabricError>
+    where
+        T: for<'a> WireMessage<Decoded<'a> = T>,
+    {
         T::from_wire(&self.transport.recv(self.id)?)
+    }
+
+    /// Receives the next frame from the channel's peer, for a message that
+    /// borrows from it: decode it with `T::from_wire(&frame)`, and the
+    /// message lives as long as the frame does.
+    pub fn recv_frame(&self) -> Result<Vec<u8>, FabricError> {
+        self.transport.recv(self.id)
     }
 }
 

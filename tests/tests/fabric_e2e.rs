@@ -22,6 +22,7 @@ use prochlo_core::{
     canonicalize, AnalyzerDatabase, ClientReport, Deployment, EpochSpec, PipelineReport,
     ShardedDeployment, ShufflerConfig, Topology,
 };
+use prochlo_crypto::hybrid::HybridCiphertext;
 use prochlo_fabric::transport::WireMessage;
 use prochlo_fabric::{
     serve_shuffler_one, serve_shuffler_two, LoopbackHub, Peer, RemoteSplitPipeline, RouterConfig,
@@ -379,7 +380,7 @@ const PINNED_S2_SEED: u64 = 0x52ed;
 /// phases at 128 records) that interleaves valid blinded reports with
 /// outers sealed to a foreign shuffler and reports carrying a hashed crowd
 /// ID, so rejected records fall on both sides of every chunk border.
-fn pinned_split_batch() -> (Deployment, Vec<Vec<u8>>) {
+fn pinned_split_batch() -> (Deployment, Vec<HybridCiphertext>) {
     let mut rng = StdRng::seed_from_u64(0x9157);
     let deployment = Deployment::builder()
         .shuffler(Topology::Split)
@@ -408,7 +409,7 @@ fn pinned_split_batch() -> (Deployment, Vec<Vec<u8>>) {
             } else {
                 encoder.encode_plain(label, CrowdStrategy::Blind(label), i, &mut rng)
             };
-            report.unwrap().outer.to_bytes()
+            report.unwrap().outer
         })
         .collect();
     (deployment, reports)
@@ -448,32 +449,33 @@ fn split_stage_wire_bytes_equal_the_sequential_implementation() {
     let as_two = hub.endpoint(Peer::ShufflerTwo);
     let from_one =
         TypedChannel::<ToTwo>::new(&as_two, ChannelId::new(Peer::ShufflerOne, Stage::Records));
-    let ToTwo::Batch(forwarded) = from_one.recv().unwrap() else {
+    let frame = from_one.recv_frame().unwrap();
+    let ToTwo::Batch(forwarded) = <ToTwo>::from_wire(&frame).unwrap() else {
         panic!("Shuffler 1 must forward the batch before its done marker");
     };
     assert_eq!(forwarded.stage_one.received, 2_200);
     assert!(forwarded.stage_one.rejected > 400);
     assert!(forwarded.records.len() > 2 * 1024 - 600);
     let mut hasher = Sha256::new();
-    for (crowd, inner) in &forwarded.records {
-        hasher.update(crowd);
-        hasher.update(inner);
+    for record in &forwarded.records {
+        hasher.update(&record.blinded_crowd);
+        hasher.update(record.inner);
     }
     assert_eq!(hex(&hasher.finalize()), PINNED_S1_RECORDS_SHA256);
 
     // Stage 2 on a second hub, fed the captured message unchanged.
     let hub = LoopbackHub::new();
     let as_one = hub.endpoint(Peer::ShufflerOne);
-    let to_two =
-        TypedChannel::<ToTwo>::new(&as_one, ChannelId::new(Peer::ShufflerTwo, Stage::Records));
+    let to_two = TypedChannel::new(&as_one, ChannelId::new(Peer::ShufflerTwo, Stage::Records));
     to_two.send(&ToTwo::Batch(forwarded)).unwrap();
     to_two.send(&ToTwo::Done).unwrap();
     serve_shuffler_two(&hub.endpoint(Peer::ShufflerTwo), &split.two).unwrap();
     let shard = hub.endpoint(Peer::Shard(0));
-    let answer =
+    let frame =
         TypedChannel::<ItemsBatch>::new(&shard, ChannelId::new(Peer::ShufflerTwo, Stage::Items))
-            .recv()
+            .recv_frame()
             .unwrap();
+    let answer = <ItemsBatch>::from_wire(&frame).unwrap();
     assert!(answer.stage_two.crowds_forwarded > 0);
     assert!(answer.stage_two.dropped_noise > 0);
     assert!(answer.stage_two.dropped_threshold > 0);

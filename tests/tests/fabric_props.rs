@@ -11,7 +11,9 @@ use std::io::Read;
 use std::net::{SocketAddr, TcpListener};
 
 use prochlo_core::framing::{FrameRead, FrameWrite};
+use prochlo_core::shuffler::split::BlindedRecord;
 use prochlo_core::shuffler::{PhaseTimings, ShufflerStats};
+use prochlo_crypto::hybrid::HybridCiphertext;
 use prochlo_fabric::transport::{frame_policy, WireMessage};
 use prochlo_fabric::{
     BatchToOne, BatchToTwo, Control, Envelope, FabricError, ItemsBatch, Peer, ShardSummary, Stage,
@@ -79,6 +81,34 @@ fn blobs(seed: u64, count: usize, max_len: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// `count` outer ciphertexts of random bytes, from the shortest a report
+/// can be up to `max_sealed` bytes past it.
+fn outers(seed: u64, count: usize, max_sealed: usize) -> Vec<HybridCiphertext> {
+    blobs(seed, count, max_sealed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut tag)| {
+            tag.resize(tag.len() + 16, i as u8);
+            HybridCiphertext {
+                ephemeral: [i as u8; 32],
+                nonce: [(seed % 251) as u8; 12],
+                sealed: tag,
+            }
+        })
+        .collect()
+}
+
+/// Blinded records over `inners`, each crowd ID a fill byte.
+fn records(seed: u64, inners: &[Vec<u8>]) -> Vec<BlindedRecord<&[u8]>> {
+    inners
+        .iter()
+        .map(|inner| BlindedRecord {
+            blinded_crowd: [(seed % 251) as u8; 64],
+            inner: inner.as_slice(),
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -107,12 +137,12 @@ proptest! {
         let bytes = bytes_from_seed(seed, len);
         let _ = Envelope::from_bytes(&bytes);
         let _ = Control::from_wire(&bytes);
-        let _ = BatchToOne::from_wire(&bytes);
-        let _ = BatchToTwo::from_wire(&bytes);
-        let _ = ItemsBatch::from_wire(&bytes);
+        let _ = <BatchToOne>::from_wire(&bytes);
+        let _ = <BatchToTwo>::from_wire(&bytes);
+        let _ = <ItemsBatch>::from_wire(&bytes);
         let _ = ShardSummary::from_wire(&bytes);
-        let _ = ToOne::from_wire(&bytes);
-        let _ = ToTwo::from_wire(&bytes);
+        let _ = <ToOne>::from_wire(&bytes);
+        let _ = <ToTwo>::from_wire(&bytes);
     }
 
     #[test]
@@ -176,51 +206,76 @@ proptest! {
             epoch_index: seed,
             s1_seed: seed.wrapping_mul(3),
             s2_seed: seed.wrapping_mul(5),
-            reports: blobs(seed, count, 96),
+            reports: outers(seed, count, 96),
         };
         // The batch encodings reserve their exact length up front: growing
         // by doubling would leave capacity over and copy the batch on the
         // way.
         let bytes = batch.to_wire();
         prop_assert_eq!(bytes.capacity(), bytes.len());
-        prop_assert_eq!(BatchToOne::from_wire(&bytes).unwrap(), batch.clone());
+        prop_assert_eq!(<BatchToOne>::from_wire(&bytes).unwrap(), batch.clone());
         prop_assert_eq!(
-            ToOne::from_wire(&ToOne::Batch(batch.clone()).to_wire()).unwrap(),
-            ToOne::Batch(batch)
+            <ToOne>::from_wire(&ToOne::Batch(batch.clone()).to_wire()).unwrap(),
+            ToOne::Batch(batch.clone())
         );
+        // A shard encodes from references into its batch: the same bytes.
+        let borrowed = BatchToOne {
+            shard: batch.shard,
+            epoch_index: batch.epoch_index,
+            s1_seed: batch.s1_seed,
+            s2_seed: batch.s2_seed,
+            reports: batch.reports.iter().collect(),
+        };
+        prop_assert!(borrowed.to_wire() == bytes);
 
+        let inners = blobs(seed ^ 1, count, 64);
         let to_two = BatchToTwo {
             shard: (seed % 7) as u16,
             epoch_index: seed,
             s2_seed: seed.wrapping_mul(5),
             received: count,
             stage_one: stats(seed, "blind"),
-            records: blobs(seed ^ 1, count, 64)
-                .into_iter()
-                .map(|inner| ([(seed % 251) as u8; 64], inner))
-                .collect(),
+            records: records(seed, &inners),
         };
         let bytes = to_two.to_wire();
         prop_assert_eq!(bytes.capacity(), bytes.len());
-        let parsed = BatchToTwo::from_wire(&bytes).unwrap();
+        let parsed = <BatchToTwo>::from_wire(&bytes).unwrap();
         prop_assert_eq!(&parsed, &to_two);
+        // Shuffler 1 encodes from the owned records it peeled: the same bytes.
+        let owned = BatchToTwo {
+            shard: to_two.shard,
+            epoch_index: to_two.epoch_index,
+            s2_seed: to_two.s2_seed,
+            received: to_two.received,
+            stage_one: to_two.stage_one.clone(),
+            records: to_two
+                .records
+                .iter()
+                .map(|record| BlindedRecord {
+                    blinded_crowd: record.blinded_crowd,
+                    inner: record.inner.to_vec(),
+                })
+                .collect(),
+        };
+        prop_assert!(owned.to_wire() == bytes);
         // ShufflerStats equality ignores timings; pin them bit-for-bit.
         prop_assert_eq!(
             parsed.stage_one.timings.peel_seconds.to_bits(),
             to_two.stage_one.timings.peel_seconds.to_bits()
         );
 
+        let item_bytes = blobs(seed ^ 3, count, 48);
         let items = ItemsBatch {
             shard: (seed % 7) as u16,
             epoch_index: seed,
             received: count,
             stage_one: stats(seed, "blind"),
             stage_two: stats(seed ^ 2, "inline"),
-            items: blobs(seed ^ 3, count, 48),
+            items: item_bytes.iter().map(Vec::as_slice).collect(),
         };
         let bytes = items.to_wire();
         prop_assert_eq!(bytes.capacity(), bytes.len());
-        prop_assert_eq!(ItemsBatch::from_wire(&bytes).unwrap(), items);
+        prop_assert_eq!(<ItemsBatch>::from_wire(&bytes).unwrap(), items);
 
         let summary = ShardSummary {
             shard: (seed % 7) as u16,
@@ -237,20 +292,18 @@ proptest! {
 
     #[test]
     fn prop_typed_message_truncations_always_error(seed in any::<u64>(), count in 1usize..6) {
+        let inners = blobs(seed, count, 40);
         let bytes = BatchToTwo {
             shard: 1,
             epoch_index: seed,
             s2_seed: seed,
             received: count,
             stage_one: stats(seed, "blind"),
-            records: blobs(seed, count, 40)
-                .into_iter()
-                .map(|inner| ([9u8; 64], inner))
-                .collect(),
+            records: records(9, &inners),
         }
         .to_wire();
         for cut in 0..bytes.len() {
-            prop_assert!(BatchToTwo::from_wire(&bytes[..cut]).is_err(), "cut {}", cut);
+            prop_assert!(<BatchToTwo>::from_wire(&bytes[..cut]).is_err(), "cut {}", cut);
         }
     }
 }
