@@ -13,18 +13,22 @@
 //! stage). Two implementations ship — [`loopback::LoopbackHub`] wires a
 //! whole topology inside one process for deterministic tests, and
 //! [`tcp::TcpTransport`] runs the same protocol code over real sockets.
-//! Protocol logic is written once against `&dyn Transport` and cannot
-//! tell the difference; the end-to-end tests exploit exactly that to
-//! assert the wire topology reproduces the single-process golden output
-//! byte for byte.
+//! Under both runs one link implementation, which numbers, checks, files
+//! and delivers every frame. Protocol logic is written once against
+//! `&dyn Transport` and cannot tell the difference; the end-to-end tests
+//! exploit exactly that to assert the wire topology reproduces the
+//! single-process golden output byte for byte.
 //!
 //! Module map:
 //!
 //! * [`transport`] — the [`Transport`] trait, peer/stage addressing, the
 //!   versioned message envelope, and [`TypedChannel`].
-//! * [`loopback`] — in-process transport for tests and demos.
-//! * [`tcp`] — socket transport: one socket per peer pair, stages
-//!   multiplexed, `HELLO`-frame identification.
+//! * `link` (crate-private) — the one link both transports run: send
+//!   numbering, checked per-stage inboxes, failure for every waiter.
+//! * [`loopback`] — in-process transport for tests and demos: one link per
+//!   `(sender, receiver)` pair.
+//! * [`tcp`] — socket transport: one socket and one link per peer pair,
+//!   stages multiplexed, `HELLO`-frame identification.
 //! * [`messages`] — the typed payloads flowing between driver, shards,
 //!   and shufflers.
 //! * [`split`] — the wire-level split shuffler: stage servers plus the
@@ -59,6 +63,7 @@
 
 #![warn(missing_docs)]
 
+mod link;
 pub mod loopback;
 pub mod messages;
 pub mod router;

@@ -39,7 +39,7 @@ pub const fn frame_policy() -> FramePolicy {
 pub(crate) const ENVELOPE_HEADER_LEN: usize = 18;
 
 /// Refuses a payload whose envelope would not fit one fabric frame, with
-/// the framing layer's own [`FrameError::TooLarge`]. Transports ask before
+/// the framing layer's own [`FrameError::TooLarge`]. A link asks before
 /// taking a sequence number: a refused send must leave no gap in the
 /// stream, or the next frame on the stage would read as reordered.
 pub(crate) fn check_frame_len(payload_len: usize) -> Result<(), FabricError> {
@@ -55,8 +55,6 @@ pub(crate) fn check_frame_len(payload_len: usize) -> Result<(), FabricError> {
 pub enum Peer {
     /// The orchestrating driver (merges shard summaries).
     Driver,
-    /// The submission router in front of the collector shards.
-    Router,
     /// Shuffler 1 of the split topology (peels and blinds).
     ShufflerOne,
     /// Shuffler 2 of the split topology (unblinds handles, thresholds).
@@ -69,7 +67,6 @@ impl fmt::Display for Peer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Peer::Driver => write!(f, "driver"),
-            Peer::Router => write!(f, "router"),
             Peer::ShufflerOne => write!(f, "shuffler-1"),
             Peer::ShufflerTwo => write!(f, "shuffler-2"),
             Peer::Shard(i) => write!(f, "shard-{i}"),
@@ -78,11 +75,11 @@ impl fmt::Display for Peer {
 }
 
 impl Peer {
-    /// Appends the wire encoding: a tag byte plus the shard index.
+    /// Appends the wire encoding: a tag byte plus the shard index. Tag 1
+    /// is unassigned and decodes as an unknown peer.
     pub fn encode(&self, out: &mut Vec<u8>) {
         let (tag, index) = match self {
             Peer::Driver => (0u8, 0u16),
-            Peer::Router => (1, 0),
             Peer::ShufflerOne => (2, 0),
             Peer::ShufflerTwo => (3, 0),
             Peer::Shard(i) => (4, *i),
@@ -101,7 +98,6 @@ impl Peer {
             .map_err(|_| FabricError::Malformed("truncated peer index"))?;
         let peer = match tag {
             0 => Peer::Driver,
-            1 => Peer::Router,
             2 => Peer::ShufflerOne,
             3 => Peer::ShufflerTwo,
             4 => {
@@ -230,8 +226,8 @@ impl Envelope {
     }
 
     /// Appends the [`ENVELOPE_HEADER_LEN`] bytes [`Self::to_bytes`] puts in
-    /// front of a payload of `payload_len` bytes, so a transport can send
-    /// (or store) header and payload without building an `Envelope` — which
+    /// front of a payload of `payload_len` bytes, so a link can send (or
+    /// file) header and payload without building an `Envelope` — which
     /// would copy the payload — first. The caller has checked the length
     /// with [`check_frame_len`].
     pub(crate) fn put_header(
@@ -381,6 +377,12 @@ impl From<FrameError> for FabricError {
     }
 }
 
+impl From<std::io::Error> for FabricError {
+    fn from(e: std::io::Error) -> Self {
+        FabricError::Frame(e.into())
+    }
+}
+
 impl From<FabricError> for prochlo_core::PipelineError {
     fn from(e: FabricError) -> Self {
         prochlo_core::PipelineError::Transport(e.to_string())
@@ -391,8 +393,9 @@ impl From<FabricError> for prochlo_core::PipelineError {
 ///
 /// Implementations: [`crate::loopback::LoopbackTransport`] (in-process, for
 /// tests) and [`crate::tcp::TcpTransport`] (the deployment transport).
-/// Both deliver each `(peer, stage)` stream in send order and verify
-/// sequence numbers, so the code above them cannot tell which one it runs
+/// Both number, check, file and deliver frames through the same link code,
+/// so each `(peer, stage)` stream arrives in send order with its sequence
+/// numbers verified and the code above them cannot tell which one it runs
 /// on — that equivalence is what the loopback determinism tests certify.
 pub trait Transport: Send + Sync {
     /// This process's identity in the topology.
@@ -545,7 +548,6 @@ mod tests {
     fn all_peers() -> Vec<Peer> {
         vec![
             Peer::Driver,
-            Peer::Router,
             Peer::ShufflerOne,
             Peer::ShufflerTwo,
             Peer::Shard(0),

@@ -95,7 +95,9 @@ const SECRET_TYPES: &[&str] = &[
 /// The wire decode surface: every file that parses bytes a peer controls.
 const WIRE_DECODE_FILES: &[&str] = &[
     "crates/collector/src/protocol.rs",
+    "crates/fabric/src/link.rs",
     "crates/fabric/src/messages.rs",
+    "crates/fabric/src/tcp.rs",
     "crates/fabric/src/transport.rs",
     "crates/core/src/wire.rs",
     "crates/core/src/framing.rs",

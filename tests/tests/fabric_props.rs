@@ -32,11 +32,10 @@ const STAGES: [Stage; 5] = [
 ];
 
 fn arb_peer(selector: u8, shard: u16) -> Peer {
-    match selector % 5 {
+    match selector % 4 {
         0 => Peer::Driver,
-        1 => Peer::Router,
-        2 => Peer::ShufflerOne,
-        3 => Peer::ShufflerTwo,
+        1 => Peer::ShufflerOne,
+        2 => Peer::ShufflerTwo,
         _ => Peer::Shard(shard),
     }
 }
