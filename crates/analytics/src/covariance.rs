@@ -83,7 +83,7 @@ impl CovarianceModel {
     }
 
     /// Adds one four-tuple.
-    pub fn add_tuple(&mut self, tuple: &RatingTuple) {
+    fn add_tuple(&mut self, tuple: &RatingTuple) {
         let key = (tuple.movie_a, tuple.movie_b);
         *self.s.entry(key).or_insert(0) += 1;
         *self.a.entry(key).or_insert(0.0) += tuple.rating_a as f64 * tuple.rating_b as f64;
@@ -132,7 +132,7 @@ impl CovarianceModel {
 
     /// The mean observed rating of an item (from the tuples), or the global
     /// midpoint when unseen.
-    pub fn item_mean(&self, movie: u32) -> f64 {
+    fn item_mean(&self, movie: u32) -> f64 {
         match (self.item_sum.get(&movie), self.item_count.get(&movie)) {
             (Some(sum), Some(&count)) if count > 0 => sum / count as f64,
             _ => 3.0,

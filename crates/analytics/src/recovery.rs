@@ -1,5 +1,5 @@
 //! Unique-item recovery accounting: how many distinct true values did an
-//! analysis manage to surface, and how precise was it?
+//! analysis manage to surface, and how many of its answers were wrong?
 
 use std::collections::HashSet;
 
@@ -32,22 +32,6 @@ impl RecoveryReport {
             false_positives: recovered_set.len() - true_positives,
         }
     }
-
-    /// Fraction of the ground truth that was recovered.
-    pub fn recall(&self) -> f64 {
-        if self.ground_truth == 0 {
-            return 0.0;
-        }
-        self.true_positives as f64 / self.ground_truth as f64
-    }
-
-    /// Fraction of recovered items that are correct.
-    pub fn precision(&self) -> f64 {
-        if self.recovered == 0 {
-            return 0.0;
-        }
-        self.true_positives as f64 / self.recovered as f64
-    }
 }
 
 #[cfg(test)]
@@ -63,14 +47,5 @@ mod tests {
         assert_eq!(report.recovered, 3);
         assert_eq!(report.true_positives, 2);
         assert_eq!(report.false_positives, 1);
-        assert!((report.recall() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((report.precision() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_sets_do_not_divide_by_zero() {
-        let report = RecoveryReport::compare::<&str>(&[], &[]);
-        assert_eq!(report.recall(), 0.0);
-        assert_eq!(report.precision(), 0.0);
     }
 }

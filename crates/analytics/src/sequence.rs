@@ -36,7 +36,7 @@ impl SequenceModel {
 
     /// Trains on one fragment (an m-tuple from the Prochlo encoder, or a full
     /// history — the model only ever looks at consecutive pairs).
-    pub fn train_on_fragment(&mut self, fragment: &[usize]) {
+    fn train_on_fragment(&mut self, fragment: &[usize]) {
         for &item in fragment {
             *self.popularity.entry(item).or_insert(0) += 1;
         }
@@ -55,11 +55,6 @@ impl SequenceModel {
         for fragment in fragments {
             self.train_on_fragment(fragment);
         }
-    }
-
-    /// Number of distinct contexts with at least one observed transition.
-    pub fn contexts(&self) -> usize {
-        self.transitions.len()
     }
 
     /// Predicts the most likely next item after `context`, falling back to

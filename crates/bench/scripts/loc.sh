@@ -1,6 +1,6 @@
 #!/bin/sh
 # Rust lines per crate: every line, and the lines outside `#[cfg(test)]`.
-# ROADMAP item 8 asks that size be tracked; CI prints this table on every run
+# ROADMAP item 11 asks that size be tracked; CI prints this table on every run
 # so a PR's effect on it is one diff of two logs.
 #
 #   crates/bench/scripts/loc.sh        # from the repository root

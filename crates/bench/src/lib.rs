@@ -61,7 +61,7 @@ pub fn print_header(title: &str, columns: &[&str]) {
 /// `bench_compare` binary greps these lines back out and compares them
 /// against the committed `BENCH_baseline.json`. Metrics are throughputs
 /// (higher is better) unless the name ends in `_ms` or `_us`
-/// ([`lower_is_better`]), which marks a latency or a cost.
+/// (`lower_is_better`), which marks a latency or a cost.
 pub fn emit_metric(bench: &str, metric: &str, value: f64) {
     println!("BENCHJSON {{\"bench\":\"{bench}\",\"metric\":\"{metric}\",\"value\":{value:.1}}}");
 }
@@ -136,6 +136,7 @@ pub enum Verdict {
 
 /// One baseline metric's comparison result.
 #[derive(Debug, Clone, PartialEq)]
+// prochlo-lint: allow(uncalled-pub, "the element type compare_metrics returns; bench_compare reads its fields without naming it")
 pub struct Comparison {
     /// The `bench/metric` key.
     pub key: String,
@@ -153,14 +154,14 @@ pub struct Comparison {
 /// costs carry a time-unit suffix by convention (`_ms`: the soak harness's
 /// `epoch_cut_p50_ms`; `_us`: `crypto/fixed_base_table_build_us`);
 /// everything else is a throughput.
-pub fn lower_is_better(key: &str) -> bool {
+fn lower_is_better(key: &str) -> bool {
     key.ends_with("_ms") || key.ends_with("_us")
 }
 
 /// Compares every baseline metric against this run's measurements.
 /// Throughput metrics (higher is better): below `floor ×` baseline is
 /// [`Verdict::Regressed`], above `ceiling ×` baseline is
-/// [`Verdict::Improved`]. Latency metrics ([`lower_is_better`], the `_ms`
+/// [`Verdict::Improved`]. Latency metrics (`lower_is_better`, the `_ms`
 /// suffix) mirror the band: above `baseline / floor` regresses, below
 /// `baseline / ceiling` improves — the same tolerance, applied in the
 /// direction that hurts. Results come back in baseline order.

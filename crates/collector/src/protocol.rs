@@ -145,6 +145,7 @@ impl Request {
 /// One submission parsed in place: nonce and report borrow from the frame
 /// body they arrived in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// prochlo-lint: allow(uncalled-pub, "the payload of RequestRef::Submit; serving loops destructure it without naming it")
 pub struct Submission<'a> {
     /// The cleartext crowd-routing prefix of a `SUBMIT_ROUTED`; `None` for
     /// a plain `SUBMIT`.

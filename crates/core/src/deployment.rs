@@ -300,7 +300,7 @@ pub struct DeploymentBuilder {
 
 /// The payload size used when the builder is not told otherwise — the
 /// 32-byte padding most of the paper's workloads use.
-pub const DEFAULT_PAYLOAD_SIZE: usize = 32;
+const DEFAULT_PAYLOAD_SIZE: usize = 32;
 
 impl DeploymentBuilder {
     /// Selects the shuffling topology (default [`Topology::Single`]).
@@ -316,8 +316,8 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Sets the fixed padded payload size clients encode to (default
-    /// [`DEFAULT_PAYLOAD_SIZE`]).
+    /// Sets the fixed padded payload size clients encode to (default 32
+    /// bytes, the padding most of the paper's workloads use).
     pub fn payload_size(mut self, bytes: usize) -> Self {
         self.payload_size = Some(bytes);
         self
@@ -609,7 +609,7 @@ pub struct ShardedReport {
 ///
 /// Every shard has its **own keys**, so a client must encode against the
 /// shard its crowd maps to: [`Self::shard_for_crowd`] names the shard and
-/// [`Self::encoder_for`] hands back that shard's encoder. Routing uses the
+/// that shard's [`Deployment::encoder`] encodes for it. Routing uses the
 /// first eight bytes of `SHA-256(crowd label)` — the same hash
 /// [`crate::record::CrowdId::hashed`] attaches to reports — so a front-end
 /// router holding only hashed crowd IDs can route without seeing labels.
@@ -625,7 +625,8 @@ pub struct ShardedReport {
 /// for i in 0..40u64 {
 ///     let shard = sharded.shard_for_crowd(b"chrome");
 ///     let report = sharded
-///         .encoder_for(b"chrome")
+///         .shard(shard)
+///         .encoder()
 ///         .encode_plain(b"chrome", CrowdStrategy::Hash(b"chrome"), i, &mut rng)
 ///         .unwrap();
 ///     batches[shard].push(report);
@@ -697,12 +698,6 @@ impl ShardedDeployment {
     /// Which of this deployment's shards a crowd label routes to.
     pub fn shard_for_crowd(&self, label: &[u8]) -> usize {
         Self::shard_index(label, self.shards.len())
-    }
-
-    /// The encoder of the shard a crowd label routes to (built on the
-    /// shard's first request, cloned after; see [`Deployment::encoder`]).
-    pub fn encoder_for(&self, label: &[u8]) -> Encoder {
-        self.shards[self.shard_for_crowd(label)].encoder()
     }
 
     /// Ingests one epoch across every shard and merges the analyzer-side
@@ -1204,7 +1199,8 @@ mod tests {
             let shard = sharded.shard_for_crowd(b"only-crowd");
             batches[shard].push(
                 sharded
-                    .encoder_for(b"only-crowd")
+                    .shard(shard)
+                    .encoder()
                     .encode_plain(
                         b"only-crowd",
                         CrowdStrategy::Hash(b"only-crowd"),

@@ -122,8 +122,8 @@ impl Encoder {
         rng: &mut R,
     ) -> Result<ClientReport, PipelineError> {
         let padded = pad_payload(data, self.payload_size)?;
-        let ciphertext = mle::encrypt(&padded);
         let key = mle::derive_key(&padded);
+        let ciphertext = mle::encrypt_with_key(&key, &padded);
         let share = shamir::share_secret(&key, threshold, rng);
         let payload = AnalyzerPayload::SecretShared {
             ciphertext: ciphertext.to_bytes(),
@@ -209,45 +209,6 @@ pub fn flip_bits<R: Rng + ?Sized>(bitmap: &mut [u8], flip_probability: f64, rng:
                 *byte ^= 1 << bit;
             }
         }
-    }
-}
-
-/// Textbook binary randomized response (Warner 1965): reports the true value
-/// with probability `e^ε / (e^ε + 1)`, providing ε-local differential privacy.
-pub fn randomized_response_bool<R: Rng + ?Sized>(
-    true_value: bool,
-    epsilon: f64,
-    rng: &mut R,
-) -> bool {
-    let p_truth = epsilon.exp() / (epsilon.exp() + 1.0);
-    if rng.gen::<f64>() < p_truth {
-        true_value
-    } else {
-        !true_value
-    }
-}
-
-/// k-ary randomized response over the domain `0..k`: reports the true value
-/// with probability `e^ε / (e^ε + k − 1)`, otherwise a uniformly random other
-/// value. Provides ε-local differential privacy for a single report.
-pub fn randomized_response_kary<R: Rng + ?Sized>(
-    true_value: usize,
-    k: usize,
-    epsilon: f64,
-    rng: &mut R,
-) -> usize {
-    assert!(k >= 2, "domain must have at least two values");
-    assert!(true_value < k, "true value out of domain");
-    let p_truth = epsilon.exp() / (epsilon.exp() + (k as f64) - 1.0);
-    if rng.gen::<f64>() < p_truth {
-        true_value
-    } else {
-        // Uniform over the other k-1 values.
-        let mut other = rng.gen_range(0..k - 1);
-        if other >= true_value {
-            other += 1;
-        }
-        other
     }
 }
 
@@ -434,22 +395,5 @@ mod tests {
         assert_eq!(bitmap, original);
         flip_bits(&mut bitmap, 1.0, &mut rng);
         assert_eq!(bitmap, [0b0101_0101u8; 4]);
-    }
-
-    #[test]
-    fn randomized_response_statistics() {
-        let mut rng = StdRng::seed_from_u64(9);
-        // With ε = 2, truth probability is e²/(e²+1) ≈ 0.881.
-        let trials = 50_000;
-        let truthful = (0..trials)
-            .filter(|_| randomized_response_bool(true, 2.0, &mut rng))
-            .count();
-        let rate = truthful as f64 / trials as f64;
-        assert!((rate - 0.881).abs() < 0.01, "rate {rate}");
-        // k-ary RR stays in the domain and is mostly truthful for large ε.
-        for _ in 0..1000 {
-            let v = randomized_response_kary(3, 10, 8.0, &mut rng);
-            assert!(v < 10);
-        }
     }
 }

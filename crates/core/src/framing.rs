@@ -134,7 +134,7 @@ impl FramePolicy {
 
 /// Bytes a frame puts in front of its body: the `u32` length and the
 /// version byte.
-pub const FRAME_HEADER_LEN: usize = 5;
+const FRAME_HEADER_LEN: usize = 5;
 
 /// The header of a frame carrying `body_len` body bytes, or
 /// [`FrameError::TooLarge`] when the policy (or the `u32` length field)

@@ -41,12 +41,12 @@ pub enum PrivacyStage {
 /// Uses the Numerical-Recipes-style erfc approximation (fractional error
 /// below ~1.2 × 10⁻⁷), which is accurate enough for the δ values of interest
 /// (10⁻⁶ – 10⁻⁸) because the error is relative, not absolute.
-pub fn normal_upper_tail(x: f64) -> f64 {
+fn normal_upper_tail(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
 }
 
 /// The complementary error function.
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
     let poly = -z * z - 1.26551223
@@ -176,11 +176,6 @@ impl PrivacyAccountant {
         });
     }
 
-    /// All recorded guarantees.
-    pub fn guarantees(&self) -> &[PrivacyGuarantee] {
-        &self.guarantees
-    }
-
     /// Basic sequential composition: epsilons and deltas add. This is the
     /// worst-case bound for an adversary that sees every stage's output.
     pub fn composed(&self) -> (f64, f64) {
@@ -287,7 +282,7 @@ mod tests {
         let (e2, d2) = acc.for_reports_per_user(3);
         assert!((e2 - 3.0 * e).abs() < 1e-9);
         assert!((d2 - 3.0 * d).abs() < 1e-12);
-        assert_eq!(acc.guarantees().len(), 2);
+        assert_eq!(acc.guarantees.len(), 2);
     }
 
     #[test]

@@ -80,11 +80,11 @@ pub struct EngineConfig {
 
 /// Environment variable selecting the shuffle backend by name
 /// (case-insensitive; see [`ShuffleBackend::from_name`]).
-pub const SHUFFLE_BACKEND_ENV: &str = "PROCHLO_SHUFFLE_BACKEND";
+const SHUFFLE_BACKEND_ENV: &str = "PROCHLO_SHUFFLE_BACKEND";
 
 impl EngineConfig {
     /// Builds an engine configuration from the environment:
-    /// [`SHUFFLE_BACKEND_ENV`] selects the backend by name (default
+    /// `PROCHLO_SHUFFLE_BACKEND` selects the backend by name (default
     /// `trusted`) and `num_threads` is left at `0` so the thread knob is
     /// still parsed in its one place,
     /// [`crate::exec::shuffle_threads_from_env`].

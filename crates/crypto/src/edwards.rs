@@ -460,7 +460,7 @@ impl Point {
     }
 
     /// Point doubling ("dbl-2008-hwcd" specialised to a = -1).
-    pub fn double(&self) -> Point {
+    fn double(&self) -> Point {
         double_n(self, 1)
     }
 

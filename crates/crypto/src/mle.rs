@@ -45,9 +45,14 @@ fn derive_nonce(key: &[u8; 32], message: &[u8]) -> [u8; NONCE_LEN] {
 
 /// Encrypts `message` under its own derived key.
 pub fn encrypt(message: &[u8]) -> MleCiphertext {
-    let key_bytes = derive_key(message);
-    let nonce = derive_nonce(&key_bytes, message);
-    let key = AeadKey::from_bytes(key_bytes);
+    encrypt_with_key(&derive_key(message), message)
+}
+
+/// [`encrypt`] for a caller that already holds `derive_key(message)` (a
+/// client secret-sharing that key derives it once for both uses).
+pub fn encrypt_with_key(key_bytes: &[u8; 32], message: &[u8]) -> MleCiphertext {
+    let nonce = derive_nonce(key_bytes, message);
+    let key = AeadKey::from_bytes(*key_bytes);
     let sealed = aead::seal(&key, &nonce, b"prochlo-mle", message);
     MleCiphertext { nonce, sealed }
 }

@@ -105,11 +105,6 @@ impl PermsEvent {
     pub fn has(&self, action: PermissionAction) -> bool {
         self.actions & (1 << action.bit()) != 0
     }
-
-    /// The page name (stable across runs).
-    pub fn page_name(&self) -> String {
-        format!("page-{:07}.example", self.page)
-    }
 }
 
 /// Configuration and sampler for the Perms dataset.
@@ -141,11 +136,6 @@ impl PermsGenerator {
     /// The default Table 4 configuration: 50 000 pages, exponent 0.9.
     pub fn table4_default() -> Self {
         Self::new(50_000, 0.9)
-    }
-
-    /// Number of distinct pages in the universe.
-    pub fn num_pages(&self) -> usize {
-        self.pages.support()
     }
 
     /// Samples one event.
@@ -204,6 +194,13 @@ mod tests {
             assert_ne!(event.actions, 0);
             assert!(event.actions < 16);
         }
+        let granted_only = PermsEvent {
+            page: 42,
+            feature: PermissionFeature::Geolocation,
+            actions: 1,
+        };
+        assert!(granted_only.has(PermissionAction::Granted));
+        assert!(!granted_only.has(PermissionAction::Denied));
     }
 
     #[test]
@@ -230,17 +227,5 @@ mod tests {
         for action in PermissionAction::all() {
             assert!(events.iter().any(|e| e.has(action)), "{action:?}");
         }
-    }
-
-    #[test]
-    fn page_names_are_stable() {
-        let event = PermsEvent {
-            page: 42,
-            feature: PermissionFeature::Geolocation,
-            actions: 1,
-        };
-        assert_eq!(event.page_name(), "page-0000042.example");
-        assert!(event.has(PermissionAction::Granted));
-        assert!(!event.has(PermissionAction::Denied));
     }
 }

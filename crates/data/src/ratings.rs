@@ -93,7 +93,7 @@ impl RatingsGenerator {
     }
 
     /// The "true" (pre-noise) affinity of a user for a movie.
-    pub fn affinity(&self, user: u32, movie: u32) -> f64 {
+    fn affinity(&self, user: u32, movie: u32) -> f64 {
         let mut dot = 0.0;
         for dim in 0..self.config.factors {
             dot +=
@@ -103,7 +103,7 @@ impl RatingsGenerator {
     }
 
     /// Generates one user's basket of ratings.
-    pub fn user_ratings<R: Rng + ?Sized>(&self, user: u32, rng: &mut R) -> Vec<Rating> {
+    fn user_ratings<R: Rng + ?Sized>(&self, user: u32, rng: &mut R) -> Vec<Rating> {
         let count = (self.config.mean_ratings_per_user / 2)
             + rng.gen_range(0..=self.config.mean_ratings_per_user);
         // prochlo-lint: allow(determinism-hash-iter, "insert-only dedup set: never iterated, sampling order comes from the seeded RNG")

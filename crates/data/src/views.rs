@@ -63,7 +63,7 @@ impl ViewGenerator {
     /// The deterministic "related videos" list of a video: a pseudorandom but
     /// fixed set derived from the video id, shared across all users (this is
     /// what makes short contexts predictive).
-    pub fn related(&self, video: usize) -> Vec<usize> {
+    fn related(&self, video: usize) -> Vec<usize> {
         (0..self.config.related_per_video)
             .map(|slot| {
                 let digest = prochlo_crypto::sha256::sha256_concat(&[

@@ -49,7 +49,7 @@ impl VocabCorpus {
     }
 
     /// Draws a sample of `count` word ids.
-    pub fn sample_ids<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<usize> {
+    fn sample_ids<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<usize> {
         self.zipf.sample_n(rng, count)
     }
 

@@ -39,7 +39,7 @@ impl PartitionedRappor {
     }
 
     /// The partition a value belongs to (public function of the value).
-    pub fn partition_of(&self, value: &[u8]) -> usize {
+    fn partition_of(&self, value: &[u8]) -> usize {
         let digest = sha256_concat(&[b"rappor-partition", value]);
         let word = u64::from_le_bytes(digest[..8].try_into().expect("8 bytes"));
         (word % self.partitions.len() as u64) as usize

@@ -42,7 +42,7 @@ impl RapporParams {
     }
 
     /// The Bloom bits a value maps to.
-    pub fn bits_for(&self, value: &[u8]) -> Vec<usize> {
+    fn bits_for(&self, value: &[u8]) -> Vec<usize> {
         (0..self.hashes)
             .map(|i| {
                 let digest = sha256_concat(&[b"rappor-bloom", &i.to_le_bytes(), value]);
@@ -150,11 +150,7 @@ impl RapporAggregate {
         if self.reports == 0 || candidates.is_empty() {
             return Vec::new();
         }
-        // Bonferroni: alpha = 0.05 / |candidates|; z from the inverse normal
-        // tail, approximated by sqrt(2 ln(1/alpha)).
-        let alpha = 0.05 / candidates.len() as f64;
-        let z = (2.0 * (1.0 / alpha).ln()).sqrt();
-        let threshold = z * self.estimate_stddev();
+        let threshold = self.detection_threshold(candidates.len());
         candidates
             .iter()
             .filter_map(|candidate| {
@@ -166,8 +162,10 @@ impl RapporAggregate {
 
     /// The detection threshold (in estimated-count units) used by
     /// [`Self::decode`] for a given candidate-set size: the noise floor that
-    /// grows with √N and limits RAPPOR's reach into the tail.
-    pub fn detection_threshold(&self, num_candidates: usize) -> f64 {
+    /// grows with √N and limits RAPPOR's reach into the tail. Bonferroni:
+    /// alpha = 0.05 / |candidates|, and z from the inverse normal tail,
+    /// approximated by sqrt(2 ln(1/alpha)).
+    fn detection_threshold(&self, num_candidates: usize) -> f64 {
         let alpha = 0.05 / num_candidates.max(1) as f64;
         let z = (2.0 * (1.0 / alpha).ln()).sqrt();
         z * self.estimate_stddev()

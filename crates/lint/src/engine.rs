@@ -1,6 +1,7 @@
-//! The rule engine: walks the workspace, lexes each production source
-//! file, computes test-context, runs the rules, and applies per-line
-//! suppression directives.
+//! The rule engine: walks the workspace, lexes each first-party source
+//! file once, indexes the names they hold, computes test-context, runs the
+//! rules on the production files, and applies per-line suppression
+//! directives.
 //!
 //! # Suppressions
 //!
@@ -17,10 +18,10 @@
 //! suppressing nothing at all is itself reported (rule `lint-directive`),
 //! so stale allows cannot accumulate.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
-use crate::lexer::{lex, Comment, Token};
+use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
 use crate::rules;
 
 /// The pseudo-rule under which malformed or stale suppression directives
@@ -51,19 +52,16 @@ impl std::fmt::Display for Finding {
 }
 
 /// A parsed `prochlo-lint: allow(rule, "reason")` directive.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Suppression {
+struct Suppression {
     /// Line the directive comment starts on.
-    pub line: u32,
+    line: u32,
     /// The rule it suppresses.
-    pub rule: String,
-    /// The stated justification (non-empty).
-    pub reason: String,
+    rule: String,
 }
 
 /// Parses suppression directives out of the file's comments. Malformed
 /// directives become `lint-directive` findings.
-pub fn parse_directives(
+fn parse_directives(
     path: &str,
     comments: &[Comment],
     findings: &mut Vec<Finding>,
@@ -104,7 +102,6 @@ pub fn parse_directives(
                     out.push(Suppression {
                         line: comment.line,
                         rule,
-                        reason,
                     });
                 }
             }
@@ -142,7 +139,7 @@ fn parse_allow(directive: &str) -> Result<(String, String), &'static str> {
 /// Flags each token that sits in test-only code: the body (and attribute
 /// stack) of any item annotated `#[test]` or `#[cfg(test)]` (including
 /// `#[cfg(all(test, ...))]`; `#[cfg(not(test))]` is production code).
-pub fn test_context(tokens: &[Token]) -> Vec<bool> {
+fn test_context(tokens: &[Token]) -> Vec<bool> {
     let mut flags = vec![false; tokens.len()];
     let mut i = 0;
     while i + 1 < tokens.len() {
@@ -212,16 +209,20 @@ fn matching(tokens: &[Token], open: usize, open_c: char, close_c: char) -> Optio
     None
 }
 
-/// Lints one file's source text. `path` is the workspace-relative path
-/// (forward slashes) the rules use to decide applicability.
-pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
-    let lexed = lex(source);
+/// Lints one lexed file. `named_elsewhere` answers whether another
+/// first-party file names an identifier; without it the cross-file
+/// `uncalled-pub` rule does not run.
+fn lint_lexed(
+    path: &str,
+    lexed: &Lexed,
+    named_elsewhere: Option<&dyn Fn(&str) -> bool>,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
     let suppressions = parse_directives(path, &lexed.comments, &mut findings);
     let flags = test_context(&lexed.tokens);
 
     let mut raw = Vec::new();
-    rules::run_rules(path, &lexed.tokens, &flags, &mut raw);
+    rules::run_rules(path, &lexed.tokens, &flags, named_elsewhere, &mut raw);
     // One finding per (line, rule): four indexing expressions on one line
     // are one violation, and one allow should cover them.
     raw.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
@@ -257,29 +258,73 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
     findings
 }
 
-/// The production source files the workspace lint covers: every crate's
-/// `src/` tree, the bench harness binaries, and the examples. Integration
-/// test crates, `vendor/`, and `target/` are test-or-third-party code and
-/// are skipped (inline `#[cfg(test)]` modules are excluded per token).
-pub fn workspace_files(root: &Path) -> std::io::Result<BTreeMap<String, PathBuf>> {
+/// Lints one file's source text on its own. `path` is the
+/// workspace-relative path (forward slashes) the rules use to decide
+/// applicability. `uncalled-pub` needs the other files and runs only in
+/// [`lint_files`].
+pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
+    lint_lexed(path, &lex(source), None)
+}
+
+/// Production code: every crate's `src/` and `benches/` trees and the
+/// examples. Tests, integration-test crates and fixtures are read only as
+/// callers.
+fn is_production(path: &str) -> bool {
+    let mut parts = path.split('/');
+    matches!(
+        (parts.next(), parts.next(), parts.next()),
+        (Some("crates"), Some(_), Some("src" | "benches")) | (Some("examples"), Some("src"), _)
+    )
+}
+
+/// Lints a set of first-party files, given as `(workspace-relative path,
+/// source)`, in one pass: each file is lexed once, the identifiers of all
+/// of them (outside comments and strings) form the name index
+/// `uncalled-pub` checks against, and every rule runs on the production
+/// files among them. Findings come in file order, then line.
+pub fn lint_files<P: AsRef<str>, S: AsRef<str>>(files: &[(P, S)]) -> Vec<Finding> {
+    let lexed: Vec<(&str, Lexed)> = files
+        .iter()
+        .map(|(path, source)| (path.as_ref(), lex(source.as_ref())))
+        .collect();
+    let mut files_naming: HashMap<&str, usize> = HashMap::new();
+    for (_, file) in &lexed {
+        let names: HashSet<&str> = file
+            .tokens
+            .iter()
+            .filter(|t| t.kind == TokenKind::Ident)
+            .map(|t| t.text.as_str())
+            .collect();
+        for name in names {
+            *files_naming.entry(name).or_default() += 1;
+        }
+    }
+    // The declaring file names the item itself, so another file means two.
+    let named_elsewhere = |name: &str| files_naming.get(name).is_some_and(|&n| n > 1);
+    lexed
+        .iter()
+        .filter(|(path, _)| is_production(path))
+        .flat_map(|(path, file)| lint_lexed(path, file, Some(&named_elsewhere)))
+        .collect()
+}
+
+/// Every first-party source file: the `src/`, `benches/` and `tests/` trees
+/// of each crate, the examples, and the integration-test crate. `vendor/`
+/// and `target/` are third-party or generated, and the lint fixtures are
+/// lint input, never compiled.
+fn workspace_files(root: &Path) -> std::io::Result<BTreeMap<String, PathBuf>> {
     let mut files = BTreeMap::new();
-    let crates_dir = root.join("crates");
-    for entry in std::fs::read_dir(&crates_dir)? {
+    for entry in std::fs::read_dir(root.join("crates"))? {
         let entry = entry?;
         if !entry.file_type()?.is_dir() {
             continue;
         }
-        for sub in ["src", "benches"] {
-            let dir = entry.path().join(sub);
-            if dir.is_dir() {
-                collect_rs(root, &dir, &mut files)?;
-            }
+        for sub in ["src", "benches", "tests"] {
+            collect_rs(root, &entry.path().join(sub), &mut files)?;
         }
     }
-    let examples_src = root.join("examples").join("src");
-    if examples_src.is_dir() {
-        collect_rs(root, &examples_src, &mut files)?;
-    }
+    collect_rs(root, &root.join("examples").join("src"), &mut files)?;
+    collect_rs(root, &root.join("tests"), &mut files)?;
     Ok(files)
 }
 
@@ -288,11 +333,16 @@ fn collect_rs(
     dir: &Path,
     files: &mut BTreeMap<String, PathBuf>,
 ) -> std::io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         if entry.file_type()?.is_dir() {
-            collect_rs(root, &path, files)?;
+            if !matches!(entry.file_name().to_str(), Some("target" | "fixtures")) {
+                collect_rs(root, &path, files)?;
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             let rel = path
                 .strip_prefix(root)
@@ -307,15 +357,14 @@ fn collect_rs(
     Ok(())
 }
 
-/// Lints the whole workspace rooted at `root`. Findings are sorted by
-/// path, then line.
+/// Lints the whole workspace rooted at `root` (see [`lint_files`]).
+/// Findings are sorted by path, then line.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
+    let mut sources = Vec::new();
     for (rel, path) in workspace_files(root)? {
-        let source = std::fs::read_to_string(&path)?;
-        findings.extend(lint_source(&rel, &source));
+        sources.push((rel, std::fs::read_to_string(&path)?));
     }
-    Ok(findings)
+    Ok(lint_files(&sources))
 }
 
 #[cfg(test)]
@@ -400,7 +449,6 @@ mod tests {
         let sups = parse_directives("crates/x/src/lib.rs", &comments, &mut findings);
         assert_eq!(sups.len(), 1);
         assert_eq!(sups[0].rule, "secret-eq");
-        assert_eq!(sups[0].reason, "test vector equality");
         assert_eq!(findings.len(), 3);
         assert!(findings.iter().all(|f| f.rule == DIRECTIVE_RULE));
         assert!(findings[0].message.contains("non-empty reason"));

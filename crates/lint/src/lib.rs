@@ -5,8 +5,8 @@
 //! secret handling, and never panicking on attacker-controlled wire
 //! bytes — are invariants of the *source*, not of any one test vector.
 //! This crate enforces them mechanically: a hand-rolled,
-//! comment/string-aware Rust [`lexer`], a set of six project-specific
-//! [`rules`], and an [`engine`] that walks the workspace's production
+//! comment/string-aware Rust [`lexer`], a set of seven project-specific
+//! [`rules`], and an [`engine`] that walks the workspace's first-party
 //! sources, applies per-line
 //! `// prochlo-lint: allow(<rule>, "<reason>")` suppressions, and emits
 //! machine-readable `file:line rule message` findings.
@@ -26,5 +26,5 @@ pub mod engine;
 pub mod lexer;
 pub mod rules;
 
-pub use engine::{lint_source, lint_workspace, Finding, Suppression};
+pub use engine::{lint_files, lint_source, lint_workspace, Finding};
 pub use rules::{RuleInfo, RULES};

@@ -1,7 +1,8 @@
-//! The six project-specific rules.
+//! The seven project-specific rules.
 //!
 //! Each rule is a pure function from a lexed file (plus its
-//! workspace-relative path and per-token test-context flags) to findings.
+//! workspace-relative path and per-token test-context flags) to findings;
+//! `uncalled-pub` also asks the engine's workspace name index.
 //! Rules are deliberately syntactic: they fire on the token shapes that
 //! violate an invariant, and the per-line
 //! `// prochlo-lint: allow(<rule>, "<reason>")` escape hatch is how code
@@ -57,6 +58,12 @@ pub const RULES: &[RuleInfo] = &[
                   net serving harness, and the net pump: ad-hoc threading \
                   bypasses the deterministic chunked executor",
     },
+    RuleInfo {
+        name: "uncalled-pub",
+        summary: "pub fn/struct/enum/trait/const/type in a library target \
+                  whose name no other first-party file holds: public surface \
+                  nothing calls is code nobody audits against the invariants",
+    },
 ];
 
 /// True when `name` names a rule (or the directive pseudo-rule).
@@ -100,6 +107,7 @@ const WIRE_DECODE_FILES: &[&str] = &[
     "crates/fabric/src/tcp.rs",
     "crates/fabric/src/transport.rs",
     "crates/core/src/wire.rs",
+    "crates/core/src/record.rs",
     "crates/core/src/framing.rs",
     "crates/net/src/conn.rs",
 ];
@@ -122,6 +130,13 @@ fn in_crate_src(path: &str) -> bool {
     path.starts_with("crates/") && path.contains("/src/")
 }
 
+/// Library targets: crate and example `src/` trees less their binaries.
+fn in_library(path: &str) -> bool {
+    (in_crate_src(path) || path.starts_with("examples/src/"))
+        && !path.ends_with("/src/main.rs")
+        && !path.contains("/src/bin/")
+}
+
 fn under_any(path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p))
 }
@@ -129,8 +144,15 @@ fn under_any(path: &str, prefixes: &[&str]) -> bool {
 /// Runs every applicable rule over one file's token stream. `test_ctx[i]`
 /// is true when token `i` sits in test-only code (`#[cfg(test)]` /
 /// `#[test]` regions); the invariants are production invariants, so test
-/// code is exempt.
-pub fn run_rules(path: &str, tokens: &[Token], test_ctx: &[bool], findings: &mut Vec<Finding>) {
+/// code is exempt. `uncalled-pub` runs when the engine supplies
+/// `named_elsewhere`, its workspace name index.
+pub fn run_rules(
+    path: &str,
+    tokens: &[Token],
+    test_ctx: &[bool],
+    named_elsewhere: Option<&dyn Fn(&str) -> bool>,
+    findings: &mut Vec<Finding>,
+) {
     debug_assert_eq!(tokens.len(), test_ctx.len());
     let live = |i: usize| !test_ctx[i];
 
@@ -155,6 +177,9 @@ pub fn run_rules(path: &str, tokens: &[Token], test_ctx: &[bool], findings: &mut
         && !SANCTIONED_THREAD_FILES.contains(&path)
     {
         thread_spawn_discipline(path, tokens, &live, findings);
+    }
+    if let Some(named_elsewhere) = named_elsewhere.filter(|_| in_library(path)) {
+        uncalled_pub(path, tokens, &live, named_elsewhere, findings);
     }
 }
 
@@ -455,6 +480,81 @@ fn thread_spawn_discipline(
                     tokens[i + 3].text
                 ),
             ));
+        }
+    }
+}
+
+/// The item `pub` at `at` declares, as `(kind, name)`: `fn`, `struct`,
+/// `enum`, `trait`, `const` or `type` after any `const` / `unsafe` /
+/// `async` / `extern "abi"` qualifiers. Restricted visibility
+/// (`pub(crate)`, `pub(super)`) and fields, modules, uses and statics are
+/// not items this rule counts.
+fn declared_item(tokens: &[Token], at: usize) -> Option<(&str, &Token)> {
+    const KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "type"];
+    const QUALIFIERS: &[&str] = &["fn", "const", "unsafe", "async", "extern"];
+    let mut i = at + 1;
+    loop {
+        let (tok, next) = (tokens.get(i)?, tokens.get(i + 1)?);
+        let named = next.kind == TokenKind::Ident && !QUALIFIERS.contains(&next.text.as_str());
+        if tok.kind == TokenKind::Ident && KINDS.contains(&tok.text.as_str()) && named {
+            return Some((tok.text.as_str(), next)).filter(|_| next.text != "_");
+        }
+        let qualifier = tok.kind == TokenKind::Ident && QUALIFIERS.contains(&tok.text.as_str());
+        if !(qualifier || tok.kind == TokenKind::Literal) {
+            return None;
+        }
+        i += 1;
+    }
+}
+
+fn uncalled_pub(
+    path: &str,
+    tokens: &[Token],
+    live: &dyn Fn(usize) -> bool,
+    named_elsewhere: &dyn Fn(&str) -> bool,
+    findings: &mut Vec<Finding>,
+) {
+    for (i, tok) in tokens.iter().enumerate() {
+        if !(tok.is_ident("pub") && live(i)) {
+            continue;
+        }
+        let Some((kind, name)) = declared_item(tokens, i) else {
+            continue;
+        };
+        if !named_elsewhere(&name.text) {
+            findings.push(finding(
+                path,
+                name.line,
+                "uncalled-pub",
+                format!(
+                    "pub {kind} `{}` is named in no other first-party file: \
+                     delete it, demote it, or state why it must stay public \
+                     with an allow",
+                    name.text
+                ),
+            ));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_scope_entry_names_a_path_that_exists() {
+        // Deleting or moving a file must take its scope entry with it, or
+        // the rule silently stops covering (or sanctioning) anything.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let scopes = [
+            SEEDED_CRATE_PREFIXES,
+            SANCTIONED_KNOB_FILES,
+            SANCTIONED_THREAD_FILES,
+            SANCTIONED_CLOCK_FILES,
+            WIRE_DECODE_FILES,
+        ];
+        for path in scopes.into_iter().flatten() {
+            assert!(root.join(path).exists(), "{path} does not exist");
         }
     }
 }

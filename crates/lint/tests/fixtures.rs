@@ -6,7 +6,7 @@
 //! `tests/fixtures/` and are linted under synthetic workspace-relative paths,
 //! since path decides which rules are in scope.
 
-use prochlo_lint::{lint_source, Finding};
+use prochlo_lint::{lint_files, lint_source, Finding};
 
 const HASH_FIRING: &str = include_str!("fixtures/hash_iter_firing.rs");
 const HASH_CLEAN: &str = include_str!("fixtures/hash_iter_clean.rs");
@@ -26,6 +26,13 @@ const WALLCLOCK_SUPPRESSED: &str = include_str!("fixtures/wallclock_suppressed.r
 const THREAD_FIRING: &str = include_str!("fixtures/thread_spawn_firing.rs");
 const THREAD_CLEAN: &str = include_str!("fixtures/thread_spawn_clean.rs");
 const THREAD_SUPPRESSED: &str = include_str!("fixtures/thread_spawn_suppressed.rs");
+const UNCALLED_FIRING: &str = include_str!("fixtures/uncalled_pub_firing.rs");
+const UNCALLED_CLEAN: &str = include_str!("fixtures/uncalled_pub_clean.rs");
+const UNCALLED_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_suppressed.rs");
+
+/// An integration test naming the clean fixture's public items: a caller in
+/// another file is what keeps a `pub` item alive.
+const UNCALLED_CALLER: &str = "fn t() { let w: Wrapper = called_helper(); }\n";
 
 /// `(rule, line)` pairs, in reporting order, for readable assertions.
 fn shape(findings: &[Finding]) -> Vec<(&str, u32)> {
@@ -208,6 +215,79 @@ fn thread_spawn_discipline_sanctions_executor_and_service() {
 fn thread_spawn_discipline_clean_and_suppressed() {
     assert_clean("crates/core/src/fixture.rs", THREAD_CLEAN);
     assert_clean("crates/core/src/fixture.rs", THREAD_SUPPRESSED);
+}
+
+#[test]
+fn uncalled_pub_fires_on_every_item_kind() {
+    let findings = lint_files(&[("crates/core/src/fixture.rs", UNCALLED_FIRING)]);
+    assert_eq!(
+        shape(&findings),
+        [
+            ("uncalled-pub", 1),  // fn
+            ("uncalled-pub", 5),  // const
+            ("uncalled-pub", 7),  // const unsafe fn
+            ("uncalled-pub", 9),  // struct
+            ("uncalled-pub", 13), // type
+            ("uncalled-pub", 14), // trait
+            ("uncalled-pub", 15), // enum
+        ]
+    );
+    assert!(
+        findings[0].message.contains("orphan_helper"),
+        "{findings:?}"
+    );
+    // The examples crate's library is a library target too.
+    let findings = lint_files(&[("examples/src/lib.rs", UNCALLED_FIRING)]);
+    assert_eq!(findings.len(), 7, "{findings:?}");
+}
+
+#[test]
+fn uncalled_pub_is_scoped_to_library_targets() {
+    // Binaries, benches and tests are not libraries: nothing else can call
+    // their items. Test code inside a library is exempt like everywhere.
+    for path in [
+        "crates/core/src/main.rs",
+        "crates/bench/src/bin/tool/main.rs",
+        "crates/bench/benches/fixture.rs",
+        "crates/core/tests/fixture.rs",
+        "examples/src/bin/demo.rs",
+    ] {
+        let findings = lint_files(&[(path, UNCALLED_FIRING)]);
+        assert!(findings.is_empty(), "{path}: {findings:?}");
+    }
+    let in_tests = in_test_module(UNCALLED_FIRING);
+    assert!(lint_files(&[("crates/core/src/fixture.rs", in_tests.as_str())]).is_empty());
+    // The rule needs the other files, so linting one file alone skips it.
+    assert_clean("crates/core/src/fixture.rs", UNCALLED_FIRING);
+}
+
+#[test]
+fn uncalled_pub_clean_and_suppressed() {
+    // Restricted visibility, fields, modules, statics and test helpers are
+    // not counted; the public items have a caller in another file.
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", UNCALLED_CLEAN),
+        ("crates/core/tests/caller.rs", UNCALLED_CALLER),
+    ]);
+    assert!(findings.is_empty(), "{findings:?}");
+    let findings = lint_files(&[("crates/core/src/fixture.rs", UNCALLED_SUPPRESSED)]);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn uncalled_pub_ignores_names_in_comments_and_strings() {
+    // A mention is not a call: another file that names the items only in a
+    // comment and a string leaves both uncalled.
+    let mention = "// called_helper builds one\nconst S: &str = \"Wrapper\";\n";
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", UNCALLED_CLEAN),
+        ("crates/core/tests/caller.rs", mention),
+    ]);
+    assert_eq!(
+        shape(&findings),
+        [("uncalled-pub", 1), ("uncalled-pub", 6)],
+        "{findings:?}"
+    );
 }
 
 #[test]

@@ -49,7 +49,7 @@ impl TokenBucket {
     /// Takes one token as of clock reading `now`. Pure in `now`, so tests
     /// can drive arbitrary schedules deterministically. Clock readings
     /// earlier than the last refill are treated as no time elapsed.
-    pub fn try_take_at(&mut self, now: Instant) -> bool {
+    fn try_take_at(&mut self, now: Instant) -> bool {
         let elapsed = now.saturating_duration_since(self.last);
         if elapsed > Duration::ZERO {
             self.tokens = (self.tokens + elapsed.as_secs_f64() * self.rate).min(self.capacity);

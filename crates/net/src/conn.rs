@@ -138,11 +138,6 @@ impl Conn {
         self.write_buf.len() - self.write_pos
     }
 
-    /// Bytes received but not yet returned as complete frames.
-    pub fn buffered_read(&self) -> usize {
-        self.acc.buffered()
-    }
-
     /// Bytes the read side holds allocated (see
     /// [`FrameAccumulator::capacity`]).
     pub fn read_capacity(&self) -> usize {
@@ -227,7 +222,7 @@ mod tests {
         let mut frames = Vec::new();
         // Wait until the first chunk has crossed the loopback.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while conn.buffered_read() == 0 && frames.is_empty() {
+        while conn.acc.buffered() == 0 && frames.is_empty() {
             assert!(std::time::Instant::now() < deadline, "no bytes arrived");
             read_frames(&mut conn, &mut frames);
         }

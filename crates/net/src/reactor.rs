@@ -32,22 +32,22 @@ mod sys {
 
     #[repr(C)]
     #[derive(Clone, Copy)]
-    pub struct pollfd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
+    pub(super) struct pollfd {
+        pub(super) fd: i32,
+        pub(super) events: i16,
+        pub(super) revents: i16,
     }
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
+    pub(super) const POLLIN: i16 = 0x001;
+    pub(super) const POLLOUT: i16 = 0x004;
+    pub(super) const POLLERR: i16 = 0x008;
+    pub(super) const POLLHUP: i16 = 0x010;
+    pub(super) const POLLNVAL: i16 = 0x020;
 
     #[cfg(target_os = "linux")]
-    pub type NfdsT = c_ulong;
+    pub(super) type NfdsT = c_ulong;
     #[cfg(not(target_os = "linux"))]
-    pub type NfdsT = std::os::raw::c_uint;
+    pub(super) type NfdsT = std::os::raw::c_uint;
 
     extern "C" {
         fn poll(fds: *mut pollfd, nfds: NfdsT, timeout: c_int) -> c_int;
@@ -55,7 +55,7 @@ mod sys {
 
     /// Polls the fd set, mapping `EINTR` to "zero events" so callers treat
     /// signal interruptions as an ordinary empty turn.
-    pub fn poll_fds(fds: &mut [pollfd], timeout_ms: c_int) -> std::io::Result<usize> {
+    pub(super) fn poll_fds(fds: &mut [pollfd], timeout_ms: c_int) -> std::io::Result<usize> {
         let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
         if rc < 0 {
             let err = std::io::Error::last_os_error();
@@ -280,11 +280,6 @@ impl Reactor {
         }
     }
 
-    /// Number of currently registered sources.
-    pub fn registered(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
     /// Runs one poll turn: blocks until a registered source is ready, a
     /// deadline expires, a [`Waker`] fires, or `max_wait` elapses (`None`
     /// waits indefinitely). Readiness and expiry reports are appended to
@@ -507,14 +502,15 @@ mod tests {
         let (_c1, s1) = pair();
         let (_c2, s2) = pair();
         let mut reactor = Reactor::new().expect("reactor");
+        let registered = |r: &Reactor| r.slots.len() - r.free.len();
         let t1 = reactor.register(&s1, Interest::READ);
-        assert_eq!(reactor.registered(), 1);
+        assert_eq!(registered(&reactor), 1);
         reactor.deregister(t1);
-        assert_eq!(reactor.registered(), 0);
+        assert_eq!(registered(&reactor), 0);
         let t2 = reactor.register(&s2, Interest::READ_WRITE);
         assert_eq!(t2.index(), t1.index(), "freed slot is reused");
         reactor.deregister(t1); // stale double-deregister is ignored
-        assert_eq!(reactor.registered(), 1);
+        assert_eq!(registered(&reactor), 1);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::str::FromStr;
 
 /// A knob that is set to a value its reader cannot use.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// prochlo-lint: allow(uncalled-pub, "the error type of read and parse; callers map it by its fields and Display without naming it")
 pub struct InvalidKnob {
     /// The environment variable.
     pub name: String,
@@ -59,7 +60,7 @@ pub fn parse<T: FromStr>(name: &str) -> Result<Option<T>, InvalidKnob> {
     }
 }
 
-/// Reads the on/off knob `name` ([`crate::OBS_ENV`]): `true` (enabled)
+/// Reads the on/off knob `name` (`PROCHLO_OBS`): `true` (enabled)
 /// when unset; otherwise the value must be one of `1`/`on`/`true`/`yes` (or
 /// empty) for enabled or `0`/`off`/`false`/`no` for disabled. Anything
 /// else, undecodable values included, panics.

@@ -5,14 +5,13 @@
 //! into one process-wide [`Registry`] of named counters, gauges, and
 //! fixed-bucket latency histograms. Nothing else in the workspace keeps
 //! its own ad-hoc timing printfs: demos render [`Snapshot`] tables, the
-//! collector answers `STATS` requests with [`Snapshot::flat`], nightly
-//! benches diff [`Snapshot::to_benchjson`] output, and the epoch
-//! [`FlightRecorder`] appends one JSON line per epoch when
+//! collector answers `STATS` requests with [`Snapshot::flat`], and the
+//! epoch [`FlightRecorder`] appends one `BENCHJSON` line per epoch when
 //! `PROCHLO_OBS_PATH` is set.
 //!
 //! ```text
 //!  collector ─┐                        ┌─ STATS wire response (flat)
-//!  fabric    ─┤   ┌──────────────┐     ├─ BENCHJSON lines (bench_compare)
+//!  fabric    ─┤   ┌──────────────┐     │
 //!  shuffler  ─┼──▶│   Registry   │──▶──┼─ human table (demos)
 //!  sgx-sim   ─┤   │ (lock-shard) │     └─ flight recorder (per epoch)
 //!  analyzer  ─┘   └──────────────┘
@@ -76,10 +75,10 @@ use std::sync::Arc;
 use std::sync::OnceLock;
 
 /// Environment variable enabling/disabling the global registry.
-pub const OBS_ENV: &str = "PROCHLO_OBS";
+const OBS_ENV: &str = "PROCHLO_OBS";
 
 /// The process-wide registry. Initialized on first use from
-/// [`OBS_ENV`] (parsed in the crate's knob module); tests that need
+/// `PROCHLO_OBS` (parsed in the crate's knob module); tests that need
 /// isolation construct their own [`Registry`] instead.
 pub fn global() -> &'static Arc<Registry> {
     static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();

@@ -22,7 +22,7 @@ impl HistogramSnapshot {
     }
 
     /// Mean observation in seconds, or 0 when empty.
-    pub fn mean_seconds(&self) -> f64 {
+    fn mean_seconds(&self) -> f64 {
         let n = self.count();
         if n == 0 {
             0.0
@@ -34,7 +34,7 @@ impl HistogramSnapshot {
     /// Upper bound (seconds) of the bucket containing the `q`-quantile
     /// (`0 < q <= 1`), or 0 when empty. Bucket-resolution only: good for
     /// order-of-magnitude tail latency, not microsecond precision.
-    pub fn quantile_seconds(&self, q: f64) -> f64 {
+    fn quantile_seconds(&self, q: f64) -> f64 {
         let total = self.count();
         if total == 0 {
             return 0.0;
@@ -76,10 +76,9 @@ pub struct SnapshotEntry {
 /// A point-in-time capture of every instrument in a registry, sorted by
 /// name.
 ///
-/// Three renderings cover the consumers in this workspace: [`flat`] for
-/// programmatic access and the collector's `STATS` wire response,
-/// [`to_benchjson`] for the `BENCHJSON` lines `bench_compare` already
-/// parses, and [`render_table`] for demo binaries.
+/// Two renderings cover the consumers in this workspace: [`flat`] for
+/// programmatic access and the collector's `STATS` wire response, and
+/// [`render_table`] for demo binaries.
 ///
 /// ```
 /// use prochlo_obs::Registry;
@@ -89,14 +88,10 @@ pub struct SnapshotEntry {
 /// let snap = registry.snapshot();
 ///
 /// assert_eq!(snap.get("collector.ingest.accepted"), Some(41.0));
-/// let line = snap.to_benchjson("live_ingest");
-/// assert!(line.starts_with(
-///     "BENCHJSON {\"bench\":\"live_ingest\",\"metric\":\"collector.ingest.accepted\",\"value\":41"
-/// ));
+/// assert!(snap.render_table().contains("collector.ingest.accepted"));
 /// ```
 ///
 /// [`flat`]: Snapshot::flat
-/// [`to_benchjson`]: Snapshot::to_benchjson
 /// [`render_table`]: Snapshot::render_table
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
@@ -139,20 +134,6 @@ impl Snapshot {
             SnapshotValue::Gauge(v) => *v as f64,
             SnapshotValue::Histogram(h) => h.count() as f64,
         })
-    }
-
-    /// Render every metric as a `BENCHJSON` line (one per flattened
-    /// entry) under the given bench name — the exact format
-    /// `prochlo_bench::parse_metric_line` reads back.
-    pub fn to_benchjson(&self, bench: &str) -> String {
-        let mut out = String::new();
-        for (name, value) in self.flat() {
-            let _ = writeln!(
-                out,
-                "BENCHJSON {{\"bench\":\"{bench}\",\"metric\":\"{name}\",\"value\":{value:.1}}}"
-            );
-        }
-        out
     }
 
     /// Render a human-readable table: counters and gauges first, then

@@ -98,11 +98,6 @@ impl CpuKey {
         self.quoting_key.verifying_key()
     }
 
-    /// The root's signature over this CPU key.
-    pub fn certificate(&self) -> &Signature {
-        &self.certificate
-    }
-
     /// Produces a Quote binding `report_data` (typically the shuffler's fresh
     /// public key) to the enclave's measurement.
     pub fn quote(&self, enclave: &Enclave, report_data: &[u8]) -> Quote {
@@ -150,11 +145,6 @@ impl QuoteVerifier {
             root,
             trusted_measurements,
         }
-    }
-
-    /// Adds another trusted measurement (e.g. a newer shuffler release).
-    pub fn trust_measurement(&mut self, measurement: [u8; 32]) {
-        self.trusted_measurements.push(measurement);
     }
 
     /// Verifies the full chain and returns the attested report data.
@@ -221,16 +211,6 @@ mod tests {
             verifier.verify(&quote),
             Err(AttestationError::UnknownMeasurement)
         );
-    }
-
-    #[test]
-    fn trusting_a_measurement_later_works() {
-        let (authority, cpu, enclave) = setup();
-        let quote = cpu.quote(&enclave, b"pk");
-        let mut verifier = QuoteVerifier::new(authority.root_key(), vec![]);
-        assert!(verifier.verify(&quote).is_err());
-        verifier.trust_measurement(enclave.measurement());
-        assert!(verifier.verify(&quote).is_ok());
     }
 
     #[test]

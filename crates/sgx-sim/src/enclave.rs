@@ -93,13 +93,6 @@ pub struct EnclaveMetrics {
     pub private_peak: usize,
 }
 
-impl EnclaveMetrics {
-    /// Total bytes that crossed the enclave boundary in either direction.
-    pub fn boundary_bytes(&self) -> u64 {
-        self.bytes_in + self.bytes_out
-    }
-}
-
 struct EnclaveState {
     metrics: EnclaveMetrics,
     trace: Vec<TraceEvent>,
@@ -262,7 +255,7 @@ impl Enclave {
     }
 
     /// Remaining private memory.
-    pub fn private_available(&self) -> usize {
+    fn private_available(&self) -> usize {
         let state = self.state.lock();
         self.config
             .private_memory_bytes
@@ -283,7 +276,7 @@ impl Enclave {
     ///
     /// # Panics
     /// Panics if `workers` is zero.
-    pub fn split_budget(&self, workers: usize) -> Vec<EnclaveWorker> {
+    fn split_budget(&self, workers: usize) -> Vec<EnclaveWorker> {
         assert!(workers > 0, "an enclave needs at least one worker");
         let sub_budget = self.private_available() / workers;
         (0..workers)
@@ -297,7 +290,7 @@ impl Enclave {
 }
 
 /// One worker thread of a multi-threaded enclave, created by
-/// [`Enclave::split_budget`]: a private-memory sub-budget whose charges and
+/// [`WorkerPool::split`]: a private-memory sub-budget whose charges and
 /// releases roll up into the parent enclave's shared metrics.
 ///
 /// A charge must fit both the worker's own sub-budget *and* the parent
@@ -316,11 +309,6 @@ impl EnclaveWorker {
     /// This worker's private-memory sub-budget in bytes.
     pub fn budget(&self) -> usize {
         self.budget
-    }
-
-    /// Bytes this worker currently holds.
-    pub fn in_use(&self) -> usize {
-        self.in_use
     }
 
     /// Charges `bytes` against this worker's sub-budget and the parent
@@ -373,8 +361,9 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Splits `enclave`'s budget into `workers` sub-budgets (see
-    /// [`Enclave::split_budget`]).
+    /// Splits the *remaining* budget of `enclave` into `workers` equal
+    /// sub-budgets, so a worker within its sub-budget can never fail the
+    /// parent's check.
     pub fn split(enclave: &Enclave, workers: usize) -> Self {
         Self {
             workers: enclave
@@ -552,7 +541,6 @@ mod tests {
         let m = e.metrics();
         assert_eq!(m.bytes_in, 128);
         assert_eq!(m.bytes_out, 256);
-        assert_eq!(m.boundary_bytes(), 384);
         let trace = e.trace();
         assert_eq!(trace.len(), 2);
         assert_eq!(trace[0].label, "read-bucket");
@@ -604,7 +592,7 @@ mod tests {
         }
         assert!(e.metrics().private_in_use <= 1000);
         for w in &mut workers {
-            w.release_private(w.in_use()).unwrap();
+            w.release_private(w.in_use).unwrap();
         }
         e.release_private(400).unwrap();
     }

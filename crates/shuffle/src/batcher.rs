@@ -19,7 +19,7 @@ pub struct BatcherCostModel;
 
 impl BatcherCostModel {
     /// Bucket size `b`: two buckets must fit in private memory at once.
-    pub fn bucket_records(record_bytes: usize, private_memory_bytes: usize) -> usize {
+    fn bucket_records(record_bytes: usize, private_memory_bytes: usize) -> usize {
         (private_memory_bytes / (2 * record_bytes)).max(1)
     }
 }

@@ -48,16 +48,6 @@ impl CascadeCostModel {
         let calibration = 5.20;
         ((calibration * numerator / buckets.log2()).ceil() as usize).max(2)
     }
-
-    /// The overhead the paper itself reports, where available (10 M and
-    /// 100 M 318-byte records at ε = 2⁻⁶⁴).
-    pub fn paper_reported_overhead(records: usize) -> Option<f64> {
-        match records {
-            10_000_000 => Some(114.0),
-            100_000_000 => Some(87.0),
-            _ => None,
-        }
-    }
 }
 
 impl ShuffleCostModel for CascadeCostModel {
@@ -97,10 +87,5 @@ mod tests {
         // More data with the same bucket size means more buckets and fewer
         // rounds needed per the bound's shape.
         assert!(r100.rounds < r10.rounds);
-        assert_eq!(
-            CascadeCostModel::paper_reported_overhead(10_000_000),
-            Some(114.0)
-        );
-        assert_eq!(CascadeCostModel::paper_reported_overhead(77), None);
     }
 }

@@ -22,7 +22,7 @@ pub struct ColumnSortCostModel;
 impl ColumnSortCostModel {
     /// The number of records in one column (one column must fit in private
     /// memory).
-    pub fn column_records(record_bytes: usize, private_memory_bytes: usize) -> usize {
+    fn column_records(record_bytes: usize, private_memory_bytes: usize) -> usize {
         (private_memory_bytes / record_bytes.max(1)).max(1)
     }
 

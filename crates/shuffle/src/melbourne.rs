@@ -13,7 +13,7 @@
 use crate::cost::{CostReport, ShuffleCostModel};
 
 /// Bytes of private memory needed per record just to store the permutation.
-pub const PERMUTATION_BYTES_PER_RECORD: usize = 8;
+const PERMUTATION_BYTES_PER_RECORD: usize = 8;
 
 /// Analytic cost of the Melbourne Shuffle at paper scale.
 #[derive(Debug, Clone, Copy, Default)]

@@ -21,7 +21,7 @@
 //!   pipelined in worker-sized groups, and the expensive per-bucket work —
 //!   the AEAD sealing of the output chunks — runs on scoped workers, each
 //!   charging a private-memory sub-budget carved from the enclave's
-//!   remaining budget ([`prochlo_sgx::Enclave::split_budget`]) after the
+//!   remaining budget ([`prochlo_sgx::WorkerPool::split`]) after the
 //!   stash's worst case is reserved up front; a bucket stays charged to its
 //!   worker from the moment it is read until it is sealed, so the budget
 //!   honestly bounds plaintext residency. The dummy-only chunks of empty
@@ -295,12 +295,6 @@ impl StashShuffle {
             max_attempts: 10,
             num_threads: 1,
         }
-    }
-
-    /// Overrides the maximum number of restart attempts.
-    pub fn with_max_attempts(mut self, attempts: usize) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
     }
 
     /// Sets the number of enclave worker threads both phases shard their
@@ -934,7 +928,8 @@ mod tests {
             record_trace: false,
             code_identity: "t".into(),
         });
-        let shuffler = StashShuffle::new(params, enclave).with_max_attempts(3);
+        let mut shuffler = StashShuffle::new(params, enclave);
+        shuffler.max_attempts = 3;
         let input = records(1_000, 16);
         // Every attempt dies the same way: the first chunk overflow finds
         // the zero-capacity stash full.
@@ -1141,15 +1136,15 @@ mod tests {
         // 100 / ≈75 / ≈1 successes.
         for (n, shuffles) in [(1_000usize, 100usize), (5_000, 100), (50_000, 10)] {
             let input = records(n, 16);
-            let shuffler = StashShuffle::new(
+            let mut shuffler = StashShuffle::new(
                 StashShuffleParams::derive(n),
                 Enclave::new(EnclaveConfig {
                     private_memory_bytes: 8 * 1024 * 1024,
                     record_trace: false,
                     code_identity: "one-attempt".into(),
                 }),
-            )
-            .with_max_attempts(1);
+            );
+            shuffler.max_attempts = 1;
             let mut rng = StdRng::seed_from_u64(0x5ea5 + n as u64);
             for shuffle in 0..shuffles {
                 let out = shuffler
@@ -1360,7 +1355,8 @@ mod tests {
                 record_trace: false,
                 code_identity: "t".into(),
             });
-            let shuffler = StashShuffle::new(params, enclave).with_max_attempts(50);
+            let mut shuffler = StashShuffle::new(params, enclave);
+            shuffler.max_attempts = 50;
             let out = shuffler
                 .shuffle(&input, &mut StdRng::seed_from_u64(seed))
                 .unwrap();

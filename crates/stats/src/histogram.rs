@@ -73,11 +73,6 @@ impl<T: Eq + Hash> Histogram<T> {
         self.counts.len()
     }
 
-    /// Number of distinct items whose count is at least `threshold`.
-    pub fn distinct_at_least(&self, threshold: u64) -> usize {
-        self.counts.values().filter(|&&c| c >= threshold).count()
-    }
-
     /// Iterates over `(item, count)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&T, u64)> {
         self.counts.iter().map(|(k, &v)| (k, v))
@@ -95,19 +90,6 @@ impl<T: Eq + Hash> Histogram<T> {
         entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         entries.truncate(k);
         entries
-    }
-
-    /// Removes all items whose count is below `threshold`, returning the
-    /// number of *items* (not observations) removed.
-    ///
-    /// This is the naive cardinality-thresholding primitive (the
-    /// k-anonymity-style filter the paper improves upon with randomized
-    /// thresholding).
-    pub fn retain_at_least(&mut self, threshold: u64) -> usize {
-        let before = self.counts.len();
-        self.counts.retain(|_, &mut c| c >= threshold);
-        self.total = self.counts.values().sum();
-        before - self.counts.len()
     }
 }
 
@@ -147,30 +129,11 @@ mod tests {
     }
 
     #[test]
-    fn distinct_at_least_filters() {
-        let h: Histogram<u32> = [1u32, 1, 1, 2, 2, 3].into_iter().collect();
-        assert_eq!(h.distinct_at_least(1), 3);
-        assert_eq!(h.distinct_at_least(2), 2);
-        assert_eq!(h.distinct_at_least(3), 1);
-        assert_eq!(h.distinct_at_least(4), 0);
-    }
-
-    #[test]
     fn top_k_orders_by_count() {
         let h: Histogram<u32> = [5u32, 5, 5, 7, 7, 9].into_iter().collect();
         let top = h.top_k(2);
         assert_eq!(top[0], (&5, 3));
         assert_eq!(top[1], (&7, 2));
-    }
-
-    #[test]
-    fn retain_at_least_drops_small_items() {
-        let mut h: Histogram<u32> = [1u32, 1, 2, 3, 3, 3].into_iter().collect();
-        let removed = h.retain_at_least(2);
-        assert_eq!(removed, 1);
-        assert_eq!(h.distinct(), 2);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.count(&2), 0);
     }
 
     #[test]

@@ -28,11 +28,6 @@ impl Gaussian {
         Self { mean, stddev }
     }
 
-    /// The standard normal distribution, `N(0, 1)`.
-    pub fn standard() -> Self {
-        Self::new(0.0, 1.0)
-    }
-
     /// Mean of the distribution.
     pub fn mean(&self) -> f64 {
         self.mean
@@ -90,11 +85,6 @@ impl Laplace {
     /// Location parameter.
     pub fn mu(&self) -> f64 {
         self.mu
-    }
-
-    /// Scale parameter.
-    pub fn scale(&self) -> f64 {
-        self.scale
     }
 
     /// Draws one sample via inverse-CDF sampling.

@@ -12,17 +12,17 @@ use std::num::NonZeroUsize;
 use prochlo_obs::knobs;
 
 /// Total sealed reports the soak drives through the collector.
-pub const SOAK_REPORTS_ENV: &str = "PROCHLO_SOAK_REPORTS";
+const SOAK_REPORTS_ENV: &str = "PROCHLO_SOAK_REPORTS";
 
 /// Concurrent client connections the soak holds open.
-pub const SOAK_CONNS_ENV: &str = "PROCHLO_SOAK_CONNS";
+const SOAK_CONNS_ENV: &str = "PROCHLO_SOAK_CONNS";
 
 /// Client submitter threads (each multiplexes its share of the
 /// connections); `0` means every available core.
-pub const SOAK_THREADS_ENV: &str = "PROCHLO_SOAK_THREADS";
+const SOAK_THREADS_ENV: &str = "PROCHLO_SOAK_THREADS";
 
 /// Reports per epoch cut during the soak.
-pub const SOAK_EPOCH_REPORTS_ENV: &str = "PROCHLO_SOAK_EPOCH_REPORTS";
+const SOAK_EPOCH_REPORTS_ENV: &str = "PROCHLO_SOAK_EPOCH_REPORTS";
 
 fn positive(name: &'static str, default: usize) -> Result<usize, String> {
     let value = knobs::parse::<NonZeroUsize>(name).map_err(|e| e.to_string())?;
