@@ -12,11 +12,12 @@
 //! 10 K – 10 M. The expected shape: Prochlo's lines sit 1–2 orders of
 //! magnitude above the local-DP lines and track the ground truth's growth.
 
+use prochlo_bench::partition::PartitionedRappor;
+use prochlo_bench::rappor::{RapporAggregate, RapporEncoder, RapporParams};
+use prochlo_bench::vocab::VocabCorpus;
 use prochlo_bench::{env_usize_list, fmt_records, print_header, timed};
 use prochlo_core::encoder::CrowdStrategy;
 use prochlo_core::{Deployment, ShufflerConfig};
-use prochlo_data::VocabCorpus;
-use prochlo_ldp::{PartitionedRappor, RapporAggregate, RapporEncoder, RapporParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -7,10 +7,10 @@
 //! harness prints both absolute accuracies and the ratio for several fragment
 //! sizes m (m = 3 is the paper's operating point).
 
-use prochlo_analytics::SequenceModel;
+use prochlo_bench::sequence::SequenceModel;
+use prochlo_bench::views::{ViewConfig, ViewGenerator};
 use prochlo_bench::{env_usize, print_header, timed};
 use prochlo_core::encoder::fragment_windows;
-use prochlo_data::{ViewConfig, ViewGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -7,15 +7,28 @@
 //! The paper runs the full 10M–200M-record scenarios on SGX hardware; here
 //! the scenarios are scaled down by `PROCHLO_SCALE_DIV` (default 1000) and
 //! executed against the SGX simulator, and the full-scale private-memory
-//! model is printed next to the paper's measurement. Run with
-//! `PROCHLO_SCALE_DIV=1` to execute the full sizes (hours, and ~60 GB of
-//! untrusted memory for the largest scenario).
+//! model is printed next to the paper's measurement. Each row also prints
+//! the process's peak resident memory (`VmHWM`) per record: rows run in
+//! increasing N, so each reading is that row's own peak. A row whose
+//! modeled untrusted footprint exceeds the host's `MemAvailable` is skipped
+//! and says how much it needs, so `PROCHLO_SCALE_DIV=1` runs the full-size
+//! rows this host can hold.
 
-use prochlo_bench::{env_usize, fmt_records, print_header, timed};
+use prochlo_bench::{env_usize, fmt_records, print_header, proc_bytes, timed};
 use prochlo_sgx::{Enclave, EnclaveConfig};
 use prochlo_shuffle::{StashShuffle, StashShuffleParams, PAPER_RECORD_BYTES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Untrusted bytes a row holds at its peak, the start of compression: the
+/// input (one `Vec<u8>` a record, with its header and allocator rounding)
+/// and the whole intermediate array. Compression frees each intermediate
+/// bucket as it reads it, faster than the output grows.
+fn modeled_footprint(records: usize, params: &StashShuffleParams) -> u64 {
+    let record = PAPER_RECORD_BYTES as u128;
+    let bytes = records as u128 * (record + 48) + params.intermediate_items(records) * (record + 1);
+    u64::try_from(bytes).unwrap_or(u64::MAX)
+}
 
 fn main() {
     let divisor = env_usize("PROCHLO_SCALE_DIV", 1000).max(1);
@@ -34,6 +47,7 @@ fn main() {
             "attempts",
             "failed: stash full / undrained / queue full / window dry",
             "time (s)",
+            "peak RSS / record",
             "peak SGX mem (run)",
             "modeled SGX mem @ full N",
             "paper total (s)",
@@ -45,6 +59,16 @@ fn main() {
     for (records_full, paper_seconds, paper_mb) in paper {
         let records = (records_full / divisor).max(1_000);
         let params = StashShuffleParams::derive(records);
+        let needed = modeled_footprint(records, &params);
+        if proc_bytes("/proc/meminfo", "MemAvailable").is_some_and(|free| needed > free) {
+            println!(
+                "{:>6} | {:>8} | skipped: needs {:.1} GB",
+                fmt_records(records_full),
+                fmt_records(records),
+                needed as f64 / 1e9
+            );
+            continue;
+        }
         let enclave = Enclave::new(EnclaveConfig {
             record_trace: false,
             ..EnclaveConfig::default()
@@ -64,9 +88,10 @@ fn main() {
             output.attempts, 1,
             "{records} records restarted: {failed:?}"
         );
+        let peak_rss = proc_bytes("/proc/self/status", "VmHWM").unwrap_or(0);
         let full_params = StashShuffleParams::derive(records_full);
         println!(
-            "{:>6} | {:>8} | {:>2} | {} / {} / {} / {} | {:>8.2} | {:>6.1} MB | {:>6.1} MB | {:>8.0} | {:>4.0}",
+            "{:>6} | {:>8} | {:>2} | {} / {} / {} / {} | {:>8.2} | {:>6.0} B | {:>6.1} MB | {:>6.1} MB | {:>8.0} | {:>4.0}",
             fmt_records(records_full),
             fmt_records(records),
             output.attempts,
@@ -75,6 +100,7 @@ fn main() {
             failed.queue_overflow,
             failed.window_underflow,
             seconds,
+            peak_rss as f64 / records as f64,
             output.metrics.private_peak as f64 / 1e6,
             full_params.modeled_private_memory(records_full, PAPER_RECORD_BYTES) as f64 / 1e6,
             paper_seconds,

@@ -9,10 +9,10 @@
 //! outer-layer decryption plus thresholding at the shuffler(s), El Gamal
 //! blinding/unblinding in the two-shuffler column.
 
+use prochlo_bench::vocab::VocabCorpus;
 use prochlo_bench::{env_usize, fmt_records, print_header, timed};
 use prochlo_core::encoder::CrowdStrategy;
 use prochlo_core::{Deployment, Topology};
-use prochlo_data::VocabCorpus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

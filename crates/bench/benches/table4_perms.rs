@@ -2,7 +2,7 @@
 //! or, for each user action, a noisy crowd threshold.
 //!
 //! The workload is the synthetic Chrome-permissions telemetry of
-//! `prochlo-data::perms`; the thresholding parameters are the paper's §5.3
+//! `prochlo_bench::perms`; the thresholding parameters are the paper's §5.3
 //! settings (threshold 100, Gaussian σ = 4, plus the random per-crowd drop),
 //! and the plausible-deniability bit flip (10⁻⁴ per action bit) is applied at
 //! the encoder. The absolute page counts depend on the synthetic popularity
@@ -10,12 +10,12 @@
 //! little below the naive-threshold row, far above what local DP recovers
 //! (the paper could not recover more than a few dozen pages with RAPPOR).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
+use prochlo_bench::perms::{PermissionAction, PermissionFeature, PermsGenerator};
 use prochlo_bench::{env_usize, print_header};
 use prochlo_core::encoder::flip_bits;
 use prochlo_core::GaussianThresholdPrivacy;
-use prochlo_data::{PermissionAction, PermissionFeature, PermsGenerator};
 use prochlo_stats::{Gaussian, RoundedNormal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,9 +34,11 @@ fn main() {
         event.actions = bitmap[0] & 0x0f;
     }
 
-    // Count ⟨page, feature⟩ and ⟨page, feature, action⟩ crowds.
+    // Count ⟨page, feature⟩ and ⟨page, feature, action⟩ crowds. The noisy
+    // threshold draws once per action crowd, so those are walked in key
+    // order: a seeded run then prints the same table every time.
     let mut per_pair: HashMap<(usize, PermissionFeature), u64> = HashMap::new();
-    let mut per_action: HashMap<(usize, PermissionFeature, u8), u64> = HashMap::new();
+    let mut per_action: BTreeMap<(usize, PermissionFeature, u8), u64> = BTreeMap::new();
     for event in &events {
         *per_pair.entry((event.page, event.feature)).or_insert(0) += 1;
         for action in PermissionAction::all() {

@@ -15,9 +15,9 @@
 //! 1 % of the rating scale. Movie counts default to
 //! `PROCHLO_FLIX_MOVIES=200,2000`.
 
-use prochlo_analytics::{CovarianceModel, RatingTuple};
+use prochlo_bench::covariance::{CovarianceModel, RatingTuple};
+use prochlo_bench::ratings::{Rating, RatingsConfig, RatingsGenerator};
 use prochlo_bench::{env_usize, env_usize_list, print_header, timed};
-use prochlo_data::{Rating, RatingsConfig, RatingsGenerator};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 

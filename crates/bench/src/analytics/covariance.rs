@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use prochlo_data::Rating;
+use crate::ratings::Rating;
 
 /// One reported four-tuple `(i, r_ui, j, r_uj)` with `i ≤ j`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -194,7 +194,7 @@ impl CovarianceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prochlo_data::{RatingsConfig, RatingsGenerator};
+    use crate::ratings::{RatingsConfig, RatingsGenerator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

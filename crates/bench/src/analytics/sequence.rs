@@ -96,7 +96,7 @@ impl SequenceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prochlo_data::{ViewConfig, ViewGenerator};
+    use crate::views::{ViewConfig, ViewGenerator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -14,7 +14,7 @@ use rand::Rng;
 use prochlo_stats::Zipf;
 
 /// The permission-gated features measured in §5.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PermissionFeature {
     /// Geolocation access.
     Geolocation,
@@ -91,6 +91,7 @@ impl PermissionAction {
 
 /// One telemetry event.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+// prochlo-lint: allow(uncalled-pub, "the element type PermsGenerator::sample_n returns; table4_perms reads its fields without naming it")
 pub struct PermsEvent {
     /// Page identifier (index into the Zipf popularity distribution).
     pub page: usize,

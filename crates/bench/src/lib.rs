@@ -12,10 +12,48 @@
 //!   utility experiment; default `5000,20000`.
 //! * `PROCHLO_FLIX_MOVIES` — comma-separated movie counts for Table 5;
 //!   default `200,2000`.
+//!
+//! The crate also holds what only the paper's evaluation needs, so the ESA
+//! system crates carry none of it. Each module sits in the directory of its
+//! role and is declared at the crate root (`prochlo_bench::vocab`, …):
+//!
+//! * `data/` — seeded synthetic workload generators for the four §5
+//!   pipelines: Vocab ([`vocab`]), Perms ([`perms`]), Suggest ([`views`])
+//!   and Flix ([`ratings`]). The paper's datasets are proprietary; every
+//!   generator is deterministic given a seed, so the tables reproduce run to
+//!   run.
+//! * `analytics/` — the analyzer-side models the paper evaluates beyond
+//!   plain histograms: an n-gram next-item predictor trainable on anonymous
+//!   m-tuples ([`sequence`], §5.4) and the item-item covariance and
+//!   collaborative-filtering model ([`covariance`], Table 5).
+//! * `ldp/` — Figure 5's local-DP baseline: RAPPOR with its candidate
+//!   decoder ([`rappor`]), the partitioned variant of §2.2 ([`partition`])
+//!   and the randomized response both build on ([`response`]).
 
 use std::time::Instant;
 
 use prochlo_obs::knobs;
+
+#[path = "analytics/covariance.rs"]
+pub mod covariance;
+#[path = "analytics/sequence.rs"]
+pub mod sequence;
+
+#[path = "data/perms.rs"]
+pub mod perms;
+#[path = "data/ratings.rs"]
+pub mod ratings;
+#[path = "data/views.rs"]
+pub mod views;
+#[path = "data/vocab.rs"]
+pub mod vocab;
+
+#[path = "ldp/partition.rs"]
+pub mod partition;
+#[path = "ldp/rappor.rs"]
+pub mod rappor;
+#[path = "ldp/response.rs"]
+pub mod response;
 
 /// Reads an integer environment variable with a default. A value that is
 /// set but not an integer panics (the workspace's invalid-knob convention):
@@ -205,6 +243,18 @@ pub fn fmt_records(n: usize) -> String {
     } else {
         n.to_string()
     }
+}
+
+/// Reads one `Key:   N kB` line of a `/proc` file (`VmHWM` in
+/// `/proc/self/status`, `MemAvailable` in `/proc/meminfo`) as bytes.
+/// `None` where the file or the key is missing, as off Linux.
+pub fn proc_bytes(path: &str, key: &str) -> Option<u64> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let rest = text
+        .lines()
+        .find_map(|line| line.strip_prefix(key)?.strip_prefix(':'))?;
+    let kib: u64 = rest.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib * 1024)
 }
 
 #[cfg(test)]

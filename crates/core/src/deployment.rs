@@ -545,6 +545,7 @@ impl Deployment {
 /// assert_eq!(report.shuffler_stats.received, 25);
 /// ```
 #[derive(Debug)]
+// prochlo-lint: allow(uncalled-pub, "the return type of Deployment::session; the collector, the fabric and esa_bench drive it without naming it")
 pub struct EpochSession<'a> {
     deployment: &'a Deployment,
     spec: EpochSpec,
@@ -593,6 +594,7 @@ impl EpochSession<'_> {
 
 /// The outcome of one sharded epoch.
 #[derive(Debug)]
+// prochlo-lint: allow(uncalled-pub, "the return type of ShardedDeployment::ingest; callers read its fields without naming it")
 pub struct ShardedReport {
     /// Every shard's database merged into the analyzer-side view.
     pub database: AnalyzerDatabase,

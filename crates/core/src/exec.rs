@@ -14,8 +14,7 @@
 //! errors).
 
 pub use prochlo_shuffle::exec::{
-    available_threads, chunk_rng, mix_seed, par_chunks, resolve_threads, shuffle_threads_from_env,
-    threads_from_value, CHUNK_RECORDS, DRAW_FREE_CHUNK_RECORDS,
+    chunk_rng, mix_seed, par_chunks, resolve_threads, CHUNK_RECORDS, DRAW_FREE_CHUNK_RECORDS,
 };
 
 #[cfg(test)]

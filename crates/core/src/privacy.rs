@@ -16,6 +16,7 @@
 
 /// A single (ε, δ) differential-privacy guarantee.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// prochlo-lint: allow(uncalled-pub, "the return type of GaussianThresholdPrivacy::guarantee, which PrivacyAccountant::record takes; callers pass it on without naming it")
 pub struct PrivacyGuarantee {
     /// The ε parameter (multiplicative bound on inference change).
     pub epsilon: f64,

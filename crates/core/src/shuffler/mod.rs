@@ -86,8 +86,7 @@ impl EngineConfig {
     /// Builds an engine configuration from the environment:
     /// `PROCHLO_SHUFFLE_BACKEND` selects the backend by name (default
     /// `trusted`) and `num_threads` is left at `0` so the thread knob is
-    /// still parsed in its one place,
-    /// [`crate::exec::shuffle_threads_from_env`].
+    /// still parsed in its one place, [`crate::exec::resolve_threads`].
     ///
     /// An unrecognized backend name — or a set-but-undecodable value, which
     /// is still a selection the operator made — is a hard error

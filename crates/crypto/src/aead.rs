@@ -131,11 +131,6 @@ pub fn open(
     Ok(chacha20::apply(&key.0, nonce, 1, ciphertext))
 }
 
-/// The ciphertext expansion added by [`seal`].
-pub const fn overhead() -> usize {
-    TAG_LEN
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,11 +72,13 @@ pub mod tcp;
 pub mod transport;
 
 pub use loopback::{LoopbackHub, LoopbackTransport};
-pub use messages::{BatchToOne, BatchToTwo, Control, ItemsBatch, ShardSummary, ToOne, ToTwo};
-pub use router::{RouterConfig, RouterStats, ShardRouter, SinkFactory};
+pub use messages::{
+    BatchToOne, BatchToTwo, Control, ItemsBatch, ShardSummary, ToOne, ToShard, ToTwo,
+};
+pub use router::{RouterConfig, RouterStats, ShardRouter};
 pub use split::{serve_shuffler_one, serve_shuffler_two, sum_epoch_stats, RemoteSplitPipeline};
 pub use tcp::{TcpTransport, TcpTransportBuilder};
 pub use transport::{
     frame_policy, ChannelId, Envelope, FabricError, Peer, Stage, Transport, TypedChannel,
-    WireMessage, FABRIC_VERSION, MAX_FRAME_LEN,
+    WireMessage, MAX_FRAME_LEN,
 };

@@ -87,6 +87,7 @@ impl LoopbackHub {
 ///     .unwrap();
 /// assert_eq!(payload, b"hello");
 /// ```
+// prochlo-lint: allow(uncalled-pub, "the return type of LoopbackHub::endpoint; callers use it as a Transport without naming it")
 pub struct LoopbackTransport {
     hub: Arc<LoopbackHub>,
     identity: Peer,

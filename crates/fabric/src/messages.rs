@@ -2,7 +2,8 @@
 //!
 //! Each message rides one [`crate::transport::Stage`]: [`Control`] on
 //! `Control`, [`BatchToOne`] on `Batch`, [`BatchToTwo`] on `Records`,
-//! [`ItemsBatch`] on `Items`, [`ShardSummary`] on `Summary`. Every encoding
+//! [`ItemsBatch`] (or Shuffler 2's refusal, see [`ToShard`]) on `Items`,
+//! [`ShardSummary`] on `Summary`. Every encoding
 //! leads with a message tag anyway, so a payload that somehow lands on the
 //! wrong stage fails to parse instead of being misinterpreted.
 //!
@@ -39,6 +40,7 @@ const TAG_CONTROL_DONE: u8 = 0x11;
 const TAG_BATCH_TO_ONE: u8 = 0x20;
 const TAG_BATCH_TO_TWO: u8 = 0x21;
 const TAG_ITEMS: u8 = 0x22;
+const TAG_TOO_SMALL: u8 = 0x23;
 const TAG_SUMMARY: u8 = 0x30;
 
 /// Backend names cross the wire as tags; `&'static str` cannot be
@@ -546,6 +548,69 @@ impl<I: AsRef<[u8]>> WireMessage for ToTwo<I> {
     }
 }
 
+/// What a shard reads off Shuffler 2's answer stream: the epoch's
+/// surviving items, or Shuffler 2's refusal of a batch below its
+/// `ShufflerConfig::min_batch_size`, made before any draw of its own.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ToShard<I = Vec<u8>> {
+    /// The surviving items and both stages' statistics.
+    Items(Box<ItemsBatch<I>>),
+    /// The batch held fewer reports than Shuffler 2 accepts.
+    TooSmall {
+        /// The shard the batch came from.
+        shard: u16,
+        /// The epoch the batch would have closed.
+        epoch_index: u64,
+        /// How many reports entered Shuffler 1.
+        received: usize,
+        /// Shuffler 2's configured minimum.
+        minimum: usize,
+    },
+}
+
+impl<I: AsRef<[u8]>> WireMessage for ToShard<I> {
+    type Decoded<'a> = ToShard<&'a [u8]>;
+
+    fn to_wire(&self) -> Vec<u8> {
+        match self {
+            ToShard::Items(items) => items.to_wire(),
+            ToShard::TooSmall {
+                shard,
+                epoch_index,
+                received,
+                minimum,
+            } => {
+                let mut out = Vec::with_capacity(1 + 4 + 3 * 8);
+                put_u8(&mut out, TAG_TOO_SMALL);
+                put_u32(&mut out, u32::from(*shard));
+                put_u64(&mut out, *epoch_index);
+                put_u64(&mut out, *received as u64);
+                put_u64(&mut out, *minimum as u64);
+                out
+            }
+        }
+    }
+
+    fn from_wire(bytes: &[u8]) -> Result<ToShard<&[u8]>, FabricError> {
+        match bytes.first() {
+            Some(&TAG_ITEMS) => Ok(ToShard::Items(Box::new(<ItemsBatch>::from_wire(bytes)?))),
+            Some(&TAG_TOO_SMALL) => {
+                let mut reader = Reader::new(bytes);
+                expect_tag(&mut reader, TAG_TOO_SMALL)?;
+                let refusal = ToShard::TooSmall {
+                    shard: get_u16(&mut reader, "truncated shard index")?,
+                    epoch_index: get_u64(&mut reader, "truncated epoch index")?,
+                    received: get_usize(&mut reader, "truncated received count")?,
+                    minimum: get_usize(&mut reader, "truncated minimum")?,
+                };
+                finish(&reader)?;
+                Ok(refusal)
+            }
+            _ => Err(FabricError::Malformed("unknown answer-stream tag")),
+        }
+    }
+}
+
 /// One shard's epoch result: collector shard → driver. The driver rebuilds
 /// the database with [`prochlo_core::AnalyzerDatabase::from_rows`] and
 /// merges shards in index order, matching the in-process
@@ -715,6 +780,21 @@ mod tests {
         };
         let bytes = items.to_wire();
         assert_eq!(<ItemsBatch>::from_wire(&bytes).unwrap(), items);
+        // The answer stream carries the same bytes, or a refusal.
+        let answer = ToShard::Items(Box::new(items));
+        assert_eq!(answer.to_wire(), bytes);
+        assert_eq!(<ToShard>::from_wire(&bytes).unwrap(), answer);
+        let refusal: ToShard<&[u8]> = ToShard::TooSmall {
+            shard: 3,
+            epoch_index: 9,
+            received: 3,
+            minimum: 10,
+        };
+        let bytes = refusal.to_wire();
+        assert_eq!(<ToShard>::from_wire(&bytes).unwrap(), refusal);
+        for cut in 0..bytes.len() {
+            assert!(<ToShard>::from_wire(&bytes[..cut]).is_err(), "cut {cut}");
+        }
         let summary = ShardSummary {
             shard: 1,
             epoch_index: 9,

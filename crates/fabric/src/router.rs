@@ -81,7 +81,7 @@ impl Default for RouterConfig {
 /// Builds one event loop's forwarding legs: a [`ReportSink`] per shard, in
 /// shard order. Called once per loop, so TCP-backed sinks get one
 /// connection per loop per shard with no cross-loop locking.
-pub type SinkFactory =
+type SinkFactory =
     Box<dyn Fn() -> Result<Vec<Box<dyn ReportSink + Send>>, CollectorError> + Send + Sync>;
 
 /// A point-in-time snapshot of the router counters.

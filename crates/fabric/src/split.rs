@@ -7,7 +7,8 @@
 //!   records to Shuffler 2.
 //! * [`serve_shuffler_two`] — Shuffler 2's service loop: unblind to
 //!   handles, threshold, shuffle, send surviving inner ciphertexts back to
-//!   the owning shard.
+//!   the owning shard. It holds the [`prochlo_core::ShufflerConfig`], so it
+//!   is the stage that refuses a batch below `min_batch_size`.
 //! * [`RemoteSplitPipeline`] — the collector-shard side: an
 //!   [`EpochPipeline`] that ships each epoch batch to the shufflers
 //!   instead of processing it in-process, then analyzes the returned
@@ -48,7 +49,7 @@ use prochlo_core::{
 };
 use prochlo_crypto::edwards::{FixedBaseTable, Point};
 
-use crate::messages::{BatchToOne, BatchToTwo, ItemsBatch, ToOne, ToTwo};
+use crate::messages::{BatchToOne, BatchToTwo, ItemsBatch, ToOne, ToShard, ToTwo};
 use crate::transport::{ChannelId, FabricError, Peer, Stage, Transport, TypedChannel, WireMessage};
 
 /// A stage's configured worker count, resolved once per service loop (`0`
@@ -117,9 +118,11 @@ pub fn serve_shuffler_one(
 
 /// Shuffler 2's service loop: consumes Shuffler 1's record stream until its
 /// done marker, answering each batch's owning shard with the surviving
-/// items.
+/// items. A batch below the configured `min_batch_size` is answered with
+/// [`ToShard::TooSmall`] before any draw, and the loop serves the next.
 pub fn serve_shuffler_two(transport: &dyn Transport, two: &ShufflerTwo) -> Result<(), FabricError> {
     let num_threads = resolve_threads(two.config().num_threads)?;
+    let minimum = two.config().min_batch_size;
     let from_one =
         TypedChannel::<ToTwo>::new(transport, ChannelId::new(Peer::ShufflerOne, Stage::Records));
     loop {
@@ -130,6 +133,17 @@ pub fn serve_shuffler_two(transport: &dyn Transport, two: &ShufflerTwo) -> Resul
             ToTwo::Done => return Ok(()),
             ToTwo::Batch(batch) => *batch,
         };
+        let to_shard = ChannelId::new(Peer::Shard(batch.shard), Stage::Items);
+        if batch.received < minimum {
+            let refusal: ToShard = ToShard::TooSmall {
+                shard: batch.shard,
+                epoch_index: batch.epoch_index,
+                received: batch.received,
+                minimum,
+            };
+            TypedChannel::new(transport, to_shard).send(&refusal)?;
+            continue;
+        }
         let mut rng = StdRng::seed_from_u64(batch.s2_seed);
         let span = prochlo_obs::span("fabric.s2.serve");
         let (items, stage_two) = two
@@ -139,19 +153,15 @@ pub fn serve_shuffler_two(transport: &dyn Transport, two: &ShufflerTwo) -> Resul
                 other => FabricError::Processing(other.to_string()),
             })?;
         span.finish();
-        let answer = ItemsBatch {
+        let answer = ToShard::Items(Box::new(ItemsBatch {
             shard: batch.shard,
             epoch_index: batch.epoch_index,
             received: batch.received,
             stage_one: batch.stage_one,
             stage_two,
             items,
-        };
-        TypedChannel::new(
-            transport,
-            ChannelId::new(Peer::Shard(batch.shard), Stage::Items),
-        )
-        .send(&answer)?;
+        }));
+        TypedChannel::new(transport, to_shard).send(&answer)?;
     }
 }
 
@@ -232,19 +242,31 @@ impl EpochPipeline for RemoteSplitPipeline {
         drop(batch);
 
         // The analyzer decrypts the items where they lie in the answer frame.
-        let frame = TypedChannel::<ItemsBatch>::new(
+        let frame = TypedChannel::<ToShard>::new(
             self.transport.as_ref(),
             ChannelId::new(Peer::ShufflerTwo, Stage::Items),
         )
         .recv_frame()?;
-        let items = <ItemsBatch>::from_wire(&frame)?;
+        let answer = <ToShard>::from_wire(&frame)?;
         let roundtrip_seconds = span.finish();
-        if items.shard != self.shard || items.epoch_index != spec.epoch_index {
+        let (shard, epoch_index) = match &answer {
+            ToShard::Items(items) => (items.shard, items.epoch_index),
+            ToShard::TooSmall {
+                shard, epoch_index, ..
+            } => (*shard, *epoch_index),
+        };
+        if shard != self.shard || epoch_index != spec.epoch_index {
             return Err(PipelineError::Transport(format!(
-                "items for shard {} epoch {} answered shard {} epoch {}",
-                items.shard, items.epoch_index, self.shard, spec.epoch_index
+                "answer for shard {shard} epoch {epoch_index} reached shard {} epoch {}",
+                self.shard, spec.epoch_index
             )));
         }
+        let items = match answer {
+            ToShard::Items(items) => *items,
+            ToShard::TooSmall {
+                received, minimum, ..
+            } => return Err(PipelineError::BatchTooSmall { received, minimum }),
+        };
 
         let num_threads =
             exec::resolve_threads(spec.engine.as_ref().map_or(0, |engine| engine.num_threads))?;
@@ -303,7 +325,7 @@ mod tests {
     use crate::loopback::LoopbackHub;
     use prochlo_core::encoder::CrowdStrategy;
     use prochlo_core::shuffler::split::BlindedRecord;
-    use prochlo_core::{Deployment, Topology};
+    use prochlo_core::{Deployment, ShufflerConfig, Topology};
     use prochlo_crypto::elgamal::ElGamalCiphertext;
     use prochlo_crypto::hybrid::HybridCiphertext;
 
@@ -370,6 +392,75 @@ mod tests {
             assert_eq!(remote.shuffler_stats, reference.shuffler_stats);
             assert_eq!(remote.stage_stats, reference.stage_stats);
         });
+    }
+
+    /// The wire twin of the in-process
+    /// `every_topology_refuses_a_batch_below_the_minimum`: Shuffler 2
+    /// refuses a 3-report epoch below `min_batch_size: 10` with the
+    /// in-process error, and both services go on to serve a 10-report
+    /// epoch that matches the in-process run byte for byte.
+    #[test]
+    fn the_wire_split_refuses_a_batch_below_the_minimum() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let deployment = Deployment::builder()
+            .shuffler(Topology::Split)
+            .config(ShufflerConfig {
+                min_batch_size: 10,
+                ..ShufflerConfig::default().without_thresholding()
+            })
+            .build(&mut rng);
+        let encoder = deployment.encoder();
+        let reports: Vec<ClientReport> = (0..10u64)
+            .map(|i| {
+                encoder
+                    .encode_plain(b"w", CrowdStrategy::Blind(b"w"), i, &mut rng)
+                    .unwrap()
+            })
+            .collect();
+        let (small, full) = (EpochSpec::new(0, 1), EpochSpec::new(1, 1));
+        let mut session = deployment.session(full.clone());
+        session.extend(reports.clone());
+        let reference = session.finish().unwrap();
+
+        let split = deployment.role().as_split().unwrap();
+        let hub = LoopbackHub::new();
+        let s1_transport = hub.endpoint(Peer::ShufflerOne);
+        let s2_transport = hub.endpoint(Peer::ShufflerTwo);
+        let mut pipeline = RemoteSplitPipeline::new(
+            Arc::new(hub.endpoint(Peer::Shard(0))),
+            0,
+            deployment.analyzer().clone(),
+        );
+        // Both epochs run and the services shut down before anything is
+        // asserted, so a failure cannot leave a service waiting.
+        let (refused, remote) = std::thread::scope(|scope| {
+            let elgamal = split.two.elgamal_public();
+            let s1 = scope.spawn(|| serve_shuffler_one(&s1_transport, &split.one, elgamal, 1));
+            let s2 = scope.spawn(|| serve_shuffler_two(&s2_transport, &split.two));
+            let refused = pipeline.process(&small, reports[..3].to_vec());
+            let remote = pipeline.process(&full, reports);
+            pipeline.finish().unwrap();
+            s1.join().unwrap().unwrap();
+            s2.join().unwrap().unwrap();
+            (refused, remote)
+        });
+        assert!(
+            matches!(
+                refused,
+                Err(PipelineError::BatchTooSmall {
+                    received: 3,
+                    minimum: 10
+                })
+            ),
+            "{refused:?}"
+        );
+        let remote = remote.unwrap();
+        assert_eq!(remote.shuffler_stats.forwarded, 10);
+        assert_eq!(
+            remote.database.canonical_histogram_bytes(),
+            reference.database.canonical_histogram_bytes()
+        );
+        assert_eq!(remote.shuffler_stats, reference.shuffler_stats);
     }
 
     fn split_deployment(rng: &mut StdRng) -> Deployment {

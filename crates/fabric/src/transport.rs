@@ -23,7 +23,7 @@ use prochlo_core::wire::{put_bytes, put_u32, put_u64, put_u8, Reader};
 /// Version byte of every fabric frame. Distinct from the collector
 /// protocol's version so a fabric peer dialed into a collector port (or
 /// vice versa) fails loudly at the framing layer instead of desynchronizing.
-pub const FABRIC_VERSION: u8 = 2;
+const FABRIC_VERSION: u8 = 2;
 
 /// Default ceiling for one fabric frame. Fabric frames carry whole epoch
 /// batches, so the ceiling is far above the collector's per-report limit.

@@ -18,11 +18,11 @@
 //! suppressing nothing at all is itself reported (rule `lint-directive`),
 //! so stale allows cannot accumulate.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 
 use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
-use crate::rules;
+use crate::rules::{self, NamedElsewhere};
 
 /// The pseudo-rule under which malformed or stale suppression directives
 /// are reported. Not suppressible.
@@ -194,6 +194,20 @@ fn test_context(tokens: &[Token]) -> Vec<bool> {
     flags
 }
 
+/// Flags each token of a `use` item, from the `use` keyword to its `;`.
+fn use_items(tokens: &[Token]) -> Vec<bool> {
+    let mut inside = false;
+    tokens
+        .iter()
+        .map(|tok| {
+            inside |= tok.is_ident("use");
+            let flag = inside;
+            inside &= !tok.is_punct(';');
+            flag
+        })
+        .collect()
+}
+
 fn matching(tokens: &[Token], open: usize, open_c: char, close_c: char) -> Option<usize> {
     let mut depth = 0usize;
     for (i, tok) in tokens.iter().enumerate().skip(open) {
@@ -209,13 +223,12 @@ fn matching(tokens: &[Token], open: usize, open_c: char, close_c: char) -> Optio
     None
 }
 
-/// Lints one lexed file. `named_elsewhere` answers whether another
-/// first-party file names an identifier; without it the cross-file
-/// `uncalled-pub` rule does not run.
+/// Lints one lexed file. Without `named_elsewhere`, the workspace name
+/// index, the cross-file `uncalled-pub` rule does not run.
 fn lint_lexed(
     path: &str,
     lexed: &Lexed,
-    named_elsewhere: Option<&dyn Fn(&str) -> bool>,
+    named_elsewhere: Option<NamedElsewhere<'_>>,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
     let suppressions = parse_directives(path, &lexed.comments, &mut findings);
@@ -281,26 +294,41 @@ fn is_production(path: &str) -> bool {
 /// source)`, in one pass: each file is lexed once, the identifiers of all
 /// of them (outside comments and strings) form the name index
 /// `uncalled-pub` checks against, and every rule runs on the production
-/// files among them. Findings come in file order, then line.
+/// files among them. The index counts, per name, the files that hold it
+/// anywhere and the files that hold it outside `use` items. Findings come
+/// in file order, then line.
 pub fn lint_files<P: AsRef<str>, S: AsRef<str>>(files: &[(P, S)]) -> Vec<Finding> {
     let lexed: Vec<(&str, Lexed)> = files
         .iter()
         .map(|(path, source)| (path.as_ref(), lex(source.as_ref())))
         .collect();
     let mut files_naming: HashMap<&str, usize> = HashMap::new();
+    let mut files_naming_outside_use: HashMap<&str, usize> = HashMap::new();
     for (_, file) in &lexed {
-        let names: HashSet<&str> = file
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokenKind::Ident)
-            .map(|t| t.text.as_str())
-            .collect();
-        for name in names {
+        let in_use = use_items(&file.tokens);
+        // Per name: whether this file holds it outside a `use` item.
+        let mut names: HashMap<&str, bool> = HashMap::new();
+        for (tok, in_use) in file.tokens.iter().zip(in_use) {
+            if tok.kind == TokenKind::Ident {
+                *names.entry(tok.text.as_str()).or_default() |= !in_use;
+            }
+        }
+        for (name, outside_use) in names {
             *files_naming.entry(name).or_default() += 1;
+            if outside_use {
+                *files_naming_outside_use.entry(name).or_default() += 1;
+            }
         }
     }
     // The declaring file names the item itself, so another file means two.
-    let named_elsewhere = |name: &str| files_naming.get(name).is_some_and(|&n| n > 1);
+    let named_elsewhere = |name: &str, use_counts: bool| {
+        let index = if use_counts {
+            &files_naming
+        } else {
+            &files_naming_outside_use
+        };
+        index.get(name).is_some_and(|&n| n > 1)
+    };
     lexed
         .iter()
         .filter(|(path, _)| is_production(path))
@@ -433,6 +461,26 @@ mod tests {
             .any(|(t, f)| t.text == "y" && *f);
         assert!(hashmap_flagged);
         assert!(!y_flagged);
+    }
+
+    #[test]
+    fn use_items_run_from_the_keyword_to_the_semicolon() {
+        let src = "pub use a::{\n    B,\n    c::D,\n};\nfn f() { use e::F; g(); }";
+        let lexed = lex(src);
+        let in_use: Vec<&str> = lexed
+            .tokens
+            .iter()
+            .zip(use_items(&lexed.tokens))
+            .filter(|(_, in_use)| *in_use)
+            .map(|(t, _)| t.text.as_str())
+            .collect();
+        assert_eq!(
+            in_use,
+            ["use", "a", ":", ":", "{", "B", ",", "c", ":", ":", "D", ",", "}", ";"]
+                .into_iter()
+                .chain(["use", "e", ":", ":", "F", ";"])
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

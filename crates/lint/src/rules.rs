@@ -14,6 +14,7 @@ use crate::lexer::{Token, TokenKind};
 /// A rule's identity and documentation, used by `--list-rules`, the README
 /// table, and directive validation.
 #[derive(Debug, Clone, Copy)]
+// prochlo-lint: allow(uncalled-pub, "the element type of RULES; the binary prints its fields without naming it")
 pub struct RuleInfo {
     /// The rule name used in findings and `allow(...)` directives.
     pub name: &'static str,
@@ -26,8 +27,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "determinism-hash-iter",
         summary: "HashMap/HashSet in non-test code of seeded crates \
-                  (core, shuffle, crypto, data): process-random iteration \
-                  order silently corrupts seeded replay",
+                  (core, shuffle, crypto, bench's data generators): \
+                  process-random iteration order silently corrupts seeded \
+                  replay",
     },
     RuleInfo {
         name: "env-knob-discipline",
@@ -76,7 +78,7 @@ const SEEDED_CRATE_PREFIXES: &[&str] = &[
     "crates/core/src/",
     "crates/shuffle/src/",
     "crates/crypto/src/",
-    "crates/data/src/",
+    "crates/bench/src/data/",
 ];
 
 /// Files allowed to read the process environment: the one reader every
@@ -141,6 +143,11 @@ fn under_any(path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p))
 }
 
+/// The engine's workspace name index: `named_elsewhere(name, use_counts)`
+/// is true when another first-party file names `name`, counting a mention
+/// inside a `use` item only when `use_counts`.
+pub(crate) type NamedElsewhere<'a> = &'a dyn Fn(&str, bool) -> bool;
+
 /// Runs every applicable rule over one file's token stream. `test_ctx[i]`
 /// is true when token `i` sits in test-only code (`#[cfg(test)]` /
 /// `#[test]` regions); the invariants are production invariants, so test
@@ -150,7 +157,7 @@ pub fn run_rules(
     path: &str,
     tokens: &[Token],
     test_ctx: &[bool],
-    named_elsewhere: Option<&dyn Fn(&str) -> bool>,
+    named_elsewhere: Option<NamedElsewhere<'_>>,
     findings: &mut Vec<Finding>,
 ) {
     debug_assert_eq!(tokens.len(), test_ctx.len());
@@ -511,7 +518,7 @@ fn uncalled_pub(
     path: &str,
     tokens: &[Token],
     live: &dyn Fn(usize) -> bool,
-    named_elsewhere: &dyn Fn(&str) -> bool,
+    named_elsewhere: NamedElsewhere<'_>,
     findings: &mut Vec<Finding>,
 ) {
     for (i, tok) in tokens.iter().enumerate() {
@@ -521,7 +528,9 @@ fn uncalled_pub(
         let Some((kind, name)) = declared_item(tokens, i) else {
             continue;
         };
-        if !named_elsewhere(&name.text) {
+        // A `use` line (a `pub use` re-export included) calls nothing,
+        // except for a trait: importing one is how its methods are called.
+        if !named_elsewhere(&name.text, kind == "trait") {
             findings.push(finding(
                 path,
                 name.line,

@@ -29,6 +29,9 @@ const THREAD_SUPPRESSED: &str = include_str!("fixtures/thread_spawn_suppressed.r
 const UNCALLED_FIRING: &str = include_str!("fixtures/uncalled_pub_firing.rs");
 const UNCALLED_CLEAN: &str = include_str!("fixtures/uncalled_pub_clean.rs");
 const UNCALLED_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_suppressed.rs");
+const USE_ONLY_FIRING: &str = include_str!("fixtures/uncalled_pub_use_firing.rs");
+const USE_ONLY_CLEAN: &str = include_str!("fixtures/uncalled_pub_use_clean.rs");
+const USE_ONLY_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_use_suppressed.rs");
 
 /// An integration test naming the clean fixture's public items: a caller in
 /// another file is what keeps a `pub` item alive.
@@ -288,6 +291,49 @@ fn uncalled_pub_ignores_names_in_comments_and_strings() {
         [("uncalled-pub", 1), ("uncalled-pub", 6)],
         "{findings:?}"
     );
+}
+
+#[test]
+fn uncalled_pub_does_not_count_use_items_as_callers() {
+    // A crate root that re-exports both items calls neither of them.
+    let root = "pub use crate::fixture::{\n    imported_helper,\n    Reexported,\n};\n";
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", USE_ONLY_FIRING),
+        ("crates/core/src/lib.rs", root),
+    ]);
+    assert_eq!(
+        shape(&findings),
+        [("uncalled-pub", 1), ("uncalled-pub", 5)],
+        "{findings:?}"
+    );
+    // One mention outside a `use` item, in any file, is a caller.
+    let caller =
+        "use crate::fixture::imported_helper;\nfn t() -> u32 { imported_helper().field }\n";
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", USE_ONLY_FIRING),
+        ("crates/core/src/lib.rs", root),
+        ("crates/core/tests/caller.rs", caller),
+    ]);
+    assert_eq!(shape(&findings), [("uncalled-pub", 1)], "{findings:?}");
+}
+
+#[test]
+fn uncalled_pub_use_items_clean_and_suppressed() {
+    // A trait imported for its methods is called where the methods are:
+    // its name need appear only in the `use` line.
+    let caller = "use crate::fixture::{Counted, Describe};\n\
+                  fn t() -> String { Counted.describe() }\n";
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", USE_ONLY_CLEAN),
+        ("crates/core/tests/caller.rs", caller),
+    ]);
+    assert!(findings.is_empty(), "{findings:?}");
+    let root = "pub use crate::fixture::Reexported;\n";
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", USE_ONLY_SUPPRESSED),
+        ("crates/core/src/lib.rs", root),
+    ]);
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]

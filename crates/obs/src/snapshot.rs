@@ -100,13 +100,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// An empty snapshot (what a disabled layer reports).
-    pub fn empty() -> Self {
-        Snapshot {
-            entries: Vec::new(),
-        }
-    }
-
     /// Flatten to sorted `(name, value)` pairs. Counters and gauges keep
     /// their name; a histogram contributes `<name>.count` and
     /// `<name>.sum_seconds`.
@@ -249,6 +242,9 @@ mod tests {
 
     #[test]
     fn empty_snapshot_renders_placeholder() {
-        assert!(Snapshot::empty().render_table().contains("no metrics"));
+        let empty = Snapshot {
+            entries: Vec::new(),
+        };
+        assert!(empty.render_table().contains("no metrics"));
     }
 }

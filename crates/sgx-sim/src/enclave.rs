@@ -66,6 +66,7 @@ impl std::error::Error for EnclaveError {}
 
 /// One observable boundary event (what the untrusted host can see).
 #[derive(Debug, Clone, PartialEq, Eq)]
+// prochlo-lint: allow(uncalled-pub, "the element type Enclave::trace returns; the Stash Shuffle's trace tests compare it without naming it")
 pub struct TraceEvent {
     /// A label describing the operation (e.g. "read-input-bucket").
     pub label: &'static str,
@@ -299,6 +300,7 @@ impl Enclave {
 /// memory. Dropping a worker releases whatever it still holds, so a failed
 /// parallel phase cannot leak accounting.
 #[derive(Debug)]
+// prochlo-lint: allow(uncalled-pub, "what WorkerPool::with_exact lends its closure; the Stash Shuffle charges it without naming it")
 pub struct EnclaveWorker {
     enclave: Enclave,
     budget: usize,

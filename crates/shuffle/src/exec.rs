@@ -25,7 +25,7 @@
 //!    after the parallel region.
 //!
 //! The `PROCHLO_SHUFFLE_THREADS` environment knob is parsed in exactly one
-//! place ([`shuffle_threads_from_env`]); `0` or an absent value means "use
+//! place, behind [`resolve_threads`]; `0` or an absent value means "use
 //! every available core". A value that is set but unparseable is a hard
 //! error ([`ShuffleError::InvalidThreads`]) — an operator who set the knob
 //! asked for a specific count, and silently substituting another one would
@@ -71,7 +71,7 @@ pub fn chunk_rng(phase_seed: u64, chunk_idx: u64) -> StdRng {
 }
 
 /// The number of hardware threads available to this process.
-pub fn available_threads() -> usize {
+fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -83,7 +83,7 @@ pub fn available_threads() -> usize {
 /// follows — because an operator who set the knob made a selection, and
 /// quietly replacing a typo with a different thread count is worse than
 /// refusing to start.
-pub fn threads_from_value(value: Option<&str>) -> Result<usize, ShuffleError> {
+fn threads_from_value(value: Option<&str>) -> Result<usize, ShuffleError> {
     match value {
         None => Ok(available_threads()),
         Some(raw) => match raw.trim().parse::<usize>() {
@@ -100,7 +100,7 @@ pub fn threads_from_value(value: Option<&str>) -> Result<usize, ShuffleError> {
 /// A set-but-undecodable (non-Unicode) value is a selection the operator
 /// made, so it errors exactly like an unparseable one instead of being
 /// treated as unset.
-pub fn shuffle_threads_from_env() -> Result<usize, ShuffleError> {
+fn shuffle_threads_from_env() -> Result<usize, ShuffleError> {
     let raw = prochlo_obs::knobs::read("PROCHLO_SHUFFLE_THREADS")
         .map_err(|e| ShuffleError::InvalidThreads { value: e.value })?;
     threads_from_value(raw.as_deref())

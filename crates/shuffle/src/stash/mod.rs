@@ -111,6 +111,7 @@ fn import_strip(b: usize, c: usize, k: usize) -> (usize, usize) {
 
 /// Result of a successful Stash Shuffle run.
 #[derive(Debug, Clone)]
+// prochlo-lint: allow(uncalled-pub, "the return type of StashShuffle::shuffle; callers read its fields without naming it")
 pub struct StashShuffleOutput {
     /// The shuffled records.
     pub records: Records,
@@ -383,7 +384,7 @@ impl StashShuffle {
         let layout = Layout::new(&self.params, input.len(), record_len);
 
         let mid = self.distribute(input, &layout, &ephemeral_key, attempt_seed)?;
-        let output = self.compress(&mid, &layout, &ephemeral_key, rng)?;
+        let output = self.compress(mid, &layout, &ephemeral_key, rng)?;
         Ok((output, layout.b * (layout.b * layout.c + layout.k)))
     }
 
@@ -611,9 +612,11 @@ impl StashShuffle {
 
     /// The compression phase: imports the intermediate buckets through a
     /// window of `W` and emits the `N` real records, `D` per output bucket.
+    /// It takes the intermediate array by value and frees each bucket once
+    /// it has read it, so the array shrinks as the output grows.
     fn compress<R: Rng + ?Sized>(
         &self,
-        mid: &Intermediate,
+        mut mid: Intermediate,
         layout: &Layout,
         ephemeral_key: &AeadKey,
         rng: &mut R,
@@ -623,11 +626,11 @@ impl StashShuffle {
         let mut output: Records = Vec::with_capacity(n);
         let (strip_messages, strip_slots) = import_strip(b, layout.c, layout.k);
 
-        let import = |bucket_idx: usize,
-                      queue: &mut VecDeque<Vec<u8>>,
-                      rng: &mut R|
+        let mut import = |bucket_idx: usize,
+                          queue: &mut VecDeque<Vec<u8>>,
+                          rng: &mut R|
          -> Result<(), AttemptFailure> {
-            let messages = &mid[bucket_idx];
+            let messages = std::mem::take(&mut mid[bucket_idx]);
             // Nothing is opened from a bucket of the wrong shape: an extra
             // message would authenticate under the position it claims (a
             // replayed drain, or another bucket's), and its records would
@@ -1209,12 +1212,14 @@ mod tests {
         let mut mid = mid.unwrap();
         let mut rng = StdRng::seed_from_u64(16);
         // Untouched, the intermediate array compresses to a permutation.
-        let out = shuffler.compress(&mid, &layout, &key, &mut rng).unwrap();
+        let out = shuffler
+            .compress(mid.clone(), &layout, &key, &mut rng)
+            .unwrap();
         assert_eq!(out.len(), 1_000);
         // Two authentic chunks of one bucket trade places.
         mid[0].swap(0, 1);
         assert_eq!(
-            shuffler.compress(&mid, &layout, &key, &mut rng),
+            shuffler.compress(mid.clone(), &layout, &key, &mut rng),
             Err(OUT_OF_POSITION)
         );
         assert_eq!(shuffler.enclave().metrics().private_in_use, 0);
@@ -1223,7 +1228,7 @@ mod tests {
         let (first, second) = mid.split_at_mut(1);
         std::mem::swap(&mut first[0][0], &mut second[0][0]);
         assert_eq!(
-            shuffler.compress(&mid, &layout, &key, &mut rng),
+            shuffler.compress(mid, &layout, &key, &mut rng),
             Err(OUT_OF_POSITION)
         );
         assert_eq!(shuffler.enclave().metrics().private_in_use, 0);
@@ -1240,7 +1245,7 @@ mod tests {
         mid[0][0] = mid[0][1].clone();
         let mut rng = StdRng::seed_from_u64(17);
         assert_eq!(
-            shuffler.compress(&mid, &layout, &key, &mut rng),
+            shuffler.compress(mid, &layout, &key, &mut rng),
             Err(OUT_OF_POSITION)
         );
         assert_eq!(shuffler.enclave().metrics().private_in_use, 0);
@@ -1282,7 +1287,7 @@ mod tests {
             tamper(&mut mid, b);
             let mut rng = StdRng::seed_from_u64(18);
             assert_eq!(
-                shuffler.compress(&mid, &layout, &key, &mut rng),
+                shuffler.compress(mid, &layout, &key, &mut rng),
                 Err(WRONG_LENGTH),
                 "{case}"
             );
@@ -1292,7 +1297,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(18);
         assert_eq!(
             shuffler
-                .compress(&mid, &layout, &key, &mut rng)
+                .compress(mid, &layout, &key, &mut rng)
                 .unwrap()
                 .len(),
             1_000
@@ -1332,7 +1337,7 @@ mod tests {
                 let shuffler = shuffler.with_threads(threads);
                 let before = shuffler.enclave().trace().len();
                 let mut rng = StdRng::seed_from_u64(18);
-                let result = shuffler.compress(&mid.unwrap(), &layout, &key, &mut rng);
+                let result = shuffler.compress(mid.unwrap(), &layout, &key, &mut rng);
                 assert_eq!(shuffler.enclave().metrics().private_in_use, 0);
                 (result, shuffler.enclave().trace()[before..].to_vec())
             };

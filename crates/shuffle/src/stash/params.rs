@@ -64,6 +64,7 @@ pub struct StashShuffleParams {
 
 /// One row of Table 1: a problem size and the parameters used for it.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// prochlo-lint: allow(uncalled-pub, "the element type StashShuffleParams::table1_scenarios returns; table1_stash_params reads its fields without naming it")
 pub struct Table1Scenario {
     /// Problem size `N` in records.
     pub records: usize,

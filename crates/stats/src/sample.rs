@@ -134,7 +134,6 @@ impl RoundedNormal {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
-    exponent: f64,
 }
 
 impl Zipf {
@@ -163,17 +162,12 @@ impl Zipf {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Self { cdf, exponent }
+        Self { cdf }
     }
 
     /// Number of items in the support.
     pub fn support(&self) -> usize {
         self.cdf.len()
-    }
-
-    /// The exponent `s`.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// Probability mass of item `i`.

@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run -p prochlo-examples --release --bin flix_recommender`
 
-use prochlo_analytics::{CovarianceModel, RatingTuple};
-use prochlo_data::{RatingsConfig, RatingsGenerator};
+use prochlo_bench::covariance::{CovarianceModel, RatingTuple};
+use prochlo_bench::ratings::{RatingsConfig, RatingsGenerator};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};

@@ -9,9 +9,9 @@
 //!
 //! Run with: `cargo run -p prochlo-examples --release --bin suggest_views`
 
-use prochlo_analytics::SequenceModel;
+use prochlo_bench::sequence::SequenceModel;
+use prochlo_bench::views::{ViewConfig, ViewGenerator};
 use prochlo_core::encoder::fragment_windows;
-use prochlo_data::{ViewConfig, ViewGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

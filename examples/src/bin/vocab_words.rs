@@ -8,9 +8,9 @@
 //!
 //! Run with: `cargo run -p prochlo-examples --release --bin vocab_words`
 
+use prochlo_bench::vocab::VocabCorpus;
 use prochlo_core::encoder::CrowdStrategy;
 use prochlo_core::{Deployment, Topology};
-use prochlo_data::VocabCorpus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

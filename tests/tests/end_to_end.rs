@@ -2,9 +2,9 @@
 //! shuffler (trusted and SGX backends, single and split deployments) →
 //! analyzer, on realistic workloads from the data generators.
 
+use prochlo_bench::vocab::VocabCorpus;
 use prochlo_core::encoder::CrowdStrategy;
 use prochlo_core::{Deployment, EngineConfig, ShuffleBackend, ShufflerConfig, Topology};
-use prochlo_data::VocabCorpus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -2,6 +2,7 @@
 //! secret-share encoding, fragmentation, randomized thresholding guarantees
 //! and local-DP bookkeeping.
 
+use prochlo_bench::rappor::RapporParams;
 use prochlo_core::encoder::{fragment_pairs, fragment_windows};
 use prochlo_core::privacy::{
     bit_flip_epsilon, gaussian_mechanism_delta, gaussian_mechanism_epsilon,
@@ -9,7 +10,6 @@ use prochlo_core::privacy::{
 };
 use prochlo_core::{GaussianThresholdPrivacy, PrivacyAccountant};
 use prochlo_crypto::{mle, shamir};
-use prochlo_ldp::rappor::RapporParams;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
