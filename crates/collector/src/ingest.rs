@@ -25,7 +25,7 @@ use prochlo_crypto::hybrid::HybridCiphertext;
 use prochlo_obs::{Counter, Gauge, Histogram, Registry, Span};
 
 use crate::dedup::{NonceCheck, ReplayFilter};
-use crate::protocol::{Response, NONCE_LEN};
+use crate::protocol::{Response, MAX_REPORT_LEN, NONCE_LEN, RETRY_AFTER_MS};
 use crate::queue::{BoundedQueue, PushError};
 
 /// Tuning knobs for [`IngestCore`].
@@ -33,21 +33,15 @@ use crate::queue::{BoundedQueue, PushError};
 pub struct IngestConfig {
     /// Reports queued but not yet cut into an epoch (the memory bound).
     pub queue_capacity: usize,
-    /// Maximum serialized report size accepted.
-    pub max_report_len: usize,
     /// Nonces remembered for replay dedup.
     pub dedup_capacity: usize,
-    /// Back-off hint returned with `RetryAfter`.
-    pub retry_after_ms: u32,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
         Self {
             queue_capacity: 1 << 16,
-            max_report_len: 16 << 10,
             dedup_capacity: 1 << 20,
-            retry_after_ms: 100,
         }
     }
 }
@@ -59,7 +53,9 @@ pub struct IngestStats {
     pub accepted: u64,
     /// Submissions answered `Duplicate`.
     pub duplicates: u64,
-    /// Submissions answered `RetryAfter` (queue or filter full).
+    /// Submissions answered `RetryAfter`: the queue or the replay filter
+    /// was full, the nonce was in flight, or the connection's rate limiter
+    /// refused the submission.
     pub backpressured: u64,
     /// Submissions answered `Rejected` (malformed).
     pub rejected: u64,
@@ -149,7 +145,6 @@ impl From<SocketAddr> for Peer {
 pub struct IngestCore {
     queue: BoundedQueue<ClientReport>,
     dedup: ReplayFilter,
-    config: IngestConfig,
     arrival: AtomicU64,
     stats: StatsCells,
     obs: ObsHandles,
@@ -172,7 +167,6 @@ impl IngestCore {
             arrival: AtomicU64::new(0),
             stats: StatsCells::default(),
             obs: ObsHandles::new(registry),
-            config,
         }
     }
 
@@ -184,11 +178,6 @@ impl IngestCore {
     /// The report queue the epoch manager drains.
     pub fn queue(&self) -> &BoundedQueue<ClientReport> {
         &self.queue
-    }
-
-    /// The configuration the core was built with.
-    pub fn config(&self) -> &IngestConfig {
-        &self.config
     }
 
     /// Handles one submission end to end and returns the wire response,
@@ -216,7 +205,7 @@ impl IngestCore {
     }
 
     fn ingest_inner(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: &Peer) -> Response {
-        if report.len() > self.config.max_report_len {
+        if report.len() > MAX_REPORT_LEN {
             self.stats.rejected.fetch_add(1, Ordering::Relaxed);
             self.obs.rejected.inc();
             return Response::Rejected {
@@ -241,13 +230,7 @@ impl IngestCore {
                 self.obs.duplicates.inc();
                 return Response::Duplicate;
             }
-            NonceCheck::InFlight | NonceCheck::Full => {
-                self.stats.backpressured.fetch_add(1, Ordering::Relaxed);
-                self.obs.backpressured.inc();
-                return Response::RetryAfter {
-                    millis: self.config.retry_after_ms,
-                };
-            }
+            NonceCheck::InFlight | NonceCheck::Full => return self.backpressure(),
             NonceCheck::Fresh => {}
         }
         let report = ClientReport {
@@ -269,12 +252,19 @@ impl IngestCore {
             }
             Err(PushError::Full(_)) | Err(PushError::Closed(_)) => {
                 self.dedup.abort(nonce);
-                self.stats.backpressured.fetch_add(1, Ordering::Relaxed);
-                self.obs.backpressured.inc();
-                Response::RetryAfter {
-                    millis: self.config.retry_after_ms,
-                }
+                self.backpressure()
             }
+        }
+    }
+
+    /// Counts one submission refused for want of room or rate — here or
+    /// by the connection's rate limiter in front of ingest — and answers
+    /// it `RetryAfter`.
+    pub(crate) fn backpressure(&self) -> Response {
+        self.stats.backpressured.fetch_add(1, Ordering::Relaxed);
+        self.obs.backpressured.inc();
+        Response::RetryAfter {
+            millis: RETRY_AFTER_MS,
         }
     }
 
@@ -359,7 +349,7 @@ mod tests {
             core.ingest(&nonce(1), &[0u8; 10], peer()),
             Response::Rejected { .. }
         ));
-        let oversized = vec![0u8; core.config().max_report_len + 1];
+        let oversized = vec![0u8; MAX_REPORT_LEN + 1];
         assert!(matches!(
             core.ingest(&nonce(2), &oversized, peer()),
             Response::Rejected { .. }
@@ -387,7 +377,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let config = IngestConfig {
             queue_capacity: 3,
-            retry_after_ms: 55,
             ..IngestConfig::default()
         };
         let core = IngestCore::new(config);
@@ -401,7 +390,9 @@ mod tests {
         // The fourth submission is refused, not buffered.
         assert_eq!(
             core.ingest(&nonce(3), &report, peer()),
-            Response::RetryAfter { millis: 55 }
+            Response::RetryAfter {
+                millis: RETRY_AFTER_MS
+            }
         );
         assert_eq!(core.queue().len(), 3);
         assert_eq!(core.stats().peak_queue_depth, 3);

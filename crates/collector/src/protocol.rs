@@ -47,6 +47,14 @@ pub const PROTOCOL_VERSION: u8 = 1;
 /// Length of the client-chosen replay-dedup nonce.
 pub const NONCE_LEN: usize = 16;
 
+/// The back-off hint, in milliseconds, of every `RetryAfter` a collector
+/// or a shard router answers on its own behalf.
+pub const RETRY_AFTER_MS: u32 = 100;
+
+/// The longest serialized report a collector accepts; a longer one is
+/// answered `Rejected`.
+pub const MAX_REPORT_LEN: usize = 16 << 10;
+
 /// The collector protocol's framing policy at a given frame-size ceiling.
 pub const fn frame_policy(max_frame_len: usize) -> FramePolicy {
     FramePolicy::new(PROTOCOL_VERSION, max_frame_len)

@@ -43,7 +43,7 @@ use prochlo_net::{Answer, Handler, Server, ServerConfig, ServerStats, TokenBucke
 
 use crate::error::CollectorError;
 use crate::ingest::{IngestConfig, IngestCore, IngestStats, Peer};
-use crate::protocol::{frame_policy, RequestRef, Response};
+use crate::protocol::{frame_policy, RequestRef, Response, RETRY_AFTER_MS};
 
 /// Configuration of a running collector.
 #[derive(Debug, Clone)]
@@ -62,12 +62,8 @@ pub struct CollectorConfig {
     pub max_epoch_reports: usize,
     /// Cut an epoch with whatever arrived once this much time passes.
     pub epoch_deadline: Duration,
-    /// Back-off hint sent with `RetryAfter` responses.
-    pub retry_after_ms: u32,
     /// Maximum frame size accepted from a peer.
     pub max_frame_len: usize,
-    /// Maximum serialized report size accepted.
-    pub max_report_len: usize,
     /// Nonces remembered for replay dedup.
     pub dedup_capacity: usize,
     /// Per-connection progress deadline: a connection that completes no
@@ -103,9 +99,7 @@ impl Default for CollectorConfig {
             queue_capacity: 1 << 16,
             max_epoch_reports: 8192,
             epoch_deadline: Duration::from_millis(500),
-            retry_after_ms: 100,
             max_frame_len: 64 << 10,
-            max_report_len: 16 << 10,
             dedup_capacity: 1 << 20,
             io_timeout: Duration::from_secs(10),
             rate_limit_per_conn: None,
@@ -280,9 +274,7 @@ impl Collector {
             ingest: IngestCore::with_registry(
                 IngestConfig {
                     queue_capacity: config.queue_capacity,
-                    max_report_len: config.max_report_len,
                     dedup_capacity: config.dedup_capacity,
-                    retry_after_ms: config.retry_after_ms,
                 },
                 Arc::clone(&registry),
             ),
@@ -300,7 +292,7 @@ impl Collector {
                 .spawn(move || epoch_loop(pipeline, &shared, &config))?
         };
         let busy = Response::RetryAfter {
-            millis: config.retry_after_ms,
+            millis: RETRY_AFTER_MS,
         };
         let oversize = Response::Rejected {
             reason: "frame exceeds maximum size".to_string(),
@@ -391,11 +383,10 @@ impl Handler for Ingest {
         let response = match RequestRef::parse(body) {
             Ok(RequestRef::Submit(submission)) => {
                 // The rate limiter sits in front of ingest so a limited
-                // submission costs neither a dedup slot nor queue space.
+                // submission costs neither a dedup slot nor queue space;
+                // ingest still counts it as backpressure.
                 if bucket.as_mut().is_some_and(|b| !b.try_take()) {
-                    Response::RetryAfter {
-                        millis: ingest.config().retry_after_ms,
-                    }
+                    ingest.backpressure()
                 } else {
                     // Nonce and report still point into the connection's
                     // read buffer; ingest makes the one copy.
@@ -713,10 +704,12 @@ mod tests {
 
     #[test]
     fn rate_limited_connection_gets_retry_after_then_recovers() {
+        let registry = Arc::new(prochlo_obs::Registry::new(true));
         let config = CollectorConfig {
             // Burst of 2, then the bucket refills at 2/s — far slower than
             // the test submits.
             rate_limit_per_conn: Some(2),
+            registry: Some(Arc::clone(&registry)),
             ..test_config()
         };
         let (collector, encoder) = start_collector(81, config);
@@ -755,6 +748,12 @@ mod tests {
         drop(second);
         let summary = collector.shutdown();
         assert_eq!(summary.stats.ingest.accepted, 3);
+        // A rate-limited submission is backpressure like a full queue's.
+        assert_eq!(summary.stats.ingest.backpressured, 4);
+        assert_eq!(
+            registry.snapshot().get("collector.ingest.backpressured"),
+            Some(4.0)
+        );
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The deployment API: one orchestration surface for every ESA topology.
 //!
 //! The paper's architecture places encoders, one *or two* shufflers, and the
-//! analyzer in separate services; earlier revisions of this crate mirrored
-//! that split in the API itself (`Pipeline` vs `SplitPipeline`, each with
-//! `run_batch`/`ingest_epoch` plus `_with_engine` variants). This module
-//! replaces all of that with three pieces:
+//! analyzer in separate services. The API does not mirror that split: the
+//! number of shufflers is a property of a deployment, not of the type a
+//! caller drives. This module is three pieces:
 //!
 //! * [`Deployment`] — built by [`DeploymentBuilder`], it owns a shuffling
 //!   topology as a [`ShufflerRole`] (a [`Shuffler`] or a [`SplitShuffler`])
@@ -21,11 +20,10 @@
 //!   independent deployments by crowd-ID prefix and merges the resulting
 //!   databases analyzer-side via [`AnalyzerDatabase::merge_from`].
 //!
-//! Seeded behaviour is stable across the redesign:
-//! `deployment.ingest(&EpochSpec::new(e, seed), reports)` reproduces the
-//! pre-redesign `ingest_epoch(e, reports, seed)` canonical histogram byte
-//! for byte (pinned by the committed golden fixture in the integration
-//! suite).
+//! Seeded behaviour is a contract: `deployment.ingest(&EpochSpec::new(e,
+//! seed), reports)` yields the canonical histogram pinned byte for byte by
+//! the committed golden fixture in the integration suite, so a change to
+//! the key, seed or draw order shows there.
 
 use std::sync::OnceLock;
 
@@ -341,9 +339,8 @@ impl DeploymentBuilder {
     /// Generates fresh keys for every role and assembles the deployment.
     ///
     /// Key generation draws from `rng` in a fixed order (shuffler role
-    /// first, analyzer second — the same order the pre-redesign
-    /// constructors used), so seeded constructions reproduce the same keys
-    /// across versions.
+    /// first, analyzer second), so a seeded construction reproduces the
+    /// same keys on every build — the golden fixture's keys among them.
     pub fn build<R: Rng + ?Sized>(self, rng: &mut R) -> Deployment {
         let role = match self.topology {
             Topology::Single => ShufflerRole::Single(Shuffler::new(self.config, rng)),

@@ -402,10 +402,10 @@ impl SplitShuffler {
         })
     }
 
-    /// The merged batch-level view of a split run, preserving the
-    /// pre-redesign contract: batch-level counts span both stages
-    /// (`received` is what entered Shuffler 1, `rejected` is what its peel
-    /// refused), everything else is the thresholding stage's accounting.
+    /// The merged batch-level view of a split run: batch-level counts span
+    /// both stages (`received` is what entered Shuffler 1, `rejected` is
+    /// what its peel refused), everything else is the thresholding stage's
+    /// accounting.
     /// Timings combine phase-wise across the stages. Public so a wire
     /// driver that ran the stages remotely can reassemble the identical
     /// merged view from the per-stage stats it received.

@@ -29,28 +29,34 @@
 //!   `(sender, receiver)` pair.
 //! * [`tcp`] — socket transport: one socket and one link per peer pair,
 //!   stages multiplexed, `HELLO`-frame identification.
-//! * [`messages`] — the typed payloads flowing between driver, shards,
-//!   and shufflers.
+//! * [`messages`] — the typed payloads flowing between shards and
+//!   shufflers.
 //! * [`split`] — the wire-level split shuffler: stage servers plus the
 //!   [`RemoteSplitPipeline`] that plugs into a collector shard.
 //! * [`router`] — the [`ShardRouter`] ingestion front-end.
 //!
+//! The fabric carries only the split shuffle: three [`Stage`]s, each one
+//! hop of an epoch batch — `Batch` (shard → Shuffler 1), `Records`
+//! (Shuffler 1 → Shuffler 2) and `Items` (Shuffler 2 → shard) — between
+//! the three kinds of [`Peer`]. Whatever starts and stops the processes
+//! talks to them outside the fabric.
+//!
 //! The smallest possible fabric — two endpoints of a [`LoopbackHub`]
-//! exchanging a typed control message (the TCP transport speaks the same
-//! protocol over sockets):
+//! exchanging a typed message (the TCP transport speaks the same protocol
+//! over sockets):
 //!
 //! ```
-//! use prochlo_fabric::{ChannelId, Control, LoopbackHub, Peer, Stage, TypedChannel};
+//! use prochlo_fabric::{ChannelId, LoopbackHub, Peer, Stage, ToOne, TypedChannel};
 //!
 //! let hub = LoopbackHub::new();
-//! let driver = hub.endpoint(Peer::Driver);
 //! let shard = hub.endpoint(Peer::Shard(0));
+//! let one = hub.endpoint(Peer::ShufflerOne);
 //!
-//! TypedChannel::<Control>::new(&driver, ChannelId::new(Peer::Shard(0), Stage::Control))
-//!     .send(&Control::Shutdown)?;
-//! let received = TypedChannel::<Control>::new(&shard, ChannelId::new(Peer::Driver, Stage::Control))
+//! TypedChannel::<ToOne>::new(&shard, ChannelId::new(Peer::ShufflerOne, Stage::Batch))
+//!     .send(&ToOne::Done)?;
+//! let received = TypedChannel::<ToOne>::new(&one, ChannelId::new(Peer::Shard(0), Stage::Batch))
 //!     .recv()?;
-//! assert_eq!(received, Control::Shutdown);
+//! assert_eq!(received, ToOne::Done);
 //! # Ok::<(), prochlo_fabric::FabricError>(())
 //! ```
 //!
@@ -72,9 +78,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use loopback::{LoopbackHub, LoopbackTransport};
-pub use messages::{
-    BatchToOne, BatchToTwo, Control, ItemsBatch, ShardSummary, ToOne, ToShard, ToTwo,
-};
+pub use messages::{BatchToOne, BatchToTwo, ItemsBatch, ToOne, ToShard, ToTwo};
 pub use router::{RouterConfig, RouterStats, ShardRouter};
 pub use split::{serve_shuffler_one, serve_shuffler_two, sum_epoch_stats, RemoteSplitPipeline};
 pub use tcp::{TcpTransport, TcpTransportBuilder};

@@ -260,10 +260,10 @@ pub(crate) mod contract {
     pub(crate) fn channels_are_independent_and_ordered(pair: Pair) {
         let to_b = |stage, payload: &[u8]| pair.a.send(Peer::ShufflerTwo, stage, payload);
         to_b(Stage::Records, b"r0").unwrap();
-        to_b(Stage::Control, b"c0").unwrap();
+        to_b(Stage::Batch, b"b0").unwrap();
         to_b(Stage::Records, b"r1").unwrap();
-        // Reading the control stage first does not consume records.
-        assert_eq!(pair.b.recv(from_a(Stage::Control)).unwrap(), b"c0");
+        // Reading the batch stage first does not consume records.
+        assert_eq!(pair.b.recv(from_a(Stage::Batch)).unwrap(), b"b0");
         assert_eq!(pair.b.recv(from_a(Stage::Records)).unwrap(), b"r0");
         assert_eq!(pair.b.recv(from_a(Stage::Records)).unwrap(), b"r1");
     }
@@ -284,10 +284,8 @@ pub(crate) mod contract {
     }
 
     pub(crate) fn recv_blocks_until_a_send_arrives(pair: Pair) {
-        let got = waiters(&pair, &[Stage::Control], || {
-            pair.a
-                .send(Peer::ShufflerTwo, Stage::Control, b"go")
-                .unwrap();
+        let got = waiters(&pair, &[Stage::Batch], || {
+            pair.a.send(Peer::ShufflerTwo, Stage::Batch, b"go").unwrap();
         });
         assert_eq!(got[0].as_ref().unwrap(), b"go");
     }
@@ -295,23 +293,23 @@ pub(crate) mod contract {
     pub(crate) fn close_unblocks_receivers(pair: Pair) {
         let got = waiters(&pair, &[Stage::Items], || {
             pair.a
-                .send(Peer::ShufflerTwo, Stage::Control, b"buffered")
+                .send(Peer::ShufflerTwo, Stage::Batch, b"buffered")
                 .unwrap();
             (pair.close)();
         });
         assert!(matches!(got[0], Err(FabricError::Closed)));
         // Frames filed before the close are still delivered, then the close.
-        assert_eq!(pair.b.recv(from_a(Stage::Control)).unwrap(), b"buffered");
+        assert_eq!(pair.b.recv(from_a(Stage::Batch)).unwrap(), b"buffered");
         assert!(matches!(
-            pair.b.recv(from_a(Stage::Control)),
+            pair.b.recv(from_a(Stage::Batch)),
             Err(FabricError::Closed)
         ));
     }
 
     pub(crate) fn out_of_order_sequence_fails_the_link_for_waiters(pair: Pair) {
         // Sequence number 0 skipped on one stage fails the whole link.
-        let got = waiters(&pair, &[Stage::Control, Stage::Items], || {
-            (pair.inject)(envelope(Peer::ShufflerOne, Stage::Control, 7, b"early"));
+        let got = waiters(&pair, &[Stage::Batch, Stage::Items], || {
+            (pair.inject)(envelope(Peer::ShufflerOne, Stage::Batch, 7, b"early"));
         });
         for result in &got {
             assert!(link_failed(result, "out of order"), "{result:?}");
@@ -319,11 +317,11 @@ pub(crate) mod contract {
     }
 
     pub(crate) fn a_wrong_peer_fails_the_link_for_waiters(pair: Pair) {
-        let got = waiters(&pair, &[Stage::Control, Stage::Items], || {
-            (pair.inject)(envelope(Peer::Driver, Stage::Control, 0, b"forged"));
+        let got = waiters(&pair, &[Stage::Batch, Stage::Items], || {
+            (pair.inject)(envelope(Peer::Shard(0), Stage::Batch, 0, b"forged"));
         });
         for result in &got {
-            assert!(link_failed(result, "frame from driver"), "{result:?}");
+            assert!(link_failed(result, "frame from shard-0"), "{result:?}");
         }
     }
 
@@ -331,10 +329,10 @@ pub(crate) mod contract {
         pair.a
             .send(Peer::ShufflerTwo, Stage::Records, b"kept")
             .unwrap();
-        (pair.inject)(envelope(Peer::ShufflerOne, Stage::Control, 7, b"desync"));
+        (pair.inject)(envelope(Peer::ShufflerOne, Stage::Batch, 7, b"desync"));
         // In sequence on its own stage, but past the failure.
         (pair.inject)(envelope(Peer::ShufflerOne, Stage::Items, 0, b"late"));
-        let failed = pair.b.recv(from_a(Stage::Control));
+        let failed = pair.b.recv(from_a(Stage::Batch));
         assert!(link_failed(&failed, "out of order"), "{failed:?}");
         assert_eq!(pair.b.recv(from_a(Stage::Records)).unwrap(), b"kept");
         let late = pair.b.recv(from_a(Stage::Items));

@@ -79,11 +79,11 @@ impl LoopbackHub {
 /// use prochlo_fabric::transport::{ChannelId, Peer, Stage, Transport};
 ///
 /// let hub = LoopbackHub::new();
-/// let driver = hub.endpoint(Peer::Driver);
-/// let shard = hub.endpoint(Peer::Shard(0));
-/// driver.send(Peer::Shard(0), Stage::Control, b"hello").unwrap();
-/// let payload = shard
-///     .recv(ChannelId::new(Peer::Driver, Stage::Control))
+/// let one = hub.endpoint(Peer::ShufflerOne);
+/// let two = hub.endpoint(Peer::ShufflerTwo);
+/// one.send(Peer::ShufflerTwo, Stage::Records, b"hello").unwrap();
+/// let payload = two
+///     .recv(ChannelId::new(Peer::ShufflerOne, Stage::Records))
 ///     .unwrap();
 /// assert_eq!(payload, b"hello");
 /// ```

@@ -1,9 +1,9 @@
 //! The typed messages that travel the fabric.
 //!
-//! Each message rides one [`crate::transport::Stage`]: [`Control`] on
-//! `Control`, [`BatchToOne`] on `Batch`, [`BatchToTwo`] on `Records`,
-//! [`ItemsBatch`] (or Shuffler 2's refusal, see [`ToShard`]) on `Items`,
-//! [`ShardSummary`] on `Summary`. Every encoding
+//! Each message rides one [`crate::transport::Stage`]: [`ToOne`] (a
+//! [`BatchToOne`] or the end-of-stream marker) on `Batch`, [`ToTwo`] (a
+//! [`BatchToTwo`] or the marker) on `Records`, and [`ToShard`] (an
+//! [`ItemsBatch`] or Shuffler 2's refusal) on `Items`. Every encoding
 //! leads with a message tag anyway, so a payload that somehow lands on the
 //! wrong stage fails to parse instead of being misinterpreted.
 //!
@@ -35,13 +35,12 @@ use prochlo_crypto::hybrid::HybridCiphertext;
 
 use crate::transport::{FabricError, WireMessage};
 
-const TAG_CONTROL_SHUTDOWN: u8 = 0x10;
-const TAG_CONTROL_DONE: u8 = 0x11;
+/// The one-byte end-of-stream marker, `ToOne::Done` and `ToTwo::Done`.
+const TAG_DONE: u8 = 0x11;
 const TAG_BATCH_TO_ONE: u8 = 0x20;
 const TAG_BATCH_TO_TWO: u8 = 0x21;
 const TAG_ITEMS: u8 = 0x22;
 const TAG_TOO_SMALL: u8 = 0x23;
-const TAG_SUMMARY: u8 = 0x30;
 
 /// Backend names cross the wire as tags; `&'static str` cannot be
 /// reconstructed from arbitrary bytes.
@@ -83,10 +82,6 @@ fn get_count(
 
 fn get_slice<'a>(reader: &mut Reader<'a>, what: &'static str) -> Result<&'a [u8], FabricError> {
     reader.get_slice().map_err(|_| FabricError::Malformed(what))
-}
-
-fn get_vec(reader: &mut Reader<'_>, what: &'static str) -> Result<Vec<u8>, FabricError> {
-    reader.get_bytes().map_err(|_| FabricError::Malformed(what))
 }
 
 fn expect_tag(reader: &mut Reader<'_>, tag: u8) -> Result<(), FabricError> {
@@ -200,38 +195,11 @@ fn decode_stats(reader: &mut Reader<'_>) -> Result<ShufflerStats, FabricError> {
     })
 }
 
-/// Lifecycle coordination on [`crate::transport::Stage::Control`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Control {
-    /// Stop serving after finishing in-flight work.
-    Shutdown,
-    /// The sender has finished its part of the current unit of work.
-    Done,
-}
-
-impl WireMessage for Control {
-    type Decoded<'a> = Self;
-
-    fn to_wire(&self) -> Vec<u8> {
-        match self {
-            Control::Shutdown => vec![TAG_CONTROL_SHUTDOWN],
-            Control::Done => vec![TAG_CONTROL_DONE],
-        }
-    }
-
-    fn from_wire(bytes: &[u8]) -> Result<Self, FabricError> {
-        let mut reader = Reader::new(bytes);
-        let control = match reader
-            .get_u8()
-            .map_err(|_| FabricError::Malformed("empty control message"))?
-        {
-            TAG_CONTROL_SHUTDOWN => Control::Shutdown,
-            TAG_CONTROL_DONE => Control::Done,
-            _ => return Err(FabricError::Malformed("unknown control tag")),
-        };
-        finish(&reader)?;
-        Ok(control)
-    }
+/// Parses the end-of-stream marker: its tag and nothing after it.
+fn decode_done(bytes: &[u8]) -> Result<(), FabricError> {
+    let mut reader = Reader::new(bytes);
+    expect_tag(&mut reader, TAG_DONE)?;
+    finish(&reader)
 }
 
 /// A canonicalized epoch batch: collector shard → Shuffler 1.
@@ -483,9 +451,9 @@ impl<I: AsRef<[u8]>> WireMessage for ItemsBatch<I> {
 
 /// What Shuffler 1 reads off a shard's batch stream: another epoch batch,
 /// or the shard's in-band end-of-stream marker. The marker travels on the
-/// batch stage itself (not [`crate::transport::Stage::Control`]) because a
-/// receiver is addressed to exactly one channel at a time — in-band framing
-/// is what lets it block on a single stream.
+/// batch stage itself because a receiver is addressed to exactly one
+/// channel at a time — in-band framing is what lets it block on a single
+/// stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ToOne<R = HybridCiphertext> {
     /// An epoch batch to blind and shuffle.
@@ -500,17 +468,14 @@ impl<R: Borrow<HybridCiphertext>> WireMessage for ToOne<R> {
     fn to_wire(&self) -> Vec<u8> {
         match self {
             ToOne::Batch(batch) => batch.to_wire(),
-            ToOne::Done => Control::Done.to_wire(),
+            ToOne::Done => vec![TAG_DONE],
         }
     }
 
     fn from_wire(bytes: &[u8]) -> Result<ToOne, FabricError> {
         match bytes.first() {
             Some(&TAG_BATCH_TO_ONE) => Ok(ToOne::Batch(<BatchToOne>::from_wire(bytes)?)),
-            Some(&TAG_CONTROL_DONE) => {
-                Control::from_wire(bytes)?;
-                Ok(ToOne::Done)
-            }
+            Some(&TAG_DONE) => decode_done(bytes).map(|()| ToOne::Done),
             _ => Err(FabricError::Malformed("unknown batch-stream tag")),
         }
     }
@@ -532,17 +497,14 @@ impl<I: AsRef<[u8]>> WireMessage for ToTwo<I> {
     fn to_wire(&self) -> Vec<u8> {
         match self {
             ToTwo::Batch(batch) => batch.to_wire(),
-            ToTwo::Done => Control::Done.to_wire(),
+            ToTwo::Done => vec![TAG_DONE],
         }
     }
 
     fn from_wire(bytes: &[u8]) -> Result<ToTwo<&[u8]>, FabricError> {
         match bytes.first() {
             Some(&TAG_BATCH_TO_TWO) => Ok(ToTwo::Batch(Box::new(<BatchToTwo>::from_wire(bytes)?))),
-            Some(&TAG_CONTROL_DONE) => {
-                Control::from_wire(bytes)?;
-                Ok(ToTwo::Done)
-            }
+            Some(&TAG_DONE) => decode_done(bytes).map(|()| ToTwo::Done),
             _ => Err(FabricError::Malformed("unknown record-stream tag")),
         }
     }
@@ -611,85 +573,6 @@ impl<I: AsRef<[u8]>> WireMessage for ToShard<I> {
     }
 }
 
-/// One shard's epoch result: collector shard → driver. The driver rebuilds
-/// the database with [`prochlo_core::AnalyzerDatabase::from_rows`] and
-/// merges shards in index order, matching the in-process
-/// [`prochlo_core::ShardedDeployment::ingest`] merge.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSummary {
-    /// The reporting shard.
-    pub shard: u16,
-    /// The epoch the summary covers.
-    pub epoch_index: u64,
-    /// Decrypted database rows.
-    pub rows: Vec<Vec<u8>>,
-    /// Items that failed to decrypt or parse.
-    pub undecryptable: usize,
-    /// Secret-shared groups below the share threshold.
-    pub pending_secret_groups: usize,
-    /// Reports in unrecovered secret-shared groups.
-    pub pending_secret_reports: usize,
-    /// Secret-shared values recovered.
-    pub recovered_secrets: usize,
-    /// The merged batch-level shuffler statistics.
-    pub stats: ShufflerStats,
-}
-
-impl WireMessage for ShardSummary {
-    type Decoded<'a> = Self;
-
-    fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u8(&mut out, TAG_SUMMARY);
-        put_u32(&mut out, u32::from(self.shard));
-        put_u64(&mut out, self.epoch_index);
-        put_u64(&mut out, self.undecryptable as u64);
-        put_u64(&mut out, self.pending_secret_groups as u64);
-        put_u64(&mut out, self.pending_secret_reports as u64);
-        put_u64(&mut out, self.recovered_secrets as u64);
-        // prochlo-lint: allow(panic-on-wire, "encode path: serializing our own in-memory stats, no peer-controlled bytes involved")
-        encode_stats(&mut out, &self.stats).expect("split stage stats always encode");
-        put_u32(&mut out, self.rows.len() as u32);
-        for row in &self.rows {
-            put_bytes(&mut out, row);
-        }
-        out
-    }
-
-    fn from_wire(bytes: &[u8]) -> Result<Self, FabricError> {
-        let mut reader = Reader::new(bytes);
-        expect_tag(&mut reader, TAG_SUMMARY)?;
-        let shard = get_u16(&mut reader, "truncated shard index")?;
-        let epoch_index = get_u64(&mut reader, "truncated epoch index")?;
-        let undecryptable = get_usize(&mut reader, "truncated counter")?;
-        let pending_secret_groups = get_usize(&mut reader, "truncated counter")?;
-        let pending_secret_reports = get_usize(&mut reader, "truncated counter")?;
-        let recovered_secrets = get_usize(&mut reader, "truncated counter")?;
-        let stats = decode_stats(&mut reader)?;
-        let count = get_count(
-            &mut reader,
-            MIN_BLOB_LEN,
-            "truncated row count",
-            "row count exceeds message",
-        )?;
-        let mut rows = Vec::with_capacity(count);
-        for _ in 0..count {
-            rows.push(get_vec(&mut reader, "truncated row")?);
-        }
-        finish(&reader)?;
-        Ok(Self {
-            shard,
-            epoch_index,
-            rows,
-            undecryptable,
-            pending_secret_groups,
-            pending_secret_reports,
-            recovered_secrets,
-            stats,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -734,9 +617,10 @@ mod tests {
 
     #[test]
     fn every_message_roundtrips() {
-        for control in [Control::Shutdown, Control::Done] {
-            assert_eq!(Control::from_wire(&control.to_wire()).unwrap(), control);
-        }
+        assert_eq!(ToOne::<HybridCiphertext>::Done.to_wire(), [TAG_DONE]);
+        assert_eq!(<ToOne>::from_wire(&[TAG_DONE]).unwrap(), ToOne::Done);
+        assert_eq!(ToTwo::<Vec<u8>>::Done.to_wire(), [TAG_DONE]);
+        assert_eq!(<ToTwo>::from_wire(&[TAG_DONE]).unwrap(), ToTwo::Done);
         let batch = BatchToOne {
             shard: 3,
             epoch_index: 9,
@@ -795,46 +679,39 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(<ToShard>::from_wire(&bytes[..cut]).is_err(), "cut {cut}");
         }
-        let summary = ShardSummary {
-            shard: 1,
-            epoch_index: 9,
-            rows: vec![b"chrome".to_vec(); 3],
-            undecryptable: 1,
-            pending_secret_groups: 0,
-            pending_secret_reports: 0,
-            recovered_secrets: 2,
-            stats: sample_stats("inline"),
-        };
-        assert_eq!(
-            ShardSummary::from_wire(&summary.to_wire()).unwrap(),
-            summary
-        );
     }
 
     #[test]
     fn cross_stage_payloads_fail_to_parse() {
         let batch = empty_batch().to_wire();
-        assert!(Control::from_wire(&batch).is_err());
+        assert!(<ToTwo>::from_wire(&batch).is_err());
         assert!(<ItemsBatch>::from_wire(&batch).is_err());
-        assert!(ShardSummary::from_wire(&Control::Done.to_wire()).is_err());
+        assert!(<ToShard>::from_wire(&[TAG_DONE]).is_err());
     }
 
     #[test]
     fn truncations_never_parse() {
-        let summary = ShardSummary {
+        let items = ItemsBatch {
             shard: 0,
             epoch_index: 1,
-            rows: vec![vec![1, 2]],
-            undecryptable: 0,
-            pending_secret_groups: 0,
-            pending_secret_reports: 0,
-            recovered_secrets: 0,
-            stats: sample_stats("inline"),
+            received: 1,
+            stage_one: sample_stats("blind"),
+            stage_two: sample_stats("inline"),
+            items: vec![&[1u8, 2][..]],
         };
-        let bytes = summary.to_wire();
+        let bytes = items.to_wire();
         for cut in 0..bytes.len() {
-            assert!(ShardSummary::from_wire(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(<ItemsBatch>::from_wire(&bytes[..cut]).is_err(), "cut {cut}");
         }
+        // Nor does a done marker with a byte past it.
+        assert!(matches!(
+            <ToOne>::from_wire(&[TAG_DONE, 0]),
+            Err(FabricError::Malformed("trailing message bytes"))
+        ));
+        assert!(matches!(
+            <ToTwo>::from_wire(&[TAG_DONE, 0]),
+            Err(FabricError::Malformed("trailing message bytes"))
+        ));
     }
 
     #[test]

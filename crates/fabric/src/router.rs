@@ -37,14 +37,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use prochlo_collector::protocol::{frame_policy, Request, Response};
+use prochlo_collector::protocol::{frame_policy, Request, Response, RETRY_AFTER_MS};
 use prochlo_collector::{CollectorError, ReportSink};
 use prochlo_core::ShardedDeployment;
 use prochlo_net::{Answer, Handler, Server, ServerConfig, ServerStats};
-
-/// Back-off hint the router sends on its own behalf (connection cap reached,
-/// forwarding leg down); shard verdicts carry the shard's own hint.
-const RETRY_AFTER_MS: u32 = 100;
 
 /// Configuration of a running router.
 #[derive(Debug, Clone)]

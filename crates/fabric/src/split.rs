@@ -64,8 +64,8 @@ fn resolve_threads(configured: usize) -> Result<usize, FabricError> {
 ///
 /// Shards are served **sequentially in shard order**. Batches a later shard
 /// sends early simply wait in its socket (or loopback inbox) — nothing is
-/// dropped — and the driver shuts shards down in the same order, so the
-/// done markers arrive in the order this loop awaits them.
+/// dropped — and whatever stops the shards stops them in the same order,
+/// so the done markers arrive in the order this loop awaits them.
 pub fn serve_shuffler_one(
     transport: &dyn Transport,
     one: &ShufflerOne,
@@ -295,9 +295,9 @@ impl EpochPipeline for RemoteSplitPipeline {
     }
 }
 
-/// Sums batch-level shuffler statistics across a shard's epochs — what a
-/// shard folds into its [`crate::messages::ShardSummary`] when it cut more
-/// than one epoch. Counters add; timings add; the backend must agree.
+/// Sums batch-level shuffler statistics across a shard's epochs, for a
+/// shard that cut more than one. Counters add; timings add; the backend
+/// must agree.
 pub fn sum_epoch_stats(epochs: &[ShufflerStats]) -> ShufflerStats {
     let mut total = ShufflerStats {
         backend: epochs.first().map_or("inline", |s| s.backend),

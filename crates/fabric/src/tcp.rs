@@ -232,18 +232,18 @@ mod tests {
             b.connect(Peer::ShufflerTwo, addr).unwrap();
             let t = b.build().unwrap();
             t.send(Peer::ShufflerTwo, Stage::Records, b"recs").unwrap();
-            t.send(Peer::ShufflerTwo, Stage::Control, b"done").unwrap();
+            t.send(Peer::ShufflerTwo, Stage::Batch, b"done").unwrap();
             // Wait for the ack so the socket stays open until the peer reads.
             let ack = t
-                .recv(ChannelId::new(Peer::ShufflerTwo, Stage::Control))
+                .recv(ChannelId::new(Peer::ShufflerTwo, Stage::Batch))
                 .unwrap();
             assert_eq!(ack, b"ack");
         });
         assert_eq!(acceptor.accept(1).unwrap(), vec![Peer::ShufflerOne]);
         let t = acceptor.build().unwrap();
-        // Read control before records: the records frame is buffered.
+        // Read the batch stage before records: the records frame is buffered.
         assert_eq!(
-            t.recv(ChannelId::new(Peer::ShufflerOne, Stage::Control))
+            t.recv(ChannelId::new(Peer::ShufflerOne, Stage::Batch))
                 .unwrap(),
             b"done"
         );
@@ -252,7 +252,7 @@ mod tests {
                 .unwrap(),
             b"recs"
         );
-        t.send(Peer::ShufflerOne, Stage::Control, b"ack").unwrap();
+        t.send(Peer::ShufflerOne, Stage::Batch, b"ack").unwrap();
         dialer.join().unwrap();
     }
 
@@ -281,9 +281,9 @@ mod tests {
 
     #[test]
     fn unknown_peer_is_not_connected() {
-        let t = TcpTransportBuilder::new(Peer::Driver).build().unwrap();
+        let t = TcpTransportBuilder::new(Peer::Shard(0)).build().unwrap();
         assert!(matches!(
-            t.send(Peer::ShufflerOne, Stage::Control, b"x"),
+            t.send(Peer::ShufflerOne, Stage::Batch, b"x"),
             Err(FabricError::NotConnected(Peer::ShufflerOne))
         ));
     }

@@ -53,8 +53,6 @@ pub(crate) fn check_frame_len(payload_len: usize) -> Result<(), FabricError> {
 /// A process in the fabric topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Peer {
-    /// The orchestrating driver (merges shard summaries).
-    Driver,
     /// Shuffler 1 of the split topology (peels and blinds).
     ShufflerOne,
     /// Shuffler 2 of the split topology (unblinds handles, thresholds).
@@ -66,7 +64,6 @@ pub enum Peer {
 impl fmt::Display for Peer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Peer::Driver => write!(f, "driver"),
             Peer::ShufflerOne => write!(f, "shuffler-1"),
             Peer::ShufflerTwo => write!(f, "shuffler-2"),
             Peer::Shard(i) => write!(f, "shard-{i}"),
@@ -75,12 +72,11 @@ impl fmt::Display for Peer {
 }
 
 impl Peer {
-    /// Appends the wire encoding: a tag byte plus the shard index. Tag 1
-    /// is unassigned and decodes as an unknown peer.
+    /// Appends the wire encoding: a tag byte plus the shard index. Tags 0
+    /// and 1 are unassigned and decode as an unknown peer.
     pub fn encode(&self, out: &mut Vec<u8>) {
         let (tag, index) = match self {
-            Peer::Driver => (0u8, 0u16),
-            Peer::ShufflerOne => (2, 0),
+            Peer::ShufflerOne => (2u8, 0u16),
             Peer::ShufflerTwo => (3, 0),
             Peer::Shard(i) => (4, *i),
         };
@@ -97,7 +93,6 @@ impl Peer {
             .get_u32()
             .map_err(|_| FabricError::Malformed("truncated peer index"))?;
         let peer = match tag {
-            0 => Peer::Driver,
             2 => Peer::ShufflerOne,
             3 => Peer::ShufflerTwo,
             4 => {
@@ -117,40 +112,33 @@ impl Peer {
 /// A protocol step multiplexed over one peer link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
-    /// Lifecycle coordination (shutdown, done markers).
-    Control,
     /// Canonicalized epoch batches: shard → Shuffler 1.
     Batch,
     /// Blinded records: Shuffler 1 → Shuffler 2.
     Records,
     /// Surviving inner ciphertexts: Shuffler 2 → shard.
     Items,
-    /// Per-shard epoch accounting: shard → driver.
-    Summary,
 }
 
 impl fmt::Display for Stage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
-            Stage::Control => "control",
             Stage::Batch => "batch",
             Stage::Records => "records",
             Stage::Items => "items",
-            Stage::Summary => "summary",
         };
         write!(f, "{name}")
     }
 }
 
 impl Stage {
-    /// Appends the wire encoding (one tag byte).
+    /// Appends the wire encoding (one tag byte). Tag 0 and every tag
+    /// above 3 are unassigned and decode as an unknown stage.
     pub fn encode(&self, out: &mut Vec<u8>) {
         let tag = match self {
-            Stage::Control => 0u8,
-            Stage::Batch => 1,
+            Stage::Batch => 1u8,
             Stage::Records => 2,
             Stage::Items => 3,
-            Stage::Summary => 4,
         };
         put_u8(out, tag);
     }
@@ -161,11 +149,9 @@ impl Stage {
             .get_u8()
             .map_err(|_| FabricError::Malformed("truncated stage"))?;
         match tag {
-            0 => Ok(Stage::Control),
             1 => Ok(Stage::Batch),
             2 => Ok(Stage::Records),
             3 => Ok(Stage::Items),
-            4 => Ok(Stage::Summary),
             _ => Err(FabricError::UnknownChannel { what: "stage", tag }),
         }
     }
@@ -482,20 +468,19 @@ pub trait WireMessage {
 ///
 /// ```
 /// use prochlo_fabric::loopback::LoopbackHub;
-/// use prochlo_fabric::messages::Control;
+/// use prochlo_fabric::messages::ToOne;
 /// use prochlo_fabric::transport::{ChannelId, Peer, Stage, TypedChannel};
 ///
 /// let hub = LoopbackHub::new();
-/// let driver = hub.endpoint(Peer::Driver);
 /// let shard = hub.endpoint(Peer::Shard(0));
-/// // The driver tells shard 0 to shut down; the shard reads the typed
-/// // control stream coming *from* the driver.
-/// TypedChannel::<Control>::new(&driver, ChannelId::new(Peer::Shard(0), Stage::Control))
-///     .send(&Control::Shutdown)
+/// let one = hub.endpoint(Peer::ShufflerOne);
+/// // Shard 0 ends its batch stream; Shuffler 1 reads the typed stream
+/// // coming *from* the shard.
+/// TypedChannel::<ToOne>::new(&shard, ChannelId::new(Peer::ShufflerOne, Stage::Batch))
+///     .send(&ToOne::Done)
 ///     .unwrap();
-/// let channel =
-///     TypedChannel::<Control>::new(&shard, ChannelId::new(Peer::Driver, Stage::Control));
-/// assert_eq!(channel.recv().unwrap(), Control::Shutdown);
+/// let channel = TypedChannel::<ToOne>::new(&one, ChannelId::new(Peer::Shard(0), Stage::Batch));
+/// assert_eq!(channel.recv().unwrap(), ToOne::Done);
 /// ```
 pub struct TypedChannel<'t, T> {
     transport: &'t dyn Transport,
@@ -547,7 +532,6 @@ mod tests {
 
     fn all_peers() -> Vec<Peer> {
         vec![
-            Peer::Driver,
             Peer::ShufflerOne,
             Peer::ShufflerTwo,
             Peer::Shard(0),
@@ -558,13 +542,7 @@ mod tests {
     #[test]
     fn envelopes_roundtrip_for_every_channel() {
         for peer in all_peers() {
-            for stage in [
-                Stage::Control,
-                Stage::Batch,
-                Stage::Records,
-                Stage::Items,
-                Stage::Summary,
-            ] {
+            for stage in [Stage::Batch, Stage::Records, Stage::Items] {
                 let envelope = Envelope {
                     from: peer,
                     stage,
@@ -653,8 +631,8 @@ mod tests {
     #[test]
     fn truncations_and_trailing_bytes_are_malformed() {
         let envelope = Envelope {
-            from: Peer::Driver,
-            stage: Stage::Summary,
+            from: Peer::ShufflerTwo,
+            stage: Stage::Items,
             seq: 3,
             payload: vec![9; 10],
         };

@@ -82,7 +82,7 @@ pub struct ServerConfig {
     /// Loop threads are named `<thread_name>-<index>`.
     pub thread_name: &'static str,
     /// Prefix of the connection metrics: gauge `<prefix>.open`, counters
-    /// `<prefix>.accepted` and `<prefix>.evicted`.
+    /// `<prefix>.accepted`, `<prefix>.refused` and `<prefix>.evicted`.
     pub conns_metric: &'static str,
     /// Span histogram timing the work (not the idle wait) of each turn.
     pub turn_metric: &'static str,
@@ -208,6 +208,7 @@ impl Server {
                 shared: Arc::clone(&shared),
                 conns_open: config.registry.gauge(&metric("open")),
                 conns_accepted: config.registry.counter(&metric("accepted")),
+                conns_refused: config.registry.counter(&metric("refused")),
                 conns_evicted: config.registry.counter(&metric("evicted")),
                 config: config.clone(),
             };
@@ -285,6 +286,7 @@ struct EventLoop<H: Handler> {
     config: ServerConfig,
     conns_open: prochlo_obs::Gauge,
     conns_accepted: prochlo_obs::Counter,
+    conns_refused: prochlo_obs::Counter,
     conns_evicted: prochlo_obs::Counter,
 }
 
@@ -497,6 +499,7 @@ impl<H: Handler> EventLoop<H> {
         let open = self.shared.open.load(Ordering::Relaxed);
         if open >= self.config.max_conns as u64 {
             self.shared.refused.fetch_add(1, Ordering::Relaxed);
+            self.conns_refused.inc();
             return self.refuse(stream);
         }
         let _ = stream.set_nodelay(true);

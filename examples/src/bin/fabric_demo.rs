@@ -12,10 +12,16 @@
 //!
 //! The driver routes every sealed report to its crowd's shard, each shard
 //! collector cuts one epoch and ships it through the out-of-process split
-//! shufflers ([`RemoteSplitPipeline`]), and the driver merges the returned
-//! [`ShardSummary`]s in shard order. The run then recomputes the same
-//! epochs in-process and asserts the canonical histograms are
-//! **byte-identical** — the fabric's determinism contract, live.
+//! shufflers ([`RemoteSplitPipeline`]), and the driver merges the shards'
+//! databases in shard order. The run then recomputes the same epochs
+//! in-process and asserts the canonical histograms are **byte-identical**
+//! — the fabric's determinism contract, live.
+//!
+//! The fabric carries only the shuffle. The driver talks to each child
+//! over its pipes: a child advertises its addresses on stdout, and a shard
+//! waits for a `shutdown` line on stdin, then answers on stdout with one
+//! `ROW <hex>` line per database row and a closing `STATS` line. A shard
+//! whose stdin closes before `shutdown` exits non-zero rather than wait.
 //!
 //! Every process rebuilds the same deployment from a shared seed so keys
 //! match across roles; a real deployment would provision keys instead of
@@ -29,7 +35,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,10 +48,10 @@ use prochlo_core::{
     canonicalize, AnalyzerDatabase, ClientReport, Deployment, EngineConfig, EpochSpec,
     ShardedDeployment, ShuffleBackend, Topology,
 };
+use prochlo_crypto::util::{from_hex, to_hex};
 use prochlo_fabric::{
-    serve_shuffler_one, serve_shuffler_two, sum_epoch_stats, ChannelId, Control, Peer,
-    RemoteSplitPipeline, RouterConfig, ShardRouter, ShardSummary, Stage, TcpTransportBuilder,
-    ToOne, Transport, TypedChannel,
+    serve_shuffler_one, serve_shuffler_two, sum_epoch_stats, ChannelId, Peer, RemoteSplitPipeline,
+    RouterConfig, ShardRouter, Stage, TcpTransportBuilder, ToOne, Transport, TypedChannel,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -162,16 +168,14 @@ fn run_shuffler_one(s2: SocketAddr) {
 
 /// A collector shard: a full `Collector` service whose epochs run through
 /// the wire shufflers via `RemoteSplitPipeline`. Waits for the driver's
-/// shutdown, cuts the final epoch, and answers with a `ShardSummary`.
+/// `shutdown` line, cuts the final epoch, and answers on stdout with its
+/// database rows and summed stage statistics.
 fn run_shard(index: u16, s1: SocketAddr, s2: SocketAddr) {
     let engine = engine_from_env();
     let deployment = build_deployment();
     let mut builder = TcpTransportBuilder::new(Peer::Shard(index));
-    let fabric_addr = builder.listen(parse_addr(LOCALHOST)).expect("listen");
     builder.connect(Peer::ShufflerOne, s1).expect("dial s1");
     builder.connect(Peer::ShufflerTwo, s2).expect("dial s2");
-    advertise("FABRIC", fabric_addr);
-    builder.accept(1).expect("accept driver");
     let transport: Arc<dyn Transport> = Arc::new(builder.build().expect("transport pump"));
 
     let pipeline =
@@ -192,14 +196,20 @@ fn run_shard(index: u16, s1: SocketAddr, s2: SocketAddr) {
     .expect("start collector");
     advertise("COLLECTOR", collector.local_addr());
 
-    // Block until the driver says the workload is fully routed.
-    let control = TypedChannel::<Control>::new(
-        transport.as_ref(),
-        ChannelId::new(Peer::Driver, Stage::Control),
-    );
-    match control.recv().expect("driver control") {
-        Control::Shutdown => {}
-        Control::Done => {}
+    // Block until the driver says the workload is fully routed. End of
+    // file means the driver is gone: exit, releasing Shuffler 1 with a
+    // closed link, rather than wait forever.
+    let mut line = String::new();
+    match std::io::stdin().read_line(&mut line) {
+        Ok(_) if line.trim_end() == "shutdown" => {}
+        Ok(0) => {
+            eprintln!("shard {index}: stdin closed before `shutdown`");
+            std::process::exit(1);
+        }
+        other => {
+            eprintln!("shard {index}: expected `shutdown` on stdin, got {line:?} ({other:?})");
+            std::process::exit(1);
+        }
     }
     // Draining cuts the final epoch, which runs through the shufflers —
     // this blocks until Shuffler 1 reaches this shard's turn.
@@ -220,28 +230,34 @@ fn run_shard(index: u16, s1: SocketAddr, s2: SocketAddr) {
         .filter_map(|epoch| epoch.outcome.as_ref().ok())
         .map(|report| report.shuffler_stats.clone())
         .collect();
-    let answer = ShardSummary {
-        shard: index,
-        epoch_index: 0,
-        rows: database.rows().map(<[u8]>::to_vec).collect(),
-        undecryptable: database.undecryptable(),
-        pending_secret_groups: database.pending_secret_groups(),
-        pending_secret_reports: database.pending_secret_reports(),
-        recovered_secrets: database.recovered_secrets(),
-        stats: sum_epoch_stats(&epoch_stats),
-    };
-    TypedChannel::<ShardSummary>::new(
-        transport.as_ref(),
-        ChannelId::new(Peer::Driver, Stage::Summary),
+    let stats = sum_epoch_stats(&epoch_stats);
+    let mut out = std::io::stdout().lock();
+    for row in database.rows() {
+        writeln!(out, "ROW {}", to_hex(row)).expect("write row");
+    }
+    writeln!(
+        out,
+        "STATS {} {} {} {} {}",
+        stats.received,
+        stats.forwarded,
+        stats.crowds_seen,
+        stats.crowds_forwarded,
+        stats.dropped_threshold,
     )
-    .send(&answer)
-    .expect("send summary");
+    .expect("write stats");
+    out.flush().expect("flush stdout");
 }
+
+/// The stage counters a shard reports and the driver sums, in `STATS`
+/// line order: received, forwarded, crowds seen, crowds forwarded,
+/// dropped by threshold.
+type StageTotals = [usize; 5];
 
 struct Role {
     name: &'static str,
     child: Child,
-    stdout: BufReader<std::process::ChildStdout>,
+    stdin: ChildStdin,
+    stdout: BufReader<ChildStdout>,
 }
 
 impl Role {
@@ -249,29 +265,64 @@ impl Role {
         let exe = std::env::current_exe().expect("current_exe");
         let mut child = Command::new(exe)
             .args(args)
+            .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()
             .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+        let stdin = child.stdin.take().expect("child stdin");
         let stdout = BufReader::new(child.stdout.take().expect("child stdout"));
         Self {
             name,
             child,
+            stdin,
             stdout,
+        }
+    }
+
+    /// Reads the child's next stdout line, without its line ending.
+    fn read_line(&mut self) -> String {
+        let mut line = String::new();
+        match self.stdout.read_line(&mut line) {
+            Ok(0) => panic!("{}: stdout closed", self.name),
+            Ok(_) => line.trim_end().to_string(),
+            Err(e) => panic!("{}: read stdout: {e}", self.name),
         }
     }
 
     /// Reads the next advertised `<kind> <addr>` line from the child.
     fn read_addr(&mut self, kind: &str) -> SocketAddr {
-        let mut line = String::new();
-        self.stdout
-            .read_line(&mut line)
-            .unwrap_or_else(|e| panic!("{}: read stdout: {e}", self.name));
+        let line = self.read_line();
         let addr = line
-            .trim()
             .strip_prefix(kind)
             .and_then(|rest| rest.strip_prefix(' '))
             .unwrap_or_else(|| panic!("{}: expected `{kind} <addr>`, got {line:?}", self.name));
         parse_addr(addr)
+    }
+
+    /// Tells a shard to shut down and reads its answer: the database rows,
+    /// then the stage counters.
+    fn shut_down_shard(&mut self) -> (Vec<Vec<u8>>, StageTotals) {
+        writeln!(self.stdin, "shutdown")
+            .and_then(|()| self.stdin.flush())
+            .unwrap_or_else(|e| panic!("{}: write stdin: {e}", self.name));
+        let mut rows = Vec::new();
+        loop {
+            let line = self.read_line();
+            if let Some(row) = line.strip_prefix("ROW ") {
+                let row = from_hex(row);
+                rows.push(row.unwrap_or_else(|| panic!("{}: bad row {line:?}", self.name)));
+            } else if let Some(counts) = line.strip_prefix("STATS ") {
+                let counts: Option<Vec<usize>> =
+                    counts.split(' ').map(|count| count.parse().ok()).collect();
+                let totals = counts.and_then(|counts| StageTotals::try_from(counts).ok());
+                return (
+                    rows,
+                    totals.unwrap_or_else(|| panic!("{}: bad stats {line:?}", self.name)),
+                );
+            } else {
+                panic!("{}: expected `ROW` or `STATS`, got {line:?}", self.name);
+            }
+        }
     }
 
     fn wait(mut self) {
@@ -299,7 +350,6 @@ fn drive() {
     );
     let s1_addr = s1.read_addr("FABRIC");
 
-    let mut driver_builder = TcpTransportBuilder::new(Peer::Driver);
     let mut shards = Vec::new();
     let mut collector_addrs = Vec::new();
     for index in 0..NUM_SHARDS {
@@ -315,14 +365,9 @@ fn drive() {
             ]
             .map(String::from),
         );
-        let fabric_addr = shard.read_addr("FABRIC");
-        driver_builder
-            .connect(Peer::Shard(index), fabric_addr)
-            .expect("dial shard");
         collector_addrs.push(shard.read_addr("COLLECTOR"));
         shards.push(shard);
     }
-    let driver_transport = driver_builder.build().expect("transport pump");
 
     // Phase A: the shard router fronts the collectors; clients submit
     // routed reports and never learn the shard layout.
@@ -417,31 +462,20 @@ fn drive() {
     }
 
     // Phase B: shut the shards down sequentially in shard order — the same
-    // order Shuffler 1 serves them — and merge their summaries in order.
+    // order Shuffler 1 serves them — and merge their databases in order.
     let mut merged = AnalyzerDatabase::default();
-    let mut shard_stats = Vec::new();
-    for (index, shard) in shards.into_iter().enumerate() {
-        let index = index as u16;
-        TypedChannel::<Control>::new(
-            &driver_transport,
-            ChannelId::new(Peer::Shard(index), Stage::Control),
-        )
-        .send(&Control::Shutdown)
-        .expect("send shutdown");
-        let summary = TypedChannel::<ShardSummary>::new(
-            &driver_transport,
-            ChannelId::new(Peer::Shard(index), Stage::Summary),
-        )
-        .recv()
-        .expect("shard summary");
-        assert_eq!(summary.shard, index);
-        merged.merge_from(&AnalyzerDatabase::from_rows(summary.rows.clone()));
-        shard_stats.push(summary.stats.clone());
+    let mut totals: StageTotals = [0; 5];
+    for mut shard in shards {
+        let (rows, counts) = shard.shut_down_shard();
+        merged.merge_from(&AnalyzerDatabase::from_rows(rows));
+        for (total, count) in totals.iter_mut().zip(counts) {
+            *total += count;
+        }
         shard.wait();
     }
     s1.wait();
     s2.wait();
-    let totals = sum_epoch_stats(&shard_stats);
+    let [received, forwarded, crowds_seen, crowds_forwarded, dropped_threshold] = totals;
 
     // The in-process reference: the same partitions, canonicalized, under
     // the exact epoch spec each shard collector derived (index 0, the
@@ -457,11 +491,7 @@ fn drive() {
                 .database,
         );
     }
-    let wire_hex: String = merged
-        .canonical_histogram_bytes()
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect();
+    let wire_hex = to_hex(&merged.canonical_histogram_bytes());
     assert_eq!(
         merged.canonical_histogram_bytes(),
         reference.canonical_histogram_bytes(),
@@ -477,20 +507,14 @@ fn drive() {
         println!("  {:>12}: {}", value, merged.count(value.as_bytes()));
     }
     println!(
-        "totals: {} received -> {} forwarded, {} crowds kept of {} \
-         ({} dropped by threshold)",
-        totals.received,
-        totals.forwarded,
-        totals.crowds_forwarded,
-        totals.crowds_seen,
-        totals.dropped_threshold,
+        "totals: {received} received -> {forwarded} forwarded, {crowds_forwarded} crowds \
+         kept of {crowds_seen} ({dropped_threshold} dropped by threshold)",
     );
     println!("canonical histogram: {wire_hex}");
 
-    // The driver's own telemetry: router throughput plus every fabric
-    // channel it touched (per-peer frame and byte counters). The shard
-    // per-epoch detail was already fetched live via the STATS request
-    // above, so no ad-hoc printing is needed here.
+    // The driver's own telemetry: router throughput (the driver holds no
+    // fabric link). The shard per-epoch detail was already fetched live
+    // via the STATS request above, so no ad-hoc printing is needed here.
     println!("\ndriver observability snapshot:");
     print!("{}", prochlo_obs::snapshot().render_table());
     println!("PASS: distributed run matches the in-process reference");

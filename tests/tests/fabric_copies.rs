@@ -38,8 +38,8 @@ use prochlo_crypto::hybrid::HybridCiphertext;
 use prochlo_fabric::loopback::LoopbackHub;
 use prochlo_fabric::{
     serve_shuffler_one, serve_shuffler_two, BatchToOne, BatchToTwo, ChannelId, FabricError,
-    ItemsBatch, Peer, RemoteSplitPipeline, ShardSummary, Stage, TcpTransportBuilder, Transport,
-    TypedChannel, WireMessage,
+    ItemsBatch, Peer, RemoteSplitPipeline, Stage, TcpTransportBuilder, Transport, TypedChannel,
+    WireMessage,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -231,7 +231,7 @@ fn hostile_counts_reserve_nothing_before_the_check() {
     // Each message's empty encoding, the smallest encoded element behind
     // its count, and the refusal an over-claiming count must meet.
     type Decode = fn(&[u8]) -> Result<(), FabricError>;
-    let messages: [(&str, Vec<u8>, usize, Decode); 4] = [
+    let messages: [(&str, Vec<u8>, usize, Decode); 3] = [
         (
             "report",
             BatchToOne::<HybridCiphertext> {
@@ -272,22 +272,6 @@ fn hostile_counts_reserve_nothing_before_the_check() {
             .to_wire(),
             4,
             |bytes| <ItemsBatch>::from_wire(bytes).map(drop),
-        ),
-        (
-            "row",
-            ShardSummary {
-                shard: 0,
-                epoch_index: 0,
-                rows: vec![],
-                undecryptable: 0,
-                pending_secret_groups: 0,
-                pending_secret_reports: 0,
-                recovered_secrets: 0,
-                stats: stats("inline"),
-            }
-            .to_wire(),
-            4,
-            |bytes| ShardSummary::from_wire(bytes).map(drop),
         ),
     ];
     for (what, empty, min_len, decode) in messages {

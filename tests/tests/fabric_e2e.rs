@@ -26,7 +26,7 @@ use prochlo_crypto::hybrid::HybridCiphertext;
 use prochlo_fabric::transport::WireMessage;
 use prochlo_fabric::{
     serve_shuffler_one, serve_shuffler_two, LoopbackHub, Peer, RemoteSplitPipeline, RouterConfig,
-    ShardRouter, ShardSummary, Transport,
+    ShardRouter, Transport,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -162,20 +162,11 @@ fn wire_split_topology_matches_the_sharded_reference_and_fixture() {
         assert_eq!(report.shuffler_stats, in_process.shuffler_stats);
         assert_eq!(report.stage_stats, in_process.stage_stats);
 
-        // Drive the driver-side merge path: fold the shard result through
-        // the ShardSummary wire encoding before merging, like fabric_demo.
-        let summary = ShardSummary {
-            shard: index as u16,
-            epoch_index: EPOCH_INDEX,
-            rows: report.database.rows().map(<[u8]>::to_vec).collect(),
-            undecryptable: report.database.undecryptable(),
-            pending_secret_groups: report.database.pending_secret_groups(),
-            pending_secret_reports: report.database.pending_secret_reports(),
-            recovered_secrets: report.database.recovered_secrets(),
-            stats: report.shuffler_stats.clone(),
-        };
-        let summary = ShardSummary::from_wire(&summary.to_wire()).unwrap();
-        merged.merge_from(&AnalyzerDatabase::from_rows(summary.rows));
+        // Drive the driver-side merge path: rebuild the shard's database
+        // from its rows before merging, as fabric_demo's driver does with
+        // the rows a shard prints.
+        let rows: Vec<Vec<u8>> = report.database.rows().map(<[u8]>::to_vec).collect();
+        merged.merge_from(&AnalyzerDatabase::from_rows(rows));
     }
     assert_eq!(
         hex(&merged.canonical_histogram_bytes()),

@@ -16,26 +16,19 @@ use prochlo_core::shuffler::{PhaseTimings, ShufflerStats};
 use prochlo_crypto::hybrid::HybridCiphertext;
 use prochlo_fabric::transport::{frame_policy, WireMessage};
 use prochlo_fabric::{
-    BatchToOne, BatchToTwo, Control, Envelope, FabricError, ItemsBatch, Peer, ShardSummary, Stage,
-    TcpTransportBuilder, ToOne, ToTwo, Transport,
+    BatchToOne, BatchToTwo, Envelope, FabricError, ItemsBatch, Peer, Stage, TcpTransportBuilder,
+    ToOne, ToShard, ToTwo, Transport,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-const STAGES: [Stage; 5] = [
-    Stage::Control,
-    Stage::Batch,
-    Stage::Records,
-    Stage::Items,
-    Stage::Summary,
-];
+const STAGES: [Stage; 3] = [Stage::Batch, Stage::Records, Stage::Items];
 
 fn arb_peer(selector: u8, shard: u16) -> Peer {
-    match selector % 4 {
-        0 => Peer::Driver,
-        1 => Peer::ShufflerOne,
-        2 => Peer::ShufflerTwo,
+    match selector % 3 {
+        0 => Peer::ShufflerOne,
+        1 => Peer::ShufflerTwo,
         _ => Peer::Shard(shard),
     }
 }
@@ -115,7 +108,7 @@ proptest! {
     fn prop_envelopes_roundtrip(
         selector in any::<u8>(),
         shard in any::<u16>(),
-        stage_idx in 0usize..5,
+        stage_idx in 0usize..3,
         seq in any::<u64>(),
         payload_seed in any::<u64>(),
         payload_len in 0usize..256,
@@ -135,20 +128,19 @@ proptest! {
         // a panic here is a remote denial of service.
         let bytes = bytes_from_seed(seed, len);
         let _ = Envelope::from_bytes(&bytes);
-        let _ = Control::from_wire(&bytes);
         let _ = <BatchToOne>::from_wire(&bytes);
         let _ = <BatchToTwo>::from_wire(&bytes);
         let _ = <ItemsBatch>::from_wire(&bytes);
-        let _ = ShardSummary::from_wire(&bytes);
         let _ = <ToOne>::from_wire(&bytes);
         let _ = <ToTwo>::from_wire(&bytes);
+        let _ = <ToShard>::from_wire(&bytes);
     }
 
     #[test]
     fn prop_envelope_truncations_always_error(
         selector in any::<u8>(),
         shard in any::<u16>(),
-        stage_idx in 0usize..5,
+        stage_idx in 0usize..3,
         seq in any::<u64>(),
         payload_seed in any::<u64>(),
         payload_len in 1usize..64,
@@ -170,32 +162,49 @@ proptest! {
     }
 
     #[test]
-    fn prop_unknown_channels_are_rejected_loudly(
-        peer_tag in 5u8..=255,
-        stage_tag in 5u8..=255,
-        seq in any::<u64>(),
-    ) {
-        // A frame addressed from an unknown peer tag must name the tag in
-        // the error, not be skipped or misfiled.
+    fn prop_unknown_channels_are_rejected_loudly(seq in any::<u64>()) {
+        // Every tag byte in the peer and the stage position: an assigned
+        // tag (peers 2–4, stages 1–3) decodes to its peer or stage, and a
+        // frame carrying any other, 0 included, must name the tag in the
+        // error, not be skipped or misfiled.
         let good = Envelope {
-            from: Peer::Driver,
-            stage: Stage::Control,
+            from: Peer::ShufflerOne,
+            stage: Stage::Batch,
             seq,
             payload: vec![1, 2, 3],
         }
         .to_bytes();
-        let mut bad_peer = good.clone();
-        bad_peer[0] = peer_tag;
-        prop_assert!(matches!(
-            Envelope::from_bytes(&bad_peer),
-            Err(FabricError::UnknownChannel { what: "peer", tag }) if tag == peer_tag
-        ));
-        let mut bad_stage = good;
-        bad_stage[5] = stage_tag;
-        prop_assert!(matches!(
-            Envelope::from_bytes(&bad_stage),
-            Err(FabricError::UnknownChannel { what: "stage", tag }) if tag == stage_tag
-        ));
+        for tag in 0..=u8::MAX {
+            let mut bytes = good.clone();
+            bytes[0] = tag;
+            let decoded = Envelope::from_bytes(&bytes);
+            match tag {
+                2..=4 => {
+                    let peers = [Peer::ShufflerOne, Peer::ShufflerTwo, Peer::Shard(0)];
+                    prop_assert_eq!(decoded.unwrap().from, peers[usize::from(tag - 2)]);
+                }
+                _ => prop_assert!(
+                    matches!(
+                        decoded,
+                        Err(FabricError::UnknownChannel { what: "peer", tag: got }) if got == tag
+                    ),
+                    "peer tag {}: {:?}", tag, decoded
+                ),
+            }
+            let mut bytes = good.clone();
+            bytes[5] = tag;
+            let decoded = Envelope::from_bytes(&bytes);
+            match tag {
+                1..=3 => prop_assert_eq!(decoded.unwrap().stage, STAGES[usize::from(tag - 1)]),
+                _ => prop_assert!(
+                    matches!(
+                        decoded,
+                        Err(FabricError::UnknownChannel { what: "stage", tag: got }) if got == tag
+                    ),
+                    "stage tag {}: {:?}", tag, decoded
+                ),
+            }
+        }
     }
 
     #[test]
@@ -275,18 +284,6 @@ proptest! {
         let bytes = items.to_wire();
         prop_assert_eq!(bytes.capacity(), bytes.len());
         prop_assert_eq!(<ItemsBatch>::from_wire(&bytes).unwrap(), items);
-
-        let summary = ShardSummary {
-            shard: (seed % 7) as u16,
-            epoch_index: seed,
-            rows: blobs(seed ^ 4, count, 32),
-            undecryptable: count,
-            pending_secret_groups: count / 2,
-            pending_secret_reports: count / 3,
-            recovered_secrets: count / 4,
-            stats: stats(seed ^ 5, "inline"),
-        };
-        prop_assert_eq!(ShardSummary::from_wire(&summary.to_wire()).unwrap(), summary);
     }
 
     #[test]
@@ -351,10 +348,10 @@ proptest! {
         // and than the receiver's read chunk.
         let mut rng = StdRng::seed_from_u64(seed);
         let messages: Vec<(usize, Vec<u8>)> = (0..count)
-            .map(|_| (rng.gen_range(0..5), bytes_from_seed(rng.gen(), rng.gen_range(0..=200 << 10))))
+            .map(|_| (rng.gen_range(0..3), bytes_from_seed(rng.gen(), rng.gen_range(0..=200 << 10))))
             .collect();
         let mut expected = Vec::new();
-        let mut next_seq = [0u64; 5];
+        let mut next_seq = [0u64; 3];
         for (stage, payload) in &messages {
             let envelope = Envelope {
                 from,

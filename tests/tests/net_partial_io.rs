@@ -317,6 +317,10 @@ fn router_connection_cap_answers_retry_after_and_closes() {
         ..Serving::default()
     };
     let service = Service::start(Front::Router, serving);
+    // The router reports into the process-wide registry, which no other
+    // test in this binary makes refuse a connection.
+    let refused = prochlo_obs::counter("fabric.router.conns.refused");
+    let refused_before = refused.get();
     let mut held = CollectorClient::connect(service.addr()).unwrap();
     assert!(matches!(held.ping().unwrap(), Response::Ack { .. }));
 
@@ -331,5 +335,8 @@ fn router_connection_cap_answers_retry_after_and_closes() {
     drop(held);
     let stats = service.router.as_ref().unwrap().stats();
     assert_eq!((stats.connections, stats.connections_refused), (1, 1));
+    if prochlo_obs::global().is_enabled() {
+        assert_eq!(refused.get(), refused_before + 1);
+    }
     service.shutdown();
 }
