@@ -332,7 +332,9 @@ fn read_u32(reader: &mut Reader<'_>) -> Result<u32, CollectorError> {
         .map_err(|_| CollectorError::Protocol("truncated frame"))
 }
 
-/// Writes one length-prefixed frame under the collector policy.
+/// Writes one length-prefixed frame under the collector policy. Does not
+/// flush: a client behind a `BufWriter` frames a window of requests and
+/// flushes once, so the window leaves in one write.
 pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> Result<(), CollectorError> {
     // Writers never truncate their own messages; the size ceiling protects
     // *readers* from hostile announcements, so writes use the codec-level

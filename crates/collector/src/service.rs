@@ -1024,6 +1024,68 @@ mod tests {
     }
 
     #[test]
+    fn a_flushed_window_and_a_flush_per_frame_each_get_one_ack_per_submit() {
+        use crate::protocol::{read_frame, write_frame};
+        use std::io::{BufReader, BufWriter, Write};
+        const WINDOW: usize = 64;
+        let config = CollectorConfig {
+            worker_threads: 1,
+            max_epoch_reports: 100_000,
+            epoch_deadline: Duration::from_secs(60),
+            ..test_config()
+        };
+        let pipeline = Scripted {
+            calls: 0,
+            failing: &[],
+        };
+        let collector = Collector::start_with_pipeline(Box::new(pipeline), config).unwrap();
+        let mut rng = StdRng::seed_from_u64(151);
+        let report = sealed_report(&mut rng);
+        let mut submit = || {
+            Request::Submit {
+                nonce: fresh_nonce(&mut rng),
+                report: report.clone(),
+            }
+            .to_bytes()
+        };
+        // The benchmark client's two idioms: framed into a buffered socket,
+        // which `write_frame` leaves to the caller to flush.
+        let stream = std::net::TcpStream::connect(collector.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::with_capacity(64 << 10, stream);
+        let mut acks = 0;
+        let mut read_verdict = |reader: &mut BufReader<_>| {
+            let body = read_frame(reader, 1 << 20).expect("a verdict, not a stall");
+            acks += usize::from(matches!(
+                Response::from_bytes(&body).unwrap(),
+                Response::Ack { .. }
+            ));
+        };
+        // Closed loop: a whole window, one flush, then its verdicts.
+        for _ in 0..WINDOW {
+            write_frame(&mut writer, &submit()).unwrap();
+        }
+        writer.flush().unwrap();
+        for _ in 0..WINDOW {
+            read_verdict(&mut reader);
+        }
+        // Open loop: one frame, one flush, one verdict.
+        for _ in 0..WINDOW {
+            write_frame(&mut writer, &submit()).unwrap();
+            writer.flush().unwrap();
+            read_verdict(&mut reader);
+        }
+        assert_eq!(acks, 2 * WINDOW);
+        drop((reader, writer));
+        let summary = collector.shutdown();
+        assert_eq!(summary.stats.ingest.accepted, 2 * WINDOW as u64);
+        assert_eq!(summary.stats.reports_processed, 2 * WINDOW as u64);
+    }
+
+    #[test]
     fn duplicate_nonce_over_the_wire_is_flagged() {
         let (collector, encoder) = start_collector(41, test_config());
         let mut rng = StdRng::seed_from_u64(42);

@@ -24,7 +24,11 @@
 //! joining them), so framing into a `Vec`, a `BufWriter` or a socket copies
 //! the body at most once and takes one write call where a pre-joined frame
 //! took one. [`FrameWrite`] (blocking sinks) and `prochlo_net::send_frame`
-//! (nonblocking sockets, parking on writability) are thin wrappers.
+//! (nonblocking sockets, parking on writability) are thin wrappers, and
+//! neither flushes: as with any [`std::io::Write`], the caller flushes when
+//! its bytes must leave. A client that frames a window of requests into a
+//! `BufWriter` and flushes once sends the window in one write, which the
+//! serving reactor reads in one fill and answers with one write.
 //!
 //! Two readers share that layout: the blocking [`FrameRead`], which owns
 //! its stream and returns each body as a `Vec`, and the readiness-driven
@@ -201,7 +205,8 @@ pub fn write_frame_vectored<W: Write + ?Sized>(
 /// `writer.write_frame(&policy, body)` instead of hand-rolling the length
 /// prefix.
 pub trait FrameWrite {
-    /// Writes one frame (`[u32 len][version][body]`) and flushes.
+    /// Writes one frame (`[u32 len][version][body]`) without flushing: on a
+    /// buffered sink the caller flushes when the frame must leave.
     fn write_frame(&mut self, policy: &FramePolicy, body: &[u8]) -> Result<(), FrameError>;
 }
 
@@ -219,9 +224,7 @@ pub trait FrameRead {
 
 impl<W: Write + ?Sized> FrameWrite for W {
     fn write_frame(&mut self, policy: &FramePolicy, body: &[u8]) -> Result<(), FrameError> {
-        write_frame_vectored(self, policy, [&[], body], Err)?;
-        self.flush()?;
-        Ok(())
+        write_frame_vectored(self, policy, [&[], body], Err)
     }
 }
 
@@ -739,6 +742,57 @@ mod tests {
         assert!(acc.capacity() >= 50_000);
         assert_eq!(acc.next_frame().unwrap(), None);
         assert!(acc.capacity() <= 2 * 4096);
+    }
+
+    /// A sink that records its bytes and how many write calls brought them.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            for buf in bufs {
+                self.bytes.extend_from_slice(buf);
+            }
+            Ok(bufs.iter().map(|buf| buf.len()).sum())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_buffered_window_of_frames_leaves_in_one_write() {
+        // The serving benchmark's closed loop: 64 submissions of 228 wire
+        // bytes each, framed into a socket-sized buffer, flushed once.
+        let policy = FramePolicy::new(1, 1 << 20);
+        let bodies: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 223]).collect();
+        let mut expected = Vec::new();
+        let mut buffered = io::BufWriter::with_capacity(64 << 10, CountingSink::default());
+        for body in &bodies {
+            expected.write_frame(&policy, body).unwrap();
+            buffered.write_frame(&policy, body).unwrap();
+        }
+        assert_eq!(expected.len(), 64 * 228);
+        assert_eq!(buffered.get_ref().writes, 0, "write_frame does not flush");
+        assert!(
+            buffered.buffer() == expected,
+            "the window waits in the buffer"
+        );
+        buffered.flush().unwrap();
+        let sink = buffered.get_ref();
+        assert_eq!(sink.writes, 1, "the window leaves in one write");
+        assert!(sink.bytes == expected, "the bytes framing into a Vec makes");
     }
 
     #[test]

@@ -22,12 +22,14 @@
 //! in one vectored write, and the exactly-sized buffer the pump reads a
 //! long frame into, which the link files as it is.
 
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use prochlo_core::framing::{FramePolicy, FrameRead, FrameWrite};
+use prochlo_core::framing::{FrameError, FramePolicy, FrameRead, FrameWrite};
 use prochlo_core::wire::Reader;
-use prochlo_net::{send_frame, FramePump, PumpEvent};
+use prochlo_net::{send_frame, FramePump, Interest, PumpEvent, Reactor};
 
 use crate::link::Link;
 use crate::transport::{frame_policy, ChannelId, FabricError, Peer, Stage, Transport};
@@ -35,6 +37,10 @@ use crate::transport::{frame_policy, ChannelId, FabricError, Peer, Stage, Transp
 /// The `HELLO` frame's ceiling: the version byte and one encoded [`Peer`]
 /// (a tag byte and a `u32` shard index), not the batch-sized default.
 const HELLO_POLICY: FramePolicy = frame_policy().with_max_frame_len(1 + 5);
+
+/// How long [`TcpTransportBuilder::accept`] waits for all of its dialers
+/// to connect and send their `HELLO`.
+const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Builds a [`TcpTransport`] by listening and dialing before protocol
 /// traffic starts.
@@ -66,21 +72,60 @@ impl TcpTransportBuilder {
     /// Accepts `count` inbound links. Each dialer introduces itself with a
     /// `HELLO` frame; the link is filed under that identity. The handshake
     /// runs on the still-blocking socket — the pump takes over only at
-    /// [`Self::build`].
+    /// [`Self::build`]. All `count` dialers must connect and introduce
+    /// themselves within a fixed handshake deadline (10 s); past it the
+    /// call fails with an I/O error of kind `TimedOut`, so a process whose
+    /// peer died before dialing exits instead of waiting forever.
     pub fn accept(&mut self, count: usize) -> Result<Vec<Peer>, FabricError> {
+        self.accept_within(count, HANDSHAKE_DEADLINE)
+    }
+
+    fn accept_within(&mut self, count: usize, within: Duration) -> Result<Vec<Peer>, FabricError> {
         let listener = self
             .listener
             .as_ref()
             .ok_or(FabricError::Malformed("accept before listen"))?;
+        // prochlo-lint: allow(wallclock-discipline, "functional handshake deadline: it bounds connection setup and never orders or steers a report")
+        let start = Instant::now();
+        let left = || {
+            within
+                .checked_sub(start.elapsed())
+                .filter(|left| !left.is_zero())
+                .ok_or_else(|| FabricError::from(io::Error::from(io::ErrorKind::TimedOut)))
+        };
+        // The listener waits nonblocking, parked on a reactor until a
+        // dialer arrives or the deadline passes.
+        listener.set_nonblocking(true)?;
+        let mut reactor = Reactor::new()?;
+        reactor.register(listener, Interest::READ);
+        let mut events = Vec::new();
         let mut accepted = Vec::with_capacity(count);
-        for _ in 0..count {
-            let (stream, _) = listener.accept()?;
+        while accepted.len() < count {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    reactor.poll(&mut events, Some(left()?))?;
+                    continue;
+                }
+                Err(e) => return Err(e.into()),
+            };
+            // Some unix targets hand the listener's nonblocking flag on.
+            stream.set_nonblocking(false)?;
             stream.set_nodelay(true)?;
+            stream.set_read_timeout(Some(left()?))?;
             // Read the HELLO off the raw stream: a BufReader here could
             // read ahead into frames that belong to the pump and silently
             // drop them with the temporary buffer.
             let mut raw = &stream;
-            let hello = raw.read_frame(&HELLO_POLICY)?;
+            let hello = raw.read_frame(&HELLO_POLICY).map_err(|e| match e {
+                FrameError::Io(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    io::Error::from(io::ErrorKind::TimedOut).into()
+                }
+                other => FabricError::from(other),
+            })?;
+            // The pump reads nonblocking; a leftover timeout would only
+            // surprise the next blocking reader.
+            stream.set_read_timeout(None)?;
             let mut cursor = Reader::new(&hello);
             let peer = Peer::decode(&mut cursor)?;
             if !cursor.is_empty() {
@@ -194,7 +239,6 @@ mod tests {
     use super::*;
     use crate::link::contract::{transport_contract, Pair};
     use crate::MAX_FRAME_LEN;
-    use prochlo_core::framing::FrameError;
 
     fn loop_addr() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
@@ -240,6 +284,12 @@ mod tests {
             assert_eq!(ack, b"ack");
         });
         assert_eq!(acceptor.accept(1).unwrap(), vec![Peer::ShufflerOne]);
+        let (_, stream) = &acceptor.pending[0];
+        assert_eq!(
+            stream.read_timeout().unwrap(),
+            None,
+            "the pump gets no timeout"
+        );
         let t = acceptor.build().unwrap();
         // Read the batch stage before records: the records frame is buffered.
         assert_eq!(
@@ -277,6 +327,48 @@ mod tests {
             "{result:?}"
         );
         drop(stream);
+    }
+
+    /// Runs `accept_within(1, within)` on its own thread, so a handshake
+    /// that ignores its deadline fails the test instead of hanging it.
+    fn accept_one_within(
+        mut acceptor: TcpTransportBuilder,
+        within: Duration,
+    ) -> Result<Vec<Peer>, FabricError> {
+        let (done, accepted) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(acceptor.accept_within(1, within));
+        });
+        accepted
+            .recv_timeout(within + Duration::from_secs(5))
+            .expect("accept returned at its deadline")
+    }
+
+    fn assert_timed_out(result: Result<Vec<Peer>, FabricError>) {
+        assert!(
+            matches!(
+                &result,
+                Err(FabricError::Frame(FrameError::Io(e))) if e.kind() == io::ErrorKind::TimedOut
+            ),
+            "{result:?}"
+        );
+    }
+
+    #[test]
+    fn an_accept_nobody_dials_times_out() {
+        let mut acceptor = TcpTransportBuilder::new(Peer::ShufflerTwo);
+        acceptor.listen(loop_addr()).unwrap();
+        assert_timed_out(accept_one_within(acceptor, Duration::from_millis(200)));
+    }
+
+    #[test]
+    fn a_dialer_that_never_says_hello_times_out() {
+        let mut acceptor = TcpTransportBuilder::new(Peer::ShufflerTwo);
+        let addr = acceptor.listen(loop_addr()).unwrap();
+        // Connected, and the socket stays open, but no HELLO ever comes.
+        let silent = TcpStream::connect(addr).unwrap();
+        assert_timed_out(accept_one_within(acceptor, Duration::from_millis(200)));
+        drop(silent);
     }
 
     #[test]
