@@ -5,24 +5,30 @@
 //! core owns the report queue and the replay filter, and its entry point
 //! maps each submission to exactly one wire [`Response`].
 //!
-//! The path is per report, so nothing on it is looked up, formatted or
-//! locked twice: the latency histogram is a cached handle
-//! ([`prochlo_obs::Histogram::start`]), the peer's transport label is
-//! rendered once per connection ([`Peer`]) and shared, the queue push
-//! returns the depth the acknowledgement reports, and the caller's `report`
-//! slice — on the serving path, a slice of the connection's read buffer —
-//! is copied exactly once, into the [`HybridCiphertext`] that sits in the
-//! queue.
+//! The path is per report, so nothing on it is looked up, formatted, locked
+//! twice or counted on a shared cache line. A submission is admitted into
+//! its caller's `Tally` of plain integers, and the caller publishes the
+//! tally once per run (`IngestCore::publish`): a serving loop once per
+//! reactor turn, before the turn's answers are queued, so every Ack a
+//! client reads is already counted. Publishing adds the run to the cells
+//! [`IngestStats`] reads and the registry reads through
+//! (`collector.ingest.*`), and records one `collector.ingest.submit`
+//! observation per submission, the run's time over its submissions. The
+//! peer's transport label is rendered once per connection ([`Peer`]), the
+//! queue push returns the depth the acknowledgement reports, and the
+//! caller's `report` slice — on the serving path, a slice of the
+//! connection's read buffer — is copied exactly once, into the
+//! [`HybridCiphertext`] that sits in the queue.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use prochlo_core::record::TransportMetadata;
 use prochlo_core::ClientReport;
 use prochlo_crypto::hybrid::HybridCiphertext;
-use prochlo_obs::{Counter, Gauge, Histogram, Registry, Span};
+use prochlo_obs::{Gauge, Histogram, Registry, Span};
 
 use crate::dedup::{NonceCheck, ReplayFilter};
 use crate::protocol::{Response, MAX_REPORT_LEN, NONCE_LEN, RETRY_AFTER_MS};
@@ -63,59 +69,46 @@ pub struct IngestStats {
     pub peak_queue_depth: usize,
 }
 
+/// The published books; the registry reads the four counts through.
 #[derive(Debug, Default)]
 struct StatsCells {
-    accepted: AtomicU64,
-    duplicates: AtomicU64,
-    backpressured: AtomicU64,
-    rejected: AtomicU64,
+    accepted: Arc<AtomicU64>,
+    duplicates: Arc<AtomicU64>,
+    backpressured: Arc<AtomicU64>,
+    rejected: Arc<AtomicU64>,
     peak_queue_depth: AtomicUsize,
 }
 
-/// Cached obs handles mirroring [`StatsCells`] onto the registry
-/// (`collector.ingest.*` counters, the `collector.queue.depth` gauge, and
-/// the `collector.ingest.submit` latency histogram).
-struct ObsHandles {
-    registry: Arc<Registry>,
-    accepted: Counter,
-    duplicates: Counter,
-    backpressured: Counter,
-    rejected: Counter,
-    queue_depth: Gauge,
-    /// Resolved on the first submission that finds the registry enabled: a
-    /// disabled registry never registers the histogram, and an enabled one
-    /// is not asked for it by name on every report.
-    submit: OnceLock<Histogram>,
+/// One run of submissions — a serving loop's reactor turn, or one
+/// [`IngestCore::ingest_from`] — counted in plain integers by the thread
+/// that admits it, until [`IngestCore::publish`] adds it to the books.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    counts: IngestStats,
+    /// Submissions admitted (a rate-limited one never reaches ingest), and
+    /// the queue depth the last accepted one left.
+    submissions: u64,
+    last_depth: usize,
+    /// Started by the run's first submission; reads no clock while the
+    /// registry is disabled.
+    span: Option<Span>,
 }
 
-impl std::fmt::Debug for ObsHandles {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsHandles")
-            .field("registry", &self.registry)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ObsHandles {
-    fn new(registry: Arc<Registry>) -> Self {
-        ObsHandles {
-            accepted: registry.counter("collector.ingest.accepted"),
-            duplicates: registry.counter("collector.ingest.duplicates"),
-            backpressured: registry.counter("collector.ingest.backpressured"),
-            rejected: registry.counter("collector.ingest.rejected"),
-            queue_depth: registry.gauge("collector.queue.depth"),
-            submit: OnceLock::new(),
-            registry,
+impl Tally {
+    /// Counts one submission refused for want of room or rate — in ingest
+    /// or by the connection's rate limiter in front of it — and answers it
+    /// `RetryAfter`.
+    pub(crate) fn backpressure(&mut self) -> Response {
+        self.counts.backpressured += 1;
+        Response::RetryAfter {
+            millis: RETRY_AFTER_MS,
         }
     }
 
-    /// Times one submission into `collector.ingest.submit`.
-    fn submit_span(&self) -> Option<Span> {
-        self.registry.is_enabled().then(|| {
-            self.submit
-                .get_or_init(|| self.registry.histogram("collector.ingest.submit"))
-                .start()
-        })
+    fn rejected(&mut self, reason: &str) -> Response {
+        self.counts.rejected += 1;
+        let reason = reason.to_string();
+        Response::Rejected { reason }
     }
 }
 
@@ -147,7 +140,10 @@ pub struct IngestCore {
     dedup: ReplayFilter,
     arrival: AtomicU64,
     stats: StatsCells,
-    obs: ObsHandles,
+    registry: Arc<Registry>,
+    /// The last depth a published run pushed to (`collector.queue.depth`).
+    queue_depth: Gauge,
+    submit: Histogram,
 }
 
 impl IngestCore {
@@ -161,18 +157,29 @@ impl IngestCore {
     /// what tests use to assert exact counts without cross-suite
     /// contamination of the process-wide registry.
     pub fn with_registry(config: IngestConfig, registry: Arc<Registry>) -> Self {
+        let stats = StatsCells::default();
+        for (name, cell) in [
+            ("collector.ingest.accepted", &stats.accepted),
+            ("collector.ingest.duplicates", &stats.duplicates),
+            ("collector.ingest.backpressured", &stats.backpressured),
+            ("collector.ingest.rejected", &stats.rejected),
+        ] {
+            registry.read_through(name, Arc::clone(cell));
+        }
         Self {
             queue: BoundedQueue::new(config.queue_capacity),
             dedup: ReplayFilter::new(config.dedup_capacity),
             arrival: AtomicU64::new(0),
-            stats: StatsCells::default(),
-            obs: ObsHandles::new(registry),
+            stats,
+            queue_depth: registry.gauge("collector.queue.depth"),
+            submit: registry.histogram("collector.ingest.submit"),
+            registry,
         }
     }
 
     /// The registry this core reports into.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.obs.registry
+        &self.registry
     }
 
     /// The report queue the epoch manager drains.
@@ -188,49 +195,48 @@ impl IngestCore {
         self.ingest_from(nonce, report, &Peer::from(peer))
     }
 
-    /// Handles one submission end to end and returns the wire response.
+    /// Handles one submission end to end and returns the wire response: a
+    /// run of one, published before it returns.
+    pub fn ingest_from(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: &Peer) -> Response {
+        let mut tally = Tally::default();
+        let response = self.admit(&mut tally, nonce, report, peer);
+        self.publish(&mut tally);
+        response
+    }
+
+    /// Handles one submission and returns the wire response, counting it
+    /// in `tally` only: nothing shared is counted until [`Self::publish`].
     ///
     /// The nonce is tracked through two dedup phases: `begin` before the
     /// queue push, then `commit` on success or `abort` when the queue
     /// refuses the report. A replay of an *accepted* nonce answers
     /// `Duplicate`; a retry racing an in-flight first attempt answers
     /// `RetryAfter`, never a false "already queued".
-    pub fn ingest_from(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: &Peer) -> Response {
-        let span = self.obs.submit_span();
-        let response = self.ingest_inner(nonce, report, peer);
-        if let Some(span) = span {
-            span.finish();
+    pub(crate) fn admit(
+        &self,
+        tally: &mut Tally,
+        nonce: &[u8; NONCE_LEN],
+        report: &[u8],
+        peer: &Peer,
+    ) -> Response {
+        if tally.submissions == 0 {
+            tally.span = Some(self.submit.start());
         }
-        response
-    }
-
-    fn ingest_inner(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: &Peer) -> Response {
+        tally.submissions += 1;
         if report.len() > MAX_REPORT_LEN {
-            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            self.obs.rejected.inc();
-            return Response::Rejected {
-                reason: "report exceeds maximum size".to_string(),
-            };
+            return tally.rejected("report exceeds maximum size");
         }
         // The one heap copy between the socket and the queue: the sealed
         // bytes, out of the caller's buffer.
-        let outer = match HybridCiphertext::from_bytes(report) {
-            Ok(ct) => ct,
-            Err(_) => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                self.obs.rejected.inc();
-                return Response::Rejected {
-                    reason: "report is not a hybrid ciphertext".to_string(),
-                };
-            }
+        let Ok(outer) = HybridCiphertext::from_bytes(report) else {
+            return tally.rejected("report is not a hybrid ciphertext");
         };
         match self.dedup.begin(nonce) {
             NonceCheck::Duplicate => {
-                self.stats.duplicates.fetch_add(1, Ordering::Relaxed);
-                self.obs.duplicates.inc();
+                tally.counts.duplicates += 1;
                 return Response::Duplicate;
             }
-            NonceCheck::InFlight | NonceCheck::Full => return self.backpressure(),
+            NonceCheck::InFlight | NonceCheck::Full => return tally.backpressure(),
             NonceCheck::Fresh => {}
         }
         let report = ClientReport {
@@ -240,31 +246,46 @@ impl IngestCore {
         match self.queue.try_push(report) {
             Ok(depth) => {
                 self.dedup.commit(nonce);
-                self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                self.obs.accepted.inc();
-                self.stats
-                    .peak_queue_depth
-                    .fetch_max(depth, Ordering::Relaxed);
-                self.obs.queue_depth.set(depth as i64);
+                tally.counts.accepted += 1;
+                tally.counts.peak_queue_depth = tally.counts.peak_queue_depth.max(depth);
+                tally.last_depth = depth;
                 Response::Ack {
                     pending: depth as u32,
                 }
             }
             Err(PushError::Full(_)) | Err(PushError::Closed(_)) => {
                 self.dedup.abort(nonce);
-                self.backpressure()
+                tally.backpressure()
             }
         }
     }
 
-    /// Counts one submission refused for want of room or rate — here or
-    /// by the connection's rate limiter in front of ingest — and answers
-    /// it `RetryAfter`.
-    pub(crate) fn backpressure(&self) -> Response {
-        self.stats.backpressured.fetch_add(1, Ordering::Relaxed);
-        self.obs.backpressured.inc();
-        Response::RetryAfter {
-            millis: RETRY_AFTER_MS,
+    /// Adds `tally` to the shared books and empties it for the next run:
+    /// one atomic per nonzero count, and one histogram recording.
+    pub(crate) fn publish(&self, tally: &mut Tally) {
+        let Tally {
+            counts,
+            submissions,
+            last_depth,
+            span,
+        } = std::mem::take(tally);
+        for (cell, n) in [
+            (&self.stats.accepted, counts.accepted),
+            (&self.stats.duplicates, counts.duplicates),
+            (&self.stats.backpressured, counts.backpressured),
+            (&self.stats.rejected, counts.rejected),
+        ] {
+            if n > 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        if counts.accepted > 0 {
+            let peak = &self.stats.peak_queue_depth;
+            peak.fetch_max(counts.peak_queue_depth, Ordering::Relaxed);
+            self.queue_depth.set(last_depth as i64);
+        }
+        if let Some(span) = span {
+            span.finish_over(submissions);
         }
     }
 
@@ -463,12 +484,12 @@ mod tests {
         let report = sealed_report(&mut rng);
         core.ingest(&nonce(0), &report, peer());
         assert_eq!(core.stats().accepted, 1, "legacy stats are unconditional");
-        // The handles exist (registered at construction) but recorded
-        // nothing while the registry is disabled.
+        // The registry reads the ingest books through, so it agrees with
+        // them while recording is off; the latency histogram, registered
+        // at construction, recorded nothing.
         let snap = registry.snapshot();
-        assert_eq!(snap.get("collector.ingest.accepted"), Some(0.0));
-        // Disabled spans never even register the latency histogram.
-        assert_eq!(snap.get("collector.ingest.submit"), None);
+        assert_eq!(snap.get("collector.ingest.accepted"), Some(1.0));
+        assert_eq!(snap.get("collector.ingest.submit"), Some(0.0));
     }
 
     #[test]

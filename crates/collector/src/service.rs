@@ -12,7 +12,8 @@
 //!   the peer's transport identity, rendered once on accept, plus an
 //!   optional [`TokenBucket`]: a connection that out-runs its rate limit is
 //!   answered with the same `RetryAfter` backpressure the bounded queue
-//!   uses.
+//!   uses. The handler tallies a turn's submissions in plain integers and
+//!   publishes them in `finish_turn`, before the turn's answers are queued.
 //! * **epoch** — owns the [`Deployment`]; drains the report queue with a
 //!   count-or-deadline policy and feeds each batch through an
 //!   [`prochlo_core::EpochSession`], which canonicalizes it and runs
@@ -42,7 +43,7 @@ use prochlo_core::{
 use prochlo_net::{Answer, Handler, Server, ServerConfig, ServerStats, TokenBucket};
 
 use crate::error::CollectorError;
-use crate::ingest::{IngestConfig, IngestCore, IngestStats, Peer};
+use crate::ingest::{IngestConfig, IngestCore, IngestStats, Peer, Tally};
 use crate::protocol::{frame_policy, RequestRef, Response, RETRY_AFTER_MS};
 
 /// Configuration of a running collector.
@@ -201,7 +202,8 @@ pub struct CollectorStats {
 #[derive(Debug)]
 struct Shared {
     ingest: IngestCore,
-    epochs_cut: AtomicU64,
+    /// Read through by the registry as `collector.epoch.cut`.
+    epochs_cut: Arc<AtomicU64>,
     reports_processed: AtomicU64,
     epochs: Mutex<Vec<EpochResult>>,
 }
@@ -278,7 +280,7 @@ impl Collector {
                 },
                 Arc::clone(&registry),
             ),
-            epochs_cut: AtomicU64::new(0),
+            epochs_cut: Arc::default(),
             reports_processed: AtomicU64::new(0),
             epochs: Mutex::new(Vec::new()),
         });
@@ -315,6 +317,7 @@ impl Collector {
                 Ok(Ingest {
                     shared: Arc::clone(&shared),
                     rate_limit: config.rate_limit_per_conn,
+                    tally: Tally::default(),
                 })
             },
         )
@@ -367,6 +370,8 @@ impl Collector {
 struct Ingest {
     shared: Arc<Shared>,
     rate_limit: Option<u32>,
+    /// This turn's submissions, not yet in the shared books.
+    tally: Tally,
 }
 
 impl Handler for Ingest {
@@ -380,17 +385,22 @@ impl Handler for Ingest {
 
     fn frame(&mut self, (peer, bucket): &mut Self::Conn, body: &[u8]) -> Result<Answer, Vec<u8>> {
         let ingest = &self.shared.ingest;
-        let response = match RequestRef::parse(body) {
+        let request = RequestRef::parse(body);
+        if !matches!(request, Ok(RequestRef::Submit(_))) {
+            // PING and STATS read the books: count the turn so far first.
+            ingest.publish(&mut self.tally);
+        }
+        let response = match request {
             Ok(RequestRef::Submit(submission)) => {
                 // The rate limiter sits in front of ingest so a limited
                 // submission costs neither a dedup slot nor queue space;
-                // ingest still counts it as backpressure.
+                // it still counts as backpressure.
                 if bucket.as_mut().is_some_and(|b| !b.try_take()) {
-                    ingest.backpressure()
+                    self.tally.backpressure()
                 } else {
                     // Nonce and report still point into the connection's
                     // read buffer; ingest makes the one copy.
-                    ingest.ingest_from(submission.nonce, submission.report, peer)
+                    ingest.admit(&mut self.tally, submission.nonce, submission.report, peer)
                 }
             }
             Ok(RequestRef::Ping) => Response::Ack {
@@ -409,12 +419,18 @@ impl Handler for Ingest {
         };
         Ok(Answer::Now(response.to_bytes()))
     }
+
+    /// Publishes the turn's tally: the server calls this before it queues
+    /// the turn's answers, so every Ack a client reads is already counted.
+    fn finish_turn(&mut self, _bodies: &mut Vec<Vec<u8>>) {
+        self.shared.ingest.publish(&mut self.tally);
+    }
 }
 
 fn epoch_loop(mut pipeline: Box<dyn EpochPipeline>, shared: &Shared, config: &CollectorConfig) {
     let queue = shared.ingest.queue();
     let registry = shared.ingest.registry();
-    let epochs_cut = registry.counter("collector.epoch.cut");
+    registry.read_through("collector.epoch.cut", Arc::clone(&shared.epochs_cut));
     let epoch_reports = registry.counter("collector.epoch.reports");
     // Registered here so a healthy collector exports them at zero.
     let epochs_failed = registry.counter("collector.epoch.failed");
@@ -458,7 +474,6 @@ fn epoch_loop(mut pipeline: Box<dyn EpochPipeline>, shared: &Shared, config: &Co
             epochs_failed.inc();
         }
         shared.epochs_cut.fetch_add(1, Ordering::Relaxed);
-        epochs_cut.inc();
         epoch_reports.add(reports as u64);
         if let Some(flight) = &flight {
             flight.record(
@@ -1083,6 +1098,123 @@ mod tests {
         let summary = collector.shutdown();
         assert_eq!(summary.stats.ingest.accepted, 2 * WINDOW as u64);
         assert_eq!(summary.stats.reports_processed, 2 * WINDOW as u64);
+    }
+
+    /// A one-loop collector whose epochs are cut only at shutdown, so queue
+    /// depths and counts stay put while a test reads them.
+    fn one_loop_collector(registry: Option<Arc<prochlo_obs::Registry>>) -> Collector {
+        let config = CollectorConfig {
+            worker_threads: 1,
+            max_epoch_reports: 100_000,
+            epoch_deadline: Duration::from_secs(60),
+            registry,
+            ..test_config()
+        };
+        let pipeline = Scripted {
+            calls: 0,
+            failing: &[],
+        };
+        Collector::start_with_pipeline(Box::new(pipeline), config).unwrap()
+    }
+
+    /// `count` fresh submissions of one sealed report.
+    fn submits(rng: &mut StdRng, count: usize) -> Vec<Request> {
+        let report = sealed_report(rng);
+        (0..count)
+            .map(|_| Request::Submit {
+                nonce: fresh_nonce(rng),
+                report: report.clone(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_hangup_inside_a_pipelined_window_is_counted_once() {
+        use crate::protocol::write_frame;
+        use std::io::Write;
+        let collector = one_loop_collector(None);
+        let mut rng = StdRng::seed_from_u64(161);
+        let mut wire = Vec::new();
+        for request in submits(&mut rng, 64) {
+            write_frame(&mut wire, &request.to_bytes()).unwrap();
+        }
+        // One flushed write, then a hang-up before any verdict is read: the
+        // loop reads the window and the end of the stream in one turn, and
+        // the connection closes in the turn that counts its submissions.
+        let mut stream = std::net::TcpStream::connect(collector.local_addr()).unwrap();
+        stream.write_all(&wire).unwrap();
+        stream.shutdown(std::net::Shutdown::Both).unwrap();
+        // The loop serves a fresh connection as usual, and has queued the
+        // whole window.
+        let mut client = CollectorClient::connect(collector.local_addr()).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while client.ping().unwrap() != (Response::Ack { pending: 64 }) {
+            assert!(std::time::Instant::now() < deadline, "window never queued");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop((stream, client));
+        let summary = collector.shutdown();
+        assert_eq!(summary.stats.ingest.accepted, 64);
+        assert_eq!(summary.stats.reports_processed, 64);
+    }
+
+    #[test]
+    fn a_stats_behind_a_window_reads_the_window_counted() {
+        let registry = Arc::new(prochlo_obs::Registry::new(true));
+        let collector = one_loop_collector(Some(Arc::clone(&registry)));
+        let mut rng = StdRng::seed_from_u64(171);
+        let mut requests = submits(&mut rng, 63);
+        requests.push(Request::Stats);
+        let mut stream = std::net::TcpStream::connect(collector.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // The STATS arrives in the same turn as (some of) the window, after
+        // every submission of it: its answer counts all 63.
+        let answers = burst(&mut stream, &requests);
+        let Some(Response::Stats { entries }) = answers.last() else {
+            panic!("the last answer is not STATS: {:?}", answers.last());
+        };
+        let accepted = entries
+            .iter()
+            .find(|(name, _)| name == "collector.ingest.accepted")
+            .map(|(_, value)| *value);
+        assert_eq!(accepted, Some(63.0));
+        drop(stream);
+        assert_eq!(collector.shutdown().stats.ingest.accepted, 63);
+    }
+
+    #[test]
+    fn every_ack_a_client_reads_is_already_counted() {
+        use crate::protocol::{read_frame, write_frame};
+        use std::io::Write;
+        const WINDOW: usize = 64;
+        let collector = one_loop_collector(None);
+        let mut rng = StdRng::seed_from_u64(181);
+        let mut stream = std::net::TcpStream::connect(collector.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut acks = 0u64;
+        for _ in 0..16 {
+            let mut wire = Vec::new();
+            for request in submits(&mut rng, WINDOW) {
+                write_frame(&mut wire, &request.to_bytes()).unwrap();
+            }
+            stream.write_all(&wire).unwrap();
+            // Read the verdicts one by one and look at the books between
+            // reads: a turn that queued its Acks before publishing its tally
+            // would show fewer accepted than Acks here.
+            for _ in 0..WINDOW {
+                let verdict = Response::from_bytes(&read_frame(&mut stream, 1 << 20).unwrap());
+                assert!(matches!(verdict, Ok(Response::Ack { .. })), "{verdict:?}");
+                acks += 1;
+                let accepted = collector.stats().ingest.accepted;
+                assert!(accepted >= acks, "{acks} Acks read, {accepted} counted");
+            }
+        }
+        drop(stream);
+        assert_eq!(collector.shutdown().stats.ingest.accepted, acks);
     }
 
     #[test]

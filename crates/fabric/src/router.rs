@@ -181,6 +181,7 @@ impl ShardRouter {
                     obs_exchanges: prochlo_obs::counter("fabric.router.exchanges"),
                     obs_rejected: prochlo_obs::counter("fabric.router.rejected"),
                     obs_forward_failures: prochlo_obs::counter("fabric.router.forward_failures"),
+                    obs_forward: prochlo_obs::histogram("fabric.router.forward"),
                 })
             },
         )?;
@@ -222,6 +223,8 @@ struct Route {
     obs_exchanges: prochlo_obs::Counter,
     obs_rejected: prochlo_obs::Counter,
     obs_forward_failures: prochlo_obs::Counter,
+    /// Times each exchange (`fabric.router.forward`).
+    obs_forward: prochlo_obs::Histogram,
 }
 
 impl Route {
@@ -246,7 +249,7 @@ impl Route {
         }
         // The span covers an exchange, not a report: its mean is the cost
         // of the hop per batch, and `routed / exchanges` the batch size.
-        let span = prochlo_obs::span("fabric.router.forward");
+        let span = self.obs_forward.start();
         let forwarded = self.sinks[shard].submit_batch(batch);
         span.finish();
         self.obs_exchanges.inc();

@@ -116,7 +116,8 @@ pub trait Handler: Send + 'static {
     /// appends to `bodies` one response body per [`Answer::Later`] given
     /// this turn, in the order they were given. A connection whose body is
     /// missing is closed rather than left waiting (or handed a neighbour's
-    /// answer).
+    /// answer). It runs before any of the turn's answers is queued, so what
+    /// it publishes is visible to every client that reads one of them.
     fn finish_turn(&mut self, bodies: &mut Vec<Vec<u8>>) {
         let _ = bodies;
     }
@@ -210,6 +211,7 @@ impl Server {
                 conns_accepted: config.registry.counter(&metric("accepted")),
                 conns_refused: config.registry.counter(&metric("refused")),
                 conns_evicted: config.registry.counter(&metric("evicted")),
+                turn: config.registry.histogram(config.turn_metric),
                 config: config.clone(),
             };
             let name = format!("{}-{index}", config.thread_name);
@@ -288,6 +290,8 @@ struct EventLoop<H: Handler> {
     conns_accepted: prochlo_obs::Counter,
     conns_refused: prochlo_obs::Counter,
     conns_evicted: prochlo_obs::Counter,
+    /// Times the work of each turn (`ServerConfig::turn_metric`).
+    turn: prochlo_obs::Histogram,
 }
 
 impl<H: Handler> EventLoop<H> {
@@ -297,7 +301,7 @@ impl<H: Handler> EventLoop<H> {
             && !self.shared.shutting_down.load(Ordering::SeqCst)
         {
             // The turn span covers the work, not the idle wait above.
-            let turn = self.config.registry.span(self.config.turn_metric);
+            let turn = self.turn.start();
             let dealt = std::mem::take(&mut *self.intakes[self.index].1.lock());
             for (peer, conn) in dealt {
                 let token = self.reactor.register(conn.stream(), Interest::READ);
@@ -830,6 +834,66 @@ mod tests {
         for body in bodies {
             assert_eq!(&stream.read_frame(&POLICY).expect("read frame"), body);
         }
+    }
+
+    /// Answers every frame now; `finish_turn` tells the test over `early`
+    /// whether the client could already read any of the turn's answers.
+    struct Peeking {
+        clients: Receiver<TcpStream>,
+        client: Option<TcpStream>,
+        early: Sender<bool>,
+    }
+
+    impl Handler for Peeking {
+        type Conn = ();
+
+        fn connected(&mut self, _peer: SocketAddr) {}
+
+        fn frame(&mut self, (): &mut (), body: &[u8]) -> Result<Answer, Vec<u8>> {
+            Ok(Answer::Now(body.to_vec()))
+        }
+
+        fn finish_turn(&mut self, _bodies: &mut Vec<Vec<u8>>) {
+            let clients = &self.clients;
+            let client = self
+                .client
+                .get_or_insert_with(|| clients.recv().expect("the test sends its stream"));
+            // The test does not read until it has this verdict, so the
+            // socket's mode can be borrowed for one peek.
+            client.set_nonblocking(true).expect("nonblocking");
+            let written = client.peek(&mut [0u8; 1]).is_ok();
+            client.set_nonblocking(false).expect("blocking");
+            self.early.send(written).expect("the test is listening");
+        }
+    }
+
+    #[test]
+    fn finish_turn_runs_before_its_turn_s_answers_are_written() {
+        let (client_tx, clients) = std::sync::mpsc::channel();
+        let (early, verdicts) = std::sync::mpsc::channel();
+        let mut handler = Some(Peeking {
+            clients,
+            client: None,
+            early,
+        });
+        let server = Server::start(config(1, 16, Duration::from_secs(5)), || {
+            Ok::<_, io::Error>(handler.take().expect("one loop"))
+        })
+        .expect("start server");
+        let mut stream = connect(&server);
+        client_tx
+            .send(stream.try_clone().expect("clone"))
+            .expect("the handler is alive");
+        for round in 0..3 {
+            write_burst(&mut stream, &[b"a", b"b", b"c"]);
+            let written = verdicts.recv().expect("finish_turn reports");
+            assert!(
+                !written,
+                "round {round}: answers written before finish_turn"
+            );
+            assert_reads(&mut stream, &[b"a", b"b", b"c"]);
+        }
+        server.shutdown();
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //!
 //! A [`Registry`] is a process-wide (or test-local) table of instruments
 //! keyed by dotted name. Lookups hand back cheap `Arc` handles
-//! ([`Counter`], [`Gauge`], [`Histogram`]) that hot paths cache and bump
-//! with single atomic operations; the registry itself is only locked when
-//! an instrument is first created or when a [`Snapshot`] is taken. The
-//! name table is sharded across several `RwLock`-protected maps so that
-//! concurrent first-registrations from different subsystems do not
-//! serialize on one lock.
+//! ([`Counter`], [`Gauge`], [`Histogram`]) that callers cache; the registry
+//! itself is only locked when an instrument is first created or when a
+//! [`Snapshot`] is taken. The name table is sharded across several
+//! `RwLock`-protected maps so that concurrent first-registrations from
+//! different subsystems do not serialize on one lock.
+//!
+//! A per-report path bumps none of them: it tallies in plain integers,
+//! publishes once per batch (a reactor turn) into cells it owns and the
+//! registry reads through ([`Registry::read_through`]), and times the batch
+//! once ([`Span::finish_over`]).
 //!
 //! Instruments never touch an RNG stream and never reorder work: every
 //! recording is a relaxed atomic on a pre-existing cell. Disabling a
@@ -83,18 +87,19 @@ fn shard_of(name: &str) -> usize {
 }
 
 /// Shared cell behind a [`Counter`] handle.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct CounterCell {
     value: AtomicU64,
 }
 
 /// Shared cell behind a [`Gauge`] handle.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct GaugeCell {
     value: AtomicI64,
 }
 
 /// Shared cell behind a [`Histogram`] handle.
+#[derive(Debug)]
 struct HistogramCell {
     counts: [AtomicU64; NUM_BUCKETS],
     /// Total recorded time in nanoseconds. Nanosecond integers keep the
@@ -114,7 +119,7 @@ impl Default for HistogramCell {
 /// A monotonically increasing event count (dedup hits, frames sent,
 /// reports accepted). Handles are `Arc`-backed: clone freely, cache in
 /// hot structs, and bump lock-free.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Counter {
     enabled: Arc<AtomicBool>,
     cell: Arc<CounterCell>,
@@ -144,7 +149,7 @@ impl Counter {
 /// A point-in-time level (queue depth, EPC bytes in use). Signed so that
 /// matched `add`/`sub` pairs can momentarily cross zero under races
 /// without wrapping.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Gauge {
     enabled: Arc<AtomicBool>,
     cell: Arc<GaugeCell>,
@@ -190,7 +195,7 @@ impl Gauge {
 /// A fixed-bucket latency histogram (exponential microsecond buckets,
 /// see [`bucket_bounds`]). Record durations directly or through a
 /// [`Span`].
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
     enabled: Arc<AtomicBool>,
     cell: Arc<HistogramCell>,
@@ -200,8 +205,15 @@ impl Histogram {
     /// Record one observation of `seconds`.
     #[inline]
     pub fn record(&self, seconds: f64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.counts[bucket_index(seconds)].fetch_add(1, Ordering::Relaxed);
+        self.record_over(seconds, 1);
+    }
+
+    /// Record `n` observations of `seconds / n` (the mean of `n` items
+    /// timed together) at the cost of one; nothing when `n` is 0.
+    #[inline]
+    pub(crate) fn record_over(&self, seconds: f64, n: u64) {
+        if n > 0 && self.enabled.load(Ordering::Relaxed) {
+            self.cell.counts[bucket_index(seconds / n as f64)].fetch_add(n, Ordering::Relaxed);
             let nanos = (seconds.max(0.0) * 1e9) as u64;
             self.cell.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
         }
@@ -252,6 +264,8 @@ enum Instrument {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
+    /// The cells [`Registry::read_through`] was handed under this name.
+    ReadThrough(Vec<Arc<AtomicU64>>),
 }
 
 /// A named-instrument table with on-demand snapshots.
@@ -364,6 +378,20 @@ impl Registry {
         }
     }
 
+    /// Exports `cell`, a count its owner keeps, as the counter `name`: a
+    /// snapshot reads the sum of every cell registered under the name (one
+    /// per owner), enabled or not, and the registry keeps each cell alive.
+    pub fn read_through(&self, name: &str, cell: Arc<AtomicU64>) {
+        let mut map = self.shards[shard_of(name)].write();
+        match map
+            .entry(name.to_owned())
+            .or_insert_with(|| Instrument::ReadThrough(Vec::new()))
+        {
+            Instrument::ReadThrough(cells) => cells.push(cell),
+            _ => panic!("metric {name:?} already registered with a different type"),
+        }
+    }
+
     fn instrument(&self, name: &str, make: impl FnOnce() -> Instrument) -> Instrument {
         let shard = &self.shards[shard_of(name)];
         if let Some(found) = shard.read().get(name) {
@@ -386,6 +414,9 @@ impl Registry {
                     Instrument::Counter(c) => SnapshotValue::Counter(c.get()),
                     Instrument::Gauge(g) => SnapshotValue::Gauge(g.get()),
                     Instrument::Histogram(h) => SnapshotValue::Histogram(Box::new(h.snapshot())),
+                    Instrument::ReadThrough(cells) => SnapshotValue::Counter(
+                        cells.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
+                    ),
                 };
                 entries.push(SnapshotEntry {
                     name: name.clone(),
@@ -451,6 +482,24 @@ mod tests {
         let r = Registry::new(true);
         r.counter("metric");
         r.gauge("metric");
+    }
+
+    #[test]
+    fn read_through_sums_its_owners_cells_enabled_or_not() {
+        let r = Registry::new(false);
+        let (a, b) = (Arc::new(AtomicU64::new(2)), Arc::new(AtomicU64::new(5)));
+        r.read_through("owned", Arc::clone(&a));
+        r.read_through("owned", b);
+        a.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(r.snapshot().get("owned"), Some(8.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "different type")]
+    fn read_through_over_a_counter_panics() {
+        let r = Registry::new(true);
+        r.counter("metric");
+        r.read_through("metric", Arc::default());
     }
 
     #[test]

@@ -24,16 +24,9 @@ use crate::registry::Histogram;
 /// assert!(peel_seconds >= 0.0);
 /// assert_eq!(registry.histogram("shuffler.peel").count(), 1);
 /// ```
+#[derive(Debug)]
 pub struct Span {
     state: Option<(Instant, Histogram)>,
-}
-
-impl std::fmt::Debug for Span {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Span")
-            .field("enabled", &self.state.is_some())
-            .finish_non_exhaustive()
-    }
 }
 
 impl Span {
@@ -51,10 +44,16 @@ impl Span {
     /// seconds. Returns `0.0` (and records nothing) when the registry was
     /// disabled at span creation.
     pub fn finish(self) -> f64 {
+        self.finish_over(1)
+    }
+
+    /// [`Self::finish`] for a span that timed `n` items together: records
+    /// `n` observations of the elapsed time over `n`.
+    pub fn finish_over(self, n: u64) -> f64 {
         match self.state {
             Some((start, histogram)) => {
                 let seconds = start.elapsed().as_secs_f64();
-                histogram.record(seconds);
+                histogram.record_over(seconds, n);
                 seconds
             }
             None => 0.0,
