@@ -9,6 +9,7 @@ use std::fmt;
 use std::io;
 
 use prochlo_core::framing::FrameError;
+use prochlo_core::wire::WireError;
 use prochlo_core::PipelineError;
 
 /// Errors surfaced by the collector service, its protocol codec and client.
@@ -72,6 +73,12 @@ impl From<io::Error> for CollectorError {
 impl From<PipelineError> for CollectorError {
     fn from(e: PipelineError) -> Self {
         CollectorError::Pipeline(e)
+    }
+}
+
+impl From<WireError> for CollectorError {
+    fn from(e: WireError) -> Self {
+        CollectorError::Protocol(e.0)
     }
 }
 

@@ -4,8 +4,12 @@
 //! little-endian `u32` frame length, a protocol version byte, then the
 //! message body, encoded with the same explicit reader/writer the report
 //! formats use ([`prochlo_core::wire`]); there is deliberately no
-//! serialization framework and no self-describing schema. The body starts
-//! with a message-type byte:
+//! serialization framework and no self-describing schema. Both parsers are
+//! chains of labelled [`Reader`] reads ending in [`Reader::finish`], and
+//! the reader's errors become [`CollectorError::Protocol`]: a truncated
+//! field, an unknown type byte, trailing bytes or a `STATS` count its
+//! bytes cannot hold fails the frame. The body starts with a message-type
+//! byte:
 //!
 //! ```text
 //! client → collector
@@ -182,19 +186,20 @@ impl<'a> RequestRef<'a> {
     /// Parses a message body.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, CollectorError> {
         let mut reader = Reader::new(bytes);
-        let request = match read_u8(&mut reader)? {
-            1 => RequestRef::Submit(read_submission(&mut reader, None)?),
+        let request = match reader.get_u8("truncated frame")? {
+            tag @ (1 | 3) => RequestRef::Submit(Submission {
+                crowd_prefix: match tag {
+                    3 => Some(reader.get_u64("truncated crowd prefix")?),
+                    _ => None,
+                },
+                nonce: reader.get_fixed("truncated nonce")?,
+                report: reader.get_slice("truncated report")?,
+            }),
             2 => RequestRef::Ping,
-            3 => {
-                let crowd_prefix = reader
-                    .get_u64()
-                    .map_err(|_| CollectorError::Protocol("truncated crowd prefix"))?;
-                RequestRef::Submit(read_submission(&mut reader, Some(crowd_prefix))?)
-            }
             4 => RequestRef::Stats,
             _ => return Err(CollectorError::Protocol("unknown request type")),
         };
-        check_exhausted(&reader)?;
+        reader.finish("trailing frame bytes")?;
         Ok(request)
     }
 
@@ -256,80 +261,36 @@ impl Response {
     /// Parses a message body.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CollectorError> {
         let mut reader = Reader::new(bytes);
-        let response = match read_u8(&mut reader)? {
+        let response = match reader.get_u8("truncated frame")? {
             0 => Response::Ack {
-                pending: read_u32(&mut reader)?,
+                pending: reader.get_u32("truncated frame")?,
             },
             1 => Response::RetryAfter {
-                millis: read_u32(&mut reader)?,
+                millis: reader.get_u32("truncated frame")?,
             },
-            2 => {
-                let reason = reader
-                    .get_bytes()
-                    .map_err(|_| CollectorError::Protocol("truncated reason"))?;
-                Response::Rejected {
-                    reason: String::from_utf8_lossy(&reason).into_owned(),
-                }
-            }
+            2 => Response::Rejected {
+                reason: String::from_utf8_lossy(reader.get_slice("truncated reason")?).into_owned(),
+            },
             3 => Response::Duplicate,
             4 => {
-                let count = read_u32(&mut reader)? as usize;
-                let mut entries = Vec::with_capacity(count.min(1024));
+                // The smallest entry is an empty name and a value.
+                let count =
+                    reader.get_count(4 + 8, "truncated frame", "stats count exceeds frame")?;
+                let mut entries = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let name = reader
-                        .get_bytes()
-                        .map_err(|_| CollectorError::Protocol("truncated metric name"))?;
+                    let name = reader.get_bytes("truncated metric name")?;
                     let name = String::from_utf8(name)
                         .map_err(|_| CollectorError::Protocol("metric name is not utf-8"))?;
-                    let bits = reader
-                        .get_u64()
-                        .map_err(|_| CollectorError::Protocol("truncated metric value"))?;
-                    entries.push((name, f64::from_bits(bits)));
+                    let value = f64::from_bits(reader.get_u64("truncated metric value")?);
+                    entries.push((name, value));
                 }
                 Response::Stats { entries }
             }
             _ => return Err(CollectorError::Protocol("unknown response code")),
         };
-        check_exhausted(&reader)?;
+        reader.finish("trailing frame bytes")?;
         Ok(response)
     }
-}
-
-fn read_submission<'a>(
-    reader: &mut Reader<'a>,
-    crowd_prefix: Option<u64>,
-) -> Result<Submission<'a>, CollectorError> {
-    let nonce = reader
-        .get_fixed()
-        .map_err(|_| CollectorError::Protocol("truncated nonce"))?;
-    let report = reader
-        .get_slice()
-        .map_err(|_| CollectorError::Protocol("truncated report"))?;
-    Ok(Submission {
-        crowd_prefix,
-        nonce,
-        report,
-    })
-}
-
-fn check_exhausted(reader: &Reader<'_>) -> Result<(), CollectorError> {
-    if reader.is_empty() {
-        Ok(())
-    } else {
-        Err(CollectorError::Protocol("trailing frame bytes"))
-    }
-}
-
-fn read_u8(reader: &mut Reader<'_>) -> Result<u8, CollectorError> {
-    reader
-        .get_u8()
-        .map_err(|_| CollectorError::Protocol("truncated frame"))
-}
-
-fn read_u32(reader: &mut Reader<'_>) -> Result<u32, CollectorError> {
-    reader
-        .get_u32()
-        .map_err(|_| CollectorError::Protocol("truncated frame"))
 }
 
 /// Writes one length-prefixed frame under the collector policy. Does not
@@ -440,8 +401,22 @@ mod tests {
         trailing.push(0);
         assert!(Request::from_bytes(&trailing).is_err());
         assert!(Response::from_bytes(&[9]).is_err());
-        // A stats count with no entries behind it is truncated.
-        assert!(Response::from_bytes(&[4, 0, 0, 0, 1]).is_err());
+        // A stats count its bytes cannot hold is refused before anything
+        // is reserved for it.
+        assert!(matches!(
+            Response::from_bytes(&[4, 0, 0, 0, 1]),
+            Err(CollectorError::Protocol("stats count exceeds frame"))
+        ));
+        assert!(matches!(
+            Response::from_bytes(&[4, 0xff, 0xff, 0xff, 0xff]),
+            Err(CollectorError::Protocol("stats count exceeds frame"))
+        ));
+        let mut trailing = Response::Duplicate.to_bytes();
+        trailing.push(0);
+        assert!(matches!(
+            Response::from_bytes(&trailing),
+            Err(CollectorError::Protocol("trailing frame bytes"))
+        ));
     }
 
     #[test]

@@ -309,7 +309,7 @@ impl Collector {
                 busy_body: busy.to_bytes(),
                 oversize_body: oversize.to_bytes(),
                 registry,
-                thread_name: "collector-loop",
+                thread_name: "ingest-loop",
                 conns_metric: "collector.conns",
                 turn_metric: "net.loop.turn",
             },

@@ -59,16 +59,22 @@ impl CrowdId {
         out
     }
 
-    fn from_reader(reader: &mut Reader<'_>) -> Result<Self, PipelineError> {
-        match reader.get_u8()? {
-            0 => Ok(CrowdId::None),
-            1 => Ok(CrowdId::Hashed(*reader.get_fixed()?)),
+    /// Parses the crowd-ID field of a [`ShufflerEnvelope`], in place and
+    /// used up exactly.
+    fn from_field(field: &[u8]) -> Result<Self, PipelineError> {
+        let mut reader = Reader::new(field);
+        let crowd_id = match reader.get_u8("truncated crowd id")? {
+            0 => CrowdId::None,
+            1 => CrowdId::Hashed(*reader.get_fixed("truncated crowd id")?),
             2 => {
-                let ct = ElGamalCiphertext::from_bytes(reader.get_fixed::<64>()?)?;
-                Ok(CrowdId::Blinded(Box::new(ct)))
+                let ct =
+                    ElGamalCiphertext::from_bytes(reader.get_fixed::<64>("truncated crowd id")?)?;
+                CrowdId::Blinded(Box::new(ct))
             }
-            _ => Err(PipelineError::MalformedReport("unknown crowd-id tag")),
-        }
+            _ => return Err(PipelineError::MalformedReport("unknown crowd-id tag")),
+        };
+        reader.finish("trailing crowd-id bytes")?;
+        Ok(crowd_id)
     }
 }
 
@@ -108,17 +114,15 @@ impl AnalyzerPayload {
     /// Parses a payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, PipelineError> {
         let mut reader = Reader::new(bytes);
-        let payload = match reader.get_u8()? {
-            0 => AnalyzerPayload::Plain(reader.get_bytes()?),
+        let payload = match reader.get_u8("truncated payload tag")? {
+            0 => AnalyzerPayload::Plain(reader.get_bytes("truncated payload data")?),
             1 => AnalyzerPayload::SecretShared {
-                ciphertext: reader.get_bytes()?,
-                share: reader.get_bytes()?,
+                ciphertext: reader.get_bytes("truncated payload ciphertext")?,
+                share: reader.get_bytes("truncated payload share")?,
             },
             _ => return Err(PipelineError::MalformedReport("unknown payload tag")),
         };
-        if !reader.is_empty() {
-            return Err(PipelineError::MalformedReport("trailing payload bytes"));
-        }
+        reader.finish("trailing payload bytes")?;
         Ok(payload)
     }
 }
@@ -144,13 +148,9 @@ impl ShufflerEnvelope {
     /// Parses an envelope.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, PipelineError> {
         let mut reader = Reader::new(bytes);
-        let crowd_bytes = reader.get_bytes()?;
-        let mut crowd_reader = Reader::new(&crowd_bytes);
-        let crowd_id = CrowdId::from_reader(&mut crowd_reader)?;
-        let inner = reader.get_bytes()?;
-        if !reader.is_empty() {
-            return Err(PipelineError::MalformedReport("trailing envelope bytes"));
-        }
+        let crowd_id = CrowdId::from_field(reader.get_slice("truncated crowd-id field")?)?;
+        let inner = reader.get_bytes("truncated inner ciphertext")?;
+        reader.finish("trailing envelope bytes")?;
         Ok(Self { crowd_id, inner })
     }
 }
@@ -239,6 +239,26 @@ mod tests {
             let parsed = ShufflerEnvelope::from_bytes(&env.to_bytes()).unwrap();
             assert_eq!(parsed, env);
         }
+    }
+
+    #[test]
+    fn a_crowd_field_with_a_byte_past_its_crowd_id_is_refused() {
+        // Built by hand: the encoder never writes such a field. A hashed
+        // crowd ID is a tag and 32 bytes; this field carries one more.
+        let mut crowd_field = vec![1u8];
+        crowd_field.extend_from_slice(&[7u8; 32]);
+        let mut clean = Vec::new();
+        put_bytes(&mut clean, &crowd_field);
+        put_bytes(&mut clean, b"inner");
+        assert!(ShufflerEnvelope::from_bytes(&clean).is_ok());
+        crowd_field.push(0);
+        let mut padded = Vec::new();
+        put_bytes(&mut padded, &crowd_field);
+        put_bytes(&mut padded, b"inner");
+        assert_eq!(
+            ShufflerEnvelope::from_bytes(&padded),
+            Err(PipelineError::MalformedReport("trailing crowd-id bytes"))
+        );
     }
 
     #[test]

@@ -224,11 +224,6 @@ impl PublicKey {
         let point = compressed.decompress()?;
         Ok(Self { point, compressed })
     }
-
-    /// The underlying compressed point.
-    pub fn compressed(&self) -> &CompressedPoint {
-        &self.compressed
-    }
 }
 
 impl ScalarMul for PublicKey {

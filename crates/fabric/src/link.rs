@@ -48,7 +48,7 @@ impl Inbox {
     /// Checks one frame's envelope header in place against the link's peer
     /// and the stage's next sequence number, and takes that number.
     fn check(&mut self, peer: Peer, frame: &[u8]) -> Result<Stage, FabricError> {
-        let (from, stage, seq) = Envelope::parse_header(frame)?;
+        let (from, stage, seq, payload) = Envelope::parse_header(frame)?;
         if from != peer {
             return Err(FabricError::WrongPeer {
                 expected: peer,
@@ -66,7 +66,7 @@ impl Inbox {
             });
         }
         *expected += 1;
-        metrics::frame_received(channel, frame.len() - ENVELOPE_HEADER_LEN);
+        metrics::frame_received(channel, payload.len());
         Ok(stage)
     }
 }

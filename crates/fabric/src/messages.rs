@@ -15,10 +15,13 @@
 //! reads the reports out of the frame: [`BatchToOne`] parses the outer
 //! ciphertexts Shuffler 1 opens, and [`BatchToTwo`] and [`ItemsBatch`]
 //! borrow their byte strings from the frame (see
-//! [`WireMessage::Decoded`]). Every list's element count is checked
-//! against the bytes left for it before anything is reserved, so a hostile
-//! count cannot make a receiver allocate more than a small multiple of the
-//! frame it sent.
+//! [`WireMessage::Decoded`]). Every decoder is a chain of labelled
+//! [`Reader`] reads whose errors become [`FabricError::Malformed`]: it
+//! checks its tag with [`Reader::expect_tag`], reads every list's element
+//! count with [`Reader::get_count`] — which refuses a count the bytes left
+//! cannot hold before anything is reserved, so a hostile count cannot make
+//! a receiver allocate more than a small multiple of the frame it sent —
+//! and ends in [`Reader::finish`].
 //!
 //! Statistics cross the wire with their counters intact and timings as
 //! IEEE-754 bit patterns; the batch-level merged view is *not* shipped —
@@ -47,59 +50,10 @@ const TAG_TOO_SMALL: u8 = 0x23;
 const BACKEND_BLIND: u8 = 1;
 const BACKEND_INLINE: u8 = 2;
 
-fn get_usize(reader: &mut Reader<'_>, what: &'static str) -> Result<usize, FabricError> {
-    let value = reader.get_u64().map_err(|_| FabricError::Malformed(what))?;
-    usize::try_from(value).map_err(|_| FabricError::Malformed(what))
-}
-
-fn get_u64(reader: &mut Reader<'_>, what: &'static str) -> Result<u64, FabricError> {
-    reader.get_u64().map_err(|_| FabricError::Malformed(what))
-}
-
-fn get_u16(reader: &mut Reader<'_>, what: &'static str) -> Result<u16, FabricError> {
-    let value = reader.get_u32().map_err(|_| FabricError::Malformed(what))?;
-    u16::try_from(value).map_err(|_| FabricError::Malformed(what))
-}
-
-/// Reads a u32 element count (the width the encoders write) and refuses
-/// one that the rest of the message cannot hold at `min_len` encoded bytes
-/// per element, so a decoder reserves room for what the frame can really
-/// carry and never for what a peer claims.
-fn get_count(
-    reader: &mut Reader<'_>,
-    min_len: usize,
-    truncated: &'static str,
-    exceeds: &'static str,
-) -> Result<usize, FabricError> {
-    let count = reader
-        .get_u32()
-        .map_err(|_| FabricError::Malformed(truncated))? as usize;
-    if count > reader.remaining() / min_len {
-        return Err(FabricError::Malformed(exceeds));
-    }
-    Ok(count)
-}
-
-fn get_slice<'a>(reader: &mut Reader<'a>, what: &'static str) -> Result<&'a [u8], FabricError> {
-    reader.get_slice().map_err(|_| FabricError::Malformed(what))
-}
-
-fn expect_tag(reader: &mut Reader<'_>, tag: u8) -> Result<(), FabricError> {
-    let actual = reader
-        .get_u8()
-        .map_err(|_| FabricError::Malformed("missing message tag"))?;
-    if actual != tag {
-        return Err(FabricError::Malformed("unexpected message tag"));
-    }
-    Ok(())
-}
-
-fn finish(reader: &Reader<'_>) -> Result<(), FabricError> {
-    if !reader.is_empty() {
-        return Err(FabricError::Malformed("trailing message bytes"));
-    }
-    Ok(())
-}
+/// The error labels every decoder shares: a missing or foreign message tag,
+/// and bytes past the end of a message.
+const UNEXPECTED_TAG: &str = "unexpected message tag";
+const TRAILING: &str = "trailing message bytes";
 
 /// Encoded size of one [`ShufflerStats`]: the backend tag, eight counters
 /// and three timings.
@@ -157,21 +111,18 @@ fn encode_stats(out: &mut Vec<u8>, stats: &ShufflerStats) -> Result<(), FabricEr
 }
 
 fn decode_stats(reader: &mut Reader<'_>) -> Result<ShufflerStats, FabricError> {
-    let backend = match reader
-        .get_u8()
-        .map_err(|_| FabricError::Malformed("truncated stats"))?
-    {
+    let backend = match reader.get_u8("truncated stats")? {
         BACKEND_BLIND => "blind",
         BACKEND_INLINE => "inline",
         _ => return Err(FabricError::Malformed("unknown stats backend tag")),
     };
     let mut counts = [0usize; 8];
     for count in &mut counts {
-        *count = get_usize(reader, "truncated stats counter")?;
+        *count = reader.get_u64("truncated stats counter")?;
     }
     let mut seconds = [0f64; 3];
     for value in &mut seconds {
-        *value = f64::from_bits(get_u64(reader, "truncated stats timing")?);
+        *value = f64::from_bits(reader.get_u64("truncated stats timing")?);
     }
     let [received, forwarded, dropped_noise, dropped_threshold, rejected, crowds_seen, crowds_forwarded, shuffle_attempts] =
         counts;
@@ -198,8 +149,8 @@ fn decode_stats(reader: &mut Reader<'_>) -> Result<ShufflerStats, FabricError> {
 /// Parses the end-of-stream marker: its tag and nothing after it.
 fn decode_done(bytes: &[u8]) -> Result<(), FabricError> {
     let mut reader = Reader::new(bytes);
-    expect_tag(&mut reader, TAG_DONE)?;
-    finish(&reader)
+    reader.expect_tag(TAG_DONE, UNEXPECTED_TAG)?;
+    Ok(reader.finish(TRAILING)?)
 }
 
 /// A canonicalized epoch batch: collector shard → Shuffler 1.
@@ -256,20 +207,19 @@ impl<R: Borrow<HybridCiphertext>> WireMessage for BatchToOne<R> {
 
     fn from_wire(bytes: &[u8]) -> Result<BatchToOne, FabricError> {
         let mut reader = Reader::new(bytes);
-        expect_tag(&mut reader, TAG_BATCH_TO_ONE)?;
-        let shard = get_u16(&mut reader, "truncated shard index")?;
-        let epoch_index = get_u64(&mut reader, "truncated epoch index")?;
-        let s1_seed = get_u64(&mut reader, "truncated stage-one seed")?;
-        let s2_seed = get_u64(&mut reader, "truncated stage-two seed")?;
-        let count = get_count(
-            &mut reader,
+        reader.expect_tag(TAG_BATCH_TO_ONE, UNEXPECTED_TAG)?;
+        let shard = reader.get_u32("truncated shard index")?;
+        let epoch_index = reader.get_u64("truncated epoch index")?;
+        let s1_seed = reader.get_u64("truncated stage-one seed")?;
+        let s2_seed = reader.get_u64("truncated stage-two seed")?;
+        let count = reader.get_count(
             MIN_REPORT_LEN,
             "truncated report count",
             "report count exceeds message",
         )?;
         let mut reports = Vec::with_capacity(count);
         for _ in 0..count {
-            let outer = get_slice(&mut reader, "truncated report")?;
+            let outer = reader.get_slice("truncated report")?;
             // The shard serialized real reports; a parse failure here is
             // corruption, not client garbage (that was screened at ingest).
             reports.push(
@@ -277,7 +227,7 @@ impl<R: Borrow<HybridCiphertext>> WireMessage for BatchToOne<R> {
                     .map_err(|_| FabricError::Malformed("invalid outer ciphertext"))?,
             );
         }
-        finish(&reader)?;
+        reader.finish(TRAILING)?;
         Ok(BatchToOne {
             shard,
             epoch_index,
@@ -339,30 +289,25 @@ impl<I: AsRef<[u8]>> WireMessage for BatchToTwo<I> {
 
     fn from_wire(bytes: &[u8]) -> Result<BatchToTwo<&[u8]>, FabricError> {
         let mut reader = Reader::new(bytes);
-        expect_tag(&mut reader, TAG_BATCH_TO_TWO)?;
-        let shard = get_u16(&mut reader, "truncated shard index")?;
-        let epoch_index = get_u64(&mut reader, "truncated epoch index")?;
-        let s2_seed = get_u64(&mut reader, "truncated stage-two seed")?;
-        let received = get_usize(&mut reader, "truncated received count")?;
+        reader.expect_tag(TAG_BATCH_TO_TWO, UNEXPECTED_TAG)?;
+        let shard = reader.get_u32("truncated shard index")?;
+        let epoch_index = reader.get_u64("truncated epoch index")?;
+        let s2_seed = reader.get_u64("truncated stage-two seed")?;
+        let received = reader.get_u64("truncated received count")?;
         let stage_one = decode_stats(&mut reader)?;
-        let count = get_count(
-            &mut reader,
+        let count = reader.get_count(
             MIN_RECORD_LEN,
             "truncated record count",
             "record count exceeds message",
         )?;
         let mut records = Vec::with_capacity(count);
         for _ in 0..count {
-            let blinded_crowd = *reader
-                .get_fixed()
-                .map_err(|_| FabricError::Malformed("truncated blinded crowd id"))?;
-            let inner = get_slice(&mut reader, "truncated inner ciphertext")?;
             records.push(BlindedRecord {
-                blinded_crowd,
-                inner,
+                blinded_crowd: *reader.get_fixed("truncated blinded crowd id")?,
+                inner: reader.get_slice("truncated inner ciphertext")?,
             });
         }
-        finish(&reader)?;
+        reader.finish(TRAILING)?;
         Ok(BatchToTwo {
             shard,
             epoch_index,
@@ -421,23 +366,22 @@ impl<I: AsRef<[u8]>> WireMessage for ItemsBatch<I> {
 
     fn from_wire(bytes: &[u8]) -> Result<ItemsBatch<&[u8]>, FabricError> {
         let mut reader = Reader::new(bytes);
-        expect_tag(&mut reader, TAG_ITEMS)?;
-        let shard = get_u16(&mut reader, "truncated shard index")?;
-        let epoch_index = get_u64(&mut reader, "truncated epoch index")?;
-        let received = get_usize(&mut reader, "truncated received count")?;
+        reader.expect_tag(TAG_ITEMS, UNEXPECTED_TAG)?;
+        let shard = reader.get_u32("truncated shard index")?;
+        let epoch_index = reader.get_u64("truncated epoch index")?;
+        let received = reader.get_u64("truncated received count")?;
         let stage_one = decode_stats(&mut reader)?;
         let stage_two = decode_stats(&mut reader)?;
-        let count = get_count(
-            &mut reader,
+        let count = reader.get_count(
             MIN_BLOB_LEN,
             "truncated item count",
             "item count exceeds message",
         )?;
         let mut items = Vec::with_capacity(count);
         for _ in 0..count {
-            items.push(get_slice(&mut reader, "truncated item")?);
+            items.push(reader.get_slice("truncated item")?);
         }
-        finish(&reader)?;
+        reader.finish(TRAILING)?;
         Ok(ItemsBatch {
             shard,
             epoch_index,
@@ -558,14 +502,14 @@ impl<I: AsRef<[u8]>> WireMessage for ToShard<I> {
             Some(&TAG_ITEMS) => Ok(ToShard::Items(Box::new(<ItemsBatch>::from_wire(bytes)?))),
             Some(&TAG_TOO_SMALL) => {
                 let mut reader = Reader::new(bytes);
-                expect_tag(&mut reader, TAG_TOO_SMALL)?;
+                reader.expect_tag(TAG_TOO_SMALL, UNEXPECTED_TAG)?;
                 let refusal = ToShard::TooSmall {
-                    shard: get_u16(&mut reader, "truncated shard index")?,
-                    epoch_index: get_u64(&mut reader, "truncated epoch index")?,
-                    received: get_usize(&mut reader, "truncated received count")?,
-                    minimum: get_usize(&mut reader, "truncated minimum")?,
+                    shard: reader.get_u32("truncated shard index")?,
+                    epoch_index: reader.get_u64("truncated epoch index")?,
+                    received: reader.get_u64("truncated received count")?,
+                    minimum: reader.get_u64("truncated minimum")?,
                 };
-                finish(&reader)?;
+                reader.finish(TRAILING)?;
                 Ok(refusal)
             }
             _ => Err(FabricError::Malformed("unknown answer-stream tag")),

@@ -98,9 +98,9 @@ pub struct RouterStats {
 
 #[derive(Default)]
 struct Counters {
-    routed: AtomicU64,
-    rejected: AtomicU64,
-    forward_failures: AtomicU64,
+    routed: Arc<AtomicU64>,
+    rejected: Arc<AtomicU64>,
+    forward_failures: Arc<AtomicU64>,
 }
 
 impl Counters {
@@ -150,6 +150,13 @@ impl ShardRouter {
     /// shard count every prefix is reduced by.
     pub fn start(config: RouterConfig, make_sinks: SinkFactory) -> Result<Self, CollectorError> {
         let counters = Arc::new(Counters::default());
+        for (name, cell) in [
+            ("fabric.router.routed", &counters.routed),
+            ("fabric.router.rejected", &counters.rejected),
+            ("fabric.router.forward_failures", &counters.forward_failures),
+        ] {
+            prochlo_obs::global().read_through(name, Arc::clone(cell));
+        }
         let busy = Response::RetryAfter {
             millis: RETRY_AFTER_MS,
         };
@@ -177,10 +184,7 @@ impl ShardRouter {
                     sinks,
                     arrivals: Vec::new(),
                     counters: Arc::clone(&counters),
-                    obs_routed: prochlo_obs::counter("fabric.router.routed"),
                     obs_exchanges: prochlo_obs::counter("fabric.router.exchanges"),
-                    obs_rejected: prochlo_obs::counter("fabric.router.rejected"),
-                    obs_forward_failures: prochlo_obs::counter("fabric.router.forward_failures"),
                     obs_forward: prochlo_obs::histogram("fabric.router.forward"),
                 })
             },
@@ -207,7 +211,8 @@ impl ShardRouter {
 }
 
 /// One event loop's protocol handler: its own sink per shard, this turn's
-/// parked submissions, and the obs mirrors of the [`RouterStats`] counters.
+/// parked submissions, and the counters behind [`RouterStats`], which the
+/// process-wide registry reads through as `fabric.router.*`.
 struct Route {
     sinks: Vec<Box<dyn ReportSink + Send>>,
     /// Per shard, the routed submissions parked this turn. Empty between
@@ -217,12 +222,9 @@ struct Route {
     /// the harness wants the verdicts back in.
     arrivals: Vec<usize>,
     counters: Arc<Counters>,
-    obs_routed: prochlo_obs::Counter,
     /// `submit_batch` calls, so `routed / exchanges` reads as reports per
     /// exchange.
     obs_exchanges: prochlo_obs::Counter,
-    obs_rejected: prochlo_obs::Counter,
-    obs_forward_failures: prochlo_obs::Counter,
     /// Times each exchange (`fabric.router.forward`).
     obs_forward: prochlo_obs::Histogram,
 }
@@ -230,7 +232,6 @@ struct Route {
 impl Route {
     fn reject(&self, reason: &str) -> Response {
         self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        self.obs_rejected.inc();
         Response::Rejected {
             reason: reason.to_string(),
         }
@@ -260,14 +261,12 @@ impl Route {
                 self.counters
                     .routed
                     .fetch_add(reports as u64, Ordering::Relaxed);
-                self.obs_routed.add(reports as u64);
                 verdicts
             }
             _ => {
                 self.counters
                     .forward_failures
                     .fetch_add(reports as u64, Ordering::Relaxed);
-                self.obs_forward_failures.add(reports as u64);
                 let retry = Response::RetryAfter {
                     millis: RETRY_AFTER_MS,
                 };

@@ -126,11 +126,9 @@ impl TcpTransportBuilder {
             // The pump reads nonblocking; a leftover timeout would only
             // surprise the next blocking reader.
             stream.set_read_timeout(None)?;
-            let mut cursor = Reader::new(&hello);
-            let peer = Peer::decode(&mut cursor)?;
-            if !cursor.is_empty() {
-                return Err(FabricError::Malformed("trailing bytes in hello frame"));
-            }
+            let mut reader = Reader::new(&hello);
+            let peer = Peer::decode(&mut reader)?;
+            reader.finish("trailing bytes in hello frame")?;
             accepted.push(peer);
             self.pending.push((peer, stream));
         }

@@ -18,7 +18,7 @@ use std::fmt;
 use std::marker::PhantomData;
 
 use prochlo_core::framing::{frame_header, FrameError, FramePolicy};
-use prochlo_core::wire::{put_bytes, put_u32, put_u64, put_u8, Reader};
+use prochlo_core::wire::{put_bytes, put_u32, put_u64, put_u8, Reader, WireError};
 
 /// Version byte of every fabric frame. Distinct from the collector
 /// protocol's version so a fabric peer dialed into a collector port (or
@@ -86,12 +86,8 @@ impl Peer {
 
     /// Decodes one peer, rejecting unknown tags loudly.
     pub fn decode(reader: &mut Reader<'_>) -> Result<Self, FabricError> {
-        let tag = reader
-            .get_u8()
-            .map_err(|_| FabricError::Malformed("truncated peer"))?;
-        let index = reader
-            .get_u32()
-            .map_err(|_| FabricError::Malformed("truncated peer index"))?;
+        let tag = reader.get_u8("truncated peer")?;
+        let index: u32 = reader.get_u32("truncated peer index")?;
         let peer = match tag {
             2 => Peer::ShufflerOne,
             3 => Peer::ShufflerTwo,
@@ -145,9 +141,7 @@ impl Stage {
 
     /// Decodes one stage, rejecting unknown tags loudly.
     pub fn decode(reader: &mut Reader<'_>) -> Result<Self, FabricError> {
-        let tag = reader
-            .get_u8()
-            .map_err(|_| FabricError::Malformed("truncated stage"))?;
+        let tag = reader.get_u8("truncated stage")?;
         match tag {
             1 => Ok(Stage::Batch),
             2 => Ok(Stage::Records),
@@ -229,46 +223,30 @@ impl Envelope {
         put_u32(out, payload_len as u32);
     }
 
-    /// Parses an encoded envelope's header in place, with every check
-    /// [`Self::from_bytes`] makes (unknown tags, truncation, trailing
-    /// bytes), and returns the sender, stage and sequence number. The
-    /// payload is `bytes[ENVELOPE_HEADER_LEN..]`, left where it lies.
-    pub(crate) fn parse_header(bytes: &[u8]) -> Result<(Peer, Stage, u64), FabricError> {
+    /// Parses an encoded envelope in place, refusing unknown tags,
+    /// truncation and trailing bytes, and returns the sender, stage,
+    /// sequence number and the payload, `bytes[ENVELOPE_HEADER_LEN..]`,
+    /// borrowed where it lies.
+    pub(crate) fn parse_header(bytes: &[u8]) -> Result<(Peer, Stage, u64, &[u8]), FabricError> {
         let mut reader = Reader::new(bytes);
         let from = Peer::decode(&mut reader)?;
         let stage = Stage::decode(&mut reader)?;
-        let seq = reader
-            .get_u64()
-            .map_err(|_| FabricError::Malformed("truncated sequence number"))?;
-        let len = reader
-            .get_u32()
-            .map_err(|_| FabricError::Malformed("truncated payload"))?;
-        match reader.remaining().cmp(&(len as usize)) {
-            std::cmp::Ordering::Less => Err(FabricError::Malformed("truncated payload")),
-            std::cmp::Ordering::Greater => Err(FabricError::Malformed("trailing envelope bytes")),
-            std::cmp::Ordering::Equal => Ok((from, stage, seq)),
-        }
+        let seq = reader.get_u64("truncated sequence number")?;
+        let payload = reader.get_slice("truncated payload")?;
+        reader.finish("trailing envelope bytes")?;
+        Ok((from, stage, seq, payload))
     }
 
-    /// Parses one envelope, rejecting unknown channels and trailing bytes.
+    /// Parses one envelope, refusing unknown channels, truncation and
+    /// trailing bytes: the in-place parser every link runs, plus a copy of
+    /// the payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FabricError> {
-        let mut reader = Reader::new(bytes);
-        let from = Peer::decode(&mut reader)?;
-        let stage = Stage::decode(&mut reader)?;
-        let seq = reader
-            .get_u64()
-            .map_err(|_| FabricError::Malformed("truncated sequence number"))?;
-        let payload = reader
-            .get_bytes()
-            .map_err(|_| FabricError::Malformed("truncated payload"))?;
-        if !reader.is_empty() {
-            return Err(FabricError::Malformed("trailing envelope bytes"));
-        }
+        let (from, stage, seq, payload) = Self::parse_header(bytes)?;
         Ok(Self {
             from,
             stage,
             seq,
-            payload,
+            payload: payload.to_vec(),
         })
     }
 }
@@ -360,6 +338,12 @@ impl From<FrameError> for FabricError {
             FrameError::Closed => FabricError::Closed,
             other => FabricError::Frame(other),
         }
+    }
+}
+
+impl From<WireError> for FabricError {
+    fn from(e: WireError) -> Self {
+        FabricError::Malformed(e.0)
     }
 }
 
@@ -498,11 +482,6 @@ impl<'t, T: WireMessage> TypedChannel<'t, T> {
         }
     }
 
-    /// The channel this view wraps.
-    pub fn id(&self) -> ChannelId {
-        self.id
-    }
-
     /// Sends one typed message to the channel's peer.
     pub fn send(&self, message: &T) -> Result<(), FabricError> {
         self.transport
@@ -599,19 +578,10 @@ mod tests {
             Envelope::put_header(&mut header, peer, Stage::Items, envelope.seq, 300);
             assert_eq!(header.len(), ENVELOPE_HEADER_LEN);
             assert_eq!(header, bytes[..ENVELOPE_HEADER_LEN]);
-            assert_eq!(
-                Envelope::parse_header(&bytes).unwrap(),
-                (peer, Stage::Items, envelope.seq)
-            );
-            // Every cut and one trailing byte fail both parsers alike.
-            let mut trailing = bytes.clone();
-            trailing.push(0);
-            let cuts = (0..bytes.len()).map(|cut| &bytes[..cut]);
-            for broken in cuts.chain([&trailing[..]]) {
-                let reference = Envelope::from_bytes(broken).unwrap_err().to_string();
-                let in_place = Envelope::parse_header(broken).unwrap_err().to_string();
-                assert_eq!(in_place, reference, "{} bytes", broken.len());
-            }
+            let (from, stage, seq, payload) = Envelope::parse_header(&bytes).unwrap();
+            assert_eq!((from, stage, seq), (peer, Stage::Items, envelope.seq));
+            // The payload is borrowed where it lies, right after the header.
+            assert!(std::ptr::eq(payload, &bytes[ENVELOPE_HEADER_LEN..]));
         }
     }
 

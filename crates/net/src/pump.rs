@@ -53,7 +53,9 @@ impl FramePump {
     /// [`crate::conn::send_frame`]-style offset loops from then on.
     ///
     /// `on_event` runs on the pump thread; it must not block for long, or
-    /// it stalls every multiplexed stream.
+    /// it stalls every multiplexed stream. The thread is named
+    /// `pump-<name>`: a `name` of at most 10 bytes stays whole in the
+    /// kernel's 15.
     pub fn spawn<F>(
         name: &str,
         policy: FramePolicy,
@@ -74,7 +76,7 @@ impl FramePump {
         let waker = reactor.waker();
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
-            .name(format!("prochlo-pump-{name}"))
+            .name(format!("pump-{name}"))
             .spawn(move || {
                 let mut events = Vec::new();
                 while !stop_flag.load(Ordering::Acquire) && !conns.is_empty() {

@@ -79,10 +79,13 @@ pub struct ServerConfig {
     pub oversize_body: Vec<u8>,
     /// Registry the loops report into.
     pub registry: Arc<prochlo_obs::Registry>,
-    /// Loop threads are named `<thread_name>-<index>`.
+    /// Loop threads are named `<thread_name>-<index>`. The kernel keeps 15
+    /// bytes of a thread's name, so a `thread_name` of at most 12 bytes
+    /// stays whole in `top` and `perf` up to a two-digit index.
     pub thread_name: &'static str,
-    /// Prefix of the connection metrics: gauge `<prefix>.open`, counters
-    /// `<prefix>.accepted`, `<prefix>.refused` and `<prefix>.evicted`.
+    /// Prefix of the connection metrics: gauge `<prefix>.open`, and
+    /// `<prefix>.accepted`, `<prefix>.refused` and `<prefix>.evicted`,
+    /// which the registry reads through from the [`ServerStats`] cells.
     pub conns_metric: &'static str,
     /// Span histogram timing the work (not the idle wait) of each turn.
     pub turn_metric: &'static str,
@@ -139,9 +142,11 @@ pub struct ServerStats {
 struct Shared {
     shutting_down: AtomicBool,
     open: AtomicU64,
-    accepted: AtomicU64,
-    refused: AtomicU64,
-    evicted: AtomicU64,
+    /// The connection counts, which the registry reads through as
+    /// `<conns_metric>.{accepted,refused,evicted}`.
+    accepted: Arc<AtomicU64>,
+    refused: Arc<AtomicU64>,
+    evicted: Arc<AtomicU64>,
 }
 
 /// Connections dealt to one loop: loop 0 pushes and wakes, the owning loop
@@ -189,11 +194,20 @@ impl Server {
             .collect();
 
         let shared = Arc::new(Shared::default());
+        let metric = |leaf: &str| format!("{}.{leaf}", config.conns_metric);
+        for (leaf, cell) in [
+            ("accepted", &shared.accepted),
+            ("refused", &shared.refused),
+            ("evicted", &shared.evicted),
+        ] {
+            config
+                .registry
+                .read_through(&metric(leaf), Arc::clone(cell));
+        }
         let mut listener = Some(listener);
         let mut threads = Vec::with_capacity(loops);
         for (index, (mut reactor, handler)) in parts.into_iter().enumerate() {
             let listener = listener.take();
-            let metric = |leaf: &str| format!("{}.{leaf}", config.conns_metric);
             let event_loop = EventLoop {
                 index,
                 accept_token: listener
@@ -208,9 +222,6 @@ impl Server {
                 deferred: Vec::new(),
                 shared: Arc::clone(&shared),
                 conns_open: config.registry.gauge(&metric("open")),
-                conns_accepted: config.registry.counter(&metric("accepted")),
-                conns_refused: config.registry.counter(&metric("refused")),
-                conns_evicted: config.registry.counter(&metric("evicted")),
                 turn: config.registry.histogram(config.turn_metric),
                 config: config.clone(),
             };
@@ -287,9 +298,6 @@ struct EventLoop<H: Handler> {
     shared: Arc<Shared>,
     config: ServerConfig,
     conns_open: prochlo_obs::Gauge,
-    conns_accepted: prochlo_obs::Counter,
-    conns_refused: prochlo_obs::Counter,
-    conns_evicted: prochlo_obs::Counter,
     /// Times the work of each turn (`ServerConfig::turn_metric`).
     turn: prochlo_obs::Histogram,
 }
@@ -480,7 +488,6 @@ impl<H: Handler> EventLoop<H> {
         self.conns_open.set(open.saturating_sub(1) as i64);
         if evicted {
             self.shared.evicted.fetch_add(1, Ordering::Relaxed);
-            self.conns_evicted.inc();
         }
     }
 
@@ -503,7 +510,6 @@ impl<H: Handler> EventLoop<H> {
         let open = self.shared.open.load(Ordering::Relaxed);
         if open >= self.config.max_conns as u64 {
             self.shared.refused.fetch_add(1, Ordering::Relaxed);
-            self.conns_refused.inc();
             return self.refuse(stream);
         }
         let _ = stream.set_nodelay(true);
@@ -516,7 +522,6 @@ impl<H: Handler> EventLoop<H> {
         };
         self.shared.open.fetch_add(1, Ordering::Relaxed);
         let nth = self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-        self.conns_accepted.inc();
         self.conns_open.set(open as i64 + 1);
         // Round-robin: the nth accepted connection goes to loop n mod N
         // (loop 0 included — its own wake makes the next turn immediate).

@@ -82,11 +82,6 @@ impl Laplace {
         Self { mu, scale }
     }
 
-    /// Location parameter.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
     /// Draws one sample via inverse-CDF sampling.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // u uniform in (-0.5, 0.5).

@@ -1,18 +1,26 @@
-//! Property tests for the fabric wire layer: envelopes and typed messages
-//! round-trip exactly, and no malformed, truncated or misaddressed input
-//! ever panics. The fabric's receive path faces whatever the other end of
-//! a socket sends, so — exactly as for `prochlo_core::wire` — "worst case
-//! is an error" is a hard requirement. The TCP transport writes its frames
-//! in pieces (frame header, envelope header, payload); the bytes it puts on
-//! the socket must be exactly the reference `Envelope::to_bytes` framed by
-//! `write_frame`.
+//! Property tests for the decoders that face a peer: the fabric's envelopes
+//! and typed messages, the collector protocol's requests and responses, and
+//! the core report formats a shuffler and an analyzer peel. Each
+//! round-trips exactly, refuses every truncation and a trailing byte, and
+//! never panics on malformed, truncated or misaddressed input: a receive
+//! path faces whatever the other end of a socket sends, so — exactly as
+//! for `prochlo_core::wire` — "worst case is an error" is a hard
+//! requirement. `Envelope::from_bytes` is the in-place parser every link
+//! runs plus a copy of the payload, so the envelope properties fuzz the
+//! production parser. The TCP transport writes its frames in pieces (frame
+//! header, envelope header, payload); the bytes it puts on the socket must
+//! be exactly the reference `Envelope::to_bytes` framed by `write_frame`.
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener};
 
+use prochlo_collector::protocol::{Request, RequestRef, Response, NONCE_LEN};
+use prochlo_collector::CollectorError;
 use prochlo_core::framing::{FrameRead, FrameWrite};
+use prochlo_core::record::{AnalyzerPayload, CrowdId, ShufflerEnvelope};
 use prochlo_core::shuffler::split::BlindedRecord;
 use prochlo_core::shuffler::{PhaseTimings, ShufflerStats};
+use prochlo_crypto::elgamal::{ElGamalCiphertext, ElGamalKeypair};
 use prochlo_crypto::hybrid::HybridCiphertext;
 use prochlo_fabric::transport::{frame_policy, WireMessage};
 use prochlo_fabric::{
@@ -101,6 +109,78 @@ fn records(seed: u64, inners: &[Vec<u8>]) -> Vec<BlindedRecord<&[u8]>> {
         .collect()
 }
 
+/// One collector request of each kind `kind % 4` selects.
+fn request(seed: u64, kind: u8, report_len: usize) -> Request {
+    let nonce = [(seed % 251) as u8; NONCE_LEN];
+    let report = bytes_from_seed(seed, report_len);
+    match kind % 4 {
+        0 => Request::Submit { nonce, report },
+        1 => Request::Ping,
+        2 => Request::SubmitRouted {
+            crowd_prefix: seed,
+            nonce,
+            report,
+        },
+        _ => Request::Stats,
+    }
+}
+
+/// One collector response of each kind `kind % 5` selects; text fields
+/// are ASCII so they round-trip.
+fn response(seed: u64, kind: u8, entries: usize) -> Response {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut text = |max: usize| -> String {
+        let len = rng.gen_range(0..=max);
+        (0..len)
+            .map(|_| rng.gen_range(b'a'..=b'z') as char)
+            .collect()
+    };
+    match kind % 5 {
+        0 => Response::Ack {
+            pending: seed as u32,
+        },
+        1 => Response::RetryAfter {
+            millis: (seed >> 32) as u32,
+        },
+        2 => Response::Rejected { reason: text(40) },
+        3 => Response::Duplicate,
+        _ => Response::Stats {
+            entries: (0..entries)
+                .map(|i| (text(24), f64::from_bits(seed.rotate_left(i as u32))))
+                .collect(),
+        },
+    }
+}
+
+/// One crowd ID of each kind `kind % 3` selects.
+fn crowd_id(seed: u64, kind: u8) -> CrowdId {
+    let mut rng = StdRng::seed_from_u64(seed);
+    match kind % 3 {
+        0 => CrowdId::None,
+        1 => CrowdId::hashed(&seed.to_le_bytes()),
+        _ => {
+            let keys = ElGamalKeypair::generate(&mut rng);
+            CrowdId::Blinded(Box::new(ElGamalCiphertext::encrypt_hashed(
+                &mut rng,
+                keys.public_key(),
+                &seed.to_le_bytes(),
+            )))
+        }
+    }
+}
+
+/// Asserts that `accepts` holds for `bytes` and fails for every strict
+/// prefix of it and for `bytes` with one byte appended.
+fn refuses_every_cut_and_a_trailing_byte(bytes: &[u8], accepts: impl Fn(&[u8]) -> bool) {
+    assert!(accepts(bytes));
+    for cut in 0..bytes.len() {
+        assert!(!accepts(&bytes[..cut]), "cut {cut}");
+    }
+    let mut extended = bytes.to_vec();
+    extended.push(0);
+    assert!(!accepts(&extended), "trailing byte");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -134,6 +214,80 @@ proptest! {
         let _ = <ToOne>::from_wire(&bytes);
         let _ = <ToTwo>::from_wire(&bytes);
         let _ = <ToShard>::from_wire(&bytes);
+        let _ = RequestRef::parse(&bytes);
+        let _ = Response::from_bytes(&bytes);
+        let _ = AnalyzerPayload::from_bytes(&bytes);
+        let _ = ShufflerEnvelope::from_bytes(&bytes);
+    }
+
+    #[test]
+    fn prop_collector_messages_refuse_every_cut_and_a_trailing_byte(
+        seed in any::<u64>(),
+        kind in any::<u8>(),
+        len in 0usize..48,
+    ) {
+        let request = request(seed, kind, len);
+        let bytes = request.to_bytes();
+        prop_assert_eq!(Request::from_bytes(&bytes).unwrap(), request);
+        refuses_every_cut_and_a_trailing_byte(&bytes, |b| RequestRef::parse(b).is_ok());
+
+        let response = response(seed, kind, len % 6);
+        let bytes = response.to_bytes();
+        prop_assert_eq!(Response::from_bytes(&bytes).unwrap(), response);
+        refuses_every_cut_and_a_trailing_byte(&bytes, |b| Response::from_bytes(b).is_ok());
+    }
+
+    #[test]
+    fn prop_a_stats_count_its_bytes_cannot_hold_is_refused(
+        seed in any::<u64>(),
+        entries in 0usize..6,
+        excess in any::<u32>(),
+    ) {
+        // The smallest entry is an empty name and a value: 12 bytes. Any
+        // count above what the bytes after it hold at that size fails
+        // before the parser reserves anything for it.
+        let mut bytes = response(seed, 4, entries).to_bytes();
+        let most = (bytes.len() - 5) / 12;
+        let count = (most as u32).saturating_add(1).saturating_add(excess);
+        bytes[1..5].copy_from_slice(&count.to_le_bytes());
+        prop_assert!(matches!(
+            Response::from_bytes(&bytes),
+            Err(CollectorError::Protocol("stats count exceeds frame"))
+        ));
+    }
+
+    #[test]
+    fn prop_report_formats_refuse_every_cut_and_a_trailing_byte(
+        seed in any::<u64>(),
+        kind in any::<u8>(),
+        len in 0usize..48,
+    ) {
+        let payload = match kind % 2 {
+            0 => AnalyzerPayload::Plain(bytes_from_seed(seed, len)),
+            _ => AnalyzerPayload::SecretShared {
+                ciphertext: bytes_from_seed(seed, len),
+                share: bytes_from_seed(seed ^ 1, 64),
+            },
+        };
+        let bytes = payload.to_bytes();
+        prop_assert_eq!(AnalyzerPayload::from_bytes(&bytes).unwrap(), payload);
+        refuses_every_cut_and_a_trailing_byte(&bytes, |b| AnalyzerPayload::from_bytes(b).is_ok());
+
+        let envelope = ShufflerEnvelope {
+            crowd_id: crowd_id(seed, kind),
+            inner: bytes_from_seed(seed ^ 2, len),
+        };
+        let bytes = envelope.to_bytes();
+        prop_assert_eq!(ShufflerEnvelope::from_bytes(&bytes).unwrap(), envelope);
+        refuses_every_cut_and_a_trailing_byte(&bytes, |b| ShufflerEnvelope::from_bytes(b).is_ok());
+        // A crowd-ID field one byte longer than its crowd ID is refused
+        // too: the field is used up exactly, not only the envelope.
+        let field_len = u32::from_le_bytes(bytes[..4].try_into().unwrap());
+        let mut longer = (field_len + 1).to_le_bytes().to_vec();
+        longer.extend_from_slice(&bytes[4..4 + field_len as usize]);
+        longer.push(0);
+        longer.extend_from_slice(&bytes[4 + field_len as usize..]);
+        prop_assert!(ShufflerEnvelope::from_bytes(&longer).is_err());
     }
 
     #[test]

@@ -119,12 +119,12 @@ impl Service {
     }
 
     /// Connections the front server evicted at the progress deadline. The
-    /// router reports them only as a process-wide obs counter (dead under
-    /// `PROCHLO_OBS=0`), which other tests in this binary never bump: none
-    /// of them lets a router connection expire.
+    /// router reports them only in the process-wide registry, which sums
+    /// every router's cell and which other tests in this binary never bump:
+    /// none of them lets a router connection expire.
     fn evicted(&self) -> u64 {
         match &self.router {
-            Some(_) => prochlo_obs::counter("fabric.router.conns.evicted").get(),
+            Some(_) => process_wide("fabric.router.conns.evicted"),
             None => self.collector.stats().connections_evicted,
         }
     }
@@ -135,6 +135,12 @@ impl Service {
         }
         self.collector.shutdown();
     }
+}
+
+/// A count the process-wide registry holds under `name`, 0 before anything
+/// registered it.
+fn process_wide(name: &str) -> u64 {
+    prochlo_obs::global().snapshot().get(name).unwrap_or(0.0) as u64
 }
 
 /// Serializes `body` as one collector frame: `[u32 le length][version][body]`.
@@ -319,8 +325,7 @@ fn router_connection_cap_answers_retry_after_and_closes() {
     let service = Service::start(Front::Router, serving);
     // The router reports into the process-wide registry, which no other
     // test in this binary makes refuse a connection.
-    let refused = prochlo_obs::counter("fabric.router.conns.refused");
-    let refused_before = refused.get();
+    let refused_before = process_wide("fabric.router.conns.refused");
     let mut held = CollectorClient::connect(service.addr()).unwrap();
     assert!(matches!(held.ping().unwrap(), Response::Ack { .. }));
 
@@ -335,8 +340,9 @@ fn router_connection_cap_answers_retry_after_and_closes() {
     drop(held);
     let stats = service.router.as_ref().unwrap().stats();
     assert_eq!((stats.connections, stats.connections_refused), (1, 1));
-    if prochlo_obs::global().is_enabled() {
-        assert_eq!(refused.get(), refused_before + 1);
-    }
+    assert_eq!(
+        process_wide("fabric.router.conns.refused"),
+        refused_before + 1
+    );
     service.shutdown();
 }

@@ -3,7 +3,9 @@
 //! panics — the reader path faces attacker-controlled bytes at the
 //! collector boundary, so "worst case is an error" is a hard requirement.
 
-use prochlo_core::wire::{pad_payload, put_bytes, put_u32, put_u64, put_u8, unpad_payload, Reader};
+use prochlo_core::wire::{
+    pad_payload, put_bytes, put_u32, put_u64, put_u8, unpad_payload, Reader, WireError,
+};
 use prochlo_core::PipelineError;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -55,13 +57,13 @@ proptest! {
         let mut reader = Reader::new(&wire);
         for (kind, num, blob) in expect {
             match kind {
-                0 => prop_assert_eq!(reader.get_u8().unwrap() as u64, num),
-                1 => prop_assert_eq!(reader.get_u32().unwrap() as u64, num),
-                2 => prop_assert_eq!(reader.get_u64().unwrap(), num),
-                _ => prop_assert_eq!(reader.get_bytes().unwrap(), blob),
+                0 => prop_assert_eq!(u64::from(reader.get_u8("u8").unwrap()), num),
+                1 => prop_assert_eq!(reader.get_u32::<u64>("u32").unwrap(), num),
+                2 => prop_assert_eq!(reader.get_u64::<u64>("u64").unwrap(), num),
+                _ => prop_assert_eq!(reader.get_bytes("bytes").unwrap(), blob),
             }
         }
-        prop_assert!(reader.is_empty());
+        prop_assert_eq!(reader.finish("trailing"), Ok(()));
     }
 
     #[test]
@@ -77,14 +79,16 @@ proptest! {
         let mut reader = Reader::new(&data);
         for _ in 0..32 {
             let before = reader.remaining();
-            match script.gen_range(0..7u8) {
-                0 => { let _ = reader.get_u8(); }
-                1 => { let _ = reader.get_u32(); }
-                2 => { let _ = reader.get_u64(); }
-                3 => { let _ = reader.get_bytes(); }
-                4 => { let _ = reader.get_slice(); }
-                5 => { let _ = reader.get_fixed::<16>(); }
-                _ => { let _ = reader.get_fixed::<64>(); }
+            match script.gen_range(0..9u8) {
+                0 => { let _ = reader.get_u8("u8"); }
+                1 => { let _ = reader.get_u32::<u16>("u32"); }
+                2 => { let _ = reader.get_u64::<u64>("u64"); }
+                3 => { let _ = reader.get_bytes("bytes"); }
+                4 => { let _ = reader.get_slice("slice"); }
+                5 => { let _ = reader.get_fixed::<16>("fixed"); }
+                6 => { let _ = reader.get_fixed::<64>("fixed"); }
+                7 => { let _ = reader.expect_tag(script.gen(), "tag"); }
+                _ => { let _ = reader.get_count(script.gen_range(1..80), "count", "exceeds"); }
             }
             prop_assert!(reader.remaining() <= before);
         }
@@ -99,13 +103,10 @@ proptest! {
         let mut wire = Vec::new();
         put_bytes(&mut wire, &data);
         // Any strict truncation of a single length-prefixed field must fail
-        // with MalformedReport (and must not panic).
+        // under the field's label (and must not panic).
         let cut = StdRng::seed_from_u64(seed ^ 1).gen_range(0..wire.len());
         let mut reader = Reader::new(&wire[..cut]);
-        prop_assert!(matches!(
-            reader.get_bytes(),
-            Err(PipelineError::MalformedReport(_))
-        ));
+        prop_assert_eq!(reader.get_bytes("field"), Err(WireError("field")));
     }
 
     #[test]
