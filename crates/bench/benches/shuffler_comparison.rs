@@ -6,12 +6,12 @@
 //! records, Melbourne Shuffle limited to a few dozen million records,
 //! cascade mix networks 114× / 87×, and the Stash Shuffle at 3.3–3.7×.
 
-use prochlo_bench::{fmt_records, print_header};
-use prochlo_shuffle::batcher::BatcherCostModel;
-use prochlo_shuffle::cascade::CascadeCostModel;
-use prochlo_shuffle::columnsort::ColumnSortCostModel;
-use prochlo_shuffle::melbourne::MelbourneCostModel;
-use prochlo_shuffle::{ShuffleCostModel, StashShuffleParams, PAPER_RECORD_BYTES};
+use prochlo_bench::batcher::BatcherCostModel;
+use prochlo_bench::cascade::CascadeCostModel;
+use prochlo_bench::columnsort::ColumnSortCostModel;
+use prochlo_bench::melbourne::MelbourneCostModel;
+use prochlo_bench::{fmt_records, print_header, ShuffleCostModel};
+use prochlo_shuffle::{StashShuffleParams, PAPER_RECORD_BYTES};
 
 fn main() {
     let epc = prochlo_sgx::DEFAULT_EPC_BYTES;

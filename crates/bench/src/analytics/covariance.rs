@@ -123,7 +123,7 @@ impl CovarianceModel {
     }
 
     /// The `A_ij / S_ij` covariance approximation for a pair.
-    pub fn covariance(&self, a: u32, b: u32) -> Option<f64> {
+    fn covariance(&self, a: u32, b: u32) -> Option<f64> {
         let key = if a <= b { (a, b) } else { (b, a) };
         let support = *self.s.get(&key)? as f64;
         let sum = *self.a.get(&key)?;

@@ -11,7 +11,8 @@
 //! [`BatcherCostModel`] prices the bucketed variant the paper describes
 //! (buckets of `b` records such that two buckets fit in private memory).
 
-use crate::cost::{CostReport, ShuffleCostModel};
+use crate::ShuffleCostModel;
+use prochlo_shuffle::CostReport;
 
 /// Analytic cost of the bucketed Batcher sort-shuffle at paper scale.
 #[derive(Debug, Clone, Copy, Default)]

@@ -9,7 +9,8 @@
 //! quotes 114× the dataset for 10 million 318-byte records and 87× for 100
 //! million. [`CascadeCostModel`] prices that round count at paper scale.
 
-use crate::cost::{CostReport, ShuffleCostModel};
+use crate::ShuffleCostModel;
+use prochlo_shuffle::CostReport;
 
 /// Analytic cost of the cascade mix network at paper scale.
 #[derive(Debug, Clone, Copy)]
@@ -33,12 +34,7 @@ impl CascadeCostModel {
     /// both with 318-byte records and ε = 2⁻⁶⁴):
     /// `rounds ≈ c · (security_bits + 2·log₂N) / log₂(#buckets)` with c such
     /// that the 10 M point matches.
-    pub fn rounds(
-        &self,
-        records: usize,
-        record_bytes: usize,
-        private_memory_bytes: usize,
-    ) -> usize {
+    fn rounds(&self, records: usize, record_bytes: usize, private_memory_bytes: usize) -> usize {
         if records < 2 {
             return 1;
         }

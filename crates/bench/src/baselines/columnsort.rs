@@ -11,9 +11,10 @@
 //!
 //! Because the bound — not the mechanics of the eight steps — is what the
 //! paper's comparison turns on, this module provides the cost model and the
-//! feasibility computation, like the other baselines in this crate.
+//! feasibility computation, like the other §4.1.3 baselines beside it.
 
-use crate::cost::{CostReport, ShuffleCostModel};
+use crate::ShuffleCostModel;
+use prochlo_shuffle::CostReport;
 
 /// Analytic cost of SGX ColumnSort.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,7 +30,7 @@ impl ColumnSortCostModel {
     /// Maximum number of records sortable given the private-memory budget:
     /// with r records per column, Leighton's condition `r ≥ 2(s−1)²` limits
     /// the number of columns s, and the total is `r·s`.
-    pub fn max_records(record_bytes: usize, private_memory_bytes: usize) -> usize {
+    fn max_records(record_bytes: usize, private_memory_bytes: usize) -> usize {
         let r = Self::column_records(record_bytes, private_memory_bytes);
         let s = ((r as f64 / 2.0).sqrt().floor() as usize) + 1;
         r.saturating_mul(s)

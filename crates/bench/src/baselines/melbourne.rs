@@ -10,7 +10,8 @@
 //! [`MelbourneCostModel`] reports the analytic cost and the maximum feasible
 //! problem size for the comparison benchmark.
 
-use crate::cost::{CostReport, ShuffleCostModel};
+use crate::ShuffleCostModel;
+use prochlo_shuffle::CostReport;
 
 /// Bytes of private memory needed per record just to store the permutation.
 const PERMUTATION_BYTES_PER_RECORD: usize = 8;

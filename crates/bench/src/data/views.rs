@@ -78,7 +78,7 @@ impl ViewGenerator {
     }
 
     /// Generates one user's view history.
-    pub fn history<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<usize> {
+    fn history<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<usize> {
         let mut history = Vec::with_capacity(self.config.history_length);
         let mut current = self.popularity.sample(rng);
         history.push(current);

@@ -32,7 +32,7 @@ impl VocabCorpus {
     }
 
     /// Vocabulary size.
-    pub fn vocabulary(&self) -> usize {
+    fn vocabulary(&self) -> usize {
         self.zipf.support()
     }
 

@@ -33,11 +33,6 @@ impl PartitionedRappor {
         }
     }
 
-    /// Number of partitions.
-    pub fn partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// The partition a value belongs to (public function of the value).
     fn partition_of(&self, value: &[u8]) -> usize {
         let digest = sha256_concat(&[b"rappor-partition", value]);
@@ -51,11 +46,6 @@ impl PartitionedRappor {
         let encoded = encoder.encode(value, rng);
         let partition = self.partition_of(value);
         self.partitions[partition].add(&encoded);
-    }
-
-    /// Total reports across partitions.
-    pub fn reports(&self) -> u64 {
-        self.partitions.iter().map(RapporAggregate::reports).sum()
     }
 
     /// Decodes each partition against the candidates that hash into it and

@@ -107,11 +107,6 @@ impl RapporAggregate {
         self.reports += 1;
     }
 
-    /// Number of reports aggregated.
-    pub fn reports(&self) -> u64 {
-        self.reports
-    }
-
     /// Unbiased estimate of how many clients truly had `bit` set.
     fn estimated_true_count(&self, bit: usize) -> f64 {
         let n = self.reports as f64;
@@ -130,7 +125,7 @@ impl RapporAggregate {
     /// Estimates the count of a specific candidate value (the minimum over
     /// its Bloom bits, which corrects for collisions with more popular
     /// values better than the mean).
-    pub fn estimate(&self, candidate: &[u8]) -> f64 {
+    fn estimate(&self, candidate: &[u8]) -> f64 {
         self.params
             .bits_for(candidate)
             .into_iter()

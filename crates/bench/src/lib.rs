@@ -29,10 +29,16 @@
 //! * `ldp/` — Figure 5's local-DP baseline: RAPPOR with its candidate
 //!   decoder ([`rappor`]), the partitioned variant of §2.2 ([`partition`])
 //!   and the randomized response both build on ([`response`]).
+//! * `baselines/` — the four shufflers §4.1.3 rejects, as the analytic
+//!   [`ShuffleCostModel`]s the paper compares them by (the
+//!   `shuffler_comparison` bench prints the table): Batcher's sort
+//!   ([`batcher`]), ColumnSort ([`columnsort`]), the Melbourne Shuffle
+//!   ([`melbourne`]) and cascade mix networks ([`cascade`]).
 
 use std::time::Instant;
 
 use prochlo_obs::knobs;
+use prochlo_shuffle::CostReport;
 
 #[path = "analytics/covariance.rs"]
 pub mod covariance;
@@ -54,6 +60,27 @@ pub mod partition;
 pub mod rappor;
 #[path = "ldp/response.rs"]
 pub mod response;
+
+#[path = "baselines/batcher.rs"]
+pub mod batcher;
+#[path = "baselines/cascade.rs"]
+pub mod cascade;
+#[path = "baselines/columnsort.rs"]
+pub mod columnsort;
+#[path = "baselines/melbourne.rs"]
+pub mod melbourne;
+
+/// An algorithm that can report its analytic cost at arbitrary scale (even
+/// scales far beyond what we can execute locally), given the enclave's
+/// private-memory budget.
+pub trait ShuffleCostModel {
+    /// Name used in comparison tables.
+    fn name(&self) -> &'static str;
+
+    /// Cost of shuffling `records` items of `record_bytes` bytes each with
+    /// `private_memory_bytes` of enclave memory.
+    fn cost(&self, records: usize, record_bytes: usize, private_memory_bytes: usize) -> CostReport;
+}
 
 /// Reads an integer environment variable with a default. A value that is
 /// set but not an integer panics (the workspace's invalid-knob convention):

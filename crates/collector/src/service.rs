@@ -434,6 +434,7 @@ fn epoch_loop(mut pipeline: Box<dyn EpochPipeline>, shared: &Shared, config: &Co
     let epoch_reports = registry.counter("collector.epoch.reports");
     // Registered here so a healthy collector exports them at zero.
     let epochs_failed = registry.counter("collector.epoch.failed");
+    let duplicate_reports = registry.counter("collector.epoch.duplicate_reports");
     // How often this thread came back from its wait on the queue: the queue
     // wakes it when a batch is complete, so this tracks `epoch.cut`, not
     // the number of reports.
@@ -466,12 +467,14 @@ fn epoch_loop(mut pipeline: Box<dyn EpochPipeline>, shared: &Shared, config: &Co
         let process_seconds = span.finish();
         // Processed means the pipeline returned a result for them; a failed
         // batch is counted as failed, not as done.
-        if outcome.is_ok() {
-            shared
-                .reports_processed
-                .fetch_add(reports as u64, Ordering::Relaxed);
-        } else {
-            epochs_failed.inc();
+        match &outcome {
+            Ok(report) => {
+                shared
+                    .reports_processed
+                    .fetch_add(reports as u64, Ordering::Relaxed);
+                duplicate_reports.add(report.shuffler_stats.duplicate_reports as u64);
+            }
+            Err(_) => epochs_failed.inc(),
         }
         shared.epochs_cut.fetch_add(1, Ordering::Relaxed);
         epoch_reports.add(reports as u64);
@@ -1237,5 +1240,41 @@ mod tests {
         assert_eq!(summary.stats.ingest.accepted, 1);
         assert_eq!(summary.stats.ingest.duplicates, 1);
         assert_eq!(summary.stats.reports_processed, 1);
+    }
+
+    #[test]
+    fn a_captured_report_under_fresh_nonces_shows_in_the_duplicate_reports() {
+        // The nonce filter sees three submissions; the epoch sees one
+        // ciphertext three times.
+        let registry = Arc::new(prochlo_obs::Registry::new(true));
+        let config = CollectorConfig {
+            // One epoch, cut at shutdown.
+            epoch_deadline: Duration::from_secs(60),
+            max_epoch_reports: 1000,
+            registry: Some(Arc::clone(&registry)),
+            ..test_config()
+        };
+        let (collector, encoder) = start_collector(43, config);
+        let mut rng = StdRng::seed_from_u64(44);
+        let mut client = CollectorClient::connect(collector.local_addr()).unwrap();
+        let captured = encoder
+            .encode_plain(b"v", CrowdStrategy::None, 0, &mut rng)
+            .unwrap()
+            .outer
+            .to_bytes();
+        for _ in 0..3 {
+            let response = client.submit(&fresh_nonce(&mut rng), &captured).unwrap();
+            assert!(matches!(response, Response::Ack { .. }));
+        }
+        drop(client);
+        let summary = collector.shutdown();
+        assert_eq!(summary.stats.ingest.duplicates, 0);
+        let [epoch] = &summary.epochs[..] else {
+            panic!("one epoch expected, got {}", summary.epochs.len());
+        };
+        let report = epoch.outcome.as_ref().unwrap();
+        assert_eq!(report.shuffler_stats.duplicate_reports, 2);
+        let snap = registry.snapshot();
+        assert_eq!(snap.get("collector.epoch.duplicate_reports"), Some(2.0));
     }
 }

@@ -58,11 +58,6 @@ impl Analyzer {
         }
     }
 
-    /// Creates an analyzer with fresh keys.
-    pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        Self::new(HybridKeypair::generate(rng))
-    }
-
     /// Sets the number of distinct shares required to recover a
     /// secret-shared value.
     pub fn with_share_threshold(mut self, threshold: usize) -> Self {

@@ -156,17 +156,6 @@ impl Default for ShufflerConfig {
 }
 
 impl ShufflerConfig {
-    /// The §5.3 (Perms) configuration: threshold 100, σ = 4.
-    pub fn perms() -> Self {
-        Self {
-            cardinality_threshold: 100,
-            threshold_noise_sigma: 4.0,
-            drop_mean: 10.0,
-            drop_sigma: 4.0,
-            ..Self::default()
-        }
-    }
-
     /// Disables thresholding entirely (the "NoCrowd" experiment): every
     /// report is forwarded and no noise is applied.
     pub fn without_thresholding(mut self) -> Self {
@@ -222,6 +211,10 @@ impl PhaseTimings {
 pub struct ShufflerStats {
     /// Reports received in the batch.
     pub received: usize,
+    /// Received reports that copy an earlier one's outer ciphertext
+    /// exactly: replays, which are still counted (see
+    /// [`crate::canonicalize`]).
+    pub duplicate_reports: usize,
     /// Reports forwarded to the analyzer.
     pub forwarded: usize,
     /// Reports removed by the random per-crowd drop.

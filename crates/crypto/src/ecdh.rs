@@ -121,9 +121,10 @@ impl StaticSecret {
         }
     }
 
-    /// Deterministically derives a secret from seed bytes (useful in tests
-    /// and for the simulated attestation hierarchy).
-    pub fn from_seed(seed: &[u8]) -> Self {
+    /// Deterministically derives a secret from seed bytes (the tests'
+    /// fixed keys).
+    #[cfg(test)]
+    fn from_seed(seed: &[u8]) -> Self {
         Self {
             secret: Scalar::hash_from_bytes(&[b"static-secret", seed]),
         }
@@ -163,11 +164,6 @@ impl StaticSecret {
                 }
             })
             .collect()
-    }
-
-    /// Access to the raw scalar (needed by the El Gamal decryption path).
-    pub fn scalar(&self) -> &Scalar {
-        &self.secret
     }
 }
 

@@ -37,7 +37,7 @@ fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], length: usize) -> Vec<u8> {
 }
 
 /// One-shot HKDF: extract then expand.
-pub fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], length: usize) -> Vec<u8> {
+fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], length: usize) -> Vec<u8> {
     let prk = hkdf_extract(salt, ikm);
     hkdf_expand(&prk, info, length)
 }

@@ -43,13 +43,6 @@ impl HybridKeypair {
         Self { secret, public }
     }
 
-    /// Deterministic keypair from a seed (tests, attestation fixtures).
-    pub fn from_seed(seed: &[u8]) -> Self {
-        let secret = StaticSecret::from_seed(seed);
-        let public = secret.public_key();
-        Self { secret, public }
-    }
-
     /// The public (encryption) key to embed in client software.
     pub fn public_key(&self) -> &PublicKey {
         &self.public

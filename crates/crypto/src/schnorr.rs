@@ -5,8 +5,6 @@
 //! enclave measurement to the shuffler's freshly generated public key
 //! (§4.1.1 of the paper).
 
-use rand::Rng;
-
 use crate::edwards::{CompressedPoint, Point};
 use crate::error::CryptoError;
 use crate::scalar::Scalar;
@@ -44,13 +42,6 @@ fn challenge(r: &CompressedPoint, public: &CompressedPoint, message: &[u8]) -> S
 }
 
 impl SigningKey {
-    /// Generates a fresh signing key.
-    pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        let secret = Scalar::random_nonzero(rng);
-        let public = Point::mul_base(&secret);
-        Self { secret, public }
-    }
-
     /// Deterministic key from a seed (used for the fixed "Intel" root of the
     /// simulated attestation hierarchy).
     pub fn from_seed(seed: &[u8]) -> Self {
@@ -87,13 +78,6 @@ impl VerifyingKey {
         self.public.0
     }
 
-    /// Parses a verification key.
-    pub fn from_bytes(bytes: [u8; 32]) -> Result<Self, CryptoError> {
-        let compressed = CompressedPoint(bytes);
-        compressed.decompress()?;
-        Ok(Self { public: compressed })
-    }
-
     /// Verifies a signature over `message`.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), CryptoError> {
         let public = self.public.decompress()?;
@@ -119,33 +103,15 @@ impl Signature {
         out[32..].copy_from_slice(&self.s);
         out
     }
-
-    /// Parses the 64-byte encoding.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-        if bytes.len() != 64 {
-            return Err(CryptoError::InvalidEncoding("signature length"));
-        }
-        let mut r = [0u8; 32];
-        r.copy_from_slice(&bytes[..32]);
-        let mut s = [0u8; 32];
-        s.copy_from_slice(&bytes[32..]);
-        Ok(Self {
-            r: CompressedPoint(r),
-            s,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn sign_verify_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let key = SigningKey::generate(&mut rng);
+        let key = SigningKey::from_seed(b"roundtrip");
         let sig = key.sign(b"enclave measurement || shuffler pk");
         assert!(key
             .verifying_key()
@@ -155,8 +121,7 @@ mod tests {
 
     #[test]
     fn wrong_message_fails() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let key = SigningKey::generate(&mut rng);
+        let key = SigningKey::from_seed(b"message");
         let sig = key.sign(b"message A");
         assert_eq!(
             key.verifying_key().verify(b"message B", &sig),
@@ -166,17 +131,15 @@ mod tests {
 
     #[test]
     fn wrong_key_fails() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let key = SigningKey::generate(&mut rng);
-        let other = SigningKey::generate(&mut rng);
+        let key = SigningKey::from_seed(b"key");
+        let other = SigningKey::from_seed(b"other");
         let sig = key.sign(b"message");
         assert!(other.verifying_key().verify(b"message", &sig).is_err());
     }
 
     #[test]
     fn tampered_signature_fails() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let key = SigningKey::generate(&mut rng);
+        let key = SigningKey::from_seed(b"tamper");
         let mut sig = key.sign(b"message");
         sig.s[0] ^= 1;
         assert!(key.verifying_key().verify(b"message", &sig).is_err());
@@ -186,16 +149,5 @@ mod tests {
     fn signatures_are_deterministic() {
         let key = SigningKey::from_seed(b"intel-root");
         assert_eq!(key.sign(b"m").to_bytes(), key.sign(b"m").to_bytes());
-    }
-
-    #[test]
-    fn serialization_roundtrip() {
-        let key = SigningKey::from_seed(b"cpu-7");
-        let sig = key.sign(b"quote");
-        let parsed = Signature::from_bytes(&sig.to_bytes()).unwrap();
-        assert_eq!(parsed, sig);
-        let vk = VerifyingKey::from_bytes(key.verifying_key().to_bytes()).unwrap();
-        assert!(vk.verify(b"quote", &parsed).is_ok());
-        assert!(Signature::from_bytes(&[0u8; 10]).is_err());
     }
 }

@@ -16,18 +16,19 @@ use std::collections::{BTreeMap, VecDeque};
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::transport::metrics::{self, ChannelCounters};
 use crate::transport::{
-    check_frame_len, metrics, ChannelId, Envelope, FabricError, Peer, Stage, ENVELOPE_HEADER_LEN,
+    check_frame_len, ChannelId, Envelope, FabricError, Peer, Stage, ENVELOPE_HEADER_LEN,
 };
 
 /// One peer's streams: send numbering one way, an inbox the other.
 pub(crate) struct Link {
     /// The peer whose frames the inbox accepts.
     pub(crate) peer: Peer,
-    /// Next sequence number per outgoing stage. Held across the write, so
-    /// concurrent senders neither interleave partial frames nor hand them
-    /// over out of sequence.
-    send_seq: Mutex<BTreeMap<Stage, u64>>,
+    /// Next sequence number and the sent counters per outgoing stage. Held
+    /// across the write, so concurrent senders neither interleave partial
+    /// frames nor hand them over out of sequence.
+    send_seq: Mutex<BTreeMap<Stage, (u64, ChannelCounters)>>,
     inbox: Mutex<Inbox>,
     arrived: Condvar,
 }
@@ -37,8 +38,8 @@ struct Inbox {
     /// Filed frames per stage: envelopes whose header was checked on
     /// arrival and is dropped on `recv`.
     stages: BTreeMap<Stage, VecDeque<Vec<u8>>>,
-    /// Next expected sequence number per stage.
-    recv_seq: BTreeMap<Stage, u64>,
+    /// Next expected sequence number and the received counters per stage.
+    recv_seq: BTreeMap<Stage, (u64, ChannelCounters)>,
     /// How the link ended, once it has: `None` for a clean close, else
     /// the failure.
     ended: Option<Option<String>>,
@@ -56,7 +57,7 @@ impl Inbox {
             });
         }
         let channel = ChannelId::new(from, stage);
-        let expected = self.recv_seq.entry(stage).or_insert(0);
+        let (expected, counters) = self.recv_seq.entry(stage).or_default();
         if seq != *expected {
             metrics::out_of_order(channel);
             return Err(FabricError::OutOfOrder {
@@ -66,7 +67,7 @@ impl Inbox {
             });
         }
         *expected += 1;
-        metrics::frame_received(channel, payload.len());
+        counters.count(channel, "received", payload.len());
         Ok(stage)
     }
 }
@@ -104,13 +105,12 @@ impl Link {
     ) -> Result<(), FabricError> {
         check_frame_len(payload.len())?;
         let mut send_seq = self.send_seq.lock();
-        let seq = send_seq.entry(stage).or_insert(0);
+        let (seq, counters) = send_seq.entry(stage).or_default();
         let mut header = Vec::with_capacity(ENVELOPE_HEADER_LEN);
         Envelope::put_header(&mut header, from, stage, *seq, payload.len());
         *seq += 1;
         write([&header, payload])?;
-        drop(send_seq);
-        metrics::frame_sent(to, stage, payload.len());
+        counters.count(ChannelId::new(to, stage), "sent", payload.len());
         Ok(())
     }
 

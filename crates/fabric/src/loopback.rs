@@ -133,4 +133,23 @@ mod tests {
     }
 
     transport_contract!(pair());
+
+    #[test]
+    fn channel_counters_count_every_frame_once() {
+        // Shard indices no other test uses, so the global counters are
+        // this test's alone.
+        let hub = LoopbackHub::new();
+        let (from, to) = (Peer::Shard(60_001), Peer::Shard(60_002));
+        let (a, b) = (hub.endpoint(from), hub.endpoint(to));
+        for payload in [&b"a"[..], b"bc", b"def"] {
+            a.send(to, Stage::Items, payload).unwrap();
+            b.recv(ChannelId::new(from, Stage::Items)).unwrap();
+        }
+        let read = |name: &str| prochlo_obs::counter(&format!("fabric.channel.{name}")).get();
+        let on = u64::from(prochlo_obs::global().is_enabled());
+        assert_eq!(read("shard-60002/items.frames_sent"), 3 * on);
+        assert_eq!(read("shard-60002/items.bytes_sent"), 6 * on);
+        assert_eq!(read("shard-60001/items.frames_received"), 3 * on);
+        assert_eq!(read("shard-60001/items.bytes_received"), 6 * on);
+    }
 }

@@ -137,6 +137,9 @@ fn decode_stats(reader: &mut Reader<'_>) -> Result<ShufflerStats, FabricError> {
         crowds_forwarded,
         shuffle_attempts,
         backend,
+        // A stage receives a canonical batch; its copies are counted where
+        // the batch is cut, and not sent.
+        duplicate_reports: 0,
         timings: PhaseTimings {
             peel_seconds,
             threshold_seconds,
@@ -532,6 +535,7 @@ mod tests {
             crowds_forwarded: 1,
             shuffle_attempts: 1,
             backend,
+            duplicate_reports: 0,
             timings: PhaseTimings {
                 peel_seconds: 0.25,
                 threshold_seconds: 0.5,

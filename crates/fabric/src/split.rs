@@ -218,7 +218,7 @@ impl EpochPipeline for RemoteSplitPipeline {
         }
         // Canonicalize, then draw the per-stage sub-seeds the way the
         // in-process split topology would: the epoch RNG's first two u64s.
-        canonicalize(&mut batch);
+        let duplicates = canonicalize(&mut batch);
         let mut rng = epoch_rng(spec.seed, spec.epoch_index);
         let (s1_seed, s2_seed) = SplitShuffler::stage_seeds(&mut rng);
 
@@ -273,8 +273,9 @@ impl EpochPipeline for RemoteSplitPipeline {
         let database = self
             .analyzer
             .ingest_items_parallel(&items.items, num_threads)?;
-        let stats =
+        let mut stats =
             SplitShuffler::merge_stage_stats(items.received, &items.stage_one, &items.stage_two);
+        stats.duplicate_reports = duplicates;
         if let Some(flight) = &self.flight {
             flight.record(
                 &format!("shard{}", self.shard),
@@ -305,6 +306,7 @@ pub fn sum_epoch_stats(epochs: &[ShufflerStats]) -> ShufflerStats {
     };
     for stats in epochs {
         total.received += stats.received;
+        total.duplicate_reports += stats.duplicate_reports;
         total.forwarded += stats.forwarded;
         total.dropped_noise += stats.dropped_noise;
         total.dropped_threshold += stats.dropped_threshold;

@@ -385,37 +385,37 @@ pub trait Transport: Send + Sync {
 /// global obs registry under `fabric.channel.<peer>/<stage>.*`:
 /// `frames_sent` / `bytes_sent` on the sender, `frames_received` /
 /// `bytes_received` on the receiver, and `out_of_order` for sequence
-/// errors. Disabled registries skip even the name formatting.
+/// errors. A link looks a channel's counters up once, on its first frame
+/// while the registry is enabled; a disabled registry formats no name.
 pub(crate) mod metrics {
-    use super::{ChannelId, Peer, Stage};
+    use prochlo_obs::Counter;
 
-    /// One frame handed to the wire (or hub) for `to` on `stage`.
-    pub(crate) fn frame_sent(to: Peer, stage: Stage, payload_bytes: usize) {
-        let registry = prochlo_obs::global();
-        if !registry.is_enabled() {
-            return;
-        }
-        let channel = ChannelId::new(to, stage);
-        registry
-            .counter(&format!("fabric.channel.{channel}.frames_sent"))
-            .inc();
-        registry
-            .counter(&format!("fabric.channel.{channel}.bytes_sent"))
-            .add(payload_bytes as u64);
-    }
+    use super::ChannelId;
 
-    /// One frame accepted in order on `channel`.
-    pub(crate) fn frame_received(channel: ChannelId, payload_bytes: usize) {
-        let registry = prochlo_obs::global();
-        if !registry.is_enabled() {
-            return;
+    /// One direction of one channel's frame and byte counters, kept by the
+    /// link beside the channel's sequence number.
+    #[derive(Default)]
+    pub(crate) struct ChannelCounters(Option<(Counter, Counter)>);
+
+    impl ChannelCounters {
+        /// One frame of `payload_bytes` on `channel`, `direction` being
+        /// `sent` or `received`.
+        pub(crate) fn count(&mut self, channel: ChannelId, direction: &str, payload_bytes: usize) {
+            if self.0.is_none() {
+                let registry = prochlo_obs::global();
+                if !registry.is_enabled() {
+                    return;
+                }
+                let counter = |what| {
+                    registry.counter(&format!("fabric.channel.{channel}.{what}_{direction}"))
+                };
+                self.0 = Some((counter("frames"), counter("bytes")));
+            }
+            if let Some((frames, bytes)) = &self.0 {
+                frames.inc();
+                bytes.add(payload_bytes as u64);
+            }
         }
-        registry
-            .counter(&format!("fabric.channel.{channel}.frames_received"))
-            .inc();
-        registry
-            .counter(&format!("fabric.channel.{channel}.bytes_received"))
-            .add(payload_bytes as u64);
     }
 
     /// One sequence error on `channel` (the stream is torn down after).

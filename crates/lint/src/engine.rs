@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 
 use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
-use crate::rules::{self, NamedElsewhere};
+use crate::rules::{self, Callers};
 
 /// The pseudo-rule under which malformed or stale suppression directives
 /// are reported. Not suppressible.
@@ -208,7 +208,13 @@ fn use_items(tokens: &[Token]) -> Vec<bool> {
         .collect()
 }
 
-fn matching(tokens: &[Token], open: usize, open_c: char, close_c: char) -> Option<usize> {
+/// Index of the `close_c` matching the `open_c` at `open`, if any.
+pub(crate) fn matching(
+    tokens: &[Token],
+    open: usize,
+    open_c: char,
+    close_c: char,
+) -> Option<usize> {
     let mut depth = 0usize;
     for (i, tok) in tokens.iter().enumerate().skip(open) {
         if tok.is_punct(open_c) {
@@ -223,19 +229,15 @@ fn matching(tokens: &[Token], open: usize, open_c: char, close_c: char) -> Optio
     None
 }
 
-/// Lints one lexed file. Without `named_elsewhere`, the workspace name
-/// index, the cross-file `uncalled-pub` rule does not run.
-fn lint_lexed(
-    path: &str,
-    lexed: &Lexed,
-    named_elsewhere: Option<NamedElsewhere<'_>>,
-) -> Vec<Finding> {
+/// Lints one lexed file. Without `callers`, the workspace name index, the
+/// cross-file `uncalled-pub` rule does not run.
+fn lint_lexed(path: &str, lexed: &Lexed, callers: Option<Callers<'_>>) -> Vec<Finding> {
     let mut findings = Vec::new();
     let suppressions = parse_directives(path, &lexed.comments, &mut findings);
     let flags = test_context(&lexed.tokens);
 
     let mut raw = Vec::new();
-    rules::run_rules(path, &lexed.tokens, &flags, named_elsewhere, &mut raw);
+    rules::run_rules(path, &lexed.tokens, &flags, callers, &mut raw);
     // One finding per (line, rule): four indexing expressions on one line
     // are one violation, and one allow should cover them.
     raw.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
@@ -290,49 +292,88 @@ fn is_production(path: &str) -> bool {
     )
 }
 
+/// What a first-party file holds of a name, as [`NameIndex`] keys it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Mention<'a> {
+    /// The name inside a `use` item.
+    Use(&'a str),
+    /// The name anywhere else outside comments and strings.
+    Named(&'a str),
+    /// A call of the name ([`rules::call_shaped`]), qualified by a type or
+    /// not.
+    Called(Option<&'a str>, &'a str),
+}
+
+/// The workspace name index `uncalled-pub` checks against: per mention,
+/// the files that hold it, in file order.
+pub(crate) struct NameIndex<'a>(HashMap<Mention<'a>, Vec<usize>>);
+
+impl<'a> NameIndex<'a> {
+    fn new(files: &'a [(&str, Lexed)]) -> Self {
+        let mut index: HashMap<Mention<'a>, Vec<usize>> = HashMap::new();
+        for (file, (_, lexed)) in files.iter().enumerate() {
+            let in_use = use_items(&lexed.tokens);
+            for (i, tok) in lexed.tokens.iter().enumerate() {
+                if tok.kind != TokenKind::Ident {
+                    continue;
+                }
+                let named = if in_use[i] {
+                    Mention::Use(&tok.text)
+                } else {
+                    Mention::Named(&tok.text)
+                };
+                let called = rules::call_shaped(&lexed.tokens, i)
+                    .filter(|_| !in_use[i])
+                    .map(|(qualifier, name)| Mention::Called(qualifier, name));
+                for mention in std::iter::once(named).chain(called) {
+                    let holders = index.entry(mention).or_default();
+                    if holders.last() != Some(&file) {
+                        holders.push(file);
+                    }
+                }
+            }
+        }
+        Self(index)
+    }
+
+    /// Whether a file other than `file` holds any of `mentions`.
+    pub(crate) fn elsewhere(&self, file: usize, mentions: &[Mention<'_>]) -> bool {
+        // The keys borrow every file's tokens; look them up at the
+        // mentions' shorter lifetime.
+        let index: &HashMap<Mention<'_>, Vec<usize>> = &self.0;
+        mentions.iter().any(|m| {
+            index
+                .get(m)
+                .is_some_and(|files| files.iter().any(|&f| f != file))
+        })
+    }
+}
+
 /// Lints a set of first-party files, given as `(workspace-relative path,
 /// source)`, in one pass: each file is lexed once, the identifiers of all
 /// of them (outside comments and strings) form the name index
 /// `uncalled-pub` checks against, and every rule runs on the production
-/// files among them. The index counts, per name, the files that hold it
-/// anywhere and the files that hold it outside `use` items. Findings come
-/// in file order, then line.
+/// files among them. Findings come in file order, then line.
 pub fn lint_files<P: AsRef<str>, S: AsRef<str>>(files: &[(P, S)]) -> Vec<Finding> {
     let lexed: Vec<(&str, Lexed)> = files
         .iter()
         .map(|(path, source)| (path.as_ref(), lex(source.as_ref())))
         .collect();
-    let mut files_naming: HashMap<&str, usize> = HashMap::new();
-    let mut files_naming_outside_use: HashMap<&str, usize> = HashMap::new();
-    for (_, file) in &lexed {
-        let in_use = use_items(&file.tokens);
-        // Per name: whether this file holds it outside a `use` item.
-        let mut names: HashMap<&str, bool> = HashMap::new();
-        for (tok, in_use) in file.tokens.iter().zip(in_use) {
-            if tok.kind == TokenKind::Ident {
-                *names.entry(tok.text.as_str()).or_default() |= !in_use;
-            }
-        }
-        for (name, outside_use) in names {
-            *files_naming.entry(name).or_default() += 1;
-            if outside_use {
-                *files_naming_outside_use.entry(name).or_default() += 1;
-            }
-        }
-    }
-    // The declaring file names the item itself, so another file means two.
-    let named_elsewhere = |name: &str, use_counts: bool| {
-        let index = if use_counts {
-            &files_naming
-        } else {
-            &files_naming_outside_use
-        };
-        index.get(name).is_some_and(|&n| n > 1)
-    };
+    let index = NameIndex::new(&lexed);
     lexed
         .iter()
-        .filter(|(path, _)| is_production(path))
-        .flat_map(|(path, file)| lint_lexed(path, file, Some(&named_elsewhere)))
+        .enumerate()
+        .filter(|(_, (path, _))| is_production(path))
+        .flat_map(|(file, (path, lexed))| {
+            lint_lexed(
+                path,
+                lexed,
+                Some(Callers {
+                    index: &index,
+                    file,
+                }),
+            )
+        })
         .collect()
 }
 

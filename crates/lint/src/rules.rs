@@ -8,7 +8,7 @@
 //! `// prochlo-lint: allow(<rule>, "<reason>")` escape hatch is how code
 //! that is *deliberately* shaped that way justifies itself in place.
 
-use crate::engine::Finding;
+use crate::engine::{matching, Finding, Mention, NameIndex};
 use crate::lexer::{Token, TokenKind};
 
 /// A rule's identity and documentation, used by `--list-rules`, the README
@@ -27,7 +27,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "determinism-hash-iter",
         summary: "HashMap/HashSet in non-test code of seeded crates \
-                  (core, shuffle, crypto, bench's data generators): \
+                  (core, shuffle, crypto, bench's data generators and \
+                  cost models): \
                   process-random iteration order silently corrupts seeded \
                   replay",
     },
@@ -63,7 +64,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "uncalled-pub",
         summary: "pub fn/struct/enum/trait/const/type in a library target \
-                  whose name no other first-party file holds: public surface \
+                  that no other first-party file calls (a fn: `.f(`, \
+                  `Type::f`, `f(`) or names (the rest): public surface \
                   nothing calls is code nobody audits against the invariants",
     },
 ];
@@ -79,6 +81,7 @@ const SEEDED_CRATE_PREFIXES: &[&str] = &[
     "crates/shuffle/src/",
     "crates/crypto/src/",
     "crates/bench/src/data/",
+    "crates/bench/src/baselines/",
 ];
 
 /// Files allowed to read the process environment: the one reader every
@@ -143,21 +146,50 @@ fn under_any(path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p))
 }
 
-/// The engine's workspace name index: `named_elsewhere(name, use_counts)`
-/// is true when another first-party file names `name`, counting a mention
-/// inside a `use` item only when `use_counts`.
-pub(crate) type NamedElsewhere<'a> = &'a dyn Fn(&str, bool) -> bool;
+/// The engine's workspace name index, seen from one file (`file`, its
+/// position in the index).
+#[derive(Clone, Copy)]
+pub(crate) struct Callers<'a> {
+    pub(crate) index: &'a NameIndex<'a>,
+    pub(crate) file: usize,
+}
+
+/// Whether the identifier at `i` is call-shaped, and as what: a method
+/// call `.name(` / `.name::<`, a path `Q::name`, or a bare `name(` that
+/// does not declare it (`fn name(`). The key is `(Some(Q), name)` when a
+/// type `Q` (capitalized, not `Self`) qualifies the path — that names one
+/// type's fn — and `(None, name)` otherwise. A field read (`.name`
+/// without a call) is not call-shaped, so a field or variable that shares
+/// a fn's spelling does not keep the fn alive.
+pub(crate) fn call_shaped(tokens: &[Token], i: usize) -> Option<(Option<&str>, &str)> {
+    let name = tokens[i].text.as_str();
+    let at = |j: usize| tokens.get(j);
+    let punct = |j: usize, c: char| at(j).is_some_and(|t| t.is_punct(c));
+    let called_next = punct(i + 1, '(') || punct(i + 1, ':') && punct(i + 2, ':');
+    let before = |back: usize| i.checked_sub(back).and_then(at);
+    if before(1).is_some_and(|t| t.is_punct('.')) {
+        return Some((None, name)).filter(|_| called_next);
+    }
+    if before(1).is_some_and(|t| t.is_punct(':')) && before(2).is_some_and(|t| t.is_punct(':')) {
+        let qualifier = before(3).filter(|q| {
+            q.kind == TokenKind::Ident && q.text != "Self" && q.text.starts_with(char::is_uppercase)
+        });
+        return Some((qualifier.map(|q| q.text.as_str()), name));
+    }
+    let declares = before(1).is_some_and(|t| t.is_ident("fn"));
+    Some((None, name)).filter(|_| punct(i + 1, '(') && !declares)
+}
 
 /// Runs every applicable rule over one file's token stream. `test_ctx[i]`
 /// is true when token `i` sits in test-only code (`#[cfg(test)]` /
 /// `#[test]` regions); the invariants are production invariants, so test
-/// code is exempt. `uncalled-pub` runs when the engine supplies
-/// `named_elsewhere`, its workspace name index.
-pub fn run_rules(
+/// code is exempt. `uncalled-pub` runs when the engine supplies `callers`,
+/// its workspace name index.
+pub(crate) fn run_rules(
     path: &str,
     tokens: &[Token],
     test_ctx: &[bool],
-    named_elsewhere: Option<NamedElsewhere<'_>>,
+    callers: Option<Callers<'_>>,
     findings: &mut Vec<Finding>,
 ) {
     debug_assert_eq!(tokens.len(), test_ctx.len());
@@ -185,8 +217,8 @@ pub fn run_rules(
     {
         thread_spawn_discipline(path, tokens, &live, findings);
     }
-    if let Some(named_elsewhere) = named_elsewhere.filter(|_| in_library(path)) {
-        uncalled_pub(path, tokens, &live, named_elsewhere, findings);
+    if let Some(callers) = callers.filter(|_| in_library(path)) {
+        uncalled_pub(path, tokens, &live, callers, findings);
     }
 }
 
@@ -280,7 +312,7 @@ fn secret_eq(
             && tokens[cursor].is_punct('#')
             && tokens[cursor + 1].is_punct('[')
         {
-            let close = match matching_bracket(tokens, cursor + 1) {
+            let close = match matching(tokens, cursor + 1, '[', ']') {
                 Some(c) => c,
                 None => return,
             };
@@ -328,22 +360,6 @@ fn secret_eq(
         }
         i = cursor.max(i + 1);
     }
-}
-
-/// Index of the `]` matching the `[` at `open`, if any.
-fn matching_bracket(tokens: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, tok) in tokens.iter().enumerate().skip(open) {
-        if tok.is_punct('[') {
-            depth += 1;
-        } else if tok.is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
 }
 
 fn panic_on_wire(
@@ -514,13 +530,50 @@ fn declared_item(tokens: &[Token], at: usize) -> Option<(&str, &Token)> {
     }
 }
 
+/// Per token, the self type of the innermost `impl` block it sits in: the
+/// last identifier outside angle brackets in the block's header
+/// (`impl<T> Foo<T>` and `impl fmt::Display for Foo` are both `Foo`). An
+/// `impl` in argument or return position opens no block.
+fn impl_types(tokens: &[Token]) -> Vec<Option<&str>> {
+    let mut types = vec![None; tokens.len()];
+    for (i, tok) in tokens.iter().enumerate() {
+        let at_item =
+            i == 0 || ["}", ";", "]", "{", "unsafe"].contains(&tokens[i - 1].text.as_str());
+        if !(tok.is_ident("impl") && at_item) {
+            continue;
+        }
+        let (mut depth, mut self_ty, mut in_where, mut j) = (0, None, false, i + 1);
+        while let Some(t) = tokens.get(j).filter(|t| depth > 0 || !t.is_punct('{')) {
+            match t.text.as_str() {
+                "<" => depth += 1,
+                ">" if !tokens[j - 1].is_punct('-') => depth -= 1,
+                "where" => in_where = true,
+                "for" => {}
+                _ if depth == 0 && !in_where && t.kind == TokenKind::Ident => {
+                    self_ty = Some(t.text.as_str())
+                }
+                _ => {}
+            }
+            j += 1;
+        }
+        if let Some(close) = matching(tokens, j, '{', '}') {
+            types[j..close].fill(self_ty);
+        }
+    }
+    types
+}
+
+/// A `pub fn` counts as called only where another file calls it
+/// ([`call_shaped`], qualified by its `impl`'s type or by none); the other
+/// item kinds count wherever another file names them.
 fn uncalled_pub(
     path: &str,
     tokens: &[Token],
     live: &dyn Fn(usize) -> bool,
-    named_elsewhere: NamedElsewhere<'_>,
+    callers: Callers<'_>,
     findings: &mut Vec<Finding>,
 ) {
+    let impl_types = impl_types(tokens);
     for (i, tok) in tokens.iter().enumerate() {
         if !(tok.is_ident("pub") && live(i)) {
             continue;
@@ -528,15 +581,23 @@ fn uncalled_pub(
         let Some((kind, name)) = declared_item(tokens, i) else {
             continue;
         };
+        let n = name.text.as_str();
+        let qualified = Mention::Called(impl_types[i], n);
         // A `use` line (a `pub use` re-export included) calls nothing,
         // except for a trait: importing one is how its methods are called.
-        if !named_elsewhere(&name.text, kind == "trait") {
+        let mentions = match kind {
+            "fn" => [Mention::Called(None, n), qualified],
+            "trait" => [Mention::Named(n), Mention::Use(n)],
+            _ => [Mention::Named(n); 2],
+        };
+        if !callers.index.elsewhere(callers.file, &mentions) {
+            let shape = if kind == "fn" { "called" } else { "named" };
             findings.push(finding(
                 path,
                 name.line,
                 "uncalled-pub",
                 format!(
-                    "pub {kind} `{}` is named in no other first-party file: \
+                    "pub {kind} `{}` is {shape} in no other first-party file: \
                      delete it, demote it, or state why it must stay public \
                      with an allow",
                     name.text

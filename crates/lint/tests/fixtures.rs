@@ -32,6 +32,9 @@ const UNCALLED_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_suppressed
 const USE_ONLY_FIRING: &str = include_str!("fixtures/uncalled_pub_use_firing.rs");
 const USE_ONLY_CLEAN: &str = include_str!("fixtures/uncalled_pub_use_clean.rs");
 const USE_ONLY_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_use_suppressed.rs");
+const CALL_FIRING: &str = include_str!("fixtures/uncalled_pub_call_firing.rs");
+const CALL_CLEAN: &str = include_str!("fixtures/uncalled_pub_call_clean.rs");
+const CALL_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_call_suppressed.rs");
 
 /// An integration test naming the clean fixture's public items: a caller in
 /// another file is what keeps a `pub` item alive.
@@ -332,6 +335,63 @@ fn uncalled_pub_use_items_clean_and_suppressed() {
     let findings = lint_files(&[
         ("crates/core/src/fixture.rs", USE_ONLY_SUPPRESSED),
         ("crates/core/src/lib.rs", root),
+    ]);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn uncalled_pub_counts_only_call_shaped_mentions_of_a_fn() {
+    // The other file holds both fn names, so a name index would count
+    // them: `history` as a field read and a variable, `perms` as another
+    // type's fn. Neither is a call of these fns.
+    let caller = "fn t(config: &Config) -> usize {\n\
+                  let history = config.history;\n\
+                  let _ = Privacy::perms();\n\
+                  summarize(config) + history\n\
+                  }\n";
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", CALL_FIRING),
+        ("crates/core/tests/caller.rs", caller),
+    ]);
+    assert_eq!(
+        shape(&findings),
+        [("uncalled-pub", 6), ("uncalled-pub", 10)],
+        "{findings:?}"
+    );
+    assert!(
+        findings[0].message.contains("`history` is called"),
+        "{findings:?}"
+    );
+    // A method call, and a path qualified by the fn's own type, call them.
+    let caller = "fn t(config: &Config) -> usize {\n\
+                  Config::perms().history() + summarize(config)\n\
+                  }\n";
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", CALL_FIRING),
+        ("crates/core/tests/caller.rs", caller),
+    ]);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn uncalled_pub_call_shapes_clean_and_suppressed() {
+    // A path to the fn taken as a value, a method call, and a bare call
+    // after a `use` all call; the `Display` impl's `fmt` is not public.
+    let caller = "use crate::fixture::total;\n\
+                  fn t() -> u32 {\n\
+                  let make: fn() -> Registry = Registry::empty;\n\
+                  let registry = make();\n\
+                  registry.entries().len() as u32 + total(&registry)\n\
+                  }\n";
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", CALL_CLEAN),
+        ("crates/core/tests/caller.rs", caller),
+    ]);
+    assert!(findings.is_empty(), "{findings:?}");
+    let caller = "fn t(config: &Config) -> usize { config.history }\n";
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", CALL_SUPPRESSED),
+        ("crates/core/tests/caller.rs", caller),
     ]);
     assert!(findings.is_empty(), "{findings:?}");
 }

@@ -105,14 +105,6 @@ pub struct Token {
     generation: u64,
 }
 
-impl Token {
-    /// The slab index behind this token, usable as a map key (note that an
-    /// index is reused after deregistration; the full `Token` is not).
-    pub fn index(self) -> usize {
-        self.index
-    }
-}
-
 /// One readiness (or deadline-expiry) report from [`Reactor::poll`].
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
@@ -508,7 +500,7 @@ mod tests {
         reactor.deregister(t1);
         assert_eq!(registered(&reactor), 0);
         let t2 = reactor.register(&s2, Interest::READ_WRITE);
-        assert_eq!(t2.index(), t1.index(), "freed slot is reused");
+        assert_eq!(t2.index, t1.index, "freed slot is reused");
         reactor.deregister(t1); // stale double-deregister is ignored
         assert_eq!(registered(&reactor), 1);
     }

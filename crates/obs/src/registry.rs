@@ -242,7 +242,7 @@ impl Histogram {
     }
 
     /// Sum of all observations, in seconds.
-    pub fn sum_seconds(&self) -> f64 {
+    fn sum_seconds(&self) -> f64 {
         self.cell.sum_nanos.load(Ordering::Relaxed) as f64 * 1e-9
     }
 

@@ -1,5 +1,7 @@
-//! The shared cost-report abstraction used to reproduce the §4.1.3
-//! comparison between oblivious-shuffling approaches.
+//! The cost report the §4.1.3 comparison between oblivious-shuffling
+//! approaches is told in: `paper_cost_report` in `prochlo-core` returns one
+//! for each runnable backend, and `prochlo-bench`'s cost models of the
+//! rejected baselines return one each.
 //!
 //! The paper's efficiency metric is "total amount of SGX-processed data,
 //! relative to the size of the input dataset": a 2× overhead means every
@@ -58,18 +60,6 @@ impl CostReport {
             rounds,
         }
     }
-}
-
-/// An algorithm that can report its analytic cost at arbitrary scale (even
-/// scales far beyond what we can execute locally), given the enclave's
-/// private-memory budget.
-pub trait ShuffleCostModel {
-    /// Name used in comparison tables.
-    fn name(&self) -> &'static str;
-
-    /// Cost of shuffling `records` items of `record_bytes` bytes each with
-    /// `private_memory_bytes` of enclave memory.
-    fn cost(&self, records: usize, record_bytes: usize, private_memory_bytes: usize) -> CostReport;
 }
 
 #[cfg(test)]

@@ -12,18 +12,8 @@
 //! * [`stash::params`] — parameter selection, the overhead formula
 //!   `(N + B²C + S)/N`, and an analytic estimate of the security parameter ε
 //!   (Table 1).
-//! * The four baselines §4.1.3 rejects, as the analytic cost models the
-//!   paper compares them by (the `shuffler_comparison` bench prints the
-//!   table):
-//!   * [`batcher`] — an oblivious sort built from Batcher's odd-even merge
-//!     network, 49× / 100× the data;
-//!   * [`melbourne`] — the Melbourne Shuffle, which needs the whole
-//!     permutation in private memory;
-//!   * [`cascade`] — cascade mix networks (M2R-style), needing many rounds
-//!     for a cryptographically meaningful ε;
-//!   * [`columnsort`] — ColumnSort (the Opaque baseline); 8 passes but a
-//!     hard maximum problem size.
-//! * [`cost`] — the shared cost-report type those models return.
+//! * [`cost`] — the report §4.1.3 compares shufflers by (the rejected
+//!   baselines' cost models live in `prochlo-bench`).
 //! * [`exec`] — the chunked, deterministic fork-join executor the Stash
 //!   Shuffle (and the ESA pipeline above this crate) shards its parallel
 //!   passes on, plus the `PROCHLO_SHUFFLE_THREADS` knob parsing.
@@ -32,16 +22,12 @@
 //! private-memory budgets are enforced and boundary traffic / access traces
 //! can be asserted in tests.
 
-pub mod batcher;
-pub mod cascade;
-pub mod columnsort;
 pub mod cost;
 pub mod error;
 pub mod exec;
-pub mod melbourne;
 pub mod stash;
 
-pub use cost::{CostReport, ShuffleCostModel};
+pub use cost::CostReport;
 pub use error::ShuffleError;
 pub use stash::{StashShuffle, StashShuffleOutput, StashShuffleParams};
 

@@ -3,57 +3,17 @@
 //! The algorithm shuffles `N` equal-sized records using only a small amount
 //! of private (enclave) memory, in two phases:
 //!
-//! * **Distribution** — the input is processed one bucket of `D = ⌈N/B⌉`
-//!   records at a time. Each record draws its output bucket **independently
-//!   and uniformly** from the bucket's derived generator — the distribution
-//!   [`params`] models (pair load Binomial(D, 1/B), standard deviation
-//!   ≈ `√(D/B)`) and the only one under which the paper's Table 1 values are
-//!   reproducible; at most `C` records per (input, output) bucket pair are
-//!   written out immediately as one *chunk* — exactly `C` flagged slots,
-//!   real records padded with dummies, sealed as one AEAD message under an
-//!   ephemeral key, so the host learns nothing from sizes — and any
-//!   overflow waits in a private *stash*, draining opportunistically into
-//!   later chunks. A final drain writes one more message of `K = ⌈S/B⌉`
-//!   slots per output bucket, so an intermediate bucket is `B + 1`
-//!   fixed-length messages holding `B·C + K` slots.
+//! * **Distribution** (`distribution`) — the input is processed one bucket
+//!   of `D = ⌈N/B⌉` records at a time: each record draws its output bucket
+//!   uniformly, at most `C` records per (input, output) bucket pair leave
+//!   at once as one sealed *chunk*, and any overflow waits in a private
+//!   *stash*. An intermediate bucket is `B + 1` fixed-length messages.
+//! * **Compression** (`compression`) — intermediate buckets are imported
+//!   through a sliding window of `W`, opened, permuted in private memory,
+//!   and emitted `D` records per output bucket.
 //!
-//!   Distribution models a **multi-threaded enclave**: buckets are
-//!   pipelined in worker-sized groups, and the expensive per-bucket work —
-//!   the AEAD sealing of the output chunks — runs on scoped workers, each
-//!   charging a private-memory sub-budget carved from the enclave's
-//!   remaining budget ([`prochlo_sgx::WorkerPool::split`]) after the
-//!   stash's worst case is reserved up front; a bucket stays charged to its
-//!   worker from the moment it is read until it is sealed, so the budget
-//!   honestly bounds plaintext residency. The dummy-only chunks of empty
-//!   trailing buckets and the drain messages are sealed on the workers too.
-//!   Target assignment and the stash bookkeeping ahead of the sealing pass
-//!   are sequential in bucket order (the stash threads state from bucket to
-//!   bucket by construction, and neither does any cryptography). Each
-//!   bucket derives its own RNG from `(attempt seed, bucket index)` and
-//!   boundary crossings are buffered per bucket and committed in bucket
-//!   order, so the output, the boundary counters *and the access trace* are
-//!   byte-identical at any worker count.
-//! * **Compression** — intermediate buckets are imported one at a time into a
-//!   sliding window of `W` buckets. A bucket that is not exactly `B` chunks
-//!   and one drain of the expected sealed lengths is refused before
-//!   anything is opened. Its messages are opened in a fixed order on the
-//!   same workers — a strip of `⌊1024/C⌋` chunks at a time, so the plaintext
-//!   held beside the queue does not grow with `N` — dummies are discarded,
-//!   and real records join a queue bounded by
-//!   [`StashShuffleParams::queue_capacity`] (`W·D` plus ≈ 5.27·√N of slack
-//!   for the wander of the running bucket loads). The records the bucket
-//!   added are then permuted in private memory (Algorithm 4's in-enclave
-//!   shuffle, the phase's only draw), and exactly `D` records are emitted
-//!   per output bucket. Enqueueing is sequential in message order and the
-//!   queue only grows during an import, so worker count changes neither the
-//!   output nor the point at which a doomed attempt fails.
-//!
-//! Every message is sealed under a nonce that is a function of its position
-//! in the intermediate array — `(input bucket, output bucket)` for a chunk, a
-//! disjoint range for the drains — and compression recomputes that nonce
-//! from the position it reads: a host that swaps, replays, appends, removes
-//! or truncates a message fails the shuffle instead of silently changing
-//! which records come out.
+//! `layout` works out the sizes an attempt runs at, and `message` seals
+//! every intermediate message under the nonce of its position.
 //!
 //! An attempt can fail four ways — the stash fills during distribution, the
 //! final drain leaves records in it, the compression queue outgrows its
@@ -74,40 +34,22 @@
 //! [`prochlo_sgx::Enclave`], so tests can assert both the memory budget and
 //! the obliviousness of the access trace.
 
+mod compression;
+mod distribution;
+mod layout;
+mod message;
 pub mod params;
 
-use std::collections::VecDeque;
-
-use rand::seq::SliceRandom;
 use rand::Rng;
 
-use prochlo_crypto::aead::{self, AeadKey};
-use prochlo_sgx::{BoundaryLog, Enclave, EnclaveMetrics, WorkerPool};
+use prochlo_crypto::aead::AeadKey;
+use prochlo_sgx::{Enclave, EnclaveMetrics};
 
 use crate::error::ShuffleError;
-use crate::exec;
 use crate::{uniform_record_len, Records};
+use layout::Layout;
 
 pub use params::{StashShuffleParams, Table1Scenario};
-
-/// Slots of one compression strip: an imported bucket is read in strips of
-/// as many whole chunks as fit (at least one), so its plaintext residency
-/// is a constant instead of the `B·C + K` slots of a bucket (25 k slots,
-/// 8 MB, at N = 10 M).
-const IMPORT_STRIP_SLOTS: usize = 1024;
-
-/// Associated data of every intermediate message.
-const MESSAGE_AAD: &[u8] = b"stash-chunk";
-
-/// How compression strips an imported bucket: messages per strip (whole
-/// `C`-slot chunks, at least one), and the plaintext slots of the largest
-/// strip. The `K`-slot drain rides in the last strip, after the `B mod
-/// strip` chunks left over from the full strips.
-fn import_strip(b: usize, c: usize, k: usize) -> (usize, usize) {
-    let messages = (IMPORT_STRIP_SLOTS / c).max(1);
-    let full = if b >= messages { messages * c } else { 0 };
-    (messages, full.max((b % messages) * c + k))
-}
 
 /// Result of a successful Stash Shuffle run.
 #[derive(Debug, Clone)]
@@ -176,24 +118,6 @@ pub struct StashShuffle {
     num_threads: usize,
 }
 
-/// One input bucket ready for sealing: `chunks[out_idx]` is the plaintext
-/// chunk (≤ `C` records, borrowed from the input) bound for output bucket
-/// `out_idx`, and `log` is the bucket's boundary history so far (its
-/// `copy_in`; the sealing pass appends the `copy_out`s and the merged log
-/// commits once, in bucket order).
-struct BucketPlan<'a> {
-    chunks: Vec<Vec<&'a [u8]>>,
-    log: BoundaryLog,
-}
-
-/// One input bucket's sealed output: `chunks[out_idx]` is the sealed chunk
-/// message for output bucket `out_idx`, and `log` is the bucket's complete
-/// boundary history (read + chunk writes).
-struct SealedBucket {
-    chunks: Vec<Vec<u8>>,
-    log: BoundaryLog,
-}
-
 /// The intermediate array in untrusted memory: per output bucket, its
 /// `B + 1` sealed messages — one chunk from each input bucket, in input
 /// bucket order, then its stash drain.
@@ -208,83 +132,6 @@ enum AttemptFailure {
     QueueOverflow,
     WindowUnderflow,
     Fatal(ShuffleError),
-}
-
-/// The sizes one attempt runs at — the paper's `N, B, D, C, S, K, W` after
-/// clamping to the input — plus the inner record length and the queue
-/// bound, worked out once and shared by both phases.
-#[derive(Debug, Clone, Copy)]
-struct Layout {
-    n: usize,
-    b: usize,
-    d: usize,
-    c: usize,
-    s: usize,
-    k: usize,
-    w: usize,
-    inner_len: usize,
-    queue_capacity: usize,
-}
-
-impl Layout {
-    fn new(params: &StashShuffleParams, n: usize, inner_len: usize) -> Self {
-        let (b, d, w) = params.geometry(n);
-        Self {
-            n,
-            b,
-            d,
-            c: params.chunk_cap,
-            s: params.stash_capacity,
-            k: params.stash_capacity.div_ceil(b).max(1),
-            w,
-            inner_len,
-            queue_capacity: params.queue_capacity(n),
-        }
-    }
-
-    /// One flag byte distinguishes real records from dummies after
-    /// decryption.
-    fn slot_plain_len(&self) -> usize {
-        1 + self.inner_len
-    }
-
-    /// Slots in the message at `position` of an intermediate bucket: `B`
-    /// chunks of `C`, then the `K`-slot drain.
-    fn slots_at(&self, position: usize) -> usize {
-        if position < self.b {
-            self.c
-        } else {
-            self.k
-        }
-    }
-
-    /// The length of a sealed message of `slots` slots: the nonce, the
-    /// flagged slots and the tag.
-    fn sealed_len(&self, slots: usize) -> usize {
-        aead::NONCE_LEN + slots * self.slot_plain_len() + aead::TAG_LEN
-    }
-
-    /// Nonce index of the chunk input bucket `in_idx` writes for output
-    /// bucket `out_idx`.
-    fn chunk_message(&self, in_idx: usize, out_idx: usize) -> u64 {
-        (in_idx * self.b + out_idx) as u64
-    }
-
-    /// Nonce index of output bucket `out_idx`'s stash drain; the drains
-    /// follow all `B²` chunks.
-    fn drain_message(&self, out_idx: usize) -> u64 {
-        (self.b * self.b + out_idx) as u64
-    }
-
-    /// The nonce index the message at `position` of intermediate bucket
-    /// `out_idx` was sealed under.
-    fn message_at(&self, out_idx: usize, position: usize) -> u64 {
-        if position < self.b {
-            self.chunk_message(position, out_idx)
-        } else {
-            self.drain_message(out_idx)
-        }
-    }
 }
 
 impl StashShuffle {
@@ -399,344 +246,6 @@ impl StashShuffle {
             .release_private(bytes)
             .expect("charges and releases are balanced");
     }
-
-    /// The distribution phase.
-    fn distribute(
-        &self,
-        input: &[Vec<u8>],
-        layout: &Layout,
-        ephemeral_key: &AeadKey,
-        attempt_seed: u64,
-    ) -> Result<Intermediate, AttemptFailure> {
-        let Layout {
-            n,
-            b,
-            d,
-            c,
-            s,
-            k,
-            inner_len,
-            ..
-        } = *layout;
-        let slot_plain_len = layout.slot_plain_len();
-
-        // Modelled as a multi-threaded enclave. The stash's worst case is
-        // reserved up front, so worker sub-budgets are carved from what is
-        // genuinely left: a worker that stays within its sub-budget can
-        // never fail the global budget check, which keeps out-of-memory
-        // outcomes a pure function of the configuration — never of how
-        // worker charges happened to overlap in time.
-        //
-        // Buckets are processed in groups of `workers`, each group in two
-        // steps:
-        //
-        //   A. (sequential, bucket order) read each bucket into its worker
-        //      — charged to that worker's sub-budget until step B seals
-        //      it, so the budget honestly bounds plaintext residency: at
-        //      most `workers` buckets plus the reserved stash, never the
-        //      whole batch — draw every record's target, and run the stash
-        //      discipline: drain stashed records into chunks with room,
-        //      overflow new records into the stash. It threads state from
-        //      bucket to bucket by construction and does no cryptography;
-        //   B. (parallel) per-bucket AEAD sealing and dummy padding of the
-        //      B output chunks, then release of the bucket's charges.
-        //
-        // Within a group, bucket `i` always uses worker `i % workers`, so
-        // the step B release meets the step A charge on the same worker.
-        // Each bucket's boundary crossings accumulate in one log (copy_in
-        // from step A, copy_outs from step B) committed in bucket order,
-        // so output, boundary counters and the access trace are all
-        // byte-identical at any worker count — and identical to the
-        // sequential algorithm's trace.
-        let workers = self.num_threads;
-        self.charge(s * inner_len)?;
-        let stash_reservation = ReservedPrivate {
-            enclave: &self.enclave,
-            bytes: s * inner_len,
-        };
-        let pool = WorkerPool::split(&self.enclave, workers);
-
-        let real_buckets = n.div_ceil(d);
-        let mut mid: Intermediate = vec![Vec::with_capacity(b + 1); b];
-        // Stashed records are covered by the up-front reservation
-        // (`stash_total` never exceeds S).
-        let mut stash: Vec<VecDeque<&[u8]>> = vec![VecDeque::new(); b];
-        let mut stash_total = 0usize;
-
-        for group_start in (0..real_buckets).step_by(workers) {
-            let group_end = (group_start + workers).min(real_buckets);
-            let group_records = &input[group_start * d..(group_end * d).min(n)];
-
-            // Step A.
-            let mut plans: Vec<BucketPlan<'_>> = Vec::with_capacity(group_end - group_start);
-            for (rel_idx, bucket) in group_records.chunks(d).enumerate() {
-                let bucket_idx = group_start + rel_idx;
-                let mut log = BoundaryLog::new();
-                log.copy_in("read-input-bucket", bucket_idx, bucket.len() * inner_len);
-                // The bucket, held until step B seals it. If the attempt
-                // ends before that, the worker's Drop releases it.
-                pool.with_exact(rel_idx, |worker| worker.charge_private(d * inner_len))
-                    .map_err(|e| AttemptFailure::Fatal(e.into()))?;
-                let mut chunks: Vec<Vec<&[u8]>> = vec![Vec::with_capacity(c); b];
-
-                // Drain stashed records into chunks with room.
-                for (out_idx, chunk) in chunks.iter_mut().enumerate() {
-                    while chunk.len() < c {
-                        match stash[out_idx].pop_front() {
-                            Some(item) => {
-                                stash_total -= 1;
-                                chunk.push(item);
-                            }
-                            None => break,
-                        }
-                    }
-                }
-
-                // Distribute this bucket's records: every record draws its
-                // output bucket from this bucket's derived generator.
-                let mut bucket_rng = exec::chunk_rng(attempt_seed, bucket_idx as u64);
-                let targets = uniform_targets(bucket.len(), b, &mut bucket_rng);
-                for (record, target) in bucket.iter().zip(targets) {
-                    if chunks[target].len() < c {
-                        chunks[target].push(record);
-                    } else if stash_total < s {
-                        stash_total += 1;
-                        stash[target].push_back(record);
-                    } else {
-                        return Err(AttemptFailure::StashOverflow);
-                    }
-                }
-                plans.push(BucketPlan { chunks, log });
-            }
-
-            // Step B: seal and pad each bucket's B chunks on the worker
-            // that holds its step A charge, then release both working
-            // sets. Chunk nonces derive from the chunk's position — a pure
-            // function of (bucket, output bucket) — instead of a shared
-            // counter, so sealing parallelizes without coordination and
-            // nonces stay unique.
-            let sealed: Vec<Result<SealedBucket, AttemptFailure>> =
-                exec::par_chunks(&plans, workers, 1, |rel_idx, plan| {
-                    let bucket_idx = group_start + rel_idx;
-                    let BucketPlan { chunks: plan, log } = &plan[0];
-                    let mut log = log.clone();
-                    pool.with_exact(rel_idx, |worker| {
-                        // The B output chunks of C slots each.
-                        let sealing_bytes = b * c * slot_plain_len;
-                        worker
-                            .charge_private(sealing_bytes)
-                            .map_err(|e| AttemptFailure::Fatal(e.into()))?;
-                        let chunks = plan
-                            .iter()
-                            .enumerate()
-                            .map(|(out_idx, items)| {
-                                let index = layout.chunk_message(bucket_idx, out_idx);
-                                let chunk = seal_message(ephemeral_key, index, items, c, inner_len);
-                                log.copy_out("write-intermediate-chunk", out_idx, chunk.len());
-                                chunk
-                            })
-                            .collect();
-                        worker
-                            .release_private(sealing_bytes + d * inner_len)
-                            .expect("charges and releases are balanced");
-                        Ok(SealedBucket { chunks, log })
-                    })
-                });
-
-            // Merge: the intermediate array (in untrusted memory), chunks
-            // appended — and logs committed — in bucket order.
-            for bucket in sealed {
-                let SealedBucket { chunks, log } = bucket?;
-                log.commit(&self.enclave);
-                for (out_bucket, chunk) in mid.iter_mut().zip(chunks) {
-                    out_bucket.push(chunk);
-                }
-            }
-        }
-
-        // Empty trailing buckets still write dummy-only chunks (no stash
-        // drain, and outside any charged working set, exactly as the
-        // sequential algorithm) so the access pattern only depends on N
-        // and the parameters.
-        let empty_buckets: Vec<usize> = (real_buckets..b).collect();
-        let empty_chunks = exec::par_chunks(&empty_buckets, workers, 1, |_, bucket| {
-            (0..b)
-                .map(|out_idx| {
-                    let index = layout.chunk_message(bucket[0], out_idx);
-                    seal_message(ephemeral_key, index, &[], c, inner_len)
-                })
-                .collect::<Vec<_>>()
-        });
-        for chunks in empty_chunks {
-            for (out_idx, (out_bucket, chunk)) in mid.iter_mut().zip(chunks).enumerate() {
-                self.enclave
-                    .copy_out("write-intermediate-chunk", out_idx, chunk.len());
-                out_bucket.push(chunk);
-            }
-        }
-
-        // Final stash drain: one K-slot message per output bucket
-        // (Algorithm 1, line 5), its records still covered by the stash
-        // reservation while they are sealed.
-        let drains: Vec<Vec<&[u8]>> = stash
-            .iter_mut()
-            .map(|items| {
-                let take = items.len().min(k);
-                stash_total -= take;
-                items.drain(..take).collect()
-            })
-            .collect();
-        let sealed_drains = exec::par_chunks(&drains, workers, 1, |out_idx, items| {
-            seal_message(
-                ephemeral_key,
-                layout.drain_message(out_idx),
-                &items[0],
-                k,
-                inner_len,
-            )
-        });
-        for (out_idx, (out_bucket, drain)) in mid.iter_mut().zip(sealed_drains).enumerate() {
-            self.enclave
-                .copy_out("write-stash-drain", out_idx, drain.len());
-            out_bucket.push(drain);
-        }
-        // The stash is drained (or the attempt restarts): hand its
-        // reservation back before the compression phase charges its own
-        // working sets.
-        drop(stash_reservation);
-        if stash_total > 0 {
-            return Err(AttemptFailure::StashUndrained);
-        }
-        Ok(mid)
-    }
-
-    /// The compression phase: imports the intermediate buckets through a
-    /// window of `W` and emits the `N` real records, `D` per output bucket.
-    /// It takes the intermediate array by value and frees each bucket once
-    /// it has read it, so the array shrinks as the output grows.
-    fn compress<R: Rng + ?Sized>(
-        &self,
-        mut mid: Intermediate,
-        layout: &Layout,
-        ephemeral_key: &AeadKey,
-        rng: &mut R,
-    ) -> Result<Records, AttemptFailure> {
-        let Layout { n, b, d, w, .. } = *layout;
-        let mut queue: VecDeque<Vec<u8>> = VecDeque::with_capacity(layout.queue_capacity);
-        let mut output: Records = Vec::with_capacity(n);
-        let (strip_messages, strip_slots) = import_strip(b, layout.c, layout.k);
-
-        let mut import = |bucket_idx: usize,
-                          queue: &mut VecDeque<Vec<u8>>,
-                          rng: &mut R|
-         -> Result<(), AttemptFailure> {
-            let messages = std::mem::take(&mut mid[bucket_idx]);
-            // Nothing is opened from a bucket of the wrong shape: an extra
-            // message would authenticate under the position it claims (a
-            // replayed drain, or another bucket's), and its records would
-            // come out twice while the last drain dropped others.
-            let well_formed = messages.len() == b + 1
-                && messages.iter().enumerate().all(|(position, message)| {
-                    message.len() == layout.sealed_len(layout.slots_at(position))
-                });
-            if !well_formed {
-                return Err(AttemptFailure::Fatal(ShuffleError::IngressFailed(
-                    "intermediate bucket has the wrong length",
-                )));
-            }
-            self.enclave.copy_in(
-                "read-intermediate-bucket",
-                bucket_idx,
-                messages.iter().map(Vec::len).sum(),
-            );
-            // One strip of plaintext messages is resident at a time.
-            let strip_bytes = strip_slots * layout.slot_plain_len();
-            self.charge(strip_bytes)?;
-            let _strip = ReservedPrivate {
-                enclave: &self.enclave,
-                bytes: strip_bytes,
-            };
-            // Opening a message is a pure function of its bytes and
-            // position, so the workers share a strip; the queue is then fed
-            // sequentially in message order, which keeps the output and the
-            // failure point those of the one-thread run.
-            let imported_from = queue.len();
-            for (strip_idx, strip) in messages.chunks(strip_messages).enumerate() {
-                let opened = exec::par_chunks(strip, self.num_threads, 1, |offset, message| {
-                    let position = strip_idx * strip_messages + offset;
-                    open_message(
-                        ephemeral_key,
-                        &message[0],
-                        layout.message_at(bucket_idx, position),
-                        layout.slot_plain_len(),
-                    )
-                });
-                for reals in opened {
-                    for real in reals.map_err(AttemptFailure::Fatal)? {
-                        if queue.len() >= layout.queue_capacity {
-                            return Err(AttemptFailure::QueueOverflow);
-                        }
-                        self.charge(real.len())?;
-                        queue.push_back(real);
-                    }
-                }
-            }
-            // Shuffle the records this bucket added inside private memory
-            // (Algorithm 4) — the phase's only draw.
-            queue.make_contiguous()[imported_from..].shuffle(rng);
-            Ok(())
-        };
-
-        let drain = |bucket_idx: usize,
-                     queue: &mut VecDeque<Vec<u8>>,
-                     output: &mut Records,
-                     allow_partial: bool|
-         -> Result<(), AttemptFailure> {
-            let want = d.min(n - output.len());
-            if queue.len() < want && !allow_partial {
-                return Err(AttemptFailure::WindowUnderflow);
-            }
-            let take = want.min(queue.len());
-            let mut bytes = 0usize;
-            for _ in 0..take {
-                let item = queue.pop_front().expect("queue length checked");
-                self.release(item.len());
-                bytes += item.len();
-                output.push(item);
-            }
-            self.enclave
-                .copy_out("write-output-bucket", bucket_idx, bytes);
-            Ok(())
-        };
-
-        let result: Result<(), AttemptFailure> = (|| {
-            for bucket_idx in 0..w {
-                import(bucket_idx, &mut queue, rng)?;
-            }
-            for bucket_idx in w..b {
-                drain(bucket_idx - w, &mut queue, &mut output, false)?;
-                import(bucket_idx, &mut queue, rng)?;
-            }
-            for bucket_idx in (b - w)..b {
-                drain(bucket_idx, &mut queue, &mut output, true)?;
-            }
-            Ok(())
-        })();
-
-        // Release anything still queued before returning (success or failure).
-        for item in queue.drain(..) {
-            self.release(item.len());
-        }
-        result?;
-
-        if output.len() != n {
-            // Should be impossible: every real record was enqueued exactly once.
-            return Err(AttemptFailure::Fatal(ShuffleError::InvalidParameters(
-                "lost records during compression",
-            )));
-        }
-        Ok(output)
-    }
 }
 
 /// A private-memory charge released on every exit path — success, restart
@@ -754,76 +263,13 @@ impl Drop for ReservedPrivate<'_> {
     }
 }
 
-/// Draws the output bucket of each of `items` records independently and
-/// uniformly from `0..buckets`: the load of a bucket is Binomial(items,
-/// 1/buckets), the distribution [`StashShuffleParams::derive`] sizes `C`
-/// for and [`StashShuffleParams::log2_epsilon`] bounds.
-fn uniform_targets<R: Rng + ?Sized>(items: usize, buckets: usize, rng: &mut R) -> Vec<usize> {
-    (0..items).map(|_| rng.gen_range(0..buckets)).collect()
-}
-
-/// Seals one intermediate message of exactly `slots` flagged slots — the
-/// `records` (at most `slots`, each `inner_len` bytes), then dummies — with
-/// the ephemeral key, straight into its nonce-prefixed buffer. `index` is
-/// the message's position in the intermediate array — a pure function of
-/// (input bucket, output bucket) for a chunk — so parallel sealing needs no
-/// shared counter and nonces never collide under one key.
-fn seal_message(
-    key: &AeadKey,
-    index: u64,
-    records: &[&[u8]],
-    slots: usize,
-    inner_len: usize,
-) -> Vec<u8> {
-    let nonce = message_nonce(index);
-    let plain_end = aead::NONCE_LEN + slots * (1 + inner_len);
-    let mut sealed = Vec::with_capacity(plain_end + aead::TAG_LEN);
-    sealed.extend_from_slice(&nonce);
-    for record in records {
-        sealed.push(1);
-        sealed.extend_from_slice(record);
-    }
-    sealed.resize(plain_end, 0);
-    aead::seal_in_place(key, &nonce, MESSAGE_AAD, &mut sealed, aead::NONCE_LEN);
-    sealed
-}
-
-/// Opens the intermediate message read from global position `index` and
-/// returns its real records, dummies dropped. The nonce stored beside the
-/// ciphertext lives in untrusted memory, so it is only checked against the
-/// one `index` implies: a message the host moved or copied from elsewhere
-/// fails here.
-fn open_message(
-    key: &AeadKey,
-    sealed: &[u8],
-    index: u64,
-    slot_plain_len: usize,
-) -> Result<Vec<Vec<u8>>, ShuffleError> {
-    let nonce = message_nonce(index);
-    if !sealed.starts_with(&nonce) {
-        return Err(ShuffleError::IngressFailed(
-            "intermediate message is not at the position it was sealed for",
-        ));
-    }
-    let plain = aead::open(key, &nonce, MESSAGE_AAD, &sealed[aead::NONCE_LEN..])
-        .map_err(|_| ShuffleError::IngressFailed("intermediate message authentication"))?;
-    Ok(plain
-        .chunks_exact(slot_plain_len)
-        .filter(|slot| slot[0] == 1)
-        .map(|slot| slot[1..].to_vec())
-        .collect())
-}
-
-fn message_nonce(index: u64) -> [u8; aead::NONCE_LEN] {
-    let mut nonce = [0u8; aead::NONCE_LEN];
-    nonce[..8].copy_from_slice(&index.to_le_bytes());
-    nonce[8..].copy_from_slice(b"stsh");
-    nonce
-}
-
 #[cfg(test)]
 mod tests {
+    use super::distribution::uniform_targets;
+    use super::layout::{import_strip, IMPORT_STRIP_SLOTS};
+    use super::message::{open_message, seal_message};
     use super::*;
+    use prochlo_crypto::aead;
     use prochlo_sgx::EnclaveConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -300,7 +300,7 @@ impl StashShuffleParams {
         let c = self.chunk_cap;
         let k = self.stash_drain_per_bucket();
         let distribution = (d + b * c + self.stash_capacity / 4) * record_bytes;
-        let (_, strip) = super::import_strip(b, c, k);
+        let (_, strip) = super::layout::import_strip(b, c, k);
         let compression = (strip + self.queue_capacity(records)) * record_bytes;
         distribution.max(compression)
     }

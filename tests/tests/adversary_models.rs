@@ -230,3 +230,35 @@ fn one_hostile_well_formed_report_changes_nothing_but_the_rejected_count() {
     );
     assert!(honest.database.count(b"chrome") > 100);
 }
+
+#[test]
+fn a_replayed_report_shows_in_the_duplicate_count() {
+    // Anyone who captures one sealed report (or the client who sealed it)
+    // can resubmit the same bytes under fresh collector nonces: 61 copies
+    // of a rare value alone in its crowd. The epoch's canonical order makes
+    // the copies adjacent, and the shuffling stage's statistics count every
+    // copy after the first.
+    let mut rng = StdRng::seed_from_u64(7);
+    let deployment = Deployment::builder().payload_size(32).build(&mut rng);
+    let encoder = deployment.encoder();
+    let mut reports = Vec::new();
+    for (value, count) in [(&b"chrome"[..], 150u64), (b"firefox", 45)] {
+        for i in 0..count {
+            let crowd = CrowdStrategy::Hash(value);
+            reports.push(encoder.encode_plain(value, crowd, i, &mut rng).unwrap());
+        }
+    }
+    let rare = encoder
+        .encode_plain(b"rare-value", CrowdStrategy::Hash(b"rare"), 999, &mut rng)
+        .unwrap();
+    let epoch = |copies: usize| {
+        let mut session = deployment.session(EpochSpec::new(0, 0x5eed));
+        session.extend(reports.iter().cloned());
+        session.extend(std::iter::repeat_n(rare.clone(), copies));
+        session.finish().unwrap()
+    };
+    assert_eq!(epoch(1).shuffler_stats.duplicate_reports, 0);
+    let replayed = epoch(61);
+    assert_eq!(replayed.shuffler_stats.duplicate_reports, 60);
+    assert_eq!(replayed.shuffler_stats.received, 256);
+}

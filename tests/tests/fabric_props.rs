@@ -53,6 +53,7 @@ fn stats(seed: u64, backend: &'static str) -> ShufflerStats {
         crowds_forwarded: rng.gen_range(0..50),
         shuffle_attempts: rng.gen_range(0..4),
         backend,
+        duplicate_reports: 0,
         timings: PhaseTimings {
             peel_seconds: rng.gen::<f64>(),
             threshold_seconds: rng.gen::<f64>(),
