@@ -9,12 +9,16 @@
 # workspace's convention: a file's unit tests are its last item) and nothing
 # under a crate's tests/ directory. vendor/ is not first-party and is left out.
 #
-# The last line sums the system crates' non-test lines and exits 1 when they
-# exceed SYSTEM_CEILING. Raising the ceiling takes an edit here and a written
-# reason in CHANGES.md; lowering it after a PR that shrinks them keeps the
-# ground gained.
-SYSTEM_CEILING=16206
+# The "system" line sums the system crates' non-test lines and the script
+# exits 1 when they exceed SYSTEM_CEILING. The "allows" line counts the
+# `prochlo-lint: allow` lines outside crates/lint (whose fixtures quote the
+# syntax) and the script exits 1 when they exceed ALLOW_CEILING: each allow
+# is public surface or a seam the lint no longer checks. Raising either
+# ceiling takes an edit here and a written reason in CHANGES.md; lowering it
+# after a PR that shrinks the count keeps the ground gained.
+SYSTEM_CEILING=16150
 SYSTEM_CRATES='core crypto shuffle collector net fabric obs stats sgx-sim'
+ALLOW_CEILING=41
 cd "$(dirname "$0")/../../.." || exit 1
 table=$(for dir in crates/* examples tests; do
     find "$dir" -name '*.rs' -not -path '*/target/*' | sort | xargs awk -v crate="${dir#crates/}" '
@@ -25,6 +29,7 @@ table=$(for dir in crates/* examples tests; do
 done)
 printf '%-22s %8s %9s\n' crate lines non-test
 printf '%s\n' "$table" | awk '{ print; total += $2; code += $3 } END { printf "%-22s %8d %9d\n", "workspace", total, code }'
+status=0
 printf '%s\n' "$table" | awk -v crates="$SYSTEM_CRATES" -v ceiling="$SYSTEM_CEILING" '
     BEGIN { split(crates, names, " "); for (i in names) listed[names[i]] = 1 }
     $1 in listed { code += $3 }
@@ -34,4 +39,12 @@ printf '%s\n' "$table" | awk -v crates="$SYSTEM_CRATES" -v ceiling="$SYSTEM_CEIL
             printf "system crates exceed their non-test line ceiling by %d\n", code - ceiling
             exit 1
         }
-    }'
+    }' || status=1
+allows=$(find crates examples tests -name '*.rs' -not -path '*/target/*' -not -path 'crates/lint/*' |
+    xargs grep -h 'prochlo-lint: allow' | wc -l)
+printf '%-22s %8s %9d (ceiling %d)\n' allows '' "$allows" "$ALLOW_CEILING"
+if [ "$allows" -gt "$ALLOW_CEILING" ]; then
+    printf 'lint allows exceed their ceiling by %d\n' $((allows - ALLOW_CEILING))
+    status=1
+fi
+exit $status

@@ -158,7 +158,9 @@ mod tests {
         assert_eq!(g.affinity(1, 2), g.affinity(1, 2));
         // Across many pairs the affinity should spread out, not collapse.
         let values: Vec<f64> = (0..200).map(|i| g.affinity(i, (i * 7) % 200)).collect();
-        let spread = prochlo_stats::stddev(&values);
+        let mean = values.iter().sum::<f64>() / values.len() as f64;
+        let variance = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>();
+        let spread = (variance / (values.len() - 1) as f64).sqrt();
         assert!(spread > 0.3, "spread {spread}");
     }
 

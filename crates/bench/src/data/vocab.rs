@@ -66,11 +66,6 @@ impl VocabCorpus {
     pub fn expected_distinct(&self, sample_size: u64) -> f64 {
         self.zipf.expected_distinct(sample_size)
     }
-
-    /// Probability mass of word `id`.
-    pub fn pmf(&self, id: usize) -> f64 {
-        self.zipf.pmf(id)
-    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use crate::error::CollectorError;
 use crate::ingest::{IngestCore, Peer};
-use crate::protocol::{read_frame, write_frame, Request, Response, NONCE_LEN};
+use crate::protocol::{read_frame, write_frame, Request, Response, MAX_FRAME_LEN, NONCE_LEN};
 
 /// A destination for sealed report submissions.
 ///
@@ -131,7 +131,6 @@ pub struct CollectorClient {
     reader: BufReader<TcpStream>,
     /// The request frames of the exchange in progress, reused across calls.
     wire: Vec<u8>,
-    max_frame_len: usize,
     /// An exchange failed part-way: responses to it may still arrive, and
     /// the next call would read them as its own verdicts. Set for good.
     failed: bool,
@@ -155,7 +154,6 @@ impl CollectorClient {
         Ok(Self {
             reader: BufReader::new(stream),
             wire: Vec::new(),
-            max_frame_len: 64 << 10,
             failed: false,
         })
     }
@@ -194,7 +192,7 @@ impl CollectorClient {
         }
         self.reader.get_mut().write_all(&self.wire)?;
         for _ in requests {
-            let body = read_frame(&mut self.reader, self.max_frame_len)?;
+            let body = read_frame(&mut self.reader, MAX_FRAME_LEN)?;
             responses.push(Response::from_bytes(&body)?);
         }
         Ok(())
@@ -415,10 +413,10 @@ mod tests {
         // timed out on it, then serves whatever else arrives.
         let peer = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            read_frame(&mut stream, 64 << 10).unwrap();
+            read_frame(&mut stream, MAX_FRAME_LEN).unwrap();
             has_given_up.recv().unwrap();
             let _ = write_frame(&mut stream, &Response::Duplicate.to_bytes());
-            while read_frame(&mut stream, 64 << 10).is_ok() {
+            while read_frame(&mut stream, MAX_FRAME_LEN).is_ok() {
                 let _ = write_frame(&mut stream, &Response::Ack { pending: 0 }.to_bytes());
             }
         });

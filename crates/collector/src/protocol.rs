@@ -37,6 +37,13 @@
 //! hashed crowd ID already exposes to the shuffler — so a shard-router
 //! front-end can pick a collector shard without opening the sealed report.
 //! A collector shard treats it as a plain submit.
+//!
+//! The module also owns the serving policy a front applies before any
+//! handler sees a frame, and the collector and the fabric's `ShardRouter`
+//! both read it here: the frame ceiling [`MAX_FRAME_LEN`] under
+//! [`frame_policy`], and the [`refusal_bodies`] — `RetryAfter` to a
+//! connection refused at the cap, `Rejected` to an oversize announcement —
+//! so the two fronts refuse with the same bytes.
 
 use std::io::{Read, Write};
 
@@ -59,9 +66,28 @@ pub const RETRY_AFTER_MS: u32 = 100;
 /// answered `Rejected`.
 pub const MAX_REPORT_LEN: usize = 16 << 10;
 
-/// The collector protocol's framing policy at a given frame-size ceiling.
-pub const fn frame_policy(max_frame_len: usize) -> FramePolicy {
-    FramePolicy::new(PROTOCOL_VERSION, max_frame_len)
+/// The largest frame a collector, a shard router or a
+/// [`crate::CollectorClient`] reads: room for a `SUBMIT_ROUTED` carrying a
+/// report of [`MAX_REPORT_LEN`], and for a `STATS` answer. A longer
+/// announcement is refused before its body arrives.
+pub const MAX_FRAME_LEN: usize = 64 << 10;
+
+/// The collector protocol's framing policy at [`MAX_FRAME_LEN`].
+pub const fn frame_policy() -> FramePolicy {
+    FramePolicy::new(PROTOCOL_VERSION, MAX_FRAME_LEN)
+}
+
+/// The bodies a serving front answers on its own behalf, as `(busy,
+/// oversize)`: `RetryAfter` at [`RETRY_AFTER_MS`] to a connection refused
+/// at the cap, and `Rejected` to a frame announced over [`MAX_FRAME_LEN`].
+pub fn refusal_bodies() -> (Vec<u8>, Vec<u8>) {
+    let busy = Response::RetryAfter {
+        millis: RETRY_AFTER_MS,
+    };
+    let oversize = Response::Rejected {
+        reason: "frame exceeds maximum size".to_string(),
+    };
+    (busy.to_bytes(), oversize.to_bytes())
 }
 
 /// A client-to-collector message.
@@ -301,7 +327,7 @@ pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> Result<(), Collector
     // *readers* from hostile announcements, so writes use the codec-level
     // maximum a u32 length can express.
     writer
-        .write_frame(&frame_policy(u32::MAX as usize), body)
+        .write_frame(&frame_policy().with_max_frame_len(u32::MAX as usize), body)
         .map_err(Into::into)
 }
 
@@ -313,7 +339,7 @@ pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> Result<(), Collector
 /// that closes mid-frame yields an I/O error.
 pub fn read_frame(reader: &mut impl Read, max_len: usize) -> Result<Vec<u8>, CollectorError> {
     reader
-        .read_frame(&frame_policy(max_len))
+        .read_frame(&frame_policy().with_max_frame_len(max_len))
         .map_err(Into::into)
 }
 

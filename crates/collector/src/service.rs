@@ -44,7 +44,7 @@ use prochlo_net::{Answer, Handler, Server, ServerConfig, ServerStats, TokenBucke
 
 use crate::error::CollectorError;
 use crate::ingest::{IngestConfig, IngestCore, IngestStats, Peer, Tally};
-use crate::protocol::{frame_policy, RequestRef, Response, RETRY_AFTER_MS};
+use crate::protocol::{frame_policy, refusal_bodies, RequestRef, Response};
 
 /// Configuration of a running collector.
 #[derive(Debug, Clone)]
@@ -63,10 +63,6 @@ pub struct CollectorConfig {
     pub max_epoch_reports: usize,
     /// Cut an epoch with whatever arrived once this much time passes.
     pub epoch_deadline: Duration,
-    /// Maximum frame size accepted from a peer.
-    pub max_frame_len: usize,
-    /// Nonces remembered for replay dedup.
-    pub dedup_capacity: usize,
     /// Per-connection progress deadline: a connection that completes no
     /// frame (and drains no pending response) for this long is evicted.
     pub io_timeout: Duration,
@@ -100,8 +96,6 @@ impl Default for CollectorConfig {
             queue_capacity: 1 << 16,
             max_epoch_reports: 8192,
             epoch_deadline: Duration::from_millis(500),
-            max_frame_len: 64 << 10,
-            dedup_capacity: 1 << 20,
             io_timeout: Duration::from_secs(10),
             rate_limit_per_conn: None,
             seed: 0,
@@ -276,7 +270,7 @@ impl Collector {
             ingest: IngestCore::with_registry(
                 IngestConfig {
                     queue_capacity: config.queue_capacity,
-                    dedup_capacity: config.dedup_capacity,
+                    ..IngestConfig::default()
                 },
                 Arc::clone(&registry),
             ),
@@ -293,21 +287,16 @@ impl Collector {
                 .name("collector-epoch".to_string())
                 .spawn(move || epoch_loop(pipeline, &shared, &config))?
         };
-        let busy = Response::RetryAfter {
-            millis: RETRY_AFTER_MS,
-        };
-        let oversize = Response::Rejected {
-            reason: "frame exceeds maximum size".to_string(),
-        };
+        let (busy_body, oversize_body) = refusal_bodies();
         let server = Server::start(
             ServerConfig {
                 addr: config.addr,
                 loops: config.worker_threads,
                 max_conns: config.conn_backlog,
-                policy: frame_policy(config.max_frame_len),
+                policy: frame_policy(),
                 io_timeout: config.io_timeout,
-                busy_body: busy.to_bytes(),
-                oversize_body: oversize.to_bytes(),
+                busy_body,
+                oversize_body,
                 registry,
                 thread_name: "ingest-loop",
                 conns_metric: "collector.conns",

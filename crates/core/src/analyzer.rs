@@ -132,18 +132,10 @@ impl Analyzer {
         .collect()
     }
 
-    /// Decrypts a batch of inner ciphertexts into a database.
-    pub fn ingest_items(
-        &self,
-        items: &[impl AsRef<[u8]> + Sync],
-    ) -> Result<AnalyzerDatabase, PipelineError> {
-        self.ingest_items_parallel(items, 1)
-    }
-
-    /// [`Self::ingest_items`] with the decryption pass sharded across
-    /// `num_threads` workers (see [`Self::decrypt_batch`]). Aggregation
-    /// runs over the in-order payloads, so the database is identical at any
-    /// worker count.
+    /// Decrypts a batch of inner ciphertexts into a database, with the
+    /// decryption pass sharded across `num_threads` workers (see
+    /// [`Self::decrypt_batch`]). Aggregation runs over the in-order
+    /// payloads, so the database is identical at any worker count.
     pub fn ingest_items_parallel(
         &self,
         items: &[impl AsRef<[u8]> + Sync],
@@ -395,7 +387,7 @@ mod tests {
     fn plain_items_materialize_into_rows_and_histogram() {
         let mut rng = StdRng::seed_from_u64(1);
         let (analyzer, items) = inner_items(&[b"a", b"b", b"a", b"a"], None, &mut rng);
-        let db = analyzer.ingest_items(&items).unwrap();
+        let db = analyzer.ingest_items_parallel(&items, 1).unwrap();
         assert_eq!(db.rows().len(), 4);
         assert_eq!(db.count(b"a"), 3);
         assert_eq!(db.count(b"b"), 1);
@@ -410,7 +402,7 @@ mod tests {
         let (analyzer, mut items) = inner_items(&[b"x"], None, &mut rng);
         items.push(vec![0u8; 40]);
         items.push(vec![]);
-        let db = analyzer.ingest_items(&items).unwrap();
+        let db = analyzer.ingest_items_parallel(&items, 1).unwrap();
         assert_eq!(db.rows().len(), 1);
         assert_eq!(db.undecryptable(), 2);
     }
@@ -422,7 +414,7 @@ mod tests {
         let (analyzer, items) = inner_items(&values, Some(5), &mut rng);
         let analyzer = analyzer.with_share_threshold(5);
         // Only 4 of the 5 required shares: nothing recovered.
-        let db = analyzer.ingest_items(&items).unwrap();
+        let db = analyzer.ingest_items_parallel(&items, 1).unwrap();
         assert_eq!(db.rows().len(), 0);
         assert_eq!(db.pending_secret_groups(), 1);
         assert_eq!(db.pending_secret_reports(), 4);
@@ -431,7 +423,7 @@ mod tests {
         let values6: Vec<&[u8]> = vec![b"rare-url"; 6];
         let (analyzer6, items6) = inner_items(&values6, Some(5), &mut rng);
         let analyzer6 = analyzer6.with_share_threshold(5);
-        let db6 = analyzer6.ingest_items(&items6).unwrap();
+        let db6 = analyzer6.ingest_items_parallel(&items6, 1).unwrap();
         assert_eq!(db6.recovered_secrets(), 1);
         assert_eq!(db6.count(b"rare-url"), 6);
         assert_eq!(db6.pending_secret_groups(), 0);
@@ -444,7 +436,7 @@ mod tests {
         values.extend(vec![b"beta" as &[u8]; 3]);
         let (analyzer, items) = inner_items(&values, Some(3), &mut rng);
         let analyzer = analyzer.with_share_threshold(3);
-        let db = analyzer.ingest_items(&items).unwrap();
+        let db = analyzer.ingest_items_parallel(&items, 1).unwrap();
         assert_eq!(db.count(b"alpha"), 3);
         assert_eq!(db.count(b"beta"), 3);
         assert_eq!(db.recovered_secrets(), 2);
@@ -454,9 +446,9 @@ mod tests {
     fn canonical_histogram_bytes_ignore_ingestion_order() {
         let mut rng = StdRng::seed_from_u64(7);
         let (analyzer, items) = inner_items(&[b"a", b"b", b"a", b"c"], None, &mut rng);
-        let forward = analyzer.ingest_items(&items).unwrap();
+        let forward = analyzer.ingest_items_parallel(&items, 1).unwrap();
         let reversed: Vec<Vec<u8>> = items.iter().rev().cloned().collect();
-        let backward = analyzer.ingest_items(&reversed).unwrap();
+        let backward = analyzer.ingest_items_parallel(&reversed, 1).unwrap();
         assert_eq!(
             forward.canonical_histogram_bytes(),
             backward.canonical_histogram_bytes()
@@ -466,7 +458,7 @@ mod tests {
         let (analyzer2, items2) = inner_items(&[b"a"], None, &mut rng);
         assert_ne!(
             analyzer2
-                .ingest_items(&items2)
+                .ingest_items_parallel(&items2, 1)
                 .unwrap()
                 .canonical_histogram_bytes(),
             forward.canonical_histogram_bytes()
@@ -477,7 +469,7 @@ mod tests {
     fn merge_accumulates_batches() {
         let mut rng = StdRng::seed_from_u64(5);
         let (analyzer, items1) = inner_items(&[b"a", b"b"], None, &mut rng);
-        let db1 = analyzer.ingest_items(&items1).unwrap();
+        let db1 = analyzer.ingest_items_parallel(&items1, 1).unwrap();
         let (_, items2) = {
             // Re-encode to the same analyzer key.
             let shuffler_keys = HybridKeypair::generate(&mut rng);
@@ -503,7 +495,7 @@ mod tests {
                 .collect();
             (0, items)
         };
-        let db2 = analyzer.ingest_items(&items2).unwrap();
+        let db2 = analyzer.ingest_items_parallel(&items2, 1).unwrap();
         let mut merged = db1;
         merged.merge_from(&db2);
         assert_eq!(merged.count(b"a"), 3);
@@ -518,7 +510,7 @@ mod tests {
             .chain(std::iter::repeat_n(b"minor" as &[u8], 50))
             .collect();
         let (analyzer, items) = inner_items(&values, None, &mut rng);
-        let db = analyzer.ingest_items(&items).unwrap();
+        let db = analyzer.ingest_items_parallel(&items, 1).unwrap();
         let released = db.dp_histogram(1.0, &mut rng);
         assert_eq!(released.len(), 2);
         // Most frequent first, counts within Laplace noise of the truth.

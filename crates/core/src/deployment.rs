@@ -310,6 +310,7 @@ impl Deployment {
 /// assert_eq!(report.shuffler_stats.received, 25);
 /// ```
 #[derive(Debug)]
+// prochlo-lint: allow(uncalled-pub, "the return type of Deployment::session, which the collector, the fabric and esa_bench drive without naming it")
 pub struct EpochSession<'a> {
     deployment: &'a Deployment,
     spec: EpochSpec,

@@ -126,8 +126,8 @@ impl FramePolicy {
         }
     }
 
-    /// The same policy with a different frame-size ceiling (e.g. a
-    /// per-connection limit from service configuration).
+    /// The same policy with a different frame-size ceiling (e.g. the
+    /// `u32` maximum a writer may emit, or a handshake's exact length).
     pub const fn with_max_frame_len(self, max_frame_len: usize) -> Self {
         Self {
             max_frame_len,

@@ -751,7 +751,7 @@ mod tests {
         let batch = process(&shuffler, &reports, &mut rng).unwrap();
         // Decrypt in output order and compare against arrival order.
         let analyzer_obj = crate::analyzer::Analyzer::new(analyzer);
-        let db = analyzer_obj.ingest_items(&batch.items).unwrap();
+        let db = analyzer_obj.ingest_items_parallel(&batch.items, 1).unwrap();
         let decoded: Vec<String> = db
             .rows()
             .map(|r| String::from_utf8(r.to_vec()).unwrap())
@@ -782,7 +782,7 @@ mod tests {
         assert_eq!(batch.stats.forwarded, 80);
         assert!(batch.stats.shuffle_attempts >= 1);
         let analyzer_obj = crate::analyzer::Analyzer::new(analyzer);
-        let db = analyzer_obj.ingest_items(&batch.items).unwrap();
+        let db = analyzer_obj.ingest_items_parallel(&batch.items, 1).unwrap();
         let mut values: Vec<String> = db
             .rows()
             .map(|r| String::from_utf8(r.to_vec()).unwrap())

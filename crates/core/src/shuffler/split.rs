@@ -616,7 +616,9 @@ mod tests {
         let outcome = process(&split, &reports, &mut rng);
         assert!(outcome.stats.forwarded > 20);
         let analyzer_obj = crate::analyzer::Analyzer::new(analyzer);
-        let db = analyzer_obj.ingest_items(&outcome.items).unwrap();
+        let db = analyzer_obj
+            .ingest_items_parallel(&outcome.items, 1)
+            .unwrap();
         assert_eq!(
             db.histogram().count(b"hello-world".as_slice()),
             outcome.items.len() as u64

@@ -379,7 +379,7 @@ impl Point {
 
     /// The standard base point (x, 4/5) with non-negative x; it generates the
     /// prime-order subgroup of size ℓ.
-    pub fn basepoint() -> &'static Point {
+    pub(crate) fn basepoint() -> &'static Point {
         static B: OnceLock<Point> = OnceLock::new();
         B.get_or_init(|| {
             let y = FieldElement::from_u64(4).mul(&FieldElement::from_u64(5).invert());

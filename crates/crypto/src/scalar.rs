@@ -141,18 +141,8 @@ fn barrett_reduce(x: &[u64; 8]) -> Scalar {
 
 impl Scalar {
     /// The scalar 0.
-    pub fn zero() -> Scalar {
+    pub(crate) fn zero() -> Scalar {
         Scalar([0; 4])
-    }
-
-    /// The scalar 1.
-    pub fn one() -> Scalar {
-        Scalar::from_u64(1)
-    }
-
-    /// Builds a scalar from a small integer.
-    pub fn from_u64(x: u64) -> Scalar {
-        Scalar([x, 0, 0, 0])
     }
 
     /// Loads 32 little-endian bytes and reduces modulo ℓ.
@@ -269,6 +259,18 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
+
+    impl Scalar {
+        /// The scalar 1.
+        pub(crate) fn one() -> Scalar {
+            Scalar::from_u64(1)
+        }
+
+        /// Builds a scalar from a small integer.
+        pub(crate) fn from_u64(x: u64) -> Scalar {
+            Scalar([x, 0, 0, 0])
+        }
+    }
 
     fn l_minus_one() -> Scalar {
         Scalar::zero().sub(&Scalar::one())

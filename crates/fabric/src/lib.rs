@@ -84,5 +84,5 @@ pub use split::{serve_shuffler_one, serve_shuffler_two, sum_epoch_stats, RemoteS
 pub use tcp::{TcpTransport, TcpTransportBuilder};
 pub use transport::{
     frame_policy, ChannelId, Envelope, FabricError, Peer, Stage, Transport, TypedChannel,
-    WireMessage, MAX_FRAME_LEN,
+    WireMessage,
 };

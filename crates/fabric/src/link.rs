@@ -166,8 +166,9 @@ pub(crate) mod contract {
 
     use prochlo_core::framing::FrameError;
 
-    use crate::transport::{ChannelId, Envelope, FabricError, Peer, Stage, Transport};
-    use crate::MAX_FRAME_LEN;
+    use crate::transport::{
+        ChannelId, Envelope, FabricError, Peer, Stage, Transport, MAX_FRAME_LEN,
+    };
 
     /// Two connected endpoints of one transport: `a` is
     /// [`Peer::ShufflerOne`] and `b` is [`Peer::ShufflerTwo`].

@@ -37,7 +37,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use prochlo_collector::protocol::{frame_policy, Request, Response, RETRY_AFTER_MS};
+use prochlo_collector::protocol::{
+    frame_policy, refusal_bodies, Request, Response, RETRY_AFTER_MS,
+};
 use prochlo_collector::{CollectorError, ReportSink};
 use prochlo_core::ShardedDeployment;
 use prochlo_net::{Answer, Handler, Server, ServerConfig, ServerStats};
@@ -55,8 +57,6 @@ pub struct RouterConfig {
     /// Maximum concurrently open connections across all event loops;
     /// arrivals past the cap are answered `RetryAfter` and closed.
     pub conn_backlog: usize,
-    /// Maximum frame size accepted from a peer.
-    pub max_frame_len: usize,
     /// Per-connection progress deadline: a connection that completes no
     /// frame (and drains no pending response) for this long is evicted.
     pub io_timeout: Duration,
@@ -68,7 +68,6 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".parse().expect("loopback address"),
             worker_threads: 4,
             conn_backlog: 1024,
-            max_frame_len: 64 << 10,
             io_timeout: Duration::from_secs(10),
         }
     }
@@ -157,21 +156,16 @@ impl ShardRouter {
         ] {
             prochlo_obs::global().read_through(name, Arc::clone(cell));
         }
-        let busy = Response::RetryAfter {
-            millis: RETRY_AFTER_MS,
-        };
-        let oversize = Response::Rejected {
-            reason: "frame exceeds maximum size".to_string(),
-        };
+        let (busy_body, oversize_body) = refusal_bodies();
         let server = Server::start(
             ServerConfig {
                 addr: config.addr,
                 loops: config.worker_threads,
                 max_conns: config.conn_backlog,
-                policy: frame_policy(config.max_frame_len),
+                policy: frame_policy(),
                 io_timeout: config.io_timeout,
-                busy_body: busy.to_bytes(),
-                oversize_body: oversize.to_bytes(),
+                busy_body,
+                oversize_body,
                 registry: Arc::clone(prochlo_obs::global()),
                 thread_name: "router-loop",
                 conns_metric: "fabric.router.conns",
@@ -455,7 +449,7 @@ mod tests {
     /// Pipelines `requests` to the router as one burst, then reads one
     /// response per request.
     fn pipeline(stream: &mut TcpStream, requests: &[Request]) -> Vec<Response> {
-        let policy = frame_policy(64 << 10);
+        let policy = frame_policy();
         let mut wire = Vec::new();
         for request in requests {
             wire.write_frame(&policy, &request.to_bytes()).unwrap();

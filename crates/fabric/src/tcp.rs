@@ -236,7 +236,7 @@ mod tests {
 
     use super::*;
     use crate::link::contract::{transport_contract, Pair};
-    use crate::MAX_FRAME_LEN;
+    use crate::transport::MAX_FRAME_LEN;
 
     fn loop_addr() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()

@@ -25,11 +25,11 @@ use prochlo_core::wire::{put_bytes, put_u32, put_u64, put_u8, Reader, WireError}
 /// vice versa) fails loudly at the framing layer instead of desynchronizing.
 const FABRIC_VERSION: u8 = 2;
 
-/// Default ceiling for one fabric frame. Fabric frames carry whole epoch
-/// batches, so the ceiling is far above the collector's per-report limit.
-pub const MAX_FRAME_LEN: usize = 64 << 20;
+/// Ceiling for one fabric frame. Fabric frames carry whole epoch batches,
+/// so the ceiling is far above the collector's per-report limit.
+pub(crate) const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// The fabric framing policy at the default frame-size ceiling.
+/// The fabric framing policy, at the 64 MiB fabric frame ceiling.
 pub const fn frame_policy() -> FramePolicy {
     FramePolicy::new(FABRIC_VERSION, MAX_FRAME_LEN)
 }

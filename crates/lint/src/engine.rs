@@ -304,17 +304,38 @@ pub(crate) enum Mention<'a> {
     Called(Option<&'a str>, &'a str),
 }
 
+/// Whether `path` sits in a `tests/` tree: an integration test, whose
+/// `#[test]` functions call the library the way any other crate does.
+fn in_tests_tree(path: &str) -> bool {
+    path.starts_with("tests/") || path.contains("/tests/")
+}
+
 /// The workspace name index `uncalled-pub` checks against: per mention,
-/// the files that hold it, in file order.
+/// the files that hold it, in file order. Two kinds of token mention
+/// nothing: unit-test code (`#[cfg(test)]`/`#[test]` outside a `tests/`
+/// tree), since a unit test can see private items and never needs `pub`,
+/// and an `impl` header's self type, since a type's own `impl` is not a
+/// use of it.
 pub(crate) struct NameIndex<'a>(HashMap<Mention<'a>, Vec<usize>>);
 
 impl<'a> NameIndex<'a> {
     fn new(files: &'a [(&str, Lexed)]) -> Self {
         let mut index: HashMap<Mention<'a>, Vec<usize>> = HashMap::new();
-        for (file, (_, lexed)) in files.iter().enumerate() {
-            let in_use = use_items(&lexed.tokens);
-            for (i, tok) in lexed.tokens.iter().enumerate() {
-                if tok.kind != TokenKind::Ident {
+        for (file, (path, lexed)) in files.iter().enumerate() {
+            let tokens = &lexed.tokens;
+            let in_use = use_items(tokens);
+            let mut silent = if in_tests_tree(path) {
+                vec![false; tokens.len()]
+            } else {
+                test_context(tokens)
+            };
+            for (self_ty, _, _) in rules::impl_blocks(tokens) {
+                if let Some(t) = self_ty {
+                    silent[t] = true;
+                }
+            }
+            for (i, tok) in tokens.iter().enumerate() {
+                if tok.kind != TokenKind::Ident || silent[i] {
                     continue;
                 }
                 let named = if in_use[i] {
@@ -322,7 +343,7 @@ impl<'a> NameIndex<'a> {
                 } else {
                     Mention::Named(&tok.text)
                 };
-                let called = rules::call_shaped(&lexed.tokens, i)
+                let called = rules::call_shaped(tokens, i)
                     .filter(|_| !in_use[i])
                     .map(|(qualifier, name)| Mention::Called(qualifier, name));
                 for mention in std::iter::once(named).chain(called) {
@@ -336,16 +357,29 @@ impl<'a> NameIndex<'a> {
         Self(index)
     }
 
+    /// The files that hold `mention`.
+    fn holders<'s>(&'s self, mention: Mention<'s>) -> &'s [usize] {
+        // The keys borrow every file's tokens; look them up at the
+        // mention's shorter lifetime.
+        let index: &HashMap<Mention<'s>, Vec<usize>> = &self.0;
+        index.get(&mention).map_or(&[], Vec::as_slice)
+    }
+
     /// Whether a file other than `file` holds any of `mentions`.
     pub(crate) fn elsewhere(&self, file: usize, mentions: &[Mention<'_>]) -> bool {
-        // The keys borrow every file's tokens; look them up at the
-        // mentions' shorter lifetime.
-        let index: &HashMap<Mention<'_>, Vec<usize>> = &self.0;
-        mentions.iter().any(|m| {
-            index
-                .get(m)
-                .is_some_and(|files| files.iter().any(|&f| f != file))
-        })
+        mentions
+            .iter()
+            .any(|&m| self.holders(m).iter().any(|&f| f != file))
+    }
+
+    /// Whether a file other than `file` imports `name` in a `use` item and
+    /// names it outside one: a fn imported by name is called there, or
+    /// passed as a value (`filter_map(parse)`).
+    pub(crate) fn imported_elsewhere(&self, file: usize, name: &str) -> bool {
+        let named = self.holders(Mention::Named(name));
+        self.holders(Mention::Use(name))
+            .iter()
+            .any(|f| *f != file && named.contains(f))
     }
 }
 

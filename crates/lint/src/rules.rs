@@ -64,9 +64,11 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "uncalled-pub",
         summary: "pub fn/struct/enum/trait/const/type in a library target \
-                  that no other first-party file calls (a fn: `.f(`, \
-                  `Type::f`, `f(`) or names (the rest): public surface \
-                  nothing calls is code nobody audits against the invariants",
+                  that no production code or integration test in another \
+                  file calls (a fn: `.f(`, `Type::f`, `f(`, or imported and \
+                  passed as a value) or names (the rest; a type's own \
+                  `impl` header does not count): public surface nothing \
+                  calls is code nobody audits against the invariants",
     },
 ];
 
@@ -530,12 +532,13 @@ fn declared_item(tokens: &[Token], at: usize) -> Option<(&str, &Token)> {
     }
 }
 
-/// Per token, the self type of the innermost `impl` block it sits in: the
-/// last identifier outside angle brackets in the block's header
-/// (`impl<T> Foo<T>` and `impl fmt::Display for Foo` are both `Foo`). An
-/// `impl` in argument or return position opens no block.
-fn impl_types(tokens: &[Token]) -> Vec<Option<&str>> {
-    let mut types = vec![None; tokens.len()];
+/// Each `impl` block as `(self type, body)`: the self type is the token
+/// of the last identifier outside angle brackets in the header
+/// (`impl<T> Foo<T>` and `impl fmt::Display for Foo` are both `Foo`), and
+/// the body runs from the block's `{` to its `}`. An `impl` in argument or
+/// return position opens no block.
+pub(crate) fn impl_blocks(tokens: &[Token]) -> Vec<(Option<usize>, usize, usize)> {
+    let mut blocks = Vec::new();
     for (i, tok) in tokens.iter().enumerate() {
         let at_item =
             i == 0 || ["}", ";", "]", "{", "unsafe"].contains(&tokens[i - 1].text.as_str());
@@ -549,23 +552,33 @@ fn impl_types(tokens: &[Token]) -> Vec<Option<&str>> {
                 ">" if !tokens[j - 1].is_punct('-') => depth -= 1,
                 "where" => in_where = true,
                 "for" => {}
-                _ if depth == 0 && !in_where && t.kind == TokenKind::Ident => {
-                    self_ty = Some(t.text.as_str())
-                }
+                _ if depth == 0 && !in_where && t.kind == TokenKind::Ident => self_ty = Some(j),
                 _ => {}
             }
             j += 1;
         }
         if let Some(close) = matching(tokens, j, '{', '}') {
-            types[j..close].fill(self_ty);
+            blocks.push((self_ty, j, close));
         }
+    }
+    blocks
+}
+
+/// Per token, the self type of the innermost `impl` block it sits in
+/// ([`impl_blocks`]).
+fn impl_types(tokens: &[Token]) -> Vec<Option<&str>> {
+    let mut types = vec![None; tokens.len()];
+    for (self_ty, open, close) in impl_blocks(tokens) {
+        types[open..close].fill(self_ty.map(|t| tokens[t].text.as_str()));
     }
     types
 }
 
 /// A `pub fn` counts as called only where another file calls it
-/// ([`call_shaped`], qualified by its `impl`'s type or by none); the other
-/// item kinds count wherever another file names them.
+/// ([`call_shaped`], qualified by its `impl`'s type or by none) or imports
+/// it and names it outside the `use`; the other item kinds count wherever
+/// another file names them. Unit tests and `impl` headers mention nothing
+/// ([`NameIndex`]).
 fn uncalled_pub(
     path: &str,
     tokens: &[Token],
@@ -590,7 +603,8 @@ fn uncalled_pub(
             "trait" => [Mention::Named(n), Mention::Use(n)],
             _ => [Mention::Named(n); 2],
         };
-        if !callers.index.elsewhere(callers.file, &mentions) {
+        let imported = kind == "fn" && callers.index.imported_elsewhere(callers.file, n);
+        if !(imported || callers.index.elsewhere(callers.file, &mentions)) {
             let shape = if kind == "fn" { "called" } else { "named" };
             findings.push(finding(
                 path,

@@ -35,6 +35,13 @@ const USE_ONLY_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_use_suppre
 const CALL_FIRING: &str = include_str!("fixtures/uncalled_pub_call_firing.rs");
 const CALL_CLEAN: &str = include_str!("fixtures/uncalled_pub_call_clean.rs");
 const CALL_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_call_suppressed.rs");
+const UNIT_TEST_FIRING: &str = include_str!("fixtures/uncalled_pub_unit_test_firing.rs");
+const UNIT_TEST_CLEAN: &str = include_str!("fixtures/uncalled_pub_unit_test_clean.rs");
+const UNIT_TEST_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_unit_test_suppressed.rs");
+const IMPL_FIRING: &str = include_str!("fixtures/uncalled_pub_impl_firing.rs");
+const IMPL_CLEAN: &str = include_str!("fixtures/uncalled_pub_impl_clean.rs");
+const IMPL_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_impl_suppressed.rs");
+const VALUE_CLEAN: &str = include_str!("fixtures/uncalled_pub_value_clean.rs");
 
 /// An integration test naming the clean fixture's public items: a caller in
 /// another file is what keeps a `pub` item alive.
@@ -394,6 +401,127 @@ fn uncalled_pub_call_shapes_clean_and_suppressed() {
         ("crates/core/tests/caller.rs", caller),
     ]);
     assert!(findings.is_empty(), "{findings:?}");
+}
+
+/// Another library file whose unit tests call both of the unit-test
+/// fixtures' fns.
+const UNIT_TEST_CALLER: &str = "#[cfg(test)]\n\
+                                mod tests {\n\
+                                use crate::fixture::{checksum, encode};\n\
+                                #[test]\n\
+                                fn appends_the_checksum() {\n\
+                                assert_eq!(encode(b\"a\").len(), 5);\n\
+                                assert_eq!(checksum(b\"ab\"), 195);\n\
+                                }\n\
+                                }\n";
+
+/// A binary: production code, and a caller of `encode`.
+const ENCODE_BIN: &str = "fn main() {\n\
+                          println!(\"{:?}\", prochlo_core::fixture::encode(b\"x\"));\n\
+                          }\n";
+
+#[test]
+fn uncalled_pub_does_not_count_unit_tests_as_callers() {
+    // A unit test can reach private items, so its call never makes a fn
+    // public: `checksum` fires although another file's tests call it.
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", UNIT_TEST_FIRING),
+        ("crates/core/src/other.rs", UNIT_TEST_CALLER),
+        ("crates/core/src/bin/tool.rs", ENCODE_BIN),
+    ]);
+    assert_eq!(shape(&findings), [("uncalled-pub", 1)], "{findings:?}");
+    assert!(findings[0].message.contains("checksum"), "{findings:?}");
+}
+
+#[test]
+fn uncalled_pub_unit_tests_clean_and_suppressed() {
+    // The same test in a tests/ tree is an integration test: another
+    // crate's view of the library, and a caller.
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", UNIT_TEST_FIRING),
+        ("crates/core/tests/caller.rs", UNIT_TEST_CALLER),
+        ("crates/core/src/bin/tool.rs", ENCODE_BIN),
+    ]);
+    assert!(findings.is_empty(), "{findings:?}");
+    // A helper only unit tests call is `pub(crate)`.
+    for fixture in [UNIT_TEST_CLEAN, UNIT_TEST_SUPPRESSED] {
+        let findings = lint_files(&[
+            ("crates/core/src/fixture.rs", fixture),
+            ("crates/core/src/other.rs", UNIT_TEST_CALLER),
+            ("crates/core/src/bin/tool.rs", ENCODE_BIN),
+        ]);
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+}
+
+/// Another library file holding `impl` blocks of `Ledger`, which name it
+/// nowhere else.
+const LEDGER_IMPLS: &str = "use crate::fixture::Ledger;\n\
+                            impl Ledger {\n\
+                            pub(crate) fn push(&mut self, entry: u64) {\n\
+                            self.entries.push(entry);\n\
+                            }\n\
+                            }\n\
+                            impl Default for Ledger {\n\
+                            fn default() -> Self {\n\
+                            crate::fixture::ledger()\n\
+                            }\n\
+                            }\n";
+
+#[test]
+fn uncalled_pub_does_not_count_impl_headers_as_mentions() {
+    // A type's own `impl` blocks, inherent or of a trait, do not use it.
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", IMPL_FIRING),
+        ("crates/core/src/ledger.rs", LEDGER_IMPLS),
+    ]);
+    assert_eq!(shape(&findings), [("uncalled-pub", 1)], "{findings:?}");
+    assert!(findings[0].message.contains("`Ledger`"), "{findings:?}");
+}
+
+#[test]
+fn uncalled_pub_impl_headers_clean_and_suppressed() {
+    // A signature that names the type is a mention.
+    let caller = "fn t(ledger: &prochlo_core::fixture::Ledger) -> u64 {\n\
+                  prochlo_core::fixture::total(ledger)\n\
+                  }\n";
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", IMPL_CLEAN),
+        ("crates/core/src/ledger.rs", LEDGER_IMPLS),
+        ("crates/core/tests/caller.rs", caller),
+    ]);
+    assert!(findings.is_empty(), "{findings:?}");
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", IMPL_SUPPRESSED),
+        ("crates/core/src/ledger.rs", LEDGER_IMPLS),
+    ]);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn uncalled_pub_counts_an_imported_fn_passed_as_a_value() {
+    // `filter_map(parse_line)` calls nothing itself, but a fn imported by
+    // name and named outside the `use` is called or passed there.
+    let caller = "use prochlo_core::fixture::parse_line;\n\
+                  fn main() {\n\
+                  let total: u32 = \"metric 1\".lines().filter_map(parse_line).sum();\n\
+                  println!(\"{total}\");\n\
+                  }\n";
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", VALUE_CLEAN),
+        ("crates/bench/src/bin/compare.rs", caller),
+    ]);
+    assert!(findings.is_empty(), "{findings:?}");
+    // Not imported, the same spelling is a variable: no caller.
+    let shadow = "fn main() {\n\
+                  let parse_line = 3;\n\
+                  println!(\"{}\", parse_line);\n\
+                  }\n";
+    let findings = lint_files(&[
+        ("crates/core/src/fixture.rs", VALUE_CLEAN),
+        ("crates/bench/src/bin/compare.rs", shadow),
+    ]);
+    assert_eq!(shape(&findings), [("uncalled-pub", 1)], "{findings:?}");
 }
 
 #[test]

@@ -1,0 +1,13 @@
+pub struct Ledger {
+    pub(crate) entries: Vec<u64>,
+}
+
+pub fn ledger() -> Ledger {
+    Ledger {
+        entries: Vec::new(),
+    }
+}
+
+pub fn total(ledger: &Ledger) -> u64 {
+    ledger.entries.iter().sum()
+}

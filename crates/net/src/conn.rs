@@ -138,12 +138,6 @@ impl Conn {
         self.write_buf.len() - self.write_pos
     }
 
-    /// Bytes the read side holds allocated (see
-    /// [`FrameAccumulator::capacity`]).
-    pub fn read_capacity(&self) -> usize {
-        self.acc.capacity()
-    }
-
     /// Pushes queued bytes into the socket until drained or it would
     /// block. A peer that stopped accepting bytes and closed surfaces as
     /// [`FrameError::Closed`].
@@ -188,6 +182,14 @@ mod tests {
     use super::*;
     use prochlo_core::framing::FrameRead;
     use std::net::{TcpListener, TcpStream};
+
+    impl Conn {
+        /// Bytes the read side holds allocated (see
+        /// [`FrameAccumulator::capacity`]).
+        pub(crate) fn read_capacity(&self) -> usize {
+            self.acc.capacity()
+        }
+    }
 
     const POLICY: FramePolicy = FramePolicy::new(1, 1024);
 

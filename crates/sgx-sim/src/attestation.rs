@@ -95,7 +95,7 @@ pub struct CpuKey {
 
 impl CpuKey {
     /// The CPU's verification key.
-    pub fn verifying_key(&self) -> VerifyingKey {
+    fn verifying_key(&self) -> VerifyingKey {
         self.quoting_key.verifying_key()
     }
 

@@ -211,7 +211,7 @@ impl StashShuffleParams {
 
     /// Stash records drained into each output bucket at the end of the
     /// distribution phase, `K = ⌈S/B⌉`.
-    pub fn stash_drain_per_bucket(&self) -> usize {
+    pub(crate) fn stash_drain_per_bucket(&self) -> usize {
         self.stash_capacity.div_ceil(self.num_buckets)
     }
 

@@ -21,4 +21,4 @@ pub mod summary;
 
 pub use histogram::Histogram;
 pub use sample::{Gaussian, Laplace, RoundedNormal, Zipf};
-pub use summary::{mean, percentile, rmse, stddev};
+pub use summary::{percentile, rmse};

@@ -28,16 +28,6 @@ impl Gaussian {
         Self { mean, stddev }
     }
 
-    /// Mean of the distribution.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Standard deviation of the distribution.
-    pub fn stddev(&self) -> f64 {
-        self.stddev
-    }
-
     /// Draws one sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.mean + self.stddev * standard_normal(rng)
@@ -165,16 +155,6 @@ impl Zipf {
         self.cdf.len()
     }
 
-    /// Probability mass of item `i`.
-    pub fn pmf(&self, i: usize) -> f64 {
-        assert!(i < self.cdf.len(), "item out of range");
-        if i == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[i] - self.cdf[i - 1]
-        }
-    }
-
     /// Draws one item index in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
@@ -216,6 +196,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    impl Zipf {
+        /// Probability mass of item `i`.
+        fn pmf(&self, i: usize) -> f64 {
+            assert!(i < self.cdf.len(), "item out of range");
+            if i == 0 {
+                self.cdf[0]
+            } else {
+                self.cdf[i] - self.cdf[i - 1]
+            }
+        }
+    }
+
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0x5eed_1234)
     }
@@ -225,8 +217,8 @@ mod tests {
         let g = Gaussian::new(5.0, 2.0);
         let mut r = rng();
         let xs = g.sample_n(&mut r, 200_000);
-        let m = crate::mean(&xs);
-        let s = crate::stddev(&xs);
+        let m = crate::summary::mean(&xs);
+        let s = crate::summary::stddev(&xs);
         assert!((m - 5.0).abs() < 0.05, "mean off: {m}");
         assert!((s - 2.0).abs() < 0.05, "stddev off: {s}");
     }
@@ -251,9 +243,9 @@ mod tests {
         let l = Laplace::new(-1.0, 3.0);
         let mut r = rng();
         let xs: Vec<f64> = (0..200_000).map(|_| l.sample(&mut r)).collect();
-        let m = crate::mean(&xs);
+        let m = crate::summary::mean(&xs);
         // Variance of Laplace is 2 b^2.
-        let v = crate::stddev(&xs).powi(2);
+        let v = crate::summary::stddev(&xs).powi(2);
         assert!((m + 1.0).abs() < 0.05, "mean off: {m}");
         assert!((v - 18.0).abs() < 0.7, "variance off: {v}");
     }

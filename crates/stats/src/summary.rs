@@ -1,25 +1,5 @@
 //! Small numeric summaries used by the analytics crate and the benchmark
-//! harnesses (means, standard deviations, percentiles, RMSE).
-
-/// Arithmetic mean of a slice. Returns 0 for an empty slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Sample standard deviation (unbiased, `n - 1` denominator).
-///
-/// Returns 0 for slices with fewer than two elements.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
-}
+//! harnesses (percentiles, RMSE).
 
 /// Root-mean-square error between predictions and targets.
 ///
@@ -58,6 +38,29 @@ pub fn percentile(xs: &[f64], q: f64) -> f64 {
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN"));
     let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.max(1) - 1]
+}
+
+#[cfg(test)]
+/// Arithmetic mean of a slice, for the samplers' tests. Returns 0 for an
+/// empty slice.
+pub(crate) fn mean(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+#[cfg(test)]
+/// Sample standard deviation (unbiased, `n - 1` denominator).
+///
+/// Returns 0 for slices with fewer than two elements.
+pub(crate) fn stddev(xs: &[f64]) -> f64 {
+    if xs.len() < 2 {
+        return 0.0;
+    }
+    let m = mean(xs);
+    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
+    var.sqrt()
 }
 
 #[cfg(test)]

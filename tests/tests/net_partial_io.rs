@@ -10,6 +10,10 @@
 //!   in order;
 //! * an oversized length announcement is rejected from the 4-byte prefix
 //!   alone — before any body arrives — and the connection is closed;
+//! * the frame ceiling is `protocol::MAX_FRAME_LEN` on both: a frame of
+//!   exactly that length is read, one byte more is refused, and both
+//!   answer a refused connection and an oversize announcement with the
+//!   same bytes;
 //! * a slow-loris connection that never completes a frame is evicted at
 //!   the progress deadline while healthy clients on the same event loops
 //!   keep being served.
@@ -20,9 +24,10 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use prochlo_collector::protocol::read_frame;
+use prochlo_collector::protocol::{read_frame, refusal_bodies, MAX_FRAME_LEN};
 use prochlo_collector::{
     Collector, CollectorClient, CollectorConfig, ReportSink, Request, Response, PROTOCOL_VERSION,
 };
@@ -45,7 +50,6 @@ const FRONTS: [Front; 2] = [Front::Collector, Front::Router];
 struct Serving {
     loops: usize,
     max_conns: usize,
-    max_frame_len: usize,
     io_timeout: Duration,
 }
 
@@ -54,7 +58,6 @@ impl Default for Serving {
         Self {
             loops: 2,
             max_conns: 1024,
-            max_frame_len: 64 << 10,
             io_timeout: Duration::from_secs(10),
         }
     }
@@ -77,7 +80,6 @@ impl Service {
         if matches!(front, Front::Collector) {
             config.worker_threads = serving.loops;
             config.conn_backlog = serving.max_conns;
-            config.max_frame_len = serving.max_frame_len;
             config.io_timeout = serving.io_timeout;
         }
         let mut rng = StdRng::seed_from_u64(7);
@@ -89,7 +91,6 @@ impl Service {
                 RouterConfig {
                     worker_threads: serving.loops,
                     conn_backlog: serving.max_conns,
-                    max_frame_len: serving.max_frame_len,
                     io_timeout: serving.io_timeout,
                     ..RouterConfig::default()
                 },
@@ -153,9 +154,16 @@ fn frame_bytes(body: &[u8]) -> Vec<u8> {
 }
 
 fn read_response(stream: &mut TcpStream) -> Response {
-    let body = read_frame(stream, 64 << 10).unwrap();
-    Response::from_bytes(&body).unwrap()
+    Response::from_bytes(&read_body(stream)).unwrap()
 }
+
+fn read_body(stream: &mut TcpStream) -> Vec<u8> {
+    read_frame(stream, MAX_FRAME_LEN).unwrap()
+}
+
+/// Held by every test that makes a router refuse a connection: they assert
+/// on the process-wide refusal count, which every router adds to.
+static ROUTER_REFUSALS: Mutex<()> = Mutex::new(());
 
 fn assert_eof(stream: &mut TcpStream) {
     let mut rest = Vec::new();
@@ -209,14 +217,10 @@ fn frames_split_across_writes_are_served_in_order() {
 #[test]
 fn oversized_announcement_is_rejected_before_the_body_arrives() {
     for front in FRONTS {
-        let serving = Serving {
-            max_frame_len: 1024,
-            ..Serving::default()
-        };
-        let service = Service::start(front, serving);
+        let service = Service::start(front, Serving::default());
         let mut stream = service.connect();
 
-        // Announce 1 MiB against a 1 KiB ceiling and send only a sliver of
+        // Announce 1 MiB against a 64 KiB ceiling and send only a sliver of
         // the body: the rejection must come from the prefix alone,
         // mid-accumulation.
         stream.write_all(&(1u32 << 20).to_le_bytes()).unwrap();
@@ -232,6 +236,88 @@ fn oversized_announcement_is_rejected_before_the_body_arrives() {
         }
         // The stream is unrecoverable past a hostile announcement: after
         // the rejection the server hangs up.
+        assert_eof(&mut stream);
+        service.shutdown();
+    }
+}
+
+#[test]
+fn a_frame_of_exactly_the_ceiling_is_read_and_one_byte_more_is_refused() {
+    // A routed submit whose frame (version byte + body) is exactly
+    // MAX_FRAME_LEN: the front reads it whole and the ingest path, not the
+    // framing layer, turns its oversized report away.
+    let empty = Request::SubmitRouted {
+        crowd_prefix: 0,
+        nonce: [1; 16],
+        report: Vec::new(),
+    };
+    let report = vec![0; MAX_FRAME_LEN - 1 - empty.to_bytes().len()];
+    let at_ceiling = frame_bytes(
+        &Request::SubmitRouted {
+            crowd_prefix: 0,
+            nonce: [1; 16],
+            report,
+        }
+        .to_bytes(),
+    );
+    assert_eq!(at_ceiling.len(), 4 + MAX_FRAME_LEN);
+    for front in FRONTS {
+        let service = Service::start(front, Serving::default());
+        let mut stream = service.connect();
+        stream.write_all(&at_ceiling).unwrap();
+        match read_response(&mut stream) {
+            Response::Rejected { reason } => assert_eq!(
+                reason, "report exceeds maximum size",
+                "{front:?}: the frame was refused at framing"
+            ),
+            other => panic!("{front:?}: expected the report's rejection, got {other:?}"),
+        }
+        stream
+            .write_all(&frame_bytes(&Request::Ping.to_bytes()))
+            .unwrap();
+        assert!(
+            matches!(read_response(&mut stream), Response::Ack { .. }),
+            "{front:?}: the connection outlives a frame at the ceiling"
+        );
+
+        // One byte more is refused from the announcement alone.
+        let mut over = service.connect();
+        let len = u32::try_from(MAX_FRAME_LEN + 1).unwrap();
+        over.write_all(&len.to_le_bytes()).unwrap();
+        over.write_all(&[PROTOCOL_VERSION]).unwrap();
+        assert_eq!(read_body(&mut over), refusal_bodies().1, "{front:?}");
+        assert_eof(&mut over);
+        drop(stream);
+        service.shutdown();
+    }
+}
+
+#[test]
+fn both_fronts_refuse_with_the_same_bytes() {
+    let _refusals = ROUTER_REFUSALS.lock().unwrap_or_else(|e| e.into_inner());
+    let (busy, oversize) = refusal_bodies();
+    for front in FRONTS {
+        let serving = Serving {
+            max_conns: 1,
+            ..Serving::default()
+        };
+        let service = Service::start(front, serving);
+        let mut held = CollectorClient::connect(service.addr()).unwrap();
+        assert!(matches!(held.ping().unwrap(), Response::Ack { .. }));
+        let mut refused = service.connect();
+        assert_eq!(
+            read_body(&mut refused),
+            busy,
+            "{front:?}: refused connection"
+        );
+        assert_eof(&mut refused);
+        drop(held);
+        service.shutdown();
+
+        let service = Service::start(front, Serving::default());
+        let mut stream = service.connect();
+        stream.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        assert_eq!(read_body(&mut stream), oversize, "{front:?}: oversize");
         assert_eof(&mut stream);
         service.shutdown();
     }
@@ -322,9 +408,10 @@ fn router_connection_cap_answers_retry_after_and_closes() {
         max_conns: 1,
         ..Serving::default()
     };
+    let _refusals = ROUTER_REFUSALS.lock().unwrap_or_else(|e| e.into_inner());
     let service = Service::start(Front::Router, serving);
-    // The router reports into the process-wide registry, which no other
-    // test in this binary makes refuse a connection.
+    // The router reports into the process-wide registry; the other test
+    // that makes a router refuse a connection waits on ROUTER_REFUSALS.
     let refused_before = process_wide("fabric.router.conns.refused");
     let mut held = CollectorClient::connect(service.addr()).unwrap();
     assert!(matches!(held.ping().unwrap(), Response::Ack { .. }));
