@@ -3,8 +3,7 @@
 //! Clients attach a random nonce to each submission; a nonce that was
 //! already accepted marks a replay (a duplicated TCP segment, an
 //! over-eager retry, or an adversary re-sending a captured report to
-//! inflate a count). The filter is sharded so protocol workers do not
-//! serialize on one lock, and bounded in two ways so a continuously
+//! inflate a count). The filter is bounded in two ways so a continuously
 //! serving collector neither grows without limit nor wedges:
 //!
 //! * **Capacity** — each generation remembers at most `capacity` nonces;
@@ -14,156 +13,97 @@
 //!   the current or previous generation and forgets older ones. Memory is
 //!   bounded by two generations and the filter never fills permanently.
 //!
-//! A submission is tracked through two phases: [`ReplayFilter::begin`]
-//! records the nonce as *in flight*, and the caller either
-//! [`ReplayFilter::commit`]s it once the report is safely queued or
-//! [`ReplayFilter::abort`]s it when the queue refused the report. A
-//! concurrent retry of an in-flight nonce is answered as in flight — not
-//! `Duplicate` — so a client can never be told "already queued" about a
-//! report that then fails to queue.
+//! A run of submissions — a reactor turn's — is checked in one phase and
+//! under one lock: [`ReplayFilter::record`] looks each nonce up and records
+//! an unknown one as accepted in the same step, up to the queue room the
+//! caller reserved for the run, so a recorded nonce's report cannot be
+//! refused afterwards. The tables hash with a keyed SipHash (nonces are
+//! client-chosen: an unkeyed hash would let an adversary aim them all at
+//! one bucket chain), at most twice per nonce.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher, RandomState};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::HashSet;
+use std::hash::RandomState;
 
 use parking_lot::Mutex;
 
 use crate::protocol::NONCE_LEN;
 
-const SHARDS: usize = 16;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NonceState {
-    /// `begin` ran; the submission is between dedup and the queue.
-    Pending,
-    /// The report is in the queue (or already processed).
-    Accepted,
-}
-
 /// Outcome of offering a nonce to the filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NonceCheck {
-    /// First sighting; the nonce is now recorded as in flight.
+    /// First sighting; the nonce is now recorded as accepted.
     Fresh,
     /// The nonce was accepted before: the submission is a replay.
     Duplicate,
-    /// Another worker is processing this nonce right now; the caller
-    /// should answer backpressure so the client retries for a definitive
-    /// verdict.
-    InFlight,
-    /// The current generation is at capacity; treat as backpressure.
+    /// The current generation is at capacity, or the run out of queue
+    /// room; treat as backpressure.
     Full,
 }
 
 #[derive(Debug, Default)]
-struct Shard {
-    current: HashMap<[u8; NONCE_LEN], NonceState>,
-    previous: HashMap<[u8; NONCE_LEN], NonceState>,
+struct Generations {
+    current: HashSet<[u8; NONCE_LEN], RandomState>,
+    previous: HashSet<[u8; NONCE_LEN], RandomState>,
 }
 
-/// A bounded, sharded, generational set of accepted nonces.
+/// A bounded, generational set of accepted nonces.
 #[derive(Debug)]
 pub struct ReplayFilter {
-    shards: Vec<Mutex<Shard>>,
-    /// Keyed shard selection: nonces are client-chosen, so an unkeyed
-    /// index (e.g. `nonce[0] % SHARDS`) would let an adversary aim every
-    /// submission at one lock and serialize the ingest path.
-    shard_key: RandomState,
-    /// Nonces in the *current* generation (capacity applies per
-    /// generation; total memory is bounded by two generations).
-    len: AtomicUsize,
+    generations: Mutex<Generations>,
     capacity: usize,
 }
 
 impl ReplayFilter {
     /// Creates a filter remembering at most `capacity` nonces per
-    /// generation (16 bytes each plus map overhead).
+    /// generation (16 bytes each plus table overhead).
     pub fn new(capacity: usize) -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_key: RandomState::new(),
-            len: AtomicUsize::new(0),
+            generations: Mutex::default(),
             capacity: capacity.max(1),
         }
     }
 
-    fn shard(&self, nonce: &[u8; NONCE_LEN]) -> &Mutex<Shard> {
-        let mut hasher = self.shard_key.build_hasher();
-        hasher.write(nonce);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
-    }
-
-    /// Starts tracking `nonce` if it is unknown and the filter has room.
-    ///
-    /// The capacity check reads a counter maintained across shards, so under
-    /// heavy contention the filter may briefly exceed capacity by the number
-    /// of racing workers — the bound is per-worker-slack approximate, never
-    /// unbounded.
-    pub fn begin(&self, nonce: &[u8; NONCE_LEN]) -> NonceCheck {
-        let mut shard = self.shard(nonce).lock();
-        match shard
-            .current
-            .get(nonce)
-            .or_else(|| shard.previous.get(nonce))
-        {
-            Some(NonceState::Accepted) => return NonceCheck::Duplicate,
-            Some(NonceState::Pending) => return NonceCheck::InFlight,
-            None => {}
-        }
-        if self.len.load(Ordering::Relaxed) >= self.capacity {
-            return NonceCheck::Full;
-        }
-        shard.current.insert(*nonce, NonceState::Pending);
-        self.len.fetch_add(1, Ordering::Relaxed);
-        NonceCheck::Fresh
-    }
-
-    /// Marks an in-flight nonce as accepted: its report is in the queue.
-    pub fn commit(&self, nonce: &[u8; NONCE_LEN]) {
-        let mut shard = self.shard(nonce).lock();
-        if let Some(state) = shard.current.get_mut(nonce) {
-            *state = NonceState::Accepted;
-        } else if let Some(state) = shard.previous.get_mut(nonce) {
-            *state = NonceState::Accepted;
-        }
-    }
-
-    /// Forgets an in-flight nonce whose report the queue refused, so the
-    /// client's retry (same nonce, per the protocol contract) can still be
-    /// accepted exactly once.
-    pub fn abort(&self, nonce: &[u8; NONCE_LEN]) {
-        let mut shard = self.shard(nonce).lock();
-        if shard.current.remove(nonce).is_some() {
-            self.len.fetch_sub(1, Ordering::Relaxed);
-        } else {
-            shard.previous.remove(nonce);
-        }
+    /// Checks a run of nonces, in order, and records each unknown one as
+    /// accepted while fewer than `room` are; one verdict per nonce. Past
+    /// the room a replay still reads `Duplicate`, and an unknown nonce is
+    /// answered `Full` and left unrecorded, so its retry can be accepted.
+    pub fn record<'a>(
+        &self,
+        nonces: impl IntoIterator<Item = &'a [u8; NONCE_LEN]>,
+        room: usize,
+    ) -> Vec<NonceCheck> {
+        let mut fresh = 0;
+        let Generations { current, previous } = &mut *self.generations.lock();
+        let check = |nonce: &[u8; NONCE_LEN]| {
+            if previous.contains(nonce) {
+                NonceCheck::Duplicate
+            } else if fresh == room || current.len() >= self.capacity {
+                // No room to record it; a replay still reads as one.
+                if current.contains(nonce) {
+                    NonceCheck::Duplicate
+                } else {
+                    NonceCheck::Full
+                }
+            } else if current.insert(*nonce) {
+                fresh += 1;
+                NonceCheck::Fresh
+            } else {
+                NonceCheck::Duplicate
+            }
+        };
+        nonces.into_iter().map(check).collect()
     }
 
     /// Ages the filter one generation: the current generation becomes the
-    /// previous one and the oldest is dropped. Called by the epoch manager
-    /// at every epoch cut, so a nonce is remembered for the epoch in which
-    /// it was accepted plus the following one.
-    ///
-    /// Shards rotate one at a time; a submission racing the rotation sees
-    /// each shard either before or after its swap, both of which preserve
-    /// the two-generation replay window for that shard's nonces.
+    /// previous one and the oldest is forgotten, its table emptied and kept
+    /// as the new current one, so a generation reuses the room the one
+    /// before last grew and never rehashes. Called by the epoch manager at
+    /// every epoch cut, so a nonce is remembered for the epoch in which it
+    /// was accepted plus the following one.
     pub fn rotate(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.previous = std::mem::take(&mut shard.current);
-        }
-        self.len.store(0, Ordering::Relaxed);
-    }
-
-    /// Number of nonces tracked in the current generation.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// True when the current generation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let Generations { current, previous } = &mut *self.generations.lock();
+        std::mem::swap(previous, current);
+        current.clear();
     }
 }
 
@@ -178,62 +118,85 @@ mod tests {
         n
     }
 
+    impl ReplayFilter {
+        /// Number of nonces tracked in the current generation.
+        fn len(&self) -> usize {
+            self.generations.lock().current.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+    }
+
+    /// A run of one with room to spare.
+    fn record_one(filter: &ReplayFilter, i: u8) -> NonceCheck {
+        filter.record([&nonce(i)], usize::MAX)[0]
+    }
+
     #[test]
-    fn begin_commit_then_duplicate() {
+    fn a_recorded_nonce_is_then_a_duplicate() {
         let filter = ReplayFilter::new(8);
-        assert_eq!(filter.begin(&nonce(1)), NonceCheck::Fresh);
-        filter.commit(&nonce(1));
-        assert_eq!(filter.begin(&nonce(1)), NonceCheck::Duplicate);
-        assert_eq!(filter.begin(&nonce(2)), NonceCheck::Fresh);
+        assert_eq!(record_one(&filter, 1), NonceCheck::Fresh);
+        assert_eq!(record_one(&filter, 1), NonceCheck::Duplicate);
+        assert_eq!(record_one(&filter, 2), NonceCheck::Fresh);
         assert_eq!(filter.len(), 2);
     }
 
     #[test]
-    fn in_flight_nonces_are_not_reported_as_duplicates() {
+    fn a_nonce_racing_its_accepted_twin_is_a_duplicate() {
+        // The twin is recorded in the same step that checks it, and its
+        // queue room was reserved before the run: it cannot be refused
+        // afterwards, so "already queued" is the true answer.
         let filter = ReplayFilter::new(8);
-        assert_eq!(filter.begin(&nonce(1)), NonceCheck::Fresh);
-        // A racing retry of the same nonce must not be told "already
-        // queued" while the first submission has not been queued yet.
-        assert_eq!(filter.begin(&nonce(1)), NonceCheck::InFlight);
-        filter.commit(&nonce(1));
-        assert_eq!(filter.begin(&nonce(1)), NonceCheck::Duplicate);
+        let verdicts = filter.record([&nonce(1), &nonce(1), &nonce(2)], usize::MAX);
+        assert_eq!(
+            verdicts,
+            [NonceCheck::Fresh, NonceCheck::Duplicate, NonceCheck::Fresh]
+        );
+        assert_eq!(filter.len(), 2);
     }
 
     #[test]
     fn capacity_degrades_into_backpressure() {
         let filter = ReplayFilter::new(2);
-        assert_eq!(filter.begin(&nonce(1)), NonceCheck::Fresh);
-        assert_eq!(filter.begin(&nonce(2)), NonceCheck::Fresh);
-        filter.commit(&nonce(1));
-        filter.commit(&nonce(2));
-        assert_eq!(filter.begin(&nonce(3)), NonceCheck::Full);
+        let verdicts = filter.record([&nonce(1), &nonce(2), &nonce(3)], usize::MAX);
+        assert_eq!(
+            verdicts,
+            [NonceCheck::Fresh, NonceCheck::Fresh, NonceCheck::Full]
+        );
+        assert_eq!(record_one(&filter, 4), NonceCheck::Full);
         // Known nonces still answer Duplicate at capacity.
-        assert_eq!(filter.begin(&nonce(1)), NonceCheck::Duplicate);
+        assert_eq!(record_one(&filter, 1), NonceCheck::Duplicate);
     }
 
     #[test]
-    fn abort_allows_a_clean_retry() {
+    fn a_nonce_past_the_room_is_not_recorded() {
         let filter = ReplayFilter::new(8);
-        assert_eq!(filter.begin(&nonce(5)), NonceCheck::Fresh);
-        filter.abort(&nonce(5));
-        assert!(filter.is_empty());
-        assert_eq!(filter.begin(&nonce(5)), NonceCheck::Fresh);
-        // Aborting an unknown nonce is a no-op, not an underflow.
-        filter.abort(&nonce(9));
+        // Room for one: once it is spent, a replay still reads Duplicate
+        // and a fresh nonce is refused unrecorded.
+        let verdicts = filter.record([&nonce(1), &nonce(2), &nonce(1)], 1);
+        assert_eq!(
+            verdicts,
+            [NonceCheck::Fresh, NonceCheck::Full, NonceCheck::Duplicate]
+        );
         assert_eq!(filter.len(), 1);
+        // The refused nonce left no trace: its retry is accepted.
+        assert_eq!(record_one(&filter, 2), NonceCheck::Fresh);
+        assert_eq!(filter.record([&nonce(3)], 0), [NonceCheck::Full]);
+        assert_eq!(filter.record([&nonce(1)], 0), [NonceCheck::Duplicate]);
     }
 
     #[test]
     fn rotation_keeps_one_generation_of_replay_protection() {
         let filter = ReplayFilter::new(1024);
-        assert_eq!(filter.begin(&nonce(1)), NonceCheck::Fresh);
-        filter.commit(&nonce(1));
+        assert_eq!(record_one(&filter, 1), NonceCheck::Fresh);
         filter.rotate();
         // Accepted in the previous generation: still a duplicate.
-        assert_eq!(filter.begin(&nonce(1)), NonceCheck::Duplicate);
+        assert_eq!(record_one(&filter, 1), NonceCheck::Duplicate);
         filter.rotate();
         // Two generations later the nonce is forgotten.
-        assert_eq!(filter.begin(&nonce(1)), NonceCheck::Fresh);
+        assert_eq!(record_one(&filter, 1), NonceCheck::Fresh);
     }
 
     #[test]
@@ -241,23 +204,44 @@ mod tests {
         // The regression the generational design exists for: a filter at
         // capacity must not refuse fresh nonces forever.
         let filter = ReplayFilter::new(2);
-        filter.begin(&nonce(1));
-        filter.begin(&nonce(2));
-        assert_eq!(filter.begin(&nonce(3)), NonceCheck::Full);
+        record_one(&filter, 1);
+        record_one(&filter, 2);
+        assert_eq!(record_one(&filter, 3), NonceCheck::Full);
         filter.rotate();
-        assert_eq!(filter.begin(&nonce(3)), NonceCheck::Fresh);
+        assert_eq!(record_one(&filter, 3), NonceCheck::Fresh);
         assert_eq!(filter.len(), 1);
+    }
+
+    #[test]
+    fn rotation_keeps_the_retired_table_for_the_next_generation() {
+        let filter = ReplayFilter::new(1 << 16);
+        let allocated = |filter: &ReplayFilter| filter.generations.lock().current.capacity();
+        let nonces: Vec<[u8; NONCE_LEN]> = (0..4_096u32)
+            .map(|i| {
+                let mut n = [0u8; NONCE_LEN];
+                n[..4].copy_from_slice(&i.to_le_bytes());
+                n
+            })
+            .collect();
+        filter.record(&nonces, usize::MAX);
+        let grown = allocated(&filter);
+        filter.rotate();
+        filter.rotate();
+        // The generation that grew to 4 096 nonces is current again, empty
+        // and as large as it grew: the next 4 096 inserts never rehash.
+        assert!(filter.is_empty());
+        assert_eq!(allocated(&filter), grown);
+        assert_eq!(record_one(&filter, 1), NonceCheck::Fresh);
     }
 
     #[test]
     fn shards_do_not_mix_nonces() {
         let filter = ReplayFilter::new(1024);
         for i in 0..=255u8 {
-            assert_eq!(filter.begin(&nonce(i)), NonceCheck::Fresh);
-            filter.commit(&nonce(i));
+            assert_eq!(record_one(&filter, i), NonceCheck::Fresh);
         }
         for i in 0..=255u8 {
-            assert_eq!(filter.begin(&nonce(i)), NonceCheck::Duplicate);
+            assert_eq!(record_one(&filter, i), NonceCheck::Duplicate);
         }
         assert_eq!(filter.len(), 256);
     }

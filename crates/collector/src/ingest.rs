@@ -2,23 +2,26 @@
 //!
 //! Protocol workers hand every `SUBMIT` here; the benchmark harness drives
 //! it directly to measure ingestion throughput without socket noise. The
-//! core owns the report queue and the replay filter, and its entry point
-//! maps each submission to exactly one wire [`Response`].
+//! core owns the report queue and the replay filter, and maps each
+//! submission to exactly one wire [`Response`].
 //!
-//! The path is per report, so nothing on it is looked up, formatted, locked
-//! twice or counted on a shared cache line. A submission is admitted into
-//! its caller's `Tally` of plain integers, and the caller publishes the
-//! tally once per run (`IngestCore::publish`): a serving loop once per
-//! reactor turn, before the turn's answers are queued, so every Ack a
-//! client reads is already counted. Publishing adds the run to the cells
-//! [`IngestStats`] reads and the registry reads through
-//! (`collector.ingest.*`), and records one `collector.ingest.submit`
-//! observation per submission, the run's time over its submissions. The
-//! peer's transport label is rendered once per connection ([`Peer`]), the
-//! queue push returns the depth the acknowledgement reports, and the
-//! caller's `report` slice — on the serving path, a slice of the
-//! connection's read buffer — is copied exactly once, into the
-//! [`HybridCiphertext`] that sits in the queue.
+//! Admission is by the run: a serving loop's reactor turn, or one
+//! [`IngestCore::ingest_from`]. A submission is validated on arrival,
+//! making the one heap copy between the socket and the queue (the sealed
+//! bytes, into the [`HybridCiphertext`] that sits in the queue). The run's
+//! valid submissions are then admitted in order: queue room is reserved
+//! once, the replay filter checks and records each nonce in one step up to
+//! that room, the accepted reports are pushed under one more queue lock,
+//! and arrival order and time are stamped once. A reserved slot cannot be
+//! refused, so a recorded nonce is never rolled back.
+//!
+//! The caller counts the run in a `Tally` of plain integers and publishes
+//! it once (`IngestCore::publish`): a serving loop per reactor turn, before
+//! the turn's answers are queued, so every Ack a client reads is already
+//! counted. Publishing adds the run to the cells [`IngestStats`] and the
+//! registry read (`collector.ingest.*`), and records one
+//! `collector.ingest.submit` observation per submission: the run's time
+//! over its submissions. A [`Peer`] is rendered once per connection.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -32,7 +35,7 @@ use prochlo_obs::{Gauge, Histogram, Registry, Span};
 
 use crate::dedup::{NonceCheck, ReplayFilter};
 use crate::protocol::{Response, MAX_REPORT_LEN, NONCE_LEN, RETRY_AFTER_MS};
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::BoundedQueue;
 
 /// Tuning knobs for [`IngestCore`].
 #[derive(Debug, Clone)]
@@ -60,8 +63,7 @@ pub struct IngestStats {
     /// Submissions answered `Duplicate`.
     pub duplicates: u64,
     /// Submissions answered `RetryAfter`: the queue or the replay filter
-    /// was full, the nonce was in flight, or the connection's rate limiter
-    /// refused the submission.
+    /// was full, or the connection's rate limiter refused the submission.
     pub backpressured: u64,
     /// Submissions answered `Rejected` (malformed).
     pub rejected: u64,
@@ -85,8 +87,8 @@ struct StatsCells {
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
     counts: IngestStats,
-    /// Submissions admitted (a rate-limited one never reaches ingest), and
-    /// the queue depth the last accepted one left.
+    /// Submissions validated (a rate-limited one never reaches ingest), and
+    /// the queue depth the last accepted run left.
     submissions: u64,
     last_depth: usize,
     /// Started by the run's first submission; reads no clock while the
@@ -131,6 +133,14 @@ impl From<SocketAddr> for Peer {
             },
         }
     }
+}
+
+/// A submission that passed validation and waits for its run's admission.
+#[derive(Debug)]
+pub(crate) struct Candidate {
+    nonce: [u8; NONCE_LEN],
+    outer: HybridCiphertext,
+    peer: Peer,
 }
 
 /// Validate + dedup + enqueue, shared by every protocol worker.
@@ -199,64 +209,99 @@ impl IngestCore {
     /// run of one, published before it returns.
     pub fn ingest_from(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: &Peer) -> Response {
         let mut tally = Tally::default();
-        let response = self.admit(&mut tally, nonce, report, peer);
+        let response = match self.candidate(&mut tally, nonce, report, peer) {
+            Ok(candidate) => {
+                // Overwritten: a run answers each of its candidates.
+                let mut response = Response::Duplicate;
+                let run = &mut vec![candidate];
+                self.admit_run(&mut tally, run, |verdict| response = verdict);
+                response
+            }
+            Err(rejected) => rejected,
+        };
         self.publish(&mut tally);
         response
     }
 
-    /// Handles one submission and returns the wire response, counting it
-    /// in `tally` only: nothing shared is counted until [`Self::publish`].
-    ///
-    /// The nonce is tracked through two dedup phases: `begin` before the
-    /// queue push, then `commit` on success or `abort` when the queue
-    /// refuses the report. A replay of an *accepted* nonce answers
-    /// `Duplicate`; a retry racing an in-flight first attempt answers
-    /// `RetryAfter`, never a false "already queued".
-    pub(crate) fn admit(
+    /// Validates one submission for [`Self::admit_run`], counting it in
+    /// `tally`; a malformed one is answered `Rejected` here.
+    pub(crate) fn candidate(
         &self,
         tally: &mut Tally,
         nonce: &[u8; NONCE_LEN],
         report: &[u8],
         peer: &Peer,
-    ) -> Response {
+    ) -> Result<Candidate, Response> {
         if tally.submissions == 0 {
             tally.span = Some(self.submit.start());
         }
         tally.submissions += 1;
         if report.len() > MAX_REPORT_LEN {
-            return tally.rejected("report exceeds maximum size");
+            return Err(tally.rejected("report exceeds maximum size"));
         }
-        // The one heap copy between the socket and the queue: the sealed
-        // bytes, out of the caller's buffer.
         let Ok(outer) = HybridCiphertext::from_bytes(report) else {
-            return tally.rejected("report is not a hybrid ciphertext");
+            return Err(tally.rejected("report is not a hybrid ciphertext"));
         };
-        match self.dedup.begin(nonce) {
-            NonceCheck::Duplicate => {
-                tally.counts.duplicates += 1;
-                return Response::Duplicate;
-            }
-            NonceCheck::InFlight | NonceCheck::Full => return tally.backpressure(),
-            NonceCheck::Fresh => {}
+        let (nonce, peer) = (*nonce, peer.clone());
+        Ok(Candidate { nonce, outer, peer })
+    }
+
+    /// Admits `run`, draining it, and hands `answer` one response per
+    /// candidate, in order; counts them in `tally` only. A replay of an
+    /// accepted nonce answers `Duplicate`, within the run or across runs,
+    /// on any loop; a fresh one past the reserved room, `RetryAfter`.
+    pub(crate) fn admit_run(
+        &self,
+        tally: &mut Tally,
+        run: &mut Vec<Candidate>,
+        mut answer: impl FnMut(Response),
+    ) {
+        if run.is_empty() {
+            return;
         }
-        let report = ClientReport {
-            outer,
-            metadata: self.transport_metadata(peer),
-        };
-        match self.queue.try_push(report) {
-            Ok(depth) => {
-                self.dedup.commit(nonce);
-                tally.counts.accepted += 1;
-                tally.counts.peak_queue_depth = tally.counts.peak_queue_depth.max(depth);
-                tally.last_depth = depth;
-                Response::Ack {
-                    pending: depth as u32,
+        let room = self.queue.reserve(run.len());
+        let verdicts = self
+            .dedup
+            .record(run.iter().map(|candidate| &candidate.nonce), room.slots());
+        let accepted = verdicts.iter().filter(|&&v| v == NonceCheck::Fresh).count();
+        // What the shuffler strips: address, arrival order and time.
+        let first_arrival = self.arrival.fetch_add(accepted as u64, Ordering::Relaxed);
+        // prochlo-lint: allow(wallclock-discipline, "transport metadata only: the shuffler strips this timestamp before analysis, so it never steers seeded replay")
+        let now = SystemTime::now().duration_since(UNIX_EPOCH);
+        let timestamp_secs = now.map(|d| d.as_secs()).unwrap_or(0);
+        let reports = run
+            .drain(..)
+            .zip(&verdicts)
+            .filter(|(_, &verdict)| verdict == NonceCheck::Fresh)
+            .zip(first_arrival..)
+            .map(|((candidate, _), arrival_order)| ClientReport {
+                outer: candidate.outer,
+                metadata: TransportMetadata {
+                    client_label: candidate.peer.label,
+                    arrival_order,
+                    source_ip: candidate.peer.source_ip,
+                    timestamp_secs,
+                },
+            });
+        let depth = room.fill(reports);
+        if accepted > 0 {
+            tally.counts.accepted += accepted as u64;
+            tally.counts.peak_queue_depth = tally.counts.peak_queue_depth.max(depth);
+            tally.last_depth = depth;
+        }
+        let mut pending = (depth - accepted) as u32;
+        for verdict in verdicts {
+            answer(match verdict {
+                NonceCheck::Fresh => {
+                    pending += 1;
+                    Response::Ack { pending }
                 }
-            }
-            Err(PushError::Full(_)) | Err(PushError::Closed(_)) => {
-                self.dedup.abort(nonce);
-                tally.backpressure()
-            }
+                NonceCheck::Duplicate => {
+                    tally.counts.duplicates += 1;
+                    Response::Duplicate
+                }
+                NonceCheck::Full => tally.backpressure(),
+            });
         }
     }
 
@@ -295,22 +340,6 @@ impl IngestCore {
     /// the epoch a nonce was accepted in plus the following one.
     pub fn rotate_dedup(&self) {
         self.dedup.rotate();
-    }
-
-    /// The transport metadata the shuffler will strip: this is exactly the
-    /// linkable information (address, arrival order, time) that must never
-    /// travel past the shuffler boundary.
-    fn transport_metadata(&self, peer: &Peer) -> TransportMetadata {
-        TransportMetadata {
-            client_label: Arc::clone(&peer.label),
-            arrival_order: self.arrival.fetch_add(1, Ordering::Relaxed),
-            source_ip: peer.source_ip,
-            // prochlo-lint: allow(wallclock-discipline, "transport metadata only: the shuffler strips this timestamp before analysis, so it never steers seeded replay")
-            timestamp_secs: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-        }
     }
 
     /// A snapshot of the ingestion counters.

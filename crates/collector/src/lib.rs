@@ -39,7 +39,6 @@ pub mod queue;
 pub mod service;
 
 pub use client::{CollectorClient, InProcessSink, ReportSink};
-pub use dedup::{NonceCheck, ReplayFilter};
 pub use error::CollectorError;
 pub use ingest::{IngestConfig, IngestCore, IngestStats, Peer};
 pub use protocol::{Request, Response, NONCE_LEN, PROTOCOL_VERSION};

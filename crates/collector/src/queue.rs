@@ -1,20 +1,22 @@
-//! A bounded multi-producer queue with non-blocking pushes.
+//! A bounded multi-producer queue with non-blocking reservations.
 //!
 //! The collector's memory bound comes from this queue: producers (the event
-//! loops) never block and never allocate past the capacity — a full queue
-//! is reported back to them so they can answer `RetryAfter` instead of
-//! buffering, which is the backpressure contract of the service. The
-//! consumer (the epoch manager) blocks, with a deadline, until enough
-//! reports arrive to cut a batch.
+//! loops) never block and never allocate past the capacity. A producer
+//! reserves room for a run of items and is granted what is free, answering
+//! `RetryAfter` for the rest instead of buffering — the backpressure
+//! contract of the service. A granted reservation cannot be refused, not
+//! even by [`BoundedQueue::close`]: its fill pushes the run under one lock
+//! and gives the unfilled room back. The consumer (the epoch manager)
+//! blocks, with a deadline, until enough items arrive to cut a batch.
 //!
 //! # Wake at target
 //!
 //! The consumer states what it is waiting for: [`BoundedQueue::drain_when`]
 //! records its target in the queue state for as long as it sleeps, and a
-//! push signals the condition variable only when it brings the depth up to
-//! that target — once per epoch, not once per report. Target and depth are
+//! fill signals the condition variable only when it brings the depth up to
+//! that target — once per epoch, not once per run. Target and depth are
 //! written and compared under the queue's own mutex, so there is no window
-//! in which the push that completes a batch can miss a consumer about to
+//! in which the fill that completes a batch can miss a consumer about to
 //! sleep. [`BoundedQueue::close`] still wakes unconditionally and the
 //! deadline ends the wait by itself. One recorded target means one
 //! draining thread per queue.
@@ -22,23 +24,16 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
-
-/// Why a [`BoundedQueue::try_push`] was refused; the item is handed back.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
-    /// The queue is at capacity.
-    Full(T),
-    /// The queue was closed and accepts no further items.
-    Closed(T),
-}
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 #[derive(Debug)]
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Granted slots not yet filled or given back.
+    reserved: usize,
     /// The depth the sleeping consumer is waiting for; 0 while nobody
-    /// sleeps. A push that reaches it clears it, so a wait is signalled
+    /// sleeps. A fill that reaches it clears it, so a wait is signalled
     /// once.
     waiting_for: usize,
     /// How often the consumer came back from a sleep.
@@ -54,6 +49,13 @@ pub struct BoundedQueue<T> {
     capacity: usize,
 }
 
+/// Granted room: a fill cannot be refused, and room unfilled goes back.
+#[derive(Debug)]
+pub(crate) struct Reservation<'a, T> {
+    queue: &'a BoundedQueue<T>,
+    slots: usize,
+}
+
 impl<T> BoundedQueue<T> {
     /// Creates a queue holding at most `capacity` items.
     pub fn new(capacity: usize) -> Self {
@@ -62,17 +64,13 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(QueueState {
                 items: VecDeque::with_capacity(capacity.min(1024)),
                 closed: false,
+                reserved: 0,
                 waiting_for: 0,
                 wakeups: 0,
             }),
             available: Condvar::new(),
             capacity,
         }
-    }
-
-    /// The maximum number of items the queue holds.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current queue depth.
@@ -85,9 +83,11 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// True once [`Self::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
+    /// True once the queue is closed, its granted room settled and every
+    /// item drained: nothing more will come out.
+    pub fn is_finished(&self) -> bool {
+        let state = self.state.lock();
+        state.closed && state.reserved == 0 && state.items.is_empty()
     }
 
     /// How often [`Self::drain_when`] came back from a sleep — signalled,
@@ -97,24 +97,24 @@ impl<T> BoundedQueue<T> {
         self.state.lock().wakeups
     }
 
-    /// Appends an item without blocking and returns the depth after the
-    /// push; a full or closed queue refuses it.
-    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
+    /// Grants room for up to `wanted` items without blocking: all of it,
+    /// what is free, or none once the queue is closed.
+    pub(crate) fn reserve(&self, wanted: usize) -> Reservation<'_, T> {
         let mut state = self.state.lock();
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        let depth = state.items.len();
-        // Target and depth are compared under the lock, so the consumer is
-        // either already asleep on the target read here or will see this
-        // item before it sleeps. Clearing the target makes one wait cost
-        // one signal however many pushes land before the consumer gets the
-        // lock back.
-        let wake = state.waiting_for != 0 && depth >= state.waiting_for;
+        let free = self.capacity - state.items.len() - state.reserved;
+        let slots = if state.closed { 0 } else { wanted.min(free) };
+        state.reserved += slots;
+        Reservation { queue: self, slots }
+    }
+
+    /// Gives `slots` back and signals a consumer whose target is reached,
+    /// or who waits on a closed queue for this last reservation. Clearing
+    /// the target makes one wait cost one signal.
+    fn release(&self, mut state: MutexGuard<'_, QueueState<T>>, slots: usize) {
+        state.reserved -= slots;
+        let target = state.waiting_for;
+        let wake =
+            target != 0 && (state.items.len() >= target || state.closed && state.reserved == 0);
         if wake {
             state.waiting_for = 0;
         }
@@ -122,7 +122,6 @@ impl<T> BoundedQueue<T> {
         if wake {
             self.available.notify_one();
         }
-        Ok(depth)
     }
 
     /// Waits until at least `target` items are queued, the queue is full,
@@ -134,21 +133,27 @@ impl<T> BoundedQueue<T> {
     /// immediately during a shutdown drain. A target above the capacity
     /// could never be met (the queue would refuse every push and the wait
     /// would run to the deadline), so a full queue always cuts. An empty
-    /// return means the deadline passed with nothing queued (or the queue
-    /// is closed and dry).
+    /// return means the deadline passed with nothing queued, or the queue
+    /// is finished ([`Self::is_finished`]).
     pub fn drain_when(&self, target: usize, timeout: Duration) -> Vec<T> {
         let target = target.clamp(1, self.capacity);
         // prochlo-lint: allow(wallclock-discipline, "functional count-or-deadline primitive: the deadline cuts batches, it never orders reports")
         let deadline = Instant::now() + timeout;
         let mut state = self.state.lock();
-        while state.items.len() < target && !state.closed {
+        while state.items.len() < target && !(state.closed && state.reserved == 0) {
             // prochlo-lint: allow(wallclock-discipline, "remaining-wait computation for the same batch-cut deadline as above")
             let now = Instant::now();
-            if now >= deadline {
+            if !state.closed && now >= deadline {
                 break;
             }
             state.waiting_for = target;
-            self.available.wait_for(&mut state, deadline - now);
+            // A closed queue waits for its granted room, deadline or not.
+            let wait = if state.closed {
+                Duration::MAX
+            } else {
+                deadline - now
+            };
+            self.available.wait_for(&mut state, wait);
             state.waiting_for = 0;
             state.wakeups += 1;
         }
@@ -156,11 +161,34 @@ impl<T> BoundedQueue<T> {
         state.items.drain(..take).collect()
     }
 
-    /// Closes the queue: pending items stay drainable, new pushes fail, and
-    /// the blocked consumer wakes up.
+    /// Closes the queue: queued and granted items stay drainable, new
+    /// reservations get no room, and the blocked consumer wakes up.
     pub fn close(&self) {
         self.state.lock().closed = true;
         self.available.notify_all();
+    }
+}
+
+impl<T> Reservation<'_, T> {
+    pub(crate) fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Pushes at most [`Self::slots`] of `items` and returns the depth.
+    pub(crate) fn fill(mut self, items: impl IntoIterator<Item = T>) -> usize {
+        let mut state = self.queue.state.lock();
+        state.items.extend(items.into_iter().take(self.slots));
+        let depth = state.items.len();
+        self.queue.release(state, std::mem::take(&mut self.slots));
+        depth
+    }
+}
+
+impl<T> Drop for Reservation<'_, T> {
+    fn drop(&mut self) {
+        if self.slots > 0 {
+            self.queue.release(self.queue.state.lock(), self.slots);
+        }
     }
 }
 
@@ -169,6 +197,27 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+
+    /// Which refusal a run of one met.
+    #[derive(Debug, PartialEq, Eq)]
+    enum PushError<T> {
+        Full(T),
+        Closed(T),
+    }
+
+    impl<T> BoundedQueue<T> {
+        /// A run of one: reserves a slot and fills it.
+        fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
+            let slot = self.reserve(1);
+            if slot.slots() == 1 {
+                Ok(slot.fill([item]))
+            } else if self.state.lock().closed {
+                Err(PushError::Closed(item))
+            } else {
+                Err(PushError::Full(item))
+            }
+        }
+    }
 
     #[test]
     fn push_pop_roundtrip_in_fifo_order() {
@@ -201,7 +250,40 @@ mod tests {
         assert_eq!(q.try_push(8), Err(PushError::Closed(8)));
         assert_eq!(q.drain_when(1, Duration::ZERO), [7]);
         assert!(q.drain_when(1, Duration::from_secs(60)).is_empty());
-        assert!(q.is_closed());
+        assert!(q.is_finished());
+    }
+
+    #[test]
+    fn a_reservation_gets_what_is_free_and_gives_back_what_it_does_not_fill() {
+        let q = BoundedQueue::new(4);
+        q.try_push(0).unwrap();
+        let run = q.reserve(5);
+        assert_eq!(run.slots(), 3);
+        assert_eq!(q.reserve(1).slots(), 0, "reserved room is taken");
+        assert_eq!(run.fill([1, 2]), 3, "the depth after the push");
+        let run = q.reserve(9);
+        assert_eq!(run.slots(), 1, "the unfilled slot went back");
+        assert_eq!(run.fill([3, 4]), 4, "a fill takes at most its slots");
+        assert_eq!(q.drain_when(8, Duration::ZERO), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_reservation_granted_before_the_close_is_filled_and_drained() {
+        let q = Arc::new(BoundedQueue::new(4));
+        let run = q.reserve(2);
+        q.close();
+        assert_eq!(q.reserve(1).slots(), 0, "a closed queue grants nothing");
+        assert!(!q.is_finished());
+        // A zero deadline on a closed queue: the consumer still waits for
+        // the granted room rather than report the queue finished.
+        let consumer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.drain_when(4, Duration::ZERO))
+        };
+        thread::sleep(Duration::from_millis(20));
+        assert_eq!(run.fill([7, 8]), 2);
+        assert_eq!(consumer.join().unwrap(), [7, 8]);
+        assert!(q.is_finished());
     }
 
     #[test]
@@ -377,7 +459,7 @@ mod tests {
         // pushing; what was accepted before the close must still come out.
         let mut rng = StdRng::seed_from_u64(0x5eed);
         let mut drained = Vec::new();
-        while !(q.is_closed() && q.is_empty()) {
+        while !q.is_finished() {
             // Targets below the backlog, above it, and above the capacity.
             let target = rng.gen_range(1..400);
             let timeout = Duration::from_micros(rng.gen_range(0..3_000));
@@ -421,7 +503,7 @@ mod tests {
             let q = Arc::clone(&q);
             thread::spawn(move || {
                 let mut seen = Vec::new();
-                while !(q.is_closed() && q.is_empty()) {
+                while !q.is_finished() {
                     seen.extend(q.drain_when(64, Duration::from_millis(50)));
                 }
                 seen

@@ -7,13 +7,14 @@
 //!   serving policy (sockets, connection cap, slow-loris eviction, oversize
 //!   rejection) and hands every complete request frame to this crate's
 //!   per-loop `Ingest` handler, which parses it in place — the body is a
-//!   slice of the connection's read buffer, and [`IngestCore::ingest_from`]
+//!   slice of the connection's read buffer, and validating a submission
 //!   makes the one copy an accepted report costs. Per-connection state is
 //!   the peer's transport identity, rendered once on accept, plus an
 //!   optional [`TokenBucket`]: a connection that out-runs its rate limit is
 //!   answered with the same `RetryAfter` backpressure the bounded queue
-//!   uses. The handler tallies a turn's submissions in plain integers and
-//!   publishes them in `finish_turn`, before the turn's answers are queued.
+//!   uses. A valid submission is answered [`Answer::Later`]: `finish_turn`
+//!   (or a `PING` or `STATS` mid-turn) admits the turn's submissions as one
+//!   run and publishes the tally before the turn's answers are queued.
 //! * **epoch** — owns the [`Deployment`]; drains the report queue with a
 //!   count-or-deadline policy and feeds each batch through an
 //!   [`prochlo_core::EpochSession`], which canonicalizes it and runs
@@ -43,7 +44,7 @@ use prochlo_core::{
 use prochlo_net::{Answer, Handler, Server, ServerConfig, ServerStats, TokenBucket};
 
 use crate::error::CollectorError;
-use crate::ingest::{IngestConfig, IngestCore, IngestStats, Peer, Tally};
+use crate::ingest::{Candidate, IngestConfig, IngestCore, IngestStats, Peer, Tally};
 use crate::protocol::{frame_policy, refusal_bodies, RequestRef, Response};
 
 /// Configuration of a running collector.
@@ -307,6 +308,8 @@ impl Collector {
                     shared: Arc::clone(&shared),
                     rate_limit: config.rate_limit_per_conn,
                     tally: Tally::default(),
+                    run: Vec::new(),
+                    answered: Vec::new(),
                 })
             },
         )
@@ -361,6 +364,22 @@ struct Ingest {
     rate_limit: Option<u32>,
     /// This turn's submissions, not yet in the shared books.
     tally: Tally,
+    /// This turn's valid submissions not yet admitted, and the answers of
+    /// those admitted, in request order.
+    run: Vec<Candidate>,
+    answered: Vec<Vec<u8>>,
+}
+
+impl Ingest {
+    /// Admits the run gathered so far and publishes the turn's tally.
+    fn admit(&mut self) {
+        let ingest = &self.shared.ingest;
+        let answered = &mut self.answered;
+        ingest.admit_run(&mut self.tally, &mut self.run, |verdict| {
+            answered.push(verdict.to_bytes());
+        });
+        ingest.publish(&mut self.tally);
+    }
 }
 
 impl Handler for Ingest {
@@ -373,12 +392,13 @@ impl Handler for Ingest {
     }
 
     fn frame(&mut self, (peer, bucket): &mut Self::Conn, body: &[u8]) -> Result<Answer, Vec<u8>> {
-        let ingest = &self.shared.ingest;
         let request = RequestRef::parse(body);
-        if !matches!(request, Ok(RequestRef::Submit(_))) {
-            // PING and STATS read the books: count the turn so far first.
-            ingest.publish(&mut self.tally);
+        if matches!(request, Ok(RequestRef::Ping | RequestRef::Stats)) {
+            // PING and STATS read the queue and the books: bring them up to
+            // this frame first.
+            self.admit();
         }
+        let ingest = &self.shared.ingest;
         let response = match request {
             Ok(RequestRef::Submit(submission)) => {
                 // The rate limiter sits in front of ingest so a limited
@@ -388,8 +408,15 @@ impl Handler for Ingest {
                     self.tally.backpressure()
                 } else {
                     // Nonce and report still point into the connection's
-                    // read buffer; ingest makes the one copy.
-                    ingest.admit(&mut self.tally, submission.nonce, submission.report, peer)
+                    // read buffer; validation makes the one copy.
+                    let (nonce, report) = (submission.nonce, submission.report);
+                    match ingest.candidate(&mut self.tally, nonce, report, peer) {
+                        Ok(candidate) => {
+                            self.run.push(candidate);
+                            return Ok(Answer::Later);
+                        }
+                        Err(rejected) => rejected,
+                    }
                 }
             }
             Ok(RequestRef::Ping) => Response::Ack {
@@ -409,10 +436,12 @@ impl Handler for Ingest {
         Ok(Answer::Now(response.to_bytes()))
     }
 
-    /// Publishes the turn's tally: the server calls this before it queues
-    /// the turn's answers, so every Ack a client reads is already counted.
-    fn finish_turn(&mut self, _bodies: &mut Vec<Vec<u8>>) {
-        self.shared.ingest.publish(&mut self.tally);
+    /// Admits the turn's run and publishes its tally: the server calls this
+    /// before it queues the turn's answers, so every Ack a client reads is
+    /// already counted, and its report already queued.
+    fn finish_turn(&mut self, bodies: &mut Vec<Vec<u8>>) {
+        self.admit();
+        bodies.append(&mut self.answered);
     }
 }
 
@@ -442,7 +471,7 @@ fn epoch_loop(mut pipeline: Box<dyn EpochPipeline>, shared: &Shared, config: &Co
         wakeups.add(woken - wakeups_seen);
         wakeups_seen = woken;
         if batch.is_empty() {
-            if queue.is_closed() {
+            if queue.is_finished() {
                 break;
             }
             continue;
@@ -1207,6 +1236,121 @@ mod tests {
         }
         drop(stream);
         assert_eq!(collector.shutdown().stats.ingest.accepted, acks);
+    }
+
+    /// Keeps the outer ciphertext of every report it is handed.
+    struct Recording(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl EpochPipeline for Recording {
+        fn process(
+            &mut self,
+            _spec: &EpochSpec,
+            batch: Vec<ClientReport>,
+        ) -> Result<PipelineReport, PipelineError> {
+            let mut seen = self.0.lock();
+            seen.extend(batch.iter().map(|report| report.outer.to_bytes()));
+            Ok(PipelineReport {
+                database: AnalyzerDatabase::default(),
+                shuffler_stats: prochlo_core::ShufflerStats::default(),
+                stage_stats: Vec::new(),
+            })
+        }
+    }
+
+    #[test]
+    fn every_ack_read_while_shutdown_runs_is_counted_once() {
+        use crate::protocol::{read_frame, write_frame};
+        use std::io::Write;
+        const WINDOW: u64 = 64;
+        // Each round lets four clients pipeline windows for a little longer
+        // before the shutdown lands, so it cuts windows at different
+        // points: mid-read, mid-turn, between a turn's admission and its
+        // answers, and after the loops stopped reading.
+        for round in 0..6u64 {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let config = CollectorConfig {
+                max_epoch_reports: 500,
+                epoch_deadline: Duration::from_millis(20),
+                io_timeout: Duration::from_secs(2),
+                ..test_config()
+            };
+            let pipeline = Box::new(Recording(Arc::clone(&seen)));
+            let collector = Collector::start_with_pipeline(pipeline, config).unwrap();
+            let addr = collector.local_addr();
+            // Every report is unique: the client and its sequence number
+            // open the ciphertext bytes.
+            let report = |client: u64, seq: u64| -> Vec<u8> {
+                let mut bytes = vec![0u8; 64];
+                bytes[..8].copy_from_slice(&client.to_le_bytes());
+                bytes[8..16].copy_from_slice(&seq.to_le_bytes());
+                bytes
+            };
+            let clients: Vec<_> = (0..4u64)
+                .map(|client| {
+                    std::thread::spawn(move || {
+                        let mut acked = Vec::new();
+                        let Ok(mut stream) = std::net::TcpStream::connect(addr) else {
+                            return acked;
+                        };
+                        stream
+                            .set_read_timeout(Some(Duration::from_secs(5)))
+                            .unwrap();
+                        for window in 0.. {
+                            let mut wire = Vec::new();
+                            for seq in window * WINDOW..(window + 1) * WINDOW {
+                                let mut nonce = [0u8; NONCE_LEN];
+                                nonce[..8].copy_from_slice(&client.to_le_bytes());
+                                nonce[8..].copy_from_slice(&seq.to_le_bytes());
+                                let report = report(client, seq);
+                                let request = Request::Submit { nonce, report };
+                                write_frame(&mut wire, &request.to_bytes()).unwrap();
+                            }
+                            if stream.write_all(&wire).is_err() {
+                                return acked;
+                            }
+                            for seq in window * WINDOW..(window + 1) * WINDOW {
+                                let Ok(body) = read_frame(&mut stream, 1 << 20) else {
+                                    return acked;
+                                };
+                                match Response::from_bytes(&body).unwrap() {
+                                    Response::Ack { .. } => acked.push(report(client, seq)),
+                                    other => panic!("unexpected verdict {other:?}"),
+                                }
+                            }
+                        }
+                        acked
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_millis(30 + 40 * round));
+            let summary = collector.shutdown();
+            let acked: Vec<Vec<u8>> = clients
+                .into_iter()
+                .flat_map(|client| client.join().unwrap())
+                .collect();
+            let mut counted = std::mem::take(&mut *seen.lock());
+            let total: usize = summary.epochs.iter().map(|epoch| epoch.reports).sum();
+            assert_eq!(total, counted.len());
+            assert_eq!(summary.stats.ingest.accepted, total as u64);
+            counted.sort_unstable();
+            let before = counted.len();
+            counted.dedup();
+            assert_eq!(
+                counted.len(),
+                before,
+                "round {round}: a report counted twice"
+            );
+            for report in &acked {
+                assert!(
+                    counted.binary_search(report).is_ok(),
+                    "round {round}: an Ack read for a report no epoch counted"
+                );
+            }
+            assert!(
+                acked.len() as u64 >= WINDOW,
+                "round {round}: no window served"
+            );
+        }
     }
 
     #[test]

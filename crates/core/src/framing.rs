@@ -403,13 +403,6 @@ impl FrameAccumulator {
         self.end - self.start + large
     }
 
-    /// Bytes this accumulator holds allocated: the shared buffer, a large
-    /// frame in assembly and a large body still lent out.
-    pub fn capacity(&self) -> usize {
-        let large = self.large.as_ref().map_or(0, |l| l.body.capacity());
-        self.buf.capacity() + large + self.lent.capacity()
-    }
-
     /// Returns the next complete frame body, `None` when more bytes are
     /// needed, or an error when the stream violated the policy (oversized
     /// announcement, impossible length, wrong version byte). Errors are
@@ -567,6 +560,15 @@ mod tests {
     use std::io::Cursor;
 
     const POLICY: FramePolicy = FramePolicy::new(1, 1024);
+
+    impl FrameAccumulator {
+        /// Bytes this accumulator holds allocated: the shared buffer, a
+        /// large frame in assembly and a large body still lent out.
+        fn capacity(&self) -> usize {
+            let large = self.large.as_ref().map_or(0, |l| l.body.capacity());
+            self.buf.capacity() + large + self.lent.capacity()
+        }
+    }
 
     #[test]
     fn frames_roundtrip_and_preserve_wire_layout() {
@@ -727,6 +729,40 @@ mod tests {
         assert_eq!(acc.take_frame().unwrap().unwrap(), b"after");
         assert_eq!(acc.take_frame().unwrap(), None);
         assert!(acc.capacity() <= 2 * ROOM);
+    }
+
+    #[test]
+    fn a_link_keeps_two_read_chunks_after_a_4_mib_frame() {
+        // A fabric link's read side: `prochlo-net` reads 16 KiB at a time
+        // and takes every completed frame after each readable event. The
+        // socket hands over uneven pieces, so the large frame's header and
+        // its first bytes arrive in the shared buffer beside earlier bytes.
+        const READ_CHUNK: usize = 16 * 1024;
+        let policy = FramePolicy::new(1, 8 << 20);
+        let large: Vec<u8> = (0..4u32 << 20).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        wire.write_frame(&policy, b"before").unwrap();
+        wire.write_frame(&policy, &large).unwrap();
+        wire.write_frame(&policy, b"after").unwrap();
+        let mut acc = FrameAccumulator::new(policy);
+        let mut frames = Vec::new();
+        let mut pieces = wire.chunks(48 * 1024 + 7);
+        for piece in &mut pieces {
+            let mut socket = piece;
+            while acc.read_from(&mut socket, READ_CHUNK).unwrap() > 0 {}
+            while let Some(frame) = acc.take_frame().unwrap() {
+                frames.push(frame);
+            }
+        }
+        assert_eq!(frames.len(), 3);
+        assert_eq!(frames[1], large);
+        assert_eq!(frames[1].capacity(), large.len(), "one exact buffer");
+        assert_eq!(frames[2], b"after");
+        assert!(
+            acc.capacity() <= 2 * READ_CHUNK,
+            "the link keeps {} bytes of read buffer after a 4 MiB frame",
+            acc.capacity()
+        );
     }
 
     #[test]

@@ -183,14 +183,6 @@ mod tests {
     use prochlo_core::framing::FrameRead;
     use std::net::{TcpListener, TcpStream};
 
-    impl Conn {
-        /// Bytes the read side holds allocated (see
-        /// [`FrameAccumulator::capacity`]).
-        pub(crate) fn read_capacity(&self) -> usize {
-            self.acc.capacity()
-        }
-    }
-
     const POLICY: FramePolicy = FramePolicy::new(1, 1024);
 
     fn pair() -> (TcpStream, TcpStream) {

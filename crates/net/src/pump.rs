@@ -147,7 +147,7 @@ impl Drop for FramePump {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::{send_frame, READ_CHUNK};
+    use crate::conn::send_frame;
     use parking_lot::Mutex;
     use prochlo_core::framing::FrameWrite;
     use std::io::Write;
@@ -249,14 +249,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         let _client = writer.join().expect("join");
+        // The frame leaves in the buffer it was read into; the read room
+        // left behind is bounded by `framing`'s own tests at READ_CHUNK.
         assert_eq!(frames[0], expected);
         assert_eq!(frames[0].capacity(), expected.len(), "one exact buffer");
         assert_eq!(frames[1], b"after");
-        assert!(
-            conn.read_capacity() <= 2 * READ_CHUNK,
-            "the link keeps {} bytes of read buffer after a 4 MiB frame",
-            conn.read_capacity()
-        );
     }
 
     #[test]
