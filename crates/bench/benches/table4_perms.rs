@@ -2,10 +2,11 @@
 //! or, for each user action, a noisy crowd threshold.
 //!
 //! The workload is the synthetic Chrome-permissions telemetry of
-//! `prochlo_bench::perms`; the thresholding parameters are the paper's §5.3
-//! settings (threshold 100, Gaussian σ = 4, plus the random per-crowd drop),
-//! and the plausible-deniability bit flip (10⁻⁴ per action bit) is applied at
-//! the encoder. The absolute page counts depend on the synthetic popularity
+//! `prochlo_bench::perms`; the thresholding is the shuffler's own per-crowd
+//! draw (`CrowdThreshold`) at the paper's §5.3 settings (threshold 100,
+//! Gaussian σ = 4 for the noise and the drop) with a drop mean of 22, and the
+//! plausible-deniability bit flip (10⁻⁴ per action bit) is applied at the
+//! encoder. The absolute page counts depend on the synthetic popularity
 //! distribution; the shape to check is that the noisy-threshold columns sit a
 //! little below the naive-threshold row, far above what local DP recovers
 //! (the paper could not recover more than a few dozen pages with RAPPOR).
@@ -13,16 +14,26 @@
 use std::collections::{BTreeMap, HashMap};
 
 use prochlo_bench::perms::{PermissionAction, PermissionFeature, PermsGenerator};
+use prochlo_bench::response::bit_flip_epsilon;
 use prochlo_bench::{env_usize, print_header};
 use prochlo_core::encoder::flip_bits;
-use prochlo_core::GaussianThresholdPrivacy;
-use prochlo_stats::{Gaussian, RoundedNormal};
+use prochlo_core::{CrowdThreshold, ShufflerConfig, ThresholdProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
     let events_count = env_usize("PROCHLO_PERMS_EVENTS", 2_000_000);
-    let naive_threshold = 100u64;
+    // A drop mean of 10 would leave every full crowd released whole with
+    // probability P(d = 0) ≈ 8.8·10⁻³, a δ floor far above 10⁻⁷; at 22 the
+    // exact profile meets the paper's figure.
+    let perms = ShufflerConfig {
+        cardinality_threshold: 100,
+        threshold_noise_sigma: 4.0,
+        drop_mean: 22.0,
+        drop_sigma: 4.0,
+        ..ShufflerConfig::default()
+    };
+    let naive_threshold = perms.cardinality_threshold;
     let generator = PermsGenerator::table4_default();
     let mut rng = StdRng::seed_from_u64(0x9e45);
 
@@ -50,11 +61,11 @@ fn main() {
         }
     }
 
-    let drop = RoundedNormal::new(10.0, 4.0);
-    let noise = Gaussian::new(0.0, 4.0);
-    let noisy_count = |count: u64, rng: &mut StdRng| -> bool {
-        let after_drop = count.saturating_sub(drop.sample(rng));
-        after_drop as f64 > naive_threshold as f64 + noise.sample(rng)
+    // A crowd's members are not needed, only its size: a `Vec<()>` holds
+    // that many without allocating and draws like the shuffler's crowds.
+    let threshold = CrowdThreshold::new(&perms);
+    let released = |count: u64, rng: &mut StdRng| -> bool {
+        threshold.draw(&mut vec![(); count as usize], rng).1
     };
 
     print_header(
@@ -91,7 +102,7 @@ fn main() {
         let mut recovered: HashMap<PermissionFeature, std::collections::HashSet<usize>> =
             HashMap::new();
         for ((page, feature, bit), count) in &per_action {
-            if *bit == action.bit() && noisy_count(*count, &mut rng) {
+            if *bit == action.bit() && released(*count, &mut rng) {
                 recovered.entry(*feature).or_default().insert(*page);
             }
         }
@@ -110,13 +121,13 @@ fn main() {
         );
     }
 
-    let privacy = GaussianThresholdPrivacy::perms();
     println!();
     println!(
-        "Differential privacy of the released crowd multiset: (epsilon={:.2}, delta=1e-7) \
-         (paper: at least (1.2, 1e-7)); bit-flip local deniability epsilon = {:.2}.",
-        privacy.epsilon_at(1e-7),
-        prochlo_core::privacy::bit_flip_epsilon(1e-4),
+        "Differential privacy of the released crowd multiset, exact: (epsilon={:.2}, \
+         delta=1e-7) at drop mean 22 (paper: at least (1.2, 1e-7)); bit-flip local \
+         deniability epsilon = {:.2}.",
+        ThresholdProfile::new(&perms).epsilon(1e-7),
+        bit_flip_epsilon(1e-4),
     );
     println!(
         "Paper's Table 4 (real Chrome data): naive 6,610/12,200/620; per-action rows \

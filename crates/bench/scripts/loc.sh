@@ -16,9 +16,9 @@
 # is public surface or a seam the lint no longer checks. Raising either
 # ceiling takes an edit here and a written reason in CHANGES.md; lowering it
 # after a PR that shrinks the count keeps the ground gained.
-SYSTEM_CEILING=16168
+SYSTEM_CEILING=16114
 SYSTEM_CRATES='core crypto shuffle collector net fabric obs stats sgx-sim'
-ALLOW_CEILING=41
+ALLOW_CEILING=40
 cd "$(dirname "$0")/../../.." || exit 1
 table=$(for dir in crates/* examples tests; do
     find "$dir" -name '*.rs' -not -path '*/target/*' | sort | xargs awk -v crate="${dir#crates/}" '

@@ -1,4 +1,5 @@
-//! Plain randomized response and its privacy accounting.
+//! Plain randomized response and its privacy accounting: RAPPOR's Bloom
+//! bits and Perms' per-action bit flip.
 
 use rand::Rng;
 
@@ -19,6 +20,18 @@ pub fn permanent_response<R: Rng + ?Sized>(true_bit: bool, f: f64, rng: &mut R) 
 pub fn rappor_epsilon(f: f64, hashes: u32) -> f64 {
     assert!(f > 0.0 && f < 1.0, "f must be in (0, 1)");
     2.0 * hashes as f64 * ((1.0 - f / 2.0) / (f / 2.0)).ln()
+}
+
+/// ε-local differential privacy of flipping each bit of a bitmap
+/// independently with probability `flip` (Perms' plausible deniability,
+/// §5.3). Binary randomized response that tells the truth with probability
+/// `p` is `bit_flip_epsilon(1 − p)`.
+pub fn bit_flip_epsilon(flip: f64) -> f64 {
+    assert!(
+        flip > 0.0 && flip < 0.5,
+        "flip probability must be in (0, 0.5)"
+    );
+    ((1.0 - flip) / flip).ln()
 }
 
 /// The flip parameter `f` needed to achieve a target ε with `hashes` Bloom
@@ -53,6 +66,26 @@ mod tests {
         // long tail in Figure 5.
         let f = f_for_epsilon(2.0, 2);
         assert!(f > 0.7 && f < 0.8, "f {f}");
+    }
+
+    #[test]
+    fn bit_flip_epsilon_matches_perms_setting() {
+        // §5.3: flip probability 10⁻⁴ per bit.
+        let eps = bit_flip_epsilon(1e-4);
+        assert!((eps - (9999.0f64).ln()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bit_flip_epsilon_matches_formula() {
+        // Telling the truth with p = e²/(e² + 1) gives ε = 2.
+        let p = 2.0f64.exp() / (2.0f64.exp() + 1.0);
+        assert!((bit_flip_epsilon(1.0 - p) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "flip probability")]
+    fn bit_flip_epsilon_rejects_bad_probability() {
+        let _ = bit_flip_epsilon(0.7);
     }
 
     #[test]

@@ -197,14 +197,6 @@ impl IngestCore {
         &self.queue
     }
 
-    /// Handles one submission end to end and returns the wire response,
-    /// rendering the peer's transport label for this one call. A caller
-    /// with many submissions from one peer renders it once
-    /// ([`Peer::from`]) and calls [`Self::ingest_from`].
-    pub fn ingest(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: SocketAddr) -> Response {
-        self.ingest_from(nonce, report, &Peer::from(peer))
-    }
-
     /// Handles one submission end to end and returns the wire response: a
     /// run of one, published before it returns.
     pub fn ingest_from(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: &Peer) -> Response {
@@ -361,6 +353,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::time::Duration;
+
+    impl IngestCore {
+        /// [`Self::ingest_from`], rendering the peer's transport label for
+        /// this one call.
+        fn ingest(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: SocketAddr) -> Response {
+            self.ingest_from(nonce, report, &Peer::from(peer))
+        }
+    }
 
     fn peer() -> SocketAddr {
         "127.0.0.1:9999".parse().unwrap()

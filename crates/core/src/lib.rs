@@ -22,10 +22,10 @@
 //!   recovers secret-shared values once enough shares arrive, and releases
 //!   results (optionally with differential privacy).
 //!
-//! [`privacy`] computes the differential-privacy guarantees each stage
-//! provides (the (2.25, 10⁻⁶) figure of §5, the (1.2, 10⁻⁷) figure of §5.3,
-//! randomized-response ε, and their composition); [`deployment`] wires the
-//! three stages together behind one topology-agnostic orchestration API
+//! [`ThresholdProfile`] computes the thresholding's exact (ε, δ) from a
+//! [`ShufflerConfig`], beside the per-crowd draw it describes
+//! ([`CrowdThreshold`]); [`deployment`] wires the three stages together
+//! behind one topology-agnostic orchestration API
 //! ([`Deployment`], [`EpochSpec`], [`EpochSession`], [`ShardedDeployment`])
 //! for in-process experiments, examples, and the collector's serving layer;
 //! its [`ShufflerRole`] holds either topology and matches on it once per
@@ -37,7 +37,6 @@ pub mod encoder;
 pub mod error;
 pub mod exec;
 pub mod framing;
-pub mod privacy;
 pub mod record;
 pub mod shuffler;
 pub mod wire;
@@ -50,10 +49,9 @@ pub use deployment::{
 pub use encoder::{ClientKeys, CrowdStrategy, Encoder};
 pub use error::PipelineError;
 pub use framing::{FrameError, FramePolicy, FrameRead, FrameWrite};
-pub use privacy::{GaussianThresholdPrivacy, PrivacyAccountant, PrivacyGuarantee};
 pub use prochlo_shuffle::CostReport;
 pub use record::{AnalyzerPayload, ClientReport, CrowdId, ShufflerEnvelope, TransportMetadata};
 pub use shuffler::{
-    EngineConfig, PhaseTimings, ShuffleBackend, ShuffleOutcome, Shuffler, ShufflerConfig,
-    ShufflerStats,
+    CrowdThreshold, EngineConfig, PhaseTimings, ShuffleBackend, ShuffleOutcome, Shuffler,
+    ShufflerConfig, ShufflerStats, ThresholdProfile,
 };

@@ -279,10 +279,9 @@ pub(crate) fn peel_chunk<R: Borrow<HybridCiphertext>, T>(
 /// always kept.
 ///
 /// Crowds are visited in key order (a `BTreeMap`: `HashMap` order is
-/// randomized per process and broke seeded replay), and each makes its draws
-/// in a fixed order — the drop count d ~ ⌊N(D, σ²)⌉, a shuffle of the
-/// members to pick which d go, the threshold noise — so the mask and `stats`
-/// are a pure function of `(keys, config, rng)`.
+/// randomized per process and broke seeded replay), and each makes the
+/// draws of [`CrowdThreshold::draw`], so the mask and `stats` are a pure
+/// function of `(keys, config, rng)`.
 pub(crate) fn threshold_crowds<R: Rng + ?Sized>(
     keys: impl Iterator<Item = Option<[u8; 32]>>,
     config: &ShufflerConfig,
@@ -299,31 +298,208 @@ pub(crate) fn threshold_crowds<R: Rng + ?Sized>(
     }
     stats.crowds_seen = groups.len();
 
-    let drop_dist = (config.drop_mean > 0.0 || config.drop_sigma > 0.0)
-        .then(|| RoundedNormal::new(config.drop_mean, config.drop_sigma));
-    let noise_dist = (config.threshold_noise_sigma > 0.0)
-        .then(|| Gaussian::new(0.0, config.threshold_noise_sigma));
-
+    let crowd_threshold = CrowdThreshold::new(config);
     for mut members in groups.into_values() {
-        // Step 1: drop d ~ ⌊N(D, σ²)⌉ random reports from the crowd.
-        if let Some(dist) = &drop_dist {
-            let dropped = (dist.sample(rng) as usize).min(members.len());
-            members.shuffle(rng);
-            members.truncate(members.len() - dropped);
-            stats.dropped_noise += dropped;
-        }
-        // Step 2: forward only crowds above the noisy threshold.
-        let noise = noise_dist.as_ref().map_or(0.0, |d| d.sample(rng));
-        if (members.len() as f64) > config.cardinality_threshold as f64 + noise {
+        let (kept, released) = crowd_threshold.draw(&mut members, rng);
+        stats.dropped_noise += members.len() - kept;
+        if released {
             stats.crowds_forwarded += 1;
-            for idx in members {
+            for &idx in &members[..kept] {
                 keep[idx] = true;
             }
         } else {
-            stats.dropped_threshold += members.len();
+            stats.dropped_threshold += kept;
         }
     }
     keep
+}
+
+/// One crowd's randomized threshold under a [`ShufflerConfig`]: the draw
+/// `threshold_crowds` makes per crowd and [`ThresholdProfile`] accounts
+/// for. A zero drop (mean and σ both 0) and a zero noise σ draw nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct CrowdThreshold {
+    threshold: f64,
+    drop: Option<RoundedNormal>,
+    noise: Option<Gaussian>,
+}
+
+impl CrowdThreshold {
+    /// The per-crowd draw `config` describes.
+    pub fn new(config: &ShufflerConfig) -> Self {
+        Self {
+            threshold: config.cardinality_threshold as f64,
+            drop: (config.drop_mean > 0.0 || config.drop_sigma > 0.0)
+                .then(|| RoundedNormal::new(config.drop_mean, config.drop_sigma)),
+            noise: (config.threshold_noise_sigma > 0.0)
+                .then(|| Gaussian::new(0.0, config.threshold_noise_sigma)),
+        }
+    }
+
+    /// Thresholds one crowd, drawing in the order seeded replay depends on:
+    /// the drop count d ~ ⌊N(D, σ²)⌉ clamped at 0, a shuffle of `members`
+    /// to pick which d go, the threshold noise. Returns how many members
+    /// survive the drop — they are the first ones in `members` — and
+    /// whether they outnumber T plus the noise, i.e. are released.
+    pub fn draw<T, R: Rng + ?Sized>(&self, members: &mut [T], rng: &mut R) -> (usize, bool) {
+        let mut kept = members.len();
+        if let Some(drop) = &self.drop {
+            kept -= (drop.sample(rng) as usize).min(kept);
+            members.shuffle(rng);
+        }
+        let noise = self.noise.as_ref().map_or(0.0, |d| d.sample(rng));
+        (kept, kept as f64 > self.threshold + noise)
+    }
+}
+
+/// The exact (ε, δ) profile of [`CrowdThreshold::draw`] under one
+/// [`ShufflerConfig`], from the draw's output probabilities. Both topologies
+/// threshold through `threshold_crowds`, so one profile covers both.
+///
+/// A crowd of n reports releases m = n − min(d, n) of them when m exceeds
+/// T + N(0, σ²), so P_n(m) = P(min(d, n) = n − m) · Φ((m − T)/σ); a
+/// suppressed or empty crowd is absent from the output (⊥). Neighbouring
+/// inputs differ in one user's report, so the profile compares crowds of n
+/// and n + 1, in both directions, for n up to T + D + 12σ: past that every
+/// pair is the last one shifted. A crowd of n + 1 can release all n + 1 and
+/// a crowd of n never can, so δ is at least P(d = 0) at every ε.
+#[derive(Debug, Clone)]
+pub struct ThresholdProfile {
+    /// `outputs[n][m]`: P_n(m), with m = 0 standing for ⊥.
+    outputs: Vec<Vec<f64>>,
+}
+
+impl ThresholdProfile {
+    /// The profile of `config`'s per-crowd draw.
+    pub fn new(config: &ShufflerConfig) -> Self {
+        let (mean, sigma) = (config.drop_mean, config.drop_sigma);
+        let threshold = config.cardinality_threshold as f64;
+        let noise = config.threshold_noise_sigma;
+        let largest = (threshold + mean.max(0.0) + 12.0 * sigma.max(noise)).ceil() as usize + 1;
+        // P(d = k): d rounds half away from zero, so d = 0 below 0.5.
+        let drops: Vec<f64> = (0..=largest)
+            .map(|k| {
+                let (lo, hi) = (k as f64 - 0.5, k as f64 + 0.5);
+                if k == 0 {
+                    normal_below(hi, mean, sigma)
+                } else if lo >= mean {
+                    normal_at_or_above(lo, mean, sigma) - normal_at_or_above(hi, mean, sigma)
+                } else {
+                    normal_below(hi, mean, sigma) - normal_below(lo, mean, sigma)
+                }
+            })
+            .collect();
+        let outputs = (0..=largest)
+            .map(|n| {
+                let mut row = vec![0.0; n + 1];
+                // d ≥ n empties the crowd.
+                row[0] = match n {
+                    0 => 1.0,
+                    _ => normal_at_or_above(n as f64 - 0.5, mean, sigma),
+                };
+                for (k, &dropped) in drops[..n].iter().enumerate() {
+                    let m = (n - k) as f64;
+                    row[n - k] = dropped * normal_below(m - threshold, 0.0, noise);
+                    row[0] += dropped * normal_at_or_above(m - threshold, 0.0, noise);
+                }
+                row
+            })
+            .collect();
+        Self { outputs }
+    }
+
+    /// P_n(m): the probability that a crowd of `n` reports releases `m` of
+    /// them (`m = 0`: the crowd is absent), 0 for `m > n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` passes T + D + 12σ + 1.
+    pub fn release_probability(&self, n: usize, m: usize) -> f64 {
+        self.outputs[n].get(m).copied().unwrap_or(0.0)
+    }
+
+    /// The smallest δ for which the draw is (ε, δ)-differentially private:
+    /// the largest Σ_o max(0, P_a(o) − e^ε · P_b(o)) over neighbouring crowd
+    /// sizes a, b. At `ε = ∞` this is the floor, the mass of the outputs one
+    /// neighbour can never produce.
+    pub fn delta(&self, epsilon: f64) -> f64 {
+        let bound = epsilon.exp();
+        let excess = |a: &[f64], b: &[f64]| -> f64 {
+            a.iter()
+                .enumerate()
+                .map(|(m, &pa)| match b.get(m) {
+                    Some(&pb) if pb > 0.0 => (pa - bound * pb).max(0.0),
+                    _ => pa,
+                })
+                .sum()
+        };
+        self.outputs
+            .windows(2)
+            .map(|pair| excess(&pair[0], &pair[1]).max(excess(&pair[1], &pair[0])))
+            .fold(0.0, f64::max)
+    }
+
+    /// The smallest ε at which [`Self::delta`] meets `delta`, found by
+    /// bisection; infinite when `delta` is below the floor.
+    pub fn epsilon(&self, delta: f64) -> f64 {
+        if self.delta(f64::INFINITY) > delta {
+            return f64::INFINITY;
+        }
+        // Ends by hi = 1024 at the latest, where e^hi is infinite and
+        // `self.delta(hi)` is the floor.
+        let (mut lo, mut hi) = (0.0, 1.0);
+        while self.delta(hi) > delta {
+            (lo, hi) = (hi, 2.0 * hi);
+        }
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if self.delta(mid) > delta {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        hi
+    }
+}
+
+/// P(X < x) for X ~ N(mean, σ²); σ = 0 is the point mass at `mean`. Read
+/// from the lower tail, so a deep lower tail keeps its relative precision.
+fn normal_below(x: f64, mean: f64, sigma: f64) -> f64 {
+    if sigma == 0.0 {
+        return f64::from(u8::from(mean < x));
+    }
+    0.5 * erfc((mean - x) / (sigma * std::f64::consts::SQRT_2))
+}
+
+/// P(X ≥ x) for X ~ N(mean, σ²), read from the upper tail.
+fn normal_at_or_above(x: f64, mean: f64, sigma: f64) -> f64 {
+    if sigma == 0.0 {
+        return f64::from(u8::from(mean >= x));
+    }
+    0.5 * erfc((x - mean) / (sigma * std::f64::consts::SQRT_2))
+}
+
+/// The complementary error function (Numerical Recipes' Chebyshev fit:
+/// fractional error below 1.2 × 10⁻⁷ everywhere, so deep tails stay
+/// accurate relative to their size).
+fn erfc(x: f64) -> f64 {
+    let z = x.abs();
+    let t = 1.0 / (1.0 + 0.5 * z);
+    let poly = -z * z - 1.26551223
+        + t * (1.00002368
+            + t * (0.37409196
+                + t * (0.09678418
+                    + t * (-0.18628806
+                        + t * (0.27886807
+                            + t * (-1.13520398
+                                + t * (1.48851587 + t * (-0.82215223 + t * 0.17087277))))))));
+    let ans = t * poly.exp();
+    if x >= 0.0 {
+        ans
+    } else {
+        2.0 - ans
+    }
 }
 
 /// A single-organization ESA shuffler.
@@ -661,6 +837,156 @@ mod tests {
             assert_eq!(stats.crowds_forwarded, stats.crowds_seen);
             assert_eq!(next, StdRng::seed_from_u64(case).next_u64());
         }
+    }
+
+    /// Perms' thresholding (§5.3) at a given drop mean.
+    fn perms(drop_mean: f64) -> ShufflerConfig {
+        ShufflerConfig {
+            cardinality_threshold: 100,
+            threshold_noise_sigma: 4.0,
+            drop_mean,
+            drop_sigma: 4.0,
+            ..ShufflerConfig::default()
+        }
+    }
+
+    #[test]
+    fn erfc_matches_known_values() {
+        assert!((erfc(0.0) - 1.0).abs() < 1e-6);
+        assert!((erfc(1.0) - 0.157_299).abs() < 1e-5);
+        assert!((erfc(2.0) - 0.004_677_7).abs() < 1e-6);
+        assert!((erfc(-1.0) - 1.842_700).abs() < 1e-5);
+    }
+
+    #[test]
+    fn normal_tails_match_known_values() {
+        assert!((normal_at_or_above(0.0, 0.0, 1.0) - 0.5).abs() < 1e-6);
+        assert!((normal_at_or_above(1.96, 0.0, 1.0) - 0.025).abs() < 5e-4);
+        assert!((normal_below(-3.0, 0.0, 1.0) - 1.35e-3).abs() < 5e-5);
+        // Deep tails keep a small relative error, from either side.
+        let q = normal_at_or_above(4.25, 0.0, 1.0);
+        assert!(q > 0.9e-5 && q < 1.2e-5, "Q(4.25) = {q}");
+        assert_eq!(normal_below(-4.25, 0.0, 1.0), q);
+        assert_eq!(
+            normal_at_or_above(14.0, 10.0, 2.0),
+            normal_at_or_above(2.0, 0.0, 1.0)
+        );
+        // σ = 0 is the point mass, split at the mean like `x > mean`.
+        assert_eq!(normal_below(1.0, 1.0, 0.0), 0.0);
+        assert_eq!(normal_at_or_above(1.0, 1.0, 0.0), 1.0);
+    }
+
+    #[test]
+    fn every_crowd_size_s_outputs_sum_to_one() {
+        let configs = [
+            ShufflerConfig::default(),
+            perms(22.0),
+            ShufflerConfig {
+                threshold_noise_sigma: 0.0,
+                drop_sigma: 0.0,
+                drop_mean: 2.5,
+                ..ShufflerConfig::default()
+            },
+        ];
+        for config in &configs {
+            let profile = ThresholdProfile::new(config);
+            for (n, row) in profile.outputs.iter().enumerate() {
+                let total: f64 = row.iter().sum();
+                assert!((total - 1.0).abs() < 1e-6, "n = {n}: {total}");
+            }
+        }
+        // No noise and a fixed drop of 3 (2.5 rounds away from zero): a
+        // crowd of 24 releases exactly 21.
+        let fixed = ThresholdProfile::new(&configs[2]);
+        assert_eq!(fixed.release_probability(24, 21), 1.0);
+        // Without thresholding a crowd is released whole, so neighbours
+        // never overlap.
+        let open = ThresholdProfile::new(&ShufflerConfig::default().without_thresholding());
+        assert_eq!(open.release_probability(1, 1), 1.0);
+        assert_eq!(open.delta(f64::INFINITY), 1.0);
+    }
+
+    #[test]
+    fn the_draw_s_output_frequencies_match_its_profile() {
+        // Crowds of 30 under the default: the drop leaves ≈ 20 = T, so both
+        // the drop and the threshold noise shape every output, ⊥ included.
+        let config = ShufflerConfig::default();
+        let profile = ThresholdProfile::new(&config);
+        let draw = CrowdThreshold::new(&config);
+        let mut rng = StdRng::seed_from_u64(30);
+        let crowds = 20_000;
+        let mut seen = [0u32; 31];
+        for _ in 0..crowds {
+            match draw.draw(&mut [(); 30], &mut rng) {
+                (kept, true) => seen[kept] += 1,
+                (_, false) => seen[0] += 1,
+            }
+        }
+        for (m, &count) in seen.iter().enumerate() {
+            let p = profile.release_probability(30, m);
+            let (mean, sd) = (crowds as f64 * p, (crowds as f64 * p * (1.0 - p)).sqrt());
+            assert!(
+                (f64::from(count) - mean).abs() <= 5.0 * sd + 1.0,
+                "m = {m}: {count} vs {mean}"
+            );
+        }
+    }
+
+    #[test]
+    fn epsilon_search_is_consistent_with_delta() {
+        for config in [ShufflerConfig::default(), perms(22.0)] {
+            let profile = ThresholdProfile::new(&config);
+            for delta in [1e-4, 1e-5, 1e-7] {
+                let eps = profile.epsilon(delta);
+                if eps.is_finite() {
+                    assert!(profile.delta(eps) <= delta, "delta {delta}");
+                    assert!(profile.delta(eps - 1e-6) > delta, "delta {delta}");
+                } else {
+                    assert!(profile.delta(f64::INFINITY) > delta, "delta {delta}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn delta_decreases_with_epsilon() {
+        // Strictly down to the floor P(d = 0), which no ε lifts.
+        for config in [ShufflerConfig::default(), perms(22.0)] {
+            let profile = ThresholdProfile::new(&config);
+            let floor = profile.delta(f64::INFINITY);
+            assert!(profile.delta(0.25) > floor);
+            for eps in (1..12).map(|i| 0.25 * f64::from(i)) {
+                let (d1, d2) = (profile.delta(eps), profile.delta(eps + 0.25));
+                assert!(floor <= d2 && d2 <= d1, "epsilon {eps}: {d2} vs {d1}");
+                assert!(d1 == floor || d2 < d1, "epsilon {eps}: {d2} vs {d1}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_default_s_delta_floor_is_a_whole_release() {
+        // T = 20, D = 10, σ = 2: a crowd of n + 1 keeps all n + 1 reports
+        // with P(d = 0) = P(N(10, 4) < 0.5), which no crowd of n matches.
+        let profile = ThresholdProfile::new(&ShufflerConfig::default());
+        let whole = normal_below(0.5, 10.0, 2.0);
+        assert!((whole - 1.02e-6).abs() < 0.01e-6, "P(d = 0) = {whole}");
+        assert_eq!(profile.delta(f64::INFINITY), whole);
+        // The paper's §5 figure, (2.25, 10⁻⁶), lies below that floor.
+        assert_eq!(profile.epsilon(1e-6), f64::INFINITY);
+        let eps = profile.epsilon(1e-5);
+        assert!((eps - 1.99).abs() < 0.01, "epsilon {eps}");
+    }
+
+    #[test]
+    fn perms_meets_the_papers_figure_at_drop_mean_22() {
+        let at_10 = ThresholdProfile::new(&perms(10.0));
+        let floor = at_10.delta(f64::INFINITY);
+        assert!((floor - 8.77e-3).abs() < 0.01e-3, "floor {floor}");
+        assert_eq!(at_10.release_probability(140, 140), floor);
+        assert_eq!(at_10.release_probability(139, 140), 0.0);
+        // §5.3: "at least (ε = 1.2, δ = 10⁻⁷)".
+        let eps = ThresholdProfile::new(&perms(22.0)).epsilon(1e-7);
+        assert!((eps - 1.19).abs() < 0.01, "epsilon {eps}");
     }
 
     #[test]

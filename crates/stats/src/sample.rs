@@ -32,11 +32,6 @@ impl Gaussian {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.mean + self.stddev * standard_normal(rng)
     }
-
-    /// Draws `n` samples into a vector.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 /// Draws a standard-normal variate using Box–Muller.
@@ -195,6 +190,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Gaussian {
+        /// Draws `n` samples into a vector.
+        fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
+            (0..n).map(|_| self.sample(rng)).collect()
+        }
+    }
 
     impl Zipf {
         /// Probability mass of item `i`.
