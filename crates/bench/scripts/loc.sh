@@ -13,12 +13,12 @@
 # exits 1 when they exceed SYSTEM_CEILING. The "allows" line counts the
 # `prochlo-lint: allow` lines outside crates/lint (whose fixtures quote the
 # syntax) and the script exits 1 when they exceed ALLOW_CEILING: each allow
-# is public surface or a seam the lint no longer checks. Raising either
+# is a seam where a project invariant is not checked. Raising either
 # ceiling takes an edit here and a written reason in CHANGES.md; lowering it
 # after a PR that shrinks the count keeps the ground gained.
-SYSTEM_CEILING=16114
+SYSTEM_CEILING=15971
 SYSTEM_CRATES='core crypto shuffle collector net fabric obs stats sgx-sim'
-ALLOW_CEILING=40
+ALLOW_CEILING=23
 cd "$(dirname "$0")/../../.." || exit 1
 table=$(for dir in crates/* examples tests; do
     find "$dir" -name '*.rs' -not -path '*/target/*' | sort | xargs awk -v crate="${dir#crates/}" '

@@ -1,0 +1,131 @@
+#!/bin/sh
+# The public surface, drawn by rustc: lists every `pub` item in a library
+# target that no other crate needs, and exits 1 when there is one.
+#
+#   crates/bench/scripts/surface.sh        # needs cargo and jq
+#
+# It works on a temporary copy of the repository it sits in, with its own
+# CARGO_TARGET_DIR, and leaves the repository untouched:
+#
+# 1. Every plain `pub` fn, struct, enum, trait, const and type in a library
+#    target is demoted to `pub(crate)`. Library targets are the `src/` trees
+#    of crates/* and examples/, less `main.rs` and `bin/`; a file's unit
+#    tests (from its first column-0 `#[cfg(test)]`) are left alone, and so
+#    are modules, uses, statics and fields.
+# 2. `cargo check --workspace --all-targets` runs until it stops needing a
+#    restore. Each round restores every demoted item that an error, or a
+#    `private_interfaces` / `private_bounds` warning, points at with any of
+#    its spans. A `pub use` of a demoted item (E0364, E0365) points at the
+#    `use`, so there the item is found by name within the crate. A round
+#    whose diagnostics match no demoted item prints them and exits 2: the
+#    tree does not compile, or this script meets a shape it cannot map.
+# 3. At the fixpoint it prints the items still demoted, then those of them
+#    that rustc's `dead_code` reports outside unit tests, and the round count
+#    and seconds. Both lists empty is exit 0.
+#
+# Delete what is dead; move what only unit tests use into the tests module;
+# demote the rest to `pub(crate)`. Doctests are not checked: run
+# `cargo test --doc --workspace` after demoting.
+set -eu
+repo=$(cd "$(dirname "$0")/../../.." && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+trap 'exit 130' INT TERM
+start=$(date +%s)
+
+mkdir "$work/repo"
+tar -C "$repo" --exclude=.git --exclude=target --exclude=.bench_build -cf - . | tar -C "$work/repo" -xf -
+cd "$work/repo"
+export CARGO_TARGET_DIR="$work/target"
+
+# Step 1: demote, and write one `file:line kind name` line per item.
+find crates/*/src examples/src -name '*.rs' ! -path '*/src/main.rs' ! -path '*/bin/*' |
+    sort > "$work/files"
+: > "$work/demoted"
+xargs awk -v out="$work/demoted" '
+    FNR == 1 { if (prev != "") close(prev); prev = FILENAME ".surface"; tests = 0 }
+    /^#\[cfg\(test\)\]/ { tests = 1 }
+    !tests && match($0, /^[ \t]*pub (const |unsafe |async |extern "[^"]*" )*(fn|struct|enum|trait|const|type) [A-Za-z_][A-Za-z0-9_]*/) {
+        n = split(substr($0, RSTART, RLENGTH), decl, " ")
+        sub(/pub /, "pub(crate) ")
+        print FILENAME ":" FNR, decl[n - 1], decl[n] >> out
+    }
+    { print > prev }' < "$work/files"
+while read -r file; do mv "$file.surface" "$file"; done < "$work/files"
+total=$(wc -l < "$work/demoted")
+
+# Rewrites `pub(crate)` back to `pub` on each `file:line` read from stdin.
+restore() {
+    sort -u > "$work/restore"
+    cut -d: -f1 "$work/restore" | sort -u | while read -r file; do
+        awk -v file="$file" '
+            FNR == NR { at[$0] = 1; next }
+            (file ":" FNR) in at { sub(/pub\(crate\) /, "pub ") }
+            { print }' "$work/restore" "$file" > "$work/restored"
+        cat "$work/restored" > "$file"
+    done
+    awk 'FNR == NR { at[$0] = 1; next } !($1 in at)' "$work/restore" "$work/demoted" > "$work/left"
+    mv "$work/left" "$work/demoted"
+}
+
+# Step 2: the diagnostics that ask for a restore, one JSON line each, and
+# per diagnostic a tab-separated line: code, every span as `file:line`, the
+# first name the message quotes and the primary span's file.
+rounds=0
+while :; do
+    rounds=$((rounds + 1))
+    cargo check --offline --workspace --all-targets --keep-going --message-format=json \
+        2> /dev/null > "$work/check.json" || :
+    jq -c 'select(.reason == "compiler-message") | .message
+        | select(.level == "error" or (.code.code // "" | test("^private_(interfaces|bounds)$")))
+        | select(.spans != [] or (.message | startswith("aborting due to") | not))' \
+        "$work/check.json" > "$work/asks.json"
+    [ -s "$work/asks.json" ] || break
+    jq -r '[.code.code // "-",
+            ([.spans[], .children[].spans[]] | map("\(.file_name):\(.line_start)") | unique | join(" ")),
+            (.message | capture("`(?<n>[^`]+)`").n // "-"),
+            (first(.spans[] | select(.is_primary) | .file_name) // "-")] | @tsv' \
+        "$work/asks.json" > "$work/asks"
+    : > "$work/unmapped"
+    awk -F '\t' -v unmapped="$work/unmapped" '
+        function crate(path) { sub(/\/src\/.*/, "", path); return path }
+        FNR == NR {
+            split($0, item, " ")
+            demoted[item[1]] = 1
+            named[crate(item[1]) " " item[3]] = named[crate(item[1]) " " item[3]] " " item[1]
+            next
+        }
+        {
+            hit = 0
+            n = split($2, spans, " ")
+            for (i = 1; i <= n; i++) if (spans[i] in demoted) { print spans[i]; hit = 1 }
+            key = crate($4) " " $3
+            if (!hit && ($1 == "E0364" || $1 == "E0365") && key in named) {
+                n = split(named[key], spans, " ")
+                for (i = 1; i <= n; i++) print spans[i]
+                hit = 1
+            }
+            if (!hit) print FNR > unmapped
+        }' "$work/demoted" "$work/asks" > "$work/hits"
+    # A private item's callers are still type-checked against it, so an
+    # unmatched error can follow from a matched one: it counts only when the
+    # round restores nothing.
+    if [ ! -s "$work/hits" ]; then
+        echo "surface: no demoted item matches these diagnostics:" >&2
+        awk 'FNR == NR { at[$0] = 1; next } FNR in at' "$work/unmapped" "$work/asks.json" |
+            jq -r '.rendered // .message' >&2
+        exit 2
+    fi
+    restore < "$work/hits"
+done
+
+# Step 3: the fixpoint's lists.
+jq -r 'select(.reason == "compiler-message") | .message | select(.code.code == "dead_code")
+    | .spans[] | "\(.file_name):\(.line_start)"' "$work/check.json" | sort -u > "$work/dead-spans"
+awk 'FNR == NR { dead[$0] = 1; next } $1 in dead' "$work/dead-spans" "$work/demoted" > "$work/dead"
+echo "pub items no other crate needs ($(wc -l < "$work/demoted")):"
+sed 's/^/  /' "$work/demoted"
+echo "of which dead outside unit tests ($(wc -l < "$work/dead")):"
+sed 's/^/  /' "$work/dead"
+echo "surface: $total items demoted, $rounds rounds, $(($(date +%s) - start)) s"
+[ ! -s "$work/demoted" ]

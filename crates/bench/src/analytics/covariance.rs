@@ -34,7 +34,7 @@ pub struct RatingTuple {
 
 impl RatingTuple {
     /// Builds a tuple in canonical (sorted-movie) order.
-    pub fn new(a: (u32, u8), b: (u32, u8)) -> Self {
+    pub(crate) fn new(a: (u32, u8), b: (u32, u8)) -> Self {
         if a.0 <= b.0 {
             Self {
                 movie_a: a.0,
@@ -117,7 +117,7 @@ impl CovarianceModel {
     }
 
     /// Number of co-rating observations for a pair.
-    pub fn support(&self, a: u32, b: u32) -> u64 {
+    pub(crate) fn support(&self, a: u32, b: u32) -> u64 {
         let key = if a <= b { (a, b) } else { (b, a) };
         self.s.get(&key).copied().unwrap_or(0)
     }
@@ -146,7 +146,7 @@ impl CovarianceModel {
 
     /// Predicts user `basket`'s rating for `movie` from the other ratings in
     /// the basket, using covariance-weighted deviations from item means.
-    pub fn predict(&self, basket: &[Rating], movie: u32) -> f64 {
+    pub(crate) fn predict(&self, basket: &[Rating], movie: u32) -> f64 {
         let base = self.item_mean(movie);
         let mut weight_sum = 0.0;
         let mut weighted = 0.0;

@@ -59,7 +59,7 @@ impl SequenceModel {
 
     /// Predicts the most likely next item after `context`, falling back to
     /// the globally most popular item for unseen contexts.
-    pub fn predict(&self, context: usize) -> Option<usize> {
+    pub(crate) fn predict(&self, context: usize) -> Option<usize> {
         if let Some(nexts) = self.transitions.get(&context) {
             return nexts
                 .iter()

@@ -26,21 +26,12 @@ pub enum PermissionFeature {
 
 impl PermissionFeature {
     /// All features.
-    pub fn all() -> [PermissionFeature; 3] {
+    pub(crate) fn all() -> [PermissionFeature; 3] {
         [
             PermissionFeature::Geolocation,
             PermissionFeature::Notifications,
             PermissionFeature::AudioCapture,
         ]
-    }
-
-    /// Short display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PermissionFeature::Geolocation => "Geolocation",
-            PermissionFeature::Notifications => "Notification",
-            PermissionFeature::AudioCapture => "Audio",
-        }
     }
 }
 
@@ -91,7 +82,6 @@ impl PermissionAction {
 
 /// One telemetry event.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-// prochlo-lint: allow(uncalled-pub, "the element type PermsGenerator::sample_n returns; table4_perms reads its fields without naming it")
 pub struct PermsEvent {
     /// Page identifier (index into the Zipf popularity distribution).
     pub page: usize,
@@ -121,7 +111,7 @@ pub struct PermsGenerator {
 impl PermsGenerator {
     /// Creates a generator over `num_pages` pages with Zipf exponent
     /// `exponent`.
-    pub fn new(num_pages: usize, exponent: f64) -> Self {
+    pub(crate) fn new(num_pages: usize, exponent: f64) -> Self {
         Self {
             pages: Zipf::new(num_pages, exponent),
             feature_weights: [0.40, 0.55, 0.05],
@@ -140,7 +130,7 @@ impl PermsGenerator {
     }
 
     /// Samples one event.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> PermsEvent {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> PermsEvent {
         let page = self.pages.sample(rng);
         let feature_idx = {
             let total: f64 = self.feature_weights.iter().sum();

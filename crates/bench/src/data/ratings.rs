@@ -75,11 +75,6 @@ impl RatingsGenerator {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &RatingsConfig {
-        &self.config
-    }
-
     fn factor(&self, kind: &'static [u8], index: u32, dim: usize) -> f64 {
         let digest = prochlo_crypto::sha256::sha256_concat(&[
             kind,

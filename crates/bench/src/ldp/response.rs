@@ -6,7 +6,7 @@ use rand::Rng;
 /// Reports `true_bit` with probability `1 - f`, otherwise a fair coin — the
 /// "permanent randomized response" applied to each Bloom filter bit in
 /// RAPPOR.
-pub fn permanent_response<R: Rng + ?Sized>(true_bit: bool, f: f64, rng: &mut R) -> bool {
+pub(crate) fn permanent_response<R: Rng + ?Sized>(true_bit: bool, f: f64, rng: &mut R) -> bool {
     if rng.gen::<f64>() < f {
         rng.gen::<bool>()
     } else {
@@ -17,7 +17,7 @@ pub fn permanent_response<R: Rng + ?Sized>(true_bit: bool, f: f64, rng: &mut R) 
 /// The ε guaranteed by permanent randomized response with flip parameter `f`
 /// when a value sets `hashes` bits of the Bloom filter
 /// (ε = 2·h·ln((1 − f/2)/(f/2)), Erlingsson et al. 2014).
-pub fn rappor_epsilon(f: f64, hashes: u32) -> f64 {
+pub(crate) fn rappor_epsilon(f: f64, hashes: u32) -> f64 {
     assert!(f > 0.0 && f < 1.0, "f must be in (0, 1)");
     2.0 * hashes as f64 * ((1.0 - f / 2.0) / (f / 2.0)).ln()
 }
@@ -36,7 +36,7 @@ pub fn bit_flip_epsilon(flip: f64) -> f64 {
 
 /// The flip parameter `f` needed to achieve a target ε with `hashes` Bloom
 /// bits per value (inverse of [`rappor_epsilon`]).
-pub fn f_for_epsilon(epsilon: f64, hashes: u32) -> f64 {
+pub(crate) fn f_for_epsilon(epsilon: f64, hashes: u32) -> f64 {
     assert!(epsilon > 0.0);
     let x = (epsilon / (2.0 * hashes as f64)).exp();
     2.0 / (x + 1.0)

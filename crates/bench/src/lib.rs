@@ -201,7 +201,6 @@ pub enum Verdict {
 
 /// One baseline metric's comparison result.
 #[derive(Debug, Clone, PartialEq)]
-// prochlo-lint: allow(uncalled-pub, "the element type compare_metrics returns; bench_compare reads its fields without naming it")
 pub struct Comparison {
     /// The `bench/metric` key.
     pub key: String,

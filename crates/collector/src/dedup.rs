@@ -8,13 +8,13 @@
 //!
 //! * **Capacity** — each generation remembers at most `capacity` nonces;
 //!   at capacity, fresh nonces degrade into backpressure.
-//! * **Generations** — the epoch manager calls [`ReplayFilter::rotate`] at
+//! * **Generations** — the epoch manager calls `ReplayFilter::rotate` at
 //!   every epoch cut; the filter answers `Duplicate` for nonces accepted in
 //!   the current or previous generation and forgets older ones. Memory is
 //!   bounded by two generations and the filter never fills permanently.
 //!
 //! A run of submissions — a reactor turn's — is checked in one phase and
-//! under one lock: [`ReplayFilter::record`] looks each nonce up and records
+//! under one lock: `ReplayFilter::record` looks each nonce up and records
 //! an unknown one as accepted in the same step, up to the queue room the
 //! caller reserved for the run, so a recorded nonce's report cannot be
 //! refused afterwards. The tables hash with a keyed SipHash (nonces are
@@ -30,7 +30,7 @@ use crate::protocol::NONCE_LEN;
 
 /// Outcome of offering a nonce to the filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NonceCheck {
+pub(crate) enum NonceCheck {
     /// First sighting; the nonce is now recorded as accepted.
     Fresh,
     /// The nonce was accepted before: the submission is a replay.
@@ -48,7 +48,7 @@ struct Generations {
 
 /// A bounded, generational set of accepted nonces.
 #[derive(Debug)]
-pub struct ReplayFilter {
+pub(crate) struct ReplayFilter {
     generations: Mutex<Generations>,
     capacity: usize,
 }
@@ -56,7 +56,7 @@ pub struct ReplayFilter {
 impl ReplayFilter {
     /// Creates a filter remembering at most `capacity` nonces per
     /// generation (16 bytes each plus table overhead).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             generations: Mutex::default(),
             capacity: capacity.max(1),
@@ -67,7 +67,7 @@ impl ReplayFilter {
     /// accepted while fewer than `room` are; one verdict per nonce. Past
     /// the room a replay still reads `Duplicate`, and an unknown nonce is
     /// answered `Full` and left unrecorded, so its retry can be accepted.
-    pub fn record<'a>(
+    pub(crate) fn record<'a>(
         &self,
         nonces: impl IntoIterator<Item = &'a [u8; NONCE_LEN]>,
         room: usize,
@@ -100,7 +100,7 @@ impl ReplayFilter {
     /// before last grew and never rehashes. Called by the epoch manager at
     /// every epoch cut, so a nonce is remembered for the epoch in which it
     /// was accepted plus the following one.
-    pub fn rotate(&self) {
+    pub(crate) fn rotate(&self) {
         let Generations { current, previous } = &mut *self.generations.lock();
         std::mem::swap(previous, current);
         current.clear();

@@ -6,7 +6,7 @@
 //! submission to exactly one wire [`Response`].
 //!
 //! Admission is by the run: a serving loop's reactor turn, or one
-//! [`IngestCore::ingest_from`]. A submission is validated on arrival,
+//! `IngestCore::ingest_from`. A submission is validated on arrival,
 //! making the one heap copy between the socket and the queue (the sealed
 //! bytes, into the [`HybridCiphertext`] that sits in the queue). The run's
 //! valid submissions are then admitted in order: queue room is reserved
@@ -188,18 +188,23 @@ impl IngestCore {
     }
 
     /// The registry this core reports into.
-    pub fn registry(&self) -> &Arc<Registry> {
+    pub(crate) fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
 
     /// The report queue the epoch manager drains.
-    pub fn queue(&self) -> &BoundedQueue<ClientReport> {
+    pub(crate) fn queue(&self) -> &BoundedQueue<ClientReport> {
         &self.queue
     }
 
     /// Handles one submission end to end and returns the wire response: a
     /// run of one, published before it returns.
-    pub fn ingest_from(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: &Peer) -> Response {
+    pub(crate) fn ingest_from(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        report: &[u8],
+        peer: &Peer,
+    ) -> Response {
         let mut tally = Tally::default();
         let response = match self.candidate(&mut tally, nonce, report, peer) {
             Ok(candidate) => {
@@ -330,7 +335,7 @@ impl IngestCore {
     /// at every epoch cut so long-running collectors neither grow the
     /// filter unboundedly nor wedge at capacity. Replays are detected for
     /// the epoch a nonce was accepted in plus the following one.
-    pub fn rotate_dedup(&self) {
+    pub(crate) fn rotate_dedup(&self) {
         self.dedup.rotate();
     }
 
@@ -405,7 +410,7 @@ mod tests {
             Response::Rejected { .. }
         ));
         assert_eq!(core.stats().rejected, 2);
-        assert!(core.queue().is_empty());
+        assert_eq!(core.queue().len(), 0);
     }
 
     #[test]

@@ -183,7 +183,6 @@ impl Request {
 /// One submission parsed in place: nonce and report borrow from the frame
 /// body they arrived in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// prochlo-lint: allow(uncalled-pub, "the payload of RequestRef::Submit; serving loops destructure it without naming it")
 pub struct Submission<'a> {
     /// The cleartext crowd-routing prefix of a `SUBMIT_ROUTED`; `None` for
     /// a plain `SUBMIT`.
@@ -197,7 +196,7 @@ pub struct Submission<'a> {
 /// A [`Request`] parsed without copying anything out of the frame body —
 /// what a serving loop holds between the read buffer and the one copy that
 /// puts an accepted report into the queue. This is the only request parser;
-/// [`Request::from_bytes`] is this plus [`Self::to_owned`].
+/// [`Request::from_bytes`] is this plus `Self::to_owned`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestRef<'a> {
     /// `SUBMIT` or `SUBMIT_ROUTED`.
@@ -230,8 +229,8 @@ impl<'a> RequestRef<'a> {
     }
 
     /// Copies nonce and report out of the frame body.
-    pub fn to_owned(&self) -> Request {
-        match *self {
+    pub(crate) fn to_owned(self) -> Request {
+        match self {
             RequestRef::Submit(Submission {
                 crowd_prefix,
                 nonce,

@@ -5,19 +5,19 @@
 //! reserves room for a run of items and is granted what is free, answering
 //! `RetryAfter` for the rest instead of buffering — the backpressure
 //! contract of the service. A granted reservation cannot be refused, not
-//! even by [`BoundedQueue::close`]: its fill pushes the run under one lock
+//! even by `BoundedQueue::close`: its fill pushes the run under one lock
 //! and gives the unfilled room back. The consumer (the epoch manager)
 //! blocks, with a deadline, until enough items arrive to cut a batch.
 //!
 //! # Wake at target
 //!
-//! The consumer states what it is waiting for: [`BoundedQueue::drain_when`]
+//! The consumer states what it is waiting for: `BoundedQueue::drain_when`
 //! records its target in the queue state for as long as it sleeps, and a
 //! fill signals the condition variable only when it brings the depth up to
 //! that target — once per epoch, not once per run. Target and depth are
 //! written and compared under the queue's own mutex, so there is no window
 //! in which the fill that completes a batch can miss a consumer about to
-//! sleep. [`BoundedQueue::close`] still wakes unconditionally and the
+//! sleep. `BoundedQueue::close` still wakes unconditionally and the
 //! deadline ends the wait by itself. One recorded target means one
 //! draining thread per queue.
 
@@ -58,7 +58,7 @@ pub(crate) struct Reservation<'a, T> {
 
 impl<T> BoundedQueue<T> {
     /// Creates a queue holding at most `capacity` items.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         Self {
             state: Mutex::new(QueueState {
@@ -74,18 +74,13 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Current queue depth.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state.lock().items.len()
-    }
-
-    /// True when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// True once the queue is closed, its granted room settled and every
     /// item drained: nothing more will come out.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         let state = self.state.lock();
         state.closed && state.reserved == 0 && state.items.is_empty()
     }
@@ -93,7 +88,7 @@ impl<T> BoundedQueue<T> {
     /// How often [`Self::drain_when`] came back from a sleep — signalled,
     /// timed out or spurious — since the queue was created. With the
     /// wake-at-target rule this tracks the number of drains, not of pushes.
-    pub fn wakeups(&self) -> u64 {
+    pub(crate) fn wakeups(&self) -> u64 {
         self.state.lock().wakeups
     }
 
@@ -135,7 +130,7 @@ impl<T> BoundedQueue<T> {
     /// would run to the deadline), so a full queue always cuts. An empty
     /// return means the deadline passed with nothing queued, or the queue
     /// is finished ([`Self::is_finished`]).
-    pub fn drain_when(&self, target: usize, timeout: Duration) -> Vec<T> {
+    pub(crate) fn drain_when(&self, target: usize, timeout: Duration) -> Vec<T> {
         let target = target.clamp(1, self.capacity);
         // prochlo-lint: allow(wallclock-discipline, "functional count-or-deadline primitive: the deadline cuts batches, it never orders reports")
         let deadline = Instant::now() + timeout;
@@ -163,7 +158,7 @@ impl<T> BoundedQueue<T> {
 
     /// Closes the queue: queued and granted items stay drainable, new
     /// reservations get no room, and the blocked consumer wakes up.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().closed = true;
         self.available.notify_all();
     }
@@ -227,7 +222,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.drain_when(1, Duration::ZERO), [1]);
         assert_eq!(q.drain_when(1, Duration::ZERO), [2]);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -388,7 +383,7 @@ mod tests {
         // No deadline expired, so every return from a sleep was a batch
         // becoming complete. One wake per push would read about 10 000.
         assert!(q.wakeups() <= 4, "woken {} times", q.wakeups());
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -419,7 +414,7 @@ mod tests {
             }
         }
         consumer.join().unwrap();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

@@ -158,7 +158,6 @@ impl EpochPipeline for LocalPipeline {
 
 /// What one epoch produced.
 #[derive(Debug)]
-// prochlo-lint: allow(uncalled-pub, "the element type of CollectorSummary::epochs; callers read its fields without naming it")
 pub struct EpochResult {
     /// Epoch index, starting at 0.
     pub index: u64,
@@ -174,7 +173,6 @@ pub struct EpochResult {
 
 /// A point-in-time snapshot of the service counters.
 #[derive(Debug, Clone, Default)]
-// prochlo-lint: allow(uncalled-pub, "the return type of Collector::stats and a CollectorSummary field; callers read its fields without naming it")
 pub struct CollectorStats {
     /// Parse/dedup/enqueue counters.
     pub ingest: IngestStats,

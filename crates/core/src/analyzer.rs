@@ -51,7 +51,7 @@ pub struct AnalyzerDatabase {
 impl Analyzer {
     /// Creates an analyzer with the given keypair and the default
     /// secret-share threshold of 20 (matching the paper's Vocab setup).
-    pub fn new(keys: HybridKeypair) -> Self {
+    pub(crate) fn new(keys: HybridKeypair) -> Self {
         Self {
             keys,
             share_threshold: 20,
@@ -60,19 +60,14 @@ impl Analyzer {
 
     /// Sets the number of distinct shares required to recover a
     /// secret-shared value.
-    pub fn with_share_threshold(mut self, threshold: usize) -> Self {
+    pub(crate) fn with_share_threshold(mut self, threshold: usize) -> Self {
         self.share_threshold = threshold.max(1);
         self
     }
 
     /// The public key clients embed for the inner encryption layer.
-    pub fn public_key(&self) -> &PublicKey {
+    pub(crate) fn public_key(&self) -> &PublicKey {
         self.keys.public_key()
-    }
-
-    /// The configured share threshold.
-    pub fn share_threshold(&self) -> usize {
-        self.share_threshold
     }
 
     /// Decrypts a batch of inner ciphertexts, sharding the hybrid

@@ -185,11 +185,6 @@ impl Deployment {
         &self.analyzer
     }
 
-    /// The padded payload size clients encode to.
-    pub fn payload_size(&self) -> usize {
-        self.payload_size
-    }
-
     /// The engine a batch runs with when its epoch does not override one:
     /// the deployment-level engine if set, otherwise the engine embedded in
     /// the shuffler configuration.
@@ -300,17 +295,13 @@ impl Deployment {
 /// let encoder = deployment.encoder();
 /// let mut session = deployment.session(EpochSpec::new(0, 42));
 /// for i in 0..25u64 {
-///     session.push(
-///         encoder
-///             .encode_plain(b"v", CrowdStrategy::Hash(b"v"), i, &mut rng)
-///             .unwrap(),
-///     );
+///     let report = encoder.encode_plain(b"v", CrowdStrategy::Hash(b"v"), i, &mut rng);
+///     session.extend([report.unwrap()]);
 /// }
 /// let report = session.finish().unwrap();
 /// assert_eq!(report.shuffler_stats.received, 25);
 /// ```
 #[derive(Debug)]
-// prochlo-lint: allow(uncalled-pub, "the return type of Deployment::session, which the collector, the fabric and esa_bench drive without naming it")
 pub struct EpochSession<'a> {
     deployment: &'a Deployment,
     spec: EpochSpec,
@@ -602,14 +593,13 @@ mod tests {
         canonicalize(&mut sorted);
         let direct = deployment.ingest(&spec, &sorted).unwrap();
 
-        // Push in reverse arrival order: finish() canonicalizes, so the
-        // session must agree byte for byte with the sorted direct call.
+        // Buffer in reverse arrival order, over two calls: finish()
+        // canonicalizes, so the session must agree byte for byte with the
+        // sorted direct call.
         let mut session = deployment.session(spec.clone());
-        assert!(session.is_empty());
         let mut iter = reports.into_iter().rev();
-        session.push(iter.next().unwrap());
+        session.extend(iter.by_ref().take(1));
         session.extend(iter);
-        assert_eq!(session.len(), 40);
         assert_eq!(session.spec.epoch_index, 2);
         let streamed = session.finish().unwrap();
 

@@ -69,7 +69,7 @@ impl ShufflerRole {
 
     /// The engine embedded in this role's own configuration, used when
     /// neither the deployment nor the epoch overrides it.
-    pub fn default_engine(&self) -> EngineConfig {
+    pub(crate) fn default_engine(&self) -> EngineConfig {
         self.config().engine_config()
     }
 

@@ -32,21 +32,6 @@ pub fn canonicalize(reports: &mut [ClientReport]) -> usize {
 }
 
 impl EpochSession<'_> {
-    /// Reports buffered so far.
-    pub fn len(&self) -> usize {
-        self.reports.len()
-    }
-
-    /// Whether no report has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.reports.is_empty()
-    }
-
-    /// Buffers one report.
-    pub fn push(&mut self, report: ClientReport) {
-        self.reports.push(report);
-    }
-
     /// Buffers a batch of reports.
     pub fn extend<I: IntoIterator<Item = ClientReport>>(&mut self, reports: I) {
         self.reports.extend(reports);

@@ -24,7 +24,6 @@ pub fn crowd_prefix(label: &[u8]) -> u64 {
 
 /// The outcome of one sharded epoch.
 #[derive(Debug)]
-// prochlo-lint: allow(uncalled-pub, "the return type of ShardedDeployment::ingest; callers read its fields without naming it")
 pub struct ShardedReport {
     /// Every shard's database merged into the analyzer-side view.
     pub database: AnalyzerDatabase,
@@ -54,11 +53,6 @@ impl ShardedDeployment {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// All shards, in index order.
-    pub fn shards(&self) -> &[Deployment] {
-        &self.shards
     }
 
     /// One shard's deployment.

@@ -93,11 +93,6 @@ impl Encoder {
         }
     }
 
-    /// The configured payload size.
-    pub fn payload_size(&self) -> usize {
-        self.payload_size
-    }
-
     /// Encodes a plain report: the data (padded) is readable by the analyzer
     /// once the shuffler has forwarded it.
     pub fn encode_plain<R: Rng + ?Sized>(

@@ -201,7 +201,7 @@ pub struct ClientReport {
 
 impl ClientReport {
     /// Size of the report on the wire (ciphertext only).
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         self.outer.wire_len()
     }
 }

@@ -169,7 +169,7 @@ impl ShufflerConfig {
     /// The engine a batch runs with when neither the deployment nor the
     /// epoch names one: the trusted backend on this configuration's
     /// `num_threads`.
-    pub fn engine_config(&self) -> EngineConfig {
+    pub(crate) fn engine_config(&self) -> EngineConfig {
         EngineConfig {
             backend: ShuffleBackend::Trusted,
             num_threads: self.num_threads,
@@ -530,7 +530,7 @@ impl Shuffler {
     }
 
     /// The shuffler's configuration.
-    pub fn config(&self) -> &ShufflerConfig {
+    pub(crate) fn config(&self) -> &ShufflerConfig {
         &self.config
     }
 

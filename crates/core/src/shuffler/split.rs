@@ -105,7 +105,7 @@ impl ShufflerOne {
     /// count for its parallel phases, with the meaning of
     /// [`ShufflerConfig::num_threads`] (`0` defers to
     /// `PROCHLO_SHUFFLE_THREADS`, then every core).
-    pub fn new<R: Rng + ?Sized>(num_threads: usize, rng: &mut R) -> Self {
+    pub(crate) fn new<R: Rng + ?Sized>(num_threads: usize, rng: &mut R) -> Self {
         Self {
             keys: HybridKeypair::generate(rng),
             num_threads,
@@ -113,7 +113,7 @@ impl ShufflerOne {
     }
 
     /// The public key clients embed for the outer layer.
-    pub fn public_key(&self) -> &PublicKey {
+    pub(crate) fn public_key(&self) -> &PublicKey {
         self.keys.public_key()
     }
 
@@ -225,7 +225,7 @@ impl ShufflerOne {
 impl ShufflerTwo {
     /// Creates Shuffler 2 with fresh El Gamal keys and the given thresholding
     /// configuration.
-    pub fn new<R: Rng + ?Sized>(config: ShufflerConfig, rng: &mut R) -> Self {
+    pub(crate) fn new<R: Rng + ?Sized>(config: ShufflerConfig, rng: &mut R) -> Self {
         Self {
             elgamal: ElGamalKeypair::generate(rng),
             config,
@@ -311,7 +311,7 @@ impl ShufflerTwo {
 
 impl SplitShuffler {
     /// Creates both shufflers.
-    pub fn new<R: Rng + ?Sized>(config: ShufflerConfig, rng: &mut R) -> Self {
+    pub(crate) fn new<R: Rng + ?Sized>(config: ShufflerConfig, rng: &mut R) -> Self {
         let one = ShufflerOne::new(config.num_threads, rng);
         let two = ShufflerTwo::new(config, rng);
         let elgamal_table = FixedBaseTable::new(two.elgamal_public());

@@ -14,7 +14,7 @@ use crate::hmac::HmacSha256;
 use crate::util::ct_eq;
 
 /// AEAD key length in bytes.
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// AEAD nonce length in bytes.
 pub const NONCE_LEN: usize = chacha20::NONCE_LEN;
 /// Authentication tag length in bytes.
@@ -24,7 +24,7 @@ pub const TAG_LEN: usize = 16;
 #[derive(Clone)]
 pub struct AeadKey([u8; KEY_LEN]);
 
-/// Constant-shape equality via [`ct_eq`]: comparing key material with a
+/// Constant-shape equality via `ct_eq`: comparing key material with a
 /// derived `PartialEq` would exit at the first differing byte.
 impl PartialEq for AeadKey {
     fn eq(&self, other: &AeadKey) -> bool {
@@ -36,7 +36,7 @@ impl Eq for AeadKey {}
 
 impl AeadKey {
     /// Wraps raw key bytes.
-    pub fn from_bytes(bytes: [u8; KEY_LEN]) -> Self {
+    pub(crate) fn from_bytes(bytes: [u8; KEY_LEN]) -> Self {
         Self(bytes)
     }
 
@@ -45,11 +45,6 @@ impl AeadKey {
         let mut bytes = [0u8; KEY_LEN];
         rng.fill_bytes(&mut bytes);
         Self(bytes)
-    }
-
-    /// Raw key bytes.
-    pub fn as_bytes(&self) -> &[u8; KEY_LEN] {
-        &self.0
     }
 }
 
@@ -149,7 +144,7 @@ mod tests {
         let base = key();
         assert_eq!(base, base.clone());
         for i in 0..KEY_LEN {
-            let mut bytes = *base.as_bytes();
+            let mut bytes = base.0;
             bytes[i] ^= 0x80;
             assert_ne!(
                 base,
@@ -262,7 +257,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let k1 = AeadKey::random(&mut rng);
         let k2 = AeadKey::random(&mut rng);
-        assert_ne!(k1.as_bytes(), k2.as_bytes());
+        assert_ne!(k1.0, k2.0);
     }
 
     #[test]

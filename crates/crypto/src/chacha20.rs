@@ -4,11 +4,11 @@
 use crate::util::load_u32_le;
 
 /// Key length in bytes.
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// Nonce length in bytes (RFC 8439 uses a 96-bit nonce).
 pub const NONCE_LEN: usize = 12;
 /// Size of one keystream block.
-pub const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 #[inline]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
@@ -23,7 +23,7 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 }
 
 /// Computes one 64-byte ChaCha20 keystream block.
-pub fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; BLOCK_LEN] {
+pub(crate) fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; BLOCK_LEN] {
     // "expand 32-byte k" constants.
     let mut state: [u32; 16] = [
         0x6170_7865,
@@ -70,7 +70,12 @@ pub fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8;
 ///
 /// Applying the same call twice restores the original data, so this is both
 /// the encryption and decryption primitive.
-pub fn xor_stream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
+pub(crate) fn xor_stream(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    counter: u32,
+    data: &mut [u8],
+) {
     let mut ctr = counter;
     for chunk in data.chunks_mut(BLOCK_LEN) {
         let ks = block(key, nonce, ctr);
@@ -82,7 +87,12 @@ pub fn xor_stream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, da
 }
 
 /// Encrypts (or decrypts) `data`, returning a new vector.
-pub fn apply(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &[u8]) -> Vec<u8> {
+pub(crate) fn apply(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    counter: u32,
+    data: &[u8],
+) -> Vec<u8> {
     let mut out = data.to_vec();
     xor_stream(key, nonce, counter, &mut out);
     out

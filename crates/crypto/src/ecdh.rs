@@ -9,7 +9,7 @@
 //! key has a precomputed form, [`PrecomputedPublicKey`]: the key plus its
 //! [`FixedBaseTable`] comb (1 024 affine entries, ≈ 123 KB, built for about
 //! ten variable-base multiplications, once per key).
-//! [`EphemeralSecret::agree`] takes either form through
+//! `EphemeralSecret::agree` takes either form through
 //! [`ScalarMul`] and returns the same bytes from both; with the table,
 //! `e·PK` is a comb walk instead of a width-5 NAF walk, and the ephemeral
 //! public key and the shared point share one field inversion.
@@ -115,7 +115,7 @@ fn derive_shared(
 
 impl StaticSecret {
     /// Generates a fresh keypair secret.
-    pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
+    pub(crate) fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         Self {
             secret: Scalar::random_nonzero(rng),
         }
@@ -131,12 +131,16 @@ impl StaticSecret {
     }
 
     /// The corresponding public key.
-    pub fn public_key(&self) -> PublicKey {
+    pub(crate) fn public_key(&self) -> PublicKey {
         PublicKey::from_point(Point::mul_base(&self.secret))
     }
 
     /// Computes the shared symmetric key with a peer's public key.
-    pub fn agree(&self, their_public: &PublicKey, info: &[u8]) -> Result<[u8; 32], CryptoError> {
+    pub(crate) fn agree(
+        &self,
+        their_public: &PublicKey,
+        info: &[u8],
+    ) -> Result<[u8; 32], CryptoError> {
         derive_shared(&self.secret, their_public, info)
     }
 
@@ -146,7 +150,7 @@ impl StaticSecret {
     /// the same `info` string, but the shared curve points are normalized
     /// together through [`Point::batch_compress`], so the whole batch pays
     /// one field inversion instead of one per peer.
-    pub fn agree_batch(
+    pub(crate) fn agree_batch(
         &self,
         peers: &[PublicKey],
         info: &[u8],
@@ -169,7 +173,7 @@ impl StaticSecret {
 
 impl EphemeralSecret {
     /// Generates a fresh single-use secret.
-    pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
+    pub(crate) fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         Self {
             secret: Scalar::random_nonzero(rng),
         }
@@ -182,7 +186,7 @@ impl EphemeralSecret {
     /// `recipient` is a [`PublicKey`] or a [`PrecomputedPublicKey`]; the
     /// result is the same. Both points are compressed through one
     /// [`Point::batch_compress`], so the exchange pays one field inversion.
-    pub fn agree<K: ScalarMul + ?Sized>(
+    pub(crate) fn agree<K: ScalarMul + ?Sized>(
         self,
         recipient: &K,
         info: &[u8],

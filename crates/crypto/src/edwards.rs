@@ -368,7 +368,7 @@ impl Eq for Point {}
 
 impl Point {
     /// The identity element (0, 1).
-    pub fn identity() -> Point {
+    pub(crate) fn identity() -> Point {
         Point {
             x: FieldElement::ZERO,
             y: FieldElement::ONE,
@@ -418,7 +418,7 @@ impl Point {
 
     /// Affine coordinates of a whole batch of points for the cost of a
     /// single field inversion plus three multiplications per point
-    /// (Montgomery's trick via [`FieldElement::batch_invert`]). Output order
+    /// (Montgomery's trick via `FieldElement::batch_invert`). Output order
     /// matches input order; equal to normalizing each point on its own.
     pub fn batch_to_affine(points: &[Point]) -> Vec<(FieldElement, FieldElement)> {
         let mut z_invs: Vec<FieldElement> = points.iter().map(|p| p.z).collect();
@@ -432,7 +432,7 @@ impl Point {
 
     /// True for the identity element, compared projectively: (0, 1) means
     /// X = 0 and Y/Z = 1, so no field multiplications are needed.
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.x.is_zero() && self.y == self.z
     }
 
@@ -450,7 +450,7 @@ impl Point {
     }
 
     /// Point addition (unified formula, valid for doubling too).
-    pub fn add(&self, other: &Point) -> Point {
+    pub(crate) fn add(&self, other: &Point) -> Point {
         // "add-2008-hwcd-3" for a = -1 twisted Edwards curves.
         let a = self.y.sub(&self.x).mul(&other.y.sub(&other.x));
         let b = self.y.add_lazy(&self.x).mul(&other.y.add_lazy(&other.x));
@@ -497,7 +497,7 @@ impl Point {
     }
 
     /// Negation.
-    pub fn neg(&self) -> Point {
+    pub(crate) fn neg(&self) -> Point {
         Point {
             x: self.x.neg(),
             y: self.y,
@@ -507,7 +507,7 @@ impl Point {
     }
 
     /// Subtraction.
-    pub fn sub(&self, other: &Point) -> Point {
+    pub(crate) fn sub(&self, other: &Point) -> Point {
         self.add(&other.neg())
     }
 
@@ -639,7 +639,7 @@ impl Point {
 
 impl CompressedPoint {
     /// Raw bytes of the encoding.
-    pub fn as_bytes(&self) -> &[u8; 32] {
+    pub(crate) fn as_bytes(&self) -> &[u8; 32] {
         &self.0
     }
 

@@ -13,7 +13,7 @@
 //!    preserves equality of crowd IDs (so it can count and threshold) but —
 //!    absent collusion — neither shuffler can dictionary-attack.
 //!
-//! [`ElGamalCiphertext::encrypt`] takes Shuffler 2's key `h` as the bare
+//! `ElGamalCiphertext::encrypt` takes Shuffler 2's key `h` as the bare
 //! [`Point`] or as its [`FixedBaseTable`]: an encoder builds the table once
 //! and computes `r·h` as a comb walk, with the same bytes as the per-call
 //! NAF walk. Shuffler 1's [`ElGamalCiphertext::rerandomize`] walks the same
@@ -83,7 +83,7 @@ impl ElGamalKeypair {
 impl ElGamalCiphertext {
     /// Encrypts a group element to `public_key` — the [`Point`] or its
     /// [`FixedBaseTable`], with the same result.
-    pub fn encrypt<R: Rng + ?Sized, K: ScalarMul + ?Sized>(
+    pub(crate) fn encrypt<R: Rng + ?Sized, K: ScalarMul + ?Sized>(
         rng: &mut R,
         public_key: &K,
         message: &Point,

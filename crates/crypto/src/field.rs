@@ -5,7 +5,7 @@
 //! between reductions, within the two classes stated on [`FieldElement`]:
 //! every public operation takes and returns *reduced* elements, carries are
 //! propagated in one parallel pass and only where one of those bounds needs
-//! it, and [`FieldElement::to_bytes`] performs the full canonical reduction.
+//! it, and `FieldElement::to_bytes` performs the full canonical reduction.
 //!
 //! This field backs three things in the workspace: the Edwards curve group
 //! (substituting for NIST P-256), Shamir secret sharing for the secret-share
@@ -23,7 +23,7 @@ const LOW_51_BIT_MASK: u64 = (1u64 << 51) - 1;
 /// * **lazy** — every limb < 2⁵⁴: a sum of up to three reduced elements that
 ///   has not been carried (`FieldElement::add_lazy`, crate-private; the
 ///   curve formulas feed such sums straight into a product). [`Self::mul`],
-///   [`Self::square`] and [`Self::sub`] accept lazy operands — with limbs
+///   [`Self::square`] and `Self::sub` accept lazy operands — with limbs
 ///   below 2⁵⁴ their wide accumulators stay below 2¹¹⁵ and the 16·p that
 ///   `sub` adds stays above the subtrahend — and `debug_assert!` it, so a
 ///   build with debug assertions checks the bound on every call.
@@ -49,9 +49,9 @@ impl Eq for FieldElement {}
 
 impl FieldElement {
     /// The additive identity.
-    pub const ZERO: FieldElement = FieldElement([0, 0, 0, 0, 0]);
+    pub(crate) const ZERO: FieldElement = FieldElement([0, 0, 0, 0, 0]);
     /// The multiplicative identity.
-    pub const ONE: FieldElement = FieldElement([1, 0, 0, 0, 0]);
+    pub(crate) const ONE: FieldElement = FieldElement([1, 0, 0, 0, 0]);
 
     /// Constructs an element from a small integer.
     pub fn from_u64(x: u64) -> Self {
@@ -64,7 +64,7 @@ impl FieldElement {
     /// Decodes 32 little-endian bytes, ignoring the top bit (as Curve25519
     /// implementations conventionally do). Every limb is masked to 51 bits;
     /// a value in [p, 2²⁵⁵) stays as it is until [`Self::to_bytes`].
-    pub fn from_bytes(bytes: &[u8; 32]) -> Self {
+    pub(crate) fn from_bytes(bytes: &[u8; 32]) -> Self {
         let load8 = |b: &[u8]| -> u64 { crate::util::load_u64_le(b) };
         FieldElement([
             load8(&bytes[0..8]) & LOW_51_BIT_MASK,
@@ -76,7 +76,7 @@ impl FieldElement {
     }
 
     /// Encodes the element canonically as 32 little-endian bytes (< p).
-    pub fn to_bytes(self) -> [u8; 32] {
+    pub(crate) fn to_bytes(self) -> [u8; 32] {
         // Step 1: one carry pass, so the value is below 2^255 + 2^223 < 2p.
         let mut limbs = carry(self.0).0;
 
@@ -141,7 +141,7 @@ impl FieldElement {
     ///
     /// Used for hash-to-field: the bias from reducing 512 uniform bits mod p
     /// is negligible.
-    pub fn from_wide_bytes(bytes: &[u8; 64]) -> Self {
+    pub(crate) fn from_wide_bytes(bytes: &[u8; 64]) -> Self {
         // Split into low 255 bits and the rest: value = lo + 2^255 * hi_chunks.
         // 2^255 = 19 (mod p), 2^510 = 361 (mod p).
         let mut lo_bytes = [0u8; 32];
@@ -166,7 +166,7 @@ impl FieldElement {
     }
 
     /// Addition in the field.
-    pub fn add(&self, other: &FieldElement) -> FieldElement {
+    pub(crate) fn add(&self, other: &FieldElement) -> FieldElement {
         carry(self.add_lazy(other).0)
     }
 
@@ -186,7 +186,7 @@ impl FieldElement {
     }
 
     /// Subtraction in the field. Either operand may be lazy.
-    pub fn sub(&self, other: &FieldElement) -> FieldElement {
+    pub(crate) fn sub(&self, other: &FieldElement) -> FieldElement {
         // Add 16 p before subtracting so no limb underflows: a lazy
         // subtrahend limb is < 2^54 < 16 * (2^51 - 19) = 2^55 - 304.
         const SIXTEEN_P: [u64; 5] = [
@@ -208,7 +208,7 @@ impl FieldElement {
     }
 
     /// Negation in the field.
-    pub fn neg(&self) -> FieldElement {
+    pub(crate) fn neg(&self) -> FieldElement {
         FieldElement::ZERO.sub(self)
     }
 
@@ -315,12 +315,12 @@ impl FieldElement {
     }
 
     /// Multiplicative inverse. Returns zero for zero (callers that care must
-    /// check [`FieldElement::is_zero`] themselves).
+    /// check `FieldElement::is_zero` themselves).
     ///
     /// Computed as `self^(p-2)` via a fixed addition chain (254 squarings and
     /// 11 multiplications) rather than a naive square-and-multiply over the
     /// dense exponent, which costs roughly twice as much. Still Θ(1) and
-    /// still expensive — normalize in bulk with [`Self::batch_invert`] where
+    /// still expensive — normalize in bulk with `Self::batch_invert` where
     /// more than one inverse is needed.
     pub fn invert(&self) -> FieldElement {
         // self^(2^255 - 21) = self^(p - 2).
@@ -336,7 +336,7 @@ impl FieldElement {
     /// This is what makes bulk affine normalization
     /// ([`Point::batch_to_affine`](crate::edwards::Point::batch_to_affine))
     /// and the fixed-base table builder cheap.
-    pub fn batch_invert(elements: &mut [FieldElement]) {
+    pub(crate) fn batch_invert(elements: &mut [FieldElement]) {
         // prefix[i] = product of all non-zero elements before index i.
         let mut prefix = Vec::with_capacity(elements.len());
         let mut acc = FieldElement::ONE;
@@ -387,27 +387,18 @@ impl FieldElement {
         }
     }
 
-    /// Returns a square root of the element if one exists.
-    ///
-    /// Since p ≡ 5 (mod 8), the candidate is `self^((p+3)/8)`, possibly
-    /// multiplied by `sqrt(-1)`. The returned root is the one whose canonical
-    /// encoding has an even low bit ("non-negative").
-    pub fn sqrt(&self) -> Option<FieldElement> {
-        FieldElement::sqrt_ratio(self, &FieldElement::ONE)
-    }
-
     /// True when the element is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.to_bytes() == [0u8; 32]
     }
 
     /// "Sign" of the element: the low bit of its canonical encoding.
-    pub fn is_negative(&self) -> bool {
+    pub(crate) fn is_negative(&self) -> bool {
         self.to_bytes()[0] & 1 == 1
     }
 
     /// Conditionally negates so the result has the requested sign bit.
-    pub fn with_sign(&self, negative: bool) -> FieldElement {
+    pub(crate) fn with_sign(&self, negative: bool) -> FieldElement {
         if self.is_negative() == negative {
             *self
         } else {
@@ -483,6 +474,14 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    impl FieldElement {
+        /// Returns a square root of the element if one exists: the one
+        /// whose canonical encoding has an even low bit ("non-negative").
+        fn sqrt(&self) -> Option<FieldElement> {
+            FieldElement::sqrt_ratio(self, &FieldElement::ONE)
+        }
+    }
 
     /// Exclusive limb bound of the *reduced* class.
     const REDUCED_LIMB_BOUND: u64 = 1 << 52;

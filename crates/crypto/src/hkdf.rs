@@ -43,7 +43,7 @@ fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], length: usize) -> Vec<u8> {
 }
 
 /// Derives exactly 32 bytes, convenient for AEAD keys.
-pub fn hkdf_key(salt: &[u8], ikm: &[u8], info: &[u8]) -> [u8; 32] {
+pub(crate) fn hkdf_key(salt: &[u8], ikm: &[u8], info: &[u8]) -> [u8; 32] {
     let okm = hkdf(salt, ikm, info, 32);
     let mut key = [0u8; 32];
     key.copy_from_slice(&okm);

@@ -3,20 +3,20 @@
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Computes `HMAC-SHA-256(key, message)`.
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
+pub(crate) fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
     HmacSha256::new(key).update(message).finalize()
 }
 
 /// Incremental HMAC-SHA-256.
 #[derive(Clone)]
-pub struct HmacSha256 {
+pub(crate) struct HmacSha256 {
     inner: Sha256,
     opad_key: [u8; BLOCK_LEN],
 }
 
 impl HmacSha256 {
     /// Creates an HMAC instance keyed with `key` (any length).
-    pub fn new(key: &[u8]) -> Self {
+    pub(crate) fn new(key: &[u8]) -> Self {
         // Keys longer than the block size are hashed first.
         let mut key_block = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
@@ -39,13 +39,13 @@ impl HmacSha256 {
     }
 
     /// Absorbs message bytes.
-    pub fn update(mut self, message: &[u8]) -> Self {
+    pub(crate) fn update(mut self, message: &[u8]) -> Self {
         self.inner.update(message);
         self
     }
 
     /// Finishes and returns the 32-byte tag.
-    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+    pub(crate) fn finalize(self) -> [u8; DIGEST_LEN] {
         let inner_digest = self.inner.finalize();
         let mut outer = Sha256::new();
         outer.update(&self.opad_key);

@@ -102,7 +102,7 @@ impl HybridCiphertext {
     /// Per-item results are identical to [`Self::open`] (`None` wherever it
     /// would return any error), but the Diffie–Hellman shared points for the
     /// whole batch are normalized together via
-    /// [`StaticSecret::agree_batch`], amortizing the field inversion that
+    /// `StaticSecret::agree_batch`, amortizing the field inversion that
     /// each individual agreement would otherwise pay during compression.
     /// Items may be owned or borrowed (`&[HybridCiphertext]` or
     /// `&[&HybridCiphertext]`), so a caller holding ciphertexts inside

@@ -43,7 +43,7 @@ pub struct Scalar([u64; 4]);
 
 /// Equality is constant-shape: scalars are always fully reduced, so the
 /// canonical 32-byte encodings are equal iff the scalars are, and
-/// [`crate::util::ct_eq`] touches every byte regardless of where they
+/// `crate::util::ct_eq` touches every byte regardless of where they
 /// first differ. Scalars are Diffie–Hellman private keys and blinding
 /// exponents; a derived `PartialEq` would short-circuit at the first
 /// differing limb and leak match length through timing.
@@ -146,7 +146,7 @@ impl Scalar {
     }
 
     /// Loads 32 little-endian bytes and reduces modulo ℓ.
-    pub fn from_bytes_mod_order(bytes: &[u8; 32]) -> Scalar {
+    pub(crate) fn from_bytes_mod_order(bytes: &[u8; 32]) -> Scalar {
         let mut limbs = [0u64; 4];
         for i in 0..4 {
             limbs[i] = crate::util::load_u64_le(&bytes[i * 8..]);
@@ -172,7 +172,7 @@ impl Scalar {
     }
 
     /// Serializes to 32 little-endian bytes (< ℓ).
-    pub fn to_bytes(&self) -> [u8; 32] {
+    pub(crate) fn to_bytes(self) -> [u8; 32] {
         let mut out = [0u8; 32];
         for i in 0..4 {
             out[i * 8..i * 8 + 8].copy_from_slice(&self.0[i].to_le_bytes());
@@ -198,7 +198,7 @@ impl Scalar {
     }
 
     /// Hashes arbitrary byte strings to a scalar (domain-separated SHA-256).
-    pub fn hash_from_bytes(parts: &[&[u8]]) -> Scalar {
+    pub(crate) fn hash_from_bytes(parts: &[&[u8]]) -> Scalar {
         let mut h1 = Sha256::new();
         h1.update(b"prochlo-hash-to-scalar-1");
         let mut h2 = Sha256::new();
@@ -216,40 +216,18 @@ impl Scalar {
     }
 
     /// Addition modulo ℓ.
-    pub fn add(&self, other: &Scalar) -> Scalar {
+    pub(crate) fn add(&self, other: &Scalar) -> Scalar {
         let (sum, carry) = raw_add(&self.0, &other.0);
         debug_assert!(!carry, "reduced scalars never overflow 2^256 when added");
         subtract_l_once(sum)
     }
 
-    /// Subtraction modulo ℓ.
-    pub fn sub(&self, other: &Scalar) -> Scalar {
-        if compare(&self.0, &other.0) != Ordering::Less {
-            let (diff, _) = raw_sub(&self.0, &other.0);
-            Scalar(diff)
-        } else {
-            let (bumped, _) = raw_add(&self.0, &L);
-            let (diff, _) = raw_sub(&bumped, &other.0);
-            Scalar(diff)
-        }
-    }
-
-    /// Negation modulo ℓ.
-    pub fn neg(&self) -> Scalar {
-        Scalar::zero().sub(self)
-    }
-
     /// Multiplication modulo ℓ: the 512-bit product, then one Barrett
     /// reduction.
-    pub fn mul(&self, other: &Scalar) -> Scalar {
+    pub(crate) fn mul(&self, other: &Scalar) -> Scalar {
         let mut product = [0u64; 8];
         mul_limbs(&self.0, &other.0, &mut product);
         barrett_reduce(&product)
-    }
-
-    /// True when the scalar is zero.
-    pub fn is_zero(&self) -> bool {
-        self.0 == [0; 4]
     }
 }
 
@@ -261,6 +239,28 @@ mod tests {
     use rand::{RngCore, SeedableRng};
 
     impl Scalar {
+        /// Subtraction modulo ℓ.
+        pub(crate) fn sub(&self, other: &Scalar) -> Scalar {
+            if compare(&self.0, &other.0) != Ordering::Less {
+                let (diff, _) = raw_sub(&self.0, &other.0);
+                Scalar(diff)
+            } else {
+                let (bumped, _) = raw_add(&self.0, &L);
+                let (diff, _) = raw_sub(&bumped, &other.0);
+                Scalar(diff)
+            }
+        }
+
+        /// Negation modulo ℓ.
+        fn neg(&self) -> Scalar {
+            Scalar::zero().sub(self)
+        }
+
+        /// True when the scalar is zero.
+        fn is_zero(&self) -> bool {
+            self.0 == [0; 4]
+        }
+
         /// The scalar 1.
         pub(crate) fn one() -> Scalar {
             Scalar::from_u64(1)

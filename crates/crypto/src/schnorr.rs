@@ -95,16 +95,6 @@ impl VerifyingKey {
     }
 }
 
-impl Signature {
-    /// Serializes to 64 bytes.
-    pub fn to_bytes(&self) -> [u8; 64] {
-        let mut out = [0u8; 64];
-        out[..32].copy_from_slice(self.r.as_bytes());
-        out[32..].copy_from_slice(&self.s);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,6 +138,7 @@ mod tests {
     #[test]
     fn signatures_are_deterministic() {
         let key = SigningKey::from_seed(b"intel-root");
-        assert_eq!(key.sign(b"m").to_bytes(), key.sign(b"m").to_bytes());
+        let (a, b) = (key.sign(b"m"), key.sign(b"m"));
+        assert_eq!((a.r.as_bytes(), a.s), (b.r.as_bytes(), b.s));
     }
 }

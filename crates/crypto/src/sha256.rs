@@ -12,9 +12,9 @@ use std::sync::OnceLock;
 use crate::util::{icbrt_u128, isqrt_u128};
 
 /// Output size of SHA-256 in bytes.
-pub const DIGEST_LEN: usize = 32;
+pub(crate) const DIGEST_LEN: usize = 32;
 /// Internal block size in bytes.
-pub const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 fn first_primes(n: usize) -> Vec<u128> {
     let mut primes = Vec::with_capacity(n);

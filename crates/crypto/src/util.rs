@@ -1,14 +1,14 @@
 //! Byte-level helpers: loads/stores, constant-time comparison, hex encoding.
 
 /// Reads a little-endian `u64` from 8 bytes.
-pub fn load_u64_le(bytes: &[u8]) -> u64 {
+pub(crate) fn load_u64_le(bytes: &[u8]) -> u64 {
     let mut buf = [0u8; 8];
     buf.copy_from_slice(&bytes[..8]);
     u64::from_le_bytes(buf)
 }
 
 /// Reads a little-endian `u32` from 4 bytes.
-pub fn load_u32_le(bytes: &[u8]) -> u32 {
+pub(crate) fn load_u32_le(bytes: &[u8]) -> u32 {
     let mut buf = [0u8; 4];
     buf.copy_from_slice(&bytes[..4]);
     u32::from_le_bytes(buf)
@@ -19,7 +19,7 @@ pub fn load_u32_le(bytes: &[u8]) -> u32 {
 /// Returns `true` iff they have equal length and contents. The comparison
 /// touches every byte regardless of where the first difference occurs, which
 /// is what authenticated decryption wants for tag checks.
-pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
+pub(crate) fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
     }
@@ -55,7 +55,7 @@ pub fn from_hex(s: &str) -> Option<Vec<u8>> {
 }
 
 /// Integer square root of a `u128` (largest `r` with `r*r <= n`).
-pub fn isqrt_u128(n: u128) -> u128 {
+pub(crate) fn isqrt_u128(n: u128) -> u128 {
     if n < 2 {
         return n;
     }
@@ -72,7 +72,7 @@ pub fn isqrt_u128(n: u128) -> u128 {
 }
 
 /// Integer cube root of a `u128` (largest `r` with `r*r*r <= n`).
-pub fn icbrt_u128(n: u128) -> u128 {
+pub(crate) fn icbrt_u128(n: u128) -> u128 {
     if n < 2 {
         return n;
     }

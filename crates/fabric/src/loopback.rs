@@ -21,7 +21,8 @@ use crate::transport::{ChannelId, FabricError, Peer, Stage, Transport};
 struct Links {
     /// Made on first use by either end.
     by_pair: BTreeMap<(Peer, Peer), Arc<Link>>,
-    /// Set by [`LoopbackHub::close`]; a link made after it starts closed.
+    /// Set only by the unit tests' `LoopbackHub::close`; a link made after it
+    /// starts closed.
     closed: bool,
 }
 
@@ -42,18 +43,6 @@ impl LoopbackHub {
         LoopbackTransport {
             hub: Arc::clone(self),
             identity,
-        }
-    }
-
-    /// Closes every link cleanly: each pending and future receive returns
-    /// [`FabricError::Closed`] once the frames already sent are taken, and
-    /// every later send is refused with it. Used by tests to unblock stuck
-    /// peers.
-    pub fn close(&self) {
-        let mut links = self.links.lock();
-        links.closed = true;
-        for link in links.by_pair.values() {
-            link.end(None);
         }
     }
 
@@ -87,7 +76,6 @@ impl LoopbackHub {
 ///     .unwrap();
 /// assert_eq!(payload, b"hello");
 /// ```
-// prochlo-lint: allow(uncalled-pub, "the return type of LoopbackHub::endpoint; callers use it as a Transport without naming it")
 pub struct LoopbackTransport {
     hub: Arc<LoopbackHub>,
     identity: Peer,
@@ -119,6 +107,19 @@ impl Transport for LoopbackTransport {
 mod tests {
     use super::*;
     use crate::link::contract::{transport_contract, Pair};
+
+    impl LoopbackHub {
+        /// Closes every link cleanly: each pending and future receive
+        /// returns [`FabricError::Closed`] once the frames already sent are
+        /// taken, and every later send is refused with it.
+        fn close(&self) {
+            let mut links = self.links.lock();
+            links.closed = true;
+            for link in links.by_pair.values() {
+                link.end(None);
+            }
+        }
+    }
 
     fn pair() -> Pair {
         let hub = LoopbackHub::new();

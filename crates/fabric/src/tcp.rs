@@ -191,7 +191,6 @@ impl TcpTransportBuilder {
 }
 
 /// The TCP implementation of [`Transport`].
-// prochlo-lint: allow(uncalled-pub, "the return type of TcpTransportBuilder::build; callers use it as a Transport without naming it")
 pub struct TcpTransport {
     identity: Peer,
     /// One per peer: the link the pump files the socket's frames into, and

@@ -85,7 +85,7 @@ impl Peer {
     }
 
     /// Decodes one peer, rejecting unknown tags loudly.
-    pub fn decode(reader: &mut Reader<'_>) -> Result<Self, FabricError> {
+    pub(crate) fn decode(reader: &mut Reader<'_>) -> Result<Self, FabricError> {
         let tag = reader.get_u8("truncated peer")?;
         let index: u32 = reader.get_u32("truncated peer index")?;
         let peer = match tag {
@@ -130,7 +130,7 @@ impl fmt::Display for Stage {
 impl Stage {
     /// Appends the wire encoding (one tag byte). Tag 0 and every tag
     /// above 3 are unassigned and decode as an unknown stage.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         let tag = match self {
             Stage::Batch => 1u8,
             Stage::Records => 2,
@@ -140,7 +140,7 @@ impl Stage {
     }
 
     /// Decodes one stage, rejecting unknown tags loudly.
-    pub fn decode(reader: &mut Reader<'_>) -> Result<Self, FabricError> {
+    pub(crate) fn decode(reader: &mut Reader<'_>) -> Result<Self, FabricError> {
         let tag = reader.get_u8("truncated stage")?;
         match tag {
             1 => Ok(Stage::Batch),

@@ -1,7 +1,6 @@
-//! The rule engine: walks the workspace, lexes each first-party source
-//! file once, indexes the names they hold, computes test-context, runs the
-//! rules on the production files, and applies per-line suppression
-//! directives.
+//! The rule engine: walks the workspace's production sources, lexes each
+//! file once, computes test-context, runs the rules, and applies per-line
+//! suppression directives.
 //!
 //! # Suppressions
 //!
@@ -18,15 +17,15 @@
 //! suppressing nothing at all is itself reported (rule `lint-directive`),
 //! so stale allows cannot accumulate.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
-use crate::rules::{self, Callers};
+use crate::lexer::{lex, Comment, Token};
+use crate::rules;
 
 /// The pseudo-rule under which malformed or stale suppression directives
 /// are reported. Not suppressible.
-pub const DIRECTIVE_RULE: &str = "lint-directive";
+pub(crate) const DIRECTIVE_RULE: &str = "lint-directive";
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,20 +193,6 @@ fn test_context(tokens: &[Token]) -> Vec<bool> {
     flags
 }
 
-/// Flags each token of a `use` item, from the `use` keyword to its `;`.
-fn use_items(tokens: &[Token]) -> Vec<bool> {
-    let mut inside = false;
-    tokens
-        .iter()
-        .map(|tok| {
-            inside |= tok.is_ident("use");
-            let flag = inside;
-            inside &= !tok.is_punct(';');
-            flag
-        })
-        .collect()
-}
-
 /// Index of the `close_c` matching the `open_c` at `open`, if any.
 pub(crate) fn matching(
     tokens: &[Token],
@@ -229,15 +214,16 @@ pub(crate) fn matching(
     None
 }
 
-/// Lints one lexed file. Without `callers`, the workspace name index, the
-/// cross-file `uncalled-pub` rule does not run.
-fn lint_lexed(path: &str, lexed: &Lexed, callers: Option<Callers<'_>>) -> Vec<Finding> {
+/// Lints one file's source text. `path` is the workspace-relative path
+/// (forward slashes) the rules use to decide applicability.
+pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
+    let lexed = lex(source);
     let mut findings = Vec::new();
     let suppressions = parse_directives(path, &lexed.comments, &mut findings);
     let flags = test_context(&lexed.tokens);
 
     let mut raw = Vec::new();
-    rules::run_rules(path, &lexed.tokens, &flags, callers, &mut raw);
+    rules::run_rules(path, &lexed.tokens, &flags, &mut raw);
     // One finding per (line, rule): four indexing expressions on one line
     // are one violation, and one allow should cover them.
     raw.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
@@ -273,148 +259,8 @@ fn lint_lexed(path: &str, lexed: &Lexed, callers: Option<Callers<'_>>) -> Vec<Fi
     findings
 }
 
-/// Lints one file's source text on its own. `path` is the
-/// workspace-relative path (forward slashes) the rules use to decide
-/// applicability. `uncalled-pub` needs the other files and runs only in
-/// [`lint_files`].
-pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
-    lint_lexed(path, &lex(source), None)
-}
-
-/// Production code: every crate's `src/` and `benches/` trees and the
-/// examples. Tests, integration-test crates and fixtures are read only as
-/// callers.
-fn is_production(path: &str) -> bool {
-    let mut parts = path.split('/');
-    matches!(
-        (parts.next(), parts.next(), parts.next()),
-        (Some("crates"), Some(_), Some("src" | "benches")) | (Some("examples"), Some("src"), _)
-    )
-}
-
-/// What a first-party file holds of a name, as [`NameIndex`] keys it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum Mention<'a> {
-    /// The name inside a `use` item.
-    Use(&'a str),
-    /// The name anywhere else outside comments and strings.
-    Named(&'a str),
-    /// A call of the name ([`rules::call_shaped`]), qualified by a type or
-    /// not.
-    Called(Option<&'a str>, &'a str),
-}
-
-/// Whether `path` sits in a `tests/` tree: an integration test, whose
-/// `#[test]` functions call the library the way any other crate does.
-fn in_tests_tree(path: &str) -> bool {
-    path.starts_with("tests/") || path.contains("/tests/")
-}
-
-/// The workspace name index `uncalled-pub` checks against: per mention,
-/// the files that hold it, in file order. Two kinds of token mention
-/// nothing: unit-test code (`#[cfg(test)]`/`#[test]` outside a `tests/`
-/// tree), since a unit test can see private items and never needs `pub`,
-/// and an `impl` header's self type, since a type's own `impl` is not a
-/// use of it.
-pub(crate) struct NameIndex<'a>(HashMap<Mention<'a>, Vec<usize>>);
-
-impl<'a> NameIndex<'a> {
-    fn new(files: &'a [(&str, Lexed)]) -> Self {
-        let mut index: HashMap<Mention<'a>, Vec<usize>> = HashMap::new();
-        for (file, (path, lexed)) in files.iter().enumerate() {
-            let tokens = &lexed.tokens;
-            let in_use = use_items(tokens);
-            let mut silent = if in_tests_tree(path) {
-                vec![false; tokens.len()]
-            } else {
-                test_context(tokens)
-            };
-            for (self_ty, _, _) in rules::impl_blocks(tokens) {
-                if let Some(t) = self_ty {
-                    silent[t] = true;
-                }
-            }
-            for (i, tok) in tokens.iter().enumerate() {
-                if tok.kind != TokenKind::Ident || silent[i] {
-                    continue;
-                }
-                let named = if in_use[i] {
-                    Mention::Use(&tok.text)
-                } else {
-                    Mention::Named(&tok.text)
-                };
-                let called = rules::call_shaped(tokens, i)
-                    .filter(|_| !in_use[i])
-                    .map(|(qualifier, name)| Mention::Called(qualifier, name));
-                for mention in std::iter::once(named).chain(called) {
-                    let holders = index.entry(mention).or_default();
-                    if holders.last() != Some(&file) {
-                        holders.push(file);
-                    }
-                }
-            }
-        }
-        Self(index)
-    }
-
-    /// The files that hold `mention`.
-    fn holders<'s>(&'s self, mention: Mention<'s>) -> &'s [usize] {
-        // The keys borrow every file's tokens; look them up at the
-        // mention's shorter lifetime.
-        let index: &HashMap<Mention<'s>, Vec<usize>> = &self.0;
-        index.get(&mention).map_or(&[], Vec::as_slice)
-    }
-
-    /// Whether a file other than `file` holds any of `mentions`.
-    pub(crate) fn elsewhere(&self, file: usize, mentions: &[Mention<'_>]) -> bool {
-        mentions
-            .iter()
-            .any(|&m| self.holders(m).iter().any(|&f| f != file))
-    }
-
-    /// Whether a file other than `file` imports `name` in a `use` item and
-    /// names it outside one: a fn imported by name is called there, or
-    /// passed as a value (`filter_map(parse)`).
-    pub(crate) fn imported_elsewhere(&self, file: usize, name: &str) -> bool {
-        let named = self.holders(Mention::Named(name));
-        self.holders(Mention::Use(name))
-            .iter()
-            .any(|f| *f != file && named.contains(f))
-    }
-}
-
-/// Lints a set of first-party files, given as `(workspace-relative path,
-/// source)`, in one pass: each file is lexed once, the identifiers of all
-/// of them (outside comments and strings) form the name index
-/// `uncalled-pub` checks against, and every rule runs on the production
-/// files among them. Findings come in file order, then line.
-pub fn lint_files<P: AsRef<str>, S: AsRef<str>>(files: &[(P, S)]) -> Vec<Finding> {
-    let lexed: Vec<(&str, Lexed)> = files
-        .iter()
-        .map(|(path, source)| (path.as_ref(), lex(source.as_ref())))
-        .collect();
-    let index = NameIndex::new(&lexed);
-    lexed
-        .iter()
-        .enumerate()
-        .filter(|(_, (path, _))| is_production(path))
-        .flat_map(|(file, (path, lexed))| {
-            lint_lexed(
-                path,
-                lexed,
-                Some(Callers {
-                    index: &index,
-                    file,
-                }),
-            )
-        })
-        .collect()
-}
-
-/// Every first-party source file: the `src/`, `benches/` and `tests/` trees
-/// of each crate, the examples, and the integration-test crate. `vendor/`
-/// and `target/` are third-party or generated, and the lint fixtures are
-/// lint input, never compiled.
+/// Production code: the `src/` and `benches/` trees of each crate and the
+/// examples. Tests, `vendor/` and `target/` are not linted.
 fn workspace_files(root: &Path) -> std::io::Result<BTreeMap<String, PathBuf>> {
     let mut files = BTreeMap::new();
     for entry in std::fs::read_dir(root.join("crates"))? {
@@ -422,12 +268,11 @@ fn workspace_files(root: &Path) -> std::io::Result<BTreeMap<String, PathBuf>> {
         if !entry.file_type()?.is_dir() {
             continue;
         }
-        for sub in ["src", "benches", "tests"] {
+        for sub in ["src", "benches"] {
             collect_rs(root, &entry.path().join(sub), &mut files)?;
         }
     }
     collect_rs(root, &root.join("examples").join("src"), &mut files)?;
-    collect_rs(root, &root.join("tests"), &mut files)?;
     Ok(files)
 }
 
@@ -443,7 +288,7 @@ fn collect_rs(
         let entry = entry?;
         let path = entry.path();
         if entry.file_type()?.is_dir() {
-            if !matches!(entry.file_name().to_str(), Some("target" | "fixtures")) {
+            if entry.file_name() != "target" {
                 collect_rs(root, &path, files)?;
             }
         } else if path.extension().is_some_and(|e| e == "rs") {
@@ -460,14 +305,14 @@ fn collect_rs(
     Ok(())
 }
 
-/// Lints the whole workspace rooted at `root` (see [`lint_files`]).
-/// Findings are sorted by path, then line.
+/// Lints the whole workspace rooted at `root`. Findings are sorted by
+/// path, then line.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut sources = Vec::new();
+    let mut findings = Vec::new();
     for (rel, path) in workspace_files(root)? {
-        sources.push((rel, std::fs::read_to_string(&path)?));
+        findings.extend(lint_source(&rel, &std::fs::read_to_string(&path)?));
     }
-    Ok(lint_files(&sources))
+    Ok(findings)
 }
 
 #[cfg(test)]
@@ -536,26 +381,6 @@ mod tests {
             .any(|(t, f)| t.text == "y" && *f);
         assert!(hashmap_flagged);
         assert!(!y_flagged);
-    }
-
-    #[test]
-    fn use_items_run_from_the_keyword_to_the_semicolon() {
-        let src = "pub use a::{\n    B,\n    c::D,\n};\nfn f() { use e::F; g(); }";
-        let lexed = lex(src);
-        let in_use: Vec<&str> = lexed
-            .tokens
-            .iter()
-            .zip(use_items(&lexed.tokens))
-            .filter(|(_, in_use)| *in_use)
-            .map(|(t, _)| t.text.as_str())
-            .collect();
-        assert_eq!(
-            in_use,
-            ["use", "a", ":", ":", "{", "B", ",", "c", ":", ":", "D", ",", "}", ";"]
-                .into_iter()
-                .chain(["use", "e", ":", ":", "F", ";"])
-                .collect::<Vec<_>>()
-        );
     }
 
     #[test]

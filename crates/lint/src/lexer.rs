@@ -11,7 +11,7 @@
 
 /// What kind of lexeme a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// An identifier or keyword (`fn`, `HashMap`, `r#async`).
     Ident,
     /// A single punctuation character (`::` arrives as two `:` tokens).
@@ -24,7 +24,7 @@ pub enum TokenKind {
 
 /// One lexeme with its 1-based source line.
 #[derive(Debug, Clone)]
-pub struct Token {
+pub(crate) struct Token {
     /// The kind of lexeme.
     pub kind: TokenKind,
     /// The lexeme text. For `Literal` this is the raw source slice; for
@@ -36,12 +36,12 @@ pub struct Token {
 
 impl Token {
     /// True when the token is the identifier `name`.
-    pub fn is_ident(&self, name: &str) -> bool {
+    pub(crate) fn is_ident(&self, name: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == name
     }
 
     /// True when the token is the punctuation character `c`.
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct && self.text.len() == 1 && self.text.starts_with(c)
     }
 }
@@ -49,7 +49,7 @@ impl Token {
 /// One comment (line or block) with its 1-based starting line. Suppression
 /// directives are parsed out of these by the engine.
 #[derive(Debug, Clone)]
-pub struct Comment {
+pub(crate) struct Comment {
     /// Comment text including the `//` / `/*` introducer.
     pub text: String,
     /// 1-based line the comment starts on.
@@ -58,7 +58,7 @@ pub struct Comment {
 
 /// A lexed source file: the token stream and the comments.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     /// All non-comment lexemes in source order.
     pub tokens: Vec<Token>,
     /// All comments in source order.
@@ -68,7 +68,7 @@ pub struct Lexed {
 /// Lexes Rust source text. Unterminated literals and comments are
 /// tolerated (the remainder of the file is consumed as that literal):
 /// a linter must never panic on the code it inspects.
-pub fn lex(source: &str) -> Lexed {
+pub(crate) fn lex(source: &str) -> Lexed {
     Lexer {
         chars: source.chars().collect(),
         pos: 0,

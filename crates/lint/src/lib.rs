@@ -5,11 +5,14 @@
 //! secret handling, and never panicking on attacker-controlled wire
 //! bytes — are invariants of the *source*, not of any one test vector.
 //! This crate enforces them mechanically: a hand-rolled,
-//! comment/string-aware Rust [`lexer`], a set of seven project-specific
-//! [`rules`], and an [`engine`] that walks the workspace's first-party
+//! comment/string-aware Rust [`lexer`], a set of six project-specific
+//! [`rules`], and an [`engine`] that walks the workspace's production
 //! sources, applies per-line
 //! `// prochlo-lint: allow(<rule>, "<reason>")` suppressions, and emits
 //! machine-readable `file:line rule message` findings.
+//!
+//! Which `pub` items another crate needs is not a rule here: rustc knows
+//! the types, so `crates/bench/scripts/surface.sh` asks it.
 //!
 //! Run it from the workspace root:
 //!
@@ -26,5 +29,5 @@ pub mod engine;
 pub mod lexer;
 pub mod rules;
 
-pub use engine::{lint_files, lint_source, lint_workspace, Finding};
+pub use engine::{lint_source, lint_workspace, Finding};
 pub use rules::{RuleInfo, RULES};

@@ -1,20 +1,18 @@
-//! The seven project-specific rules.
+//! The six project-specific rules.
 //!
 //! Each rule is a pure function from a lexed file (plus its
-//! workspace-relative path and per-token test-context flags) to findings;
-//! `uncalled-pub` also asks the engine's workspace name index.
+//! workspace-relative path and per-token test-context flags) to findings.
 //! Rules are deliberately syntactic: they fire on the token shapes that
 //! violate an invariant, and the per-line
 //! `// prochlo-lint: allow(<rule>, "<reason>")` escape hatch is how code
 //! that is *deliberately* shaped that way justifies itself in place.
 
-use crate::engine::{matching, Finding, Mention, NameIndex};
+use crate::engine::{matching, Finding};
 use crate::lexer::{Token, TokenKind};
 
 /// A rule's identity and documentation, used by `--list-rules`, the README
 /// table, and directive validation.
 #[derive(Debug, Clone, Copy)]
-// prochlo-lint: allow(uncalled-pub, "the element type of RULES; the binary prints its fields without naming it")
 pub struct RuleInfo {
     /// The rule name used in findings and `allow(...)` directives.
     pub name: &'static str,
@@ -61,19 +59,10 @@ pub const RULES: &[RuleInfo] = &[
                   net serving harness, and the net pump: ad-hoc threading \
                   bypasses the deterministic chunked executor",
     },
-    RuleInfo {
-        name: "uncalled-pub",
-        summary: "pub fn/struct/enum/trait/const/type in a library target \
-                  that no production code or integration test in another \
-                  file calls (a fn: `.f(`, `Type::f`, `f(`, or imported and \
-                  passed as a value) or names (the rest; a type's own \
-                  `impl` header does not count): public surface nothing \
-                  calls is code nobody audits against the invariants",
-    },
 ];
 
 /// True when `name` names a rule (or the directive pseudo-rule).
-pub fn is_known_rule(name: &str) -> bool {
+pub(crate) fn is_known_rule(name: &str) -> bool {
     name == crate::engine::DIRECTIVE_RULE || RULES.iter().any(|r| r.name == name)
 }
 
@@ -137,61 +126,18 @@ fn in_crate_src(path: &str) -> bool {
     path.starts_with("crates/") && path.contains("/src/")
 }
 
-/// Library targets: crate and example `src/` trees less their binaries.
-fn in_library(path: &str) -> bool {
-    (in_crate_src(path) || path.starts_with("examples/src/"))
-        && !path.ends_with("/src/main.rs")
-        && !path.contains("/src/bin/")
-}
-
 fn under_any(path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p))
-}
-
-/// The engine's workspace name index, seen from one file (`file`, its
-/// position in the index).
-#[derive(Clone, Copy)]
-pub(crate) struct Callers<'a> {
-    pub(crate) index: &'a NameIndex<'a>,
-    pub(crate) file: usize,
-}
-
-/// Whether the identifier at `i` is call-shaped, and as what: a method
-/// call `.name(` / `.name::<`, a path `Q::name`, or a bare `name(` that
-/// does not declare it (`fn name(`). The key is `(Some(Q), name)` when a
-/// type `Q` (capitalized, not `Self`) qualifies the path — that names one
-/// type's fn — and `(None, name)` otherwise. A field read (`.name`
-/// without a call) is not call-shaped, so a field or variable that shares
-/// a fn's spelling does not keep the fn alive.
-pub(crate) fn call_shaped(tokens: &[Token], i: usize) -> Option<(Option<&str>, &str)> {
-    let name = tokens[i].text.as_str();
-    let at = |j: usize| tokens.get(j);
-    let punct = |j: usize, c: char| at(j).is_some_and(|t| t.is_punct(c));
-    let called_next = punct(i + 1, '(') || punct(i + 1, ':') && punct(i + 2, ':');
-    let before = |back: usize| i.checked_sub(back).and_then(at);
-    if before(1).is_some_and(|t| t.is_punct('.')) {
-        return Some((None, name)).filter(|_| called_next);
-    }
-    if before(1).is_some_and(|t| t.is_punct(':')) && before(2).is_some_and(|t| t.is_punct(':')) {
-        let qualifier = before(3).filter(|q| {
-            q.kind == TokenKind::Ident && q.text != "Self" && q.text.starts_with(char::is_uppercase)
-        });
-        return Some((qualifier.map(|q| q.text.as_str()), name));
-    }
-    let declares = before(1).is_some_and(|t| t.is_ident("fn"));
-    Some((None, name)).filter(|_| punct(i + 1, '(') && !declares)
 }
 
 /// Runs every applicable rule over one file's token stream. `test_ctx[i]`
 /// is true when token `i` sits in test-only code (`#[cfg(test)]` /
 /// `#[test]` regions); the invariants are production invariants, so test
-/// code is exempt. `uncalled-pub` runs when the engine supplies `callers`,
-/// its workspace name index.
+/// code is exempt.
 pub(crate) fn run_rules(
     path: &str,
     tokens: &[Token],
     test_ctx: &[bool],
-    callers: Option<Callers<'_>>,
     findings: &mut Vec<Finding>,
 ) {
     debug_assert_eq!(tokens.len(), test_ctx.len());
@@ -218,9 +164,6 @@ pub(crate) fn run_rules(
         && !SANCTIONED_THREAD_FILES.contains(&path)
     {
         thread_spawn_discipline(path, tokens, &live, findings);
-    }
-    if let Some(callers) = callers.filter(|_| in_library(path)) {
-        uncalled_pub(path, tokens, &live, callers, findings);
     }
 }
 
@@ -503,118 +446,6 @@ fn thread_spawn_discipline(
                      chunked executor (deterministic at any thread count) \
                      or justify the seam with an allow",
                     tokens[i + 3].text
-                ),
-            ));
-        }
-    }
-}
-
-/// The item `pub` at `at` declares, as `(kind, name)`: `fn`, `struct`,
-/// `enum`, `trait`, `const` or `type` after any `const` / `unsafe` /
-/// `async` / `extern "abi"` qualifiers. Restricted visibility
-/// (`pub(crate)`, `pub(super)`) and fields, modules, uses and statics are
-/// not items this rule counts.
-fn declared_item(tokens: &[Token], at: usize) -> Option<(&str, &Token)> {
-    const KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "type"];
-    const QUALIFIERS: &[&str] = &["fn", "const", "unsafe", "async", "extern"];
-    let mut i = at + 1;
-    loop {
-        let (tok, next) = (tokens.get(i)?, tokens.get(i + 1)?);
-        let named = next.kind == TokenKind::Ident && !QUALIFIERS.contains(&next.text.as_str());
-        if tok.kind == TokenKind::Ident && KINDS.contains(&tok.text.as_str()) && named {
-            return Some((tok.text.as_str(), next)).filter(|_| next.text != "_");
-        }
-        let qualifier = tok.kind == TokenKind::Ident && QUALIFIERS.contains(&tok.text.as_str());
-        if !(qualifier || tok.kind == TokenKind::Literal) {
-            return None;
-        }
-        i += 1;
-    }
-}
-
-/// Each `impl` block as `(self type, body)`: the self type is the token
-/// of the last identifier outside angle brackets in the header
-/// (`impl<T> Foo<T>` and `impl fmt::Display for Foo` are both `Foo`), and
-/// the body runs from the block's `{` to its `}`. An `impl` in argument or
-/// return position opens no block.
-pub(crate) fn impl_blocks(tokens: &[Token]) -> Vec<(Option<usize>, usize, usize)> {
-    let mut blocks = Vec::new();
-    for (i, tok) in tokens.iter().enumerate() {
-        let at_item =
-            i == 0 || ["}", ";", "]", "{", "unsafe"].contains(&tokens[i - 1].text.as_str());
-        if !(tok.is_ident("impl") && at_item) {
-            continue;
-        }
-        let (mut depth, mut self_ty, mut in_where, mut j) = (0, None, false, i + 1);
-        while let Some(t) = tokens.get(j).filter(|t| depth > 0 || !t.is_punct('{')) {
-            match t.text.as_str() {
-                "<" => depth += 1,
-                ">" if !tokens[j - 1].is_punct('-') => depth -= 1,
-                "where" => in_where = true,
-                "for" => {}
-                _ if depth == 0 && !in_where && t.kind == TokenKind::Ident => self_ty = Some(j),
-                _ => {}
-            }
-            j += 1;
-        }
-        if let Some(close) = matching(tokens, j, '{', '}') {
-            blocks.push((self_ty, j, close));
-        }
-    }
-    blocks
-}
-
-/// Per token, the self type of the innermost `impl` block it sits in
-/// ([`impl_blocks`]).
-fn impl_types(tokens: &[Token]) -> Vec<Option<&str>> {
-    let mut types = vec![None; tokens.len()];
-    for (self_ty, open, close) in impl_blocks(tokens) {
-        types[open..close].fill(self_ty.map(|t| tokens[t].text.as_str()));
-    }
-    types
-}
-
-/// A `pub fn` counts as called only where another file calls it
-/// ([`call_shaped`], qualified by its `impl`'s type or by none) or imports
-/// it and names it outside the `use`; the other item kinds count wherever
-/// another file names them. Unit tests and `impl` headers mention nothing
-/// ([`NameIndex`]).
-fn uncalled_pub(
-    path: &str,
-    tokens: &[Token],
-    live: &dyn Fn(usize) -> bool,
-    callers: Callers<'_>,
-    findings: &mut Vec<Finding>,
-) {
-    let impl_types = impl_types(tokens);
-    for (i, tok) in tokens.iter().enumerate() {
-        if !(tok.is_ident("pub") && live(i)) {
-            continue;
-        }
-        let Some((kind, name)) = declared_item(tokens, i) else {
-            continue;
-        };
-        let n = name.text.as_str();
-        let qualified = Mention::Called(impl_types[i], n);
-        // A `use` line (a `pub use` re-export included) calls nothing,
-        // except for a trait: importing one is how its methods are called.
-        let mentions = match kind {
-            "fn" => [Mention::Called(None, n), qualified],
-            "trait" => [Mention::Named(n), Mention::Use(n)],
-            _ => [Mention::Named(n); 2],
-        };
-        let imported = kind == "fn" && callers.index.imported_elsewhere(callers.file, n);
-        if !(imported || callers.index.elsewhere(callers.file, &mentions)) {
-            let shape = if kind == "fn" { "called" } else { "named" };
-            findings.push(finding(
-                path,
-                name.line,
-                "uncalled-pub",
-                format!(
-                    "pub {kind} `{}` is {shape} in no other first-party file: \
-                     delete it, demote it, or state why it must stay public \
-                     with an allow",
-                    name.text
                 ),
             ));
         }

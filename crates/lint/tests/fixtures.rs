@@ -6,7 +6,7 @@
 //! `tests/fixtures/` and are linted under synthetic workspace-relative paths,
 //! since path decides which rules are in scope.
 
-use prochlo_lint::{lint_files, lint_source, Finding};
+use prochlo_lint::{lint_source, Finding};
 
 const HASH_FIRING: &str = include_str!("fixtures/hash_iter_firing.rs");
 const HASH_CLEAN: &str = include_str!("fixtures/hash_iter_clean.rs");
@@ -26,27 +26,6 @@ const WALLCLOCK_SUPPRESSED: &str = include_str!("fixtures/wallclock_suppressed.r
 const THREAD_FIRING: &str = include_str!("fixtures/thread_spawn_firing.rs");
 const THREAD_CLEAN: &str = include_str!("fixtures/thread_spawn_clean.rs");
 const THREAD_SUPPRESSED: &str = include_str!("fixtures/thread_spawn_suppressed.rs");
-const UNCALLED_FIRING: &str = include_str!("fixtures/uncalled_pub_firing.rs");
-const UNCALLED_CLEAN: &str = include_str!("fixtures/uncalled_pub_clean.rs");
-const UNCALLED_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_suppressed.rs");
-const USE_ONLY_FIRING: &str = include_str!("fixtures/uncalled_pub_use_firing.rs");
-const USE_ONLY_CLEAN: &str = include_str!("fixtures/uncalled_pub_use_clean.rs");
-const USE_ONLY_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_use_suppressed.rs");
-const CALL_FIRING: &str = include_str!("fixtures/uncalled_pub_call_firing.rs");
-const CALL_CLEAN: &str = include_str!("fixtures/uncalled_pub_call_clean.rs");
-const CALL_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_call_suppressed.rs");
-const UNIT_TEST_FIRING: &str = include_str!("fixtures/uncalled_pub_unit_test_firing.rs");
-const UNIT_TEST_CLEAN: &str = include_str!("fixtures/uncalled_pub_unit_test_clean.rs");
-const UNIT_TEST_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_unit_test_suppressed.rs");
-const IMPL_FIRING: &str = include_str!("fixtures/uncalled_pub_impl_firing.rs");
-const IMPL_CLEAN: &str = include_str!("fixtures/uncalled_pub_impl_clean.rs");
-const IMPL_SUPPRESSED: &str = include_str!("fixtures/uncalled_pub_impl_suppressed.rs");
-const VALUE_CLEAN: &str = include_str!("fixtures/uncalled_pub_value_clean.rs");
-
-/// An integration test naming the clean fixture's public items: a caller in
-/// another file is what keeps a `pub` item alive.
-const UNCALLED_CALLER: &str = "fn t() { let w: Wrapper = called_helper(); }\n";
-
 /// `(rule, line)` pairs, in reporting order, for readable assertions.
 fn shape(findings: &[Finding]) -> Vec<(&str, u32)> {
     findings.iter().map(|f| (f.rule, f.line)).collect()
@@ -228,300 +207,6 @@ fn thread_spawn_discipline_sanctions_executor_and_service() {
 fn thread_spawn_discipline_clean_and_suppressed() {
     assert_clean("crates/core/src/fixture.rs", THREAD_CLEAN);
     assert_clean("crates/core/src/fixture.rs", THREAD_SUPPRESSED);
-}
-
-#[test]
-fn uncalled_pub_fires_on_every_item_kind() {
-    let findings = lint_files(&[("crates/core/src/fixture.rs", UNCALLED_FIRING)]);
-    assert_eq!(
-        shape(&findings),
-        [
-            ("uncalled-pub", 1),  // fn
-            ("uncalled-pub", 5),  // const
-            ("uncalled-pub", 7),  // const unsafe fn
-            ("uncalled-pub", 9),  // struct
-            ("uncalled-pub", 13), // type
-            ("uncalled-pub", 14), // trait
-            ("uncalled-pub", 15), // enum
-        ]
-    );
-    assert!(
-        findings[0].message.contains("orphan_helper"),
-        "{findings:?}"
-    );
-    // The examples crate's library is a library target too.
-    let findings = lint_files(&[("examples/src/lib.rs", UNCALLED_FIRING)]);
-    assert_eq!(findings.len(), 7, "{findings:?}");
-}
-
-#[test]
-fn uncalled_pub_is_scoped_to_library_targets() {
-    // Binaries, benches and tests are not libraries: nothing else can call
-    // their items. Test code inside a library is exempt like everywhere.
-    for path in [
-        "crates/core/src/main.rs",
-        "crates/bench/src/bin/tool/main.rs",
-        "crates/bench/benches/fixture.rs",
-        "crates/core/tests/fixture.rs",
-        "examples/src/bin/demo.rs",
-    ] {
-        let findings = lint_files(&[(path, UNCALLED_FIRING)]);
-        assert!(findings.is_empty(), "{path}: {findings:?}");
-    }
-    let in_tests = in_test_module(UNCALLED_FIRING);
-    assert!(lint_files(&[("crates/core/src/fixture.rs", in_tests.as_str())]).is_empty());
-    // The rule needs the other files, so linting one file alone skips it.
-    assert_clean("crates/core/src/fixture.rs", UNCALLED_FIRING);
-}
-
-#[test]
-fn uncalled_pub_clean_and_suppressed() {
-    // Restricted visibility, fields, modules, statics and test helpers are
-    // not counted; the public items have a caller in another file.
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", UNCALLED_CLEAN),
-        ("crates/core/tests/caller.rs", UNCALLED_CALLER),
-    ]);
-    assert!(findings.is_empty(), "{findings:?}");
-    let findings = lint_files(&[("crates/core/src/fixture.rs", UNCALLED_SUPPRESSED)]);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn uncalled_pub_ignores_names_in_comments_and_strings() {
-    // A mention is not a call: another file that names the items only in a
-    // comment and a string leaves both uncalled.
-    let mention = "// called_helper builds one\nconst S: &str = \"Wrapper\";\n";
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", UNCALLED_CLEAN),
-        ("crates/core/tests/caller.rs", mention),
-    ]);
-    assert_eq!(
-        shape(&findings),
-        [("uncalled-pub", 1), ("uncalled-pub", 6)],
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn uncalled_pub_does_not_count_use_items_as_callers() {
-    // A crate root that re-exports both items calls neither of them.
-    let root = "pub use crate::fixture::{\n    imported_helper,\n    Reexported,\n};\n";
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", USE_ONLY_FIRING),
-        ("crates/core/src/lib.rs", root),
-    ]);
-    assert_eq!(
-        shape(&findings),
-        [("uncalled-pub", 1), ("uncalled-pub", 5)],
-        "{findings:?}"
-    );
-    // One mention outside a `use` item, in any file, is a caller.
-    let caller =
-        "use crate::fixture::imported_helper;\nfn t() -> u32 { imported_helper().field }\n";
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", USE_ONLY_FIRING),
-        ("crates/core/src/lib.rs", root),
-        ("crates/core/tests/caller.rs", caller),
-    ]);
-    assert_eq!(shape(&findings), [("uncalled-pub", 1)], "{findings:?}");
-}
-
-#[test]
-fn uncalled_pub_use_items_clean_and_suppressed() {
-    // A trait imported for its methods is called where the methods are:
-    // its name need appear only in the `use` line.
-    let caller = "use crate::fixture::{Counted, Describe};\n\
-                  fn t() -> String { Counted.describe() }\n";
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", USE_ONLY_CLEAN),
-        ("crates/core/tests/caller.rs", caller),
-    ]);
-    assert!(findings.is_empty(), "{findings:?}");
-    let root = "pub use crate::fixture::Reexported;\n";
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", USE_ONLY_SUPPRESSED),
-        ("crates/core/src/lib.rs", root),
-    ]);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn uncalled_pub_counts_only_call_shaped_mentions_of_a_fn() {
-    // The other file holds both fn names, so a name index would count
-    // them: `history` as a field read and a variable, `perms` as another
-    // type's fn. Neither is a call of these fns.
-    let caller = "fn t(config: &Config) -> usize {\n\
-                  let history = config.history;\n\
-                  let _ = Privacy::perms();\n\
-                  summarize(config) + history\n\
-                  }\n";
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", CALL_FIRING),
-        ("crates/core/tests/caller.rs", caller),
-    ]);
-    assert_eq!(
-        shape(&findings),
-        [("uncalled-pub", 6), ("uncalled-pub", 10)],
-        "{findings:?}"
-    );
-    assert!(
-        findings[0].message.contains("`history` is called"),
-        "{findings:?}"
-    );
-    // A method call, and a path qualified by the fn's own type, call them.
-    let caller = "fn t(config: &Config) -> usize {\n\
-                  Config::perms().history() + summarize(config)\n\
-                  }\n";
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", CALL_FIRING),
-        ("crates/core/tests/caller.rs", caller),
-    ]);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn uncalled_pub_call_shapes_clean_and_suppressed() {
-    // A path to the fn taken as a value, a method call, and a bare call
-    // after a `use` all call; the `Display` impl's `fmt` is not public.
-    let caller = "use crate::fixture::total;\n\
-                  fn t() -> u32 {\n\
-                  let make: fn() -> Registry = Registry::empty;\n\
-                  let registry = make();\n\
-                  registry.entries().len() as u32 + total(&registry)\n\
-                  }\n";
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", CALL_CLEAN),
-        ("crates/core/tests/caller.rs", caller),
-    ]);
-    assert!(findings.is_empty(), "{findings:?}");
-    let caller = "fn t(config: &Config) -> usize { config.history }\n";
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", CALL_SUPPRESSED),
-        ("crates/core/tests/caller.rs", caller),
-    ]);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-/// Another library file whose unit tests call both of the unit-test
-/// fixtures' fns.
-const UNIT_TEST_CALLER: &str = "#[cfg(test)]\n\
-                                mod tests {\n\
-                                use crate::fixture::{checksum, encode};\n\
-                                #[test]\n\
-                                fn appends_the_checksum() {\n\
-                                assert_eq!(encode(b\"a\").len(), 5);\n\
-                                assert_eq!(checksum(b\"ab\"), 195);\n\
-                                }\n\
-                                }\n";
-
-/// A binary: production code, and a caller of `encode`.
-const ENCODE_BIN: &str = "fn main() {\n\
-                          println!(\"{:?}\", prochlo_core::fixture::encode(b\"x\"));\n\
-                          }\n";
-
-#[test]
-fn uncalled_pub_does_not_count_unit_tests_as_callers() {
-    // A unit test can reach private items, so its call never makes a fn
-    // public: `checksum` fires although another file's tests call it.
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", UNIT_TEST_FIRING),
-        ("crates/core/src/other.rs", UNIT_TEST_CALLER),
-        ("crates/core/src/bin/tool.rs", ENCODE_BIN),
-    ]);
-    assert_eq!(shape(&findings), [("uncalled-pub", 1)], "{findings:?}");
-    assert!(findings[0].message.contains("checksum"), "{findings:?}");
-}
-
-#[test]
-fn uncalled_pub_unit_tests_clean_and_suppressed() {
-    // The same test in a tests/ tree is an integration test: another
-    // crate's view of the library, and a caller.
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", UNIT_TEST_FIRING),
-        ("crates/core/tests/caller.rs", UNIT_TEST_CALLER),
-        ("crates/core/src/bin/tool.rs", ENCODE_BIN),
-    ]);
-    assert!(findings.is_empty(), "{findings:?}");
-    // A helper only unit tests call is `pub(crate)`.
-    for fixture in [UNIT_TEST_CLEAN, UNIT_TEST_SUPPRESSED] {
-        let findings = lint_files(&[
-            ("crates/core/src/fixture.rs", fixture),
-            ("crates/core/src/other.rs", UNIT_TEST_CALLER),
-            ("crates/core/src/bin/tool.rs", ENCODE_BIN),
-        ]);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-}
-
-/// Another library file holding `impl` blocks of `Ledger`, which name it
-/// nowhere else.
-const LEDGER_IMPLS: &str = "use crate::fixture::Ledger;\n\
-                            impl Ledger {\n\
-                            pub(crate) fn push(&mut self, entry: u64) {\n\
-                            self.entries.push(entry);\n\
-                            }\n\
-                            }\n\
-                            impl Default for Ledger {\n\
-                            fn default() -> Self {\n\
-                            crate::fixture::ledger()\n\
-                            }\n\
-                            }\n";
-
-#[test]
-fn uncalled_pub_does_not_count_impl_headers_as_mentions() {
-    // A type's own `impl` blocks, inherent or of a trait, do not use it.
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", IMPL_FIRING),
-        ("crates/core/src/ledger.rs", LEDGER_IMPLS),
-    ]);
-    assert_eq!(shape(&findings), [("uncalled-pub", 1)], "{findings:?}");
-    assert!(findings[0].message.contains("`Ledger`"), "{findings:?}");
-}
-
-#[test]
-fn uncalled_pub_impl_headers_clean_and_suppressed() {
-    // A signature that names the type is a mention.
-    let caller = "fn t(ledger: &prochlo_core::fixture::Ledger) -> u64 {\n\
-                  prochlo_core::fixture::total(ledger)\n\
-                  }\n";
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", IMPL_CLEAN),
-        ("crates/core/src/ledger.rs", LEDGER_IMPLS),
-        ("crates/core/tests/caller.rs", caller),
-    ]);
-    assert!(findings.is_empty(), "{findings:?}");
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", IMPL_SUPPRESSED),
-        ("crates/core/src/ledger.rs", LEDGER_IMPLS),
-    ]);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn uncalled_pub_counts_an_imported_fn_passed_as_a_value() {
-    // `filter_map(parse_line)` calls nothing itself, but a fn imported by
-    // name and named outside the `use` is called or passed there.
-    let caller = "use prochlo_core::fixture::parse_line;\n\
-                  fn main() {\n\
-                  let total: u32 = \"metric 1\".lines().filter_map(parse_line).sum();\n\
-                  println!(\"{total}\");\n\
-                  }\n";
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", VALUE_CLEAN),
-        ("crates/bench/src/bin/compare.rs", caller),
-    ]);
-    assert!(findings.is_empty(), "{findings:?}");
-    // Not imported, the same spelling is a variable: no caller.
-    let shadow = "fn main() {\n\
-                  let parse_line = 3;\n\
-                  println!(\"{}\", parse_line);\n\
-                  }\n";
-    let findings = lint_files(&[
-        ("crates/core/src/fixture.rs", VALUE_CLEAN),
-        ("crates/bench/src/bin/compare.rs", shadow),
-    ]);
-    assert_eq!(shape(&findings), [("uncalled-pub", 1)], "{findings:?}");
 }
 
 #[test]

@@ -11,12 +11,12 @@
 //! path it replaces.
 //!
 //! Every frame leaves through the one frame writer,
-//! [`prochlo_core::framing::write_frame_vectored`]: [`Conn::queue_body`]
+//! [`prochlo_core::framing::write_frame_vectored`]: `Conn::queue_body`
 //! copies a body into the write buffer once, and [`send_frame`] hands the
 //! stack-held header and the caller's bytes to the socket as one vectored
 //! write per attempt, with no intermediate frame. Reads keep one `READ_CHUNK` of room; a frame longer than that is
 //! read into its own exactly-sized buffer (see [`FrameAccumulator`]) and
-//! [`Conn::take_frame`] hands it over without a copy.
+//! `Conn::take_frame` hands it over without a copy.
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -68,7 +68,7 @@ impl Conn {
     /// format's own `u32` ceiling, mirroring the blocking protocol writers
     /// (a service must be able to answer with frames larger than the
     /// inbound cap, e.g. stats snapshots).
-    pub fn new(stream: TcpStream, policy: FramePolicy) -> io::Result<Self> {
+    pub(crate) fn new(stream: TcpStream, policy: FramePolicy) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
         Ok(Self {
             stream,
@@ -80,7 +80,7 @@ impl Conn {
     }
 
     /// The underlying stream (for reactor registration and peer lookup).
-    pub fn stream(&self) -> &TcpStream {
+    pub(crate) fn stream(&self) -> &TcpStream {
         &self.stream
     }
 
@@ -92,7 +92,7 @@ impl Conn {
     /// learning `WouldBlock`. Walk the completed frames with
     /// [`Self::next_frame`] afterwards; on [`ConnStatus::PeerClosed`] the
     /// frames received before the close are still there to walk.
-    pub fn on_readable(&mut self) -> Result<ConnStatus, FrameError> {
+    pub(crate) fn on_readable(&mut self) -> Result<ConnStatus, FrameError> {
         loop {
             match self.acc.read_from(&mut self.stream, READ_CHUNK) {
                 Ok(0) => return Ok(ConnStatus::PeerClosed),
@@ -110,38 +110,38 @@ impl Conn {
     /// hold no further complete frame. Policy violations (oversized
     /// announcement, wrong version) surface as sticky errors where they sit
     /// in the stream: the frames completed before one are returned first.
-    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
+    pub(crate) fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
         self.acc.next_frame()
     }
 
     /// [`Self::next_frame`] by value: a body from the shared read buffer is
     /// copied out, a frame longer than the read chunk is handed over in the
     /// exactly-sized buffer it was read into.
-    pub fn take_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+    pub(crate) fn take_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
         self.acc.take_frame()
     }
 
     /// Queues one outbound frame (`[u32 len][version][body]`) behind any
     /// bytes still awaiting flush.
-    pub fn queue_body(&mut self, body: &[u8]) -> Result<(), FrameError> {
+    pub(crate) fn queue_body(&mut self, body: &[u8]) -> Result<(), FrameError> {
         self.write_buf.write_frame(&self.write_policy, body)
     }
 
     /// Whether queued bytes are still waiting on the socket — the signal
     /// for keeping write interest registered.
-    pub fn wants_write(&self) -> bool {
+    pub(crate) fn wants_write(&self) -> bool {
         self.write_pos < self.write_buf.len()
     }
 
     /// Bytes queued but not yet accepted by the socket.
-    pub fn pending_write(&self) -> usize {
+    pub(crate) fn pending_write(&self) -> usize {
         self.write_buf.len() - self.write_pos
     }
 
     /// Pushes queued bytes into the socket until drained or it would
     /// block. A peer that stopped accepting bytes and closed surfaces as
     /// [`FrameError::Closed`].
-    pub fn flush(&mut self) -> Result<FlushStatus, FrameError> {
+    pub(crate) fn flush(&mut self) -> Result<FlushStatus, FrameError> {
         while self.write_pos < self.write_buf.len() {
             // prochlo-lint: allow(panic-on-wire, "bounds proven: write_pos < write_buf.len() is the loop condition, and both are service-controlled")
             match self.stream.write(&self.write_buf[self.write_pos..]) {

@@ -84,12 +84,12 @@ impl Interest {
         write: false,
     };
     /// Write readiness only.
-    pub const WRITE: Self = Self {
+    pub(crate) const WRITE: Self = Self {
         read: false,
         write: true,
     };
     /// Both read and write readiness.
-    pub const READ_WRITE: Self = Self {
+    pub(crate) const READ_WRITE: Self = Self {
         read: true,
         write: true,
     };
@@ -97,7 +97,7 @@ impl Interest {
 
 /// Handle for one registered source, returned by [`Reactor::register`] and
 /// echoed back in every [`Event`]. Tokens are generation-stamped: a token
-/// kept past its [`Reactor::deregister`] goes permanently stale and is
+/// kept past its `Reactor::deregister` goes permanently stale and is
 /// ignored, even after the slab slot is recycled for a new source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Token {
@@ -136,7 +136,7 @@ pub struct Waker {
 impl Waker {
     /// Wakes the reactor. Never blocks: a full wake pipe already guarantees
     /// the next poll turn returns immediately.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         use std::io::Write;
         let _ = (&*self.tx).write(&[1u8]);
     }
@@ -191,16 +191,14 @@ impl Reactor {
     }
 
     /// A wake handle for this reactor, shareable across threads.
-    pub fn waker(&self) -> Waker {
+    pub(crate) fn waker(&self) -> Waker {
         self.waker.clone()
     }
 
     /// Registers a source with an initial interest. The source itself is
-    /// not stored; the caller keeps ownership and must [`deregister`]
+    /// not stored; the caller keeps ownership and must `deregister` it
     /// before closing it (a closed fd in the poll set is reported readable
     /// with `POLLNVAL`, which surfaces as a read error, not a crash).
-    ///
-    /// [`deregister`]: Reactor::deregister
     pub fn register<S: Source>(&mut self, source: &S, interest: Interest) -> Token {
         let entry = Entry {
             fd: source.as_raw_fd(),
@@ -230,7 +228,7 @@ impl Reactor {
 
     /// Replaces the interest of a registered source. Stale tokens are
     /// ignored.
-    pub fn set_interest(&mut self, token: Token, interest: Interest) {
+    pub(crate) fn set_interest(&mut self, token: Token, interest: Interest) {
         if let Some(entry) = self.entry_mut(token) {
             entry.interest = interest;
         }
@@ -240,7 +238,7 @@ impl Reactor {
     /// now. When it expires before any readiness, the next poll turn
     /// reports a `timed_out` event and the deadline disarms; callers re-arm
     /// on progress or evict on expiry. Stale tokens are ignored.
-    pub fn set_deadline(&mut self, token: Token, deadline: Option<Duration>) {
+    pub(crate) fn set_deadline(&mut self, token: Token, deadline: Option<Duration>) {
         let at = deadline.map(|d| Instant::now() + d);
         if let Some(entry) = self.entry_mut(token) {
             entry.deadline = at;
@@ -251,7 +249,7 @@ impl Reactor {
     /// disarms, so after a turn that reported `timed_out` for `token` this
     /// is `true` only if the owner re-armed it since. Stale tokens are not
     /// armed.
-    pub fn deadline_armed(&self, token: Token) -> bool {
+    pub(crate) fn deadline_armed(&self, token: Token) -> bool {
         let slot = self.slots.get(token.index);
         slot.is_some_and(|s| {
             s.generation == token.generation
@@ -262,7 +260,7 @@ impl Reactor {
     /// Removes a source from the poll set, retiring its token: the slot is
     /// recycled under a new generation, so the retired token goes stale
     /// rather than aliasing the slot's next occupant.
-    pub fn deregister(&mut self, token: Token) {
+    pub(crate) fn deregister(&mut self, token: Token) {
         let Some(slot) = self.slots.get_mut(token.index) else {
             return;
         };

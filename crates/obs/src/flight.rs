@@ -42,7 +42,7 @@ impl std::fmt::Debug for FlightRecorder {
 
 impl FlightRecorder {
     /// Open (append/create) the sink at `path`.
-    pub fn open(path: &Path) -> std::io::Result<Self> {
+    pub(crate) fn open(path: &Path) -> std::io::Result<Self> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(FlightRecorder {
             file: Mutex::new(file),

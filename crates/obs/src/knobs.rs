@@ -15,7 +15,6 @@ use std::str::FromStr;
 
 /// A knob that is set to a value its reader cannot use.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// prochlo-lint: allow(uncalled-pub, "the error type of read and parse; callers map it by its fields and Display without naming it")
 pub struct InvalidKnob {
     /// The environment variable.
     pub name: String,

@@ -146,9 +146,8 @@ impl Counter {
     }
 }
 
-/// A point-in-time level (queue depth, EPC bytes in use). Signed so that
-/// matched `add`/`sub` pairs can momentarily cross zero under races
-/// without wrapping.
+/// A point-in-time level (queue depth, EPC bytes in use), set outright or
+/// ratcheted up to a peak.
 #[derive(Clone, Debug)]
 pub struct Gauge {
     enabled: Arc<AtomicBool>,
@@ -164,20 +163,6 @@ impl Gauge {
         }
     }
 
-    /// Raise the level by `n`.
-    #[inline]
-    pub fn add(&self, n: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.value.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Lower the level by `n`.
-    #[inline]
-    pub fn sub(&self, n: i64) {
-        self.add(-n);
-    }
-
     /// Ratchet the level up to `v` if `v` is higher (peak tracking).
     #[inline]
     pub fn set_max(&self, v: i64) {
@@ -187,7 +172,7 @@ impl Gauge {
     }
 
     /// Current level.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.cell.value.load(Ordering::Relaxed)
     }
 }

@@ -32,18 +32,6 @@
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Unmeasured<T>(pub T);
 
-impl<T> Unmeasured<T> {
-    /// Wrap a measured value.
-    pub fn new(value: T) -> Self {
-        Unmeasured(value)
-    }
-
-    /// Unwrap back to the measured value.
-    pub fn into_inner(self) -> T {
-        self.0
-    }
-}
-
 impl<T> PartialEq for Unmeasured<T> {
     /// Always equal: measurements never participate in replay equality.
     fn eq(&self, _other: &Self) -> bool {
@@ -79,7 +67,7 @@ mod tests {
     #[test]
     fn always_equal_regardless_of_value() {
         assert_eq!(Unmeasured(1.0), Unmeasured(2.0));
-        assert_eq!(Unmeasured::new("a"), Unmeasured::new("b"));
+        assert_eq!(Unmeasured("a"), Unmeasured("b"));
     }
 
     #[test]
@@ -87,6 +75,7 @@ mod tests {
         let mut u = Unmeasured(vec![1, 2]);
         u.push(3);
         assert_eq!(*u, vec![1, 2, 3]);
-        assert_eq!(u.into_inner(), vec![1, 2, 3]);
+        let Unmeasured(inner) = u;
+        assert_eq!(inner, vec![1, 2, 3]);
     }
 }

@@ -18,7 +18,6 @@ use crate::enclave::Enclave;
 
 /// Errors produced when generating or verifying attestation material.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// prochlo-lint: allow(uncalled-pub, "the error type of QuoteVerifier::verify; callers match on it without naming it")
 pub enum AttestationError {
     /// The CPU certificate was not signed by the trusted root.
     UntrustedCpu,

@@ -66,7 +66,6 @@ impl std::error::Error for EnclaveError {}
 
 /// One observable boundary event (what the untrusted host can see).
 #[derive(Debug, Clone, PartialEq, Eq)]
-// prochlo-lint: allow(uncalled-pub, "the element type Enclave::trace returns; the Stash Shuffle's trace tests compare it without naming it")
 pub struct TraceEvent {
     /// A label describing the operation (e.g. "read-input-bucket").
     pub label: &'static str,
@@ -172,11 +171,6 @@ impl Enclave {
     /// The enclave measurement (hash of the loaded code identity).
     pub fn measurement(&self) -> [u8; 32] {
         self.measurement
-    }
-
-    /// The configuration the enclave was launched with.
-    pub fn config(&self) -> &EnclaveConfig {
-        &self.config
     }
 
     /// Charges `bytes` of private memory, failing if the budget would be
@@ -300,7 +294,6 @@ impl Enclave {
 /// memory. Dropping a worker releases whatever it still holds, so a failed
 /// parallel phase cannot leak accounting.
 #[derive(Debug)]
-// prochlo-lint: allow(uncalled-pub, "what WorkerPool::with_exact lends its closure; the Stash Shuffle charges it without naming it")
 pub struct EnclaveWorker {
     enclave: Enclave,
     budget: usize,
@@ -438,16 +431,6 @@ impl BoundaryLog {
         });
     }
 
-    /// Number of buffered operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the log holds no operations.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// Replays the buffered operations, in recording order, against the
     /// enclave's live accounting (and trace, when enabled).
     pub fn commit(self, enclave: &Enclave) {
@@ -483,7 +466,7 @@ mod tests {
     #[test]
     fn default_budget_matches_paper() {
         let e = Enclave::with_default_config();
-        assert_eq!(e.config().private_memory_bytes, 92 * 1024 * 1024);
+        assert_eq!(e.config.private_memory_bytes, 92 * 1024 * 1024);
     }
 
     #[test]
@@ -766,10 +749,10 @@ mod tests {
     fn boundary_log_commits_in_recording_order() {
         let e = small_enclave(1000);
         let mut log = BoundaryLog::new();
-        assert!(log.is_empty());
+        assert!(log.ops.is_empty());
         log.copy_in("read", 3, 10);
         log.copy_out("write", 4, 20);
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.ops.len(), 2);
         log.commit(&e);
         let m = e.metrics();
         assert_eq!((m.bytes_in, m.bytes_out), (10, 20));

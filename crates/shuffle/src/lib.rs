@@ -36,10 +36,10 @@ pub use stash::{StashShuffle, StashShuffleOutput, StashShuffleParams};
 pub const PAPER_RECORD_BYTES: usize = 318;
 
 /// A batch of equal-length opaque records to be shuffled.
-pub type Records = Vec<Vec<u8>>;
+pub(crate) type Records = Vec<Vec<u8>>;
 
 /// Checks that all records have the same length and returns it.
-pub fn uniform_record_len(records: &[Vec<u8>]) -> Result<usize, ShuffleError> {
+pub(crate) fn uniform_record_len(records: &[Vec<u8>]) -> Result<usize, ShuffleError> {
     let Some(first) = records.first() else {
         return Ok(0);
     };

@@ -53,7 +53,6 @@ pub use params::{StashShuffleParams, Table1Scenario};
 
 /// Result of a successful Stash Shuffle run.
 #[derive(Debug, Clone)]
-// prochlo-lint: allow(uncalled-pub, "the return type of StashShuffle::shuffle; callers read its fields without naming it")
 pub struct StashShuffleOutput {
     /// The shuffled records.
     pub records: Records,
@@ -78,7 +77,7 @@ pub struct StashFailures {
     /// The final `K`-per-bucket drain left records in the stash.
     pub stash_undrained: usize,
     /// The compression queue would have outgrown
-    /// [`StashShuffleParams::queue_capacity`].
+    /// `StashShuffleParams::queue_capacity`.
     pub queue_overflow: usize,
     /// An output bucket was due and the queue held fewer than `D` records.
     pub window_underflow: usize,
@@ -86,7 +85,7 @@ pub struct StashFailures {
 
 impl StashFailures {
     /// Total failed attempts.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.stash_overflow + self.stash_undrained + self.queue_overflow + self.window_underflow
     }
 
@@ -152,11 +151,6 @@ impl StashShuffle {
     pub fn with_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads.max(1);
         self
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> &StashShuffleParams {
-        &self.params
     }
 
     /// The enclave used for accounting.
@@ -618,7 +612,7 @@ mod tests {
         Result<Intermediate, AttemptFailure>,
     ) {
         let shuffler = test_shuffler(n);
-        let mut layout = Layout::new(shuffler.params(), n, 16);
+        let mut layout = Layout::new(&shuffler.params, n, 16);
         tweak(&mut layout);
         let key = AeadKey::random(&mut StdRng::seed_from_u64(14));
         let mid = shuffler.distribute(&records(n, 16), &layout, &key, 15);

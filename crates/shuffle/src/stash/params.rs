@@ -18,7 +18,7 @@
 //!    empirical distribution function, and the one-sided
 //!    Dvoretzky–Kiefer–Wolfowitz inequality (Massart's constant) bounds
 //!    `P(sup deviation > a)` by `exp(−2a²/N)`.
-//!    [`StashShuffleParams::queue_capacity`] therefore gives the queue
+//!    `StashShuffleParams::queue_capacity` therefore gives the queue
 //!    `W·D + ⌈√(40·ln 2·N)⌉ ≈ W·D + 5.27·√N` records, which puts this term
 //!    at 2⁻⁸⁰ for every `N` — below the strongest row of Table 1, so the
 //!    queue never decides ε. (At 2⁻⁶⁴ the slack would be 4.71·√N; the
@@ -64,7 +64,6 @@ pub struct StashShuffleParams {
 
 /// One row of Table 1: a problem size and the parameters used for it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-// prochlo-lint: allow(uncalled-pub, "the element type StashShuffleParams::table1_scenarios returns; table1_stash_params reads its fields without naming it")
 pub struct Table1Scenario {
     /// Problem size `N` in records.
     pub records: usize,
@@ -204,7 +203,7 @@ impl StashShuffleParams {
     /// plus a slack of ≈ 5.27·√N (365 records at N = 4.8 k; ≈ 16.7 k records,
     /// 5.3 MB of 318-byte records, at N = 10 M). An attempt whose queue
     /// would outgrow it fails; [`Self::log2_epsilon`] bounds how often.
-    pub fn queue_capacity(&self, records: usize) -> usize {
+    pub(crate) fn queue_capacity(&self, records: usize) -> usize {
         let (_, d, w) = self.geometry(records);
         w * d + Self::queue_slack(records)
     }
@@ -243,7 +242,7 @@ impl StashShuffleParams {
     /// derive: a bucket pair needing more than `C + S/B` records (cap plus
     /// its share of the stash; Chernoff bound on the Poisson approximation of
     /// the pair load, over all B² pairs), the compression queue outgrowing
-    /// [`Self::queue_capacity`], and the window running dry. The pair term
+    /// `Self::queue_capacity`, and the window running dry. The pair term
     /// tracks the paper's reported values within a handful of bits across
     /// Table 1 and preserves the parameter trends; the queue-overflow term
     /// is 2⁻⁸⁰ at any `N`, the underflow term ≈ 2⁻²⁶⁸ at `W = 4` and Table
@@ -293,7 +292,7 @@ impl StashShuffleParams {
     /// and a partially filled stash. Compression phase: the largest strip
     /// of whole chunks (the last one also carries the drain) of an imported
     /// intermediate bucket that is open at a time, plus the sliding-window
-    /// queue at its bound ([`Self::queue_capacity`]).
+    /// queue at its bound (`Self::queue_capacity`).
     pub fn modeled_private_memory(&self, records: usize, record_bytes: usize) -> usize {
         let d = self.items_per_bucket(records);
         let b = self.num_buckets;

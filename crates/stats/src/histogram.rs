@@ -23,7 +23,7 @@ impl<T: Eq + Hash> Default for Histogram<T> {
 
 impl<T: Eq + Hash> Histogram<T> {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             counts: HashMap::new(),
             total: 0,
@@ -31,7 +31,7 @@ impl<T: Eq + Hash> Histogram<T> {
     }
 
     /// Adds one observation of `item`.
-    pub fn add(&mut self, item: T) {
+    pub(crate) fn add(&mut self, item: T) {
         *self.counts.entry(item).or_insert(0) += 1;
         self.total += 1;
     }

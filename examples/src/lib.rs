@@ -68,7 +68,6 @@ pub fn run_quickstart(seed: u64) -> PipelineReport {
 
 /// What a live-ingestion run produced.
 #[derive(Debug)]
-// prochlo-lint: allow(uncalled-pub, "the return type of run_live_ingest; the live_ingest binary reads its fields without naming it")
 pub struct LiveIngestOutcome {
     /// Collector accounting: ingest counters and per-epoch results.
     pub summary: CollectorSummary,
@@ -161,7 +160,6 @@ pub fn run_live_ingest(
 
 /// What the backpressure demonstration observed.
 #[derive(Debug)]
-// prochlo-lint: allow(uncalled-pub, "the return type of run_backpressure_demo; the live_ingest binary reads its fields without naming it")
 pub struct BackpressureOutcome {
     /// Submissions the collector accepted while its epoch manager was busy
     /// (equals the queue capacity).
