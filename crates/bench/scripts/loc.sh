@@ -16,7 +16,7 @@
 # is a seam where a project invariant is not checked. Raising either
 # ceiling takes an edit here and a written reason in CHANGES.md; lowering it
 # after a PR that shrinks the count keeps the ground gained.
-SYSTEM_CEILING=15971
+SYSTEM_CEILING=15844
 SYSTEM_CRATES='core crypto shuffle collector net fabric obs stats sgx-sim'
 ALLOW_CEILING=23
 cd "$(dirname "$0")/../../.." || exit 1

@@ -1,27 +1,37 @@
 #!/bin/sh
-# The public surface, drawn by rustc: lists every `pub` item in a library
-# target that no other crate needs, and exits 1 when there is one.
+# The public surface, drawn by rustc: lists every `pub` item and named field
+# in a library target that no other crate needs, and exits 1 when there is
+# one.
 #
 #   crates/bench/scripts/surface.sh        # needs cargo and jq
 #
 # It works on a temporary copy of the repository it sits in, with its own
 # CARGO_TARGET_DIR, and leaves the repository untouched:
 #
-# 1. Every plain `pub` fn, struct, enum, trait, const and type in a library
-#    target is demoted to `pub(crate)`. Library targets are the `src/` trees
-#    of crates/* and examples/, less `main.rs` and `bin/`; a file's unit
-#    tests (from its first column-0 `#[cfg(test)]`) are left alone, and so
-#    are modules, uses, statics and fields.
+# 1. Every plain `pub` fn, struct, enum, trait, const and type, and every
+#    plain `pub` named field, in a library target is demoted to
+#    `pub(crate)`. Library targets are the `src/` trees of crates/* and
+#    examples/, less `main.rs` and `bin/`; a file's unit tests (from its
+#    first column-0 `#[cfg(test)]`) are left alone, and so are modules,
+#    uses, statics and tuple fields. A field is named `Struct.field` after
+#    the last `struct` declared above it.
 # 2. `cargo check --workspace --all-targets` runs until it stops needing a
 #    restore. Each round restores every demoted item that an error, or a
 #    `private_interfaces` / `private_bounds` warning, points at with any of
 #    its spans. A `pub use` of a demoted item (E0364, E0365) points at the
-#    `use`, so there the item is found by name within the crate. A round
-#    whose diagnostics match no demoted item prints them and exits 2: the
-#    tree does not compile, or this script meets a shape it cannot map.
-# 3. At the fixpoint it prints the items still demoted, then those of them
-#    that rustc's `dead_code` reports outside unit tests, and the round count
-#    and seconds. Both lists empty is exit 0.
+#    `use`, so there the item is found by name within the crate. A private
+#    field's error points at the reader, so the field is found by crate,
+#    struct and field name: E0616 and E0451 name the fields ("fields `a`
+#    and `b` of struct `S` are private"), and "cannot construct `S` ... due
+#    to private fields" restores every field of `S`. rustc prefixes the
+#    struct's crate (`prochlo_core::S`) when two visible structs share its
+#    name; a bare name matches `S` in every crate, so two crates that both
+#    declare `S.f` would have both restored. A round whose diagnostics
+#    match nothing demoted prints them and exits 2: the tree does not
+#    compile, or this script meets a shape it cannot map.
+# 3. At the fixpoint it prints the items and fields still demoted, then
+#    those of them that rustc's `dead_code` reports outside unit tests, and
+#    the counts, round count and seconds. Both lists empty is exit 0.
 #
 # Delete what is dead; move what only unit tests use into the tests module;
 # demote the rest to `pub(crate)`. Doctests are not checked: run
@@ -38,21 +48,37 @@ tar -C "$repo" --exclude=.git --exclude=target --exclude=.bench_build -cf - . | 
 cd "$work/repo"
 export CARGO_TARGET_DIR="$work/target"
 
-# Step 1: demote, and write one `file:line kind name` line per item.
+# Step 1: demote, and write one `file:line kind name` line per item and
+# one `file:line field Struct.field` line per field.
 find crates/*/src examples/src -name '*.rs' ! -path '*/src/main.rs' ! -path '*/bin/*' |
     sort > "$work/files"
 : > "$work/demoted"
 xargs awk -v out="$work/demoted" '
     FNR == 1 { if (prev != "") close(prev); prev = FILENAME ".surface"; tests = 0 }
     /^#\[cfg\(test\)\]/ { tests = 1 }
+    match($0, /^[ \t]*(pub(\([^)]*\))? )?struct [A-Za-z_][A-Za-z0-9_]*/) {
+        n = split(substr($0, RSTART, RLENGTH), decl, " ")
+        owner = decl[n]
+    }
     !tests && match($0, /^[ \t]*pub (const |unsafe |async |extern "[^"]*" )*(fn|struct|enum|trait|const|type) [A-Za-z_][A-Za-z0-9_]*/) {
         n = split(substr($0, RSTART, RLENGTH), decl, " ")
         sub(/pub /, "pub(crate) ")
         print FILENAME ":" FNR, decl[n - 1], decl[n] >> out
     }
+    !tests && match($0, /^[ \t]+pub [a-z_][a-z0-9_]*:/) {
+        field = substr($0, RSTART, RLENGTH - 1)
+        sub(/^[ \t]+pub /, "", field)
+        sub(/pub /, "pub(crate) ")
+        print FILENAME ":" FNR, "field", owner "." field >> out
+    }
     { print > prev }' < "$work/files"
 while read -r file; do mv "$file.surface" "$file"; done < "$work/files"
-total=$(wc -l < "$work/demoted")
+fields=$(grep -c ' field ' "$work/demoted" || :)
+items=$(($(wc -l < "$work/demoted") - fields))
+# Each library's name and directory, for a crate-qualified struct path.
+cargo metadata --offline --no-deps --format-version 1 |
+    jq -r '.workspace_root as $root | .packages[].targets[] | select(.kind | index("lib"))
+        | "\(.name) \(.src_path | ltrimstr($root + "/") | sub("/src/.*"; ""))"' > "$work/libs"
 
 # Rewrites `pub(crate)` back to `pub` on each `file:line` read from stdin.
 restore() {
@@ -70,7 +96,8 @@ restore() {
 
 # Step 2: the diagnostics that ask for a restore, one JSON line each, and
 # per diagnostic a tab-separated line: code, every span as `file:line`, the
-# first name the message quotes and the primary span's file.
+# first name the message quotes, the primary span's file and the private
+# fields it names as `path.field` (`path.*` for every field), or `-`.
 rounds=0
 while :; do
     rounds=$((rounds + 1))
@@ -84,15 +111,40 @@ while :; do
     jq -r '[.code.code // "-",
             ([.spans[], .children[].spans[]] | map("\(.file_name):\(.line_start)") | unique | join(" ")),
             (.message | capture("`(?<n>[^`]+)`").n // "-"),
-            (first(.spans[] | select(.is_primary) | .file_name) // "-")] | @tsv' \
+            (first(.spans[] | select(.is_primary) | .file_name) // "-"),
+            ((.message | capture("^fields? (?<f>.+) of struct `(?<s>[^`]+)` (is|are) private$")
+                | .s as $s | [.f | scan("`([^`]+)`") | "\($s).\(.[0])"] | join(" "))
+             // (.message | capture("^cannot construct `(?<s>[^`<]+)[^`]*` with struct literal syntax due to private fields")
+                | "\(.s).*")
+             // "-")] | @tsv' \
         "$work/asks.json" > "$work/asks"
     : > "$work/unmapped"
     awk -F '\t' -v unmapped="$work/unmapped" '
         function crate(path) { sub(/\/src\/.*/, "", path); return path }
-        FNR == NR {
+        FILENAME == ARGV[1] {
             split($0, item, " ")
             demoted[item[1]] = 1
             named[crate(item[1]) " " item[3]] = named[crate(item[1]) " " item[3]] " " item[1]
+            if (item[2] == "field") {
+                split(item[3], member, ".")
+                field[item[3]] = field[item[3]] " " item[1]
+                field[member[1] ".*"] = field[member[1] ".*"] " " item[1]
+            }
+            next
+        }
+        FILENAME == ARGV[2] { split($0, lib, " "); dir[lib[1]] = lib[2]; next }
+        $5 != "-" {
+            hit = 0
+            n = split($5, keys, " ")
+            for (i = 1; i <= n; i++) {
+                # `prochlo_core::wire::Reader.x`: the crate, then `Reader.x`.
+                k = split(keys[i], path, "::")
+                owner = k > 1 && path[1] in dir ? dir[path[1]] : ""
+                m = split(field[path[k]], spans, " ")
+                for (j = 1; j <= m; j++)
+                    if (owner == "" || crate(spans[j]) == owner) { print spans[j]; hit = 1 }
+            }
+            if (!hit) print FNR > unmapped
             next
         }
         {
@@ -106,7 +158,7 @@ while :; do
                 hit = 1
             }
             if (!hit) print FNR > unmapped
-        }' "$work/demoted" "$work/asks" > "$work/hits"
+        }' "$work/demoted" "$work/libs" "$work/asks" > "$work/hits"
     # A private item's callers are still type-checked against it, so an
     # unmatched error can follow from a matched one: it counts only when the
     # round restores nothing.
@@ -123,9 +175,9 @@ done
 jq -r 'select(.reason == "compiler-message") | .message | select(.code.code == "dead_code")
     | .spans[] | "\(.file_name):\(.line_start)"' "$work/check.json" | sort -u > "$work/dead-spans"
 awk 'FNR == NR { dead[$0] = 1; next } $1 in dead' "$work/dead-spans" "$work/demoted" > "$work/dead"
-echo "pub items no other crate needs ($(wc -l < "$work/demoted")):"
+echo "pub items and fields no other crate needs ($(wc -l < "$work/demoted")):"
 sed 's/^/  /' "$work/demoted"
 echo "of which dead outside unit tests ($(wc -l < "$work/dead")):"
 sed 's/^/  /' "$work/dead"
-echo "surface: $total items demoted, $rounds rounds, $(($(date +%s) - start)) s"
+echo "surface: $items items and $fields fields demoted, $rounds rounds, $(($(date +%s) - start)) s"
 [ ! -s "$work/demoted" ]

@@ -23,13 +23,13 @@ use crate::ratings::Rating;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RatingTuple {
     /// First movie.
-    pub movie_a: u32,
+    pub(crate) movie_a: u32,
     /// Rating of the first movie.
-    pub rating_a: u8,
+    pub(crate) rating_a: u8,
     /// Second movie.
-    pub movie_b: u32,
+    pub(crate) movie_b: u32,
     /// Rating of the second movie.
-    pub rating_b: u8,
+    pub(crate) rating_b: u8,
 }
 
 impl RatingTuple {
@@ -139,11 +139,6 @@ impl CovarianceModel {
         }
     }
 
-    /// Number of distinct item pairs retained.
-    pub fn pairs(&self) -> usize {
-        self.s.len()
-    }
-
     /// Predicts user `basket`'s rating for `movie` from the other ratings in
     /// the basket, using covariance-weighted deviations from item means.
     pub(crate) fn predict(&self, basket: &[Rating], movie: u32) -> f64 {
@@ -197,6 +192,13 @@ mod tests {
     use crate::ratings::{RatingsConfig, RatingsGenerator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl CovarianceModel {
+        /// Number of distinct item pairs retained.
+        fn pairs(&self) -> usize {
+            self.s.len()
+        }
+    }
 
     fn corpus() -> Vec<Vec<Rating>> {
         let generator = RatingsGenerator::new(RatingsConfig::for_movies(100, 400), 11);

@@ -16,7 +16,7 @@ use prochlo_shuffle::CostReport;
 #[derive(Debug, Clone, Copy)]
 pub struct CascadeCostModel {
     /// Target security parameter: ε = 2^(-security_bits).
-    pub security_bits: u32,
+    pub(crate) security_bits: u32,
 }
 
 impl Default for CascadeCostModel {

@@ -17,28 +17,28 @@ use prochlo_stats::Zipf;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rating {
     /// User index.
-    pub user: u32,
+    pub(crate) user: u32,
     /// Movie index.
     pub movie: u32,
     /// Star rating in 1..=5.
-    pub stars: u8,
+    pub(crate) stars: u8,
 }
 
 /// Configuration of the ratings generator.
 #[derive(Debug, Clone)]
 pub struct RatingsConfig {
     /// Number of users.
-    pub users: usize,
+    pub(crate) users: usize,
     /// Number of movies.
-    pub movies: usize,
+    pub(crate) movies: usize,
     /// Mean number of ratings per user.
-    pub mean_ratings_per_user: usize,
+    pub(crate) mean_ratings_per_user: usize,
     /// Dimensionality of the latent factors.
-    pub factors: usize,
+    pub(crate) factors: usize,
     /// Observation noise added to each rating before rounding.
-    pub noise: f64,
+    pub(crate) noise: f64,
     /// Zipf exponent of movie popularity.
-    pub popularity_exponent: f64,
+    pub(crate) popularity_exponent: f64,
 }
 
 impl RatingsConfig {

@@ -55,11 +55,6 @@ impl ViewGenerator {
         Self { config, popularity }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &ViewConfig {
-        &self.config
-    }
-
     /// The deterministic "related videos" list of a video: a pseudorandom but
     /// fixed set derived from the video id, shared across all users (this is
     /// what makes short contexts predictive).

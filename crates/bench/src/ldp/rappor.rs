@@ -18,11 +18,11 @@ use crate::response::{f_for_epsilon, permanent_response, rappor_epsilon};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RapporParams {
     /// Bloom filter size in bits.
-    pub bloom_bits: usize,
+    pub(crate) bloom_bits: usize,
     /// Number of hash functions (bits set per value).
-    pub hashes: u32,
+    pub(crate) hashes: u32,
     /// Permanent-randomized-response flip probability `f`.
-    pub f: f64,
+    pub(crate) f: f64,
 }
 
 impl RapporParams {

@@ -63,7 +63,7 @@ pub struct IngestStats {
     /// Submissions answered `Duplicate`.
     pub duplicates: u64,
     /// Submissions answered `RetryAfter`: the queue or the replay filter
-    /// was full, or the connection's rate limiter refused the submission.
+    /// was full.
     pub backpressured: u64,
     /// Submissions answered `Rejected` (malformed).
     pub rejected: u64,
@@ -87,8 +87,8 @@ struct StatsCells {
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
     counts: IngestStats,
-    /// Submissions validated (a rate-limited one never reaches ingest), and
-    /// the queue depth the last accepted run left.
+    /// Submissions validated, and the queue depth the last accepted run
+    /// left.
     submissions: u64,
     last_depth: usize,
     /// Started by the run's first submission; reads no clock while the
@@ -97,10 +97,9 @@ pub(crate) struct Tally {
 }
 
 impl Tally {
-    /// Counts one submission refused for want of room or rate — in ingest
-    /// or by the connection's rate limiter in front of it — and answers it
+    /// Counts one submission refused for want of room and answers it
     /// `RetryAfter`.
-    pub(crate) fn backpressure(&mut self) -> Response {
+    fn backpressure(&mut self) -> Response {
         self.counts.backpressured += 1;
         Response::RetryAfter {
             millis: RETRY_AFTER_MS,

@@ -186,11 +186,11 @@ impl Request {
 pub struct Submission<'a> {
     /// The cleartext crowd-routing prefix of a `SUBMIT_ROUTED`; `None` for
     /// a plain `SUBMIT`.
-    pub crowd_prefix: Option<u64>,
+    pub(crate) crowd_prefix: Option<u64>,
     /// Client-chosen replay-dedup nonce (reused across retries).
-    pub nonce: &'a [u8; NONCE_LEN],
+    pub(crate) nonce: &'a [u8; NONCE_LEN],
     /// The serialized outer ciphertext of a client report.
-    pub report: &'a [u8],
+    pub(crate) report: &'a [u8],
 }
 
 /// A [`Request`] parsed without copying anything out of the frame body —

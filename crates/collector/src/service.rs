@@ -9,10 +9,8 @@
 //!   per-loop `Ingest` handler, which parses it in place — the body is a
 //!   slice of the connection's read buffer, and validating a submission
 //!   makes the one copy an accepted report costs. Per-connection state is
-//!   the peer's transport identity, rendered once on accept, plus an
-//!   optional [`TokenBucket`]: a connection that out-runs its rate limit is
-//!   answered with the same `RetryAfter` backpressure the bounded queue
-//!   uses. A valid submission is answered [`Answer::Later`]: `finish_turn`
+//!   the peer's transport identity, rendered once on accept. A valid
+//!   submission is answered [`Answer::Later`]: `finish_turn`
 //!   (or a `PING` or `STATS` mid-turn) admits the turn's submissions as one
 //!   run and publishes the tally before the turn's answers are queued.
 //! * **epoch** — owns the [`Deployment`]; drains the report queue with a
@@ -41,7 +39,7 @@ use prochlo_core::{
     AnalyzerDatabase, ClientReport, Deployment, EngineConfig, EpochSpec, PipelineError,
     PipelineReport,
 };
-use prochlo_net::{Answer, Handler, Server, ServerConfig, ServerStats, TokenBucket};
+use prochlo_net::{Answer, Handler, Server, ServerConfig, ServerStats};
 
 use crate::error::CollectorError;
 use crate::ingest::{Candidate, IngestConfig, IngestCore, IngestStats, Peer, Tally};
@@ -67,11 +65,6 @@ pub struct CollectorConfig {
     /// Per-connection progress deadline: a connection that completes no
     /// frame (and drains no pending response) for this long is evicted.
     pub io_timeout: Duration,
-    /// Per-connection submission rate limit in reports per second
-    /// (token bucket with a one-second burst); `None` means unlimited.
-    /// A limited connection is answered `RetryAfter`, the same structured
-    /// backpressure the bounded queue produces.
-    pub rate_limit_per_conn: Option<u32>,
     /// Deployment seed; with the epoch index it fixes every noise draw
     /// (see [`prochlo_core::epoch_rng`]).
     pub seed: u64,
@@ -98,7 +91,6 @@ impl Default for CollectorConfig {
             max_epoch_reports: 8192,
             epoch_deadline: Duration::from_millis(500),
             io_timeout: Duration::from_secs(10),
-            rate_limit_per_conn: None,
             seed: 0,
             engine: None,
             registry: None,
@@ -304,7 +296,6 @@ impl Collector {
             || {
                 Ok(Ingest {
                     shared: Arc::clone(&shared),
-                    rate_limit: config.rate_limit_per_conn,
                     tally: Tally::default(),
                     run: Vec::new(),
                     answered: Vec::new(),
@@ -359,7 +350,6 @@ impl Collector {
 /// shared [`IngestCore`].
 struct Ingest {
     shared: Arc<Shared>,
-    rate_limit: Option<u32>,
     /// This turn's submissions, not yet in the shared books.
     tally: Tally,
     /// This turn's valid submissions not yet admitted, and the answers of
@@ -381,15 +371,14 @@ impl Ingest {
 }
 
 impl Handler for Ingest {
-    /// The peer (ingest stamps transport metadata from it) and its rate
-    /// limiter.
-    type Conn = (Peer, Option<TokenBucket>);
+    /// The peer: ingest stamps transport metadata from it.
+    type Conn = Peer;
 
     fn connected(&mut self, peer: SocketAddr) -> Self::Conn {
-        (Peer::from(peer), self.rate_limit.map(TokenBucket::new))
+        Peer::from(peer)
     }
 
-    fn frame(&mut self, (peer, bucket): &mut Self::Conn, body: &[u8]) -> Result<Answer, Vec<u8>> {
+    fn frame(&mut self, peer: &mut Self::Conn, body: &[u8]) -> Result<Answer, Vec<u8>> {
         let request = RequestRef::parse(body);
         if matches!(request, Ok(RequestRef::Ping | RequestRef::Stats)) {
             // PING and STATS read the queue and the books: bring them up to
@@ -399,22 +388,15 @@ impl Handler for Ingest {
         let ingest = &self.shared.ingest;
         let response = match request {
             Ok(RequestRef::Submit(submission)) => {
-                // The rate limiter sits in front of ingest so a limited
-                // submission costs neither a dedup slot nor queue space;
-                // it still counts as backpressure.
-                if bucket.as_mut().is_some_and(|b| !b.try_take()) {
-                    self.tally.backpressure()
-                } else {
-                    // Nonce and report still point into the connection's
-                    // read buffer; validation makes the one copy.
-                    let (nonce, report) = (submission.nonce, submission.report);
-                    match ingest.candidate(&mut self.tally, nonce, report, peer) {
-                        Ok(candidate) => {
-                            self.run.push(candidate);
-                            return Ok(Answer::Later);
-                        }
-                        Err(rejected) => rejected,
+                // Nonce and report still point into the connection's read
+                // buffer; validation makes the one copy.
+                let (nonce, report) = (submission.nonce, submission.report);
+                match ingest.candidate(&mut self.tally, nonce, report, peer) {
+                    Ok(candidate) => {
+                        self.run.push(candidate);
+                        return Ok(Answer::Later);
                     }
+                    Err(rejected) => rejected,
                 }
             }
             Ok(RequestRef::Ping) => Response::Ack {
@@ -733,60 +715,6 @@ mod tests {
         assert_eq!(
             snap.get("collector.epoch.cut"),
             Some(summary.stats.epochs_cut as f64)
-        );
-    }
-
-    #[test]
-    fn rate_limited_connection_gets_retry_after_then_recovers() {
-        let registry = Arc::new(prochlo_obs::Registry::new(true));
-        let config = CollectorConfig {
-            // Burst of 2, then the bucket refills at 2/s — far slower than
-            // the test submits.
-            rate_limit_per_conn: Some(2),
-            registry: Some(Arc::clone(&registry)),
-            ..test_config()
-        };
-        let (collector, encoder) = start_collector(81, config);
-        let mut rng = StdRng::seed_from_u64(82);
-        let mut client = CollectorClient::connect(collector.local_addr()).unwrap();
-        let mut acked = 0;
-        let mut limited = 0;
-        for i in 0..6u64 {
-            let report = encoder
-                .encode_plain(b"v", CrowdStrategy::None, i, &mut rng)
-                .unwrap();
-            match client
-                .submit(&fresh_nonce(&mut rng), &report.outer.to_bytes())
-                .unwrap()
-            {
-                Response::Ack { .. } => acked += 1,
-                Response::RetryAfter { .. } => limited += 1,
-                other => panic!("unexpected response {other:?}"),
-            }
-        }
-        assert_eq!(acked, 2, "burst capacity admits exactly two");
-        assert_eq!(limited, 4, "the rest are rate-limited");
-        // The limit is per connection, not per service: a fresh connection
-        // gets a fresh bucket.
-        let mut second = CollectorClient::connect(collector.local_addr()).unwrap();
-        let report = encoder
-            .encode_plain(b"v", CrowdStrategy::None, 99, &mut rng)
-            .unwrap();
-        assert!(matches!(
-            second
-                .submit(&fresh_nonce(&mut rng), &report.outer.to_bytes())
-                .unwrap(),
-            Response::Ack { .. }
-        ));
-        drop(client);
-        drop(second);
-        let summary = collector.shutdown();
-        assert_eq!(summary.stats.ingest.accepted, 3);
-        // A rate-limited submission is backpressure like a full queue's.
-        assert_eq!(summary.stats.ingest.backpressured, 4);
-        assert_eq!(
-            registry.snapshot().get("collector.ingest.backpressured"),
-            Some(4.0)
         );
     }
 

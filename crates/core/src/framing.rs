@@ -114,7 +114,7 @@ pub struct FramePolicy {
     pub version: u8,
     /// Maximum total frame length (version byte + body) accepted from a
     /// peer, and the most a writer will emit.
-    pub max_frame_len: usize,
+    pub(crate) max_frame_len: usize,
 }
 
 impl FramePolicy {

@@ -43,9 +43,9 @@ impl std::fmt::Debug for ElGamalKeypair {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ElGamalCiphertext {
     /// `r·B` (possibly blinded).
-    pub r: Point,
+    pub(crate) r: Point,
     /// `r·h + µ` (possibly blinded).
-    pub c: Point,
+    pub(crate) c: Point,
 }
 
 /// A blinding secret held by Shuffler 1 for one batch.

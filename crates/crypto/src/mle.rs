@@ -16,9 +16,9 @@ use crate::sha256::Sha256;
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct MleCiphertext {
     /// Nonce derived from the message (deterministic).
-    pub nonce: [u8; NONCE_LEN],
+    pub(crate) nonce: [u8; NONCE_LEN],
     /// AEAD ciphertext + tag.
-    pub sealed: Vec<u8>,
+    pub(crate) sealed: Vec<u8>,
 }
 
 /// Derives the message-locked key k_m = H(m), with the top four bits cleared

@@ -26,9 +26,9 @@ pub struct VerifyingKey {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Signature {
     /// Commitment point R = r·B.
-    pub r: CompressedPoint,
+    pub(crate) r: CompressedPoint,
     /// Response s = r + c·sk (mod ℓ).
-    pub s: [u8; 32],
+    pub(crate) s: [u8; 32],
 }
 
 impl std::fmt::Debug for SigningKey {

@@ -22,9 +22,9 @@ use crate::sha256::Sha256;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Share {
     /// Evaluation abscissa (non-zero).
-    pub x: FieldElement,
+    pub(crate) x: FieldElement,
     /// Polynomial value at `x`.
-    pub y: FieldElement,
+    pub(crate) y: FieldElement,
 }
 
 impl Share {

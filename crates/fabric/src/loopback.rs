@@ -17,19 +17,12 @@ use parking_lot::Mutex;
 use crate::link::Link;
 use crate::transport::{ChannelId, FabricError, Peer, Stage, Transport};
 
-#[derive(Default)]
-struct Links {
-    /// Made on first use by either end.
-    by_pair: BTreeMap<(Peer, Peer), Arc<Link>>,
-    /// Set only by the unit tests' `LoopbackHub::close`; a link made after it
-    /// starts closed.
-    closed: bool,
-}
-
 /// The shared in-process message hub. Clone-cheap via [`LoopbackHub::endpoint`].
 #[derive(Default)]
 pub struct LoopbackHub {
-    links: Mutex<Links>,
+    /// One link per `(sender, receiver)` pair, made on first use by either
+    /// end.
+    links: Mutex<BTreeMap<(Peer, Peer), Arc<Link>>>,
 }
 
 impl LoopbackHub {
@@ -49,15 +42,11 @@ impl LoopbackHub {
     /// The link carrying `from`'s frames to `to`.
     fn link(&self, from: Peer, to: Peer) -> Arc<Link> {
         let mut links = self.links.lock();
-        let closed = links.closed;
-        let link = links.by_pair.entry((from, to)).or_insert_with(|| {
-            let link = Arc::new(Link::new(from));
-            if closed {
-                link.end(None);
-            }
-            link
-        });
-        Arc::clone(link)
+        Arc::clone(
+            links
+                .entry((from, to))
+                .or_insert_with(|| Arc::new(Link::new(from))),
+        )
     }
 }
 
@@ -109,13 +98,11 @@ mod tests {
     use crate::link::contract::{transport_contract, Pair};
 
     impl LoopbackHub {
-        /// Closes every link cleanly: each pending and future receive
-        /// returns [`FabricError::Closed`] once the frames already sent are
-        /// taken, and every later send is refused with it.
+        /// Closes every link made so far cleanly: each pending and future
+        /// receive on one returns [`FabricError::Closed`] once the frames
+        /// already sent are taken, and every later send is refused with it.
         fn close(&self) {
-            let mut links = self.links.lock();
-            links.closed = true;
-            for link in links.by_pair.values() {
+            for link in self.links.lock().values() {
                 link.end(None);
             }
         }

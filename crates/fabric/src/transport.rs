@@ -159,9 +159,9 @@ impl Stage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ChannelId {
     /// The process at the other end of the stream.
-    pub peer: Peer,
+    pub(crate) peer: Peer,
     /// The protocol step the stream carries.
-    pub stage: Stage,
+    pub(crate) stage: Stage,
 }
 
 impl fmt::Display for ChannelId {

@@ -31,7 +31,7 @@ pub(crate) const DIRECTIVE_RULE: &str = "lint-directive";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Workspace-relative path with forward slashes.
-    pub file: String,
+    pub(crate) file: String,
     /// 1-based source line.
     pub line: u32,
     /// The rule that fired.

@@ -26,12 +26,12 @@ pub(crate) enum TokenKind {
 #[derive(Debug, Clone)]
 pub(crate) struct Token {
     /// The kind of lexeme.
-    pub kind: TokenKind,
+    pub(crate) kind: TokenKind,
     /// The lexeme text. For `Literal` this is the raw source slice; for
     /// `Punct` a single character.
-    pub text: String,
+    pub(crate) text: String,
     /// 1-based line the lexeme starts on.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 impl Token {
@@ -51,18 +51,18 @@ impl Token {
 #[derive(Debug, Clone)]
 pub(crate) struct Comment {
     /// Comment text including the `//` / `/*` introducer.
-    pub text: String,
+    pub(crate) text: String,
     /// 1-based line the comment starts on.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 /// A lexed source file: the token stream and the comments.
 #[derive(Debug, Default)]
 pub(crate) struct Lexed {
     /// All non-comment lexemes in source order.
-    pub tokens: Vec<Token>,
+    pub(crate) tokens: Vec<Token>,
     /// All comments in source order.
-    pub comments: Vec<Comment>,
+    pub(crate) comments: Vec<Comment>,
 }
 
 /// Lexes Rust source text. Unterminated literals and comments are

@@ -116,11 +116,10 @@ const SANCTIONED_THREAD_FILES: &[&str] = &[
 ];
 
 /// Files whose whole job is turning clock readings into readiness
-/// decisions — the reactor's deadline sweep and the token-bucket refill.
-/// Their clock reads are the mechanism itself, not telemetry, and they sit
-/// strictly on the serving side: nothing downstream of a seeded replay
-/// consumes them.
-const SANCTIONED_CLOCK_FILES: &[&str] = &["crates/net/src/reactor.rs", "crates/net/src/bucket.rs"];
+/// decisions — the reactor's deadline sweep. Their clock reads are the
+/// mechanism itself, not telemetry, and they sit strictly on the serving
+/// side: nothing downstream of a seeded replay consumes them.
+const SANCTIONED_CLOCK_FILES: &[&str] = &["crates/net/src/reactor.rs"];
 
 fn in_crate_src(path: &str) -> bool {
     path.starts_with("crates/") && path.contains("/src/")

@@ -164,10 +164,9 @@ fn wallclock_discipline_sanctions_obs_and_bench() {
 
 #[test]
 fn wallclock_discipline_sanctions_the_reactor_clock() {
-    // Deadline sweeps and token-bucket refills *are* clock mechanisms, so
-    // the reactor and bucket may read time directly...
+    // Deadline sweeps *are* a clock mechanism, so the reactor may read time
+    // directly...
     assert_clean("crates/net/src/reactor.rs", WALLCLOCK_FIRING);
-    assert_clean("crates/net/src/bucket.rs", WALLCLOCK_FIRING);
     // ...but the frame accumulator next door gets no such license.
     let findings = lint_source("crates/net/src/conn.rs", WALLCLOCK_FIRING);
     assert_eq!(shape(&findings), [("wallclock-discipline", 2)]);

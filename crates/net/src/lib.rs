@@ -7,9 +7,8 @@
 //! machines resuming frame parses and flushes across partial reads and
 //! writes. On top of the two sits the one serving harness, [`Server`] — a
 //! service is the harness plus its per-loop [`Handler`], which answers a
-//! frame now or later in the same reactor turn. [`TokenBucket`]s
-//! give per-client rate limiting, and [`FramePump`] packages the "demux
-//! many framed streams onto one callback" shape used by the fabric.
+//! frame now or later in the same reactor turn. [`FramePump`] packages the
+//! "demux many framed streams onto one callback" shape used by the fabric.
 //!
 //! The crate is deliberately small (std + parking_lot + the telemetry
 //! registry; `poll(2)` is declared directly, no async runtime, no mio):
@@ -23,14 +22,12 @@
 //! — the same split mio uses, which keeps eviction, draining, and shutdown
 //! logic in exactly one place instead of two.
 
-pub mod bucket;
 pub mod conn;
 pub mod pump;
 pub mod reactor;
 pub mod server;
 
-pub use bucket::TokenBucket;
 pub use conn::{send_frame, Conn, ConnStatus, FlushStatus};
 pub use pump::{FramePump, PumpEvent};
-pub use reactor::{wait_writable, Event, Interest, Reactor, Source, Token, Waker};
+pub use reactor::{wait_writable, Event, Interest, Reactor, Token, Waker};
 pub use server::{Answer, Handler, Server, ServerConfig, ServerStats, WRITE_PAUSE_BYTES};

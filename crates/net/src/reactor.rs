@@ -72,9 +72,9 @@ mod sys {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
     /// Poll for readability (incoming bytes, incoming connections, hangup).
-    pub read: bool,
+    pub(crate) read: bool,
     /// Poll for writability (send-buffer space available).
-    pub write: bool,
+    pub(crate) write: bool,
 }
 
 impl Interest {
@@ -109,21 +109,14 @@ pub struct Token {
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// The registered source this event concerns.
-    pub token: Token,
+    pub(crate) token: Token,
     /// The source is readable (includes peer hangup and socket errors, so
     /// the next read surfaces the failure).
-    pub readable: bool,
-    /// The source is writable.
-    pub writable: bool,
+    pub(crate) readable: bool,
     /// The source's deadline expired before any readiness. The deadline is
     /// cleared when it fires; callers re-arm or evict.
-    pub timed_out: bool,
+    pub(crate) timed_out: bool,
 }
-
-/// A source the reactor can poll: anything with a raw fd (`TcpStream`,
-/// `TcpListener`, `UnixStream`).
-pub trait Source: AsRawFd {}
-impl<T: AsRawFd> Source for T {}
 
 /// Cross-thread wake handle for one [`Reactor`]; cloneable and cheap. A
 /// wake makes the reactor's current (or next) [`Reactor::poll`] return
@@ -199,7 +192,7 @@ impl Reactor {
     /// not stored; the caller keeps ownership and must `deregister` it
     /// before closing it (a closed fd in the poll set is reported readable
     /// with `POLLNVAL`, which surfaces as a read error, not a crash).
-    pub fn register<S: Source>(&mut self, source: &S, interest: Interest) -> Token {
+    pub fn register<S: AsRawFd>(&mut self, source: &S, interest: Interest) -> Token {
         let entry = Entry {
             fd: source.as_raw_fd(),
             interest,
@@ -310,7 +303,6 @@ impl Reactor {
                             generation: slot.generation,
                         },
                         readable: false,
-                        writable: false,
                         timed_out: true,
                     });
                 }
@@ -378,11 +370,9 @@ impl Reactor {
             // the owner's next read observes the failure directly.
             let readable =
                 revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR | sys::POLLNVAL) != 0;
-            let writable = revents & (sys::POLLOUT | sys::POLLERR) != 0;
             events.push(Event {
                 token,
                 readable,
-                writable,
                 timed_out: false,
             });
         }
@@ -401,7 +391,7 @@ impl Reactor {
 /// a reactor-managed read half and are therefore nonblocking. Returns
 /// `true` when the socket reported writable within `timeout`, `false` on
 /// timeout.
-pub fn wait_writable<S: Source>(source: &S, timeout: Duration) -> io::Result<bool> {
+pub fn wait_writable<S: AsRawFd>(source: &S, timeout: Duration) -> io::Result<bool> {
     let mut fds = [sys::pollfd {
         fd: source.as_raw_fd(),
         events: sys::POLLOUT,

@@ -15,7 +15,7 @@
 //!
 //! The handler is built once per loop, so per-loop resources (the router's
 //! forwarding legs) need no cross-loop locking; its [`Handler::Conn`] value
-//! lives exactly as long as one connection (the collector's rate limiter).
+//! lives exactly as long as one connection (the collector's rendered peer).
 //!
 //! # Turn-scoped deferred answers
 //!

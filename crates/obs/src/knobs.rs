@@ -17,7 +17,7 @@ use std::str::FromStr;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvalidKnob {
     /// The environment variable.
-    pub name: String,
+    pub(crate) name: String,
     /// The rejected value (lossily decoded when it was not Unicode).
     pub value: String,
 }

@@ -13,7 +13,7 @@
 //!  collector ─┐                        ┌─ STATS wire response (flat)
 //!  fabric    ─┤   ┌──────────────┐     │
 //!  shuffler  ─┼──▶│   Registry   │──▶──┼─ human table (demos)
-//!  sgx-sim   ─┤   │ (lock-shard) │     └─ flight recorder (per epoch)
+//!  sgx-sim   ─┤   │ (one table)  │     └─ flight recorder (per epoch)
 //!  analyzer  ─┘   └──────────────┘
 //!      writes: relaxed atomics         reads: snapshot-on-demand
 //! ```

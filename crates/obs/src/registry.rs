@@ -4,9 +4,9 @@
 //! keyed by dotted name. Lookups hand back cheap `Arc` handles
 //! ([`Counter`], [`Gauge`], [`Histogram`]) that callers cache; the registry
 //! itself is only locked when an instrument is first created or when a
-//! [`Snapshot`] is taken. The name table is sharded across several
-//! `RwLock`-protected maps so that concurrent first-registrations from
-//! different subsystems do not serialize on one lock.
+//! [`Snapshot`] is taken. The name table is one `RwLock`-protected map in
+//! name order: lookups share the read lock, and only a name's first
+//! registration takes the write lock.
 //!
 //! A per-report path bumps none of them: it tallies in plain integers,
 //! publishes once per batch (a reactor turn) into cells it owns and the
@@ -33,10 +33,6 @@ use crate::span::Span;
 /// bucket `i >= 1` covers `[2^(i-1), 2^i)` microseconds; the last bucket
 /// is unbounded above. See [`bucket_bounds`].
 pub const NUM_BUCKETS: usize = 32;
-
-/// Number of name shards in the registry. Power of two so the name hash
-/// can be masked.
-const NUM_SHARDS: usize = 8;
 
 /// Inclusive-lower / exclusive-upper bounds of histogram bucket `index`,
 /// in **seconds**. The buckets partition `[0, +inf)`: `lower(0) == 0`,
@@ -73,17 +69,6 @@ pub fn bucket_index(seconds: f64) -> usize {
     let n = micros as u64; // truncation keeps [2^(i-1), 2^i) intact
     let bits = 64 - n.leading_zeros() as usize; // n in [2^(bits-1), 2^bits)
     bits.min(NUM_BUCKETS - 1)
-}
-
-/// FNV-1a over the instrument name; only used to pick a shard, never to
-/// order output (snapshots sort by name).
-fn shard_of(name: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    (h as usize) & (NUM_SHARDS - 1)
 }
 
 /// Shared cell behind a [`Counter`] handle.
@@ -276,7 +261,7 @@ enum Instrument {
 /// ```
 pub struct Registry {
     enabled: Arc<AtomicBool>,
-    shards: [RwLock<BTreeMap<String, Instrument>>; NUM_SHARDS],
+    names: RwLock<BTreeMap<String, Instrument>>,
 }
 
 impl fmt::Debug for Registry {
@@ -298,7 +283,7 @@ impl Registry {
     pub fn new(enabled: bool) -> Self {
         Registry {
             enabled: Arc::new(AtomicBool::new(enabled)),
-            shards: std::array::from_fn(|_| RwLock::new(BTreeMap::new())),
+            names: RwLock::new(BTreeMap::new()),
         }
     }
 
@@ -367,8 +352,9 @@ impl Registry {
     /// snapshot reads the sum of every cell registered under the name (one
     /// per owner), enabled or not, and the registry keeps each cell alive.
     pub fn read_through(&self, name: &str, cell: Arc<AtomicU64>) {
-        let mut map = self.shards[shard_of(name)].write();
-        match map
+        match self
+            .names
+            .write()
             .entry(name.to_owned())
             .or_insert_with(|| Instrument::ReadThrough(Vec::new()))
         {
@@ -378,12 +364,11 @@ impl Registry {
     }
 
     fn instrument(&self, name: &str, make: impl FnOnce() -> Instrument) -> Instrument {
-        let shard = &self.shards[shard_of(name)];
-        if let Some(found) = shard.read().get(name) {
+        if let Some(found) = self.names.read().get(name) {
             return found.clone();
         }
-        let mut map = shard.write();
-        map.entry(name.to_owned()).or_insert_with(make).clone()
+        let mut names = self.names.write();
+        names.entry(name.to_owned()).or_insert_with(make).clone()
     }
 
     /// Collect a point-in-time [`Snapshot`] of every instrument, sorted
@@ -391,25 +376,22 @@ impl Registry {
     /// read with relaxed atomics, so a snapshot is a consistent *per
     /// instrument* view, not a cross-instrument barrier.
     pub fn snapshot(&self) -> Snapshot {
-        let mut entries: Vec<SnapshotEntry> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.read();
-            for (name, inst) in map.iter() {
-                let value = match inst {
+        let entries = self
+            .names
+            .read()
+            .iter()
+            .map(|(name, inst)| SnapshotEntry {
+                name: name.clone(),
+                value: match inst {
                     Instrument::Counter(c) => SnapshotValue::Counter(c.get()),
                     Instrument::Gauge(g) => SnapshotValue::Gauge(g.get()),
                     Instrument::Histogram(h) => SnapshotValue::Histogram(Box::new(h.snapshot())),
                     Instrument::ReadThrough(cells) => SnapshotValue::Counter(
                         cells.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
                     ),
-                };
-                entries.push(SnapshotEntry {
-                    name: name.clone(),
-                    value,
-                });
-            }
-        }
-        entries.sort_by(|a, b| a.name.cmp(&b.name));
+                },
+            })
+            .collect();
         Snapshot { entries }
     }
 }
@@ -494,5 +476,24 @@ mod tests {
         g.set_max(10);
         g.set_max(4);
         assert_eq!(g.get(), 10);
+    }
+
+    #[test]
+    fn racing_first_registrations_share_one_instrument_in_name_order() {
+        let r = Registry::new(true);
+        r.counter("zeta");
+        r.gauge("alpha");
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    r.counter("mid.new").inc();
+                });
+            }
+        });
+        assert_eq!(r.counter("mid.new").get(), 4);
+        let names: Vec<_> = r.snapshot().entries.into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["alpha", "mid.new", "zeta"]);
     }
 }

@@ -62,7 +62,7 @@ fn snapshot_while_writing_is_safe_and_monotonic() {
                 let hist = registry.histogram("live.hist");
                 start.wait();
                 // Register new names while snapshots run, to race the
-                // shard write locks too.
+                // name table's write lock too.
                 let mut n = 0u64;
                 loop {
                     counter.inc();

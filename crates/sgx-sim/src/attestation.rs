@@ -120,15 +120,15 @@ impl CpuKey {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Quote {
     /// Hash of the enclave code.
-    pub measurement: [u8; 32],
+    pub(crate) measurement: [u8; 32],
     /// Data the enclave asked to be bound (e.g. its ephemeral public key).
-    pub report_data: Vec<u8>,
+    pub(crate) report_data: Vec<u8>,
     /// The quoting CPU's verification key.
-    pub cpu_key: VerifyingKey,
+    pub(crate) cpu_key: VerifyingKey,
     /// Root signature over the CPU key.
-    pub cpu_certificate: Signature,
+    pub(crate) cpu_certificate: Signature,
     /// CPU signature over (measurement, report data).
-    pub signature: Signature,
+    pub(crate) signature: Signature,
 }
 
 /// Client-side quote verification policy: the trusted root and the set of

@@ -68,14 +68,14 @@ impl std::error::Error for EnclaveError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// A label describing the operation (e.g. "read-input-bucket").
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Index of the untrusted-memory object touched (bucket number, array
     /// index, ...). This is exactly the information an observer gets.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Number of bytes crossing the boundary.
-    pub bytes: usize,
+    pub(crate) bytes: usize,
     /// Direction: `true` for data entering the enclave.
-    pub into_enclave: bool,
+    pub(crate) into_enclave: bool,
 }
 
 /// Counters describing the work an enclave performed.

@@ -15,9 +15,9 @@ pub struct CostReport {
     /// Human-readable algorithm name.
     pub algorithm: &'static str,
     /// Number of records.
-    pub records: usize,
+    pub(crate) records: usize,
     /// Record size in bytes.
-    pub record_bytes: usize,
+    pub(crate) record_bytes: usize,
     /// Total bytes processed inside the enclave (read + decrypted +
     /// re-encrypted + written).
     pub bytes_processed: u128,
