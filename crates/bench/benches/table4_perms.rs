@@ -10,6 +10,10 @@
 //! distribution; the shape to check is that the noisy-threshold columns sit a
 //! little below the naive-threshold row, far above what local DP recovers
 //! (the paper could not recover more than a few dozen pages with RAPPOR).
+#![expect(
+    clippy::disallowed_types,
+    reason = "pair counts and page sets whose sizes alone are printed; the seeded draws walk a BTreeMap"
+)]
 
 use std::collections::{BTreeMap, HashMap};
 

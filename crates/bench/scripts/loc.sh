@@ -11,14 +11,16 @@
 #
 # The "system" line sums the system crates' non-test lines and the script
 # exits 1 when they exceed SYSTEM_CEILING. The "allows" line counts the
-# `prochlo-lint: allow` lines outside crates/lint (whose fixtures quote the
-# syntax) and the script exits 1 when they exceed ALLOW_CEILING: each allow
-# is a seam where a project invariant is not checked. Raising either
+# `#[expect(...)]` attributes that suppress a project rule (clippy.toml's
+# disallowed methods and types, and the wire files' unwrap_used,
+# expect_used, panic and indexing_slicing) outside vendor/, and the script
+# exits 1 when they exceed ALLOW_CEILING: each one is a seam where a project
+# invariant is not checked. Raising either
 # ceiling takes an edit here and a written reason in CHANGES.md; lowering it
 # after a PR that shrinks the count keeps the ground gained.
-SYSTEM_CEILING=15844
+SYSTEM_CEILING=15953
 SYSTEM_CRATES='core crypto shuffle collector net fabric obs stats sgx-sim'
-ALLOW_CEILING=23
+ALLOW_CEILING=26
 cd "$(dirname "$0")/../../.." || exit 1
 table=$(for dir in crates/* examples tests; do
     find "$dir" -name '*.rs' -not -path '*/target/*' | sort | xargs awk -v crate="${dir#crates/}" '
@@ -40,11 +42,17 @@ printf '%s\n' "$table" | awk -v crates="$SYSTEM_CRATES" -v ceiling="$SYSTEM_CEIL
             exit 1
         }
     }' || status=1
-allows=$(find crates examples tests -name '*.rs' -not -path '*/target/*' -not -path 'crates/lint/*' |
-    xargs grep -h 'prochlo-lint: allow' | wc -l)
+allows=$(find crates examples tests -name '*.rs' -not -path '*/target/*' | xargs awk '
+    /#!?\[expect\(/ { attr = "" ; open = 1 }
+    open { attr = attr $0 }
+    open && /\)\]/ {
+        open = 0
+        if (attr ~ /clippy::(disallowed_methods|disallowed_types|unwrap_used|expect_used|panic|indexing_slicing)[^a-z_]/) n++
+    }
+    END { print n + 0 }')
 printf '%-22s %8s %9d (ceiling %d)\n' allows '' "$allows" "$ALLOW_CEILING"
 if [ "$allows" -gt "$ALLOW_CEILING" ]; then
-    printf 'lint allows exceed their ceiling by %d\n' $((allows - ALLOW_CEILING))
+    printf 'rule suppressions exceed their ceiling by %d\n' $((allows - ALLOW_CEILING))
     status=1
 fi
 exit $status

@@ -8,13 +8,17 @@
 # It works on a temporary copy of the repository it sits in, with its own
 # CARGO_TARGET_DIR, and leaves the repository untouched:
 #
-# 1. Every plain `pub` fn, struct, enum, trait, const and type, and every
-#    plain `pub` named field, in a library target is demoted to
-#    `pub(crate)`. Library targets are the `src/` trees of crates/* and
-#    examples/, less `main.rs` and `bin/`; a file's unit tests (from its
-#    first column-0 `#[cfg(test)]`) are left alone, and so are modules,
-#    uses, statics and tuple fields. A field is named `Struct.field` after
-#    the last `struct` declared above it.
+# 1. Every plain `pub` fn, struct, enum, trait, const and type, every
+#    plain `pub` named field, and every column-0 `pub use` in a library
+#    target is demoted to `pub(crate)`. Library targets are the `src/`
+#    trees of crates/* and examples/, less `main.rs` and `bin/`; a file's
+#    unit tests (from its first column-0 `#[cfg(test)]`) are left alone,
+#    and so are modules, statics, tuple fields and a `pub use` under an
+#    attribute or with nested braces. A field is named `Struct.field` after
+#    the last `struct` declared above it. A `pub use` is blanked where it
+#    stands and re-issued at the end of its file, one line per name, so
+#    each re-exported name is restored on its own; it is listed at its
+#    original line.
 # 2. `cargo check --workspace --all-targets` runs until it stops needing a
 #    restore. Each round restores every demoted item that an error, or a
 #    `private_interfaces` / `private_bounds` warning, points at with any of
@@ -48,14 +52,63 @@ tar -C "$repo" --exclude=.git --exclude=target --exclude=.bench_build -cf - . | 
 cd "$work/repo"
 export CARGO_TARGET_DIR="$work/target"
 
-# Step 1: demote, and write one `file:line kind name` line per item and
-# one `file:line field Struct.field` line per field.
+# Step 1: demote, and write one `file:line kind name` line per item, one
+# `file:line field Struct.field` line per field and one `file:line use path
+# @line` line per re-exported name (its line in the copy, then the original).
 find crates/*/src examples/src -name '*.rs' ! -path '*/src/main.rs' ! -path '*/bin/*' |
     sort > "$work/files"
 : > "$work/demoted"
 xargs awk -v out="$work/demoted" '
-    FNR == 1 { if (prev != "") close(prev); prev = FILENAME ".surface"; tests = 0 }
+    # Queues `pub(crate) use` lines, one per name of the statement `text`
+    # that began on line `at`; a nested group is queued whole and public.
+    function expand(text, at,   prefix, inner, n, names, i, path) {
+        sub(/^pub use /, "", text)
+        sub(/;.*/, "", text)
+        gsub(/[ \t]+/, " ", text)
+        gsub(/ *:: */, "::", text); gsub(/ *\{ */, "{", text)
+        gsub(/ *\} */, "}", text); gsub(/ *, */, ",", text)
+        if (text !~ /\{/) { queue("pub(crate) use " text ";", text, at); return }
+        prefix = substr(text, 1, index(text, "{") - 1)
+        inner = substr(text, index(text, "{") + 1)
+        sub(/\}$/, "", inner)
+        if (inner ~ /[{}]/) { pend[++npend] = "pub use " text ";"; return }
+        n = split(inner, names, ",")
+        for (i = 1; i <= n; i++) {
+            if (names[i] == "") continue
+            path = names[i] == "self" ? substr(prefix, 1, length(prefix) - 2) : prefix names[i]
+            queue("pub(crate) use " path ";", path, at)
+        }
+    }
+    function queue(line, name, at) {
+        pend[++npend] = line
+        pname[npend] = name
+        porig[npend] = at
+    }
+    # Appends the queued uses to the finished file and lists each one.
+    function flush(   i) {
+        if (prev == "") return
+        for (i = 1; i <= npend; i++) {
+            print pend[i] > prev
+            if (i in pname) print file ":" (lines + i), "use", pname[i], "@" porig[i] >> out
+        }
+        npend = 0
+        split("", pname)
+        close(prev)
+    }
+    FNR == 1 { flush(); prev = FILENAME ".surface"; file = FILENAME; tests = 0; above = "" }
+    { lines = FNR }
     /^#\[cfg\(test\)\]/ { tests = 1 }
+    !tests && !inuse && /^pub use / && above !~ /^[ \t]*#\[/ { inuse = 1; text = ""; at = FNR }
+    inuse {
+        line = $0
+        sub(/\/\/.*/, "", line)
+        text = text " " line
+        if (line ~ /;/) { inuse = 0; sub(/^ /, "", text); expand(text, at) }
+        print "" > prev
+        above = $0
+        next
+    }
+    { above = $0 }
     match($0, /^[ \t]*(pub(\([^)]*\))? )?struct [A-Za-z_][A-Za-z0-9_]*/) {
         n = split(substr($0, RSTART, RLENGTH), decl, " ")
         owner = decl[n]
@@ -71,10 +124,12 @@ xargs awk -v out="$work/demoted" '
         sub(/pub /, "pub(crate) ")
         print FILENAME ":" FNR, "field", owner "." field >> out
     }
-    { print > prev }' < "$work/files"
+    { print > prev }
+    END { flush() }' < "$work/files"
 while read -r file; do mv "$file.surface" "$file"; done < "$work/files"
 fields=$(grep -c ' field ' "$work/demoted" || :)
-items=$(($(wc -l < "$work/demoted") - fields))
+uses=$(grep -c ' use ' "$work/demoted" || :)
+items=$(($(wc -l < "$work/demoted") - fields - uses))
 # Each library's name and directory, for a crate-qualified struct path.
 cargo metadata --offline --no-deps --format-version 1 |
     jq -r '.workspace_root as $root | .packages[].targets[] | select(.kind | index("lib"))
@@ -124,7 +179,11 @@ while :; do
         FILENAME == ARGV[1] {
             split($0, item, " ")
             demoted[item[1]] = 1
-            named[crate(item[1]) " " item[3]] = named[crate(item[1]) " " item[3]] " " item[1]
+            # A re-export is named by its alias or its path'"'"'s last segment.
+            name = item[2] != "use" ? item[3] : item[4] == "as" ? item[5] : item[3]
+            sub(/.*::/, "", name)
+            named[crate(item[1]) " " name] = named[crate(item[1]) " " name] " " item[1]
+            if (item[2] == "use") reexport[name] = reexport[name] " " item[1]
             if (item[2] == "field") {
                 split(item[3], member, ".")
                 field[item[3]] = field[item[3]] " " item[1]
@@ -157,6 +216,14 @@ while :; do
                 for (i = 1; i <= n; i++) print spans[i]
                 hit = 1
             }
+            # `use other::name` finds the module of that name once the
+            # function re-export is gone, and the call then fails where it
+            # stands: restore every re-export of the name the error quotes.
+            if (!hit && $3 in reexport) {
+                n = split(reexport[$3], spans, " ")
+                for (i = 1; i <= n; i++) print spans[i]
+                hit = 1
+            }
             if (!hit) print FNR > unmapped
         }' "$work/demoted" "$work/libs" "$work/asks" > "$work/hits"
     # A private item's callers are still type-checked against it, so an
@@ -175,9 +242,9 @@ done
 jq -r 'select(.reason == "compiler-message") | .message | select(.code.code == "dead_code")
     | .spans[] | "\(.file_name):\(.line_start)"' "$work/check.json" | sort -u > "$work/dead-spans"
 awk 'FNR == NR { dead[$0] = 1; next } $1 in dead' "$work/dead-spans" "$work/demoted" > "$work/dead"
-echo "pub items and fields no other crate needs ($(wc -l < "$work/demoted")):"
-sed 's/^/  /' "$work/demoted"
+echo "pub items, fields and re-exports no other crate needs ($(wc -l < "$work/demoted")):"
+sed -E 's/^([^:]+):[0-9]+ use (.*) @([0-9]+)$/\1:\3 use \2/; s/^/  /' "$work/demoted"
 echo "of which dead outside unit tests ($(wc -l < "$work/dead")):"
 sed 's/^/  /' "$work/dead"
-echo "surface: $items items and $fields fields demoted, $rounds rounds, $(($(date +%s) - start)) s"
+echo "surface: $items items, $fields fields and $uses re-exports demoted, $rounds rounds, $(($(date +%s) - start)) s"
 [ ! -s "$work/demoted" ]

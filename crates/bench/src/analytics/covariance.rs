@@ -14,6 +14,10 @@
 //! collection path (capped sampling of tuples, 10 % movie randomization,
 //! thresholding) barely moves the RMSE, not that the recommender is
 //! state-of-the-art.
+#![expect(
+    clippy::disallowed_types,
+    reason = "keyed accumulators: looked up, and walked only to collect a key set"
+)]
 
 use std::collections::HashMap;
 

@@ -8,6 +8,10 @@
 //! than 1 time in 8. We use an n-gram (bigram with popularity back-off)
 //! predictor, which exposes the same dependence on short recent-history
 //! context that carries the claim.
+#![expect(
+    clippy::disallowed_types,
+    reason = "keyed counters: the one walk, predict's max, breaks ties by item"
+)]
 
 use std::collections::HashMap;
 

@@ -101,7 +101,7 @@ impl RatingsGenerator {
     fn user_ratings<R: Rng + ?Sized>(&self, user: u32, rng: &mut R) -> Vec<Rating> {
         let count = (self.config.mean_ratings_per_user / 2)
             + rng.gen_range(0..=self.config.mean_ratings_per_user);
-        // prochlo-lint: allow(determinism-hash-iter, "insert-only dedup set: never iterated, sampling order comes from the seeded RNG")
+        #[expect(clippy::disallowed_types, reason = "insert-only set, never iterated")]
         let mut seen = std::collections::HashSet::new();
         let mut ratings = Vec::with_capacity(count);
         while ratings.len() < count && seen.len() < self.config.movies {

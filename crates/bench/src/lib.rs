@@ -34,6 +34,14 @@
 //!   `shuffler_comparison` bench prints the table): Batcher's sort
 //!   ([`batcher`]), ColumnSort ([`columnsort`]), the Melbourne Shuffle
 //!   ([`melbourne`]) and cascade mix networks ([`cascade`]).
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "tests time, spawn and count freely; the rules hold production code"
+    )
+)]
 
 use std::time::Instant;
 

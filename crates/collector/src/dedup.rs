@@ -20,6 +20,10 @@
 //! refused afterwards. The tables hash with a keyed SipHash (nonces are
 //! client-chosen: an unkeyed hash would let an adversary aim them all at
 //! one bucket chain), at most twice per nonce.
+#![expect(
+    clippy::disallowed_types,
+    reason = "membership tables under a keyed SipHash, the HashDoS defence; never iterated"
+)]
 
 use std::collections::HashSet;
 use std::hash::RandomState;

@@ -21,7 +21,7 @@
 //! counted. Publishing adds the run to the cells [`IngestStats`] and the
 //! registry read (`collector.ingest.*`), and records one
 //! `collector.ingest.submit` observation per submission: the run's time
-//! over its submissions. A [`Peer`] is rendered once per connection.
+//! over its submissions. A `Peer` is rendered once per connection.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -117,7 +117,7 @@ impl Tally {
 /// the shuffler must strip — rendered once when the connection is accepted
 /// and shared by every report that arrives on it.
 #[derive(Debug, Clone)]
-pub struct Peer {
+pub(crate) struct Peer {
     label: Arc<str>,
     source_ip: [u8; 4],
 }
@@ -262,7 +262,7 @@ impl IngestCore {
         let accepted = verdicts.iter().filter(|&&v| v == NonceCheck::Fresh).count();
         // What the shuffler strips: address, arrival order and time.
         let first_arrival = self.arrival.fetch_add(accepted as u64, Ordering::Relaxed);
-        // prochlo-lint: allow(wallclock-discipline, "transport metadata only: the shuffler strips this timestamp before analysis, so it never steers seeded replay")
+        #[expect(clippy::disallowed_methods, reason = "metadata the shuffler strips")]
         let now = SystemTime::now().duration_since(UNIX_EPOCH);
         let timestamp_secs = now.map(|d| d.as_secs()).unwrap_or(0);
         let reports = run

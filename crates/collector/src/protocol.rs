@@ -45,6 +45,9 @@
 //! connection refused at the cap, `Rejected` to an oversize announcement —
 //! so the two fronts refuse with the same bytes.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::indexing_slicing)]
+
 use std::io::{Read, Write};
 
 use prochlo_core::framing::{FramePolicy, FrameRead, FrameWrite};

@@ -43,7 +43,7 @@ struct QueueState<T> {
 /// A bounded queue with a single draining thread; see the module docs for
 /// the blocking contract.
 #[derive(Debug)]
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     state: Mutex<QueueState<T>>,
     available: Condvar,
     capacity: usize,
@@ -132,11 +132,11 @@ impl<T> BoundedQueue<T> {
     /// is finished ([`Self::is_finished`]).
     pub(crate) fn drain_when(&self, target: usize, timeout: Duration) -> Vec<T> {
         let target = target.clamp(1, self.capacity);
-        // prochlo-lint: allow(wallclock-discipline, "functional count-or-deadline primitive: the deadline cuts batches, it never orders reports")
+        #[expect(clippy::disallowed_methods, reason = "the epoch cut's batch deadline")]
         let deadline = Instant::now() + timeout;
         let mut state = self.state.lock();
         while state.items.len() < target && !(state.closed && state.reserved == 0) {
-            // prochlo-lint: allow(wallclock-discipline, "remaining-wait computation for the same batch-cut deadline as above")
+            #[expect(clippy::disallowed_methods, reason = "waits out the same deadline")]
             let now = Instant::now();
             if !state.closed && now >= deadline {
                 break;

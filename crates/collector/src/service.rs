@@ -15,7 +15,8 @@
 //!   run and publishes the tally before the turn's answers are queued.
 //! * **epoch** — owns the [`Deployment`]; drains the report queue with a
 //!   count-or-deadline policy and feeds each batch through an
-//!   [`prochlo_core::EpochSession`], which canonicalizes it and runs
+//!   [`EpochSession`](prochlo_core::deployment::EpochSession), which
+//!   canonicalizes it and runs
 //!   shuffling + analysis under a deterministic [`EpochSpec`]. The queue
 //!   wakes this thread when a batch is complete, not per report
 //!   (`collector.epoch.wakeups` tracks `collector.epoch.cut`). A batch the
@@ -117,7 +118,8 @@ pub trait EpochPipeline: Send {
     ) -> Result<PipelineReport, PipelineError>;
 }
 
-/// The in-process pipeline: an [`prochlo_core::EpochSession`] per batch —
+/// The in-process pipeline: an
+/// [`EpochSession`](prochlo_core::deployment::EpochSession) per batch —
 /// canonicalize, shuffle, analyze — against an owned [`Deployment`].
 #[derive(Debug)]
 pub struct LocalPipeline {
@@ -274,6 +276,7 @@ impl Collector {
         // taken address), closing the queue is all it takes to end it.
         let epoch_thread = {
             let (shared, config) = (Arc::clone(&shared), config.clone());
+            #[expect(clippy::disallowed_methods, reason = "the one epoch manager thread")]
             std::thread::Builder::new()
                 .name("collector-epoch".to_string())
                 .spawn(move || epoch_loop(pipeline, &shared, &config))?

@@ -6,7 +6,7 @@
 //! caller drives. This module is three pieces:
 //!
 //! * [`Deployment`] — built by [`DeploymentBuilder`], it owns a shuffling
-//!   topology as a [`ShufflerRole`] (a [`crate::Shuffler`] or a
+//!   topology as a `ShufflerRole` (a [`crate::Shuffler`] or a
 //!   [`crate::shuffler::split::SplitShuffler`]) plus the analyzer, so
 //!   callers construct and drive one type regardless of topology.
 //! * [`EpochSpec`] — a parameter object naming an epoch: its index, the
@@ -36,9 +36,10 @@ mod session;
 mod sharding;
 mod spec;
 
-pub use role::{ShufflerRole, Topology};
+pub(crate) use role::ShufflerRole;
+pub use role::Topology;
 pub use session::canonicalize;
-pub use sharding::{crowd_prefix, ShardedReport};
+pub use sharding::crowd_prefix;
 pub use spec::epoch_rng;
 
 use std::sync::OnceLock;
@@ -137,7 +138,8 @@ pub struct DeploymentBuilder {
 /// in one process.
 ///
 /// Examples, tests, benches and the collector all construct this one type;
-/// the topology behind it is a [`ShufflerRole`] selected at build time. A production deployment would place each role in a separate
+/// the topology behind it is a `ShufflerRole` selected at build time. A
+/// production deployment would place each role in a separate
 /// service (the paper's implementation uses gRPC between them); the
 /// collector crate is the serving front end for this in-process form.
 ///

@@ -42,6 +42,9 @@
 //! fabric batch costs one buffer on the receiving side and the shared read
 //! buffer never grows to hold it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::indexing_slicing)]
+
 use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 use std::ops::Range;
 
@@ -248,14 +251,14 @@ impl<R: Read + ?Sized> FrameRead for R {
         if len < 2 {
             return Err(FrameError::Protocol("frame shorter than header"));
         }
-        let mut frame = vec![0u8; len];
-        self.read_exact(&mut frame)?;
-        // prochlo-lint: allow(panic-on-wire, "bounds proven: len >= 2 is checked above and read_exact filled the whole frame")
-        if frame[0] != policy.version {
+        let mut version = [0u8; 1];
+        self.read_exact(&mut version)?;
+        if version != [policy.version] {
             return Err(FrameError::Protocol("unsupported protocol version"));
         }
-        frame.remove(0);
-        Ok(frame)
+        let mut body = vec![0u8; len - 1];
+        self.read_exact(&mut body)?;
+        Ok(body)
     }
 }
 
@@ -374,8 +377,10 @@ impl FrameAccumulator {
     pub fn read_from(&mut self, reader: &mut impl Read, room: usize) -> io::Result<usize> {
         self.prepare_fill(room);
         self.make_room(room);
-        // prochlo-lint: allow(panic-on-wire, "bounds proven: make_room grew the buffer to at least end + room")
-        let shared = &mut self.buf[self.end..self.end + room];
+        let shared = self
+            .buf
+            .get_mut(self.end..self.end + room)
+            .unwrap_or_default();
         let (n, into_shared) = match self.large.as_mut().filter(|l| l.filled < l.body.len()) {
             Some(large) => {
                 let rest = large.body.get_mut(large.filled..).unwrap_or_default();
@@ -411,8 +416,7 @@ impl FrameAccumulator {
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
         Ok(match self.advance()? {
             None => None,
-            // prochlo-lint: allow(panic-on-wire, "the range is a frame body advance() bounds-checked against start..end of this buffer")
-            Some(Next::Shared(body)) => Some(&self.buf[body]),
+            Some(Next::Shared(body)) => self.buf.get(body),
             Some(Next::Large) => {
                 self.lent = self.take_large();
                 Some(&self.lent)
@@ -425,8 +429,7 @@ impl FrameAccumulator {
     pub fn take_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
         Ok(match self.advance()? {
             None => None,
-            // prochlo-lint: allow(panic-on-wire, "the range is a frame body advance() bounds-checked against start..end of this buffer")
-            Some(Next::Shared(body)) => Some(self.buf[body].to_vec()),
+            Some(Next::Shared(body)) => self.buf.get(body).map(<[u8]>::to_vec),
             Some(Next::Large) => Some(self.take_large()),
         })
     }
@@ -441,13 +444,11 @@ impl FrameAccumulator {
             let done = large.filled == large.body.len();
             return Ok(done.then_some(Next::Large));
         }
-        // prochlo-lint: allow(panic-on-wire, "start and end are internal cursors with start <= end <= buf.len(), advanced only to a consumed frame boundary or by a read's own count; no peer byte reaches the index")
-        let live = &self.buf[self.start..self.end];
-        if live.len() < 4 {
+        let live = self.buf.get(self.start..self.end).unwrap_or_default();
+        let Some(&len_bytes) = live.first_chunk::<4>() else {
             return Ok(None);
-        }
-        // prochlo-lint: allow(panic-on-wire, "bounds proven: live.len() >= 4 is checked above")
-        let len = u32::from_le_bytes([live[0], live[1], live[2], live[3]]) as usize;
+        };
+        let len = u32::from_le_bytes(len_bytes) as usize;
         if len > self.policy.max_frame_len {
             // Reject on the announcement alone — mid-accumulation, before
             // the peer gets to make us buffer the body.
@@ -463,8 +464,10 @@ impl FrameAccumulator {
         }
         // The version byte is checked as soon as it is present, without
         // waiting for the body.
-        // prochlo-lint: allow(panic-on-wire, "bounds proven: live.len() >= 5 is checked on this line")
-        if live.len() >= 5 && live[4] != self.policy.version {
+        if live
+            .get(4)
+            .is_some_and(|&version| version != self.policy.version)
+        {
             self.poisoned = Some("unsupported protocol version");
             return Err(FrameError::Protocol("unsupported protocol version"));
         }

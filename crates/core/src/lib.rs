@@ -26,10 +26,19 @@
 //! [`ShufflerConfig`], beside the per-crowd draw it describes
 //! ([`CrowdThreshold`]); [`deployment`] wires the three stages together
 //! behind one topology-agnostic orchestration API
-//! ([`Deployment`], [`EpochSpec`], [`EpochSession`], [`ShardedDeployment`])
+//! ([`Deployment`], [`EpochSpec`], [`EpochSession`](deployment::EpochSession),
+//! [`ShardedDeployment`])
 //! for in-process experiments, examples, and the collector's serving layer;
-//! its [`ShufflerRole`] holds either topology and matches on it once per
+//! its `ShufflerRole` holds either topology and matches on it once per
 //! call.
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "tests time, spawn and count freely; the rules hold production code"
+    )
+)]
 
 pub mod analyzer;
 pub mod deployment;
@@ -43,15 +52,14 @@ pub mod wire;
 
 pub use analyzer::{Analyzer, AnalyzerDatabase};
 pub use deployment::{
-    canonicalize, crowd_prefix, epoch_rng, Deployment, DeploymentBuilder, EpochSession, EpochSpec,
-    PipelineReport, ShardedDeployment, ShardedReport, ShufflerRole, Topology,
+    canonicalize, crowd_prefix, epoch_rng, Deployment, DeploymentBuilder, EpochSpec,
+    PipelineReport, ShardedDeployment, Topology,
 };
-pub use encoder::{ClientKeys, CrowdStrategy, Encoder};
+pub use encoder::{CrowdStrategy, Encoder};
 pub use error::PipelineError;
-pub use framing::{FrameError, FramePolicy, FrameRead, FrameWrite};
 pub use prochlo_shuffle::CostReport;
 pub use record::{AnalyzerPayload, ClientReport, CrowdId, ShufflerEnvelope, TransportMetadata};
 pub use shuffler::{
-    CrowdThreshold, EngineConfig, PhaseTimings, ShuffleBackend, ShuffleOutcome, Shuffler,
-    ShufflerConfig, ShufflerStats, ThresholdProfile,
+    CrowdThreshold, EngineConfig, ShuffleBackend, Shuffler, ShufflerConfig, ShufflerStats,
+    ThresholdProfile,
 };

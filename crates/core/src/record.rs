@@ -13,6 +13,9 @@
 //! sizes but never payloads; the analyzer learns payloads but never which
 //! client, when, or from where.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::indexing_slicing)]
+
 use std::borrow::Borrow;
 use std::sync::Arc;
 

@@ -2,7 +2,7 @@
 //! thresholding and oblivious shuffling (§3.3, §3.5, §4.1).
 //!
 //! A batch enters through one function,
-//! [`ShufflerRole::process`](crate::deployment::ShufflerRole::process),
+//! `ShufflerRole::process`,
 //! which checks the batch against [`ShufflerConfig::min_batch_size`] and
 //! matches the topology once. The single shuffler then runs three explicit
 //! phases, each timed independently:
@@ -654,7 +654,7 @@ impl Shuffler {
 
     /// Peel, strip metadata, randomized thresholding, oblivious shuffle, on
     /// `num_threads` workers (a resolved count).
-    /// [`ShufflerRole::process`](crate::deployment::ShufflerRole::process) is
+    /// `ShufflerRole::process` is
     /// the entry point: it checks the batch size first.
     ///
     /// Output is a pure function of `(reports, rng)` for any thread count:

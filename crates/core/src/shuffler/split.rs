@@ -38,7 +38,7 @@
 //! Each stage has one entry point that takes the resolved worker count —
 //! [`ShufflerOne::process_batch`] and [`ShufflerTwo::process_batch`], which
 //! is what a per-process service loop calls — and the pair runs in-process
-//! through [`ShufflerRole::process`](crate::deployment::ShufflerRole::process),
+//! through `ShufflerRole::process`,
 //! which checks the batch size and hands it to `SplitShuffler::process_batch`.
 
 use std::borrow::Borrow;

@@ -22,6 +22,9 @@
 //! - **Finish.** Every decoder ends in [`Reader::finish`], which refuses
 //!   trailing bytes: a message parses only if it is used up exactly.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::indexing_slicing)]
+
 use crate::error::PipelineError;
 
 /// Appends a `u8` tag.
@@ -69,11 +72,11 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, len: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        if self.remaining() < len {
-            return Err(WireError(what));
-        }
-        // prochlo-lint: allow(panic-on-wire, "bounds proven: remaining() >= len is checked on the line above")
-        let slice = &self.bytes[self.offset..self.offset + len];
+        let slice = self
+            .bytes
+            .get(self.offset..)
+            .and_then(|rest| rest.get(..len))
+            .ok_or(WireError(what))?;
         self.offset += len;
         Ok(slice)
     }
@@ -178,13 +181,12 @@ pub fn pad_payload(data: &[u8], target: usize) -> Result<Vec<u8>, PipelineError>
 /// Reverses [`pad_payload`], borrowing the data from `padded`.
 pub fn unpad_payload(padded: &[u8]) -> Result<&[u8], PipelineError> {
     let len: usize = Reader::new(padded).get_u32("truncated field")?;
-    if len > padded.len().saturating_sub(4) {
-        return Err(PipelineError::MalformedReport(
+    padded
+        .get(4..)
+        .and_then(|data| data.get(..len))
+        .ok_or(PipelineError::MalformedReport(
             "padding length out of range",
-        ));
-    }
-    // prochlo-lint: allow(panic-on-wire, "bounds proven: len <= padded.len() - 4 is checked above")
-    Ok(&padded[4..4 + len])
+        ))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use crate::util::load_u32_le;
 /// Key length in bytes.
 pub(crate) const KEY_LEN: usize = 32;
 /// Nonce length in bytes (RFC 8439 uses a 96-bit nonce).
-pub const NONCE_LEN: usize = 12;
+pub(crate) const NONCE_LEN: usize = 12;
 /// Size of one keystream block.
 pub(crate) const BLOCK_LEN: usize = 64;
 

@@ -59,6 +59,18 @@ mod tests {
     use super::*;
     use crate::util::to_hex;
 
+    /// `HmacSha256` holds keyed state: like the secret types of the
+    /// `secret_types` integration test, it must never gain `PartialEq`.
+    #[test]
+    fn hmac_state_has_no_partial_eq() {
+        trait NotEq<Marker> {
+            fn checked() {}
+        }
+        impl<T: ?Sized> NotEq<()> for T {}
+        impl<T: ?Sized + PartialEq> NotEq<u8> for T {}
+        let _ = <HmacSha256 as NotEq<_>>::checked;
+    }
+
     #[test]
     fn rfc4231_test_case_1() {
         let key = [0x0bu8; 20];

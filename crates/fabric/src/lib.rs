@@ -68,6 +68,14 @@
 //! stages share a call stack or a network.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "tests time, spawn and count freely; the rules hold production code"
+    )
+)]
 
 mod link;
 pub mod loopback;
@@ -77,12 +85,11 @@ pub mod split;
 pub mod tcp;
 pub mod transport;
 
-pub use loopback::{LoopbackHub, LoopbackTransport};
+pub use loopback::LoopbackHub;
 pub use messages::{BatchToOne, BatchToTwo, ItemsBatch, ToOne, ToShard, ToTwo};
 pub use router::{RouterConfig, RouterStats, ShardRouter};
 pub use split::{serve_shuffler_one, serve_shuffler_two, sum_epoch_stats, RemoteSplitPipeline};
-pub use tcp::{TcpTransport, TcpTransportBuilder};
+pub use tcp::TcpTransportBuilder;
 pub use transport::{
-    frame_policy, ChannelId, Envelope, FabricError, Peer, Stage, Transport, TypedChannel,
-    WireMessage,
+    ChannelId, Envelope, FabricError, Peer, Stage, Transport, TypedChannel, WireMessage,
 };

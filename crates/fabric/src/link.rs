@@ -12,6 +12,9 @@
 //! ended link — failed or cleanly closed — refuses every later frame;
 //! receivers still get the frames filed before the end, then the end.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::indexing_slicing)]
+
 use std::collections::{BTreeMap, VecDeque};
 
 use parking_lot::{Condvar, Mutex};

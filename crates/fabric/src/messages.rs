@@ -29,6 +29,9 @@
 //! [`prochlo_core::shuffler::split::SplitShuffler::merge_stage_stats`], so
 //! a remote run reports the identical merged stats as an in-process one.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::indexing_slicing)]
+
 use std::borrow::Borrow;
 
 use prochlo_core::shuffler::split::BlindedRecord;
@@ -280,7 +283,7 @@ impl<I: AsRef<[u8]>> WireMessage for BatchToTwo<I> {
         put_u64(&mut out, self.epoch_index);
         put_u64(&mut out, self.s2_seed);
         put_u64(&mut out, self.received as u64);
-        // prochlo-lint: allow(panic-on-wire, "encode path: serializing our own in-memory stats, no peer-controlled bytes involved")
+        #[expect(clippy::expect_used, reason = "encodes our own stats, not peer bytes")]
         encode_stats(&mut out, &self.stage_one).expect("split stage stats always encode");
         put_u32(&mut out, self.records.len() as u32);
         for record in &self.records {
@@ -356,9 +359,9 @@ impl<I: AsRef<[u8]>> WireMessage for ItemsBatch<I> {
         put_u32(&mut out, u32::from(self.shard));
         put_u64(&mut out, self.epoch_index);
         put_u64(&mut out, self.received as u64);
-        // prochlo-lint: allow(panic-on-wire, "encode path: serializing our own in-memory stats, no peer-controlled bytes involved")
+        #[expect(clippy::expect_used, reason = "encodes our own stats, not peer bytes")]
         encode_stats(&mut out, &self.stage_one).expect("split stage stats always encode");
-        // prochlo-lint: allow(panic-on-wire, "encode path: serializing our own in-memory stats, no peer-controlled bytes involved")
+        #[expect(clippy::expect_used, reason = "encodes our own stats, not peer bytes")]
         encode_stats(&mut out, &self.stage_two).expect("split stage stats always encode");
         put_u32(&mut out, self.items.len() as u32);
         for item in &self.items {

@@ -26,7 +26,8 @@
 //!
 //! **Determinism contract.** The shard canonicalizes the batch
 //! ([`prochlo_core::canonicalize`], the function
-//! [`prochlo_core::EpochSession::finish`] calls), derives the epoch RNG from
+//! [`EpochSession::finish`](prochlo_core::deployment::EpochSession::finish)
+//! calls), derives the epoch RNG from
 //! `(seed, epoch_index)` and draws the two per-stage sub-seeds with
 //! [`SplitShuffler::stage_seeds`] — the same draws, in the same order, as
 //! the in-process split topology. Each shuffler stage then runs

@@ -22,6 +22,9 @@
 //! in one vectored write, and the exactly-sized buffer the pump reads a
 //! long frame into, which the link files as it is.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::indexing_slicing)]
+
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -85,7 +88,7 @@ impl TcpTransportBuilder {
             .listener
             .as_ref()
             .ok_or(FabricError::Malformed("accept before listen"))?;
-        // prochlo-lint: allow(wallclock-discipline, "functional handshake deadline: it bounds connection setup and never orders or steers a report")
+        #[expect(clippy::disallowed_methods, reason = "the handshake deadline")]
         let start = Instant::now();
         let left = || {
             within

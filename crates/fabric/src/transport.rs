@@ -14,6 +14,9 @@
 //! sequence number, framed by the shared [`prochlo_core::framing`] code
 //! path.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::indexing_slicing)]
+
 use std::fmt;
 use std::marker::PhantomData;
 

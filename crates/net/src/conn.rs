@@ -1,7 +1,7 @@
 //! Nonblocking connection state machine: incremental frame reads, buffered
 //! partial writes.
 //!
-//! A [`Conn`] owns one nonblocking `TcpStream` and carries the two pieces
+//! A `Conn` owns one nonblocking `TcpStream` and carries the two pieces
 //! of state an event loop must persist between readiness events: a
 //! [`FrameAccumulator`] resuming frame parses across partial reads, and an
 //! offset-tracked write buffer resuming flushes across partial writes.
@@ -17,6 +17,14 @@
 //! write per attempt, with no intermediate frame. Reads keep one `READ_CHUNK` of room; a frame longer than that is
 //! read into its own exactly-sized buffer (see [`FrameAccumulator`]) and
 //! `Conn::take_frame` hands it over without a copy.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -35,7 +43,7 @@ pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
 /// Result of draining a readable socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnStatus {
+pub(crate) enum ConnStatus {
     /// The peer may still send more bytes.
     Open,
     /// The peer closed its write side; frames drained before the close are
@@ -45,7 +53,7 @@ pub enum ConnStatus {
 
 /// Result of flushing the write buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushStatus {
+pub(crate) enum FlushStatus {
     /// Everything queued has reached the socket; write interest can drop.
     Drained,
     /// The socket would block with bytes still queued; keep write interest.
@@ -54,7 +62,7 @@ pub enum FlushStatus {
 
 /// One nonblocking connection: stream + resumable read/write state.
 #[derive(Debug)]
-pub struct Conn {
+pub(crate) struct Conn {
     stream: TcpStream,
     acc: FrameAccumulator,
     write_policy: FramePolicy,
@@ -142,9 +150,12 @@ impl Conn {
     /// block. A peer that stopped accepting bytes and closed surfaces as
     /// [`FrameError::Closed`].
     pub(crate) fn flush(&mut self) -> Result<FlushStatus, FrameError> {
-        while self.write_pos < self.write_buf.len() {
-            // prochlo-lint: allow(panic-on-wire, "bounds proven: write_pos < write_buf.len() is the loop condition, and both are service-controlled")
-            match self.stream.write(&self.write_buf[self.write_pos..]) {
+        while let Some(pending) = self
+            .write_buf
+            .get(self.write_pos..)
+            .filter(|p| !p.is_empty())
+        {
+            match self.stream.write(pending) {
                 Ok(0) => return Err(FrameError::Closed),
                 Ok(n) => self.write_pos += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(FlushStatus::Pending),
@@ -160,7 +171,7 @@ impl Conn {
 
 /// Sends one frame over a *nonblocking* stream with blocking-call
 /// semantics: the frame writer's vectored writes resume at their offset,
-/// parking on [`wait_writable`] whenever the socket pushes back. This is
+/// parking on `wait_writable` whenever the socket pushes back. This is
 /// the only safe way to write a stream whose read half is reactor-managed —
 /// `set_nonblocking` applies to the shared fd, so a plain `write_all`
 /// could lose its position mid-frame on `WouldBlock`. The body is

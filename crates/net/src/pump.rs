@@ -75,6 +75,7 @@ impl FramePump {
         let stop = Arc::new(AtomicBool::new(false));
         let waker = reactor.waker();
         let stop_flag = Arc::clone(&stop);
+        #[expect(clippy::disallowed_methods, reason = "the pump's one reader thread")]
         let handle = std::thread::Builder::new()
             .name(format!("pump-{name}"))
             .spawn(move || {
@@ -168,7 +169,7 @@ mod tests {
     fn frames_from_many_streams_demux_with_their_ids() {
         let (mut c1, s1) = pair();
         let (mut c2, s2) = pair();
-        #[allow(clippy::type_complexity)]
+        #[expect(clippy::type_complexity, reason = "the sink's (stream id, frame) log")]
         let seen: Arc<Mutex<Vec<(usize, Vec<u8>)>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         let closed: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));

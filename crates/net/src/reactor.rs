@@ -9,7 +9,7 @@
 //! serving path stays std + parking_lot.
 //!
 //! Cross-thread wakes (shutdown, epoch cuts, new connections handed to a
-//! loop) go through a [`Waker`]: a nonblocking `UnixStream` pair whose read
+//! loop) go through a `Waker`: a nonblocking `UnixStream` pair whose read
 //! end the reactor polls alongside the registered sockets. `poll` returns
 //! early when woken; callers re-check their own control state each turn.
 //!
@@ -122,7 +122,7 @@ pub struct Event {
 /// wake makes the reactor's current (or next) [`Reactor::poll`] return
 /// promptly. Wakes coalesce: many wakes before a poll turn cost one wakeup.
 #[derive(Debug, Clone)]
-pub struct Waker {
+pub(crate) struct Waker {
     tx: Arc<UnixStream>,
 }
 
@@ -232,6 +232,7 @@ impl Reactor {
     /// reports a `timed_out` event and the deadline disarms; callers re-arm
     /// on progress or evict on expiry. Stale tokens are ignored.
     pub(crate) fn set_deadline(&mut self, token: Token, deadline: Option<Duration>) {
+        #[expect(clippy::disallowed_methods, reason = "arms a reactor deadline")]
         let at = deadline.map(|d| Instant::now() + d);
         if let Some(entry) = self.entry_mut(token) {
             entry.deadline = at;
@@ -264,7 +265,7 @@ impl Reactor {
     }
 
     /// Runs one poll turn: blocks until a registered source is ready, a
-    /// deadline expires, a [`Waker`] fires, or `max_wait` elapses (`None`
+    /// deadline expires, a `Waker` fires, or `max_wait` elapses (`None`
     /// waits indefinitely). Readiness and expiry reports are appended to
     /// `events` (cleared first). Returns the number of events delivered;
     /// zero means a wake, timeout, or signal interruption — callers
@@ -275,6 +276,7 @@ impl Reactor {
         max_wait: Option<Duration>,
     ) -> io::Result<usize> {
         events.clear();
+        #[expect(clippy::disallowed_methods, reason = "waits to the nearest deadline")]
         let now = Instant::now();
         let nearest_deadline = self
             .slots
@@ -292,6 +294,7 @@ impl Reactor {
 
         // Deadline sweep after the readiness pass: expired deadlines fire
         // exactly once, then disarm until re-armed.
+        #[expect(clippy::disallowed_methods, reason = "sweeps expired deadlines")]
         let now = Instant::now();
         for (index, slot) in self.slots.iter_mut().enumerate() {
             if let Some(entry) = slot.entry.as_mut() {
@@ -391,7 +394,7 @@ impl Reactor {
 /// a reactor-managed read half and are therefore nonblocking. Returns
 /// `true` when the socket reported writable within `timeout`, `false` on
 /// timeout.
-pub fn wait_writable<S: AsRawFd>(source: &S, timeout: Duration) -> io::Result<bool> {
+pub(crate) fn wait_writable<S: AsRawFd>(source: &S, timeout: Duration) -> io::Result<bool> {
     let mut fds = [sys::pollfd {
         fd: source.as_raw_fd(),
         events: sys::POLLOUT,

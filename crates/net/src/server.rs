@@ -226,6 +226,7 @@ impl Server {
                 config: config.clone(),
             };
             let name = format!("{}-{index}", config.thread_name);
+            #[expect(clippy::disallowed_methods, reason = "one thread per event loop")]
             threads.push(
                 std::thread::Builder::new()
                     .name(name)

@@ -1,7 +1,7 @@
 //! The workspace's one environment-knob reader.
 //!
 //! Every `std::env::var` read in the workspace lives in this module; the
-//! `env-knob-discipline` rule of `prochlo-lint` enforces it. Each crate
+//! workspace's `clippy.toml` disallows it everywhere else. Each crate
 //! still names, documents and validates its own knobs (in its `knobs`
 //! module or next to the code they steer), but all of them go through
 //! [`read`] / [`parse`], so the convention is written once: an unset knob
@@ -32,6 +32,7 @@ impl std::error::Error for InvalidKnob {}
 
 /// Reads the knob `name`: `Ok(None)` when unset, `Ok(Some(value))` when set
 /// to a Unicode value (returned verbatim), [`InvalidKnob`] otherwise.
+#[expect(clippy::disallowed_methods, reason = "the workspace's one knob reader")]
 pub fn read(name: &str) -> Result<Option<String>, InvalidKnob> {
     match std::env::var(name) {
         Ok(value) => Ok(Some(value)),

@@ -57,6 +57,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "tests time, spawn and count freely; the rules hold production code"
+    )
+)]
 
 mod flight;
 pub mod knobs;
@@ -67,7 +75,7 @@ mod unmeasured;
 
 pub use flight::{FlightRecorder, OBS_PATH_ENV};
 pub use registry::{bucket_bounds, bucket_index, Counter, Gauge, Histogram, Registry, NUM_BUCKETS};
-pub use snapshot::{HistogramSnapshot, Snapshot, SnapshotEntry, SnapshotValue};
+pub use snapshot::{Snapshot, SnapshotValue};
 pub use span::Span;
 pub use unmeasured::Unmeasured;
 

@@ -30,6 +30,7 @@ pub struct Span {
 }
 
 impl Span {
+    #[expect(clippy::disallowed_methods, reason = "telemetry: a span's start time")]
     pub(crate) fn started(histogram: Histogram) -> Self {
         Span {
             state: Some((Instant::now(), histogram)),

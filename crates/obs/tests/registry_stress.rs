@@ -2,6 +2,10 @@
 //! satellite): N writer threads sum exactly, snapshots taken mid-write
 //! are internally sane, and the histogram buckets partition `[0, +inf)`
 //! with no gaps or overlaps.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the writer threads are the test's subject"
+)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};

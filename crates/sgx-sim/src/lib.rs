@@ -27,15 +27,20 @@
 //! side channels (page faults, branch shadowing); the paper's own
 //! countermeasures for those are code-structure disciplines, which we note in
 //! the Stash Shuffle implementation instead.
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "tests time, spawn and count freely; the rules hold production code"
+    )
+)]
 
 pub mod attestation;
 pub mod enclave;
 
-pub use attestation::{AttestationAuthority, AttestationError, CpuKey, Quote, QuoteVerifier};
-pub use enclave::{
-    BoundaryLog, Enclave, EnclaveConfig, EnclaveError, EnclaveMetrics, EnclaveWorker, TraceEvent,
-    WorkerPool,
-};
+pub use attestation::{AttestationAuthority, CpuKey, Quote, QuoteVerifier};
+pub use enclave::{BoundaryLog, Enclave, EnclaveConfig, EnclaveError, EnclaveMetrics, WorkerPool};
 
 /// The usable private (EPC) memory of a current-generation SGX enclave, as
 /// reported by the paper: 92 MB.

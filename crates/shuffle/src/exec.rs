@@ -159,6 +159,7 @@ where
     // The caller is worker 0 rather than sleeping in the join: one thread
     // fewer per phase, and its chunks allocate from the caller's heap
     // instead of another per-thread one.
+    #[expect(clippy::disallowed_methods, reason = "the chunked executor's workers")]
     std::thread::scope(|scope| {
         for _ in 1..workers {
             scope.spawn(claim);

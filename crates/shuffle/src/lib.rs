@@ -21,6 +21,14 @@
 //! The Stash Shuffle runs against a [`prochlo_sgx::Enclave`] so that
 //! private-memory budgets are enforced and boundary traffic / access traces
 //! can be asserted in tests.
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "tests time, spawn and count freely; the rules hold production code"
+    )
+)]
 
 pub mod cost;
 pub mod error;
@@ -29,7 +37,7 @@ pub mod stash;
 
 pub use cost::CostReport;
 pub use error::ShuffleError;
-pub use stash::{StashShuffle, StashShuffleOutput, StashShuffleParams};
+pub use stash::{StashShuffle, StashShuffleParams};
 
 /// The record size the paper uses throughout its evaluation: 64 bytes of
 /// payload plus an 8-byte crowd ID, doubly encrypted to 318 bytes.

@@ -49,7 +49,7 @@ use crate::error::ShuffleError;
 use crate::{uniform_record_len, Records};
 use layout::Layout;
 
-pub use params::{StashShuffleParams, Table1Scenario};
+pub use params::StashShuffleParams;
 
 /// Result of a successful Stash Shuffle run.
 #[derive(Debug, Clone)]

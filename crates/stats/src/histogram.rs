@@ -3,6 +3,10 @@
 //! Used by the analyzer to materialize frequency tables, by the RAPPOR
 //! decoder to accumulate bit counts, and by the benchmark harnesses to report
 //! how many distinct items were recovered.
+#![expect(
+    clippy::disallowed_types,
+    reason = "a keyed counter: every ordered view (top_k, the canonical histogram bytes) sorts"
+)]
 
 use std::borrow::Borrow;
 use std::collections::HashMap;

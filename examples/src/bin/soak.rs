@@ -123,13 +123,14 @@ fn main() {
     // Submitters: each thread owns `conns / threads` connections and
     // round-robins its share of the stream over them, so every connection
     // stays open and active for the whole run.
+    #[expect(clippy::disallowed_methods, reason = "times the submit phase")]
     let started = Instant::now();
     let submitters: Vec<_> = (0..threads)
         .map(|t| {
             let pool = Arc::clone(&pool);
             let my_conns = conns / threads + usize::from(t < conns % threads);
             let my_reports = total_reports / threads + usize::from(t < total_reports % threads);
-            // prochlo-lint: allow(thread-spawn-discipline, "client load simulator: per-thread seeded RNGs, the pipeline output is independent of submission interleaving")
+            #[expect(clippy::disallowed_methods, reason = "per-thread seeded client load")]
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(SEED ^ ((t as u64 + 1) * 0x9E37_79B9));
                 let mut clients: Vec<CollectorClient> = (0..my_conns)

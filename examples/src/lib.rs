@@ -108,7 +108,7 @@ pub fn run_live_ingest(
     let clients: Vec<_> = (0..client_threads)
         .map(|c| {
             let keys = client_keys.clone();
-            // prochlo-lint: allow(thread-spawn-discipline, "client load simulator: per-thread seeded RNGs, the pipeline output is independent of submission interleaving")
+            #[expect(clippy::disallowed_methods, reason = "per-thread seeded client load")]
             thread::spawn(move || {
                 let mut rng =
                     StdRng::seed_from_u64(seed ^ ((c as u64 + 1).wrapping_mul(0x9E37_79B9)));
