@@ -10,12 +10,8 @@
 //! distribution; the shape to check is that the noisy-threshold columns sit a
 //! little below the naive-threshold row, far above what local DP recovers
 //! (the paper could not recover more than a few dozen pages with RAPPOR).
-#![expect(
-    clippy::disallowed_types,
-    reason = "pair counts and page sets whose sizes alone are printed; the seeded draws walk a BTreeMap"
-)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use prochlo_bench::perms::{PermissionAction, PermissionFeature, PermsGenerator};
 use prochlo_bench::response::bit_flip_epsilon;
@@ -52,7 +48,7 @@ fn main() {
     // Count ⟨page, feature⟩ and ⟨page, feature, action⟩ crowds. The noisy
     // threshold draws once per action crowd, so those are walked in key
     // order: a seeded run then prints the same table every time.
-    let mut per_pair: HashMap<(usize, PermissionFeature), u64> = HashMap::new();
+    let mut per_pair: BTreeMap<(usize, PermissionFeature), u64> = BTreeMap::new();
     let mut per_action: BTreeMap<(usize, PermissionFeature, u8), u64> = BTreeMap::new();
     for event in &events {
         *per_pair.entry((event.page, event.feature)).or_insert(0) += 1;
@@ -78,13 +74,10 @@ fn main() {
     );
 
     // Row 1: naive threshold on ⟨page, feature⟩ counts.
-    let mut naive = HashMap::new();
+    let mut naive: BTreeMap<PermissionFeature, BTreeSet<usize>> = BTreeMap::new();
     for ((page, feature), count) in &per_pair {
         if *count >= naive_threshold {
-            naive
-                .entry(*feature)
-                .or_insert_with(std::collections::HashSet::new)
-                .insert(*page);
+            naive.entry(*feature).or_default().insert(*page);
         }
     }
     println!(
@@ -103,8 +96,7 @@ fn main() {
 
     // Rows 2-5: noisy crowd threshold per ⟨page, feature, action⟩.
     for action in PermissionAction::all() {
-        let mut recovered: HashMap<PermissionFeature, std::collections::HashSet<usize>> =
-            HashMap::new();
+        let mut recovered: BTreeMap<PermissionFeature, BTreeSet<usize>> = BTreeMap::new();
         for ((page, feature, bit), count) in &per_action {
             if *bit == action.bit() && released(*count, &mut rng) {
                 recovered.entry(*feature).or_default().insert(*page);

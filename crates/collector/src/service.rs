@@ -669,7 +669,10 @@ mod tests {
             let report = epoch.outcome.as_ref().expect("epoch ok");
             // The deployment's shuffler defaults to "trusted"; the
             // collector's engine override must win.
-            assert_eq!(report.shuffler_stats.backend, "stash");
+            assert_eq!(
+                report.shuffler_stats.backend,
+                prochlo_core::BackendKind::Stash
+            );
         }
     }
 

@@ -352,6 +352,7 @@ pub struct ShardedDeployment {
 mod tests {
     use super::*;
     use crate::encoder::CrowdStrategy;
+    use crate::shuffler::BackendKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -461,9 +462,9 @@ mod tests {
         assert_eq!(report.shuffler_stats.crowds_forwarded, 1);
         // Per-stage symmetry: both shufflers report their own stats.
         assert_eq!(report.stage_stats.len(), 2);
-        assert_eq!(report.stage_stats[0].backend, "blind");
+        assert_eq!(report.stage_stats[0].backend, BackendKind::Trusted);
         assert_eq!(report.stage_stats[0].received, 85);
-        assert_eq!(report.stage_stats[1].backend, "inline");
+        assert_eq!(report.stage_stats[1].backend, BackendKind::Trusted);
         assert_eq!(
             report.stage_stats[1].forwarded,
             report.shuffler_stats.forwarded
@@ -557,14 +558,14 @@ mod tests {
             .collect();
         // Deployment-level engine applies by default...
         let report = deployment.ingest(&EpochSpec::new(0, 1), &reports).unwrap();
-        assert_eq!(report.shuffler_stats.backend, "stash");
+        assert_eq!(report.shuffler_stats.backend, BackendKind::Stash);
         // ...and the spec override wins over it.
         let spec = EpochSpec::new(0, 1).with_engine(EngineConfig {
             backend: ShuffleBackend::Trusted,
             num_threads: 1,
         });
         let report = deployment.ingest(&spec, &reports).unwrap();
-        assert_eq!(report.shuffler_stats.backend, "trusted");
+        assert_eq!(report.shuffler_stats.backend, BackendKind::Trusted);
         // The engine consumes exactly one master-stream draw regardless of
         // backend, so the histogram does not depend on the override.
         assert_eq!(

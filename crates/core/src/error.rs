@@ -33,14 +33,6 @@ pub enum PipelineError {
     /// collector shard and its shufflers broke, or a remote stage returned
     /// an inconsistent batch. Carries the transport layer's description.
     Transport(String),
-    /// A shuffle-backend name (e.g. from `PROCHLO_SHUFFLE_BACKEND`) did not
-    /// match any selectable backend. The display lists the valid names from
-    /// [`crate::shuffler::ShuffleBackend::all`] so a typo'd knob fails loudly
-    /// instead of silently downgrading to a different backend.
-    UnknownBackend {
-        /// The name that failed to parse.
-        name: String,
-    },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -57,17 +49,6 @@ impl std::fmt::Display for PipelineError {
             }
             PipelineError::InvalidConfig(what) => write!(f, "invalid configuration: {what}"),
             PipelineError::Transport(what) => write!(f, "transport failure: {what}"),
-            PipelineError::UnknownBackend { name } => {
-                let valid: Vec<&str> = crate::shuffler::ShuffleBackend::all()
-                    .iter()
-                    .map(|b| b.name())
-                    .collect();
-                write!(
-                    f,
-                    "unknown shuffle backend {name:?} (valid backends: {})",
-                    valid.join(", ")
-                )
-            }
         }
     }
 }

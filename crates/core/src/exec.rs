@@ -2,10 +2,9 @@
 //!
 //! The executor itself lives in [`prochlo_shuffle::exec`] so the Stash
 //! Shuffle can shard its bucket passes on the same primitives the pipeline
-//! uses for peeling, trusted-engine tag distribution and analyzer
-//! decryption; this module re-exports
-//! it unchanged so `prochlo_core::exec` remains the path pipeline code and
-//! callers use.
+//! uses for peeling, blinding and analyzer decryption; this module
+//! re-exports it unchanged so `prochlo_core::exec` remains the path
+//! pipeline code and callers use.
 //!
 //! See the source module for the two rules that make parallel output
 //! byte-identical to sequential (fixed chunking and derived randomness with

@@ -13,8 +13,8 @@
 //!   randomized cardinality thresholding per crowd (drop ⌊N(D,σ²)⌉ reports,
 //!   then require the remaining count to exceed T plus Gaussian noise), and
 //!   shuffles the surviving inner ciphertexts on the backend a
-//!   [`ShuffleBackend`] names at runtime — the trusted in-memory shuffle
-//!   (with parallel tag distribution) or the SGX Stash Shuffle.
+//!   [`ShuffleBackend`] names — the trusted in-memory shuffle (one
+//!   Fisher–Yates pass) or the SGX Stash Shuffle.
 //!   Peeling is sharded across cores by the chunked executor in [`exec`].
 //!   [`shuffler::split`] implements the two-shuffler blinded-crowd-ID
 //!   deployment of §4.3.
@@ -60,6 +60,6 @@ pub use error::PipelineError;
 pub use prochlo_shuffle::CostReport;
 pub use record::{AnalyzerPayload, ClientReport, CrowdId, ShufflerEnvelope, TransportMetadata};
 pub use shuffler::{
-    CrowdThreshold, EngineConfig, ShuffleBackend, Shuffler, ShufflerConfig, ShufflerStats,
-    ThresholdProfile,
+    BackendKind, CrowdThreshold, EngineConfig, ShuffleBackend, Shuffler, ShufflerConfig,
+    ShufflerStats, ThresholdProfile,
 };

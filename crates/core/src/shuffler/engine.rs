@@ -1,77 +1,26 @@
-//! The shuffle backends: naming and costing a [`ShuffleBackend`], plus the
-//! trusted backend's parallel tag sort.
+//! The shuffle backends: naming and costing a [`ShuffleBackend`].
 //!
 //! [`ShuffleBackend`] is the *configuration* of a backend — a small, clonable
-//! value that can be parsed from a string at runtime. The shuffler matches on
-//! it once per batch: `Trusted` runs `tag_sort` below, `Sgx` runs the Stash
-//! Shuffle of `prochlo_shuffle` on the shuffler's enclave.
-
-use rand::RngCore;
+//! value that code chooses. The shuffler matches on it once per batch:
+//! `Trusted` runs one Fisher–Yates pass, `Sgx` runs the Stash Shuffle of
+//! `prochlo_shuffle` on the shuffler's enclave.
 
 use prochlo_shuffle::{CostReport, StashShuffleParams, PAPER_RECORD_BYTES};
 
-use crate::exec;
-use crate::shuffler::ShuffleBackend;
-
-/// The trusted in-memory shuffle (a shuffler hosted by an independent third
-/// party, §3.3): every record is tagged with a pseudorandom 128-bit key and
-/// the batch is sorted by tag — a uniform permutation, like Fisher–Yates,
-/// but with a *distribution* phase (tag assignment) that shards across
-/// `num_threads` workers. Tags are drawn from per-chunk generators derived
-/// from one seed pulled off `rng`, so the output is a pure function of
-/// `(items, rng)` no matter how many workers run.
-pub(super) fn tag_sort<R: RngCore + ?Sized>(
-    mut items: Vec<Vec<u8>>,
-    num_threads: usize,
-    rng: &mut R,
-) -> Vec<Vec<u8>> {
-    let n = items.len();
-    if n <= 1 {
-        return items;
-    }
-    let tag_seed = rng.next_u64();
-    let chunk_tags: Vec<Vec<u128>> = exec::par_chunks(
-        &items,
-        num_threads,
-        exec::CHUNK_RECORDS,
-        |chunk_idx, chunk| {
-            let mut rng = exec::chunk_rng(tag_seed, chunk_idx as u64);
-            chunk
-                .iter()
-                .map(|_| ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128)
-                .collect()
-        },
-    );
-    // Canonical merge: tags in chunk order are tags in arrival order;
-    // ties (probability ~2^-128) break on the arrival index.
-    let mut order: Vec<(u128, usize)> = Vec::with_capacity(n);
-    for tag in chunk_tags.into_iter().flatten() {
-        order.push((tag, order.len()));
-    }
-    order.sort_unstable();
-    order
-        .into_iter()
-        .map(|(_, idx)| std::mem::take(&mut items[idx]))
-        .collect()
-}
+use crate::shuffler::{BackendKind, ShuffleBackend};
 
 impl ShuffleBackend {
-    /// The stable name used for selection, stats and logging.
-    pub fn name(&self) -> &'static str {
+    /// The engine this backend runs, as [`crate::ShufflerStats`] names it.
+    pub fn kind(&self) -> BackendKind {
         match self {
-            ShuffleBackend::Trusted => "trusted",
-            ShuffleBackend::Sgx { .. } => "stash",
+            ShuffleBackend::Trusted => BackendKind::Trusted,
+            ShuffleBackend::Sgx { .. } => BackendKind::Stash,
         }
     }
 
-    /// Parses a backend name (case-insensitive): `trusted` or `stash` (alias
-    /// `sgx`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "trusted" => Some(ShuffleBackend::Trusted),
-            "stash" | "sgx" => Some(ShuffleBackend::Sgx { params: None }),
-            _ => None,
-        }
+    /// The stable name of [`Self::kind`], for spans and logging.
+    pub fn name(&self) -> &'static str {
+        self.kind().name()
     }
 
     /// Every selectable backend, in presentation order.
@@ -121,7 +70,7 @@ mod tests {
     use super::*;
     use crate::shuffler::{EngineConfig, Shuffler, ShufflerConfig, ShufflerStats};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use std::collections::HashSet;
 
     fn records(n: usize) -> Vec<Vec<u8>> {
@@ -131,7 +80,18 @@ mod tests {
     #[test]
     fn trusted_engine_is_a_permutation_and_thread_count_invariant() {
         let input = records(5_000);
-        let run = |threads: usize| tag_sort(input.clone(), threads, &mut StdRng::seed_from_u64(11));
+        let shuffler = Shuffler::new(ShufflerConfig::default(), &mut StdRng::seed_from_u64(1));
+        let run = |threads: usize| {
+            let engine = EngineConfig {
+                backend: ShuffleBackend::Trusted,
+                num_threads: threads,
+            };
+            let mut stats = ShufflerStats::default();
+            let mut rng = StdRng::seed_from_u64(11);
+            shuffler
+                .shuffle_survivors(&engine, threads, input.clone(), &mut stats, &mut rng)
+                .expect("the trusted shuffle cannot fail")
+        };
         let sequential = run(1);
         assert_eq!(sequential.len(), input.len());
         assert_ne!(sequential, input);
@@ -141,15 +101,6 @@ mod tests {
         for threads in [2, 4, 8] {
             assert_eq!(run(threads), sequential, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn trusted_engine_consumes_exactly_one_draw() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut expected = StdRng::seed_from_u64(3);
-        expected.next_u64();
-        tag_sort(records(100), 2, &mut rng);
-        assert_eq!(rng.next_u64(), expected.next_u64());
     }
 
     /// Runs `items` through the shuffler's one dispatch point on `backend`
@@ -197,7 +148,7 @@ mod tests {
         let input = wide_records(400);
         for backend in ShuffleBackend::all() {
             let name = backend.name();
-            let (out, _, next) = dispatch(backend.clone(), input.clone(), 7);
+            let out = dispatch(backend.clone(), input.clone(), 7).0;
             assert_eq!(
                 dispatch(backend.clone(), input.clone(), 7).0,
                 out,
@@ -208,10 +159,23 @@ mod tests {
                 out,
                 "{name} must follow the seed"
             );
-            // The engine takes exactly one value off the master stream.
-            let mut master = StdRng::seed_from_u64(7);
-            master.next_u64();
-            assert_eq!(next, master.next_u64(), "{name} must draw exactly once");
+        }
+    }
+
+    /// Each engine takes exactly one value off the master stream, whatever
+    /// the batch size: a backend that shuffled on the master stream itself
+    /// would take none for one record and hundreds for 600.
+    #[test]
+    fn every_engine_draws_once_from_the_master_stream() {
+        let mut master = StdRng::seed_from_u64(3);
+        master.next_u64();
+        let after_one_draw = master.next_u64();
+        for backend in ShuffleBackend::all() {
+            let name = backend.name();
+            for n in [0, 1, 2, 40, 600] {
+                let (_, _, next) = dispatch(backend.clone(), wide_records(n), 3);
+                assert_eq!(next, after_one_draw, "{name} at {n} records");
+            }
         }
     }
 
@@ -277,8 +241,8 @@ mod tests {
         )
     }
 
-    /// Input-adjacent items for `backend`: consecutive arrivals for the tag
-    /// sort; consecutive arrivals in the same input bucket for the Stash
+    /// Input-adjacent items for `backend`: consecutive arrivals for
+    /// Fisher–Yates; consecutive arrivals in the same input bucket for the Stash
     /// Shuffle, whose distribution phase reads the input bucket by bucket.
     fn adjacent_in(backend: &ShuffleBackend, n: usize) -> impl Fn(usize) -> bool {
         let bucket = match backend {
@@ -340,23 +304,9 @@ mod tests {
     #[test]
     fn engines_report_their_backend_names() {
         for backend in ShuffleBackend::all() {
-            let name = backend.name();
-            assert_eq!(dispatch(backend, records(50), 5).1.backend, name);
+            let kind = backend.kind();
+            assert_eq!(dispatch(backend, records(50), 5).1.backend, kind);
         }
-    }
-
-    #[test]
-    fn backend_names_round_trip() {
-        for backend in ShuffleBackend::all() {
-            let parsed = ShuffleBackend::from_name(backend.name()).unwrap();
-            assert_eq!(parsed.name(), backend.name());
-        }
-        assert_eq!(ShuffleBackend::from_name("SGX").unwrap().name(), "stash");
-        assert_eq!(
-            ShuffleBackend::from_name(" Trusted ").unwrap().name(),
-            "trusted"
-        );
-        assert!(ShuffleBackend::from_name("fisher-yates").is_none());
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //!    feeds it hashed crowd IDs, Shuffler 2 of [`split`] feeds it blinded
 //!    handles), sequential because every noise draw must come off the
 //!    master epoch stream in crowd order;
-//! 3. **shuffle** — one `match` on the configured [`ShuffleBackend`]: the
-//!    trusted tag sort or the Stash Shuffle on the shuffler's enclave. The
-//!    backend is seeded with exactly one draw from the master stream, so the
-//!    stream position never depends on the backend or its internal
-//!    parallelism.
+//! 3. **shuffle** — one `match` on the configured [`ShuffleBackend`]: one
+//!    Fisher–Yates pass (trusted) or the Stash Shuffle on the shuffler's
+//!    enclave. The backend is seeded with exactly one draw from the master
+//!    stream, so the stream position never depends on the backend or its
+//!    internal parallelism.
 
 pub mod engine;
 pub mod split;
@@ -46,14 +46,14 @@ use crate::exec;
 use crate::record::{ClientReport, CrowdId, ShufflerEnvelope};
 
 /// Which shuffling backend the shuffler uses once the batch has been peeled
-/// and thresholded, selectable at runtime (see
-/// [`ShuffleBackend::from_name`]); the shuffler matches on it once per
+/// and thresholded; code chooses it and the shuffler matches on it once per
 /// batch. These are the two shufflers Prochlo runs; the §4.1.3 baselines it
-/// rejects exist only as cost models in `prochlo_shuffle`.
+/// rejects exist only as cost models in `prochlo-bench`.
 #[derive(Debug, Clone, Default)]
 pub enum ShuffleBackend {
     /// A trusted in-memory shuffle (a shuffler hosted by an independent
-    /// third party, per §3.3), with parallel tag distribution.
+    /// third party, per §3.3): one Fisher–Yates pass, the algorithm both
+    /// split stages run too.
     #[default]
     Trusted,
     /// The SGX-hardened Stash Shuffle (§4.1.4); parameters are derived from
@@ -62,6 +62,27 @@ pub enum ShuffleBackend {
         /// Explicit Stash Shuffle parameters; `None` derives them per batch.
         params: Option<StashShuffleParams>,
     },
+}
+
+/// Which engine shuffled a batch, as [`ShufflerStats`] records it: a
+/// [`ShuffleBackend`] without its parameters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum BackendKind {
+    /// [`ShuffleBackend::Trusted`]; also what both split stages run.
+    #[default]
+    Trusted,
+    /// [`ShuffleBackend::Sgx`], the Stash Shuffle.
+    Stash,
+}
+
+impl BackendKind {
+    /// The stable name used for span names and logging.
+    pub fn name(self) -> &'static str {
+        match self {
+            BackendKind::Trusted => "trusted",
+            BackendKind::Stash => "stash",
+        }
+    }
 }
 
 /// Runtime configuration of the shuffle engine: which backend to run and
@@ -76,47 +97,6 @@ pub struct EngineConfig {
     /// `PROCHLO_SHUFFLE_THREADS` environment knob, which itself defaults to
     /// every available core (see [`crate::exec::resolve_threads`]).
     pub num_threads: usize,
-}
-
-/// Environment variable selecting the shuffle backend by name
-/// (case-insensitive; see [`ShuffleBackend::from_name`]).
-const SHUFFLE_BACKEND_ENV: &str = "PROCHLO_SHUFFLE_BACKEND";
-
-impl EngineConfig {
-    /// Builds an engine configuration from the environment:
-    /// `PROCHLO_SHUFFLE_BACKEND` selects the backend by name (default
-    /// `trusted`) and `num_threads` is left at `0` so the thread knob is
-    /// still parsed in its one place, [`crate::exec::resolve_threads`].
-    ///
-    /// An unrecognized backend name — or a set-but-undecodable value, which
-    /// is still a selection the operator made — is a hard error
-    /// ([`PipelineError::UnknownBackend`], listing every valid name):
-    /// silently downgrading a typo'd `stash` to the non-oblivious trusted
-    /// engine would drop the very property the operator asked for.
-    pub fn from_env() -> Result<Self, PipelineError> {
-        let name = prochlo_obs::knobs::read(SHUFFLE_BACKEND_ENV)
-            .map_err(|e| PipelineError::UnknownBackend { name: e.value })?;
-        Self::from_backend_value(name.as_deref())
-    }
-
-    /// Interprets one `PROCHLO_SHUFFLE_BACKEND`-style value: absent means
-    /// the default backend; anything else must name a backend exactly
-    /// (case-insensitive, see [`ShuffleBackend::from_name`]) or the call
-    /// fails with [`PipelineError::UnknownBackend`].
-    pub fn from_backend_value(value: Option<&str>) -> Result<Self, PipelineError> {
-        let backend = match value {
-            Some(name) => {
-                ShuffleBackend::from_name(name).ok_or_else(|| PipelineError::UnknownBackend {
-                    name: name.to_string(),
-                })?
-            }
-            None => ShuffleBackend::default(),
-        };
-        Ok(Self {
-            backend,
-            num_threads: 0,
-        })
-    }
 }
 
 /// Configuration of the shuffler's thresholding and batching behaviour.
@@ -229,9 +209,8 @@ pub struct ShufflerStats {
     pub crowds_forwarded: usize,
     /// Attempts used by the oblivious shuffle backend (1 for trusted).
     pub shuffle_attempts: usize,
-    /// Name of the engine that shuffled the batch (empty before the shuffle
-    /// phase runs).
-    pub backend: &'static str,
+    /// The engine that shuffled the batch.
+    pub backend: BackendKind,
     /// Per-phase wall-clock (not part of equality).
     pub timings: Unmeasured<PhaseTimings>,
 }
@@ -621,12 +600,13 @@ impl Shuffler {
         &self,
         engine: &EngineConfig,
         num_threads: usize,
-        items: Vec<Vec<u8>>,
+        mut items: Vec<Vec<u8>>,
         stats: &mut ShufflerStats,
         rng: &mut R,
     ) -> Result<Vec<Vec<u8>>, PipelineError> {
-        let name = engine.backend.name();
-        stats.backend = name;
+        let kind = engine.backend.kind();
+        let name = kind.name();
+        stats.backend = kind;
         // The backend consumes exactly one value from the master epoch
         // stream and draws everything else from its own derived generator,
         // so the stream's position after the shuffle is independent of the
@@ -635,7 +615,8 @@ impl Shuffler {
         let span = prochlo_obs::span(&format!("shuffle.{name}.run"));
         let result = match &engine.backend {
             ShuffleBackend::Trusted => {
-                Ok((engine::tag_sort(items, num_threads, &mut engine_rng), 1))
+                items.shuffle(&mut engine_rng);
+                Ok((items, 1))
             }
             ShuffleBackend::Sgx { params } => {
                 let params = params.unwrap_or_else(|| StashShuffleParams::derive(items.len()));
@@ -742,34 +723,6 @@ mod tests {
                     .unwrap()
             })
             .collect()
-    }
-
-    #[test]
-    fn engine_config_rejects_unknown_backend_names_listing_valid_ones() {
-        for valid in ShuffleBackend::all() {
-            let parsed = EngineConfig::from_backend_value(Some(valid.name())).unwrap();
-            assert_eq!(parsed.backend.name(), valid.name());
-            assert_eq!(parsed.num_threads, 0);
-        }
-        assert_eq!(
-            EngineConfig::from_backend_value(None)
-                .unwrap()
-                .backend
-                .name(),
-            ShuffleBackend::default().name()
-        );
-        let err = EngineConfig::from_backend_value(Some("fisher-yates")).unwrap_err();
-        match &err {
-            PipelineError::UnknownBackend { name } => assert_eq!(name, "fisher-yates"),
-            other => panic!("expected UnknownBackend, got {other:?}"),
-        }
-        // The message enumerates every valid name from ShuffleBackend::all(),
-        // so an operator can fix the knob without reading source.
-        let message = err.to_string();
-        assert!(message.contains("fisher-yates"), "{message}");
-        for valid in ShuffleBackend::all() {
-            assert!(message.contains(valid.name()), "{message}");
-        }
     }
 
     #[test]

@@ -56,8 +56,8 @@ use crate::error::PipelineError;
 use crate::exec;
 use crate::record::{ClientReport, CrowdId};
 use crate::shuffler::{
-    peel_chunk, threshold_crowds, EngineConfig, ShuffleBackend, ShuffleOutcome, ShufflerConfig,
-    ShufflerStats,
+    peel_chunk, threshold_crowds, BackendKind, EngineConfig, ShuffleBackend, ShuffleOutcome,
+    ShufflerConfig, ShufflerStats,
 };
 
 /// A report in transit between the two shufflers, in its wire form: the
@@ -133,8 +133,7 @@ impl ShufflerOne {
     ///
     /// Shuffler 1 never observes crowd IDs (that is the point of blinding),
     /// so `crowds_seen`/`crowds_forwarded` stay `0` in its stats and the
-    /// thresholding counters are always zero; its stage is accounted under
-    /// the backend name `"blind"`.
+    /// thresholding counters are always zero.
     ///
     /// Output is a pure function of `(reports, rng)`: every draw happens in
     /// the sequential middle pass, in the order a per-record loop would make
@@ -213,7 +212,7 @@ impl ShufflerOne {
             forwarded: records.len(),
             rejected,
             shuffle_attempts: 1,
-            backend: "blind",
+            backend: BackendKind::Trusted,
             ..ShufflerStats::default()
         };
         stats.timings.peel_seconds = peel_seconds;
@@ -261,7 +260,7 @@ impl ShufflerTwo {
         let peel_span = prochlo_obs::span("shuffler.s2.peel");
         let mut stats = ShufflerStats {
             received: records.len(),
-            backend: "inline",
+            backend: BackendKind::Trusted,
             ..ShufflerStats::default()
         };
 
@@ -338,14 +337,14 @@ impl SplitShuffler {
     }
 
     /// The split topology shuffles inline in both stages (Shuffler 1 after
-    /// blinding, Shuffler 2 after thresholding) — effectively the trusted
-    /// in-memory shuffle; enclave-hosted engines for the split deployment
-    /// are a ROADMAP item. Selecting any other backend is therefore a hard
-    /// error: silently downgrading an oblivious-engine request to the
-    /// inline shuffle would be the same failure mode the
-    /// `PROCHLO_SHUFFLE_BACKEND` rejection exists to prevent. Every driver
-    /// of the split stages — in-process or over the wire — applies this one
-    /// rule before it runs a batch.
+    /// blinding, Shuffler 2 after thresholding) with the trusted backend's
+    /// one Fisher–Yates pass, so both stages report
+    /// [`BackendKind::Trusted`]; enclave-hosted engines for the split
+    /// deployment are a ROADMAP item. Selecting any other backend is
+    /// therefore a hard error: silently downgrading an oblivious-engine
+    /// request to the inline shuffle would drop the very property the
+    /// caller asked for. Whatever runs the split stages — in-process or
+    /// over the wire — applies this one rule before it runs a batch.
     pub fn require_inline_engine(engine: &EngineConfig) -> Result<(), PipelineError> {
         if matches!(engine.backend, ShuffleBackend::Trusted) {
             Ok(())
@@ -485,10 +484,10 @@ mod tests {
         // Per-stage symmetry: Shuffler 1 saw every report but no crowds;
         // Shuffler 2 did the thresholding.
         assert_eq!(outcome.stage_stats.len(), 2);
-        assert_eq!(outcome.stage_stats[0].backend, "blind");
+        assert_eq!(outcome.stage_stats[0].backend, BackendKind::Trusted);
         assert_eq!(outcome.stage_stats[0].received, 124);
         assert_eq!(outcome.stage_stats[0].crowds_seen, 0);
-        assert_eq!(outcome.stage_stats[1].backend, "inline");
+        assert_eq!(outcome.stage_stats[1].backend, BackendKind::Trusted);
         assert_eq!(outcome.stage_stats[1].crowds_seen, 2);
         assert_eq!(outcome.stage_stats[1].forwarded, outcome.stats.forwarded);
     }

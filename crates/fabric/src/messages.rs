@@ -24,7 +24,10 @@
 //! and ends in [`Reader::finish`].
 //!
 //! Statistics cross the wire with their counters intact and timings as
-//! IEEE-754 bit patterns; the batch-level merged view is *not* shipped —
+//! IEEE-754 bit patterns. Their engine is not shipped: only split stages
+//! cross the fabric, and both run the trusted shuffle (see
+//! [`prochlo_core::shuffler::split::SplitShuffler::require_inline_engine`]).
+//! The batch-level merged view is *not* shipped either —
 //! the receiving side reassembles it with
 //! [`prochlo_core::shuffler::split::SplitShuffler::merge_stage_stats`], so
 //! a remote run reports the identical merged stats as an in-process one.
@@ -35,7 +38,7 @@
 use std::borrow::Borrow;
 
 use prochlo_core::shuffler::split::BlindedRecord;
-use prochlo_core::shuffler::{PhaseTimings, ShufflerStats};
+use prochlo_core::shuffler::{BackendKind, PhaseTimings, ShufflerStats};
 use prochlo_core::wire::{put_bytes, put_u32, put_u64, put_u8, Reader};
 use prochlo_crypto::hybrid::HybridCiphertext;
 
@@ -48,19 +51,14 @@ const TAG_BATCH_TO_TWO: u8 = 0x21;
 const TAG_ITEMS: u8 = 0x22;
 const TAG_TOO_SMALL: u8 = 0x23;
 
-/// Backend names cross the wire as tags; `&'static str` cannot be
-/// reconstructed from arbitrary bytes.
-const BACKEND_BLIND: u8 = 1;
-const BACKEND_INLINE: u8 = 2;
-
 /// The error labels every decoder shares: a missing or foreign message tag,
 /// and bytes past the end of a message.
 const UNEXPECTED_TAG: &str = "unexpected message tag";
 const TRAILING: &str = "trailing message bytes";
 
-/// Encoded size of one [`ShufflerStats`]: the backend tag, eight counters
-/// and three timings.
-const STATS_LEN: usize = 1 + 8 * 8 + 3 * 8;
+/// Encoded size of one [`ShufflerStats`]: eight counters and three
+/// timings.
+const STATS_LEN: usize = 8 * 8 + 3 * 8;
 
 /// Encoded size of a list of length-prefixed blobs of the given lengths,
 /// count included.
@@ -80,17 +78,7 @@ const MIN_REPORT_LEN: usize = 4 + HybridCiphertext::layer_overhead();
 /// length-prefixed inner.
 const MIN_RECORD_LEN: usize = 64 + 4;
 
-fn encode_stats(out: &mut Vec<u8>, stats: &ShufflerStats) -> Result<(), FabricError> {
-    let backend = match stats.backend {
-        "blind" => BACKEND_BLIND,
-        "inline" => BACKEND_INLINE,
-        _ => {
-            return Err(FabricError::Malformed(
-                "only split-stage backends cross the fabric",
-            ))
-        }
-    };
-    put_u8(out, backend);
+fn encode_stats(out: &mut Vec<u8>, stats: &ShufflerStats) {
     for count in [
         stats.received,
         stats.forwarded,
@@ -110,15 +98,9 @@ fn encode_stats(out: &mut Vec<u8>, stats: &ShufflerStats) -> Result<(), FabricEr
     ] {
         put_u64(out, seconds.to_bits());
     }
-    Ok(())
 }
 
 fn decode_stats(reader: &mut Reader<'_>) -> Result<ShufflerStats, FabricError> {
-    let backend = match reader.get_u8("truncated stats")? {
-        BACKEND_BLIND => "blind",
-        BACKEND_INLINE => "inline",
-        _ => return Err(FabricError::Malformed("unknown stats backend tag")),
-    };
     let mut counts = [0usize; 8];
     for count in &mut counts {
         *count = reader.get_u64("truncated stats counter")?;
@@ -139,7 +121,7 @@ fn decode_stats(reader: &mut Reader<'_>) -> Result<ShufflerStats, FabricError> {
         crowds_seen,
         crowds_forwarded,
         shuffle_attempts,
-        backend,
+        backend: BackendKind::Trusted,
         // A stage receives a canonical batch; its copies are counted where
         // the batch is cut, and not sent.
         duplicate_reports: 0,
@@ -283,8 +265,7 @@ impl<I: AsRef<[u8]>> WireMessage for BatchToTwo<I> {
         put_u64(&mut out, self.epoch_index);
         put_u64(&mut out, self.s2_seed);
         put_u64(&mut out, self.received as u64);
-        #[expect(clippy::expect_used, reason = "encodes our own stats, not peer bytes")]
-        encode_stats(&mut out, &self.stage_one).expect("split stage stats always encode");
+        encode_stats(&mut out, &self.stage_one);
         put_u32(&mut out, self.records.len() as u32);
         for record in &self.records {
             out.extend_from_slice(&record.blinded_crowd);
@@ -359,10 +340,8 @@ impl<I: AsRef<[u8]>> WireMessage for ItemsBatch<I> {
         put_u32(&mut out, u32::from(self.shard));
         put_u64(&mut out, self.epoch_index);
         put_u64(&mut out, self.received as u64);
-        #[expect(clippy::expect_used, reason = "encodes our own stats, not peer bytes")]
-        encode_stats(&mut out, &self.stage_one).expect("split stage stats always encode");
-        #[expect(clippy::expect_used, reason = "encodes our own stats, not peer bytes")]
-        encode_stats(&mut out, &self.stage_two).expect("split stage stats always encode");
+        encode_stats(&mut out, &self.stage_one);
+        encode_stats(&mut out, &self.stage_two);
         put_u32(&mut out, self.items.len() as u32);
         for item in &self.items {
             put_bytes(&mut out, item.as_ref());
@@ -526,8 +505,14 @@ impl<I: AsRef<[u8]>> WireMessage for ToShard<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::frame_policy;
+    use prochlo_core::encoder::CrowdStrategy;
+    use prochlo_core::framing::{FrameError, FrameRead, FrameWrite};
+    use prochlo_core::{Deployment, Topology};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    fn sample_stats(backend: &'static str) -> ShufflerStats {
+    fn sample_stats() -> ShufflerStats {
         ShufflerStats {
             received: 10,
             forwarded: 8,
@@ -537,7 +522,7 @@ mod tests {
             crowds_seen: 2,
             crowds_forwarded: 1,
             shuffle_attempts: 1,
-            backend,
+            backend: BackendKind::Trusted,
             duplicate_reports: 0,
             timings: PhaseTimings {
                 peel_seconds: 0.25,
@@ -594,7 +579,7 @@ mod tests {
             epoch_index: 9,
             s2_seed: 2,
             received: 2,
-            stage_one: sample_stats("blind"),
+            stage_one: sample_stats(),
             records: vec![BlindedRecord {
                 blinded_crowd: [7u8; 64],
                 inner: &[1u8, 2, 3][..],
@@ -609,8 +594,8 @@ mod tests {
             shard: 3,
             epoch_index: 9,
             received: 2,
-            stage_one: sample_stats("blind"),
-            stage_two: sample_stats("inline"),
+            stage_one: sample_stats(),
+            stage_two: sample_stats(),
             items: vec![&[5u8; 20][..]],
         };
         let bytes = items.to_wire();
@@ -632,6 +617,82 @@ mod tests {
         }
     }
 
+    /// Shuffler 1's and Shuffler 2's stats for one in-process split run
+    /// over a popular and a rare crowd.
+    fn in_process_stage_stats() -> (ShufflerStats, ShufflerStats) {
+        let mut rng = StdRng::seed_from_u64(5);
+        let deployment = Deployment::builder()
+            .shuffler(Topology::Split)
+            .payload_size(32)
+            .build(&mut rng);
+        let encoder = deployment.encoder();
+        let reports: Vec<_> = (0..60u64)
+            .map(|i| {
+                let word: &[u8] = if i < 4 { b"rare" } else { b"common" };
+                encoder
+                    .encode_plain(word, CrowdStrategy::Blind(word), i, &mut rng)
+                    .unwrap()
+            })
+            .collect();
+        let report = deployment.run(&reports, &mut rng).unwrap();
+        let [one, two] = <[ShufflerStats; 2]>::try_from(report.stage_stats).unwrap();
+        (one, two)
+    }
+
+    fn timing_bits(stats: &ShufflerStats) -> [u64; 3] {
+        let t = &stats.timings;
+        [t.peel_seconds, t.threshold_seconds, t.shuffle_seconds].map(f64::to_bits)
+    }
+
+    #[test]
+    fn stage_stats_decode_to_what_the_in_process_split_reports() {
+        let (one, two) = in_process_stage_stats();
+        assert_eq!(one.backend, BackendKind::Trusted);
+        assert_eq!(two.backend, BackendKind::Trusted);
+        assert_eq!((two.crowds_seen, two.crowds_forwarded), (2, 1));
+        let to_two = BatchToTwo::<&[u8]> {
+            shard: 1,
+            epoch_index: 2,
+            s2_seed: 3,
+            received: one.received,
+            stage_one: one.clone(),
+            records: vec![],
+        };
+        let decoded = <BatchToTwo>::from_wire(&to_two.to_wire())
+            .unwrap()
+            .stage_one;
+        assert_eq!(decoded, one);
+        assert_eq!(timing_bits(&decoded), timing_bits(&one));
+        let items = ItemsBatch::<&[u8]> {
+            shard: 1,
+            epoch_index: 2,
+            received: one.received,
+            stage_one: one.clone(),
+            stage_two: two.clone(),
+            items: vec![],
+        };
+        let bytes = items.to_wire();
+        let decoded = <ItemsBatch>::from_wire(&bytes).unwrap();
+        assert_eq!(decoded.stage_one, one);
+        assert_eq!(decoded.stage_two, two);
+        assert_eq!(timing_bits(&decoded.stage_two), timing_bits(&two));
+    }
+
+    #[test]
+    fn a_frame_of_the_previous_fabric_version_is_refused() {
+        let policy = frame_policy();
+        let body = ToTwo::<Vec<u8>>::Done.to_wire();
+        let mut frame = Vec::new();
+        frame.write_frame(&policy, &body).unwrap();
+        assert_eq!((&frame[..]).read_frame(&policy).unwrap(), body);
+        // Version 2 framed the stats with an engine byte.
+        frame[4] = 2;
+        assert!(matches!(
+            (&frame[..]).read_frame(&policy),
+            Err(FrameError::Protocol("unsupported protocol version"))
+        ));
+    }
+
     #[test]
     fn cross_stage_payloads_fail_to_parse() {
         let batch = empty_batch().to_wire();
@@ -646,8 +707,8 @@ mod tests {
             shard: 0,
             epoch_index: 1,
             received: 1,
-            stage_one: sample_stats("blind"),
-            stage_two: sample_stats("inline"),
+            stage_one: sample_stats(),
+            stage_two: sample_stats(),
             items: vec![&[1u8, 2][..]],
         };
         let bytes = items.to_wire();

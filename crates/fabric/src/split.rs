@@ -299,10 +299,10 @@ impl EpochPipeline for RemoteSplitPipeline {
 
 /// Sums batch-level shuffler statistics across a shard's epochs, for a
 /// shard that cut more than one. Counters add; timings add; the backend
-/// must agree.
+/// is the first epoch's, since a shard runs every epoch on one engine.
 pub fn sum_epoch_stats(epochs: &[ShufflerStats]) -> ShufflerStats {
     let mut total = ShufflerStats {
-        backend: epochs.first().map_or("inline", |s| s.backend),
+        backend: epochs.first().map(|s| s.backend).unwrap_or_default(),
         ..ShufflerStats::default()
     };
     for stats in epochs {
@@ -328,7 +328,7 @@ mod tests {
     use crate::loopback::LoopbackHub;
     use prochlo_core::encoder::CrowdStrategy;
     use prochlo_core::shuffler::split::BlindedRecord;
-    use prochlo_core::{Deployment, ShufflerConfig, Topology};
+    use prochlo_core::{BackendKind, Deployment, ShufflerConfig, Topology};
     use prochlo_crypto::elgamal::ElGamalCiphertext;
     use prochlo_crypto::hybrid::HybridCiphertext;
 
@@ -555,10 +555,7 @@ mod tests {
                 epoch_index: 0,
                 s2_seed: 3,
                 received: records.len(),
-                stage_one: ShufflerStats {
-                    backend: "blind",
-                    ..ShufflerStats::default()
-                },
+                stage_one: ShufflerStats::default(),
                 records,
             })))
             .unwrap();
@@ -573,14 +570,8 @@ mod tests {
             shard: 0,
             epoch_index: u64::MAX,
             received: 0,
-            stage_one: ShufflerStats {
-                backend: "blind",
-                ..ShufflerStats::default()
-            },
-            stage_two: ShufflerStats {
-                backend: "inline",
-                ..ShufflerStats::default()
-            },
+            stage_one: ShufflerStats::default(),
+            stage_two: ShufflerStats::default(),
             items: vec![],
         };
         TypedChannel::new(&s2, ChannelId::new(Peer::Shard(0), Stage::Items))
@@ -604,18 +595,18 @@ mod tests {
         let a = ShufflerStats {
             received: 5,
             forwarded: 4,
-            backend: "inline",
+            backend: BackendKind::Stash,
             ..ShufflerStats::default()
         };
         let b = ShufflerStats {
             received: 7,
             forwarded: 6,
-            backend: "inline",
+            backend: BackendKind::Stash,
             ..ShufflerStats::default()
         };
         let total = sum_epoch_stats(&[a, b]);
         assert_eq!(total.received, 12);
         assert_eq!(total.forwarded, 10);
-        assert_eq!(total.backend, "inline");
+        assert_eq!(total.backend, BackendKind::Stash);
     }
 }

@@ -25,8 +25,10 @@ use prochlo_core::wire::{put_bytes, put_u32, put_u64, put_u8, Reader, WireError}
 
 /// Version byte of every fabric frame. Distinct from the collector
 /// protocol's version so a fabric peer dialed into a collector port (or
-/// vice versa) fails loudly at the framing layer instead of desynchronizing.
-const FABRIC_VERSION: u8 = 2;
+/// vice versa) fails loudly at the framing layer instead of desynchronizing,
+/// and raised with every message layout change, so that peers built with
+/// different layouts refuse each other's frames the same way.
+const FABRIC_VERSION: u8 = 3;
 
 /// Ceiling for one fabric frame. Fabric frames carry whole epoch batches,
 /// so the ceiling is far above the collector's per-report limit.

@@ -212,29 +212,34 @@ impl Enclave {
 
     /// Records `bytes` entering the enclave from untrusted object `index`.
     pub fn copy_in(&self, label: &'static str, index: usize, bytes: usize) {
-        let mut state = self.state.lock();
-        state.metrics.bytes_in += bytes as u64;
-        if self.config.record_trace {
-            state.trace.push(TraceEvent {
-                label,
-                index,
-                bytes,
-                into_enclave: true,
-            });
-        }
+        self.record(TraceEvent {
+            label,
+            index,
+            bytes,
+            into_enclave: true,
+        });
     }
 
     /// Records `bytes` leaving the enclave to untrusted object `index`.
     pub fn copy_out(&self, label: &'static str, index: usize, bytes: usize) {
+        self.record(TraceEvent {
+            label,
+            index,
+            bytes,
+            into_enclave: false,
+        });
+    }
+
+    /// Counts one boundary crossing, and traces it when enabled.
+    fn record(&self, event: TraceEvent) {
         let mut state = self.state.lock();
-        state.metrics.bytes_out += bytes as u64;
+        if event.into_enclave {
+            state.metrics.bytes_in += event.bytes as u64;
+        } else {
+            state.metrics.bytes_out += event.bytes as u64;
+        }
         if self.config.record_trace {
-            state.trace.push(TraceEvent {
-                label,
-                index,
-                bytes,
-                into_enclave: false,
-            });
+            state.trace.push(event);
         }
     }
 
@@ -379,21 +384,6 @@ impl WorkerPool {
     }
 }
 
-/// One deferred boundary operation recorded by a [`BoundaryLog`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum BoundaryOp {
-    CopyIn {
-        label: &'static str,
-        index: usize,
-        bytes: usize,
-    },
-    CopyOut {
-        label: &'static str,
-        index: usize,
-        bytes: usize,
-    },
-}
-
 /// A buffer of boundary crossings made by one parallel work unit, committed
 /// to the shared [`Enclave`] later in a canonical order.
 ///
@@ -404,7 +394,7 @@ enum BoundaryOp {
 /// work-unit order, so the trace is identical at any thread count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BoundaryLog {
-    ops: Vec<BoundaryOp>,
+    events: Vec<TraceEvent>,
 }
 
 impl BoundaryLog {
@@ -415,38 +405,29 @@ impl BoundaryLog {
 
     /// Records `bytes` entering the enclave from untrusted object `index`.
     pub fn copy_in(&mut self, label: &'static str, index: usize, bytes: usize) {
-        self.ops.push(BoundaryOp::CopyIn {
+        self.events.push(TraceEvent {
             label,
             index,
             bytes,
+            into_enclave: true,
         });
     }
 
     /// Records `bytes` leaving the enclave to untrusted object `index`.
     pub fn copy_out(&mut self, label: &'static str, index: usize, bytes: usize) {
-        self.ops.push(BoundaryOp::CopyOut {
+        self.events.push(TraceEvent {
             label,
             index,
             bytes,
+            into_enclave: false,
         });
     }
 
     /// Replays the buffered operations, in recording order, against the
     /// enclave's live accounting (and trace, when enabled).
     pub fn commit(self, enclave: &Enclave) {
-        for op in self.ops {
-            match op {
-                BoundaryOp::CopyIn {
-                    label,
-                    index,
-                    bytes,
-                } => enclave.copy_in(label, index, bytes),
-                BoundaryOp::CopyOut {
-                    label,
-                    index,
-                    bytes,
-                } => enclave.copy_out(label, index, bytes),
-            }
+        for event in self.events {
+            enclave.record(event);
         }
     }
 }
@@ -749,10 +730,10 @@ mod tests {
     fn boundary_log_commits_in_recording_order() {
         let e = small_enclave(1000);
         let mut log = BoundaryLog::new();
-        assert!(log.ops.is_empty());
+        assert!(log.events.is_empty());
         log.copy_in("read", 3, 10);
         log.copy_out("write", 4, 20);
-        assert_eq!(log.ops.len(), 2);
+        assert_eq!(log.events.len(), 2);
         log.commit(&e);
         let m = e.metrics();
         assert_eq!((m.bytes_in, m.bytes_out), (10, 20));

@@ -29,8 +29,7 @@ pub enum ShuffleError {
     /// A worker-thread count (the `PROCHLO_SHUFFLE_THREADS` knob) was set
     /// but could not be parsed. The display names the knob and the expected
     /// format, so an operator's typo fails loudly instead of silently
-    /// running with a different thread count (the same policy
-    /// `PROCHLO_SHUFFLE_BACKEND` follows for backend names).
+    /// running with a different thread count.
     InvalidThreads {
         /// The value that failed to parse.
         value: String,

@@ -1,7 +1,7 @@
 //! A chunked, deterministic fork-join executor for the parallel batch
-//! phases — shared by the shuffle engines in this crate and by the ESA
-//! pipeline in `prochlo-core` (outer-layer peeling, trusted-engine tag
-//! distribution, analyzer decryption).
+//! phases — shared by the Stash Shuffle in this crate and by the ESA
+//! pipeline in `prochlo-core` (outer-layer peeling, blinding, analyzer
+//! decryption).
 //!
 //! The phases the paper calls out as embarrassingly parallel are sharded
 //! here across `n` workers: the calling thread is worker 0 and at most
@@ -79,10 +79,9 @@ fn available_threads() -> usize {
 
 /// Interprets one `PROCHLO_SHUFFLE_THREADS`-style value: `0` or absent mean
 /// "every available core". An unparseable value is a hard error naming the
-/// knob and the expected format — the same policy `PROCHLO_SHUFFLE_BACKEND`
-/// follows — because an operator who set the knob made a selection, and
-/// quietly replacing a typo with a different thread count is worse than
-/// refusing to start.
+/// knob and the expected format, because an operator who set the knob made
+/// a selection, and quietly replacing a typo with a different thread count
+/// is worse than refusing to start.
 fn threads_from_value(value: Option<&str>) -> Result<usize, ShuffleError> {
     match value {
         None => Ok(available_threads()),

@@ -84,8 +84,8 @@ impl<T: Eq + Hash> Histogram<T> {
 
     /// Returns the `k` most frequent items, most frequent first.
     ///
-    /// Ties are broken arbitrarily but deterministically for a given map
-    /// iteration order; callers that need stable output should sort further.
+    /// Equal counts come in ascending item order, so the output does not
+    /// depend on the map's iteration order.
     pub fn top_k(&self, k: usize) -> Vec<(&T, u64)>
     where
         T: Ord,

@@ -27,9 +27,9 @@
 //! match across roles; a real deployment would provision keys instead of
 //! deriving them, but the wire protocol is identical.
 //!
-//! `PROCHLO_SHUFFLE_THREADS` selects the analyzer worker threads (the split
-//! topology shuffles inline, so `PROCHLO_SHUFFLE_BACKEND` must be left
-//! unset or `trusted`). The asserted histogram must not depend on it.
+//! `PROCHLO_SHUFFLE_THREADS` selects the analyzer worker threads; the split
+//! topology shuffles inline on the trusted backend. The asserted histogram
+//! must not depend on the thread count.
 //!
 //! Run with: `cargo run -p prochlo-examples --release --bin fabric_demo`
 
@@ -46,7 +46,7 @@ use prochlo_core::encoder::CrowdStrategy;
 use prochlo_core::exec::mix_seed;
 use prochlo_core::{
     canonicalize, AnalyzerDatabase, ClientReport, Deployment, EngineConfig, EpochSpec,
-    ShardedDeployment, ShuffleBackend, Topology,
+    ShardedDeployment, Topology,
 };
 use prochlo_crypto::util::{from_hex, to_hex};
 use prochlo_fabric::{
@@ -73,25 +73,6 @@ fn build_deployment() -> Deployment {
         .shuffler(Topology::Split)
         .payload_size(32)
         .build(&mut StdRng::seed_from_u64(BUILD_SEED))
-}
-
-/// The engine selected by the environment. The split topology shuffles
-/// inline in both stages, so only the trusted backend is accepted — a
-/// different selection is a configuration error, not something to ignore.
-fn engine_from_env() -> EngineConfig {
-    let engine = EngineConfig::from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    if !matches!(engine.backend, ShuffleBackend::Trusted) {
-        eprintln!(
-            "error: the split topology shuffles inline; \
-             PROCHLO_SHUFFLE_BACKEND={} is not supported by fabric_demo",
-            engine.backend.name()
-        );
-        std::process::exit(2);
-    }
-    engine
 }
 
 /// The epoch spec a shard collector derives for its first (and only)
@@ -171,7 +152,7 @@ fn run_shuffler_one(s2: SocketAddr) {
 /// `shutdown` line, cuts the final epoch, and answers on stdout with its
 /// database rows and summed stage statistics.
 fn run_shard(index: u16, s1: SocketAddr, s2: SocketAddr) {
-    let engine = engine_from_env();
+    let engine = EngineConfig::default();
     let deployment = build_deployment();
     let mut builder = TcpTransportBuilder::new(Peer::Shard(index));
     builder.connect(Peer::ShufflerOne, s1).expect("dial s1");
@@ -334,7 +315,7 @@ impl Role {
 /// The driver: spawn the topology, route the workload, collect summaries,
 /// and assert byte-identity against the in-process reference.
 fn drive() {
-    let engine = engine_from_env();
+    let engine = EngineConfig::default();
     println!(
         "fabric demo: {NUM_SHARDS} collector shards, split shufflers as \
          separate processes (analyzer threads: {})",

@@ -7,42 +7,59 @@
 //! identical seeded traffic reproduces the histogram byte for byte, and a
 //! full report queue answers `RetryAfter` instead of growing.
 //!
-//! The shuffle engine is selected at runtime, no code changes required:
-//!
-//! * `PROCHLO_SHUFFLE_BACKEND` — `trusted` (default) or `stash`;
-//! * `PROCHLO_SHUFFLE_THREADS` — worker threads for the parallel batch
-//!   phases (`0` or unset: every available core).
+//! The live run and the replay run once on each engine of
+//! [`ShuffleBackend::all`], trusted then stash. `PROCHLO_SHUFFLE_THREADS`
+//! sets the worker threads for the parallel batch phases (`0` or unset:
+//! every available core).
 //!
 //! Run with: `cargo run -p prochlo-examples --release --bin live_ingest`
 
 use std::time::Duration;
 
 use prochlo_collector::CollectorConfig;
-use prochlo_core::{exec, EngineConfig};
+use prochlo_core::{exec, EngineConfig, ShuffleBackend};
 use prochlo_examples::{run_backpressure_demo, run_live_ingest, QUICKSTART_BROWSERS};
 
 fn main() {
-    // The engine every epoch runs: backend from PROCHLO_SHUFFLE_BACKEND,
-    // worker threads from PROCHLO_SHUFFLE_THREADS (both parsed in one place
-    // inside prochlo-core). A typo'd backend name is fatal — silently
-    // shuffling with a different engine than the operator asked for would
-    // be worse than refusing to start.
-    let engine = EngineConfig::from_env().unwrap_or_else(|e| {
+    // A typo'd thread count is fatal: the operator made a selection, so
+    // refusing to start beats running with a different one.
+    let threads = exec::resolve_threads(0).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    // A typo'd thread count is fatal for the same reason: the operator made
-    // a selection, so refusing to start beats running with a different one.
-    let threads = exec::resolve_threads(engine.num_threads).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    println!(
-        "shuffle engine: backend={}, threads={}",
-        engine.backend.name(),
-        threads,
-    );
+    for backend in ShuffleBackend::all() {
+        // `num_threads: 0` resolves through PROCHLO_SHUFFLE_THREADS in the
+        // engine, as above.
+        let engine = EngineConfig {
+            backend,
+            num_threads: 0,
+        };
+        println!(
+            "shuffle engine: backend={}, threads={threads}",
+            engine.backend.name()
+        );
+        live_and_replay(&engine);
+        println!();
+    }
 
+    // Part 3: backpressure. With the epoch manager busy, a queue of 8
+    // facing 12 submissions must answer RetryAfter for the overflow instead
+    // of buffering it. The held epoch never reaches a shuffle engine, so
+    // this part runs once.
+    let pressure = run_backpressure_demo(9, 8, 12);
+    println!(
+        "backpressure: capacity 8, 12 submissions -> {} acks, {} RetryAfter \
+         (peak queue depth {}), {} reports processed (the held epoch's one and the accepted)",
+        pressure.acks,
+        pressure.retries,
+        pressure.summary.stats.ingest.peak_queue_depth,
+        pressure.summary.stats.reports_processed,
+    );
+}
+
+/// Parts 1 and 2 on `engine`: a multi-epoch live run, then two seeded
+/// single-epoch runs that must agree byte for byte.
+fn live_and_replay(engine: &EngineConfig) {
     // Part 1: a multi-epoch live run. 8 client threads push 3000 reports;
     // the collector cuts an epoch every 1024 reports (or 200 ms).
     let config = CollectorConfig {
@@ -75,7 +92,7 @@ fn main() {
                     s.forwarded,
                     s.crowds_forwarded,
                     s.crowds_seen,
-                    s.backend,
+                    s.backend.name(),
                 );
             }
             Err(e) => println!("  epoch {}: failed: {e}", epoch.index),
@@ -118,8 +135,8 @@ fn main() {
 
     // Part 2: deterministic replay. A single-epoch configuration makes the
     // whole run a pure function of the seed; two runs must agree byte for
-    // byte on the canonical histogram — whichever backend and thread count
-    // were selected above.
+    // byte on the canonical histogram, on either engine and at any thread
+    // count.
     let replay_config = || CollectorConfig {
         worker_threads: 4,
         max_epoch_reports: 3000,
@@ -138,18 +155,5 @@ fn main() {
          ({} bytes, {} distinct values)",
         first.histogram_bytes.len(),
         first.database.distinct_values(),
-    );
-
-    // Part 3: backpressure. With the epoch manager busy, a queue of 8
-    // facing 12 submissions must answer RetryAfter for the overflow instead
-    // of buffering it.
-    let pressure = run_backpressure_demo(9, 8, 12);
-    println!(
-        "backpressure: capacity 8, 12 submissions -> {} acks, {} RetryAfter \
-         (peak queue depth {}), {} reports processed (the held epoch's one and the accepted)",
-        pressure.acks,
-        pressure.retries,
-        pressure.summary.stats.ingest.peak_queue_depth,
-        pressure.summary.stats.reports_processed,
     );
 }

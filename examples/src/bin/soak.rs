@@ -71,7 +71,7 @@ fn main() {
     let conns = knob(knobs::soak_conns());
     let threads = knob(knobs::soak_threads()).min(conns);
     let epoch_reports = knob(knobs::soak_epoch_reports());
-    let engine = knob(EngineConfig::from_env().map_err(|e| e.to_string()));
+    let engine = EngineConfig::default();
     println!(
         "soak: {total_reports} reports over {conns} connections ({threads} submitter threads), \
          epoch cut every {epoch_reports} reports, backend={}",

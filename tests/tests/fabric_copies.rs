@@ -218,13 +218,6 @@ fn decode_hostile(
     )
 }
 
-fn stats(backend: &'static str) -> ShufflerStats {
-    ShufflerStats {
-        backend,
-        ..ShufflerStats::default()
-    }
-}
-
 #[test]
 fn hostile_counts_reserve_nothing_before_the_check() {
     let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -252,7 +245,7 @@ fn hostile_counts_reserve_nothing_before_the_check() {
                 epoch_index: 0,
                 s2_seed: 0,
                 received: 0,
-                stage_one: stats("blind"),
+                stage_one: ShufflerStats::default(),
                 records: Vec::<BlindedRecord>::new(),
             }
             .to_wire(),
@@ -265,8 +258,8 @@ fn hostile_counts_reserve_nothing_before_the_check() {
                 shard: 0,
                 epoch_index: 0,
                 received: 0,
-                stage_one: stats("blind"),
-                stage_two: stats("inline"),
+                stage_one: ShufflerStats::default(),
+                stage_two: ShufflerStats::default(),
                 items: vec![],
             }
             .to_wire(),

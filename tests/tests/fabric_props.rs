@@ -19,7 +19,7 @@ use prochlo_collector::CollectorError;
 use prochlo_core::framing::{FrameRead, FrameWrite};
 use prochlo_core::record::{AnalyzerPayload, CrowdId, ShufflerEnvelope};
 use prochlo_core::shuffler::split::BlindedRecord;
-use prochlo_core::shuffler::{PhaseTimings, ShufflerStats};
+use prochlo_core::shuffler::{BackendKind, PhaseTimings, ShufflerStats};
 use prochlo_crypto::elgamal::{ElGamalCiphertext, ElGamalKeypair};
 use prochlo_crypto::hybrid::HybridCiphertext;
 use prochlo_fabric::transport::{frame_policy, WireMessage};
@@ -41,7 +41,7 @@ fn arb_peer(selector: u8, shard: u16) -> Peer {
     }
 }
 
-fn stats(seed: u64, backend: &'static str) -> ShufflerStats {
+fn stats(seed: u64) -> ShufflerStats {
     let mut rng = StdRng::seed_from_u64(seed);
     ShufflerStats {
         received: rng.gen_range(0..1000),
@@ -52,7 +52,7 @@ fn stats(seed: u64, backend: &'static str) -> ShufflerStats {
         crowds_seen: rng.gen_range(0..50),
         crowds_forwarded: rng.gen_range(0..50),
         shuffle_attempts: rng.gen_range(0..4),
-        backend,
+        backend: BackendKind::Trusted,
         duplicate_reports: 0,
         timings: PhaseTimings {
             peel_seconds: rng.gen::<f64>(),
@@ -397,7 +397,7 @@ proptest! {
             epoch_index: seed,
             s2_seed: seed.wrapping_mul(5),
             received: count,
-            stage_one: stats(seed, "blind"),
+            stage_one: stats(seed),
             records: records(seed, &inners),
         };
         let bytes = to_two.to_wire();
@@ -432,8 +432,8 @@ proptest! {
             shard: (seed % 7) as u16,
             epoch_index: seed,
             received: count,
-            stage_one: stats(seed, "blind"),
-            stage_two: stats(seed ^ 2, "inline"),
+            stage_one: stats(seed),
+            stage_two: stats(seed ^ 2),
             items: item_bytes.iter().map(Vec::as_slice).collect(),
         };
         let bytes = items.to_wire();
@@ -449,7 +449,7 @@ proptest! {
             epoch_index: seed,
             s2_seed: seed,
             received: count,
-            stage_one: stats(seed, "blind"),
+            stage_one: stats(seed),
             records: records(9, &inners),
         }
         .to_wire();
