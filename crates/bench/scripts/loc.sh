@@ -18,9 +18,9 @@
 # invariant is not checked. Raising either
 # ceiling takes an edit here and a written reason in CHANGES.md; lowering it
 # after a PR that shrinks the count keeps the ground gained.
-SYSTEM_CEILING=15822
+SYSTEM_CEILING=15625
 SYSTEM_CRATES='core crypto shuffle collector net fabric obs stats sgx-sim'
-ALLOW_CEILING=22
+ALLOW_CEILING=19
 cd "$(dirname "$0")/../../.." || exit 1
 table=$(for dir in crates/* examples tests; do
     find "$dir" -name '*.rs' -not -path '*/target/*' | sort | xargs awk -v crate="${dir#crates/}" '

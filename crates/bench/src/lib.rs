@@ -223,9 +223,8 @@ pub struct Comparison {
 }
 
 /// Whether smaller measurements of this metric are better. Latencies and
-/// costs carry a time-unit suffix by convention (`_ms`: the soak harness's
-/// `epoch_cut_p50_ms`; `_us`: `crypto/fixed_base_table_build_us`);
-/// everything else is a throughput.
+/// costs carry a time-unit suffix by convention (`_ms` or `_us`, as in
+/// `crypto/fixed_base_table_build_us`); everything else is a throughput.
 fn lower_is_better(key: &str) -> bool {
     key.ends_with("_ms") || key.ends_with("_us")
 }

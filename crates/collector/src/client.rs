@@ -2,8 +2,8 @@
 //!
 //! Everything that pushes sealed reports at a collector — the client
 //! simulator, the integration tests, the shard router's per-shard
-//! forwarding legs, future soak harnesses — goes through one submission
-//! API instead of reaching into connection internals:
+//! forwarding legs — goes through one submission API instead of reaching
+//! into connection internals:
 //!
 //! * [`CollectorClient`] — the blocking TCP client speaking the collector
 //!   frame protocol; what a production client device would embed behind

@@ -157,10 +157,6 @@ pub struct EpochResult {
     pub index: u64,
     /// Reports the epoch batch contained.
     pub reports: usize,
-    /// Wall-clock seconds the pipeline spent on the batch (the
-    /// `collector.epoch.process` span), the sample behind epoch-cut
-    /// latency percentiles. `0.0` when telemetry is disabled.
-    pub process_seconds: f64,
     /// The pipeline's output for the batch.
     pub outcome: Result<PipelineReport, PipelineError>,
 }
@@ -172,8 +168,6 @@ pub struct CollectorStats {
     pub ingest: IngestStats,
     /// Connections accepted.
     pub connections: u64,
-    /// Connections refused because the open-connection cap was reached.
-    pub connections_refused: u64,
     /// Connections evicted at the progress deadline (slow loris, stalled
     /// readers).
     pub connections_evicted: u64,
@@ -200,7 +194,6 @@ impl Shared {
         CollectorStats {
             ingest: self.ingest.stats(),
             connections: served.accepted,
-            connections_refused: served.refused,
             connections_evicted: served.evicted,
             epochs_cut: self.epochs_cut.load(Ordering::Relaxed),
             reports_processed: self.reports_processed.load(Ordering::Relaxed),
@@ -494,7 +487,6 @@ fn epoch_loop(mut pipeline: Box<dyn EpochPipeline>, shared: &Shared, config: &Co
         shared.epochs.lock().push(EpochResult {
             index: spec.epoch_index,
             reports,
-            process_seconds,
             outcome,
         });
         // Age the replay filter with the epoch boundary so its memory and

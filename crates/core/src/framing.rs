@@ -23,24 +23,22 @@
 //! pieces (the fabric sends its envelope header and the payload without
 //! joining them), so framing into a `Vec`, a `BufWriter` or a socket copies
 //! the body at most once and takes one write call where a pre-joined frame
-//! took one. [`FrameWrite`] (blocking sinks) and `prochlo_net::send_frame`
-//! (nonblocking sockets, parking on writability) are thin wrappers, and
+//! took one. [`FrameWrite`] is a thin wrapper for single-piece bodies, and
 //! neither flushes: as with any [`std::io::Write`], the caller flushes when
 //! its bytes must leave. A client that frames a window of requests into a
 //! `BufWriter` and flushes once sends the window in one write, which the
 //! serving reactor reads in one fill and answers with one write.
 //!
 //! Two readers share that layout: the blocking [`FrameRead`], which owns
-//! its stream and returns each body as a `Vec`, and the readiness-driven
+//! its stream and returns each body in one exactly-sized `Vec` (the
+//! fabric's links read this way), and the readiness-driven
 //! [`FrameAccumulator`], which reads a socket straight into its own buffer
 //! and lends each body out as a slice of it — the serving path's frames are
 //! parsed where they landed (`tests/tests/framing_props.rs` holds the two
 //! readers to the same answers over arbitrary fragmentations). A frame
 //! larger than the read chunk is the exception: the accumulator reads it
-//! into an exactly-sized buffer of its own, which
-//! [`FrameAccumulator::take_frame`] hands over by value, so a multi-MiB
-//! fabric batch costs one buffer on the receiving side and the shared read
-//! buffer never grows to hold it.
+//! into an exactly-sized buffer of its own, so the shared read buffer never
+//! grows to hold it.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::panic, clippy::indexing_slicing)]
@@ -270,8 +268,7 @@ impl<R: Read + ?Sized> FrameRead for R {
 /// accumulator is the nonblocking twin of [`FrameRead`]: fill it with
 /// [`FrameAccumulator::read_from`] (straight off a socket) or
 /// [`FrameAccumulator::extend`], then walk the complete frame bodies with
-/// [`FrameAccumulator::next_frame`] (borrowed) or
-/// [`FrameAccumulator::take_frame`] (owned). Policy checks happen as early
+/// [`FrameAccumulator::next_frame`]. Policy checks happen as early
 /// as the bytes allow — an oversized length prefix is rejected the moment
 /// its four bytes are present (before any body byte is parsed), and a wrong
 /// version byte is rejected as soon as it arrives.
@@ -287,9 +284,9 @@ impl<R: Read + ?Sized> FrameRead for R {
 /// chunk passed to `extend`) is the exception. Once its header and version
 /// byte are in, its body moves to an exactly-sized buffer of its own and
 /// later fills read straight into that buffer until it is complete; the
-/// walk hands it over by value from `take_frame` (no copy) or lends it from
-/// `next_frame` (freed by the next call). The shared buffer therefore stays
-/// near one chunk however large the frames a stream carries.
+/// walk lends it from `next_frame` (freed by the next call). The shared
+/// buffer therefore stays near one chunk however large the frames a stream
+/// carries.
 ///
 /// ```
 /// use prochlo_core::framing::{FrameAccumulator, FramePolicy, FrameWrite};
@@ -424,17 +421,7 @@ impl FrameAccumulator {
         })
     }
 
-    /// [`Self::next_frame`] by value: a frame from the shared buffer is
-    /// copied out, a large frame's own buffer is handed over as it is.
-    pub fn take_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        Ok(match self.advance()? {
-            None => None,
-            Some(Next::Shared(body)) => self.buf.get(body).map(<[u8]>::to_vec),
-            Some(Next::Large) => Some(self.take_large()),
-        })
-    }
-
-    /// The walk shared by [`Self::next_frame`] and [`Self::take_frame`].
+    /// The walk behind [`Self::next_frame`].
     fn advance(&mut self) -> Result<Option<Next>, FrameError> {
         self.lent = Vec::new();
         if let Some(what) = self.poisoned {
@@ -725,21 +712,21 @@ mod tests {
             acc.capacity() <= 2 * ROOM + large.len(),
             "no copy in the shared buffer"
         );
-        assert_eq!(acc.take_frame().unwrap().unwrap(), b"before");
-        let body = acc.take_frame().unwrap().unwrap();
-        assert_eq!(body, large);
-        assert_eq!(body.capacity(), large.len(), "handed over as read");
-        assert_eq!(acc.take_frame().unwrap().unwrap(), b"after");
-        assert_eq!(acc.take_frame().unwrap(), None);
+        assert_eq!(acc.next_frame().unwrap(), Some(&b"before"[..]));
+        assert_eq!(acc.next_frame().unwrap(), Some(&large[..]));
+        assert_eq!(acc.lent.capacity(), large.len(), "lent as read");
+        assert_eq!(acc.next_frame().unwrap(), Some(&b"after"[..]));
+        assert_eq!(acc.next_frame().unwrap(), None);
         assert!(acc.capacity() <= 2 * ROOM);
     }
 
     #[test]
     fn a_link_keeps_two_read_chunks_after_a_4_mib_frame() {
-        // A fabric link's read side: `prochlo-net` reads 16 KiB at a time
-        // and takes every completed frame after each readable event. The
-        // socket hands over uneven pieces, so the large frame's header and
-        // its first bytes arrive in the shared buffer beside earlier bytes.
+        // A serving connection's read side: `prochlo-net` reads 16 KiB at a
+        // time and walks every completed frame after each readable event.
+        // The socket hands over uneven pieces, so the large frame's header
+        // and its first bytes arrive in the shared buffer beside earlier
+        // bytes.
         const READ_CHUNK: usize = 16 * 1024;
         let policy = FramePolicy::new(1, 8 << 20);
         let large: Vec<u8> = (0..4u32 << 20).map(|i| i as u8).collect();
@@ -753,13 +740,12 @@ mod tests {
         for piece in &mut pieces {
             let mut socket = piece;
             while acc.read_from(&mut socket, READ_CHUNK).unwrap() > 0 {}
-            while let Some(frame) = acc.take_frame().unwrap() {
-                frames.push(frame);
+            while let Some(frame) = acc.next_frame().unwrap() {
+                frames.push(frame.to_vec());
             }
         }
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[1], large);
-        assert_eq!(frames[1].capacity(), large.len(), "one exact buffer");
         assert_eq!(frames[2], b"after");
         assert!(
             acc.capacity() <= 2 * READ_CHUNK,
@@ -846,5 +832,60 @@ mod tests {
             })
         ));
         assert_eq!(wire, [9]);
+    }
+
+    #[test]
+    fn the_frame_writer_resumes_anywhere_after_a_refusal() {
+        // Where a socket pushes back is the kernel's choice, so the writer
+        // must resume anywhere, the 5-byte header included. This sink takes
+        // three bytes per call and refuses every other call, so the first
+        // refusal lands inside the header and later ones straddle both
+        // piece boundaries.
+        let mut sink = Stingy::default();
+        let mut parks = 0;
+        write_frame_vectored(&mut sink, &POLICY, [b"head", b"payload"], |e| {
+            assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
+            parks += 1;
+            Ok(())
+        })
+        .unwrap();
+        let mut reference = Vec::new();
+        reference.write_frame(&POLICY, b"headpayload").unwrap();
+        assert_eq!(sink.taken, reference);
+        assert_eq!(sink.refused_at[0], 3, "first refusal is inside the header");
+        assert_eq!(parks, sink.refused_at.len());
+    }
+
+    /// A sink that accepts three bytes, then refuses one call with
+    /// `WouldBlock`, and so on.
+    #[derive(Default)]
+    struct Stingy {
+        taken: Vec<u8>,
+        refused_at: Vec<usize>,
+        refuse_next: bool,
+    }
+
+    impl Write for Stingy {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.refuse_next = !self.refuse_next;
+            if !self.refuse_next {
+                self.refused_at.push(self.taken.len());
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let before = self.taken.len();
+            for buf in bufs {
+                let n = buf.len().min(3 - (self.taken.len() - before));
+                self.taken.extend_from_slice(&buf[..n]);
+            }
+            Ok(self.taken.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
     }
 }

@@ -1,16 +1,20 @@
 //! The link both transports run: one peer's ordered streams, one per stage.
 //!
 //! A [`Link`] numbers the frames its owner sends on each stage and keeps
-//! the inbox that frames from its peer are filed into. The TCP transport
-//! holds one per socket and files what its pump reads off that socket; a
-//! loopback hub holds one per `(sender, receiver)` pair, and a send files
-//! its encoded envelope straight in. Either way a frame passes the same
-//! checks before any receiver sees it: its envelope header parsed in
-//! place, its sender the link's peer, its sequence number the next one on
-//! its stage. A frame that fails a check fails the link for every waiter,
-//! since the stream past a desynchronized envelope cannot be trusted. An
-//! ended link — failed or cleanly closed — refuses every later frame;
-//! receivers still get the frames filed before the end, then the end.
+//! the inbox that frames from its peer are filed into. A loopback hub
+//! holds one per `(sender, receiver)` pair, and a send files its encoded
+//! envelope straight in. The TCP transport holds one per socket, and its
+//! receivers read the socket themselves: a receiver whose stage has
+//! nothing filed becomes the link's one reader, files every frame it reads
+//! until one for its own stage arrives, and hands the role on as it
+//! returns, so receivers on other stages wait on the inbox and wake to
+//! their frames. Either way a frame passes the same checks before any
+//! receiver sees it: its envelope header parsed in place, its sender the
+//! link's peer, its sequence number the next one on its stage. A frame
+//! that fails a check fails the link for every waiter, since the stream
+//! past a desynchronized envelope cannot be trusted. An ended link —
+//! failed or cleanly closed — refuses every later frame; receivers still
+//! get the frames filed before the end, then the end.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::panic, clippy::indexing_slicing)]
@@ -18,6 +22,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use parking_lot::{Condvar, Mutex};
+use prochlo_core::framing::FrameError;
 
 use crate::transport::metrics::{self, ChannelCounters};
 use crate::transport::{
@@ -46,9 +51,30 @@ struct Inbox {
     /// How the link ended, once it has: `None` for a clean close, else
     /// the failure.
     ended: Option<Option<String>>,
+    /// Whether a receiver is reading the link's stream; at most one is.
+    reading: bool,
 }
 
 impl Inbox {
+    /// Files one frame under its stage, or refuses it: an ended link with
+    /// the end, a frame that fails a check with that failure, which ends
+    /// the link.
+    fn file(&mut self, peer: Peer, frame: Vec<u8>) -> Result<(), FabricError> {
+        if let Some(ended) = &self.ended {
+            return Err(end_error(ended));
+        }
+        match self.check(peer, &frame) {
+            Ok(stage) => {
+                self.stages.entry(stage).or_default().push_back(frame);
+                Ok(())
+            }
+            Err(e) => {
+                self.ended = Some(Some(e.to_string()));
+                Err(e)
+            }
+        }
+    }
+
     /// Checks one frame's envelope header in place against the link's peer
     /// and the stage's next sequence number, and takes that number.
     fn check(&mut self, peer: Peer, frame: &[u8]) -> Result<Stage, FabricError> {
@@ -121,31 +147,27 @@ impl Link {
     /// An ended link refuses it with the end; a frame that fails a check
     /// fails the link for every waiter and is refused with that failure.
     pub(crate) fn file(&self, frame: Vec<u8>) -> Result<(), FabricError> {
-        let mut inbox = self.inbox.lock();
-        if let Some(ended) = &inbox.ended {
-            return Err(end_error(ended));
-        }
-        let filed = inbox.check(self.peer, &frame);
-        match &filed {
-            Ok(stage) => inbox.stages.entry(*stage).or_default().push_back(frame),
-            Err(e) => inbox.ended = Some(Some(e.to_string())),
-        }
-        drop(inbox);
+        let filed = self.inbox.lock().file(self.peer, frame);
         self.arrived.notify_all();
-        filed.map(drop)
-    }
-
-    /// Ends the link, unless it already ended — `None` for a clean close,
-    /// else the failure — and wakes every waiter.
-    pub(crate) fn end(&self, failure: Option<String>) {
-        self.inbox.lock().ended.get_or_insert(failure);
-        self.arrived.notify_all();
+        filed
     }
 
     /// The next payload filed on `stage`, blocking until one is filed or
     /// the link ends. The envelope header is dropped from the front of the
     /// frame, which is returned without reallocating.
-    pub(crate) fn recv(&self, stage: Stage) -> Result<Vec<u8>, FabricError> {
+    ///
+    /// `read` pulls the next frame off the link's stream, for a link whose
+    /// frames nobody else files; a loopback link passes `None` and waits.
+    /// While nothing is filed on `stage` and no other receiver is reading,
+    /// this one reads a frame with the inbox unlocked and files it; a clean
+    /// end of the stream closes the link and any other read error fails it.
+    /// Every read wakes the waiters, so a receiver whose frame was filed
+    /// returns and, once the reader returns, another takes its place.
+    pub(crate) fn recv(
+        &self,
+        stage: Stage,
+        read: Option<&dyn Fn() -> Result<Vec<u8>, FrameError>>,
+    ) -> Result<Vec<u8>, FabricError> {
         let mut inbox = self.inbox.lock();
         loop {
             if let Some(mut frame) = inbox.stages.get_mut(&stage).and_then(VecDeque::pop_front) {
@@ -156,7 +178,28 @@ impl Link {
             if let Some(ended) = &inbox.ended {
                 return Err(end_error(ended));
             }
-            self.arrived.wait(&mut inbox);
+            match read {
+                Some(read) if !inbox.reading => {
+                    inbox.reading = true;
+                    drop(inbox);
+                    let frame = read();
+                    inbox = self.inbox.lock();
+                    inbox.reading = false;
+                    match frame {
+                        // A refused frame has ended the link, or arrived
+                        // after it ended: the next turn reports the end.
+                        Ok(frame) => drop(inbox.file(self.peer, frame)),
+                        Err(FrameError::Closed) => {
+                            inbox.ended.get_or_insert(None);
+                        }
+                        Err(e) => {
+                            inbox.ended.get_or_insert(Some(e.to_string()));
+                        }
+                    }
+                    self.arrived.notify_all();
+                }
+                _ => self.arrived.wait(&mut inbox),
+            }
         }
     }
 }
@@ -172,6 +215,15 @@ pub(crate) mod contract {
     use crate::transport::{
         ChannelId, Envelope, FabricError, Peer, Stage, Transport, MAX_FRAME_LEN,
     };
+
+    impl super::Link {
+        /// Closes the link cleanly, unless it already ended, and wakes
+        /// every waiter.
+        pub(crate) fn close(&self) {
+            self.inbox.lock().ended.get_or_insert(None);
+            self.arrived.notify_all();
+        }
+    }
 
     /// Two connected endpoints of one transport: `a` is
     /// [`Peer::ShufflerOne`] and `b` is [`Peer::ShufflerTwo`].
@@ -196,6 +248,10 @@ pub(crate) mod contract {
             #[test]
             fn an_oversize_send_is_refused_and_leaves_the_stage_in_sequence() {
                 $crate::link::contract::an_oversize_send_is_refused_and_leaves_the_stage_in_sequence($pair);
+            }
+            #[test]
+            fn receivers_on_two_stages_each_get_their_own_frame() {
+                $crate::link::contract::receivers_on_two_stages_each_get_their_own_frame($pair);
             }
             #[test]
             fn recv_blocks_until_a_send_arrives() {
@@ -292,6 +348,37 @@ pub(crate) mod contract {
             pair.a.send(Peer::ShufflerTwo, Stage::Batch, b"go").unwrap();
         });
         assert_eq!(got[0].as_ref().unwrap(), b"go");
+    }
+
+    pub(crate) fn receivers_on_two_stages_each_get_their_own_frame(pair: Pair) {
+        // Whichever receiver reads the link files the other's frame. With
+        // the second frame sent only once the first receiver has returned,
+        // the second receiver must still get it, whether it was the reader
+        // or has to take the reading over.
+        let orders = [
+            (Stage::Records, Stage::Items),
+            (Stage::Items, Stage::Records),
+        ];
+        for (one_at_a_time, (first, second)) in [true, false]
+            .into_iter()
+            .flat_map(|one| orders.map(|order| (one, order)))
+        {
+            std::thread::scope(|scope| {
+                let b = &*pair.b;
+                let [first_rx, second_rx] =
+                    [first, second].map(|stage| scope.spawn(move || b.recv(from_a(stage))));
+                std::thread::sleep(Duration::from_millis(20));
+                pair.a.send(Peer::ShufflerTwo, first, b"first").unwrap();
+                if one_at_a_time {
+                    assert_eq!(first_rx.join().expect("receiver").unwrap(), b"first");
+                    pair.a.send(Peer::ShufflerTwo, second, b"second").unwrap();
+                } else {
+                    pair.a.send(Peer::ShufflerTwo, second, b"second").unwrap();
+                    assert_eq!(first_rx.join().expect("receiver").unwrap(), b"first");
+                }
+                assert_eq!(second_rx.join().expect("receiver").unwrap(), b"second");
+            });
+        }
     }
 
     pub(crate) fn close_unblocks_receivers(pair: Pair) {

@@ -88,7 +88,7 @@ impl Transport for LoopbackTransport {
     fn recv(&self, channel: ChannelId) -> Result<Vec<u8>, FabricError> {
         self.hub
             .link(channel.peer, self.identity)
-            .recv(channel.stage)
+            .recv(channel.stage, None)
     }
 }
 
@@ -103,7 +103,7 @@ mod tests {
         /// already sent are taken, and every later send is refused with it.
         fn close(&self) {
             for link in self.links.lock().values() {
-                link.end(None);
+                link.close();
             }
         }
     }

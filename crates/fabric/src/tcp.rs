@@ -8,31 +8,31 @@
 //! so the acceptor learns who is on the socket without guessing from
 //! addresses.
 //!
-//! Each socket carries one link, the code the loopback hub runs too.
-//! [`TcpTransportBuilder::build`] hands every socket to one
-//! [`prochlo_net::FramePump`] thread, which multiplexes them on a readiness
-//! reactor and files each complete frame into its socket's link, so no
-//! thread is parked per peer. The pump shares each socket's file
-//! description with the send half, so sends go through
-//! [`prochlo_net::send_frame`], which parks on writability when the kernel
-//! buffer is full.
+//! Each socket carries one link, the code the loopback hub runs too, and
+//! stays blocking. The transport starts no thread: a send is one blocking
+//! frame write, and a receive reads the socket on the caller's thread.
+//! A receiver whose stage has nothing filed reads whole frames and files
+//! each into the link until its own arrives; receivers on the link's other
+//! stages wait for it to file theirs or to hand the reading on (see
+//! [`crate::link`]). The split topology keeps at most one batch in flight
+//! per link, and its senders wait on the answer anyway, so a send that
+//! meets a full kernel buffer waits where the protocol already waits.
 //!
 //! **Copy discipline.** A hop costs one batch-sized buffer on each side:
 //! the sender's encoding, which leaves with the frame and envelope headers
-//! in one vectored write, and the exactly-sized buffer the pump reads a
-//! long frame into, which the link files as it is.
+//! in one vectored write, and the exactly-sized buffer the receiver reads
+//! the frame into, which the link files as it is.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::panic, clippy::indexing_slicing)]
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use prochlo_core::framing::{FrameError, FramePolicy, FrameRead, FrameWrite};
+use prochlo_core::framing::{write_frame_vectored, FrameError, FramePolicy, FrameRead, FrameWrite};
 use prochlo_core::wire::Reader;
-use prochlo_net::{send_frame, FramePump, Interest, PumpEvent, Reactor};
+use prochlo_net::{Interest, Reactor};
 
 use crate::link::Link;
 use crate::transport::{frame_policy, ChannelId, FabricError, Peer, Stage, Transport};
@@ -73,9 +73,8 @@ impl TcpTransportBuilder {
     }
 
     /// Accepts `count` inbound links. Each dialer introduces itself with a
-    /// `HELLO` frame; the link is filed under that identity. The handshake
-    /// runs on the still-blocking socket — the pump takes over only at
-    /// [`Self::build`]. All `count` dialers must connect and introduce
+    /// `HELLO` frame; the link is filed under that identity. All `count`
+    /// dialers must connect and introduce
     /// themselves within a fixed handshake deadline (10 s); past it the
     /// call fails with an I/O error of kind `TimedOut`, so a process whose
     /// peer died before dialing exits instead of waiting forever.
@@ -117,7 +116,7 @@ impl TcpTransportBuilder {
             stream.set_nodelay(true)?;
             stream.set_read_timeout(Some(left()?))?;
             // Read the HELLO off the raw stream: a BufReader here could
-            // read ahead into frames that belong to the pump and silently
+            // read ahead into frames that belong to the link and silently
             // drop them with the temporary buffer.
             let mut raw = &stream;
             let hello = raw.read_frame(&HELLO_POLICY).map_err(|e| match e {
@@ -126,8 +125,8 @@ impl TcpTransportBuilder {
                 }
                 other => FabricError::from(other),
             })?;
-            // The pump reads nonblocking; a leftover timeout would only
-            // surprise the next blocking reader.
+            // A leftover timeout would fail the link's first receiver that
+            // waits longer for its frame.
             stream.set_read_timeout(None)?;
             let mut reader = Reader::new(&hello);
             let peer = Peer::decode(&mut reader)?;
@@ -151,44 +150,16 @@ impl TcpTransportBuilder {
         Ok(())
     }
 
-    /// Finalizes the builder: every established socket moves onto one
-    /// shared pump thread and the transport becomes immutable.
+    /// Finalizes the builder: every established socket becomes a link and
+    /// the transport becomes immutable.
     pub fn build(self) -> Result<TcpTransport, FabricError> {
-        let mut links = Vec::with_capacity(self.pending.len());
-        let mut pump_streams = Vec::with_capacity(self.pending.len());
-        for (index, (peer, stream)) in self.pending.into_iter().enumerate() {
-            // The pump reads on a cloned handle; both handles share one
-            // file description, which the pump flips nonblocking.
-            let read_half = stream.try_clone()?;
-            pump_streams.push((index, read_half));
-            links.push((Arc::new(Link::new(peer)), stream));
-        }
-        let pump = if links.is_empty() {
-            None
-        } else {
-            let pump_links: Vec<_> = links.iter().map(|(link, _)| Arc::clone(link)).collect();
-            Some(FramePump::spawn(
-                "fabric",
-                frame_policy(),
-                pump_streams,
-                move |index, event| {
-                    let Some(link) = pump_links.get(index) else {
-                        return;
-                    };
-                    match event {
-                        // A refused frame has ended the link, or
-                        // arrived after it ended: nothing to hand on.
-                        PumpEvent::Frame(body) => drop(link.file(body)),
-                        PumpEvent::Closed => link.end(None),
-                        PumpEvent::Failed(e) => link.end(Some(e.to_string())),
-                    }
-                },
-            )?)
-        };
         Ok(TcpTransport {
             identity: self.identity,
-            links,
-            _pump: pump,
+            links: self
+                .pending
+                .into_iter()
+                .map(|(peer, stream)| (Link::new(peer), stream))
+                .collect(),
         })
     }
 }
@@ -196,18 +167,17 @@ impl TcpTransportBuilder {
 /// The TCP implementation of [`Transport`].
 pub struct TcpTransport {
     identity: Peer,
-    /// One per peer: the link the pump files the socket's frames into, and
-    /// the socket's send half.
-    links: Vec<(Arc<Link>, TcpStream)>,
-    /// Joined on drop; stopping the pump closes no sockets, the links do.
-    _pump: Option<FramePump>,
+    /// One per peer: the link its receivers file the socket's frames into,
+    /// and the socket.
+    links: Vec<(Link, TcpStream)>,
 }
 
 impl TcpTransport {
-    fn link(&self, peer: Peer) -> Result<&(Arc<Link>, TcpStream), FabricError> {
+    fn link(&self, peer: Peer) -> Result<(&Link, &TcpStream), FabricError> {
         self.links
             .iter()
             .find(|(link, _)| link.peer == peer)
+            .map(|(link, socket)| (link, socket))
             .ok_or(FabricError::NotConnected(peer))
     }
 }
@@ -218,14 +188,24 @@ impl Transport for TcpTransport {
     }
 
     fn send(&self, to: Peer, stage: Stage, payload: &[u8]) -> Result<(), FabricError> {
-        let (link, stream) = self.link(to)?;
+        let (link, mut socket) = self.link(to)?;
         link.send(self.identity, to, stage, payload, |body| {
-            Ok(send_frame(stream, &frame_policy(), body)?)
+            Ok(write_frame_vectored(
+                &mut socket,
+                &frame_policy(),
+                body,
+                Err,
+            )?)
         })
     }
 
     fn recv(&self, channel: ChannelId) -> Result<Vec<u8>, FabricError> {
-        self.link(channel.peer)?.0.recv(channel.stage)
+        let (link, socket) = self.link(channel.peer)?;
+        let read = || {
+            let mut socket = socket;
+            socket.read_frame(&frame_policy())
+        };
+        link.recv(channel.stage, Some(&read))
     }
 }
 
@@ -259,7 +239,7 @@ mod tests {
             a: Box::new(a),
             b: Box::new(b),
             inject: Box::new(move |envelope| {
-                send_frame(&raw, &frame_policy(), [&envelope, &[]]).unwrap()
+                (&raw).write_frame(&frame_policy(), &envelope).unwrap()
             }),
             close: Box::new(move || close.shutdown(Shutdown::Write).unwrap()),
         }
@@ -288,7 +268,7 @@ mod tests {
         assert_eq!(
             stream.read_timeout().unwrap(),
             None,
-            "the pump gets no timeout"
+            "the link's receivers get no timeout"
         );
         let t = acceptor.build().unwrap();
         // Read the batch stage before records: the records frame is buffered.

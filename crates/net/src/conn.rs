@@ -12,11 +12,9 @@
 //!
 //! Every frame leaves through the one frame writer,
 //! [`prochlo_core::framing::write_frame_vectored`]: `Conn::queue_body`
-//! copies a body into the write buffer once, and [`send_frame`] hands the
-//! stack-held header and the caller's bytes to the socket as one vectored
-//! write per attempt, with no intermediate frame. Reads keep one `READ_CHUNK` of room; a frame longer than that is
-//! read into its own exactly-sized buffer (see [`FrameAccumulator`]) and
-//! `Conn::take_frame` hands it over without a copy.
+//! frames a body into the write buffer, copying it once. Reads keep one
+//! `READ_CHUNK` of room; a frame longer than that is read into its own
+//! exactly-sized buffer (see [`FrameAccumulator`]).
 
 #![deny(
     clippy::unwrap_used,
@@ -27,13 +25,8 @@
 
 use std::io::{self, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
-use prochlo_core::framing::{
-    write_frame_vectored, FrameAccumulator, FrameError, FramePolicy, FrameWrite,
-};
-
-use crate::reactor::wait_writable;
+use prochlo_core::framing::{FrameAccumulator, FrameError, FramePolicy, FrameWrite};
 
 /// How big a chunk one readable event pulls off the socket per `read` call.
 /// Also the read room every connection keeps allocated between events, so
@@ -122,13 +115,6 @@ impl Conn {
         self.acc.next_frame()
     }
 
-    /// [`Self::next_frame`] by value: a body from the shared read buffer is
-    /// copied out, a frame longer than the read chunk is handed over in the
-    /// exactly-sized buffer it was read into.
-    pub(crate) fn take_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        self.acc.take_frame()
-    }
-
     /// Queues one outbound frame (`[u32 len][version][body]`) behind any
     /// bytes still awaiting flush.
     pub(crate) fn queue_body(&mut self, body: &[u8]) -> Result<(), FrameError> {
@@ -169,30 +155,12 @@ impl Conn {
     }
 }
 
-/// Sends one frame over a *nonblocking* stream with blocking-call
-/// semantics: the frame writer's vectored writes resume at their offset,
-/// parking on `wait_writable` whenever the socket pushes back. This is
-/// the only safe way to write a stream whose read half is reactor-managed —
-/// `set_nonblocking` applies to the shared fd, so a plain `write_all`
-/// could lose its position mid-frame on `WouldBlock`. The body is
-/// `body[0]` followed by `body[1]` — a message header and the payload it
-/// describes go out without being joined first — and the ceiling is
-/// checked before any byte is written.
-pub fn send_frame(
-    stream: &TcpStream,
-    policy: &FramePolicy,
-    body: [&[u8]; 2],
-) -> Result<(), FrameError> {
-    write_frame_vectored(&mut &*stream, policy, body, |_| {
-        wait_writable(stream, Duration::from_millis(100)).map(drop)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use prochlo_core::framing::FrameRead;
     use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
 
     const POLICY: FramePolicy = FramePolicy::new(1, 1024);
 
@@ -277,78 +245,5 @@ mod tests {
             .expect("timeout");
         let body = client.read_frame(&POLICY).expect("read frame");
         assert_eq!(body, b"response");
-    }
-
-    #[test]
-    fn send_frame_survives_nonblocking_backpressure() {
-        let (client, mut server) = pair();
-        client.set_nonblocking(true).expect("nonblocking");
-        // A body big enough to overwhelm the socket buffers and force at
-        // least one WouldBlock park while the reader lags.
-        let body = vec![0xabu8; 4 << 20];
-        let expected = body.clone();
-        let policy = FramePolicy::new(1, 8 << 20);
-        let writer = std::thread::spawn(move || send_frame(&client, &policy, [&[], &body]));
-        server
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("timeout");
-        let got = server.read_frame(&policy).expect("read frame");
-        writer.join().expect("join").expect("send");
-        assert_eq!(got.len(), expected.len());
-        assert_eq!(got, expected);
-
-        // Where the socket pushes back is the kernel's choice; the writer
-        // loop `send_frame` runs must resume anywhere, the 5-byte header
-        // included. This sink takes three bytes per call and refuses every
-        // other call, so the first refusal lands inside the header and
-        // later ones straddle both piece boundaries.
-        let mut sink = Stingy::default();
-        let mut parks = 0;
-        write_frame_vectored(&mut sink, &policy, [b"head", b"payload"], |e| {
-            assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
-            parks += 1;
-            Ok(())
-        })
-        .expect("resumes after every refusal");
-        let mut reference = Vec::new();
-        reference
-            .write_frame(&policy, b"headpayload")
-            .expect("frame");
-        assert_eq!(sink.taken, reference);
-        assert_eq!(sink.refused_at[0], 3, "first refusal is inside the header");
-        assert_eq!(parks, sink.refused_at.len());
-    }
-
-    /// A sink that accepts three bytes, then refuses one call with
-    /// `WouldBlock`, and so on.
-    #[derive(Default)]
-    struct Stingy {
-        taken: Vec<u8>,
-        refused_at: Vec<usize>,
-        refuse_next: bool,
-    }
-
-    impl Write for Stingy {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.write_vectored(&[io::IoSlice::new(buf)])
-        }
-
-        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-            self.refuse_next = !self.refuse_next;
-            if !self.refuse_next {
-                self.refused_at.push(self.taken.len());
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-            let before = self.taken.len();
-            for buf in bufs {
-                let n = buf.len().min(3 - (self.taken.len() - before));
-                self.taken.extend_from_slice(&buf[..n]);
-            }
-            Ok(self.taken.len() - before)
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
     }
 }

@@ -389,22 +389,6 @@ impl Reactor {
     }
 }
 
-/// One-shot writability wait for a single nonblocking socket, used by
-/// blocking-style senders (the shard fabric) whose streams share an fd with
-/// a reactor-managed read half and are therefore nonblocking. Returns
-/// `true` when the socket reported writable within `timeout`, `false` on
-/// timeout.
-pub(crate) fn wait_writable<S: AsRawFd>(source: &S, timeout: Duration) -> io::Result<bool> {
-    let mut fds = [sys::pollfd {
-        fd: source.as_raw_fd(),
-        events: sys::POLLOUT,
-        revents: 0,
-    }];
-    let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-    let ready = sys::poll_fds(&mut fds, ms.max(1))?;
-    Ok(ready > 0 && fds[0].revents & (sys::POLLOUT | sys::POLLERR | sys::POLLHUP) != 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,12 +478,5 @@ mod tests {
         assert_eq!(t2.index, t1.index, "freed slot is reused");
         reactor.deregister(t1); // stale double-deregister is ignored
         assert_eq!(registered(&reactor), 1);
-    }
-
-    #[test]
-    fn wait_writable_reports_send_space() {
-        let (client, _server) = pair();
-        client.set_nonblocking(true).expect("nonblocking");
-        assert!(wait_writable(&client, Duration::from_secs(1)).expect("wait"));
     }
 }

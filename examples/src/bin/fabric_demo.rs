@@ -125,7 +125,7 @@ fn run_shuffler_two() {
     builder
         .accept(1 + usize::from(NUM_SHARDS))
         .expect("accept s1 + shards");
-    let transport = builder.build().expect("transport pump");
+    let transport = builder.build().expect("transport");
     serve_shuffler_two(&transport, two).expect("serve shuffler two");
 }
 
@@ -143,7 +143,7 @@ fn run_shuffler_one(s2: SocketAddr) {
     builder
         .accept(usize::from(NUM_SHARDS))
         .expect("accept shards");
-    let transport = builder.build().expect("transport pump");
+    let transport = builder.build().expect("transport");
     serve_shuffler_one(&transport, &one, &elgamal, NUM_SHARDS).expect("serve shuffler one");
 }
 
@@ -157,7 +157,7 @@ fn run_shard(index: u16, s1: SocketAddr, s2: SocketAddr) {
     let mut builder = TcpTransportBuilder::new(Peer::Shard(index));
     builder.connect(Peer::ShufflerOne, s1).expect("dial s1");
     builder.connect(Peer::ShufflerTwo, s2).expect("dial s2");
-    let transport: Arc<dyn Transport> = Arc::new(builder.build().expect("transport pump"));
+    let transport: Arc<dyn Transport> = Arc::new(builder.build().expect("transport"));
 
     let pipeline =
         RemoteSplitPipeline::new(Arc::clone(&transport), index, deployment.analyzer().clone());

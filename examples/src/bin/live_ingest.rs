@@ -8,7 +8,8 @@
 //! full report queue answers `RetryAfter` instead of growing.
 //!
 //! The live run and the replay run once on each engine of
-//! [`ShuffleBackend::all`], trusted then stash. `PROCHLO_SHUFFLE_THREADS`
+//! [`ShuffleBackend::all`], trusted then stash; each engine's telemetry
+//! table counts only what its own live run recorded. `PROCHLO_SHUFFLE_THREADS`
 //! sets the worker threads for the parallel batch phases (`0` or unset:
 //! every available core).
 //!
@@ -19,6 +20,7 @@ use std::time::Duration;
 use prochlo_collector::CollectorConfig;
 use prochlo_core::{exec, EngineConfig, ShuffleBackend};
 use prochlo_examples::{run_backpressure_demo, run_live_ingest, QUICKSTART_BROWSERS};
+use prochlo_obs::{Snapshot, SnapshotValue};
 
 fn main() {
     // A typo'd thread count is fatal: the operator made a selection, so
@@ -60,6 +62,7 @@ fn main() {
 /// Parts 1 and 2 on `engine`: a multi-epoch live run, then two seeded
 /// single-epoch runs that must agree byte for byte.
 fn live_and_replay(engine: &EngineConfig) {
+    let before = prochlo_obs::snapshot();
     // Part 1: a multi-epoch live run. 8 client threads push 3000 reports;
     // the collector cuts an epoch every 1024 reports (or 200 ms).
     let config = CollectorConfig {
@@ -99,11 +102,11 @@ fn live_and_replay(engine: &EngineConfig) {
         }
     }
 
-    // Per-phase timing now lives on the process-wide telemetry registry:
-    // one table covers ingest submit latency, epoch processing, and the
-    // shuffler phase spans that used to be hand-printed per epoch.
-    println!("\nobservability snapshot (PROCHLO_OBS=0 disables collection):");
-    print!("{}", prochlo_obs::snapshot().render_table());
+    // Per-phase timing lives on the process-wide telemetry registry: one
+    // table covers ingest submit latency, epoch processing, and the
+    // shuffler phase spans of this engine's live run.
+    println!("\nobservability snapshot of this run (PROCHLO_OBS=0 disables collection):");
+    print!("{}", since(&before, prochlo_obs::snapshot()).render_table());
 
     // The analytic price of the selected backend, projected at this run's
     // record count and at paper scale (§4.1.3's comparison metric). Both
@@ -156,4 +159,25 @@ fn live_and_replay(engine: &EngineConfig) {
         first.histogram_bytes.len(),
         first.database.distinct_values(),
     );
+}
+
+/// What the registry recorded between `before` and `after`: counters and
+/// histograms less their earlier readings, gauges as they stand now.
+fn since(before: &Snapshot, mut after: Snapshot) -> Snapshot {
+    for entry in &mut after.entries {
+        let Some(earlier) = before.entries.iter().find(|e| e.name == entry.name) else {
+            continue;
+        };
+        match (&mut entry.value, &earlier.value) {
+            (SnapshotValue::Counter(now), SnapshotValue::Counter(then)) => *now -= then,
+            (SnapshotValue::Histogram(now), SnapshotValue::Histogram(then)) => {
+                for (count, earlier) in now.counts.iter_mut().zip(then.counts) {
+                    *count -= earlier;
+                }
+                now.sum_seconds -= then.sum_seconds;
+            }
+            _ => {}
+        }
+    }
+    after
 }

@@ -4,8 +4,6 @@
 //! the workspace smoke test can drive the exact encode→shuffle→analyze path
 //! the example demonstrates.
 
-pub mod knobs;
-
 use std::sync::mpsc;
 use std::thread;
 

@@ -60,6 +60,35 @@ fn ten_thousand_reports_replay_byte_identically() {
 }
 
 #[test]
+fn many_connections_per_loop_under_backpressure_count_every_report_once() {
+    // Sixteen connections on each of four event loops, against a queue that
+    // holds a sliver of the run: the epoch manager falls behind, the queue
+    // answers RetryAfter, and the clients resubmit. Every report was
+    // acknowledged once (`run_live_ingest` asserts each final verdict), so
+    // each must be counted once by the queue and once by an epoch.
+    const CLIENTS: usize = 64;
+    const PER_CLIENT: usize = 40;
+    const ACKS: u64 = (CLIENTS * PER_CLIENT) as u64;
+    let config = CollectorConfig {
+        worker_threads: 4,
+        queue_capacity: 32,
+        max_epoch_reports: 32,
+        epoch_deadline: Duration::from_millis(50),
+        ..CollectorConfig::default()
+    };
+    let outcome = run_live_ingest(0x50ac, CLIENTS, PER_CLIENT, config);
+    let stats = &outcome.summary.stats;
+    assert!(stats.ingest.backpressured > 0, "the queue never filled");
+    assert_eq!(stats.ingest.accepted, ACKS);
+    assert_eq!(stats.ingest.duplicates, 0);
+    assert_eq!(stats.reports_processed, ACKS);
+    let epoch_total: usize = outcome.summary.epochs.iter().map(|e| e.reports).sum();
+    assert_eq!(epoch_total as u64, ACKS, "the epochs count every report");
+    assert_eq!(stats.connections, CLIENTS as u64);
+    assert_eq!(stats.connections_evicted, 0);
+}
+
+#[test]
 fn full_queue_yields_retry_after_not_acceptance() {
     // ISSUE acceptance: a full queue answers RetryAfter (bounded memory)
     // rather than accepting the report.

@@ -134,7 +134,7 @@ fn phase_timings_are_populated_and_excluded_from_equality() {
 }
 
 #[test]
-fn all_four_backends_are_selectable_through_the_collector() {
+fn both_backends_are_selectable_through_the_collector() {
     for backend in ShuffleBackend::all() {
         let mut rng = StdRng::seed_from_u64(0xc011);
         let pipeline = Deployment::builder()

@@ -1,15 +1,17 @@
 //! The kernel keeps 15 bytes of a thread's name, and `top`, `perf` and
-//! `/proc/<pid>/task/*/comm` show only those: the serving loops, the epoch
-//! thread and the fabric's frame pump are told apart there only if their
-//! names fit whole, up to a two-digit loop index.
+//! `/proc/<pid>/task/*/comm` show only those: the serving loops and the
+//! epoch thread are told apart there only if their names fit whole, up to
+//! a two-digit loop index. The fabric's TCP transport reads on its callers'
+//! threads and starts none of its own.
 #![cfg(target_os = "linux")]
 
-use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use prochlo_collector::{Collector, CollectorClient, CollectorConfig, ReportSink};
 use prochlo_core::Deployment;
-use prochlo_fabric::{Peer, RouterConfig, ShardRouter, TcpTransportBuilder};
+use prochlo_fabric::{
+    ChannelId, Peer, RouterConfig, ShardRouter, Stage, TcpTransportBuilder, Transport,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,8 +24,57 @@ fn kernel_thread_names() -> Vec<String> {
         .collect()
 }
 
+/// Every thread id of this process.
+fn kernel_thread_ids() -> Vec<String> {
+    let mut ids: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("list tasks")
+        .filter_map(|task| Some(task.ok()?.file_name().to_string_lossy().into_owned()))
+        .collect();
+    ids.sort();
+    ids
+}
+
+/// Builds a connected pair of `TcpTransport`s, makes one round trip, and
+/// returns both ends still open.
+fn one_tcp_round_trip() -> impl Sized {
+    let mut acceptor = TcpTransportBuilder::new(Peer::ShufflerOne);
+    let addr = acceptor
+        .listen("127.0.0.1:0".parse().expect("address"))
+        .expect("listen");
+    let mut dialer = TcpTransportBuilder::new(Peer::Shard(0));
+    dialer.connect(Peer::ShufflerOne, addr).expect("dial");
+    acceptor.accept(1).expect("accept");
+    let shard = dialer.build().expect("build");
+    let shuffler = acceptor.build().expect("build");
+    shard
+        .send(Peer::ShufflerOne, Stage::Batch, b"batch")
+        .expect("send");
+    let batch = shuffler
+        .recv(ChannelId::new(Peer::Shard(0), Stage::Batch))
+        .expect("recv");
+    shuffler
+        .send(Peer::Shard(0), Stage::Items, &batch)
+        .expect("answer");
+    let answer = shard
+        .recv(ChannelId::new(Peer::ShufflerOne, Stage::Items))
+        .expect("recv answer");
+    assert_eq!(answer, b"batch");
+    (shard, shuffler)
+}
+
+/// One test, so that no other test's threads come and go while the
+/// transport's are counted.
 #[test]
-fn serving_loops_the_epoch_thread_and_the_pump_keep_their_whole_names() {
+fn serving_loops_keep_their_whole_names_and_a_tcp_transport_starts_no_thread() {
+    let before = kernel_thread_ids();
+    let transports = one_tcp_round_trip();
+    assert_eq!(
+        kernel_thread_ids(),
+        before,
+        "the transport started a thread"
+    );
+    drop(transports);
+
     // Twelve loops a server, so the loop indices reach two digits.
     const LOOPS: usize = 12;
     let mut rng = StdRng::seed_from_u64(3);
@@ -49,17 +100,9 @@ fn serving_loops_the_epoch_thread_and_the_pump_keep_their_whole_names() {
         }),
     )
     .expect("start router");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let mut builder = TcpTransportBuilder::new(Peer::Shard(0));
-    builder
-        .connect(Peer::ShufflerOne, listener.local_addr().expect("address"))
-        .expect("dial");
-    let transport = builder.build().expect("start the pump");
 
     let loops = (0..LOOPS).flat_map(|i| [format!("ingest-loop-{i}"), format!("router-loop-{i}")]);
-    let expected: Vec<String> = loops
-        .chain(["collector-epoch".into(), "pump-fabric".into()])
-        .collect();
+    let expected: Vec<String> = loops.chain(["collector-epoch".into()]).collect();
     // A new thread sets its own name once it runs, so the names show up
     // shortly after the start calls return.
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -72,7 +115,6 @@ fn serving_loops_the_epoch_thread_and_the_pump_keep_their_whole_names() {
         assert!(names.contains(name), "{name:?} not in {names:?}");
     }
 
-    drop(transport);
     router.shutdown();
     collector.shutdown();
 }
