@@ -31,6 +31,13 @@ use rand::{Rng, SeedableRng};
 const PIN_SEED: u64 = 0xc11e;
 const ENCODER_WIRE_SHA256: &str =
     "2beb00dad1df4087c189a026ece04b4e5e2242e3fe884ed7b805bde3bd8b914d";
+/// The witness beside `ENCODER_WIRE_SHA256`: the SHA-256 of what the RNG
+/// draws fix in the same 192 reports and no symmetric construction can move
+/// (see `hash_draws`). Captured under the HMAC-tagged AEAD and unchanged by
+/// the move to ChaCha20-Poly1305, so a failing wire pin with a passing
+/// witness is a change of ciphertext bytes alone.
+const ENCODER_DRAWS_SHA256: &str =
+    "1c5ac753dc643d2fe2f48bab37352e86a40ad56b0d0587bb0d258518322224c8";
 
 const PAYLOAD_SIZE: usize = 32;
 const SHARE_THRESHOLD: usize = 3;
@@ -56,13 +63,36 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 fn seeded_keys(rng: &mut StdRng) -> ClientKeys {
+    seeded_keys_and_shuffler(rng).0
+}
+
+/// [`seeded_keys`] together with the shuffler's keypair, which peels the
+/// outer layer for [`ENCODER_DRAWS_SHA256`].
+fn seeded_keys_and_shuffler(rng: &mut StdRng) -> (ClientKeys, HybridKeypair) {
     let shuffler = HybridKeypair::generate(rng);
     let analyzer = HybridKeypair::generate(rng);
     let blinding = ElGamalKeypair::generate(rng);
-    ClientKeys {
+    let keys = ClientKeys {
         shuffler: *shuffler.public_key(),
         analyzer: *analyzer.public_key(),
         crowd_blinding: Some(*blinding.public_key()),
+    };
+    (keys, shuffler)
+}
+
+/// Feeds `hasher` the bytes of one outer ciphertext that the RNG draws fix
+/// and the AEAD does not touch: the outer `ephemeral ‖ nonce`, then, with
+/// the layer peeled, the inner `ephemeral ‖ nonce` and any El Gamal crowd
+/// ID.
+fn hash_draws(hasher: &mut Sha256, outer: &[u8], shuffler: &HybridKeypair) {
+    let outer = HybridCiphertext::from_bytes(outer).unwrap();
+    hasher.update(&outer.ephemeral).update(&outer.nonce);
+    let peeled = outer.open(shuffler.secret(), SHUFFLER_AAD).unwrap();
+    let envelope = ShufflerEnvelope::from_bytes(&peeled).unwrap();
+    let inner = HybridCiphertext::from_bytes(&envelope.inner).unwrap();
+    hasher.update(&inner.ephemeral).update(&inner.nonce);
+    if let CrowdId::Blinded(crowd) = &envelope.crowd_id {
+        hasher.update(&crowd.to_bytes());
     }
 }
 
@@ -139,14 +169,17 @@ fn one_shot(
 #[test]
 fn encoder_wire_bytes_match_the_pinned_digest() {
     let mut rng = StdRng::seed_from_u64(PIN_SEED);
-    let encoder = Encoder::new(seeded_keys(&mut rng), PAYLOAD_SIZE);
-    let mut hasher = Sha256::new();
+    let (keys, shuffler) = seeded_keys_and_shuffler(&mut rng);
+    let encoder = Encoder::new(keys, PAYLOAD_SIZE);
+    let (mut hasher, mut draws) = (Sha256::new(), Sha256::new());
     for shape in SHAPES {
         for i in 0..64u64 {
             let bytes = encode(&encoder, shape, &word(i), i, &mut rng).unwrap();
             hasher.update(&bytes);
+            hash_draws(&mut draws, &bytes, &shuffler);
         }
     }
+    assert_eq!(hex(&draws.finalize()), ENCODER_DRAWS_SHA256);
     assert_eq!(hex(&hasher.finalize()), ENCODER_WIRE_SHA256);
 }
 

@@ -10,6 +10,7 @@
 //! the wire topology (or the sharded seed derivation) drifted from the
 //! single-process semantics — fix the regression, do not re-capture.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,6 +23,7 @@ use prochlo_core::{
     canonicalize, AnalyzerDatabase, ClientReport, Deployment, EpochSpec, PipelineReport,
     ShardedDeployment, ShufflerConfig, Topology,
 };
+use prochlo_crypto::edwards::FixedBaseTable;
 use prochlo_crypto::hybrid::HybridCiphertext;
 use prochlo_fabric::transport::WireMessage;
 use prochlo_fabric::{
@@ -364,6 +366,19 @@ const PINNED_S1_RECORDS_SHA256: &str =
     "171442b4f896b4d69e4451a9cf7bbca9cbadbde8d6425857a055cefa5e1bc8d1";
 const PINNED_S2_ITEMS_SHA256: &str =
     "c337a7d3240c6442f336484f7e7a9f8b1dc48c2ae96ba260cdadcce3fd13e2ca";
+/// The witnesses beside the two pins: SHA-256 of what the RNG draws fix
+/// and no symmetric construction can move. For Shuffler 1, each forwarded
+/// record's blinded crowd ID followed by the input position (`u64`, little
+/// endian) of the report it came from; for Shuffler 2, the input position
+/// of each forwarded item. Positions are found by the inner ciphertext's
+/// `ephemeral ‖ nonce` (see [`input_positions`]). Captured under the
+/// HMAC-tagged AEAD and unchanged by the move to ChaCha20-Poly1305, so a
+/// failing pin with a passing witness is a change of ciphertext bytes
+/// alone.
+const WITNESS_S1_ORDER_SHA256: &str =
+    "1273e03f19f621bbd62d4a45ee31de8cbc72fc30cc5448439ef6a89e3e054514";
+const WITNESS_S2_ORDER_SHA256: &str =
+    "8ded5d8dc40788966890a5cb4cfdb772c3c75d5b03199824456fbb27f22429a9";
 const PINNED_S1_SEED: u64 = 0x51ed;
 const PINNED_S2_SEED: u64 = 0x52ed;
 
@@ -406,6 +421,31 @@ fn pinned_split_batch() -> (Deployment, Vec<HybridCiphertext>) {
     (deployment, reports)
 }
 
+/// Maps each report's inner `ephemeral ‖ nonce` to its input position, by
+/// peeling the reports one at a time through Shuffler 1 (a one-record batch
+/// is forwarded unshuffled). Reports Shuffler 1 rejects have no entry.
+fn input_positions(
+    split: &prochlo_core::shuffler::split::SplitShuffler,
+    reports: &[HybridCiphertext],
+) -> BTreeMap<Vec<u8>, u64> {
+    let table = FixedBaseTable::new(split.two.elgamal_public());
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut positions = BTreeMap::new();
+    for (position, report) in (0u64..).zip(reports) {
+        let (records, _) =
+            split
+                .one
+                .process_batch(1, std::slice::from_ref(report), &table, &mut rng);
+        for record in records {
+            positions.insert(record.inner[..INNER_DRAWS].to_vec(), position);
+        }
+    }
+    positions
+}
+
+/// The inner ciphertext's `ephemeral ‖ nonce`: 32 + 12 bytes.
+const INNER_DRAWS: usize = 44;
+
 #[test]
 fn split_stage_wire_bytes_equal_the_sequential_implementation() {
     use prochlo_crypto::sha256::Sha256;
@@ -413,6 +453,8 @@ fn split_stage_wire_bytes_equal_the_sequential_implementation() {
 
     let (deployment, reports) = pinned_split_batch();
     let split = deployment.role().as_split().expect("split topology");
+    let positions = input_positions(split, &reports);
+    let position = |inner: &[u8]| positions[&inner[..INNER_DRAWS]].to_le_bytes();
 
     // Stage 1 on its own hub, with the test standing in for Shuffler 2 so
     // it sees exactly the bytes Shuffler 1 puts on the wire.
@@ -447,11 +489,14 @@ fn split_stage_wire_bytes_equal_the_sequential_implementation() {
     assert_eq!(forwarded.stage_one.received, 2_200);
     assert!(forwarded.stage_one.rejected > 400);
     assert!(forwarded.records.len() > 2 * 1024 - 600);
-    let mut hasher = Sha256::new();
+    let (mut hasher, mut witness) = (Sha256::new(), Sha256::new());
     for record in &forwarded.records {
         hasher.update(&record.blinded_crowd);
         hasher.update(record.inner);
+        witness.update(&record.blinded_crowd);
+        witness.update(&position(record.inner));
     }
+    assert_eq!(hex(&witness.finalize()), WITNESS_S1_ORDER_SHA256);
     assert_eq!(hex(&hasher.finalize()), PINNED_S1_RECORDS_SHA256);
 
     // Stage 2 on a second hub, fed the captured message unchanged.
@@ -470,9 +515,11 @@ fn split_stage_wire_bytes_equal_the_sequential_implementation() {
     assert!(answer.stage_two.crowds_forwarded > 0);
     assert!(answer.stage_two.dropped_noise > 0);
     assert!(answer.stage_two.dropped_threshold > 0);
-    let mut hasher = Sha256::new();
+    let (mut hasher, mut witness) = (Sha256::new(), Sha256::new());
     for item in &answer.items {
         hasher.update(item);
+        witness.update(&position(item));
     }
+    assert_eq!(hex(&witness.finalize()), WITNESS_S2_ORDER_SHA256);
     assert_eq!(hex(&hasher.finalize()), PINNED_S2_ITEMS_SHA256);
 }
