@@ -5,8 +5,8 @@
 //! a scalar draw, a comb walk over a recipient key's table, a seal through
 //! a precomputed recipient key and a whole encoded report.
 //!
-//! After the criterion pass, a second measurement pass re-times the field
-//! and curve hot paths and emits `BENCHJSON` lines (operations per second,
+//! After the criterion pass, a second measurement pass re-times the field,
+//! curve and AEAD hot paths and emits `BENCHJSON` lines (operations per second,
 //! higher is better; the one `_us` row is a cost) so the nightly
 //! `bench_compare` job can diff them against the `crypto/*` rows in
 //! `BENCH_baseline.json`.
@@ -280,6 +280,13 @@ fn emit_benchjson() {
         BATCH as f64,
     );
     let payload = vec![0xabu8; 64];
+    let key = AeadKey::random(&mut rng);
+    let nonce = [7u8; aead::NONCE_LEN];
+    emit_ops_per_sec(
+        "aead_seal_64B_ops_per_sec",
+        measure_ns(|| aead::seal(&key, &nonce, b"aad", &payload)),
+        1.0,
+    );
     let recipient = HybridKeypair::generate(&mut rng);
     emit_ops_per_sec(
         "hybrid_seal_64B_ops_per_sec",

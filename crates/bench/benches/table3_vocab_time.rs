@@ -120,7 +120,7 @@ fn main() {
     println!(
         "Shape check: time scales linearly with the number of clients. Per report \
          the client pays four fixed-base comb walks (six with a blinded crowd ID) of \
-         7 doublings and at most 32 additions each, and one inversion per layer, with \
+         7 doublings and at most 32 additions each, and one inversion for both layers, with \
          no variable-base multiplication: its keys' tables are built once per encoder. \
          The shufflers and analyzer add two \
          variable-base multiplications per report in the single-shuffler column and \

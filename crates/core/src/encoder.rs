@@ -7,11 +7,12 @@
 //! ([`FixedBaseTable`]) — and shares them behind an `Arc`: cloning an
 //! encoder copies a pointer. A report then costs two comb walks for the
 //! ephemeral keys, two for the shared points (three of each with a blinded
-//! crowd ID), one field inversion per layer and one scalar draw per layer
-//! (plus the El Gamal randomness), each a single Barrett reduction. A comb
-//! walk costs about a seventh of the NAF walk a bare key needs. The bytes,
-//! and the order of every RNG draw, are those of the one-shot
-//! [`HybridCiphertext::seal`] and [`ElGamalCiphertext::encrypt_hashed`].
+//! crowd ID), one field inversion per report for both layers' four points
+//! ([`HybridCiphertext::seal_nested`]) and one scalar draw per layer (plus
+//! the El Gamal randomness), each a single Barrett reduction. A comb walk
+//! costs about a seventh of the NAF walk a bare key needs. The bytes, and
+//! the order of every RNG draw, are those of two one-shot
+//! [`HybridCiphertext::seal`]s and [`ElGamalCiphertext::encrypt_hashed`].
 //! None of it is constant-time: the comb indexes its tables by bits of the
 //! secret scalars, as `Point::mul_base` already does.
 
@@ -150,16 +151,21 @@ impl Encoder {
             }
         };
 
-        // Inner layer: only the analyzer can open.
-        let inner =
-            HybridCiphertext::seal(rng, &self.keys.analyzer, ANALYZER_AAD, &payload.to_bytes())?;
-        // Outer layer: only the shuffler can open.
-        let envelope = ShufflerEnvelope {
-            crowd_id,
-            inner: inner.to_bytes(),
-        };
-        let outer =
-            HybridCiphertext::seal(rng, &self.keys.shuffler, SHUFFLER_AAD, &envelope.to_bytes())?;
+        // Inner layer: only the analyzer can open. Outer layer, around the
+        // crowd ID and the inner layer: only the shuffler can open.
+        let outer = HybridCiphertext::seal_nested(
+            rng,
+            (&self.keys.analyzer, ANALYZER_AAD),
+            &payload.to_bytes(),
+            (&self.keys.shuffler, SHUFFLER_AAD),
+            |inner| {
+                let envelope = ShufflerEnvelope {
+                    crowd_id,
+                    inner: inner.to_bytes(),
+                };
+                envelope.to_bytes()
+            },
+        )?;
         Ok(ClientReport {
             outer,
             metadata: TransportMetadata::synthetic(client_index),

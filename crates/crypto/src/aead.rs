@@ -1,16 +1,20 @@
-//! Authenticated encryption with associated data.
+//! Authenticated encryption with associated data: ChaCha20-Poly1305
+//! (RFC 8439 §2.8).
 //!
 //! The paper's PROCHLO implementation uses AES-128-GCM for the symmetric
-//! layer of its nested encryption. We substitute an encrypt-then-MAC
-//! construction built from the primitives in this crate: ChaCha20 for
-//! confidentiality and HMAC-SHA-256 (truncated to 16 bytes) for integrity.
-//! The MAC key is derived from keystream block 0, exactly as
-//! ChaCha20-Poly1305 does, so each (key, nonce) pair gets an independent MAC
-//! key and the ciphertext expansion (16 bytes) matches GCM's.
+//! layer of its nested encryption; this is the other standard 96-bit-nonce
+//! AEAD, built from this crate's ChaCha20 and Poly1305. The Poly1305 key is
+//! keystream block 0, payload encryption starts at block 1, and the tag
+//! (16 bytes, GCM's expansion) covers
+//! `aad ‖ pad16 ‖ ciphertext ‖ pad16 ‖ le64(aad len) ‖ le64(ciphertext len)`.
+//! A (key, nonce) pair must never seal two different messages: the hybrid
+//! layer draws a fresh Diffie–Hellman key per seal, the Stash engine's
+//! nonces are unique per (attempt key, index), and MLE derives its key and
+//! nonce from the message itself.
 
 use crate::chacha20;
 use crate::error::CryptoError;
-use crate::hmac::HmacSha256;
+use crate::poly1305::{self, Poly1305};
 use crate::util::ct_eq;
 
 /// AEAD key length in bytes.
@@ -18,7 +22,7 @@ pub(crate) const KEY_LEN: usize = 32;
 /// AEAD nonce length in bytes.
 pub const NONCE_LEN: usize = chacha20::NONCE_LEN;
 /// Authentication tag length in bytes.
-pub const TAG_LEN: usize = 16;
+pub const TAG_LEN: usize = poly1305::TAG_LEN;
 
 /// A 256-bit AEAD key.
 #[derive(Clone)]
@@ -55,31 +59,23 @@ impl std::fmt::Debug for AeadKey {
     }
 }
 
-fn mac_key(key: &AeadKey, nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
-    // Keystream block 0 is reserved for the MAC key; payload encryption
-    // starts at block 1.
-    let block0 = chacha20::block(&key.0, nonce, 0);
-    let mut mk = [0u8; 32];
-    mk.copy_from_slice(&block0[..32]);
-    mk
-}
-
 fn compute_tag(
-    mk: &[u8; 32],
+    key: &AeadKey,
     nonce: &[u8; NONCE_LEN],
     aad: &[u8],
     ciphertext: &[u8],
 ) -> [u8; TAG_LEN] {
-    let full = HmacSha256::new(mk)
-        .update(&(aad.len() as u64).to_le_bytes())
-        .update(aad)
-        .update(&(ciphertext.len() as u64).to_le_bytes())
-        .update(nonce)
+    let block0 = chacha20::block(&key.0, nonce, 0);
+    let mut one_time_key = [0u8; poly1305::KEY_LEN];
+    one_time_key.copy_from_slice(&block0[..poly1305::KEY_LEN]);
+    let mut mac = Poly1305::new(&one_time_key);
+    mac.update(aad)
+        .pad16()
         .update(ciphertext)
-        .finalize();
-    let mut tag = [0u8; TAG_LEN];
-    tag.copy_from_slice(&full[..TAG_LEN]);
-    tag
+        .pad16()
+        .update(&(aad.len() as u64).to_le_bytes())
+        .update(&(ciphertext.len() as u64).to_le_bytes());
+    mac.finalize()
 }
 
 /// Encrypts `plaintext` with `key`/`nonce`, binding `aad`, and returns
@@ -104,7 +100,7 @@ pub fn seal_in_place(
     start: usize,
 ) {
     chacha20::xor_stream(&key.0, nonce, 1, &mut buffer[start..]);
-    let tag = compute_tag(&mac_key(key, nonce), nonce, aad, &buffer[start..]);
+    let tag = compute_tag(key, nonce, aad, &buffer[start..]);
     buffer.extend_from_slice(&tag);
 }
 
@@ -119,7 +115,7 @@ pub fn open(
         return Err(CryptoError::InvalidEncoding("AEAD ciphertext too short"));
     }
     let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-    let expected = compute_tag(&mac_key(key, nonce), nonce, aad, ciphertext);
+    let expected = compute_tag(key, nonce, aad, ciphertext);
     if !ct_eq(&expected, tag) {
         return Err(CryptoError::AuthenticationFailed);
     }
@@ -129,11 +125,58 @@ pub fn open(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{from_hex, to_hex};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn key() -> AeadKey {
         AeadKey::from_bytes([42u8; KEY_LEN])
+    }
+
+    #[test]
+    fn rfc8439_section_2_8_2_vector() {
+        let key: [u8; KEY_LEN] = std::array::from_fn(|i| 0x80 + i as u8);
+        let nonce = [7, 0, 0, 0, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47];
+        let aad = from_hex("50515253c0c1c2c3c4c5c6c7").unwrap();
+        let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.";
+        let key = AeadKey::from_bytes(key);
+        let sealed = seal(&key, &nonce, &aad, plaintext);
+        let (ciphertext, tag) = sealed.split_at(plaintext.len());
+        assert_eq!(
+            to_hex(ciphertext),
+            "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6\
+             3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36\
+             92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc\
+             3ff4def08e4b7a9de576d26586cec64b6116"
+        );
+        assert_eq!(to_hex(tag), "1ae10b594f09e26a7e902ecbd0600691");
+        assert_eq!(open(&key, &nonce, &aad, &sealed).unwrap(), plaintext);
+    }
+
+    #[test]
+    fn a_flipped_bit_in_aad_nonce_ciphertext_or_tag_fails_authentication() {
+        let nonce = [3u8; NONCE_LEN];
+        let aad = b"prochlo-layer".to_vec();
+        let sealed = seal(&key(), &nonce, &aad, b"a report of some length");
+        let refused = |aad: &[u8], nonce: &[u8; NONCE_LEN], sealed: &[u8]| {
+            open(&key(), nonce, aad, sealed) == Err(CryptoError::AuthenticationFailed)
+        };
+        for bit in 0..aad.len() * 8 {
+            let mut flipped = aad.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(refused(&flipped, &nonce, &sealed), "aad bit {bit}");
+        }
+        for bit in 0..NONCE_LEN * 8 {
+            let mut flipped = nonce;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(refused(&aad, &flipped, &sealed), "nonce bit {bit}");
+        }
+        // The ciphertext, then the tag.
+        for bit in 0..sealed.len() * 8 {
+            let mut flipped = sealed.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(refused(&aad, &nonce, &flipped), "sealed bit {bit}");
+        }
     }
 
     #[test]

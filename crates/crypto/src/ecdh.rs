@@ -9,10 +9,16 @@
 //! key has a precomputed form, [`PrecomputedPublicKey`]: the key plus its
 //! [`FixedBaseTable`] comb (1 024 affine entries, ≈ 123 KB, built for about
 //! ten variable-base multiplications, once per key).
-//! `EphemeralSecret::agree` takes either form through
-//! [`ScalarMul`] and returns the same bytes from both; with the table,
-//! `e·PK` is a comb walk instead of a width-5 NAF walk, and the ephemeral
-//! public key and the shared point share one field inversion.
+//! `EphemeralSecret::exchange` takes either form through
+//! [`ScalarMul`] and returns the same points from both; with the table,
+//! `e·PK` is a comb walk instead of a width-5 NAF walk. It leaves the
+//! points projective, so a sealer compresses the ephemeral public key and
+//! the shared point (of one layer or of two) with one field inversion.
+//!
+//! A shared point becomes a key through one SHA-256,
+//! `SHA-256("prochlo-ecdh" ‖ compressed point ‖ info)`: the hash KDF of
+//! ANSI X9.63 / SEC 1 §3.6.1 for a single output block, with the fixed
+//! label in place of its counter.
 //! Like the rest of the substrate this is not constant-time: the comb
 //! indexes its table by bits of the secret scalar, as
 //! [`Point::mul_base`] already does.
@@ -21,8 +27,8 @@ use rand::Rng;
 
 use crate::edwards::{CompressedPoint, FixedBaseTable, Point, ScalarMul};
 use crate::error::CryptoError;
-use crate::hkdf::hkdf_key;
 use crate::scalar::Scalar;
+use crate::sha256::sha256_concat;
 
 /// A long-lived Diffie–Hellman private key (shuffler or analyzer side).
 #[derive(Clone)]
@@ -97,20 +103,9 @@ impl std::fmt::Debug for EphemeralSecret {
 const DEGENERATE_SHARED: CryptoError =
     CryptoError::InvalidParameter("degenerate Diffie-Hellman shared secret");
 
-fn derive_shared(
-    secret: &Scalar,
-    their_public: &PublicKey,
-    info: &[u8],
-) -> Result<[u8; 32], CryptoError> {
-    let shared_point = their_public.point.mul(secret);
-    if shared_point.is_identity() {
-        return Err(DEGENERATE_SHARED);
-    }
-    Ok(hkdf_key(
-        b"prochlo-ecdh",
-        shared_point.compress().as_bytes(),
-        info,
-    ))
+/// The symmetric key a compressed shared point derives under `info`.
+pub(crate) fn derive_key(shared: &CompressedPoint, info: &[u8]) -> [u8; 32] {
+    sha256_concat(&[b"prochlo-ecdh", shared.as_bytes(), info])
 }
 
 impl StaticSecret {
@@ -141,7 +136,11 @@ impl StaticSecret {
         their_public: &PublicKey,
         info: &[u8],
     ) -> Result<[u8; 32], CryptoError> {
-        derive_shared(&self.secret, their_public, info)
+        let shared = their_public.point.mul(&self.secret);
+        if shared.is_identity() {
+            return Err(DEGENERATE_SHARED);
+        }
+        Ok(derive_key(&shared.compress(), info))
     }
 
     /// Computes shared symmetric keys with many peers at once.
@@ -164,7 +163,7 @@ impl StaticSecret {
                 if point.is_identity() {
                     Err(DEGENERATE_SHARED)
                 } else {
-                    Ok(hkdf_key(b"prochlo-ecdh", c.as_bytes(), info))
+                    Ok(derive_key(&c, info))
                 }
             })
             .collect()
@@ -179,28 +178,22 @@ impl EphemeralSecret {
         }
     }
 
-    /// Computes the shared symmetric key with a recipient, consuming the
-    /// ephemeral secret so it cannot be reused. Returns the wire encoding of
-    /// this secret's public key (sent with the ciphertext) and the key.
+    /// Computes this secret's public point and the point it shares with
+    /// `recipient`, consuming the secret so it cannot be reused. Both are
+    /// left projective for the caller to compress in one batch; a shared
+    /// point that is the identity is refused.
     ///
     /// `recipient` is a [`PublicKey`] or a [`PrecomputedPublicKey`]; the
-    /// result is the same. Both points are compressed through one
-    /// [`Point::batch_compress`], so the exchange pays one field inversion.
-    pub(crate) fn agree<K: ScalarMul + ?Sized>(
+    /// points are the same.
+    pub(crate) fn exchange<K: ScalarMul + ?Sized>(
         self,
         recipient: &K,
-        info: &[u8],
-    ) -> Result<([u8; 32], [u8; 32]), CryptoError> {
-        let public = Point::mul_base(&self.secret);
+    ) -> Result<(Point, Point), CryptoError> {
         let shared = recipient.scalar_mul(&self.secret);
         if shared.is_identity() {
             return Err(DEGENERATE_SHARED);
         }
-        let encoded = Point::batch_compress(&[public, shared]);
-        Ok((
-            encoded[0].0,
-            hkdf_key(b"prochlo-ecdh", encoded[1].as_bytes(), info),
-        ))
+        Ok((Point::mul_base(&self.secret), shared))
     }
 }
 
@@ -270,8 +263,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let server = StaticSecret::random(&mut rng);
         let client = EphemeralSecret::random(&mut rng);
-        let (client_pub, k_client) = client.agree(&server.public_key(), b"layer").unwrap();
-        let client_pub = PublicKey::from_bytes(client_pub).unwrap();
+        let (client_pub, shared) = client.exchange(&server.public_key()).unwrap();
+        let k_client = derive_key(&shared.compress(), b"layer");
+        let client_pub = PublicKey::from_point(client_pub);
         let k_server = server.agree(&client_pub, b"layer").unwrap();
         assert_eq!(k_client, k_server);
     }

@@ -2,19 +2,22 @@
 //! *nested encryption*.
 //!
 //! A client that wants a payload readable only by the analyzer, wrapped so
-//! that only the shuffler can remove the outer layer, simply applies
-//! [`HybridCiphertext::seal`] twice with different recipient keys. Each layer
-//! is: fresh ephemeral Diffie–Hellman key, HKDF to derive an AEAD key, then
-//! AEAD with the recipient's role string as associated data.
+//! that only the shuffler can remove the outer layer, applies
+//! [`HybridCiphertext::seal`] twice with different recipient keys, or
+//! [`HybridCiphertext::seal_nested`] once. Each layer is: fresh ephemeral
+//! Diffie–Hellman key, one SHA-256 to derive a ChaCha20-Poly1305 key from
+//! the shared point, then the AEAD with the recipient's role string as
+//! associated data.
 //!
 //! [`HybridCiphertext::seal`] takes the recipient as a bare [`PublicKey`]
 //! (a one-shot seal: a width-5 NAF walk for `e·PK`) or as a
 //! [`PrecomputedPublicKey`] (a comb walk over the key's table, built once
 //! by whoever seals to that key repeatedly — the ESA encoder). Both forms
-//! draw the same randomness in the same order and produce the same bytes;
-//! either way a layer costs one field inversion, shared by the ephemeral
-//! public key and the Diffie–Hellman point. Not constant-time: the comb
-//! indexes its table by bits of the ephemeral scalar.
+//! draw the same randomness in the same order and produce the same bytes.
+//! A layer's ephemeral public key and Diffie–Hellman point are compressed
+//! with one field inversion; [`HybridCiphertext::seal_nested`] compresses
+//! both layers' four points with one. Not constant-time: the comb indexes
+//! its table by bits of the ephemeral scalar.
 //!
 //! [`PrecomputedPublicKey`]: crate::ecdh::PrecomputedPublicKey
 
@@ -23,9 +26,12 @@ use std::borrow::Borrow;
 use rand::Rng;
 
 use crate::aead::{self, AeadKey};
-use crate::ecdh::{EphemeralSecret, PublicKey, StaticSecret};
-use crate::edwards::ScalarMul;
+use crate::ecdh::{derive_key, EphemeralSecret, PublicKey, StaticSecret};
+use crate::edwards::{CompressedPoint, Point, ScalarMul};
 use crate::error::CryptoError;
+
+/// The key-derivation label of every hybrid layer.
+const INFO: &[u8] = b"prochlo-hybrid-v2";
 
 /// A keypair for a party that receives hybrid-encrypted messages (the
 /// shuffler or the analyzer).
@@ -66,6 +72,41 @@ pub struct HybridCiphertext {
     pub sealed: Vec<u8>,
 }
 
+/// One layer's draws and curve points, before compression.
+struct LayerDraws {
+    public: Point,
+    shared: Point,
+    nonce: [u8; aead::NONCE_LEN],
+}
+
+impl LayerDraws {
+    /// Draws the ephemeral scalar, then the nonce; a degenerate shared
+    /// point stops it after the scalar.
+    fn draw<R: Rng + ?Sized, K: ScalarMul + ?Sized>(
+        rng: &mut R,
+        recipient: &K,
+    ) -> Result<Self, CryptoError> {
+        let (public, shared) = EphemeralSecret::random(rng).exchange(recipient)?;
+        let mut nonce = [0u8; aead::NONCE_LEN];
+        rng.fill_bytes(&mut nonce);
+        Ok(Self {
+            public,
+            shared,
+            nonce,
+        })
+    }
+
+    /// Seals `plaintext` given this layer's compressed `[public, shared]`.
+    fn seal(&self, points: &[CompressedPoint], aad: &[u8], plaintext: &[u8]) -> HybridCiphertext {
+        let key = AeadKey::from_bytes(derive_key(&points[1], INFO));
+        HybridCiphertext {
+            ephemeral: points[0].0,
+            nonce: self.nonce,
+            sealed: aead::seal(&key, &self.nonce, aad, plaintext),
+        }
+    }
+}
+
 impl HybridCiphertext {
     /// Encrypts `plaintext` to `recipient` — a [`PublicKey`] or a
     /// [`crate::ecdh::PrecomputedPublicKey`], with the same result —
@@ -76,23 +117,40 @@ impl HybridCiphertext {
         aad: &[u8],
         plaintext: &[u8],
     ) -> Result<Self, CryptoError> {
-        let (ephemeral, key_bytes) =
-            EphemeralSecret::random(rng).agree(recipient, b"prochlo-hybrid-v1")?;
-        let key = AeadKey::from_bytes(key_bytes);
-        let mut nonce = [0u8; aead::NONCE_LEN];
-        rng.fill_bytes(&mut nonce);
-        let sealed = aead::seal(&key, &nonce, aad, plaintext);
-        Ok(Self {
-            ephemeral,
-            nonce,
-            sealed,
-        })
+        let layer = LayerDraws::draw(rng, recipient)?;
+        let points = Point::batch_compress(&[layer.public, layer.shared]);
+        Ok(layer.seal(&points, aad, plaintext))
+    }
+
+    /// Seals `plaintext` to `inner`, hands that layer to `wrap`, and seals
+    /// what `wrap` returns to `outer`: the bytes, the draws and the errors
+    /// of `seal` to `inner` followed by `seal` to `outer`, but the two
+    /// layers' four points are compressed with one field inversion. All
+    /// draws come first (inner ephemeral, inner nonce, outer ephemeral,
+    /// outer nonce), stopping where a degenerate key stops the two calls.
+    pub fn seal_nested<R: Rng + ?Sized, K: ScalarMul + ?Sized>(
+        rng: &mut R,
+        (inner, inner_aad): (&K, &[u8]),
+        plaintext: &[u8],
+        (outer, outer_aad): (&K, &[u8]),
+        wrap: impl FnOnce(&Self) -> Vec<u8>,
+    ) -> Result<Self, CryptoError> {
+        let inner_layer = LayerDraws::draw(rng, inner)?;
+        let outer_layer = LayerDraws::draw(rng, outer)?;
+        let points = Point::batch_compress(&[
+            inner_layer.public,
+            inner_layer.shared,
+            outer_layer.public,
+            outer_layer.shared,
+        ]);
+        let sealed_inner = inner_layer.seal(&points[..2], inner_aad, plaintext);
+        Ok(outer_layer.seal(&points[2..], outer_aad, &wrap(&sealed_inner)))
     }
 
     /// Decrypts a layer with the recipient's static secret.
     pub fn open(&self, recipient: &StaticSecret, aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
         let ephemeral = PublicKey::from_bytes(self.ephemeral)?;
-        let key_bytes = recipient.agree(&ephemeral, b"prochlo-hybrid-v1")?;
+        let key_bytes = recipient.agree(&ephemeral, INFO)?;
         let key = AeadKey::from_bytes(key_bytes);
         aead::open(&key, &self.nonce, aad, &self.sealed)
     }
@@ -119,7 +177,7 @@ impl HybridCiphertext {
             .map(|item| PublicKey::from_bytes(item.borrow().ephemeral).ok())
             .collect();
         let valid: Vec<PublicKey> = ephemerals.iter().filter_map(|pk| *pk).collect();
-        let keys = recipient.agree_batch(&valid, b"prochlo-hybrid-v1");
+        let keys = recipient.agree_batch(&valid, INFO);
         let mut key_iter = keys.into_iter();
         items
             .iter()
@@ -344,6 +402,49 @@ mod tests {
                 through_table.unwrap().open(recipient.secret(), &aad).unwrap(),
                 plaintext
             );
+        }
+
+        /// The nested seal is two sequential seals with the wrap between
+        /// them: the same bytes, the same draws, on honest keys and on the
+        /// identity, whose every shared point is degenerate.
+        #[test]
+        fn seal_nested_matches_two_sequential_seals(
+            key_seed in any::<u64>(),
+            seal_seed in any::<u64>(),
+            plaintext_len in 0usize..=200,
+            degenerate in 0usize..3,
+        ) {
+            let mut key_rng = StdRng::seed_from_u64(key_seed);
+            let honest = [
+                *HybridKeypair::generate(&mut key_rng).public_key(),
+                *HybridKeypair::generate(&mut key_rng).public_key(),
+            ];
+            let mut identity = [0u8; 32];
+            identity[0] = 1;
+            let mut keys = honest.map(|pk| PrecomputedPublicKey::new(&pk));
+            if degenerate < 2 {
+                let identity = PublicKey::from_bytes(identity).unwrap();
+                keys[degenerate] = PrecomputedPublicKey::new(&identity);
+            }
+            let plaintext = vec![7u8; plaintext_len];
+            let wrap = |inner: &HybridCiphertext| [b"env".as_slice(), &inner.to_bytes()].concat();
+            let mut nested_rng = StdRng::seed_from_u64(seal_seed);
+            let mut sequential_rng = StdRng::seed_from_u64(seal_seed);
+            let nested = HybridCiphertext::seal_nested(
+                &mut nested_rng,
+                (&keys[0], b"inner"),
+                &plaintext,
+                (&keys[1], b"outer"),
+                wrap,
+            );
+            let sequential =
+                HybridCiphertext::seal(&mut sequential_rng, &keys[0], b"inner", &plaintext)
+                    .and_then(|inner| {
+                        HybridCiphertext::seal(&mut sequential_rng, &keys[1], b"outer", &wrap(&inner))
+                    });
+            prop_assert_eq!(&nested, &sequential);
+            prop_assert_eq!(nested.is_ok(), degenerate == 2);
+            prop_assert_eq!(nested_rng.gen::<u64>(), sequential_rng.gen::<u64>());
         }
     }
 }

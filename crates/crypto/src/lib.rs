@@ -8,17 +8,17 @@
 //!
 //! * [`mod@sha256`] — SHA-256 with round constants derived at start-up from the
 //!   integer square/cube roots of the first primes (no hard-coded tables to
-//!   mistype), plus [`hmac`] and [`hkdf`].
-//! * [`chacha20`] — the ChaCha20 stream cipher, and [`aead`] — an
-//!   encrypt-then-MAC AEAD built from ChaCha20 + HMAC-SHA-256. This is the
-//!   stand-in for AES-128-GCM; it has the same interface shape (key, nonce,
-//!   associated data, tag) and comparable cost.
+//!   mistype).
+//! * [`chacha20`] — the ChaCha20 stream cipher, and [`aead`] —
+//!   ChaCha20-Poly1305 (RFC 8439). This is the stand-in for AES-128-GCM: the
+//!   other standard AEAD with a 96-bit nonce and a 16-byte tag.
 //! * [`field`] — arithmetic in GF(2²⁵⁵ − 19), and [`edwards`] — the
 //!   twisted-Edwards curve group used in Ed25519 (prime-order subgroup),
 //!   standing in for NIST P-256. [`scalar`] implements arithmetic modulo the
 //!   group order for Schnorr signatures.
-//! * [`ecdh`] / [`hybrid`] — Diffie–Hellman key agreement and the hybrid
-//!   public-key encryption used for the ESA *nested encryption* layers; a
+//! * [`ecdh`] / [`hybrid`] — Diffie–Hellman key agreement (one SHA-256 turns
+//!   a shared point into a key) and the hybrid public-key encryption used
+//!   for the ESA *nested encryption* layers; a
 //!   sender that seals to one key many times precomputes it
 //!   ([`ecdh::PrecomputedPublicKey`]) and gets the same bytes faster.
 //! * [`schnorr`] — Schnorr signatures over the Edwards group, used by the
@@ -51,10 +51,9 @@ pub mod edwards;
 pub mod elgamal;
 pub mod error;
 pub mod field;
-pub mod hkdf;
-pub mod hmac;
 pub mod hybrid;
 pub mod mle;
+mod poly1305;
 pub mod scalar;
 pub mod schnorr;
 pub mod sha256;

@@ -3,12 +3,16 @@
 //! `ENCODER_WIRE_SHA256` is the SHA-256 of the outer ciphertexts an
 //! [`Encoder`] produces for a seeded stream of 64 reports each of
 //! `encode_plain` + `Hash`, `encode_plain` + `Blind` and
-//! `encode_secret_shared` + `Hash`. It was captured while every layer was
-//! still sealed through the one-shot `HybridCiphertext::seal(&PublicKey)`
+//! `encode_secret_shared` + `Hash`. It was first captured while every layer
+//! was still sealed through the one-shot `HybridCiphertext::seal(&PublicKey)`
 //! and `ElGamalCiphertext::encrypt_hashed(&Point)`, before the encoder
-//! precomputed its recipients' comb tables. If it fails, a change to client
-//! sealing moved the bytes on the wire or the order of the RNG draws — fix
-//! the regression, do not re-capture.
+//! precomputed its recipients' comb tables. It was re-captured once, when
+//! the AEAD became ChaCha20-Poly1305 and the layer key one SHA-256 (the
+//! `prochlo-hybrid-v2` label): that change moves every ciphertext byte and
+//! tag, and `ENCODER_DRAWS_SHA256`, the digest of what the RNG draws alone
+//! fix, passed unedited on both sides of it. If either fails, a change to
+//! client sealing moved the bytes on the wire or the order of the RNG
+//! draws — fix the regression, do not re-capture.
 //!
 //! The degenerate-key test holds the encoder to the one-shot calls, byte
 //! for byte and draw for draw, on keys a client could be handed: the
@@ -30,7 +34,7 @@ use rand::{Rng, SeedableRng};
 
 const PIN_SEED: u64 = 0xc11e;
 const ENCODER_WIRE_SHA256: &str =
-    "2beb00dad1df4087c189a026ece04b4e5e2242e3fe884ed7b805bde3bd8b914d";
+    "9fd844ec7c79db188f4f9660848a8f6192930d9fdc4e90a5e16a68ed3611d1f6";
 /// The witness beside `ENCODER_WIRE_SHA256`: the SHA-256 of what the RNG
 /// draws fix in the same 192 reports and no symmetric construction can move
 /// (see `hash_draws`). Captured under the HMAC-tagged AEAD and unchanged by

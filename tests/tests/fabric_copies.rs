@@ -17,9 +17,9 @@
 //!   A stage that keeps a second copy of the batch to translate it between
 //!   its wire form and its working form shows here.
 //!
-//! Counted process-wide, not per thread, because the TCP receive side runs
-//! on the fabric's pump thread and the shufflers on their own; the tests
-//! take one lock so that only one measurement runs at a time in this
+//! Counted process-wide, not per thread, because a hop's receiver runs on
+//! its own thread while the sender sends, and the shufflers on theirs; the
+//! tests take one lock so that only one measurement runs at a time in this
 //! binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -139,7 +139,9 @@ fn batch() -> BatchToOne {
 }
 
 /// Sends `batch` from `sender` to `receiver` on the batch stage and returns
-/// how many large allocations the hop took.
+/// how many large allocations the hop took. The receiver reads on a scoped
+/// thread while the sender writes, so the hop completes whatever the
+/// socket buffers hold.
 fn large_allocations_per_hop(sender: &dyn Transport, receiver: &dyn Transport) -> usize {
     let batch = batch();
     let out =
@@ -147,8 +149,11 @@ fn large_allocations_per_hop(sender: &dyn Transport, receiver: &dyn Transport) -
     let into =
         TypedChannel::<BatchToOne>::new(receiver, ChannelId::new(sender.identity(), Stage::Batch));
     let before = LARGE.load(Ordering::Relaxed);
-    out.send(&batch).expect("send");
-    let received = into.recv().expect("recv");
+    let received = std::thread::scope(|scope| {
+        let receiving = scope.spawn(|| into.recv().expect("recv"));
+        out.send(&batch).expect("send");
+        receiving.join().expect("receiver")
+    });
     let counted = LARGE.load(Ordering::Relaxed) - before;
     assert_eq!(received, batch);
     counted

@@ -357,15 +357,19 @@ fn router_preserves_counts_across_a_real_tcp_topology() {
 /// SHA-256 of Shuffler 1's `BatchToTwo.records` (each record's 64-byte
 /// blinded crowd ID followed by its inner ciphertext, in forwarded order)
 /// and of Shuffler 2's `ItemsBatch.items` for [`pinned_split_batch`] under
-/// [`PINNED_S1_SEED`] / [`PINNED_S2_SEED`]. Captured from the sequential
-/// per-record loops of commit 0a85405, the parent of the change that moved
-/// both stages onto the chunked executor: "byte-identical to the
-/// sequential implementation" is this comparison. If it fails, the stage
-/// drifted — fix the regression, do not re-capture.
+/// [`PINNED_S1_SEED`] / [`PINNED_S2_SEED`]. First captured from the
+/// sequential per-record loops of commit 0a85405, the parent of the change
+/// that moved both stages onto the chunked executor: "byte-identical to the
+/// sequential implementation" is this comparison. Re-captured once, when
+/// the AEAD became ChaCha20-Poly1305 and the layer key one SHA-256 (the
+/// `prochlo-hybrid-v2` label), which moves every inner ciphertext's bytes;
+/// [`WITNESS_S1_ORDER_SHA256`] and [`WITNESS_S2_ORDER_SHA256`] passed
+/// unedited on both sides of it. If either fails, the stage drifted — fix
+/// the regression, do not re-capture.
 const PINNED_S1_RECORDS_SHA256: &str =
-    "171442b4f896b4d69e4451a9cf7bbca9cbadbde8d6425857a055cefa5e1bc8d1";
+    "3745a6d525336d7d05108dc434a6a7b92b4239b6cd636e09ccf5a66d8a09bf13";
 const PINNED_S2_ITEMS_SHA256: &str =
-    "c337a7d3240c6442f336484f7e7a9f8b1dc48c2ae96ba260cdadcce3fd13e2ca";
+    "c45ab5c563468673fe3ed40f11fa96ef53d214b355324898d7fc784b5b29d088";
 /// The witnesses beside the two pins: SHA-256 of what the RNG draws fix
 /// and no symmetric construction can move. For Shuffler 1, each forwarded
 /// record's blinded crowd ID followed by the input position (`u64`, little

@@ -7,7 +7,8 @@
 //! (E0283) the moment one of these types gains `PartialEq`, derived or
 //! manual. `Scalar` and `AeadKey` keep manual constant-time impls; a derive
 //! beside them is a conflicting-impl error (E0119). The crate-private
-//! `HmacSha256` is checked the same way in its own module.
+//! `Poly1305` state, which holds its one-time key's `r` and `s`, is checked
+//! the same way in its own module.
 
 use prochlo_crypto::elgamal::{BlindingSecret, ElGamalKeypair};
 use prochlo_crypto::schnorr::SigningKey;
