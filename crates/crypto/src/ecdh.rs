@@ -16,9 +16,9 @@
 //! the shared point (of one layer or of two) with one field inversion.
 //!
 //! A shared point becomes a key through one SHA-256,
-//! `SHA-256("prochlo-ecdh" ‖ compressed point ‖ info)`: the hash KDF of
-//! ANSI X9.63 / SEC 1 §3.6.1 for a single output block, with the fixed
-//! label in place of its counter.
+//! `SHA-256("prochlo-ecdh" ‖ compressed point ‖ info)`: a hash KDF in the
+//! style of ANSI X9.63 / SEC 1 §3.6.1, which needs a single output block
+//! for a 32-byte key.
 //! Like the rest of the substrate this is not constant-time: the comb
 //! indexes its table by bits of the secret scalar, as
 //! [`Point::mul_base`] already does.

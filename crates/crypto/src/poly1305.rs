@@ -123,27 +123,17 @@ impl Poly1305 {
             self.block(&last, 0);
         }
 
-        // Full carry propagation.
+        // Full carry propagation: two passes leave every limb in width.
         let [mut h0, mut h1, mut h2] = self.h;
         let mut carry;
-        carry = h1 >> 44;
-        h1 &= MASK44;
-        h2 += carry;
-        carry = h2 >> 42;
-        h2 &= MASK42;
-        h0 += carry * 5;
-        carry = h0 >> 44;
-        h0 &= MASK44;
-        h1 += carry;
-        carry = h1 >> 44;
-        h1 &= MASK44;
-        h2 += carry;
-        carry = h2 >> 42;
-        h2 &= MASK42;
-        h0 += carry * 5;
-        carry = h0 >> 44;
-        h0 &= MASK44;
-        h1 += carry;
+        for _ in 0..2 {
+            h2 += h1 >> 44;
+            h1 &= MASK44;
+            h0 += (h2 >> 42) * 5;
+            h2 &= MASK42;
+            h1 += h0 >> 44;
+            h0 &= MASK44;
+        }
 
         // g = h + 5 − 2¹³⁰; keep g when it did not underflow (h ≥ p).
         let mut g0 = h0 + 5;
