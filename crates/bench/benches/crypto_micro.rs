@@ -17,7 +17,6 @@ use criterion::{black_box, criterion_group, Criterion};
 use prochlo_bench::emit_metric;
 use prochlo_core::encoder::{ClientKeys, CrowdStrategy, Encoder};
 use prochlo_crypto::aead::{self, AeadKey};
-use prochlo_crypto::ecdh::PrecomputedPublicKey;
 use prochlo_crypto::edwards::{FixedBaseTable, Point};
 use prochlo_crypto::elgamal::{BlindingSecret, ElGamalCiphertext, ElGamalKeypair};
 use prochlo_crypto::field::FieldElement;
@@ -116,7 +115,7 @@ fn bench_crypto(c: &mut Criterion) {
             HybridCiphertext::seal(&mut rng, recipient.public_key(), b"aad", &payload).unwrap()
         })
     });
-    let precomputed = PrecomputedPublicKey::new(recipient.public_key());
+    let precomputed = FixedBaseTable::from(recipient.public_key());
     group.bench_function("hybrid_seal_64B_precomputed", |b| {
         b.iter(|| HybridCiphertext::seal(&mut rng, &precomputed, b"aad", &payload).unwrap())
     });
@@ -295,7 +294,7 @@ fn emit_benchjson() {
         }),
         1.0,
     );
-    let precomputed = PrecomputedPublicKey::new(recipient.public_key());
+    let precomputed = FixedBaseTable::from(recipient.public_key());
     emit_ops_per_sec(
         "hybrid_seal_64B_precomputed_ops_per_sec",
         measure_ns(|| HybridCiphertext::seal(&mut rng, &precomputed, b"aad", &payload).unwrap()),

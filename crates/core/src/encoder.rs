@@ -2,12 +2,12 @@
 //! and nested encryption (§3.2, §4.2).
 //!
 //! A client seals every report to the same keys, so [`Encoder::new`] builds
-//! each key's comb table once — the shuffler's and the analyzer's hybrid
-//! keys ([`PrecomputedPublicKey`]) and Shuffler 2's El Gamal key
-//! ([`FixedBaseTable`]) — and shares them behind an `Arc`: cloning an
-//! encoder copies a pointer. A report then costs two comb walks for the
-//! ephemeral keys, two for the shared points (three of each with a blinded
-//! crowd ID), one field inversion per report for both layers' four points
+//! each key's comb table ([`FixedBaseTable`]) once — the shuffler's and the
+//! analyzer's hybrid keys and Shuffler 2's El Gamal key — and shares them
+//! behind an `Arc`: cloning an encoder copies a pointer. A report then
+//! costs two comb walks for the ephemeral keys, two for the shared points
+//! (three of each with a blinded crowd ID), one field inversion for both
+//! layers' four points and a blinded crowd ID's two
 //! ([`HybridCiphertext::seal_nested`]) and one scalar draw per layer (plus
 //! the El Gamal randomness), each a single Barrett reduction. A comb walk
 //! costs about a seventh of the NAF walk a bare key needs. The bytes, and
@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use prochlo_crypto::ecdh::{PrecomputedPublicKey, PublicKey};
+use prochlo_crypto::ecdh::PublicKey;
 use prochlo_crypto::edwards::{FixedBaseTable, Point};
 use prochlo_crypto::elgamal::ElGamalCiphertext;
 use prochlo_crypto::hybrid::HybridCiphertext;
@@ -71,8 +71,8 @@ pub struct Encoder {
 /// [`ClientKeys`] with each key's comb table built.
 #[derive(Debug)]
 struct SealingKeys {
-    shuffler: PrecomputedPublicKey,
-    analyzer: PrecomputedPublicKey,
+    shuffler: FixedBaseTable,
+    analyzer: FixedBaseTable,
     crowd_blinding: Option<FixedBaseTable>,
 }
 
@@ -84,8 +84,8 @@ impl Encoder {
     /// evaluation).
     pub fn new(keys: ClientKeys, payload_size: usize) -> Self {
         let keys = SealingKeys {
-            shuffler: PrecomputedPublicKey::new(&keys.shuffler),
-            analyzer: PrecomputedPublicKey::new(&keys.analyzer),
+            shuffler: FixedBaseTable::from(&keys.shuffler),
+            analyzer: FixedBaseTable::from(&keys.analyzer),
             crowd_blinding: keys.crowd_blinding.as_ref().map(FixedBaseTable::new),
         };
         Self {
@@ -136,9 +136,8 @@ impl Encoder {
         client_index: u64,
         rng: &mut R,
     ) -> Result<ClientReport, PipelineError> {
-        let crowd_id = match crowd {
-            CrowdStrategy::None => CrowdId::None,
-            CrowdStrategy::Hash(label) => CrowdId::hashed(label),
+        let blinded = match crowd {
+            CrowdStrategy::None | CrowdStrategy::Hash(_) => None,
             CrowdStrategy::Blind(label) => {
                 let pk = self
                     .keys
@@ -147,18 +146,27 @@ impl Encoder {
                     .ok_or(PipelineError::InvalidConfig(
                         "blinded crowd IDs require the split-shuffler El Gamal key",
                     ))?;
-                CrowdId::Blinded(Box::new(ElGamalCiphertext::encrypt_hashed(rng, pk, label)))
+                Some(ElGamalCiphertext::encrypt_hashed(rng, pk, label).points())
             }
         };
 
         // Inner layer: only the analyzer can open. Outer layer, around the
-        // crowd ID and the inner layer: only the shuffler can open.
+        // crowd ID and the inner layer: only the shuffler can open. A
+        // blinded crowd ID's R and C are compressed with the layers' points.
         let outer = HybridCiphertext::seal_nested(
             rng,
             (&self.keys.analyzer, ANALYZER_AAD),
             &payload.to_bytes(),
             (&self.keys.shuffler, SHUFFLER_AAD),
-            |inner| {
+            blinded.as_ref().map_or(&[], |points| points),
+            |inner, crowd_points| {
+                let crowd_id = match crowd {
+                    CrowdStrategy::None => CrowdId::None,
+                    CrowdStrategy::Hash(label) => CrowdId::hashed(label),
+                    CrowdStrategy::Blind(_) => {
+                        CrowdId::Blinded(ElGamalCiphertext::pack(crowd_points))
+                    }
+                };
                 let envelope = ShufflerEnvelope {
                     crowd_id,
                     inner: inner.to_bytes(),

@@ -19,7 +19,6 @@
 use std::borrow::Borrow;
 use std::sync::Arc;
 
-use prochlo_crypto::elgamal::ElGamalCiphertext;
 use prochlo_crypto::hybrid::HybridCiphertext;
 use prochlo_crypto::sha256::sha256;
 
@@ -36,8 +35,10 @@ pub enum CrowdId {
     /// malicious shuffler may dictionary-attack guessable labels.
     Hashed([u8; 32]),
     /// An El Gamal encryption of the hashed-to-group crowd label under
-    /// Shuffler 2's key; requires the split-shuffler deployment (§4.3).
-    Blinded(Box<ElGamalCiphertext>),
+    /// Shuffler 2's key, as its 64-byte wire encoding (two compressed
+    /// points); requires the split-shuffler deployment (§4.3), whose
+    /// Shuffler 1 is the one stage that decodes it.
+    Blinded([u8; 64]),
 }
 
 impl CrowdId {
@@ -54,9 +55,9 @@ impl CrowdId {
                 put_u8(&mut out, 1);
                 out.extend_from_slice(h);
             }
-            CrowdId::Blinded(ct) => {
+            CrowdId::Blinded(bytes) => {
                 put_u8(&mut out, 2);
-                out.extend_from_slice(&ct.to_bytes());
+                out.extend_from_slice(bytes);
             }
         }
         out
@@ -69,11 +70,7 @@ impl CrowdId {
         let crowd_id = match reader.get_u8("truncated crowd id")? {
             0 => CrowdId::None,
             1 => CrowdId::Hashed(*reader.get_fixed("truncated crowd id")?),
-            2 => {
-                let ct =
-                    ElGamalCiphertext::from_bytes(reader.get_fixed::<64>("truncated crowd id")?)?;
-                CrowdId::Blinded(Box::new(ct))
-            }
+            2 => CrowdId::Blinded(*reader.get_fixed("truncated crowd id")?),
             _ => return Err(PipelineError::MalformedReport("unknown crowd-id tag")),
         };
         reader.finish("trailing crowd-id bytes")?;
@@ -221,19 +218,12 @@ impl Borrow<HybridCiphertext> for ClientReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prochlo_crypto::elgamal::{ElGamalCiphertext, ElGamalKeypair};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn crowd_id_roundtrips() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let keys = ElGamalKeypair::generate(&mut rng);
-        let blinded = CrowdId::Blinded(Box::new(ElGamalCiphertext::encrypt_hashed(
-            &mut rng,
-            keys.public_key(),
-            b"app-123",
-        )));
+        // A blinded crowd ID is carried as its bytes: the envelope neither
+        // decodes nor checks its two points.
+        let blinded = CrowdId::Blinded(std::array::from_fn(|i| i as u8));
         for crowd in [CrowdId::None, CrowdId::hashed(b"api-17"), blinded] {
             let env = ShufflerEnvelope {
                 crowd_id: crowd.clone(),

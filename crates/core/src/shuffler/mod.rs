@@ -528,9 +528,10 @@ impl Shuffler {
     /// `num_threads` workers over fixed-size chunks, keeping each survivor's
     /// thresholding key (`None` for a report without a crowd) beside its
     /// inner ciphertext. A blinded crowd ID cannot be counted without the
-    /// split topology's El Gamal key, so such a report is rejected like an
-    /// undecryptable one — the mirror of Shuffler 1's rule for non-blinded
-    /// reports; failing the batch instead would let one client void an epoch.
+    /// split topology's El Gamal key, so such a report is rejected, its
+    /// bytes undecoded, like an undecryptable one — the mirror of Shuffler
+    /// 1's rule for non-blinded reports; failing the batch instead would let
+    /// one client void an epoch.
     ///
     /// The merge concatenates chunk results in chunk order, so survivors
     /// appear in arrival order exactly as a sequential loop would produce
@@ -723,6 +724,30 @@ mod tests {
                     .unwrap()
             })
             .collect()
+    }
+
+    /// A report sealed to `shuffler_key` whose blinded crowd field is 64
+    /// bytes that are not curve points. Built by hand: the encoder only
+    /// writes encrypted crowd IDs.
+    pub(super) fn report_with_undecodable_blinded_crowd(
+        shuffler_key: &PublicKey,
+        client_index: u64,
+        rng: &mut StdRng,
+    ) -> ClientReport {
+        let not_a_point = (0..=u8::MAX)
+            .map(|byte| [byte; 32])
+            .find(|bytes| PublicKey::from_bytes(*bytes).is_err())
+            .unwrap();
+        let envelope = ShufflerEnvelope {
+            crowd_id: CrowdId::Blinded(std::array::from_fn(|i| not_a_point[i % 32])),
+            inner: b"inner".to_vec(),
+        };
+        let outer =
+            HybridCiphertext::seal(rng, shuffler_key, SHUFFLER_AAD, &envelope.to_bytes()).unwrap();
+        ClientReport {
+            outer,
+            metadata: crate::record::TransportMetadata::synthetic(client_index),
+        }
     }
 
     #[test]
@@ -1005,8 +1030,14 @@ mod tests {
                 .encode_plain(b"x", CrowdStrategy::None, 99, &mut rng)
                 .unwrap(),
         );
+        // Nor can a blinded crowd ID be counted, decodable or not.
+        reports.push(report_with_undecodable_blinded_crowd(
+            shuffler.public_key(),
+            100,
+            &mut rng,
+        ));
         let batch = process(&shuffler, &reports, &mut rng).unwrap();
-        assert_eq!(batch.stats.rejected, 1);
+        assert_eq!(batch.stats.rejected, 2);
         assert_eq!(batch.stats.forwarded, 30);
     }
 

@@ -147,9 +147,9 @@ impl ShufflerOne {
         rng: &mut R,
     ) -> (Vec<BlindedRecord>, ShufflerStats) {
         let peel_span = prochlo_obs::span("shuffler.s1.peel");
-        // Parallel: peel, rejecting anything that is not a blinded crowd
-        // ID — the split shuffler is only deployed for those; anything else
-        // indicates a misconfigured encoder.
+        // Parallel: peel, then decode the crowd ID (the one place a client's
+        // crowd ID is decoded), rejecting anything that is not a blinded
+        // crowd ID of two curve points: a misconfigured or hostile encoder.
         let peeled = exec::par_chunks(
             reports,
             num_threads,
@@ -157,7 +157,9 @@ impl ShufflerOne {
             |_chunk_idx, chunk| {
                 peel_chunk(chunk, self.keys.secret(), |envelope| {
                     match envelope.crowd_id {
-                        CrowdId::Blinded(ct) => Some((*ct, envelope.inner)),
+                        CrowdId::Blinded(bytes) => {
+                            Some((ElGamalCiphertext::from_bytes(&bytes).ok()?, envelope.inner))
+                        }
                         _ => None,
                     }
                 })
@@ -520,9 +522,19 @@ mod tests {
                 .encode_plain(b"w", CrowdStrategy::Hash(b"w"), 99, &mut rng)
                 .unwrap(),
         );
+        // A blinded crowd field that is not two curve points is refused
+        // where Shuffler 1 decodes it.
+        reports.push(
+            crate::shuffler::tests::report_with_undecodable_blinded_crowd(
+                split.one.public_key(),
+                100,
+                &mut rng,
+            ),
+        );
         let outcome = process(&split, &reports, &mut rng);
-        assert_eq!(outcome.stats.rejected, 1);
-        assert_eq!(outcome.stage_stats[0].rejected, 1);
+        assert_eq!(outcome.stats.rejected, 2);
+        assert_eq!(outcome.stage_stats[0].rejected, 2);
+        assert_eq!(outcome.stage_stats[0].forwarded, 30);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! module provides both halves.
 //!
 //! A client seals to the same two keys for its whole life, so a recipient
-//! key has a precomputed form, [`PrecomputedPublicKey`]: the key plus its
-//! [`FixedBaseTable`] comb (1 024 affine entries, ≈ 123 KB, built for about
-//! ten variable-base multiplications, once per key).
+//! key has a precomputed form: its [`FixedBaseTable`] comb, built from the
+//! key with `FixedBaseTable::from(&PublicKey)` (1 024 affine entries,
+//! ≈ 123 KB, about ten variable-base multiplications, once per key).
 //! `EphemeralSecret::exchange` takes either form through
 //! [`ScalarMul`] and returns the same points from both; with the table,
 //! `e·PK` is a comb walk instead of a width-5 NAF walk. It leaves the
@@ -72,22 +72,6 @@ impl std::fmt::Debug for PublicKey {
     }
 }
 
-/// A recipient's public key with its comb table built: the form a client
-/// that seals to the same key many times holds. Sealing to it produces the
-/// same bytes as sealing to the bare [`PublicKey`].
-pub struct PrecomputedPublicKey {
-    public: PublicKey,
-    table: FixedBaseTable,
-}
-
-impl std::fmt::Debug for PrecomputedPublicKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("PrecomputedPublicKey")
-            .field(&self.public.compressed)
-            .finish()
-    }
-}
-
 impl std::fmt::Debug for StaticSecret {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "StaticSecret(..)")
@@ -130,25 +114,21 @@ impl StaticSecret {
         PublicKey::from_point(Point::mul_base(&self.secret))
     }
 
-    /// Computes the shared symmetric key with a peer's public key.
+    /// Computes the shared symmetric key with a peer's public key:
+    /// [`Self::agree_batch`] on one peer.
     pub(crate) fn agree(
         &self,
         their_public: &PublicKey,
         info: &[u8],
     ) -> Result<[u8; 32], CryptoError> {
-        let shared = their_public.point.mul(&self.secret);
-        if shared.is_identity() {
-            return Err(DEGENERATE_SHARED);
-        }
-        Ok(derive_key(&shared.compress(), info))
+        self.agree_batch(std::slice::from_ref(their_public), info)
+            .remove(0)
     }
 
-    /// Computes shared symmetric keys with many peers at once.
-    ///
-    /// Result-for-result identical to calling [`Self::agree`] per peer with
-    /// the same `info` string, but the shared curve points are normalized
-    /// together through [`Point::batch_compress`], so the whole batch pays
-    /// one field inversion instead of one per peer.
+    /// Computes shared symmetric keys with many peers at once, one result
+    /// per peer in order. The shared curve points are normalized together
+    /// through [`Point::batch_compress`], so the whole batch pays one field
+    /// inversion instead of one per peer.
     pub(crate) fn agree_batch(
         &self,
         peers: &[PublicKey],
@@ -183,8 +163,8 @@ impl EphemeralSecret {
     /// left projective for the caller to compress in one batch; a shared
     /// point that is the identity is refused.
     ///
-    /// `recipient` is a [`PublicKey`] or a [`PrecomputedPublicKey`]; the
-    /// points are the same.
+    /// `recipient` is a [`PublicKey`] or its [`FixedBaseTable`]; the points
+    /// are the same.
     pub(crate) fn exchange<K: ScalarMul + ?Sized>(
         self,
         recipient: &K,
@@ -225,20 +205,11 @@ impl ScalarMul for PublicKey {
     }
 }
 
-impl PrecomputedPublicKey {
-    /// Builds the comb table of `public` (about ten variable-base
-    /// multiplications' worth of work, paid once).
-    pub fn new(public: &PublicKey) -> Self {
-        Self {
-            public: *public,
-            table: FixedBaseTable::new(&public.point),
-        }
-    }
-}
-
-impl ScalarMul for PrecomputedPublicKey {
-    fn scalar_mul(&self, scalar: &Scalar) -> Point {
-        self.table.mul(scalar)
+/// The precomputed form of a recipient key: sealing to it produces the same
+/// bytes as sealing to the bare [`PublicKey`].
+impl From<&PublicKey> for FixedBaseTable {
+    fn from(public: &PublicKey) -> Self {
+        FixedBaseTable::new(&public.point)
     }
 }
 

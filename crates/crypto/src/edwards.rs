@@ -410,12 +410,6 @@ impl Point {
         })
     }
 
-    /// Affine coordinates (x, y) of the point.
-    fn to_affine(self) -> (FieldElement, FieldElement) {
-        let z_inv = self.z.invert();
-        (self.x.mul(&z_inv), self.y.mul(&z_inv))
-    }
-
     /// Affine coordinates of a whole batch of points for the cost of a
     /// single field inversion plus three multiplications per point
     /// (Montgomery's trick via `FieldElement::batch_invert`). Output order
@@ -567,28 +561,26 @@ impl Point {
         double_n(self, 3)
     }
 
-    /// Compresses to the 32-byte wire encoding.
+    /// Compresses to the 32-byte wire encoding: [`Self::batch_compress`]
+    /// on one point.
     pub fn compress(&self) -> CompressedPoint {
-        let (x, y) = self.to_affine();
-        Self::encode_affine(&x, &y)
+        Self::batch_compress(std::slice::from_ref(self))[0]
     }
 
     /// Compresses a whole batch for the cost of one field inversion
     /// (see [`Self::batch_to_affine`]). Output order matches input order;
-    /// equal to calling [`Self::compress`] per point.
+    /// each encoding is the y-coordinate with the sign of x in the top bit.
     pub fn batch_compress(points: &[Point]) -> Vec<CompressedPoint> {
         Point::batch_to_affine(points)
             .iter()
-            .map(|(x, y)| Self::encode_affine(x, y))
+            .map(|(x, y)| {
+                let mut bytes = y.to_bytes();
+                if x.is_negative() {
+                    bytes[31] |= 0x80;
+                }
+                CompressedPoint(bytes)
+            })
             .collect()
-    }
-
-    fn encode_affine(x: &FieldElement, y: &FieldElement) -> CompressedPoint {
-        let mut bytes = y.to_bytes();
-        if x.is_negative() {
-            bytes[31] |= 0x80;
-        }
-        CompressedPoint(bytes)
     }
 
     /// The original bit-at-a-time double-and-add ladder, kept verbatim as
@@ -942,7 +934,7 @@ mod tests {
             Scalar::from_bytes_mod_order(&k)
         };
         let montgomery_u = |p: &Point| {
-            let (_, y) = p.to_affine();
+            let y = p.y.mul(&p.z.invert());
             let one = FieldElement::ONE;
             one.add(&y).mul(&one.sub(&y).invert()).to_bytes()
         };
@@ -1049,7 +1041,8 @@ mod tests {
         let batch = Point::batch_to_affine(&points);
         assert_eq!(batch.len(), points.len());
         for (point, affine) in points.iter().zip(&batch) {
-            assert_eq!(*affine, point.to_affine());
+            let z_inv = point.z.invert();
+            assert_eq!(*affine, (point.x.mul(&z_inv), point.y.mul(&z_inv)));
         }
         let compressed = Point::batch_compress(&points);
         for (point, c) in points.iter().zip(&compressed) {

@@ -18,7 +18,9 @@
 //! and computes `r·h` as a comb walk, with the same bytes as the per-call
 //! NAF walk. Shuffler 1's [`ElGamalCiphertext::rerandomize`] walks the same
 //! table, built once per service. Not constant-time: the comb indexes its
-//! table by bits of `r`.
+//! table by bits of `r`. The encoder compresses a crowd ID's `(R, C)` in
+//! the same batch as its report's hybrid layers
+//! ([`ElGamalCiphertext::points`], then [`ElGamalCiphertext::pack`]).
 
 use rand::Rng;
 
@@ -128,24 +130,29 @@ impl ElGamalCiphertext {
         }
     }
 
-    /// Serializes to 64 bytes (two compressed points, normalized through
-    /// one field inversion).
+    /// Serializes to 64 bytes: [`Self::batch_to_bytes`] on one ciphertext.
     pub fn to_bytes(&self) -> [u8; 64] {
-        let encoded = Point::batch_compress(&[self.r, self.c]);
-        Self::pack(&encoded[0], &encoded[1])
+        Self::batch_to_bytes([self])[0]
     }
 
-    fn pack(r: &CompressedPoint, c: &CompressedPoint) -> [u8; 64] {
+    /// The points `(R, C)`, for a caller that compresses them in a larger
+    /// batch (the encoder's, with both hybrid layers' points) and then
+    /// [`Self::pack`]s them.
+    pub fn points(&self) -> [Point; 2] {
+        [self.r, self.c]
+    }
+
+    /// The 64-byte encoding from the compressed `[R, C]`.
+    pub fn pack(pair: &[CompressedPoint]) -> [u8; 64] {
         let mut out = [0u8; 64];
-        out[..32].copy_from_slice(r.as_bytes());
-        out[32..].copy_from_slice(c.as_bytes());
+        out[..32].copy_from_slice(pair[0].as_bytes());
+        out[32..].copy_from_slice(pair[1].as_bytes());
         out
     }
 
     /// Serializes many ciphertexts for the cost of one field inversion
     /// (see [`Point::batch_compress`]) instead of two per ciphertext.
-    /// Output order matches input order; equal to calling
-    /// [`Self::to_bytes`] per item.
+    /// Output order matches input order.
     pub fn batch_to_bytes<'a>(
         ciphertexts: impl IntoIterator<Item = &'a ElGamalCiphertext>,
     ) -> Vec<[u8; 64]> {
@@ -155,7 +162,7 @@ impl ElGamalCiphertext {
             .collect();
         Point::batch_compress(&points)
             .chunks_exact(2)
-            .map(|pair| Self::pack(&pair[0], &pair[1]))
+            .map(Self::pack)
             .collect()
     }
 

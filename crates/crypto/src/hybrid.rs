@@ -10,16 +10,17 @@
 //! associated data.
 //!
 //! [`HybridCiphertext::seal`] takes the recipient as a bare [`PublicKey`]
-//! (a one-shot seal: a width-5 NAF walk for `e·PK`) or as a
-//! [`PrecomputedPublicKey`] (a comb walk over the key's table, built once
-//! by whoever seals to that key repeatedly — the ESA encoder). Both forms
-//! draw the same randomness in the same order and produce the same bytes.
-//! A layer's ephemeral public key and Diffie–Hellman point are compressed
-//! with one field inversion; [`HybridCiphertext::seal_nested`] compresses
-//! both layers' four points with one. Not constant-time: the comb indexes
-//! its table by bits of the ephemeral scalar.
+//! (a one-shot seal: a width-5 NAF walk for `e·PK`) or as the key's
+//! [`FixedBaseTable`] (a comb walk, the table built once by whoever seals
+//! to that key repeatedly — the ESA encoder). Both forms draw the same
+//! randomness in the same order and produce the same bytes. A layer's
+//! ephemeral public key and Diffie–Hellman point are compressed with one
+//! field inversion; [`HybridCiphertext::seal_nested`] compresses both
+//! layers' four points, and any the caller adds, with one. Not
+//! constant-time: the comb indexes its table by bits of the ephemeral
+//! scalar.
 //!
-//! [`PrecomputedPublicKey`]: crate::ecdh::PrecomputedPublicKey
+//! [`FixedBaseTable`]: crate::edwards::FixedBaseTable
 
 use std::borrow::Borrow;
 
@@ -108,9 +109,9 @@ impl LayerDraws {
 }
 
 impl HybridCiphertext {
-    /// Encrypts `plaintext` to `recipient` — a [`PublicKey`] or a
-    /// [`crate::ecdh::PrecomputedPublicKey`], with the same result —
-    /// binding `aad`. Draws the ephemeral scalar, then the nonce.
+    /// Encrypts `plaintext` to `recipient` — a [`PublicKey`] or its
+    /// [`crate::edwards::FixedBaseTable`], with the same result — binding
+    /// `aad`. Draws the ephemeral scalar, then the nonce.
     pub fn seal<R: Rng + ?Sized, K: ScalarMul + ?Sized>(
         rng: &mut R,
         recipient: &K,
@@ -125,26 +126,31 @@ impl HybridCiphertext {
     /// Seals `plaintext` to `inner`, hands that layer to `wrap`, and seals
     /// what `wrap` returns to `outer`: the bytes, the draws and the errors
     /// of `seal` to `inner` followed by `seal` to `outer`, but the two
-    /// layers' four points are compressed with one field inversion. All
-    /// draws come first (inner ephemeral, inner nonce, outer ephemeral,
-    /// outer nonce), stopping where a degenerate key stops the two calls.
+    /// layers' four points and the caller's `extra` points (a crowd ID's
+    /// El Gamal `R` and `C`) are compressed with one field inversion;
+    /// `wrap` receives the encodings of `extra`, in order, beside the inner
+    /// layer. All draws come first (inner ephemeral, inner nonce, outer
+    /// ephemeral, outer nonce), stopping where a degenerate key stops the
+    /// two calls.
     pub fn seal_nested<R: Rng + ?Sized, K: ScalarMul + ?Sized>(
         rng: &mut R,
         (inner, inner_aad): (&K, &[u8]),
         plaintext: &[u8],
         (outer, outer_aad): (&K, &[u8]),
-        wrap: impl FnOnce(&Self) -> Vec<u8>,
+        extra: &[Point],
+        wrap: impl FnOnce(&Self, &[CompressedPoint]) -> Vec<u8>,
     ) -> Result<Self, CryptoError> {
         let inner_layer = LayerDraws::draw(rng, inner)?;
         let outer_layer = LayerDraws::draw(rng, outer)?;
-        let points = Point::batch_compress(&[
+        let layers = [
             inner_layer.public,
             inner_layer.shared,
             outer_layer.public,
             outer_layer.shared,
-        ]);
+        ];
+        let points = Point::batch_compress(&[&layers[..], extra].concat());
         let sealed_inner = inner_layer.seal(&points[..2], inner_aad, plaintext);
-        Ok(outer_layer.seal(&points[2..], outer_aad, &wrap(&sealed_inner)))
+        Ok(outer_layer.seal(&points[2..4], outer_aad, &wrap(&sealed_inner, &points[4..])))
     }
 
     /// Decrypts a layer with the recipient's static secret.
@@ -233,7 +239,8 @@ impl HybridCiphertext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ecdh::PrecomputedPublicKey;
+    use crate::edwards::FixedBaseTable;
+    use crate::elgamal::{ElGamalCiphertext, ElGamalKeypair};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -389,7 +396,7 @@ mod tests {
             let plaintext: Vec<u8> = (0..plaintext_len).map(|_| fill.gen()).collect();
             let aad: Vec<u8> = (0..aad_len).map(|_| fill.gen()).collect();
             let recipient = HybridKeypair::generate(&mut StdRng::seed_from_u64(key_seed));
-            let precomputed = PrecomputedPublicKey::new(recipient.public_key());
+            let precomputed = FixedBaseTable::from(recipient.public_key());
             let mut one_shot_rng = StdRng::seed_from_u64(seal_seed);
             let mut precomputed_rng = StdRng::seed_from_u64(seal_seed);
             let one_shot =
@@ -406,41 +413,62 @@ mod tests {
 
         /// The nested seal is two sequential seals with the wrap between
         /// them: the same bytes, the same draws, on honest keys and on the
-        /// identity, whose every shared point is degenerate.
+        /// identity, whose every shared point is degenerate. With a crowd
+        /// ID's `R` and `C` in the batch, the wrap packs their encodings
+        /// into what `ElGamalCiphertext::to_bytes` returns.
         #[test]
         fn seal_nested_matches_two_sequential_seals(
             key_seed in any::<u64>(),
             seal_seed in any::<u64>(),
             plaintext_len in 0usize..=200,
             degenerate in 0usize..3,
+            blind in any::<bool>(),
         ) {
             let mut key_rng = StdRng::seed_from_u64(key_seed);
             let honest = [
                 *HybridKeypair::generate(&mut key_rng).public_key(),
                 *HybridKeypair::generate(&mut key_rng).public_key(),
             ];
+            let elgamal = ElGamalKeypair::generate(&mut key_rng);
             let mut identity = [0u8; 32];
             identity[0] = 1;
-            let mut keys = honest.map(|pk| PrecomputedPublicKey::new(&pk));
+            let mut keys = honest.map(|pk| FixedBaseTable::from(&pk));
             if degenerate < 2 {
                 let identity = PublicKey::from_bytes(identity).unwrap();
-                keys[degenerate] = PrecomputedPublicKey::new(&identity);
+                keys[degenerate] = FixedBaseTable::from(&identity);
             }
             let plaintext = vec![7u8; plaintext_len];
-            let wrap = |inner: &HybridCiphertext| [b"env".as_slice(), &inner.to_bytes()].concat();
+            let wrap = |inner: &HybridCiphertext, crowd: &[u8]| {
+                [b"env".as_slice(), crowd, &inner.to_bytes()].concat()
+            };
+            // Each side draws its El Gamal `r` first, as the encoder does.
+            let crowd_id = |rng: &mut StdRng| {
+                blind.then(|| ElGamalCiphertext::encrypt_hashed(rng, elgamal.public_key(), b"crowd"))
+            };
             let mut nested_rng = StdRng::seed_from_u64(seal_seed);
             let mut sequential_rng = StdRng::seed_from_u64(seal_seed);
+            let extra = crowd_id(&mut nested_rng).map_or(Vec::new(), |ct| ct.points().to_vec());
             let nested = HybridCiphertext::seal_nested(
                 &mut nested_rng,
                 (&keys[0], b"inner"),
                 &plaintext,
                 (&keys[1], b"outer"),
-                wrap,
+                &extra,
+                |inner, encoded| match encoded {
+                    [] => wrap(inner, &[]),
+                    pair => wrap(inner, &ElGamalCiphertext::pack(pair)),
+                },
             );
+            let crowd = crowd_id(&mut sequential_rng).map_or(Vec::new(), |ct| ct.to_bytes().to_vec());
             let sequential =
                 HybridCiphertext::seal(&mut sequential_rng, &keys[0], b"inner", &plaintext)
                     .and_then(|inner| {
-                        HybridCiphertext::seal(&mut sequential_rng, &keys[1], b"outer", &wrap(&inner))
+                        HybridCiphertext::seal(
+                            &mut sequential_rng,
+                            &keys[1],
+                            b"outer",
+                            &wrap(&inner, &crowd),
+                        )
                     });
             prop_assert_eq!(&nested, &sequential);
             prop_assert_eq!(nested.is_ok(), degenerate == 2);

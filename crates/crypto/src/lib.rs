@@ -19,8 +19,8 @@
 //! * [`ecdh`] / [`hybrid`] — Diffie–Hellman key agreement (one SHA-256 turns
 //!   a shared point into a key) and the hybrid public-key encryption used
 //!   for the ESA *nested encryption* layers; a
-//!   sender that seals to one key many times precomputes it
-//!   ([`ecdh::PrecomputedPublicKey`]) and gets the same bytes faster.
+//!   sender that seals to one key many times seals to the key's comb table
+//!   ([`edwards::FixedBaseTable`]) and gets the same bytes faster.
 //! * [`schnorr`] — Schnorr signatures over the Edwards group, used by the
 //!   simulated SGX attestation chain.
 //! * [`elgamal`] — El Gamal encryption over the group plus the exponent

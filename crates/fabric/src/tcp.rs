@@ -14,7 +14,7 @@
 //! A receiver whose stage has nothing filed reads whole frames and files
 //! each into the link until its own arrives; receivers on the link's other
 //! stages wait for it to file theirs or to hand the reading on (see
-//! [`crate::link`]). The split topology keeps at most one batch in flight
+//! `link.rs`). The split topology keeps at most one batch in flight
 //! per link, and its senders wait on the answer anyway, so a send that
 //! meets a full kernel buffer waits where the protocol already waits.
 //!

@@ -96,7 +96,7 @@ fn hash_draws(hasher: &mut Sha256, outer: &[u8], shuffler: &HybridKeypair) {
     let inner = HybridCiphertext::from_bytes(&envelope.inner).unwrap();
     hasher.update(&inner.ephemeral).update(&inner.nonce);
     if let CrowdId::Blinded(crowd) = &envelope.crowd_id {
-        hasher.update(&crowd.to_bytes());
+        hasher.update(crowd);
     }
 }
 
@@ -158,7 +158,7 @@ fn one_shot(
         Shape::PlainHash | Shape::SharedHash => CrowdId::hashed(value),
         Shape::PlainBlind => {
             let key = keys.crowd_blinding.as_ref().expect("blinding key");
-            CrowdId::Blinded(Box::new(ElGamalCiphertext::encrypt_hashed(rng, key, value)))
+            CrowdId::Blinded(ElGamalCiphertext::encrypt_hashed(rng, key, value).to_bytes())
         }
     };
     let inner = HybridCiphertext::seal(rng, &keys.analyzer, ANALYZER_AAD, &payload.to_bytes())?;

@@ -161,11 +161,10 @@ fn crowd_id(seed: u64, kind: u8) -> CrowdId {
         1 => CrowdId::hashed(&seed.to_le_bytes()),
         _ => {
             let keys = ElGamalKeypair::generate(&mut rng);
-            CrowdId::Blinded(Box::new(ElGamalCiphertext::encrypt_hashed(
-                &mut rng,
-                keys.public_key(),
-                &seed.to_le_bytes(),
-            )))
+            CrowdId::Blinded(
+                ElGamalCiphertext::encrypt_hashed(&mut rng, keys.public_key(), &seed.to_le_bytes())
+                    .to_bytes(),
+            )
         }
     }
 }
