@@ -163,9 +163,11 @@ impl Encoder {
                 let crowd_id = match crowd {
                     CrowdStrategy::None => CrowdId::None,
                     CrowdStrategy::Hash(label) => CrowdId::hashed(label),
-                    CrowdStrategy::Blind(_) => {
-                        CrowdId::Blinded(ElGamalCiphertext::pack(crowd_points))
-                    }
+                    CrowdStrategy::Blind(_) => CrowdId::Blinded(ElGamalCiphertext::pack(
+                        crowd_points
+                            .try_into()
+                            .expect("one encoding per crowd point"),
+                    )),
                 };
                 let envelope = ShufflerEnvelope {
                     crowd_id,

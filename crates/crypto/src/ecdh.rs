@@ -114,21 +114,25 @@ impl StaticSecret {
         PublicKey::from_point(Point::mul_base(&self.secret))
     }
 
-    /// Computes the shared symmetric key with a peer's public key:
-    /// [`Self::agree_batch`] on one peer.
+    /// Computes the shared symmetric key with a peer's public key.
     pub(crate) fn agree(
         &self,
         their_public: &PublicKey,
         info: &[u8],
     ) -> Result<[u8; 32], CryptoError> {
-        self.agree_batch(std::slice::from_ref(their_public), info)
-            .remove(0)
+        let shared = their_public.point.mul(&self.secret);
+        if shared.is_identity() {
+            return Err(DEGENERATE_SHARED);
+        }
+        Ok(derive_key(&shared.compress(), info))
     }
 
-    /// Computes shared symmetric keys with many peers at once, one result
-    /// per peer in order. The shared curve points are normalized together
-    /// through [`Point::batch_compress`], so the whole batch pays one field
-    /// inversion instead of one per peer.
+    /// Computes shared symmetric keys with many peers at once.
+    ///
+    /// Result-for-result identical to calling [`Self::agree`] per peer with
+    /// the same `info` string, but the shared curve points are normalized
+    /// together through [`Point::batch_compress`], so the whole batch pays
+    /// one field inversion instead of one per peer.
     pub(crate) fn agree_batch(
         &self,
         peers: &[PublicKey],

@@ -561,26 +561,30 @@ impl Point {
         double_n(self, 3)
     }
 
-    /// Compresses to the 32-byte wire encoding: [`Self::batch_compress`]
-    /// on one point.
+    /// Compresses to the 32-byte wire encoding for the cost of one field
+    /// inversion.
     pub fn compress(&self) -> CompressedPoint {
-        Self::batch_compress(std::slice::from_ref(self))[0]
+        let z_inv = self.z.invert();
+        Self::encode_affine(&self.x.mul(&z_inv), &self.y.mul(&z_inv))
     }
 
     /// Compresses a whole batch for the cost of one field inversion
     /// (see [`Self::batch_to_affine`]). Output order matches input order;
-    /// each encoding is the y-coordinate with the sign of x in the top bit.
+    /// equal to calling [`Self::compress`] per point.
     pub fn batch_compress(points: &[Point]) -> Vec<CompressedPoint> {
         Point::batch_to_affine(points)
             .iter()
-            .map(|(x, y)| {
-                let mut bytes = y.to_bytes();
-                if x.is_negative() {
-                    bytes[31] |= 0x80;
-                }
-                CompressedPoint(bytes)
-            })
+            .map(|(x, y)| Self::encode_affine(x, y))
             .collect()
+    }
+
+    /// The y-coordinate with the sign of x in the top bit.
+    fn encode_affine(x: &FieldElement, y: &FieldElement) -> CompressedPoint {
+        let mut bytes = y.to_bytes();
+        if x.is_negative() {
+            bytes[31] |= 0x80;
+        }
+        CompressedPoint(bytes)
     }
 
     /// The original bit-at-a-time double-and-add ladder, kept verbatim as

@@ -130,9 +130,11 @@ impl ElGamalCiphertext {
         }
     }
 
-    /// Serializes to 64 bytes: [`Self::batch_to_bytes`] on one ciphertext.
+    /// Serializes to 64 bytes (two compressed points, normalized through
+    /// one field inversion).
     pub fn to_bytes(&self) -> [u8; 64] {
-        Self::batch_to_bytes([self])[0]
+        let encoded = Point::batch_compress(&self.points());
+        Self::pack(&[encoded[0], encoded[1]])
     }
 
     /// The points `(R, C)`, for a caller that compresses them in a larger
@@ -143,10 +145,10 @@ impl ElGamalCiphertext {
     }
 
     /// The 64-byte encoding from the compressed `[R, C]`.
-    pub fn pack(pair: &[CompressedPoint]) -> [u8; 64] {
+    pub fn pack([r, c]: &[CompressedPoint; 2]) -> [u8; 64] {
         let mut out = [0u8; 64];
-        out[..32].copy_from_slice(pair[0].as_bytes());
-        out[32..].copy_from_slice(pair[1].as_bytes());
+        out[..32].copy_from_slice(r.as_bytes());
+        out[32..].copy_from_slice(c.as_bytes());
         out
     }
 
@@ -160,10 +162,8 @@ impl ElGamalCiphertext {
             .into_iter()
             .flat_map(|ct| [ct.r, ct.c])
             .collect();
-        Point::batch_compress(&points)
-            .chunks_exact(2)
-            .map(Self::pack)
-            .collect()
+        let encoded = Point::batch_compress(&points);
+        encoded.as_chunks().0.iter().map(Self::pack).collect()
     }
 
     /// Parses the 64-byte encoding.

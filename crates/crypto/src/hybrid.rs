@@ -456,7 +456,7 @@ mod tests {
                 &extra,
                 |inner, encoded| match encoded {
                     [] => wrap(inner, &[]),
-                    pair => wrap(inner, &ElGamalCiphertext::pack(pair)),
+                    pair => wrap(inner, &ElGamalCiphertext::pack(pair.try_into().unwrap())),
                 },
             );
             let crowd = crowd_id(&mut sequential_rng).map_or(Vec::new(), |ct| ct.to_bytes().to_vec());
