@@ -18,7 +18,7 @@
 # invariant is not checked. Raising either
 # ceiling takes an edit here and a written reason in CHANGES.md; lowering it
 # after a PR that shrinks the count keeps the ground gained.
-SYSTEM_CEILING=15730
+SYSTEM_CEILING=15727
 SYSTEM_CRATES='core crypto shuffle collector net fabric obs stats sgx-sim'
 ALLOW_CEILING=19
 cd "$(dirname "$0")/../../.." || exit 1

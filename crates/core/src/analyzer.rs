@@ -3,11 +3,11 @@
 
 use std::collections::BTreeMap;
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use prochlo_crypto::hybrid::{HybridCiphertext, HybridKeypair};
-use prochlo_crypto::PublicKey;
-use prochlo_crypto::{mle, shamir};
+use prochlo_crypto::{mle, sha256, shamir, PublicKey};
 use prochlo_stats::{Histogram, Laplace};
 
 use crate::encoder::ANALYZER_AAD;
@@ -15,6 +15,13 @@ use crate::error::PipelineError;
 use crate::exec;
 use crate::record::AnalyzerPayload;
 use crate::wire::unpad_payload;
+
+/// Uniform share subsets tried for a secret-shared group that neither its
+/// first window nor a leave-one-out subset verifies
+/// ([`shamir::recover_verified`]). At t = 20 they leave a group pending with
+/// probability ≈ 5·10⁻¹³ when 5 % of its shares are forged, ≈ 2.5·10⁻⁴ at
+/// 10 % (the forged fraction this budget holds against) and ≈ 1/2 at 20 %.
+const RANDOM_SUBSETS: usize = 64;
 
 /// The analyzer role: holds the inner-layer private key.
 #[derive(Debug, Clone)]
@@ -46,6 +53,7 @@ pub struct AnalyzerDatabase {
     pending_secret_groups: usize,
     pending_secret_reports: usize,
     recovered_secrets: usize,
+    forged_shares: usize,
 }
 
 impl Analyzer {
@@ -140,7 +148,7 @@ impl Analyzer {
         // Secret-shared values grouped by their deterministic ciphertext.
         // BTreeMap so recovered rows land in a deterministic order
         // regardless of the process's hash seed.
-        let mut groups: BTreeMap<Vec<u8>, (Vec<shamir::Share>, usize)> = BTreeMap::new();
+        let mut groups: BTreeMap<Vec<u8>, Vec<shamir::Share>> = BTreeMap::new();
 
         for payload in self.decrypt_batch(items, num_threads) {
             let payload = match payload {
@@ -157,38 +165,60 @@ impl Analyzer {
                 },
                 AnalyzerPayload::SecretShared { ciphertext, share } => {
                     match shamir::Share::from_bytes(&share) {
-                        Ok(parsed) => {
-                            let entry = groups.entry(ciphertext).or_default();
-                            entry.0.push(parsed);
-                            entry.1 += 1;
-                        }
+                        Ok(parsed) => groups.entry(ciphertext).or_default().push(parsed),
                         Err(_) => db.undecryptable += 1,
                     }
                 }
             }
         }
 
-        // Attempt recovery for each secret-shared group.
-        for (ciphertext_bytes, (shares, report_count)) in groups {
-            match self.recover_group(&ciphertext_bytes, &shares) {
+        // Attempt recovery for each secret-shared group; a recovered value
+        // counts one row per share on its polynomial.
+        let mut retries = 0;
+        for (ciphertext_bytes, shares) in groups {
+            let verified = self.recover_group(&ciphertext_bytes, &shares);
+            retries += verified.retries;
+            match verified.value {
                 Some(value) => {
                     db.recovered_secrets += 1;
-                    db.push_rows(&value, report_count);
+                    db.forged_shares += verified.forged;
+                    db.push_rows(&value, shares.len() - verified.forged);
                 }
                 None => {
                     db.pending_secret_groups += 1;
-                    db.pending_secret_reports += report_count;
+                    db.pending_secret_reports += shares.len();
                 }
             }
         }
+        prochlo_obs::counter("analyzer.shares.forged").add(db.forged_shares as u64);
+        prochlo_obs::counter("analyzer.recover.retries").add(retries as u64);
         Ok(db)
     }
 
-    fn recover_group(&self, ciphertext_bytes: &[u8], shares: &[shamir::Share]) -> Option<Vec<u8>> {
-        let key = shamir::recover_secret(shares, self.share_threshold).ok()?;
-        let ciphertext = mle::MleCiphertext::from_bytes(ciphertext_bytes).ok()?;
-        let padded = mle::decrypt(&key, &ciphertext).ok()?;
-        unpad_payload(&padded).ok().map(<[u8]>::to_vec)
+    /// Recovers one group's value: a key is taken only when it opens the
+    /// group's message-locked ciphertext and re-derives from the plaintext.
+    /// Retry subsets come from a stream the ciphertext seeds, so the
+    /// database stays a pure function of the items.
+    fn recover_group(
+        &self,
+        ciphertext_bytes: &[u8],
+        shares: &[shamir::Share],
+    ) -> shamir::Verified<Vec<u8>> {
+        let Ok(ciphertext) = mle::MleCiphertext::from_bytes(ciphertext_bytes) else {
+            return shamir::Verified::default();
+        };
+        let mut rng = StdRng::from_seed(sha256(ciphertext_bytes));
+        shamir::recover_verified(
+            shares,
+            self.share_threshold,
+            RANDOM_SUBSETS,
+            &mut rng,
+            |key| {
+                let padded = mle::decrypt(key, &ciphertext).ok()?;
+                let value = unpad_payload(&padded).ok()?;
+                (mle::derive_key(&padded) == *key).then(|| value.to_vec())
+            },
+        )
     }
 }
 
@@ -264,6 +294,13 @@ impl AnalyzerDatabase {
         self.undecryptable
     }
 
+    /// Shares of recovered groups that lie off the verified polynomial:
+    /// forged and not counted. Rows, pending reports, undecryptable items
+    /// and forged shares add up to the items ingested.
+    pub fn forged_shares(&self) -> usize {
+        self.forged_shares
+    }
+
     /// Secret-shared groups that have not yet met the share threshold.
     pub fn pending_secret_groups(&self) -> usize {
         self.pending_secret_groups
@@ -295,6 +332,7 @@ impl AnalyzerDatabase {
         self.pending_secret_groups += other.pending_secret_groups;
         self.pending_secret_reports += other.pending_secret_reports;
         self.recovered_secrets += other.recovered_secrets;
+        self.forged_shares += other.forged_shares;
     }
 
     /// The exact count of a value.
@@ -337,8 +375,7 @@ mod tests {
     use super::*;
     use crate::encoder::{ClientKeys, CrowdStrategy, Encoder, SHUFFLER_AAD};
     use crate::record::ShufflerEnvelope;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::RngCore;
 
     /// Builds inner ciphertexts directly (bypassing a shuffler) for analyzer
     /// unit tests.
@@ -422,6 +459,62 @@ mod tests {
         assert_eq!(db6.recovered_secrets(), 1);
         assert_eq!(db6.count(b"rare-url"), 6);
         assert_eq!(db6.pending_secret_groups(), 0);
+    }
+
+    /// An inner item a forger seals to the analyzer: the group's
+    /// message-locked ciphertext, which anyone who guesses the value can
+    /// compute, beside a share of no polynomial.
+    fn forged_item(analyzer: &Analyzer, honest: &[u8], rng: &mut StdRng) -> Vec<u8> {
+        let opened = HybridCiphertext::from_bytes(honest)
+            .unwrap()
+            .open(analyzer.keys.secret(), ANALYZER_AAD)
+            .unwrap();
+        let AnalyzerPayload::SecretShared { ciphertext, .. } =
+            AnalyzerPayload::from_bytes(&opened).unwrap()
+        else {
+            panic!("a secret-shared item");
+        };
+        let mut share = vec![0u8; 64];
+        rng.fill_bytes(&mut share);
+        let forged = AnalyzerPayload::SecretShared { ciphertext, share };
+        HybridCiphertext::seal(rng, analyzer.public_key(), ANALYZER_AAD, &forged.to_bytes())
+            .unwrap()
+            .to_bytes()
+    }
+
+    #[test]
+    fn one_forged_share_among_the_first_threshold_leaves_the_honest_count() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let values: Vec<&[u8]> = vec![b"popular-url"; 1_200];
+        let (analyzer, mut items) = inner_items(&values, Some(20), &mut rng);
+        let analyzer = analyzer.with_share_threshold(20);
+        // The forgery lands inside the first window of 20 shares.
+        let forged = forged_item(&analyzer, &items[0], &mut rng);
+        items.insert(7, forged);
+        let db = analyzer.ingest_items_parallel(&items, 2).unwrap();
+        assert_eq!(db.count(b"popular-url"), 1_200);
+        assert_eq!(db.pending_secret_groups(), 0);
+        assert_eq!(db.recovered_secrets(), 1);
+        assert_eq!(db.forged_shares(), 1);
+        assert_eq!(
+            db.rows().len() + db.pending_secret_reports() + db.undecryptable() + db.forged_shares(),
+            items.len()
+        );
+    }
+
+    #[test]
+    fn a_group_of_forgeries_alone_stays_pending() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let (analyzer, honest) = inner_items(&[b"guessable"], Some(3), &mut rng);
+        let analyzer = analyzer.with_share_threshold(3);
+        let items: Vec<Vec<u8>> = (0..10)
+            .map(|_| forged_item(&analyzer, &honest[0], &mut rng))
+            .collect();
+        let db = analyzer.ingest_items_parallel(&items, 1).unwrap();
+        assert_eq!(db.rows().len(), 0);
+        assert_eq!(db.pending_secret_groups(), 1);
+        assert_eq!(db.pending_secret_reports(), 10);
+        assert_eq!(db.forged_shares(), 0);
     }
 
     #[test]

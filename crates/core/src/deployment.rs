@@ -16,9 +16,10 @@
 //!   [`epoch_rng`]).
 //! * [`EpochSession`] / [`ShardedDeployment`] — the scale-out hooks: a
 //!   session accepts reports incrementally and canonicalizes the batch at
-//!   [`EpochSession::finish`]; a sharded deployment fans reports out to N
-//!   independent deployments by crowd-ID prefix and merges the resulting
-//!   databases analyzer-side via [`AnalyzerDatabase::merge_from`].
+//!   [`EpochSession::finish`]; [`ShardedDeployment::shard_index_from_prefix`]
+//!   is the crowd-routing rule the shard router in front of collector
+//!   shards applies, whose databases merge analyzer-side via
+//!   [`AnalyzerDatabase::merge_from`].
 //!
 //! Seeded behaviour is a contract: `deployment.ingest(&EpochSpec::new(e,
 //! seed), reports)` yields the canonical histogram pinned byte for byte by
@@ -28,7 +29,7 @@
 //! The types are declared here, each beside its doc example; their
 //! behaviour sits in one file per seam: `role` (the topology), `spec` (the
 //! epoch RNG), `builder` (key generation), `session` (canonical order) and
-//! `sharding` (routing and the merge).
+//! `sharding` (crowd routing).
 
 mod builder;
 mod role;
@@ -310,43 +311,19 @@ pub struct EpochSession<'a> {
     reports: Vec<ClientReport>,
 }
 
-/// N independent deployments fronted as one: reports are partitioned by
-/// crowd-ID prefix, each shard ingests its partition under its own derived
-/// seed, and the analyzer-side databases are merged with
-/// [`AnalyzerDatabase::merge_from`] — the multi-collector ingestion shape the
-/// ROADMAP calls for, in-process.
-///
-/// Every shard has its **own keys**, so a client must encode against the
-/// shard its crowd maps to: [`Self::shard_for_crowd`] names the shard and
-/// that shard's [`Deployment::encoder`] encodes for it. Routing uses the
-/// first eight bytes of `SHA-256(crowd label)` — the same hash
-/// [`crate::record::CrowdId::hashed`] attaches to reports — so a front-end
-/// router holding only hashed crowd IDs can route without seeing labels.
+/// The routing rule of a sharded collector: a crowd's reports all go to the
+/// shard its [`crowd_prefix`] names, so each shard — a [`Deployment`] with
+/// its own keys behind `prochlo_fabric`'s `ShardRouter` — thresholds whole
+/// crowds, and the shards' databases merge with
+/// [`AnalyzerDatabase::merge_from`].
 ///
 /// ```
-/// use prochlo_core::{CrowdStrategy, Deployment, EpochSpec, ShardedDeployment};
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// let mut rng = StdRng::seed_from_u64(3);
-/// let sharded = ShardedDeployment::build(Deployment::builder(), 4, &mut rng);
-/// let mut batches = vec![Vec::new(); sharded.num_shards()];
-/// for i in 0..40u64 {
-///     let shard = sharded.shard_for_crowd(b"chrome");
-///     let report = sharded
-///         .shard(shard)
-///         .encoder()
-///         .encode_plain(b"chrome", CrowdStrategy::Hash(b"chrome"), i, &mut rng)
-///         .unwrap();
-///     batches[shard].push(report);
-/// }
-/// let merged = sharded.ingest(&EpochSpec::new(0, 9), &batches).unwrap();
-/// assert!(merged.database.count(b"chrome") > 0);
+/// use prochlo_core::{crowd_prefix, ShardedDeployment};
+/// let shard = ShardedDeployment::shard_index_from_prefix(crowd_prefix(b"chrome"), 4);
+/// assert_eq!(shard, (crowd_prefix(b"chrome") % 4) as usize);
 /// ```
 #[derive(Debug)]
-pub struct ShardedDeployment {
-    shards: Vec<Deployment>,
-}
+pub struct ShardedDeployment;
 
 #[cfg(test)]
 mod tests {
@@ -707,9 +684,12 @@ mod tests {
     fn sharded_routing_is_stable_and_total() {
         for shards in [1usize, 3, 4, 7] {
             for label in [&b"alpha"[..], b"beta", b"gamma", b""] {
-                let idx = ShardedDeployment::shard_index(label, shards);
+                let idx = ShardedDeployment::shard_index_from_prefix(crowd_prefix(label), shards);
                 assert!(idx < shards);
-                assert_eq!(idx, ShardedDeployment::shard_index(label, shards));
+                assert_eq!(
+                    idx,
+                    ShardedDeployment::shard_index_from_prefix(crowd_prefix(label), shards)
+                );
             }
         }
     }
@@ -731,8 +711,9 @@ mod tests {
         ];
         for &(label, prefix) in PINNED {
             for shards in [1usize, 4, 7, 1000] {
+                assert_eq!(crowd_prefix(label), prefix, "label {label:?}");
                 assert_eq!(
-                    ShardedDeployment::shard_index(label, shards),
+                    ShardedDeployment::shard_index_from_prefix(prefix, shards),
                     (prefix % shards as u64) as usize,
                     "label {label:?}, {shards} shards"
                 );
@@ -742,49 +723,9 @@ mod tests {
         // routing for at least one pinned label, so a regression to the
         // old documented behaviour cannot slip through.
         assert_ne!(
-            ShardedDeployment::shard_index(b"chrome", 1000),
+            ShardedDeployment::shard_index_from_prefix(crowd_prefix(b"chrome"), 1000),
             (prochlo_crypto::sha256::sha256(b"chrome")[0] as usize) % 1000
         );
-    }
-
-    #[test]
-    fn sharded_ingest_rejects_mismatched_batch_count() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let sharded = ShardedDeployment::build(Deployment::builder(), 3, &mut rng);
-        let err = sharded
-            .ingest(&EpochSpec::new(0, 1), &[Vec::new(), Vec::new()])
-            .unwrap_err();
-        assert!(matches!(err, PipelineError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn sharded_ingest_skips_empty_shards_and_merges_the_rest() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let sharded = ShardedDeployment::build(
-            Deployment::builder().config(ShufflerConfig::default().without_thresholding()),
-            3,
-            &mut rng,
-        );
-        let mut batches = vec![Vec::new(); 3];
-        for i in 0..30u64 {
-            let shard = sharded.shard_for_crowd(b"only-crowd");
-            batches[shard].push(
-                sharded
-                    .shard(shard)
-                    .encoder()
-                    .encode_plain(
-                        b"only-crowd",
-                        CrowdStrategy::Hash(b"only-crowd"),
-                        i,
-                        &mut rng,
-                    )
-                    .unwrap(),
-            );
-        }
-        let merged = sharded.ingest(&EpochSpec::new(0, 5), &batches).unwrap();
-        assert_eq!(merged.database.count(b"only-crowd"), 30);
-        let populated = merged.shards.iter().filter(|s| s.is_some()).count();
-        assert_eq!(populated, 1, "only one shard received reports");
     }
 
     /// A batch whose outer ciphertexts are drawn from tiny alphabets, so it

@@ -26,11 +26,11 @@
 //! [`ShufflerConfig`], beside the per-crowd draw it describes
 //! ([`CrowdThreshold`]); [`deployment`] wires the three stages together
 //! behind one topology-agnostic orchestration API
-//! ([`Deployment`], [`EpochSpec`], [`EpochSession`](deployment::EpochSession),
-//! [`ShardedDeployment`])
+//! ([`Deployment`], [`EpochSpec`], [`EpochSession`](deployment::EpochSession))
 //! for in-process experiments, examples, and the collector's serving layer;
 //! its `ShufflerRole` holds either topology and matches on it once per
-//! call.
+//! call. [`crowd_prefix`] and [`ShardedDeployment::shard_index_from_prefix`]
+//! keep a crowd on one collector shard behind the shard router.
 #![cfg_attr(
     test,
     allow(

@@ -12,6 +12,8 @@
 //! the polynomial), any t−1 shares are statistically uninformative, exactly
 //! the property the paper relies on for hard-to-guess data.
 
+use std::collections::BTreeSet;
+
 use rand::Rng;
 
 use crate::error::CryptoError;
@@ -83,20 +85,24 @@ fn secret_to_field(secret: &[u8; 32]) -> FieldElement {
     FieldElement::from_bytes(secret)
 }
 
-/// Evaluates the secret's polynomial of degree `threshold - 1` at `x`.
-fn evaluate(
-    secret: &FieldElement,
-    secret_bytes: &[u8; 32],
-    threshold: usize,
-    x: &FieldElement,
-) -> FieldElement {
-    // P(x) = secret + a_1 x + a_2 x^2 + ... + a_{t-1} x^{t-1}, Horner form.
-    let mut acc = FieldElement::ZERO;
-    for i in (1..threshold).rev() {
-        acc = acc.add(&coefficient(secret_bytes, i as u32));
-        acc = acc.mul(x);
+/// A secret's sharing polynomial of degree `threshold - 1`, the secret
+/// then a_1 … a_{t−1}, derived once: checking a share against it is one
+/// Horner pass and no hashing.
+struct Polynomial(Vec<FieldElement>);
+
+impl Polynomial {
+    fn new(secret: FieldElement, secret_bytes: &[u8; 32], threshold: usize) -> Self {
+        let coefficients = (1..threshold).map(|i| coefficient(secret_bytes, i as u32));
+        Self(std::iter::once(secret).chain(coefficients).collect())
     }
-    acc.add(secret)
+
+    /// `P(x) = secret + a_1 x + a_2 x^2 + ... + a_{t-1} x^{t-1}`.
+    fn evaluate(&self, x: &FieldElement) -> FieldElement {
+        self.0
+            .iter()
+            .rev()
+            .fold(FieldElement::ZERO, |acc, c| acc.mul(x).add(c))
+    }
 }
 
 /// Produces one share of `secret` for a `threshold`-out-of-anything sharing.
@@ -116,18 +122,21 @@ pub fn share_secret<R: Rng + ?Sized>(secret: &[u8; 32], threshold: usize, rng: &
             break x;
         }
     };
-    let y = evaluate(&secret_fe, secret, threshold, &x);
+    let y = Polynomial::new(secret_fe, secret, threshold).evaluate(&x);
     Share { x, y }
 }
 
 /// Recovers the secret from at least `threshold` shares with distinct
 /// abscissas, using Lagrange interpolation at zero.
 pub fn recover_secret(shares: &[Share], threshold: usize) -> Result<[u8; 32], CryptoError> {
-    // Deduplicate by abscissa: two shares from the same client are not
-    // independent information. Interpolation uses the first `threshold`
-    // distinct shares, so the scan stops once it has them — a popular value
-    // arrives with thousands of shares, and comparing each against every
-    // earlier one is quadratic in a count that does not matter.
+    Ok(interpolate(&first_window(shares, threshold)?).to_bytes())
+}
+
+/// The first `threshold` shares with distinct abscissas: two shares from
+/// the same client are not independent information. The scan stops at
+/// `threshold` — a popular value arrives with thousands of shares, and
+/// comparing each against every earlier one is quadratic.
+fn first_window(shares: &[Share], threshold: usize) -> Result<Vec<Share>, CryptoError> {
     let mut points: Vec<Share> = Vec::with_capacity(threshold.min(shares.len()));
     for share in shares {
         if points.len() == threshold {
@@ -143,11 +152,15 @@ pub fn recover_secret(shares: &[Share], threshold: usize) -> Result<[u8; 32], Cr
             available: points.len(),
         });
     }
+    Ok(points)
+}
 
-    // Lagrange interpolation at x = 0:
-    //   P(0) = Σ_i y_i · Π_{j≠i} x_j / (x_j − x_i)
-    // with the `threshold` denominators inverted together: one field
-    // inversion per recovery instead of one per share.
+/// Lagrange interpolation at x = 0 through `points`, which have distinct
+/// abscissas:
+///   P(0) = Σ_i y_i · Π_{j≠i} x_j / (x_j − x_i)
+/// with the denominators inverted together: one field inversion per
+/// recovery instead of one per share.
+fn interpolate(points: &[Share]) -> FieldElement {
     let mut numerators = Vec::with_capacity(points.len());
     let mut denominators = Vec::with_capacity(points.len());
     for (i, point) in points.iter().enumerate() {
@@ -163,18 +176,114 @@ pub fn recover_secret(shares: &[Share], threshold: usize) -> Result<[u8; 32], Cr
         denominators.push(denominator);
     }
     FieldElement::batch_invert(&mut denominators);
-    let secret = numerators
+    numerators
         .iter()
         .zip(&denominators)
-        .fold(FieldElement::ZERO, |sum, (n, d)| sum.add(&n.mul(d)));
-    Ok(secret.to_bytes())
+        .fold(FieldElement::ZERO, |sum, (n, d)| sum.add(&n.mul(d)))
+}
+
+/// What [`recover_verified`] found in one group of shares.
+#[derive(Debug, Default)]
+pub struct Verified<T> {
+    /// What `accept` returned for the secret it took, if it took one.
+    pub value: Option<T>,
+    /// Shares off the taken secret's polynomial, not to be counted.
+    pub forged: usize,
+    /// Subsets interpolated after the first.
+    pub retries: usize,
+}
+
+/// Recovers a secret the caller checks, counting the shares off its
+/// polynomial as forged.
+///
+/// A candidate from the first `threshold` distinct shares (as in
+/// [`recover_secret`]) is taken if its top four bits are clear and `accept`
+/// returns a value for it. A forged share in the window steers the
+/// candidate, so on refusal come every subset of the first `threshold + 1`
+/// distinct shares that leaves one out — one forged share never hides a
+/// secret `threshold` honest shares carry — and then up to `random_subsets`
+/// uniform subsets drawn from `rng`, each clean with probability about
+/// (1 − ρ)^threshold when a fraction ρ of the shares is forged. With no
+/// forgery nothing is drawn. The coefficients derive from the secret, so a
+/// taken secret fixes its polynomial and each share is checked in one
+/// Horner pass.
+pub fn recover_verified<T, R: Rng + ?Sized>(
+    shares: &[Share],
+    threshold: usize,
+    random_subsets: usize,
+    rng: &mut R,
+    mut accept: impl FnMut(&[u8; 32]) -> Option<T>,
+) -> Verified<T> {
+    let mut verify = |points: &[Share]| {
+        let secret = interpolate(points);
+        let secret_bytes = secret.to_bytes();
+        if secret_bytes[31] & 0xf0 != 0 {
+            return None;
+        }
+        let value = accept(&secret_bytes)?;
+        Some((value, Polynomial::new(secret, &secret_bytes, threshold)))
+    };
+    let mut found = first_window(shares, threshold)
+        .ok()
+        .and_then(|window| verify(&window));
+    let mut retries = 0;
+    // Distinct by value: a forgery on an honest share's abscissa must not
+    // push the honest share out.
+    let mut pool = match found {
+        None => distinct_shares(shares),
+        Some(_) => Vec::new(),
+    };
+    if pool.len() > threshold {
+        let head = pool[..=threshold].to_vec();
+        let leave_one_out = (0..=threshold).map(|left_out| {
+            let mut subset = head.clone();
+            subset.remove(left_out);
+            subset
+        });
+        let random = std::iter::repeat_with(|| {
+            // A partial Fisher–Yates pass: `pool[..threshold]` is a uniform
+            // subset whatever order earlier draws left.
+            for i in 0..threshold {
+                let j = rng.gen_range(i..pool.len());
+                pool.swap(i, j);
+            }
+            pool[..threshold].to_vec()
+        });
+        found = leave_one_out
+            .chain(random.take(random_subsets))
+            .find_map(|subset| {
+                retries += 1;
+                verify(&subset)
+            });
+    }
+    let forged = found.as_ref().map_or(0, |(_, polynomial)| {
+        shares
+            .iter()
+            .filter(|s| polynomial.evaluate(&s.x) != s.y)
+            .count()
+    });
+    Verified {
+        value: found.map(|(value, _)| value),
+        forged,
+        retries,
+    }
+}
+
+/// Every share no earlier share equals, in input order.
+fn distinct_shares(shares: &[Share]) -> Vec<Share> {
+    let mut seen = BTreeSet::new();
+    shares
+        .iter()
+        .filter(|s| seen.insert(s.to_bytes()))
+        .copied()
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn secret_from(tag: u8) -> [u8; 32] {
         let mut s = [tag; 32];
@@ -355,5 +464,118 @@ mod tests {
     fn oversized_secret_is_rejected() {
         let secret = [0xffu8; 32];
         secret_to_field(&secret);
+    }
+
+    /// A share of no polynomial: both coordinates drawn at random.
+    fn forged_share(rng: &mut StdRng) -> Share {
+        let mut bytes = [0u8; 64];
+        rng.fill_bytes(&mut bytes);
+        Share {
+            x: FieldElement::from_wide_bytes(&bytes),
+            y: FieldElement::from_wide_bytes(&bytes.map(|b| b ^ 0x5a)),
+        }
+    }
+
+    /// Recovers `shares` taking only `secret` and reports what happened.
+    fn recover_taking(shares: &[Share], threshold: usize, secret: [u8; 32]) -> Verified<()> {
+        let mut rng = StdRng::seed_from_u64(99);
+        recover_verified(shares, threshold, 64, &mut rng, |candidate| {
+            (*candidate == secret).then_some(())
+        })
+    }
+
+    #[test]
+    fn forgery_free_recovery_draws_nothing_and_counts_every_share() {
+        let mut rng = StdRng::seed_from_u64(20);
+        let secret = secret_from(4);
+        let share = share_secret(&secret, 5, &mut rng);
+        let mut shares: Vec<Share> = (0..30)
+            .map(|_| share_secret(&secret, 5, &mut rng))
+            .collect();
+        shares.push(share);
+        shares.push(share);
+        let mut draws = StdRng::seed_from_u64(21);
+        let verified = recover_verified(&shares, 5, 64, &mut draws, |candidate| {
+            (*candidate == secret).then_some(*candidate)
+        });
+        assert_eq!(verified.value, Some(secret));
+        assert_eq!((verified.forged, verified.retries), (0, 0));
+        assert_eq!(draws.next_u64(), StdRng::seed_from_u64(21).next_u64());
+    }
+
+    #[test]
+    fn one_forged_share_never_hides_a_secret_that_threshold_honest_shares_carry() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let secret = secret_from(5);
+        for threshold in [1, 2, 5, 20] {
+            let honest: Vec<Share> = (0..threshold)
+                .map(|_| share_secret(&secret, threshold, &mut rng))
+                .collect();
+            // The forgery anywhere in the group, fresh or on an honest
+            // share's abscissa.
+            for position in 0..=threshold {
+                for copies_an_abscissa in [false, true] {
+                    let mut forged = forged_share(&mut rng);
+                    if copies_an_abscissa {
+                        forged.x = honest[position % threshold].x;
+                    }
+                    let mut shares = honest.clone();
+                    shares.insert(position, forged);
+                    let verified = recover_taking(&shares, threshold, secret);
+                    assert!(
+                        verified.value.is_some(),
+                        "t = {threshold}, forgery at {position}"
+                    );
+                    assert_eq!(verified.forged, 1);
+                    assert!(verified.retries <= threshold + 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tenth_of_the_shares_forged_is_outvoted_by_random_subsets() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let secret = secret_from(6);
+        let threshold = 20;
+        // 20 forgeries up front, then 180 honest shares: every
+        // leave-one-out subset holds a forgery.
+        let mut shares: Vec<Share> = (0..20).map(|_| forged_share(&mut rng)).collect();
+        shares.extend((0..180).map(|_| share_secret(&secret, threshold, &mut rng)));
+        let verified = recover_taking(&shares, threshold, secret);
+        assert!(verified.value.is_some());
+        assert_eq!(verified.forged, 20);
+        assert!(verified.retries > threshold + 1, "{}", verified.retries);
+    }
+
+    #[test]
+    fn a_group_no_subset_verifies_stays_unrecovered_within_the_budget() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let shares: Vec<Share> = (0..40).map(|_| forged_share(&mut rng)).collect();
+        let verified = recover_taking(&shares, 5, secret_from(7));
+        assert!(verified.value.is_none());
+        assert_eq!((verified.forged, verified.retries), (0, 6 + 64));
+        // Too few distinct shares: nothing is interpolated at all.
+        let verified = recover_taking(&shares[..4], 5, secret_from(7));
+        assert!(verified.value.is_none());
+        assert_eq!(verified.retries, 0);
+    }
+
+    #[test]
+    fn a_candidate_with_its_top_bits_set_is_refused_before_accept() {
+        // At threshold 1 the secret is the share's y, chosen here as
+        // p − 1, whose top byte is 0x7f: no message-locked key.
+        let mut top = [0xffu8; 32];
+        top[0] = 0xec;
+        top[31] = 0x7f;
+        let share = Share {
+            x: FieldElement::from_u64(1),
+            y: FieldElement::from_bytes(&top),
+        };
+        let mut rng = StdRng::seed_from_u64(25);
+        let verified = recover_verified(&[share], 1, 64, &mut rng, |_| -> Option<()> {
+            panic!("accept called on a secret with its top bits set")
+        });
+        assert!(verified.value.is_none());
     }
 }

@@ -32,6 +32,7 @@
 //! and no state a dead connection can strand. The exchange still blocks
 //! its loop: a stalled shard stalls every loop that routes to it.
 
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -144,9 +145,9 @@ pub struct ShardRouter {
 
 impl ShardRouter {
     /// Binds the listener and spawns the event loops. `make_sinks` is
-    /// called once per loop to build that loop's own forwarding legs (a
-    /// factory that fails fails the start); the vector length fixes the
-    /// shard count every prefix is reduced by.
+    /// called once per loop to build that loop's own forwarding legs; the
+    /// vector length fixes the shard count every prefix is reduced by. A
+    /// factory that fails, or returns no sink, fails the start.
     pub fn start(config: RouterConfig, make_sinks: SinkFactory) -> Result<Self, CollectorError> {
         let counters = Arc::new(Counters::default());
         for (name, cell) in [
@@ -173,7 +174,13 @@ impl ShardRouter {
             },
             || {
                 let sinks = make_sinks()?;
-                Ok::<_, CollectorError>(Route {
+                if sinks.is_empty() {
+                    return Err(CollectorError::Io(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        "a shard router needs at least one shard",
+                    )));
+                }
+                Ok(Route {
                     batches: sinks.iter().map(|_| Vec::new()).collect(),
                     sinks,
                     arrivals: Vec::new(),
@@ -437,6 +444,21 @@ mod tests {
         let mut nonce = [0u8; NONCE_LEN];
         nonce[..8].copy_from_slice(&(i as u64).to_le_bytes());
         nonce
+    }
+
+    #[test]
+    fn a_router_with_no_shard_refuses_to_start() {
+        let started = ShardRouter::start(RouterConfig::default(), Box::new(|| Ok(Vec::new())));
+        match started {
+            Err(CollectorError::Io(error)) => {
+                assert_eq!(error.kind(), io::ErrorKind::InvalidInput, "{error}");
+            }
+            Err(other) => panic!("wrong refusal: {other}"),
+            Ok(router) => {
+                router.shutdown();
+                panic!("a router with no shard started");
+            }
+        }
     }
 
     /// A crowd prefix that routes to `shard` of `shards`.

@@ -127,6 +127,39 @@ fn analyzer_cannot_read_secret_shared_values_below_threshold_even_with_shuffler_
 }
 
 #[test]
+fn a_forger_who_guesses_a_value_can_neither_erase_nor_inflate_it() {
+    // Message-locked encryption lets anyone who guesses a value compute its
+    // ciphertext. Shares sealed at one more than the threshold carry that
+    // ciphertext but lie off the value's polynomial: forgeries the analyzer
+    // must count apart from the value, without losing the honest count.
+    let mut rng = StdRng::seed_from_u64(11);
+    let deployment = Deployment::builder()
+        .config(ShufflerConfig::default().without_thresholding())
+        .share_threshold(20)
+        .build(&mut rng);
+    let encoder = deployment.encoder();
+    let reports: Vec<_> = (0..205u64)
+        .map(|client| {
+            let threshold = if client < 200 { 20 } else { 21 };
+            encoder
+                .encode_secret_shared(b"popular", threshold, CrowdStrategy::None, client, &mut rng)
+                .unwrap()
+        })
+        .collect();
+    let report = deployment.ingest(&EpochSpec::new(0, 7), &reports).unwrap();
+    let database = &report.database;
+    assert_eq!(database.count(b"popular"), 200);
+    assert_eq!(database.forged_shares(), 5);
+    assert_eq!(
+        database.rows().len()
+            + database.pending_secret_reports()
+            + database.undecryptable()
+            + database.forged_shares(),
+        report.shuffler_stats.forwarded
+    );
+}
+
+#[test]
 fn clients_reject_quotes_from_unknown_enclaves() {
     // The client-side trust decision of §4.1.1: a shuffler key is only
     // accepted when the attestation chain verifies and the measurement is a

@@ -1,13 +1,14 @@
 //! End-to-end determinism of the fabric: the wire-level split shuffler
-//! (Phase B) reproduces the in-process `ShardedDeployment` split run byte
-//! for byte — pinned against the committed golden fixture — and the shard
+//! (Phase B) reproduces the in-process split run of each shard byte for
+//! byte — pinned against the committed golden fixture — and the shard
 //! router (Phase A) preserves every report's count through a real
 //! multi-collector TCP topology.
 //!
 //! The fixture line `split <hex>` in
-//! `tests/fixtures/golden_epoch_histogram.txt` was captured from the
-//! in-process `ShardedDeployment::ingest` run below. If this test fails,
-//! the wire topology (or the sharded seed derivation) drifted from the
+//! `tests/fixtures/golden_epoch_histogram.txt` pins the in-process
+//! reference below: two split-topology shards, each ingesting its crowds
+//! under `mix_seed(seed, shard)`, merged. If this test fails, the wire
+//! topology (or the per-shard seed derivation) drifted from the
 //! single-process semantics — fix the regression, do not re-capture.
 
 use std::collections::BTreeMap;
@@ -20,8 +21,8 @@ use prochlo_collector::{
 use prochlo_core::encoder::CrowdStrategy;
 use prochlo_core::exec::mix_seed;
 use prochlo_core::{
-    canonicalize, AnalyzerDatabase, ClientReport, Deployment, EpochSpec, PipelineReport,
-    ShardedDeployment, ShufflerConfig, Topology,
+    canonicalize, crowd_prefix, AnalyzerDatabase, ClientReport, Deployment, EpochSpec,
+    PipelineReport, ShardedDeployment, ShufflerConfig, Topology,
 };
 use prochlo_crypto::edwards::FixedBaseTable;
 use prochlo_crypto::hybrid::HybridCiphertext;
@@ -58,20 +59,26 @@ fn expected_hex(line_name: &str) -> String {
         .to_string()
 }
 
+/// The shard a crowd label routes to among `NUM_SHARDS`.
+fn shard_of(label: &[u8]) -> usize {
+    ShardedDeployment::shard_index_from_prefix(crowd_prefix(label), NUM_SHARDS)
+}
+
 /// The captured sharded workload: two split-topology shards with their own
-/// keys, and every report encoded against the shard its crowd routes to.
-/// Partitions are pre-canonicalized (sorted by outer-ciphertext bytes) so
-/// the in-process reference ingests exactly the order the wire pipeline
-/// canonicalizes to.
-fn sharded_workload() -> (ShardedDeployment, Vec<Vec<ClientReport>>) {
+/// keys, drawn in shard order, and every report encoded against the shard
+/// its crowd routes to. Partitions are pre-canonicalized (sorted by
+/// outer-ciphertext bytes) so the in-process reference ingests exactly the
+/// order the wire pipeline canonicalizes to.
+fn sharded_workload() -> (Vec<Deployment>, Vec<Vec<ClientReport>>) {
     let mut rng = StdRng::seed_from_u64(BUILD_SEED);
-    let sharded = ShardedDeployment::build(
-        Deployment::builder()
-            .shuffler(Topology::Split)
-            .payload_size(32),
-        NUM_SHARDS,
-        &mut rng,
-    );
+    let shards: Vec<Deployment> = (0..NUM_SHARDS)
+        .map(|_| {
+            Deployment::builder()
+                .shuffler(Topology::Split)
+                .payload_size(32)
+                .build(&mut rng)
+        })
+        .collect();
     let mut batches = vec![Vec::new(); NUM_SHARDS];
     let mut client = 0u64;
     for (value, count) in [
@@ -81,8 +88,8 @@ fn sharded_workload() -> (ShardedDeployment, Vec<Vec<ClientReport>>) {
         ("rare", 3),
     ] {
         let label = value.as_bytes();
-        let shard = sharded.shard_for_crowd(label);
-        let encoder = sharded.shard(shard).encoder();
+        let shard = shard_of(label);
+        let encoder = shards[shard].encoder();
         for _ in 0..count {
             batches[shard].push(
                 encoder
@@ -95,13 +102,13 @@ fn sharded_workload() -> (ShardedDeployment, Vec<Vec<ClientReport>>) {
     for batch in &mut batches {
         canonicalize(batch);
     }
-    (sharded, batches)
+    (shards, batches)
 }
 
 /// Runs one shard's epoch through the wire topology: S1 and S2 service
 /// loops on their own threads, the shard's `RemoteSplitPipeline` in the
-/// caller's. Each `ShardedDeployment` shard has its own keys, so each
-/// shard gets its own shuffler pair — a per-shard fabric.
+/// caller's. Each shard has its own keys, so each shard gets its own
+/// shuffler pair — a per-shard fabric.
 fn wire_epoch(
     deployment: &Deployment,
     spec: &EpochSpec,
@@ -132,7 +139,7 @@ fn wire_epoch(
 
 #[test]
 fn wire_split_topology_matches_the_sharded_reference_and_fixture() {
-    let (sharded, batches) = sharded_workload();
+    let (shards, batches) = sharded_workload();
     for (index, batch) in batches.iter().enumerate() {
         assert!(
             !batch.is_empty(),
@@ -140,23 +147,33 @@ fn wire_split_topology_matches_the_sharded_reference_and_fixture() {
         );
     }
 
-    // In-process reference: the sharded split run the fixture pins.
-    let spec = EpochSpec::new(EPOCH_INDEX, EPOCH_SEED);
-    let reference = sharded.ingest(&spec, &batches).unwrap();
+    // In-process reference: each shard ingests its partition under its
+    // derived seed, and the shards' databases merge in shard order — the
+    // sharded split run the fixture pins.
+    let shard_spec = |index: usize| EpochSpec::new(EPOCH_INDEX, mix_seed(EPOCH_SEED, index as u64));
+    let reference: Vec<PipelineReport> = shards
+        .iter()
+        .zip(&batches)
+        .enumerate()
+        .map(|(index, (shard, batch))| shard.ingest(&shard_spec(index), batch).unwrap())
+        .collect();
+    let mut reference_database = AnalyzerDatabase::default();
+    for report in &reference {
+        reference_database.merge_from(&report.database);
+    }
     assert_eq!(
-        hex(&reference.database.canonical_histogram_bytes()),
+        hex(&reference_database.canonical_histogram_bytes()),
         expected_hex("split"),
         "in-process sharded split run must match the committed fixture"
     );
 
     // Wire run: each shard ships its canonical batch over its own fabric,
-    // under the same derived per-shard seed ShardedDeployment uses.
+    // under the same derived per-shard seed.
     let mut merged = AnalyzerDatabase::default();
     for (index, batch) in batches.iter().enumerate() {
-        let shard_spec = EpochSpec::new(EPOCH_INDEX, mix_seed(EPOCH_SEED, index as u64));
-        let report = wire_epoch(sharded.shard(index), &shard_spec, batch.clone());
+        let report = wire_epoch(&shards[index], &shard_spec(index), batch.clone());
 
-        let in_process = reference.shards[index].as_ref().expect("populated shard");
+        let in_process = &reference[index];
         assert!(
             report.database.rows().eq(in_process.database.rows()),
             "shard {index}: wire database must match the in-process run row for row"
@@ -175,7 +192,7 @@ fn wire_split_topology_matches_the_sharded_reference_and_fixture() {
         expected_hex("split"),
         "wire topology must land on the committed fixture byte for byte"
     );
-    assert!(merged.rows().eq(reference.database.rows()));
+    assert!(merged.rows().eq(reference_database.rows()));
 }
 
 #[test]
@@ -195,7 +212,7 @@ fn one_shuffler_pair_serves_two_shards_of_one_deployment() {
     let mut client = 0u64;
     for (value, count) in [("left", 80usize), ("right", 70), ("also-right", 40)] {
         let label = value.as_bytes();
-        let shard = ShardedDeployment::shard_index(label, 2);
+        let shard = shard_of(label);
         for _ in 0..count {
             batches[shard].push(
                 encoder
@@ -319,8 +336,8 @@ fn router_preserves_counts_across_a_real_tcp_topology() {
     let mut submitted = 0u64;
     for (value, count) in workload {
         let label = value.as_bytes();
-        let prefix = prochlo_core::crowd_prefix(label);
-        let shard = ShardedDeployment::shard_index_from_prefix(prefix, 2);
+        let prefix = crowd_prefix(label);
+        let shard = shard_of(label);
         for i in 0..count {
             let report = encoders[shard]
                 .encode_plain(label, CrowdStrategy::Hash(label), i, &mut rng)

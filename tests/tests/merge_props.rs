@@ -1,8 +1,8 @@
 //! Property tests for [`AnalyzerDatabase::merge_from`] over the canonical
 //! histogram bytes: associativity and order-independence are what make
-//! cross-shard merging ([`prochlo_core::ShardedDeployment`]) well-defined —
-//! the analyzer may combine shard databases in any grouping and any order
-//! and always publish the same histogram. A model test holds the database's
+//! cross-shard merging well-defined — the analyzer may combine the
+//! databases of the collector shards behind the shard router in any
+//! grouping and any order and always publish the same histogram. A model test holds the database's
 //! interned rows (ids into the distinct values) to a plain `Vec<Vec<u8>>`.
 
 use std::collections::BTreeMap;
