@@ -1,18 +1,24 @@
-//! End-to-end tests of [`ShardedDeployment`]: reports partitioned across
-//! shards by crowd-ID prefix must merge analyzer-side into the same
-//! histogram a single deployment produces, and sharded epochs must be
-//! deterministic under fixed seeds.
+//! End-to-end test of the sharded topology: reports routed by crowd-ID
+//! prefix through a `ShardRouter` over loopback TCP to collector shards,
+//! each with its own keys, must merge analyzer-side into the same
+//! histogram a single deployment produces.
 
-use std::collections::BTreeMap;
+use std::time::Duration;
 
+use prochlo_collector::{
+    Collector, CollectorClient, CollectorConfig, ReportSink, Response, NONCE_LEN,
+};
 use prochlo_core::encoder::CrowdStrategy;
-use prochlo_core::{Deployment, EpochSpec, ShardedDeployment, ShufflerConfig};
+use prochlo_core::{
+    crowd_prefix, AnalyzerDatabase, ClientReport, Deployment, EpochSpec, ShardedDeployment,
+    ShufflerConfig,
+};
+use prochlo_fabric::{RouterConfig, ShardRouter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A workload with enough distinct crowds to populate several shards:
-/// `(value, reports)`, every crowd far above the default threshold or with
-/// thresholding disabled.
+/// `(value, reports)`, each value its own crowd.
 const WORKLOAD: [(&str, usize); 6] = [
     ("chrome", 90),
     ("firefox", 70),
@@ -22,30 +28,90 @@ const WORKLOAD: [(&str, usize); 6] = [
     ("netscape", 35),
 ];
 
-fn encode_sharded(
-    sharded: &ShardedDeployment,
+/// Collector shards behind the router.
+const SHARDS: usize = 4;
+
+/// The workload's reports, each encoded by `encoder_for(value)`, with the
+/// value as its hashed crowd ID.
+fn encode<'a>(
+    encoder_for: impl Fn(&str) -> &'a Deployment,
     rng: &mut StdRng,
-) -> Vec<Vec<prochlo_core::ClientReport>> {
-    let mut batches = vec![Vec::new(); sharded.num_shards()];
+) -> Vec<(&'static str, ClientReport)> {
+    let mut reports = Vec::new();
     let mut client = 0u64;
     for (value, count) in WORKLOAD {
-        let shard = sharded.shard_for_crowd(value.as_bytes());
-        let encoder = sharded.shard(shard).encoder();
+        let encoder = encoder_for(value).encoder();
         for _ in 0..count {
-            batches[shard].push(
-                encoder
-                    .encode_plain(
-                        value.as_bytes(),
-                        CrowdStrategy::Hash(value.as_bytes()),
-                        client,
-                        rng,
-                    )
-                    .unwrap(),
-            );
+            let report = encoder
+                .encode_plain(
+                    value.as_bytes(),
+                    CrowdStrategy::Hash(value.as_bytes()),
+                    client,
+                    rng,
+                )
+                .unwrap();
+            reports.push((value, report));
             client += 1;
         }
     }
-    batches
+    reports
+}
+
+/// One epoch per shard of `reports`, each submitted routed under its
+/// crowd's prefix to a `ShardRouter` in front of one collector shard per
+/// deployment; the shards' databases merge.
+fn ingest_routed(shards: Vec<Deployment>, reports: &[(&str, ClientReport)]) -> AnalyzerDatabase {
+    let collectors: Vec<Collector> = shards
+        .into_iter()
+        .map(|deployment| {
+            Collector::start(
+                deployment,
+                CollectorConfig {
+                    worker_threads: 1,
+                    epoch_deadline: Duration::from_secs(600),
+                    ..CollectorConfig::default()
+                },
+            )
+            .expect("collector shard starts")
+        })
+        .collect();
+    let addrs: Vec<_> = collectors.iter().map(Collector::local_addr).collect();
+    let router = ShardRouter::start(
+        RouterConfig {
+            worker_threads: 1,
+            ..RouterConfig::default()
+        },
+        Box::new(move || {
+            addrs
+                .iter()
+                .map(|&addr| {
+                    CollectorClient::connect(addr)
+                        .map(|client| Box::new(client) as Box<dyn ReportSink + Send>)
+                })
+                .collect()
+        }),
+    )
+    .expect("router starts");
+    let mut client = CollectorClient::connect(router.local_addr()).expect("router accepts");
+    for (index, (value, report)) in reports.iter().enumerate() {
+        let mut nonce = [0u8; NONCE_LEN];
+        nonce[..8].copy_from_slice(&(index as u64).to_le_bytes());
+        let verdict = client
+            .submit_routed(
+                crowd_prefix(value.as_bytes()),
+                &nonce,
+                &report.outer.to_bytes(),
+            )
+            .expect("routed submit");
+        assert!(matches!(verdict, Response::Ack { .. }), "{verdict:?}");
+    }
+    drop(client);
+    assert_eq!(router.shutdown().routed, reports.len() as u64);
+    let mut merged = AnalyzerDatabase::default();
+    for collector in collectors {
+        merged.merge_from(&collector.shutdown().merged_database());
+    }
+    merged
 }
 
 #[test]
@@ -53,130 +119,43 @@ fn sharded_ingest_merges_to_the_single_deployment_histogram() {
     // Without thresholding there are no noise draws, so the sharded merge
     // must equal a single-shard run *exactly*, not just approximately.
     let config = || ShufflerConfig::default().without_thresholding();
+    let shard_of = |value: &str| {
+        ShardedDeployment::shard_index_from_prefix(crowd_prefix(value.as_bytes()), SHARDS)
+    };
+
+    // The workload must genuinely fan out (>= 3 populated shards) — if the
+    // crowd set ever hashes into fewer shards, widen the workload instead
+    // of weakening this assertion.
+    let mut populated: Vec<usize> = WORKLOAD.iter().map(|(value, _)| shard_of(value)).collect();
+    populated.sort_unstable();
+    populated.dedup();
+    assert!(
+        populated.len() >= 3,
+        "only {} shards populated",
+        populated.len()
+    );
 
     let mut rng = StdRng::seed_from_u64(0x5a4d);
-    let sharded = ShardedDeployment::build(Deployment::builder().config(config()), 4, &mut rng);
-    let batches = encode_sharded(&sharded, &mut rng);
-    // The workload must genuinely fan out (>= 3 populated shards, per the
-    // acceptance criteria) — if the crowd set ever hashes into fewer
-    // shards, widen the workload instead of weakening this assertion.
-    let populated = batches.iter().filter(|b| !b.is_empty()).count();
-    assert!(populated >= 3, "only {populated} shards populated");
+    let shards: Vec<Deployment> = (0..SHARDS)
+        .map(|_| Deployment::builder().config(config()).build(&mut rng))
+        .collect();
+    let reports = encode(|value| &shards[shard_of(value)], &mut rng);
+    let merged = ingest_routed(shards, &reports);
 
-    let merged = sharded
-        .ingest(&EpochSpec::new(0, 0xfeed), &batches)
-        .unwrap();
-
-    // The same reports through one unsharded deployment.
+    // The same workload through one unsharded deployment.
     let mut rng = StdRng::seed_from_u64(0x0de9);
     let single = Deployment::builder().config(config()).build(&mut rng);
-    let encoder = single.encoder();
-    let mut reports = Vec::new();
-    let mut client = 0u64;
-    for (value, count) in WORKLOAD {
-        for _ in 0..count {
-            reports.push(
-                encoder
-                    .encode_plain(
-                        value.as_bytes(),
-                        CrowdStrategy::Hash(value.as_bytes()),
-                        client,
-                        &mut rng,
-                    )
-                    .unwrap(),
-            );
-            client += 1;
-        }
-    }
+    let reports: Vec<ClientReport> = encode(|_| &single, &mut rng)
+        .into_iter()
+        .map(|(_, report)| report)
+        .collect();
     let single_report = single.ingest(&EpochSpec::new(0, 0xfeed), &reports).unwrap();
 
     assert_eq!(
-        merged.database.canonical_histogram_bytes(),
+        merged.canonical_histogram_bytes(),
         single_report.database.canonical_histogram_bytes(),
         "sharded merge must equal the single-shard histogram"
     );
     let total: usize = WORKLOAD.iter().map(|(_, n)| n).sum();
-    assert_eq!(merged.database.rows().len(), total);
-}
-
-#[test]
-fn sharded_ingest_is_deterministic_under_fixed_seeds() {
-    // With the paper's thresholding enabled the noise draws differ from a
-    // single-shard run (each shard has its own derived stream), but two
-    // identically-seeded sharded runs must agree byte for byte.
-    let run = || {
-        let mut rng = StdRng::seed_from_u64(0xd5eed);
-        let sharded = ShardedDeployment::build(Deployment::builder(), 4, &mut rng);
-        let batches = encode_sharded(&sharded, &mut rng);
-        let merged = sharded
-            .ingest(&EpochSpec::new(3, 0xabcd), &batches)
-            .unwrap();
-        (
-            merged.database.canonical_histogram_bytes(),
-            merged
-                .shards
-                .iter()
-                .flatten()
-                .map(|r| r.shuffler_stats.clone())
-                .collect::<Vec<_>>(),
-        )
-    };
-    let (bytes_a, stats_a) = run();
-    let (bytes_b, stats_b) = run();
-    assert!(!bytes_a.is_empty());
-    assert_eq!(bytes_a, bytes_b);
-    assert_eq!(stats_a, stats_b);
-    assert!(stats_a.len() >= 3, "expected >= 3 populated shards");
-}
-
-#[test]
-fn shards_draw_uncorrelated_noise_streams() {
-    // Two shards ingesting an identical crowd under the same EpochSpec use
-    // per-shard derived seeds; over a spread of epochs their drop counts
-    // must not be identical in lockstep.
-    let mut rng = StdRng::seed_from_u64(0x11);
-    let sharded = ShardedDeployment::build(Deployment::builder(), 2, &mut rng);
-    let mut per_shard_drops: Vec<Vec<usize>> = vec![Vec::new(); 2];
-    for epoch in 0..12u64 {
-        let mut batches = vec![Vec::new(); 2];
-        for (shard, batch) in batches.iter_mut().enumerate() {
-            let encoder = sharded.shard(shard).encoder();
-            for i in 0..60u64 {
-                batch.push(
-                    encoder
-                        .encode_plain(b"crowd", CrowdStrategy::Hash(b"crowd"), i, &mut rng)
-                        .unwrap(),
-                );
-            }
-        }
-        let merged = sharded
-            .ingest(&EpochSpec::new(epoch, 0x77), &batches)
-            .unwrap();
-        for (shard, report) in merged.shards.iter().enumerate() {
-            per_shard_drops[shard].push(report.as_ref().unwrap().shuffler_stats.dropped_noise);
-        }
-    }
-    assert_ne!(
-        per_shard_drops[0], per_shard_drops[1],
-        "shards must not replay each other's noise draws"
-    );
-}
-
-#[test]
-fn routing_respects_crowd_prefix_partitioning() {
-    // Every crowd routes to exactly one shard, and the router agrees with
-    // the static helper for any shard count.
-    let mut rng = StdRng::seed_from_u64(0x22);
-    let sharded = ShardedDeployment::build(Deployment::builder(), 5, &mut rng);
-    let mut assignment: BTreeMap<&str, usize> = BTreeMap::new();
-    for (value, _) in WORKLOAD {
-        let shard = sharded.shard_for_crowd(value.as_bytes());
-        assert_eq!(shard, ShardedDeployment::shard_index(value.as_bytes(), 5));
-        assert!(shard < sharded.num_shards());
-        assignment.insert(value, shard);
-    }
-    // Stability: recomputing yields the same partition.
-    for (value, shard) in &assignment {
-        assert_eq!(sharded.shard_for_crowd(value.as_bytes()), *shard);
-    }
+    assert_eq!(merged.rows().len(), total);
 }
